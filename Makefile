@@ -53,18 +53,27 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The benchmark harness is a module of its own (benchmark/go.mod), which
+# ./... does not reach; its tests smoke all four workloads in about a second.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test ./...
 
 # Decision-equivalence proofs, named explicitly so a failure reads as "the
 # optimised decision path diverged from the oracle" rather than a generic
 # test break: incremental state vs full rebuild (bitwise, incl. faults and
 # streaming AddJob invalidation), float64 serving engine vs the autograd
-# tape, quantized-tier divergence bounds, and the training guard. These also
-# run under `make test`; this target is the canonical gate.
+# tape, quantized-tier divergence bounds, and the training guard. The stream
+# path's append-only pieces are each pinned to the whole-union computation
+# they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
+# accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
+# and TestStreamCostFlat / TestMemoScopedToStateVersion fail if a per-arrival
+# pass over the union DAG or a stream-long memo comes back. These also run
+# under `make test`; this target is the canonical gate.
 equiv:
-	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch' ./internal/core/
-	$(GO) test -run 'TestStreamIncrementalIdentical' ./internal/stream/
+	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion' ./internal/core/
+	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
+	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestBatchedServingBitIdentical' ./internal/serve/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve

@@ -25,7 +25,7 @@ func collectStates(t *testing.T, agent *Agent, kind taskgraph.Kind) []*EncodedSt
 	probe := policyFunc{
 		reset: pol.Reset,
 		decide: func(s *sim.State, r int) int {
-			es := EncodeFault(s, r, pol.feats, agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
+			es := EncodeFault(s, r, pol.unionFeats(s.Graph), agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 			if len(states)%4 == 3 {
 				es.AllowIdle = false
 			}

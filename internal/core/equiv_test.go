@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"readys/internal/platform"
 	"readys/internal/sim"
+	"readys/internal/stream"
 	"readys/internal/taskgraph"
 )
 
@@ -59,11 +61,8 @@ func (pp *encodeProbe) Reset(s *sim.State) { pp.inner.Reset(s) }
 
 func (pp *encodeProbe) Decide(s *sim.State, r int) int {
 	p := pp.inner
-	if len(p.feats) != s.Graph.NumTasks() {
-		p.feats = taskgraph.DescendantFeatures(s.Graph)
-	}
-	oracle := EncodeFault(s, r, p.feats, p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
-	inc := p.inc.Encode(s, r, p.feats)
+	oracle := EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+	inc := p.inc.Encode(s, r)
 	assertStatesEqual(pp.t, oracle, inc, fmt.Sprintf("%s decision %d", pp.ctx, pp.n))
 	pp.n++
 	return p.Decide(s, r)
@@ -168,7 +167,7 @@ func TestServingF64BitIdenticalToTape(t *testing.T) {
 		probe := policyFunc{
 			reset: pol.Reset,
 			decide: func(s *sim.State, r int) int {
-				es := EncodeFault(s, r, pol.feats, agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
+				es := EncodeFault(s, r, pol.unionFeats(s.Graph), agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 				fw := agent.Forward(es)
 				lp, idleIdx := engine.forward(es)
 				if idleIdx != fw.IdleIndex || len(lp) != fw.NumActions {
@@ -260,3 +259,49 @@ type policyFunc struct {
 
 func (p policyFunc) Reset(s *sim.State)             { p.reset(s) }
 func (p policyFunc) Decide(s *sim.State, r int) int { return p.decide(s, r) }
+
+// TestMemoScopedToStateVersion pins the memo's lifetime: it holds the forwards
+// of one (NumDone, FaultEpoch, GraphEpoch) version and is emptied when the
+// state moves on, so over a faulted 120-job stream it never outgrows what a
+// single version can produce instead of gaining an entry per distinct state
+// for as long as the stream runs. Within a version time stands still, so keys
+// differ only in how many tasks have started (0..P), in the asking resource's
+// type and speed (at most P of those) and in whether ∅ is allowed.
+func TestMemoScopedToStateVersion(t *testing.T) {
+	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
+	arr, err := stream.PoissonProcess{
+		Rate: 8, Jobs: 120, Kinds: []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU}, Sizes: []int{2, 3},
+	}.Generate(rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := platform.New(2, 2)
+	pol := NewPolicy(agent)
+	largest := 0
+	probe := policyFunc{
+		reset: pol.Reset,
+		decide: func(s *sim.State, r int) int {
+			task := pol.Decide(s, r)
+			largest = max(largest, len(pol.memo))
+			return task
+		},
+	}
+	res, err := stream.Run(probe, stream.Config{
+		Platform: plat,
+		Arrivals: arr,
+		Sigma:    0.1,
+		Faults:   sim.GeneratePlan(9, plat.Size(), sim.SpecForRate(1.0, arr[len(arr)-1].At+3000)),
+		Rng:      rand.New(rand.NewSource(10)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plat.Size()
+	if bound := (p + 1) * p * 2; largest > bound {
+		t.Fatalf("memo reached %d entries over %d decisions; one state version yields at most %d", largest, res.Decisions, bound)
+	}
+	t.Logf("largest memo: %d entries over %d decisions", largest, res.Decisions)
+	if largest < 2 {
+		t.Fatalf("memo never held more than %d entries over %d decisions: not exercised", largest, res.Decisions)
+	}
+}

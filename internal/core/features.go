@@ -179,7 +179,7 @@ func EncodeFault(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, 
 	es := &EncodedState{Nodes: nodes, X: x, Proc: proc, AllowIdle: !s.MustAct}
 	for row, t := range nodes {
 		rf := x.Row(row)
-		fillStaticTaskFeatures(s, t, F, maxE, rf)
+		fillStaticTaskFeatures(s, t, F[t], maxE, rf)
 		if fillDynamicTaskFeatures(s, t, maxE, rf) {
 			es.ReadyRows = append(es.ReadyRows, row)
 			es.ReadyTasks = append(es.ReadyTasks, t)
@@ -266,16 +266,14 @@ func fillProcVector(s *sim.State, resource int, maxE float64, numNodes int, faul
 
 // fillStaticTaskFeatures fills the columns of rf that change only when the
 // graph itself changes (GraphEpoch): degrees, kernel one-hot, descendant
-// summary, and expected durations. rf must be zeroed beforehand.
-func fillStaticTaskFeatures(s *sim.State, t int, F [][taskgraph.NumKernels]float64, maxE float64, rf []float64) {
+// summary f = F(t), and expected durations. rf must be zeroed beforehand.
+func fillStaticTaskFeatures(s *sim.State, t int, f [taskgraph.NumKernels]float64, maxE float64, rf []float64) {
 	g := s.Graph
 	task := g.Tasks[t]
 	rf[featSucc] = clamp01(float64(len(g.Succ[t])) / degreeNorm)
 	rf[featPred] = clamp01(float64(len(g.Pred[t])) / degreeNorm)
 	rf[featType0+int(task.Kernel)] = 1
-	for k := 0; k < taskgraph.NumKernels; k++ {
-		rf[featF0+k] = F[t][k]
-	}
+	copy(rf[featF0:], f[:])
 	tt := s.TaskTiming(t)
 	rf[featDurCPU] = tt.ExpectedDuration(task.Kernel, platform.CPU) / maxE
 	rf[featDurGPU] = tt.ExpectedDuration(task.Kernel, platform.GPU) / maxE

@@ -50,11 +50,15 @@ type incrementalEncoder struct {
 	numDone    int
 	faultEpoch int
 
-	// Per-graph-epoch caches (-1 = none yet).
+	// Per-graph-epoch caches (-1 = none yet). The per-task ones are
+	// append-only within an episode — a streaming arrival adds whole
+	// components, so what is cached for earlier tasks stays right — and
+	// len(sortedSucc) is how many tasks they cover.
 	graphEpoch int
 	maxE       float64
 	sortedSucc [][]int
 	sortedPred [][]int
+	desc       taskgraph.DescendantAccumulator // F(i), normalised on read
 
 	// BFS scratch indexed by task ID. seen is all-false between rebuilds.
 	seen  []bool
@@ -91,6 +95,9 @@ func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEnco
 func (e *incrementalEncoder) reset() {
 	e.valid = false
 	e.graphEpoch = -1
+	e.sortedSucc = e.sortedSucc[:0] // rows stay in the backing array for reuse
+	e.sortedPred = e.sortedPred[:0]
+	e.desc.Reset()
 	e.xEpoch = -1
 	e.adjEpoch = -1
 	// rowOf entries for the stale window must not leak into the next episode
@@ -107,12 +114,12 @@ func (e *incrementalEncoder) reset() {
 
 // Encode returns the EncodedState for a decision on the given resource,
 // reusing as much of the previous decision's state as the validity key allows.
-func (e *incrementalEncoder) Encode(s *sim.State, resource int, F [][taskgraph.NumKernels]float64) *EncodedState {
+func (e *incrementalEncoder) Encode(s *sim.State, resource int) *EncodedState {
 	if e.graphEpoch != s.GraphEpoch || len(e.seen) != s.Graph.NumTasks() {
 		e.refreshGraphCaches(s)
 	}
 	if !e.valid || e.numDone != s.NumDone || e.faultEpoch != s.FaultEpoch {
-		e.rebuildWindow(s, F)
+		e.rebuildWindow(s)
 		e.valid, e.numDone, e.faultEpoch = true, s.NumDone, s.FaultEpoch
 	}
 
@@ -136,29 +143,30 @@ func (e *incrementalEncoder) Encode(s *sim.State, resource int, F [][taskgraph.N
 	return es
 }
 
-// refreshGraphCaches rebuilds everything derived from the graph topology and
-// timing tables: called on the first decision and after each GraphEpoch bump
-// (streaming arrival).
+// refreshGraphCaches brings everything derived from the graph topology and
+// timing tables up to date: called on the first decision and after each
+// GraphEpoch bump (streaming arrival). Only the tasks added since the last call
+// are visited, so an arrival costs its own job rather than the stream so far;
+// desc.Extend panics should an appended task ever share an edge with a cached
+// one, the one way the earlier rows could go stale.
 func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
-	n := s.Graph.NumTasks()
+	g := s.Graph
+	n := g.NumTasks()
+	if n < len(e.sortedSucc) {
+		e.reset() // not the graph the caches describe: start over
+	}
 	e.maxE = s.MaxExpected()
-	e.sortedSucc = resizeIntRows(e.sortedSucc, n)
-	e.sortedPred = resizeIntRows(e.sortedPred, n)
-	for t := 0; t < n; t++ {
-		e.sortedSucc[t] = appendSortedInts(e.sortedSucc[t][:0], s.Graph.Succ[t])
-		e.sortedPred[t] = appendSortedInts(e.sortedPred[t][:0], s.Graph.Pred[t])
+	e.desc.Extend(g)
+	lo := len(e.sortedSucc)
+	e.sortedSucc = growTo(e.sortedSucc, n)
+	e.sortedPred = growTo(e.sortedPred, n)
+	for t := lo; t < n; t++ {
+		e.sortedSucc[t] = appendSortedInts(e.sortedSucc[t][:0], g.Succ[t])
+		e.sortedPred[t] = appendSortedInts(e.sortedPred[t][:0], g.Pred[t])
 	}
-	if len(e.seen) < n {
-		e.seen = make([]bool, n)
-		e.depth = make([]int32, n)
-		old := e.rowOf
-		e.rowOf = make([]int32, n)
-		copy(e.rowOf, old)
-	} else {
-		e.seen = e.seen[:n]
-		e.depth = e.depth[:n]
-		e.rowOf = e.rowOf[:n]
-	}
+	e.seen = growTo(e.seen, n)
+	e.depth = growTo(e.depth, n)
+	e.rowOf = growTo(e.rowOf, n)
 	e.graphEpoch = s.GraphEpoch
 	e.valid = false
 }
@@ -166,7 +174,7 @@ func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 // rebuildWindow recomputes the window node set (same membership as
 // taskgraph.Window), refills or copies the static feature rows, and rebuilds
 // the induced adjacency when the node set changed.
-func (e *incrementalEncoder) rebuildWindow(s *sim.State, F [][taskgraph.NumKernels]float64) {
+func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	g := s.Graph
 
 	// Multi-source BFS over successors, depth-capped at w. All seeds start at
@@ -226,7 +234,7 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State, F [][taskgraph.NumKerne
 			for i := range rf {
 				rf[i] = 0
 			}
-			fillStaticTaskFeatures(s, t, F, e.maxE, rf)
+			fillStaticTaskFeatures(s, t, e.desc.At(t), e.maxE, rf)
 			e.stats.RowsFilled++
 		}
 	}
@@ -329,13 +337,17 @@ func resizeMatrix(m *tensor.Matrix, rows, cols int) {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 }
 
-func resizeIntRows(rows [][]int, n int) [][]int {
-	if cap(rows) < n {
-		out := make([][]int, n)
-		copy(out, rows)
-		return out
+// growTo returns xs at length n with its contents kept. The first build is
+// sized exactly — serve builds a fresh policy per request, so slack there is
+// allocated and never used — and later growth doubles, so the appends of a
+// stream copy amortised O(job) per arrival.
+func growTo[T any](xs []T, n int) []T {
+	if n <= cap(xs) {
+		return xs[:n]
 	}
-	return rows[:n]
+	out := make([]T, n, max(n, 2*cap(xs)))
+	copy(out, xs)
+	return out
 }
 
 func appendSortedInts(dst, src []int) []int {

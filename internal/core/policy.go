@@ -51,6 +51,10 @@ type Policy struct {
 	InferenceTime  time.Duration
 	InferenceCount int
 
+	// feats is F(i) materialised over the whole graph, for the paths that
+	// rebuild the state on every decision (EncodeFault: training, and the
+	// oracle left by DisableIncrementalState); see unionFeats. The incremental
+	// encoder keeps its own append-only F.
 	feats [][taskgraph.NumKernels]float64
 
 	// inc maintains the decision state incrementally on the non-recording
@@ -61,21 +65,28 @@ type Policy struct {
 	batch  *Batcher
 	lpBuf  []float64 // reusable result buffer for batched forwards
 	prec   Precision
+	// memo holds the forwards of one state version only: memoAt is that
+	// version, and the map is emptied when the state moves past it. The
+	// version counters never go back, so nothing dropped could have hit again.
 	memo   map[memoKey]memoVal
+	memoAt stateVersion
 	noMemo bool
 }
 
-// memoKey identifies a decision state up to forward-pass equivalence: within
-// one (NumDone, FaultEpoch, GraphEpoch) version, task starts are the only
-// mutations and they move exactly one task from Ready to Running, so the
-// counts pin the window contents; Now and the asking resource's type and
-// speed pin the remaining features. Two decisions with equal keys see
-// bit-identical EncodedStates and hence identical log-probabilities.
+// stateVersion is the (NumDone, FaultEpoch, GraphEpoch) triple within which a
+// memoKey identifies a decision state.
+type stateVersion struct{ numDone, faultEpoch, graphEpoch int }
+
+// memoKey identifies a decision state up to forward-pass equivalence within
+// one stateVersion: there, task starts are the only mutations and they move
+// exactly one task from Ready to Running, so the counts pin the window
+// contents; Now and the asking resource's type and speed pin the remaining
+// features. Two decisions with equal keys see bit-identical EncodedStates and
+// hence identical log-probabilities.
 type memoKey struct {
-	numDone, faultEpoch, graphEpoch int
-	numRunning, numReady            int
-	nowBits, speedBits              uint64
-	isCPU, allowIdle                bool
+	numRunning, numReady int
+	nowBits, speedBits   uint64
+	isCPU, allowIdle     bool
 }
 
 type memoVal struct {
@@ -162,28 +173,30 @@ func (p *Policy) IncrementalStats() IncrementalStats {
 	return p.inc.stats
 }
 
-// Reset implements sim.Policy: it precomputes the DAG's descendant features
-// and clears the episode recording, the incremental state, and the decision
-// memo.
+// Reset implements sim.Policy: it clears the episode recording, the
+// descendant features, the incremental state, and the decision memo.
 func (p *Policy) Reset(s *sim.State) {
-	p.feats = taskgraph.DescendantFeatures(s.Graph)
+	p.feats = nil
 	p.Steps = p.Steps[:0]
 	if p.inc != nil {
 		p.inc.reset()
 	}
-	for k := range p.memo {
-		delete(p.memo, k)
+	clear(p.memo)
+}
+
+// unionFeats returns the descendant features of the whole graph for an
+// EncodeFault rebuild, recomputing them on the first decision of an episode
+// and whenever the graph has grown since (streaming job arrival) — O(history)
+// per arrival, which only training and the rebuild oracle pay.
+func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 {
+	if len(p.feats) != g.NumTasks() {
+		p.feats = taskgraph.DescendantFeatures(g)
 	}
+	return p.feats
 }
 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
-	if len(p.feats) != s.Graph.NumTasks() {
-		// The graph grew since Reset (streaming job arrival): recompute the
-		// descendant features over the union DAG. Single-DAG episodes never
-		// take this branch after Reset.
-		p.feats = taskgraph.DescendantFeatures(s.Graph)
-	}
 	if p.Record {
 		if p.engine != nil {
 			panic("core: serving precision on a recording (training) policy")
@@ -193,9 +206,9 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 
 	var es *EncodedState
 	if p.inc != nil {
-		es = p.inc.Encode(s, r, p.feats)
+		es = p.inc.Encode(s, r)
 	} else {
-		es = EncodeFault(s, r, p.feats, p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+		es = EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
 	}
 	if p.DisableIdle {
 		es.AllowIdle = false
@@ -203,10 +216,11 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 
 	var key memoKey
 	if !p.noMemo {
+		if at := (stateVersion{s.NumDone, s.FaultEpoch, s.GraphEpoch}); at != p.memoAt {
+			clear(p.memo)
+			p.memoAt = at
+		}
 		key = memoKey{
-			numDone:    s.NumDone,
-			faultEpoch: s.FaultEpoch,
-			graphEpoch: s.GraphEpoch,
 			numRunning: len(s.Running),
 			numReady:   len(s.Ready),
 			nowBits:    math.Float64bits(s.Now),
@@ -270,7 +284,7 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int) int {
 // decideTape is the original tape-forward path used for training: the full
 // EncodeFault rebuild, the autograd forward, and step recording.
 func (p *Policy) decideTape(s *sim.State, r int) int {
-	es := EncodeFault(s, r, p.feats, p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+	es := EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
 	if p.DisableIdle {
 		es.AllowIdle = false
 	}

@@ -40,7 +40,7 @@ func TestQuantizedBoundedDivergence(t *testing.T) {
 				probe := policyFunc{
 					reset: pol.Reset,
 					decide: func(s *sim.State, r int) int {
-						es := EncodeFault(s, r, pol.feats, agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
+						es := EncodeFault(s, r, pol.unionFeats(s.Graph), agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 						lpA, _ := f64e.forward(es)
 						a := argmaxLogProbs(lpA)
 						lpB, _ := qe.forward(es)

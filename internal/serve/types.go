@@ -227,11 +227,9 @@ func (r *ScheduleRequest) BuildGraph() (*taskgraph.Graph, error) {
 		}
 		g.AddEdge(from, to)
 	}
+	// Validate includes the acyclicity check (it runs TopoOrder).
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: explicit dag invalid: %w", err)
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return nil, fmt.Errorf("serve: explicit dag: %w", err)
 	}
 	return g, nil
 }

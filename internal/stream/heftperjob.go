@@ -3,7 +3,6 @@ package stream
 import (
 	"math"
 
-	"readys/internal/sched"
 	"readys/internal/sim"
 )
 
@@ -11,19 +10,19 @@ import (
 // FIFO (earliest arrival first) and, within a job, tasks follow that job's
 // own HEFT upward ranks, each placed on the resource minimising its expected
 // completion time. Because concurrent jobs are disjoint components of the
-// union DAG, computing upward ranks over the union (per-task timing tables,
-// current platform) is exactly per-job HEFT — the plan each job would get in
-// isolation — while placement still sees the real shared load through the
-// ECT term. The policy replans ranks whenever the graph grows (GraphEpoch),
-// which costs O(V+E) per arrival.
+// union DAG, a task's upward rank reads only its own job (per-task timing
+// tables, current platform): it is exactly per-job HEFT — the plan each job
+// would get in isolation — and is final once computed, while placement still
+// sees the real shared load through the ECT term. When the graph grows the
+// policy ranks the appended tasks only, O(V+E) of the arriving job; the values
+// are bit-equal to sched.UpwardRanksFor over the whole union.
 //
 // Dispatch mirrors MCTPolicy's resource-driven form: the asking resource
 // starts the FIFO-first, rank-best ready task only if it is that task's
 // ECT-best resource, and defers (∅) otherwise; forced rounds fall back to
 // the same order unconditionally.
 type HEFTPerJobPolicy struct {
-	rank  []float64
-	epoch int
+	rank []float64 // upward rank per union task, append-only within a run
 }
 
 // NewHEFTPerJobPolicy returns a fresh policy.
@@ -31,16 +30,37 @@ func NewHEFTPerJobPolicy() *HEFTPerJobPolicy { return &HEFTPerJobPolicy{} }
 
 // Reset implements sim.Policy.
 func (p *HEFTPerJobPolicy) Reset(s *sim.State) {
-	p.epoch = -1
+	p.rank = p.rank[:0]
 	p.refresh(s)
 }
 
+// refresh ranks the tasks appended since the last call, with the arithmetic
+// of sched.UpwardRanksFor.
 func (p *HEFTPerJobPolicy) refresh(s *sim.State) {
-	if p.epoch == s.GraphEpoch && len(p.rank) == s.Graph.NumTasks() {
+	g := s.Graph
+	lo, n := len(p.rank), g.NumTasks()
+	if lo >= n {
 		return
 	}
-	p.rank = sched.UpwardRanksFor(s.Graph, s.Platform, s.TaskTiming)
-	p.epoch = s.GraphEpoch
+	order, err := g.ReverseTopoFrom(lo)
+	if err != nil {
+		panic(err)
+	}
+	p.rank = append(p.rank, make([]float64, n-lo)...)
+	for _, i := range order {
+		var w float64
+		tt := s.TaskTiming(i)
+		for _, r := range s.Platform.Resources {
+			w += tt.ExpectedDuration(g.Tasks[i].Kernel, r.Type)
+		}
+		var best float64
+		for _, j := range g.Succ[i] {
+			if p.rank[j] > best {
+				best = p.rank[j]
+			}
+		}
+		p.rank[i] = w/float64(s.Platform.Size()) + best
+	}
 }
 
 // Decide implements sim.Policy.

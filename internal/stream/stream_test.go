@@ -3,8 +3,10 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"readys/internal/core"
@@ -209,7 +211,10 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 // features, decision memo) must invalidate correctly. The default policy
 // (incremental + memo) and the serving engine at float64 must fingerprint
 // identically to the pre-optimization path (full EncodeFault rebuild, tape
-// forward, no memo), with and without fault plans.
+// forward, no memo), with and without fault plans. Six streams are short; the
+// seventh is 60 jobs long, so the append-only caches (descendant features,
+// neighbour lists, BFS scratch) outgrow their first allocation and regrow
+// geometrically several times inside the comparison.
 func TestStreamIncrementalIdentical(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
 	faultAgent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4, FaultFeatures: true})
@@ -217,9 +222,13 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 		"incremental": func(a *core.Agent) sim.Policy { return core.NewPolicy(a) },
 		"serving-f64": func(a *core.Agent) sim.Policy { return core.NewServingPolicy(a, core.PrecisionFloat64) },
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 7; i++ {
 		seed := int64(5000 + i)
-		arr := testArrivals(t, seed, 5, 2.5)
+		jobs := 5
+		if i == 6 {
+			jobs = 60
+		}
+		arr := testArrivals(t, seed, jobs, 2.5)
 		horizon := arr[len(arr)-1].At + 3000
 		for fi, faults := range []*sim.FaultPlan{nil, sim.GeneratePlan(seed, 4, sim.SpecForRate(1.0, horizon))} {
 			for _, ag := range []*core.Agent{agent, faultAgent} {
@@ -240,5 +249,59 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHEFTPerJobRanksMatchUnion pins the append-only ranks: after every
+// arrival each task's rank — just computed or kept from an earlier arrival —
+// equals sched.UpwardRanksFor over the whole union bit for bit.
+func TestHEFTPerJobRanksMatchUnion(t *testing.T) {
+	cl, err := sim.NewCluster(platform.New(2, 2), sim.Options{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cl.State()
+	p := NewHEFTPerJobPolicy()
+	p.Reset(s)
+	for i, a := range testArrivals(t, 21, 40, 3.0) {
+		if _, err := cl.AddJob(i, a.Graph(), platform.TimingFor(a.Kind)); err != nil {
+			t.Fatal(err)
+		}
+		p.refresh(s)
+		want := sched.UpwardRanksFor(s.Graph, s.Platform, s.TaskTiming)
+		if len(p.rank) != len(want) {
+			t.Fatalf("after job %d: %d ranks for %d tasks", i, len(p.rank), len(want))
+		}
+		for task := range want {
+			if math.Float64bits(p.rank[task]) != math.Float64bits(want[task]) {
+				t.Fatalf("after job %d: rank[%d] = %v, union ranks give %v", i, task, p.rank[task], want[task])
+			}
+		}
+	}
+}
+
+// TestStreamCostFlat makes "an arrival costs its own job, not the stream so
+// far" a contract: the bytes a READYS stream allocates per job must not grow
+// with the stream's length. TotalAlloc counts every allocation whether or not
+// the collector has run, so the figure repeats for a fixed seed. With any
+// per-arrival pass over the union DAG the ratio below is about 4.
+func TestStreamCostFlat(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 4})
+	bytesPerJob := func(jobs int) float64 {
+		arr := testArrivals(t, 77, jobs, 8.0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := runStream(t, func() sim.Policy { return core.NewPolicy(agent) }, arr, 78, nil)
+		runtime.ReadMemStats(&after)
+		if err := res.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(jobs)
+	}
+	short, long := bytesPerJob(150), bytesPerJob(600)
+	t.Logf("allocated per job: %.0f B over 150 jobs, %.0f B over 600 jobs (ratio %.2f)", short, long, long/short)
+	if long > 1.5*short {
+		t.Fatalf("allocation per job grows with stream length: %.0f B at 150 jobs, %.0f B at 600 (ratio %.2f > 1.5)",
+			short, long, long/short)
 	}
 }

@@ -53,6 +53,81 @@ func DescendantFeatures(g *Graph) [][NumKernels]float64 {
 	return out
 }
 
+// DescendantAccumulator maintains DescendantFeatures of a graph that grows
+// only by appending whole components, at the cost of the appended tasks
+// rather than of the whole graph. It rests on two facts about such growth.
+// F̄(i) reads only i's own component, so it is final once computed, and a new
+// component's F̄ needs that component alone. The normaliser is a left-to-right
+// sum over the roots in ID order, which appending roots merely continues. At
+// therefore returns, bit for bit, the row DescendantFeatures would compute
+// over the graph as last extended — including for earlier tasks, whose F
+// shrinks as the normaliser grows.
+//
+// The zero value is ready to use.
+type DescendantAccumulator struct {
+	raw  [][NumKernels]float64 // F̄ per task
+	norm [NumKernels]float64   // Σ F̄ over the roots seen so far
+}
+
+// Reset forgets every task, keeping the storage for the next graph.
+func (a *DescendantAccumulator) Reset() {
+	a.raw = a.raw[:0]
+	a.norm = [NumKernels]float64{}
+}
+
+// Extend takes in the tasks g gained since the last call (all of them after
+// Reset). It panics if one of them shares an edge with an earlier task, which
+// would change values already handed out.
+func (a *DescendantAccumulator) Extend(g *Graph) {
+	lo, n := len(a.raw), g.NumTasks()
+	if lo >= n {
+		return
+	}
+	order, err := g.ReverseTopoFrom(lo)
+	if err != nil {
+		panic(err)
+	}
+	if n <= cap(a.raw) {
+		a.raw = a.raw[:n]
+	} else {
+		// Exact on the first build (a single-DAG episode never grows), then
+		// doubling so a stream's appends stay amortised O(job).
+		grown := make([][NumKernels]float64, n, max(n, 2*cap(a.raw)))
+		copy(grown, a.raw)
+		a.raw = grown
+	}
+	// Same arithmetic, in the same order per task, as DescendantFeatures.
+	for _, i := range order {
+		var f [NumKernels]float64
+		f[g.Tasks[i].Kernel] = 1
+		for _, c := range g.Succ[i] {
+			share := 1.0 / float64(len(g.Pred[c]))
+			for k := 0; k < NumKernels; k++ {
+				f[k] += a.raw[c][k] * share
+			}
+		}
+		a.raw[i] = f
+	}
+	for r := lo; r < n; r++ {
+		if len(g.Pred[r]) == 0 {
+			for k := 0; k < NumKernels; k++ {
+				a.norm[k] += a.raw[r][k]
+			}
+		}
+	}
+}
+
+// At returns F(t) under the current normaliser.
+func (a *DescendantAccumulator) At(t int) [NumKernels]float64 {
+	var f [NumKernels]float64
+	for k := 0; k < NumKernels; k++ {
+		if a.norm[k] > 0 {
+			f[k] = a.raw[t][k] / a.norm[k]
+		}
+	}
+	return f
+}
+
 // Window returns the sub-DAG retained in the READYS state (§III-B): the
 // running tasks, the ready tasks, and every descendant of a running or ready
 // task whose depth is at most w, where the depth of a descendant is the

@@ -222,7 +222,9 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	for i := range g.Pred {
 		indeg[i] = len(g.Pred[i])
 	}
-	// Min-ID frontier keeps the order deterministic.
+	// The frontier is a binary min-heap on task ID kept in place in one slice:
+	// popping the smallest ID keeps the order deterministic at O(log F) per
+	// task. Filled in ascending order, it starts out a valid heap.
 	frontier := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -231,19 +233,84 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	}
 	order := make([]int, 0, n)
 	for len(frontier) > 0 {
-		sort.Ints(frontier)
 		next := frontier[0]
-		frontier = frontier[1:]
+		last := len(frontier) - 1
+		frontier[0] = frontier[last]
+		frontier = frontier[:last]
+		siftDown(frontier, 0)
 		order = append(order, next)
 		for _, s := range g.Succ[next] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				frontier = append(frontier, s)
+				siftUp(frontier, len(frontier)-1)
 			}
 		}
 	}
 	if len(order) != n {
 		return nil, fmt.Errorf("taskgraph: graph has a cycle (%d of %d tasks ordered)", len(order), n)
+	}
+	return order, nil
+}
+
+// siftDown restores the min-heap property of h below index i.
+func siftDown(h []int, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// siftUp restores the min-heap property of h above index i.
+func siftUp(h []int, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// ReverseTopoFrom orders the tasks lo..NumTasks()-1 so that every task comes
+// after all of its successors, in O(tasks + edges) of that suffix alone. It is
+// for graphs that grow by appending whole components — a stream's union DAG
+// under sim.Cluster.AddJob — where what was computed for the tasks below lo
+// stays final. An edge between the suffix and an earlier task, or a cycle in
+// the suffix, is an error.
+func (g *Graph) ReverseTopoFrom(lo int) ([]int, error) {
+	n := g.NumTasks() - lo
+	left := make([]int32, n) // successors not yet ordered
+	order := make([]int, 0, n)
+	for i := range left {
+		left[i] = int32(len(g.Succ[lo+i]))
+		if left[i] == 0 {
+			order = append(order, lo+i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, p := range g.Pred[order[head]] {
+			if p < lo {
+				return nil, fmt.Errorf("taskgraph: edge (%d,%d) joins an appended task to an earlier one (tasks before %d are final)", p, order[head], lo)
+			}
+			if left[p-lo]--; left[p-lo] == 0 {
+				order = append(order, p)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("taskgraph: tasks from %d on have a cycle or a successor before %d (%d of %d ordered)", lo, lo, len(order), n)
 	}
 	return order, nil
 }
