@@ -7,7 +7,9 @@
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild tape oracle
 #                      (bitwise for float64; bounded divergence for the
-#                      quantized tiers)
+#                      quantized tiers), and the training path (tape-free
+#                      rollouts, one batched tape pass per episode) must
+#                      match per-decision-tape training bit for bit
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
@@ -68,10 +70,20 @@ test:
 # they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
 # accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
 # and TestStreamCostFlat / TestMemoScopedToStateVersion fail if a per-arrival
-# pass over the union DAG or a stream-long memo comes back. These also run
-# under `make test`; this target is the canonical gate.
+# pass over the union DAG or a stream-long memo comes back. The training path
+# is held to the per-decision tapes it replaced: segment ops vs one tape per
+# range (TestSegmentOpsMatchPerSegmentTapes), rollouts on the engine vs a
+# tape rollout kept in the test file (TestTrainingRolloutMatchesTape), the
+# width-d pass vs width 1 vs the engine (TestBatchedForwardBitIdentical, under
+# TestBatch), gradients vs the per-decision update kept in the test file
+# (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
+# wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
+# tapes are held across the rollout barrier again. These also run under
+# `make test`; this target is the canonical gate.
 equiv:
-	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion' ./internal/core/
+	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes' ./internal/autograd/
+	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape' ./internal/core/
+	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestBatchedServingBitIdentical' ./internal/serve/

@@ -165,6 +165,7 @@ func BenchmarkTrainingEpisode(b *testing.B) {
 			agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
 			cfg := rl.DefaultConfig()
 			cfg.Episodes = 1
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = int64(i + 1)

@@ -11,12 +11,26 @@
 // log-softmax, and scalar arithmetic (scalars are represented as 1x1
 // matrices).
 //
-// Every intermediate the tape creates — op outputs and gradient accumulators
-// — is drawn from the size-bucketed buffer pool in internal/tensor and
-// tracked on a tape-scoped free list. Release returns the whole list to the
-// pool in one sweep, so steady-state training and serving recycle their
-// scratch memory instead of exercising the allocator on every decision.
-// Caller-provided matrices (Const/Var inputs) are never pooled or released.
+// Batch width. One tape can evaluate a stack of d independent samples at
+// once: their rows are stacked into one matrix and a segment table (see
+// tensor.SegmentBounds) says which rows belong to which sample. Row-local ops
+// need nothing more; the ops that reduce over a sample's rows (pooling,
+// log-softmax, sums) and the ops that reduce over rows into a parameter
+// gradient (MatMul's right operand, AddRowVector's vector) take the table and
+// work range by range, so every sample's values and every parameter's
+// gradient carry the bits d separate tapes would have produced, summed in
+// sample order. A nil table is one sample: the unstacked case is the same
+// code at width 1.
+//
+// Every intermediate the tape creates — op outputs, gradient accumulators and
+// backward-pass temporaries — is drawn from the size-bucketed buffer pool in
+// internal/tensor through a tape-scoped free list. A gradient accumulator goes
+// back on the list as soon as its node's backward step has run; Reset puts
+// the rest back and keeps the list for the next pass on the same tape (the
+// shared pool sits on sync.Pool, which every collection empties — a tape that
+// cycles through megabyte buffers keeps them itself); Release hands everything
+// to the shared pool. Caller-provided matrices (Const/Var/Param inputs) are
+// never pooled or released.
 //
 // Gradient correctness for every op is property-tested against central
 // finite differences in autograd_test.go.
@@ -39,34 +53,41 @@ type Node struct {
 	Grad *tensor.Matrix
 
 	requiresGrad bool
-	backward     func()
+	// extGrad marks a Param leaf: Grad is the caller's accumulator, never
+	// allocated, pooled or dropped by the tape.
+	extGrad  bool
+	backward func()
 }
 
 // RequiresGrad reports whether gradients flow into this node.
 func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 
-// accum adds g into n.Grad, allocating it from the buffer pool on first use.
-// It is a no-op for nodes that do not require gradients, so op backward
-// functions can call it unconditionally.
-func (n *Node) accum(g *tensor.Matrix) {
-	if !n.requiresGrad {
-		return
-	}
-	if n.Grad == nil {
-		n.Grad = tensor.GetPooled(n.Value.Rows, n.Value.Cols)
-	}
-	tensor.AddInPlace(n.Grad, g)
-}
-
 // Tape records operations for a single forward pass. A Tape is not safe for
 // concurrent use; create one tape per goroutine.
 type Tape struct {
 	nodes []*Node
-	// owned lists the matrices this tape allocated from the buffer pool
-	// (op output values); Release returns them together with every node's
-	// gradient accumulator.
-	owned    []*tensor.Matrix
+	// owned lists the op output values this tape allocated; Reset and Release
+	// recycle them together with every remaining gradient accumulator.
+	owned []*tensor.Matrix
+	// bufs is where every buffer of the tape comes from and goes back to.
+	bufs     tensor.FreeList
 	released bool
+}
+
+// gradOf returns n's gradient accumulator, drawing a zeroed one on first use.
+func (t *Tape) gradOf(n *Node) *tensor.Matrix {
+	if n.Grad == nil {
+		n.Grad = t.bufs.Get(n.Value.Rows, n.Value.Cols)
+	}
+	return n.Grad
+}
+
+// accum adds g into n.Grad. It is a no-op for nodes that do not require
+// gradients, so op backward functions can call it unconditionally.
+func (t *Tape) accum(n *Node, g *tensor.Matrix) {
+	if n.requiresGrad {
+		tensor.AddInPlace(t.gradOf(n), g)
+	}
 }
 
 // NewTape returns an empty tape.
@@ -84,38 +105,48 @@ func (t *Tape) push(n *Node) *Node {
 	return n
 }
 
-// alloc draws a zeroed rows x cols matrix from the buffer pool and records it
-// on the tape's free list.
+// alloc draws a zeroed rows x cols op output and records it as tape-owned.
 func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
-	m := tensor.GetPooled(rows, cols)
+	m := t.bufs.Get(rows, cols)
 	t.owned = append(t.owned, m)
 	return m
 }
 
-// Release resets the tape and returns every pooled intermediate — op output
-// values and gradient accumulators — to the buffer pool. The tape and every
-// node created on it must not be used afterwards: values read from nodes
-// (sampled actions, scalar losses) must be extracted before releasing.
-// Release is idempotent; a tape that is never released is simply collected by
-// the GC as before.
+// Reset empties the tape for another forward pass and keeps its buffers: every
+// op output and remaining gradient accumulator goes on the tape's free list,
+// from which the next pass draws. Nodes of the previous pass must not be used
+// afterwards: values read from them (sampled actions, scalar losses) must be
+// extracted first. Gradients accumulated into Param leaves are the caller's
+// and stay.
+func (t *Tape) Reset() {
+	if t.released {
+		panic("autograd: use of a released tape")
+	}
+	for i, n := range t.nodes {
+		if n.Grad != nil && !n.extGrad {
+			t.bufs.Put(n.Grad)
+		}
+		n.Grad, n.Value, n.backward = nil, nil, nil
+		t.nodes[i] = nil
+	}
+	for i, m := range t.owned {
+		t.bufs.Put(m)
+		t.owned[i] = nil
+	}
+	t.nodes, t.owned = t.nodes[:0], t.owned[:0]
+}
+
+// Release is the final Reset: the tape's buffers go to the shared pool and
+// the tape and its nodes must not be used afterwards. Release is idempotent;
+// a tape that is never released is simply collected by the GC.
 func (t *Tape) Release() {
 	if t.released {
 		return
 	}
+	t.Reset()
+	t.bufs.Drain()
+	t.nodes, t.owned = nil, nil
 	t.released = true
-	for _, n := range t.nodes {
-		if n.Grad != nil {
-			tensor.PutPooled(n.Grad)
-			n.Grad = nil
-		}
-		n.backward = nil
-		n.Value = nil
-	}
-	for _, m := range t.owned {
-		tensor.PutPooled(m)
-	}
-	t.nodes = nil
-	t.owned = nil
 }
 
 // Released reports whether Release has been called.
@@ -133,8 +164,21 @@ func (t *Tape) Var(m *tensor.Matrix) *Node {
 	return t.push(&Node{Value: m, requiresGrad: true})
 }
 
+// Param records a differentiable leaf whose gradient accumulator is the
+// caller's: Backward adds into grad (same shape as value) directly, so
+// gradients of successive passes — and of successive tapes binding the same
+// parameter — sum in the order the passes ran, with no copy-out step.
+func (t *Tape) Param(value, grad *tensor.Matrix) *Node {
+	if !value.SameShape(grad) {
+		panic(fmt.Sprintf("autograd: Param gradient is %dx%d for a %dx%d value", grad.Rows, grad.Cols, value.Rows, value.Cols))
+	}
+	return t.push(&Node{Value: value, Grad: grad, requiresGrad: true, extGrad: true})
+}
+
 // Backward runs reverse-mode differentiation from root, which must be a 1x1
-// scalar node; its gradient is seeded with 1. It may be called once per tape.
+// scalar node; its gradient is seeded with 1. It may be called once per
+// forward pass. Only leaves keep their gradient: an op node's accumulator is
+// recycled as soon as its backward step has consumed it.
 func (t *Tape) Backward(root *Node) {
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autograd: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
@@ -142,14 +186,13 @@ func (t *Tape) Backward(root *Node) {
 	if !root.requiresGrad {
 		return // nothing on the tape influences the root
 	}
-	seed := tensor.GetPooled(1, 1)
-	seed.Data[0] = 1
-	root.accum(seed)
-	tensor.PutPooled(seed)
+	t.gradOf(root).Data[0] += 1
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := t.nodes[i]
 		if n.backward != nil && n.Grad != nil {
 			n.backward()
+			t.bufs.Put(n.Grad)
+			n.Grad = nil
 		}
 	}
 }
@@ -163,30 +206,30 @@ func anyGrad(ns ...*Node) bool {
 	return false
 }
 
-// scratch draws a pooled matrix for a backward-pass temporary; pair with
-// tensor.PutPooled as soon as the value has been accumulated.
-func scratch(rows, cols int) *tensor.Matrix {
-	return tensor.GetPooled(rows, cols)
-}
-
 // MatMul records c = a*b.
-func (t *Tape) MatMul(a, b *Node) *Node {
+func (t *Tape) MatMul(a, b *Node) *Node { return t.MatMulSeg(a, b, nil) }
+
+// MatMulSeg records c = a*b for a row-stacked a: segs is the segment table of
+// a's rows. The product and a's gradient are row-local and ignore it; b's
+// gradient aᵀ·∂c reduces over rows, and is accumulated one range at a time, in
+// order, each range's product formed from zero — the bits that one tape per
+// range would have summed into b.
+func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
 	val := t.alloc(a.Value.Rows, b.Value.Cols)
 	tensor.MatMulInto(a.Value, b.Value, val)
 	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
-				g := scratch(a.Value.Rows, a.Value.Cols)
+				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 				tensor.MatMulTransBInto(out.Grad, b.Value, g)
-				a.accum(g)
-				tensor.PutPooled(g)
+				t.accum(a, g)
+				t.bufs.Put(g)
 			}
 			if b.requiresGrad {
-				g := scratch(b.Value.Rows, b.Value.Cols)
-				tensor.MatMulTransAInto(a.Value, out.Grad, g)
-				b.accum(g)
-				tensor.PutPooled(g)
+				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
+				tensor.MatMulTransASegAcc(a.Value, out.Grad, segs, g, t.gradOf(b))
+				t.bufs.Put(g)
 			}
 		}
 	}
@@ -203,10 +246,10 @@ func (t *Tape) SpMM(a *tensor.Sparse, b *Node) *Node {
 	out := &Node{Value: val, requiresGrad: b.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(b.Value.Rows, b.Value.Cols)
+			g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
 			tensor.SpMMTransAInto(a, out.Grad, g)
-			b.accum(g)
-			tensor.PutPooled(g)
+			t.accum(b, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -219,8 +262,8 @@ func (t *Tape) Add(a, b *Node) *Node {
 	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
 	if out.requiresGrad {
 		out.backward = func() {
-			a.accum(out.Grad)
-			b.accum(out.Grad)
+			t.accum(a, out.Grad)
+			t.accum(b, out.Grad)
 		}
 	}
 	return t.push(out)
@@ -233,12 +276,12 @@ func (t *Tape) Sub(a, b *Node) *Node {
 	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
 	if out.requiresGrad {
 		out.backward = func() {
-			a.accum(out.Grad)
+			t.accum(a, out.Grad)
 			if b.requiresGrad {
-				g := scratch(out.Grad.Rows, out.Grad.Cols)
+				g := t.bufs.Get(out.Grad.Rows, out.Grad.Cols)
 				tensor.ScaleInto(out.Grad, -1, g)
-				b.accum(g)
-				tensor.PutPooled(g)
+				t.accum(b, g)
+				t.bufs.Put(g)
 			}
 		}
 	}
@@ -253,16 +296,16 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
-				g := scratch(a.Value.Rows, a.Value.Cols)
+				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 				tensor.MulInto(out.Grad, b.Value, g)
-				a.accum(g)
-				tensor.PutPooled(g)
+				t.accum(a, g)
+				t.bufs.Put(g)
 			}
 			if b.requiresGrad {
-				g := scratch(b.Value.Rows, b.Value.Cols)
+				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
 				tensor.MulInto(out.Grad, a.Value, g)
-				b.accum(g)
-				tensor.PutPooled(g)
+				t.accum(b, g)
+				t.bufs.Put(g)
 			}
 		}
 	}
@@ -276,10 +319,10 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(out.Grad.Rows, out.Grad.Cols)
+			g := t.bufs.Get(out.Grad.Rows, out.Grad.Cols)
 			tensor.ScaleInto(out.Grad, s, g)
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -291,30 +334,37 @@ func (t *Tape) AddConst(a *Node, s float64) *Node {
 	tensor.ApplyInto(a.Value, func(v float64) float64 { return v + s }, val)
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
-		out.backward = func() { a.accum(out.Grad) }
+		out.backward = func() { t.accum(a, out.Grad) }
 	}
 	return t.push(out)
 }
 
 // AddRowVector records c[i,:] = a[i,:] + v where v is 1 x Cols (bias broadcast).
-func (t *Tape) AddRowVector(a, v *Node) *Node {
+func (t *Tape) AddRowVector(a, v *Node) *Node { return t.AddRowVectorSeg(a, v, nil) }
+
+// AddRowVectorSeg is AddRowVector for a row-stacked a with segment table segs:
+// v's gradient, the column sums of ∂c, is accumulated range by range like
+// MatMulSeg's right operand.
+func (t *Tape) AddRowVectorSeg(a, v *Node, segs []int) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddRowVectorInto(a.Value, v.Value, val)
 	out := &Node{Value: val, requiresGrad: anyGrad(a, v)}
 	if out.requiresGrad {
 		out.backward = func() {
-			a.accum(out.Grad)
+			t.accum(a, out.Grad)
 			if v.requiresGrad {
-				// Bias gradient: sum of out.Grad over rows.
-				g := scratch(1, v.Value.Cols)
-				for i := 0; i < out.Grad.Rows; i++ {
-					row := out.Grad.Row(i)
-					for j, x := range row {
-						g.Data[j] += x
+				g := t.bufs.Get(1, v.Value.Cols)
+				for s := 0; s < tensor.SegmentCount(segs); s++ {
+					g.Zero()
+					lo, hi := tensor.SegmentBounds(segs, s, out.Grad.Rows)
+					for i := lo; i < hi; i++ {
+						for j, x := range out.Grad.Row(i) {
+							g.Data[j] += x
+						}
 					}
+					t.accum(v, g)
 				}
-				v.accum(g)
-				tensor.PutPooled(g)
+				t.bufs.Put(g)
 			}
 		}
 	}
@@ -333,14 +383,14 @@ func (t *Tape) ReLU(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(a.Value.Rows, a.Value.Cols)
+			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			for i, v := range a.Value.Data {
 				if v > 0 {
 					g.Data[i] = out.Grad.Data[i]
 				}
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -358,7 +408,7 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(a.Value.Rows, a.Value.Cols)
+			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			for i, v := range a.Value.Data {
 				if v > 0 {
 					g.Data[i] = out.Grad.Data[i]
@@ -366,8 +416,8 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 					g.Data[i] = slope * out.Grad.Data[i]
 				}
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -380,12 +430,12 @@ func (t *Tape) Tanh(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(val.Rows, val.Cols)
+			g := t.bufs.Get(val.Rows, val.Cols)
 			for i, y := range val.Data {
 				g.Data[i] = out.Grad.Data[i] * (1 - y*y)
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -398,10 +448,10 @@ func (t *Tape) Exp(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(val.Rows, val.Cols)
+			g := t.bufs.Get(val.Rows, val.Cols)
 			tensor.MulInto(out.Grad, val, g)
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -414,59 +464,84 @@ func (t *Tape) Square(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(a.Value.Rows, a.Value.Cols)
+			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			tensor.MulInto(out.Grad, a.Value, g)
 			for i := range g.Data {
 				g.Data[i] *= 2
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
 }
 
 // SumAll records the 1x1 scalar sum of every entry of a.
-func (t *Tape) SumAll(a *Node) *Node {
-	val := t.alloc(1, 1)
-	val.Data[0] = tensor.Sum(a.Value)
+func (t *Tape) SumAll(a *Node) *Node { return t.SegmentSum(a, nil) }
+
+// SegmentSum records the column vector whose entry s is the sum of every
+// entry of a's row range s, added in row-major order.
+func (t *Tape) SegmentSum(a *Node, segs []int) *Node {
+	cols := a.Value.Cols
+	val := t.alloc(tensor.SegmentCount(segs), 1)
+	var in tensor.Matrix
+	for s := range val.Data {
+		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
+		val.Data[s] = tensor.Sum(rowsView(&in, a.Value, lo, hi))
+	}
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(a.Value.Rows, a.Value.Cols)
-			v := out.Grad.Data[0]
-			for i := range g.Data {
-				g.Data[i] = v
+			g := t.bufs.Get(a.Value.Rows, cols)
+			for s, v := range out.Grad.Data {
+				lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
+				for i := lo * cols; i < hi*cols; i++ {
+					g.Data[i] = v
+				}
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
 }
 
+// rowsView points view at rows [lo, hi) of m.
+func rowsView(view, m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	view.Rows, view.Cols, view.Data = hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols]
+	return view
+}
+
 // MeanRows records the 1 x Cols vector of column means (mean pooling over the
 // node set, used by the critic head).
-func (t *Tape) MeanRows(a *Node) *Node {
-	val := t.alloc(1, a.Value.Cols)
-	tensor.MeanRowsInto(a.Value, val)
+func (t *Tape) MeanRows(a *Node) *Node { return t.SegmentMeanRows(a, nil) }
+
+// SegmentMeanRows records the matrix whose row s holds the column means of
+// a's row range s. An empty range pools to zeros and passes no gradient.
+func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
+	cols := a.Value.Cols
+	val := t.alloc(tensor.SegmentCount(segs), cols)
+	var in, res tensor.Matrix
+	for s := 0; s < val.Rows; s++ {
+		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
+		tensor.MeanRowsInto(rowsView(&in, a.Value, lo, hi), rowsView(&res, val, s, s+1))
+	}
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
-		rows := a.Value.Rows
 		out.backward = func() {
-			if rows == 0 {
-				return
-			}
-			g := scratch(rows, a.Value.Cols)
-			inv := 1.0 / float64(rows)
-			for i := 0; i < rows; i++ {
-				grow := g.Row(i)
-				for j, v := range out.Grad.Data {
-					grow[j] = v * inv
+			g := t.bufs.Get(a.Value.Rows, cols)
+			for s := 0; s < out.Grad.Rows; s++ {
+				lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
+				inv := 1.0 / float64(hi-lo)
+				for i := lo; i < hi; i++ {
+					grow := g.Row(i)
+					for j, v := range out.Grad.Row(s) {
+						grow[j] = v * inv
+					}
 				}
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -475,22 +550,35 @@ func (t *Tape) MeanRows(a *Node) *Node {
 // MaxRows records the 1 x Cols vector of column maxima (max pooling over the
 // node set, used for the ∅-action score). The gradient routes to the argmax
 // row of each column.
-func (t *Tape) MaxRows(a *Node) *Node {
-	val := t.alloc(1, a.Value.Cols)
-	arg := make([]int, a.Value.Cols)
-	tensor.MaxRowsInto(a.Value, val, arg)
+func (t *Tape) MaxRows(a *Node) *Node { return t.SegmentMaxRows(a, nil) }
+
+// SegmentMaxRows records the matrix whose row s holds the column maxima of
+// a's row range s; the gradient routes to the argmax row of each column, the
+// first on ties. An empty range pools to zeros and passes no gradient.
+func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
+	cols := a.Value.Cols
+	val := t.alloc(tensor.SegmentCount(segs), cols)
+	arg := make([]int, val.Rows*cols)
+	var in, res tensor.Matrix
+	for s := 0; s < val.Rows; s++ {
+		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
+		tensor.MaxRowsInto(rowsView(&in, a.Value, lo, hi), rowsView(&res, val, s, s+1), arg[s*cols:(s+1)*cols])
+	}
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			if a.Value.Rows == 0 {
-				return
+			g := t.bufs.Get(a.Value.Rows, cols)
+			for s := 0; s < out.Grad.Rows; s++ {
+				lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
+				if lo == hi {
+					continue
+				}
+				for j, v := range out.Grad.Row(s) {
+					g.Data[(lo+arg[s*cols+j])*cols+j] = v
+				}
 			}
-			g := scratch(a.Value.Rows, a.Value.Cols)
-			for j, i := range arg {
-				g.Set(i, j, out.Grad.Data[j])
-			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -506,7 +594,7 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(a.Value.Rows, a.Value.Cols)
+			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			for i, r := range ids {
 				grow := g.Row(r)
 				orow := out.Grad.Row(i)
@@ -514,8 +602,8 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 					grow[j] += v
 				}
 			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -530,20 +618,20 @@ func (t *Tape) ConcatCols(a, b *Node) *Node {
 		ac := a.Value.Cols
 		out.backward = func() {
 			if a.requiresGrad {
-				g := scratch(a.Value.Rows, a.Value.Cols)
+				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 				for i := 0; i < g.Rows; i++ {
 					copy(g.Row(i), out.Grad.Row(i)[:ac])
 				}
-				a.accum(g)
-				tensor.PutPooled(g)
+				t.accum(a, g)
+				t.bufs.Put(g)
 			}
 			if b.requiresGrad {
-				g := scratch(b.Value.Rows, b.Value.Cols)
+				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
 				for i := 0; i < g.Rows; i++ {
 					copy(g.Row(i), out.Grad.Row(i)[ac:])
 				}
-				b.accum(g)
-				tensor.PutPooled(g)
+				t.accum(b, g)
+				t.bufs.Put(g)
 			}
 		}
 	}
@@ -585,10 +673,10 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 			for _, p := range parts {
 				rows := p.Value.Rows
 				if p.requiresGrad {
-					g := scratch(rows, p.Value.Cols)
+					g := t.bufs.Get(rows, p.Value.Cols)
 					copy(g.Data, out.Grad.Data[offset*out.Grad.Cols:(offset+rows)*out.Grad.Cols])
-					p.accum(g)
-					tensor.PutPooled(g)
+					t.accum(p, g)
+					t.bufs.Put(g)
 				}
 				offset += rows
 			}
@@ -599,40 +687,51 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 
 // LogSoftmaxCol records the log-softmax of an n x 1 column vector in a
 // numerically stable way (max-shifted).
-func (t *Tape) LogSoftmaxCol(a *Node) *Node {
+func (t *Tape) LogSoftmaxCol(a *Node) *Node { return t.SegmentLogSoftmax(a, nil) }
+
+// SegmentLogSoftmax records, for an n x 1 column of stacked logits, the
+// log-softmax of each row range taken on its own (max-shifted).
+func (t *Tape) SegmentLogSoftmax(a *Node, segs []int) *Node {
 	if a.Value.Cols != 1 {
-		panic(fmt.Sprintf("autograd: LogSoftmaxCol wants n x 1, got %dx%d", a.Value.Rows, a.Value.Cols))
+		panic(fmt.Sprintf("autograd: SegmentLogSoftmax wants n x 1, got %dx%d", a.Value.Rows, a.Value.Cols))
 	}
 	n := a.Value.Rows
-	maxv := math.Inf(-1)
-	for _, v := range a.Value.Data {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range a.Value.Data {
-		sum += math.Exp(v - maxv)
-	}
-	logZ := maxv + math.Log(sum)
 	val := t.alloc(n, 1)
-	for i, v := range a.Value.Data {
-		val.Data[i] = v - logZ
+	for s := 0; s < tensor.SegmentCount(segs); s++ {
+		lo, hi := tensor.SegmentBounds(segs, s, n)
+		logits := a.Value.Data[lo:hi]
+		maxv := math.Inf(-1)
+		for _, v := range logits {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sum float64
+		for _, v := range logits {
+			sum += math.Exp(v - maxv)
+		}
+		logZ := maxv + math.Log(sum)
+		for i, v := range logits {
+			val.Data[lo+i] = v - logZ
+		}
 	}
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			// d logsoftmax: dx_i = g_i - softmax_i * Σ g.
-			var gsum float64
-			for _, v := range out.Grad.Data {
-				gsum += v
+			// d logsoftmax: dx_i = g_i - softmax_i * Σ g, the sum over i's range.
+			g := t.bufs.Get(n, 1)
+			for s := 0; s < tensor.SegmentCount(segs); s++ {
+				lo, hi := tensor.SegmentBounds(segs, s, n)
+				var gsum float64
+				for _, v := range out.Grad.Data[lo:hi] {
+					gsum += v
+				}
+				for i := lo; i < hi; i++ {
+					g.Data[i] = out.Grad.Data[i] - math.Exp(val.Data[i])*gsum
+				}
 			}
-			g := scratch(n, 1)
-			for i := range g.Data {
-				g.Data[i] = out.Grad.Data[i] - math.Exp(val.Data[i])*gsum
-			}
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)
@@ -645,10 +744,10 @@ func (t *Tape) Pick(a *Node, i, j int) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := scratch(a.Value.Rows, a.Value.Cols)
+			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			g.Set(i, j, out.Grad.Data[0])
-			a.accum(g)
-			tensor.PutPooled(g)
+			t.accum(a, g)
+			t.bufs.Put(g)
 		}
 	}
 	return t.push(out)

@@ -103,81 +103,124 @@ func (a *Agent) Clone() *Agent {
 	return c
 }
 
-// Forward is the result of one policy/value evaluation: everything the A2C
-// trainer needs to build its loss on the decision's tape.
+// Forward is the result of one policy/value evaluation: everything a trainer
+// needs to build its loss on the pass's tape. Agent.Forward evaluates one
+// state; Agent.ForwardBatch a stack of d, in which case LogProbs and Value
+// hold every state's entries one after the other.
 type Forward struct {
 	Binding *nn.Binding
 	// LogProbs is the NumActions x 1 log-softmax over actions: one score per
 	// ready task, plus — when the ∅ action is legal — a final idle entry.
+	// At batch width d each state's actions form one range of the column
+	// (StateBatch.ActionIndex), normalised on its own.
 	LogProbs *autograd.Node
-	// Value is the critic's 1x1 state-value estimate.
+	// Value is the critic's state-value estimate, d x 1.
 	Value *autograd.Node
-	// IdleIndex is the action index of ∅, or -1 when masked.
+	// IdleIndex is the action index of ∅, or -1 when masked (or at d > 1,
+	// where each state has its own).
 	IdleIndex int
-	// NumActions is the action-space size.
+	// NumActions is the action-space size, summed over the stacked states.
 	NumActions int
+
+	actionSegs []int
 }
 
 // Forward evaluates the network on an encoded state. The caller chooses an
 // action from LogProbs (Sample or Argmax) and maps it back through
-// EncodedState.ReadyTasks.
+// EncodedState.ReadyTasks. It is ForwardBatch at width 1 on a fresh binding.
 //
 // Concurrency: Forward only READS the agent's parameters. All intermediate
 // state lives on a fresh per-call Binding/Tape, and gradients reach the
-// shared parameters only when a trainer explicitly calls Tape.Backward
-// followed by Binding.Flush. Any number of goroutines may therefore call
-// Forward on the same agent concurrently, as long as no goroutine is
-// mutating the parameters (training, LoadCheckpoint, InitSeed) at the same
-// time. internal/serve relies on this contract; TestConcurrentInference
-// enforces it under the race detector.
+// shared parameters only when a trainer explicitly calls Tape.Backward. Any
+// number of goroutines may therefore call Forward on the same agent
+// concurrently, as long as no goroutine is mutating the parameters (training,
+// LoadCheckpoint, InitSeed) at the same time. internal/serve relies on this
+// contract; TestConcurrentInference enforces it under the race detector.
 func (a *Agent) Forward(es *EncodedState) *Forward {
-	if len(es.ReadyRows) == 0 {
-		panic("core: Forward with no ready task")
+	fw := a.ForwardBatch(nn.NewBinding(), singleState(es, a.Cfg.DenseProp))
+	if es.AllowIdle {
+		fw.IdleIndex = len(es.ReadyRows)
 	}
-	b := nn.NewBinding()
+	return fw
+}
+
+// ForwardBatch evaluates the network once, on b's tape, for every state of
+// the batch: the one description of the network the tape has. The dense
+// products and the propagation run over all stacked rows; pooling,
+// log-softmax and every parameter gradient go state by state through the
+// batch's segment tables (see package autograd on batch width), so each
+// state's log-probabilities and value, and after Backward the parameters'
+// gradients, are bit for bit what one Forward per state in batch order
+// produces. The op order below fixes the order in which the shared embedding
+// h receives its critic, ∅-pool and actor gradients; changing it changes
+// low-order bits of every training run.
+func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
+	if sb.Len() == 0 {
+		panic("core: ForwardBatch on an empty batch")
+	}
+	if !sb.single {
+		sb.seal()
+	}
 	tp := b.Tape
 
 	// Node embeddings: input projection then the GCN stack. Propagation runs
 	// sparse (CSR SpMM) unless the DenseProp ablation asks for the dense
 	// baseline.
-	h := tp.ReLU(a.input.Forward(b, tp.Const(es.X)))
+	h := tp.ReLU(a.input.Forward(b, tp.Const(&sb.x), sb.nodeSegs))
 	if a.Cfg.DenseProp {
-		norm := tp.Const(es.DenseNorm())
+		dense := sb.dense
+		if dense == nil {
+			// A stack's operator is block-diagonal: materialised it is (Σn)²,
+			// which is why a trainer stacks this ablation one state at a time.
+			dense = sb.norm.Dense()
+		}
+		norm := tp.Const(dense)
 		for _, g := range a.gcn {
 			h = g.ForwardDense(b, norm, h)
 		}
 	} else {
 		for _, g := range a.gcn {
-			h = g.Forward(b, es.Norm, h)
+			h = g.Forward(b, &sb.norm, h, sb.nodeSegs)
 		}
 	}
 
 	// Actor: one score per ready task.
-	readyEmb := tp.GatherRows(h, es.ReadyRows)
-	scores := a.actor.Forward(b, readyEmb) // k x 1
+	readyEmb := tp.GatherRows(h, sb.readyRows)
+	scores := a.actor.Forward(b, readyEmb, sb.readySegs) // Σk x 1
 
-	idleIdx := -1
-	if es.AllowIdle {
+	if sb.proc.Rows > 0 {
 		// ∅ score from the processor embedding and the max-pooled DAG
-		// representation (Fig. 2).
-		procEmb := tp.ReLU(a.proc.Forward(b, tp.Const(es.Proc)))       // 1 x Hidden
-		pooled := tp.MaxRows(h)                                        // 1 x Hidden
-		idleScore := a.idle.Forward(b, tp.ConcatCols(procEmb, pooled)) // 1 x 1
+		// representation (Fig. 2), one row per state that allows ∅.
+		var idleSegs []int
+		if !sb.single {
+			idleSegs = sb.rowSegs[:sb.proc.Rows+1]
+		}
+		procEmb := tp.ReLU(a.proc.Forward(b, tp.Const(&sb.proc), idleSegs))
+		pooled := tp.SegmentMaxRows(h, sb.nodeSegs)
+		if sb.idleStates != nil {
+			// A state that masks ∅ drops out here; its pooled row gets a zero
+			// gradient, which adds an exact +0 to its rows of h.
+			pooled = tp.GatherRows(pooled, sb.idleStates)
+		}
+		idleScore := a.idle.Forward(b, tp.ConcatCols(procEmb, pooled), idleSegs)
 		scores = tp.ConcatRows(scores, idleScore)
-		idleIdx = len(es.ReadyRows)
+		if sb.actionPerm != nil {
+			scores = tp.GatherRows(scores, sb.actionPerm)
+		}
 	}
 
-	logProbs := tp.LogSoftmaxCol(scores)
+	logProbs := tp.SegmentLogSoftmax(scores, sb.actionSegs)
 
 	// Critic: mean-pool then one-dimensional projection.
-	value := a.critic.Forward(b, tp.MeanRows(h))
+	value := a.critic.Forward(b, tp.SegmentMeanRows(h, sb.nodeSegs), sb.rowSegs)
 
 	return &Forward{
 		Binding:    b,
 		LogProbs:   logProbs,
 		Value:      value,
-		IdleIndex:  idleIdx,
-		NumActions: len(es.ReadyRows) + boolToInt(es.AllowIdle),
+		IdleIndex:  -1,
+		NumActions: logProbs.Value.Rows,
+		actionSegs: sb.actionSegs,
 	}
 }
 
@@ -254,17 +297,10 @@ func argmaxLogProbs(logProbs []float64) int {
 	return best
 }
 
-// Entropy builds the (differentiable) entropy of the policy distribution on
-// the forward pass's tape: H = −Σ p log p.
+// Entropy builds the (differentiable) entropy of each state's policy
+// distribution on the forward pass's tape, d x 1: H = −Σ p log p.
 func (f *Forward) Entropy() *autograd.Node {
 	tp := f.Binding.Tape
 	p := tp.Exp(f.LogProbs)
-	return tp.Neg(tp.SumAll(tp.Mul(p, f.LogProbs)))
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return tp.Neg(tp.SegmentSum(tp.Mul(p, f.LogProbs), f.actionSegs))
 }

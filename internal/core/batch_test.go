@@ -260,8 +260,8 @@ func TestBatcherAttachedFlushImmediate(t *testing.T) {
 	}
 }
 
-// TestBatcherTrainingGuard: batched forwards have no tape, so wiring a
-// batcher into a recording policy must panic.
+// TestBatcherTrainingGuard: batched forwards skip the critic head a recorded
+// step needs, so wiring a batcher into a recording policy must panic.
 func TestBatcherTrainingGuard(t *testing.T) {
 	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
 	defer func() {

@@ -224,14 +224,38 @@ func TestServingPolicyResultIdentical(t *testing.T) {
 	}
 }
 
-// TestServingNeverInTraining pins the guard: reduced precision on a recording
-// policy must panic rather than feed the trainer.
+// TestServingNeverInTraining pins what may feed a trainer. The float64 engine
+// on a recording policy is the training path (NewTrainingPolicy's default) and
+// records what the tape fallback records; a reduced precision on a recording
+// policy must panic, at EnableServing or at the first decision, rather than
+// put float32/int8 forwards into a loss.
 func TestServingNeverInTraining(t *testing.T) {
 	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
+	prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
+
+	engine := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
+	engine.EnableServing(PrecisionFloat64) // re-attaching the float64 engine is fine
+	tape := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
+	tape.DisableServingEngine()
+	tape.DisableIncrementalState()
+	for _, p := range []*Policy{engine, tape} {
+		if _, err := prob.Simulate(p, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(engine.Steps) == 0 || len(engine.Steps) != len(tape.Steps) {
+		t.Fatalf("engine recorded %d steps, tape fallback %d", len(engine.Steps), len(tape.Steps))
+	}
+	for i, a := range engine.Steps {
+		if b := tape.Steps[i]; a.Action != b.Action || a.LogProb != b.LogProb || a.Entropy != b.Entropy || a.Value != b.Value {
+			t.Fatalf("step %d: engine recorded %+v, tape fallback %+v", i, a, b)
+		}
+	}
+
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("EnableServing on a recording policy did not panic")
+				t.Fatal("EnableServing(int8) on a recording policy did not panic")
 			}
 		}()
 		p := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
@@ -241,12 +265,11 @@ func TestServingNeverInTraining(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Decide on a recording serving policy did not panic")
+				t.Fatal("Decide on a recording float32 policy did not panic")
 			}
 		}()
 		p := NewServingPolicy(agent, PrecisionFloat32)
 		p.Record = true
-		prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
 		_, _ = prob.Simulate(p, rand.New(rand.NewSource(1)))
 	}()
 }

@@ -129,6 +129,44 @@ func (e *EncodedState) DenseNorm() *tensor.Matrix {
 	return e.denseNorm
 }
 
+// snapshot returns a copy of the state that owns its memory, for a state the
+// incremental encoder built in buffers it will overwrite: one struct, one
+// float and one int allocation hold everything. A non-nil norm is an earlier
+// snapshot's copy of the same adjacency, shared instead of copied again.
+func (e *EncodedState) snapshot(norm *tensor.Sparse) *EncodedState {
+	c := &struct {
+		es      EncodedState
+		x, proc tensor.Matrix
+		norm    tensor.Sparse
+	}{es: EncodedState{AllowIdle: e.AllowIdle}}
+	nf, ni := len(e.X.Data)+len(e.Proc.Data), len(e.Nodes)+len(e.ReadyRows)+len(e.ReadyTasks)
+	if norm == nil {
+		nf, ni = nf+len(e.Norm.Val), ni+len(e.Norm.RowPtr)+len(e.Norm.Col)
+	}
+	floats, ints := make([]float64, 0, nf), make([]int, 0, ni)
+	// Full slice expressions: an append to one part must not run into the next.
+	cutF := func(src []float64) []float64 {
+		lo := len(floats)
+		floats = append(floats, src...)
+		return floats[lo:len(floats):len(floats)]
+	}
+	cutI := func(src []int) []int {
+		lo := len(ints)
+		ints = append(ints, src...)
+		return ints[lo:len(ints):len(ints)]
+	}
+	c.x = tensor.Matrix{Rows: e.X.Rows, Cols: e.X.Cols, Data: cutF(e.X.Data)}
+	c.proc = tensor.Matrix{Rows: e.Proc.Rows, Cols: e.Proc.Cols, Data: cutF(e.Proc.Data)}
+	if norm == nil {
+		c.norm = tensor.Sparse{Rows: e.Norm.Rows, Cols: e.Norm.Cols,
+			RowPtr: cutI(e.Norm.RowPtr), Col: cutI(e.Norm.Col), Val: cutF(e.Norm.Val)}
+		norm = &c.norm
+	}
+	c.es.X, c.es.Proc, c.es.Norm = &c.x, &c.proc, norm
+	c.es.Nodes, c.es.ReadyRows, c.es.ReadyTasks = cutI(e.Nodes), cutI(e.ReadyRows), cutI(e.ReadyTasks)
+	return &c.es
+}
+
 // NumActions returns the size of the action space of this state.
 func (e *EncodedState) NumActions() int {
 	n := len(e.ReadyRows)

@@ -28,8 +28,9 @@ import (
 // remains the fallback and the oracle.
 //
 // The returned EncodedState aliases buffers owned by the encoder and is only
-// valid until the next Encode call; training (which retains states on tapes)
-// must keep using EncodeFault.
+// valid until the next Encode call; a recording (training) policy, which
+// retains states until the update, keeps an owned copy of each
+// (EncodedState.snapshot).
 type IncrementalStats struct {
 	// Decisions counts Encode calls; Rebuilds how many recomputed the window.
 	Decisions, Rebuilds int

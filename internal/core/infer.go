@@ -9,8 +9,8 @@ import (
 )
 
 // Precision selects the numeric tier of the serving forward path. Training
-// always runs float64 on the autograd tape; the reduced tiers exist only for
-// inference behind an explicit knob.
+// always runs float64 — rollouts on this engine, updates on the autograd
+// tape; the reduced tiers exist only for inference behind an explicit knob.
 type Precision int
 
 const (
@@ -57,11 +57,16 @@ func ParsePrecision(s string) (Precision, error) {
 // preallocated scratch, no per-decision allocations, and optionally reduced
 // precision. The float64 tier reproduces Agent.Forward's log-probabilities bit
 // for bit (same kernels, same operation order); float32/int8 use weight copies
-// converted once at construction. The critic is skipped — serving only needs
-// the action distribution.
+// converted once at construction. The critic head is evaluated only when a
+// training rollout asks for V(s) (float64 tier); serving needs the action
+// distribution alone.
 type serveEngine struct {
 	agent *Agent
 	prec  Precision
+	// critic makes forwardF64 also leave the state value in value, with the
+	// bits of Forward.Value.
+	critic bool
+	value  float64
 
 	// Converted weights, built once for the reduced tiers: input, gcn layers,
 	// actor, proc, idle in that order.
@@ -179,6 +184,15 @@ func (en *serveEngine) forwardF64(es *EncodedState) {
 		resizeMatrix(&en.score, 1, 1)
 		tensor.MatMulInto(&en.cat, a.idle.W.Value, &en.score)
 		en.logits[nActions-1] = en.score.Data[0] + a.idle.B.Value.Data[0]
+	}
+
+	if en.critic {
+		// V(s) = meanpool(h)*W_c + b_c.
+		resizeMatrix(&en.pooled, 1, hid)
+		tensor.MeanRowsInto(&en.h, &en.pooled)
+		resizeMatrix(&en.score, 1, 1)
+		tensor.MatMulInto(&en.pooled, a.critic.W.Value, &en.score)
+		en.value = en.score.Data[0] + a.critic.B.Value.Data[0]
 	}
 }
 

@@ -11,24 +11,43 @@ import (
 	"readys/internal/platform"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
+	"readys/internal/tensor"
 )
 
-// Step records one decision of a training episode: the encoded state, the
-// forward pass (whose tape the loss will be built on) and the chosen action.
-// A2C builds its loss directly on Forward's tape; PPO re-evaluates State
-// under updated parameters.
+// Step records one decision of a training episode, off the tape: an owned
+// copy of the encoded state, the chosen action, and the scalars of the
+// rollout-time forward pass that trainers read — the action's log-probability
+// (PPO's ratio denominator), the policy entropy −Σ p log p, and the critic's
+// V(s) (advantages and bootstrapped targets). The trainers re-evaluate State
+// on a tape at update time (rl.Trainer stacks an episode's states into one
+// pass); the scalars here have the bits that evaluation reproduces.
 type Step struct {
-	State   *EncodedState
+	State  *EncodedState
+	Action int
+
+	LogProb, Entropy, Value float64
+
+	// Forward is a vestige of the per-decision tapes: an empty, non-nil
+	// Forward (nil Binding, nil nodes) kept because benchmark/train.go calls
+	// st.Forward.Binding.Release() on every recorded step. It goes when a
+	// [benchmark] issue drops that call.
 	Forward *Forward
-	Action  int
 }
+
+// Idle reports whether the step chose the ∅ action.
+func (st Step) Idle() bool {
+	return st.State.AllowIdle && st.Action == len(st.State.ReadyRows)
+}
+
+// releasedForward is what every recorded Step.Forward points at.
+var releasedForward = &Forward{IdleIndex: -1}
 
 // Policy adapts an Agent to the simulator's Policy interface.
 //
 // In greedy mode it picks the argmax action; otherwise it samples from the
 // policy distribution using Rng (training behaviour). When Record is true,
-// every decision's Forward pass and action are appended to Steps so the A2C
-// trainer can compute losses after the episode terminates.
+// every decision's state, action and forward-pass scalars are appended to
+// Steps so the trainers can compute losses after the episode terminates.
 type Policy struct {
 	Agent *Agent
 	// Rng drives action sampling; required unless Greedy.
@@ -38,7 +57,9 @@ type Policy struct {
 	// Temperature, when positive and Greedy is false, sharpens the sampling
 	// distribution (pᵢ ∝ exp(log πᵢ/τ)). Ignored in Greedy mode.
 	Temperature float64
-	// Record keeps per-decision tapes for training.
+	// Record keeps every decision as a Step for training. It needs the
+	// float64 forward: the reduced-precision tiers and the Batcher panic on a
+	// recording policy.
 	Record bool
 	// DisableIdle masks the ∅ action at every decision (ablation: READYS
 	// reduced to a pure list scheduler that must fill the asking resource).
@@ -51,15 +72,15 @@ type Policy struct {
 	InferenceTime  time.Duration
 	InferenceCount int
 
-	// feats is F(i) materialised over the whole graph, for the paths that
-	// rebuild the state on every decision (EncodeFault: training, and the
-	// oracle left by DisableIncrementalState); see unionFeats. The incremental
-	// encoder keeps its own append-only F.
+	// feats is F(i) materialised over the whole graph, for the path that
+	// rebuilds the state on every decision (EncodeFault, the oracle left by
+	// DisableIncrementalState); see unionFeats. The incremental encoder keeps
+	// its own append-only F.
 	feats [][taskgraph.NumKernels]float64
 
-	// inc maintains the decision state incrementally on the non-recording
-	// path; nil falls back to EncodeFault on every decision. engine, when set,
-	// replaces the tape forward with the serving engine at prec.
+	// inc maintains the decision state incrementally; nil falls back to
+	// EncodeFault on every decision. engine, when set, replaces the tape
+	// forward with the serving engine at prec.
 	inc    *incrementalEncoder
 	engine *serveEngine
 	batch  *Batcher
@@ -71,6 +92,9 @@ type Policy struct {
 	memo   map[memoKey]memoVal
 	memoAt stateVersion
 	noMemo bool
+	// snapAdj is the encoder's adjacency-rebuild count at the last recorded
+	// step that copied its Norm; later steps share that copy until it moves.
+	snapAdj int
 }
 
 // stateVersion is the (NumDone, FaultEpoch, GraphEpoch) triple within which a
@@ -112,8 +136,8 @@ func NewPolicy(agent *Agent) *Policy {
 // NewServingPolicy returns a greedy policy that evaluates the network on the
 // allocation-free serving engine at the given precision instead of the
 // autograd tape. PrecisionFloat64 decides bit-identically to NewPolicy;
-// float32/int8 trade bounded decision divergence for latency. Serving
-// policies cannot record training steps.
+// float32/int8 trade bounded decision divergence for latency. Only the
+// float64 tier may record training steps.
 func NewServingPolicy(agent *Agent, prec Precision) *Policy {
 	p := NewPolicy(agent)
 	p.EnableServing(prec)
@@ -121,20 +145,29 @@ func NewServingPolicy(agent *Agent, prec Precision) *Policy {
 }
 
 // NewTrainingPolicy returns a sampling, recording policy for the agent.
-// Training always runs the float64 tape path with full state rebuilds.
+// Rollouts run where serving runs — the incremental encoder and the float64
+// engine, which also evaluates the critic here — and leave the tape to the
+// update.
 func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
-	return &Policy{Agent: agent, Rng: rng, Record: true}
+	p := NewPolicy(agent)
+	p.Greedy, p.Rng, p.Record = false, rng, true
+	if p.engine != nil {
+		p.engine.critic = true
+	}
+	return p
 }
 
 // EnableServing switches the policy's forward pass to the serving engine at
-// the given precision. Panics if the policy records training steps — the
-// reduced-precision path must never feed the trainer — or if the agent uses
-// the DenseProp ablation (which keeps the tape forward).
+// the given precision. Panics if the policy records training steps at a
+// reduced precision — only float64 forwards, which the update's tape
+// reproduces bit for bit, may feed a trainer — or if the agent uses the
+// DenseProp ablation (which keeps the tape forward).
 func (p *Policy) EnableServing(prec Precision) {
-	if p.Record {
-		panic("core: serving precision on a recording (training) policy")
+	if p.Record && prec != PrecisionFloat64 {
+		panic("core: reduced serving precision on a recording (training) policy")
 	}
 	p.engine = newServeEngine(p.Agent, prec)
+	p.engine.critic = p.Record
 	p.prec = prec
 }
 
@@ -142,7 +175,8 @@ func (p *Policy) EnableServing(prec Precision) {
 // concurrent decisions on the same model coalesce into one row-batched pass.
 // The batcher's precision replaces any engine precision; at
 // core.PrecisionFloat64 decisions stay bit-identical to the unbatched path.
-// Panics on a recording (training) policy — batched forwards have no tape.
+// Panics on a recording (training) policy — batched forwards skip the critic,
+// and a rollout worker has nobody to coalesce with.
 func (p *Policy) UseBatcher(b *Batcher) {
 	if p.Record {
 		panic("core: batched serving on a recording (training) policy")
@@ -152,7 +186,7 @@ func (p *Policy) UseBatcher(b *Batcher) {
 }
 
 // DisableIncrementalState forces a full EncodeFault rebuild on every decision
-// (the incremental path's oracle; also what training uses).
+// (the incremental path's oracle).
 func (p *Policy) DisableIncrementalState() { p.inc = nil }
 
 // DisableDecisionMemo turns off within-round forward memoization.
@@ -187,7 +221,7 @@ func (p *Policy) Reset(s *sim.State) {
 // unionFeats returns the descendant features of the whole graph for an
 // EncodeFault rebuild, recomputing them on the first decision of an episode
 // and whenever the graph has grown since (streaming job arrival) — O(history)
-// per arrival, which only training and the rebuild oracle pay.
+// per arrival, which only the rebuild oracle pays.
 func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 {
 	if len(p.feats) != g.NumTasks() {
 		p.feats = taskgraph.DescendantFeatures(g)
@@ -197,11 +231,8 @@ func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 
 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
-	if p.Record {
-		if p.engine != nil {
-			panic("core: serving precision on a recording (training) policy")
-		}
-		return p.decideTape(s, r)
+	if p.Record && (p.batch != nil || p.prec != PrecisionFloat64) {
+		panic("core: recording (training) policy on a reduced-precision or batched forward")
 	}
 
 	var es *EncodedState
@@ -214,8 +245,10 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 		es.AllowIdle = false
 	}
 
+	// A recording policy never memoises: every Step carries its own forward.
+	memo := !p.noMemo && !p.Record
 	var key memoKey
-	if !p.noMemo {
+	if memo {
 		if at := (stateVersion{s.NumDone, s.FaultEpoch, s.GraphEpoch}); at != p.memoAt {
 			clear(p.memo)
 			p.memoAt = at
@@ -230,22 +263,25 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 		}
 		if v, ok := p.memo[key]; ok {
 			p.InferenceCount++
-			return p.act(es, v.logProbs, v.idleIdx)
+			return p.act(es, v.logProbs, v.idleIdx, 0)
 		}
 	}
 
 	start := time.Now()
 	var logProbs []float64
 	var idleIdx int
+	var value float64
 	if p.batch != nil {
 		logProbs, idleIdx = p.batch.Forward(es, p.lpBuf)
 		p.lpBuf = logProbs // reuse the (possibly grown) buffer next decision
 	} else if p.engine != nil {
 		logProbs, idleIdx = p.engine.forward(es)
+		value = p.engine.value
 	} else {
 		fw := p.Agent.Forward(es)
 		logProbs = fw.LogProbs.Value.Data[:fw.NumActions]
 		idleIdx = fw.IdleIndex
+		value = autograd.Scalar(fw.Value)
 		// Copy out of the tape before releasing its buffers to the pool.
 		logProbs = append([]float64(nil), logProbs...)
 		fw.Binding.Release()
@@ -253,19 +289,21 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	p.InferenceTime += time.Since(start)
 	p.InferenceCount++
 
-	if p.noMemo {
-		return p.act(es, logProbs, idleIdx)
+	if !memo {
+		return p.act(es, logProbs, idleIdx, value)
 	}
 	if p.memo == nil {
 		p.memo = make(map[memoKey]memoVal)
 	}
 	stored := append([]float64(nil), logProbs...)
 	p.memo[key] = memoVal{logProbs: stored, idleIdx: idleIdx}
-	return p.act(es, stored, idleIdx)
+	return p.act(es, stored, idleIdx, 0)
 }
 
-// act picks an action from the log-probabilities and maps it to a task.
-func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int) int {
+// act picks an action from the log-probabilities, records the decision on a
+// recording policy (value is the forward's V(s)), and maps the action to a
+// task.
+func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int, value float64) int {
 	var action int
 	switch {
 	case p.Greedy:
@@ -275,35 +313,31 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int) int {
 	default:
 		action = sampleLogProbs(p.Rng, logProbs)
 	}
-	if action == idleIdx && idleIdx >= 0 {
-		return sim.NoTask
+	if p.Record {
+		// The sum mirrors Forward.Entropy on the tape: exp, product rounded
+		// to float64 (no fused multiply-add), added in index order, negated.
+		var plogp float64
+		for _, lp := range logProbs {
+			plogp += float64(math.Exp(lp) * lp)
+		}
+		state := es
+		if p.inc != nil {
+			// The encoder reuses es's buffers on the next Encode. While it has
+			// not rebuilt the adjacency, the previous step's copy still stands.
+			var norm *tensor.Sparse
+			if adj := p.inc.stats.AdjRebuilds; adj == p.snapAdj && len(p.Steps) > 0 {
+				norm = p.Steps[len(p.Steps)-1].State.Norm
+			} else {
+				p.snapAdj = adj
+			}
+			state = es.snapshot(norm)
+		}
+		p.Steps = append(p.Steps, Step{
+			State: state, Action: action,
+			LogProb: logProbs[action], Entropy: -plogp, Value: value,
+			Forward: releasedForward,
+		})
 	}
-	return es.ReadyTasks[action]
-}
-
-// decideTape is the original tape-forward path used for training: the full
-// EncodeFault rebuild, the autograd forward, and step recording.
-func (p *Policy) decideTape(s *sim.State, r int) int {
-	es := EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
-	if p.DisableIdle {
-		es.AllowIdle = false
-	}
-	start := time.Now()
-	fw := p.Agent.Forward(es)
-	p.InferenceTime += time.Since(start)
-	p.InferenceCount++
-
-	var action int
-	switch {
-	case p.Greedy:
-		action = fw.Argmax()
-	case p.Temperature > 0:
-		action = fw.SampleTemperature(p.Rng, p.Temperature)
-	default:
-		action = fw.Sample(p.Rng)
-	}
-	idleIdx := fw.IdleIndex
-	p.Steps = append(p.Steps, Step{State: es, Forward: fw, Action: action})
 	if action == idleIdx && idleIdx >= 0 {
 		return sim.NoTask
 	}
@@ -342,7 +376,7 @@ func (p *Policy) MeanEntropy() float64 {
 	}
 	var s float64
 	for _, st := range p.Steps {
-		s += autograd.Scalar(st.Forward.Entropy())
+		s += st.Entropy
 	}
 	return s / float64(len(p.Steps))
 }

@@ -21,7 +21,7 @@ func BenchmarkGCNForward(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				bind := NewBinding()
-				g.Forward(bind, norm, bind.Tape.Const(x))
+				g.Forward(bind, norm, bind.Tape.Const(x), nil)
 				bind.Release()
 			}
 		})
@@ -58,9 +58,8 @@ func BenchmarkLinearForwardBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bind := NewBinding()
-		out := bind.Tape.SumAll(bind.Tape.Square(l.Forward(bind, bind.Tape.Const(x))))
+		out := bind.Tape.SumAll(bind.Tape.Square(l.Forward(bind, bind.Tape.Const(x), nil)))
 		bind.Tape.Backward(out)
-		bind.Flush()
 		set.ZeroGrad()
 	}
 }

@@ -25,9 +25,12 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 	}
 }
 
-// Forward applies the layer to x (rows are samples) on b's tape.
-func (l *Linear) Forward(b *Binding, x *autograd.Node) *autograd.Node {
-	return b.Tape.AddRowVector(b.Tape.MatMul(x, b.Bind(l.W)), b.Bind(l.B))
+// Forward applies the layer to x (rows are samples) on b's tape. segs is the
+// segment table of x's rows when x stacks several independent inputs (nil for
+// one): the parameters' gradients are then summed input by input, as one tape
+// per input would have (see autograd.Tape.MatMulSeg).
+func (l *Linear) Forward(b *Binding, x *autograd.Node, segs []int) *autograd.Node {
+	return b.Tape.AddRowVectorSeg(b.Tape.MatMulSeg(x, b.Bind(l.W), segs), b.Bind(l.B), segs)
 }
 
 // Params returns the layer's trainable parameters.
@@ -58,10 +61,12 @@ func NewGCN(rng *rand.Rand, name string, in, out int) *GCN {
 // Forward computes φ(norm · h · W + b) with φ = ReLU. norm must be the
 // n x n normalised adjacency of the sub-DAG in CSR form and h the n x in
 // feature matrix. Propagation runs as SpMM, so each layer costs O(E·h)
-// rather than the dense O(n²·h).
-func (g *GCN) Forward(b *Binding, norm *tensor.Sparse, h *autograd.Node) *autograd.Node {
+// rather than the dense O(n²·h). For a stack of sub-DAGs, norm is their
+// block-diagonal operator and segs the segment table of h's rows (nil for one
+// sub-DAG), as in Linear.Forward.
+func (g *GCN) Forward(b *Binding, norm *tensor.Sparse, h *autograd.Node, segs []int) *autograd.Node {
 	agg := b.Tape.SpMM(norm, h)
-	lin := b.Tape.AddRowVector(b.Tape.MatMul(agg, b.Bind(g.W)), b.Bind(g.B))
+	lin := b.Tape.AddRowVectorSeg(b.Tape.MatMulSeg(agg, b.Bind(g.W), segs), b.Bind(g.B), segs)
 	return b.Tape.ReLU(lin)
 }
 

@@ -16,7 +16,7 @@ func TestLinearForwardShape(t *testing.T) {
 	l := NewLinear(rng, "fc", 5, 3)
 	b := NewBinding()
 	x := b.Tape.Const(tensor.RandNormal(rng, 7, 5, 1))
-	y := l.Forward(b, x)
+	y := l.Forward(b, x, nil)
 	if y.Value.Rows != 7 || y.Value.Cols != 3 {
 		t.Fatalf("Linear output %dx%d, want 7x3", y.Value.Rows, y.Value.Cols)
 	}
@@ -27,7 +27,7 @@ func TestLinearMatchesManualCompute(t *testing.T) {
 	l := NewLinear(rng, "fc", 2, 2)
 	b := NewBinding()
 	x := tensor.FromSlice(1, 2, []float64{1, -1})
-	y := l.Forward(b, b.Tape.Const(x))
+	y := l.Forward(b, b.Tape.Const(x), nil)
 	want := tensor.AddRowVector(tensor.MatMul(x, l.W.Value), l.B.Value)
 	if !y.Value.AllClose(want, 1e-12) {
 		t.Fatal("Linear forward diverges from manual compute")
@@ -46,7 +46,6 @@ func TestBindingReturnsSameNodeAndAccumulates(t *testing.T) {
 	// y = sum(w) + sum(w) → dy/dw = 2 everywhere.
 	y := b.Tape.Add(b.Tape.SumAll(n1), b.Tape.SumAll(n2))
 	b.Tape.Backward(y)
-	b.Flush()
 	for _, g := range p.Grad.Data {
 		if g != 2 {
 			t.Fatalf("grad = %v, want 2", g)
@@ -162,9 +161,9 @@ func TestGCNForwardDepthPropagation(t *testing.T) {
 	run := func(x0 float64, layers int) []float64 {
 		b := NewBinding()
 		x := b.Tape.Const(tensor.FromSlice(3, 1, []float64{x0, 1, 1}))
-		h := g1.Forward(b, norm, x)
+		h := g1.Forward(b, norm, x, nil)
 		if layers == 2 {
-			h = g2.Forward(b, norm, h)
+			h = g2.Forward(b, norm, h, nil)
 		}
 		return append([]float64(nil), h.Value.Row(2)...)
 	}
@@ -247,13 +246,12 @@ func TestEndToEndRegression(t *testing.T) {
 			y.Set(i, 0, targetFn(x.At(i, 0), x.At(i, 1)))
 		}
 		b := NewBinding()
-		h := b.Tape.ReLU(l1.Forward(b, b.Tape.Const(x)))
-		pred := l2.Forward(b, h)
+		h := b.Tape.ReLU(l1.Forward(b, b.Tape.Const(x), nil))
+		pred := l2.Forward(b, h, nil)
 		diff := b.Tape.Sub(pred, b.Tape.Const(y))
 		mse := b.Tape.Scale(b.Tape.SumAll(b.Tape.Square(diff)), 1.0/8)
 		set.ZeroGrad()
 		b.Tape.Backward(mse)
-		b.Flush()
 		opt.Step(set)
 		loss = autograd.Scalar(mse)
 	}

@@ -4,9 +4,8 @@
 // (de)serialisation for transfer-learning checkpoints.
 //
 // Layers are stateless with respect to the computation graph: each forward
-// pass binds the layer's parameters onto a fresh autograd.Tape through a
-// Binding, and after Tape.Backward the Binding flushes the accumulated
-// node gradients back into the parameters.
+// pass binds the layer's parameters onto an autograd.Tape through a Binding,
+// and Tape.Backward accumulates straight into the parameters' gradients.
 package nn
 
 import (
@@ -35,11 +34,13 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Binding ties parameters to a single autograd tape. Binding the same
 // parameter twice returns the same node, so gradient contributions from
-// every use site accumulate correctly.
+// every use site accumulate correctly. A parameter's node takes the
+// parameter's own Grad as its accumulator (autograd.Tape.Param), so after
+// Tape.Backward the gradient is already where the optimiser reads it, added
+// onto whatever earlier passes left there.
 type Binding struct {
 	Tape  *autograd.Tape
 	nodes map[*Param]*autograd.Node
-	order []*Param
 }
 
 // NewBinding returns a Binding over a fresh tape.
@@ -52,27 +53,28 @@ func (b *Binding) Bind(p *Param) *autograd.Node {
 	if n, ok := b.nodes[p]; ok {
 		return n
 	}
-	n := b.Tape.Var(p.Value)
+	n := b.Tape.Param(p.Value, p.Grad)
 	b.nodes[p] = n
-	b.order = append(b.order, p)
 	return n
 }
 
-// Flush accumulates the gradients gathered on the tape into the parameters.
-// Call it once, after Tape.Backward.
-func (b *Binding) Flush() {
-	for _, p := range b.order {
-		if g := b.nodes[p].Grad; g != nil {
-			tensor.AddInPlace(p.Grad, g)
-		}
-	}
+// Reset empties the binding's tape for another forward pass, keeping the
+// tape's buffers (see autograd.Tape.Reset). Nodes of the previous pass must
+// not be used afterwards.
+func (b *Binding) Reset() {
+	b.Tape.Reset()
+	clear(b.nodes)
 }
 
 // Release returns every pooled intermediate of the binding's tape to the
-// buffer pool. Call it once the forward pass's outputs have been consumed
-// (after Flush when training). The binding and its nodes must not be used
-// afterwards.
-func (b *Binding) Release() { b.Tape.Release() }
+// buffer pool. Call it once the forward pass's outputs have been consumed.
+// The binding and its nodes must not be used afterwards. A nil binding has
+// nothing to release: a core.Step recorded off the tape carries one.
+func (b *Binding) Release() {
+	if b != nil {
+		b.Tape.Release()
+	}
+}
 
 // ParamSet is an ordered collection of parameters: the unit of optimisation
 // and serialisation.

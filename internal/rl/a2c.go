@@ -8,6 +8,13 @@
 // with Âₜ = Rₜ − V(sₜ) (advantage, treated as a constant in the policy term)
 // and H the policy entropy (exploration bonus [49]). Gradients are
 // accumulated over a batch of episodes, clipped, and applied with Adam.
+//
+// Rollouts run off the tape (core.NewTrainingPolicy) and record their decision
+// states; the update stacks an episode's states and evaluates network and
+// loss on one tape at batch width d (core.Agent.ForwardBatch) — one forward,
+// one backward — with every reduction taken decision by decision, so the
+// gradients are bit for bit the sum, in decision order, of the per-decision
+// gradients.
 package rl
 
 import (
@@ -15,13 +22,21 @@ import (
 	"math"
 	"math/rand"
 
-	"readys/internal/autograd"
 	"readys/internal/core"
 	"readys/internal/nn"
 	"readys/internal/obs"
 	"readys/internal/sim"
 	"readys/internal/stream"
+	"readys/internal/tensor"
 )
+
+// maxPassRows caps the stacked node rows of one tape pass. The update's tape
+// keeps its buffers from pass to pass — a few dozen of rows x hidden floats —
+// so the cap bounds what a trainer retains whatever the episode length; an
+// episode beyond it takes several passes over consecutive decisions, whose
+// gradients add up in the same order. See EXPERIMENTS.md for the measurement
+// behind the value.
+const maxPassRows = 2048
 
 // Config holds the A2C hyper-parameters. Defaults follow §V-D.
 type Config struct {
@@ -147,6 +162,10 @@ type Trainer struct {
 
 	opt      *nn.Adam
 	baseline float64
+
+	// The update's tape and state stack, kept across passes for their buffers.
+	bind  *nn.Binding
+	stack core.StateBatch
 }
 
 // NewTrainer prepares training of the agent on the problem. A fault spec in
@@ -167,6 +186,7 @@ func NewTrainer(agent *core.Agent, problem core.Problem, cfg Config) *Trainer {
 		Problem: problem,
 		Cfg:     cfg,
 		opt:     nn.NewAdam(cfg.LR),
+		bind:    nn.NewBinding(),
 	}
 	if cfg.Arrivals == nil {
 		t.baseline = problem.HEFTBaseline()
@@ -198,11 +218,10 @@ func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 		for k := range results {
 			r := &results[k]
 			if r.err != nil {
-				releaseResults(results[k:])
 				return hist, fmt.Errorf("rl: episode %d: %w", r.ep, r.err)
 			}
 			loss, policyLoss, valueLoss := t.accumulate(r.steps, r.reward)
-			releaseSteps(r.steps)
+			r.steps = nil // the states are consumed: let the batch shrink
 			var gradNorm float64
 			if k == n-1 {
 				gradNorm = applyUpdate(params, t.opt, t.Cfg.ClipNorm)
@@ -219,7 +238,6 @@ func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 			}
 			hist.Episodes = append(hist.Episodes, st)
 			if err := emitEpisode(t.Telemetry, progress, st); err != nil {
-				releaseResults(results[k+1:])
 				return hist, err
 			}
 		}
@@ -257,9 +275,12 @@ func emitEpisode(sink *obs.JSONL, progress func(EpisodeStats), st EpisodeStats) 
 	return nil
 }
 
-// accumulate builds the per-decision losses of one episode, runs backward on
-// each decision's tape and accumulates gradients into the agent parameters.
-// It returns the mean per-decision total, policy and value losses.
+// accumulate adds one episode's gradients to the agent's parameters: the
+// episode's recorded states go through the network in one tape pass (several,
+// in decision order, past maxPassRows), the per-decision losses are built as
+// d-vectors on the same tape, and one Backward accumulates straight into the
+// parameters. It returns the mean per-decision total, policy and value
+// losses.
 func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, value float64) {
 	d := len(steps)
 	if d == 0 {
@@ -271,7 +292,7 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 	stepRewards[d-1] = reward
 	if t.Cfg.IdlePenalty > 0 {
 		for i, st := range steps {
-			if st.Forward.IdleIndex >= 0 && st.Action == st.Forward.IdleIndex {
+			if st.Idle() {
 				stepRewards[i] -= t.Cfg.IdlePenalty
 			}
 		}
@@ -284,7 +305,7 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 		ret = stepRewards[i] + t.Cfg.Gamma*ret
 		targets[i] = ret
 		if stepsToEnd := d - 1 - i; t.Cfg.Unroll > 0 && stepsToEnd >= t.Cfg.Unroll {
-			boot := autograd.Scalar(steps[i+t.Cfg.Unroll].Forward.Value)
+			boot := steps[i+t.Cfg.Unroll].Value
 			targets[i] = math.Pow(t.Cfg.Gamma, float64(t.Cfg.Unroll)) * boot
 			for k := 0; k < t.Cfg.Unroll; k++ {
 				targets[i] += math.Pow(t.Cfg.Gamma, float64(k)) * stepRewards[i+k]
@@ -292,25 +313,52 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 		}
 	}
 
+	// Normalise by episode length so long episodes don't dominate.
 	scale := 1.0 / float64(d)
-	for i, st := range steps {
-		fw := st.Forward
-		tp := fw.Binding.Tape
-		adv := targets[i] - autograd.Scalar(fw.Value)
+	// An episode past the row cap is cut into passes of about equal height,
+	// so that their buffers fall into one size class of the tape's free list.
+	// The DenseProp ablation multiplies an n x n operator: one state a pass.
+	passRows := 0
+	if !t.Agent.Cfg.DenseProp {
+		for _, st := range steps {
+			passRows += st.State.X.Rows
+		}
+		passes := (passRows + maxPassRows - 1) / maxPassRows
+		passRows = (passRows + passes - 1) / passes
+	}
+	for lo := 0; lo < d; {
+		sb := &t.stack
+		sb.Reset()
+		hi := lo
+		for hi < d && (hi == lo || sb.Rows()+steps[hi].State.X.Rows <= passRows) {
+			sb.Append(steps[hi].State)
+			hi++
+		}
+		k := hi - lo
+		picks := make([]int, k)
+		negAdv, negTarget := tensor.New(k, 1), tensor.New(k, 1)
+		for i, st := range steps[lo:hi] {
+			picks[i] = sb.ActionIndex(i, st.Action)
+			negAdv.Data[i] = -(targets[lo+i] - st.Value)
+			negTarget.Data[i] = -targets[lo+i]
+		}
 
-		logp := tp.Pick(fw.LogProbs, st.Action, 0)
-		policyLoss := tp.Scale(logp, -adv)
-		valueErr := tp.AddConst(fw.Value, -targets[i])
+		t.bind.Reset()
+		fw := t.Agent.ForwardBatch(t.bind, sb)
+		tp := t.bind.Tape
+		policyLoss := tp.Mul(tp.GatherRows(fw.LogProbs, picks), tp.Const(negAdv))
+		valueErr := tp.Add(fw.Value, tp.Const(negTarget))
 		valueLoss := tp.Scale(tp.Square(valueErr), t.Cfg.ValueScale)
 		entropy := fw.Entropy()
 		loss := tp.Sub(tp.Add(policyLoss, valueLoss), tp.Scale(entropy, t.Cfg.EntropyBeta))
-		// Normalise by episode length so long episodes don't dominate.
 		loss = tp.Scale(loss, scale)
-		tp.Backward(loss)
-		policy += autograd.Scalar(policyLoss) * scale
-		value += autograd.Scalar(valueLoss) * scale
-		fw.Binding.Flush()
-		total += autograd.Scalar(loss)
+		tp.Backward(tp.SumAll(loss))
+		for i := 0; i < k; i++ {
+			policy += policyLoss.Value.Data[i] * scale
+			value += valueLoss.Value.Data[i] * scale
+			total += loss.Value.Data[i]
+		}
+		lo = hi
 	}
 	return total, policy, value
 }

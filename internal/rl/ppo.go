@@ -125,24 +125,19 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 		for k := range results {
 			r := &results[k]
 			if r.err != nil {
-				releaseResults(results[k:])
 				return hist, fmt.Errorf("rl: ppo rollout: %w", r.err)
 			}
 			d := len(r.steps)
 			for i, st := range r.steps {
 				target := math.Pow(t.Cfg.Gamma, float64(d-1-i)) * r.reward
-				vOld := autograd.Scalar(st.Forward.Value)
 				batch = append(batch, ppoSample{
 					state:     st.State,
 					action:    st.Action,
-					oldLogP:   st.Forward.LogProbs.Value.Data[st.Action],
+					oldLogP:   st.LogProb,
 					target:    target,
-					advantage: target - vOld,
+					advantage: target - st.Value,
 				})
 			}
-			// The rollout tapes are only needed for the reads above: PPO
-			// re-runs Forward on the stored states during optimisation.
-			releaseSteps(r.steps)
 			pending = append(pending, EpisodeStats{Episode: r.ep, Makespan: r.makespan, Reward: r.reward, Entropy: r.entropy})
 		}
 		// Optimise the clipped surrogate for several epochs.
@@ -177,7 +172,6 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 				epochTotal += autograd.Scalar(loss)
 				epochPolicy += autograd.Scalar(policyLoss) * scale
 				epochValue += autograd.Scalar(valueLoss) * scale
-				fw.Binding.Flush()
 				fw.Binding.Release()
 			}
 			gradNorm = applyUpdate(params, t.opt, t.Cfg.ClipNorm)

@@ -11,18 +11,19 @@ import (
 
 // Parallel rollout collection.
 //
-// Between gradient updates, the episodes of a batch are independent: Forward
-// only reads the agent's parameters (see the concurrency contract on
-// core.Agent.Forward), so rollouts can run concurrently A3C-style. Two rules
-// keep the training History bit-identical to a sequential run at any worker
-// count:
+// Between gradient updates, the episodes of a batch are independent: a
+// rollout only reads the agent's parameters (core.NewTrainingPolicy runs the
+// tape-free serving engine), so rollouts can run concurrently A3C-style. Two
+// rules keep the training History bit-identical to a sequential run at any
+// worker count:
 //
 //  1. Every episode draws from its own RNG stream seeded by (Seed,
 //     episodeIndex) — episodeSeed below — so an episode's randomness never
 //     depends on which worker ran it or what ran before it.
 //  2. Gradient accumulation and statistics happen on the caller's goroutine
 //     in fixed episode order after the batch barrier; workers only produce
-//     recorded tapes.
+//     recorded steps — state copies, actions and forward-pass scalars, no
+//     tape — so what a batch holds across the barrier is its states.
 
 // episodeSeed derives episode ep's RNG seed from the trainer seed with a
 // splitmix64-style finaliser, decorrelating consecutive episodes and
@@ -43,9 +44,8 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// rolloutResult is one collected episode: the recorded decision tapes plus
-// everything that must be computed inside the worker (entropy pushes nodes
-// onto the episode's tapes, so it cannot wait until after release).
+// rolloutResult is one collected episode: the recorded decisions plus the
+// episode's outcome.
 type rolloutResult struct {
 	ep       int
 	steps    []core.Step
@@ -106,19 +106,4 @@ func collectRollouts(agent *core.Agent, problem core.Problem, arrivals *stream.P
 	close(idx)
 	wg.Wait()
 	return results
-}
-
-// releaseSteps returns the recorded decision tapes of an episode to the
-// buffer pool once their gradients (and any value reads) are consumed.
-func releaseSteps(steps []core.Step) {
-	for _, st := range steps {
-		st.Forward.Binding.Release()
-	}
-}
-
-// releaseResults releases every episode tape in results (error-path cleanup).
-func releaseResults(results []rolloutResult) {
-	for _, r := range results {
-		releaseSteps(r.steps)
-	}
 }

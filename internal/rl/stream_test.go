@@ -64,7 +64,7 @@ func TestStreamTrainingWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h, snapshotParams(agent.Params())
+		return h, paramHash(agent.Params())
 	}
 	seqHist, seqParams := run(1)
 	parHist, parParams := run(4)

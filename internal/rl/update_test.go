@@ -1,0 +1,285 @@
+package rl
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"readys/internal/autograd"
+	"readys/internal/core"
+	"readys/internal/sim"
+	"readys/internal/taskgraph"
+	"readys/internal/tensor"
+)
+
+// accumulatePerDecision is the update as it was before the batched pass, kept
+// as the oracle: one width-1 tape per decision, the scalar A2C loss built on
+// it, one Backward each, in decision order. Values for advantages and
+// bootstraps come from its own forwards, not from what the rollout recorded.
+func accumulatePerDecision(agent *core.Agent, cfg Config, steps []core.Step, reward float64) (total, policy, value float64) {
+	d := len(steps)
+	values := make([]float64, d)
+	for i, st := range steps {
+		fw := agent.Forward(st.State)
+		values[i] = autograd.Scalar(fw.Value)
+		fw.Binding.Release()
+	}
+	stepRewards := make([]float64, d)
+	stepRewards[d-1] = reward
+	if cfg.IdlePenalty > 0 {
+		for i, st := range steps {
+			if st.Idle() {
+				stepRewards[i] -= cfg.IdlePenalty
+			}
+		}
+	}
+	targets := make([]float64, d)
+	ret := 0.0
+	for i := d - 1; i >= 0; i-- {
+		ret = stepRewards[i] + cfg.Gamma*ret
+		targets[i] = ret
+		if stepsToEnd := d - 1 - i; cfg.Unroll > 0 && stepsToEnd >= cfg.Unroll {
+			targets[i] = math.Pow(cfg.Gamma, float64(cfg.Unroll)) * values[i+cfg.Unroll]
+			for k := 0; k < cfg.Unroll; k++ {
+				targets[i] += math.Pow(cfg.Gamma, float64(k)) * stepRewards[i+k]
+			}
+		}
+	}
+	scale := 1.0 / float64(d)
+	for i, st := range steps {
+		fw := agent.Forward(st.State)
+		tp := fw.Binding.Tape
+		adv := targets[i] - values[i]
+		logp := tp.Pick(fw.LogProbs, st.Action, 0)
+		policyLoss := tp.Scale(logp, -adv)
+		valueErr := tp.AddConst(fw.Value, -targets[i])
+		valueLoss := tp.Scale(tp.Square(valueErr), cfg.ValueScale)
+		entropy := fw.Entropy()
+		loss := tp.Sub(tp.Add(policyLoss, valueLoss), tp.Scale(entropy, cfg.EntropyBeta))
+		loss = tp.Scale(loss, scale)
+		tp.Backward(loss)
+		policy += autograd.Scalar(policyLoss) * scale
+		value += autograd.Scalar(valueLoss) * scale
+		total += autograd.Scalar(loss)
+		fw.Binding.Release()
+	}
+	return total, policy, value
+}
+
+// maskEveryThird forbids ∅ at every third decision of the training policy it
+// wraps: the simulator masks ∅ only in a forced round, which a short episode
+// may never reach.
+type maskEveryThird struct {
+	*core.Policy
+	n int
+}
+
+func (m *maskEveryThird) Decide(s *sim.State, r int) int {
+	m.DisableIdle = m.n%3 == 0
+	m.n++
+	return m.Policy.Decide(s, r)
+}
+
+// TestBatchedUpdateBitIdentical: the gradients one episode leaves in the
+// parameters, and the three losses it reports, are == on every element to
+// what the per-decision update leaves — for an episode of one pass, one with
+// ∅-masked decisions, one of a single decision, one long enough to take
+// several passes, under bootstrapped and shaped targets, and for the DenseProp
+// ablation, which goes one state per pass.
+func TestBatchedUpdateBitIdentical(t *testing.T) {
+	type episode struct {
+		name   string
+		agent  core.Config
+		T      int
+		mask   bool
+		first  int // keep only this many decisions (0: all)
+		passes int // least number of tape passes the episode must take
+		tweak  func(*Config)
+	}
+	plain := core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3}
+	dense := plain
+	dense.DenseProp = true
+	for _, ep := range []episode{
+		{name: "one pass", agent: plain, T: 4, passes: 1},
+		{name: "∅-masked decisions", agent: plain, T: 4, mask: true, passes: 1},
+		{name: "single decision", agent: plain, T: 4, first: 1, passes: 1},
+		{name: "several passes", agent: plain, T: 8, mask: true, passes: 3},
+		{name: "unroll + idle penalty", agent: plain, T: 4, passes: 1, tweak: func(c *Config) { c.Unroll, c.IdlePenalty = 5, 0.05 }},
+		{name: "dense propagation", agent: dense, T: 3, passes: 2},
+	} {
+		t.Run(ep.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Episodes = 1
+			if ep.tweak != nil {
+				ep.tweak(&cfg)
+			}
+			prob := core.NewProblem(taskgraph.Cholesky, ep.T, 2, 2, 0.1)
+			batched, oracle := core.NewAgent(ep.agent), core.NewAgent(ep.agent)
+
+			rng := rand.New(rand.NewSource(7))
+			pol := core.NewTrainingPolicy(batched, rng)
+			var runner sim.Policy = pol
+			if ep.mask {
+				runner = &maskEveryThird{Policy: pol}
+			}
+			res, err := prob.Simulate(runner, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := pol.Steps
+			if ep.first > 0 {
+				steps = steps[:ep.first]
+			}
+			var rows, masked int
+			for _, st := range steps {
+				rows += st.State.X.Rows
+				if !st.State.AllowIdle {
+					masked++
+				}
+			}
+			if ep.mask && (masked == 0 || masked == len(steps)) {
+				t.Fatalf("%d of %d decisions mask ∅: both kinds must occur", masked, len(steps))
+			}
+			if passes := (rows + maxPassRows - 1) / maxPassRows; passes < ep.passes && !ep.agent.DenseProp {
+				t.Fatalf("%d stacked rows make %d passes, the case wants at least %d", rows, passes, ep.passes)
+			}
+			reward := core.Reward(prob.HEFTBaseline(), res.Makespan)
+
+			tr := NewTrainer(batched, prob, cfg)
+			batched.Params().ZeroGrad()
+			oracle.Params().ZeroGrad()
+			// Two episodes' worth: the second accumulates onto the first, on a
+			// tape that has been Reset in between.
+			for round := 0; round < 2; round++ {
+				gt, gp, gv := tr.accumulate(steps, reward)
+				wt, wp, wv := accumulatePerDecision(oracle, cfg, steps, reward)
+				if gt != wt || gp != wp || gv != wv {
+					t.Fatalf("round %d: losses (%v, %v, %v), per-decision update (%v, %v, %v)", round, gt, gp, gv, wt, wp, wv)
+				}
+				for i, p := range batched.Params().All() {
+					want := oracle.Params().All()[i].Grad
+					for j, g := range p.Grad.Data {
+						if math.Float64bits(g) != math.Float64bits(want.Data[j]) {
+							t.Fatalf("round %d: ∂%s[%d] = %v, per-decision update %v", round, p.Name, j, g, want.Data[j])
+						}
+					}
+				}
+			}
+			if tensor.Norm(batched.Params().All()[0].Grad) == 0 {
+				t.Fatal("the update left a zero input-layer gradient: nothing was compared")
+			}
+		})
+	}
+}
+
+// TestTrainCostBounded makes the cost of the training path a contract. Sizes
+// are the golden problem's (Cholesky T=4, 2c2g, w2 l2 h16), 4 updates of 8
+// episodes, one rollout worker, on a trainer that has run one update already
+// (so its tape owns its buffers and they count as heap before the run).
+//
+// Bytes: the per-decision-tape trainer allocated 1 228 850 B per episode here
+// (20 282 mallocs); this one allocates about 160 kB, nearly all of it the
+// recorded state copies. The bound is a third of the old figure.
+//
+// Live heap: workers hand back states, not tapes, so what is live while a
+// batch is being consumed is the batch's state copies and what was live
+// before. Sampled after the first episode of each batch, after a forced
+// collection, the heap may reach twice the heap before Run plus the batch's
+// snapshots (weighed from recorded states themselves). The old trainer held
+// every decision's tape across the barrier and sat 8.7 MB above its start
+// here, seventeen times the snapshots.
+func TestTrainCostBounded(t *testing.T) {
+	const parentBytesPerEpisode = 1228850
+	agent := goldenAgent(core.Config{})
+	cfg := DefaultConfig()
+	cfg.Episodes = cfg.BatchEpisodes
+	cfg.Seed = 5
+	cfg.RolloutWorkers = 1
+	prob := goldenProblem()
+
+	// What one batch's recorded states weigh: roll one episode out and count.
+	pol := core.NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
+	if _, err := prob.Simulate(pol, pol.Rng); err != nil {
+		t.Fatal(err)
+	}
+	var episodeBytes int
+	for _, st := range pol.Steps {
+		es := st.State
+		episodeBytes += 8 * (len(es.X.Data) + len(es.Proc.Data) + len(es.Norm.Val) + len(es.Norm.Col) +
+			len(es.Norm.RowPtr) + len(es.Nodes) + len(es.ReadyRows) + len(es.ReadyTasks))
+	}
+	batchBytes := uint64(episodeBytes * cfg.BatchEpisodes)
+
+	tr := NewTrainer(agent, prob, cfg)
+	if _, err := tr.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	tr.Cfg.Episodes = 4 * cfg.BatchEpisodes
+	var before, after, m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var peak uint64
+	_, err := tr.Run(func(st EpisodeStats) {
+		if st.Episode%cfg.BatchEpisodes == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&m)
+			peak = max(peak, m.HeapAlloc)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEpisode := (after.TotalAlloc - before.TotalAlloc) / uint64(tr.Cfg.Episodes)
+	t.Logf("%d B allocated per episode (parent %d), live heap %d B before, %d B at its highest, batch snapshots ≈ %d B",
+		perEpisode, parentBytesPerEpisode, before.HeapAlloc, peak, batchBytes)
+	if perEpisode > parentBytesPerEpisode/3 {
+		t.Fatalf("%d B allocated per episode, more than a third of the per-decision-tape trainer's %d", perEpisode, parentBytesPerEpisode)
+	}
+	if bound := 2*before.HeapAlloc + batchBytes; peak > bound {
+		t.Fatalf("live heap reached %d B while a batch was consumed, bound %d: something besides the states is held across the rollout barrier", peak, bound)
+	}
+}
+
+func ExampleStep() {
+	// The three numbers a rollout records per decision, off the tape.
+	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 1})
+	pol := core.NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
+	if _, err := tinyProblem().Simulate(pol, pol.Rng); err != nil {
+		panic(err)
+	}
+	st := pol.Steps[0]
+	fmt.Println(st.LogProb < 0, st.Entropy > 0, st.Forward.Binding == nil)
+	// Output: true true true
+}
+
+// BenchmarkA2CUpdate times the update of one recorded Cholesky T=6 episode
+// (≈ 147 decisions, ≈ 4 000 stacked rows) on the benchmark's agent size: the
+// batched tape pass against the per-decision oracle it replaced.
+func BenchmarkA2CUpdate(b *testing.B) {
+	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
+	prob := core.NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
+	pol := core.NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
+	res, err := prob.Simulate(pol, pol.Rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reward := core.Reward(prob.HEFTBaseline(), res.Makespan)
+	cfg := DefaultConfig()
+	cfg.Episodes = 1
+	tr := NewTrainer(agent, prob, cfg)
+	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.accumulate(pol.Steps, reward)
+		}
+	})
+	b.Run("per-decision", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			accumulatePerDecision(agent, cfg, pol.Steps, reward)
+		}
+	})
+}

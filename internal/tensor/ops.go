@@ -110,22 +110,22 @@ func MatMulTransAInto(a, b, out *Matrix) {
 	mustShape("MatMulTransA destination", out, a.Cols, b.Cols)
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || a.Cols < 2 {
-		matMulTransARange(a, b, out, 0, a.Cols)
+		matMulTransARange(a, b, out, 0, a.Cols, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Cols, func(lo, hi int) { matMulTransARange(a, b, out, lo, hi) })
+	parallelRows(a.Cols, func(lo, hi int) { matMulTransARange(a, b, out, lo, hi, 0, a.Rows) })
 }
 
-// matMulTransARange computes output rows [lo, hi) of out = aᵀ*b: output row i
-// is Σ_k a[k,i]·b[k,:].
-func matMulTransARange(a, b, out *Matrix, lo, hi int) {
+// matMulTransARange computes output rows [lo, hi) of out = a[klo:khi]ᵀ *
+// b[klo:khi]: output row i is Σ_k a[k,i]·b[k,:] over the rows klo ≤ k < khi.
+func matMulTransARange(a, b, out *Matrix, lo, hi, klo, khi int) {
 	n, p := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
 		orow := out.Data[i*p : (i+1)*p]
 		for j := range orow {
 			orow[j] = 0
 		}
-		for k := 0; k < a.Rows; k++ {
+		for k := klo; k < khi; k++ {
 			av := a.Data[k*n+i]
 			if av == 0 {
 				continue // bit-exact: see matMulRange
@@ -133,6 +133,57 @@ func matMulTransARange(a, b, out *Matrix, lo, hi int) {
 			axpyF64(av, b.Data[k*p:(k+1)*p], orow)
 		}
 	}
+}
+
+// A segment table splits the rows of a stacked matrix into consecutive
+// ranges, CSR-style: range s is rows segs[s] ≤ r < segs[s+1]. A nil table is
+// the one range of all rows, so an unstacked matrix needs no table.
+
+// SegmentCount returns the number of ranges in a segment table.
+func SegmentCount(segs []int) int {
+	if segs == nil {
+		return 1
+	}
+	return len(segs) - 1
+}
+
+// SegmentBounds returns range s of a segment table over a matrix of the given
+// row count.
+func SegmentBounds(segs []int, s, rows int) (lo, hi int) {
+	if segs == nil {
+		return 0, rows
+	}
+	return segs[s], segs[s+1]
+}
+
+// MatMulTransASegAcc adds a[seg]ᵀ*b[seg] to acc for every row range of segs,
+// in order. Each range's product is formed from zero in scratch (same shape
+// as acc) before it is added, so acc ends with exactly the bits that one
+// MatMulTransAInto + AddInPlace per range would leave — the association a
+// sum of per-sample gradients has when the samples are processed one by one.
+// Blocks of output rows run in parallel for large products; an output element
+// sees the same operations in the same order on every path.
+func MatMulTransASegAcc(a, b *Matrix, segs []int, scratch, acc *Matrix) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTransASegAcc shape mismatch %dx%d ᵀ* %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	mustShape("MatMulTransASegAcc scratch", scratch, a.Cols, b.Cols)
+	mustShape("MatMulTransASegAcc accumulator", acc, a.Cols, b.Cols)
+	p := b.Cols
+	block := func(lo, hi int) {
+		for s := 0; s < SegmentCount(segs); s++ {
+			klo, khi := SegmentBounds(segs, s, a.Rows)
+			matMulTransARange(a, b, scratch, lo, hi, klo, khi)
+			for i, v := range scratch.Data[lo*p : hi*p] {
+				acc.Data[lo*p+i] += v
+			}
+		}
+	}
+	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Cols < 2 {
+		block(0, a.Cols)
+		return
+	}
+	parallelRows(a.Cols, block)
 }
 
 // MatMulTransB returns a*bᵀ without materialising the transpose.
@@ -157,13 +208,29 @@ func MatMulTransBInto(a, b, out *Matrix) {
 	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(a, b, out, lo, hi) })
 }
 
-// matMulTransBRange computes rows [lo, hi) of out = a*bᵀ.
+// matMulTransBRange computes rows [lo, hi) of out = a*bᵀ. Every output is one
+// dot product summed in ascending k; four of them are carried side by side,
+// which changes no sum — each has its own accumulator — and lets the adds of
+// independent outputs overlap instead of waiting on one another.
 func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 	n := a.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*n : (i+1)*n]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0, b1 := b.Data[j*n:(j+1)*n], b.Data[(j+1)*n:(j+2)*n]
+			b2, b3 := b.Data[(j+2)*n:(j+3)*n], b.Data[(j+3)*n:(j+4)*n]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
 			brow := b.Data[j*n : (j+1)*n]
 			var s float64
 			for k, av := range arow {

@@ -278,3 +278,52 @@ func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal("parallel results depend on GOMAXPROCS")
 	}
 }
+
+// TestMatMulTransBBitIdenticalToSequentialDots: the kernel carries four dot
+// products side by side; each must still be the plain sum in ascending k, for
+// output widths on both sides of a multiple of four.
+func TestMatMulTransBBitIdenticalToSequentialDots(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, outCols := range []int{1, 3, 4, 5, 8, 11, 32} {
+		a, b := RandNormal(rng, 6, 9, 1), RandNormal(rng, outCols, 9, 1)
+		a.Data[4] = 0 // a zero term must be added like any other
+		got := MatMulTransB(a, b)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Rows; j++ {
+				var s float64
+				for k := 0; k < a.Cols; k++ {
+					s += a.At(i, k) * b.At(j, k)
+				}
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(s) {
+					t.Fatalf("%d output columns: out[%d,%d] = %v, sequential dot %v", outCols, i, j, got.At(i, j), s)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulTransASegAccMatchesPerRangeProducts: the segmented accumulate
+// leaves in acc the bits of one MatMulTransAInto + AddInPlace per row range,
+// in order, on the serial and on the row-parallel path, and a nil table is
+// the one range of all rows.
+func TestMatMulTransASegAccMatchesPerRangeProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, rows := range []int{9, 2100} { // 2100*16*16 crosses parallelThreshold
+		a, b := RandNormal(rng, rows, 16, 1), RandNormal(rng, rows, 16, 1)
+		segs := []int{0, 4, 4, rows - 2, rows}
+		for _, table := range [][]int{segs, nil} {
+			want := RandNormal(rng, 16, 16, 1) // a non-zero accumulator to add onto
+			acc := want.Clone()
+			for s := 0; s < SegmentCount(table); s++ {
+				lo, hi := SegmentBounds(table, s, rows)
+				part := New(16, 16)
+				MatMulTransAInto(FromSlice(hi-lo, 16, a.Data[lo*16:hi*16]), FromSlice(hi-lo, 16, b.Data[lo*16:hi*16]), part)
+				AddInPlace(want, part)
+			}
+			MatMulTransASegAcc(a, b, table, New(16, 16), acc)
+			if !acc.Equal(want) {
+				t.Fatalf("rows=%d table=%v: segmented accumulate diverges from per-range products", rows, table)
+			}
+		}
+	}
+}
