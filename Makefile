@@ -78,18 +78,30 @@ test:
 # TestBatch), gradients vs the per-decision update kept in the test file
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
-# tapes are held across the rollout barrier again. These also run under
-# `make test`; this target is the canonical gate.
+# tapes are held across the rollout barrier again. The serving path's
+# resident policies are held to one built fresh per problem
+# (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and down, explicit
+# DAGs, precision flips, the batcher; TestLeasedPolicyFollowsPublishedWeights
+# for Publish/Invalidate), its typed spans to the map path's exported bytes
+# (TestSpanExportsAsCompleteWithSpanArgs), and the cost contracts
+# TestScheduleRequestAllocBounded / TestSpanAllocatesNothing /
+# TestTracerRingBytesFixed fail if a request rebuilds its state or a span
+# boxes its attributes again. These also run under `make test`; this target is
+# the canonical gate.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes' ./internal/autograd/
 	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
-	$(GO) test -run 'TestBatchedServingBitIdentical' ./internal/serve/
+	$(GO) test -run 'TestBatchedServingBitIdentical|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
+	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed' ./internal/obs/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve
-# (registry, pool, handlers, cross-request batching), internal/core
+# (registry, pool, handlers, cross-request batching, and leases handing
+# resident policies from one worker to the next —
+# TestConcurrentLeasedPolicies),
+# internal/core
 # (shared-agent inference, the batch coalescer), internal/rl (parallel batch
 # rollouts), internal/fleet (dispatcher, leases, workers), internal/gateway
 # (health prober, concurrent failover), internal/sim (fault injection under

@@ -339,9 +339,9 @@ func resizeMatrix(m *tensor.Matrix, rows, cols int) {
 }
 
 // growTo returns xs at length n with its contents kept. The first build is
-// sized exactly — serve builds a fresh policy per request, so slack there is
-// allocated and never used — and later growth doubles, so the appends of a
-// stream copy amortised O(job) per arrival.
+// sized exactly — a trainer's policy only ever sees one graph size, so slack
+// there is allocated and never used — and later growth doubles, so the appends
+// of a stream, or a lease's next bigger request, copy amortised O(new tasks).
 func growTo[T any](xs []T, n int) []T {
 	if n <= cap(xs) {
 		return xs[:n]

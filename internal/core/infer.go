@@ -72,9 +72,10 @@ type serveEngine struct {
 	// actor, proc, idle in that order.
 	layers []*nn.ServingLayer
 
-	// float64 scratch.
-	h, tmp, ready, pooled, cat, score tensor.Matrix
-	argBuf                            []int
+	// float64 scratch. procEmb is a 1×hidden view of cat's first half; as a
+	// local it would be moved to the heap on every ∅-allowing forward.
+	h, tmp, ready, pooled, cat, score, procEmb tensor.Matrix
+	argBuf                                     []int
 
 	// float32 scratch.
 	x32, p32, h32, tmp32, ready32, pooled32, cat32, score32 tensor.Matrix32
@@ -172,10 +173,10 @@ func (en *serveEngine) forwardF64(es *EncodedState) {
 	if es.AllowIdle {
 		// ∅ score: [ReLU(proc*W_p + b_p) | maxpool(h)] * W_idle + b_idle.
 		resizeMatrix(&en.cat, 1, 2*hid)
-		procEmb := tensor.Matrix{Rows: 1, Cols: hid, Data: en.cat.Data[:hid]}
-		tensor.MatMulInto(es.Proc, a.proc.W.Value, &procEmb)
-		tensor.AddRowVectorInto(&procEmb, a.proc.B.Value, &procEmb)
-		reluInPlace(procEmb.Data)
+		en.procEmb = tensor.Matrix{Rows: 1, Cols: hid, Data: en.cat.Data[:hid]}
+		tensor.MatMulInto(es.Proc, a.proc.W.Value, &en.procEmb)
+		tensor.AddRowVectorInto(&en.procEmb, a.proc.B.Value, &en.procEmb)
+		reluInPlace(en.procEmb.Data)
 		pooled := tensor.Matrix{Rows: 1, Cols: hid, Data: en.cat.Data[hid:]}
 		if cap(en.argBuf) < hid {
 			en.argBuf = make([]int, hid)

@@ -85,13 +85,16 @@ type Policy struct {
 	engine *serveEngine
 	batch  *Batcher
 	lpBuf  []float64 // reusable result buffer for batched forwards
-	prec   Precision
 	// memo holds the forwards of one state version only: memoAt is that
 	// version, and the map is emptied when the state moves past it. The
 	// version counters never go back, so nothing dropped could have hit again.
 	memo   map[memoKey]memoVal
 	memoAt stateVersion
 	noMemo bool
+	// memoSlab backs the memoised log-probabilities; it is rewound where the
+	// map is emptied, so storing a forward costs no allocation once it has
+	// grown to one version's worth.
+	memoSlab []float64
 	// snapAdj is the encoder's adjacency-rebuild count at the last recorded
 	// step that copied its Norm; later steps share that copy until it moves.
 	snapAdj int
@@ -168,13 +171,14 @@ func (p *Policy) EnableServing(prec Precision) {
 	}
 	p.engine = newServeEngine(p.Agent, prec)
 	p.engine.critic = p.Record
-	p.prec = prec
 }
 
 // UseBatcher routes the policy's serving forwards through a shared Batcher:
 // concurrent decisions on the same model coalesce into one row-batched pass.
 // The batcher's precision replaces any engine precision; at
 // core.PrecisionFloat64 decisions stay bit-identical to the unbatched path.
+// A nil batcher returns the forwards to the policy's own engine, so a policy
+// that outlives one lease can serve the next with or without one.
 // Panics on a recording (training) policy — batched forwards skip the critic,
 // and a rollout worker has nobody to coalesce with.
 func (p *Policy) UseBatcher(b *Batcher) {
@@ -182,7 +186,6 @@ func (p *Policy) UseBatcher(b *Batcher) {
 		panic("core: batched serving on a recording (training) policy")
 	}
 	p.batch = b
-	p.prec = b.Precision()
 }
 
 // DisableIncrementalState forces a full EncodeFault rebuild on every decision
@@ -215,7 +218,13 @@ func (p *Policy) Reset(s *sim.State) {
 	if p.inc != nil {
 		p.inc.reset()
 	}
+	p.clearMemo()
+}
+
+// clearMemo drops every memoised forward and rewinds the slab under them.
+func (p *Policy) clearMemo() {
 	clear(p.memo)
+	p.memoSlab = p.memoSlab[:0]
 }
 
 // unionFeats returns the descendant features of the whole graph for an
@@ -231,7 +240,7 @@ func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 
 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
-	if p.Record && (p.batch != nil || p.prec != PrecisionFloat64) {
+	if p.Record && (p.batch != nil || (p.engine != nil && p.engine.prec != PrecisionFloat64)) {
 		panic("core: recording (training) policy on a reduced-precision or batched forward")
 	}
 
@@ -250,7 +259,7 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	var key memoKey
 	if memo {
 		if at := (stateVersion{s.NumDone, s.FaultEpoch, s.GraphEpoch}); at != p.memoAt {
-			clear(p.memo)
+			p.clearMemo()
 			p.memoAt = at
 		}
 		key = memoKey{
@@ -295,7 +304,11 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	if p.memo == nil {
 		p.memo = make(map[memoKey]memoVal)
 	}
-	stored := append([]float64(nil), logProbs...)
+	// Entries stored earlier keep pointing into the old array if this append
+	// moves the slab; they stay valid there until the next clearMemo.
+	n := len(p.memoSlab)
+	p.memoSlab = append(p.memoSlab, logProbs...)
+	stored := p.memoSlab[n:len(p.memoSlab):len(p.memoSlab)]
 	p.memo[key] = memoVal{logProbs: stored, idleIdx: idleIdx}
 	return p.act(es, stored, idleIdx, 0)
 }

@@ -304,17 +304,16 @@ func (g *Gateway) instrument(name string, h func(http.ResponseWriter, *http.Requ
 		if traceID == "" {
 			traceID = obs.NewTraceID()
 		}
-		sc := obs.SpanContext{TraceID: traceID, SpanID: obs.NewSpanID()}
+		link := obs.RootLink(traceID, parentSpan)
 		w.Header().Set(obs.HeaderTraceID, traceID)
 		g.metrics.ObserveRequest(name)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r, id, sc)
+		h(sw, r, id, link.Context())
 		if sw.status >= 400 {
 			g.metrics.ObserveError(name)
 		}
-		g.span("request", name, id, start, obs.SpanArgs(map[string]any{
-			"request_id": id, "endpoint": name, "status": sw.status,
-		}, sc.TraceID, sc.SpanID, parentSpan))
+		g.span("request", name, id, start, link,
+			obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
 	}
 }
 
@@ -330,10 +329,10 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // span records a completed slice on the request's lane.
-func (g *Gateway) span(name, cat string, tid int64, start time.Time, args map[string]any) {
+func (g *Gateway) span(name, cat string, tid int64, start time.Time, link obs.Link, attrs ...obs.Attr) {
 	ts := float64(start.Sub(g.epoch)) / float64(time.Microsecond)
-	g.tracer.Complete(name, cat, gatewayPID, tid, ts,
-		float64(time.Since(start))/float64(time.Microsecond), args)
+	g.tracer.Span(name, cat, gatewayPID, tid, ts,
+		float64(time.Since(start))/float64(time.Microsecond), link, attrs...)
 }
 
 func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -361,7 +360,7 @@ type forwardResult struct {
 // readys-obs-check -links resolves.
 func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, body []byte, tid int64, sc obs.SpanContext) (forwardResult, error) {
 	start := time.Now()
-	attempt := obs.SpanContext{TraceID: sc.TraceID, SpanID: obs.NewSpanID()}
+	attempt := sc.Child()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -373,7 +372,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	attempt.Inject(req.Header)
+	attempt.Context().Inject(req.Header)
 	g.metrics.ObserveReplicaRequest(rep.url)
 	res := forwardResult{}
 	resp, err := g.client.Do(req)
@@ -383,9 +382,8 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 		res.body, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
 	}
-	g.span("forward", "proxy", tid, start, obs.SpanArgs(map[string]any{
-		"replica": rep.url, "path": path, "status": res.status,
-	}, attempt.TraceID, attempt.SpanID, sc.SpanID))
+	g.span("forward", "proxy", tid, start, attempt,
+		obs.String(obs.KeyReplica, rep.url), obs.String(obs.KeyPath, path), obs.Int(obs.KeyStatus, int64(res.status)))
 	return res, err
 }
 

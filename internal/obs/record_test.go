@@ -1,0 +1,133 @@
+package obs
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"unsafe"
+)
+
+// TestSpanExportsAsCompleteWithSpanArgs pins the export of the typed span
+// path to the map path it replaced on the request paths: the same span written
+// both ways serialises to the same bytes, foreign IDs included.
+func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
+	cases := []struct {
+		name  string
+		link  Link
+		attrs []Attr
+		args  map[string]any
+	}{
+		{
+			name:  "child with two ints",
+			link:  Link{trace: "00000000000000aa", parent: "00000000000000bb", span: 0x0123456789abcdef},
+			attrs: []Attr{Int(KeyResource, 3), Int(KeyTask, -1)},
+			args:  SpanArgs(map[string]any{"resource": 3, "task": -1}, "00000000000000aa", "0123456789abcdef", "00000000000000bb"),
+		},
+		{
+			name:  "root without a parent",
+			link:  Link{trace: "00000000000000aa", span: 1},
+			attrs: []Attr{Int(KeyRequestID, 7), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200)},
+			args:  SpanArgs(map[string]any{"request_id": int64(7), "endpoint": "schedule", "status": 200}, "00000000000000aa", "0000000000000001", ""),
+		},
+		{
+			// A client's IDs are whatever it sent, not 16 hex digits; both
+			// must come back verbatim for its own spans to link.
+			name:  "foreign trace and parent",
+			link:  Link{trace: "1a", parent: "client/span 7", span: 0xffffffffffffffff},
+			attrs: []Attr{Bool(KeyCacheHit, true)},
+			args:  SpanArgs(map[string]any{"cache_hit": true}, "1a", "ffffffffffffffff", "client/span 7"),
+		},
+		{
+			name:  "no trace context",
+			attrs: []Attr{String(KeyReplica, "http://127.0.0.1:1"), String(KeyPath, "/v1/schedule"), Bool(KeyCacheHit, false)},
+			args:  map[string]any{"replica": "http://127.0.0.1:1", "path": "/v1/schedule", "cache_hit": false},
+		},
+		{name: "bare"},
+	}
+	typed, mapped := NewTracer(8), NewTracer(8)
+	for i, c := range cases {
+		typed.Span(c.name, "cat", 1, int64(i), float64(i), 2.5, c.link, c.attrs...)
+		mapped.Complete(c.name, "cat", 1, int64(i), float64(i), 2.5, c.args)
+	}
+	var got, want bytes.Buffer
+	if err := typed.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("typed spans export differently from Complete+SpanArgs:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestLinkContextRoundTrip: a child names its parent by the ID the parent's
+// Context carries, and a traceless context yields no link at all.
+func TestLinkContextRoundTrip(t *testing.T) {
+	root := RootLink("trace-from-client", "not-hex")
+	sc := root.Context()
+	if sc.TraceID != "trace-from-client" || len(sc.SpanID) != 16 {
+		t.Fatalf("root context = %+v", sc)
+	}
+	child := sc.Child()
+	if child.trace != sc.TraceID || child.parent != sc.SpanID || child.span == root.span {
+		t.Fatalf("child = %+v under %+v", child, sc)
+	}
+	if (SpanContext{}).Child() != (Link{}) || (Link{}).Context() != (SpanContext{}) {
+		t.Fatal("no trace, no link: the zero context and the zero Link must map to each other")
+	}
+}
+
+// TestSpanAllocatesNothing is the per-decision cost contract of the request
+// paths: minting a child identity and recording it with two integer attributes
+// touches the heap zero times.
+func TestSpanAllocatesNothing(t *testing.T) {
+	tr := NewTracer(64)
+	sc := RootLink(NewTraceID(), "").Context()
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Span("decide", "inference", 1, 9, 12.5, 3, sc.Child(), Int(KeyResource, 2), Int(KeyTask, 41))
+	})
+	if allocs != 0 {
+		t.Fatalf("a child span with two int attributes costs %v allocations, want 0", allocs)
+	}
+}
+
+// TestTracerRingBytesFixed holds the ring to its byte bound: after three laps
+// of request-shaped traffic (a fresh trace every 100 spans) the tracer keeps
+// capacity × sizeof(record) bytes alive plus the IDs of the requests still in
+// the window, not a map per span.
+func TestTracerRingBytesFixed(t *testing.T) {
+	const capacity = 1 << 14
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	tr := NewTracer(capacity)
+	var sc SpanContext
+	for i := 0; i < 3*capacity; i++ {
+		if i%100 == 0 {
+			root := RootLink(NewTraceID(), "")
+			sc = root.Context()
+			tr.Span("request", "schedule", 1, int64(i), float64(i), 1, root,
+				Int(KeyRequestID, int64(i)), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200))
+			continue
+		}
+		tr.Span("decide", "inference", 1, int64(i), float64(i), 1, sc.Child(), Int(KeyResource, 1), Int(KeyTask, int64(i)))
+	}
+	after := liveHeap()
+	if tr.Len() != capacity || tr.Dropped() != 2*capacity {
+		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.Dropped())
+	}
+	ring := uint64(capacity * unsafe.Sizeof(record{}))
+	const slack = 64 << 10
+	t.Logf("record %d B, ring %d B, tracer keeps %d B live", unsafe.Sizeof(record{}), ring, after-before)
+	if after > before && after-before > ring+slack {
+		t.Fatalf("a full ring keeps %d bytes live, bound is %d (capacity × %d B) + %d slack",
+			after-before, ring, unsafe.Sizeof(record{}), slack)
+	}
+	runtime.KeepAlive(tr)
+}

@@ -36,9 +36,13 @@ const (
 // always keeps the most recent window. Process and thread names are stored
 // outside the ring so lane naming survives wrap-around. All methods are safe
 // for concurrent use.
+//
+// The ring holds fixed-size records, not Events: a span written with Span
+// costs no allocation and a full ring retains capacity × sizeof(record) bytes
+// whatever was written to it. Events are built from the records on export.
 type Tracer struct {
 	mu      sync.Mutex
-	buf     []Event
+	buf     []record
 	next    int
 	full    bool
 	dropped uint64
@@ -61,18 +65,18 @@ func NewTracer(capacity int) *Tracer {
 		capacity = DefaultTraceCapacity
 	}
 	return &Tracer{
-		buf:         make([]Event, 0, capacity),
+		buf:         make([]record, 0, capacity),
 		procNames:   make(map[int64]string),
 		threadNames: make(map[[2]int64]string),
 	}
 }
 
-func (t *Tracer) push(e Event) {
+func (t *Tracer) push(r record) {
 	t.mu.Lock()
 	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, e)
+		t.buf = append(t.buf, r)
 	} else {
-		t.buf[t.next] = e
+		t.buf[t.next] = r
 		t.next = (t.next + 1) % cap(t.buf)
 		t.full = true
 		t.dropped++
@@ -83,22 +87,39 @@ func (t *Tracer) push(e Event) {
 // Begin records the start of a duration slice on lane (pid, tid) at ts
 // microseconds.
 func (t *Tracer) Begin(name, cat string, pid, tid int64, ts float64, args map[string]any) {
-	t.push(Event{Name: name, Cat: cat, Ph: PhaseBegin, TS: ts, PID: pid, TID: tid, Args: args})
+	t.push(record{name: name, cat: cat, ph: PhaseBegin[0], ts: ts, pid: int32(pid), tid: tid, args: args})
 }
 
 // End closes the innermost open slice on lane (pid, tid) at ts microseconds.
 func (t *Tracer) End(name string, pid, tid int64, ts float64) {
-	t.push(Event{Name: name, Ph: PhaseEnd, TS: ts, PID: pid, TID: tid})
+	t.push(record{name: name, ph: PhaseEnd[0], ts: ts, pid: int32(pid), tid: tid})
 }
 
 // Complete records a slice with an explicit duration (both in microseconds).
 func (t *Tracer) Complete(name, cat string, pid, tid int64, ts, dur float64, args map[string]any) {
-	t.push(Event{Name: name, Cat: cat, Ph: PhaseComplete, TS: ts, Dur: dur, PID: pid, TID: tid, Args: args})
+	t.push(record{name: name, cat: cat, ph: PhaseComplete[0], ts: ts, dur: dur, pid: int32(pid), tid: tid, args: args})
+}
+
+// Span records a complete slice that carries its place in a distributed trace
+// and up to three typed attributes (maxSpanAttrs), without allocating: the request
+// paths write one per decision. A zero link records a plain slice. The export
+// is the Event that Complete would have produced from SpanArgs over a map of
+// the same attributes.
+func (t *Tracer) Span(name, cat string, pid, tid int64, ts, dur float64, link Link, attrs ...Attr) {
+	if len(attrs) > maxSpanAttrs {
+		panic("obs: span with more than 3 attributes")
+	}
+	r := record{
+		name: name, cat: cat, ph: PhaseComplete[0], ts: ts, dur: dur, pid: int32(pid), tid: tid,
+		trace: link.trace, span: link.span, parent: link.parent,
+	}
+	r.nattrs = uint8(copy(r.attrs[:], attrs))
+	t.push(r)
 }
 
 // Instant records a point event.
 func (t *Tracer) Instant(name, cat string, pid, tid int64, ts float64, args map[string]any) {
-	t.push(Event{Name: name, Cat: cat, Ph: PhaseInstant, TS: ts, PID: pid, TID: tid, Args: args})
+	t.push(record{name: name, cat: cat, ph: PhaseInstant[0], ts: ts, pid: int32(pid), tid: tid, args: args})
 }
 
 // NameProcess assigns a display name to a pid.
@@ -127,12 +148,11 @@ func (t *Tracer) NameThread(pid, tid int64, name string) {
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Event(nil), t.buf...)
+	out := make([]Event, 0, len(t.buf))
+	for i := range t.buf {
+		// next is 0 until the ring wraps, the oldest record's slot after.
+		out = append(out, t.buf[(t.next+i)%len(t.buf)].event())
 	}
-	out := make([]Event, 0, cap(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
 	return out
 }
 

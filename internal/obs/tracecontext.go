@@ -1,8 +1,7 @@
 package obs
 
 import (
-	"crypto/rand"
-	"encoding/hex"
+	"math/rand/v2"
 	"net/http"
 )
 
@@ -36,22 +35,55 @@ type SpanContext struct {
 	SpanID string
 }
 
-// NewTraceID returns a fresh 16-hex-digit trace identity. IDs are random
-// (crypto/rand), so traces started independently by different processes never
-// collide.
-func NewTraceID() string { return randomHex(8) }
+// NewTraceID returns a fresh 16-hex-digit trace identity. IDs are 64 random
+// bits from the runtime's randomly seeded ChaCha8 generator, so traces started
+// independently by different processes never collide.
+func NewTraceID() string { return formatID(rand.Uint64()) }
 
 // NewSpanID returns a fresh 16-hex-digit span identity.
-func NewSpanID() string { return randomHex(8) }
+func NewSpanID() string { return formatID(rand.Uint64()) }
 
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		// crypto/rand never fails on supported platforms; a zero ID keeps the
-		// trace loadable rather than crashing the instrumented request path.
-		return "0000000000000000"
+// formatID renders an ID as 16 lowercase hex digits.
+func formatID(id uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := range b {
+		b[i] = digits[id>>(60-4*i)&0xf]
 	}
-	return hex.EncodeToString(b)
+	return string(b[:])
+}
+
+// Link is one span's place in a trace, in the form Tracer.Span records it:
+// the trace and parent IDs as the caller holds them, the span's own ID as the
+// 64 bits it was minted from, so that minting and recording a child span
+// allocates nothing. The zero Link means "no trace context".
+type Link struct {
+	trace, parent string
+	span          uint64
+}
+
+// RootLink mints the identity of a process's first span in a trace: a fresh
+// span ID under the (possibly empty) parent span another process named.
+// Without a trace ID there is no trace to have a place in: the zero Link.
+func RootLink(traceID, parentSpan string) Link {
+	if traceID == "" {
+		return Link{}
+	}
+	return Link{trace: traceID, parent: parentSpan, span: rand.Uint64()}
+}
+
+// Child mints the identity of a span whose parent is sc; the zero Link when
+// sc carries no trace, so untraced work records plain slices.
+func (sc SpanContext) Child() Link { return RootLink(sc.TraceID, sc.SpanID) }
+
+// Context returns the link's span as a SpanContext: what its children name as
+// their parent and what Inject sends to the next process. The zero Link has
+// the zero context, which injects nothing.
+func (l Link) Context() SpanContext {
+	if l.trace == "" {
+		return SpanContext{}
+	}
+	return SpanContext{TraceID: l.trace, SpanID: formatID(l.span)}
 }
 
 // Inject writes the context into outbound request headers. Empty fields are
@@ -77,7 +109,8 @@ func ExtractTraceContext(h http.Header) (traceID, parentSpan string, ok bool) {
 // SpanArgs merges span identity into a (possibly nil) args map: trace_id and
 // span_id always, parent_span_id only when non-empty. The input map is
 // returned when non-nil (mutated in place), matching how trace call sites
-// build their args.
+// build their args. It serves the map-taking Tracer methods, which the cold
+// fleet call sites still use; the request paths record through Tracer.Span.
 func SpanArgs(args map[string]any, traceID, spanID, parentSpan string) map[string]any {
 	if args == nil {
 		args = make(map[string]any, 3)

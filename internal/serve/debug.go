@@ -40,15 +40,6 @@ func traceContext(ctx context.Context) obs.SpanContext {
 	return info.sc
 }
 
-// childArgs stamps span identity for a child of the request span (no-op on
-// requests that did not pass through instrument).
-func childArgs(sc obs.SpanContext, args map[string]any) map[string]any {
-	if sc.TraceID == "" {
-		return args
-	}
-	return obs.SpanArgs(args, sc.TraceID, obs.NewSpanID(), sc.SpanID)
-}
-
 // tsMicros converts a wall-clock instant into trace microseconds relative to
 // server start.
 func (s *Server) tsMicros(t time.Time) float64 {
@@ -57,10 +48,12 @@ func (s *Server) tsMicros(t time.Time) float64 {
 
 // span records a completed slice on the request's lane. Each request gets its
 // own tid, so its queue-wait / model-load / rollout / per-decision slices
-// render as one row in Perfetto; the ring bounds total memory.
-func (s *Server) span(name, cat string, tid int64, start time.Time, args map[string]any) {
-	s.tracer.Complete(name, cat, servePID, tid, s.tsMicros(start),
-		float64(time.Since(start))/float64(time.Microsecond), args)
+// render as one row in Perfetto; the ring bounds total memory. Children of the
+// request span pass sc.Child() as their link (the zero Link, hence a plain
+// slice, on requests that did not pass through instrument).
+func (s *Server) span(name, cat string, tid int64, start time.Time, link obs.Link, attrs ...obs.Attr) {
+	s.tracer.Span(name, cat, servePID, tid, s.tsMicros(start),
+		float64(time.Since(start))/float64(time.Microsecond), link, attrs...)
 }
 
 // tracedPolicy wraps the inference policy and records one "decide" slice per
@@ -78,7 +71,8 @@ func (p tracedPolicy) Decide(st *sim.State, r int) int {
 	start := time.Now()
 	task := p.inner.Decide(st, r)
 	p.srv.metrics.ObserveDecide(time.Since(start))
-	p.srv.span("decide", "inference", p.tid, start, childArgs(p.sc, map[string]any{"resource": r, "task": task}))
+	p.srv.span("decide", "inference", p.tid, start, p.sc.Child(),
+		obs.Int(obs.KeyResource, int64(r)), obs.Int(obs.KeyTask, int64(task)))
 	return task
 }
 

@@ -145,3 +145,53 @@ func TestServeTraceExport(t *testing.T) {
 		t.Errorf("expected per-decision spans, got %d", spans["decide"])
 	}
 }
+
+// TestServeTraceKeepsForeignIDs: the IDs a client sends are its own — the
+// benchmark's are short hex, another tracer's may be anything — and its spans
+// only link to ours if the export names them exactly as sent: the trace ID on
+// every span of the request, the parent on the request span.
+func TestServeTraceKeepsForeignIDs(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	body := strings.NewReader(`{"kind":"cholesky","t":2,"cpus":1,"gpus":1}`)
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", body)
+	req.Header.Set(obs.HeaderTraceID, "1a")
+	req.Header.Set(obs.HeaderParentSpan, "client/span 7")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("schedule -> %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(obs.HeaderTraceID); got != "1a" {
+		t.Errorf("response echoes trace %q, want 1a", got)
+	}
+
+	var requestSpan string
+	children := 0
+	events := s.tracer.Events()
+	for _, e := range events {
+		if e.Args[obs.ArgTraceID] != "1a" {
+			t.Fatalf("span %q carries trace %v, want the client's 1a", e.Name, e.Args[obs.ArgTraceID])
+		}
+		if e.Name == "request" {
+			requestSpan, _ = e.Args[obs.ArgSpanID].(string)
+			if e.Args[obs.ArgParentSpan] != "client/span 7" {
+				t.Errorf("request span's parent is %v, want the client's span verbatim", e.Args[obs.ArgParentSpan])
+			}
+		}
+	}
+	if len(requestSpan) != 16 {
+		t.Fatalf("request span ID %q is not 16 hex digits", requestSpan)
+	}
+	for _, e := range events {
+		if e.Name != "request" {
+			children++
+			if e.Args[obs.ArgParentSpan] != requestSpan {
+				t.Errorf("%q span's parent is %v, want the request span %s", e.Name, e.Args[obs.ArgParentSpan], requestSpan)
+			}
+		}
+	}
+	if children < 4 {
+		t.Errorf("only %d child spans recorded", children)
+	}
+}

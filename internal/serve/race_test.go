@@ -121,3 +121,68 @@ func TestConcurrentRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentLeasedPolicies hands resident policies from goroutine to
+// goroutine through the free list — more leases in flight than idle slots, a
+// cache too small for the models, and an Invalidate every few rounds — and
+// requires every rollout to decide as a fresh policy on that problem does.
+// Under -race it also proves the hand-off is ordered by the registry lock.
+func TestConcurrentLeasedPolicies(t *testing.T) {
+	dir := t.TempDir()
+	tiles := []int{2, 3, 4}
+	want := make(map[[2]int]float64) // (T, seed) -> makespan of a fresh policy
+	problem := func(T int) core.Problem {
+		return core.Problem{
+			Graph:    taskgraph.NewByKind(taskgraph.Cholesky, T),
+			Platform: platform.New(1, 1),
+			Timing:   platform.TimingFor(taskgraph.Cholesky),
+			Sigma:    0.1,
+		}
+	}
+	const seeds = 4
+	for _, T := range tiles {
+		spec := testSpec(taskgraph.Cholesky, T, 1, 1)
+		writeTestModel(t, dir, spec)
+		agent := core.NewAgent(spec.AgentConfig())
+		if _, err := agent.LoadCheckpoint(spec.ModelPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		for seed := 0; seed < seeds; seed++ {
+			res, err := problem(T).Simulate(core.NewServingPolicy(agent, core.PrecisionFloat64), rand.New(rand.NewSource(int64(seed))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[[2]int{T, seed}] = res.Makespan
+		}
+	}
+
+	r := NewRegistry(dir, 2, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				T, seed := tiles[(g+i)%len(tiles)], (g*7+i)%seeds
+				lease, _, err := r.Acquire(taskgraph.Cholesky, T, 1, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := problem(T).Simulate(lease.Policy(), rand.New(rand.NewSource(int64(seed))))
+				lease.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Makespan != want[[2]int{T, seed}] {
+					t.Errorf("T=%d seed %d on a leased policy: makespan %v, fresh policy %v", T, seed, res.Makespan, want[[2]int{T, seed}])
+				}
+				if i%4 == 3 {
+					r.Invalidate(testSpec(taskgraph.Cholesky, T, 1, 1).Name() + ".json")
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -43,9 +43,12 @@ func ParseModelName(base string) (exp.AgentSpec, bool) {
 
 // Registry lazily loads agents from a checkpoint directory and LRU-caches
 // them keyed by their canonical model name. Each resident model keeps one
-// master agent (the loaded parameters) plus a free list of clones; Acquire
-// hands every caller its own clone, so concurrent requests never share a
-// mutable agent even accidentally, and Release returns it for reuse.
+// master agent (the loaded parameters) plus a free list of clones, each with
+// its own decision context (a core.Policy: incremental encoder, serving
+// engine and their scratch); Acquire hands every caller its own clone, so
+// concurrent requests never share a mutable agent even accidentally, and
+// Release returns it for reuse — the next request on it pays Policy.Reset,
+// not a rebuild.
 type Registry struct {
 	dir string
 	// maxModels bounds the number of resident checkpoints (LRU eviction).
@@ -82,8 +85,8 @@ type model struct {
 	spec   exp.AgentSpec
 	meta   map[string]string
 	master *core.Agent
-	free   []*core.Agent // idle clones, capped at maxIdleClones
-	live   bool          // false once evicted: stale releases are dropped
+	free   []*clone // idle clones, capped at maxIdleClones
+	live   bool     // false once evicted: stale releases are dropped
 	// batchers are the model's shared cross-request batchers, one per
 	// precision tier, created lazily on first lease. They compute over the
 	// master's (immutable) parameters; leases issued before an eviction keep
@@ -91,18 +94,35 @@ type model struct {
 	batchers map[core.Precision]*core.Batcher
 }
 
-// Lease is one acquired agent instance. The agent is exclusively the
-// lease-holder's until Release.
+// clone is one private copy of a model's parameters with the decision
+// context built over it. The policy lives as long as the clone: between
+// leases it keeps every buffer (Policy.Reset only rewinds them) and, for the
+// reduced tiers, the engine's converted weights; prec is the tier that engine
+// was built at. Evicting the model drops its idle clones, policies included.
+type clone struct {
+	agent  *core.Agent
+	policy *core.Policy
+	prec   core.Precision
+}
+
+// Lease is one acquired agent instance. The agent and its policy are
+// exclusively the lease-holder's until Release.
 type Lease struct {
 	registry *Registry
 	model    *model
-	agent    *core.Agent
+	clone    *clone
 	prec     core.Precision
 	batcher  *core.Batcher
 }
 
 // Agent returns the leased inference instance.
-func (l *Lease) Agent() *core.Agent { return l.agent }
+func (l *Lease) Agent() *core.Agent { return l.clone.agent }
+
+// Policy returns the leased agent's resident greedy policy, serving at the
+// lease's precision and through the lease's batcher when it has one. It
+// decides exactly as core.NewServingPolicy(l.Agent(), l.Precision()) would;
+// sim.Simulate resets it, which is all a request pays for its state.
+func (l *Lease) Policy() *core.Policy { return l.clone.policy }
 
 // Precision returns the serving precision the lease's rollouts should run at
 // (the model's override, else the registry default).
@@ -125,15 +145,15 @@ func (l *Lease) Meta() map[string]string { return l.model.meta }
 // the model was evicted or the list is full). The lease must not be used
 // afterwards.
 func (l *Lease) Release() {
-	if l.agent == nil {
+	if l.clone == nil {
 		return
 	}
-	r, m, a := l.registry, l.model, l.agent
-	l.agent = nil
+	r, m, c := l.registry, l.model, l.clone
+	l.clone = nil
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m.live && len(m.free) < r.maxIdleClones {
-		m.free = append(m.free, a)
+		m.free = append(m.free, c)
 	}
 }
 
@@ -261,17 +281,9 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		r.lru.MoveToFront(el)
 		m := el.Value.(*model)
 		r.hits++
-		agent := m.popFreeLocked()
-		master := m.master
-		prec := r.precLocked(name)
-		batcher := r.batcherLocked(m, prec)
+		lease = r.leaseLocked(m)
 		r.mu.Unlock()
-		if agent == nil {
-			// Clone outside the lock: parameter copies are the expensive
-			// part, and the master's values are immutable once loaded.
-			agent = master.Clone()
-		}
-		return &Lease{registry: r, model: m, agent: agent, prec: prec, batcher: batcher}, true, nil
+		return lease.ready(), true, nil
 	}
 	r.misses++
 	r.mu.Unlock()
@@ -297,15 +309,9 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 	if el, ok := r.byName[name]; ok {
 		// Someone else finished loading first; use theirs.
 		r.lru.MoveToFront(el)
-		m := el.Value.(*model)
-		agent := m.popFreeLocked()
-		prec := r.precLocked(name)
-		batcher := r.batcherLocked(m, prec)
+		lease = r.leaseLocked(el.Value.(*model))
 		r.mu.Unlock()
-		if agent == nil {
-			agent = m.master.Clone()
-		}
-		return &Lease{registry: r, model: m, agent: agent, prec: prec, batcher: batcher}, true, nil
+		return lease.ready(), true, nil
 	}
 	m := &model{key: name, name: spec.Name(), spec: spec, meta: meta, master: master, live: true}
 	r.byName[name] = r.lru.PushFront(m)
@@ -318,22 +324,40 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		delete(r.byName, victim.key)
 		r.evicted++
 	}
-	prec := r.precLocked(name)
-	batcher := r.batcherLocked(m, prec)
+	lease = r.leaseLocked(m)
 	r.mu.Unlock()
 	// The first lease uses its own clone so the master's parameters stay a
 	// pristine copy of the checkpoint.
-	return &Lease{registry: r, model: m, agent: master.Clone(), prec: prec, batcher: batcher}, false, nil
+	return lease.ready(), false, nil
 }
 
-// popFreeLocked pops an idle clone; callers hold r.mu.
-func (m *model) popFreeLocked() *core.Agent {
+// leaseLocked resolves what a lease of m carries — precision, batcher, an
+// idle clone if there is one — under r.mu; ready finishes it outside.
+func (r *Registry) leaseLocked(m *model) *Lease {
+	l := &Lease{registry: r, model: m, prec: r.precLocked(m.key)}
+	l.batcher = r.batcherLocked(m, l.prec)
 	if n := len(m.free); n > 0 {
-		a := m.free[n-1]
+		l.clone = m.free[n-1]
 		m.free = m.free[:n-1]
-		return a
 	}
-	return nil
+	return l
+}
+
+// ready does the lease's expensive part outside the registry lock: cloning
+// the master when no idle clone was free (its values are immutable once
+// loaded), or rebuilding an idle clone's engine when the model's precision
+// was changed since it last served. The encoder, its caches and the memo
+// carry over a precision flip untouched.
+func (l *Lease) ready() *Lease {
+	if l.clone == nil {
+		agent := l.model.master.Clone()
+		l.clone = &clone{agent: agent, policy: core.NewServingPolicy(agent, l.prec), prec: l.prec}
+	} else if l.clone.prec != l.prec {
+		l.clone.policy.EnableServing(l.prec)
+		l.clone.prec = l.prec
+	}
+	l.clone.policy.UseBatcher(l.batcher)
+	return l
 }
 
 // Stats returns the registry's counters: resident models, cache hits,

@@ -202,17 +202,16 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		if traceID == "" {
 			traceID = obs.NewTraceID()
 		}
-		sc := obs.SpanContext{TraceID: traceID, SpanID: obs.NewSpanID()}
+		link := obs.RootLink(traceID, parentSpan)
 		w.Header().Set(obs.HeaderTraceID, traceID)
-		r = r.WithContext(context.WithValue(r.Context(), ridKey{}, reqInfo{id: id, sc: sc}))
+		r = r.WithContext(context.WithValue(r.Context(), ridKey{}, reqInfo{id: id, sc: link.Context()}))
 		s.metrics.IncInflight()
 		defer s.metrics.DecInflight()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		s.metrics.Observe(name, time.Since(start), sw.status >= 400)
-		s.span("request", name, id, start, obs.SpanArgs(map[string]any{
-			"request_id": id, "endpoint": name, "status": sw.status,
-		}, sc.TraceID, sc.SpanID, parentSpan))
+		s.span("request", name, id, start, link,
+			obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
 	}
 }
 
@@ -296,7 +295,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	acquireStart := time.Now()
 	lease, cacheHit, err := s.registry.Acquire(kind, req.ModelT(), req.CPUs, req.GPUs)
-	s.span("model_load", "registry", rid, acquireStart, childArgs(sc, map[string]any{"cache_hit": cacheHit}))
+	s.span("model_load", "registry", rid, acquireStart, sc.Child(), obs.Bool(obs.KeyCacheHit, cacheHit))
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errModelNotFound) {
@@ -332,7 +331,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	)
 	enqueued := time.Now()
 	err = s.pool.Do(ctx, func() {
-		s.span("queue_wait", "pool", rid, enqueued, childArgs(sc, nil))
+		s.span("queue_wait", "pool", rid, enqueued, sc.Child())
 		defer lease.Release()
 		resp, runErr = s.runSchedule(&req, prob, lease, cacheHit, rid, sc)
 	})
@@ -372,21 +371,18 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // recorded as spans on the request's trace lane.
 func (s *Server) runSchedule(req *ScheduleRequest, prob core.Problem, lease *Lease, cacheHit bool, rid int64, sc obs.SpanContext) (ScheduleResponse, error) {
 	start := time.Now()
-	inner := core.NewServingPolicy(lease.Agent(), lease.Precision())
-	pol := tracedPolicy{inner: inner, srv: s, tid: rid, sc: sc}
+	pol := tracedPolicy{inner: lease.Policy(), srv: s, tid: rid, sc: sc}
 	// The request attached to the batcher at admission (handleSchedule); the
 	// detach goes right after the rollout, not at request end: the baseline
 	// references below never call Forward, and a request that stayed attached
 	// through them would stall concurrent rollouts on the dwell timer.
 	b := lease.Batcher()
-	if b != nil {
-		inner.UseBatcher(b)
-	}
 	res, err := prob.Simulate(pol, rand.New(rand.NewSource(req.Seed)))
 	if b != nil {
 		b.Detach()
 	}
-	s.span("rollout", "sim", rid, start, childArgs(sc, map[string]any{"tasks": prob.Graph.NumTasks(), "decisions": res.Decisions}))
+	s.span("rollout", "sim", rid, start, sc.Child(),
+		obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())), obs.Int(obs.KeyDecisions, int64(res.Decisions)))
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: rollout: %w", err)
 	}
@@ -398,7 +394,7 @@ func (s *Server) runSchedule(req *ScheduleRequest, prob core.Problem, lease *Lea
 	refStart := time.Now()
 	heft := sched.HEFT(prob.Graph, prob.Platform, prob.Timing).Makespan
 	mctRes, err := prob.Simulate(sched.MCTPolicy{}, rand.New(rand.NewSource(req.Seed)))
-	s.span("references", "sim", rid, refStart, childArgs(sc, nil))
+	s.span("references", "sim", rid, refStart, sc.Child())
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: MCT reference: %w", err)
 	}

@@ -116,6 +116,10 @@ type State struct {
 	downUntil []float64
 	deathAt   []float64
 
+	// free is the decision phases' scratch list of free resources, refilled
+	// per phase; FreeResources hands callers their own slice instead.
+	free []int
+
 	// tracer, when set via Options.Tracer, receives task-start/task-end
 	// events per resource lane (and comm transfers), plus outage / death /
 	// kill fault spans. Invisible to policies.
@@ -164,15 +168,27 @@ func (s *State) SpeedFactor(r int) float64 { return s.speed(r) }
 func (s *State) IsFree(r int) bool { return s.RunningTask[r] == NoTask && s.up(r) }
 
 // FreeResources returns the IDs of idle, available resources in ascending
-// order.
-func (s *State) FreeResources() []int {
-	var out []int
+// order, in a slice the caller owns.
+func (s *State) FreeResources() []int { return s.appendFree(nil) }
+
+func (s *State) appendFree(dst []int) []int {
 	for r := range s.RunningTask {
 		if s.RunningTask[r] == NoTask && s.up(r) {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
+}
+
+// shuffledFree fills the state's scratch with the free resources, ascending
+// as FreeResources lists them so that the shuffle draws what it always drew,
+// and shuffles it: the asking processor is uniform among the free ones. The
+// slice is valid until the next phase.
+func (s *State) shuffledFree(rng *rand.Rand) []int {
+	free := s.appendFree(s.free[:0])
+	s.free = free
+	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	return free
 }
 
 // TimeUntilFree returns max(0, BusyUntil[r] - Now): the *actual* wait before
@@ -599,10 +615,7 @@ func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 // and the "current processor" is drawn uniformly at random among the not-yet-
 // asked free resources, as in §III-B.
 func decisionPhase(s *State, pol Policy, opt Options, res *Result) error {
-	free := s.FreeResources()
-	// Shuffle so the current processor is uniform among free ones.
-	opt.Rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-	for _, r := range free {
+	for _, r := range s.shuffledFree(opt.Rng) {
 		if len(s.Ready) == 0 {
 			break
 		}
@@ -645,9 +658,7 @@ func (s *State) DataReadyTime(task, r int) float64 {
 func forcedPhase(s *State, pol Policy, opt Options, res *Result) error {
 	s.MustAct = true
 	defer func() { s.MustAct = false }()
-	free := s.FreeResources()
-	opt.Rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-	for _, r := range free {
+	for _, r := range s.shuffledFree(opt.Rng) {
 		if len(s.Ready) == 0 {
 			break
 		}
