@@ -8,8 +8,9 @@
 #                      decision paths must match the full-rebuild tape oracle
 #                      (bitwise for float64; bounded divergence for the
 #                      quantized tiers), and the training path (tape-free
-#                      rollouts, one batched tape pass per episode) must
-#                      match per-decision-tape training bit for bit
+#                      rollouts recorded in reused episode logs, one batched
+#                      tape pass per episode) must match per-decision-tape
+#                      training bit for bit
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
@@ -78,7 +79,14 @@ test:
 # TestBatch), gradients vs the per-decision update kept in the test file
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
-# tapes are held across the rollout barrier again. The serving path's
+# an episode is recorded in memory the trainer does not keep. The episode log
+# is held to deep copies of the encoder's states decision by decision
+# (TestEpisodeLogReproducesStates: three factorisations, faults, fault
+# features, directed, no incremental encoder, DenseProp, mid-episode stream
+# arrivals), a reused log and resident rollout policy to fresh ones
+# (TestEpisodeLogReuseIsolated: long then short, short then long, after an
+# error mid-episode), and rl.Evaluate's one policy to one per run
+# (TestEvaluateResidentPolicyBitIdentical). The serving path's
 # resident policies are held to one built fresh per problem
 # (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and down, explicit
 # DAGs, precision flips, the batcher; TestLeasedPolicyFollowsPublishedWeights
@@ -90,8 +98,8 @@ test:
 # the canonical gate.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes' ./internal/autograd/
-	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape' ./internal/core/
-	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers' ./internal/rl/
+	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
+	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestBatchedServingBitIdentical|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
@@ -103,10 +111,11 @@ equiv:
 # TestConcurrentLeasedPolicies),
 # internal/core
 # (shared-agent inference, the batch coalescer), internal/rl (parallel batch
-# rollouts), internal/fleet (dispatcher, leases, workers), internal/gateway
-# (health prober, concurrent failover), internal/sim (fault injection under
-# parallel rollouts), and internal/stream (stream rollouts share agents
-# across workers).
+# rollouts on resident per-worker policies recording into per-slot episode
+# logs — TestEpisodeLogReuseIsolated), internal/fleet (dispatcher, leases,
+# workers), internal/gateway (health prober, concurrent failover),
+# internal/sim (fault injection under parallel rollouts), and internal/stream
+# (stream rollouts share agents across workers).
 race:
 	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/fleet/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
 

@@ -70,7 +70,10 @@ type Tape struct {
 	// recycle them together with every remaining gradient accumulator.
 	owned []*tensor.Matrix
 	// bufs is where every buffer of the tape comes from and goes back to.
-	bufs     tensor.FreeList
+	bufs tensor.FreeList
+	// idx backs the index tables ops keep for their backward step (gathered
+	// rows, pooling argmaxes); Reset rewinds it.
+	idx      []int
 	released bool
 }
 
@@ -112,6 +115,18 @@ func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
 	return m
 }
 
+// ints cuts an n-entry index table from the tape's kept buffer. When the
+// buffer is full a larger one replaces it; tables cut earlier keep the old
+// array alive until the Reset that voids them.
+func (t *Tape) ints(n int) []int {
+	lo := len(t.idx)
+	if lo+n > cap(t.idx) {
+		t.idx, lo = make([]int, 0, max(2*cap(t.idx), n)), 0
+	}
+	t.idx = t.idx[:lo+n]
+	return t.idx[lo : lo+n : lo+n]
+}
+
 // Reset empties the tape for another forward pass and keeps its buffers: every
 // op output and remaining gradient accumulator goes on the tape's free list,
 // from which the next pass draws. Nodes of the previous pass must not be used
@@ -133,7 +148,7 @@ func (t *Tape) Reset() {
 		t.bufs.Put(m)
 		t.owned[i] = nil
 	}
-	t.nodes, t.owned = t.nodes[:0], t.owned[:0]
+	t.nodes, t.owned, t.idx = t.nodes[:0], t.owned[:0], t.idx[:0]
 }
 
 // Release is the final Reset: the tape's buffers go to the shared pool and
@@ -145,7 +160,7 @@ func (t *Tape) Release() {
 	}
 	t.Reset()
 	t.bufs.Drain()
-	t.nodes, t.owned = nil, nil
+	t.nodes, t.owned, t.idx = nil, nil, nil
 	t.released = true
 }
 
@@ -558,7 +573,7 @@ func (t *Tape) MaxRows(a *Node) *Node { return t.SegmentMaxRows(a, nil) }
 func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
 	cols := a.Value.Cols
 	val := t.alloc(tensor.SegmentCount(segs), cols)
-	arg := make([]int, val.Rows*cols)
+	arg := t.ints(val.Rows * cols) // MaxRowsInto writes every entry
 	var in, res tensor.Matrix
 	for s := 0; s < val.Rows; s++ {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
@@ -588,7 +603,8 @@ func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
 // the embeddings of the ready tasks). Gradients scatter-add back, so repeated
 // indices are handled correctly.
 func (t *Tape) GatherRows(a *Node, idx []int) *Node {
-	ids := append([]int(nil), idx...)
+	ids := t.ints(len(idx))
+	copy(ids, idx)
 	val := t.alloc(len(ids), a.Value.Cols)
 	tensor.GatherRowsInto(a.Value, ids, val)
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}

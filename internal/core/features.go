@@ -116,6 +116,10 @@ type EncodedState struct {
 	// running, so simulated time can advance).
 	AllowIdle bool
 
+	// graphEpoch is the sim.State.GraphEpoch the state was encoded at: within
+	// one epoch a task's static feature columns are the same in every state.
+	graphEpoch int
+
 	denseNorm *tensor.Matrix
 }
 
@@ -127,44 +131,6 @@ func (e *EncodedState) DenseNorm() *tensor.Matrix {
 		e.denseNorm = e.Norm.Dense()
 	}
 	return e.denseNorm
-}
-
-// snapshot returns a copy of the state that owns its memory, for a state the
-// incremental encoder built in buffers it will overwrite: one struct, one
-// float and one int allocation hold everything. A non-nil norm is an earlier
-// snapshot's copy of the same adjacency, shared instead of copied again.
-func (e *EncodedState) snapshot(norm *tensor.Sparse) *EncodedState {
-	c := &struct {
-		es      EncodedState
-		x, proc tensor.Matrix
-		norm    tensor.Sparse
-	}{es: EncodedState{AllowIdle: e.AllowIdle}}
-	nf, ni := len(e.X.Data)+len(e.Proc.Data), len(e.Nodes)+len(e.ReadyRows)+len(e.ReadyTasks)
-	if norm == nil {
-		nf, ni = nf+len(e.Norm.Val), ni+len(e.Norm.RowPtr)+len(e.Norm.Col)
-	}
-	floats, ints := make([]float64, 0, nf), make([]int, 0, ni)
-	// Full slice expressions: an append to one part must not run into the next.
-	cutF := func(src []float64) []float64 {
-		lo := len(floats)
-		floats = append(floats, src...)
-		return floats[lo:len(floats):len(floats)]
-	}
-	cutI := func(src []int) []int {
-		lo := len(ints)
-		ints = append(ints, src...)
-		return ints[lo:len(ints):len(ints)]
-	}
-	c.x = tensor.Matrix{Rows: e.X.Rows, Cols: e.X.Cols, Data: cutF(e.X.Data)}
-	c.proc = tensor.Matrix{Rows: e.Proc.Rows, Cols: e.Proc.Cols, Data: cutF(e.Proc.Data)}
-	if norm == nil {
-		c.norm = tensor.Sparse{Rows: e.Norm.Rows, Cols: e.Norm.Cols,
-			RowPtr: cutI(e.Norm.RowPtr), Col: cutI(e.Norm.Col), Val: cutF(e.Norm.Val)}
-		norm = &c.norm
-	}
-	c.es.X, c.es.Proc, c.es.Norm = &c.x, &c.proc, norm
-	c.es.Nodes, c.es.ReadyRows, c.es.ReadyTasks = cutI(e.Nodes), cutI(e.ReadyRows), cutI(e.ReadyTasks)
-	return &c.es
 }
 
 // NumActions returns the size of the action space of this state.
@@ -214,7 +180,7 @@ func EncodeFault(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, 
 	// nothing is running and every resource idled, someone must act or time
 	// cannot advance.
 	x := tensor.New(len(nodes), numTaskFeatures+procWidth)
-	es := &EncodedState{Nodes: nodes, X: x, Proc: proc, AllowIdle: !s.MustAct}
+	es := &EncodedState{Nodes: nodes, X: x, Proc: proc, AllowIdle: !s.MustAct, graphEpoch: s.GraphEpoch}
 	for row, t := range nodes {
 		rf := x.Row(row)
 		fillStaticTaskFeatures(s, t, F[t], maxE, rf)

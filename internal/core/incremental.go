@@ -8,6 +8,18 @@ import (
 	"readys/internal/tensor"
 )
 
+// IncrementalStats counts the incremental encoder's work (see
+// Policy.IncrementalStats).
+type IncrementalStats struct {
+	// Decisions counts Encode calls; Rebuilds how many recomputed the window.
+	Decisions, Rebuilds int
+	// RowsCopied / RowsFilled split static-row work during rebuilds between
+	// rows carried over from the previous window and rows computed fresh.
+	RowsCopied, RowsFilled int
+	// AdjRebuilds counts adjacency reconstructions (node set changed).
+	AdjRebuilds int
+}
+
 // incrementalEncoder maintains the EncodedState across the decisions of one
 // episode instead of rebuilding it from scratch each time (EncodeFault).
 //
@@ -28,19 +40,8 @@ import (
 // remains the fallback and the oracle.
 //
 // The returned EncodedState aliases buffers owned by the encoder and is only
-// valid until the next Encode call; a recording (training) policy, which
-// retains states until the update, keeps an owned copy of each
-// (EncodedState.snapshot).
-type IncrementalStats struct {
-	// Decisions counts Encode calls; Rebuilds how many recomputed the window.
-	Decisions, Rebuilds int
-	// RowsCopied / RowsFilled split static-row work during rebuilds between
-	// rows carried over from the previous window and rows computed fresh.
-	RowsCopied, RowsFilled int
-	// AdjRebuilds counts adjacency reconstructions (node set changed).
-	AdjRebuilds int
-}
-
+// valid until the next Encode call; a recording (training) policy copies what
+// it keeps of each into its EpisodeLog before then.
 type incrementalEncoder struct {
 	w             int
 	directed      bool
@@ -169,6 +170,7 @@ func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 	e.depth = growTo(e.depth, n)
 	e.rowOf = growTo(e.rowOf, n)
 	e.graphEpoch = s.GraphEpoch
+	e.es.graphEpoch = s.GraphEpoch
 	e.valid = false
 }
 

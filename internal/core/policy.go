@@ -11,18 +11,17 @@ import (
 	"readys/internal/platform"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
-	"readys/internal/tensor"
 )
 
-// Step records one decision of a training episode, off the tape: an owned
-// copy of the encoded state, the chosen action, and the scalars of the
-// rollout-time forward pass that trainers read — the action's log-probability
-// (PPO's ratio denominator), the policy entropy −Σ p log p, and the critic's
-// V(s) (advantages and bootstrapped targets). The trainers re-evaluate State
-// on a tape at update time (rl.Trainer stacks an episode's states into one
-// pass); the scalars here have the bits that evaluation reproduces.
+// Step records one decision of a training episode, off the tape: the chosen
+// action and the scalars of the rollout-time forward pass that trainers read —
+// the action's log-probability (PPO's ratio denominator), the policy entropy
+// −Σ p log p, and the critic's V(s) (advantages and bootstrapped targets) —
+// plus what the EpisodeLog it belongs to needs to rebuild the decision's state
+// (EpisodeLog.State). The trainers re-evaluate that state on a tape at update
+// time (rl.Trainer stacks an episode's states into one pass); the scalars
+// here have the bits that evaluation reproduces.
 type Step struct {
-	State  *EncodedState
 	Action int
 
 	LogProb, Entropy, Value float64
@@ -32,12 +31,18 @@ type Step struct {
 	// st.Forward.Binding.Release() on every recorded step. It goes when a
 	// [benchmark] issue drops that call.
 	Forward *Forward
+
+	// What differs from decision to decision, cut from the log's arenas: the
+	// window it saw, the dynamic feature columns of every row, the resource
+	// context and the ready rows.
+	window    int
+	dyn, proc []float64
+	ready     []int
+	allowIdle bool
 }
 
 // Idle reports whether the step chose the ∅ action.
-func (st Step) Idle() bool {
-	return st.State.AllowIdle && st.Action == len(st.State.ReadyRows)
-}
+func (st Step) Idle() bool { return st.allowIdle && st.Action == len(st.ready) }
 
 // releasedForward is what every recorded Step.Forward points at.
 var releasedForward = &Forward{IdleIndex: -1}
@@ -46,8 +51,8 @@ var releasedForward = &Forward{IdleIndex: -1}
 //
 // In greedy mode it picks the argmax action; otherwise it samples from the
 // policy distribution using Rng (training behaviour). When Record is true,
-// every decision's state, action and forward-pass scalars are appended to
-// Steps so the trainers can compute losses after the episode terminates.
+// every decision's state, action and forward-pass scalars are recorded in Log
+// so the trainers can compute losses after the episode terminates.
 type Policy struct {
 	Agent *Agent
 	// Rng drives action sampling; required unless Greedy.
@@ -64,7 +69,12 @@ type Policy struct {
 	// DisableIdle masks the ∅ action at every decision (ablation: READYS
 	// reduced to a pure list scheduler that must fill the asking resource).
 	DisableIdle bool
-	// Steps holds the recorded decisions of the current episode.
+	// Log is where a recording policy keeps the current episode; Reset
+	// empties it. A trainer that reuses policy and logs points Log at the
+	// episode's log before the rollout; left nil, the policy makes itself a
+	// private one at the first recorded decision.
+	Log *EpisodeLog
+	// Steps holds the recorded decisions of the current episode: Log.Steps().
 	Steps []Step
 
 	// InferenceTime accumulates wall-clock time spent in Forward (used for
@@ -95,9 +105,6 @@ type Policy struct {
 	// map is emptied, so storing a forward costs no allocation once it has
 	// grown to one version's worth.
 	memoSlab []float64
-	// snapAdj is the encoder's adjacency-rebuild count at the last recorded
-	// step that copied its Norm; later steps share that copy until it moves.
-	snapAdj int
 }
 
 // stateVersion is the (NumDone, FaultEpoch, GraphEpoch) triple within which a
@@ -150,7 +157,9 @@ func NewServingPolicy(agent *Agent, prec Precision) *Policy {
 // NewTrainingPolicy returns a sampling, recording policy for the agent.
 // Rollouts run where serving runs — the incremental encoder and the float64
 // engine, which also evaluates the critic here — and leave the tape to the
-// update.
+// update. The policy may be kept and rolled out episode after episode: Reset
+// starts each one from nothing but the allocated memory, so re-pointing Rng
+// (and Log) is all a new episode needs.
 func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 	p := NewPolicy(agent)
 	p.Greedy, p.Rng, p.Record = false, rng, true
@@ -214,7 +223,10 @@ func (p *Policy) IncrementalStats() IncrementalStats {
 // descendant features, the incremental state, and the decision memo.
 func (p *Policy) Reset(s *sim.State) {
 	p.feats = nil
-	p.Steps = p.Steps[:0]
+	p.Steps = nil
+	if p.Log != nil {
+		p.Log.Reset()
+	}
 	if p.inc != nil {
 		p.inc.reset()
 	}
@@ -333,23 +345,11 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int, value fl
 		for _, lp := range logProbs {
 			plogp += float64(math.Exp(lp) * lp)
 		}
-		state := es
-		if p.inc != nil {
-			// The encoder reuses es's buffers on the next Encode. While it has
-			// not rebuilt the adjacency, the previous step's copy still stands.
-			var norm *tensor.Sparse
-			if adj := p.inc.stats.AdjRebuilds; adj == p.snapAdj && len(p.Steps) > 0 {
-				norm = p.Steps[len(p.Steps)-1].State.Norm
-			} else {
-				p.snapAdj = adj
-			}
-			state = es.snapshot(norm)
+		if p.Log == nil {
+			p.Log = NewEpisodeLog()
 		}
-		p.Steps = append(p.Steps, Step{
-			State: state, Action: action,
-			LogProb: logProbs[action], Entropy: -plogp, Value: value,
-			Forward: releasedForward,
-		})
+		p.Log.record(es, action, logProbs[action], -plogp, value)
+		p.Steps = p.Log.steps
 	}
 	if action == idleIdx && idleIdx >= 0 {
 		return sim.NoTask

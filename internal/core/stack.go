@@ -39,6 +39,8 @@ type StateBatch struct {
 	dense *tensor.Matrix
 	// single marks the batch built by singleState: one state, nil tables.
 	single bool
+	// logged is the state AppendLogged materialises a decision into.
+	logged EncodedState
 }
 
 // singleState wraps one encoded state as a width-1 batch without copying:
@@ -127,6 +129,12 @@ func (sb *StateBatch) Append(es *EncodedState) {
 	sb.readySegs = append(sb.readySegs, len(sb.readyRows))
 	sb.actionSegs = append(sb.actionSegs, len(sb.readyRows)+len(sb.idleStates))
 	sb.rowSegs = append(sb.rowSegs, state+1)
+}
+
+// AppendLogged stacks decision i of a recorded episode, materialised from
+// the log (EpisodeLog.State).
+func (sb *StateBatch) AppendLogged(l *EpisodeLog, i int) {
+	sb.Append(l.State(i, &sb.logged))
 }
 
 // seal builds the action permutation once every state is appended; it needs

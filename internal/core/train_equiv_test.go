@@ -22,10 +22,11 @@ type tapePolicy struct {
 	rng         *rand.Rand
 	disableIdle bool
 	feats       [][taskgraph.NumKernels]float64
+	states      []*EncodedState
 	steps       []Step
 }
 
-func (p *tapePolicy) Reset(*sim.State) { p.feats, p.steps = nil, nil }
+func (p *tapePolicy) Reset(*sim.State) { p.feats, p.states, p.steps = nil, nil, nil }
 
 func (p *tapePolicy) Decide(s *sim.State, r int) int {
 	if len(p.feats) != s.Graph.NumTasks() {
@@ -38,8 +39,9 @@ func (p *tapePolicy) Decide(s *sim.State, r int) int {
 	}
 	fw := p.agent.Forward(es)
 	action := fw.Sample(p.rng)
+	p.states = append(p.states, es)
 	p.steps = append(p.steps, Step{
-		State: es, Action: action,
+		Action:  action,
 		LogProb: fw.LogProbs.Value.Data[action],
 		Entropy: autograd.Scalar(fw.Entropy()),
 		Value:   autograd.Scalar(fw.Value),
@@ -114,7 +116,8 @@ func trainingEpisodes() []struct {
 // TestTrainingRolloutMatchesTape: the recording policy — incremental encoder,
 // float64 engine with the critic head, no tape — takes the decisions of the
 // per-decision-tape rollout it replaced, from the same seed, and records the
-// same states and the same log-probability, entropy and value bits.
+// same states (read back through the log's materialiser) and the same
+// log-probability, entropy and value bits.
 func TestTrainingRolloutMatchesTape(t *testing.T) {
 	for _, ep := range trainingEpisodes() {
 		oracle := &tapePolicy{agent: ep.agent, rng: rand.New(rand.NewSource(41))}
@@ -132,10 +135,11 @@ func TestTrainingRolloutMatchesTape(t *testing.T) {
 				ep.name, makespan, len(pol.Steps), wantMakespan, len(oracle.steps))
 		}
 		var masked int
+		var state EncodedState
 		for i, got := range pol.Steps {
 			want := oracle.steps[i]
 			ctx := fmt.Sprintf("%s decision %d", ep.name, i)
-			assertStatesEqual(t, want.State, got.State, ctx)
+			assertStatesEqual(t, oracle.states[i], pol.Log.State(i, &state), ctx)
 			if got.Action != want.Action || got.LogProb != want.LogProb || got.Entropy != want.Entropy || got.Value != want.Value {
 				t.Fatalf("%s: recorded action %d logp %v entropy %v value %v, tape rollout %d %v %v %v", ctx,
 					got.Action, got.LogProb, got.Entropy, got.Value, want.Action, want.LogProb, want.Entropy, want.Value)
@@ -144,7 +148,7 @@ func TestTrainingRolloutMatchesTape(t *testing.T) {
 				t.Fatalf("%s: Step.Forward must be the empty vestige", ctx)
 			}
 			got.Forward.Binding.Release() // what benchmark/train.go does; must be a no-op
-			if !got.State.AllowIdle {
+			if !state.AllowIdle {
 				masked++
 			}
 		}
@@ -165,8 +169,8 @@ func TestBatchedForwardBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", ep.name, err)
 		}
 		var sb StateBatch
-		for _, st := range pol.Steps {
-			sb.Append(st.State)
+		for i := range pol.Steps {
+			sb.AppendLogged(pol.Log, i)
 		}
 		bind := nn.NewBinding()
 		batched := ep.agent.ForwardBatch(bind, &sb)
@@ -174,9 +178,10 @@ func TestBatchedForwardBitIdentical(t *testing.T) {
 		if batched.Value.Value.Rows != len(pol.Steps) || entropy.Value.Rows != len(pol.Steps) {
 			t.Fatalf("%s: %d values and %d entropies for %d states", ep.name, batched.Value.Value.Rows, entropy.Value.Rows, len(pol.Steps))
 		}
+		var state EncodedState
 		for i, st := range pol.Steps {
 			ctx := fmt.Sprintf("%s decision %d", ep.name, i)
-			one := ep.agent.Forward(st.State)
+			one := ep.agent.Forward(pol.Log.State(i, &state))
 			for a := 0; a < one.NumActions; a++ {
 				got, want := batched.LogProbs.Value.Data[sb.ActionIndex(i, a)], one.LogProbs.Value.Data[a]
 				if math.Float64bits(got) != math.Float64bits(want) {

@@ -9,10 +9,11 @@
 // and H the policy entropy (exploration bonus [49]). Gradients are
 // accumulated over a batch of episodes, clipped, and applied with Adam.
 //
-// Rollouts run off the tape (core.NewTrainingPolicy) and record their decision
-// states; the update stacks an episode's states and evaluates network and
-// loss on one tape at batch width d (core.Agent.ForwardBatch) — one forward,
-// one backward — with every reduction taken decision by decision, so the
+// Rollouts run off the tape (core.NewTrainingPolicy) and record their
+// decisions in episode logs the trainer owns (core.EpisodeLog); the update
+// stacks an episode's states out of its log and evaluates network and loss on
+// one tape at batch width d (core.Agent.ForwardBatch) — one forward, one
+// backward — with every reduction taken decision by decision, so the
 // gradients are bit for bit the sum, in decision order, of the per-decision
 // gradients.
 package rl
@@ -163,9 +164,16 @@ type Trainer struct {
 	opt      *nn.Adam
 	baseline float64
 
-	// The update's tape and state stack, kept across passes for their buffers.
-	bind  *nn.Binding
-	stack core.StateBatch
+	// Kept from batch to batch for their memory: what rollouts run in, the
+	// update's tape and state stack, and the update's per-episode vectors.
+	rollouts rolloutPool
+	bind     *nn.Binding
+	stack    core.StateBatch
+	scratch  struct {
+		stepRewards, targets []float64
+		picks                []int
+		negAdv, negTarget    tensor.Matrix
+	}
 }
 
 // NewTrainer prepares training of the agent on the problem. A fault spec in
@@ -214,14 +222,13 @@ func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 		// Roll out the whole batch under the current parameters, then
 		// accumulate gradients in fixed episode order: History does not
 		// depend on the worker count.
-		results := collectRollouts(t.Agent, t.Problem, t.Cfg.Arrivals, t.baseline, t.Cfg.Seed, start, n, workers)
+		results := t.rollouts.collect(t.Agent, t.Problem, t.Cfg.Arrivals, t.baseline, t.Cfg.Seed, start, n, workers)
 		for k := range results {
 			r := &results[k]
 			if r.err != nil {
 				return hist, fmt.Errorf("rl: episode %d: %w", r.ep, r.err)
 			}
-			loss, policyLoss, valueLoss := t.accumulate(r.steps, r.reward)
-			r.steps = nil // the states are consumed: let the batch shrink
+			loss, policyLoss, valueLoss := t.accumulate(r.log, r.log.Steps(), r.reward)
 			var gradNorm float64
 			if k == n-1 {
 				gradNorm = applyUpdate(params, t.opt, t.Cfg.ClipNorm)
@@ -276,19 +283,21 @@ func emitEpisode(sink *obs.JSONL, progress func(EpisodeStats), st EpisodeStats) 
 }
 
 // accumulate adds one episode's gradients to the agent's parameters: the
-// episode's recorded states go through the network in one tape pass (several,
-// in decision order, past maxPassRows), the per-decision losses are built as
-// d-vectors on the same tape, and one Backward accumulates straight into the
-// parameters. It returns the mean per-decision total, policy and value
-// losses.
-func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, value float64) {
+// states of steps, the leading decisions recorded in log, go through the
+// network in one tape pass (several, in decision order, past maxPassRows),
+// the per-decision losses are built as d-vectors on the same tape, and one
+// Backward accumulates straight into the parameters. It returns the mean
+// per-decision total, policy and value losses.
+func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward float64) (total, policy, value float64) {
 	d := len(steps)
 	if d == 0 {
 		return 0, 0, 0
 	}
+	sc := &t.scratch
 	// Per-step rewards: zero on non-terminal transitions per §III-B, except
 	// under the idle-penalty shaping ablation.
-	stepRewards := make([]float64, d)
+	stepRewards := resize(&sc.stepRewards, d)
+	clear(stepRewards)
 	stepRewards[d-1] = reward
 	if t.Cfg.IdlePenalty > 0 {
 		for i, st := range steps {
@@ -299,7 +308,7 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 	}
 	// Targets: discounted returns, optionally bootstrapped from the recorded
 	// value n steps ahead.
-	targets := make([]float64, d)
+	targets := resize(&sc.targets, d)
 	ret := 0.0
 	for i := d - 1; i >= 0; i-- {
 		ret = stepRewards[i] + t.Cfg.Gamma*ret
@@ -320,8 +329,8 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 	// The DenseProp ablation multiplies an n x n operator: one state a pass.
 	passRows := 0
 	if !t.Agent.Cfg.DenseProp {
-		for _, st := range steps {
-			passRows += st.State.X.Rows
+		for i := range steps {
+			passRows += log.Rows(i)
 		}
 		passes := (passRows + maxPassRows - 1) / maxPassRows
 		passRows = (passRows + passes - 1) / passes
@@ -330,13 +339,13 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 		sb := &t.stack
 		sb.Reset()
 		hi := lo
-		for hi < d && (hi == lo || sb.Rows()+steps[hi].State.X.Rows <= passRows) {
-			sb.Append(steps[hi].State)
+		for hi < d && (hi == lo || sb.Rows()+log.Rows(hi) <= passRows) {
+			sb.AppendLogged(log, hi)
 			hi++
 		}
 		k := hi - lo
-		picks := make([]int, k)
-		negAdv, negTarget := tensor.New(k, 1), tensor.New(k, 1)
+		picks := resize(&sc.picks, k)
+		negAdv, negTarget := column(&sc.negAdv, k), column(&sc.negTarget, k)
 		for i, st := range steps[lo:hi] {
 			picks[i] = sb.ActionIndex(i, st.Action)
 			negAdv.Data[i] = -(targets[lo+i] - st.Value)
@@ -363,13 +372,31 @@ func (t *Trainer) accumulate(steps []core.Step, reward float64) (total, policy, 
 	return total, policy, value
 }
 
+// resize returns *buf at length n, reallocating only when it has to grow;
+// contents are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// column returns m reshaped to n x 1 over its own buffer; every entry is the
+// caller's to write.
+func column(m *tensor.Matrix, n int) *tensor.Matrix {
+	m.Rows, m.Cols, m.Data = n, 1, resize(&m.Data, n)
+	return m
+}
+
 // Evaluate runs the agent greedily on the problem for the given number of
-// runs/seeds and returns the makespans.
+// runs/seeds and returns the makespans. One policy serves every run: the
+// simulator resets it at the start of each.
 func Evaluate(agent *core.Agent, problem core.Problem, runs int, seed int64) ([]float64, error) {
 	out := make([]float64, 0, runs)
+	pol := core.NewPolicy(agent)
 	for i := 0; i < runs; i++ {
 		rng := rand.New(rand.NewSource(seed + int64(i)))
-		pol := core.NewPolicy(agent)
 		res, err := problem.Simulate(pol, rng)
 		if err != nil {
 			return nil, err

@@ -61,9 +61,11 @@ func DefaultPPOConfig() PPOConfig {
 	}
 }
 
-// ppoSample is one stored decision of a rollout batch.
+// ppoSample is one stored decision of a rollout batch: decision index of the
+// episode recorded in log.
 type ppoSample struct {
-	state     *core.EncodedState
+	log       *core.EpisodeLog
+	index     int
 	action    int
 	oldLogP   float64
 	target    float64 // discounted terminal return
@@ -83,6 +85,14 @@ type PPOTrainer struct {
 
 	opt      *nn.Adam
 	baseline float64
+
+	// Kept from iteration to iteration for their memory: what rollouts run
+	// in, the batch's samples and statistics, and the state a sample is
+	// materialised into.
+	rollouts rolloutPool
+	batch    []ppoSample
+	pending  []EpisodeStats
+	state    core.EncodedState
 }
 
 // NewPPOTrainer prepares PPO training of the agent on the problem.
@@ -119,19 +129,20 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 		// Collect a batch of rollouts under the current ("old") policy,
 		// concurrently across the worker pool; samples are extracted in fixed
 		// episode order, so the batch layout is worker-count independent.
-		var batch []ppoSample
-		var pending []EpisodeStats
-		results := collectRollouts(t.Agent, t.Problem, t.Cfg.Arrivals, t.baseline, t.Cfg.Seed, it*t.Cfg.EpisodesPerIter, t.Cfg.EpisodesPerIter, workers)
+		batch, pending := t.batch[:0], t.pending[:0]
+		results := t.rollouts.collect(t.Agent, t.Problem, t.Cfg.Arrivals, t.baseline, t.Cfg.Seed, it*t.Cfg.EpisodesPerIter, t.Cfg.EpisodesPerIter, workers)
 		for k := range results {
 			r := &results[k]
 			if r.err != nil {
 				return hist, fmt.Errorf("rl: ppo rollout: %w", r.err)
 			}
-			d := len(r.steps)
-			for i, st := range r.steps {
+			steps := r.log.Steps()
+			d := len(steps)
+			for i, st := range steps {
 				target := math.Pow(t.Cfg.Gamma, float64(d-1-i)) * r.reward
 				batch = append(batch, ppoSample{
-					state:     st.State,
+					log:       r.log,
+					index:     i,
 					action:    st.Action,
 					oldLogP:   st.LogProb,
 					target:    target,
@@ -140,13 +151,14 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 			}
 			pending = append(pending, EpisodeStats{Episode: r.ep, Makespan: r.makespan, Reward: r.reward, Entropy: r.entropy})
 		}
+		t.batch, t.pending = batch, pending
 		// Optimise the clipped surrogate for several epochs.
 		var epochTotal, epochPolicy, epochValue, gradNorm float64
 		for ep := 0; ep < t.Cfg.Epochs; ep++ {
 			epochTotal, epochPolicy, epochValue = 0, 0, 0
 			scale := 1.0 / float64(len(batch))
 			for _, s := range batch {
-				fw := t.Agent.Forward(s.state)
+				fw := t.Agent.Forward(s.log.State(s.index, &t.state))
 				tp := fw.Binding.Tape
 
 				logp := tp.Pick(fw.LogProbs, s.action, 0)

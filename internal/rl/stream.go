@@ -31,16 +31,14 @@ import (
 // deterministic function of the arrivals alone.
 const streamBaselineSeed = 1
 
-// runStreamEpisode rolls out one stream-training episode. Draw order on rng
-// is fixed — arrivals, fault-plan seed (only when faults are enabled, echoing
-// Problem.Simulate's conditional draw), then the policy run — so an episode's
-// randomness never depends on rollout scheduling.
-func runStreamEpisode(agent *core.Agent, problem core.Problem, proc stream.PoissonProcess, ep int, rng *rand.Rand) rolloutResult {
-	out := rolloutResult{ep: ep}
+// runStreamEpisode rolls out one stream-training episode on pol, which draws
+// from rng. Draw order on rng is fixed — arrivals, fault-plan seed (only when
+// faults are enabled, echoing Problem.Simulate's conditional draw), then the
+// policy run — so an episode's randomness never depends on rollout scheduling.
+func runStreamEpisode(pol *core.Policy, problem core.Problem, proc stream.PoissonProcess, rng *rand.Rand) (makespan, reward float64, err error) {
 	arrivals, err := proc.Generate(rng)
 	if err != nil {
-		out.err = err
-		return out
+		return 0, 0, err
 	}
 	var planSeed int64
 	if problem.Faults.Enabled() {
@@ -53,8 +51,7 @@ func runStreamEpisode(agent *core.Agent, problem core.Problem, proc stream.Poiss
 		Rng:      rand.New(rand.NewSource(streamBaselineSeed)),
 	})
 	if err != nil {
-		out.err = fmt.Errorf("stream baseline: %w", err)
-		return out
+		return 0, 0, fmt.Errorf("stream baseline: %w", err)
 	}
 	var plan *sim.FaultPlan
 	if problem.Faults.Enabled() {
@@ -67,7 +64,6 @@ func runStreamEpisode(agent *core.Agent, problem core.Problem, proc stream.Poiss
 		}
 		plan = sim.GeneratePlan(planSeed, problem.Platform.Size(), spec)
 	}
-	pol := core.NewTrainingPolicy(agent, rng)
 	res, err := stream.Run(pol, stream.Config{
 		Platform: problem.Platform,
 		Arrivals: arrivals,
@@ -75,13 +71,8 @@ func runStreamEpisode(agent *core.Agent, problem core.Problem, proc stream.Poiss
 		Faults:   plan,
 		Rng:      rng,
 	})
-	out.steps = pol.Steps
 	if err != nil {
-		out.err = err
-		return out
+		return 0, 0, err
 	}
-	out.makespan = res.Makespan
-	out.reward = core.Reward(base.MeanResponse, res.MeanResponse)
-	out.entropy = pol.MeanEntropy()
-	return out
+	return res.Makespan, core.Reward(base.MeanResponse, res.MeanResponse), nil
 }
