@@ -86,21 +86,22 @@ test:
 # arrivals), a reused log and resident rollout policy to fresh ones
 # (TestEpisodeLogReuseIsolated: long then short, short then long, after an
 # error mid-episode), and rl.Evaluate's one policy to one per run
-# (TestEvaluateResidentPolicyBitIdentical). The serving path's
-# resident policies are held to one built fresh per problem
-# (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and down, explicit
-# DAGs, precision flips, the batcher; TestLeasedPolicyFollowsPublishedWeights
-# for Publish/Invalidate), its typed spans to the map path's exported bytes
-# (TestSpanExportsAsCompleteWithSpanArgs), and the cost contracts
+# (TestEvaluateResidentPolicyBitIdentical). The serving path's resident
+# policies, simulator memory and problem templates are held to ones built
+# fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
+# down, explicit DAGs, precision flips, the batcher, eviction;
+# TestLeasedPolicyFollowsPublishedWeights for Publish/Invalidate; a reused
+# sim.Runner to a new one: TestRunnerReuseBitIdentical), its typed spans to the
+# map path's exported bytes (TestSpanExportsAsCompleteWithSpanArgs), and
 # TestScheduleRequestAllocBounded / TestSpanAllocatesNothing /
-# TestTracerRingBytesFixed fail if a request rebuilds its state or a span
-# boxes its attributes again. These also run under `make test`; this target is
-# the canonical gate.
+# TestTracerRingBytesFixed fail if a request rebuilds its problem or state or a
+# span boxes its attributes again. These also run under `make test`.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes' ./internal/autograd/
 	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
+	$(GO) test -run 'TestRunnerReuseBitIdentical' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestBatchedServingBitIdentical|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed' ./internal/obs/

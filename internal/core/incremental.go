@@ -55,12 +55,15 @@ type incrementalEncoder struct {
 	// Per-graph-epoch caches (-1 = none yet). The per-task ones are
 	// append-only within an episode — a streaming arrival adds whole
 	// components, so what is cached for earlier tasks stays right — and
-	// len(sortedSucc) is how many tasks they cover.
+	// len(sortedSucc) is how many tasks they cover. They read the graph alone,
+	// so when they were built over a frozen graph (statics names it) they stay
+	// across episodes for as long as episodes run on that graph.
 	graphEpoch int
 	maxE       float64
 	sortedSucc [][]int
 	sortedPred [][]int
 	desc       taskgraph.DescendantAccumulator // F(i), normalised on read
+	statics    *taskgraph.Graph                // the frozen graph they describe, or nil
 
 	// BFS scratch indexed by task ID. seen is all-false between rebuilds.
 	seen  []bool
@@ -89,17 +92,23 @@ type incrementalEncoder struct {
 func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEncoder {
 	e := &incrementalEncoder{w: w, directed: directed, faultFeatures: faultFeatures}
 	e.es.Proc = tensor.New(1, ProcFeatureWidth(faultFeatures))
-	e.reset()
+	e.reset(nil)
 	return e
 }
 
-// reset invalidates everything; called at episode boundaries.
-func (e *incrementalEncoder) reset() {
+// reset invalidates everything that depends on the episode; called at episode
+// boundaries with the graph the next one runs on (nil when unknown). The
+// per-task graph caches survive only when that is the frozen graph they were
+// built over.
+func (e *incrementalEncoder) reset(g *taskgraph.Graph) {
 	e.valid = false
 	e.graphEpoch = -1
-	e.sortedSucc = e.sortedSucc[:0] // rows stay in the backing array for reuse
-	e.sortedPred = e.sortedPred[:0]
-	e.desc.Reset()
+	if g == nil || g != e.statics {
+		e.statics = nil
+		e.sortedSucc = e.sortedSucc[:0] // rows stay in the backing array for reuse
+		e.sortedPred = e.sortedPred[:0]
+		e.desc.Reset()
+	}
 	e.xEpoch = -1
 	e.adjEpoch = -1
 	// rowOf entries for the stale window must not leak into the next episode
@@ -155,7 +164,7 @@ func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 	g := s.Graph
 	n := g.NumTasks()
 	if n < len(e.sortedSucc) {
-		e.reset() // not the graph the caches describe: start over
+		e.reset(nil) // not the graph the caches describe: start over
 	}
 	e.maxE = s.MaxExpected()
 	e.desc.Extend(g)
@@ -172,6 +181,9 @@ func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 	e.graphEpoch = s.GraphEpoch
 	e.es.graphEpoch = s.GraphEpoch
 	e.valid = false
+	if g.Frozen() {
+		e.statics = g
+	}
 }
 
 // rebuildWindow recomputes the window node set (same membership as

@@ -220,7 +220,9 @@ func (p *Policy) IncrementalStats() IncrementalStats {
 }
 
 // Reset implements sim.Policy: it clears the episode recording, the
-// descendant features, the incremental state, and the decision memo.
+// descendant features, the incremental state, and the decision memo. Handed
+// the frozen graph of its previous episode again, the incremental encoder
+// keeps what it derived from the graph alone (F(i), sorted neighbour lists).
 func (p *Policy) Reset(s *sim.State) {
 	p.feats = nil
 	p.Steps = nil
@@ -228,7 +230,7 @@ func (p *Policy) Reset(s *sim.State) {
 		p.Log.Reset()
 	}
 	if p.inc != nil {
-		p.inc.reset()
+		p.inc.reset(s.Graph)
 	}
 	p.clearMemo()
 }

@@ -40,10 +40,12 @@ type Problem struct {
 }
 
 // NewProblem builds a Problem for a factorisation kind, tile count, platform
-// and noise level.
+// and noise level. Its graph is frozen: whoever holds the Problem runs every
+// episode on the same immutable graph, which is what lets a Policy keep its
+// per-graph statics from one episode to the next.
 func NewProblem(kind taskgraph.Kind, T, numCPU, numGPU int, sigma float64) Problem {
 	return Problem{
-		Graph:    taskgraph.NewByKind(kind, T),
+		Graph:    taskgraph.NewFrozenByKind(kind, T),
 		Platform: platform.New(numCPU, numGPU),
 		Timing:   platform.TimingFor(kind),
 		Sigma:    sigma,
@@ -92,11 +94,18 @@ func (p Problem) FaultPlanFor(seed int64) *sim.FaultPlan {
 // draw of rng — so distinct episode RNGs yield distinct, reproducible fault
 // streams; with faults disabled, rng is consumed exactly as before.
 func (p Problem) Simulate(pol sim.Policy, rng *rand.Rand) (sim.Result, error) {
+	return p.SimulateOn(new(sim.Runner), pol, rng)
+}
+
+// SimulateOn is Simulate in the memory of a runner the caller keeps across
+// runs; the Result's Trace and Kills are valid until the runner's next run
+// (see sim.Runner).
+func (p Problem) SimulateOn(rn *sim.Runner, pol sim.Policy, rng *rand.Rand) (sim.Result, error) {
 	var plan *sim.FaultPlan
 	if p.Faults.Enabled() {
 		plan = p.FaultPlanFor(rng.Int63())
 	}
-	return sim.Simulate(p.Graph, p.Platform, p.Timing, pol, sim.Options{Sigma: p.Sigma, Rng: rng, Faults: plan})
+	return rn.Simulate(p.Graph, p.Platform, p.Timing, pol, sim.Options{Sigma: p.Sigma, Rng: rng, Faults: plan})
 }
 
 // Validate checks that the problem is well-formed: a non-empty acyclic graph,

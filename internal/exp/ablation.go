@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"readys/internal/core"
+	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
 
@@ -58,10 +59,13 @@ func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int
 	// Re-run READYS with the ∅ action masked.
 	prob := core.NewProblem(kind, T, cpus, gpus, sigma)
 	var ms []float64
+	pol := core.NewPolicy(agent)
+	pol.DisableIdle = true
+	var runner sim.Runner
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < runs; i++ {
-		pol := core.NewPolicy(agent)
-		pol.DisableIdle = true
-		res, err := prob.Simulate(pol, rand.New(rand.NewSource(seed+int64(i))))
+		rng.Seed(seed + int64(i))
+		res, err := prob.SimulateOn(&runner, pol, rng)
 		if err != nil {
 			continue
 		}

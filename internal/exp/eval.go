@@ -43,31 +43,30 @@ type ComparisonPoint struct {
 // schedule is computed once from expected durations and replayed statically
 // under noise; MCT and READYS decide dynamically.
 func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigmas []float64, runs int, seed int64) []ComparisonPoint {
-	g := taskgraph.NewByKind(kind, T)
+	g := taskgraph.NewFrozenByKind(kind, T)
 	plat := platform.New(numCPU, numGPU)
 	tt := platform.TimingFor(kind)
 	heft := sched.HEFT(g, plat, tt)
 
+	// One simulator and two generators serve every run; Seed leaves a
+	// generator where rand.NewSource of the same seed starts.
+	var runner sim.Runner
+	rng, polRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	out := make([]ComparisonPoint, 0, len(sigmas))
 	for si, sigma := range sigmas {
 		var rd, hd, md []float64
 		for i := 0; i < runs; i++ {
 			base := seed + int64(si*1000+i)
-			prob := core.Problem{Graph: g, Platform: plat, Timing: tt, Sigma: sigma}
-
-			pol := &core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: rand.New(rand.NewSource(base + 7919))}
-			res, err := prob.Simulate(pol, rand.New(rand.NewSource(base)))
-			if err == nil {
-				rd = append(rd, res.Makespan)
+			run := func(pol sim.Policy, into *[]float64) {
+				rng.Seed(base)
+				if res, err := runner.Simulate(g, plat, tt, pol, sim.Options{Sigma: sigma, Rng: rng}); err == nil {
+					*into = append(*into, res.Makespan)
+				}
 			}
-			hres, err := sim.Simulate(g, plat, tt, sched.NewStaticPolicy(heft), sim.Options{Sigma: sigma, Rng: rand.New(rand.NewSource(base))})
-			if err == nil {
-				hd = append(hd, hres.Makespan)
-			}
-			mres, err := sim.Simulate(g, plat, tt, sched.MCTPolicy{}, sim.Options{Sigma: sigma, Rng: rand.New(rand.NewSource(base))})
-			if err == nil {
-				md = append(md, mres.Makespan)
-			}
+			polRng.Seed(base + 7919)
+			run(&core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: polRng}, &rd)
+			run(sched.NewStaticPolicy(heft), &hd)
+			run(sched.MCTPolicy{}, &md)
 		}
 		pt := ComparisonPoint{
 			Sigma:  sigma,

@@ -45,12 +45,15 @@ type ResiliencePoint struct {
 // scheduler failing a run — e.g. a deadlock — simply contributes no sample,
 // like the error paths in Compare).
 func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigma float64, rates []float64, runs int, seed int64) []ResiliencePoint {
-	g := taskgraph.NewByKind(kind, T)
+	g := taskgraph.NewFrozenByKind(kind, T)
 	plat := platform.New(numCPU, numGPU)
 	tt := platform.TimingFor(kind)
 	heft := sched.HEFT(g, plat, tt)
 	horizon := core.FaultHorizonFactor * heft.Makespan
 
+	// One simulator and two generators serve every run, as in Compare.
+	var runner sim.Runner
+	rng, polRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	out := make([]ResiliencePoint, 0, len(rates))
 	for ri, rate := range rates {
 		var rd, hd, pd, md []float64
@@ -61,15 +64,15 @@ func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU i
 				plan = sim.GeneratePlan(base+104729, plat.Size(), sim.SpecForRate(rate, horizon))
 			}
 			run := func(pol sim.Policy) (float64, bool) {
-				res, err := sim.Simulate(g, plat, tt, pol, sim.Options{
-					Sigma: sigma, Rng: rand.New(rand.NewSource(base)), Faults: plan})
+				rng.Seed(base)
+				res, err := runner.Simulate(g, plat, tt, pol, sim.Options{Sigma: sigma, Rng: rng, Faults: plan})
 				if err != nil {
 					return 0, false
 				}
 				return res.Makespan, true
 			}
-			pol := &core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: rand.New(rand.NewSource(base + 7919))}
-			if m, ok := run(pol); ok {
+			polRng.Seed(base + 7919)
+			if m, ok := run(&core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: polRng}); ok {
 				rd = append(rd, m)
 			}
 			if m, ok := run(sched.NewStaticPolicy(heft)); ok {

@@ -73,7 +73,7 @@ func (s AgentSpec) AgentConfig() core.Config {
 // keeps every combination trainable on a single laptop core, in the spirit of
 // the paper's "approximately 20 minutes on a standard laptop".
 func EpisodesFor(kind taskgraph.Kind, T int) int {
-	n := taskgraph.NewByKind(kind, T).NumTasks()
+	n := taskgraph.NumTasksFor(kind, T)
 	ep := 300000 / n
 	if ep > 8000 {
 		ep = 8000

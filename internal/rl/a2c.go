@@ -390,14 +390,17 @@ func column(m *tensor.Matrix, n int) *tensor.Matrix {
 }
 
 // Evaluate runs the agent greedily on the problem for the given number of
-// runs/seeds and returns the makespans. One policy serves every run: the
-// simulator resets it at the start of each.
+// runs/seeds and returns the makespans. One policy, one simulator and one
+// generator serve every run: the simulator resets policy and state at the
+// start of each, and Seed leaves the generator where rand.NewSource starts.
 func Evaluate(agent *core.Agent, problem core.Problem, runs int, seed int64) ([]float64, error) {
 	out := make([]float64, 0, runs)
 	pol := core.NewPolicy(agent)
+	var runner sim.Runner
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < runs; i++ {
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		res, err := problem.Simulate(pol, rng)
+		rng.Seed(seed + int64(i))
+		res, err := problem.SimulateOn(&runner, pol, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -65,17 +65,19 @@ type rolloutResult struct {
 
 // rolloutPool is what a trainer keeps from batch to batch so that a warmed
 // trainer's rollouts allocate next to nothing: one episode log per slot of
-// the batch, and per rollout worker one resident training policy and the
-// generator it draws from, re-seeded for every episode.
+// the batch, and per rollout worker one resident training policy, the
+// simulator memory it rolls out in and the generator it draws from, re-seeded
+// for every episode.
 type rolloutPool struct {
 	logs    []*core.EpisodeLog
-	workers []rolloutWorker
+	workers []*rolloutWorker
 	results []rolloutResult
 }
 
 type rolloutWorker struct {
 	pol *core.Policy
 	rng *rand.Rand
+	run sim.Runner
 }
 
 // collect runs episodes [start, start+n) of the training schedule and
@@ -94,10 +96,10 @@ func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals
 		rp.logs = append(rp.logs, core.NewEpisodeLog())
 	}
 	for len(rp.workers) < workers {
-		rp.workers = append(rp.workers, rolloutWorker{rng: rand.New(rand.NewSource(0))})
+		rp.workers = append(rp.workers, &rolloutWorker{rng: rand.New(rand.NewSource(0))})
 	}
-	for i := range rp.workers[:workers] {
-		if w := &rp.workers[i]; w.pol == nil || w.pol.Agent != agent {
+	for _, w := range rp.workers[:workers] {
+		if w.pol == nil || w.pol.Agent != agent {
 			w.pol = core.NewTrainingPolicy(agent, w.rng)
 		}
 	}
@@ -106,7 +108,7 @@ func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals
 	}
 	results := rp.results[:n]
 
-	runOne := func(w rolloutWorker, k int) {
+	runOne := func(w *rolloutWorker, k int) {
 		ep := start + k
 		// Seed leaves the generator where rand.NewSource(seed) starts.
 		pol, rng := w.pol, w.rng
@@ -117,7 +119,7 @@ func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals
 			r.makespan, r.reward, r.err = runStreamEpisode(pol, problem, *arrivals, rng)
 		} else {
 			var res sim.Result
-			if res, r.err = problem.Simulate(pol, rng); r.err == nil {
+			if res, r.err = problem.SimulateOn(&w.run, pol, rng); r.err == nil {
 				r.makespan, r.reward = res.Makespan, core.Reward(baseline, res.Makespan)
 			}
 		}
@@ -136,7 +138,7 @@ func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals
 	idx := make(chan int)
 	for _, w := range rp.workers[:workers] {
 		wg.Add(1)
-		go func(w rolloutWorker) {
+		go func(w *rolloutWorker) {
 			defer wg.Done()
 			for k := range idx {
 				runOne(w, k)

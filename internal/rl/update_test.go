@@ -185,9 +185,11 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 // a single update the tape's free list is still gaining a size class).
 //
 // Bytes: the per-decision-tape trainer allocated 1 228 850 B per episode here
-// (20 282 mallocs) and the trainer that copied every decision's state about
-// 160 kB; this one records into logs it keeps and rolls out on a policy it
-// keeps. The bound is a twentieth of the first figure.
+// (20 282 mallocs), the trainer that copied every decision's state about
+// 160 kB, and the one that built a simulator state per episode 22 672 B; this
+// one records into logs it keeps and rolls out on a policy and in simulator
+// memory it keeps, and reads 19 868 B — the update's tape nodes. The bound is
+// 1.25 × that.
 //
 // Live heap: an episode is recorded in memory the trainer already holds, so
 // nothing new should be live while a batch is being consumed. Sampled after
@@ -225,8 +227,8 @@ func TestTrainCostBounded(t *testing.T) {
 	perEpisode := (after.TotalAlloc - before.TotalAlloc) / uint64(tr.Cfg.Episodes)
 	t.Logf("%d B allocated per episode (per-decision-tape trainer %d), live heap %d B before, %d B at its highest",
 		perEpisode, parentBytesPerEpisode, before.HeapAlloc, peak)
-	if perEpisode > parentBytesPerEpisode/20 {
-		t.Fatalf("%d B allocated per episode, more than a twentieth of the per-decision-tape trainer's %d", perEpisode, parentBytesPerEpisode)
+	if perEpisode > 25000 {
+		t.Fatalf("%d B allocated per episode, contract is 25 000: a rollout is building its policy, log or simulator state again", perEpisode)
 	}
 	if bound := before.HeapAlloc + before.HeapAlloc/10; peak > bound {
 		t.Fatalf("live heap reached %d B while a batch was consumed, bound %d: an episode is being recorded in memory the trainer does not keep", peak, bound)

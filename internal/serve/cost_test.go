@@ -1,15 +1,13 @@
 package serve
 
 import (
-	"math/rand"
+	"context"
 	"net/http"
 	"runtime"
 	"testing"
 	"time"
 
-	"readys/internal/core"
 	"readys/internal/exp"
-	"readys/internal/platform"
 	"readys/internal/taskgraph"
 )
 
@@ -24,9 +22,13 @@ func allocatedBy(fn func()) uint64 {
 
 // TestScheduleRequestAllocBounded is the serving path's cost contract, in the
 // style of TestStreamCostFlat: a warm T=8 request through Handler() may
-// allocate at most 600 kB (it was 1.1 MB while every request built its own
-// policy and boxed its spans), and a rollout on a warm lease allocates no more
-// than the one before it — nothing the lease carries grows per request.
+// allocate at most 300 kB (it was 1.1 MB while every request built its own
+// policy and boxed its spans, and 320 kB while it built, validated and
+// HEFT-scheduled its graph and ran on a new simulator state), and what the
+// handler does between a decoded body and an encoded answer — the lease, the
+// template, the pool hand-off, the two runs, the placements — allocates the
+// same on the fourth request as on the third: nothing the model or the lease
+// keeps grows per request.
 func TestScheduleRequestAllocBounded(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, exp.DefaultAgentSpec(taskgraph.LU, 8, 2, 2))
@@ -42,41 +44,64 @@ func TestScheduleRequestAllocBounded(t *testing.T) {
 			}
 		})
 	}
-	cold := request()
-	request() // the memo slab reaches its size on the second rollout
-	warm := request()
-	t.Logf("bytes allocated by a request: cold %d, warm %d", cold, warm)
-	// ≈ 320 kB, or ≈ 65 kB more per sync.Pool (encoding/json's, net/http's)
-	// that a collection emptied since the last request.
-	if warm > 600<<10 {
-		t.Errorf("warm T=8 request allocated %d bytes, contract is 600 kB", warm)
-	}
-
-	// The lease's share of a request is the rollout on its resident policy.
-	// It touches no pool, so on the now-warm clone it repeats to the byte (the
-	// slack is for what the runtime allocates behind the test's back).
-	prob := core.Problem{
-		Graph:    taskgraph.NewByKind(taskgraph.LU, 8),
-		Platform: platform.New(2, 2),
-		Timing:   platform.TimingFor(taskgraph.LU),
-		Sigma:    0.1,
-	}
-	rollout := func() uint64 {
+	// schedule touches no sync.Pool (those are encoding/json's and
+	// net/http's), so on the warm clone it repeats to the byte; the slack is
+	// for what the runtime allocates behind the test's back.
+	share := func() uint64 {
 		t.Helper()
-		lease, hit, err := s.Registry().Acquire(taskgraph.LU, 8, 2, 2)
-		if err != nil || !hit {
-			t.Fatalf("acquire: hit=%v err=%v", hit, err)
-		}
-		defer lease.Release()
 		return allocatedBy(func() {
-			if _, err := prob.Simulate(lease.Policy(), rand.New(rand.NewSource(req.Seed))); err != nil {
-				t.Fatal(err)
+			if _, status, err := s.schedule(context.Background(), &req); err != nil {
+				t.Fatalf("status %d: %v", status, err)
 			}
 		})
 	}
-	second, third := rollout(), rollout()
-	t.Logf("bytes allocated by a rollout on the warm lease: %d, then %d", second, third)
-	if third > second+1<<10 {
-		t.Errorf("rollout on a warm lease allocated %d bytes, the one before it %d: the lease grows per request", third, second)
+	cold := request()
+	request() // the memo slab reaches its size on the second rollout
+	third, fourth := share(), share()
+	warm := request()
+	t.Logf("bytes allocated by a request: cold %d, warm %d; between decoding and encoding: %d, then %d", cold, warm, third, fourth)
+	// ≈ 90 kB, or ≈ 65 kB more per sync.Pool that a collection emptied since
+	// the last request.
+	if warm > 300<<10 {
+		t.Errorf("warm T=8 request allocated %d bytes, contract is 300 kB", warm)
+	}
+	if diff := int64(fourth) - int64(third); diff > 1<<10 || diff < -1<<10 {
+		t.Errorf("the handler's share of a warm request allocated %d bytes, then %d: something resident grows or is rebuilt per request", third, fourth)
+	}
+}
+
+// TestRefusedRequestBuildsNoGraph: a generated body is judged by its closed-form
+// task count and by whether its model exists before anything is built. A t=150
+// Cholesky request (573 800 tasks: 1.9 s and 487 MB to build, as the handler
+// once did before it looked for the model) answers 400, and a well-sized one
+// for a checkpoint that is not there answers 404, each for less than building
+// even the smaller graph allocates (≈ 107 kB for LU t=8).
+func TestRefusedRequestBuildsNoGraph(t *testing.T) {
+	s := New(Config{ModelsDir: t.TempDir(), Workers: 1, Queue: 4, RequestTimeout: 30 * time.Second})
+	h := s.Handler()
+	for _, c := range []struct {
+		name string
+		req  ScheduleRequest
+		want int
+	}{
+		{"t beyond MaxDAGTasks", ScheduleRequest{Kind: "cholesky", T: 150, CPUs: 2, GPUs: 2}, http.StatusBadRequest},
+		{"t whose task count overflows", ScheduleRequest{Kind: "lu", T: 1 << 62, CPUs: 2, GPUs: 2}, http.StatusBadRequest},
+		{"largest t served, no model", ScheduleRequest{Kind: "lu", T: 22, CPUs: 2, GPUs: 2}, http.StatusNotFound},
+		{"no model", ScheduleRequest{Kind: "lu", T: 8, CPUs: 2, GPUs: 2}, http.StatusNotFound},
+	} {
+		postSchedule(t, h, c.req) // the first request of a process pays for lazily built tables
+		var code int
+		start := time.Now()
+		allocated := allocatedBy(func() {
+			rec, _ := postSchedule(t, h, c.req)
+			code = rec.Code
+		})
+		t.Logf("%s: status %d, %d bytes, %s", c.name, code, allocated, time.Since(start))
+		if code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
+		}
+		if allocated > 64<<10 {
+			t.Errorf("%s: the refusal allocated %d bytes, more than 64 kB: something was built first", c.name, allocated)
+		}
 	}
 }

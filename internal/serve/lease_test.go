@@ -102,12 +102,16 @@ func sameSchedule(got, want ScheduleResponse) error {
 	return nil
 }
 
-// TestLeasedPolicyMatchesFreshPolicy holds the resident policy of a lease to
-// the policy it replaced. One worker means one clone, hence one policy, per
-// model; each serves big, small and big graphs again, generated and explicit,
-// across precision flips (float64 → float32 → int8 → float64), with and
-// without the batcher — and every answer must equal the one a policy built
-// fresh for that problem gives.
+// TestLeasedPolicyMatchesFreshPolicy holds what is resident with a lease — the
+// policy, the simulator memory, the generator — and the model's problem
+// templates to what they replaced. One worker means one clone, hence one
+// policy and one runner, per model; each serves big, small and big graphs
+// again, generated and explicit, across precision flips (float64 → float32 →
+// int8 → float64), with and without the batcher — and every answer must equal
+// the one a policy built fresh, on a graph built fresh, gives. The last rounds
+// are generated bodies only: the same template twice running, a second tile
+// count on the same model, an explicit DAG between two uses of one template;
+// then the models are evicted, which must drop their templates.
 func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	dir := t.TempDir()
 	kinds := []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR}
@@ -127,22 +131,31 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	}
 	var seq []step
 	seed := int64(0)
-	round := func(prec core.Precision, tiles ...int) {
+	generated := make(map[taskgraph.Kind]map[int]bool) // tile counts requested by name, per model
+	for _, k := range kinds {
+		generated[k] = make(map[int]bool)
+	}
+	round := func(prec core.Precision, explicitEvery int64, tiles ...int) {
 		for _, T := range tiles {
 			for _, k := range kinds {
 				seed++
 				req := ScheduleRequest{Kind: k.String(), T: T, TrainT: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: seed}
-				if seed%2 == 0 {
+				if explicitEvery > 0 && seed%explicitEvery == 0 {
 					req.T, req.DAG = 0, explicitDAG(k, T)
+				} else {
+					generated[k][T] = true
 				}
 				seq = append(seq, step{req, prec})
 			}
 		}
 	}
-	round(core.PrecisionFloat64, 8, 2, 8)
-	round(core.PrecisionFloat32, 4, 8)
-	round(core.PrecisionInt8, 8)
-	round(core.PrecisionFloat64, 2, 8)
+	round(core.PrecisionFloat64, 2, 8, 2, 8)
+	round(core.PrecisionFloat32, 2, 4, 8)
+	round(core.PrecisionInt8, 2, 8)
+	round(core.PrecisionFloat64, 2, 2, 8)
+	round(core.PrecisionFloat64, 0, 8, 8, 4, 8) // one template twice, another t, the first again
+	round(core.PrecisionFloat64, 1, 4)          // an explicit DAG on every model...
+	round(core.PrecisionFloat64, 0, 8, 4)       // ...between two uses of its templates
 
 	// An engine left at the wrong tier must show: some reduced-tier answer
 	// has to differ from the float64 one (int8 does on these weights).
@@ -182,6 +195,39 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 			m := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
 			if len(m.free) != 1 {
 				t.Errorf("%s: %d idle clones of %s after a one-at-a-time sequence, want the one that served it all", name, len(m.free), m.name)
+			}
+			// A template per tile count ever requested by name, whatever came
+			// between, none for explicit DAGs; each frozen.
+			for T, tpl := range m.templates {
+				if !generated[k][T] || !tpl.prob.Graph.Frozen() || tpl.prob.Graph.Tiles != T {
+					t.Errorf("%s: %s holds a template under t=%d: frozen=%v, tiles=%d, requested by name=%v",
+						name, m.name, T, tpl.prob.Graph.Frozen(), tpl.prob.Graph.Tiles, generated[k][T])
+				}
+			}
+			if len(m.templates) != len(generated[k]) {
+				t.Errorf("%s: %s holds %d templates, %d tile counts were requested by name", name, m.name, len(m.templates), len(generated[k]))
+			}
+
+			// Eviction drops the templates with the model; the next request
+			// builds its own and still answers like a fresh policy.
+			old := m.templates[8]
+			if !s.Registry().Invalidate(m.name + ".json") {
+				t.Fatalf("%s: Invalidate missed %s", name, m.name)
+			}
+			if m.templates != nil {
+				t.Errorf("%s: evicted %s still holds %d templates", name, m.name, len(m.templates))
+			}
+			req := ScheduleRequest{Kind: k.String(), T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 77}
+			rec, got := postSchedule(t, s.Handler(), req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: after eviction: status %d: %s", name, rec.Code, rec.Body.String())
+			}
+			if err := sameSchedule(got, freshAnswer(t, dir, req, prec)); err != nil {
+				t.Errorf("%s: first request after eviction: %v", name, err)
+			}
+			reloaded := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
+			if tpl := reloaded.templates[8]; tpl == nil || tpl == old || len(reloaded.templates) != 1 {
+				t.Errorf("%s: reloaded %s holds %d templates (t=8 rebuilt: %v), want its own one", name, m.name, len(reloaded.templates), tpl != nil && tpl != old)
 			}
 		}
 	}

@@ -61,9 +61,9 @@ func (p *Pool) worker() {
 }
 
 // Do submits fn and waits for it to finish or for ctx to end. A full queue
-// fails fast with ErrBusy. When ctx ends first, Do returns ctx.Err() but the
-// job itself stays queued and will still run — fn must be safe to complete
-// after its requester has gone away.
+// fails fast with ErrBusy. When ctx has ended by the time Do returns, it
+// returns ctx.Err(); a job that had not finished by then stays queued and will
+// still run — fn must be safe to complete after its requester has gone away.
 func (p *Pool) Do(ctx context.Context, fn func()) error {
 	j := &poolJob{run: fn, done: make(chan struct{})}
 
@@ -83,7 +83,9 @@ func (p *Pool) Do(ctx context.Context, fn func()) error {
 
 	select {
 	case <-j.done:
-		return nil
+		// A caller descheduled past its deadline finds both channels ready,
+		// and select picks either: the deadline has passed all the same.
+		return ctx.Err()
 	case <-ctx.Done():
 		return ctx.Err()
 	}

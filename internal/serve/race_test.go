@@ -122,11 +122,14 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
-// TestConcurrentLeasedPolicies hands resident policies from goroutine to
-// goroutine through the free list — more leases in flight than idle slots, a
-// cache too small for the models, and an Invalidate every few rounds — and
-// requires every rollout to decide as a fresh policy on that problem does.
-// Under -race it also proves the hand-off is ordered by the registry lock.
+// TestConcurrentLeasedPolicies hands resident policies, with their simulator
+// memory and generator, from goroutine to goroutine through the free list —
+// more leases in flight than idle slots, a cache too small for the models, and
+// an Invalidate every few rounds — while all of a model's leases roll out on
+// the one template the model holds for the tile count, and requires every
+// rollout to decide as a fresh policy on a fresh graph does. Under -race it
+// also proves the hand-off is ordered by the registry lock and that nothing
+// writes to a shared template.
 func TestConcurrentLeasedPolicies(t *testing.T) {
 	dir := t.TempDir()
 	tiles := []int{2, 3, 4}
@@ -169,14 +172,22 @@ func TestConcurrentLeasedPolicies(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := problem(T).Simulate(lease.Policy(), rand.New(rand.NewSource(int64(seed))))
+				tpl, err := lease.template(&ScheduleRequest{Kind: "cholesky", T: T, CPUs: 1, GPUs: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				prob := tpl.prob
+				prob.Sigma = 0.1
+				res, err := prob.SimulateOn(lease.Runner(), lease.Policy(), lease.Rand(int64(seed)))
+				makespan := res.Makespan // the result is the runner's, and the runner goes back with the lease
 				lease.Release()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if res.Makespan != want[[2]int{T, seed}] {
-					t.Errorf("T=%d seed %d on a leased policy: makespan %v, fresh policy %v", T, seed, res.Makespan, want[[2]int{T, seed}])
+				if makespan != want[[2]int{T, seed}] {
+					t.Errorf("T=%d seed %d on a leased policy: makespan %v, fresh policy %v", T, seed, makespan, want[[2]int{T, seed}])
 				}
 				if i%4 == 3 {
 					r.Invalidate(testSpec(taskgraph.Cholesky, T, 1, 1).Name() + ".json")

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +14,8 @@ import (
 
 	"readys/internal/core"
 	"readys/internal/exp"
+	"readys/internal/platform"
+	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
 
@@ -45,10 +48,11 @@ func ParseModelName(base string) (exp.AgentSpec, bool) {
 // them keyed by their canonical model name. Each resident model keeps one
 // master agent (the loaded parameters) plus a free list of clones, each with
 // its own decision context (a core.Policy: incremental encoder, serving
-// engine and their scratch); Acquire hands every caller its own clone, so
-// concurrent requests never share a mutable agent even accidentally, and
-// Release returns it for reuse — the next request on it pays Policy.Reset,
-// not a rebuild.
+// engine and their scratch) and simulator memory; Acquire hands every caller
+// its own clone, so concurrent requests never share a mutable agent even
+// accidentally, and Release returns it for reuse — the next request on it
+// pays Policy.Reset, not a rebuild. The model also keeps the problems it has
+// been asked to schedule (templates), shared read-only by all its leases.
 type Registry struct {
 	dir string
 	// maxModels bounds the number of resident checkpoints (LRU eviction).
@@ -87,6 +91,10 @@ type model struct {
 	master *core.Agent
 	free   []*clone // idle clones, capped at maxIdleClones
 	live   bool     // false once evicted: stale releases are dropped
+	// templates holds the generated problems requested of the model, by tile
+	// count t (family and platform are the model's own). Request validation
+	// bounds t and with it the map's size; eviction drops it with the model.
+	templates map[int]*template
 	// batchers are the model's shared cross-request batchers, one per
 	// precision tier, created lazily on first lease. They compute over the
 	// master's (immutable) parameters; leases issued before an eviction keep
@@ -94,19 +102,44 @@ type model struct {
 	batchers map[core.Precision]*core.Batcher
 }
 
+// template is a problem built once and scheduled many times: the frozen graph
+// on the model's platform under its family's timing table (the noise level is
+// each request's own), and what depends on those alone — the projected HEFT
+// makespan every response quotes. It is immutable, so leases on any number of
+// goroutines share it; a policy handed its graph twice in a row keeps the
+// statics it derived from it (core.Policy.Reset).
+type template struct {
+	prob core.Problem
+	heft float64
+}
+
+// newTemplate wraps a validated graph of the model's family as a template.
+func (m *model) newTemplate(g *taskgraph.Graph) *template {
+	prob := core.Problem{
+		Graph:    g,
+		Platform: platform.New(m.spec.NumCPU, m.spec.NumGPU),
+		Timing:   platform.TimingFor(m.spec.Kind),
+	}
+	return &template{prob: prob, heft: prob.HEFTBaseline()}
+}
+
 // clone is one private copy of a model's parameters with the decision
 // context built over it. The policy lives as long as the clone: between
 // leases it keeps every buffer (Policy.Reset only rewinds them) and, for the
 // reduced tiers, the engine's converted weights; prec is the tier that engine
-// was built at. Evicting the model drops its idle clones, policies included.
+// was built at. Beside it live the simulator memory every run of a request
+// happens in and the generator those runs draw from, re-seeded per run.
+// Evicting the model drops its idle clones, policies included.
 type clone struct {
 	agent  *core.Agent
 	policy *core.Policy
 	prec   core.Precision
+	runner sim.Runner
+	rng    *rand.Rand
 }
 
-// Lease is one acquired agent instance. The agent and its policy are
-// exclusively the lease-holder's until Release.
+// Lease is one acquired agent instance. The agent, its policy, runner and
+// generator are exclusively the lease-holder's until Release.
 type Lease struct {
 	registry *Registry
 	model    *model
@@ -123,6 +156,51 @@ func (l *Lease) Agent() *core.Agent { return l.clone.agent }
 // decides exactly as core.NewServingPolicy(l.Agent(), l.Precision()) would;
 // sim.Simulate resets it, which is all a request pays for its state.
 func (l *Lease) Policy() *core.Policy { return l.clone.policy }
+
+// Runner returns the simulator memory resident with the leased clone. All of a
+// request's runs share it, so a Result's Trace is good until the next run.
+func (l *Lease) Runner() *sim.Runner { return &l.clone.runner }
+
+// Rand returns the clone's generator, positioned where
+// rand.New(rand.NewSource(seed)) starts.
+func (l *Lease) Rand(seed int64) *rand.Rand {
+	l.clone.rng.Seed(seed)
+	return l.clone.rng
+}
+
+// template returns the problem a validated request schedules. A generated
+// (kind, t) body resolves to the model's resident template, built on first
+// request — outside the registry lock, a racing build of the same t being
+// harmless — and dropped with the model; an explicit DAG is built per request.
+func (l *Lease) template(req *ScheduleRequest) (*template, error) {
+	if req.DAG != nil {
+		g, err := req.BuildGraph()
+		if err != nil {
+			return nil, err
+		}
+		return l.model.newTemplate(g), nil
+	}
+	r, m := l.registry, l.model
+	r.mu.Lock()
+	tpl := m.templates[req.T]
+	r.mu.Unlock()
+	if tpl != nil {
+		return tpl, nil
+	}
+	tpl = m.newTemplate(taskgraph.NewFrozenByKind(m.spec.Kind, req.T))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if have := m.templates[req.T]; have != nil {
+		return have, nil
+	}
+	if m.live {
+		if m.templates == nil {
+			m.templates = make(map[int]*template)
+		}
+		m.templates[req.T] = tpl
+	}
+	return tpl, nil
+}
 
 // Precision returns the serving precision the lease's rollouts should run at
 // (the model's override, else the registry default).
@@ -351,7 +429,10 @@ func (r *Registry) leaseLocked(m *model) *Lease {
 func (l *Lease) ready() *Lease {
 	if l.clone == nil {
 		agent := l.model.master.Clone()
-		l.clone = &clone{agent: agent, policy: core.NewServingPolicy(agent, l.prec), prec: l.prec}
+		l.clone = &clone{
+			agent: agent, policy: core.NewServingPolicy(agent, l.prec), prec: l.prec,
+			rng: rand.New(rand.NewSource(0)),
+		}
 	} else if l.clone.prec != l.prec {
 		l.clone.policy.EnableServing(l.prec)
 		l.clone.prec = l.prec
@@ -428,7 +509,7 @@ func (r *Registry) Invalidate(base string) bool {
 	}
 	m := el.Value.(*model)
 	m.live = false
-	m.free = nil
+	m.free, m.templates = nil, nil
 	r.lru.Remove(el)
 	delete(r.byName, key)
 	r.evicted++

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -16,9 +15,7 @@ import (
 	"readys/internal/core"
 	"readys/internal/exp"
 	"readys/internal/obs"
-	"readys/internal/platform"
 	"readys/internal/sched"
-	"readys/internal/sim"
 )
 
 // Config tunes the service.
@@ -280,19 +277,29 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err))
 		return
 	}
-	if err := req.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	resp, status, err := s.schedule(r.Context(), &req)
+	if err != nil {
+		s.writeError(w, status, err)
 		return
 	}
-	graph, err := req.BuildGraph()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// schedule answers a decoded request: everything handleSchedule does between
+// reading the body and writing the response. On error the status is the HTTP
+// code to answer with.
+func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (ScheduleResponse, int, error) {
+	fail := func(status int, err error) (ScheduleResponse, int, error) { return ScheduleResponse{}, status, err }
+	if err := req.Validate(); err != nil {
+		return fail(http.StatusBadRequest, err)
 	}
 	kind, _ := req.kind() // validated above
-	rid := requestID(r.Context())
-	sc := traceContext(r.Context())
+	rid := requestID(ctx)
+	sc := traceContext(ctx)
 
+	// The model comes before the graph: a request for a checkpoint that is
+	// not there costs a directory listing, and one for a resident model finds
+	// its problem already built.
 	acquireStart := time.Now()
 	lease, cacheHit, err := s.registry.Acquire(kind, req.ModelT(), req.CPUs, req.GPUs)
 	s.span("model_load", "registry", rid, acquireStart, sc.Child(), obs.Bool(obs.KeyCacheHit, cacheHit))
@@ -301,18 +308,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errModelNotFound) {
 			status = http.StatusNotFound
 		}
-		s.writeError(w, status, err)
-		return
+		return fail(status, err)
+	}
+	tpl, err := lease.template(req)
+	if err != nil {
+		lease.Release()
+		return fail(http.StatusBadRequest, err)
 	}
 
-	prob := core.Problem{
-		Graph:    graph,
-		Platform: platform.New(req.CPUs, req.GPUs),
-		Timing:   platform.TimingFor(kind),
-		Sigma:    req.Sigma,
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
 	// Attach to the model's shared batcher at admission, before the rollout
@@ -333,7 +337,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	err = s.pool.Do(ctx, func() {
 		s.span("queue_wait", "pool", rid, enqueued, sc.Child())
 		defer lease.Release()
-		resp, runErr = s.runSchedule(&req, prob, lease, cacheHit, rid, sc)
+		resp, runErr = s.runSchedule(req, tpl, lease, cacheHit, rid, sc)
 	})
 	if errors.Is(err, ErrBusy) || errors.Is(err, ErrShuttingDown) {
 		if b := lease.Batcher(); b != nil {
@@ -343,41 +347,41 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		s.metrics.Rejected()
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return fail(http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrShuttingDown):
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return fail(http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.Timeout()
-		s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: request exceeded %s", s.cfg.RequestTimeout))
-		return
+		return fail(http.StatusGatewayTimeout, fmt.Errorf("serve: request exceeded %s", s.cfg.RequestTimeout))
 	case err != nil: // client went away; the rollout finishes in background
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return fail(http.StatusServiceUnavailable, err)
 	}
 	if runErr != nil {
-		s.writeError(w, http.StatusInternalServerError, runErr)
-		return
+		return fail(http.StatusInternalServerError, runErr)
 	}
 	s.metrics.Scheduled()
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp, http.StatusOK, nil
 }
 
-// runSchedule executes one policy rollout plus the two baseline references
-// on a worker goroutine. The leased agent is exclusively ours for the
-// duration, so the forward passes share no mutable state with other workers.
-// The rollout, each inference decision and the reference schedules are
-// recorded as spans on the request's trace lane.
-func (s *Server) runSchedule(req *ScheduleRequest, prob core.Problem, lease *Lease, cacheHit bool, rid int64, sc obs.SpanContext) (ScheduleResponse, error) {
+// runSchedule executes one policy rollout plus the MCT reference on a worker
+// goroutine. The leased clone is exclusively ours for the duration, so the
+// forward passes share no mutable state with other workers. Both runs happen
+// in the clone's simulator memory, which is why the placements are taken out
+// of the rollout's result before the reference run reuses it. The rollout,
+// each inference decision and the reference are recorded as spans on the
+// request's trace lane.
+func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, cacheHit bool, rid int64, sc obs.SpanContext) (ScheduleResponse, error) {
 	start := time.Now()
+	prob := tpl.prob
+	prob.Sigma = req.Sigma
+	runner := lease.Runner()
 	pol := tracedPolicy{inner: lease.Policy(), srv: s, tid: rid, sc: sc}
-	// The request attached to the batcher at admission (handleSchedule); the
-	// detach goes right after the rollout, not at request end: the baseline
-	// references below never call Forward, and a request that stayed attached
-	// through them would stall concurrent rollouts on the dwell timer.
+	// The request attached to the batcher at admission (schedule); the detach
+	// goes right after the rollout, not at request end: the reference below
+	// never calls Forward, and a request that stayed attached through it
+	// would stall concurrent rollouts on the dwell timer.
 	b := lease.Batcher()
-	res, err := prob.Simulate(pol, rand.New(rand.NewSource(req.Seed)))
+	res, err := prob.SimulateOn(runner, pol, lease.Rand(req.Seed))
 	if b != nil {
 		b.Detach()
 	}
@@ -388,33 +392,19 @@ func (s *Server) runSchedule(req *ScheduleRequest, prob core.Problem, lease *Lea
 	}
 	// Never hand out an infeasible plan: re-validate every schedule against
 	// precedence and resource-exclusivity constraints before answering.
-	if err := sim.ValidateResult(prob.Graph, prob.Platform.Size(), res); err != nil {
+	if err := runner.Validate(prob.Graph, prob.Platform.Size(), res); err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: produced invalid schedule: %w", err)
 	}
-	refStart := time.Now()
-	heft := sched.HEFT(prob.Graph, prob.Platform, prob.Timing).Makespan
-	mctRes, err := prob.Simulate(sched.MCTPolicy{}, rand.New(rand.NewSource(req.Seed)))
-	s.span("references", "sim", rid, refStart, sc.Child())
-	if err != nil {
-		return ScheduleResponse{}, fmt.Errorf("serve: MCT reference: %w", err)
-	}
-
 	resp := ScheduleResponse{
 		Model:         lease.ModelName(),
 		CacheHit:      cacheHit,
 		Makespan:      res.Makespan,
-		HEFTMakespan:  heft,
-		MCTMakespan:   mctRes.Makespan,
+		HEFTMakespan:  tpl.heft,
 		NumTasks:      prob.Graph.NumTasks(),
 		Decisions:     res.Decisions,
 		IdleDecisions: res.IdleDecisions,
-		ElapsedMS:     float64(time.Since(start)) / float64(time.Millisecond),
+		Placements:    make([]PlacementJSON, 0, len(res.Trace)),
 	}
-	if res.Makespan > 0 {
-		resp.ImproveVsHEFT = heft / res.Makespan
-		resp.ImproveVsMCT = mctRes.Makespan / res.Makespan
-	}
-	resp.Placements = make([]PlacementJSON, 0, len(res.Trace))
 	for _, p := range res.Trace {
 		resp.Placements = append(resp.Placements, PlacementJSON{
 			Task:     p.Task,
@@ -425,5 +415,18 @@ func (s *Server) runSchedule(req *ScheduleRequest, prob core.Problem, lease *Lea
 			End:      p.End,
 		})
 	}
+
+	refStart := time.Now()
+	mctRes, err := prob.SimulateOn(runner, sched.MCTPolicy{}, lease.Rand(req.Seed))
+	s.span("references", "sim", rid, refStart, sc.Child())
+	if err != nil {
+		return ScheduleResponse{}, fmt.Errorf("serve: MCT reference: %w", err)
+	}
+	resp.MCTMakespan = mctRes.Makespan
+	if resp.Makespan > 0 {
+		resp.ImproveVsHEFT = resp.HEFTMakespan / resp.Makespan
+		resp.ImproveVsMCT = resp.MCTMakespan / resp.Makespan
+	}
+	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return resp, nil
 }

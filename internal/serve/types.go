@@ -71,9 +71,10 @@ type DAGTask struct {
 	Name string `json:"name,omitempty"`
 }
 
-// MaxDAGTasks bounds explicit DAGs; windows over larger graphs make single
-// forward passes arbitrarily expensive, which a shared service must not let
-// one caller buy.
+// MaxDAGTasks bounds the task graph of a request, explicit or generated;
+// windows over larger graphs make single forward passes arbitrarily expensive,
+// which a shared service must not let one caller buy. A generated body is held
+// to it by the family's closed-form task count, before anything is built.
 const MaxDAGTasks = 4096
 
 // PlacementJSON is one scheduled task in a response.
@@ -143,11 +144,17 @@ type ErrorResponse struct {
 // Validate checks a schedule request's scalar fields; DAG contents are
 // validated by BuildGraph.
 func (r *ScheduleRequest) Validate() error {
-	if _, err := r.kind(); err != nil {
+	kind, err := r.kind()
+	if err != nil {
 		return err
 	}
 	if r.DAG == nil && r.T < 1 {
 		return fmt.Errorf("serve: tile count t must be >= 1, got %d", r.T)
+	}
+	// Every family has at least t tasks, so the first test also keeps the
+	// closed form in the second far from overflowing.
+	if r.DAG == nil && (r.T > MaxDAGTasks || taskgraph.NumTasksFor(kind, r.T) > MaxDAGTasks) {
+		return fmt.Errorf("serve: %s t=%d generates more than the limit of %d tasks", kind, r.T, MaxDAGTasks)
 	}
 	if r.DAG != nil && r.TrainT < 1 {
 		return errors.New("serve: explicit DAGs require train_t (the tile count the model was trained at)")
@@ -205,7 +212,7 @@ func (r *ScheduleRequest) BuildGraph() (*taskgraph.Graph, error) {
 		return nil, fmt.Errorf("serve: explicit dag has %d tasks, limit is %d", len(spec.Tasks), MaxDAGTasks)
 	}
 	// Kernel names come from the family whose timing tables the DAG borrows.
-	names := taskgraph.NewByKind(kind, 1).KernelNames
+	names := taskgraph.KernelNamesFor(kind)
 	g := taskgraph.NewCustom(kind, names)
 	for i, task := range spec.Tasks {
 		if task.Kernel < 0 || task.Kernel >= taskgraph.NumKernels {

@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"readys/internal/obs"
 	"readys/internal/platform"
@@ -110,16 +112,23 @@ func (c *Cluster) OnTaskDone(fn func(task int, at float64)) {
 // the shared ready set, and GraphEpoch is bumped so adaptive policies replan.
 // tt is the timing table of the job's DAG family (jobs of different families
 // legitimately carry different tables). Returns the job's base task offset.
+//
+// The job arrives in bulk — one Graph.Append, one growth per State slice — and
+// a frozen graph, validated when it was frozen, is not validated again: a
+// caller that keeps one frozen graph per job shape pays for an arrival what
+// copying it costs.
 func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, error) {
 	s := c.s
-	if err := g.Validate(); err != nil {
-		return 0, fmt.Errorf("sim: job %d graph invalid: %w", job, err)
+	if !g.Frozen() {
+		if err := g.Validate(); err != nil {
+			return 0, fmt.Errorf("sim: job %d graph invalid: %w", job, err)
+		}
 	}
-	if g.NumTasks() == 0 {
+	n := g.NumTasks()
+	if n == 0 {
 		return 0, fmt.Errorf("sim: job %d has no tasks", job)
 	}
-	base := s.Graph.NumTasks()
-	if base == 0 {
+	if s.Graph.NumTasks() == 0 {
 		// Cosmetic: label union kernels after the first job's family.
 		s.Graph.KernelNames = g.KernelNames
 	}
@@ -135,37 +144,45 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 		s.Timings = append(s.Timings, tt)
 		ti = len(s.Timings) - 1
 	}
-	for _, t := range g.Tasks {
-		s.Graph.AddTask(t.Kernel, fmt.Sprintf("j%d:%s", job, t.Name))
-		s.Done = append(s.Done, false)
-		s.Started = append(s.Started, false)
-		s.StartTime = append(s.StartTime, 0)
-		s.EndTime = append(s.EndTime, 0)
-		s.AssignedTo = append(s.AssignedTo, -1)
-		s.PredLeft = append(s.PredLeft, len(g.Pred[t.ID]))
-		s.Attempts = append(s.Attempts, 0)
-		s.TimingIdx = append(s.TimingIdx, ti)
-		s.JobID = append(s.JobID, job)
-		if len(g.Pred[t.ID]) == 0 {
-			s.Ready = insertSorted(s.Ready, base+t.ID)
-		}
-	}
-	for from, succ := range g.Succ {
-		for _, to := range succ {
-			s.Graph.AddEdge(base+from, base+to)
+	prefix := "j" + strconv.Itoa(job) + ":"
+	base := s.Graph.Append(g, prefix)
+	s.Done = append(s.Done, make([]bool, n)...)
+	s.Started = append(s.Started, make([]bool, n)...)
+	s.StartTime = append(s.StartTime, make([]float64, n)...)
+	s.EndTime = append(s.EndTime, make([]float64, n)...)
+	s.Attempts = append(s.Attempts, make([]int, n)...)
+	s.AssignedTo = appendN(s.AssignedTo, n, -1)
+	s.TimingIdx = appendN(s.TimingIdx, n, ti)
+	s.JobID = appendN(s.JobID, n, job)
+	s.PredLeft = slices.Grow(s.PredLeft, n)
+	for i, pred := range g.Pred {
+		s.PredLeft = append(s.PredLeft, len(pred))
+		if len(pred) == 0 {
+			// The job's IDs lie above every earlier one and come ascending, so
+			// appending keeps Ready sorted.
+			s.Ready = append(s.Ready, base+i)
 		}
 	}
 	s.GraphEpoch++
 	if s.tracer != nil {
-		traceArrival(s, job, base, g.NumTasks())
+		traceArrival(s, job, base, n)
 	}
 	if s.recorder != nil {
 		s.recorder.Record(obs.FlightEvent{
 			T: s.Now, Kind: obs.FlightArrival,
-			Job: fmt.Sprintf("j%d", job), Res: -1, Val: float64(g.NumTasks()),
+			Job: prefix[:len(prefix)-1], Res: -1, Val: float64(n),
 		})
 	}
 	return base, nil
+}
+
+// appendN appends n copies of v, growing xs at most once.
+func appendN[T any](xs []T, n int, v T) []T {
+	xs = slices.Grow(xs, n)
+	for i := 0; i < n; i++ {
+		xs = append(xs, v)
+	}
+	return xs
 }
 
 // RunUntil advances the cluster to the given deadline (exclusive of any event

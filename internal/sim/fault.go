@@ -309,8 +309,15 @@ type faultTimeline struct {
 
 func newFaultTimeline(p *FaultPlan) *faultTimeline {
 	tl := &faultTimeline{}
+	tl.load(p)
+	return tl
+}
+
+// load rewinds the timeline onto plan p, keeping the event array.
+func (tl *faultTimeline) load(p *FaultPlan) {
+	tl.events, tl.next = tl.events[:0], 0
 	if p.Empty() {
-		return tl
+		return
 	}
 	for _, e := range p.Events {
 		switch e.Kind {
@@ -338,7 +345,6 @@ func newFaultTimeline(p *FaultPlan) *faultTimeline {
 		}
 		return x.end < y.end
 	})
-	return tl
 }
 
 // nextTime returns the time of the next pending event, or +Inf.

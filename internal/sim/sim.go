@@ -347,8 +347,38 @@ var ErrAllResourcesDead = errors.New("sim: every resource died before the DAG co
 // Simulate executes the whole DAG under the policy and returns the schedule.
 // The graph must be a valid DAG. An error is returned if the policy picks a
 // non-ready task or deadlocks the system, or if a fault plan kills every
-// resource before the DAG completes.
+// resource before the DAG completes. It is one run on a Runner of its own; a
+// caller that simulates repeatedly keeps a Runner instead.
 func Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, pol Policy, opt Options) (Result, error) {
+	return new(Runner).Simulate(g, plat, timing, pol, opt)
+}
+
+// Runner runs simulations one after another in memory it keeps: the State
+// with its per-task and per-resource slices, the ready and running lists, the
+// fault timeline, the trace and kill buffers and the validator's scratch.
+// Every run starts from a State rebuilt from nothing but that memory, so a run
+// on a used Runner is bit-identical to one on a new Runner — whatever the
+// earlier runs' graph size, platform or fault plan, and whether or not they
+// ended in an error.
+//
+// The Trace and Kills of a returned Result alias the Runner's buffers: they
+// are valid until its next Simulate, and a caller that runs again first copies
+// what it still needs. A Runner serves one goroutine at a time; the zero value
+// is ready to use.
+type Runner struct {
+	s     State
+	tl    faultTimeline
+	trace []Placement
+	kills []Kill
+
+	// Validate's scratch: the placements indexed by task, the same bucketed
+	// by resource, and the bucket boundaries.
+	byTask, perRes []Placement
+	next           []int
+}
+
+// Simulate is sim.Simulate on the runner's memory.
+func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, pol Policy, opt Options) (Result, error) {
 	if opt.Rng == nil {
 		return Result{}, errors.New("sim: Options.Rng is required")
 	}
@@ -356,31 +386,65 @@ func Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing
 		return Result{}, err
 	}
 	n := g.NumTasks()
-	s := &State{
+	s := rn.newState(g, plat, timing, opt)
+	if s.tracer != nil {
+		setupTrace(s)
+	}
+	rn.tl.load(opt.Faults)
+	pol.Reset(s)
+
+	if cap(rn.trace) < n {
+		rn.trace = make([]Placement, 0, n)
+	}
+	res := Result{Trace: rn.trace[:0], Kills: rn.kills[:0]}
+	err := rn.run(s, pol, opt, &res)
+	if err == nil {
+		res.Makespan = s.Now
+		for i := 0; i < n; i++ {
+			res.Trace = append(res.Trace, Placement{Task: i, Resource: s.AssignedTo[i], Start: s.StartTime[i], End: s.EndTime[i]})
+		}
+		if s.tracer != nil {
+			finishTraceFaults(s)
+		}
+	}
+	rn.kills = res.Kills
+	if len(res.Kills) == 0 {
+		res.Kills = nil // as a run without kills has always reported them
+	}
+	return res, err
+}
+
+// newState rebuilds the runner's State for a run: every field is either set
+// here or zero, and the slices are the previous run's arrays, cleared, where
+// those are large enough.
+func (rn *Runner) newState(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, opt Options) *State {
+	s := &rn.s
+	n, m := g.NumTasks(), plat.Size()
+	*s = State{
 		Graph:       g,
 		Platform:    plat,
 		Timing:      timing,
 		Sigma:       opt.Sigma,
 		Comm:        opt.Comm,
-		Done:        make([]bool, n),
-		Started:     make([]bool, n),
-		StartTime:   make([]float64, n),
-		EndTime:     make([]float64, n),
-		AssignedTo:  make([]int, n),
-		BusyUntil:   make([]float64, plat.Size()),
-		RunningTask: make([]int, plat.Size()),
-		PredLeft:    make([]int, n),
-		Up:          make([]bool, plat.Size()),
-		Dead:        make([]bool, plat.Size()),
-		Speed:       make([]float64, plat.Size()),
-		Attempts:    make([]int, n),
-		downUntil:   make([]float64, plat.Size()),
-		deathAt:     make([]float64, plat.Size()),
+		Ready:       s.Ready[:0],
+		Running:     s.Running[:0],
+		Done:        zeroed(s.Done, n),
+		Started:     zeroed(s.Started, n),
+		StartTime:   zeroed(s.StartTime, n),
+		EndTime:     zeroed(s.EndTime, n),
+		AssignedTo:  zeroed(s.AssignedTo, n),
+		BusyUntil:   zeroed(s.BusyUntil, m),
+		RunningTask: zeroed(s.RunningTask, m),
+		PredLeft:    zeroed(s.PredLeft, n),
+		Up:          zeroed(s.Up, m),
+		Dead:        zeroed(s.Dead, m),
+		Speed:       zeroed(s.Speed, m),
+		Attempts:    zeroed(s.Attempts, n),
+		downUntil:   zeroed(s.downUntil, m),
+		deathAt:     zeroed(s.deathAt, m),
+		free:        s.free[:0],
 		tracer:      opt.Tracer,
 		recorder:    opt.Recorder,
-	}
-	if s.tracer != nil {
-		setupTrace(s)
 	}
 	for i := range s.AssignedTo {
 		s.AssignedTo[i] = -1
@@ -396,15 +460,30 @@ func Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing
 			s.Ready = append(s.Ready, i)
 		}
 	}
-	faults := newFaultTimeline(opt.Faults)
-	pol.Reset(s)
+	return s
+}
 
-	res := Result{Trace: make([]Placement, 0, n)}
+// zeroed returns n zero values in buf's array when it is large enough, in a
+// new one otherwise.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// run is the event loop: decision phases and the advance to the next
+// completion or fault event, until every task is done.
+func (rn *Runner) run(s *State, pol Policy, opt Options, res *Result) error {
+	n := s.Graph.NumTasks()
+	faults := &rn.tl
 	for s.NumDone < n {
 		// Decision phase: fill free resources until the policy declines
 		// every remaining one or no ready task is left.
-		if err := decisionPhase(s, pol, opt, &res); err != nil {
-			return res, err
+		if err := decisionPhase(s, pol, opt, res); err != nil {
+			return err
 		}
 		if s.NumDone == n {
 			break
@@ -417,10 +496,10 @@ func Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing
 			// never complete; otherwise re-ask in forced mode (∅
 			// disallowed) until someone starts a task.
 			if s.aliveCount() == 0 {
-				return res, fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, n-s.NumDone)
+				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, n-s.NumDone)
 			}
-			if err := forcedPhase(s, pol, opt, &res); err != nil {
-				return res, err
+			if err := forcedPhase(s, pol, opt, res); err != nil {
+				return err
 			}
 			tc = earliestCompletion(s)
 		}
@@ -429,19 +508,12 @@ func Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing
 		// outage boundary is not killed retroactively.
 		if tf < tc {
 			s.Now = tf
-			applyFaults(s, faults, &res)
+			applyFaults(s, faults, res)
 			continue
 		}
 		completeNext(s)
 	}
-	res.Makespan = s.Now
-	for i := 0; i < n; i++ {
-		res.Trace = append(res.Trace, Placement{Task: i, Resource: s.AssignedTo[i], Start: s.StartTime[i], End: s.EndTime[i]})
-	}
-	if s.tracer != nil {
-		finishTraceFaults(s)
-	}
-	return res, nil
+	return nil
 }
 
 // earliestCompletion returns the earliest running-task end time, or +Inf when

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"readys/internal/platform"
 	"readys/internal/taskgraph"
@@ -15,20 +16,29 @@ import (
 // its predecessors), and no two tasks overlapping on the same resource.
 // It returns the first violation found, or nil.
 func ValidateResult(g *taskgraph.Graph, numResources int, res Result) error {
+	return new(Runner).Validate(g, numResources, res)
+}
+
+// Validate is ValidateResult in the runner's scratch memory. res may be the
+// runner's own last Result; it is only read.
+func (rn *Runner) Validate(g *taskgraph.Graph, numResources int, res Result) error {
 	n := g.NumTasks()
 	if len(res.Trace) != n {
 		return fmt.Errorf("sim: trace has %d placements for %d tasks", len(res.Trace), n)
 	}
-	byTask := make([]Placement, n)
-	seen := make([]bool, n)
+	// A placement marks its slot with its own task ID, so slots start at -1.
+	byTask := zeroed(rn.byTask, n)
+	rn.byTask = byTask
+	for i := range byTask {
+		byTask[i].Task = -1
+	}
 	for _, p := range res.Trace {
 		if p.Task < 0 || p.Task >= n {
 			return fmt.Errorf("sim: placement for unknown task %d", p.Task)
 		}
-		if seen[p.Task] {
+		if byTask[p.Task].Task == p.Task {
 			return fmt.Errorf("sim: task %d placed twice", p.Task)
 		}
-		seen[p.Task] = true
 		if p.Resource < 0 || p.Resource >= numResources {
 			return fmt.Errorf("sim: task %d on unknown resource %d", p.Task, p.Resource)
 		}
@@ -46,19 +56,39 @@ func ValidateResult(g *taskgraph.Graph, numResources int, res Result) error {
 			}
 		}
 	}
-	// Resource exclusivity.
-	perRes := make([][]Placement, numResources)
+	// Resource exclusivity: the placements bucketed by resource (a counting
+	// sort into the second scratch), each bucket ordered by (start, end) — the
+	// end breaks ties so that zero-duration tasks sharing a start instant with
+	// a longer one are not misreported as overlapping.
+	next := zeroed(rn.next, numResources) // where each resource's bucket starts, then ends
+	rn.next = next
 	for _, p := range byTask {
-		perRes[p.Resource] = append(perRes[p.Resource], p)
+		if p.Resource+1 < numResources {
+			next[p.Resource+1]++
+		}
 	}
-	for r, ps := range perRes {
-		// Sort by (start, end) so zero-duration tasks sharing a start
-		// instant with a longer one are not misreported as overlapping.
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].Start != ps[b].Start {
-				return ps[a].Start < ps[b].Start
+	for r := 1; r < numResources; r++ {
+		next[r] += next[r-1]
+	}
+	perRes := zeroed(rn.perRes, n)
+	rn.perRes = perRes
+	var maxEnd float64
+	for _, p := range byTask {
+		perRes[next[p.Resource]] = p
+		next[p.Resource]++
+		if p.End > maxEnd {
+			maxEnd = p.End
+		}
+	}
+	lo := 0
+	for r, hi := range next {
+		ps := perRes[lo:hi]
+		lo = hi
+		slices.SortFunc(ps, func(a, b Placement) int {
+			if a.Start != b.Start {
+				return cmp.Compare(a.Start, b.Start)
 			}
-			return ps[a].End < ps[b].End
+			return cmp.Compare(a.End, b.End)
 		})
 		for i := 1; i < len(ps); i++ {
 			if ps[i].Start < ps[i-1].End-1e-9 {
@@ -67,12 +97,6 @@ func ValidateResult(g *taskgraph.Graph, numResources int, res Result) error {
 		}
 	}
 	// Makespan consistency.
-	var maxEnd float64
-	for _, p := range byTask {
-		if p.End > maxEnd {
-			maxEnd = p.End
-		}
-	}
 	if maxEnd-res.Makespan > 1e-9 || res.Makespan-maxEnd > 1e-9 {
 		return fmt.Errorf("sim: makespan %.3f != max end time %.3f", res.Makespan, maxEnd)
 	}

@@ -121,7 +121,10 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 	var (
 		jobs      = make([]JobResult, len(arrivals))
 		remaining = make([]int, len(arrivals)) // undone tasks per job
-		jobOfTask []int                        // union task ID → job
+		// One template per job shape: a stream draws its jobs from a handful
+		// of (family, size) pairs, and a pair's graph, timing table and
+		// isolated HEFT makespan are the same at every arrival.
+		templates = make(map[jobShape]*jobTemplate)
 	)
 	var mArrived, mCompleted *obs.Counter
 	var mResponse *obs.Histogram
@@ -132,7 +135,7 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000})
 	}
 	cl.OnTaskDone(func(task int, at float64) {
-		j := jobOfTask[task]
+		j := cl.State().JobOf(task)
 		remaining[j]--
 		if remaining[j] == 0 {
 			jobs[j].DoneAt = at
@@ -152,18 +155,18 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		if err := cl.RunUntil(pol, a.At); err != nil {
 			return nil, fmt.Errorf("stream: advancing to arrival %d at %.1f: %w", i, a.At, err)
 		}
-		g := a.Graph()
-		tt := platform.TimingFor(a.Kind)
+		tpl := templates[jobShape{a.Kind, a.Size}]
+		if tpl == nil {
+			tpl = newJobTemplate(a, cfg.Platform)
+			templates[jobShape{a.Kind, a.Size}] = tpl
+		}
 		jobs[i] = JobResult{
-			Job: i, Kind: a.Kind, Size: a.Size, Tasks: g.NumTasks(), ArriveAt: a.At,
-			IsolatedMakespan: sched.HEFT(g, cfg.Platform, tt).Makespan,
+			Job: i, Kind: a.Kind, Size: a.Size, Tasks: tpl.graph.NumTasks(), ArriveAt: a.At,
+			IsolatedMakespan: tpl.isolated,
 		}
-		remaining[i] = g.NumTasks()
-		if _, err := cl.AddJob(i, g, tt); err != nil {
+		remaining[i] = tpl.graph.NumTasks()
+		if _, err := cl.AddJob(i, tpl.graph, tpl.timing); err != nil {
 			return nil, err
-		}
-		for t := 0; t < g.NumTasks(); t++ {
-			jobOfTask = append(jobOfTask, i)
 		}
 		if mArrived != nil {
 			mArrived.Inc()
@@ -216,6 +219,27 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		cfg.Metrics.Counter("readys_stream_kills_total", "task attempts killed by fault events").Add(uint64(res.Kills))
 	}
 	return res, nil
+}
+
+// jobShape is what a job's DAG is a pure function of.
+type jobShape struct {
+	kind taskgraph.Kind
+	size int
+}
+
+// jobTemplate is a job shape built once for a run: the frozen graph every
+// arrival of the shape appends to the cluster, its family's timing table, and
+// the noise-free HEFT makespan of the job alone on the run's platform.
+type jobTemplate struct {
+	graph    *taskgraph.Graph
+	timing   platform.Timing
+	isolated float64
+}
+
+func newJobTemplate(a Arrival, plat platform.Platform) *jobTemplate {
+	t := &jobTemplate{graph: taskgraph.NewFrozenByKind(a.Kind, a.Size), timing: platform.TimingFor(a.Kind)}
+	t.isolated = sched.HEFT(t.graph, plat, t.timing).Makespan
+	return t
 }
 
 // Validate checks the union schedule with the strict validator: per-task

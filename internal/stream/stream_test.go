@@ -215,6 +215,11 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 // seventh is 60 jobs long, so the append-only caches (descendant features,
 // neighbour lists, BFS scratch) outgrow their first allocation and regrow
 // geometrically several times inside the comparison.
+//
+// Each stream is also replayed on a cluster handed a graph built new for every
+// arrival (unfrozen, so validated on arrival) instead of Run's frozen per-shape
+// templates: the union schedule must not move, and the union graph Run's bulk
+// appends built must equal, row for row, the one AddTask and AddEdge build.
 func TestStreamIncrementalIdentical(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
 	faultAgent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4, FaultFeatures: true})
@@ -240,6 +245,14 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 					return p
 				}, arr, seed, faults)
 				want := fingerprint(oracle)
+				fresh, union := freshGraphStream(t, core.NewPolicy(ag), arr, seed, faults)
+				if !reflect.DeepEqual(fresh, oracle.Sim) {
+					t.Fatalf("stream %d faults=%d ff=%v: a graph built per arrival schedules differently from the frozen templates",
+						i, fi, ag.Cfg.FaultFeatures)
+				}
+				if g := oracle.graph; !reflect.DeepEqual(g.Tasks, union.Tasks) || !reflect.DeepEqual(g.Succ, union.Succ) || !reflect.DeepEqual(g.Pred, union.Pred) {
+					t.Fatalf("stream %d: the appended union graph differs from the AddTask/AddEdge one", i)
+				}
 				for name, mk := range variants {
 					got := runStream(t, func() sim.Policy { return mk(ag) }, arr, seed, faults)
 					if g := fingerprint(got); g != want {
@@ -250,6 +263,42 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// freshGraphStream is Run's loop over a cluster that gets a.Graph(), built new
+// and unfrozen, at every arrival. Beside the union schedule it returns the union
+// graph as AddJob built it before it appended in bulk: task by task, then edge
+// by edge in Succ order.
+func freshGraphStream(t *testing.T, pol sim.Policy, arr []Arrival, seed int64, faults *sim.FaultPlan) (sim.Result, *taskgraph.Graph) {
+	t.Helper()
+	cl, err := sim.NewCluster(platform.New(2, 2), sim.Options{Sigma: 0.1, Rng: rand.New(rand.NewSource(seed)), Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := taskgraph.NewCustom(taskgraph.Random, [taskgraph.NumKernels]string{"k0", "k1", "k2", "k3"})
+	pol.Reset(cl.State())
+	for i, a := range arr {
+		if err := cl.RunUntil(pol, a.At); err != nil {
+			t.Fatal(err)
+		}
+		g := a.Graph()
+		base, err := cl.AddJob(i, g, platform.TimingFor(a.Kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range g.Tasks {
+			union.AddTask(task.Kernel, fmt.Sprintf("j%d:%s", i, task.Name))
+		}
+		for from, succ := range g.Succ {
+			for _, to := range succ {
+				union.AddEdge(base+from, base+to)
+			}
+		}
+	}
+	if err := cl.Drain(pol); err != nil {
+		t.Fatal(err)
+	}
+	return cl.Result(), union
 }
 
 // TestHEFTPerJobRanksMatchUnion pins the append-only ranks: after every
@@ -285,6 +334,11 @@ func TestHEFTPerJobRanksMatchUnion(t *testing.T) {
 // with the stream's length. TotalAlloc counts every allocation whether or not
 // the collector has run, so the figure repeats for a fixed seed. With any
 // per-arrival pass over the union DAG the ratio below is about 4.
+//
+// The figure is bounded absolutely too, at 1.25 × what it reads: 9.5 kB per
+// job at 600 jobs, of which the union graph, the State and the schedule's
+// validation are most. It was 16.6 kB while every arrival generated, validated
+// and HEFT-scheduled a graph that Run now builds once per (family, size).
 func TestStreamCostFlat(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 4})
 	bytesPerJob := func(jobs int) float64 {
@@ -303,5 +357,8 @@ func TestStreamCostFlat(t *testing.T) {
 	if long > 1.5*short {
 		t.Fatalf("allocation per job grows with stream length: %.0f B at 150 jobs, %.0f B at 600 (ratio %.2f > 1.5)",
 			short, long, long/short)
+	}
+	if long > 12000 {
+		t.Fatalf("%.0f B allocated per job over 600 jobs, contract is 12 000: something is built per arrival again", long)
 	}
 }

@@ -24,7 +24,7 @@ func NewCholesky(T int) *Graph {
 	if T < 1 {
 		panic(fmt.Sprintf("taskgraph: Cholesky needs T >= 1, got %d", T))
 	}
-	g := newGraph(Cholesky, T, [NumKernels]string{"POTRF", "TRSM", "SYRK", "GEMM"})
+	g := newGraph(Cholesky, T, KernelNamesFor(Cholesky))
 
 	potrf := make([]int, T)
 	trsm := grid2(T) // trsm[i][k], i > k

@@ -26,7 +26,7 @@ func NewGemm(T int) *Graph {
 	if T < 1 {
 		panic(fmt.Sprintf("taskgraph: Gemm needs T >= 1, got %d", T))
 	}
-	g := newGraph(Gemm, T, [NumKernels]string{"LOAD_A", "LOAD_B", "STORE_C", "GEMM"})
+	g := newGraph(Gemm, T, KernelNamesFor(Gemm))
 	loadA := grid2(T)
 	loadB := grid2(T)
 	for i := 0; i < T; i++ {
@@ -75,7 +75,7 @@ func NewStencil(T int) *Graph {
 	if T < 1 {
 		panic(fmt.Sprintf("taskgraph: Stencil needs T >= 1, got %d", T))
 	}
-	g := newGraph(Stencil, T, [NumKernels]string{"CORNER", "EDGE_ROW", "EDGE_COL", "INTERIOR"})
+	g := newGraph(Stencil, T, KernelNamesFor(Stencil))
 	id := grid2(T)
 	for i := 0; i < T; i++ {
 		for j := 0; j < T; j++ {
@@ -120,7 +120,7 @@ func NewForkJoin(stages, width int) *Graph {
 	if stages < 1 || width < 1 {
 		panic(fmt.Sprintf("taskgraph: ForkJoin needs stages, width >= 1, got %d, %d", stages, width))
 	}
-	g := newGraph(ForkJoin, stages, [NumKernels]string{"FORK", "WORK", "JOIN", "REDUCE"})
+	g := newGraph(ForkJoin, stages, KernelNamesFor(ForkJoin))
 	prevJoin := -1
 	for s := 0; s < stages; s++ {
 		fork := g.AddTask(KFork, fmt.Sprintf("FORK(%d)", s))

@@ -13,6 +13,7 @@ package taskgraph
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -125,7 +126,14 @@ type Graph struct {
 	// KernelNames maps kernel indices to family-specific names.
 	KernelNames [NumKernels]string
 
+	// edgeSet is AddEdge's duplicate check. It holds the edges among the tasks
+	// from final on only: Append copies adjacency that is already duplicate-
+	// free, and Freeze drops the map.
 	edgeSet map[[2]int]struct{}
+	// final is how many leading tasks take no more edges: those of a frozen
+	// graph, and those that arrived through Append.
+	final  int
+	frozen bool
 }
 
 // newGraph allocates an empty graph of the given family.
@@ -138,6 +146,27 @@ func newGraph(kind Kind, tiles int, kernelNames [NumKernels]string) *Graph {
 	}
 }
 
+// KernelNamesFor returns the names of the family's four kernels, by kernel
+// index — what a generated graph of the kind carries as KernelNames.
+func KernelNamesFor(kind Kind) [NumKernels]string {
+	switch kind {
+	case Cholesky:
+		return [NumKernels]string{"POTRF", "TRSM", "SYRK", "GEMM"}
+	case LU:
+		return [NumKernels]string{"GETRF", "TRSM_L", "TRSM_U", "GEMM"}
+	case QR:
+		return [NumKernels]string{"GEQRT", "ORMQR", "TSQRT", "TSMQR"}
+	case Gemm:
+		return [NumKernels]string{"LOAD_A", "LOAD_B", "STORE_C", "GEMM"}
+	case Stencil:
+		return [NumKernels]string{"CORNER", "EDGE_ROW", "EDGE_COL", "INTERIOR"}
+	case ForkJoin:
+		return [NumKernels]string{"FORK", "WORK", "JOIN", "REDUCE"}
+	default:
+		return [NumKernels]string{"K0", "K1", "K2", "K3"}
+	}
+}
+
 // NewCustom returns an empty graph to be populated with AddTask/AddEdge —
 // the entry point for scheduling application DAGs that are not one of the
 // built-in factorisation families. Kernel indices in the new graph index the
@@ -146,8 +175,41 @@ func NewCustom(kind Kind, kernelNames [NumKernels]string) *Graph {
 	return newGraph(kind, 0, kernelNames)
 }
 
+// NewFrozenByKind is NewByKind, frozen: the graph to keep and share when the
+// same (kind, T) problem is scheduled many times.
+func NewFrozenByKind(kind Kind, T int) *Graph {
+	g := NewByKind(kind, T)
+	if err := g.Freeze(); err != nil {
+		panic(err) // a generator built an invalid graph
+	}
+	return g
+}
+
+// Freeze validates the graph and makes it immutable: AddTask, AddEdge and
+// Append panic on it from here on. A frozen graph never changes, so it may be
+// shared read-only across goroutines, whatever was computed from it (a HEFT
+// schedule, descendant features) may be kept beside it for as long as it is,
+// and consumers that checked a graph before using it (sim.Cluster.AddJob) take
+// it as checked.
+func (g *Graph) Freeze() error {
+	if g.frozen {
+		return nil
+	}
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	g.frozen, g.final, g.edgeSet = true, len(g.Tasks), nil
+	return nil
+}
+
+// Frozen reports whether Freeze has succeeded on the graph.
+func (g *Graph) Frozen() bool { return g.frozen }
+
 // AddTask appends a task and returns its ID.
 func (g *Graph) AddTask(kernel Kernel, name string) int {
+	if g.frozen {
+		panic("taskgraph: AddTask on a frozen graph")
+	}
 	if kernel < 0 || kernel >= NumKernels {
 		panic(fmt.Sprintf("taskgraph: kernel %d out of range", kernel))
 	}
@@ -159,13 +221,17 @@ func (g *Graph) AddTask(kernel Kernel, name string) int {
 }
 
 // AddEdge records the dependency from → to (from must complete before to may
-// start). Duplicate edges are ignored; self-edges panic.
+// start). Duplicate edges are ignored; self-edges panic, and so does an edge
+// at a task of a frozen graph or one that Append brought in.
 func (g *Graph) AddEdge(from, to int) {
 	if from == to {
 		panic(fmt.Sprintf("taskgraph: self-edge on task %d", from))
 	}
 	if from < 0 || from >= len(g.Tasks) || to < 0 || to >= len(g.Tasks) {
 		panic(fmt.Sprintf("taskgraph: edge (%d,%d) out of range for %d tasks", from, to, len(g.Tasks)))
+	}
+	if from < g.final || to < g.final {
+		panic(fmt.Sprintf("taskgraph: edge (%d,%d) at a task that is final (frozen graph, or appended whole)", from, to))
 	}
 	if g.edgeSet == nil {
 		g.edgeSet = make(map[[2]int]struct{})
@@ -177,6 +243,51 @@ func (g *Graph) AddEdge(from, to int) {
 	g.edgeSet[key] = struct{}{}
 	g.Succ[from] = append(g.Succ[from], to)
 	g.Pred[to] = append(g.Pred[to], from)
+}
+
+// Append adds every task and edge of h as a new component of g: task i of h
+// becomes task base+i, named prefix + its name, and base — g's size before the
+// call — is returned. The result is the graph that AddTask per task and then
+// AddEdge per edge, in Succ order, would have built, row for row; but the
+// tasks, Succ and Pred each grow once and the component's adjacency lives in
+// one array per direction. h's edges are trusted to be duplicate-free (a
+// validated or frozen graph's are) and leave no entry in g's duplicate check;
+// the appended tasks take no further edges.
+func (g *Graph) Append(h *Graph, prefix string) int {
+	if g.frozen {
+		panic("taskgraph: Append on a frozen graph")
+	}
+	base, n, edges := len(g.Tasks), len(h.Tasks), h.NumEdges()
+	g.Tasks = slices.Grow(g.Tasks, n)
+	for _, t := range h.Tasks {
+		g.Tasks = append(g.Tasks, Task{ID: base + t.ID, Kernel: t.Kernel, Name: prefix + t.Name})
+	}
+	// Rows are cut from the flat arrays at exactly their length, so an append
+	// to one could never write into the next. Succ rows are h's, shifted; Pred
+	// rows fill in the order AddEdge would have reached them, by source task.
+	succ, pred := make([]int, 0, edges), make([]int, edges)
+	g.Succ, g.Pred = slices.Grow(g.Succ, n), slices.Grow(g.Pred, n)
+	for i := 0; i < n; i++ {
+		var srow, prow []int // nil without edges, as AddTask leaves them
+		if len(h.Succ[i]) > 0 {
+			lo := len(succ)
+			for _, to := range h.Succ[i] {
+				succ = append(succ, base+to)
+			}
+			srow = succ[lo:len(succ):len(succ)]
+		}
+		if k := len(h.Pred[i]); k > 0 {
+			prow, pred = pred[:0:k], pred[k:]
+		}
+		g.Succ, g.Pred = append(g.Succ, srow), append(g.Pred, prow)
+	}
+	for from, row := range h.Succ {
+		for _, to := range row {
+			g.Pred[base+to] = append(g.Pred[base+to], base+from)
+		}
+	}
+	g.final = len(g.Tasks)
+	return base
 }
 
 // NumTasks returns the number of vertices.

@@ -1,7 +1,9 @@
 package taskgraph
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,6 +184,99 @@ func TestRandomLayeredNonRootsHavePreds(t *testing.T) {
 	for _, r := range roots {
 		if !strings.Contains(g.Tasks[r].Name, "_L0_") {
 			t.Fatalf("root %s not in layer 0", g.Tasks[r].Name)
+		}
+	}
+}
+
+// TestFrozenGraphIsImmutable: Freeze validates first, and after it every way of
+// changing the graph panics — also on a union that a frozen graph was appended
+// to, for the tasks the append brought in.
+func TestFrozenGraphIsImmutable(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	g := NewFrozenByKind(LU, 3)
+	if !g.Frozen() || g.Freeze() != nil {
+		t.Fatal("a frozen graph must report it and freeze again as a no-op")
+	}
+	mustPanic("AddTask on a frozen graph", func() { g.AddTask(0, "X") })
+	mustPanic("AddEdge on a frozen graph", func() { g.AddEdge(0, g.NumTasks()-1) })
+	mustPanic("Append on a frozen graph", func() { g.Append(NewLU(2), "x:") })
+	if err := g.Validate(); err != nil {
+		t.Fatalf("frozen graph no longer validates: %v", err)
+	}
+
+	cyclic := newGraph(Random, 0, [NumKernels]string{"a", "b", "c", "d"})
+	a, b := cyclic.AddTask(0, "A"), cyclic.AddTask(0, "B")
+	cyclic.AddEdge(a, b)
+	cyclic.AddEdge(b, a)
+	if cyclic.Freeze() == nil || cyclic.Frozen() {
+		t.Fatal("Freeze accepted a cyclic graph")
+	}
+
+	union := newUnion()
+	union.Append(g, "j0:")
+	x := union.AddTask(0, "X")
+	y := union.AddTask(0, "Y")
+	union.AddEdge(x, y) // tasks added after the append stay open
+	mustPanic("AddEdge at an appended task", func() { union.AddEdge(0, x) })
+}
+
+// TestAppendMatchesAddTaskAddEdge holds the bulk append to the task-by-task
+// union it replaced in sim.Cluster.AddJob: same Tasks (IDs shifted, names
+// prefixed), same Succ and Pred, row for row — whether the job graph is frozen
+// or not, and with relabelled jobs whose edges run against ID order.
+func TestAppendMatchesAddTaskAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bulk, slow := newUnion(), newUnion()
+	for j := 0; j < 30; j++ {
+		job := randomJob(rng)
+		prefix := fmt.Sprintf("j%d:", j)
+		named := newGraph(job.Kind, job.Tiles, job.KernelNames)
+		for _, task := range job.Tasks {
+			named.AddTask(task.Kernel, prefix+task.Name)
+		}
+		for from, succ := range job.Succ {
+			for _, to := range succ {
+				named.AddEdge(from, to)
+			}
+		}
+		appendJob(slow, named)
+		if j%2 == 0 {
+			if err := job.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if base := bulk.Append(job, prefix); base != slow.NumTasks()-job.NumTasks() {
+			t.Fatalf("job %d appended at %d, want %d", j, base, slow.NumTasks()-job.NumTasks())
+		}
+		if !reflect.DeepEqual(bulk.Tasks, slow.Tasks) || !reflect.DeepEqual(bulk.Succ, slow.Succ) || !reflect.DeepEqual(bulk.Pred, slow.Pred) {
+			t.Fatalf("after job %d the appended union differs from the AddTask/AddEdge one", j)
+		}
+	}
+	if err := bulk.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNumTasksForMatchesGenerators pins the closed forms to the generators, and
+// the kernel names to what a generated graph carries.
+func TestNumTasksForMatchesGenerators(t *testing.T) {
+	for _, kind := range []Kind{Cholesky, LU, QR, Gemm, Stencil, ForkJoin} {
+		for T := 1; T <= 12; T++ {
+			g := NewByKind(kind, T)
+			if got := NumTasksFor(kind, T); got != g.NumTasks() {
+				t.Errorf("NumTasksFor(%v, %d) = %d, the generator builds %d", kind, T, got, g.NumTasks())
+			}
+			if KernelNamesFor(kind) != g.KernelNames {
+				t.Errorf("KernelNamesFor(%v) = %v, the generator names them %v", kind, KernelNamesFor(kind), g.KernelNames)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func NewLU(T int) *Graph {
 	if T < 1 {
 		panic(fmt.Sprintf("taskgraph: LU needs T >= 1, got %d", T))
 	}
-	g := newGraph(LU, T, [NumKernels]string{"GETRF", "TRSM_L", "TRSM_U", "GEMM"})
+	g := newGraph(LU, T, KernelNamesFor(LU))
 
 	getrf := make([]int, T)
 	trsmL := grid2(T) // trsmL[i][k]: tile A(i,k), i > k

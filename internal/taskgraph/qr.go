@@ -26,7 +26,7 @@ func NewQR(T int) *Graph {
 	if T < 1 {
 		panic(fmt.Sprintf("taskgraph: QR needs T >= 1, got %d", T))
 	}
-	g := newGraph(QR, T, [NumKernels]string{"GEQRT", "ORMQR", "TSQRT", "TSMQR"})
+	g := newGraph(QR, T, KernelNamesFor(QR))
 
 	geqrt := make([]int, T)
 	ormqr := grid2(T) // ormqr[j][k]: apply to A(k,j), j > k
@@ -99,5 +99,27 @@ func NewByKind(kind Kind, T int) *Graph {
 		return NewForkJoin(T, T)
 	default:
 		panic(fmt.Sprintf("taskgraph: NewByKind unsupported kind %v", kind))
+	}
+}
+
+// NumTasksFor returns NewByKind(kind, T).NumTasks() in closed form, so that a
+// size can be judged (a request bounded, a training budget scaled) without
+// building the graph. It does not overflow for T up to 2^20.
+func NumTasksFor(kind Kind, T int) int {
+	switch kind {
+	case Cholesky:
+		return CholeskyTaskCount(T)
+	case LU:
+		return LUTaskCount(T)
+	case QR:
+		return QRTaskCount(T)
+	case Gemm:
+		return GemmTaskCount(T)
+	case Stencil:
+		return StencilTaskCount(T)
+	case ForkJoin:
+		return ForkJoinTaskCount(T, T)
+	default:
+		panic(fmt.Sprintf("taskgraph: NumTasksFor unsupported kind %v", kind))
 	}
 }

@@ -34,7 +34,7 @@ func NewLayeredRandom(rng *rand.Rand, cfg RandomConfig) *Graph {
 	if cfg.Layers < 1 || cfg.WidthMin < 1 || cfg.WidthMax < cfg.WidthMin {
 		panic(fmt.Sprintf("taskgraph: invalid random config %+v", cfg))
 	}
-	g := newGraph(Random, 0, [NumKernels]string{"K0", "K1", "K2", "K3"})
+	g := newGraph(Random, 0, KernelNamesFor(Random))
 	layers := make([][]int, cfg.Layers)
 	for l := 0; l < cfg.Layers; l++ {
 		width := cfg.WidthMin + rng.Intn(cfg.WidthMax-cfg.WidthMin+1)
