@@ -2,12 +2,12 @@
 #
 #   make check       — everything a PR must pass: build, vet, tests, decision-
 #                      equivalence gate, race tests, observability smoke test,
-#                      perf-regression gate, fleet, stream and gateway smoke
-#                      tests
+#                      fleet, stream and gateway smoke tests, benchmark smoke
+#                      run
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild tape oracle
-#                      (bitwise for float64; bounded divergence for the
-#                      quantized tiers), and the training path (tape-free
+#                      (bitwise for float64; bounded divergence for
+#                      float32), and the training path (tape-free
 #                      rollouts recorded in reused episode logs, one batched
 #                      tape pass per episode) must match per-decision-tape
 #                      training bit for bit
@@ -24,15 +24,15 @@
 #                      validation, trace checked by readys-obs-check)
 #   make fleet-smoke — dispatcher + worker end-to-end check (train job,
 #                      artifact verification, train → serve publish)
-#   make gateway-smoke — shard-router end-to-end check: two batch-enabled
-#                      replicas behind readys-gateway, a replica killed under
+#   make gateway-smoke — shard-router end-to-end check: two replicas behind
+#                      readys-gateway, a replica killed under
 #                      concurrent load (failover, identical responses), and
 #                      the client → gateway → replica trace link-validated
 #   make bench       — hot-path benchmark snapshot (writes BENCH_<rev>.json)
 #   make bench-smoke — fast readys-bench sanity run
 #   make bench-compare — perf-regression gate: quick bench diffed against the
 #                      committed $(BENCH_BASE); fails on a >$(BENCH_TOL)
-#                      regression of any key metric (part of make check)
+#                      regression of any key metric
 #   make bench-serve — serving-throughput benchmark
 #   make serve       — run the scheduling daemon against ./models
 #   make fleet       — run the fleet dispatcher, publishing into ./models
@@ -48,7 +48,7 @@ BENCH_TOL ?= 0.20
 
 .PHONY: check build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke bench bench-smoke bench-compare bench-serve serve fleet gateway
 
-check: build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke bench-compare
+check: build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -66,7 +66,7 @@ test:
 # optimised decision path diverged from the oracle" rather than a generic
 # test break: incremental state vs full rebuild (bitwise, incl. faults and
 # streaming AddJob invalidation), float64 serving engine vs the autograd
-# tape, quantized-tier divergence bounds, and the training guard. The stream
+# tape, the float32 divergence bound, and the training guard. The stream
 # path's append-only pieces are each pinned to the whole-union computation
 # they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
 # accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
@@ -75,21 +75,21 @@ test:
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
 # range (TestSegmentOpsMatchPerSegmentTapes), rollouts on the engine vs a
 # tape rollout kept in the test file (TestTrainingRolloutMatchesTape), the
-# width-d pass vs width 1 vs the engine (TestBatchedForwardBitIdentical, under
-# TestBatch), gradients vs the per-decision update kept in the test file
+# width-d pass vs width 1 vs the engine (TestBatchedForwardBitIdentical),
+# gradients vs the per-decision update kept in the test file
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
 # an episode is recorded in memory the trainer does not keep. The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
-# features, directed, no incremental encoder, DenseProp, mid-episode stream
+# features, directed, no incremental encoder, tape forward, mid-episode stream
 # arrivals), a reused log and resident rollout policy to fresh ones
 # (TestEpisodeLogReuseIsolated: long then short, short then long, after an
 # error mid-episode), and rl.Evaluate's one policy to one per run
 # (TestEvaluateResidentPolicyBitIdentical). The serving path's resident
 # policies, simulator memory and problem templates are held to ones built
 # fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
-# down, explicit DAGs, precision flips, the batcher, eviction;
+# down, explicit DAGs, precision flips, eviction;
 # TestLeasedPolicyFollowsPublishedWeights for Publish/Invalidate; a reused
 # sim.Runner to a new one: TestRunnerReuseBitIdentical), its typed spans to the
 # map path's exported bytes (TestSpanExportsAsCompleteWithSpanArgs), and
@@ -98,20 +98,18 @@ test:
 # span boxes its attributes again. These also run under `make test`.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes' ./internal/autograd/
-	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
+	$(GO) test -run 'TestIncremental|TestServing|TestFloat32BoundedDivergence|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
-	$(GO) test -run 'TestBatchedServingBitIdentical|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
+	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed' ./internal/obs/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve
-# (registry, pool, handlers, cross-request batching, and leases handing
-# resident policies from one worker to the next —
-# TestConcurrentLeasedPolicies),
-# internal/core
-# (shared-agent inference, the batch coalescer), internal/rl (parallel batch
+# (registry, pool, handlers, and leases handing resident policies from one
+# worker to the next — TestConcurrentLeasedPolicies), internal/core
+# (shared-agent inference), internal/rl (parallel batch
 # rollouts on resident per-worker policies recording into per-slot episode
 # logs — TestEpisodeLogReuseIsolated), internal/fleet (dispatcher, leases,
 # workers), internal/gateway (health prober, concurrent failover),
@@ -171,7 +169,7 @@ stream-smoke:
 	@echo stream-smoke OK
 
 # Full perf snapshot: SpMM vs dense propagation, decisions/sec, training
-# episodes/sec (sparse vs DenseProp ablation, workers 1 vs GOMAXPROCS).
+# episodes/sec (workers 1 vs GOMAXPROCS).
 # Writes BENCH_<rev>.json for committing alongside the code it measures.
 bench:
 	$(GO) run ./cmd/readys-bench
@@ -182,8 +180,7 @@ bench-smoke:
 	$(GO) run ./cmd/readys-bench -quick -out /tmp/readys-bench-smoke.json
 	rm -f /tmp/readys-bench-smoke.json
 
-# Perf-regression gate (subsumes bench-smoke in make check): the quick bench
-# diffed row-by-row against the committed snapshot. Prints the per-metric
+# Perf-regression gate: the quick bench diffed row-by-row against the committed snapshot. Prints the per-metric
 # delta table and exits non-zero when spmm ns/op, ns_per_decision, train
 # eps/sec or stream jobs/sec regressed more than BENCH_TOL.
 bench-compare:
@@ -198,12 +195,11 @@ bench-serve:
 fleet-smoke:
 	$(GO) run ./cmd/readys-fleet -smoke
 
-# End-to-end gateway check: two in-process batch-enabled serve replicas behind
+# End-to-end gateway check: two in-process serve replicas behind
 # readys-gateway. Phase 1 routes a concurrent burst by model hash, phase 2
 # kills the owning replica and requires transparent failover with responses
-# identical to the pre-kill run, phase 3 asserts the survivor actually
-# coalesced batches, phase 4 exports client/gateway/replica span files whose
-# merge must pass cross-process parent-link validation.
+# identical to the pre-kill run, phase 3 exports client/gateway/replica span
+# files whose merge must pass cross-process parent-link validation.
 GW_TMP ?= /tmp/readys-gateway-smoke
 gateway-smoke:
 	rm -rf $(GW_TMP) && mkdir -p $(GW_TMP)
@@ -222,6 +218,6 @@ fleet:
 	$(GO) run ./cmd/readys-fleet -addr :9090 -dir fleet -publish models
 
 # Front two local replicas started by hand, e.g.
-#   make serve & $(GO) run ./cmd/readys-serve -addr :8081 -models models -batch &
+#   make serve & $(GO) run ./cmd/readys-serve -addr :8081 -models models &
 gateway:
 	$(GO) run ./cmd/readys-gateway -addr :8090 -replicas http://127.0.0.1:8080,http://127.0.0.1:8081

@@ -142,7 +142,7 @@ type capturePolicy struct {
 
 func (p *capturePolicy) Reset(s *sim.State) {}
 func (p *capturePolicy) Decide(s *sim.State, r int) int {
-	es := core.Encode(s, r, p.F, p.agent.Cfg.Window)
+	es := core.EncodeFault(s, r, p.F, p.agent.Cfg.Window, false, false)
 	if p.n == p.at && *p.capture == nil {
 		*p.capture = es
 	}

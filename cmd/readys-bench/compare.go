@@ -10,15 +10,14 @@ import (
 // current run against a committed trajectory snapshot and fails (exit 1) when
 // a key metric regressed beyond the tolerance. Only config-matched rows are
 // compared — spmm by matrix size, decide/train by (kind, T), stream by
-// (policy, jobs), batched by (clients, arm) — and every unmatched row is
-// printed as skipped rather than silently dropped, so a baseline that
-// predates a section (e.g. stream or batched) still gates everything it does
-// cover.
+// (policy, jobs) — and every unmatched row is printed as skipped rather than
+// silently dropped, so a baseline that predates a section (e.g. stream) still
+// gates everything it does cover.
 
 // keyMetrics defines what "regressed" means per section: the one
 // judgement metric of each row and its direction.
 type metricDelta struct {
-	Section string  // spmm | decide | train | stream | batched
+	Section string  // spmm | decide | train | stream
 	Config  string  // row identity, e.g. "n=128" or "cholesky T=8"
 	Metric  string  // JSON field name of the judged metric
 	Old     float64 // baseline value
@@ -169,41 +168,6 @@ func compareReports(old, cur report, tol float64) (rows []metricDelta, skipped [
 	for _, o := range old.Stream {
 		if !matchedSt[sk{o.Policy, o.Jobs}] {
 			skipped = append(skipped, fmt.Sprintf("stream %s jobs=%d: not in current run", o.Policy, o.Jobs))
-		}
-	}
-
-	// batched by (clients, arm): concurrent serving throughput. Baselines
-	// that predate the section (pre-gateway snapshots) have no batched rows,
-	// so every current row is skipped against them rather than failing.
-	type bk struct {
-		clients int
-		batched bool
-	}
-	batchCfg := func(k bk) string {
-		arm := "unbatched"
-		if k.batched {
-			arm = "batched"
-		}
-		return fmt.Sprintf("clients=%d %s", k.clients, arm)
-	}
-	oldBa := make(map[bk]batchedResult, len(old.Batched))
-	for _, r := range old.Batched {
-		oldBa[bk{r.Clients, r.Batched}] = r
-	}
-	matchedBa := make(map[bk]bool)
-	for _, c := range cur.Batched {
-		k := bk{c.Clients, c.Batched}
-		o, ok := oldBa[k]
-		if !ok {
-			skipped = append(skipped, fmt.Sprintf("batched %s: not in baseline", batchCfg(k)))
-			continue
-		}
-		matchedBa[k] = true
-		judge("batched", batchCfg(k), "batched_decisions_per_sec", o.DecisionsPerSec, c.DecisionsPerSec, false)
-	}
-	for _, o := range old.Batched {
-		if k := (bk{o.Clients, o.Batched}); !matchedBa[k] {
-			skipped = append(skipped, fmt.Sprintf("batched %s: not in current run", batchCfg(k)))
 		}
 	}
 	return rows, skipped, regressed

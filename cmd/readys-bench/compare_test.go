@@ -141,7 +141,7 @@ func TestComparePrecisionRowsAgainstOldBaseline(t *testing.T) {
 	cur.Decide = append(cur.Decide,
 		decideResult{Kind: "cholesky", T: 8, Path: "rebuild", Precision: "float64", NsPerDecision: 620000},
 		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "float64", NsPerDecision: 90000},
-		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "int8", NsPerDecision: 60000},
+		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "float32", NsPerDecision: 60000},
 	)
 	rows, skipped, regressed := compareReports(baselineReport(), cur, 0.20)
 	if regressed {
@@ -163,7 +163,7 @@ func TestComparePrecisionRowsAgainstOldBaseline(t *testing.T) {
 	for _, want := range []string{
 		"decide cholesky T=8 rebuild/float64: not in baseline",
 		"decide cholesky T=8 serving/float64: not in baseline",
-		"decide cholesky T=8 serving/int8: not in baseline",
+		"decide cholesky T=8 serving/float32: not in baseline",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing skip notice %q in %q", want, joined)
@@ -178,23 +178,23 @@ func TestComparePrecisionRowsAgainstOldBaseline(t *testing.T) {
 }
 
 // TestComparePrecisionRowsGate: once a baseline carries labeled rows, each
-// pipeline gates independently — a regression on the int8 serving row trips
+// pipeline gates independently — a regression on the float32 serving row trips
 // even when the unlabeled default row improved.
 func TestComparePrecisionRowsGate(t *testing.T) {
 	base := baselineReport()
 	base.Decide = append(base.Decide,
-		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "int8", NsPerDecision: 60000})
+		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "float32", NsPerDecision: 60000})
 	cur := currentReport()
 	cur.Decide[0].NsPerDecision = 100000 // default row much faster
 	cur.Decide = append(cur.Decide,
-		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "int8", NsPerDecision: 90000})
+		decideResult{Kind: "cholesky", T: 8, Path: "serving", Precision: "float32", NsPerDecision: 90000})
 	rows, _, regressed := compareReports(base, cur, 0.20)
 	if !regressed {
-		t.Fatalf("int8 row regression not caught: %+v", rows)
+		t.Fatalf("float32 row regression not caught: %+v", rows)
 	}
 	for _, r := range rows {
-		if r.Config == "cholesky T=8 serving/int8" && !r.Regressed {
-			t.Errorf("int8 row should be regressed: %+v", r)
+		if r.Config == "cholesky T=8 serving/float32" && !r.Regressed {
+			t.Errorf("float32 row should be regressed: %+v", r)
 		}
 		if r.Config == "cholesky T=8" && r.Regressed {
 			t.Errorf("improved default row flagged: %+v", r)

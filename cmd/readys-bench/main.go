@@ -2,25 +2,22 @@
 // writes the results as a JSON snapshot (BENCH_<rev>.json by default), so the
 // perf trajectory of the codebase is tracked in-tree alongside the code.
 //
-// Five groups are reported:
+// Four groups are reported:
 //
 //   - spmm: sparse CSR propagation vs the dense n x n baseline at GCN shapes
 //     (ns/op and allocs/op via testing.Benchmark),
 //   - decide: single scheduling decisions per second through Agent.Forward,
-//   - train: training episodes per second on a Cholesky batch, sparse vs the
-//     DenseProp ablation and rollout workers 1 vs GOMAXPROCS,
+//   - train: training episodes per second on a Cholesky batch, rollout
+//     workers 1 vs GOMAXPROCS,
 //   - stream: online multi-tenant scheduling throughput — whole Poisson job
-//     streams through stream.Run, as wall-clock jobs/sec per policy,
-//   - batched: concurrent serving clients at 1/8/64, private policies vs one
-//     shared cross-request Batcher, as aggregate decisions/sec.
+//     streams through stream.Run, as wall-clock jobs/sec per policy.
 //
 // With -compare BENCH_old.json the run becomes a perf-regression gate: the
 // current numbers are diffed against the committed snapshot on config-matched
-// rows (spmm by n, decide/train by kind and T, stream by policy and jobs,
-// batched by clients and arm — baselines predating a section skip it), a
-// per-metric delta table is printed, and the process exits non-zero when any
-// key metric — spmm ns/op, ns_per_decision, train eps/sec, or
-// stream_jobs_per_sec — regressed beyond the tolerance (-tol, or the
+// rows (spmm by n, decide/train by kind and T, stream by policy and jobs —
+// baselines predating a section skip it), a per-metric delta table is
+// printed, and the process exits non-zero when any key metric — spmm ns/op,
+// ns_per_decision, train eps/sec, or stream_jobs_per_sec — regressed beyond the tolerance (-tol, or the
 // BENCH_TOL environment variable, default 20%). Rows the baseline lacks are
 // reported as skipped, so an old snapshot still gates what it covers.
 //
@@ -44,8 +41,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,14 +84,14 @@ type decideResult struct {
 	BytesPerOp      int64   `json:"bytes_per_decision"`
 }
 
+// trainResult's sparse_eps_per_sec keeps the JSON name it had beside a dense
+// sibling, so the committed baselines still match the train rows.
 type trainResult struct {
 	Kind              string  `json:"kind"`
 	T                 int     `json:"T"`
 	Episodes          int     `json:"episodes"`
 	BatchEpisodes     int     `json:"batch_episodes"`
 	SparseEpsPerSec   float64 `json:"sparse_eps_per_sec"`
-	DenseEpsPerSec    float64 `json:"dense_eps_per_sec"`
-	SparseVsDense     float64 `json:"sparse_vs_dense_speedup"`
 	Workers           int     `json:"workers"`
 	Workers1EpsPerSec float64 `json:"workers1_eps_per_sec"`
 	WorkersNEpsPerSec float64 `json:"workersN_eps_per_sec"`
@@ -111,33 +106,17 @@ type streamResult struct {
 	TasksPerSec float64 `json:"tasks_per_sec"`
 }
 
-type batchedResult struct {
-	Kind    string `json:"kind"`
-	T       int    `json:"T"`
-	Clients int    `json:"clients"`
-	// Batched selects the arm: false = each client owns a private serving
-	// policy; true = all clients share one core.Batcher (the gateway/serve
-	// cross-request batching path) at MaxWidth = clients.
-	Batched         bool    `json:"batched"`
-	Episodes        int     `json:"episodes"` // per client
-	DecisionsPerSec float64 `json:"batched_decisions_per_sec"`
-	// MeanBatchWidth is rows forwarded per flush (batched arm only): how much
-	// cross-request coalescing actually happened at this client count.
-	MeanBatchWidth float64 `json:"mean_batch_width,omitempty"`
-}
-
 type report struct {
-	Rev        string          `json:"rev"`
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Generated  string          `json:"generated"`
-	Quick      bool            `json:"quick"`
-	SpMM       []spmmResult    `json:"spmm"`
-	Decide     []decideResult  `json:"decide"`
-	Train      []trainResult   `json:"train"`
-	Stream     []streamResult  `json:"stream"`
-	Batched    []batchedResult `json:"batched,omitempty"`
+	Rev        string         `json:"rev"`
+	GoVersion  string         `json:"go_version"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	NumCPU     int            `json:"num_cpu"`
+	Generated  string         `json:"generated"`
+	Quick      bool           `json:"quick"`
+	SpMM       []spmmResult   `json:"spmm"`
+	Decide     []decideResult `json:"decide"`
+	Train      []trainResult  `json:"train"`
+	Stream     []streamResult `json:"stream"`
 }
 
 func main() {
@@ -232,9 +211,8 @@ func main() {
 	for _, tt := range trainTs {
 		tr := benchTrain(tt, *quick)
 		rep.Train = append(rep.Train, tr)
-		fmt.Printf("train T=%d: sparse %.2f eps/sec vs dense %.2f eps/sec (%.1fx); workers %d: %.2f eps/sec vs 1 worker %.2f eps/sec (%.2fx)\n",
-			tr.T, tr.SparseEpsPerSec, tr.DenseEpsPerSec, tr.SparseVsDense,
-			tr.Workers, tr.WorkersNEpsPerSec, tr.Workers1EpsPerSec, tr.WorkersSpeedup)
+		fmt.Printf("train T=%d: workers %d: %.2f eps/sec vs 1 worker %.2f eps/sec (%.2fx)\n",
+			tr.T, tr.Workers, tr.WorkersNEpsPerSec, tr.Workers1EpsPerSec, tr.WorkersSpeedup)
 	}
 
 	streamJobs := 20
@@ -245,27 +223,6 @@ func main() {
 		rep.Stream = append(rep.Stream, sr)
 		fmt.Printf("stream %s: %.1f jobs/sec (%.0f tasks/sec, %d jobs of %d tasks)\n",
 			sr.Policy, sr.JobsPerSec, sr.TasksPerSec, sr.Jobs, sr.Tasks)
-	}
-
-	// batched: concurrent serving clients, private policies vs one shared
-	// Batcher, at the client counts the gateway smoke and chaos tests use.
-	batchClients := []int{1, 8, 64}
-	if *quick {
-		batchClients = []int{1, 8}
-	}
-	for _, nc := range batchClients {
-		for _, batched := range []bool{false, true} {
-			br := benchBatched(*tiles, nc, *quick, batched)
-			rep.Batched = append(rep.Batched, br)
-			arm := "unbatched"
-			extra := ""
-			if batched {
-				arm = "batched"
-				extra = fmt.Sprintf(", mean width %.1f", br.MeanBatchWidth)
-			}
-			fmt.Printf("batched T=%d clients=%d %s: %.0f decisions/sec (%d episodes/client%s)\n",
-				br.T, br.Clients, arm, br.DecisionsPerSec, br.Episodes, extra)
-		}
 	}
 
 	// In gate mode the snapshot is only written when -out names a path:
@@ -379,7 +336,7 @@ type decideVariant struct {
 
 // decideVariants enumerates the benched pipelines: the default policy
 // (unlabeled legacy row), the full-rebuild oracle, and the serving engine at
-// every precision tier. The default row and serving/float64 decide
+// both precision tiers. The default row and serving/float64 decide
 // bit-identically to rebuild/float64 (see the core equivalence tests) — the
 // rows differ only in speed.
 func decideVariants() []decideVariant {
@@ -394,7 +351,6 @@ func decideVariants() []decideVariant {
 		}},
 		{"serving", "float64", func(a *core.Agent) *core.Policy { return core.NewServingPolicy(a, core.PrecisionFloat64) }},
 		{"serving", "float32", func(a *core.Agent) *core.Policy { return core.NewServingPolicy(a, core.PrecisionFloat32) }},
-		{"serving", "int8", func(a *core.Agent) *core.Policy { return core.NewServingPolicy(a, core.PrecisionInt8) }},
 	}
 }
 
@@ -460,9 +416,6 @@ func benchStream(jobs int) []streamResult {
 		{"mct", func() sim.Policy { return sched.MCTPolicy{} }},
 		{"heft-per-job", func() sim.Policy { return stream.NewHEFTPerJobPolicy() }},
 		{"readys", func() sim.Policy { return core.NewPolicy(agent) }},
-		// The stream row is GCN-bound, so the reduced serving tier shows up
-		// directly in jobs/sec; float64 above is already bit-identical serving.
-		{"readys-int8", func() sim.Policy { return core.NewServingPolicy(agent, core.PrecisionInt8) }},
 	}
 	out := make([]streamResult, 0, len(cases))
 	for _, c := range cases {
@@ -490,116 +443,8 @@ func benchStream(jobs int) []streamResult {
 	return out
 }
 
-// benchBatched measures concurrent serving throughput at a given client
-// count: nc goroutines each running full Cholesky episodes through a
-// float64 serving policy, either privately (batched=false) or all sharing one
-// core.Batcher at MaxWidth = nc (batched=true) — the exact coalescing path
-// /v1/schedule requests take through a batch-enabled readys-serve. Reported as
-// aggregate wall-clock decisions/sec, best of two runs.
-//
-// Note the honest caveat: on a single-core box the shared-batcher arm pays
-// coordination cost without any parallel-hardware payoff, so batched is
-// expected to run at or slightly below unbatched parity here. The row exists
-// to (a) prove batching costs ~nothing at width 1, and (b) track the
-// coalescing overhead so wins on multi-core/batch-efficient backends are
-// measured against a pinned baseline.
-func benchBatched(T, nc int, quick, batched bool) batchedResult {
-	spec := exp.DefaultAgentSpec(taskgraph.Cholesky, T, 2, 2)
-	agent := core.NewAgent(spec.AgentConfig())
-
-	// Keep total work roughly constant across client counts so every row runs
-	// for a comparable wall-clock window.
-	totalEps := 128
-	if quick {
-		totalEps = 16
-	}
-	episodes := totalEps / nc
-	if episodes < 1 {
-		episodes = 1
-	}
-
-	var flushes, rows int64
-	var b *core.Batcher
-	if batched {
-		b = core.NewBatcher(agent, core.PrecisionFloat64, core.BatcherConfig{
-			MaxWidth: nc,
-			// Generous dwell: flushing is driven by the pending >= attached
-			// co-scheduling rule, the timer is only a straggler safety net.
-			Dwell: 5 * time.Millisecond,
-			OnFlush: func(w int) {
-				atomic.AddInt64(&flushes, 1)
-				atomic.AddInt64(&rows, int64(w))
-			},
-		})
-	}
-
-	run := func(eps int) (decisions int64, elapsed time.Duration) {
-		// Attach every client before any rollout starts so the batcher knows
-		// the true concurrency from the first decision (the same admission
-		// order serve's HTTP handler uses).
-		if batched {
-			for i := 0; i < nc; i++ {
-				b.Attach()
-			}
-		}
-		var wg sync.WaitGroup
-		var total int64
-		start := time.Now()
-		for c := 0; c < nc; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				if batched {
-					defer b.Detach()
-				}
-				problem := spec.Problem()
-				pol := core.NewServingPolicy(agent, core.PrecisionFloat64)
-				if batched {
-					pol.UseBatcher(b)
-				}
-				rng := rand.New(rand.NewSource(int64(1000 + c)))
-				for e := 0; e < eps; e++ {
-					res, err := problem.Simulate(pol, rng)
-					if err != nil {
-						log.Fatalf("bench batched: %v", err)
-					}
-					atomic.AddInt64(&total, int64(res.Decisions+res.IdleDecisions))
-				}
-			}(c)
-		}
-		wg.Wait()
-		return total, time.Since(start)
-	}
-
-	run(1) // warm-up: fault code paths, fill pools
-	atomic.StoreInt64(&flushes, 0)
-	atomic.StoreInt64(&rows, 0)
-
-	// best-of-2, same rationale as benchTrain.
-	best := 0.0
-	for i := 0; i < 2; i++ {
-		d, el := run(episodes)
-		if dps := float64(d) / el.Seconds(); dps > best {
-			best = dps
-		}
-	}
-	res := batchedResult{
-		Kind:            "cholesky",
-		T:               T,
-		Clients:         nc,
-		Batched:         batched,
-		Episodes:        episodes,
-		DecisionsPerSec: best,
-	}
-	if batched && flushes > 0 {
-		res.MeanBatchWidth = float64(rows) / float64(flushes)
-	}
-	return res
-}
-
 // benchTrain measures training throughput (episodes/sec) on Cholesky T with
-// the default agent spec: the sparse hot path vs the DenseProp ablation, and
-// rollout workers 1 vs GOMAXPROCS.
+// the default agent spec, rollout workers 1 vs GOMAXPROCS.
 func benchTrain(T int, quick bool) trainResult {
 	episodes := 24
 	if T >= 12 {
@@ -617,10 +462,8 @@ func benchTrain(T int, quick bool) trainResult {
 	spec := exp.DefaultAgentSpec(taskgraph.Cholesky, T, 2, 2)
 	spec.Window, spec.Layers, spec.Hidden = 3, 3, 64
 
-	run := func(dense bool, workers, eps int) float64 {
-		acfg := spec.AgentConfig()
-		acfg.DenseProp = dense
-		agent := core.NewAgent(acfg)
+	run := func(workers, eps int) float64 {
+		agent := core.NewAgent(spec.AgentConfig())
 		c := cfg
 		c.Episodes = eps
 		c.RolloutWorkers = workers
@@ -635,9 +478,9 @@ func benchTrain(T int, quick bool) trainResult {
 	// best-of-2 throughput: run-to-run variance (GC pacing, CPU frequency)
 	// easily reaches tens of percent at these durations, and the max of two
 	// runs is the standard low-noise estimator for a throughput benchmark.
-	best := func(dense bool, workers int) float64 {
-		a := run(dense, workers, episodes)
-		if b := run(dense, workers, episodes); b > a {
+	best := func(workers int) float64 {
+		a := run(workers, episodes)
+		if b := run(workers, episodes); b > a {
 			return b
 		}
 		return a
@@ -645,20 +488,17 @@ func benchTrain(T int, quick bool) trainResult {
 
 	// Untimed warm-up: faults in the code paths, fills the buffer pools, and
 	// lets CPU frequency settle so the first timed run is not penalised.
-	run(false, 1, cfg.BatchEpisodes)
+	run(1, cfg.BatchEpisodes)
 
-	sparseEps := best(false, 1)
-	denseEps := best(true, 1)
+	sparseEps := best(1)
 	workers := runtime.GOMAXPROCS(0)
-	workersN := best(false, workers)
+	workersN := best(workers)
 	return trainResult{
 		Kind:              "cholesky",
 		T:                 T,
 		Episodes:          episodes,
 		BatchEpisodes:     cfg.BatchEpisodes,
 		SparseEpsPerSec:   sparseEps,
-		DenseEpsPerSec:    denseEps,
-		SparseVsDense:     sparseEps / denseEps,
 		Workers:           workers,
 		Workers1EpsPerSec: sparseEps,
 		WorkersNEpsPerSec: workersN,

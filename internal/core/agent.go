@@ -23,11 +23,6 @@ type Config struct {
 	// operator D̃^{-1}Ã (ablation: information flows only from a task to its
 	// descendants).
 	Directed bool
-	// DenseProp materialises the propagation operator densely and multiplies
-	// it as an n x n matrix instead of in CSR form. The outputs are
-	// numerically equivalent (see the sparse/dense equivalence tests); this
-	// exists as the ablation/benchmark baseline for the sparse hot path.
-	DenseProp bool
 	// FaultFeatures appends the fault-state block (resource availability,
 	// speed factor, normalised fault-epoch counter) to the resource context,
 	// widening the input and proc layers to NodeFeatureWidth(true) /
@@ -137,7 +132,7 @@ type Forward struct {
 // LoadCheckpoint, InitSeed) at the same time. internal/serve relies on this
 // contract; TestConcurrentInference enforces it under the race detector.
 func (a *Agent) Forward(es *EncodedState) *Forward {
-	fw := a.ForwardBatch(nn.NewBinding(), singleState(es, a.Cfg.DenseProp))
+	fw := a.ForwardBatch(nn.NewBinding(), singleState(es))
 	if es.AllowIdle {
 		fw.IdleIndex = len(es.ReadyRows)
 	}
@@ -163,25 +158,11 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
 	}
 	tp := b.Tape
 
-	// Node embeddings: input projection then the GCN stack. Propagation runs
-	// sparse (CSR SpMM) unless the DenseProp ablation asks for the dense
-	// baseline.
+	// Node embeddings: input projection then the GCN stack, propagating
+	// through the CSR operator.
 	h := tp.ReLU(a.input.Forward(b, tp.Const(&sb.x), sb.nodeSegs))
-	if a.Cfg.DenseProp {
-		dense := sb.dense
-		if dense == nil {
-			// A stack's operator is block-diagonal: materialised it is (Σn)²,
-			// which is why a trainer stacks this ablation one state at a time.
-			dense = sb.norm.Dense()
-		}
-		norm := tp.Const(dense)
-		for _, g := range a.gcn {
-			h = g.ForwardDense(b, norm, h)
-		}
-	} else {
-		for _, g := range a.gcn {
-			h = g.Forward(b, &sb.norm, h, sb.nodeSegs)
-		}
+	for _, g := range a.gcn {
+		h = g.Forward(b, &sb.norm, h, sb.nodeSegs)
 	}
 
 	// Actor: one score per ready task.

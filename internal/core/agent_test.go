@@ -13,7 +13,7 @@ import (
 
 func encodeInitial(p Problem, resource, w int) *EncodedState {
 	s := initialState(p)
-	return Encode(s, resource, taskgraph.DescendantFeatures(p.Graph), w)
+	return EncodeFault(s, resource, taskgraph.DescendantFeatures(p.Graph), w, false, false)
 }
 
 func TestAgentForwardDistribution(t *testing.T) {
@@ -49,7 +49,7 @@ func TestAgentForwardIdleMasked(t *testing.T) {
 	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 16, Seed: 1})
 	s := initialState(p)
 	s.MustAct = true
-	es := Encode(s, 0, taskgraph.DescendantFeatures(p.Graph), 1)
+	es := EncodeFault(s, 0, taskgraph.DescendantFeatures(p.Graph), 1, false, false)
 	fw := agent.Forward(es)
 	if fw.IdleIndex != -1 {
 		t.Fatal("idle index must be -1 when masked")

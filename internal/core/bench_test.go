@@ -15,7 +15,7 @@ func BenchmarkEncode(b *testing.B) {
 			F := taskgraph.DescendantFeatures(p.Graph)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Encode(s, 0, F, 2)
+				EncodeFault(s, 0, F, 2, false, false)
 			}
 		})
 	}

@@ -10,8 +10,8 @@ func TestEncodeWithDirectedOperator(t *testing.T) {
 	p := NewProblem(taskgraph.Cholesky, 4, 2, 2, 0)
 	s := initialState(p)
 	F := taskgraph.DescendantFeatures(p.Graph)
-	sym := EncodeWith(s, 0, F, 2, false)
-	dir := EncodeWith(s, 0, F, 2, true)
+	sym := EncodeFault(s, 0, F, 2, false, false)
+	dir := EncodeFault(s, 0, F, 2, true, false)
 	if sym.Norm.Equal(dir.Norm) {
 		t.Fatal("directed and symmetric operators must differ")
 	}

@@ -189,6 +189,6 @@ func (l *EpisodeLog) State(i int, es *EncodedState) *EncodedState {
 		es.ReadyTasks = append(es.ReadyTasks, w.nodes[row])
 	}
 	es.AllowIdle = st.allowIdle
-	es.graphEpoch, es.denseNorm = w.epoch, nil
+	es.graphEpoch = w.epoch
 	return es
 }

@@ -228,7 +228,7 @@ func TestServingPolicyResultIdentical(t *testing.T) {
 // on a recording policy is the training path (NewTrainingPolicy's default) and
 // records what the tape fallback records; a reduced precision on a recording
 // policy must panic, at EnableServing or at the first decision, rather than
-// put float32/int8 forwards into a loss.
+// put float32 forwards into a loss.
 func TestServingNeverInTraining(t *testing.T) {
 	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
 	prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
@@ -255,11 +255,11 @@ func TestServingNeverInTraining(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("EnableServing(int8) on a recording policy did not panic")
+				t.Fatal("EnableServing(float32) on a recording policy did not panic")
 			}
 		}()
 		p := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-		p.EnableServing(PrecisionInt8)
+		p.EnableServing(PrecisionFloat32)
 	}()
 
 	func() {

@@ -119,18 +119,6 @@ type EncodedState struct {
 	// graphEpoch is the sim.State.GraphEpoch the state was encoded at: within
 	// one epoch a task's static feature columns are the same in every state.
 	graphEpoch int
-
-	denseNorm *tensor.Matrix
-}
-
-// DenseNorm materialises Norm as a dense matrix, caching the result. Only the
-// dense-propagation ablation path (core.Config.DenseProp) and benchmarks use
-// it; the hot path multiplies Norm directly in CSR form.
-func (e *EncodedState) DenseNorm() *tensor.Matrix {
-	if e.denseNorm == nil {
-		e.denseNorm = e.Norm.Dense()
-	}
-	return e.denseNorm
 }
 
 // NumActions returns the size of the action space of this state.
@@ -142,27 +130,15 @@ func (e *EncodedState) NumActions() int {
 	return n
 }
 
-// Encode builds the EncodedState for a decision on the given resource. F is
-// the per-task descendant feature matrix of the full DAG (computed once per
-// episode with taskgraph.DescendantFeatures); w is the window depth. The
-// GCN operator is the paper's symmetric normalisation; use EncodeWith for
-// the directed ablation variant.
-func Encode(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, w int) *EncodedState {
-	return EncodeWith(s, resource, F, w, false)
-}
-
-// EncodeWith is Encode with an explicit choice of propagation operator:
-// directed selects the row-normalised downstream operator (see
-// nn.DirectedNormalizedAdjacency).
-func EncodeWith(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, w int, directed bool) *EncodedState {
-	return EncodeFault(s, resource, F, w, directed, false)
-}
-
-// EncodeFault is EncodeWith with an explicit fault-feature setting: when
-// faultFeatures is true the resource context (and hence every node row) gains
-// the fault-state block, widening rows to NodeFeatureWidth(true). With it
-// false the encoding is bit-identical to EncodeWith — the flag-off inertness
-// the checkpoint format relies on.
+// EncodeFault builds the EncodedState for a decision on the given resource. F
+// is the per-task descendant feature matrix of the full DAG (computed once per
+// episode with taskgraph.DescendantFeatures); w is the window depth. directed
+// selects the row-normalised downstream operator (see
+// nn.DirectedNormalizedAdjacency) over the paper's symmetric normalisation.
+// When faultFeatures is true the resource context (and hence every node row)
+// gains the fault-state block, widening rows to NodeFeatureWidth(true); with it
+// false the encoding is bit-identical to the one from before the flag existed
+// — the flag-off inertness the checkpoint format relies on.
 func EncodeFault(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, w int, directed, faultFeatures bool) *EncodedState {
 	g := s.Graph
 	nodes := taskgraph.Window(g, s.Running, s.Ready, w)

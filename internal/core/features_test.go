@@ -47,7 +47,7 @@ func TestEncodeInitialState(t *testing.T) {
 	p := NewProblem(taskgraph.Cholesky, 4, 2, 2, 0)
 	s := initialState(p)
 	F := taskgraph.DescendantFeatures(p.Graph)
-	es := Encode(s, 0, F, 2)
+	es := EncodeFault(s, 0, F, 2, false, false)
 
 	// Window holds the root and its descendants up to depth 2.
 	want := taskgraph.Window(p.Graph, nil, []int{0}, 2)
@@ -96,7 +96,7 @@ func TestEncodeMustActMasksIdle(t *testing.T) {
 	p := NewProblem(taskgraph.Cholesky, 4, 2, 2, 0)
 	s := initialState(p)
 	s.MustAct = true
-	es := Encode(s, 0, taskgraph.DescendantFeatures(p.Graph), 2)
+	es := EncodeFault(s, 0, taskgraph.DescendantFeatures(p.Graph), 2, false, false)
 	if es.AllowIdle {
 		t.Fatal("idle must be masked in forced rounds")
 	}
@@ -123,7 +123,7 @@ func TestEncodeRunningTask(t *testing.T) {
 	// Make TRSM(1,0)=task 1 ready for the encoder to have a candidate.
 	s.PredLeft[1] = 0
 	s.Ready = []int{1}
-	es := Encode(s, 0, F, 1)
+	es := EncodeFault(s, 0, F, 1, false, false)
 
 	var rootRow []float64
 	for i, task := range es.Nodes {
@@ -157,7 +157,7 @@ func TestEncodeFeatureBoundsProperty(t *testing.T) {
 	F := taskgraph.DescendantFeatures(p.Graph)
 	violated := false
 	probe := probePolicy{check: func(s *sim.State, r int) {
-		es := Encode(s, r, F, 2)
+		es := EncodeFault(s, r, F, 2, false, false)
 		for _, v := range es.X.Data {
 			if v < -1e-12 || v > 1+1e-9 || math.IsNaN(v) {
 				violated = true
@@ -195,7 +195,7 @@ func (p *probePolicy) Decide(s *sim.State, r int) int {
 func TestEncodeWindowZero(t *testing.T) {
 	p := NewProblem(taskgraph.Cholesky, 4, 2, 2, 0)
 	s := initialState(p)
-	es := Encode(s, 0, taskgraph.DescendantFeatures(p.Graph), 0)
+	es := EncodeFault(s, 0, taskgraph.DescendantFeatures(p.Graph), 0, false, false)
 	if len(es.Nodes) != 1 {
 		t.Fatalf("w=0 window should hold only the ready root, got %v", es.Nodes)
 	}
@@ -208,8 +208,8 @@ func TestEncodeDeterministicProperty(t *testing.T) {
 		s := initialState(p)
 		r := int(r8) % p.Platform.Size()
 		w := int(w8 % 4)
-		a := Encode(s, r, F, w)
-		b := Encode(s, r, F, w)
+		a := EncodeFault(s, r, F, w, false, false)
+		b := EncodeFault(s, r, F, w, false, false)
 		return a.X.Equal(b.X) && a.Norm.Equal(b.Norm) && len(a.ReadyRows) == len(b.ReadyRows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -242,7 +242,7 @@ func TestProcFeatureHomogeneousPlatforms(t *testing.T) {
 	// CPU-only platform: GPU context features stay zero.
 	p := NewProblem(taskgraph.Cholesky, 4, 4, 0, 0)
 	s := initialState(p)
-	es := Encode(s, 0, taskgraph.DescendantFeatures(p.Graph), 1)
+	es := EncodeFault(s, 0, taskgraph.DescendantFeatures(p.Graph), 1, false, false)
 	if es.Proc.Data[procFreeGPU] != 0 || es.Proc.Data[procWaitGPU] != 0 {
 		t.Fatal("GPU features must be zero on CPU-only platform")
 	}

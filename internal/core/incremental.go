@@ -271,7 +271,6 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	if !sameNodes || e.adjEpoch != e.graphEpoch {
 		e.rebuildAdjacency(nodes)
 		e.adjEpoch = e.graphEpoch
-		e.es.denseNorm = nil
 		e.stats.AdjRebuilds++
 	}
 	e.stats.Rebuilds++

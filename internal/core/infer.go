@@ -10,7 +10,7 @@ import (
 
 // Precision selects the numeric tier of the serving forward path. Training
 // always runs float64 — rollouts on this engine, updates on the autograd
-// tape; the reduced tiers exist only for inference behind an explicit knob.
+// tape; the float32 tier exists only for inference behind an explicit knob.
 type Precision int
 
 const (
@@ -21,9 +21,6 @@ const (
 	PrecisionFloat64 Precision = iota
 	// PrecisionFloat32 converts weights and activations to float32.
 	PrecisionFloat32
-	// PrecisionInt8 quantizes weight matrices to int8 (per-output-column
-	// symmetric scales) and accumulates in float32.
-	PrecisionInt8
 )
 
 // String returns the flag-friendly name of the precision tier.
@@ -33,31 +30,27 @@ func (p Precision) String() string {
 		return "float64"
 	case PrecisionFloat32:
 		return "float32"
-	case PrecisionInt8:
-		return "int8"
 	}
 	return fmt.Sprintf("Precision(%d)", int(p))
 }
 
 // ParsePrecision parses a precision tier name as accepted by the serving
-// knobs ("float64"/"f64", "float32"/"f32", "int8"/"q8").
+// knobs ("float64"/"f64", "float32"/"f32").
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "float64", "f64", "fp64", "":
 		return PrecisionFloat64, nil
 	case "float32", "f32", "fp32":
 		return PrecisionFloat32, nil
-	case "int8", "q8":
-		return PrecisionInt8, nil
 	}
-	return 0, fmt.Errorf("core: unknown precision %q (want float64, float32 or int8)", s)
+	return 0, fmt.Errorf("core: unknown precision %q (want float64 or float32)", s)
 }
 
 // serveEngine evaluates the agent's policy head without the autograd tape:
-// preallocated scratch, no per-decision allocations, and optionally reduced
-// precision. The float64 tier reproduces Agent.Forward's log-probabilities bit
-// for bit (same kernels, same operation order); float32/int8 use weight copies
-// converted once at construction. The critic head is evaluated only when a
+// preallocated scratch, no per-decision allocations, and optionally float32.
+// The float64 tier reproduces Agent.Forward's log-probabilities bit for bit
+// (same kernels, same operation order); float32 uses weight copies converted
+// once at construction. The critic head is evaluated only when a
 // training rollout asks for V(s) (float64 tier); serving needs the action
 // distribution alone.
 type serveEngine struct {
@@ -68,7 +61,7 @@ type serveEngine struct {
 	critic bool
 	value  float64
 
-	// Converted weights, built once for the reduced tiers: input, gcn layers,
+	// Converted weights, built once for the float32 tier: input, gcn layers,
 	// actor, proc, idle in that order.
 	layers []*nn.ServingLayer
 
@@ -87,13 +80,8 @@ type serveEngine struct {
 
 // newServeEngine builds an engine for the agent at the given precision. The
 // engine reads the agent's parameters (float64) or private converted copies
-// (float32/int8); it never writes them.
+// (float32); it never writes them.
 func newServeEngine(a *Agent, prec Precision) *serveEngine {
-	if a.Cfg.DenseProp {
-		// The engine only implements the sparse propagation hot path; the
-		// dense ablation keeps the tape forward.
-		panic("core: serving engine does not support DenseProp")
-	}
 	en := &serveEngine{agent: a, prec: prec}
 	if prec != PrecisionFloat64 {
 		en.layers = append(en.layers, nn.NewServingLayer(a.input.W, a.input.B))
@@ -197,9 +185,9 @@ func (en *serveEngine) forwardF64(es *EncodedState) {
 	}
 }
 
-// forwardReduced is the float32 / int8-weight forward: same structure as
-// forwardF64 on the reduced kernels, with the log-softmax still computed in
-// float64 from the float32 scores.
+// forwardReduced is the float32 forward: same structure as forwardF64 on the
+// float32 kernels, with the log-softmax still computed in float64 from the
+// float32 scores.
 func (en *serveEngine) forwardReduced(es *EncodedState) {
 	a := en.agent
 	hid := a.Cfg.Hidden
@@ -215,11 +203,11 @@ func (en *serveEngine) forwardReduced(es *EncodedState) {
 		en.val32[i] = float32(v)
 	}
 
-	en.matmulReduced(&en.x32, input, &en.h32)
+	tensor.MatMul32SkipInto(&en.x32, &input.W32, &en.h32)
 	addRowReLU32(&en.h32, input.B32.Data)
 	for _, g := range gcns {
 		tensor.SpMM32Into(es.Norm, en.val32, &en.h32, &en.tmp32)
-		en.matmulReduced(&en.tmp32, g, &en.h32)
+		tensor.MatMul32SkipInto(&en.tmp32, &g.W32, &en.h32)
 		addRowReLU32(&en.h32, g.B32.Data)
 	}
 
@@ -235,7 +223,7 @@ func (en *serveEngine) forwardReduced(es *EncodedState) {
 	for i, r := range es.ReadyRows {
 		copy(en.ready32.Row(i), en.h32.Row(r))
 	}
-	en.matmulReduced(&en.ready32, actor, &en.score32)
+	tensor.MatMul32SkipInto(&en.ready32, &actor.W32, &en.score32)
 	for i := range es.ReadyRows {
 		en.logits[i] = float64(en.score32.Data[i] + actor.B32.Data[0])
 	}
@@ -244,7 +232,7 @@ func (en *serveEngine) forwardReduced(es *EncodedState) {
 		en.p32.SetFrom(es.Proc)
 		en.cat32.Reset(1, 2*hid)
 		procEmb := tensor.Matrix32{Rows: 1, Cols: hid, Data: en.cat32.Data[:hid]}
-		en.matmulReduced(&en.p32, proc, &procEmb)
+		tensor.MatMul32SkipInto(&en.p32, &proc.W32, &procEmb)
 		for j := range procEmb.Data {
 			v := procEmb.Data[j] + proc.B32.Data[j]
 			if v < 0 {
@@ -263,25 +251,13 @@ func (en *serveEngine) forwardReduced(es *EncodedState) {
 				}
 			}
 		}
-		en.matmulReduced(&en.cat32, idle, &en.score32)
+		tensor.MatMul32SkipInto(&en.cat32, &idle.W32, &en.score32)
 		en.logits[nActions-1] = float64(en.score32.Data[0] + idle.B32.Data[0])
 	}
 }
 
-// matmulReduced multiplies by the layer's weight at the engine's tier. The
-// destination must not alias a.
-func (en *serveEngine) matmulReduced(a *tensor.Matrix32, l *nn.ServingLayer, out *tensor.Matrix32) {
-	if en.prec == PrecisionInt8 {
-		tensor.MatMulQ8Into(a, l.W8, out)
-		return
-	}
-	tensor.MatMul32SkipInto(a, &l.W32, out)
-}
-
 // logSoftmaxInto writes the log-softmax of logits into dst (len(dst) ==
-// len(logits)), replicating autograd.LogSoftmaxCol in float64. Both the B=1
-// serving forward and the batched forward normalise through this one function,
-// so their per-state results cannot diverge at this step by construction.
+// len(logits)), replicating autograd.LogSoftmaxCol in float64.
 func logSoftmaxInto(logits, dst []float64) {
 	maxv := math.Inf(-1)
 	for _, v := range logits {

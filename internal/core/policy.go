@@ -63,8 +63,7 @@ type Policy struct {
 	// distribution (pᵢ ∝ exp(log πᵢ/τ)). Ignored in Greedy mode.
 	Temperature float64
 	// Record keeps every decision as a Step for training. It needs the
-	// float64 forward: the reduced-precision tiers and the Batcher panic on a
-	// recording policy.
+	// float64 forward: the float32 engine panics on a recording policy.
 	Record bool
 	// DisableIdle masks the ∅ action at every decision (ablation: READYS
 	// reduced to a pure list scheduler that must fill the asking resource).
@@ -93,8 +92,6 @@ type Policy struct {
 	// forward with the serving engine at prec.
 	inc    *incrementalEncoder
 	engine *serveEngine
-	batch  *Batcher
-	lpBuf  []float64 // reusable result buffer for batched forwards
 	// memo holds the forwards of one state version only: memoAt is that
 	// version, and the map is emptied when the state moves past it. The
 	// version counters never go back, so nothing dropped could have hit again.
@@ -132,21 +129,18 @@ type memoVal struct {
 // decision state is maintained incrementally and the forward pass runs on the
 // allocation-free float64 serving engine — both bit-identical to the full
 // rebuild + tape path (see the equivalence tests) and individually revertible
-// via DisableIncrementalState / DisableServingEngine. The DenseProp ablation
-// keeps the tape forward (the engine only implements the sparse hot path).
+// via DisableIncrementalState / DisableServingEngine.
 func NewPolicy(agent *Agent) *Policy {
 	p := &Policy{Agent: agent, Greedy: true}
 	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
-	if !agent.Cfg.DenseProp {
-		p.engine = newServeEngine(agent, PrecisionFloat64)
-	}
+	p.engine = newServeEngine(agent, PrecisionFloat64)
 	return p
 }
 
 // NewServingPolicy returns a greedy policy that evaluates the network on the
 // allocation-free serving engine at the given precision instead of the
 // autograd tape. PrecisionFloat64 decides bit-identically to NewPolicy;
-// float32/int8 trade bounded decision divergence for latency. Only the
+// PrecisionFloat32 trades bounded decision divergence for latency. Only the
 // float64 tier may record training steps.
 func NewServingPolicy(agent *Agent, prec Precision) *Policy {
 	p := NewPolicy(agent)
@@ -163,38 +157,20 @@ func NewServingPolicy(agent *Agent, prec Precision) *Policy {
 func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 	p := NewPolicy(agent)
 	p.Greedy, p.Rng, p.Record = false, rng, true
-	if p.engine != nil {
-		p.engine.critic = true
-	}
+	p.engine.critic = true
 	return p
 }
 
 // EnableServing switches the policy's forward pass to the serving engine at
 // the given precision. Panics if the policy records training steps at a
 // reduced precision — only float64 forwards, which the update's tape
-// reproduces bit for bit, may feed a trainer — or if the agent uses the
-// DenseProp ablation (which keeps the tape forward).
+// reproduces bit for bit, may feed a trainer.
 func (p *Policy) EnableServing(prec Precision) {
 	if p.Record && prec != PrecisionFloat64 {
 		panic("core: reduced serving precision on a recording (training) policy")
 	}
 	p.engine = newServeEngine(p.Agent, prec)
 	p.engine.critic = p.Record
-}
-
-// UseBatcher routes the policy's serving forwards through a shared Batcher:
-// concurrent decisions on the same model coalesce into one row-batched pass.
-// The batcher's precision replaces any engine precision; at
-// core.PrecisionFloat64 decisions stay bit-identical to the unbatched path.
-// A nil batcher returns the forwards to the policy's own engine, so a policy
-// that outlives one lease can serve the next with or without one.
-// Panics on a recording (training) policy — batched forwards skip the critic,
-// and a rollout worker has nobody to coalesce with.
-func (p *Policy) UseBatcher(b *Batcher) {
-	if p.Record {
-		panic("core: batched serving on a recording (training) policy")
-	}
-	p.batch = b
 }
 
 // DisableIncrementalState forces a full EncodeFault rebuild on every decision
@@ -254,8 +230,8 @@ func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 
 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
-	if p.Record && (p.batch != nil || (p.engine != nil && p.engine.prec != PrecisionFloat64)) {
-		panic("core: recording (training) policy on a reduced-precision or batched forward")
+	if p.Record && p.engine != nil && p.engine.prec != PrecisionFloat64 {
+		panic("core: recording (training) policy on a reduced-precision forward")
 	}
 
 	var es *EncodedState
@@ -294,10 +270,7 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	var logProbs []float64
 	var idleIdx int
 	var value float64
-	if p.batch != nil {
-		logProbs, idleIdx = p.batch.Forward(es, p.lpBuf)
-		p.lpBuf = logProbs // reuse the (possibly grown) buffer next decision
-	} else if p.engine != nil {
+	if p.engine != nil {
 		logProbs, idleIdx = p.engine.forward(es)
 		value = p.engine.value
 	} else {

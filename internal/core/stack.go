@@ -34,9 +34,6 @@ type StateBatch struct {
 	// candidates' scores.
 	actionPerm []int
 
-	// dense is the single state's cached dense adjacency (DenseProp ablation,
-	// width 1 only).
-	dense *tensor.Matrix
 	// single marks the batch built by singleState: one state, nil tables.
 	single bool
 	// logged is the state AppendLogged materialises a decision into.
@@ -46,16 +43,13 @@ type StateBatch struct {
 // singleState wraps one encoded state as a width-1 batch without copying:
 // every segment table is nil (one range: all rows) and no permutation is
 // needed, since the one ∅ score already follows the candidates' scores.
-func singleState(es *EncodedState, denseProp bool) *StateBatch {
+func singleState(es *EncodedState) *StateBatch {
 	if len(es.ReadyRows) == 0 {
 		panic("core: Forward with no ready task")
 	}
 	sb := &StateBatch{x: *es.X, norm: *es.Norm, readyRows: es.ReadyRows, single: true}
 	if es.AllowIdle {
 		sb.proc = *es.Proc
-	}
-	if denseProp {
-		sb.dense = es.DenseNorm()
 	}
 	return sb
 }

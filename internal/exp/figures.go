@@ -133,7 +133,7 @@ func (p *windowProbePolicy) Reset(s *sim.State) {
 }
 
 func (p *windowProbePolicy) Decide(s *sim.State, r int) int {
-	es := core.Encode(s, r, p.feats, p.Policy.Agent.Cfg.Window)
+	es := core.EncodeFault(s, r, p.feats, p.Policy.Agent.Cfg.Window, false, false)
 	p.windowSum += float64(len(es.Nodes))
 	p.windowCnt++
 	return p.Policy.Decide(s, r)

@@ -97,9 +97,7 @@ func (c *Client) retryBase() time.Duration {
 }
 
 // BackoffDelay is the sleep before retry attempt i (1-based): the base delay
-// doubled per attempt, jittered uniformly over [0.5d, 1.5d). Exported because
-// it is the repository's one retry-backoff policy — the gateway's failover
-// path uses the same curve against serving replicas.
+// doubled per attempt, jittered uniformly over [0.5d, 1.5d).
 func BackoffDelay(base time.Duration, attempt int) time.Duration {
 	d := base << (attempt - 1)
 	return d/2 + time.Duration(rand.Int63n(int64(d)))

@@ -2,11 +2,11 @@
 // stateless router that fronts N readys-serve replicas behind one endpoint.
 //
 // Requests for one model are routed to the same replica (rendezvous hashing
-// on the model's canonical spec hash), so each replica's LRU registry and
-// cross-request batcher see a concentrated working set instead of a sliver of
-// every model. Replicas are health-checked over their /healthz endpoint and
-// failed over transparently: a replica dying mid-request surfaces as a
-// retried request on a survivor, not a 5xx to the caller.
+// on the model's canonical spec hash), so each replica's LRU registry sees a
+// concentrated working set instead of a sliver of every model. Replicas are
+// health-checked over their /healthz endpoint and failed over transparently:
+// a replica dying mid-request surfaces as a retried request on a survivor, not
+// a 5xx to the caller.
 //
 // The gateway records request and per-attempt forward spans into the same
 // Chrome trace-event ring as the replicas and propagates X-Trace-ID /
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -32,7 +33,6 @@ import (
 	"time"
 
 	"readys/internal/exp"
-	"readys/internal/fleet"
 	"readys/internal/obs"
 	"readys/internal/serve"
 	"readys/internal/taskgraph"
@@ -56,7 +56,7 @@ type Config struct {
 	// fails (capped at the replica count); zero takes the default.
 	Retries int
 	// RetryBase is the pre-jitter backoff before the first failover attempt,
-	// doubling per attempt (fleet.BackoffDelay's curve).
+	// doubling per attempt (backoffDelay).
 	RetryBase time.Duration
 	// RequestTimeout bounds one schedule request end to end, across every
 	// failover attempt.
@@ -241,7 +241,7 @@ func (g *Gateway) setHealth(rep *replica, healthy bool) {
 // routeKey is the rendezvous key of a schedule request: the canonical hash of
 // the agent spec the replica's registry will serve it with. Requests for one
 // model always land on one replica (while it is healthy), concentrating each
-// replica's model cache and cross-request batcher on a stable working set.
+// replica's model cache on a stable working set.
 func routeKey(req *serve.ScheduleRequest) string {
 	kind, err := taskgraph.KindFromString(req.Kind)
 	if err != nil {
@@ -387,9 +387,25 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 	return res, err
 }
 
+// backoffDelay is the sleep before failover attempt i (1-based): the base
+// delay doubled per attempt, jittered uniformly over [0.5d, 1.5d).
+func backoffDelay(base time.Duration, attempt int) time.Duration {
+	d := base << (attempt - 1)
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
+}
+
+// retriable reports whether a forward's outcome says the replica is broken:
+// no answer at all, or a 500/502 in its place. A 503 (queue full, draining)
+// or 504 (one request past its deadline) is a working replica's answer, like
+// every 4xx — resending it would move the load to the next replica's cold
+// cache and turn load shedding into a cascade.
+func retriable(status int, err error) bool {
+	return (err != nil && status == 0) || status == http.StatusInternalServerError || status == http.StatusBadGateway
+}
+
 // proxy forwards a request across the ranked candidates with jittered-backoff
-// failover: transport errors and 5xx answers mark the replica down and move
-// on; any other status is the application's answer and is relayed verbatim.
+// failover: transport errors, 500 and 502 mark the replica down and move on;
+// any other status is the replica's answer and is relayed verbatim.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path string, body []byte, candidates []*replica, tid int64, sc obs.SpanContext) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
@@ -403,7 +419,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 		if i > 0 {
 			g.metrics.Failover()
 			select {
-			case <-time.After(fleet.BackoffDelay(g.cfg.RetryBase, i)):
+			case <-time.After(backoffDelay(g.cfg.RetryBase, i)):
 			case <-ctx.Done():
 				g.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("gateway: request exceeded %s", g.cfg.RequestTimeout))
 				return
@@ -411,16 +427,18 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 		}
 		rep := candidates[i]
 		res, err := g.forward(ctx, rep, method, path, body, tid, sc)
-		if !fleet.Retriable(res.status, err) {
-			// The replica answered (2xx..4xx): relay its response verbatim.
-			if ct := res.header.Get("Content-Type"); ct != "" {
-				w.Header().Set("Content-Type", ct)
+		if !retriable(res.status, err) {
+			// The replica answered: relay its response verbatim.
+			for _, k := range []string{"Content-Type", "Retry-After"} {
+				if v := res.header.Get(k); v != "" {
+					w.Header().Set(k, v)
+				}
 			}
 			w.WriteHeader(res.status)
 			w.Write(res.body)
 			return
 		}
-		// Transport error or 5xx: the replica is suspect. Mark it down so
+		// Transport error, 500 or 502: the replica is suspect. Mark it down so
 		// concurrent requests skip it until a health probe sees it recover.
 		g.setHealth(rep, false)
 		if err != nil {

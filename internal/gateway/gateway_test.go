@@ -37,7 +37,6 @@ func startReplica(t testing.TB, dir string) *httptest.Server {
 	t.Helper()
 	srv := serve.New(serve.Config{
 		ModelsDir: dir, Workers: 2, Queue: 32, RequestTimeout: 30 * time.Second,
-		Batch: true, BatchWidth: 4, BatchDwell: time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -261,6 +260,89 @@ func TestGatewayBadRequestNotRetried(t *testing.T) {
 	}
 	if n := g.Metrics().Failovers(); n != 0 {
 		t.Errorf("4xx answers triggered %d failovers, want 0", n)
+	}
+}
+
+// TestGatewayBusyIsNotBroken pins which outcomes of a forward cost a replica
+// its place: no answer, a 500 or a 502 mark it down and send the request to the
+// next candidate; a 503 (queue full, draining), a 504 (one request past its
+// deadline) and a 404 are the replica's answer — relayed with body,
+// Content-Type and Retry-After, the replica still healthy, nothing re-sent.
+func TestGatewayBusyIsNotBroken(t *testing.T) {
+	const stubBody = `{"error":"stub"}`
+	req := serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1, Seed: 1}
+	for _, c := range []struct {
+		name     string
+		status   int // the owning replica's answer; 0 closes it instead
+		failover bool
+	}{
+		{"transport error", 0, true},
+		{"500", http.StatusInternalServerError, true},
+		{"502", http.StatusBadGateway, true},
+		{"503", http.StatusServiceUnavailable, false},
+		{"504", http.StatusGatewayTimeout, false},
+		{"404", http.StatusNotFound, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Two stub replicas answering 200 until told otherwise.
+			var stubs [2]*httptest.Server
+			var status [2]atomic.Int32
+			var hits [2]atomic.Int32
+			for i := range stubs {
+				status[i].Store(http.StatusOK)
+				stubs[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					hits[i].Add(1)
+					code := int(status[i].Load())
+					w.Header().Set("Content-Type", "application/stub+json")
+					if code == http.StatusServiceUnavailable {
+						w.Header().Set("Retry-After", "7")
+					}
+					w.WriteHeader(code)
+					w.Write([]byte(stubBody))
+				}))
+				t.Cleanup(stubs[i].Close)
+			}
+			g := newTestGateway(t, stubs[0].URL, stubs[1].URL)
+			owner := 0
+			if g.RouteFor(&req) == stubs[1].URL {
+				owner = 1
+			}
+			if c.status == 0 {
+				stubs[owner].CloseClientConnections()
+				stubs[owner].Close()
+			} else {
+				status[owner].Store(int32(c.status))
+			}
+
+			rec := postJSON(t, g.Handler(), "/v1/schedule", req, nil)
+
+			wantStatus, wantFailovers, wantOtherHits := c.status, uint64(0), int32(0)
+			if c.failover {
+				wantStatus, wantFailovers, wantOtherHits = http.StatusOK, 1, 1
+			}
+			wantRetryAfter := ""
+			if wantStatus == http.StatusServiceUnavailable {
+				wantRetryAfter = "7"
+			}
+			if rec.Code != wantStatus || rec.Body.String() != stubBody {
+				t.Errorf("relayed %d %q, want %d %q", rec.Code, rec.Body.String(), wantStatus, stubBody)
+			}
+			if ct, ra := rec.Header().Get("Content-Type"), rec.Header().Get("Retry-After"); ct != "application/stub+json" || ra != wantRetryAfter {
+				t.Errorf("relayed Content-Type %q, Retry-After %q, want the replica's (Retry-After %q)", ct, ra, wantRetryAfter)
+			}
+			if n := g.Metrics().Failovers(); n != wantFailovers {
+				t.Errorf("%d failovers, want %d", n, wantFailovers)
+			}
+			if n := hits[1-owner].Load(); n != wantOtherHits {
+				t.Errorf("the other replica saw %d requests, want %d", n, wantOtherHits)
+			}
+			for _, rep := range g.replicas {
+				wantHealthy := !(c.failover && rep.url == stubs[owner].URL)
+				if rep.healthy.Load() != wantHealthy {
+					t.Errorf("replica %s healthy=%v afterwards, want %v", rep.url, !wantHealthy, wantHealthy)
+				}
+			}
+		})
 	}
 }
 

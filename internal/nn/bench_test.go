@@ -28,27 +28,6 @@ func BenchmarkGCNForward(b *testing.B) {
 	}
 }
 
-func BenchmarkGCNForwardDense(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			g := NewGCN(rng, "g", 64, 64)
-			succ := make([][]int, n)
-			for i := 0; i+1 < n; i++ {
-				succ[i] = []int{i + 1}
-			}
-			norm := NormalizedAdjacency(n, succ).Dense()
-			x := tensor.RandNormal(rng, n, 64, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bind := NewBinding()
-				g.ForwardDense(bind, bind.Tape.Const(norm), bind.Tape.Const(x))
-				bind.Release()
-			}
-		})
-	}
-}
-
 func BenchmarkLinearForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLinear(rng, "l", 64, 64)

@@ -70,15 +70,6 @@ func (g *GCN) Forward(b *Binding, norm *tensor.Sparse, h *autograd.Node, segs []
 	return b.Tape.ReLU(lin)
 }
 
-// ForwardDense is the dense-propagation variant of Forward: norm is
-// materialised as an n x n matrix and multiplied densely. Kept as the
-// ablation/benchmark baseline for the sparse path (core.Config.DenseProp).
-func (g *GCN) ForwardDense(b *Binding, norm *autograd.Node, h *autograd.Node) *autograd.Node {
-	agg := b.Tape.MatMul(norm, h)
-	lin := b.Tape.AddRowVector(b.Tape.MatMul(agg, b.Bind(g.W)), b.Bind(g.B))
-	return b.Tape.ReLU(lin)
-}
-
 // Params returns the layer's trainable parameters.
 func (g *GCN) Params() []*Param { return []*Param{g.W, g.B} }
 

@@ -187,6 +187,74 @@ func TestGCNForwardDepthPropagation(t *testing.T) {
 	}
 }
 
+// denseGCN is the layer written against the materialised operator:
+// ReLU(MatMul(MatMul(Dense(norm), h), W) + b), every product a dense one — the
+// oracle GCN.Forward's CSR propagation is held to.
+func denseGCN(g *GCN, b *Binding, norm *tensor.Matrix, h *autograd.Node) *autograd.Node {
+	agg := b.Tape.MatMul(b.Tape.Const(norm), h)
+	lin := b.Tape.AddRowVector(b.Tape.MatMul(agg, b.Bind(g.W)), b.Bind(g.B))
+	return b.Tape.ReLU(lin)
+}
+
+// TestGCNForwardMatchesDenseComposition: propagating through the CSR operator
+// gives the layer's output and, after Backward, the gradients of h, W and b
+// the bits the dense composition gives, for the symmetric and the directed
+// operator. Equality is exact because both accumulate every output element in
+// ascending column order and the zero terms the CSR form skips cannot change an
+// IEEE sum. (The kernels alone: tensor.TestSpMMMatchesDenseProperty,
+// TestSpMMTransAMatchesDense.)
+func TestGCNForwardMatchesDenseComposition(t *testing.T) {
+	const n, in, out = 14, 6, 5
+	succ := make([][]int, n)
+	for i := 0; i+1 < n; i++ {
+		succ[i] = append(succ[i], i+1)
+		if j := i + 4; j < n {
+			succ[i] = append(succ[i], j)
+		}
+	}
+	for name, norm := range map[string]*tensor.Sparse{
+		"symmetric": NormalizedAdjacency(n, succ),
+		"directed":  DirectedNormalizedAdjacency(n, succ),
+	} {
+		rng := rand.New(rand.NewSource(17))
+		x := tensor.RandNormal(rng, n, in, 1)
+		weight := tensor.RandNormal(rng, n, out, 1)
+		run := func(dense bool) (g *GCN, y, dh *tensor.Matrix) {
+			g = NewGCN(rand.New(rand.NewSource(18)), "g", in, out)
+			b := NewBinding()
+			h := b.Tape.Var(x)
+			var o *autograd.Node
+			if dense {
+				o = denseGCN(g, b, norm.Dense(), h)
+			} else {
+				o = g.Forward(b, norm, h, nil)
+			}
+			b.Tape.Backward(b.Tape.SumAll(b.Tape.Mul(o, b.Tape.Const(weight))))
+			return g, o.Value, h.Grad
+		}
+		sg, sy, sdh := run(false)
+		dg, dy, ddh := run(true)
+		for _, c := range []struct {
+			what      string
+			got, want *tensor.Matrix
+		}{
+			{"output", sy, dy}, {"dL/dh", sdh, ddh}, {"dL/dW", sg.W.Grad, dg.W.Grad}, {"dL/db", sg.B.Grad, dg.B.Grad},
+		} {
+			if !c.got.SameShape(c.want) {
+				t.Fatalf("%s: %s is %dx%d on CSR, %dx%d dense", name, c.what, c.got.Rows, c.got.Cols, c.want.Rows, c.want.Cols)
+			}
+			for i, v := range c.got.Data {
+				if math.Float64bits(v) != math.Float64bits(c.want.Data[i]) {
+					t.Fatalf("%s: %s[%d] = %v on CSR, %v dense", name, c.what, i, v, c.want.Data[i])
+				}
+			}
+		}
+		if sdh.Equal(tensor.New(n, in)) || sg.W.Grad.Equal(tensor.New(in, out)) {
+			t.Fatalf("%s: a zero gradient compares nothing", name)
+		}
+	}
+}
+
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimise ||w - target||² — Adam must converge fast.
 	target := tensor.FromSlice(1, 3, []float64{1, -2, 0.5})

@@ -326,15 +326,12 @@ func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward flo
 	scale := 1.0 / float64(d)
 	// An episode past the row cap is cut into passes of about equal height,
 	// so that their buffers fall into one size class of the tape's free list.
-	// The DenseProp ablation multiplies an n x n operator: one state a pass.
 	passRows := 0
-	if !t.Agent.Cfg.DenseProp {
-		for i := range steps {
-			passRows += log.Rows(i)
-		}
-		passes := (passRows + maxPassRows - 1) / maxPassRows
-		passRows = (passRows + passes - 1) / passes
+	for i := range steps {
+		passRows += log.Rows(i)
 	}
+	passes := (passRows + maxPassRows - 1) / maxPassRows
+	passRows = (passRows + passes - 1) / passes
 	for lo := 0; lo < d; {
 		sb := &t.stack
 		sb.Reset()

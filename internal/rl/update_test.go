@@ -88,28 +88,23 @@ func (m *maskEveryThird) Decide(s *sim.State, r int) int {
 // parameters, and the three losses it reports, are == on every element to
 // what the per-decision update leaves — for an episode of one pass, one with
 // ∅-masked decisions, one of a single decision, one long enough to take
-// several passes, under bootstrapped and shaped targets, and for the DenseProp
-// ablation, which goes one state per pass.
+// several passes, and under bootstrapped and shaped targets.
 func TestBatchedUpdateBitIdentical(t *testing.T) {
 	type episode struct {
 		name   string
-		agent  core.Config
 		T      int
 		mask   bool
 		first  int // keep only this many decisions (0: all)
 		passes int // least number of tape passes the episode must take
 		tweak  func(*Config)
 	}
-	plain := core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3}
-	dense := plain
-	dense.DenseProp = true
+	agentCfg := core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3}
 	for _, ep := range []episode{
-		{name: "one pass", agent: plain, T: 4, passes: 1},
-		{name: "∅-masked decisions", agent: plain, T: 4, mask: true, passes: 1},
-		{name: "single decision", agent: plain, T: 4, first: 1, passes: 1},
-		{name: "several passes", agent: plain, T: 8, mask: true, passes: 3},
-		{name: "unroll + idle penalty", agent: plain, T: 4, passes: 1, tweak: func(c *Config) { c.Unroll, c.IdlePenalty = 5, 0.05 }},
-		{name: "dense propagation", agent: dense, T: 3, passes: 2},
+		{name: "one pass", T: 4, passes: 1},
+		{name: "∅-masked decisions", T: 4, mask: true, passes: 1},
+		{name: "single decision", T: 4, first: 1, passes: 1},
+		{name: "several passes", T: 8, mask: true, passes: 3},
+		{name: "unroll + idle penalty", T: 4, passes: 1, tweak: func(c *Config) { c.Unroll, c.IdlePenalty = 5, 0.05 }},
 	} {
 		t.Run(ep.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -118,7 +113,7 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 				ep.tweak(&cfg)
 			}
 			prob := core.NewProblem(taskgraph.Cholesky, ep.T, 2, 2, 0.1)
-			batched, oracle := core.NewAgent(ep.agent), core.NewAgent(ep.agent)
+			batched, oracle := core.NewAgent(agentCfg), core.NewAgent(agentCfg)
 
 			rng := rand.New(rand.NewSource(7))
 			pol := core.NewTrainingPolicy(batched, rng)
@@ -145,7 +140,7 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 			if ep.mask && (masked == 0 || masked == len(steps)) {
 				t.Fatalf("%d of %d decisions mask ∅: both kinds must occur", masked, len(steps))
 			}
-			if passes := (rows + maxPassRows - 1) / maxPassRows; passes < ep.passes && !ep.agent.DenseProp {
+			if passes := (rows + maxPassRows - 1) / maxPassRows; passes < ep.passes {
 				t.Fatalf("%d stacked rows make %d passes, the case wants at least %d", rows, passes, ep.passes)
 			}
 			reward := core.Reward(prob.HEFTBaseline(), res.Makespan)

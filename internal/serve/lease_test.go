@@ -107,8 +107,8 @@ func sameSchedule(got, want ScheduleResponse) error {
 // templates to what they replaced. One worker means one clone, hence one
 // policy and one runner, per model; each serves big, small and big graphs
 // again, generated and explicit, across precision flips (float64 → float32 →
-// int8 → float64), with and without the batcher — and every answer must equal
-// the one a policy built fresh, on a graph built fresh, gives. The last rounds
+// float64) — and every answer must equal the one a policy built fresh, on a
+// graph built fresh, gives. The last rounds
 // are generated bodies only: the same template twice running, a second tile
 // count on the same model, an explicit DAG between two uses of one template;
 // then the models are evicted, which must drop their templates.
@@ -118,12 +118,7 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	for _, k := range kinds {
 		writeTestModel(t, dir, leaseSpec(k, 8))
 	}
-	servers := map[string]*Server{
-		"unbatched": New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute}),
-		// Workers rises to the batch width, but the requests come one at a
-		// time, so the free list still hands the same clone back every time.
-		"batched": New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute, Batch: true, BatchWidth: 2}),
-	}
+	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute})
 
 	type step struct {
 		req  ScheduleRequest
@@ -151,84 +146,71 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	}
 	round(core.PrecisionFloat64, 2, 8, 2, 8)
 	round(core.PrecisionFloat32, 2, 4, 8)
-	round(core.PrecisionInt8, 2, 8)
 	round(core.PrecisionFloat64, 2, 2, 8)
 	round(core.PrecisionFloat64, 0, 8, 8, 4, 8) // one template twice, another t, the first again
 	round(core.PrecisionFloat64, 1, 4)          // an explicit DAG on every model...
 	round(core.PrecisionFloat64, 0, 8, 4)       // ...between two uses of its templates
 
-	// An engine left at the wrong tier must show: some reduced-tier answer
-	// has to differ from the float64 one (int8 does on these weights).
-	tiersDiffer := false
-	for _, st := range seq {
-		if st.prec != core.PrecisionFloat64 &&
-			sameSchedule(freshAnswer(t, dir, st.req, st.prec), freshAnswer(t, dir, st.req, core.PrecisionFloat64)) != nil {
-			tiersDiffer = true
-			break
+	prec := core.PrecisionFloat64
+	for i, st := range seq {
+		if st.prec != prec {
+			prec = st.prec
+			s.Registry().SetDefaultPrecision(prec)
+		}
+		rec, got := postSchedule(t, s.Handler(), st.req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("step %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if err := sameSchedule(got, freshAnswer(t, dir, st.req, prec)); err != nil {
+			t.Fatalf("step %d (%s T=%d dag=%v at %s): leased policy diverged from a fresh one: %v",
+				i, st.req.Kind, st.req.T, st.req.DAG != nil, prec, err)
+		}
+		// float32 schedules these weights like float64, so the answers
+		// cannot show an engine left at the wrong tier: look at the clone
+		// that served, whose engine ready() rebuilds with this label.
+		kind, _ := st.req.kind()
+		served := s.Registry().byName[cacheKey(kind, 8, 2, 2)].Value.(*model).free
+		if len(served) != 1 || served[0].prec != prec {
+			t.Fatalf("step %d: the clone back on %s's free list is not one at %s: %+v", i, st.req.Kind, prec, served)
 		}
 	}
-	if !tiersDiffer {
-		t.Fatal("every tier schedules alike: the sequence cannot see a missed precision flip")
-	}
-
-	for name, s := range servers {
-		prec := core.PrecisionFloat64
-		for i, st := range seq {
-			if st.prec != prec {
-				prec = st.prec
-				for _, k := range kinds {
-					if !s.Registry().SetPrecision(leaseSpec(k, 8).Name()+".json", prec) {
-						t.Fatal("SetPrecision rejected a canonical name")
-					}
-				}
-			}
-			rec, got := postSchedule(t, s.Handler(), st.req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%s step %d: status %d: %s", name, i, rec.Code, rec.Body.String())
-			}
-			if err := sameSchedule(got, freshAnswer(t, dir, st.req, prec)); err != nil {
-				t.Fatalf("%s step %d (%s T=%d dag=%v at %s): leased policy diverged from a fresh one: %v",
-					name, i, st.req.Kind, st.req.T, st.req.DAG != nil, prec, err)
+	for _, k := range kinds {
+		m := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
+		if len(m.free) != 1 {
+			t.Errorf("%d idle clones of %s after a one-at-a-time sequence, want the one that served it all", len(m.free), m.name)
+		}
+		// A template per tile count ever requested by name, whatever came
+		// between, none for explicit DAGs; each frozen.
+		for T, tpl := range m.templates {
+			if !generated[k][T] || !tpl.prob.Graph.Frozen() || tpl.prob.Graph.Tiles != T {
+				t.Errorf("%s holds a template under t=%d: frozen=%v, tiles=%d, requested by name=%v",
+					m.name, T, tpl.prob.Graph.Frozen(), tpl.prob.Graph.Tiles, generated[k][T])
 			}
 		}
-		for _, k := range kinds {
-			m := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
-			if len(m.free) != 1 {
-				t.Errorf("%s: %d idle clones of %s after a one-at-a-time sequence, want the one that served it all", name, len(m.free), m.name)
-			}
-			// A template per tile count ever requested by name, whatever came
-			// between, none for explicit DAGs; each frozen.
-			for T, tpl := range m.templates {
-				if !generated[k][T] || !tpl.prob.Graph.Frozen() || tpl.prob.Graph.Tiles != T {
-					t.Errorf("%s: %s holds a template under t=%d: frozen=%v, tiles=%d, requested by name=%v",
-						name, m.name, T, tpl.prob.Graph.Frozen(), tpl.prob.Graph.Tiles, generated[k][T])
-				}
-			}
-			if len(m.templates) != len(generated[k]) {
-				t.Errorf("%s: %s holds %d templates, %d tile counts were requested by name", name, m.name, len(m.templates), len(generated[k]))
-			}
+		if len(m.templates) != len(generated[k]) {
+			t.Errorf("%s holds %d templates, %d tile counts were requested by name", m.name, len(m.templates), len(generated[k]))
+		}
 
-			// Eviction drops the templates with the model; the next request
-			// builds its own and still answers like a fresh policy.
-			old := m.templates[8]
-			if !s.Registry().Invalidate(m.name + ".json") {
-				t.Fatalf("%s: Invalidate missed %s", name, m.name)
-			}
-			if m.templates != nil {
-				t.Errorf("%s: evicted %s still holds %d templates", name, m.name, len(m.templates))
-			}
-			req := ScheduleRequest{Kind: k.String(), T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 77}
-			rec, got := postSchedule(t, s.Handler(), req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%s: after eviction: status %d: %s", name, rec.Code, rec.Body.String())
-			}
-			if err := sameSchedule(got, freshAnswer(t, dir, req, prec)); err != nil {
-				t.Errorf("%s: first request after eviction: %v", name, err)
-			}
-			reloaded := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
-			if tpl := reloaded.templates[8]; tpl == nil || tpl == old || len(reloaded.templates) != 1 {
-				t.Errorf("%s: reloaded %s holds %d templates (t=8 rebuilt: %v), want its own one", name, m.name, len(reloaded.templates), tpl != nil && tpl != old)
-			}
+		// Eviction drops the templates with the model; the next request
+		// builds its own and still answers like a fresh policy.
+		old := m.templates[8]
+		if !s.Registry().Invalidate(m.name + ".json") {
+			t.Fatalf("Invalidate missed %s", m.name)
+		}
+		if m.templates != nil {
+			t.Errorf("evicted %s still holds %d templates", m.name, len(m.templates))
+		}
+		req := ScheduleRequest{Kind: k.String(), T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 77}
+		rec, got := postSchedule(t, s.Handler(), req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("after eviction: status %d: %s", rec.Code, rec.Body.String())
+		}
+		if err := sameSchedule(got, freshAnswer(t, dir, req, prec)); err != nil {
+			t.Errorf("first request after eviction: %v", err)
+		}
+		reloaded := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
+		if tpl := reloaded.templates[8]; tpl == nil || tpl == old || len(reloaded.templates) != 1 {
+			t.Errorf("reloaded %s holds %d templates (t=8 rebuilt: %v), want its own one", m.name, len(reloaded.templates), tpl != nil && tpl != old)
 		}
 	}
 }

@@ -17,19 +17,9 @@ var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 // decideBucketsUS are the upper bounds (in microseconds) of the per-decision
 // inference latency histogram. The serving hot path targets sub-100µs
 // decisions, so the resolution is concentrated there: the 5–100µs buckets
-// separate the incremental/quantized tiers, the tail catches cold starts and
+// separate the incremental/float32 tiers, the tail catches cold starts and
 // full rebuilds.
 var decideBucketsUS = []float64{5, 10, 25, 50, 100, 250, 1000, 10000}
-
-// batchWidthBuckets cover the batcher's width range: one bucket per
-// power of two up to the widest flush a saturated 64-client box produces.
-var batchWidthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
-// batchDwellBucketsUS are the upper bounds (in microseconds) of the batch
-// queue-dwell histogram — how long a decision waited between submit and
-// flush. The default dwell bound is 100µs, so resolution concentrates below
-// it; the tail catches timer-driven flushes under light load.
-var batchDwellBucketsUS = []float64{1, 5, 10, 25, 50, 100, 250, 1000, 10000}
 
 // Metrics is the service's counter set, backed by the shared obs registry.
 // GET /metrics serves it as JSON (the historical expvar-style tree) or, with
@@ -44,12 +34,6 @@ type Metrics struct {
 	latency  *obs.HistogramVec
 	decide   *obs.Histogram
 
-	// Cross-request batching instrumentation (Config.Batch): the width of
-	// every flushed inference batch and each decision's queue dwell. Both
-	// stay at zero when batching is disabled.
-	batchWidth *obs.Histogram
-	batchDwell *obs.Histogram
-
 	inflight  *obs.Gauge
 	rejected  *obs.Counter // 503s from a full queue
 	timeouts  *obs.Counter // requests that hit the server-side deadline
@@ -61,16 +45,12 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		start:    time.Now(),
-		reg:      reg,
-		requests: reg.CounterVec("readys_http_requests_total", "HTTP requests by endpoint.", "endpoint"),
-		errors:   reg.CounterVec("readys_http_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint"),
-		latency:  reg.HistogramVec("readys_http_latency_ms", "Request latency in milliseconds by endpoint.", latencyBucketsMS, "endpoint"),
-		decide:   reg.Histogram("readys_decide_latency_us", "Per-decision inference latency in microseconds.", decideBucketsUS),
-		batchWidth: reg.Histogram("readys_batch_width",
-			"States per flushed inference batch (cross-request batching).", batchWidthBuckets),
-		batchDwell: reg.Histogram("readys_batch_dwell_us",
-			"Per-decision batch queue dwell in microseconds (submit to flush).", batchDwellBucketsUS),
+		start:     time.Now(),
+		reg:       reg,
+		requests:  reg.CounterVec("readys_http_requests_total", "HTTP requests by endpoint.", "endpoint"),
+		errors:    reg.CounterVec("readys_http_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint"),
+		latency:   reg.HistogramVec("readys_http_latency_ms", "Request latency in milliseconds by endpoint.", latencyBucketsMS, "endpoint"),
+		decide:    reg.Histogram("readys_decide_latency_us", "Per-decision inference latency in microseconds.", decideBucketsUS),
 		inflight:  reg.Gauge("readys_http_inflight", "Requests currently being handled."),
 		rejected:  reg.Counter("readys_rejected_busy_total", "Backpressure rejections from a full queue (503)."),
 		timeouts:  reg.Counter("readys_request_timeouts_total", "Requests that exceeded the server-side deadline."),
@@ -107,17 +87,6 @@ func (m *Metrics) Observe(endpoint string, d time.Duration, isError bool) {
 // ObserveDecide records the wall-clock latency of one scheduling decision.
 func (m *Metrics) ObserveDecide(d time.Duration) {
 	m.decide.Observe(float64(d) / float64(time.Microsecond))
-}
-
-// ObserveBatchFlush records the width of one flushed inference batch.
-func (m *Metrics) ObserveBatchFlush(width int) {
-	m.batchWidth.Observe(float64(width))
-}
-
-// ObserveBatchDwell records how long one decision waited in the batch queue
-// between submit and flush.
-func (m *Metrics) ObserveBatchDwell(d time.Duration) {
-	m.batchDwell.Observe(float64(d) / float64(time.Microsecond))
 }
 
 // IncInflight / DecInflight track requests currently being handled.

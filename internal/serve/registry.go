@@ -68,16 +68,9 @@ type Registry struct {
 	misses  uint64
 	evicted uint64
 
-	// defaultPrec is the serving precision for models without a per-model
-	// override; prec holds the overrides keyed by cache key. The zero value
+	// defaultPrec is the serving precision of every lease. The zero value
 	// (PrecisionFloat64) serves bit-identically to the training-path policy.
 	defaultPrec core.Precision
-	prec        map[string]core.Precision
-
-	// batch, when non-nil, makes every lease carry a shared per-model
-	// batcher so concurrent rollouts coalesce their decision steps
-	// (EnableBatching). Nil leaves leases batcher-free.
-	batch *core.BatcherConfig
 }
 
 // model is one resident checkpoint.
@@ -95,11 +88,6 @@ type model struct {
 	// count t (family and platform are the model's own). Request validation
 	// bounds t and with it the map's size; eviction drops it with the model.
 	templates map[int]*template
-	// batchers are the model's shared cross-request batchers, one per
-	// precision tier, created lazily on first lease. They compute over the
-	// master's (immutable) parameters; leases issued before an eviction keep
-	// their batcher, which stays consistent with the weights they leased.
-	batchers map[core.Precision]*core.Batcher
 }
 
 // template is a problem built once and scheduled many times: the frozen graph
@@ -125,9 +113,9 @@ func (m *model) newTemplate(g *taskgraph.Graph) *template {
 
 // clone is one private copy of a model's parameters with the decision
 // context built over it. The policy lives as long as the clone: between
-// leases it keeps every buffer (Policy.Reset only rewinds them) and, for the
-// reduced tiers, the engine's converted weights; prec is the tier that engine
-// was built at. Beside it live the simulator memory every run of a request
+// leases it keeps every buffer (Policy.Reset only rewinds them) and, at
+// float32, the engine's converted weights; prec is the tier that engine was
+// built at. Beside it live the simulator memory every run of a request
 // happens in and the generator those runs draw from, re-seeded per run.
 // Evicting the model drops its idle clones, policies included.
 type clone struct {
@@ -145,16 +133,15 @@ type Lease struct {
 	model    *model
 	clone    *clone
 	prec     core.Precision
-	batcher  *core.Batcher
 }
 
 // Agent returns the leased inference instance.
 func (l *Lease) Agent() *core.Agent { return l.clone.agent }
 
 // Policy returns the leased agent's resident greedy policy, serving at the
-// lease's precision and through the lease's batcher when it has one. It
-// decides exactly as core.NewServingPolicy(l.Agent(), l.Precision()) would;
-// sim.Simulate resets it, which is all a request pays for its state.
+// lease's precision. It decides exactly as
+// core.NewServingPolicy(l.Agent(), l.Precision()) would; sim.Simulate resets
+// it, which is all a request pays for its state.
 func (l *Lease) Policy() *core.Policy { return l.clone.policy }
 
 // Runner returns the simulator memory resident with the leased clone. All of a
@@ -202,16 +189,9 @@ func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 	return tpl, nil
 }
 
-// Precision returns the serving precision the lease's rollouts should run at
-// (the model's override, else the registry default).
+// Precision returns the serving precision the lease's rollouts run at: the
+// registry default when the lease was issued.
 func (l *Lease) Precision() core.Precision { return l.prec }
-
-// Batcher returns the shared cross-request batcher for the lease's model and
-// precision, or nil when batching is disabled (or the model's architecture
-// has no serving kernels). All concurrent leases of one model at one
-// precision share the same batcher — that sharing is what lets their
-// decision steps coalesce.
-func (l *Lease) Batcher() *core.Batcher { return l.batcher }
 
 // ModelName returns the canonical name of the model backing the lease.
 func (l *Lease) ModelName() string { return l.model.name }
@@ -254,72 +234,13 @@ func NewRegistry(dir string, maxModels, maxIdleClones int) *Registry {
 	}
 }
 
-// EnableBatching makes every subsequent lease carry a shared per-model
-// batcher: concurrent rollouts on one checkpoint submit their decision steps
-// to it and they coalesce into row-batched forwards over the master's
-// parameters (bit-identical per request at float64 — see core.Batcher).
-// Call once at service construction, before serving traffic.
-func (r *Registry) EnableBatching(cfg core.BatcherConfig) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.batch = &cfg
-}
-
-// batcherLocked resolves the shared batcher for a model at a precision,
-// creating it on first use; callers hold r.mu. Creation converts the master's
-// weights for the reduced tiers, which is acceptable under the lock because
-// it happens once per resident (model, precision) pair. DenseProp masters
-// have no serving kernels and lease with a nil batcher (the policy falls
-// back to its per-request path).
-func (r *Registry) batcherLocked(m *model, prec core.Precision) *core.Batcher {
-	if r.batch == nil || m.master.Cfg.DenseProp {
-		return nil
-	}
-	b, ok := m.batchers[prec]
-	if !ok {
-		if m.batchers == nil {
-			m.batchers = make(map[core.Precision]*core.Batcher)
-		}
-		b = core.NewBatcher(m.master, prec, *r.batch)
-		m.batchers[prec] = b
-	}
-	return b
-}
-
-// SetDefaultPrecision sets the serving precision used for every model without
-// a per-model override (readys-serve -precision). Affects leases acquired
-// after the call; in-flight leases keep the precision they were issued with.
+// SetDefaultPrecision sets the serving precision of every model
+// (readys-serve -precision). Affects leases acquired after the call; in-flight
+// leases keep the precision they were issued with.
 func (r *Registry) SetDefaultPrecision(p core.Precision) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.defaultPrec = p
-}
-
-// SetPrecision overrides the serving precision for the problem combination
-// the named checkpoint serves (base as accepted by Invalidate). Returns false
-// when the name does not parse as a canonical model name.
-func (r *Registry) SetPrecision(base string, p core.Precision) bool {
-	spec, ok := ParseModelName(base)
-	if !ok {
-		return false
-	}
-	key := cacheKey(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.prec == nil {
-		r.prec = make(map[string]core.Precision)
-	}
-	r.prec[key] = p
-	return true
-}
-
-// precLocked resolves the serving precision for a cache key; callers hold
-// r.mu.
-func (r *Registry) precLocked(key string) core.Precision {
-	if p, ok := r.prec[key]; ok {
-		return p
-	}
-	return r.defaultPrec
 }
 
 // cacheKey is the registry's cache key: the problem combination a model was
@@ -409,11 +330,10 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 	return lease.ready(), false, nil
 }
 
-// leaseLocked resolves what a lease of m carries — precision, batcher, an
-// idle clone if there is one — under r.mu; ready finishes it outside.
+// leaseLocked resolves what a lease of m carries — precision, an idle clone
+// if there is one — under r.mu; ready finishes it outside.
 func (r *Registry) leaseLocked(m *model) *Lease {
-	l := &Lease{registry: r, model: m, prec: r.precLocked(m.key)}
-	l.batcher = r.batcherLocked(m, l.prec)
+	l := &Lease{registry: r, model: m, prec: r.defaultPrec}
 	if n := len(m.free); n > 0 {
 		l.clone = m.free[n-1]
 		m.free = m.free[:n-1]
@@ -423,7 +343,7 @@ func (r *Registry) leaseLocked(m *model) *Lease {
 
 // ready does the lease's expensive part outside the registry lock: cloning
 // the master when no idle clone was free (its values are immutable once
-// loaded), or rebuilding an idle clone's engine when the model's precision
+// loaded), or rebuilding an idle clone's engine when the default precision
 // was changed since it last served. The encoder, its caches and the memo
 // carry over a precision flip untouched.
 func (l *Lease) ready() *Lease {
@@ -437,7 +357,6 @@ func (l *Lease) ready() *Lease {
 		l.clone.policy.EnableServing(l.prec)
 		l.clone.prec = l.prec
 	}
-	l.clone.policy.UseBatcher(l.batcher)
 	return l
 }
 

@@ -190,8 +190,8 @@ func TestRegistryList(t *testing.T) {
 }
 
 // TestRegistryPrecision pins the serving-precision plumbing: leases default to
-// float64 (bit-identical serving), SetDefaultPrecision applies to subsequent
-// leases, and a per-model SetPrecision override beats the default.
+// float64 (bit-identical serving) and SetDefaultPrecision applies to
+// subsequent leases of every model.
 func TestRegistryPrecision(t *testing.T) {
 	dir := t.TempDir()
 	chol := testSpec(taskgraph.Cholesky, 2, 1, 1)
@@ -209,29 +209,15 @@ func TestRegistryPrecision(t *testing.T) {
 	}
 	lease.Release()
 
-	r.SetDefaultPrecision(core.PrecisionInt8)
-	if !r.SetPrecision(lu.Name()+".json", core.PrecisionFloat32) {
-		t.Fatal("SetPrecision rejected canonical name")
+	r.SetDefaultPrecision(core.PrecisionFloat32)
+	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU} {
+		lease, _, err = r.Acquire(kind, 2, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lease.Precision() != core.PrecisionFloat32 {
+			t.Fatalf("%v: post-default lease precision %v, want float32", kind, lease.Precision())
+		}
+		lease.Release()
 	}
-	if r.SetPrecision("garbage.json", core.PrecisionFloat32) {
-		t.Fatal("SetPrecision accepted a non-canonical name")
-	}
-
-	lease, _, err = r.Acquire(taskgraph.Cholesky, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Precision() != core.PrecisionInt8 {
-		t.Fatalf("post-default lease precision %v, want int8", lease.Precision())
-	}
-	lease.Release()
-
-	lease, _, err = r.Acquire(taskgraph.LU, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Precision() != core.PrecisionFloat32 {
-		t.Fatalf("override lease precision %v, want float32", lease.Precision())
-	}
-	lease.Release()
 }

@@ -42,25 +42,11 @@ type Config struct {
 	// default). Only the most recent window is kept, so tracing is always on
 	// and bounded.
 	TraceEvents int
-	// Precision is the default serving precision for rollouts
+	// Precision is the serving precision for rollouts
 	// (readys-serve -precision). The zero value, core.PrecisionFloat64,
-	// schedules bit-identically to the training-path policy; float32/int8
-	// trade bounded decision divergence for latency. Per-model overrides go
-	// through Registry.SetPrecision.
+	// schedules bit-identically to the training-path policy; float32 trades
+	// bounded decision divergence for latency.
 	Precision core.Precision
-	// Batch enables cross-request inference batching (readys-serve -batch):
-	// concurrent rollouts on the same model submit their decision steps to a
-	// shared per-model batcher, which coalesces them into row-batched forward
-	// passes. Per-request results are bit-identical to unbatched serving at
-	// float64 (see core.Batcher).
-	Batch bool
-	// BatchWidth is the maximum states per flushed batch; <= 0 takes
-	// core.DefaultBatchWidth. When batching is on, Workers is raised to at
-	// least BatchWidth so rollouts can actually overlap.
-	BatchWidth int
-	// BatchDwell bounds how long a submitted decision may wait for peers
-	// before the batch flushes anyway; <= 0 takes core.DefaultBatchDwell.
-	BatchDwell time.Duration
 }
 
 // DefaultConfig returns production-shaped defaults sized to the host.
@@ -113,17 +99,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = def.MaxBodyBytes
 	}
-	if cfg.Batch {
-		if cfg.BatchWidth < 1 {
-			cfg.BatchWidth = core.DefaultBatchWidth
-		}
-		// Rollouts must overlap for their decisions to coalesce: a worker
-		// count below the batch width would leave the batcher waiting on
-		// rollouts that cannot be running.
-		if cfg.Workers < cfg.BatchWidth {
-			cfg.Workers = cfg.BatchWidth
-		}
-	}
 	s := &Server{
 		cfg: cfg,
 		// Idle clones are capped at the worker count: more can never be in
@@ -137,14 +112,6 @@ func New(cfg Config) *Server {
 		build:    obs.ReadBuildInfo(),
 	}
 	s.registry.SetDefaultPrecision(cfg.Precision)
-	if cfg.Batch {
-		s.registry.EnableBatching(core.BatcherConfig{
-			MaxWidth: cfg.BatchWidth,
-			Dwell:    cfg.BatchDwell,
-			OnFlush:  s.metrics.ObserveBatchFlush,
-			OnWait:   s.metrics.ObserveBatchDwell,
-		})
-	}
 	s.tracer.NameProcess(servePID, "readys-serve")
 	registerComponentGauges(s.metrics.Registry(), s.registry, s.pool)
 	s.mux.HandleFunc("/v1/schedule", s.instrument("schedule", s.handleSchedule))
@@ -319,16 +286,6 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (ScheduleRe
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Attach to the model's shared batcher at admission, before the rollout
-	// starts: the batcher co-schedules attached requests, so announcing this
-	// one early is what lets decision steps from overlapping rollouts
-	// coalesce (a rollout that attached only once running would flush every
-	// step alone). runSchedule detaches right after its rollout; the two
-	// rejection paths below, where the closure never runs, detach here.
-	if b := lease.Batcher(); b != nil {
-		b.Attach()
-	}
-
 	var (
 		resp   ScheduleResponse
 		runErr error
@@ -339,11 +296,6 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (ScheduleRe
 		defer lease.Release()
 		resp, runErr = s.runSchedule(req, tpl, lease, cacheHit, rid, sc)
 	})
-	if errors.Is(err, ErrBusy) || errors.Is(err, ErrShuttingDown) {
-		if b := lease.Batcher(); b != nil {
-			b.Detach()
-		}
-	}
 	switch {
 	case errors.Is(err, ErrBusy):
 		s.metrics.Rejected()
@@ -376,15 +328,7 @@ func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, 
 	prob.Sigma = req.Sigma
 	runner := lease.Runner()
 	pol := tracedPolicy{inner: lease.Policy(), srv: s, tid: rid, sc: sc}
-	// The request attached to the batcher at admission (schedule); the detach
-	// goes right after the rollout, not at request end: the reference below
-	// never calls Forward, and a request that stayed attached through it
-	// would stall concurrent rollouts on the dwell timer.
-	b := lease.Batcher()
 	res, err := prob.SimulateOn(runner, pol, lease.Rand(req.Seed))
-	if b != nil {
-		b.Detach()
-	}
 	s.span("rollout", "sim", rid, start, sc.Child(),
 		obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())), obs.Int(obs.KeyDecisions, int64(res.Decisions)))
 	if err != nil {

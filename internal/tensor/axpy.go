@@ -24,11 +24,3 @@ func axpyF32Generic(alpha float32, x, y []float32) {
 		y[i] += alpha * v
 	}
 }
-
-// axpyQ8Generic computes y[i] += alpha * float32(q[i]) — the int8-weight,
-// float32-accumulate inner loop of the quantized serving path.
-func axpyQ8Generic(alpha float32, q []int8, y []float32) {
-	for i, v := range q {
-		y[i] += alpha * float32(v)
-	}
-}

@@ -8,7 +8,6 @@ func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 func axpyAVX2F64(alpha float64, x, y []float64)
 func axpyAVX2F32(alpha float32, x, y []float32)
-func axpyAVX2Q8(alpha float32, q []int8, y []float32)
 
 // hasAVX2 reports whether the CPU and OS support the AVX2 kernels: AVX and
 // OSXSAVE advertised, XMM+YMM state enabled by the OS (XGETBV), and the AVX2
@@ -50,12 +49,4 @@ func axpyF32(alpha float32, x, y []float32) {
 		return
 	}
 	axpyF32Generic(alpha, x, y)
-}
-
-func axpyQ8(alpha float32, q []int8, y []float32) {
-	if hasAVX2 && len(q) >= axpyMinLen {
-		axpyAVX2Q8(alpha, q, y[:len(q)])
-		return
-	}
-	axpyQ8Generic(alpha, q, y)
 }

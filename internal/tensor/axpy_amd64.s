@@ -107,47 +107,3 @@ f32tailloop:
 f32done:
 	VZEROUPPER
 	RET
-
-// func axpyAVX2Q8(alpha float32, q []int8, y []float32)
-//
-// y[i] += alpha * float32(q[i]): sign-extend 8 int8 weights to int32
-// (VPMOVSXBD), convert to float32 (VCVTDQ2PS), then multiply-add like the
-// float32 kernel. int8 -> float32 conversion is exact, so this too matches
-// the pure-Go loop bit for bit.
-TEXT ·axpyAVX2Q8(SB), NOSPLIT, $0-56
-	MOVQ q_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	VBROADCASTSS alpha+0(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JZ   q8tail
-
-q8loop8:
-	VPMOVSXBD (SI)(AX*1), Y1
-	VCVTDQ2PS Y1, Y1
-	VMULPS  Y0, Y1, Y1
-	VADDPS  (DI)(AX*4), Y1, Y1
-	VMOVUPS Y1, (DI)(AX*4)
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JLT  q8loop8
-
-q8tail:
-	CMPQ AX, CX
-	JGE  q8done
-
-q8tailloop:
-	MOVBQSX (SI)(AX*1), R8
-	CVTSQ2SS R8, X1
-	MULSS X0, X1
-	ADDSS (DI)(AX*4), X1
-	MOVSS X1, (DI)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  q8tailloop
-
-q8done:
-	VZEROUPPER
-	RET

@@ -64,29 +64,6 @@ func TestAxpyF32BitIdentical(t *testing.T) {
 	}
 }
 
-func TestAxpyQ8BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 5, 7, 8, 9, 16, 31, 33, 128} {
-		for _, alpha := range []float32{0, 1, -0.007843138, 2.5} {
-			q := make([]int8, n)
-			y0 := make([]float32, n)
-			for i := range q {
-				q[i] = int8(rng.Intn(256) - 128)
-				y0[i] = float32(rng.NormFloat64())
-			}
-			want := append([]float32(nil), y0...)
-			axpyQ8Generic(alpha, q, want)
-			got := append([]float32(nil), y0...)
-			axpyQ8(alpha, q, got)
-			for i := range want {
-				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-					t.Fatalf("n=%d alpha=%v i=%d: got %v want %v", n, alpha, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestDetectAVX2Reported(t *testing.T) {
 	// Informational: record which path the rest of the suite exercised.
 	t.Logf("hasAVX2=%v", hasAVX2)

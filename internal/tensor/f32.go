@@ -1,14 +1,11 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Reduced-precision kernels for the serving forward path. Training and
 // checkpoints stay float64; these types exist so a policy loaded for serving
-// can run its GCN stack in float32 (or with int8 weights and float32
-// accumulation) where the ~2x narrower lanes roughly double matmul throughput.
+// can run its GCN stack in float32, where the ~2x narrower lanes roughly double
+// matmul throughput.
 
 // Matrix32 is the float32 counterpart of Matrix: dense row-major.
 type Matrix32 struct {
@@ -83,72 +80,6 @@ func SpMM32Into(s *Sparse, val []float32, d, out *Matrix32) {
 		}
 		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
 			axpyF32(val[k], d.Data[s.Col[k]*p:(s.Col[k]+1)*p], orow)
-		}
-	}
-}
-
-// QuantMat8 is a weight matrix quantized to int8 with a per-output-column
-// float32 scale: W[k,j] ~= float32(Q[k,j]) * Scale[j]. Symmetric per-column
-// quantization keeps the dequantization out of the inner loop — products
-// accumulate in float32 over raw int8 weights and the scale is applied once
-// per output element at the end.
-type QuantMat8 struct {
-	Rows, Cols int
-	Q          []int8
-	Scale      []float32
-}
-
-// QuantizeInt8 converts a float64 weight matrix to int8 with per-column
-// symmetric scales (scale = max|col| / 127; an all-zero column gets scale 1).
-func QuantizeInt8(w *Matrix) *QuantMat8 {
-	q := &QuantMat8{Rows: w.Rows, Cols: w.Cols, Q: make([]int8, w.Rows*w.Cols), Scale: make([]float32, w.Cols)}
-	for j := 0; j < w.Cols; j++ {
-		absMax := 0.0
-		for k := 0; k < w.Rows; k++ {
-			if a := math.Abs(w.Data[k*w.Cols+j]); a > absMax {
-				absMax = a
-			}
-		}
-		scale := absMax / 127
-		if scale == 0 {
-			scale = 1
-		}
-		q.Scale[j] = float32(scale)
-		for k := 0; k < w.Rows; k++ {
-			v := math.RoundToEven(w.Data[k*w.Cols+j] / scale)
-			if v > 127 {
-				v = 127
-			} else if v < -127 {
-				v = -127
-			}
-			q.Q[k*w.Cols+j] = int8(v)
-		}
-	}
-	return q
-}
-
-// MatMulQ8Into computes out = a*W for a quantized W: float32 activations times
-// int8 weights with float32 accumulation, column scales applied at the end.
-func MatMulQ8Into(a *Matrix32, w *QuantMat8, out *Matrix32) {
-	if a.Cols != w.Rows {
-		panic(fmt.Sprintf("tensor: MatMulQ8 shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, w.Rows, w.Cols))
-	}
-	out.Reset(a.Rows, w.Cols)
-	n, p := a.Cols, w.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*p : (i+1)*p]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyQ8(av, w.Q[k*p:(k+1)*p], orow)
-		}
-		for j, s := range w.Scale {
-			orow[j] *= s
 		}
 	}
 }

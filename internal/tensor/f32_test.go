@@ -64,45 +64,3 @@ func TestSpMM32MatchesFloat64(t *testing.T) {
 		}
 	}
 }
-
-func TestQuantizeInt8RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	w := randMatrix(rng, 64, 64, 0)
-	q := QuantizeInt8(w)
-	for j := 0; j < w.Cols; j++ {
-		for k := 0; k < w.Rows; k++ {
-			got := float64(q.Q[k*w.Cols+j]) * float64(q.Scale[j])
-			// Symmetric quantization error is bounded by half a step per element.
-			if math.Abs(got-w.Data[k*w.Cols+j]) > float64(q.Scale[j])*0.51 {
-				t.Fatalf("w[%d,%d]=%v dequantized to %v (scale %v)", k, j, w.Data[k*w.Cols+j], got, q.Scale[j])
-			}
-		}
-	}
-
-	zero := New(4, 2)
-	qz := QuantizeInt8(zero)
-	for _, s := range qz.Scale {
-		if s != 1 {
-			t.Fatalf("all-zero column scale = %v, want 1", s)
-		}
-	}
-}
-
-func TestMatMulQ8MatchesFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a64 := randMatrix(rng, 22, 64, 0.5)
-	w64 := randMatrix(rng, 64, 64, 0)
-	want := MatMul(a64, w64)
-	q := QuantizeInt8(w64)
-	var a32, out Matrix32
-	a32.SetFrom(a64)
-	MatMulQ8Into(&a32, q, &out)
-
-	// Quantization error is absolute (up to scale/2 per weight), not relative:
-	// for ~N(0,1) entries the 64-term dot accumulates to ~0.1 of noise.
-	for i, v := range out.Data {
-		if math.Abs(float64(v)-want.Data[i]) > 0.25+0.02*math.Abs(want.Data[i]) {
-			t.Fatalf("elem %d: q8 %v vs f64 %v", i, v, want.Data[i])
-		}
-	}
-}
