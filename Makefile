@@ -2,8 +2,7 @@
 #
 #   make check       — everything a PR must pass: build, vet, tests, decision-
 #                      equivalence gate, race tests, observability smoke test,
-#                      fleet, stream and gateway smoke tests, benchmark smoke
-#                      run
+#                      fleet, stream and gateway smoke tests, paper tables
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild tape oracle
 #                      (bitwise for float64; bounded divergence for
@@ -28,27 +27,18 @@
 #                      readys-gateway, a replica killed under
 #                      concurrent load (failover, identical responses), and
 #                      the client → gateway → replica trace link-validated
-#   make bench       — hot-path benchmark snapshot (writes BENCH_<rev>.json)
-#   make bench-smoke — fast readys-bench sanity run
-#   make bench-compare — perf-regression gate: quick bench diffed against the
-#                      committed $(BENCH_BASE); fails on a >$(BENCH_TOL)
-#                      regression of any key metric
+#   make tables      — paper-table gate: regenerate the six deterministic
+#                      results/*.csv from ./models and cmp them byte for byte
 #   make bench-serve — serving-throughput benchmark
 #   make serve       — run the scheduling daemon against ./models
 #   make fleet       — run the fleet dispatcher, publishing into ./models
 
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
-# Perf gate: the committed trajectory snapshot to diff against and the
-# fractional regression tolerance (0.20 = a key metric may be up to 20% worse
-# before the gate trips; raise via `make check BENCH_TOL=0.35` on known-slow
-# machines).
-BENCH_BASE ?= BENCH_273bd3e.json
-BENCH_TOL ?= 0.20
 
-.PHONY: check build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke bench bench-smoke bench-compare bench-serve serve fleet gateway
+.PHONY: check build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables bench-serve serve fleet gateway
 
-check: build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke bench-smoke
+check: build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables
 
 build:
 	$(GO) build ./...
@@ -168,23 +158,21 @@ stream-smoke:
 	rm -rf $(STREAM_TMP)
 	@echo stream-smoke OK
 
-# Full perf snapshot: SpMM vs dense propagation, decisions/sec, training
-# episodes/sec (workers 1 vs GOMAXPROCS).
-# Writes BENCH_<rev>.json for committing alongside the code it measures.
-bench:
-	$(GO) run ./cmd/readys-bench
-
-# Smoke variant of the same binary: tiny sizes, seconds not minutes, output
-# discarded. Guards against the benchmark harness itself rotting.
-bench-smoke:
-	$(GO) run ./cmd/readys-bench -quick -out /tmp/readys-bench-smoke.json
-	rm -f /tmp/readys-bench-smoke.json
-
-# Perf-regression gate: the quick bench diffed row-by-row against the committed snapshot. Prints the per-metric
-# delta table and exits non-zero when spmm ns/op, ns_per_decision, train
-# eps/sec or stream jobs/sec regressed more than BENCH_TOL.
-bench-compare:
-	$(GO) run ./cmd/readys-bench -quick -compare $(BENCH_BASE) -tol $(BENCH_TOL)
+# Paper-table gate: every refactor must leave the deterministic tables of the
+# paper byte-identical. Each is regenerated from the committed checkpoints and
+# compared with the committed file; cmp names the file and the first byte that
+# differs. Speed is judged elsewhere, on spreads rather than one reading:
+# benchmark/run.sh against BENCHMARK.json (benchmark/README.md).
+TABLES_TMP ?= /tmp/readys-tables
+tables:
+	rm -rf $(TABLES_TMP) && mkdir -p $(TABLES_TMP)
+	$(GO) build -o $(TABLES_TMP)/readys-fig ./cmd/readys-fig
+	for name in figure3 figure4 figure5 figure6 stream resilience; do \
+		$(TABLES_TMP)/readys-fig -fig $${name#figure} -models models -o $(TABLES_TMP)/$$name.csv && \
+		cmp $(TABLES_TMP)/$$name.csv results/$$name.csv || exit 1; \
+	done
+	rm -rf $(TABLES_TMP)
+	@echo tables OK
 
 bench-serve:
 	$(GO) test -bench BenchmarkServeScheduleThroughput -benchtime 2s -run '^$$' ./internal/serve/

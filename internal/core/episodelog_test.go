@@ -120,10 +120,10 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			pol := NewTrainingPolicy(NewAgent(c.agent), rand.New(rand.NewSource(23)))
 			if c.noInc {
-				pol.DisableIncrementalState()
+				pol.inc = nil
 			}
 			if c.tape {
-				pol.DisableServingEngine()
+				pol.engine = nil
 			}
 			probe := &stateProbe{pol: pol}
 			if err := c.run(probe, pol.Rng); err != nil {
@@ -157,8 +157,8 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 			if len(log.windows) >= len(probe.states) {
 				t.Fatalf("%d windows for %d decisions: consecutive decisions share none", len(log.windows), len(probe.states))
 			}
-			if !c.noInc && len(log.windows) != pol.IncrementalStats().AdjRebuilds {
-				t.Fatalf("%d windows stored, the encoder rebuilt its adjacency %d times", len(log.windows), pol.IncrementalStats().AdjRebuilds)
+			if !c.noInc && len(log.windows) != pol.inc.stats.AdjRebuilds {
+				t.Fatalf("%d windows stored, the encoder rebuilt its adjacency %d times", len(log.windows), pol.inc.stats.AdjRebuilds)
 			}
 			if c.stream {
 				if len(probe.epochs) < 3 {

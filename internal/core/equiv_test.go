@@ -93,7 +93,7 @@ func TestIncrementalEncodeBitIdentical(t *testing.T) {
 					if probe.n == 0 {
 						t.Fatalf("%s: no decisions probed", ctx)
 					}
-					st := pol.IncrementalStats()
+					st := pol.inc.stats
 					if st.Rebuilds == 0 || st.Rebuilds >= st.Decisions {
 						t.Fatalf("%s: implausible incremental stats %+v", ctx, st)
 					}
@@ -119,10 +119,7 @@ func TestIncrementalResultIdentical(t *testing.T) {
 				}
 
 				fast := NewPolicy(agent)
-				slow := NewPolicy(agent)
-				slow.DisableIncrementalState()
-				slow.DisableDecisionMemo()
-				slow.DisableServingEngine()
+				slow := NewReferencePolicy(agent)
 				if !greedy {
 					fast.Greedy, fast.Rng = false, rand.New(rand.NewSource(7))
 					slow.Greedy, slow.Rng = false, rand.New(rand.NewSource(7))
@@ -201,10 +198,7 @@ func TestServingPolicyResultIdentical(t *testing.T) {
 	prob.Faults = sim.SpecForRate(1.0, 0)
 
 	serving := NewServingPolicy(agent, PrecisionFloat64)
-	oracle := NewPolicy(agent)
-	oracle.DisableIncrementalState()
-	oracle.DisableDecisionMemo()
-	oracle.DisableServingEngine()
+	oracle := NewReferencePolicy(agent)
 
 	ra, err := prob.Simulate(serving, rand.New(rand.NewSource(41)))
 	if err != nil {
@@ -236,8 +230,7 @@ func TestServingNeverInTraining(t *testing.T) {
 	engine := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
 	engine.EnableServing(PrecisionFloat64) // re-attaching the float64 engine is fine
 	tape := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-	tape.DisableServingEngine()
-	tape.DisableIncrementalState()
+	tape.engine, tape.inc = nil, nil
 	for _, p := range []*Policy{engine, tape} {
 		if _, err := prob.Simulate(p, rand.New(rand.NewSource(1))); err != nil {
 			t.Fatal(err)

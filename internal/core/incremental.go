@@ -8,8 +8,7 @@ import (
 	"readys/internal/tensor"
 )
 
-// IncrementalStats counts the incremental encoder's work (see
-// Policy.IncrementalStats).
+// IncrementalStats counts the incremental encoder's work.
 type IncrementalStats struct {
 	// Decisions counts Encode calls; Rebuilds how many recomputed the window.
 	Decisions, Rebuilds int

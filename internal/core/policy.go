@@ -82,8 +82,8 @@ type Policy struct {
 	InferenceCount int
 
 	// feats is F(i) materialised over the whole graph, for the path that
-	// rebuilds the state on every decision (EncodeFault, the oracle left by
-	// DisableIncrementalState); see unionFeats. The incremental encoder keeps
+	// rebuilds the state on every decision (EncodeFault, the oracle of
+	// NewReferencePolicy); see unionFeats. The incremental encoder keeps
 	// its own append-only F.
 	feats [][taskgraph.NumKernels]float64
 
@@ -127,14 +127,21 @@ type memoVal struct {
 
 // NewPolicy returns an evaluation-mode (greedy) policy for the agent. The
 // decision state is maintained incrementally and the forward pass runs on the
-// allocation-free float64 serving engine — both bit-identical to the full
-// rebuild + tape path (see the equivalence tests) and individually revertible
-// via DisableIncrementalState / DisableServingEngine.
+// allocation-free float64 serving engine — both bit-identical to
+// NewReferencePolicy's full rebuild + tape path (see the equivalence tests).
 func NewPolicy(agent *Agent) *Policy {
 	p := &Policy{Agent: agent, Greedy: true}
 	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 	p.engine = newServeEngine(agent, PrecisionFloat64)
 	return p
+}
+
+// NewReferencePolicy returns the reference implementation the equivalence
+// tests compare every other policy against: a greedy policy that rebuilds the
+// state with EncodeFault on every decision, evaluates it on the autograd tape
+// and memoises nothing.
+func NewReferencePolicy(agent *Agent) *Policy {
+	return &Policy{Agent: agent, Greedy: true, noMemo: true}
 }
 
 // NewServingPolicy returns a greedy policy that evaluates the network on the
@@ -171,28 +178,6 @@ func (p *Policy) EnableServing(prec Precision) {
 	}
 	p.engine = newServeEngine(p.Agent, prec)
 	p.engine.critic = p.Record
-}
-
-// DisableIncrementalState forces a full EncodeFault rebuild on every decision
-// (the incremental path's oracle).
-func (p *Policy) DisableIncrementalState() { p.inc = nil }
-
-// DisableDecisionMemo turns off within-round forward memoization.
-func (p *Policy) DisableDecisionMemo() { p.noMemo = true }
-
-// DisableServingEngine reverts the forward pass to the autograd tape.
-// Combined with DisableIncrementalState and DisableDecisionMemo this
-// reproduces the pre-optimization decision path exactly — the oracle
-// configuration for equivalence tests and benchmarks.
-func (p *Policy) DisableServingEngine() { p.engine = nil }
-
-// IncrementalStats reports the incremental encoder's work counters (zero
-// value when the incremental path is disabled).
-func (p *Policy) IncrementalStats() IncrementalStats {
-	if p.inc == nil {
-		return IncrementalStats{}
-	}
-	return p.inc.stats
 }
 
 // Reset implements sim.Policy: it clears the episode recording, the

@@ -96,17 +96,17 @@ func (c *Client) retryBase() time.Duration {
 	return defaultRetryBase
 }
 
-// BackoffDelay is the sleep before retry attempt i (1-based): the base delay
+// backoffDelay is the sleep before retry attempt i (1-based): the base delay
 // doubled per attempt, jittered uniformly over [0.5d, 1.5d).
-func BackoffDelay(base time.Duration, attempt int) time.Duration {
+func backoffDelay(base time.Duration, attempt int) time.Duration {
 	d := base << (attempt - 1)
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// Retriable reports whether a request outcome is worth re-sending: transport
+// retriable reports whether a request outcome is worth re-sending: transport
 // errors (no status at all) and server-side 5xx failures. Every 4xx is an
 // application answer — a retry would just repeat it.
-func Retriable(status int, err error) bool {
+func retriable(status int, err error) bool {
 	return (err != nil && status == 0) || status >= http.StatusInternalServerError
 }
 
@@ -140,10 +140,10 @@ func (c *Client) send(method, path string, body, out any, retry bool, wantStatus
 	)
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(BackoffDelay(c.retryBase(), i))
+			time.Sleep(backoffDelay(c.retryBase(), i))
 		}
 		status, err = c.doOnce(method, path, data, body != nil, out, wantStatus...)
-		if !Retriable(status, err) {
+		if !retriable(status, err) {
 			break
 		}
 	}

@@ -626,26 +626,3 @@ func (d *Dispatcher) Job(id string) (*Job, error) {
 	}
 	return j.clone(), nil
 }
-
-// WorkerList returns a snapshot of the registered workers sorted by ID.
-func (d *Dispatcher) WorkerList() []workerState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]workerState, 0, len(d.workers))
-	for _, w := range d.workers {
-		out = append(out, *w)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
-
-// CountByState tallies jobs per lifecycle state (the JSON metrics snapshot).
-func (d *Dispatcher) CountByState() map[JobState]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[JobState]int, 4)
-	for _, j := range d.jobs {
-		out[j.State]++
-	}
-	return out
-}

@@ -416,26 +416,14 @@ func (d *Dispatcher) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, http.StatusMethodNotAllowed, errors.New("fleet: use GET"))
 		return
 	}
+	write, ctype := d.metrics.reg.WriteJSON, "application/json"
 	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := d.metrics.WritePrometheus(w); err != nil {
-			d.logf("fleet: writing prometheus metrics: %v", err)
-		}
-		return
+		write, ctype = d.metrics.reg.WriteText, "text/plain; version=0.0.4; charset=utf-8"
 	}
-	states := d.CountByState()
-	d.writeJSON(w, http.StatusOK, map[string]any{
-		"queue": map[string]any{
-			"pending": states[StatePending],
-			"running": states[StateRunning],
-			"done":    states[StateDone],
-			"failed":  states[StateFailed],
-		},
-		"workers":           len(d.WorkerList()),
-		"lease_expirations": d.metrics.leaseExpirations.Value(),
-		"retries":           d.metrics.retries.Value(),
-		"dedup_hits":        d.metrics.dedupHits.Value(),
-	})
+	w.Header().Set("Content-Type", ctype)
+	if err := write(w); err != nil {
+		d.logf("fleet: writing metrics: %v", err)
+	}
 }
 
 // handleTrace exports the request-span ring as Chrome trace-event JSON.

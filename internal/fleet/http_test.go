@@ -173,21 +173,21 @@ func TestHTTPMetricsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// JSON snapshot.
+	// JSON: the registry's families.
 	resp, err := http.Get(client.BaseURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var snap struct {
-		Queue   map[string]int `json:"queue"`
-		Workers int            `json:"workers"`
+		Running int `json:"fleet_jobs_running"`
+		Workers int `json:"fleet_workers_registered"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Queue["running"] != 1 || snap.Workers != 1 {
-		t.Fatalf("metrics snapshot = %+v", snap)
+	if snap.Running != 1 || snap.Workers != 1 {
+		t.Fatalf("metrics JSON = %+v", snap)
 	}
 
 	// Prometheus exposition.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"io"
 	"time"
 
 	"readys/internal/obs"
@@ -84,6 +83,3 @@ func (m *Metrics) ObserveHTTP(endpoint string, d time.Duration, isError bool) {
 	}
 	m.httpLatency.With(endpoint).Observe(float64(d) / float64(time.Millisecond))
 }
-
-// WritePrometheus renders the metric set as Prometheus 0.0.4 text.
-func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WriteText(w) }

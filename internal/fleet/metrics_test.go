@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,35 +16,8 @@ import (
 // pure function of the event history; any drift in metric names, labels,
 // bucket layouts or ordering fails the golden comparison.
 func TestPrometheusGoldenExposition(t *testing.T) {
-	m := NewMetrics()
-
-	// A deterministic history: two submissions (one train, one eval), one
-	// dedup hit, one worker registering, one lease (train starts running),
-	// a lease expiry + retry, a completion, and two instrumented requests.
-	m.submitted.With("train").Inc()
-	m.submitted.With("eval").Inc()
-	m.queueDepth.Add(2)
-	m.dedupHits.Inc()
-	m.workers.Set(1)
-	m.queueDepth.Add(-1)
-	m.runningJobs.Add(1)
-	m.leaseExpirations.Inc()
-	m.retries.Inc()
-	m.runningJobs.Add(-1)
-	m.queueDepth.Add(1)
-	m.queueDepth.Add(-1)
-	m.runningJobs.Add(1)
-	m.runningJobs.Add(-1)
-	m.completed.With("train").Inc()
-	m.duration.With("train").Observe(2.5)
-	m.failed.With("eval").Inc()
-	m.artifactBytes.Add(1024)
-	m.walCompactions.Inc()
-	m.ObserveHTTP("lease", 3*time.Millisecond, false)
-	m.ObserveHTTP("complete", 40*time.Millisecond, true)
-
 	var sb strings.Builder
-	if err := m.WritePrometheus(&sb); err != nil {
+	if err := goldenMetrics().reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -135,6 +111,120 @@ fleet_http_latency_ms_count{endpoint="lease"} 1
 	if got != want {
 		t.Fatalf("golden exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s\n--- first diff ---\n%s",
 			got, want, firstDiff(got, want))
+	}
+}
+
+// goldenMetrics is the fixture of the two exposition tests: a fleet metric set
+// after a fixed synthetic event sequence.
+func goldenMetrics() *Metrics {
+	m := NewMetrics()
+
+	// A deterministic history: two submissions (one train, one eval), one
+	// dedup hit, one worker registering, one lease (train starts running),
+	// a lease expiry + retry, a completion, and two instrumented requests.
+	m.submitted.With("train").Inc()
+	m.submitted.With("eval").Inc()
+	m.queueDepth.Add(2)
+	m.dedupHits.Inc()
+	m.workers.Set(1)
+	m.queueDepth.Add(-1)
+	m.runningJobs.Add(1)
+	m.leaseExpirations.Inc()
+	m.retries.Inc()
+	m.runningJobs.Add(-1)
+	m.queueDepth.Add(1)
+	m.queueDepth.Add(-1)
+	m.runningJobs.Add(1)
+	m.runningJobs.Add(-1)
+	m.completed.With("train").Inc()
+	m.duration.With("train").Observe(2.5)
+	m.failed.With("eval").Inc()
+	m.artifactBytes.Add(1024)
+	m.walCompactions.Inc()
+	m.ObserveHTTP("lease", 3*time.Millisecond, false)
+	m.ObserveHTTP("complete", 40*time.Millisecond, true)
+	return m
+}
+
+// TestMetricsJSONMatchesExposition holds WriteJSON to WriteText on the golden
+// fixture: every sample of the text exposition is in the JSON under its
+// family, label value and histogram part, with the same number, and the JSON
+// holds no number besides.
+func TestMetricsJSONMatchesExposition(t *testing.T) {
+	m := goldenMetrics()
+	var text, js strings.Builder
+	if err := m.reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.reg.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+
+	var tree map[string]any
+	if err := json.Unmarshal([]byte(js.String()), &tree); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case float64:
+			got[path] = v
+		case map[string]any:
+			for k, child := range v {
+				walk(path+"/"+k, child)
+			}
+		default:
+			t.Fatalf("%s: %T in the JSON, want numbers and objects only", path, v)
+		}
+	}
+	for family, v := range tree {
+		walk(family, v)
+	}
+
+	want := make(map[string]float64)
+	histograms := make(map[string]bool)
+	sample := regexp.MustCompile(`^(\w+?)(_bucket|_sum|_count)?(?:\{\w+="([^"]*)"(?:,le="([^"]*)")?\})? (\S+)$`)
+	for _, line := range strings.Split(strings.TrimSpace(text.String()), "\n") {
+		if f := strings.Fields(line); f[0] == "#" {
+			histograms[f[2]] = f[1] == "TYPE" && f[3] == "histogram"
+			continue
+		}
+		g := sample.FindStringSubmatch(line)
+		if g == nil {
+			t.Fatalf("unparsed exposition line %q", line)
+		}
+		path, part := g[1], g[2]
+		if !histograms[path] { // e.g. fleet_lease_expirations_total: the suffix is the name's
+			path, part = path+part, ""
+		}
+		if g[3] != "" {
+			path += "/" + g[3]
+		}
+		switch part {
+		case "_bucket":
+			path += "/buckets/" + g[4]
+		case "_sum", "_count":
+			path += "/" + part[1:]
+		}
+		v, err := strconv.ParseFloat(g[5], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		want[path] = v
+	}
+	if len(want) == 0 {
+		t.Fatal("no sample parsed from the text exposition")
+	}
+	for path, v := range want {
+		if g, ok := got[path]; !ok || g != v {
+			t.Errorf("%s: JSON has %v (present %v), text exposition %v", path, g, ok, v)
+		}
+	}
+	for path, g := range got {
+		if _, ok := want[path]; !ok {
+			t.Errorf("%s: %v in the JSON, not in the text exposition", path, g)
+		}
 	}
 }
 

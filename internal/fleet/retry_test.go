@@ -124,7 +124,7 @@ func TestBackoffDelayJitterBounds(t *testing.T) {
 	for attempt := 1; attempt <= 3; attempt++ {
 		d := base << (attempt - 1)
 		for i := 0; i < 100; i++ {
-			got := BackoffDelay(base, attempt)
+			got := backoffDelay(base, attempt)
 			if got < d/2 || got >= d+d/2 {
 				t.Fatalf("attempt %d: delay %s outside [%s, %s)", attempt, got, d/2, d+d/2)
 			}

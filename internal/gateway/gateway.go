@@ -523,21 +523,21 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request, tid int6
 	})
 }
 
-// handleMetrics serves the gateway's counters: Prometheus text exposition
-// with ?format=prometheus, a JSON tree otherwise.
+// handleMetrics serves the gateway's registry: Prometheus text exposition
+// with ?format=prometheus, JSON otherwise.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use GET"))
 		return
 	}
+	write, ctype := g.metrics.reg.WriteJSON, "application/json"
 	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := g.metrics.WritePrometheus(w); err != nil && g.cfg.Logger != nil {
-			g.cfg.Logger.Printf("gateway: writing prometheus metrics: %v", err)
-		}
-		return
+		write, ctype = g.metrics.reg.WriteText, "text/plain; version=0.0.4; charset=utf-8"
 	}
-	g.writeJSON(w, http.StatusOK, g.metrics.Snapshot())
+	w.Header().Set("Content-Type", ctype)
+	if err := write(w); err != nil && g.cfg.Logger != nil {
+		g.cfg.Logger.Printf("gateway: writing metrics: %v", err)
+	}
 }
 
 // handleTrace exports the gateway's span ring as Chrome trace-event JSON.

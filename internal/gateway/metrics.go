@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"io"
 	"time"
 
 	"readys/internal/obs"
@@ -65,34 +64,3 @@ func (m *Metrics) Failover() { m.failovers.Inc() }
 
 // Failovers returns the failover count (tests and the smoke harness).
 func (m *Metrics) Failovers() uint64 { return m.failovers.Value() }
-
-// WritePrometheus renders every metric in the Prometheus text exposition
-// format (served on GET /metrics?format=prometheus).
-func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WriteText(w) }
-
-// Snapshot renders the counters as a JSON-encodable tree for the default
-// /metrics format.
-func (m *Metrics) Snapshot() map[string]any {
-	eps := make(map[string]any)
-	for _, labels := range m.requests.Labels() {
-		name := labels[0]
-		eps[name] = map[string]any{
-			"requests": m.requests.With(name).Value(),
-			"errors":   m.errors.With(name).Value(),
-		}
-	}
-	reps := make(map[string]any)
-	for _, labels := range m.replicaHealthy.Labels() {
-		url := labels[0]
-		reps[url] = map[string]any{
-			"healthy":  m.replicaHealthy.With(url).Value() == 1,
-			"requests": m.replicaRequests.With(url).Value(),
-		}
-	}
-	return map[string]any{
-		"uptime_seconds": time.Since(m.start).Seconds(),
-		"failovers":      m.failovers.Value(),
-		"endpoints":      eps,
-		"replicas":       reps,
-	}
-}

@@ -10,6 +10,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -224,9 +225,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
-// Labels returns every label-value combination observed so far, sorted.
-func (v *CounterVec) Labels() [][]string { return v.f.labelValues() }
-
 // GaugeVec is a gauge family with one or more labels.
 type GaugeVec struct{ f *family }
 
@@ -243,9 +241,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
-
-// Labels returns every label-value combination observed so far, sorted.
-func (v *GaugeVec) Labels() [][]string { return v.f.labelValues() }
 
 // HistogramVec is a histogram family with one or more labels.
 type HistogramVec struct{ f *family }
@@ -265,9 +260,6 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values, func() any { return newHistogram(v.f.bounds) }).(*Histogram)
 }
-
-// Labels returns every label-value combination observed so far, sorted.
-func (v *HistogramVec) Labels() [][]string { return v.f.labelValues() }
 
 func (f *family) labelValues() [][]string {
 	f.mu.Lock()
@@ -290,18 +282,74 @@ func (f *family) labelValues() [][]string {
 // cumulative _bucket/_sum/_count series. Families appear in registration
 // order and children in sorted label order, so output is deterministic.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	for _, name := range names {
-		r.mu.Lock()
-		f := r.families[name]
-		r.mu.Unlock()
+	for _, f := range r.ordered() {
 		if err := f.writeText(w); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// ordered returns the families in registration order.
+func (r *Registry) ordered() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := make([]*family, len(r.order))
+	for i, name := range r.order {
+		fams[i] = r.families[name]
+	}
+	return fams
+}
+
+// WriteJSON renders the same samples as WriteText as one JSON object keyed by
+// family name (keys sorted, so output is deterministic): an unlabelled counter
+// or gauge is a number, a labelled family an object keyed by its label values
+// (joined by "," when there are several), and a histogram
+// {"count", "sum", "buckets"} with cumulative counts keyed by upper bound,
+// "+Inf" last.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	out := make(map[string]any)
+	for _, f := range r.ordered() {
+		out[f.name] = f.jsonValue()
+	}
+	return json.NewEncoder(w).Encode(out)
+}
+
+func (f *family) jsonValue() any {
+	if f.kind == kindGaugeFunc {
+		return f.fn()
+	}
+	byLabel := make(map[string]any)
+	for _, values := range f.labelValues() {
+		f.mu.Lock()
+		c := f.children[strings.Join(values, "\x00")]
+		f.mu.Unlock()
+		var v any
+		switch m := c.(type) {
+		case *Counter:
+			v = m.Value()
+		case *Gauge:
+			v = m.Value()
+		case *Histogram:
+			s := m.Snapshot()
+			buckets := make(map[string]uint64, len(s.Counts))
+			var cum uint64
+			for i, n := range s.Counts {
+				cum += n
+				le := "+Inf"
+				if i < len(s.Bounds) {
+					le = formatFloat(s.Bounds[i])
+				}
+				buckets[le] = cum
+			}
+			v = map[string]any{"count": s.Count, "sum": s.Sum, "buckets": buckets}
+		}
+		if len(f.labels) == 0 {
+			return v
+		}
+		byLabel[strings.Join(values, ",")] = v
+	}
+	return byLabel
 }
 
 func (f *family) writeText(w io.Writer) error {

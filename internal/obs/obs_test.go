@@ -74,10 +74,6 @@ func TestGaugeVecText(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	labels := v.Labels()
-	if len(labels) != 2 {
-		t.Fatalf("Labels() = %v, want 2 children", labels)
-	}
 	if v.With("http://a:1") != v.With("http://a:1") {
 		t.Fatal("same label values must return the same gauge")
 	}

@@ -121,8 +121,8 @@ func (s *Server) registerDebug() {
 	s.mux.HandleFunc("/debug/runtime", s.handleRuntime)
 }
 
-// registerComponentGauges exposes registry and pool occupancy in the
-// Prometheus exposition without coupling Metrics to either component.
+// registerComponentGauges exposes registry and pool occupancy on /metrics
+// without coupling Metrics to either component.
 func registerComponentGauges(reg *obs.Registry, registry *Registry, pool *Pool) {
 	reg.GaugeFunc("readys_model_cache_resident", "Checkpoints currently resident in the LRU registry.",
 		func() float64 { resident, _, _, _ := registry.Stats(); return float64(resident) })
@@ -130,6 +130,8 @@ func registerComponentGauges(reg *obs.Registry, registry *Registry, pool *Pool) 
 		func() float64 { _, hits, _, _ := registry.Stats(); return float64(hits) })
 	reg.GaugeFunc("readys_model_cache_misses_total", "Model cache misses.",
 		func() float64 { _, _, misses, _ := registry.Stats(); return float64(misses) })
+	reg.GaugeFunc("readys_model_cache_evicted_total", "Checkpoints evicted from the LRU registry.",
+		func() float64 { _, _, _, evicted := registry.Stats(); return float64(evicted) })
 	reg.GaugeFunc("readys_pool_queued", "Jobs waiting in the bounded queue.",
 		func() float64 { return float64(pool.Queued()) })
 	reg.GaugeFunc("readys_pool_running", "Jobs currently executing.",

@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"io"
 	"runtime"
-	"strconv"
+	"runtime/metrics"
 	"time"
 
 	"readys/internal/obs"
@@ -22,9 +21,8 @@ var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 var decideBucketsUS = []float64{5, 10, 25, 50, 100, 250, 1000, 10000}
 
 // Metrics is the service's counter set, backed by the shared obs registry.
-// GET /metrics serves it as JSON (the historical expvar-style tree) or, with
-// ?format=prometheus, as Prometheus text exposition. All methods are safe
-// for concurrent use.
+// GET /metrics serves the registry as JSON or, with ?format=prometheus, as
+// Prometheus text exposition. All methods are safe for concurrent use.
 type Metrics struct {
 	start time.Time
 	reg   *obs.Registry
@@ -40,8 +38,8 @@ type Metrics struct {
 	scheduled *obs.Counter // successfully answered schedule requests
 }
 
-// NewMetrics returns an empty metric set anchored at now. Runtime gauges
-// (uptime, goroutines, heap) are registered for the Prometheus exposition.
+// NewMetrics returns an empty metric set anchored at now, with the runtime
+// gauges (uptime, goroutines, heap) registered.
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
@@ -62,9 +60,10 @@ func NewMetrics() *Metrics {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("readys_heap_alloc_bytes", "Bytes of allocated heap objects.",
 		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
+			// runtime/metrics, not ReadMemStats: a scrape must not stop the world.
+			heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+			metrics.Read(heap)
+			return float64(heap[0].Value.Uint64())
 		})
 	return m
 }
@@ -101,78 +100,3 @@ func (m *Metrics) Timeout() { m.timeouts.Inc() }
 
 // Scheduled counts a successfully served schedule request.
 func (m *Metrics) Scheduled() { m.scheduled.Inc() }
-
-// WritePrometheus renders every metric in the Prometheus text exposition
-// format (served on GET /metrics?format=prometheus).
-func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WriteText(w) }
-
-// Snapshot renders every counter as a JSON-encodable tree — the same shape
-// the endpoint served before the obs refactor, so dashboards keep working.
-// The registry and pool gauges are passed in by the server so Metrics stays
-// free of dependencies on the other components.
-func (m *Metrics) Snapshot(registry *Registry, pool *Pool) map[string]any {
-	out := map[string]any{
-		"uptime_seconds":     time.Since(m.start).Seconds(),
-		"inflight":           m.inflight.Value(),
-		"rejected_busy":      m.rejected.Value(),
-		"request_timeouts":   m.timeouts.Value(),
-		"schedules_answered": m.scheduled.Value(),
-	}
-
-	eps := make(map[string]any)
-	for _, labels := range m.requests.Labels() {
-		name := labels[0]
-		eps[name] = map[string]any{
-			"requests": m.requests.With(name).Value(),
-			"errors":   m.errors.With(name).Value(),
-			"latency":  latencyTree(m.latency.With(name).Snapshot()),
-		}
-	}
-	out["endpoints"] = eps
-
-	if registry != nil {
-		resident, hits, misses, evicted := registry.Stats()
-		var hitRate float64
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
-		}
-		out["model_cache"] = map[string]any{
-			"resident": resident,
-			"hits":     hits,
-			"misses":   misses,
-			"evicted":  evicted,
-			"hit_rate": hitRate,
-		}
-	}
-	if pool != nil {
-		out["pool"] = map[string]any{
-			"queued":  pool.Queued(),
-			"running": pool.Running(),
-		}
-	}
-	return out
-}
-
-// latencyTree converts a histogram snapshot into the JSON-friendly map the
-// endpoint has always served: cumulative bucket counts keyed by
-// "le_<bound>", plus count/sum/mean.
-func latencyTree(s obs.HistogramSnapshot) map[string]any {
-	buckets := make(map[string]uint64, len(s.Counts))
-	var cum uint64
-	for i, bound := range s.Bounds {
-		cum += s.Counts[i]
-		// Bounds are integral milliseconds; print without a decimal point.
-		buckets["le_"+strconv.FormatInt(int64(bound), 10)] = cum
-	}
-	cum += s.Counts[len(s.Bounds)]
-	buckets["le_inf"] = cum
-	out := map[string]any{
-		"count":      s.Count,
-		"sum_ms":     s.Sum,
-		"buckets_ms": buckets,
-	}
-	if s.Count > 0 {
-		out["mean_ms"] = s.Sum / float64(s.Count)
-	}
-	return out
-}

@@ -78,6 +78,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"readys_goroutines ",
 		"readys_heap_alloc_bytes ",
 		"readys_model_cache_resident 1",
+		"readys_model_cache_evicted_total 0",
 		"readys_pool_queued 0",
 		"# TYPE readys_http_latency_ms histogram",
 		// Per-decision inference latency: the sub-100µs serving buckets must

@@ -209,14 +209,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, errors.New("serve: use GET"))
 		return
 	}
+	write, ctype := s.metrics.reg.WriteJSON, "application/json"
 	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.metrics.WritePrometheus(w); err != nil && s.cfg.Logger != nil {
-			s.cfg.Logger.Printf("serve: writing prometheus metrics: %v", err)
-		}
-		return
+		write, ctype = s.metrics.reg.WriteText, "text/plain; version=0.0.4; charset=utf-8"
 	}
-	s.writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.registry, s.pool))
+	w.Header().Set("Content-Type", ctype)
+	if err := write(w); err != nil && s.cfg.Logger != nil {
+		s.cfg.Logger.Printf("serve: writing metrics: %v", err)
+	}
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -246,6 +246,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, status, err := s.schedule(r.Context(), &req)
 	if err != nil {
+		if errors.Is(err, ErrBusy) || errors.Is(err, ErrShuttingDown) {
+			// Shed, not broken: say when to come back. The gateway relays it.
+			w.Header().Set("Retry-After", "1")
+		}
 		s.writeError(w, status, err)
 		return
 	}

@@ -220,27 +220,31 @@ func TestServeMetrics(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
-	eps, _ := m["endpoints"].(map[string]any)
-	sched, _ := eps["schedule"].(map[string]any)
-	if sched == nil {
-		t.Fatalf("no schedule endpoint stats in %s", rec.Body.String())
+	// byEndpoint reads a labelled family's "schedule" child.
+	byEndpoint := func(family string) any {
+		children, _ := m[family].(map[string]any)
+		return children["schedule"]
 	}
-	if got := sched["requests"].(float64); got != 4 {
-		t.Errorf("schedule requests = %v, want 4", got)
+	if got := byEndpoint("readys_http_requests_total"); got != 4.0 {
+		t.Errorf("schedule requests = %v, want 4 in %s", got, rec.Body.String())
 	}
-	if got := sched["errors"].(float64); got != 1 {
+	if got := byEndpoint("readys_http_errors_total"); got != 1.0 {
 		t.Errorf("schedule errors = %v, want 1", got)
 	}
-	lat, _ := sched["latency"].(map[string]any)
-	if lat == nil || lat["count"].(float64) != 4 {
+	lat, _ := byEndpoint("readys_http_latency_ms").(map[string]any)
+	if buckets, _ := lat["buckets"].(map[string]any); lat["count"] != 4.0 || buckets["+Inf"] != 4.0 {
 		t.Errorf("latency histogram wrong: %v", lat)
 	}
-	cache, _ := m["model_cache"].(map[string]any)
-	if cache == nil || cache["hits"].(float64) != 2 || cache["misses"].(float64) != 1 {
-		t.Errorf("cache stats wrong: %v", cache)
-	}
-	if m["schedules_answered"].(float64) != 3 {
-		t.Errorf("schedules_answered = %v, want 3", m["schedules_answered"])
+	for family, want := range map[string]float64{
+		"readys_model_cache_hits_total":    2,
+		"readys_model_cache_misses_total":  1,
+		"readys_model_cache_evicted_total": 0,
+		"readys_model_cache_resident":      1,
+		"readys_schedules_answered_total":  3,
+	} {
+		if got, ok := m[family]; !ok || got != want {
+			t.Errorf("%s = %v, want %v", family, got, want)
+		}
 	}
 }
 
@@ -269,6 +273,9 @@ func TestServeBackpressure(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated pool -> %d, want 503", rec.Code)
 	}
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("saturated pool: Retry-After %q, want \"1\"", ra)
+	}
 	close(block)
 
 	// Once the pool clears, the same request succeeds and the rejection is
@@ -284,9 +291,8 @@ func TestServeBackpressure(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	snap := s.Metrics().Snapshot(s.Registry(), s.pool)
-	if snap["rejected_busy"].(uint64) < 1 {
-		t.Fatalf("rejection not counted: %v", snap["rejected_busy"])
+	if n := s.metrics.rejected.Value(); n < 1 {
+		t.Fatalf("rejection not counted: %d", n)
 	}
 }
 
@@ -334,6 +340,9 @@ func TestServeGracefulShutdownDrains(t *testing.T) {
 	rec, _ := postSchedule(t, h, ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown schedule -> %d, want 503", rec.Code)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("post-shutdown schedule: Retry-After %q, want \"1\"", ra)
 	}
 	// Liveness and metrics stay up for the supervisor.
 	rec2 := httptest.NewRecorder()

@@ -237,13 +237,7 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 		horizon := arr[len(arr)-1].At + 3000
 		for fi, faults := range []*sim.FaultPlan{nil, sim.GeneratePlan(seed, 4, sim.SpecForRate(1.0, horizon))} {
 			for _, ag := range []*core.Agent{agent, faultAgent} {
-				oracle := runStream(t, func() sim.Policy {
-					p := core.NewPolicy(ag)
-					p.DisableIncrementalState()
-					p.DisableDecisionMemo()
-					p.DisableServingEngine()
-					return p
-				}, arr, seed, faults)
+				oracle := runStream(t, func() sim.Policy { return core.NewReferencePolicy(ag) }, arr, seed, faults)
 				want := fingerprint(oracle)
 				fresh, union := freshGraphStream(t, core.NewPolicy(ag), arr, seed, faults)
 				if !reflect.DeepEqual(fresh, oracle.Sim) {
