@@ -1,8 +1,9 @@
 # Pre-merge checks for the READYS reproduction.
 #
 #   make check       — everything a PR must pass: build, vet, tests, decision-
-#                      equivalence gate, race tests, observability smoke test,
-#                      fleet, stream and gateway smoke tests, paper tables
+#                      equivalence gate, race tests, portability gate,
+#                      observability smoke test, fleet, stream and gateway
+#                      smoke tests, paper tables
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild tape oracle
 #                      (bitwise for float64; bounded divergence for
@@ -12,6 +13,9 @@
 #                      training bit for bit
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
+#   make portable    — cross-build for arm64 (the only thing here that
+#                      compiles the non-amd64 kernel file) and require that no
+#                      internal/tensor product was fused into its add
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
 #                      JSONL, sim trace, flight recorder, and a dispatcher +
 #                      worker pair whose merged cross-process trace must
@@ -36,9 +40,9 @@
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
 
-.PHONY: check build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables bench-serve serve fleet gateway
+.PHONY: check build vet test equiv race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables bench-serve serve fleet gateway
 
-check: build vet test equiv race obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables
+check: build vet test equiv race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables
 
 build:
 	$(GO) build ./...
@@ -107,6 +111,25 @@ equiv:
 # (stream rollouts share agents across workers).
 race:
 	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/fleet/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
+
+# Portability gate. internal/tensor's assembly exists for amd64 only; every
+# other architecture runs the Go loops of axpy.go/ops.go behind
+# axpy_noasm.go, which nothing else on an amd64 box compiles — shared code
+# that names an amd64-only symbol breaks them silently. And where the target
+# has FMA the compiler fuses y += a*x unless the product is written
+# float64(a*x), rounding once where VMULPD/VADDPD round twice. Pure Go, no
+# cgo: the cross-build works offline. The disassembly is of the package
+# archive, so it covers functions no command links.
+PORTABLE_TMP ?= /tmp/readys-portable
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	rm -rf $(PORTABLE_TMP) && mkdir -p $(PORTABLE_TMP)
+	GOARCH=arm64 $(GO) build -o $(PORTABLE_TMP)/tensor.a ./internal/tensor/
+	@if $(GO) tool objdump $(PORTABLE_TMP)/tensor.a | grep -E 'FN?M(ADD|SUB)'; then \
+		echo "portable: fused multiply-add in internal/tensor — write the product as float64(a*x)"; exit 1; fi
+	rm -rf $(PORTABLE_TMP)
+	@echo portable OK
 
 # End-to-end observability check. Phase 1 artifacts: train a tiny agent with
 # -telemetry, simulate one DAG with -trace, assert both are valid and

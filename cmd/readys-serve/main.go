@@ -46,7 +46,7 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof and /debug/runtime (off by default)")
 		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace (0 = default)")
-		precision   = flag.String("precision", "float64", "serving precision for rollouts: float64 (bit-identical to training-path decisions) or float32")
+		precision   = flag.String("precision", "float64", "serving precision for rollouts: float64 (bit-identical to training-path decisions, and the faster tier) or float32 (bounded divergence; about 2x the decision time of float64 since the float64 row kernel)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "readys-serve: ", log.LstdFlags)

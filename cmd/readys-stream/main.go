@@ -59,7 +59,7 @@ func main() {
 		flightPath   = flag.String("flight", "", "write the cluster flight recorder (arrivals, decisions, kills, faults, ready depth) as JSONL to this path")
 		writeArr     = flag.String("write-arrivals", "", "write the (generated or replayed) arrival list as JSONL to this path")
 		quiet        = flag.Bool("quiet", false, "suppress the per-job table")
-		precision    = flag.String("precision", "float64", "serving precision for -policy readys: float64 (bit-identical) or float32")
+		precision    = flag.String("precision", "float64", "serving precision for -policy readys: float64 (bit-identical, and the faster tier) or float32 (bounded divergence; about 2x the decision time of float64)")
 	)
 	flag.Parse()
 

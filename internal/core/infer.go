@@ -129,17 +129,13 @@ func (en *serveEngine) forwardF64(es *EncodedState) {
 
 	// h = ReLU(X*W_in + b_in)
 	resizeMatrix(&en.h, n, hid)
-	tensor.MatMulInto(es.X, a.input.W.Value, &en.h)
-	tensor.AddRowVectorInto(&en.h, a.input.B.Value, &en.h)
-	reluInPlace(en.h.Data)
+	tensor.LinearReLUInto(es.X, a.input.W.Value, a.input.B.Value, &en.h)
 
 	// GCN stack: h = ReLU(SpMM(norm, h)*W + b)
 	resizeMatrix(&en.tmp, n, hid)
 	for _, g := range a.gcn {
 		tensor.SpMMInto(es.Norm, &en.h, &en.tmp)
-		tensor.MatMulInto(&en.tmp, g.W.Value, &en.h)
-		tensor.AddRowVectorInto(&en.h, g.B.Value, &en.h)
-		reluInPlace(en.h.Data)
+		tensor.LinearReLUInto(&en.tmp, g.W.Value, g.B.Value, &en.h)
 	}
 
 	// Actor scores for the ready rows.
@@ -162,9 +158,7 @@ func (en *serveEngine) forwardF64(es *EncodedState) {
 		// ∅ score: [ReLU(proc*W_p + b_p) | maxpool(h)] * W_idle + b_idle.
 		resizeMatrix(&en.cat, 1, 2*hid)
 		en.procEmb = tensor.Matrix{Rows: 1, Cols: hid, Data: en.cat.Data[:hid]}
-		tensor.MatMulInto(es.Proc, a.proc.W.Value, &en.procEmb)
-		tensor.AddRowVectorInto(&en.procEmb, a.proc.B.Value, &en.procEmb)
-		reluInPlace(en.procEmb.Data)
+		tensor.LinearReLUInto(es.Proc, a.proc.W.Value, a.proc.B.Value, &en.procEmb)
 		pooled := tensor.Matrix{Rows: 1, Cols: hid, Data: en.cat.Data[hid:]}
 		if cap(en.argBuf) < hid {
 			en.argBuf = make([]int, hid)
@@ -272,15 +266,6 @@ func logSoftmaxInto(logits, dst []float64) {
 	logZ := maxv + math.Log(sum)
 	for i, v := range logits {
 		dst[i] = v - logZ
-	}
-}
-
-func reluInPlace(xs []float64) {
-	for i, v := range xs {
-		if v > 0 {
-			continue
-		}
-		xs[i] = 0
 	}
 }
 

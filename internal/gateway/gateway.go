@@ -395,17 +395,21 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 }
 
 // retriable reports whether a forward's outcome says the replica is broken:
-// no answer at all, or a 500/502 in its place. A 503 (queue full, draining)
-// or 504 (one request past its deadline) is a working replica's answer, like
-// every 4xx — resending it would move the load to the next replica's cold
-// cache and turn load shedding into a cascade.
+// no answer, an answer whose body did not arrive whole (the connection dropped
+// after the headers — nothing has been written to the client yet, and a
+// request is a pure function of its body, so it can be re-sent), or a 500/502
+// in its place. A 503 (queue full, draining) or 504 (one request past its
+// deadline) is a working replica's answer, like every 4xx — resending it
+// would move the load to the next replica's cold cache and turn load shedding
+// into a cascade.
 func retriable(status int, err error) bool {
-	return (err != nil && status == 0) || status == http.StatusInternalServerError || status == http.StatusBadGateway
+	return err != nil || status == http.StatusInternalServerError || status == http.StatusBadGateway
 }
 
 // proxy forwards a request across the ranked candidates with jittered-backoff
-// failover: transport errors, 500 and 502 mark the replica down and move on;
-// any other status is the replica's answer and is relayed verbatim.
+// failover: transport errors, truncated bodies, 500 and 502 mark the replica
+// down and move on; any other status is the replica's answer and is relayed
+// verbatim.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path string, body []byte, candidates []*replica, tid int64, sc obs.SpanContext) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
@@ -438,8 +442,9 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 			w.Write(res.body)
 			return
 		}
-		// Transport error, 500 or 502: the replica is suspect. Mark it down so
-		// concurrent requests skip it until a health probe sees it recover.
+		// Transport error, truncated body, 500 or 502: the replica is suspect.
+		// Mark it down so concurrent requests skip it until a health probe
+		// sees it recover.
 		g.setHealth(rep, false)
 		if err != nil {
 			lastErr = err

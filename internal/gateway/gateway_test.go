@@ -270,13 +270,15 @@ func TestGatewayBadRequestNotRetried(t *testing.T) {
 // Content-Type and Retry-After, the replica still healthy, nothing re-sent.
 func TestGatewayBusyIsNotBroken(t *testing.T) {
 	const stubBody = `{"error":"stub"}`
+	const truncated = -1
 	req := serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1, Seed: 1}
 	for _, c := range []struct {
 		name     string
-		status   int // the owning replica's answer; 0 closes it instead
+		status   int // the owning replica's answer; 0 closes it instead, truncated dies mid-answer
 		failover bool
 	}{
 		{"transport error", 0, true},
+		{"truncated body", truncated, true},
 		{"500", http.StatusInternalServerError, true},
 		{"502", http.StatusBadGateway, true},
 		{"503", http.StatusServiceUnavailable, false},
@@ -293,6 +295,18 @@ func TestGatewayBusyIsNotBroken(t *testing.T) {
 				stubs[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					hits[i].Add(1)
 					code := int(status[i].Load())
+					if code == truncated {
+						// A 200 that promises 100 bytes, sends 8 and drops the connection.
+						conn, buf, err := w.(http.Hijacker).Hijack()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/stub+json\r\nContent-Length: 100\r\n\r\n" + stubBody[:8])
+						buf.Flush()
+						conn.Close()
+						return
+					}
 					w.Header().Set("Content-Type", "application/stub+json")
 					if code == http.StatusServiceUnavailable {
 						w.Header().Set("Retry-After", "7")

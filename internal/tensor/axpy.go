@@ -10,17 +10,28 @@ package tensor
 // order, so the results are bit-identical to the fallback on every input.
 // That bit-identity is what lets the training and evaluation hot paths adopt
 // the vector kernels without perturbing any committed experiment result.
+//
+// The Go loops of this package write every product that feeds an add as
+// float64(a*x) / float32(a*x): the explicit conversion rounds the product, so
+// a compiler targeting an architecture with FMA (arm64, ppc64le, s390x) may
+// not fuse it into the add, and the fallback rounds twice like the assembly.
+// It is a no-op on amd64. `make portable` checks the arm64 build for it.
+
+// axpyMinLen is the row length below which the scalar loop wins (call
+// overhead exceeds the vector speedup); the row kernels dispatch on the same
+// bound.
+const axpyMinLen = 8
 
 // axpyF64Generic computes y[i] += alpha * x[i] for i in [0, len(x)).
 func axpyF64Generic(alpha float64, x, y []float64) {
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
 // axpyF32Generic is the float32 variant of axpyF64Generic.
 func axpyF32Generic(alpha float32, x, y []float32) {
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float32(alpha * v)
 	}
 }

@@ -9,6 +9,13 @@ func xgetbv() (eax, edx uint32)
 func axpyAVX2F64(alpha float64, x, y []float64)
 func axpyAVX2F32(alpha float32, x, y []float32)
 
+// denseRowAVX2 and csrRowAVX2 compute one output row of a dense / CSR product
+// in registers; the contracts are at their TEXT blocks. They read base
+// pointers and the lengths of out and val only, so callers pass open-ended
+// slices.
+func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64)
+func csrRowAVX2(out, val []float64, col []int, d []float64)
+
 // hasAVX2 reports whether the CPU and OS support the AVX2 kernels: AVX and
 // OSXSAVE advertised, XMM+YMM state enabled by the OS (XGETBV), and the AVX2
 // feature bit set.
@@ -30,10 +37,6 @@ func detectAVX2() bool {
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<5) != 0
 }
-
-// axpyMinLen is the row length below which the scalar loop wins (call
-// overhead exceeds the vector speedup).
-const axpyMinLen = 8
 
 func axpyF64(alpha float64, x, y []float64) {
 	if hasAVX2 && len(x) >= axpyMinLen {

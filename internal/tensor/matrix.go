@@ -80,7 +80,8 @@ func Full(rows, cols int, v float64) *Matrix {
 func RandUniform(rng *rand.Rand, rows, cols int, scale float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * scale
+		u := float64(rng.Float64()) // rounded, like u*2 below: see axpy.go
+		m.Data[i] = (float64(u*2) - 1) * scale
 	}
 	return m
 }

@@ -56,26 +56,77 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulInto computes out = a*b into a caller-supplied (zeroed or dirty)
 // destination.
 func MatMulInto(a, b, out *Matrix) {
+	mustMatMul(a, b, out)
+	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows < 2 {
+		matMulRange(a, b, nil, out, 0, a.Rows)
+		return
+	}
+	parallelRows(a.Rows, func(lo, hi int) { matMulRange(a, b, nil, out, lo, hi) })
+}
+
+// LinearReLUInto computes out = ReLU(x*w + bias), a dense layer. It is
+// MatMulInto, AddRowVectorInto and `v > 0 ? v : 0` with the same bits: on AVX2
+// hosts the row kernel applies bias and ReLU to the finished row before it
+// stores it, elsewhere the three passes run one after the other. The kernel
+// path splits rows as MatMulInto does, in a closure of its own: capturing a
+// bias in MatMulInto's would grow what every large product allocates.
+func LinearReLUInto(x, w, bias, out *Matrix) {
+	if bias.Rows != 1 || bias.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: LinearReLU bias wants 1x%d, got %dx%d", w.Cols, bias.Rows, bias.Cols))
+	}
+	if !useRowKernel(w.Cols) {
+		MatMulInto(x, w, out)
+		AddRowVectorInto(out, bias, out)
+		for i, v := range out.Data {
+			if !(v > 0) {
+				out.Data[i] = 0
+			}
+		}
+		return
+	}
+	mustMatMul(x, w, out)
+	if x.Rows*x.Cols*w.Cols < parallelThreshold || x.Rows < 2 {
+		matMulRange(x, w, bias.Data, out, 0, x.Rows)
+		return
+	}
+	parallelRows(x.Rows, func(lo, hi int) { matMulRange(x, w, bias.Data, out, lo, hi) })
+}
+
+func mustMatMul(a, b, out *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape("MatMul destination", out, a.Rows, b.Cols)
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || a.Rows < 2 {
-		matMulRange(a, b, out, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(a, b, out, lo, hi) })
 }
 
-// matMulRange computes rows [lo, hi) of out = a*b using an ikj loop order so
-// that the inner loop streams through contiguous rows of b and out. Terms with
-// av == 0 are skipped: since every accumulator starts at +0, a partial sum can
-// never be -0 under round-to-nearest, so adding av*brow[j] (which is ±0 when
-// av is ±0 and bv finite) is the identity and skipping it is bit-exact.
-// Non-finite b values never occur here (features, weights, and activations are
-// all finite), and the axpy kernel matches the scalar loop bit for bit.
-func matMulRange(a, b, out *Matrix, lo, hi int) {
+// useRowKernel reports whether products with this many output columns run on
+// the AVX2 row kernels — the bound axpyF64 dispatches on.
+func useRowKernel(cols int) bool { return hasAVX2 && cols >= axpyMinLen }
+
+// matMulRange computes rows [lo, hi) of out = a*b, one row-kernel call per row
+// where useRowKernel (see denseRowAVX2: the output row stays in registers for
+// the whole k loop, and a non-nil bias finishes it as max(row+bias, +0)).
+func matMulRange(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
+	n, p := a.Cols, b.Cols
+	if !useRowKernel(p) {
+		matMulLoop(a, b, out, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[i*n:], 1, n, b.Data, bias)
+	}
+}
+
+// matMulLoop is matMulRange without the row kernel: the path of hosts without
+// AVX2 and of narrow outputs, and the oracle the kernel is tested against. The
+// ikj loop order streams the inner loop through contiguous rows of b and out.
+// Terms with av == 0 are skipped: since every accumulator starts at +0, a
+// partial sum can never be -0 under round-to-nearest, so adding av*brow[j]
+// (which is ±0 when av is ±0 and bv finite) is the identity and skipping it is
+// bit-exact. Non-finite b values never occur here (features, weights, and
+// activations are all finite), and the axpy kernel matches the scalar loop bit
+// for bit.
+func matMulLoop(a, b, out *Matrix, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*n : (i+1)*n]
@@ -117,8 +168,22 @@ func MatMulTransAInto(a, b, out *Matrix) {
 }
 
 // matMulTransARange computes output rows [lo, hi) of out = a[klo:khi]ᵀ *
-// b[klo:khi]: output row i is Σ_k a[k,i]·b[k,:] over the rows klo ≤ k < khi.
+// b[klo:khi]: output row i is Σ_k a[k,i]·b[k,:] over the rows klo ≤ k < khi —
+// column i of a walked at stride a.Cols by the row kernel where useRowKernel.
 func matMulTransARange(a, b, out *Matrix, lo, hi, klo, khi int) {
+	n, p := a.Cols, b.Cols
+	if !useRowKernel(p) || klo >= khi {
+		matMulTransALoop(a, b, out, lo, hi, klo, khi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[klo*n+i:], n, khi-klo, b.Data[klo*p:], nil)
+	}
+}
+
+// matMulTransALoop is matMulTransARange without the row kernel (see
+// matMulLoop).
+func matMulTransALoop(a, b, out *Matrix, lo, hi, klo, khi int) {
 	n, p := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
 		orow := out.Data[i*p : (i+1)*p]
@@ -128,7 +193,7 @@ func matMulTransARange(a, b, out *Matrix, lo, hi, klo, khi int) {
 		for k := klo; k < khi; k++ {
 			av := a.Data[k*n+i]
 			if av == 0 {
-				continue // bit-exact: see matMulRange
+				continue // bit-exact: see matMulLoop
 			}
 			axpyF64(av, b.Data[k*p:(k+1)*p], orow)
 		}
@@ -223,10 +288,10 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 			b2, b3 := b.Data[(j+2)*n:(j+3)*n], b.Data[(j+3)*n:(j+4)*n]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -234,7 +299,7 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 			brow := b.Data[j*n : (j+1)*n]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}
@@ -316,7 +381,7 @@ func AddInPlace(a, b *Matrix) {
 func AddScaledInPlace(a *Matrix, b *Matrix, s float64) {
 	mustSameShape("AddScaledInPlace", a, b)
 	for i, v := range b.Data {
-		a.Data[i] += s * v
+		a.Data[i] += float64(s * v)
 	}
 }
 
@@ -372,7 +437,7 @@ func Dot(a, b *Matrix) float64 {
 	mustSameShape("Dot", a, b)
 	var s float64
 	for i, v := range a.Data {
-		s += v * b.Data[i]
+		s += float64(v * b.Data[i])
 	}
 	return s
 }

@@ -269,6 +269,46 @@ func BenchmarkSpMM(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseLayer times one dense layer, ReLU(x*W + b), at the shapes the
+// committed checkpoints run at 49 window rows (22 features → hidden 32, hidden
+// 32 → 32) and at DefaultConfig's hidden 64, three ways: the zero-fill +
+// axpy-per-k loop followed by a bias pass and a ReLU pass (the layer before
+// the row kernel), the row kernel followed by the same two passes, and the row
+// kernel finishing the row in registers (LinearReLUInto). Hidden inputs are
+// post-ReLU, about half zeros, as in a forward.
+func BenchmarkDenseLayer(b *testing.B) {
+	if !hasAVX2 {
+		b.Skip("hasAVX2=false: all three are the loop")
+	}
+	for _, sh := range [][3]int{{49, 22, 32}, {49, 32, 32}, {49, 64, 64}} {
+		rows, k, cols := sh[0], sh[1], sh[2]
+		rng := rand.New(rand.NewSource(1))
+		x, w, bias := RandNormal(rng, rows, k, 1), RandNormal(rng, k, cols, 0.3), RandNormal(rng, 1, cols, 0.1)
+		if k == cols {
+			relu(x)
+		}
+		out := New(rows, cols)
+		shape := fmt.Sprintf("%dx%d*%dx%d", rows, k, k, cols)
+		b.Run("axpy-loop/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matMulLoop(x, w, out, 0, rows)
+				biasReLU(out, bias)
+			}
+		})
+		b.Run("row-kernel/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulInto(x, w, out)
+				biasReLU(out, bias)
+			}
+		})
+		b.Run("row-kernel+epilogue/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				LinearReLUInto(x, w, bias, out)
+			}
+		})
+	}
+}
+
 func TestMatMulTransAParallelPathMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	// Work = a.Cols * b.Cols * a.Rows above parallelThreshold.
@@ -301,22 +341,28 @@ func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	c := RandNormal(rng, 112, 96, 1)
 	d := RandNormal(rng, 128, 112, 1)
+	bias := RandNormal(rng, 1, 112, 1)
+	lr1, lr4 := New(128, 112), New(128, 112)
 
 	prev := runtime.GOMAXPROCS(1)
+	LinearReLUInto(a, b, bias, lr1)
 	mm1 := MatMul(a, b)
 	ta1 := MatMulTransA(a, d)
 	tb1 := MatMulTransB(a, c)
 	sp1 := SpMM(s, x)
 	runtime.GOMAXPROCS(4)
+	LinearReLUInto(a, b, bias, lr4)
 	mm4 := MatMul(a, b)
 	ta4 := MatMulTransA(a, d)
 	tb4 := MatMulTransB(a, c)
 	sp4 := SpMM(s, x)
 	runtime.GOMAXPROCS(prev)
 
-	if !mm1.Equal(mm4) || !ta1.Equal(ta4) || !tb1.Equal(tb4) || !sp1.Equal(sp4) {
+	if !mm1.Equal(mm4) || !ta1.Equal(ta4) || !tb1.Equal(tb4) || !sp1.Equal(sp4) || !lr1.Equal(lr4) {
 		t.Fatal("parallel results depend on GOMAXPROCS")
 	}
+	biasReLU(mm1, bias)
+	mustSameBits(t, "parallel LinearReLUInto", lr4, mm1)
 }
 
 // TestMatMulTransBBitIdenticalToSequentialDots: the kernel carries four dot

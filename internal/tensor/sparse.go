@@ -177,8 +177,22 @@ func SpMMInto(s *Sparse, d, out *Matrix) {
 	parallelRows(s.Rows, func(lo, hi int) { spMMRange(s, d, out, lo, hi) })
 }
 
-// spMMRange computes rows [lo, hi) of out = s*d.
+// spMMRange computes rows [lo, hi) of out = s*d, one CSR row-kernel call per
+// row where useRowKernel.
 func spMMRange(s *Sparse, d, out *Matrix, lo, hi int) {
+	p := d.Cols
+	if !useRowKernel(p) {
+		spMMLoop(s, d, out, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		klo, khi := s.RowPtr[i], s.RowPtr[i+1]
+		csrRowAVX2(out.Data[i*p:(i+1)*p], s.Val[klo:khi], s.Col[klo:khi], d.Data)
+	}
+}
+
+// spMMLoop is spMMRange without the row kernel (see matMulLoop).
+func spMMLoop(s *Sparse, d, out *Matrix, lo, hi int) {
 	p := d.Cols
 	for i := lo; i < hi; i++ {
 		orow := out.Data[i*p : (i+1)*p]
