@@ -15,7 +15,8 @@
 #                      fleet, fault-injecting simulator, streaming arrivals)
 #   make portable    — cross-build for arm64 (the only thing here that
 #                      compiles the non-amd64 kernel file) and require that no
-#                      internal/tensor product was fused into its add
+#                      product of the kernels, the tape, the optimiser or the
+#                      trainers was fused into its add
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
 #                      JSONL, sim trace, flight recorder, and a dispatcher +
 #                      worker pair whose merged cross-process trace must
@@ -67,7 +68,9 @@ test:
 # and TestStreamCostFlat / TestMemoScopedToStateVersion fail if a per-arrival
 # pass over the union DAG or a stream-long memo comes back. The training path
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
-# range (TestSegmentOpsMatchPerSegmentTapes), rollouts on the engine vs a
+# range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
+# its three ops and the input gradient vs the ∂C·Wᵀ dot loop
+# (TestLinearReLUSegMatchesThreeOps), rollouts on the engine vs a
 # tape rollout kept in the test file (TestTrainingRolloutMatchesTape), the
 # width-d pass vs width 1 vs the engine (TestBatchedForwardBitIdentical),
 # gradients vs the per-decision update kept in the test file
@@ -91,7 +94,7 @@ test:
 # TestTracerRingBytesFixed fail if a request rebuilds its problem or state or a
 # span boxes its attributes again. These also run under `make test`.
 equiv:
-	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes' ./internal/autograd/
+	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps' ./internal/autograd/
 	$(GO) test -run 'TestIncremental|TestServing|TestFloat32BoundedDivergence|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
@@ -117,17 +120,21 @@ race:
 # axpy_noasm.go, which nothing else on an amd64 box compiles — shared code
 # that names an amd64-only symbol breaks them silently. And where the target
 # has FMA the compiler fuses y += a*x unless the product is written
-# float64(a*x), rounding once where VMULPD/VADDPD round twice. Pure Go, no
-# cgo: the cross-build works offline. The disassembly is of the package
-# archive, so it covers functions no command links.
+# float64(a*x), rounding once where VMULPD/VADDPD and amd64's scalar code round
+# twice — in the kernels, and in the training path's tape, Adam and loss
+# arithmetic. Pure Go, no cgo: the cross-build works offline. The disassembly
+# is of the package archives, so it covers functions no command links.
 PORTABLE_TMP ?= /tmp/readys-portable
+PORTABLE_PKGS = tensor autograd nn rl
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 	rm -rf $(PORTABLE_TMP) && mkdir -p $(PORTABLE_TMP)
-	GOARCH=arm64 $(GO) build -o $(PORTABLE_TMP)/tensor.a ./internal/tensor/
-	@if $(GO) tool objdump $(PORTABLE_TMP)/tensor.a | grep -E 'FN?M(ADD|SUB)'; then \
-		echo "portable: fused multiply-add in internal/tensor — write the product as float64(a*x)"; exit 1; fi
+	@fused=0; for p in $(PORTABLE_PKGS); do \
+		GOARCH=arm64 $(GO) build -o $(PORTABLE_TMP)/$$p.a ./internal/$$p/ || exit 1; \
+		if $(GO) tool objdump $(PORTABLE_TMP)/$$p.a | grep -E 'FN?M(ADD|SUB)'; then fused=1; fi; \
+	done; if [ $$fused = 1 ]; then \
+		echo "portable: fused multiply-add in internal/{$(PORTABLE_PKGS)} — write the product as float64(a*x)"; exit 1; fi
 	rm -rf $(PORTABLE_TMP)
 	@echo portable OK
 

@@ -24,13 +24,17 @@
 //
 // Every intermediate the tape creates — op outputs, gradient accumulators and
 // backward-pass temporaries — is drawn from the size-bucketed buffer pool in
-// internal/tensor through a tape-scoped free list. A gradient accumulator goes
-// back on the list as soon as its node's backward step has run; Reset puts
-// the rest back and keeps the list for the next pass on the same tape (the
-// shared pool sits on sync.Pool, which every collection empties — a tape that
-// cycles through megabyte buffers keeps them itself); Release hands everything
-// to the shared pool. Caller-provided matrices (Const/Var/Param inputs) are
-// never pooled or released.
+// internal/tensor through a tape-scoped free list. A gradient is owned by
+// exactly one node at a time: an op's backward step builds its input's
+// gradient in a temporary, or reuses its own gradient in place, and hands it
+// over — it becomes the input's accumulator if the input has none yet, else it
+// is added in and goes back on the list (give, pass). An op node's accumulator
+// goes back on the list as soon as its backward step has run; Reset puts the
+// rest back and keeps the list for the next pass on the same tape (the shared
+// pool sits on sync.Pool, which every collection empties — a tape that cycles
+// through megabyte buffers keeps them itself); Release hands everything to the
+// shared pool. Caller-provided matrices (Const/Var/Param inputs) are never
+// pooled or released.
 //
 // Gradient correctness for every op is property-tested against central
 // finite differences in autograd_test.go.
@@ -85,12 +89,40 @@ func (t *Tape) gradOf(n *Node) *tensor.Matrix {
 	return n.Grad
 }
 
-// accum adds g into n.Grad. It is a no-op for nodes that do not require
-// gradients, so op backward functions can call it unconditionally.
+// accum adds g into n.Grad and leaves g to the caller. It is a no-op for nodes
+// that do not require gradients, so op backward functions can call it
+// unconditionally.
 func (t *Tape) accum(n *Node, g *tensor.Matrix) {
 	if n.requiresGrad {
 		tensor.AddInPlace(t.gradOf(n), g)
 	}
+}
+
+// give hands the tape buffer g, a gradient for n, to n: it becomes n's
+// accumulator when n has none yet, and is otherwise added in and freed. Moving
+// instead of adding onto a zeroed accumulator can only keep a −0 that +0 + (−0)
+// would have made +0, in an op node's or Var leaf's gradient: backward only
+// multiplies, adds and copies gradients, every sum starts at +0, and a Param's
+// accumulator starts at +0 (ZeroGrad) and is only ever added to, so a Param
+// gradient carries the same bits either way.
+func (t *Tape) give(n *Node, g *tensor.Matrix) {
+	switch {
+	case !n.requiresGrad:
+		t.bufs.Put(g)
+	case n.Grad == nil:
+		n.Grad = g
+	default:
+		tensor.AddInPlace(n.Grad, g)
+		t.bufs.Put(g)
+	}
+}
+
+// pass gives out's gradient to n, which must have out's shape; out's backward
+// step calls it last, once nothing else reads out.Grad.
+func (t *Tape) pass(n, out *Node) {
+	g := out.Grad
+	out.Grad = nil
+	t.give(n, g)
 }
 
 // NewTape returns an empty tape.
@@ -206,7 +238,7 @@ func (t *Tape) Backward(root *Node) {
 		n := t.nodes[i]
 		if n.backward != nil && n.Grad != nil {
 			n.backward()
-			t.bufs.Put(n.Grad)
+			t.bufs.Put(n.Grad) // a no-op when pass handed it on
 			n.Grad = nil
 		}
 	}
@@ -226,29 +258,63 @@ func (t *Tape) MatMul(a, b *Node) *Node { return t.MatMulSeg(a, b, nil) }
 
 // MatMulSeg records c = a*b for a row-stacked a: segs is the segment table of
 // a's rows. The product and a's gradient are row-local and ignore it; b's
-// gradient aᵀ·∂c reduces over rows, and is accumulated one range at a time, in
-// order, each range's product formed from zero — the bits that one tape per
-// range would have summed into b.
+// gradient reduces over rows and goes range by range (see matMulGrads).
 func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
 	val := t.alloc(a.Value.Rows, b.Value.Cols)
 	tensor.MatMulInto(a.Value, b.Value, val)
 	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
 	if out.requiresGrad {
+		out.backward = func() { t.matMulGrads(a, b, out.Grad, segs) }
+	}
+	return t.push(out)
+}
+
+// LinearReLUSeg records the dense layer c = ReLU(a*w + bias) as one node, with
+// the bits of MatMulSeg, AddRowVectorSeg and ReLU (segs as there): the forward
+// is tensor.LinearReLUInto, and the backward masks ∂c in place where c is not
+// > 0 — exactly where the pre-activation is not — then takes bias's, a's and
+// w's gradients from it as those three nodes would.
+func (t *Tape) LinearReLUSeg(a, w, bias *Node, segs []int) *Node {
+	val := t.alloc(a.Value.Rows, w.Value.Cols)
+	tensor.LinearReLUInto(a.Value, w.Value, bias.Value, val)
+	out := &Node{Value: val, requiresGrad: anyGrad(a, w, bias)}
+	if out.requiresGrad {
 		out.backward = func() {
-			if a.requiresGrad {
-				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
-				tensor.MatMulTransBInto(out.Grad, b.Value, g)
-				t.accum(a, g)
-				t.bufs.Put(g)
+			// c is +0 or positive, so its bits are 0 exactly where ∂c is
+			// masked; an AND keeps the unmasked bits, with no branch to
+			// mispredict on a half-zero activation.
+			dc := out.Grad.Data[:len(val.Data)]
+			for i, v := range val.Data {
+				keep := uint64(-int64(math.Float64bits(v)) >> 63)
+				dc[i] = math.Float64frombits(math.Float64bits(dc[i]) & keep)
 			}
-			if b.requiresGrad {
-				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
-				tensor.MatMulTransASegAcc(a.Value, out.Grad, segs, g, t.gradOf(b))
-				t.bufs.Put(g)
-			}
+			t.addColSums(bias, out.Grad, segs)
+			t.matMulGrads(a, w, out.Grad, segs)
 		}
 	}
 	return t.push(out)
+}
+
+// matMulGrads takes the gradients of c = a*b from ∂c = dc. a's, ∂c·bᵀ, runs on
+// the row kernel against a transposed copy of b: each entry is the dot product
+// summed over ascending k from +0, as a dot loop would sum it. b's, aᵀ·∂c,
+// reduces over rows and is accumulated one range of segs at a time, in order,
+// each range's product formed from zero — the bits that one tape per range
+// would have summed into b.
+func (t *Tape) matMulGrads(a, b *Node, dc *tensor.Matrix, segs []int) {
+	if a.requiresGrad {
+		bt := t.bufs.Get(b.Value.Cols, b.Value.Rows)
+		tensor.TransposeInto(b.Value, bt)
+		g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
+		tensor.MatMulInto(dc, bt, g)
+		t.bufs.Put(bt)
+		t.give(a, g)
+	}
+	if b.requiresGrad {
+		g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
+		tensor.MatMulTransASegAcc(a.Value, dc, segs, g, t.gradOf(b))
+		t.bufs.Put(g)
+	}
 }
 
 // SpMM records c = a*b for a constant sparse operand a (the GCN propagation
@@ -263,8 +329,7 @@ func (t *Tape) SpMM(a *tensor.Sparse, b *Node) *Node {
 		out.backward = func() {
 			g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
 			tensor.SpMMTransAInto(a, out.Grad, g)
-			t.accum(b, g)
-			t.bufs.Put(g)
+			t.give(b, g)
 		}
 	}
 	return t.push(out)
@@ -278,7 +343,7 @@ func (t *Tape) Add(a, b *Node) *Node {
 	if out.requiresGrad {
 		out.backward = func() {
 			t.accum(a, out.Grad)
-			t.accum(b, out.Grad)
+			t.pass(b, out)
 		}
 	}
 	return t.push(out)
@@ -292,12 +357,8 @@ func (t *Tape) Sub(a, b *Node) *Node {
 	if out.requiresGrad {
 		out.backward = func() {
 			t.accum(a, out.Grad)
-			if b.requiresGrad {
-				g := t.bufs.Get(out.Grad.Rows, out.Grad.Cols)
-				tensor.ScaleInto(out.Grad, -1, g)
-				t.accum(b, g)
-				t.bufs.Put(g)
-			}
+			tensor.ScaleInto(out.Grad, -1, out.Grad)
+			t.pass(b, out)
 		}
 	}
 	return t.push(out)
@@ -313,15 +374,10 @@ func (t *Tape) Mul(a, b *Node) *Node {
 			if a.requiresGrad {
 				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 				tensor.MulInto(out.Grad, b.Value, g)
-				t.accum(a, g)
-				t.bufs.Put(g)
+				t.give(a, g)
 			}
-			if b.requiresGrad {
-				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
-				tensor.MulInto(out.Grad, a.Value, g)
-				t.accum(b, g)
-				t.bufs.Put(g)
-			}
+			tensor.MulInto(out.Grad, a.Value, out.Grad)
+			t.pass(b, out)
 		}
 	}
 	return t.push(out)
@@ -334,10 +390,8 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := t.bufs.Get(out.Grad.Rows, out.Grad.Cols)
-			tensor.ScaleInto(out.Grad, s, g)
-			t.accum(a, g)
-			t.bufs.Put(g)
+			tensor.ScaleInto(out.Grad, s, out.Grad)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -349,7 +403,7 @@ func (t *Tape) AddConst(a *Node, s float64) *Node {
 	tensor.ApplyInto(a.Value, func(v float64) float64 { return v + s }, val)
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
-		out.backward = func() { t.accum(a, out.Grad) }
+		out.backward = func() { t.pass(a, out) }
 	}
 	return t.push(out)
 }
@@ -366,27 +420,34 @@ func (t *Tape) AddRowVectorSeg(a, v *Node, segs []int) *Node {
 	out := &Node{Value: val, requiresGrad: anyGrad(a, v)}
 	if out.requiresGrad {
 		out.backward = func() {
-			t.accum(a, out.Grad)
-			if v.requiresGrad {
-				g := t.bufs.Get(1, v.Value.Cols)
-				for s := 0; s < tensor.SegmentCount(segs); s++ {
-					g.Zero()
-					lo, hi := tensor.SegmentBounds(segs, s, out.Grad.Rows)
-					for i := lo; i < hi; i++ {
-						for j, x := range out.Grad.Row(i) {
-							g.Data[j] += x
-						}
-					}
-					t.accum(v, g)
-				}
-				t.bufs.Put(g)
-			}
+			t.addColSums(v, out.Grad, segs)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
 }
 
-// ReLU records c = max(a, 0) elementwise.
+// addColSums gives v, a row vector broadcast over dc's rows, its gradient: the
+// column sums of dc, one range of segs at a time, each summed from +0 in row
+// order.
+func (t *Tape) addColSums(v *Node, dc *tensor.Matrix, segs []int) {
+	if !v.requiresGrad {
+		return
+	}
+	for s := 0; s < tensor.SegmentCount(segs); s++ {
+		g := t.bufs.Get(1, dc.Cols)
+		lo, hi := tensor.SegmentBounds(segs, s, dc.Rows)
+		for i := lo; i < hi; i++ {
+			for j, x := range dc.Row(i) {
+				g.Data[j] += x
+			}
+		}
+		t.give(v, g)
+	}
+}
+
+// ReLU records c = max(a, 0) elementwise. The network's layers use
+// LinearReLUSeg; this is the reference that node is tested against.
 func (t *Tape) ReLU(a *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ApplyInto(a.Value, func(v float64) float64 {
@@ -398,14 +459,12 @@ func (t *Tape) ReLU(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			for i, v := range a.Value.Data {
-				if v > 0 {
-					g.Data[i] = out.Grad.Data[i]
+				if !(v > 0) {
+					out.Grad.Data[i] = 0
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -423,16 +482,12 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			for i, v := range a.Value.Data {
-				if v > 0 {
-					g.Data[i] = out.Grad.Data[i]
-				} else {
-					g.Data[i] = slope * out.Grad.Data[i]
+				if !(v > 0) {
+					out.Grad.Data[i] *= slope
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -445,12 +500,10 @@ func (t *Tape) Tanh(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := t.bufs.Get(val.Rows, val.Cols)
 			for i, y := range val.Data {
-				g.Data[i] = out.Grad.Data[i] * (1 - y*y)
+				out.Grad.Data[i] *= 1 - float64(y*y)
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -463,10 +516,8 @@ func (t *Tape) Exp(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := t.bufs.Get(val.Rows, val.Cols)
-			tensor.MulInto(out.Grad, val, g)
-			t.accum(a, g)
-			t.bufs.Put(g)
+			tensor.MulInto(out.Grad, val, out.Grad)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -479,13 +530,10 @@ func (t *Tape) Square(a *Node) *Node {
 	out := &Node{Value: val, requiresGrad: a.requiresGrad}
 	if out.requiresGrad {
 		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
-			tensor.MulInto(out.Grad, a.Value, g)
-			for i := range g.Data {
-				g.Data[i] *= 2
+			for i, v := range a.Value.Data {
+				out.Grad.Data[i] = float64(out.Grad.Data[i]*v) * 2
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -514,8 +562,7 @@ func (t *Tape) SegmentSum(a *Node, segs []int) *Node {
 					g.Data[i] = v
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.give(a, g)
 		}
 	}
 	return t.push(out)
@@ -555,8 +602,7 @@ func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
 					}
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.give(a, g)
 		}
 	}
 	return t.push(out)
@@ -592,8 +638,7 @@ func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
 					g.Data[(lo+arg[s*cols+j])*cols+j] = v
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.give(a, g)
 		}
 	}
 	return t.push(out)
@@ -618,8 +663,7 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 					grow[j] += v
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.give(a, g)
 		}
 	}
 	return t.push(out)
@@ -638,16 +682,14 @@ func (t *Tape) ConcatCols(a, b *Node) *Node {
 				for i := 0; i < g.Rows; i++ {
 					copy(g.Row(i), out.Grad.Row(i)[:ac])
 				}
-				t.accum(a, g)
-				t.bufs.Put(g)
+				t.give(a, g)
 			}
 			if b.requiresGrad {
 				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
 				for i := 0; i < g.Rows; i++ {
 					copy(g.Row(i), out.Grad.Row(i)[ac:])
 				}
-				t.accum(b, g)
-				t.bufs.Put(g)
+				t.give(b, g)
 			}
 		}
 	}
@@ -691,8 +733,7 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 				if p.requiresGrad {
 					g := t.bufs.Get(rows, p.Value.Cols)
 					copy(g.Data, out.Grad.Data[offset*out.Grad.Cols:(offset+rows)*out.Grad.Cols])
-					t.accum(p, g)
-					t.bufs.Put(g)
+					t.give(p, g)
 				}
 				offset += rows
 			}
@@ -735,7 +776,6 @@ func (t *Tape) SegmentLogSoftmax(a *Node, segs []int) *Node {
 	if out.requiresGrad {
 		out.backward = func() {
 			// d logsoftmax: dx_i = g_i - softmax_i * Σ g, the sum over i's range.
-			g := t.bufs.Get(n, 1)
 			for s := 0; s < tensor.SegmentCount(segs); s++ {
 				lo, hi := tensor.SegmentBounds(segs, s, n)
 				var gsum float64
@@ -743,11 +783,10 @@ func (t *Tape) SegmentLogSoftmax(a *Node, segs []int) *Node {
 					gsum += v
 				}
 				for i := lo; i < hi; i++ {
-					g.Data[i] = out.Grad.Data[i] - math.Exp(val.Data[i])*gsum
+					out.Grad.Data[i] -= float64(math.Exp(val.Data[i]) * gsum)
 				}
 			}
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.pass(a, out)
 		}
 	}
 	return t.push(out)
@@ -762,8 +801,7 @@ func (t *Tape) Pick(a *Node, i, j int) *Node {
 		out.backward = func() {
 			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
 			g.Set(i, j, out.Grad.Data[0])
-			t.accum(a, g)
-			t.bufs.Put(g)
+			t.give(a, g)
 		}
 	}
 	return t.push(out)

@@ -341,18 +341,33 @@ func TestGradSegmentedLinear(t *testing.T) {
 	checkGrad(t, "matmul-seg", func(tp *Tape, xs []*Node) *Node {
 		return tp.SumAll(tp.Square(tp.AddRowVectorSeg(tp.MatMulSeg(xs[0], xs[1], testSegs), xs[2], testSegs)))
 	}, []*tensor.Matrix{randMat(rng, 7, 4), randMat(rng, 4, 2), randMat(rng, 1, 2)}, 1e-5)
+	checkGrad(t, "linear-relu-seg", func(tp *Tape, xs []*Node) *Node {
+		return tp.SumAll(tp.Square(tp.LinearReLUSeg(xs[0], xs[1], xs[2], testSegs)))
+	}, []*tensor.Matrix{randMat(rng, 7, 4), randMat(rng, 4, 3), randMat(rng, 1, 3)}, 1e-5)
 }
 
 // TestSegmentOpsMatchPerSegmentTapes is the batch-width contract at the op
-// level: a linear layer, pooling, log-softmax and a sum evaluated once over a
-// stack with a segment table give, bit for bit, the values of one tape per
-// range and the parameter gradients those tapes sum in range order.
+// level: a linear layer — three ops or the fused node — pooling, log-softmax
+// and a sum evaluated once over a stack with a segment table give, bit for
+// bit, the values of one tape per range and the parameter gradients those
+// tapes sum in range order.
 func TestSegmentOpsMatchPerSegmentTapes(t *testing.T) {
+	for name, layer := range map[string]func(tp *Tape, x, w, bias *Node, segs []int) *Node{
+		"three-ops": func(tp *Tape, x, w, bias *Node, segs []int) *Node {
+			return tp.ReLU(tp.AddRowVectorSeg(tp.MatMulSeg(x, w, segs), bias, segs))
+		},
+		"fused": (*Tape).LinearReLUSeg,
+	} {
+		t.Run(name, func(t *testing.T) { segmentOpsMatchPerSegmentTapes(t, layer) })
+	}
+}
+
+func segmentOpsMatchPerSegmentTapes(t *testing.T, layer func(tp *Tape, x, w, bias *Node, segs []int) *Node) {
 	rng := rand.New(rand.NewSource(19))
 	x, w, bias, proj := randMat(rng, 7, 4), randMat(rng, 4, 3), randMat(rng, 1, 3), randMat(rng, 3, 1)
 	// The head: h = ReLU(x·w + b); out = Σ logsoftmax(h·proj)² + Σ max(h)·mean(h).
 	head := func(tp *Tape, x, w, bias, proj *Node, segs []int) (*Node, *Node) {
-		h := tp.ReLU(tp.AddRowVectorSeg(tp.MatMulSeg(x, w, segs), bias, segs))
+		h := layer(tp, x, w, bias, segs)
 		ls := tp.SegmentLogSoftmax(tp.MatMulSeg(h, proj, segs), segs)
 		pooled := tp.Mul(tp.SegmentMaxRows(h, segs), tp.SegmentMeanRows(h, segs))
 		return ls, tp.Add(tp.SegmentSum(tp.Square(ls), segs), tp.SegmentSum(pooled, nil2unit(segs, pooled.Value.Rows)))

@@ -160,7 +160,7 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
 
 	// Node embeddings: input projection then the GCN stack, propagating
 	// through the CSR operator.
-	h := tp.ReLU(a.input.Forward(b, tp.Const(&sb.x), sb.nodeSegs))
+	h := a.input.ForwardReLU(b, tp.Const(&sb.x), sb.nodeSegs)
 	for _, g := range a.gcn {
 		h = g.Forward(b, &sb.norm, h, sb.nodeSegs)
 	}
@@ -176,7 +176,7 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
 		if !sb.single {
 			idleSegs = sb.rowSegs[:sb.proc.Rows+1]
 		}
-		procEmb := tp.ReLU(a.proc.Forward(b, tp.Const(&sb.proc), idleSegs))
+		procEmb := a.proc.ForwardReLU(b, tp.Const(&sb.proc), idleSegs)
 		pooled := tp.SegmentMaxRows(h, sb.nodeSegs)
 		if sb.idleStates != nil {
 			// A state that masks ∅ drops out here; its pooled row gets a zero

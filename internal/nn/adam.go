@@ -49,8 +49,8 @@ func (a *Adam) Step(params *ParamSet) {
 		}
 		v := a.v[p]
 		for i, g := range p.Grad.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
+			m.Data[i] = float64(a.Beta1*m.Data[i]) + float64((1-a.Beta1)*g)
+			v.Data[i] = float64(a.Beta2*v.Data[i]) + float64((1-a.Beta2)*g*g)
 			mhat := m.Data[i] / bc1
 			vhat := v.Data[i] / bc2
 			p.Value.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Epsilon)
@@ -87,8 +87,8 @@ func (s *SGD) Step(params *ParamSet) {
 			s.vel[p] = v
 		}
 		for i, g := range p.Grad.Data {
-			v.Data[i] = s.Momentum*v.Data[i] + g
-			p.Value.Data[i] -= s.LR * v.Data[i]
+			v.Data[i] = float64(s.Momentum*v.Data[i]) + g
+			p.Value.Data[i] -= float64(s.LR * v.Data[i])
 		}
 	}
 }

@@ -33,6 +33,12 @@ func (l *Linear) Forward(b *Binding, x *autograd.Node, segs []int) *autograd.Nod
 	return b.Tape.AddRowVectorSeg(b.Tape.MatMulSeg(x, b.Bind(l.W), segs), b.Bind(l.B), segs)
 }
 
+// ForwardReLU is ReLU(Forward(b, x, segs)) as one tape node, with the same
+// bits (see autograd.Tape.LinearReLUSeg).
+func (l *Linear) ForwardReLU(b *Binding, x *autograd.Node, segs []int) *autograd.Node {
+	return b.Tape.LinearReLUSeg(x, b.Bind(l.W), b.Bind(l.B), segs)
+}
+
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
@@ -65,9 +71,7 @@ func NewGCN(rng *rand.Rand, name string, in, out int) *GCN {
 // block-diagonal operator and segs the segment table of h's rows (nil for one
 // sub-DAG), as in Linear.Forward.
 func (g *GCN) Forward(b *Binding, norm *tensor.Sparse, h *autograd.Node, segs []int) *autograd.Node {
-	agg := b.Tape.SpMM(norm, h)
-	lin := b.Tape.AddRowVectorSeg(b.Tape.MatMulSeg(agg, b.Bind(g.W), segs), b.Bind(g.B), segs)
-	return b.Tape.ReLU(lin)
+	return b.Tape.LinearReLUSeg(b.Tape.SpMM(norm, h), b.Bind(g.W), b.Bind(g.B), segs)
 }
 
 // Params returns the layer's trainable parameters.

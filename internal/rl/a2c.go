@@ -311,13 +311,13 @@ func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward flo
 	targets := resize(&sc.targets, d)
 	ret := 0.0
 	for i := d - 1; i >= 0; i-- {
-		ret = stepRewards[i] + t.Cfg.Gamma*ret
+		ret = stepRewards[i] + float64(t.Cfg.Gamma*ret)
 		targets[i] = ret
 		if stepsToEnd := d - 1 - i; t.Cfg.Unroll > 0 && stepsToEnd >= t.Cfg.Unroll {
 			boot := steps[i+t.Cfg.Unroll].Value
 			targets[i] = math.Pow(t.Cfg.Gamma, float64(t.Cfg.Unroll)) * boot
 			for k := 0; k < t.Cfg.Unroll; k++ {
-				targets[i] += math.Pow(t.Cfg.Gamma, float64(k)) * stepRewards[i+k]
+				targets[i] += float64(math.Pow(t.Cfg.Gamma, float64(k)) * stepRewards[i+k])
 			}
 		}
 	}
@@ -360,8 +360,8 @@ func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward flo
 		loss = tp.Scale(loss, scale)
 		tp.Backward(tp.SumAll(loss))
 		for i := 0; i < k; i++ {
-			policy += policyLoss.Value.Data[i] * scale
-			value += valueLoss.Value.Data[i] * scale
+			policy += float64(policyLoss.Value.Data[i] * scale)
+			value += float64(valueLoss.Value.Data[i] * scale)
 			total += loss.Value.Data[i]
 		}
 		lo = hi

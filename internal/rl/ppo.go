@@ -139,7 +139,7 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 			steps := r.log.Steps()
 			d := len(steps)
 			for i, st := range steps {
-				target := math.Pow(t.Cfg.Gamma, float64(d-1-i)) * r.reward
+				target := float64(math.Pow(t.Cfg.Gamma, float64(d-1-i)) * r.reward)
 				batch = append(batch, ppoSample{
 					log:       r.log,
 					index:     i,
@@ -182,8 +182,8 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 				loss = tp.Scale(loss, scale)
 				tp.Backward(loss)
 				epochTotal += autograd.Scalar(loss)
-				epochPolicy += autograd.Scalar(policyLoss) * scale
-				epochValue += autograd.Scalar(valueLoss) * scale
+				epochPolicy += float64(autograd.Scalar(policyLoss) * scale)
+				epochValue += float64(autograd.Scalar(valueLoss) * scale)
 				fw.Binding.Release()
 			}
 			gradNorm = applyUpdate(params, t.opt, t.Cfg.ClipNorm)

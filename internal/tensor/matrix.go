@@ -150,13 +150,18 @@ func (m *Matrix) SameShape(o *Matrix) bool {
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := New(m.Cols, m.Rows)
+	TransposeInto(m, t)
+	return t
+}
+
+// TransposeInto writes mᵀ into out.
+func TransposeInto(m, out *Matrix) {
+	mustShape("Transpose destination", out, m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
+		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			out.Data[j*out.Cols+i] = v
 		}
 	}
-	return t
 }
 
 // String renders the matrix for debugging; large matrices are elided.

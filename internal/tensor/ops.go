@@ -251,61 +251,6 @@ func MatMulTransASegAcc(a, b *Matrix, segs []int, scratch, acc *Matrix) {
 	parallelRows(a.Cols, block)
 }
 
-// MatMulTransB returns a*bᵀ without materialising the transpose.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MatMulTransBInto(a, b, out)
-	return out
-}
-
-// MatMulTransBInto computes out = a*bᵀ into a caller-supplied destination,
-// split across row blocks of a for large products.
-func MatMulTransBInto(a, b, out *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d *ᵀ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape("MatMulTransB destination", out, a.Rows, b.Rows)
-	work := a.Rows * a.Cols * b.Rows
-	if work < parallelThreshold || a.Rows < 2 {
-		matMulTransBRange(a, b, out, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(a, b, out, lo, hi) })
-}
-
-// matMulTransBRange computes rows [lo, hi) of out = a*bᵀ. Every output is one
-// dot product summed in ascending k; four of them are carried side by side,
-// which changes no sum — each has its own accumulator — and lets the adds of
-// independent outputs overlap instead of waiting on one another.
-func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
-	n := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0, b1 := b.Data[j*n:(j+1)*n], b.Data[(j+1)*n:(j+2)*n]
-			b2, b3 := b.Data[(j+2)*n:(j+3)*n], b.Data[(j+3)*n:(j+4)*n]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += float64(av * b0[k])
-				s1 += float64(av * b1[k])
-				s2 += float64(av * b2[k])
-				s3 += float64(av * b3[k])
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Data[j*n : (j+1)*n]
-			var s float64
-			for k, av := range arow {
-				s += float64(av * brow[k])
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // Add returns a+b elementwise.
 func Add(a, b *Matrix) *Matrix {
 	out := New(a.Rows, a.Cols)

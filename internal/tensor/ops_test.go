@@ -80,15 +80,6 @@ func TestMatMulTransA(t *testing.T) {
 	}
 }
 
-func TestMatMulTransB(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := RandNormal(rng, 6, 8, 1)
-	b := RandNormal(rng, 5, 8, 1)
-	if !MatMulTransB(a, b).AllClose(MatMul(a, b.T()), 1e-10) {
-		t.Fatal("MatMulTransB mismatch")
-	}
-}
-
 func TestMatMulAssociativityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed uint8) bool {
@@ -319,15 +310,6 @@ func TestMatMulTransAParallelPathMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulTransBParallelPathMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	a := RandNormal(rng, 128, 80, 1)
-	b := RandNormal(rng, 96, 80, 1)
-	if !MatMulTransB(a, b).AllClose(naiveMatMul(a, b.T()), 1e-8) {
-		t.Fatal("parallel MatMulTransB diverges from naive")
-	}
-}
-
 // TestParallelOpsBitIdenticalAcrossWorkerCounts pins the determinism contract
 // of the parallel kernels: each output element is produced by exactly one
 // goroutine with the same ascending-k accumulation order, so changing
@@ -339,7 +321,6 @@ func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	s := SparseFromDense(randomDAGDense(rng, 192, 0.4))
 	x := RandNormal(rng, 192, 64, 1)
 
-	c := RandNormal(rng, 112, 96, 1)
 	d := RandNormal(rng, 128, 112, 1)
 	bias := RandNormal(rng, 1, 112, 1)
 	lr1, lr4 := New(128, 112), New(128, 112)
@@ -348,40 +329,42 @@ func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	LinearReLUInto(a, b, bias, lr1)
 	mm1 := MatMul(a, b)
 	ta1 := MatMulTransA(a, d)
-	tb1 := MatMulTransB(a, c)
 	sp1 := SpMM(s, x)
 	runtime.GOMAXPROCS(4)
 	LinearReLUInto(a, b, bias, lr4)
 	mm4 := MatMul(a, b)
 	ta4 := MatMulTransA(a, d)
-	tb4 := MatMulTransB(a, c)
 	sp4 := SpMM(s, x)
 	runtime.GOMAXPROCS(prev)
 
-	if !mm1.Equal(mm4) || !ta1.Equal(ta4) || !tb1.Equal(tb4) || !sp1.Equal(sp4) || !lr1.Equal(lr4) {
+	if !mm1.Equal(mm4) || !ta1.Equal(ta4) || !sp1.Equal(sp4) || !lr1.Equal(lr4) {
 		t.Fatal("parallel results depend on GOMAXPROCS")
 	}
 	biasReLU(mm1, bias)
 	mustSameBits(t, "parallel LinearReLUInto", lr4, mm1)
 }
 
-// TestMatMulTransBBitIdenticalToSequentialDots: the kernel carries four dot
-// products side by side; each must still be the plain sum in ascending k, for
-// output widths on both sides of a multiple of four.
-func TestMatMulTransBBitIdenticalToSequentialDots(t *testing.T) {
+// TestMatMulOfTransposeMatchesSequentialDots: a*bᵀ formed as MatMul(a, bᵀ) —
+// how the tape takes an input gradient ∂C·Wᵀ — is, bit for bit, the plain dot
+// product of a's row and b's row summed in ascending k from +0, zero terms
+// included: the skipped ±0 terms are the identity (see matMulLoop). Output
+// widths straddle the row kernel's bound and its block sizes; the last shape
+// crosses parallelThreshold.
+func TestMatMulOfTransposeMatchesSequentialDots(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, outCols := range []int{1, 3, 4, 5, 8, 11, 32} {
-		a, b := RandNormal(rng, 6, 9, 1), RandNormal(rng, outCols, 9, 1)
-		a.Data[4] = 0 // a zero term must be added like any other
-		got := MatMulTransB(a, b)
+	for _, sh := range [][3]int{{6, 9, 1}, {6, 9, 3}, {6, 9, 4}, {6, 9, 5}, {6, 9, 8}, {6, 9, 11}, {6, 9, 32}, {6, 9, 37}, {128, 80, 96}} {
+		rows, k, outCols := sh[0], sh[1], sh[2]
+		a, b := RandNormal(rng, rows, k, 1), RandNormal(rng, outCols, k, 1)
+		a.Data[4], a.Data[5] = 0, math.Copysign(0, -1) // zero terms must cost no bit
+		got := MatMul(a, b.T())
 		for i := 0; i < a.Rows; i++ {
 			for j := 0; j < b.Rows; j++ {
 				var s float64
 				for k := 0; k < a.Cols; k++ {
-					s += a.At(i, k) * b.At(j, k)
+					s += float64(a.At(i, k) * b.At(j, k))
 				}
 				if math.Float64bits(got.At(i, j)) != math.Float64bits(s) {
-					t.Fatalf("%d output columns: out[%d,%d] = %v, sequential dot %v", outCols, i, j, got.At(i, j), s)
+					t.Fatalf("%dx%d*(%dx%d)ᵀ: out[%d,%d] = %v, sequential dot %v", rows, k, outCols, k, i, j, got.At(i, j), s)
 				}
 			}
 		}
