@@ -1,22 +1,23 @@
 # Pre-merge checks for the READYS reproduction.
 #
 #   make check       — everything a PR must pass: build, vet, tests, decision-
-#                      equivalence gate, race tests, portability gate,
+#                      equivalence gate, fuzzing, race tests, portability gate,
 #                      observability smoke test, fleet, stream and gateway
 #                      smoke tests, paper tables
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild tape oracle
-#                      (bitwise for float64; bounded divergence for
-#                      float32), and the training path (tape-free
+#                      bit for bit, and the training path (tape-free
 #                      rollouts recorded in reused episode logs, one batched
 #                      tape pass per episode) must match per-decision-tape
 #                      training bit for bit
+#   make fuzz        — a short native-fuzzing run of each decoder of outside
+#                      input (arrival traces, schedule requests); their
+#                      seed corpora in testdata/fuzz also run under go test
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
 #   make portable    — cross-build for arm64 (the only thing here that
 #                      compiles the non-amd64 kernel file) and require that no
-#                      product of the kernels, the tape, the optimiser or the
-#                      trainers was fused into its add
+#                      product anywhere in the library was fused into its add
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
 #                      JSONL, sim trace, flight recorder, and a dispatcher +
 #                      worker pair whose merged cross-process trace must
@@ -41,9 +42,9 @@
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
 
-.PHONY: check build vet test equiv race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables bench-serve serve fleet gateway
+.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables bench-serve serve fleet gateway
 
-check: build vet test equiv race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables
+check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables
 
 build:
 	$(GO) build ./...
@@ -60,9 +61,8 @@ test:
 # Decision-equivalence proofs, named explicitly so a failure reads as "the
 # optimised decision path diverged from the oracle" rather than a generic
 # test break: incremental state vs full rebuild (bitwise, incl. faults and
-# streaming AddJob invalidation), float64 serving engine vs the autograd
-# tape, the float32 divergence bound, and the training guard. The stream
-# path's append-only pieces are each pinned to the whole-union computation
+# streaming AddJob invalidation), the serving engine vs the autograd tape,
+# and the training guard. The stream path's append-only pieces are each pinned to the whole-union computation
 # they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
 # accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
 # and TestStreamCostFlat / TestMemoScopedToStateVersion fail if a per-arrival
@@ -86,7 +86,7 @@ test:
 # (TestEvaluateResidentPolicyBitIdentical). The serving path's resident
 # policies, simulator memory and problem templates are held to ones built
 # fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
-# down, explicit DAGs, precision flips, eviction;
+# down, explicit DAGs, eviction;
 # TestLeasedPolicyFollowsPublishedWeights for Publish/Invalidate; a reused
 # sim.Runner to a new one: TestRunnerReuseBitIdentical), its typed spans to the
 # map path's exported bytes (TestSpanExportsAsCompleteWithSpanArgs), and
@@ -95,13 +95,22 @@ test:
 # span boxes its attributes again. These also run under `make test`.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps' ./internal/autograd/
-	$(GO) test -run 'TestIncremental|TestServing|TestFloat32BoundedDivergence|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
+	$(GO) test -run 'TestIncremental|TestServing|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed' ./internal/obs/
+
+# Native fuzzing of the decoders that read outside bytes: an arrival trace
+# either errors or builds every graph within taskgraph.MaxTasks and
+# round-trips; a /v1/schedule body either errors or builds an acyclic graph
+# within MaxDAGTasks. A failing input is written to the package's
+# testdata/fuzz/, where plain go test replays it from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadArrivals$$' -fuzztime 10s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/serve/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve
 # (registry, pool, handlers, and leases handing resident policies from one
@@ -121,20 +130,23 @@ race:
 # that names an amd64-only symbol breaks them silently. And where the target
 # has FMA the compiler fuses y += a*x unless the product is written
 # float64(a*x), rounding once where VMULPD/VADDPD and amd64's scalar code round
-# twice — in the kernels, and in the training path's tape, Adam and loss
-# arithmetic. Pure Go, no cgo: the cross-build works offline. The disassembly
-# is of the package archives, so it covers functions no command links.
+# twice — in the kernels, the tape, the simulator's clock, the schedulers'
+# finish times and the tables' statistics alike. Pure Go, no cgo: the
+# cross-build works offline. The disassembly is of the package archives (the
+# root package and every internal one; the commands' mains compute nothing
+# of their own), so it covers functions no command links.
 PORTABLE_TMP ?= /tmp/readys-portable
-PORTABLE_PKGS = tensor autograd nn rl
+PORTABLE_PKGS = . $(wildcard internal/*)
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 	rm -rf $(PORTABLE_TMP) && mkdir -p $(PORTABLE_TMP)
 	@fused=0; for p in $(PORTABLE_PKGS); do \
-		GOARCH=arm64 $(GO) build -o $(PORTABLE_TMP)/$$p.a ./internal/$$p/ || exit 1; \
-		if $(GO) tool objdump $(PORTABLE_TMP)/$$p.a | grep -E 'FN?M(ADD|SUB)'; then fused=1; fi; \
+		a=$(PORTABLE_TMP)/$$(echo $$p | tr ./ __).a; \
+		GOARCH=arm64 $(GO) build -o $$a ./$$p/ || exit 1; \
+		if out=$$($(GO) tool objdump $$a | grep -E 'FN?M(ADD|SUB)'); then echo "$$out" | sed "s|^|$$p|"; fused=1; fi; \
 	done; if [ $$fused = 1 ]; then \
-		echo "portable: fused multiply-add in internal/{$(PORTABLE_PKGS)} — write the product as float64(a*x)"; exit 1; fi
+		echo "portable: fused multiply-add in the lines above — write the product as float64(a*x)"; exit 1; fi
 	rm -rf $(PORTABLE_TMP)
 	@echo portable OK
 

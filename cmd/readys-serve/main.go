@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"readys/internal/core"
 	"readys/internal/exp"
 	"readys/internal/serve"
 )
@@ -46,15 +45,9 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof and /debug/runtime (off by default)")
 		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace (0 = default)")
-		precision   = flag.String("precision", "float64", "serving precision for rollouts: float64 (bit-identical to training-path decisions, and the faster tier) or float32 (bounded divergence; about 2x the decision time of float64 since the float64 row kernel)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "readys-serve: ", log.LstdFlags)
-
-	prec, err := core.ParsePrecision(*precision)
-	if err != nil {
-		logger.Fatal(err)
-	}
 
 	if info, err := os.Stat(*models); err != nil {
 		logger.Fatalf("model directory %s: %v", *models, err)
@@ -71,11 +64,7 @@ func main() {
 		Logger:         logger,
 		EnablePprof:    *enablePprof,
 		TraceEvents:    *traceEvents,
-		Precision:      prec,
 	})
-	if prec != core.PrecisionFloat64 {
-		logger.Printf("serving precision %s (reduced tier; decisions may diverge within the documented bound)", prec)
-	}
 	if *enablePprof {
 		logger.Print("pprof enabled at /debug/pprof/")
 	}

@@ -59,7 +59,6 @@ func main() {
 		flightPath   = flag.String("flight", "", "write the cluster flight recorder (arrivals, decisions, kills, faults, ready depth) as JSONL to this path")
 		writeArr     = flag.String("write-arrivals", "", "write the (generated or replayed) arrival list as JSONL to this path")
 		quiet        = flag.Bool("quiet", false, "suppress the per-job table")
-		precision    = flag.String("precision", "float64", "serving precision for -policy readys: float64 (bit-identical, and the faster tier) or float32 (bounded divergence; about 2x the decision time of float64)")
 	)
 	flag.Parse()
 
@@ -72,15 +71,11 @@ func main() {
 	var pol sim.Policy
 	switch *policy {
 	case "readys":
-		prec, err := core.ParsePrecision(*precision)
-		if err != nil {
-			log.Fatal(err)
-		}
 		agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
 		if _, err := agent.LoadCheckpoint(exp.StreamAgentPath(*models)); err != nil {
 			log.Fatalf("loading %s: %v (train it with readys-train -stream)", exp.StreamAgentPath(*models), err)
 		}
-		pol = core.NewServingPolicy(agent, prec)
+		pol = core.NewPolicy(agent)
 	case "heft-per-job":
 		pol = stream.NewHEFTPerJobPolicy()
 	case "replan-heft":

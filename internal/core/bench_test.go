@@ -48,10 +48,9 @@ func BenchmarkDescendantFeatures(b *testing.B) {
 
 // BenchmarkPolicyDecide runs whole greedy episodes of the committed Cholesky
 // T=8 2c2g checkpoint on the default policy (incremental encoder, memo,
-// float64 engine), the float32 engine and the reference policy (rebuild, tape,
-// no memo), and reports time and allocations per decision. The three rows come
-// from one process, so their ratios mean something where the absolute numbers
-// do not.
+// float64 engine) and the reference policy (rebuild, tape, no memo), and
+// reports time and allocations per decision. The two rows come from one
+// process, so their ratio means something where the absolute numbers do not.
 func BenchmarkPolicyDecide(b *testing.B) {
 	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
 	if _, err := agent.LoadCheckpoint("../../models/readys_cholesky_T8_2c2g_w2_l2_h32.json"); err != nil {
@@ -63,7 +62,6 @@ func BenchmarkPolicyDecide(b *testing.B) {
 		pol  *Policy
 	}{
 		{"float64", NewPolicy(agent)},
-		{"float32", NewServingPolicy(agent, PrecisionFloat32)},
 		{"reference", NewReferencePolicy(agent)},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -158,7 +158,7 @@ func TestServingF64BitIdenticalToTape(t *testing.T) {
 		agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 9, FaultFeatures: ff})
 		prob := NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
 		prob.Faults = sim.SpecForRate(1.0, 0)
-		engine := newServeEngine(agent, PrecisionFloat64)
+		engine := &serveEngine{agent: agent}
 		pol := NewPolicy(agent)
 		n := 0
 		probe := policyFunc{
@@ -190,14 +190,14 @@ func TestServingF64BitIdenticalToTape(t *testing.T) {
 }
 
 // TestServingPolicyResultIdentical pins the end-to-end contract serve relies
-// on: a float64 serving policy (engine + incremental + memo) schedules
-// exactly like the oracle tape policy.
+// on: the serving policy (engine + incremental + memo) schedules exactly like
+// the oracle tape policy.
 func TestServingPolicyResultIdentical(t *testing.T) {
 	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 11})
 	prob := NewProblem(taskgraph.QR, 6, 2, 2, 0.1)
 	prob.Faults = sim.SpecForRate(1.0, 0)
 
-	serving := NewServingPolicy(agent, PrecisionFloat64)
+	serving := NewPolicy(agent)
 	oracle := NewReferencePolicy(agent)
 
 	ra, err := prob.Simulate(serving, rand.New(rand.NewSource(41)))
@@ -218,17 +218,14 @@ func TestServingPolicyResultIdentical(t *testing.T) {
 	}
 }
 
-// TestServingNeverInTraining pins what may feed a trainer. The float64 engine
-// on a recording policy is the training path (NewTrainingPolicy's default) and
-// records what the tape fallback records; a reduced precision on a recording
-// policy must panic, at EnableServing or at the first decision, rather than
-// put float32 forwards into a loss.
+// TestServingNeverInTraining pins what may feed a trainer: the engine on a
+// recording policy is the training path (NewTrainingPolicy's default) and
+// records what the tape fallback records.
 func TestServingNeverInTraining(t *testing.T) {
 	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
 	prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
 
 	engine := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-	engine.EnableServing(PrecisionFloat64) // re-attaching the float64 engine is fine
 	tape := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
 	tape.engine, tape.inc = nil, nil
 	for _, p := range []*Policy{engine, tape} {
@@ -244,27 +241,6 @@ func TestServingNeverInTraining(t *testing.T) {
 			t.Fatalf("step %d: engine recorded %+v, tape fallback %+v", i, a, b)
 		}
 	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EnableServing(float32) on a recording policy did not panic")
-			}
-		}()
-		p := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-		p.EnableServing(PrecisionFloat32)
-	}()
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Decide on a recording float32 policy did not panic")
-			}
-		}()
-		p := NewServingPolicy(agent, PrecisionFloat32)
-		p.Record = true
-		_, _ = prob.Simulate(p, rand.New(rand.NewSource(1)))
-	}()
 }
 
 // policyFunc adapts two closures to sim.Policy for probing tests.

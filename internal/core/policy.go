@@ -62,8 +62,7 @@ type Policy struct {
 	// Temperature, when positive and Greedy is false, sharpens the sampling
 	// distribution (pᵢ ∝ exp(log πᵢ/τ)). Ignored in Greedy mode.
 	Temperature float64
-	// Record keeps every decision as a Step for training. It needs the
-	// float64 forward: the float32 engine panics on a recording policy.
+	// Record keeps every decision as a Step for training.
 	Record bool
 	// DisableIdle masks the ∅ action at every decision (ablation: READYS
 	// reduced to a pure list scheduler that must fill the asking resource).
@@ -89,7 +88,7 @@ type Policy struct {
 
 	// inc maintains the decision state incrementally; nil falls back to
 	// EncodeFault on every decision. engine, when set, replaces the tape
-	// forward with the serving engine at prec.
+	// forward with the serving engine.
 	inc    *incrementalEncoder
 	engine *serveEngine
 	// memo holds the forwards of one state version only: memoAt is that
@@ -132,7 +131,7 @@ type memoVal struct {
 func NewPolicy(agent *Agent) *Policy {
 	p := &Policy{Agent: agent, Greedy: true}
 	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
-	p.engine = newServeEngine(agent, PrecisionFloat64)
+	p.engine = &serveEngine{agent: agent}
 	return p
 }
 
@@ -142,17 +141,6 @@ func NewPolicy(agent *Agent) *Policy {
 // and memoises nothing.
 func NewReferencePolicy(agent *Agent) *Policy {
 	return &Policy{Agent: agent, Greedy: true, noMemo: true}
-}
-
-// NewServingPolicy returns a greedy policy that evaluates the network on the
-// allocation-free serving engine at the given precision instead of the
-// autograd tape. PrecisionFloat64 decides bit-identically to NewPolicy;
-// PrecisionFloat32 trades bounded decision divergence for latency. Only the
-// float64 tier may record training steps.
-func NewServingPolicy(agent *Agent, prec Precision) *Policy {
-	p := NewPolicy(agent)
-	p.EnableServing(prec)
-	return p
 }
 
 // NewTrainingPolicy returns a sampling, recording policy for the agent.
@@ -166,18 +154,6 @@ func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 	p.Greedy, p.Rng, p.Record = false, rng, true
 	p.engine.critic = true
 	return p
-}
-
-// EnableServing switches the policy's forward pass to the serving engine at
-// the given precision. Panics if the policy records training steps at a
-// reduced precision — only float64 forwards, which the update's tape
-// reproduces bit for bit, may feed a trainer.
-func (p *Policy) EnableServing(prec Precision) {
-	if p.Record && prec != PrecisionFloat64 {
-		panic("core: reduced serving precision on a recording (training) policy")
-	}
-	p.engine = newServeEngine(p.Agent, prec)
-	p.engine.critic = p.Record
 }
 
 // Reset implements sim.Policy: it clears the episode recording, the
@@ -215,10 +191,6 @@ func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 
 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
-	if p.Record && p.engine != nil && p.engine.prec != PrecisionFloat64 {
-		panic("core: recording (training) policy on a reduced-precision forward")
-	}
-
 	var es *EncodedState
 	if p.inc != nil {
 		es = p.inc.Encode(s, r)

@@ -32,7 +32,7 @@ func Summarise(xs []float64) Summary {
 	var sq float64
 	for _, x := range xs {
 		d := x - mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	std := math.Sqrt(sq / float64(n-1))
 	return Summary{Mean: mean, CI: 1.96 * std / math.Sqrt(float64(n)), N: n}

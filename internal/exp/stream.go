@@ -108,7 +108,7 @@ func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, 
 			}
 			var plan *sim.FaultPlan
 			if sc.FaultRate > 0 {
-				horizon := arrivals[len(arrivals)-1].At + core.FaultHorizonFactor*isolated
+				horizon := arrivals[len(arrivals)-1].At + float64(core.FaultHorizonFactor*isolated)
 				plan = sim.GeneratePlan(base+104729, plat.Size(), sim.SpecForRate(sc.FaultRate, horizon))
 			}
 			run := func(pol sim.Policy, a *agg) {

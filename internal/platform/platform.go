@@ -234,7 +234,7 @@ func (tt Timing) SampleDuration(rng *rand.Rand, k taskgraph.Kernel, t ResourceTy
 	if sigma == 0 {
 		return e
 	}
-	d := rng.NormFloat64()*sigma*e + e
+	d := float64(rng.NormFloat64()*sigma*e) + e
 	if d < 0 {
 		return 0
 	}

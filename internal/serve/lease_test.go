@@ -40,9 +40,9 @@ func explicitDAG(kind taskgraph.Kind, T int) *DAGSpec {
 }
 
 // freshAnswer schedules req the way runSchedule did before leases carried
-// their policy: the checkpoint loaded from disk and core.NewServingPolicy
-// built for this one problem.
-func freshAnswer(t *testing.T, dir string, req ScheduleRequest, prec core.Precision) ScheduleResponse {
+// their policy: the checkpoint loaded from disk and core.NewPolicy built for
+// this one problem.
+func freshAnswer(t *testing.T, dir string, req ScheduleRequest) ScheduleResponse {
 	t.Helper()
 	kind, err := req.kind()
 	if err != nil {
@@ -63,7 +63,7 @@ func freshAnswer(t *testing.T, dir string, req ScheduleRequest, prec core.Precis
 		Timing:   platform.TimingFor(kind),
 		Sigma:    req.Sigma,
 	}
-	res, err := prob.Simulate(core.NewServingPolicy(agent, prec), rand.New(rand.NewSource(req.Seed)))
+	res, err := prob.Simulate(core.NewPolicy(agent), rand.New(rand.NewSource(req.Seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,11 @@ func sameSchedule(got, want ScheduleResponse) error {
 // policy, the simulator memory, the generator — and the model's problem
 // templates to what they replaced. One worker means one clone, hence one
 // policy and one runner, per model; each serves big, small and big graphs
-// again, generated and explicit, across precision flips (float64 → float32 →
-// float64) — and every answer must equal the one a policy built fresh, on a
-// graph built fresh, gives. The last rounds
-// are generated bodies only: the same template twice running, a second tile
-// count on the same model, an explicit DAG between two uses of one template;
-// then the models are evicted, which must drop their templates.
+// again, generated and explicit — and every answer must equal the one a policy
+// built fresh, on a graph built fresh, gives. The last rounds are generated
+// bodies only: the same template twice running, a second tile count on the
+// same model, an explicit DAG between two uses of one template; then the
+// models are evicted, which must drop their templates.
 func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	dir := t.TempDir()
 	kinds := []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR}
@@ -120,17 +119,13 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	}
 	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute})
 
-	type step struct {
-		req  ScheduleRequest
-		prec core.Precision
-	}
-	var seq []step
+	var seq []ScheduleRequest
 	seed := int64(0)
 	generated := make(map[taskgraph.Kind]map[int]bool) // tile counts requested by name, per model
 	for _, k := range kinds {
 		generated[k] = make(map[int]bool)
 	}
-	round := func(prec core.Precision, explicitEvery int64, tiles ...int) {
+	round := func(explicitEvery int64, tiles ...int) {
 		for _, T := range tiles {
 			for _, k := range kinds {
 				seed++
@@ -140,38 +135,23 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 				} else {
 					generated[k][T] = true
 				}
-				seq = append(seq, step{req, prec})
+				seq = append(seq, req)
 			}
 		}
 	}
-	round(core.PrecisionFloat64, 2, 8, 2, 8)
-	round(core.PrecisionFloat32, 2, 4, 8)
-	round(core.PrecisionFloat64, 2, 2, 8)
-	round(core.PrecisionFloat64, 0, 8, 8, 4, 8) // one template twice, another t, the first again
-	round(core.PrecisionFloat64, 1, 4)          // an explicit DAG on every model...
-	round(core.PrecisionFloat64, 0, 8, 4)       // ...between two uses of its templates
+	round(2, 8, 2, 8, 2, 8)
+	round(0, 8, 8, 4, 8) // one template twice, another t, the first again
+	round(1, 4)          // an explicit DAG on every model...
+	round(0, 8, 4)       // ...between two uses of its templates
 
-	prec := core.PrecisionFloat64
-	for i, st := range seq {
-		if st.prec != prec {
-			prec = st.prec
-			s.Registry().SetDefaultPrecision(prec)
-		}
-		rec, got := postSchedule(t, s.Handler(), st.req)
+	for i, req := range seq {
+		rec, got := postSchedule(t, s.Handler(), req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("step %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
-		if err := sameSchedule(got, freshAnswer(t, dir, st.req, prec)); err != nil {
-			t.Fatalf("step %d (%s T=%d dag=%v at %s): leased policy diverged from a fresh one: %v",
-				i, st.req.Kind, st.req.T, st.req.DAG != nil, prec, err)
-		}
-		// float32 schedules these weights like float64, so the answers
-		// cannot show an engine left at the wrong tier: look at the clone
-		// that served, whose engine ready() rebuilds with this label.
-		kind, _ := st.req.kind()
-		served := s.Registry().byName[cacheKey(kind, 8, 2, 2)].Value.(*model).free
-		if len(served) != 1 || served[0].prec != prec {
-			t.Fatalf("step %d: the clone back on %s's free list is not one at %s: %+v", i, st.req.Kind, prec, served)
+		if err := sameSchedule(got, freshAnswer(t, dir, req)); err != nil {
+			t.Fatalf("step %d (%s T=%d dag=%v): leased policy diverged from a fresh one: %v",
+				i, req.Kind, req.T, req.DAG != nil, err)
 		}
 	}
 	for _, k := range kinds {
@@ -205,7 +185,7 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("after eviction: status %d: %s", rec.Code, rec.Body.String())
 		}
-		if err := sameSchedule(got, freshAnswer(t, dir, req, prec)); err != nil {
+		if err := sameSchedule(got, freshAnswer(t, dir, req)); err != nil {
 			t.Errorf("first request after eviction: %v", err)
 		}
 		reloaded := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
@@ -235,7 +215,7 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 		}
 		return got
 	}
-	gen1 := freshAnswer(t, dir, req, core.PrecisionFloat64)
+	gen1 := freshAnswer(t, dir, req)
 	for i := 0; i < 2; i++ { // cold, then on the now-idle clone
 		if err := sameSchedule(answer(), gen1); err != nil {
 			t.Fatalf("generation 1, request %d: %v", i, err)
@@ -256,7 +236,7 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 	if err := reg.Publish(spec.Name()+".json", data); err != nil {
 		t.Fatal(err)
 	}
-	gen2 := freshAnswer(t, dir, req, core.PrecisionFloat64)
+	gen2 := freshAnswer(t, dir, req)
 	if sameSchedule(gen2, gen1) == nil {
 		t.Fatal("the two generations schedule alike: the test cannot tell them apart")
 	}

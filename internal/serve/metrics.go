@@ -15,9 +15,8 @@ var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 
 // decideBucketsUS are the upper bounds (in microseconds) of the per-decision
 // inference latency histogram. The serving hot path targets sub-100µs
-// decisions, so the resolution is concentrated there: the 5–100µs buckets
-// separate the incremental/float32 tiers, the tail catches cold starts and
-// full rebuilds.
+// decisions, so the resolution is concentrated there; the tail catches cold
+// starts and full rebuilds.
 var decideBucketsUS = []float64{5, 10, 25, 50, 100, 250, 1000, 10000}
 
 // Metrics is the service's counter set, backed by the shared obs registry.

@@ -151,7 +151,7 @@ func TestConcurrentLeasedPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := 0; seed < seeds; seed++ {
-			res, err := problem(T).Simulate(core.NewServingPolicy(agent, core.PrecisionFloat64), rand.New(rand.NewSource(int64(seed))))
+			res, err := problem(T).Simulate(core.NewPolicy(agent), rand.New(rand.NewSource(int64(seed))))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,10 +67,6 @@ type Registry struct {
 	hits    uint64
 	misses  uint64
 	evicted uint64
-
-	// defaultPrec is the serving precision of every lease. The zero value
-	// (PrecisionFloat64) serves bit-identically to the training-path policy.
-	defaultPrec core.Precision
 }
 
 // model is one resident checkpoint.
@@ -113,15 +109,13 @@ func (m *model) newTemplate(g *taskgraph.Graph) *template {
 
 // clone is one private copy of a model's parameters with the decision
 // context built over it. The policy lives as long as the clone: between
-// leases it keeps every buffer (Policy.Reset only rewinds them) and, at
-// float32, the engine's converted weights; prec is the tier that engine was
-// built at. Beside it live the simulator memory every run of a request
-// happens in and the generator those runs draw from, re-seeded per run.
-// Evicting the model drops its idle clones, policies included.
+// leases it keeps every buffer (Policy.Reset only rewinds them). Beside it
+// live the simulator memory every run of a request happens in and the
+// generator those runs draw from, re-seeded per run. Evicting the model drops
+// its idle clones, policies included.
 type clone struct {
 	agent  *core.Agent
 	policy *core.Policy
-	prec   core.Precision
 	runner sim.Runner
 	rng    *rand.Rand
 }
@@ -132,16 +126,14 @@ type Lease struct {
 	registry *Registry
 	model    *model
 	clone    *clone
-	prec     core.Precision
 }
 
 // Agent returns the leased inference instance.
 func (l *Lease) Agent() *core.Agent { return l.clone.agent }
 
-// Policy returns the leased agent's resident greedy policy, serving at the
-// lease's precision. It decides exactly as
-// core.NewServingPolicy(l.Agent(), l.Precision()) would; sim.Simulate resets
-// it, which is all a request pays for its state.
+// Policy returns the leased agent's resident greedy policy. It decides exactly
+// as core.NewPolicy(l.Agent()) would; sim.Simulate resets it, which is all a
+// request pays for its state.
 func (l *Lease) Policy() *core.Policy { return l.clone.policy }
 
 // Runner returns the simulator memory resident with the leased clone. All of a
@@ -189,10 +181,6 @@ func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 	return tpl, nil
 }
 
-// Precision returns the serving precision the lease's rollouts run at: the
-// registry default when the lease was issued.
-func (l *Lease) Precision() core.Precision { return l.prec }
-
 // ModelName returns the canonical name of the model backing the lease.
 func (l *Lease) ModelName() string { return l.model.name }
 
@@ -232,15 +220,6 @@ func NewRegistry(dir string, maxModels, maxIdleClones int) *Registry {
 		byName:        make(map[string]*list.Element),
 		lru:           list.New(),
 	}
-}
-
-// SetDefaultPrecision sets the serving precision of every model
-// (readys-serve -precision). Affects leases acquired after the call; in-flight
-// leases keep the precision they were issued with.
-func (r *Registry) SetDefaultPrecision(p core.Precision) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.defaultPrec = p
 }
 
 // cacheKey is the registry's cache key: the problem combination a model was
@@ -330,10 +309,10 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 	return lease.ready(), false, nil
 }
 
-// leaseLocked resolves what a lease of m carries — precision, an idle clone
-// if there is one — under r.mu; ready finishes it outside.
+// leaseLocked resolves what a lease of m carries — an idle clone if there is
+// one — under r.mu; ready finishes it outside.
 func (r *Registry) leaseLocked(m *model) *Lease {
-	l := &Lease{registry: r, model: m, prec: r.defaultPrec}
+	l := &Lease{registry: r, model: m}
 	if n := len(m.free); n > 0 {
 		l.clone = m.free[n-1]
 		m.free = m.free[:n-1]
@@ -343,19 +322,11 @@ func (r *Registry) leaseLocked(m *model) *Lease {
 
 // ready does the lease's expensive part outside the registry lock: cloning
 // the master when no idle clone was free (its values are immutable once
-// loaded), or rebuilding an idle clone's engine when the default precision
-// was changed since it last served. The encoder, its caches and the memo
-// carry over a precision flip untouched.
+// loaded).
 func (l *Lease) ready() *Lease {
 	if l.clone == nil {
 		agent := l.model.master.Clone()
-		l.clone = &clone{
-			agent: agent, policy: core.NewServingPolicy(agent, l.prec), prec: l.prec,
-			rng: rand.New(rand.NewSource(0)),
-		}
-	} else if l.clone.prec != l.prec {
-		l.clone.policy.EnableServing(l.prec)
-		l.clone.prec = l.prec
+		l.clone = &clone{agent: agent, policy: core.NewPolicy(agent), rng: rand.New(rand.NewSource(0))}
 	}
 	return l
 }

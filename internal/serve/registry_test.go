@@ -188,36 +188,3 @@ func TestRegistryList(t *testing.T) {
 		t.Fatalf("lu entry wrong: %+v", m)
 	}
 }
-
-// TestRegistryPrecision pins the serving-precision plumbing: leases default to
-// float64 (bit-identical serving) and SetDefaultPrecision applies to
-// subsequent leases of every model.
-func TestRegistryPrecision(t *testing.T) {
-	dir := t.TempDir()
-	chol := testSpec(taskgraph.Cholesky, 2, 1, 1)
-	lu := testSpec(taskgraph.LU, 2, 1, 1)
-	writeTestModel(t, dir, chol)
-	writeTestModel(t, dir, lu)
-	r := NewRegistry(dir, 4, 2)
-
-	lease, _, err := r.Acquire(taskgraph.Cholesky, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Precision() != core.PrecisionFloat64 {
-		t.Fatalf("default lease precision %v, want float64", lease.Precision())
-	}
-	lease.Release()
-
-	r.SetDefaultPrecision(core.PrecisionFloat32)
-	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU} {
-		lease, _, err = r.Acquire(kind, 2, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lease.Precision() != core.PrecisionFloat32 {
-			t.Fatalf("%v: post-default lease precision %v, want float32", kind, lease.Precision())
-		}
-		lease.Release()
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"readys/internal/core"
 	"readys/internal/exp"
 	"readys/internal/obs"
 	"readys/internal/sched"
@@ -42,11 +41,6 @@ type Config struct {
 	// default). Only the most recent window is kept, so tracing is always on
 	// and bounded.
 	TraceEvents int
-	// Precision is the serving precision for rollouts
-	// (readys-serve -precision). The zero value, core.PrecisionFloat64,
-	// schedules bit-identically to the training-path policy; float32 trades
-	// bounded decision divergence for latency.
-	Precision core.Precision
 }
 
 // DefaultConfig returns production-shaped defaults sized to the host.
@@ -111,7 +105,6 @@ func New(cfg Config) *Server {
 		tracer:   obs.NewTracer(cfg.TraceEvents),
 		build:    obs.ReadBuildInfo(),
 	}
-	s.registry.SetDefaultPrecision(cfg.Precision)
 	s.tracer.NameProcess(servePID, "readys-serve")
 	registerComponentGauges(s.metrics.Registry(), s.registry, s.pool)
 	s.mux.HandleFunc("/v1/schedule", s.instrument("schedule", s.handleSchedule))

@@ -392,20 +392,3 @@ func TestServedPlanMatchesDirectSchedule(t *testing.T) {
 		t.Fatalf("served %g vs direct %g", resp.Makespan, direct.Makespan)
 	}
 }
-
-// TestScheduleReducedPrecision runs a schedule request end to end with the
-// float32 serving tier as the server default: the response must still be a
-// complete, validated schedule (runSchedule re-validates every plan before
-// answering, so a precision-broken rollout could not slip through).
-func TestScheduleReducedPrecision(t *testing.T) {
-	dir := t.TempDir()
-	writeTestModel(t, dir, testSpec(taskgraph.Cholesky, 4, 1, 1))
-	s := New(Config{ModelsDir: dir, Workers: 2, Queue: 8, Precision: core.PrecisionFloat32})
-	rec, resp := postSchedule(t, s.Handler(), ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Seed: 7})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("float32 schedule -> %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Makespan <= 0 || len(resp.Placements) != resp.NumTasks {
-		t.Fatalf("float32 schedule implausible: %+v", resp)
-	}
-}

@@ -71,11 +71,11 @@ type DAGTask struct {
 	Name string `json:"name,omitempty"`
 }
 
-// MaxDAGTasks bounds the task graph of a request, explicit or generated;
-// windows over larger graphs make single forward passes arbitrarily expensive,
-// which a shared service must not let one caller buy. A generated body is held
-// to it by the family's closed-form task count, before anything is built.
-const MaxDAGTasks = 4096
+// MaxDAGTasks bounds the task graph of a request, explicit or generated: a
+// shared service must not let one caller buy an arbitrarily expensive forward
+// pass. A generated body is held to it by the family's closed-form task count,
+// before anything is built. It is the bound stream arrival traces are held to.
+const MaxDAGTasks = taskgraph.MaxTasks
 
 // PlacementJSON is one scheduled task in a response.
 type PlacementJSON struct {
@@ -151,9 +151,7 @@ func (r *ScheduleRequest) Validate() error {
 	if r.DAG == nil && r.T < 1 {
 		return fmt.Errorf("serve: tile count t must be >= 1, got %d", r.T)
 	}
-	// Every family has at least t tasks, so the first test also keeps the
-	// closed form in the second far from overflowing.
-	if r.DAG == nil && (r.T > MaxDAGTasks || taskgraph.NumTasksFor(kind, r.T) > MaxDAGTasks) {
+	if r.DAG == nil && !taskgraph.WithinMaxTasks(kind, r.T) {
 		return fmt.Errorf("serve: %s t=%d generates more than the limit of %d tasks", kind, r.T, MaxDAGTasks)
 	}
 	if r.DAG != nil && r.TrainT < 1 {

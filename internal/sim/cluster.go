@@ -256,7 +256,7 @@ func (c *Cluster) Drain(pol Policy) error {
 // the flight recorder (one sample per advance, at the interval's start).
 func (c *Cluster) account(t float64) {
 	if dt := t - c.s.Now; dt > 0 {
-		c.readyIntegral += float64(len(c.s.Ready)) * dt
+		c.readyIntegral += float64(float64(len(c.s.Ready)) * dt)
 		if c.s.recorder != nil {
 			c.s.recorder.Record(obs.FlightEvent{
 				T: c.s.Now, Kind: obs.FlightReadyDepth, Res: -1, Val: float64(len(c.s.Ready)),

@@ -237,7 +237,7 @@ func GeneratePlan(seed int64, numResources int, spec FaultSpec) *FaultPlan {
 		}
 		for i := 0; i < drawCount(rng, spec.DegradeRate); i++ {
 			plan.Events = append(plan.Events, FaultEvent{Kind: FaultDegrade, Resource: r,
-				At: rng.Float64() * h, Factor: dmin + rng.Float64()*(dmax-dmin)})
+				At: rng.Float64() * h, Factor: dmin + float64(rng.Float64()*(dmax-dmin))})
 		}
 	}
 	sortEvents(plan.Events)

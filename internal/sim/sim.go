@@ -223,7 +223,7 @@ func (s *State) TaskTiming(t int) platform.Timing {
 // EstTaskDuration returns the expected duration of task t on resource r under
 // r's current speed factor, resolved through t's own timing table.
 func (s *State) EstTaskDuration(t, r int) float64 {
-	return s.TaskTiming(t).ExpectedDuration(s.Graph.Tasks[t].Kernel, s.Platform.Resources[r].Type) * s.speed(r)
+	return float64(s.TaskTiming(t).ExpectedDuration(s.Graph.Tasks[t].Kernel, s.Platform.Resources[r].Type) * s.speed(r))
 }
 
 // JobOf returns the job a task belongs to (0 for single-DAG runs).
@@ -618,8 +618,8 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 		if t := s.RunningTask[r]; t != NoTask {
 			ratio := ev.factor / old
 			if rem := s.BusyUntil[r] - ev.at; rem > 0 {
-				s.BusyUntil[r] = ev.at + rem*ratio
-				s.EndTime[t] += rem * (ratio - 1)
+				s.BusyUntil[r] = ev.at + float64(rem*ratio)
+				s.EndTime[t] += float64(rem * (ratio - 1))
 			}
 		}
 		if s.tracer != nil {
@@ -767,7 +767,7 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 	if !s.IsFree(r) {
 		return fmt.Errorf("sim: resource %d is busy or unavailable", r)
 	}
-	dur := s.TaskTiming(task).SampleDuration(rng, s.Graph.Tasks[task].Kernel, s.Platform.Resources[r].Type, s.Sigma) * s.speed(r)
+	dur := float64(s.TaskTiming(task).SampleDuration(rng, s.Graph.Tasks[task].Kernel, s.Platform.Resources[r].Type, s.Sigma) * s.speed(r))
 	// Communication extension: the computation stalls until every input tile
 	// produced on another resource has arrived (transfers overlap but data
 	// cannot be consumed before it lands).

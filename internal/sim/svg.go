@@ -51,7 +51,7 @@ func WriteGanttSVG(w io.Writer, g *taskgraph.Graph, plat platform.Platform, res 
 	// Task rectangles.
 	for _, p := range trace {
 		y := topPad + p.Resource*(laneH+laneGap)
-		x := leftPad + p.Start*scale
+		x := leftPad + float64(p.Start*scale)
 		wpx := (p.End - p.Start) * scale
 		if wpx < 0.5 {
 			wpx = 0.5
@@ -64,7 +64,7 @@ func WriteGanttSVG(w io.Writer, g *taskgraph.Graph, plat platform.Platform, res 
 	axisY := topPad + plat.Size()*(laneH+laneGap) + 4
 	for i := 0; i <= 10; i++ {
 		t := res.Makespan * float64(i) / 10
-		x := leftPad + t*scale
+		x := leftPad + float64(t*scale)
 		fmt.Fprintf(w, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#999"/>`+"\n", x, axisY, x, axisY+4)
 		fmt.Fprintf(w, `<text x="%.1f" y="%d" text-anchor="middle" fill="#555">%.0f</text>`+"\n", x, axisY+16, t)
 	}

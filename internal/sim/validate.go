@@ -143,7 +143,7 @@ const (
 // sigmaEnvelope bounds realised noisy durations: the duration model draws
 // max(0, N(E, sigma·E)), and a 10-sigma excursion is beyond anything a
 // correct engine produces over this repo's test sizes.
-func sigmaEnvelope(sigma float64) float64 { return 1 + 10*sigma }
+func sigmaEnvelope(sigma float64) float64 { return 1 + float64(10*sigma) }
 
 // ValidateResultStrict runs ValidateResult and then recomputes every slice
 // against the timing table and the fault plan:
@@ -229,7 +229,7 @@ func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) erro
 		}
 		work := (p.End - p.Start) - stall
 		e := opt.timingOf(t).ExpectedDuration(g.Tasks[t].Kernel, opt.Platform.Resources[p.Resource].Type)
-		tol := strictRelTol*e + strictAbsTol
+		tol := float64(strictRelTol*e) + strictAbsTol
 		if opt.Sigma == 0 && !degraded[p.Resource] {
 			if math.Abs(work-e) > tol {
 				return fmt.Errorf("sim: task %d compute time %.6f != expected %.6f on resource %d (sigma 0, no degrade)",
@@ -238,9 +238,9 @@ func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) erro
 		} else {
 			lo := 0.0
 			if opt.Sigma == 0 {
-				lo = e*minF[p.Resource] - tol
+				lo = float64(e*minF[p.Resource]) - tol
 			}
-			hi := e*sigmaEnvelope(opt.Sigma)*maxF[p.Resource] + tol
+			hi := float64(e*sigmaEnvelope(opt.Sigma)*maxF[p.Resource]) + tol
 			if work < lo || work > hi {
 				return fmt.Errorf("sim: task %d compute time %.6f outside [%.6f, %.6f] on resource %d",
 					t, work, lo, hi, p.Resource)

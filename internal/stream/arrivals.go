@@ -16,6 +16,7 @@ package stream
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -65,16 +66,19 @@ func (p PoissonProcess) Generate(rng *rand.Rand) ([]Arrival, error) {
 	if len(p.Kinds) == 0 || len(p.Sizes) == 0 {
 		return nil, fmt.Errorf("stream: empty family or size pool")
 	}
-	for _, s := range p.Sizes {
-		if s <= 0 {
-			return nil, fmt.Errorf("stream: size %d must be positive", s)
+	// Kinds and sizes are drawn independently: every pair may arrive.
+	for _, k := range p.Kinds {
+		for _, s := range p.Sizes {
+			if err := (Arrival{Kind: k, Size: s}).validate(); err != nil {
+				return nil, fmt.Errorf("stream: %w", err)
+			}
 		}
 	}
 	meanGap := 1000 / p.Rate // ms per arrival
 	arrivals := make([]Arrival, 0, p.Jobs)
 	var at float64
 	for i := 0; i < p.Jobs; i++ {
-		at += rng.ExpFloat64() * meanGap
+		at += float64(rng.ExpFloat64() * meanGap)
 		arrivals = append(arrivals, Arrival{
 			At:   at,
 			Kind: p.Kinds[rng.Intn(len(p.Kinds))],
@@ -126,12 +130,20 @@ func WriteArrivals(w io.Writer, arrivals []Arrival) error {
 	return bw.Flush()
 }
 
+// validate accepts exactly the arrivals whose Graph builds, and builds within
+// taskgraph.MaxTasks.
 func (a Arrival) validate() error {
 	if a.At < 0 {
 		return fmt.Errorf("negative arrival time %v", a.At)
 	}
+	if a.Kind == taskgraph.Random {
+		return errors.New(`kind "random" has no sized generator`)
+	}
 	if a.Size <= 0 {
 		return fmt.Errorf("size %d must be positive", a.Size)
+	}
+	if !taskgraph.WithinMaxTasks(a.Kind, a.Size) {
+		return fmt.Errorf("%s size %d generates more than the limit of %d tasks", a.Kind, a.Size, taskgraph.MaxTasks)
 	}
 	return nil
 }

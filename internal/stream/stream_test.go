@@ -209,8 +209,8 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 // its full-rebuild oracle across streaming arrivals: Cluster.AddJob bumps the
 // graph epoch mid-episode, so every cache layer (window, adjacency, static
 // features, decision memo) must invalidate correctly. The default policy
-// (incremental + memo) and the serving engine at float64 must fingerprint
-// identically to the pre-optimization path (full EncodeFault rebuild, tape
+// (incremental + memo + serving engine) must fingerprint identically to the
+// pre-optimization path (full EncodeFault rebuild, tape
 // forward, no memo), with and without fault plans. Six streams are short; the
 // seventh is 60 jobs long, so the append-only caches (descendant features,
 // neighbour lists, BFS scratch) outgrow their first allocation and regrow
@@ -223,10 +223,6 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 func TestStreamIncrementalIdentical(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
 	faultAgent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4, FaultFeatures: true})
-	variants := map[string]func(a *core.Agent) sim.Policy{
-		"incremental": func(a *core.Agent) sim.Policy { return core.NewPolicy(a) },
-		"serving-f64": func(a *core.Agent) sim.Policy { return core.NewServingPolicy(a, core.PrecisionFloat64) },
-	}
 	for i := 0; i < 7; i++ {
 		seed := int64(5000 + i)
 		jobs := 5
@@ -247,12 +243,10 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 				if g := oracle.graph; !reflect.DeepEqual(g.Tasks, union.Tasks) || !reflect.DeepEqual(g.Succ, union.Succ) || !reflect.DeepEqual(g.Pred, union.Pred) {
 					t.Fatalf("stream %d: the appended union graph differs from the AddTask/AddEdge one", i)
 				}
-				for name, mk := range variants {
-					got := runStream(t, func() sim.Policy { return mk(ag) }, arr, seed, faults)
-					if g := fingerprint(got); g != want {
-						t.Fatalf("stream %d faults=%d ff=%v %s diverged from rebuild oracle:\n%s\nvs\n%s",
-							i, fi, ag.Cfg.FaultFeatures, name, g, want)
-					}
+				got := runStream(t, func() sim.Policy { return core.NewPolicy(ag) }, arr, seed, faults)
+				if g := fingerprint(got); g != want {
+					t.Fatalf("stream %d faults=%d ff=%v incremental diverged from rebuild oracle:\n%s\nvs\n%s",
+						i, fi, ag.Cfg.FaultFeatures, g, want)
 				}
 			}
 		}

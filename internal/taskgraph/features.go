@@ -32,7 +32,7 @@ func DescendantFeatures(g *Graph) [][NumKernels]float64 {
 		for _, c := range g.Succ[i] {
 			share := 1.0 / float64(len(g.Pred[c]))
 			for k := 0; k < NumKernels; k++ {
-				raw[i][k] += raw[c][k] * share
+				raw[i][k] += float64(raw[c][k] * share)
 			}
 		}
 	}
@@ -103,7 +103,7 @@ func (a *DescendantAccumulator) Extend(g *Graph) {
 		for _, c := range g.Succ[i] {
 			share := 1.0 / float64(len(g.Pred[c]))
 			for k := 0; k < NumKernels; k++ {
-				f[k] += a.raw[c][k] * share
+				f[k] += float64(a.raw[c][k] * share)
 			}
 		}
 		a.raw[i] = f

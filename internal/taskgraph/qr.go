@@ -123,3 +123,17 @@ func NumTasksFor(kind Kind, T int) int {
 		panic(fmt.Sprintf("taskgraph: NumTasksFor unsupported kind %v", kind))
 	}
 }
+
+// MaxTasks bounds the graph a decoder of outside input (a serve request, a
+// stream arrival trace) may have built: windows over larger graphs make single
+// forward passes arbitrarily expensive, and a size of 10⁹ asks for a graph no
+// machine holds.
+const MaxTasks = 4096
+
+// WithinMaxTasks reports whether NewByKind(kind, T) builds at most MaxTasks
+// tasks, by the closed form and before anything is built. Every family has at
+// least T tasks, so bounding T first keeps the closed form far from
+// overflowing. kind must have a sized generator (not Random).
+func WithinMaxTasks(kind Kind, T int) bool {
+	return T <= MaxTasks && NumTasksFor(kind, T) <= MaxTasks
+}

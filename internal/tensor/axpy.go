@@ -12,7 +12,7 @@ package tensor
 // the vector kernels without perturbing any committed experiment result.
 //
 // The Go loops of this package write every product that feeds an add as
-// float64(a*x) / float32(a*x): the explicit conversion rounds the product, so
+// float64(a*x): the explicit conversion rounds the product, so
 // a compiler targeting an architecture with FMA (arm64, ppc64le, s390x) may
 // not fuse it into the add, and the fallback rounds twice like the assembly.
 // It is a no-op on amd64. `make portable` checks the arm64 build for it.
@@ -26,12 +26,5 @@ const axpyMinLen = 8
 func axpyF64Generic(alpha float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += float64(alpha * v)
-	}
-}
-
-// axpyF32Generic is the float32 variant of axpyF64Generic.
-func axpyF32Generic(alpha float32, x, y []float32) {
-	for i, v := range x {
-		y[i] += float32(alpha * v)
 	}
 }

@@ -7,7 +7,6 @@ package tensor
 func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 func axpyAVX2F64(alpha float64, x, y []float64)
-func axpyAVX2F32(alpha float32, x, y []float32)
 
 // denseRowAVX2 and csrRowAVX2 compute one output row of a dense / CSR product
 // in registers; the contracts are at their TEXT blocks. They read base
@@ -44,12 +43,4 @@ func axpyF64(alpha float64, x, y []float64) {
 		return
 	}
 	axpyF64Generic(alpha, x, y)
-}
-
-func axpyF32(alpha float32, x, y []float32) {
-	if hasAVX2 && len(x) >= axpyMinLen {
-		axpyAVX2F32(alpha, x, y[:len(x)])
-		return
-	}
-	axpyF32Generic(alpha, x, y)
 }

@@ -65,49 +65,6 @@ f64done:
 	VZEROUPPER
 	RET
 
-// func axpyAVX2F32(alpha float32, x, y []float32)
-//
-// float32 variant of axpyAVX2F64 (16 elements per iteration).
-TEXT ·axpyAVX2F32(SB), NOSPLIT, $0-56
-	MOVQ x_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	VBROADCASTSS alpha+0(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	JZ   f32tail
-
-f32loop16:
-	VMOVUPS (SI)(AX*4), Y1
-	VMOVUPS 32(SI)(AX*4), Y2
-	VMULPS  Y0, Y1, Y1
-	VMULPS  Y0, Y2, Y2
-	VADDPS  (DI)(AX*4), Y1, Y1
-	VADDPS  32(DI)(AX*4), Y2, Y2
-	VMOVUPS Y1, (DI)(AX*4)
-	VMOVUPS Y2, 32(DI)(AX*4)
-	ADDQ $16, AX
-	CMPQ AX, DX
-	JLT  f32loop16
-
-f32tail:
-	CMPQ AX, CX
-	JGE  f32done
-
-f32tailloop:
-	MOVSS (SI)(AX*4), X1
-	MULSS X0, X1
-	ADDSS (DI)(AX*4), X1
-	MOVSS X1, (DI)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  f32tailloop
-
-f32done:
-	VZEROUPPER
-	RET
-
 // One k step of a column block: acc += alpha (Y8/X8) * b[k, block] (at DX),
 // the product rounded before the add.
 #define MULADD(off, acc) \

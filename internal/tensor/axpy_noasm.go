@@ -14,4 +14,3 @@ func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64) { panic("t
 func csrRowAVX2(out, val []float64, col []int, d []float64)           { panic("tensor: no AVX2") }
 
 func axpyF64(alpha float64, x, y []float64) { axpyF64Generic(alpha, x, y) }
-func axpyF32(alpha float32, x, y []float32) { axpyF32Generic(alpha, x, y) }
