@@ -5,14 +5,14 @@
 #                      observability smoke test, fleet, stream and gateway
 #                      smoke tests, paper tables
 #   make equiv       — decision-equivalence gate: the incremental/serving
-#                      decision paths must match the full-rebuild tape oracle
-#                      bit for bit, and the training path (tape-free
-#                      rollouts recorded in reused episode logs, one batched
-#                      tape pass per episode) must match per-decision-tape
-#                      training bit for bit
+#                      decision paths must match the full-rebuild reference
+#                      policy bit for bit, and the training path (rollouts on
+#                      inference tapes recorded in reused episode logs, one
+#                      batched tape pass per episode) must match
+#                      per-decision-tape training bit for bit
 #   make fuzz        — a short native-fuzzing run of each decoder of outside
-#                      input (arrival traces, schedule requests); their
-#                      seed corpora in testdata/fuzz also run under go test
+#                      input (arrival traces, schedule requests, checkpoints);
+#                      their seeds also run under go test
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
 #   make portable    — cross-build for arm64 (the only thing here that
@@ -61,8 +61,12 @@ test:
 # Decision-equivalence proofs, named explicitly so a failure reads as "the
 # optimised decision path diverged from the oracle" rather than a generic
 # test break: incremental state vs full rebuild (bitwise, incl. faults and
-# streaming AddJob invalidation), the serving engine vs the autograd tape,
-# and the training guard. The stream path's append-only pieces are each pinned to the whole-union computation
+# streaming AddJob invalidation), the serving policy vs the reference policy
+# (TestServingPolicyResultIdentical), the inference tape — output slots
+# reused across growing and shrinking passes — vs fresh gradient tapes
+# (TestInferenceBindingMatchesFreshTapes), and TestPolicyDecideAllocFree,
+# which fails if a warm decision allocates or the inference tape's outputs
+# go back to the free list. The stream path's append-only pieces are each pinned to the whole-union computation
 # they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
 # accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
 # and TestStreamCostFlat / TestMemoScopedToStateVersion fail if a per-arrival
@@ -70,17 +74,17 @@ test:
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
 # range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
 # its three ops and the input gradient vs the ∂C·Wᵀ dot loop
-# (TestLinearReLUSegMatchesThreeOps), rollouts on the engine vs a
-# tape rollout kept in the test file (TestTrainingRolloutMatchesTape), the
-# width-d pass vs width 1 vs the engine (TestBatchedForwardBitIdentical),
+# (TestLinearReLUSegMatchesThreeOps), rollouts on the inference tape vs a
+# per-decision-tape rollout kept in the test file
+# (TestTrainingRolloutMatchesTape), the width-d pass vs width 1 vs what the
+# rollout recorded (TestBatchedForwardBitIdentical),
 # gradients vs the per-decision update kept in the test file
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
 # an episode is recorded in memory the trainer does not keep. The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
-# features, directed, no incremental encoder, tape forward, mid-episode stream
-# arrivals), a reused log and resident rollout policy to fresh ones
+# features, directed, no incremental encoder, mid-episode stream arrivals), a reused log and resident rollout policy to fresh ones
 # (TestEpisodeLogReuseIsolated: long then short, short then long, after an
 # error mid-episode), and rl.Evaluate's one policy to one per run
 # (TestEvaluateResidentPolicyBitIdentical). The serving path's resident
@@ -95,7 +99,8 @@ test:
 # span boxes its attributes again. These also run under `make test`.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps' ./internal/autograd/
-	$(GO) test -run 'TestIncremental|TestServing|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
+	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
+	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical' ./internal/sim/
@@ -106,11 +111,15 @@ equiv:
 # Native fuzzing of the decoders that read outside bytes: an arrival trace
 # either errors or builds every graph within taskgraph.MaxTasks and
 # round-trips; a /v1/schedule body either errors or builds an acyclic graph
-# within MaxDAGTasks. A failing input is written to the package's
-# testdata/fuzz/, where plain go test replays it from then on.
+# within MaxDAGTasks; a checkpoint either errors or sets every parameter and
+# round-trips bit for bit. A failing input is written to the package's
+# testdata/fuzz/, where plain go test replays it from then on. The checkpoint
+# seeds are a 66 kB model: minimising each new interesting input of that
+# size would take the whole run, so it gets one minimisation step.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArrivals$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/core/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve
 # (registry, pool, handlers, and leases handing resident policies from one

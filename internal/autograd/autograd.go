@@ -34,7 +34,13 @@
 // pool sits on sync.Pool, which every collection empties — a tape that cycles
 // through megabyte buffers keeps them itself); Release hands everything to the
 // shared pool. Caller-provided matrices (Const/Var/Param inputs) are never
-// pooled or released.
+// pooled or released. Nodes themselves live in chunks the tape keeps across
+// Reset, so a warm tape records a pass without allocating a node.
+//
+// An inference tape (NewInferenceTape) is the same tape for passes that take
+// no gradient, such as a policy's decisions: nothing on it requires a
+// gradient, so no op records a backward step, and its op outputs are kept per
+// position rather than on the free list.
 //
 // Gradient correctness for every op is property-tested against central
 // finite differences in autograd_test.go.
@@ -69,10 +75,15 @@ func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 // Tape records operations for a single forward pass. A Tape is not safe for
 // concurrent use; create one tape per goroutine.
 type Tape struct {
-	nodes []*Node
-	// owned lists the op output values this tape allocated; Reset and Release
-	// recycle them together with every remaining gradient accumulator.
+	// chunks hold the n recorded nodes in creation order; Reset keeps them.
+	chunks [][]Node
+	n      int
+	// owned lists the op outputs, which Reset and Release recycle with every
+	// remaining gradient accumulator — except on an inference tape, where
+	// owned[i] is the i-th output's slot, kept, and slot counts the outputs.
 	owned []*tensor.Matrix
+	infer bool
+	slot  int
 	// bufs is where every buffer of the tape comes from and goes back to.
 	bufs tensor.FreeList
 	// idx backs the index tables ops keep for their backward step (gathered
@@ -128,22 +139,60 @@ func (t *Tape) pass(n, out *Node) {
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
+// NewInferenceTape returns an empty tape for passes that take no gradient:
+// the i-th op output of a pass reuses the i-th output's buffer of the previous
+// pass, grown to the exact size plus a quarter when too small — one buffer per
+// position, sized for the largest seen, not power-of-two free-list classes.
+func NewInferenceTape() *Tape { return &Tape{infer: true} }
+
+// nodeChunk is how many nodes one arena chunk holds.
+const nodeChunk = 64
+
 // Len returns the number of recorded nodes (useful in tests and for sizing
 // diagnostics).
-func (t *Tape) Len() int { return len(t.nodes) }
+func (t *Tape) Len() int { return t.n }
 
-func (t *Tape) push(n *Node) *Node {
+// node returns the i-th recorded node.
+func (t *Tape) node(i int) *Node { return &t.chunks[i/nodeChunk][i%nodeChunk] }
+
+// push records n in the tape's arena.
+func (t *Tape) push(n Node) *Node {
 	if t.released {
 		panic("autograd: use of a released tape")
 	}
-	t.nodes = append(t.nodes, n)
-	return n
+	if t.n == len(t.chunks)*nodeChunk {
+		t.chunks = append(t.chunks, make([]Node, nodeChunk))
+	}
+	p := t.node(t.n)
+	*p = n
+	t.n++
+	return p
 }
 
 // alloc draws a zeroed rows x cols op output and records it as tape-owned.
-func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
-	m := t.bufs.Get(rows, cols)
-	t.owned = append(t.owned, m)
+func (t *Tape) alloc(rows, cols int) *tensor.Matrix { return t.output(rows, cols, true) }
+
+// overwrite draws an op output the op's kernel writes in full, so an
+// inference tape need not zero it first.
+func (t *Tape) overwrite(rows, cols int) *tensor.Matrix { return t.output(rows, cols, false) }
+
+func (t *Tape) output(rows, cols int, zero bool) *tensor.Matrix {
+	if !t.infer {
+		m := t.bufs.Get(rows, cols)
+		t.owned = append(t.owned, m)
+		return m
+	}
+	if t.slot == len(t.owned) {
+		t.owned = append(t.owned, new(tensor.Matrix))
+	}
+	m, n := t.owned[t.slot], rows*cols
+	t.slot++
+	if cap(m.Data) < n {
+		m.Data = make([]float64, n, n+n/4)
+	} else if m.Data = m.Data[:n]; zero {
+		clear(m.Data)
+	}
+	m.Rows, m.Cols = rows, cols
 	return m
 }
 
@@ -169,18 +218,23 @@ func (t *Tape) Reset() {
 	if t.released {
 		panic("autograd: use of a released tape")
 	}
-	for i, n := range t.nodes {
+	used := t.n
+	t.n, t.slot, t.idx = 0, 0, t.idx[:0]
+	if t.infer {
+		return // its nodes hold no gradient or closure; the next pass overwrites them
+	}
+	for i := range used {
+		n := t.node(i)
 		if n.Grad != nil && !n.extGrad {
 			t.bufs.Put(n.Grad)
 		}
-		n.Grad, n.Value, n.backward = nil, nil, nil
-		t.nodes[i] = nil
+		*n = Node{}
 	}
 	for i, m := range t.owned {
 		t.bufs.Put(m)
 		t.owned[i] = nil
 	}
-	t.nodes, t.owned, t.idx = t.nodes[:0], t.owned[:0], t.idx[:0]
+	t.owned = t.owned[:0]
 }
 
 // Release is the final Reset: the tape's buffers go to the shared pool and
@@ -192,7 +246,7 @@ func (t *Tape) Release() {
 	}
 	t.Reset()
 	t.bufs.Drain()
-	t.nodes, t.owned, t.idx = nil, nil, nil
+	t.chunks, t.owned, t.idx = nil, nil, nil
 	t.released = true
 }
 
@@ -202,13 +256,13 @@ func (t *Tape) Released() bool { return t.released }
 // Const records a node through which no gradient flows (inputs, masks).
 // The matrix is used as-is and must not be mutated afterwards.
 func (t *Tape) Const(m *tensor.Matrix) *Node {
-	return t.push(&Node{Value: m})
+	return t.push(Node{Value: m})
 }
 
 // Var records a differentiable leaf (a parameter or an input whose gradient
 // is wanted). After Backward, the accumulated gradient is in Node.Grad.
 func (t *Tape) Var(m *tensor.Matrix) *Node {
-	return t.push(&Node{Value: m, requiresGrad: true})
+	return t.push(Node{Value: m, requiresGrad: true})
 }
 
 // Param records a differentiable leaf whose gradient accumulator is the
@@ -219,7 +273,7 @@ func (t *Tape) Param(value, grad *tensor.Matrix) *Node {
 	if !value.SameShape(grad) {
 		panic(fmt.Sprintf("autograd: Param gradient is %dx%d for a %dx%d value", grad.Rows, grad.Cols, value.Rows, value.Cols))
 	}
-	return t.push(&Node{Value: value, Grad: grad, requiresGrad: true, extGrad: true})
+	return t.push(Node{Value: value, Grad: grad, requiresGrad: true, extGrad: true})
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a 1x1
@@ -234,8 +288,8 @@ func (t *Tape) Backward(root *Node) {
 		return // nothing on the tape influences the root
 	}
 	t.gradOf(root).Data[0] += 1
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n := t.nodes[i]
+	for i := t.n - 1; i >= 0; i-- {
+		n := t.node(i)
 		if n.backward != nil && n.Grad != nil {
 			n.backward()
 			t.bufs.Put(n.Grad) // a no-op when pass handed it on
@@ -260,13 +314,13 @@ func (t *Tape) MatMul(a, b *Node) *Node { return t.MatMulSeg(a, b, nil) }
 // a's rows. The product and a's gradient are row-local and ignore it; b's
 // gradient reduces over rows and goes range by range (see matMulGrads).
 func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
-	val := t.alloc(a.Value.Rows, b.Value.Cols)
+	val := t.overwrite(a.Value.Rows, b.Value.Cols)
 	tensor.MatMulInto(a.Value, b.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
 	if out.requiresGrad {
 		out.backward = func() { t.matMulGrads(a, b, out.Grad, segs) }
 	}
-	return t.push(out)
+	return out
 }
 
 // LinearReLUSeg records the dense layer c = ReLU(a*w + bias) as one node, with
@@ -275,9 +329,9 @@ func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
 // > 0 — exactly where the pre-activation is not — then takes bias's, a's and
 // w's gradients from it as those three nodes would.
 func (t *Tape) LinearReLUSeg(a, w, bias *Node, segs []int) *Node {
-	val := t.alloc(a.Value.Rows, w.Value.Cols)
+	val := t.overwrite(a.Value.Rows, w.Value.Cols)
 	tensor.LinearReLUInto(a.Value, w.Value, bias.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, w, bias)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, w, bias)})
 	if out.requiresGrad {
 		out.backward = func() {
 			// c is +0 or positive, so its bits are 0 exactly where ∂c is
@@ -292,7 +346,7 @@ func (t *Tape) LinearReLUSeg(a, w, bias *Node, segs []int) *Node {
 			t.matMulGrads(a, w, out.Grad, segs)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // matMulGrads takes the gradients of c = a*b from ∂c = dc. a's, ∂c·bᵀ, runs on
@@ -322,9 +376,9 @@ func (t *Tape) matMulGrads(a, b *Node, dc *tensor.Matrix, segs []int) {
 // operand b receives one — ∂c/∂b applied to an upstream gradient G is aᵀG.
 // Forward cost is O(nnz(a)·b.Cols) instead of the dense O(n²·b.Cols).
 func (t *Tape) SpMM(a *tensor.Sparse, b *Node) *Node {
-	val := t.alloc(a.Rows, b.Value.Cols)
+	val := t.overwrite(a.Rows, b.Value.Cols)
 	tensor.SpMMInto(a, b.Value, val)
-	out := &Node{Value: val, requiresGrad: b.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: b.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
@@ -332,28 +386,28 @@ func (t *Tape) SpMM(a *tensor.Sparse, b *Node) *Node {
 			t.give(b, g)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Add records c = a + b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddInto(a.Value, b.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
 	if out.requiresGrad {
 		out.backward = func() {
 			t.accum(a, out.Grad)
 			t.pass(b, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Sub records c = a - b.
 func (t *Tape) Sub(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.SubInto(a.Value, b.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
 	if out.requiresGrad {
 		out.backward = func() {
 			t.accum(a, out.Grad)
@@ -361,14 +415,14 @@ func (t *Tape) Sub(a, b *Node) *Node {
 			t.pass(b, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Mul records the elementwise product c = a ⊙ b.
 func (t *Tape) Mul(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(a.Value, b.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
@@ -380,32 +434,32 @@ func (t *Tape) Mul(a, b *Node) *Node {
 			t.pass(b, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Scale records c = s*a for a constant s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ScaleInto(a.Value, s, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			tensor.ScaleInto(out.Grad, s, out.Grad)
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // AddConst records c = a + s for a constant s.
 func (t *Tape) AddConst(a *Node, s float64) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ApplyInto(a.Value, func(v float64) float64 { return v + s }, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() { t.pass(a, out) }
 	}
-	return t.push(out)
+	return out
 }
 
 // AddRowVector records c[i,:] = a[i,:] + v where v is 1 x Cols (bias broadcast).
@@ -417,14 +471,14 @@ func (t *Tape) AddRowVector(a, v *Node) *Node { return t.AddRowVectorSeg(a, v, n
 func (t *Tape) AddRowVectorSeg(a, v *Node, segs []int) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddRowVectorInto(a.Value, v.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, v)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, v)})
 	if out.requiresGrad {
 		out.backward = func() {
 			t.addColSums(v, out.Grad, segs)
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // addColSums gives v, a row vector broadcast over dc's rows, its gradient: the
@@ -456,7 +510,7 @@ func (t *Tape) ReLU(a *Node) *Node {
 		}
 		return 0
 	}, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			for i, v := range a.Value.Data {
@@ -467,7 +521,7 @@ func (t *Tape) ReLU(a *Node) *Node {
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // LeakyReLU records c = a if a>0 else slope*a.
@@ -479,7 +533,7 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 		}
 		return slope * v
 	}, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			for i, v := range a.Value.Data {
@@ -490,14 +544,14 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Tanh records c = tanh(a) elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ApplyInto(a.Value, math.Tanh, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			for i, y := range val.Data {
@@ -506,28 +560,28 @@ func (t *Tape) Tanh(a *Node) *Node {
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Exp records c = exp(a) elementwise.
 func (t *Tape) Exp(a *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ApplyInto(a.Value, math.Exp, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			tensor.MulInto(out.Grad, val, out.Grad)
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Square records c = a² elementwise.
 func (t *Tape) Square(a *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(a.Value, a.Value, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			for i, v := range a.Value.Data {
@@ -536,7 +590,7 @@ func (t *Tape) Square(a *Node) *Node {
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // SumAll records the 1x1 scalar sum of every entry of a.
@@ -552,7 +606,7 @@ func (t *Tape) SegmentSum(a *Node, segs []int) *Node {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
 		val.Data[s] = tensor.Sum(rowsView(&in, a.Value, lo, hi))
 	}
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			g := t.bufs.Get(a.Value.Rows, cols)
@@ -565,7 +619,7 @@ func (t *Tape) SegmentSum(a *Node, segs []int) *Node {
 			t.give(a, g)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // rowsView points view at rows [lo, hi) of m.
@@ -588,7 +642,7 @@ func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
 		tensor.MeanRowsInto(rowsView(&in, a.Value, lo, hi), rowsView(&res, val, s, s+1))
 	}
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			g := t.bufs.Get(a.Value.Rows, cols)
@@ -605,7 +659,7 @@ func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
 			t.give(a, g)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // MaxRows records the 1 x Cols vector of column maxima (max pooling over the
@@ -625,7 +679,7 @@ func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
 		tensor.MaxRowsInto(rowsView(&in, a.Value, lo, hi), rowsView(&res, val, s, s+1), arg[s*cols:(s+1)*cols])
 	}
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			g := t.bufs.Get(a.Value.Rows, cols)
@@ -641,7 +695,7 @@ func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
 			t.give(a, g)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // GatherRows records the matrix whose i-th row is a's row idx[i] (selecting
@@ -652,7 +706,7 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 	copy(ids, idx)
 	val := t.alloc(len(ids), a.Value.Cols)
 	tensor.GatherRowsInto(a.Value, ids, val)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
@@ -666,14 +720,14 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 			t.give(a, g)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // ConcatCols records [a | b].
 func (t *Tape) ConcatCols(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols+b.Value.Cols)
 	tensor.ConcatColsInto(a.Value, b.Value, val)
-	out := &Node{Value: val, requiresGrad: anyGrad(a, b)}
+	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
 	if out.requiresGrad {
 		ac := a.Value.Cols
 		out.backward = func() {
@@ -693,7 +747,7 @@ func (t *Tape) ConcatCols(a, b *Node) *Node {
 			}
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // ConcatRows records the vertical concatenation of nodes (all with equal
@@ -723,7 +777,7 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 		copy(val.Data[offset*cols:], n.Value.Data)
 		offset += n.Value.Rows
 	}
-	out := &Node{Value: val, requiresGrad: req}
+	out := t.push(Node{Value: val, requiresGrad: req})
 	if out.requiresGrad {
 		parts := append([]*Node(nil), nodes...)
 		out.backward = func() {
@@ -739,7 +793,7 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 			}
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // LogSoftmaxCol records the log-softmax of an n x 1 column vector in a
@@ -772,7 +826,7 @@ func (t *Tape) SegmentLogSoftmax(a *Node, segs []int) *Node {
 			val.Data[lo+i] = v - logZ
 		}
 	}
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			// d logsoftmax: dx_i = g_i - softmax_i * Σ g, the sum over i's range.
@@ -789,14 +843,14 @@ func (t *Tape) SegmentLogSoftmax(a *Node, segs []int) *Node {
 			t.pass(a, out)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Pick records the 1x1 scalar a[i,j].
 func (t *Tape) Pick(a *Node, i, j int) *Node {
 	val := t.alloc(1, 1)
 	val.Data[0] = a.Value.At(i, j)
-	out := &Node{Value: val, requiresGrad: a.requiresGrad}
+	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
 	if out.requiresGrad {
 		out.backward = func() {
 			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
@@ -804,7 +858,7 @@ func (t *Tape) Pick(a *Node, i, j int) *Node {
 			t.give(a, g)
 		}
 	}
-	return t.push(out)
+	return out
 }
 
 // Neg records c = -a.

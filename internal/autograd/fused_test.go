@@ -164,7 +164,8 @@ func TestFirstGradientMoves(t *testing.T) {
 	for _, m := range tp.owned {
 		live[reflect.ValueOf(m).Pointer()] = true
 	}
-	for i, n := range tp.nodes {
+	for i := range tp.Len() {
+		n := tp.node(i)
 		if n.Grad == nil || n.extGrad {
 			continue
 		}

@@ -109,7 +109,8 @@ type Forward struct {
 	// At batch width d each state's actions form one range of the column
 	// (StateBatch.ActionIndex), normalised on its own.
 	LogProbs *autograd.Node
-	// Value is the critic's state-value estimate, d x 1.
+	// Value is the critic's state-value estimate, d x 1; nil when the batch
+	// skips the critic (a policy that records nothing).
 	Value *autograd.Node
 	// IdleIndex is the action index of ∅, or -1 when masked (or at d > 1,
 	// where each state has its own).
@@ -121,7 +122,7 @@ type Forward struct {
 }
 
 // Forward evaluates the network on an encoded state. The caller chooses an
-// action from LogProbs (Sample or Argmax) and maps it back through
+// action from LogProbs (Argmax, or a sample) and maps it back through
 // EncodedState.ReadyTasks. It is ForwardBatch at width 1 on a fresh binding.
 //
 // Concurrency: Forward only READS the agent's parameters. All intermediate
@@ -132,11 +133,11 @@ type Forward struct {
 // LoadCheckpoint, InitSeed) at the same time. internal/serve relies on this
 // contract; TestConcurrentInference enforces it under the race detector.
 func (a *Agent) Forward(es *EncodedState) *Forward {
-	fw := a.ForwardBatch(nn.NewBinding(), singleState(es))
+	fw := a.ForwardBatch(nn.NewBinding(), new(StateBatch).wrap(es))
 	if es.AllowIdle {
 		fw.IdleIndex = len(es.ReadyRows)
 	}
-	return fw
+	return &fw
 }
 
 // ForwardBatch evaluates the network once, on b's tape, for every state of
@@ -148,8 +149,9 @@ func (a *Agent) Forward(es *EncodedState) *Forward {
 // gradients, are bit for bit what one Forward per state in batch order
 // produces. The op order below fixes the order in which the shared embedding
 // h receives its critic, ∅-pool and actor gradients; changing it changes
-// low-order bits of every training run.
-func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
+// low-order bits of every training run. Policy.Decide is this pass at width 1
+// on an inference binding, without the critic unless it records.
+func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) Forward {
 	if sb.Len() == 0 {
 		panic("core: ForwardBatch on an empty batch")
 	}
@@ -193,9 +195,12 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
 	logProbs := tp.SegmentLogSoftmax(scores, sb.actionSegs)
 
 	// Critic: mean-pool then one-dimensional projection.
-	value := a.critic.Forward(b, tp.SegmentMeanRows(h, sb.nodeSegs), sb.rowSegs)
+	var value *autograd.Node
+	if !sb.skipCritic {
+		value = a.critic.Forward(b, tp.SegmentMeanRows(h, sb.nodeSegs), sb.rowSegs)
+	}
 
-	return &Forward{
+	return Forward{
 		Binding:    b,
 		LogProbs:   logProbs,
 		Value:      value,
@@ -203,20 +208,6 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) *Forward {
 		NumActions: logProbs.Value.Rows,
 		actionSegs: sb.actionSegs,
 	}
-}
-
-// Sample draws an action index from the policy distribution.
-func (f *Forward) Sample(rng *rand.Rand) int {
-	return sampleLogProbs(rng, f.LogProbs.Value.Data[:f.NumActions])
-}
-
-// SampleTemperature draws an action from the distribution sharpened by the
-// given temperature: pᵢ ∝ exp(log πᵢ / τ). τ→0 approaches Argmax, τ=1 is
-// Sample. Low-temperature sampling keeps the learned preferences while
-// escaping the rare degenerate argmax loops (a policy whose mode is ∅ in
-// some recurring state would otherwise idle forever on it).
-func (f *Forward) SampleTemperature(rng *rand.Rand, tau float64) int {
-	return sampleTemperatureLogProbs(rng, f.LogProbs.Value.Data[:f.NumActions], tau)
 }
 
 // Argmax returns the most probable action index.
@@ -240,6 +231,10 @@ func sampleLogProbs(rng *rand.Rand, logProbs []float64) int {
 
 // sampleTemperatureLogProbs draws an index from the temperature-sharpened
 // distribution pᵢ ∝ exp(log πᵢ/τ), consuming one rng value (none for τ ≤ 0).
+// τ→0 approaches the argmax, τ=1 is sampleLogProbs. Low-temperature sampling
+// keeps the learned preferences while escaping the rare degenerate argmax
+// loops (a policy whose mode is ∅ in some recurring state would otherwise idle
+// forever on it).
 func sampleTemperatureLogProbs(rng *rand.Rand, logProbs []float64, tau float64) int {
 	if tau <= 0 {
 		return argmaxLogProbs(logProbs)
@@ -250,16 +245,16 @@ func sampleTemperatureLogProbs(rng *rand.Rand, logProbs []float64, tau float64) 
 			maxv = v
 		}
 	}
+	// The cumulative pass recomputes each weight rather than storing it: the
+	// same expression gives the same bits.
 	var z float64
-	w := make([]float64, len(logProbs))
-	for i, lp := range logProbs {
-		w[i] = math.Exp(lp/tau - maxv)
-		z += w[i]
+	for _, lp := range logProbs {
+		z += math.Exp(lp/tau - maxv)
 	}
 	u := rng.Float64() * z
 	var cum float64
-	for i := range w {
-		cum += w[i]
+	for i, lp := range logProbs {
+		cum += math.Exp(lp/tau - maxv)
 		if u < cum {
 			return i
 		}

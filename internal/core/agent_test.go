@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"readys/internal/autograd"
+	"readys/internal/nn"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
@@ -89,7 +92,7 @@ func TestForwardSampleRespectsDistribution(t *testing.T) {
 	const n = 5000
 	fw := agent.Forward(es)
 	for i := 0; i < n; i++ {
-		a := fw.Sample(rng)
+		a := sampleLogProbs(rng, fw.LogProbs.Value.Data)
 		if a < 0 || a >= fw.NumActions {
 			t.Fatalf("sample out of range: %d", a)
 		}
@@ -213,6 +216,77 @@ func TestCheckpointArchitectureMismatch(t *testing.T) {
 	if _, err := c.LoadCheckpoint(path); err == nil {
 		t.Fatal("layer-count mismatch must fail to load")
 	}
+}
+
+// FuzzLoadCheckpoint: a checkpoint loaded into the committed models'
+// architecture either fails or sets every parameter, and what it loaded saves
+// and loads back bit for bit. The seeds are a committed model, a truncated
+// copy, a wrong version, a hidden-size mismatch and a missing parameter.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg := Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1}
+	model, err := os.ReadFile("../../models/readys_cholesky_T2_2c2g_w2_l2_h32.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	save := func(params *nn.ParamSet) []byte {
+		var buf bytes.Buffer
+		if err := nn.SaveCheckpoint(&buf, params, nil); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	narrow := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 1})
+	partial := nn.NewParamSet()
+	partial.Add(NewAgent(cfg).Params().All()[1:]...)
+	broken := [][]byte{
+		model[:len(model)/2],
+		bytes.Replace(model, []byte(`"version":1`), []byte(`"version":2`), 1),
+		save(narrow.Params()),
+		save(partial),
+	}
+	if _, err := nn.LoadCheckpoint(bytes.NewReader(model), NewAgent(cfg).Params()); err != nil {
+		f.Fatalf("the committed model does not load: %v", err)
+	}
+	f.Add(model)
+	for i, seed := range broken {
+		if _, err := nn.LoadCheckpoint(bytes.NewReader(seed), NewAgent(cfg).Params()); err == nil {
+			f.Fatalf("broken seed %d loads", i)
+		}
+		f.Add(seed)
+	}
+
+	// nanAgent returns an agent whose every value is NaN, which no JSON
+	// number decodes to: a NaN left after a load is a parameter not loaded.
+	nanAgent := func() *Agent {
+		a := NewAgent(cfg)
+		for _, p := range a.Params().All() {
+			for i := range p.Value.Data {
+				p.Value.Data[i] = math.NaN()
+			}
+		}
+		return a
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := nanAgent()
+		if _, err := nn.LoadCheckpoint(bytes.NewReader(data), a.Params()); err != nil {
+			return
+		}
+		b := nanAgent()
+		if _, err := nn.LoadCheckpoint(bytes.NewReader(save(a.Params())), b.Params()); err != nil {
+			t.Fatalf("a loaded checkpoint does not load back once saved: %v", err)
+		}
+		for k, p := range a.Params().All() {
+			q := b.Params().All()[k]
+			for i, v := range p.Value.Data {
+				if math.IsNaN(v) {
+					t.Fatalf("%s[%d] was not loaded", p.Name, i)
+				}
+				if math.Float64bits(v) != math.Float64bits(q.Value.Data[i]) {
+					t.Fatalf("%s[%d] = %v saves and loads back as %v", p.Name, i, v, q.Value.Data[i])
+				}
+			}
+		}
+	})
 }
 
 func TestAgentParamCount(t *testing.T) {

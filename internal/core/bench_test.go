@@ -47,8 +47,8 @@ func BenchmarkDescendantFeatures(b *testing.B) {
 }
 
 // BenchmarkPolicyDecide runs whole greedy episodes of the committed Cholesky
-// T=8 2c2g checkpoint on the default policy (incremental encoder, memo,
-// float64 engine) and the reference policy (rebuild, tape, no memo), and
+// T=8 2c2g checkpoint on the default policy (incremental encoder, memo) and
+// the reference policy (rebuild, no memo), both on an inference tape, and
 // reports time and allocations per decision. The two rows come from one
 // process, so their ratio means something where the absolute numbers do not.
 func BenchmarkPolicyDecide(b *testing.B) {

@@ -68,9 +68,8 @@ func (sp *stateProbe) Decide(s *sim.State, r int) int {
 // copy of the encoder's state taken at that decision. The sweep covers the
 // three factorisations, a faulted problem, the fault-features agent (ten
 // context columns), the directed operator, a policy without the incremental
-// encoder, a policy without the serving engine (the one recording rollout
-// here on Decide's tape-forward branch), and a stream whose arrivals land
-// mid-episode, where each GraphEpoch bump re-keys the stored task rows.
+// encoder, and a stream whose arrivals land mid-episode, where each GraphEpoch
+// bump re-keys the stored task rows.
 func TestEpisodeLogReproducesStates(t *testing.T) {
 	base := Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3}
 	with := func(tweak func(*Config)) Config {
@@ -102,7 +101,6 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 		name   string
 		agent  Config
 		noInc  bool
-		tape   bool
 		stream bool
 		run    func(sim.Policy, *rand.Rand) error
 	}{
@@ -113,7 +111,6 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 		{name: "fault features", agent: with(func(c *Config) { c.FaultFeatures = true }), run: dag(taskgraph.LU, true)},
 		{name: "directed", agent: with(func(c *Config) { c.Directed = true }), run: dag(taskgraph.Cholesky, false)},
 		{name: "no incremental encoder", agent: base, noInc: true, run: dag(taskgraph.Cholesky, true)},
-		{name: "tape forward", agent: base, tape: true, run: dag(taskgraph.Cholesky, false)},
 		{name: "stream", agent: base, stream: true, run: streamRun},
 		{name: "stream, no incremental encoder", agent: base, noInc: true, stream: true, run: streamRun},
 	} {
@@ -121,9 +118,6 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 			pol := NewTrainingPolicy(NewAgent(c.agent), rand.New(rand.NewSource(23)))
 			if c.noInc {
 				pol.inc = nil
-			}
-			if c.tape {
-				pol.engine = nil
 			}
 			probe := &stateProbe{pol: pol}
 			if err := c.run(probe, pol.Rng); err != nil {

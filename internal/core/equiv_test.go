@@ -150,48 +150,9 @@ func TestIncrementalResultIdentical(t *testing.T) {
 	}
 }
 
-// TestServingF64BitIdenticalToTape requires the float64 serving engine to
-// reproduce the tape forward's log-probabilities bit for bit on every
-// decision of a faulted episode.
-func TestServingF64BitIdenticalToTape(t *testing.T) {
-	for _, ff := range []bool{false, true} {
-		agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 9, FaultFeatures: ff})
-		prob := NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
-		prob.Faults = sim.SpecForRate(1.0, 0)
-		engine := &serveEngine{agent: agent}
-		pol := NewPolicy(agent)
-		n := 0
-		probe := policyFunc{
-			reset: pol.Reset,
-			decide: func(s *sim.State, r int) int {
-				es := EncodeFault(s, r, pol.unionFeats(s.Graph), agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
-				fw := agent.Forward(es)
-				lp, idleIdx := engine.forward(es)
-				if idleIdx != fw.IdleIndex || len(lp) != fw.NumActions {
-					t.Fatalf("decision %d: action space %d/%d vs %d/%d", n, len(lp), idleIdx, fw.NumActions, fw.IdleIndex)
-				}
-				for i := range lp {
-					if math.Float64bits(lp[i]) != math.Float64bits(fw.LogProbs.Value.Data[i]) {
-						t.Fatalf("decision %d: logprob[%d] = %v vs tape %v", n, i, lp[i], fw.LogProbs.Value.Data[i])
-					}
-				}
-				fw.Binding.Release()
-				n++
-				return pol.Decide(s, r)
-			},
-		}
-		if _, err := prob.Simulate(probe, rand.New(rand.NewSource(31))); err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Fatal("no decisions compared")
-		}
-	}
-}
-
 // TestServingPolicyResultIdentical pins the end-to-end contract serve relies
-// on: the serving policy (engine + incremental + memo) schedules exactly like
-// the oracle tape policy.
+// on: the serving policy (incremental + memo) schedules exactly like the
+// reference policy.
 func TestServingPolicyResultIdentical(t *testing.T) {
 	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 11})
 	prob := NewProblem(taskgraph.QR, 6, 2, 2, 0.1)
@@ -209,36 +170,11 @@ func TestServingPolicyResultIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ra.Makespan != rb.Makespan || len(ra.Trace) != len(rb.Trace) {
-		t.Fatalf("serving f64 diverged from tape: %+v vs %+v", ra, rb)
+		t.Fatalf("serving policy diverged from the reference: %+v vs %+v", ra, rb)
 	}
 	for i := range ra.Trace {
 		if ra.Trace[i] != rb.Trace[i] {
 			t.Fatalf("trace[%d]: %+v vs %+v", i, ra.Trace[i], rb.Trace[i])
-		}
-	}
-}
-
-// TestServingNeverInTraining pins what may feed a trainer: the engine on a
-// recording policy is the training path (NewTrainingPolicy's default) and
-// records what the tape fallback records.
-func TestServingNeverInTraining(t *testing.T) {
-	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
-	prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
-
-	engine := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-	tape := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-	tape.engine, tape.inc = nil, nil
-	for _, p := range []*Policy{engine, tape} {
-		if _, err := prob.Simulate(p, rand.New(rand.NewSource(1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(engine.Steps) == 0 || len(engine.Steps) != len(tape.Steps) {
-		t.Fatalf("engine recorded %d steps, tape fallback %d", len(engine.Steps), len(tape.Steps))
-	}
-	for i, a := range engine.Steps {
-		if b := tape.Steps[i]; a.Action != b.Action || a.LogProb != b.LogProb || a.Entropy != b.Entropy || a.Value != b.Value {
-			t.Fatalf("step %d: engine recorded %+v, tape fallback %+v", i, a, b)
 		}
 	}
 }

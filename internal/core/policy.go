@@ -75,7 +75,7 @@ type Policy struct {
 	// Steps holds the recorded decisions of the current episode: Log.Steps().
 	Steps []Step
 
-	// InferenceTime accumulates wall-clock time spent in Forward (used for
+	// InferenceTime accumulates wall-clock time spent in forwards (used for
 	// the Figure 7 experiment) and InferenceCount the number of decisions.
 	InferenceTime  time.Duration
 	InferenceCount int
@@ -87,14 +87,16 @@ type Policy struct {
 	feats [][taskgraph.NumKernels]float64
 
 	// inc maintains the decision state incrementally; nil falls back to
-	// EncodeFault on every decision. engine, when set, replaces the tape
-	// forward with the serving engine.
-	inc    *incrementalEncoder
-	engine *serveEngine
+	// EncodeFault on every decision.
+	inc *incrementalEncoder
+	// bind and batch run every forward, Agent.ForwardBatch at width 1 on an
+	// inference tape made at the first decision and kept from then on.
+	bind  *nn.Binding
+	batch StateBatch
 	// memo holds the forwards of one state version only: memoAt is that
 	// version, and the map is emptied when the state moves past it. The
 	// version counters never go back, so nothing dropped could have hit again.
-	memo   map[memoKey]memoVal
+	memo   map[memoKey][]float64
 	memoAt stateVersion
 	noMemo bool
 	// memoSlab backs the memoised log-probabilities; it is rewound where the
@@ -119,40 +121,32 @@ type memoKey struct {
 	isCPU, allowIdle     bool
 }
 
-type memoVal struct {
-	logProbs []float64
-	idleIdx  int
-}
-
 // NewPolicy returns an evaluation-mode (greedy) policy for the agent. The
-// decision state is maintained incrementally and the forward pass runs on the
-// allocation-free float64 serving engine — both bit-identical to
-// NewReferencePolicy's full rebuild + tape path (see the equivalence tests).
+// decision state is maintained incrementally and forwards are memoised within
+// a state version — both bit-identical to NewReferencePolicy's full rebuild
+// (see the equivalence tests).
 func NewPolicy(agent *Agent) *Policy {
 	p := &Policy{Agent: agent, Greedy: true}
 	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
-	p.engine = &serveEngine{agent: agent}
 	return p
 }
 
 // NewReferencePolicy returns the reference implementation the equivalence
 // tests compare every other policy against: a greedy policy that rebuilds the
-// state with EncodeFault on every decision, evaluates it on the autograd tape
-// and memoises nothing.
+// state with EncodeFault on every decision and memoises nothing.
 func NewReferencePolicy(agent *Agent) *Policy {
 	return &Policy{Agent: agent, Greedy: true, noMemo: true}
 }
 
 // NewTrainingPolicy returns a sampling, recording policy for the agent.
-// Rollouts run where serving runs — the incremental encoder and the float64
-// engine, which also evaluates the critic here — and leave the tape to the
+// Rollouts run where serving runs — the incremental encoder and the inference
+// tape, which also evaluates the critic here — and leave gradients to the
 // update. The policy may be kept and rolled out episode after episode: Reset
 // starts each one from nothing but the allocated memory, so re-pointing Rng
 // (and Log) is all a new episode needs.
 func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 	p := NewPolicy(agent)
 	p.Greedy, p.Rng, p.Record = false, rng, true
-	p.engine.critic = true
 	return p
 }
 
@@ -217,50 +211,46 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 			isCPU:      s.Platform.Resources[r].Type == platform.CPU,
 			allowIdle:  es.AllowIdle,
 		}
-		if v, ok := p.memo[key]; ok {
+		if logProbs, ok := p.memo[key]; ok {
 			p.InferenceCount++
-			return p.act(es, v.logProbs, v.idleIdx, 0)
+			return p.act(es, logProbs, 0)
 		}
 	}
 
 	start := time.Now()
-	var logProbs []float64
-	var idleIdx int
+	if p.bind == nil {
+		p.bind = nn.NewInferenceBinding()
+	}
+	p.bind.Reset()
+	p.batch.skipCritic = !p.Record
+	fw := p.Agent.ForwardBatch(p.bind, p.batch.wrap(es))
+	logProbs := fw.LogProbs.Value.Data // the tape's until the next Reset
 	var value float64
-	if p.engine != nil {
-		logProbs, idleIdx = p.engine.forward(es)
-		value = p.engine.value
-	} else {
-		fw := p.Agent.Forward(es)
-		logProbs = fw.LogProbs.Value.Data[:fw.NumActions]
-		idleIdx = fw.IdleIndex
+	if p.Record {
 		value = autograd.Scalar(fw.Value)
-		// Copy out of the tape before releasing its buffers to the pool.
-		logProbs = append([]float64(nil), logProbs...)
-		fw.Binding.Release()
 	}
 	p.InferenceTime += time.Since(start)
 	p.InferenceCount++
 
 	if !memo {
-		return p.act(es, logProbs, idleIdx, value)
+		return p.act(es, logProbs, value)
 	}
 	if p.memo == nil {
-		p.memo = make(map[memoKey]memoVal)
+		p.memo = make(map[memoKey][]float64)
 	}
 	// Entries stored earlier keep pointing into the old array if this append
 	// moves the slab; they stay valid there until the next clearMemo.
 	n := len(p.memoSlab)
 	p.memoSlab = append(p.memoSlab, logProbs...)
 	stored := p.memoSlab[n:len(p.memoSlab):len(p.memoSlab)]
-	p.memo[key] = memoVal{logProbs: stored, idleIdx: idleIdx}
-	return p.act(es, stored, idleIdx, 0)
+	p.memo[key] = stored
+	return p.act(es, stored, 0)
 }
 
 // act picks an action from the log-probabilities, records the decision on a
 // recording policy (value is the forward's V(s)), and maps the action to a
 // task.
-func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int, value float64) int {
+func (p *Policy) act(es *EncodedState, logProbs []float64, value float64) int {
 	var action int
 	switch {
 	case p.Greedy:
@@ -283,8 +273,8 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int, value fl
 		p.Log.record(es, action, logProbs[action], -plogp, value)
 		p.Steps = p.Log.steps
 	}
-	if action == idleIdx && idleIdx >= 0 {
-		return sim.NoTask
+	if action == len(es.ReadyTasks) {
+		return sim.NoTask // only legal when es.AllowIdle
 	}
 	return es.ReadyTasks[action]
 }

@@ -34,20 +34,23 @@ type StateBatch struct {
 	// candidates' scores.
 	actionPerm []int
 
-	// single marks the batch built by singleState: one state, nil tables.
+	// single marks a batch built by wrap: one state, nil tables.
 	single bool
+	// skipCritic leaves the critic out (Forward.Value is nil): a policy that
+	// records nothing sets it.
+	skipCritic bool
 	// logged is the state AppendLogged materialises a decision into.
 	logged EncodedState
 }
 
-// singleState wraps one encoded state as a width-1 batch without copying:
+// wrap points sb at one encoded state as a width-1 batch without copying:
 // every segment table is nil (one range: all rows) and no permutation is
 // needed, since the one ∅ score already follows the candidates' scores.
-func singleState(es *EncodedState) *StateBatch {
+func (sb *StateBatch) wrap(es *EncodedState) *StateBatch {
 	if len(es.ReadyRows) == 0 {
 		panic("core: Forward with no ready task")
 	}
-	sb := &StateBatch{x: *es.X, norm: *es.Norm, readyRows: es.ReadyRows, single: true}
+	sb.x, sb.norm, sb.readyRows, sb.proc, sb.single = *es.X, *es.Norm, es.ReadyRows, tensor.Matrix{}, true
 	if es.AllowIdle {
 		sb.proc = *es.Proc
 	}

@@ -14,7 +14,7 @@ func TestSampleTemperatureZeroIsArgmax(t *testing.T) {
 	fw := agent.Forward(encodeInitial(p, 0, 2))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		if fw.SampleTemperature(rng, 0) != fw.Argmax() {
+		if sampleTemperatureLogProbs(rng, fw.LogProbs.Value.Data, 0) != fw.Argmax() {
 			t.Fatal("τ=0 must equal argmax")
 		}
 	}
@@ -29,7 +29,7 @@ func TestSampleTemperatureLowConcentratesOnArgmax(t *testing.T) {
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if fw.SampleTemperature(rng, 0.05) == best {
+		if sampleTemperatureLogProbs(rng, fw.LogProbs.Value.Data, 0.05) == best {
 			hits++
 		}
 	}
@@ -47,7 +47,7 @@ func TestSampleTemperatureOneMatchesPolicy(t *testing.T) {
 	counts := make([]int, fw.NumActions)
 	const n = 8000
 	for i := 0; i < n; i++ {
-		counts[fw.SampleTemperature(rng, 1)]++
+		counts[sampleTemperatureLogProbs(rng, fw.LogProbs.Value.Data, 1)]++
 	}
 	for i := 0; i < fw.NumActions; i++ {
 		want := math.Exp(fw.LogProbs.Value.Data[i])
@@ -65,7 +65,7 @@ func TestSampleTemperatureAlwaysInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tau := range []float64{0.01, 0.25, 1, 4} {
 		for i := 0; i < 200; i++ {
-			a := fw.SampleTemperature(rng, tau)
+			a := sampleTemperatureLogProbs(rng, fw.LogProbs.Value.Data, tau)
 			if a < 0 || a >= fw.NumActions {
 				t.Fatalf("τ=%v sampled out-of-range action %d", tau, a)
 			}

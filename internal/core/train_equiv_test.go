@@ -38,7 +38,7 @@ func (p *tapePolicy) Decide(s *sim.State, r int) int {
 		es.AllowIdle = false
 	}
 	fw := p.agent.Forward(es)
-	action := fw.Sample(p.rng)
+	action := sampleLogProbs(p.rng, fw.LogProbs.Value.Data)
 	p.states = append(p.states, es)
 	p.steps = append(p.steps, Step{
 		Action:  action,
@@ -114,10 +114,10 @@ func trainingEpisodes() []struct {
 }
 
 // TestTrainingRolloutMatchesTape: the recording policy — incremental encoder,
-// float64 engine with the critic head, no tape — takes the decisions of the
-// per-decision-tape rollout it replaced, from the same seed, and records the
-// same states (read back through the log's materialiser) and the same
-// log-probability, entropy and value bits.
+// forwards with the critic head on its inference tape — takes the decisions
+// of the per-decision-tape rollout it replaced, from the same seed, and
+// records the same states (read back through the log's materialiser) and the
+// same log-probability, entropy and value bits.
 func TestTrainingRolloutMatchesTape(t *testing.T) {
 	for _, ep := range trainingEpisodes() {
 		oracle := &tapePolicy{agent: ep.agent, rng: rand.New(rand.NewSource(41))}
@@ -160,8 +160,8 @@ func TestTrainingRolloutMatchesTape(t *testing.T) {
 
 // TestBatchedForwardBitIdentical: one tape pass over a whole episode's
 // stacked states gives every decision the log-probabilities, value and
-// entropy of its own width-1 tape pass, which are the bits the rollout's
-// engine recorded.
+// entropy of its own width-1 tape pass, which are the bits the rollout
+// recorded.
 func TestBatchedForwardBitIdentical(t *testing.T) {
 	for _, ep := range trainingEpisodes() {
 		pol := NewTrainingPolicy(ep.agent, rand.New(rand.NewSource(43)))
@@ -196,7 +196,7 @@ func TestBatchedForwardBitIdentical(t *testing.T) {
 				t.Fatalf("%s: value %v entropy %v at width d, %v %v at width 1", ctx, value, ent, autograd.Scalar(one.Value), autograd.Scalar(one.Entropy()))
 			}
 			if value != st.Value || ent != st.Entropy || batched.LogProbs.Value.Data[sb.ActionIndex(i, st.Action)] != st.LogProb {
-				t.Fatalf("%s: the tape disagrees with what the engine recorded at rollout time", ctx)
+				t.Fatalf("%s: the tape disagrees with what the rollout recorded", ctx)
 			}
 			one.Binding.Release()
 		}

@@ -48,10 +48,12 @@ func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigm
 	tt := platform.TimingFor(kind)
 	heft := sched.HEFT(g, plat, tt)
 
-	// One simulator and two generators serve every run; Seed leaves a
-	// generator where rand.NewSource of the same seed starts.
+	// One simulator, one serving policy and two generators serve every run;
+	// Seed leaves a generator where rand.NewSource of the same seed starts.
 	var runner sim.Runner
 	rng, polRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	pol := core.NewPolicy(agent)
+	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, polRng
 	out := make([]ComparisonPoint, 0, len(sigmas))
 	for si, sigma := range sigmas {
 		var rd, hd, md []float64
@@ -64,7 +66,7 @@ func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigm
 				}
 			}
 			polRng.Seed(base + 7919)
-			run(&core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: polRng}, &rd)
+			run(pol, &rd)
 			run(sched.NewStaticPolicy(heft), &hd)
 			run(sched.MCTPolicy{}, &md)
 		}

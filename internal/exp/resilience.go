@@ -51,9 +51,12 @@ func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU i
 	heft := sched.HEFT(g, plat, tt)
 	horizon := core.FaultHorizonFactor * heft.Makespan
 
-	// One simulator and two generators serve every run, as in Compare.
+	// One simulator, one policy and two generators serve every run, as in
+	// Compare.
 	var runner sim.Runner
 	rng, polRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	pol := core.NewPolicy(agent)
+	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, polRng
 	out := make([]ResiliencePoint, 0, len(rates))
 	for ri, rate := range rates {
 		var rd, hd, pd, md []float64
@@ -72,7 +75,7 @@ func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU i
 				return res.Makespan, true
 			}
 			polRng.Seed(base + 7919)
-			if m, ok := run(&core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: polRng}); ok {
+			if m, ok := run(pol); ok {
 				rd = append(rd, m)
 			}
 			if m, ok := run(sched.NewStaticPolicy(heft)); ok {

@@ -92,6 +92,8 @@ func meanIsolatedMakespan(plat platform.Platform, kinds []taskgraph.Kind, sizes 
 func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, sizes []int, sigma float64, cases []StreamCase, jobs, runs int, seed int64) []StreamPoint {
 	plat := platform.New(numCPU, numGPU)
 	isolated := meanIsolatedMakespan(plat, kinds, sizes)
+	pol := core.NewPolicy(agent)
+	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, rand.New(rand.NewSource(seed))
 
 	out := make([]StreamPoint, 0, len(cases))
 	for ci, sc := range cases {
@@ -124,7 +126,8 @@ func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, 
 				a.slow = append(a.slow, res.MeanSlowdown)
 				a.util = append(a.util, res.Utilization)
 			}
-			run(&core.Policy{Agent: agent, Temperature: EvalTemperature, Rng: rand.New(rand.NewSource(base + 7919))}, &ra)
+			pol.Rng.Seed(base + 7919)
+			run(pol, &ra)
 			run(stream.NewHEFTPerJobPolicy(), &ha)
 			run(sched.NewReplanHEFTPolicy(), &pa)
 			run(sched.MCTPolicy{}, &ma)

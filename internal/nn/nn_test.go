@@ -255,6 +255,61 @@ func TestGCNForwardMatchesDenseComposition(t *testing.T) {
 	}
 }
 
+// TestInferenceBindingMatchesFreshTapes: passes on one inference binding — a
+// larger graph after a smaller one, so every output slot grows, then smaller
+// ones, so slots are reused dirty — give the bits of the same passes on fresh
+// gradient tapes, record no node that requires a gradient, and leave every
+// parameter's gradient as it was.
+func TestInferenceBindingMatchesFreshTapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	in, g := NewLinear(rng, "in", 3, 8), NewGCN(rng, "g", 8, 8)
+	score, idle := NewLinear(rng, "score", 8, 1), NewLinear(rng, "idle", 16, 1)
+	var params []*Param
+	for _, ps := range [][]*Param{in.Params(), g.Params(), score.Params(), idle.Params()} {
+		params = append(params, ps...)
+	}
+	for _, p := range params {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = float64(i) + 0.5
+		}
+	}
+	pass := func(b *Binding, n int) *autograd.Node {
+		x := tensor.RandNormal(rand.New(rand.NewSource(int64(n))), n, 3, 1)
+		succ := make([][]int, n)
+		for i := 0; i+1 < n; i++ {
+			succ[i] = []int{i + 1}
+		}
+		tp := b.Tape
+		h := g.Forward(b, NormalizedAdjacency(n, succ), in.ForwardReLU(b, tp.Const(x), nil), nil)
+		pooled := tp.ConcatCols(tp.MeanRows(h), tp.MaxRows(h))
+		scores := tp.ConcatRows(score.Forward(b, tp.GatherRows(h, []int{n - 1, 0}), nil), idle.Forward(b, pooled, nil))
+		return tp.ConcatRows(tp.LogSoftmaxCol(scores), tp.Scale(tp.SumAll(h), 0.5))
+	}
+	inf := NewInferenceBinding()
+	for _, n := range []int{3, 11, 2, 5} {
+		inf.Reset()
+		got, want := pass(inf, n), pass(NewBinding(), n)
+		if got.RequiresGrad() {
+			t.Fatalf("n=%d: a pass on an inference binding requires a gradient", n)
+		}
+		if !got.Value.SameShape(want.Value) {
+			t.Fatalf("n=%d: %dx%d on the inference binding, %dx%d fresh", n, got.Value.Rows, got.Value.Cols, want.Value.Rows, want.Value.Cols)
+		}
+		for i, v := range got.Value.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Value.Data[i]) {
+				t.Fatalf("n=%d: output %d is %v on the inference binding, %v fresh", n, i, v, want.Value.Data[i])
+			}
+		}
+	}
+	for _, p := range params {
+		for i, v := range p.Grad.Data {
+			if v != float64(i)+0.5 {
+				t.Fatalf("%s.Grad[%d] changed to %v", p.Name, i, v)
+			}
+		}
+	}
+}
+
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimise ||w - target||² — Adam must converge fast.
 	target := tensor.FromSlice(1, 3, []float64{1, -2, 0.5})

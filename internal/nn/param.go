@@ -48,8 +48,20 @@ func NewBinding() *Binding {
 	return &Binding{Tape: autograd.NewTape(), nodes: make(map[*Param]*autograd.Node)}
 }
 
-// Bind returns the tape node for p, creating it on first use.
+// NewInferenceBinding returns a Binding for passes that take no gradient, over
+// an inference tape (autograd.NewInferenceTape). It binds every parameter as a
+// constant: no node of its passes requires a gradient or records a backward
+// step, and no Param.Grad is ever touched.
+func NewInferenceBinding() *Binding {
+	return &Binding{Tape: autograd.NewInferenceTape()}
+}
+
+// Bind returns the tape node for p, creating it on first use; an inference
+// binding records p as a constant at every use.
 func (b *Binding) Bind(p *Param) *autograd.Node {
+	if b.nodes == nil {
+		return b.Tape.Const(p.Value)
+	}
 	if n, ok := b.nodes[p]; ok {
 		return n
 	}

@@ -87,12 +87,13 @@ type PPOTrainer struct {
 	baseline float64
 
 	// Kept from iteration to iteration for their memory: what rollouts run
-	// in, the batch's samples and statistics, and the state a sample is
-	// materialised into.
+	// in, the batch's samples and statistics, and the tape and width-1 stack
+	// a sample is evaluated on.
 	rollouts rolloutPool
 	batch    []ppoSample
 	pending  []EpisodeStats
-	state    core.EncodedState
+	bind     *nn.Binding
+	stack    core.StateBatch
 }
 
 // NewPPOTrainer prepares PPO training of the agent on the problem.
@@ -108,6 +109,7 @@ func NewPPOTrainer(agent *core.Agent, problem core.Problem, cfg PPOConfig) *PPOT
 		Problem: problem,
 		Cfg:     cfg,
 		opt:     nn.NewAdam(cfg.LR),
+		bind:    nn.NewBinding(),
 	}
 	if cfg.Arrivals == nil {
 		t.baseline = problem.HEFTBaseline()
@@ -158,8 +160,11 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 			epochTotal, epochPolicy, epochValue = 0, 0, 0
 			scale := 1.0 / float64(len(batch))
 			for _, s := range batch {
-				fw := t.Agent.Forward(s.log.State(s.index, &t.state))
-				tp := fw.Binding.Tape
+				t.stack.Reset()
+				t.stack.AppendLogged(s.log, s.index)
+				t.bind.Reset()
+				fw := t.Agent.ForwardBatch(t.bind, &t.stack)
+				tp := t.bind.Tape
 
 				logp := tp.Pick(fw.LogProbs, s.action, 0)
 				ratio := tp.Exp(tp.AddConst(logp, -s.oldLogP))
@@ -184,7 +189,6 @@ func (t *PPOTrainer) Run(progress func(EpisodeStats)) (History, error) {
 				epochTotal += autograd.Scalar(loss)
 				epochPolicy += float64(autograd.Scalar(policyLoss) * scale)
 				epochValue += float64(autograd.Scalar(valueLoss) * scale)
-				fw.Binding.Release()
 			}
 			gradNorm = applyUpdate(params, t.opt, t.Cfg.ClipNorm)
 		}

@@ -13,8 +13,9 @@ import (
 // Parallel rollout collection.
 //
 // Between gradient updates, the episodes of a batch are independent: a
-// rollout only reads the agent's parameters (a core.NewTrainingPolicy runs the
-// tape-free serving engine), so rollouts can run concurrently A3C-style. Two
+// rollout only reads the agent's parameters (a core.NewTrainingPolicy runs its
+// forwards on its own inference tape), so rollouts can run concurrently
+// A3C-style. Two
 // rules keep the training History bit-identical to a sequential run at any
 // worker count:
 //

@@ -47,8 +47,8 @@ func ParseModelName(base string) (exp.AgentSpec, bool) {
 // Registry lazily loads agents from a checkpoint directory and LRU-caches
 // them keyed by their canonical model name. Each resident model keeps one
 // master agent (the loaded parameters) plus a free list of clones, each with
-// its own decision context (a core.Policy: incremental encoder, serving
-// engine and their scratch) and simulator memory; Acquire hands every caller
+// its own decision context (a core.Policy: incremental encoder, inference
+// tape and their scratch) and simulator memory; Acquire hands every caller
 // its own clone, so concurrent requests never share a mutable agent even
 // accidentally, and Release returns it for reuse — the next request on it
 // pays Policy.Reset, not a rebuild. The model also keeps the problems it has

@@ -209,7 +209,7 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 // its full-rebuild oracle across streaming arrivals: Cluster.AddJob bumps the
 // graph epoch mid-episode, so every cache layer (window, adjacency, static
 // features, decision memo) must invalidate correctly. The default policy
-// (incremental + memo + serving engine) must fingerprint identically to the
+// (incremental + memo + inference tape) must fingerprint identically to the
 // pre-optimization path (full EncodeFault rebuild, tape
 // forward, no memo), with and without fault plans. Six streams are short; the
 // seventh is 60 jobs long, so the append-only caches (descendant features,
