@@ -11,7 +11,8 @@
 #                      batched tape pass per episode) must match
 #                      per-decision-tape training bit for bit
 #   make fuzz        — a short native-fuzzing run of each decoder of outside
-#                      input (arrival traces, schedule requests, checkpoints);
+#                      input (arrival traces, schedule requests, checkpoints,
+#                      trace-context headers);
 #                      their seeds also run under go test
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
@@ -96,7 +97,10 @@ test:
 # map path's exported bytes (TestSpanExportsAsCompleteWithSpanArgs), and
 # TestScheduleRequestAllocBounded / TestSpanAllocatesNothing /
 # TestTracerRingBytesFixed fail if a request rebuilds its problem or state or a
-# span boxes its attributes again. These also run under `make test`.
+# span boxes its attributes again; TestRecordHasNoPointers fails if a ring
+# record grows past 96 bytes or holds a pointer the collector must scan, and
+# TestTracerStringTableBounded if the ring's string table keeps strings no
+# live record names. These also run under `make test`.
 equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps' ./internal/autograd/
 	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
@@ -106,20 +110,24 @@ equiv:
 	$(GO) test -run 'TestRunnerReuseBitIdentical' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
-	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed' ./internal/obs/
+	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./internal/obs/
 
 # Native fuzzing of the decoders that read outside bytes: an arrival trace
 # either errors or builds every graph within taskgraph.MaxTasks and
 # round-trips; a /v1/schedule body either errors or builds an acyclic graph
 # within MaxDAGTasks; a checkpoint either errors or sets every parameter and
-# round-trips bit for bit. A failing input is written to the package's
-# testdata/fuzz/, where plain go test replays it from then on. The checkpoint
-# seeds are a 66 kB model: minimising each new interesting input of that
-# size would take the whole run, so it gets one minimisation step.
+# round-trips bit for bit; trace-context headers of any bytes come back out
+# of a span export as encoding/json renders them. A failing input is written
+# to the package's testdata/fuzz/, where plain go test replays it from then
+# on. The checkpoint seeds are a 66 kB model: minimising each new interesting
+# input of that size would take the whole run, so it gets one minimisation
+# step; so do the trace headers, whose minimisation stalls the run for
+# seconds at a time and buys nothing for two strings.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArrivals$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve
 # (registry, pool, handlers, and leases handing resident policies from one

@@ -53,7 +53,7 @@ func main() {
 		grid       = flag.Bool("grid", false, "submit the full paper grid to -dispatcher and exit")
 		dispatcher = flag.String("dispatcher", "http://127.0.0.1:9090", "dispatcher URL for -grid")
 		smoke      = flag.Bool("smoke", false, "run an in-process dispatcher + worker end-to-end check and exit")
-		traceEvs   = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace (0 = default)")
+		traceEvs   = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace (0 = default: 65536 spans in 6 MiB)")
 		traceOut   = flag.String("trace-out", "", "with -smoke: write dispatcher.json, worker.json and the stitched merged-trace.json into this directory")
 	)
 	flag.Parse()

@@ -44,7 +44,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof and /debug/runtime (off by default)")
-		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace (0 = default)")
+		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace, one span per decision (0 = default: 65536 spans in 6 MiB, the last ≈ 130 T=8 or ≈ 900 T=4 requests)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "readys-serve: ", log.LstdFlags)

@@ -65,8 +65,9 @@ type Config struct {
 	MaxBodyBytes int64
 	// Logger receives request-level diagnostics; nil disables logging.
 	Logger *log.Logger
-	// TraceEvents is the request-span ring capacity (<= 0 picks the obs
-	// default).
+	// TraceEvents is the request-span ring capacity (<= 0 picks
+	// obs.DefaultTraceCapacity, 6 MiB). A request records two spans here,
+	// so the default holds the last ≈ 30 000 requests.
 	TraceEvents int
 }
 
@@ -347,11 +348,25 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, err error) {
 	g.writeJSON(w, status, serve.ErrorResponse{Error: err.Error()})
 }
 
-// forwardResult is one attempt's outcome.
+// forwardResult is one attempt's outcome. body, when set, is a bodyPool
+// buffer that proxy returns with putBody.
 type forwardResult struct {
 	status int
 	header http.Header
-	body   []byte
+	body   *bytes.Buffer
+}
+
+// bodyPool holds the buffers replicas' answers are read into, so a hop
+// reuses the bytes of an earlier answer instead of growing a new slice.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBody returns an answer's buffer to bodyPool unless it grew past
+// maxBytes, which one outsized answer would otherwise pin for good.
+func putBody(b *bytes.Buffer, maxBytes int64) {
+	if b != nil && int64(b.Cap()) <= maxBytes {
+		b.Reset()
+		bodyPool.Put(b)
+	}
 }
 
 // forward sends body to one replica's path. Each attempt carries its own span
@@ -379,7 +394,8 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 	if err == nil {
 		res.status = resp.StatusCode
 		res.header = resp.Header
-		res.body, err = io.ReadAll(resp.Body)
+		res.body = bodyPool.Get().(*bytes.Buffer)
+		_, err = res.body.ReadFrom(resp.Body)
 		resp.Body.Close()
 	}
 	g.span("forward", "proxy", tid, start, attempt,
@@ -439,9 +455,11 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 				}
 			}
 			w.WriteHeader(res.status)
-			w.Write(res.body)
+			w.Write(res.body.Bytes())
+			putBody(res.body, g.cfg.MaxBodyBytes)
 			return
 		}
+		putBody(res.body, g.cfg.MaxBodyBytes)
 		// Transport error, truncated body, 500 or 502: the replica is suspect.
 		// Mark it down so concurrent requests skip it until a health probe
 		// sees it recover.

@@ -3,6 +3,8 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -270,15 +272,16 @@ func TestGatewayBadRequestNotRetried(t *testing.T) {
 // Content-Type and Retry-After, the replica still healthy, nothing re-sent.
 func TestGatewayBusyIsNotBroken(t *testing.T) {
 	const stubBody = `{"error":"stub"}`
-	const truncated = -1
+	const truncated, truncatedChunked = -1, -2
 	req := serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1, Seed: 1}
 	for _, c := range []struct {
 		name     string
-		status   int // the owning replica's answer; 0 closes it instead, truncated dies mid-answer
+		status   int // the owning replica's answer; 0 closes it instead, truncated(Chunked) dies mid-answer
 		failover bool
 	}{
 		{"transport error", 0, true},
 		{"truncated body", truncated, true},
+		{"truncated chunked body", truncatedChunked, true},
 		{"500", http.StatusInternalServerError, true},
 		{"502", http.StatusBadGateway, true},
 		{"503", http.StatusServiceUnavailable, false},
@@ -295,14 +298,19 @@ func TestGatewayBusyIsNotBroken(t *testing.T) {
 				stubs[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					hits[i].Add(1)
 					code := int(status[i].Load())
-					if code == truncated {
-						// A 200 that promises 100 bytes, sends 8 and drops the connection.
+					if code == truncated || code == truncatedChunked {
+						// A 200 that promises 100 bytes (or a chunk of 100),
+						// sends 8 and drops the connection.
 						conn, buf, err := w.(http.Hijacker).Hijack()
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/stub+json\r\nContent-Length: 100\r\n\r\n" + stubBody[:8])
+						framing := "Content-Length: 100\r\n\r\n"
+						if code == truncatedChunked {
+							framing = "Transfer-Encoding: chunked\r\n\r\n64\r\n"
+						}
+						buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/stub+json\r\n" + framing + stubBody[:8])
 						buf.Flush()
 						conn.Close()
 						return
@@ -357,6 +365,55 @@ func TestGatewayBusyIsNotBroken(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGatewayRelaysPooledAnswers: answers are read into pooled buffers, so
+// concurrent requests must each get back the bytes their replica sent, as a
+// chunked answer of several kB at sizes either side of the pool's limit
+// (MaxBodyBytes). TestGatewayBusyIsNotBroken covers truncated answers.
+func TestGatewayRelaysPooledAnswers(t *testing.T) {
+	answer := func(seed int64) string {
+		return fmt.Sprintf(`{"seed":%d,"pad":%q}`, seed, strings.Repeat(string(rune('a'+seed%26)), 2048+int(seed%5)*1024))
+	}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req serve.ScheduleRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		// No Content-Length and a flush per kB: a chunked answer.
+		w.Header().Set("Content-Type", "application/json")
+		for body := answer(req.Seed); len(body) > 0; {
+			n := min(1000, len(body))
+			io.WriteString(w, body[:n])
+			w.(http.Flusher).Flush()
+			body = body[n:]
+		}
+	}))
+	t.Cleanup(stub.Close)
+	g, err := New(Config{Replicas: []string{stub.URL}, HealthInterval: time.Hour, MaxBodyBytes: 5 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+
+	var wg sync.WaitGroup
+	for c := int64(0); c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := c * 10; seed < c*10+10; seed++ {
+				req := serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1, Seed: seed}
+				rec := postJSON(t, g.Handler(), "/v1/schedule", req, nil)
+				if rec.Code != http.StatusOK || rec.Body.String() != answer(seed) {
+					t.Errorf("seed %d: relayed %d, %d bytes, want 200 with the replica's %d", seed, rec.Code, rec.Body.Len(), len(answer(seed)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := g.Metrics().Failovers(); n != 0 {
+		t.Errorf("%d failovers while the replica answered whole", n)
 	}
 }
 

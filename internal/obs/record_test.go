@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -92,10 +95,35 @@ func TestSpanAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRecordHasNoPointers: a ring is one allocation the collector never
+// scans only if a record holds no pointer, and 96 bytes a record is what sizes
+// a serving daemon's ring (DefaultTraceCapacity).
+func TestRecordHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: the collector would scan every ring", path, typ.Kind())
+		}
+	}
+	walk("record", reflect.TypeOf(record{}))
+	if size := unsafe.Sizeof(record{}); size > 96 {
+		t.Errorf("a record is %d bytes, want at most 96", size)
+	}
+}
+
 // TestTracerRingBytesFixed holds the ring to its byte bound: after three laps
 // of request-shaped traffic (a fresh trace every 100 spans) the tracer keeps
-// capacity × sizeof(record) bytes alive plus the IDs of the requests still in
-// the window, not a map per span.
+// capacity × sizeof(record) bytes alive and a table of the few strings its
+// call sites name — not a map per span, and not the requests' IDs, which a
+// record holds as their 64 bits.
 func TestTracerRingBytesFixed(t *testing.T) {
 	const capacity = 1 << 14
 	liveHeap := func() uint64 {
@@ -123,11 +151,74 @@ func TestTracerRingBytesFixed(t *testing.T) {
 		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.Dropped())
 	}
 	ring := uint64(capacity * unsafe.Sizeof(record{}))
-	const slack = 64 << 10
+	const slack = 16 << 10
 	t.Logf("record %d B, ring %d B, tracer keeps %d B live", unsafe.Sizeof(record{}), ring, after-before)
 	if after > before && after-before > ring+slack {
 		t.Fatalf("a full ring keeps %d bytes live, bound is %d (capacity × %d B) + %d slack",
 			after-before, ring, unsafe.Sizeof(record{}), slack)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// TestTracerStringTableBounded: a trace whose every span has a name and a
+// foreign trace ID of its own (a simulator's per-task names, a client's IDs)
+// keeps only the strings of the records still in the ring — after three laps
+// the table has the last lap's names and IDs plus the vocabulary, and the
+// survivors still export their own strings.
+func TestTracerStringTableBounded(t *testing.T) {
+	const capacity = 1 << 10
+	tr := NewTracer(capacity)
+	name := func(i int) string { return fmt.Sprintf("task %d", i) }
+	id := func(i int) string { return strconv.FormatInt(int64(i), 16) } // short hex: foreign
+	for i := 0; i < 3*capacity; i++ {
+		tr.Span(name(i), "sim", 1, 1, float64(i), 1, RootLink(id(i), ""), String(KeyPath, "/v1/schedule"))
+	}
+	checkStrtab(t, tr)
+	vocab := len([]string{"", "sim", "/v1/schedule"})
+	if live, slots := len(tr.strs.ids), len(tr.strs.strs); live != 2*capacity+vocab-1 || slots > 2*capacity+vocab {
+		t.Fatalf("string table: %d live entries, %d slots; want %d live and at most %d slots (2 × capacity + vocabulary)",
+			live, slots, 2*capacity+vocab-1, 2*capacity+vocab)
+	}
+	ev := tr.Events()
+	for _, i := range []int{0, capacity - 1} {
+		e, want := ev[i], 2*capacity+i
+		if e.Name != name(want) || e.Args[ArgTraceID] != id(want) || e.Args["path"] != "/v1/schedule" {
+			t.Fatalf("event %d exports as %q %v, want %q with trace %q", i, e.Name, e.Args, name(want), id(want))
+		}
+	}
+}
+
+// checkStrtab holds a tracer's string table to its ring: every entry counts
+// exactly the records that name it, a live entry is indexed under its own
+// handle, and a dead one is on the free list.
+func checkStrtab(t *testing.T, tr *Tracer) {
+	t.Helper()
+	s := &tr.strs
+	held := make([]int32, len(s.refs))
+	for i := range tr.buf {
+		r := &tr.buf[i]
+		held[r.name]++
+		held[r.cat]++
+		if r.flags&flagTraceStr != 0 {
+			held[r.trace]++
+		}
+		if r.flags&flagParentStr != 0 {
+			held[r.parent]++
+		}
+		for j := 0; j < int(r.nattr); j++ {
+			if r.kinds[j] == attrString {
+				held[r.vals[j]]++
+			}
+		}
+	}
+	for h := 1; h < len(held); h++ {
+		indexed := s.strs[h] != "" && s.ids[s.strs[h]] == uint32(h)
+		if s.refs[h] != held[h] || indexed != (held[h] > 0) {
+			t.Fatalf("handle %d (%q) counts %d records and is indexed %v; the ring holds it %d times",
+				h, s.strs[h], s.refs[h], indexed, held[h])
+		}
+	}
+	if len(s.ids)+len(s.free)+1 != len(s.strs) {
+		t.Fatalf("string table: %d indexed + %d free + \"\" != %d slots", len(s.ids), len(s.free), len(s.strs))
+	}
 }

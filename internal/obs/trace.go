@@ -37,15 +37,22 @@ const (
 // outside the ring so lane naming survives wrap-around. All methods are safe
 // for concurrent use.
 //
-// The ring holds fixed-size records, not Events: a span written with Span
-// costs no allocation and a full ring retains capacity × sizeof(record) bytes
-// whatever was written to it. Events are built from the records on export.
+// The ring holds fixed-size records without pointers, not Events: a span
+// written with Span costs no allocation, and a full ring retains capacity ×
+// sizeof(record) bytes whatever was written to it, plus one table entry per
+// distinct string its records name. Events are built from the records on
+// export.
 type Tracer struct {
 	mu      sync.Mutex
 	buf     []record
+	strs    strtab
 	next    int
-	full    bool
 	dropped uint64
+
+	// args is the Args map of each ring slot written by a map-taking method
+	// (Begin, Complete, Instant), parallel to buf; nil until the first such
+	// event carries a map.
+	args []map[string]any
 
 	procNames   map[int64]string
 	threadNames map[[2]int64]string
@@ -54,8 +61,10 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
-// non-positive capacity: enough for a few thousand requests or a mid-size
-// simulated schedule.
+// non-positive capacity: a serving daemon records one span per decision, so
+// this is the last ≈ 130 Cholesky T=8 requests (≈ 500 spans each) or ≈ 900 at
+// T=4 (≈ 70), or a mid-size simulated schedule. A ring is allocated whole, at
+// 96 bytes a record.
 const DefaultTraceCapacity = 1 << 16
 
 // NewTracer returns a tracer with the given ring capacity (<= 0 selects
@@ -66,20 +75,33 @@ func NewTracer(capacity int) *Tracer {
 	}
 	return &Tracer{
 		buf:         make([]record, 0, capacity),
+		strs:        newStrtab(),
 		procNames:   make(map[int64]string),
 		threadNames: make(map[[2]int64]string),
 	}
 }
 
-func (t *Tracer) push(r record) {
+// push writes one event into the ring, overwriting the oldest record when it
+// is full; its strings are interned under the lock.
+func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64, link Link, attrs []Attr, args map[string]any) {
+	r := newRecord(ph, pid, tid, ts, dur, link, attrs)
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, r)
+	slot := len(t.buf)
+	if slot < cap(t.buf) {
+		t.buf = t.buf[:slot+1]
 	} else {
-		t.buf[t.next] = r
+		slot = t.next
 		t.next = (t.next + 1) % cap(t.buf)
-		t.full = true
 		t.dropped++
+		t.strs.releaseRecord(&t.buf[slot])
+	}
+	t.strs.internRecord(&r, name, cat, link, attrs)
+	t.buf[slot] = r
+	if args != nil && t.args == nil {
+		t.args = make([]map[string]any, cap(t.buf))
+	}
+	if t.args != nil {
+		t.args[slot] = args
 	}
 	t.mu.Unlock()
 }
@@ -87,17 +109,17 @@ func (t *Tracer) push(r record) {
 // Begin records the start of a duration slice on lane (pid, tid) at ts
 // microseconds.
 func (t *Tracer) Begin(name, cat string, pid, tid int64, ts float64, args map[string]any) {
-	t.push(record{name: name, cat: cat, ph: PhaseBegin[0], ts: ts, pid: int32(pid), tid: tid, args: args})
+	t.push(PhaseBegin[0], name, cat, pid, tid, ts, 0, Link{}, nil, args)
 }
 
 // End closes the innermost open slice on lane (pid, tid) at ts microseconds.
 func (t *Tracer) End(name string, pid, tid int64, ts float64) {
-	t.push(record{name: name, ph: PhaseEnd[0], ts: ts, pid: int32(pid), tid: tid})
+	t.push(PhaseEnd[0], name, "", pid, tid, ts, 0, Link{}, nil, nil)
 }
 
 // Complete records a slice with an explicit duration (both in microseconds).
 func (t *Tracer) Complete(name, cat string, pid, tid int64, ts, dur float64, args map[string]any) {
-	t.push(record{name: name, cat: cat, ph: PhaseComplete[0], ts: ts, dur: dur, pid: int32(pid), tid: tid, args: args})
+	t.push(PhaseComplete[0], name, cat, pid, tid, ts, dur, Link{}, nil, args)
 }
 
 // Span records a complete slice that carries its place in a distributed trace
@@ -109,17 +131,12 @@ func (t *Tracer) Span(name, cat string, pid, tid int64, ts, dur float64, link Li
 	if len(attrs) > maxSpanAttrs {
 		panic("obs: span with more than 3 attributes")
 	}
-	r := record{
-		name: name, cat: cat, ph: PhaseComplete[0], ts: ts, dur: dur, pid: int32(pid), tid: tid,
-		trace: link.trace, span: link.span, parent: link.parent,
-	}
-	r.nattrs = uint8(copy(r.attrs[:], attrs))
-	t.push(r)
+	t.push(PhaseComplete[0], name, cat, pid, tid, ts, dur, link, attrs, nil)
 }
 
 // Instant records a point event.
 func (t *Tracer) Instant(name, cat string, pid, tid int64, ts float64, args map[string]any) {
-	t.push(record{name: name, cat: cat, ph: PhaseInstant[0], ts: ts, pid: int32(pid), tid: tid, args: args})
+	t.push(PhaseInstant[0], name, cat, pid, tid, ts, 0, Link{}, nil, args)
 }
 
 // NameProcess assigns a display name to a pid.
@@ -151,7 +168,7 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, len(t.buf))
 	for i := range t.buf {
 		// next is 0 until the ring wraps, the oldest record's slot after.
-		out = append(out, t.buf[(t.next+i)%len(t.buf)].event())
+		out = append(out, t.event((t.next+i)%len(t.buf)))
 	}
 	return out
 }

@@ -53,10 +53,11 @@ func formatID(id uint64) string {
 	return string(b[:])
 }
 
-// Link is one span's place in a trace, in the form Tracer.Span records it:
-// the trace and parent IDs as the caller holds them, the span's own ID as the
-// 64 bits it was minted from, so that minting and recording a child span
-// allocates nothing. The zero Link means "no trace context".
+// Link is one span's place in a trace, in the form Tracer.Span takes it: the
+// trace and parent IDs as the caller holds them (the ring keeps a canonical
+// one as its 64 bits, any other as a string-table handle), the span's own ID
+// as the 64 bits it was minted from, so that minting and recording a child
+// span allocates nothing. The zero Link means "no trace context".
 type Link struct {
 	trace, parent string
 	span          uint64

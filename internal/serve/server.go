@@ -37,9 +37,11 @@ type Config struct {
 	// default: profiling endpoints leak operational detail, so they must be
 	// asked for (readys-serve -pprof).
 	EnablePprof bool
-	// TraceEvents is the request-span ring capacity (<= 0 picks the obs
-	// default). Only the most recent window is kept, so tracing is always on
-	// and bounded.
+	// TraceEvents is the request-span ring capacity (<= 0 picks
+	// obs.DefaultTraceCapacity). Only the most recent window is kept, so
+	// tracing is always on and bounded. A request records one span per
+	// decision, so the default holds the last ≈ 130 T=8 or ≈ 900 T=4
+	// requests, in 6 MiB.
 	TraceEvents int
 }
 
