@@ -169,8 +169,9 @@ portable:
 
 # End-to-end observability check. Phase 1 artifacts: train a tiny agent with
 # -telemetry, simulate one DAG with -trace, assert both are valid and
-# non-empty. Phase 2 artifacts: a streaming run's flight recorder summarized
-# by readys-obs-check, and a real dispatcher + worker pair (fleet smoke)
+# non-empty. Phase 2 artifacts: a READYS streaming run's flight recorder
+# summarized by readys-obs-check and its exported readys_decide_* counters,
+# and a real dispatcher + worker pair (fleet smoke)
 # whose two per-process span exports are merged — both by the smoke itself
 # and again through readys-obs-check -merge — and must pass cross-process
 # parent-link validation (-links).
@@ -183,8 +184,11 @@ obs-smoke:
 	$(GO) run ./cmd/readys-obs-check -jsonl $(OBS_TMP)/train.jsonl \
 		-trace $(OBS_TMP)/trace.json
 	$(GO) run ./cmd/readys-stream -rate 6 -jobs 6 -sigma 0.1 \
-		-policy mct -faults -fault-rate 1 -seed 7 -quiet \
+		-policy readys -models models -faults -fault-rate 1 -seed 7 -quiet \
 		-flight $(OBS_TMP)/flight.jsonl -metrics $(OBS_TMP)/metrics.prom > /dev/null
+	for c in forwards memo_hits window_rows rebuilds; do \
+		grep -q "^# TYPE readys_decide_$${c}_total counter" $(OBS_TMP)/metrics.prom || exit 1; done
+	grep -q '^readys_decide_forwards_total [1-9]' $(OBS_TMP)/metrics.prom
 	$(GO) run ./cmd/readys-obs-check -flight $(OBS_TMP)/flight.jsonl
 	$(GO) run ./cmd/readys-obs-check -flight $(OBS_TMP)/flight.jsonl -flight-kind decision
 	$(GO) run ./cmd/readys-fleet -smoke -trace-out $(OBS_TMP)/fleet
@@ -245,8 +249,10 @@ fleet-smoke:
 # End-to-end gateway check: two in-process serve replicas behind
 # readys-gateway. Phase 1 routes a concurrent burst by model hash, phase 2
 # kills the owning replica and requires transparent failover with responses
-# identical to the pre-kill run, phase 3 exports client/gateway/replica span
-# files whose merge must pass cross-process parent-link validation.
+# identical to the pre-kill run, phase 3 requires each replica's trace to hold
+# one rollout span per request it answered (forwards ≤ decisions) and no
+# per-decision span, and exports client/gateway/replica span files whose merge
+# must pass cross-process parent-link validation.
 GW_TMP ?= /tmp/readys-gateway-smoke
 gateway-smoke:
 	rm -rf $(GW_TMP) && mkdir -p $(GW_TMP)

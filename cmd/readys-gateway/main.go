@@ -118,7 +118,9 @@ type smokeReplica struct {
 // over two replicas serving the same checkpoint, driven by a traced client.
 // It proves (1) concurrent requests all succeed, (2) killing the replica that
 // owns the model fails requests over to the survivor with bit-identical
-// schedules, and (3) the client → gateway → replica trace exports stitch into
+// schedules, (3) each replica traced every request it answered by stage — one
+// rollout span apiece, counting its decisions and forwards, and no span per
+// decision — and (4) the client → gateway → replica trace exports stitch into
 // one linked timeline (the Makefile re-validates that with
 // readys-obs-check -merge / -links).
 func runSmoke(logger *log.Logger, traceOut string) error {
@@ -229,10 +231,33 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 		return errors.New("smoke: owning replica died but no failover was recorded")
 	}
 
-	// Phase 3: export every process's trace for the cross-process link check.
+	// Phase 3: every replica traced the requests it answered by stage, and
+	// every process's trace is exported for the cross-process link check.
+	// The dead replica's listener is gone but its handler still works
+	// in-process, so its spans are checked and exported too.
 	clientTracer.Complete("smoke-run", "client", 3, 1, 0,
 		float64(time.Since(clientStart))/float64(time.Microsecond),
 		obs.SpanArgs(nil, client.TraceID, client.SpanID, ""))
+	replicaTraces := make([][]byte, len(reps))
+	answeredTotal := 0
+	for i, r := range reps {
+		trace, err := get(r.srv, "/debug/trace")
+		if err != nil {
+			return fmt.Errorf("replica %d: %w", i+1, err)
+		}
+		answered, err := answeredSchedules(r.srv)
+		if err != nil {
+			return fmt.Errorf("replica %d: %w", i+1, err)
+		}
+		if err := checkStageSpans(trace, answered); err != nil {
+			return fmt.Errorf("smoke: replica %d trace: %w", i+1, err)
+		}
+		replicaTraces[i] = trace
+		answeredTotal += answered
+	}
+	if answeredTotal != 2*clients {
+		return fmt.Errorf("smoke: the replicas answered %d schedule requests, the client got %d answers", answeredTotal, 2*clients)
+	}
 	if traceOut != "" {
 		if err := os.MkdirAll(traceOut, 0o755); err != nil {
 			return err
@@ -254,20 +279,69 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 		if err := writeTrace("gateway.json", gw.Tracer().WriteChromeTrace); err != nil {
 			return err
 		}
-		for i, r := range reps {
-			// The dead replica's listener is gone but its handler still
-			// works in-process, so its spans are exported too.
-			rec := newRecorder()
-			r.srv.Handler().ServeHTTP(rec, mustRequest(http.MethodGet, "/debug/trace"))
-			if rec.status != http.StatusOK {
-				return fmt.Errorf("replica %d trace export: status %d", i+1, rec.status)
-			}
+		for i, trace := range replicaTraces {
 			name := fmt.Sprintf("replica%d.json", i+1)
-			if err := os.WriteFile(filepath.Join(traceOut, name), rec.body.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(traceOut, name), trace, 0o644); err != nil {
 				return err
 			}
 		}
 		logger.Printf("smoke: traces written to %s", traceOut)
+	}
+	return nil
+}
+
+// get answers GET path from a replica's handler in-process.
+func get(srv *serve.Server, path string) ([]byte, error) {
+	rec := newRecorder()
+	srv.Handler().ServeHTTP(rec, mustRequest(http.MethodGet, path))
+	if rec.status != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d", path, rec.status)
+	}
+	return rec.body.Bytes(), nil
+}
+
+// answeredSchedules reads how many schedule requests a replica answered from
+// its /metrics.
+func answeredSchedules(srv *serve.Server) (int, error) {
+	data, err := get(srv, "/metrics")
+	if err != nil {
+		return 0, err
+	}
+	var m struct {
+		Answered int `json:"readys_schedules_answered_total"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return 0, fmt.Errorf("decoding /metrics: %w", err)
+	}
+	return m.Answered, nil
+}
+
+// checkStageSpans requires a replica's trace to hold one rollout span per
+// answered request, each counting no more forwards than decisions, and no
+// span per decision: decisions are counted, not traced.
+func checkStageSpans(trace []byte, answered int) error {
+	var doc struct {
+		TraceEvents []obs.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace, &doc); err != nil {
+		return err
+	}
+	rollouts := 0
+	for _, e := range doc.TraceEvents {
+		switch e.Name {
+		case "decide":
+			return errors.New("a decide span: a decision is counted on its rollout span, not traced")
+		case "rollout":
+			rollouts++
+			decisions, _ := e.Args["decisions"].(float64)
+			forwards, ok := e.Args["forwards"].(float64)
+			if !ok || forwards <= 0 || forwards > decisions {
+				return fmt.Errorf("rollout span with %v forwards over %v decisions", e.Args["forwards"], decisions)
+			}
+		}
+	}
+	if rollouts != answered {
+		return fmt.Errorf("%d rollout spans for %d answered requests", rollouts, answered)
 	}
 	return nil
 }

@@ -11,8 +11,9 @@
 //	POST /v1/schedule   schedule a DAG (generated family or explicit graph)
 //	GET  /v1/models     list checkpoints the registry can serve
 //	GET  /healthz       liveness probe
-//	GET  /metrics       request counters, latency histograms, cache stats
-//	                    (?format=prometheus for text exposition)
+//	GET  /metrics       request counters, latency histograms, cache stats,
+//	                    decision counters (?format=prometheus for text
+//	                    exposition)
 //	GET  /debug/trace   request spans as Chrome trace-event JSON
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections and drains
@@ -44,7 +45,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof and /debug/runtime (off by default)")
-		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace, one span per decision (0 = default: 65536 spans in 6 MiB, the last ≈ 130 T=8 or ≈ 900 T=4 requests)")
+		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace, five spans per schedule request and none per /healthz probe or /metrics scrape (0 = default: 8192 spans in 768 KiB, the last ≈ 1 600 schedule requests of any size)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "readys-serve: ", log.LstdFlags)

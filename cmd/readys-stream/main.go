@@ -55,7 +55,7 @@ func main() {
 		faultRate    = flag.Float64("fault-rate", 1, "fault rate for -faults (events of each kind per resource, see sim.SpecForRate)")
 		faultSeed    = flag.Int64("fault-seed", 0, "fault-plan seed for -faults (default: derived from -seed)")
 		tracePath    = flag.String("trace", "", "write the stream (arrivals, slices, faults) as Chrome trace-event JSON to this path")
-		metricsPath  = flag.String("metrics", "", "write the run's readys_stream_* metrics as Prometheus text exposition to this path ('-' for stdout)")
+		metricsPath  = flag.String("metrics", "", "write the run's readys_stream_* metrics, and with -policy readys its readys_decide_* counters, as Prometheus text exposition to this path ('-' for stdout)")
 		flightPath   = flag.String("flight", "", "write the cluster flight recorder (arrivals, decisions, kills, faults, ready depth) as JSONL to this path")
 		writeArr     = flag.String("write-arrivals", "", "write the (generated or replayed) arrival list as JSONL to this path")
 		quiet        = flag.Bool("quiet", false, "suppress the per-job table")
@@ -157,6 +157,14 @@ func main() {
 		fmt.Println("wrote", *tracePath)
 	}
 	if cfg.Metrics != nil {
+		if p, ok := pol.(*core.Policy); ok {
+			// The same counters readys-serve exports per rollout, over the run.
+			reg, d := cfg.Metrics, p.Stats
+			reg.Counter("readys_decide_forwards_total", "Decisions that ran the network (memo misses).").Add(uint64(d.Forwards))
+			reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo.").Add(uint64(d.MemoHits()))
+			reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision.").Add(uint64(d.WindowRows))
+			reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed.").Add(uint64(d.Rebuilds))
+		}
 		if *metricsPath == "-" {
 			if err := cfg.Metrics.WriteText(os.Stdout); err != nil {
 				log.Fatal(err)

@@ -148,8 +148,8 @@ func TestPolicyProducesValidSchedules(t *testing.T) {
 		if len(pol.Steps) == 0 {
 			t.Fatal("training policy must record steps")
 		}
-		if pol.InferenceCount != len(pol.Steps) {
-			t.Fatalf("inference count %d vs %d steps", pol.InferenceCount, len(pol.Steps))
+		if st := pol.Stats; st.Decisions != len(pol.Steps) || st.Forwards != st.Decisions {
+			t.Fatalf("%d decisions, %d forwards, %d steps: a recording policy runs the network at every decision", st.Decisions, st.Forwards, len(pol.Steps))
 		}
 	}
 }

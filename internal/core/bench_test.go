@@ -74,14 +74,14 @@ func BenchmarkPolicyDecide(b *testing.B) {
 			episode() // warm the policy's and the runner's buffers
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			decisions := c.pol.InferenceCount
+			decisions := c.pol.Stats.Decisions
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				episode()
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
-			n := float64(c.pol.InferenceCount - decisions)
+			n := float64(c.pol.Stats.Decisions - decisions)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/decision")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/decision")
 		})

@@ -35,7 +35,7 @@ func TestPolicyDecideAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&base)
 	pol := NewPolicy(agent)
 	episode(pol)
-	decisions := pol.InferenceCount
+	decisions := pol.Stats.Decisions
 	runtime.ReadMemStats(&before)
 	for range 20 {
 		episode(pol)
@@ -45,7 +45,7 @@ func TestPolicyDecideAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&kept)
 	runtime.KeepAlive(pol)
 
-	n := pol.InferenceCount - decisions
+	n := pol.Stats.Decisions - decisions
 	per := float64(after.Mallocs-before.Mallocs) / float64(n)
 	retained := (int64(kept.HeapAlloc) - int64(base.HeapAlloc)) / 1024
 	t.Logf("%d decisions, %.4f allocations a decision; the warm policy retains %d kB", n, per, retained)
@@ -54,5 +54,40 @@ func TestPolicyDecideAllocFree(t *testing.T) {
 	}
 	if retained > 256 {
 		t.Fatalf("a warm policy retains %d kB, want ≤ 256 kB", retained)
+	}
+}
+
+// TestDecideStatsCount: the default policy and the reference policy make the
+// same decisions on the same windows, so they count the same Decisions and
+// WindowRows; only the default one memoises and carries windows over, and
+// the reference, like a recording policy, runs the network at every decision.
+func TestDecideStatsCount(t *testing.T) {
+	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 4})
+	prob := NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
+	run := func(pol *Policy) DecideStats {
+		res, err := prob.Simulate(pol, rand.New(rand.NewSource(8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol.Stats.Decisions != res.Decisions {
+			t.Fatalf("%d decisions counted, the simulator asked %d times", pol.Stats.Decisions, res.Decisions)
+		}
+		return pol.Stats
+	}
+	fast, ref := run(NewPolicy(agent)), run(NewReferencePolicy(agent))
+	if fast.Decisions != ref.Decisions || fast.WindowRows != ref.WindowRows {
+		t.Fatalf("default %+v and reference %+v saw different decisions", fast, ref)
+	}
+	if ref.Forwards != ref.Decisions || ref.Rebuilds != ref.Decisions || ref.MemoHits() != 0 {
+		t.Fatalf("reference %+v: every decision must rebuild and forward", ref)
+	}
+	if fast.MemoHits() <= 0 || fast.Rebuilds <= 0 || fast.Rebuilds >= fast.Decisions {
+		t.Fatalf("default %+v: want memo hits and windows carried over", fast)
+	}
+	if fast.ForwardTime <= 0 || fast.WindowRows <= fast.Decisions {
+		t.Fatalf("default %+v: implausible forward time or window rows", fast)
+	}
+	if d := fast.Sub(DecideStats{Decisions: 1, Forwards: 1}); d.MemoHits() != fast.MemoHits() || d.WindowRows != fast.WindowRows {
+		t.Fatalf("Sub: %+v from %+v", d, fast)
 	}
 }

@@ -27,6 +27,7 @@ func cloneState(es *EncodedState) *EncodedState {
 		ReadyRows:  append([]int(nil), es.ReadyRows...),
 		ReadyTasks: append([]int(nil), es.ReadyTasks...),
 		AllowIdle:  es.AllowIdle,
+		graphEpoch: es.graphEpoch,
 	}
 }
 
@@ -97,6 +98,7 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 		_, err = stream.Run(pol, stream.Config{Platform: platform.New(2, 2), Arrivals: arr, Sigma: 0.1, Rng: rng})
 		return err
 	}
+	carriedOver := 0 // window rebuilds that kept their adjacency
 	for _, c := range []struct {
 		name   string
 		agent  Config
@@ -146,13 +148,25 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 				t.Fatalf("%d of %d decisions mask ∅: both kinds must occur", masked, len(probe.states))
 			}
 
-			// The log is compact: one window per adjacency the encoder built,
-			// one stored row per task and graph epoch.
-			if len(log.windows) >= len(probe.states) {
-				t.Fatalf("%d windows for %d decisions: consecutive decisions share none", len(log.windows), len(probe.states))
+			// The log is compact: one window per change of the window's node
+			// set or graph epoch, one stored row per task and graph epoch.
+			changes := 0
+			for i, st := range probe.states {
+				if i == 0 || st.graphEpoch != probe.states[i-1].graphEpoch || !intsEqual(st.Nodes, probe.states[i-1].Nodes) {
+					changes++
+				}
 			}
-			if !c.noInc && len(log.windows) != pol.inc.stats.AdjRebuilds {
-				t.Fatalf("%d windows stored, the encoder rebuilt its adjacency %d times", len(log.windows), pol.inc.stats.AdjRebuilds)
+			if len(log.windows) != changes || changes >= len(probe.states) {
+				t.Fatalf("%d windows stored for %d decisions whose window changed %d times", len(log.windows), len(probe.states), changes)
+			}
+			// The incremental encoder counts its own adjacency builds: one per
+			// stored window; a window rebuild that kept the node set carried
+			// the adjacency over.
+			if inc := pol.inc; inc != nil {
+				if inc.adjBuilds != len(log.windows) {
+					t.Fatalf("the encoder built its adjacency %d times, %d windows stored", inc.adjBuilds, len(log.windows))
+				}
+				carriedOver += pol.Stats.Rebuilds - inc.adjBuilds
 			}
 			if c.stream {
 				if len(probe.epochs) < 3 {
@@ -165,5 +179,10 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 				t.Fatalf("%d stored rows for the %d tasks of one graph epoch", len(log.static), tasks)
 			}
 		})
+	}
+	// A fault that leaves the node set alone recomputes the window but keeps
+	// its adjacency.
+	if carriedOver == 0 {
+		t.Fatal("no window rebuild of the sweep carried its adjacency over")
 	}
 }

@@ -8,17 +8,6 @@ import (
 	"readys/internal/tensor"
 )
 
-// IncrementalStats counts the incremental encoder's work.
-type IncrementalStats struct {
-	// Decisions counts Encode calls; Rebuilds how many recomputed the window.
-	Decisions, Rebuilds int
-	// RowsCopied / RowsFilled split static-row work during rebuilds between
-	// rows carried over from the previous window and rows computed fresh.
-	RowsCopied, RowsFilled int
-	// AdjRebuilds counts adjacency reconstructions (node set changed).
-	AdjRebuilds int
-}
-
 // incrementalEncoder maintains the EncodedState across the decisions of one
 // episode instead of rebuilding it from scratch each time (EncodeFault).
 //
@@ -79,13 +68,14 @@ type incrementalEncoder struct {
 	cur    int
 	xEpoch int // graph epoch the active buffer's static rows were filled at
 
-	// Owned CSR adjacency buffers backing es.Norm.
-	norm     tensor.Sparse
-	adjEpoch int
-	nbuf     []int
+	// Owned CSR adjacency buffers backing es.Norm; adjBuilds counts how many
+	// times they were rebuilt rather than carried over.
+	norm      tensor.Sparse
+	adjEpoch  int
+	adjBuilds int
+	nbuf      []int
 
-	es    EncodedState
-	stats IncrementalStats
+	es EncodedState
 }
 
 func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEncoder {
@@ -123,19 +113,21 @@ func (e *incrementalEncoder) reset(g *taskgraph.Graph) {
 }
 
 // Encode returns the EncodedState for a decision on the given resource,
-// reusing as much of the previous decision's state as the validity key allows.
-func (e *incrementalEncoder) Encode(s *sim.State, resource int) *EncodedState {
+// reusing as much of the previous decision's state as the validity key allows,
+// and whether it had to recompute the window.
+func (e *incrementalEncoder) Encode(s *sim.State, resource int) (es *EncodedState, rebuilt bool) {
 	if e.graphEpoch != s.GraphEpoch || len(e.seen) != s.Graph.NumTasks() {
 		e.refreshGraphCaches(s)
 	}
 	if !e.valid || e.numDone != s.NumDone || e.faultEpoch != s.FaultEpoch {
 		e.rebuildWindow(s)
 		e.valid, e.numDone, e.faultEpoch = true, s.NumDone, s.FaultEpoch
+		rebuilt = true
 	}
 
 	// Decision-varying refresh: the resource context, the ready/running
 	// columns, and the broadcast block of every row.
-	es := &e.es
+	es = &e.es
 	fillProcVector(s, resource, e.maxE, len(es.Nodes), e.faultFeatures, es.Proc.Data)
 	es.ReadyRows = es.ReadyRows[:0]
 	es.ReadyTasks = es.ReadyTasks[:0]
@@ -149,8 +141,7 @@ func (e *incrementalEncoder) Encode(s *sim.State, resource int) *EncodedState {
 		copy(rf[numTaskFeatures:], es.Proc.Data)
 	}
 	es.AllowIdle = !s.MustAct
-	e.stats.Decisions++
-	return es
+	return es, rebuilt
 }
 
 // refreshGraphCaches brings everything derived from the graph topology and
@@ -243,13 +234,11 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 		rf := newX.Row(row)
 		if canCopy && e.rowOf[t] != 0 {
 			copy(rf, oldX.Row(int(e.rowOf[t])-1))
-			e.stats.RowsCopied++
 		} else {
 			for i := range rf {
 				rf[i] = 0
 			}
 			fillStaticTaskFeatures(s, t, e.desc.At(t), e.maxE, rf)
-			e.stats.RowsFilled++
 		}
 	}
 
@@ -270,9 +259,8 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	if !sameNodes || e.adjEpoch != e.graphEpoch {
 		e.rebuildAdjacency(nodes)
 		e.adjEpoch = e.graphEpoch
-		e.stats.AdjRebuilds++
+		e.adjBuilds++
 	}
-	e.stats.Rebuilds++
 }
 
 // rebuildAdjacency reconstructs the induced normalized adjacency into the

@@ -75,10 +75,8 @@ type Policy struct {
 	// Steps holds the recorded decisions of the current episode: Log.Steps().
 	Steps []Step
 
-	// InferenceTime accumulates wall-clock time spent in forwards (used for
-	// the Figure 7 experiment) and InferenceCount the number of decisions.
-	InferenceTime  time.Duration
-	InferenceCount int
+	// Stats counts every decision the policy has made, across episodes.
+	Stats DecideStats
 
 	// feats is F(i) materialised over the whole graph, for the path that
 	// rebuilds the state on every decision (EncodeFault, the oracle of
@@ -103,6 +101,35 @@ type Policy struct {
 	// map is emptied, so storing a forward costs no allocation once it has
 	// grown to one version's worth.
 	memoSlab []float64
+}
+
+// DecideStats counts a policy's decisions and what they cost. Every field is
+// a plain add on the decision path, so counting costs no allocation and moves
+// no decision.
+type DecideStats struct {
+	// Decisions counts Decide calls; Forwards those that ran the network,
+	// the rest being memo hits (MemoHits).
+	Decisions, Forwards int
+	// WindowRows sums the window's row count over every decision, memo hits
+	// included; Rebuilds counts the decisions whose window was recomputed
+	// rather than carried over (all of them without the incremental encoder).
+	WindowRows, Rebuilds int
+	// ForwardTime is the wall-clock time spent in forwards.
+	ForwardTime time.Duration
+}
+
+// MemoHits is how many decisions reused a memoised forward.
+func (d DecideStats) MemoHits() int { return d.Decisions - d.Forwards }
+
+// Sub returns the counts accumulated since an earlier reading o.
+func (d DecideStats) Sub(o DecideStats) DecideStats {
+	return DecideStats{
+		Decisions:   d.Decisions - o.Decisions,
+		Forwards:    d.Forwards - o.Forwards,
+		WindowRows:  d.WindowRows - o.WindowRows,
+		Rebuilds:    d.Rebuilds - o.Rebuilds,
+		ForwardTime: d.ForwardTime - o.ForwardTime,
+	}
 }
 
 // stateVersion is the (NumDone, FaultEpoch, GraphEpoch) triple within which a
@@ -186,10 +213,16 @@ func (p *Policy) unionFeats(g *taskgraph.Graph) [][taskgraph.NumKernels]float64 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
 	var es *EncodedState
+	rebuilt := true
 	if p.inc != nil {
-		es = p.inc.Encode(s, r)
+		es, rebuilt = p.inc.Encode(s, r)
 	} else {
 		es = EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+	}
+	p.Stats.Decisions++
+	p.Stats.WindowRows += len(es.Nodes)
+	if rebuilt {
+		p.Stats.Rebuilds++
 	}
 	if p.DisableIdle {
 		es.AllowIdle = false
@@ -212,7 +245,6 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 			allowIdle:  es.AllowIdle,
 		}
 		if logProbs, ok := p.memo[key]; ok {
-			p.InferenceCount++
 			return p.act(es, logProbs, 0)
 		}
 	}
@@ -229,8 +261,8 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	if p.Record {
 		value = autograd.Scalar(fw.Value)
 	}
-	p.InferenceTime += time.Since(start)
-	p.InferenceCount++
+	p.Stats.ForwardTime += time.Since(start)
+	p.Stats.Forwards++
 
 	if !memo {
 		return p.act(es, logProbs, value)

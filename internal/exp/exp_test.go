@@ -2,10 +2,12 @@ package exp
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"readys/internal/core"
+	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
 
@@ -167,6 +169,50 @@ func TestFigure7SmallSizes(t *testing.T) {
 	// Larger DAGs have at least as large average windows.
 	if pts[1].MeanWindow < pts[0].MeanWindow {
 		t.Fatal("window should grow with T")
+	}
+}
+
+// rebuildWindowPolicy counts the window rows of every decision with a full
+// EncodeFault rebuild before handing the decision to the policy it wraps.
+type rebuildWindowPolicy struct {
+	*core.Policy
+	rows, decisions int
+	feats           [][taskgraph.NumKernels]float64
+}
+
+func (p *rebuildWindowPolicy) Reset(s *sim.State) {
+	p.Policy.Reset(s)
+	p.feats = taskgraph.DescendantFeatures(s.Graph)
+}
+
+func (p *rebuildWindowPolicy) Decide(s *sim.State, r int) int {
+	cfg := p.Agent.Cfg
+	p.rows += len(core.EncodeFault(s, r, p.feats, cfg.Window, cfg.Directed, cfg.FaultFeatures).Nodes)
+	p.decisions++
+	return p.Policy.Decide(s, r)
+}
+
+// TestFigure7WindowMatchesRebuild: Figure 7's mean_window_tasks, read from
+// the policy's DecideStats (memo hits and carried-over windows included), is
+// bit for bit the mean window an EncodeFault rebuild at every decision counts.
+func TestFigure7WindowMatchesRebuild(t *testing.T) {
+	sizes, runs := []int{4, 6}, 2
+	_, pts := Figure7(sizes, runs)
+	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
+	for i, T := range sizes {
+		prob := core.NewProblem(taskgraph.Cholesky, T, 2, 2, 0.1)
+		var rows, decisions float64
+		for run := 0; run < runs; run++ {
+			pol := &rebuildWindowPolicy{Policy: core.NewPolicy(agent)}
+			if _, err := prob.Simulate(pol, rand.New(rand.NewSource(int64(run)))); err != nil {
+				t.Fatal(err)
+			}
+			rows += float64(pol.rows)
+			decisions += float64(pol.decisions)
+		}
+		if want := rows / decisions; math.Float64bits(pts[i].MeanWindow) != math.Float64bits(want) {
+			t.Fatalf("T=%d: mean window %v from DecideStats, %v from EncodeFault", T, pts[i].MeanWindow, want)
+		}
 	}
 }
 

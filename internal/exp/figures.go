@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"readys/internal/core"
-	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
 
@@ -84,7 +83,9 @@ type InferencePoint struct {
 // Figure7 measures the mean wall-clock inference time per scheduling decision
 // on Cholesky DAGs of growing size (99% confidence interval, as in the
 // paper), together with the mean number of tasks in the window. One untrained
-// agent is used — inference cost does not depend on the weights.
+// agent is used — inference cost does not depend on the weights. Both come
+// from the policy's DecideStats: forward time and window rows, each over
+// every decision, memo hits included.
 func Figure7(sizes []int, runs int) (*Table, []InferencePoint) {
 	tab := &Table{
 		Title:  "Figure 7: mean inference time per decision (Cholesky, 2 CPUs + 2 GPUs)",
@@ -97,14 +98,15 @@ func Figure7(sizes []int, runs int) (*Table, []InferencePoint) {
 		var perDecisionMs []float64
 		var windowSum, windowCnt float64
 		for run := 0; run < runs; run++ {
-			pol := &windowProbePolicy{Policy: core.NewPolicy(agent)}
+			pol := core.NewPolicy(agent)
 			if _, err := prob.Simulate(pol, rand.New(rand.NewSource(int64(run)))); err != nil {
 				continue
 			}
+			st := pol.Stats
 			perDecisionMs = append(perDecisionMs,
-				float64(pol.InferenceTime.Nanoseconds())/1e6/float64(pol.InferenceCount))
-			windowSum += pol.windowSum
-			windowCnt += float64(pol.windowCnt)
+				float64(st.ForwardTime.Nanoseconds())/1e6/float64(st.Decisions))
+			windowSum += float64(st.WindowRows)
+			windowCnt += float64(st.Decisions)
 		}
 		s := SummariseCI(perDecisionMs, 2.58)
 		pt := InferencePoint{
@@ -117,24 +119,4 @@ func Figure7(sizes []int, runs int) (*Table, []InferencePoint) {
 		tab.AddRow(fmt.Sprint(T), fmt.Sprint(pt.Tasks), F(pt.MeanWindow), F(s.Mean), F(s.CI))
 	}
 	return tab, points
-}
-
-// windowProbePolicy wraps the agent policy to record window sizes.
-type windowProbePolicy struct {
-	*core.Policy
-	windowSum float64
-	windowCnt int
-	feats     [][taskgraph.NumKernels]float64
-}
-
-func (p *windowProbePolicy) Reset(s *sim.State) {
-	p.Policy.Reset(s)
-	p.feats = taskgraph.DescendantFeatures(s.Graph)
-}
-
-func (p *windowProbePolicy) Decide(s *sim.State, r int) int {
-	es := core.EncodeFault(s, r, p.feats, p.Policy.Agent.Cfg.Window, false, false)
-	p.windowSum += float64(len(es.Nodes))
-	p.windowCnt++
-	return p.Policy.Decide(s, r)
 }

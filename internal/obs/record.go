@@ -54,8 +54,7 @@ const (
 	KeyCacheHit
 	KeyTasks
 	KeyDecisions
-	KeyResource
-	KeyTask
+	KeyForwards
 	KeyReplica
 	KeyPath
 )
@@ -67,8 +66,7 @@ var keyNames = [...]string{
 	KeyCacheHit:  "cache_hit",
 	KeyTasks:     "tasks",
 	KeyDecisions: "decisions",
-	KeyResource:  "resource",
-	KeyTask:      "task",
+	KeyForwards:  "forwards",
 	KeyReplica:   "replica",
 	KeyPath:      "path",
 }

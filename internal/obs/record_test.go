@@ -21,10 +21,10 @@ func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 		args  map[string]any
 	}{
 		{
-			name:  "child with two ints",
+			name:  "child with three ints",
 			link:  Link{trace: "00000000000000aa", parent: "00000000000000bb", span: 0x0123456789abcdef},
-			attrs: []Attr{Int(KeyResource, 3), Int(KeyTask, -1)},
-			args:  SpanArgs(map[string]any{"resource": 3, "task": -1}, "00000000000000aa", "0123456789abcdef", "00000000000000bb"),
+			attrs: []Attr{Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, -1)},
+			args:  SpanArgs(map[string]any{"tasks": 120, "decisions": 497, "forwards": -1}, "00000000000000aa", "0123456789abcdef", "00000000000000bb"),
 		},
 		{
 			name:  "root without a parent",
@@ -81,23 +81,23 @@ func TestLinkContextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanAllocatesNothing is the per-decision cost contract of the request
-// paths: minting a child identity and recording it with two integer attributes
-// touches the heap zero times.
+// TestSpanAllocatesNothing is the per-stage cost contract of the request
+// paths: minting a child identity and recording it with three integer
+// attributes touches the heap zero times.
 func TestSpanAllocatesNothing(t *testing.T) {
 	tr := NewTracer(64)
 	sc := RootLink(NewTraceID(), "").Context()
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Span("decide", "inference", 1, 9, 12.5, 3, sc.Child(), Int(KeyResource, 2), Int(KeyTask, 41))
+		tr.Span("rollout", "sim", 1, 9, 12.5, 3, sc.Child(), Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, 388))
 	})
 	if allocs != 0 {
-		t.Fatalf("a child span with two int attributes costs %v allocations, want 0", allocs)
+		t.Fatalf("a child span with three int attributes costs %v allocations, want 0", allocs)
 	}
 }
 
 // TestRecordHasNoPointers: a ring is one allocation the collector never
 // scans only if a record holds no pointer, and 96 bytes a record is what sizes
-// a serving daemon's ring (DefaultTraceCapacity).
+// a ring (DefaultTraceCapacity, a serving daemon's TraceEvents).
 func TestRecordHasNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -120,10 +120,10 @@ func TestRecordHasNoPointers(t *testing.T) {
 }
 
 // TestTracerRingBytesFixed holds the ring to its byte bound: after three laps
-// of request-shaped traffic (a fresh trace every 100 spans) the tracer keeps
-// capacity × sizeof(record) bytes alive and a table of the few strings its
-// call sites name — not a map per span, and not the requests' IDs, which a
-// record holds as their 64 bits.
+// of request-shaped traffic (a fresh trace every five spans, a request's root
+// and its four stages) the tracer keeps capacity × sizeof(record) bytes alive
+// and a table of the few strings its call sites name — not a map per span, and
+// not the requests' IDs, which a record holds as their 64 bits.
 func TestTracerRingBytesFixed(t *testing.T) {
 	const capacity = 1 << 14
 	liveHeap := func() uint64 {
@@ -135,16 +135,17 @@ func TestTracerRingBytesFixed(t *testing.T) {
 	}
 	before := liveHeap()
 	tr := NewTracer(capacity)
+	stages := []string{"model_load", "queue_wait", "rollout", "references"}
 	var sc SpanContext
 	for i := 0; i < 3*capacity; i++ {
-		if i%100 == 0 {
+		if i%5 == 0 {
 			root := RootLink(NewTraceID(), "")
 			sc = root.Context()
 			tr.Span("request", "schedule", 1, int64(i), float64(i), 1, root,
 				Int(KeyRequestID, int64(i)), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200))
 			continue
 		}
-		tr.Span("decide", "inference", 1, int64(i), float64(i), 1, sc.Child(), Int(KeyResource, 1), Int(KeyTask, int64(i)))
+		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, sc.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
 	}
 	after := liveHeap()
 	if tr.Len() != capacity || tr.Dropped() != 2*capacity {

@@ -61,10 +61,12 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
-// non-positive capacity: a serving daemon records one span per decision, so
-// this is the last ≈ 130 Cholesky T=8 requests (≈ 500 spans each) or ≈ 900 at
-// T=4 (≈ 70), or a mid-size simulated schedule. A ring is allocated whole, at
-// 96 bytes a record.
+// non-positive capacity: 6 MiB, allocated whole at 96 bytes a record. It holds
+// a mid-size simulated schedule, or the last ≈ 32 000 requests of a gateway
+// (two spans each), a window longer than any replica's, so a replica's request
+// span in a merged trace still finds the gateway's forward span it names as
+// parent. A serving daemon records five stage spans a request and sizes its
+// own ring (serve.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
 // NewTracer returns a tracer with the given ring capacity (<= 0 selects
@@ -124,7 +126,7 @@ func (t *Tracer) Complete(name, cat string, pid, tid int64, ts, dur float64, arg
 
 // Span records a complete slice that carries its place in a distributed trace
 // and up to three typed attributes (maxSpanAttrs), without allocating: the request
-// paths write one per decision. A zero link records a plain slice. The export
+// paths write one per stage. A zero link records a plain slice. The export
 // is the Event that Complete would have produced from SpanArgs over a map of
 // the same attributes.
 func (t *Tracer) Span(name, cat string, pid, tid int64, ts, dur float64, link Link, attrs ...Attr) {

@@ -28,7 +28,7 @@ func FuzzTraceContext(f *testing.F) {
 		for pass := 0; pass < 2; pass++ {
 			root = RootLink(traceID, parent)
 			tr.Span("request", "schedule", 1, 1, 0, 2, root, String(KeyEndpoint, traceHdr))
-			tr.Span("decide", "inference", 1, 1, 1, 1, root.Context().Child(), Int(KeyTask, 3))
+			tr.Span("rollout", "sim", 1, 1, 1, 1, root.Context().Child(), Int(KeyForwards, 3))
 		}
 		checkStrtab(t, tr)
 		var buf bytes.Buffer
@@ -49,8 +49,8 @@ func FuzzTraceContext(f *testing.F) {
 		}
 		rootSpan := formatID(root.span)
 		ev := doc.TraceEvents
-		if len(ev) != 3 || ev[0].Name != "decide" || ev[1].Name != "request" || ev[2].Name != "decide" {
-			t.Fatalf("exported %+v, want decide, request, decide", ev)
+		if len(ev) != 3 || ev[0].Name != "rollout" || ev[1].Name != "request" || ev[2].Name != "rollout" {
+			t.Fatalf("exported %+v, want rollout, request, rollout", ev)
 		}
 		for _, e := range ev {
 			if got := e.Args[ArgTraceID]; got != rendered(traceID) {

@@ -34,7 +34,7 @@ func requestID(ctx context.Context) int64 {
 }
 
 // traceContext returns the request span's trace identity: children record it
-// as their parent so client→serve→decide spans stitch across processes.
+// as their parent so client→serve→stage spans stitch across processes.
 func traceContext(ctx context.Context) obs.SpanContext {
 	info, _ := ctx.Value(ridKey{}).(reqInfo)
 	return info.sc
@@ -47,7 +47,7 @@ func (s *Server) tsMicros(t time.Time) float64 {
 }
 
 // span records a completed slice on the request's lane. Each request gets its
-// own tid, so its queue-wait / model-load / rollout / per-decision slices
+// own tid, so its model-load / queue-wait / rollout / references slices
 // render as one row in Perfetto; the ring bounds total memory. Children of the
 // request span pass sc.Child() as their link (the zero Link, hence a plain
 // slice, on requests that did not pass through instrument).
@@ -56,23 +56,21 @@ func (s *Server) span(name, cat string, tid int64, start time.Time, link obs.Lin
 		float64(time.Since(start))/float64(time.Microsecond), link, attrs...)
 }
 
-// tracedPolicy wraps the inference policy and records one "decide" slice per
-// scheduling decision (wall-clock inference latency, not simulated time).
-type tracedPolicy struct {
-	inner sim.Policy
-	srv   *Server
-	tid   int64
-	sc    obs.SpanContext
+// timedPolicy wraps the inference policy and observes the wall-clock latency
+// of every scheduling decision into readys_decide_latency_us. A decision is
+// counted, not traced: the rollout span and the readys_decide_* counters carry
+// what the policy's DecideStats counted over the request.
+type timedPolicy struct {
+	inner   sim.Policy
+	metrics *Metrics
 }
 
-func (p tracedPolicy) Reset(st *sim.State) { p.inner.Reset(st) }
+func (p timedPolicy) Reset(st *sim.State) { p.inner.Reset(st) }
 
-func (p tracedPolicy) Decide(st *sim.State, r int) int {
+func (p timedPolicy) Decide(st *sim.State, r int) int {
 	start := time.Now()
 	task := p.inner.Decide(st, r)
-	p.srv.metrics.ObserveDecide(time.Since(start))
-	p.srv.span("decide", "inference", p.tid, start, p.sc.Child(),
-		obs.Int(obs.KeyResource, int64(r)), obs.Int(obs.KeyTask, int64(task)))
+	p.metrics.ObserveDecide(time.Since(start))
 	return task
 }
 

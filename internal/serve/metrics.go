@@ -5,6 +5,7 @@ import (
 	"runtime/metrics"
 	"time"
 
+	"readys/internal/core"
 	"readys/internal/obs"
 )
 
@@ -31,6 +32,9 @@ type Metrics struct {
 	latency  *obs.HistogramVec
 	decide   *obs.Histogram
 
+	// What the policies counted over the answered rollouts (core.DecideStats).
+	forwards, memoHits, windowRows, rebuilds *obs.Counter
+
 	inflight  *obs.Gauge
 	rejected  *obs.Counter // 503s from a full queue
 	timeouts  *obs.Counter // requests that hit the server-side deadline
@@ -42,16 +46,20 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		start:     time.Now(),
-		reg:       reg,
-		requests:  reg.CounterVec("readys_http_requests_total", "HTTP requests by endpoint.", "endpoint"),
-		errors:    reg.CounterVec("readys_http_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint"),
-		latency:   reg.HistogramVec("readys_http_latency_ms", "Request latency in milliseconds by endpoint.", latencyBucketsMS, "endpoint"),
-		decide:    reg.Histogram("readys_decide_latency_us", "Per-decision inference latency in microseconds.", decideBucketsUS),
-		inflight:  reg.Gauge("readys_http_inflight", "Requests currently being handled."),
-		rejected:  reg.Counter("readys_rejected_busy_total", "Backpressure rejections from a full queue (503)."),
-		timeouts:  reg.Counter("readys_request_timeouts_total", "Requests that exceeded the server-side deadline."),
-		scheduled: reg.Counter("readys_schedules_answered_total", "Successfully answered schedule requests."),
+		start:      time.Now(),
+		reg:        reg,
+		requests:   reg.CounterVec("readys_http_requests_total", "HTTP requests by endpoint.", "endpoint"),
+		errors:     reg.CounterVec("readys_http_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint"),
+		latency:    reg.HistogramVec("readys_http_latency_ms", "Request latency in milliseconds by endpoint.", latencyBucketsMS, "endpoint"),
+		decide:     reg.Histogram("readys_decide_latency_us", "Per-decision inference latency in microseconds.", decideBucketsUS),
+		forwards:   reg.Counter("readys_decide_forwards_total", "Decisions that ran the network (memo misses)."),
+		memoHits:   reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo."),
+		windowRows: reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision."),
+		rebuilds:   reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed."),
+		inflight:   reg.Gauge("readys_http_inflight", "Requests currently being handled."),
+		rejected:   reg.Counter("readys_rejected_busy_total", "Backpressure rejections from a full queue (503)."),
+		timeouts:   reg.Counter("readys_request_timeouts_total", "Requests that exceeded the server-side deadline."),
+		scheduled:  reg.Counter("readys_schedules_answered_total", "Successfully answered schedule requests."),
 	}
 	reg.GaugeFunc("readys_uptime_seconds", "Seconds since the metric set was created.",
 		func() float64 { return time.Since(m.start).Seconds() })
@@ -85,6 +93,14 @@ func (m *Metrics) Observe(endpoint string, d time.Duration, isError bool) {
 // ObserveDecide records the wall-clock latency of one scheduling decision.
 func (m *Metrics) ObserveDecide(d time.Duration) {
 	m.decide.Observe(float64(d) / float64(time.Microsecond))
+}
+
+// ObserveDecideStats adds what a policy counted over one rollout.
+func (m *Metrics) ObserveDecideStats(d core.DecideStats) {
+	m.forwards.Add(uint64(d.Forwards))
+	m.memoHits.Add(uint64(d.MemoHits()))
+	m.windowRows.Add(uint64(d.WindowRows))
+	m.rebuilds.Add(uint64(d.Rebuilds))
 }
 
 // IncInflight / DecInflight track requests currently being handled.

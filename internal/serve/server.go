@@ -37,11 +37,14 @@ type Config struct {
 	// default: profiling endpoints leak operational detail, so they must be
 	// asked for (readys-serve -pprof).
 	EnablePprof bool
-	// TraceEvents is the request-span ring capacity (<= 0 picks
-	// obs.DefaultTraceCapacity). Only the most recent window is kept, so
-	// tracing is always on and bounded. A request records one span per
-	// decision, so the default holds the last ≈ 130 T=8 or ≈ 900 T=4
-	// requests, in 6 MiB.
+	// TraceEvents is the request-span ring capacity (<= 0 picks the
+	// default, 1 << 13 records in 768 KiB). Only the most recent window is
+	// kept, so tracing is always on and bounded. A successful schedule
+	// request records five spans whatever its size (request, model_load,
+	// queue_wait, rollout, references; its decisions are counted on the
+	// rollout span and in the readys_decide_* metrics). /healthz probes and
+	// /metrics scrapes record none, so the default holds the last ≈ 1 600
+	// schedule requests however often a gateway probes.
 	TraceEvents int
 }
 
@@ -54,6 +57,7 @@ func DefaultConfig() Config {
 		MaxModels:      8,
 		RequestTimeout: 30 * time.Second,
 		MaxBodyBytes:   1 << 20,
+		TraceEvents:    1 << 13,
 	}
 }
 
@@ -95,6 +99,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = def.MaxBodyBytes
 	}
+	if cfg.TraceEvents <= 0 {
+		cfg.TraceEvents = def.TraceEvents
+	}
 	s := &Server{
 		cfg: cfg,
 		// Idle clones are capped at the worker count: more can never be in
@@ -109,10 +116,13 @@ func New(cfg Config) *Server {
 	}
 	s.tracer.NameProcess(servePID, "readys-serve")
 	registerComponentGauges(s.metrics.Registry(), s.registry, s.pool)
-	s.mux.HandleFunc("/v1/schedule", s.instrument("schedule", s.handleSchedule))
-	s.mux.HandleFunc("/v1/models", s.instrument("models", s.handleModels))
-	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
+	s.mux.HandleFunc("/v1/schedule", s.instrument("schedule", true, s.handleSchedule))
+	s.mux.HandleFunc("/v1/models", s.instrument("models", true, s.handleModels))
+	// Liveness probes and metric scrapes are counted but not traced: a
+	// gateway probes each replica's /healthz four times a second by default,
+	// which would otherwise crowd the schedule requests out of the ring.
+	s.mux.HandleFunc("/healthz", s.instrument("healthz", false, s.handleHealthz))
+	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
 	s.mux.HandleFunc("/debug/trace", s.handleTrace)
 	if cfg.EnablePprof {
 		s.registerDebug()
@@ -148,9 +158,9 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // instrument wraps a handler with the in-flight gauge, per-endpoint
 // request/error counters and latency histogram, a request ID (echoed in the
-// X-Request-ID response header) and an overall request span on the request's
-// trace lane.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+// X-Request-ID response header) and, when traced, an overall request span on
+// the request's trace lane.
+func (s *Server) instrument(name string, traced bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := s.reqSeq.Add(1)
@@ -169,8 +179,10 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		s.metrics.Observe(name, time.Since(start), sw.status >= 400)
-		s.span("request", name, id, start, link,
-			obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
+		if traced {
+			s.span("request", name, id, start, link,
+				obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
+		}
 	}
 }
 
@@ -318,18 +330,22 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (ScheduleRe
 // goroutine. The leased clone is exclusively ours for the duration, so the
 // forward passes share no mutable state with other workers. Both runs happen
 // in the clone's simulator memory, which is why the placements are taken out
-// of the rollout's result before the reference run reuses it. The rollout,
-// each inference decision and the reference are recorded as spans on the
-// request's trace lane.
+// of the rollout's result before the reference run reuses it. The rollout and
+// the reference are recorded as spans on the request's trace lane; what the
+// policy counted over the rollout goes on the rollout span and into the
+// readys_decide_* counters.
 func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, cacheHit bool, rid int64, sc obs.SpanContext) (ScheduleResponse, error) {
 	start := time.Now()
 	prob := tpl.prob
 	prob.Sigma = req.Sigma
 	runner := lease.Runner()
-	pol := tracedPolicy{inner: lease.Policy(), srv: s, tid: rid, sc: sc}
-	res, err := prob.SimulateOn(runner, pol, lease.Rand(req.Seed))
-	s.span("rollout", "sim", rid, start, sc.Child(),
-		obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())), obs.Int(obs.KeyDecisions, int64(res.Decisions)))
+	pol := lease.Policy()
+	before := pol.Stats
+	res, err := prob.SimulateOn(runner, timedPolicy{inner: pol, metrics: s.metrics}, lease.Rand(req.Seed))
+	counted := pol.Stats.Sub(before)
+	s.metrics.ObserveDecideStats(counted)
+	s.span("rollout", "sim", rid, start, sc.Child(), obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())),
+		obs.Int(obs.KeyDecisions, int64(res.Decisions)), obs.Int(obs.KeyForwards, int64(counted.Forwards)))
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: rollout: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"readys/internal/core"
 	"readys/internal/obs"
 	"readys/internal/platform"
 	"readys/internal/sched"
@@ -170,5 +171,26 @@ func TestStreamMetricsGoldenExposition(t *testing.T) {
 	}
 	if want := "readys_stream_tasks_completed_total " + strconv.Itoa(tasks) + "\n"; !strings.Contains(got, want) {
 		t.Errorf("exposition missing %q", want)
+	}
+}
+
+// TestStreamDecideStats checks what readys-stream -metrics exports as the
+// readys_decide_* counters after a READYS run: the policy counted every
+// decision of the stream, ran the network at some and recomputed the window
+// at some.
+func TestStreamDecideStats(t *testing.T) {
+	pol := core.NewPolicy(core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 1}))
+	res, err := Run(pol, Config{
+		Platform: platform.New(2, 2),
+		Arrivals: testArrivals(t, 1, 6, 3.0),
+		Sigma:    0.1,
+		Rng:      rand.New(rand.NewSource(42)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := pol.Stats; d.Decisions != res.Decisions || d.Forwards == 0 || d.Forwards > d.Decisions ||
+		d.WindowRows < d.Decisions || d.Rebuilds == 0 || d.Rebuilds > d.Decisions {
+		t.Errorf("decide stats %+v over %d decisions", d, res.Decisions)
 	}
 }
