@@ -170,7 +170,8 @@ portable:
 # End-to-end observability check. Phase 1 artifacts: train a tiny agent with
 # -telemetry, simulate one DAG with -trace, assert both are valid and
 # non-empty. Phase 2 artifacts: a READYS streaming run's flight recorder
-# summarized by readys-obs-check and its exported readys_decide_* counters,
+# summarized by readys-obs-check and its exported readys_decide_* counters
+# (∅ answers included),
 # and a real dispatcher + worker pair (fleet smoke)
 # whose two per-process span exports are merged — both by the smoke itself
 # and again through readys-obs-check -merge — and must pass cross-process
@@ -186,7 +187,7 @@ obs-smoke:
 	$(GO) run ./cmd/readys-stream -rate 6 -jobs 6 -sigma 0.1 \
 		-policy readys -models models -faults -fault-rate 1 -seed 7 -quiet \
 		-flight $(OBS_TMP)/flight.jsonl -metrics $(OBS_TMP)/metrics.prom > /dev/null
-	for c in forwards memo_hits window_rows rebuilds; do \
+	for c in forwards memo_hits window_rows rebuilds idle; do \
 		grep -q "^# TYPE readys_decide_$${c}_total counter" $(OBS_TMP)/metrics.prom || exit 1; done
 	grep -q '^readys_decide_forwards_total [1-9]' $(OBS_TMP)/metrics.prom
 	$(GO) run ./cmd/readys-obs-check -flight $(OBS_TMP)/flight.jsonl
@@ -251,8 +252,10 @@ fleet-smoke:
 # kills the owning replica and requires transparent failover with responses
 # identical to the pre-kill run, phase 3 requires each replica's trace to hold
 # one rollout span per request it answered (forwards ≤ decisions) and no
-# per-decision span, and exports client/gateway/replica span files whose merge
-# must pass cross-process parent-link validation.
+# per-decision span, and the gateway's one request span per schedule request,
+# with no span for the /healthz probes and /metrics scrapes the smoke sends
+# four times a second throughout, and exports client/gateway/replica span
+# files whose merge must pass cross-process parent-link validation.
 GW_TMP ?= /tmp/readys-gateway-smoke
 gateway-smoke:
 	rm -rf $(GW_TMP) && mkdir -p $(GW_TMP)

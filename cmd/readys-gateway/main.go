@@ -115,13 +115,16 @@ type smokeReplica struct {
 }
 
 // runSmoke is the end-to-end check behind `make gateway-smoke`: a gateway
-// over two replicas serving the same checkpoint, driven by a traced client.
-// It proves (1) concurrent requests all succeed, (2) killing the replica that
-// owns the model fails requests over to the survivor with bit-identical
-// schedules, (3) each replica traced every request it answered by stage — one
-// rollout span apiece, counting its decisions and forwards, and no span per
-// decision — and (4) the client → gateway → replica trace exports stitch into
-// one linked timeline (the Makefile re-validates that with
+// over two replicas serving the same checkpoint, driven by a traced client
+// while the replicas' and the gateway's /healthz and the gateway's /metrics
+// are probed four times a second. It proves (1) concurrent requests all
+// succeed, (2) killing the replica that owns the model fails requests over to
+// the survivor with bit-identical schedules, (3) each replica traced every
+// request it answered by stage — one rollout span apiece, counting its
+// decisions and forwards, and no span per decision — and the gateway traced
+// one request span per schedule request, neither of them a span per probe or
+// scrape, and (4) the client → gateway → replica trace exports stitch into one
+// linked timeline (the Makefile re-validates that with
 // readys-obs-check -merge / -links).
 func runSmoke(logger *log.Logger, traceOut string) error {
 	dir, err := os.MkdirTemp("", "readys-gateway-smoke-*")
@@ -159,7 +162,9 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 
 	// The health interval is pinned long so failover detection below is
 	// purely passive (a failed forward), making the failover count
-	// deterministic; the active prober has its own test coverage.
+	// deterministic; the active prober has its own test coverage. The smoke
+	// probes at the prober's default rate instead, without acting on the
+	// answers, so the trace checks of phase 3 run under probe traffic.
 	gw, err := gateway.New(gateway.Config{
 		Replicas:       []string{reps[0].url, reps[1].url},
 		HealthInterval: time.Hour,
@@ -172,6 +177,7 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 		return err
 	}
 	defer gw.Close()
+	stopProbes := probe(gw.Handler(), reps, gateway.DefaultConfig().HealthInterval)
 
 	// The "client process" keeps its own tracer; its root span context rides
 	// every request, so gateway and replica spans all join its trace.
@@ -231,17 +237,21 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 		return errors.New("smoke: owning replica died but no failover was recorded")
 	}
 
-	// Phase 3: every replica traced the requests it answered by stage, and
-	// every process's trace is exported for the cross-process link check.
-	// The dead replica's listener is gone but its handler still works
-	// in-process, so its spans are checked and exported too.
+	// Phase 3: every replica traced the requests it answered by stage, the
+	// gateway traced each schedule request once, and every process's trace is
+	// exported for the cross-process link check. The dead replica's listener
+	// is gone but its handler still works in-process, so its spans are
+	// checked and exported too.
+	if rounds := stopProbes(); rounds == 0 {
+		return errors.New("smoke: no probe round ran")
+	}
 	clientTracer.Complete("smoke-run", "client", 3, 1, 0,
 		float64(time.Since(clientStart))/float64(time.Microsecond),
 		obs.SpanArgs(nil, client.TraceID, client.SpanID, ""))
 	replicaTraces := make([][]byte, len(reps))
 	answeredTotal := 0
 	for i, r := range reps {
-		trace, err := get(r.srv, "/debug/trace")
+		trace, err := get(r.srv.Handler(), "/debug/trace")
 		if err != nil {
 			return fmt.Errorf("replica %d: %w", i+1, err)
 		}
@@ -258,29 +268,30 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 	if answeredTotal != 2*clients {
 		return fmt.Errorf("smoke: the replicas answered %d schedule requests, the client got %d answers", answeredTotal, 2*clients)
 	}
+	gatewayTrace, err := get(gw.Handler(), "/debug/trace")
+	if err != nil {
+		return fmt.Errorf("gateway: %w", err)
+	}
+	events, err := traceEvents(gatewayTrace)
+	if err == nil {
+		err = checkRequestSpans(events, 2*clients)
+	}
+	if err != nil {
+		return fmt.Errorf("smoke: gateway trace: %w", err)
+	}
 	if traceOut != "" {
 		if err := os.MkdirAll(traceOut, 0o755); err != nil {
 			return err
 		}
-		writeTrace := func(name string, wt func(io.Writer) error) error {
-			f, err := os.Create(filepath.Join(traceOut, name))
-			if err != nil {
-				return err
-			}
-			if err := wt(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		if err := writeTrace("client.json", clientTracer.WriteChromeTrace); err != nil {
+		var clientTrace bytes.Buffer
+		if err := clientTracer.WriteChromeTrace(&clientTrace); err != nil {
 			return err
 		}
-		if err := writeTrace("gateway.json", gw.Tracer().WriteChromeTrace); err != nil {
-			return err
-		}
+		traces := map[string][]byte{"client.json": clientTrace.Bytes(), "gateway.json": gatewayTrace}
 		for i, trace := range replicaTraces {
-			name := fmt.Sprintf("replica%d.json", i+1)
+			traces[fmt.Sprintf("replica%d.json", i+1)] = trace
+		}
+		for name, trace := range traces {
 			if err := os.WriteFile(filepath.Join(traceOut, name), trace, 0o644); err != nil {
 				return err
 			}
@@ -290,10 +301,50 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 	return nil
 }
 
-// get answers GET path from a replica's handler in-process.
-func get(srv *serve.Server, path string) ([]byte, error) {
+// probe sends a round of probes now and every interval until the returned
+// stop is called — each replica's /healthz over its listener, as a gateway's
+// prober does, and the gateway's /healthz and /metrics in-process, as a load
+// balancer and a scraper do — and stop returns how many rounds ran. Answers
+// are not checked: a killed replica's probe fails.
+func probe(gw http.Handler, reps []*smokeReplica, interval time.Duration) (stop func() int) {
+	done := make(chan struct{})
+	rounds := 0
+	var wg sync.WaitGroup
+	client := &http.Client{Timeout: time.Second}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			for _, r := range reps {
+				if resp, err := client.Get(r.url + "/healthz"); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+			for _, path := range []string{"/healthz", "/metrics"} {
+				gw.ServeHTTP(newRecorder(), mustRequest(http.MethodGet, path))
+			}
+			rounds++
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+			}
+		}
+	}()
+	return func() int {
+		close(done)
+		wg.Wait()
+		return rounds
+	}
+}
+
+// get answers GET path from a handler in-process.
+func get(h http.Handler, path string) ([]byte, error) {
 	rec := newRecorder()
-	srv.Handler().ServeHTTP(rec, mustRequest(http.MethodGet, path))
+	h.ServeHTTP(rec, mustRequest(http.MethodGet, path))
 	if rec.status != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: status %d", path, rec.status)
 	}
@@ -303,7 +354,7 @@ func get(srv *serve.Server, path string) ([]byte, error) {
 // answeredSchedules reads how many schedule requests a replica answered from
 // its /metrics.
 func answeredSchedules(srv *serve.Server) (int, error) {
-	data, err := get(srv, "/metrics")
+	data, err := get(srv.Handler(), "/metrics")
 	if err != nil {
 		return 0, err
 	}
@@ -316,18 +367,49 @@ func answeredSchedules(srv *serve.Server) (int, error) {
 	return m.Answered, nil
 }
 
-// checkStageSpans requires a replica's trace to hold one rollout span per
-// answered request, each counting no more forwards than decisions, and no
-// span per decision: decisions are counted, not traced.
-func checkStageSpans(trace []byte, answered int) error {
+// traceEvents decodes a Chrome trace export.
+func traceEvents(trace []byte) ([]obs.Event, error) {
 	var doc struct {
 		TraceEvents []obs.Event `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(trace, &doc); err != nil {
+	err := json.Unmarshal(trace, &doc)
+	return doc.TraceEvents, err
+}
+
+// checkRequestSpans requires one request span per answered schedule request
+// and none for a /healthz probe or a /metrics scrape, which are counted, not
+// traced. A request span's category is its endpoint.
+func checkRequestSpans(events []obs.Event, answered int) error {
+	requests := 0
+	for _, e := range events {
+		if e.Name != "request" {
+			continue
+		}
+		if e.Cat != "schedule" {
+			return fmt.Errorf("a request span for %s: probes and scrapes are counted, not traced", e.Cat)
+		}
+		requests++
+	}
+	if requests != answered {
+		return fmt.Errorf("%d request spans for %d answered schedule requests", requests, answered)
+	}
+	return nil
+}
+
+// checkStageSpans requires a replica's trace to hold the request spans
+// checkRequestSpans asks for and one rollout span per answered request, each
+// counting no more forwards than decisions, and no span per decision:
+// decisions are counted, not traced.
+func checkStageSpans(trace []byte, answered int) error {
+	events, err := traceEvents(trace)
+	if err != nil {
+		return err
+	}
+	if err := checkRequestSpans(events, answered); err != nil {
 		return err
 	}
 	rollouts := 0
-	for _, e := range doc.TraceEvents {
+	for _, e := range events {
 		switch e.Name {
 		case "decide":
 			return errors.New("a decide span: a decision is counted on its rollout span, not traced")

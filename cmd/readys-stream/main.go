@@ -164,6 +164,7 @@ func main() {
 			reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo.").Add(uint64(d.MemoHits()))
 			reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision.").Add(uint64(d.WindowRows))
 			reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed.").Add(uint64(d.Rebuilds))
+			reg.Counter("readys_decide_idle_total", "Decisions that left the asking resource idle (∅).").Add(uint64(d.Idle))
 		}
 		if *metricsPath == "-" {
 			if err := cfg.Metrics.WriteText(os.Stdout); err != nil {

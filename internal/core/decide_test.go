@@ -58,8 +58,9 @@ func TestPolicyDecideAllocFree(t *testing.T) {
 }
 
 // TestDecideStatsCount: the default policy and the reference policy make the
-// same decisions on the same windows, so they count the same Decisions and
-// WindowRows; only the default one memoises and carries windows over, and
+// same decisions on the same windows, so they count the same Decisions,
+// WindowRows and Idle (the simulator's IdleDecisions); only the default one
+// memoises and carries windows over, and
 // the reference, like a recording policy, runs the network at every decision.
 func TestDecideStatsCount(t *testing.T) {
 	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 4})
@@ -69,8 +70,9 @@ func TestDecideStatsCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pol.Stats.Decisions != res.Decisions {
-			t.Fatalf("%d decisions counted, the simulator asked %d times", pol.Stats.Decisions, res.Decisions)
+		if pol.Stats.Decisions != res.Decisions || pol.Stats.Idle != res.IdleDecisions {
+			t.Fatalf("%d decisions and %d ∅ counted, the simulator asked %d times and idled %d",
+				pol.Stats.Decisions, pol.Stats.Idle, res.Decisions, res.IdleDecisions)
 		}
 		return pol.Stats
 	}
@@ -84,10 +86,10 @@ func TestDecideStatsCount(t *testing.T) {
 	if fast.MemoHits() <= 0 || fast.Rebuilds <= 0 || fast.Rebuilds >= fast.Decisions {
 		t.Fatalf("default %+v: want memo hits and windows carried over", fast)
 	}
-	if fast.ForwardTime <= 0 || fast.WindowRows <= fast.Decisions {
-		t.Fatalf("default %+v: implausible forward time or window rows", fast)
+	if fast.ForwardTime <= 0 || fast.WindowRows <= fast.Decisions || fast.Idle <= 1 || fast.Idle != ref.Idle {
+		t.Fatalf("default %+v, reference %+v: implausible forward time, window rows or ∅ count", fast, ref)
 	}
-	if d := fast.Sub(DecideStats{Decisions: 1, Forwards: 1}); d.MemoHits() != fast.MemoHits() || d.WindowRows != fast.WindowRows {
+	if d := fast.Sub(DecideStats{Decisions: 1, Forwards: 1, Idle: 1}); d.MemoHits() != fast.MemoHits() || d.WindowRows != fast.WindowRows || d.Idle != fast.Idle-1 {
 		t.Fatalf("Sub: %+v from %+v", d, fast)
 	}
 }

@@ -114,6 +114,8 @@ type DecideStats struct {
 	// included; Rebuilds counts the decisions whose window was recomputed
 	// rather than carried over (all of them without the incremental encoder).
 	WindowRows, Rebuilds int
+	// Idle counts the decisions that answered ∅ (sim.NoTask).
+	Idle int
 	// ForwardTime is the wall-clock time spent in forwards.
 	ForwardTime time.Duration
 }
@@ -128,6 +130,7 @@ func (d DecideStats) Sub(o DecideStats) DecideStats {
 		Forwards:    d.Forwards - o.Forwards,
 		WindowRows:  d.WindowRows - o.WindowRows,
 		Rebuilds:    d.Rebuilds - o.Rebuilds,
+		Idle:        d.Idle - o.Idle,
 		ForwardTime: d.ForwardTime - o.ForwardTime,
 	}
 }
@@ -306,6 +309,7 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, value float64) int {
 		p.Steps = p.Log.steps
 	}
 	if action == len(es.ReadyTasks) {
+		p.Stats.Idle++
 		return sim.NoTask // only legal when es.AllowIdle
 	}
 	return es.ReadyTasks[action]

@@ -65,11 +65,21 @@ type Config struct {
 	MaxBodyBytes int64
 	// Logger receives request-level diagnostics; nil disables logging.
 	Logger *log.Logger
-	// TraceEvents is the request-span ring capacity (<= 0 picks
-	// obs.DefaultTraceCapacity, 6 MiB). A request records two spans here,
-	// so the default holds the last ≈ 30 000 requests.
+	// TraceEvents is the request-span ring capacity. <= 0 picks one
+	// serve.DefaultTraceEvents ring per replica (traceCapacity): 16 384
+	// records, 1.5 MiB, for two replicas. A schedule request records two
+	// spans here (request, forward) and five on its replica, and /healthz
+	// and /metrics record none on either, so over N replicas this window
+	// covers the default window of every replica that takes at least 0.4 / N
+	// of the schedule traffic — 2.5 times over under an even split. Within
+	// it, a replica's request span in a merged trace still finds the forward
+	// span it names as parent.
 	TraceEvents int
 }
+
+// traceCapacity is the default ring of a gateway over the given number of
+// replicas, each keeping perReplica records (see Config.TraceEvents).
+func traceCapacity(replicas, perReplica int) int { return replicas * perReplica }
 
 // DefaultConfig returns production-shaped defaults (Replicas must still be
 // supplied by the caller).
@@ -142,7 +152,6 @@ func New(cfg Config) (*Gateway, error) {
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
 		epoch:   time.Now(),
-		tracer:  obs.NewTracer(cfg.TraceEvents),
 		stop:    make(chan struct{}),
 	}
 	seen := make(map[string]bool, len(cfg.Replicas))
@@ -160,11 +169,18 @@ func New(cfg Config) (*Gateway, error) {
 	if len(g.replicas) == 0 {
 		return nil, errors.New("gateway: replica list is empty after normalisation")
 	}
+	if g.cfg.TraceEvents <= 0 {
+		g.cfg.TraceEvents = traceCapacity(len(g.replicas), serve.DefaultTraceEvents)
+	}
+	g.tracer = obs.NewTracer(g.cfg.TraceEvents)
 	g.tracer.NameProcess(gatewayPID, "readys-gateway")
-	g.mux.HandleFunc("/v1/schedule", g.instrument("schedule", g.handleSchedule))
-	g.mux.HandleFunc("/v1/models", g.instrument("models", g.handleModels))
-	g.mux.HandleFunc("/healthz", g.instrument("healthz", g.handleHealthz))
-	g.mux.HandleFunc("/metrics", g.instrument("metrics", g.handleMetrics))
+	g.mux.HandleFunc("/v1/schedule", g.instrument("schedule", true, g.handleSchedule))
+	g.mux.HandleFunc("/v1/models", g.instrument("models", true, g.handleModels))
+	// Liveness probes and metric scrapes are counted but not traced: a load
+	// balancer probing the gateway would otherwise eat the window sized for
+	// the replicas' schedule requests.
+	g.mux.HandleFunc("/healthz", g.instrument("healthz", false, g.handleHealthz))
+	g.mux.HandleFunc("/metrics", g.instrument("metrics", false, g.handleMetrics))
 	g.mux.HandleFunc("/debug/trace", g.handleTrace)
 	g.wg.Add(1)
 	go g.healthLoop()
@@ -292,11 +308,11 @@ func (g *Gateway) RouteFor(req *serve.ScheduleRequest) string {
 	return g.rank(routeKey(req))[0].url
 }
 
-// instrument wraps a handler with request counters, a request ID and an
-// overall request span that adopts the caller's trace context (or starts a
-// fresh trace), mirroring the serving daemon's instrumentation so gateway
-// spans stitch into the same timeline.
-func (g *Gateway) instrument(name string, h func(http.ResponseWriter, *http.Request, int64, obs.SpanContext)) http.HandlerFunc {
+// instrument wraps a handler with request counters, a request ID and, when
+// traced, an overall request span that adopts the caller's trace context (or
+// starts a fresh trace), mirroring the serving daemon's instrumentation so
+// gateway spans stitch into the same timeline.
+func (g *Gateway) instrument(name string, traced bool, h func(http.ResponseWriter, *http.Request, int64, obs.SpanContext)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := g.reqSeq.Add(1)
@@ -313,8 +329,10 @@ func (g *Gateway) instrument(name string, h func(http.ResponseWriter, *http.Requ
 		if sw.status >= 400 {
 			g.metrics.ObserveError(name)
 		}
-		g.span("request", name, id, start, link,
-			obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
+		if traced {
+			g.span("request", name, id, start, link,
+				obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
+		}
 	}
 }
 

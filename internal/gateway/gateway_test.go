@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -466,6 +468,148 @@ func TestGatewayTraceLinks(t *testing.T) {
 	}
 	if err := obs.ValidateTraceLinks(merged); err != nil {
 		t.Fatalf("trace links broken across client→gateway→replica: %v", err)
+	}
+}
+
+// TestGatewayTraceRingIgnoresProbes: a ring sized for one schedule request
+// (its request and forward spans) still holds it after 40 /healthz probes and
+// /metrics scrapes, which a load balancer and a scraper send whether or not
+// anyone schedules; they are still counted.
+func TestGatewayTraceRingIgnoresProbes(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, taskgraph.Cholesky, 2, 1, 1)
+	rep := startReplica(t, dir)
+	g, err := New(Config{Replicas: []string{rep.URL}, HealthInterval: time.Hour, TraceEvents: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	rec := postJSON(t, g.Handler(), "/v1/schedule", serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1}, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("schedule: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for range 20 {
+		for _, path := range []string{"/healthz", "/metrics"} {
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", path, rec.Code)
+			}
+		}
+	}
+	spans := map[string]int{}
+	for _, e := range g.Tracer().Events() {
+		if e.Ph != obs.PhaseMetadata {
+			spans[e.Name+"/"+e.Cat]++
+		}
+	}
+	if want := map[string]int{"request/schedule": 1, "forward/proxy": 1}; !maps.Equal(spans, want) {
+		t.Errorf("after 40 probes and scrapes the ring holds %v, want the schedule request's %v", spans, want)
+	}
+	var exposition bytes.Buffer
+	if err := g.metrics.reg.WriteText(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`readys_gateway_requests_total{endpoint="healthz"} 20`, `readys_gateway_requests_total{endpoint="metrics"} 20`} {
+		if !strings.Contains(exposition.String(), want) {
+			t.Errorf("probes are still counted: exposition missing %q", want)
+		}
+	}
+}
+
+// TestGatewayRingCoversReplicaWindows holds the default ring's rule to its
+// contract at a size a test can lap: two replicas keeping 50 records (ten
+// schedule requests) each, the gateway's ring from traceCapacity over 50, and
+// sequential traffic split 2:1 between the replicas, as serve_gw_t4's is, for
+// four laps of the smaller replica's ring. Every request span left in a
+// replica's ring must find the forward span it names as parent in the
+// gateway's. A gateway given no TraceEvents takes the same rule over
+// serve.DefaultTraceEvents.
+func TestGatewayRingCoversReplicaWindows(t *testing.T) {
+	const perReplica = 50
+	dir := t.TempDir()
+	var (
+		srvs [2]*serve.Server
+		urls []string
+	)
+	for i := range srvs {
+		srvs[i] = serve.New(serve.Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: 30 * time.Second, TraceEvents: perReplica})
+		ts := httptest.NewServer(srvs[i].Handler())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	g, err := New(Config{Replicas: urls, HealthInterval: time.Hour, TraceEvents: traceCapacity(len(urls), perReplica)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+
+	// One model per replica: the first small generated problem rendezvous
+	// hashing sends to each (the replica URLs, and so the routes, differ from
+	// run to run).
+	var owned [2]*serve.ScheduleRequest
+	for T := 2; T <= 6; T++ {
+		for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
+			req := &serve.ScheduleRequest{Kind: kind.String(), T: T, CPUs: 1, GPUs: 1}
+			i := slices.Index(urls, g.RouteFor(req))
+			if owned[i] == nil {
+				owned[i] = req
+				writeTestModel(t, dir, kind, T, 1, 1)
+			}
+		}
+	}
+	if owned[0] == nil || owned[1] == nil {
+		t.Fatalf("15 problems all route to one replica: %v", owned)
+	}
+
+	const laps = 4 // of the smaller replica's ring, ten of its requests a lap
+	for n := range laps * perReplica / 5 {
+		for _, req := range []*serve.ScheduleRequest{owned[0], owned[0], owned[1]} {
+			req.Seed = int64(n)
+			if rec := postJSON(t, g.Handler(), "/v1/schedule", req, nil); rec.Code != http.StatusOK {
+				t.Fatalf("%s T=%d: status %d: %s", req.Kind, req.T, rec.Code, rec.Body.String())
+			}
+		}
+	}
+
+	forwards := map[string]bool{}
+	for _, e := range g.Tracer().Events() {
+		if e.Name == "forward" {
+			forwards[e.Args[obs.ArgSpanID].(string)] = true
+		}
+	}
+	for i, srv := range srvs {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
+		var doc struct {
+			TraceEvents []obs.Event `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		requests, orphans := 0, 0
+		for _, e := range doc.TraceEvents {
+			if e.Name != "request" {
+				continue
+			}
+			requests++
+			if parent, _ := e.Args[obs.ArgParentSpan].(string); !forwards[parent] {
+				orphans++
+			}
+		}
+		if requests != perReplica/5 || orphans != 0 {
+			t.Errorf("replica %d: %d of the %d request spans in its ring name a forward span the gateway's ring no longer holds",
+				i+1, orphans, requests)
+		}
+	}
+
+	def, err := New(Config{Replicas: urls, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def.Close()
+	if want := traceCapacity(len(urls), serve.DefaultTraceEvents); def.cfg.TraceEvents != want {
+		t.Errorf("a gateway over %d replicas defaults to %d trace records, want %d", len(urls), def.cfg.TraceEvents, want)
 	}
 }
 

@@ -62,11 +62,10 @@ type Tracer struct {
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
 // non-positive capacity: 6 MiB, allocated whole at 96 bytes a record. It holds
-// a mid-size simulated schedule, or the last ≈ 32 000 requests of a gateway
-// (two spans each), a window longer than any replica's, so a replica's request
-// span in a merged trace still finds the gateway's forward span it names as
-// parent. A serving daemon records five stage spans a request and sizes its
-// own ring (serve.Config.TraceEvents).
+// a mid-size simulated schedule, a stream run's trace or a fleet process's
+// request spans. The serving tier sizes its own rings: a serving daemon's from
+// the five stage spans it records a request (serve.Config.TraceEvents), a
+// gateway's from the replicas it fronts (gateway.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
 // NewTracer returns a tracer with the given ring capacity (<= 0 selects

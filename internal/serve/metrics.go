@@ -33,7 +33,7 @@ type Metrics struct {
 	decide   *obs.Histogram
 
 	// What the policies counted over the answered rollouts (core.DecideStats).
-	forwards, memoHits, windowRows, rebuilds *obs.Counter
+	forwards, memoHits, windowRows, rebuilds, idle *obs.Counter
 
 	inflight  *obs.Gauge
 	rejected  *obs.Counter // 503s from a full queue
@@ -56,6 +56,7 @@ func NewMetrics() *Metrics {
 		memoHits:   reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo."),
 		windowRows: reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision."),
 		rebuilds:   reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed."),
+		idle:       reg.Counter("readys_decide_idle_total", "Decisions that left the asking resource idle (∅)."),
 		inflight:   reg.Gauge("readys_http_inflight", "Requests currently being handled."),
 		rejected:   reg.Counter("readys_rejected_busy_total", "Backpressure rejections from a full queue (503)."),
 		timeouts:   reg.Counter("readys_request_timeouts_total", "Requests that exceeded the server-side deadline."),
@@ -101,6 +102,7 @@ func (m *Metrics) ObserveDecideStats(d core.DecideStats) {
 	m.memoHits.Add(uint64(d.MemoHits()))
 	m.windowRows.Add(uint64(d.WindowRows))
 	m.rebuilds.Add(uint64(d.Rebuilds))
+	m.idle.Add(uint64(d.Idle))
 }
 
 // IncInflight / DecInflight track requests currently being handled.

@@ -76,7 +76,7 @@ func sample(t *testing.T, exposition, name string) int {
 // TestMetricsPrometheusFormat checks the text exposition: readys_-prefixed
 // families with endpoint labels, plus runtime and component gauges, and the
 // readys_decide_* counters, which two schedule requests advance by exactly
-// their decisions.
+// their decisions, readys_decide_idle_total by each answer's idle_decisions.
 func TestMetricsPrometheusFormat(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
@@ -92,16 +92,23 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		}
 		return rec.Body.String()
 	}
-	if idle := scrape(); sample(t, idle, "readys_decide_forwards_total")+sample(t, idle, "readys_decide_memo_hits_total") != 0 {
-		t.Fatalf("decide counters before any request:\n%s", idle)
+	if before := scrape(); sample(t, before, "readys_decide_forwards_total")+sample(t, before, "readys_decide_memo_hits_total") != 0 {
+		t.Fatalf("decide counters before any request:\n%s", before)
 	}
-	decisions := 0
+	// On 2 CPUs + 2 GPUs the untrained policy answers ∅ at some decisions.
+	writeTestModel(t, s.cfg.ModelsDir, leaseSpec(taskgraph.Cholesky, 4))
+	decisions, idle := 0, 0
 	for seed := int64(1); seed <= 2; seed++ {
-		rec, resp := postSchedule(t, h, ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Seed: seed})
+		rec, resp := postSchedule(t, h, ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 2, GPUs: 2, Sigma: 0.2, Seed: seed})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("schedule -> %d: %s", rec.Code, rec.Body.String())
 		}
 		decisions += resp.Decisions
+		counted := sample(t, scrape(), "readys_decide_idle_total")
+		if counted-idle != resp.IdleDecisions || resp.IdleDecisions == 0 {
+			t.Errorf("request %d: readys_decide_idle_total rose by %d, the answer says %d idle decisions", seed, counted-idle, resp.IdleDecisions)
+		}
+		idle = counted
 	}
 
 	body := scrape()
@@ -141,6 +148,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"# TYPE readys_decide_memo_hits_total counter",
 		"# TYPE readys_decide_window_rows_total counter",
 		"# TYPE readys_decide_rebuilds_total counter",
+		"# TYPE readys_decide_idle_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

@@ -37,16 +37,20 @@ type Config struct {
 	// default: profiling endpoints leak operational detail, so they must be
 	// asked for (readys-serve -pprof).
 	EnablePprof bool
-	// TraceEvents is the request-span ring capacity (<= 0 picks the
-	// default, 1 << 13 records in 768 KiB). Only the most recent window is
-	// kept, so tracing is always on and bounded. A successful schedule
-	// request records five spans whatever its size (request, model_load,
-	// queue_wait, rollout, references; its decisions are counted on the
-	// rollout span and in the readys_decide_* metrics). /healthz probes and
-	// /metrics scrapes record none, so the default holds the last ≈ 1 600
-	// schedule requests however often a gateway probes.
+	// TraceEvents is the request-span ring capacity (<= 0 picks
+	// DefaultTraceEvents). Only the most recent window is kept, so tracing is
+	// always on and bounded.
 	TraceEvents int
 }
+
+// DefaultTraceEvents is a serving daemon's default request-span ring: 8 192
+// records in 768 KiB. A successful schedule request records five spans
+// whatever its size (request, model_load, queue_wait, rollout, references; its
+// decisions are counted on the rollout span and in the readys_decide_*
+// metrics). /healthz probes and /metrics scrapes record none, so the ring
+// holds the last ≈ 1 600 schedule requests however often a gateway probes. A
+// gateway sizes its own default ring from this one (gateway.Config.TraceEvents).
+const DefaultTraceEvents = 1 << 13
 
 // DefaultConfig returns production-shaped defaults sized to the host.
 func DefaultConfig() Config {
@@ -57,7 +61,7 @@ func DefaultConfig() Config {
 		MaxModels:      8,
 		RequestTimeout: 30 * time.Second,
 		MaxBodyBytes:   1 << 20,
-		TraceEvents:    1 << 13,
+		TraceEvents:    DefaultTraceEvents,
 	}
 }
 

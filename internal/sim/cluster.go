@@ -276,6 +276,7 @@ func (c *Cluster) Result() Result {
 		Makespan:      s.Now,
 		Decisions:     c.res.Decisions,
 		IdleDecisions: c.res.IdleDecisions,
+		ForcedPhases:  c.res.ForcedPhases,
 		Kills:         append([]Kill(nil), c.res.Kills...),
 		Trace:         make([]Placement, 0, s.NumDone),
 	}

@@ -296,6 +296,10 @@ type Result struct {
 	Decisions int
 	// IdleDecisions counts ∅ actions taken.
 	IdleDecisions int
+	// ForcedPhases counts the rounds in which every free resource had
+	// answered ∅ with nothing running, so the engine asked again with MustAct
+	// set.
+	ForcedPhases int
 	// Kills lists the task attempts terminated by fault events (empty
 	// without a fault plan). The final, successful attempt of each task is
 	// the one recorded in Trace.
@@ -728,6 +732,7 @@ func (s *State) DataReadyTime(task, r int) float64 {
 // pending, and every resource idled; a policy that still declines every
 // resource deadlocks the system.
 func forcedPhase(s *State, pol Policy, opt Options, res *Result) error {
+	res.ForcedPhases++
 	s.MustAct = true
 	defer func() { s.MustAct = false }()
 	for _, r := range s.shuffledFree(opt.Rng) {

@@ -176,10 +176,12 @@ func TestStreamMetricsGoldenExposition(t *testing.T) {
 
 // TestStreamDecideStats checks what readys-stream -metrics exports as the
 // readys_decide_* counters after a READYS run: the policy counted every
-// decision of the stream, ran the network at some and recomputed the window
-// at some.
+// decision of the stream and every ∅ among them, ran the network at some and
+// recomputed the window at some.
 func TestStreamDecideStats(t *testing.T) {
-	pol := core.NewPolicy(core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 1}))
+	// Seed 4's untrained weights answer ∅ at about half the decisions here
+	// (seed 1's at none).
+	pol := core.NewPolicy(core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 16, Seed: 4}))
 	res, err := Run(pol, Config{
 		Platform: platform.New(2, 2),
 		Arrivals: testArrivals(t, 1, 6, 3.0),
@@ -189,7 +191,7 @@ func TestStreamDecideStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := pol.Stats; d.Decisions != res.Decisions || d.Forwards == 0 || d.Forwards > d.Decisions ||
+	if d := pol.Stats; d.Decisions != res.Decisions || d.Idle != res.IdleDecisions || d.Idle == 0 || d.Forwards == 0 || d.Forwards > d.Decisions ||
 		d.WindowRows < d.Decisions || d.Rebuilds == 0 || d.Rebuilds > d.Decisions {
 		t.Errorf("decide stats %+v over %d decisions", d, res.Decisions)
 	}
