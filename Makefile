@@ -11,8 +11,9 @@
 #                      batched tape pass per episode) must match
 #                      per-decision-tape training bit for bit
 #   make fuzz        — a short native-fuzzing run of each decoder of outside
-#                      input (arrival traces, schedule requests, checkpoints,
-#                      trace-context headers);
+#                      input (arrival traces, schedule requests and the
+#                      gateway's reading of them, checkpoints, trace-context
+#                      headers);
 #                      their seeds also run under go test
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
@@ -115,7 +116,9 @@ equiv:
 # Native fuzzing of the decoders that read outside bytes: an arrival trace
 # either errors or builds every graph within taskgraph.MaxTasks and
 # round-trips; a /v1/schedule body either errors or builds an acyclic graph
-# within MaxDAGTasks; a checkpoint either errors or sets every parameter and
+# within MaxDAGTasks, row for row as the task-by-task build did; the gateway
+# accepts and routes every body a replica accepts, as the replica's full
+# decode would route it; a checkpoint either errors or sets every parameter and
 # round-trips bit for bit; trace-context headers of any bytes come back out
 # of a span export as encoding/json renders them. A failing input is written
 # to the package's testdata/fuzz/, where plain go test replays it from then
@@ -126,6 +129,7 @@ equiv:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArrivals$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteRequest$$' -fuzztime 10s ./internal/gateway/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/
 

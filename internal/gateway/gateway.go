@@ -25,6 +25,8 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,6 +118,9 @@ type Gateway struct {
 	tracer *obs.Tracer
 	reqSeq atomic.Int64
 
+	routeMu sync.Mutex
+	routes  map[routeID][]*replica // rendezvous orders, at most maxRoutes
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -152,6 +157,7 @@ func New(cfg Config) (*Gateway, error) {
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
 		epoch:   time.Now(),
+		routes:  make(map[routeID][]*replica),
 		stop:    make(chan struct{}),
 	}
 	seen := make(map[string]bool, len(cfg.Replicas))
@@ -269,14 +275,11 @@ func routeKey(req *serve.ScheduleRequest) string {
 	return exp.DefaultAgentSpec(kind, req.ModelT(), req.CPUs, req.GPUs).Hash()
 }
 
-// rank orders replicas for a key: healthy replicas in rendezvous order, then
-// unhealthy ones (still in rendezvous order) as last-ditch candidates — a
-// fully-down fleet is still tried rather than failed outright, which is what
-// lets the first request after a full restart succeed before the next probe
-// cycle. Rendezvous (highest-random-weight) hashing keeps the assignment
-// stable under membership change: removing one replica only moves the keys
-// that replica owned.
-func (g *Gateway) rank(key string) []*replica {
+// rendezvous orders every replica for a key by highest random weight: the
+// SHA-256 of key|url, descending. It keeps the assignment stable under
+// membership change: removing one replica only moves the keys that replica
+// owned.
+func (g *Gateway) rendezvous(key string) []*replica {
 	type scored struct {
 		rep   *replica
 		score string
@@ -286,18 +289,69 @@ func (g *Gateway) rank(key string) []*replica {
 		all = append(all, scored{rep, exp.HashBytes([]byte(key + "|" + rep.url))})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].score > all[j].score })
-	out := make([]*replica, 0, len(all))
-	for _, s := range all {
-		if s.rep.healthy.Load() {
-			out = append(out, s.rep)
-		}
-	}
-	for _, s := range all {
-		if !s.rep.healthy.Load() {
-			out = append(out, s.rep)
-		}
+	out := make([]*replica, len(all))
+	for i, s := range all {
+		out[i] = s.rep
 	}
 	return out
+}
+
+// byHealth orders a rendezvous order's replicas for one request: the healthy
+// ones, then the unhealthy ones as last-ditch candidates, each group in
+// rendezvous order — a fully-down fleet is still tried rather than failed
+// outright, which is what lets the first request after a full restart succeed
+// before the next probe cycle. With every replica healthy that is order
+// itself, which the caller must not modify.
+func byHealth(order []*replica) []*replica {
+	if !slices.ContainsFunc(order, func(rep *replica) bool { return !rep.healthy.Load() }) {
+		return order
+	}
+	out := make([]*replica, len(order))
+	up, down := 0, len(order)
+	for _, rep := range order {
+		if rep.healthy.Load() {
+			out[up] = rep
+			up++
+		} else {
+			down--
+			out[down] = rep
+		}
+	}
+	slices.Reverse(out[up:])
+	return out
+}
+
+// rank orders replicas for a key, health applied (byHealth).
+func (g *Gateway) rank(key string) []*replica { return byHealth(g.rendezvous(key)) }
+
+// maxRoutes bounds the route table. A full table is cleared before the next
+// insert, so churning through keys costs what hashing every request would,
+// never memory.
+const maxRoutes = 256
+
+// routeID is what a schedule request's route depends on: its routeKey is a
+// function of these alone.
+type routeID struct {
+	kind          string
+	t, cpus, gpus int
+}
+
+// route returns a schedule request's candidates: its key's rendezvous order
+// from the route table, filled on first use, health applied per request. The
+// replica set never changes after New, so neither does an entry.
+func (g *Gateway) route(req *serve.ScheduleRequest) []*replica {
+	id := routeID{req.Kind, req.ModelT(), req.CPUs, req.GPUs}
+	g.routeMu.Lock()
+	order, ok := g.routes[id]
+	if !ok {
+		if len(g.routes) >= maxRoutes {
+			clear(g.routes)
+		}
+		order = g.rendezvous(routeKey(req))
+		g.routes[id] = order
+	}
+	g.routeMu.Unlock()
+	return byHealth(order)
 }
 
 // RouteFor returns the URL of the replica a schedule request currently routes
@@ -305,7 +359,7 @@ func (g *Gateway) rank(key string) []*replica {
 // debugging ("which replica owns this model?") and the smoke harness's
 // targeted replica kill.
 func (g *Gateway) RouteFor(req *serve.ScheduleRequest) string {
-	return g.rank(routeKey(req))[0].url
+	return g.route(req)[0].url
 }
 
 // instrument wraps a handler with request counters, a request ID and, when
@@ -374,12 +428,13 @@ type forwardResult struct {
 	body   *bytes.Buffer
 }
 
-// bodyPool holds the buffers replicas' answers are read into, so a hop
-// reuses the bytes of an earlier answer instead of growing a new slice.
+// bodyPool holds the buffers request bodies and replicas' answers are read
+// into, so a hop reuses the bytes of an earlier one instead of growing a new
+// slice.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// putBody returns an answer's buffer to bodyPool unless it grew past
-// maxBytes, which one outsized answer would otherwise pin for good.
+// putBody returns a buffer to bodyPool unless it grew past maxBytes, which one
+// outsized body would otherwise pin for good.
 func putBody(b *bytes.Buffer, maxBytes int64) {
 	if b != nil && int64(b.Cap()) <= maxBytes {
 		b.Reset()
@@ -387,16 +442,42 @@ func putBody(b *bytes.Buffer, maxBytes int64) {
 	}
 }
 
-// forward sends body to one replica's path. Each attempt carries its own span
-// identity in the outbound trace headers, so the replica's request span
-// becomes a child of this attempt's "forward" span — the cross-process link
-// readys-obs-check -links resolves.
-func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, body []byte, tid int64, sc obs.SpanContext) (forwardResult, error) {
+// outBody is a request body to forward, read into a bodyPool buffer. The
+// transport writes a request on a goroutine of its own while it waits for the
+// answer, so a replica that answers before reading the whole body can leave
+// that write going after the forward returns. trace counts the writes the
+// transport started (one per connection it got) and finished, and release
+// pools the buffer only when the two agree; otherwise the buffer is left to
+// the collector.
+type outBody struct {
+	buf               *bytes.Buffer
+	started, finished atomic.Int32
+	trace             httptrace.ClientTrace
+}
+
+func newOutBody() *outBody {
+	b := &outBody{buf: bodyPool.Get().(*bytes.Buffer)}
+	b.trace.GotConn = func(httptrace.GotConnInfo) { b.started.Add(1) }
+	b.trace.WroteRequest = func(httptrace.WroteRequestInfo) { b.finished.Add(1) }
+	return b
+}
+
+func (b *outBody) release(maxBytes int64) {
+	if b.started.Load() == b.finished.Load() {
+		putBody(b.buf, maxBytes)
+	}
+}
+
+// forward sends body (nil for none) to one replica's path. Each attempt
+// carries its own span identity in the outbound trace headers, so the
+// replica's request span becomes a child of this attempt's "forward" span —
+// the cross-process link readys-obs-check -links resolves.
+func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, body *outBody, tid int64, sc obs.SpanContext) (forwardResult, error) {
 	start := time.Now()
 	attempt := sc.Child()
 	var rd io.Reader
 	if body != nil {
-		rd = bytes.NewReader(body)
+		rd = bytes.NewReader(body.buf.Bytes())
 	}
 	req, err := http.NewRequestWithContext(ctx, method, rep.url+path, rd)
 	if err != nil {
@@ -444,9 +525,12 @@ func retriable(status int, err error) bool {
 // failover: transport errors, truncated bodies, 500 and 502 mark the replica
 // down and move on; any other status is the replica's answer and is relayed
 // verbatim.
-func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path string, body []byte, candidates []*replica, tid int64, sc obs.SpanContext) {
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path string, body *outBody, candidates []*replica, tid int64, sc obs.SpanContext) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
+	if body != nil {
+		ctx = httptrace.WithClientTrace(ctx, &body.trace)
+	}
 
 	attempts := g.cfg.Retries + 1
 	if attempts > len(candidates) {
@@ -497,33 +581,69 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 	g.writeError(w, http.StatusBadGateway, fmt.Errorf("gateway: all %d candidate replicas failed: %w", attempts, lastErr))
 }
 
+// head is what the gateway decodes of a /v1/schedule body: every field of a
+// serve.ScheduleRequest but the dag, and whether a dag is there. Its own dag
+// field shadows the embedded one, so the dag's bytes are scanned for syntax
+// and skipped; checking what they say is the replica's job, and a replica's
+// 400 about them is relayed like every 4xx.
+type head struct {
+	serve.ScheduleRequest
+	DAG dagPresence `json:"dag"`
+}
+
+// dagPresence records whether a body's dag is present and not null. It keeps
+// none of the dag's bytes.
+type dagPresence bool
+
+func (d *dagPresence) UnmarshalJSON(b []byte) error {
+	*d = string(b) != "null"
+	return nil
+}
+
+// someDAG stands for a dag the gateway did not decode: Validate and routeKey
+// ask only whether there is one.
+var someDAG = new(serve.DAGSpec)
+
+// parseHead decodes a body's head as serve.DecodeBody decodes a replica's
+// request and validates it with serve.ScheduleRequest.Validate, returning the
+// request the route is read from, or the error a 400 answers with. Validating
+// before routing answers a malformed request here instead of burning a
+// replica round-trip (and a potential failover sequence) on a request no
+// replica could serve.
+func parseHead(body []byte) (*serve.ScheduleRequest, error) {
+	var h head
+	if err := serve.DecodeBody(bytes.NewReader(body), &h); err != nil {
+		return nil, fmt.Errorf("gateway: decoding request: %w", err)
+	}
+	req := &h.ScheduleRequest
+	if h.DAG {
+		req.DAG = someDAG
+	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
 // handleSchedule routes POST /v1/schedule by model identity and fails over
-// on replica death.
+// on replica death. The body is read into a pooled buffer (outBody).
 func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
 	if r.Method != http.MethodPost {
 		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use POST"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body := newOutBody()
+	defer body.release(g.cfg.MaxBodyBytes)
+	if _, err := body.buf.ReadFrom(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)); err != nil {
+		g.writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("gateway: reading request: %w", err))
+		return
+	}
+	req, err := parseHead(body.buf.Bytes())
 	if err != nil {
-		g.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("gateway: reading request: %w", err))
-		return
-	}
-	var req serve.ScheduleRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("gateway: decoding request: %w", err))
-		return
-	}
-	// Validate before routing: malformed requests are answered here instead
-	// of burning a replica round-trip (and a potential failover sequence) on
-	// a request no replica could serve.
-	if err := req.Validate(); err != nil {
 		g.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	g.proxy(w, r, http.MethodPost, "/v1/schedule", body, g.rank(routeKey(&req)), tid, sc)
+	g.proxy(w, r, http.MethodPost, "/v1/schedule", body, g.route(req), tid, sc)
 }
 
 // handleModels proxies GET /v1/models from any healthy replica. Replicas

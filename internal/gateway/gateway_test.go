@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"readys/internal/core"
@@ -695,4 +696,294 @@ func TestGatewayMetricsPrometheusFormat(t *testing.T) {
 			t.Errorf("prometheus exposition missing %q\n%s", line, body)
 		}
 	}
+}
+
+// raceDetector is set when the tests run under -race (race_test.go).
+var raceDetector bool
+
+// explicitDAG is the explicit-DAG form of the generated (kind, T) problem:
+// every task named, every edge in Succ order, served by the model trained at T.
+func explicitDAG(kind taskgraph.Kind, T int) serve.ScheduleRequest {
+	g := taskgraph.NewByKind(kind, T)
+	spec := &serve.DAGSpec{}
+	for _, task := range g.Tasks {
+		spec.Tasks = append(spec.Tasks, serve.DAGTask{Kernel: int(task.Kernel), Name: task.Name})
+	}
+	for from, succ := range g.Succ {
+		for _, to := range succ {
+			spec.Edges = append(spec.Edges, [2]int{from, to})
+		}
+	}
+	return serve.ScheduleRequest{Kind: kind.String(), TrainT: T, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 1, DAG: spec}
+}
+
+// stubReplica answers every schedule request 200 with a fixed body after
+// reading the request's, and counts what it answered.
+func stubReplica(t testing.TB) (*httptest.Server, *atomic.Int32) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/schedule" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"stub":true}`)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &hits
+}
+
+// TestGatewayBodyRefusals: a body the gateway cannot read or whose head it
+// refuses is answered by the gateway and never forwarded — 413 only for a body
+// past MaxBodyBytes, 400 for one whose client hung up mid-body or that goes on
+// after its object — while trailing whitespace is no refusal.
+func TestGatewayBodyRefusals(t *testing.T) {
+	stub, hits := stubReplica(t)
+	g, err := New(Config{Replicas: []string{stub.URL}, HealthInterval: time.Hour, MaxBodyBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	const obj = `{"kind":"cholesky","t":2,"cpus":1,"gpus":1}`
+	for _, c := range []struct {
+		name    string
+		body    io.Reader
+		status  int
+		forward bool
+	}{
+		{"object", strings.NewReader(obj), http.StatusOK, true},
+		{"trailing whitespace", strings.NewReader(obj + "\n \t"), http.StatusOK, true},
+		{"body over MaxBodyBytes", strings.NewReader(obj[:len(obj)-1] + strings.Repeat(" ", 8<<10) + "}"), http.StatusRequestEntityTooLarge, false},
+		{"client hung up", io.MultiReader(strings.NewReader(obj[:10]), iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest, false},
+		{"trailing object", strings.NewReader(obj + `{"t":8}`), http.StatusBadRequest, false},
+		{"trailing junk", strings.NewReader(obj + " junk"), http.StatusBadRequest, false},
+	} {
+		before := hits.Load()
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", c.body))
+		if rec.Code != c.status {
+			t.Errorf("%s: status %d, want %d: %s", c.name, rec.Code, c.status, rec.Body.String())
+		}
+		if forwarded := hits.Load() > before; forwarded != c.forward {
+			t.Errorf("%s: forwarded %v, want %v", c.name, forwarded, c.forward)
+		}
+	}
+}
+
+// TestGatewayRelaysReplicaVerdictOnDAG: the gateway decodes no dag, so a body
+// whose dag is malformed reaches the replica once, and the replica's 400 comes
+// back byte for byte as the replica answers it directly — no failover, no
+// retry, the replica still healthy.
+func TestGatewayRelaysReplicaVerdictOnDAG(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, taskgraph.Cholesky, 2, 1, 1)
+	srv := serve.New(serve.Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: 30 * time.Second})
+	var hits atomic.Int32
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/schedule" {
+			hits.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(rep.Close)
+	g := newTestGateway(t, rep.URL)
+	const prefix = `{"kind":"cholesky","train_t":2,"cpus":1,"gpus":1,"dag":`
+	for name, dag := range map[string]string{
+		"unknown field in dag": `{"tasks":[{"kernel":0}],"edges":[],"weights":[1]}`,
+		"tasks not a list":     `{"tasks":"x","edges":[]}`,
+		"cycle":                `{"tasks":[{"kernel":0},{"kernel":1}],"edges":[[0,1],[1,0]]}`,
+	} {
+		body := prefix + dag + "}"
+		direct := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(direct, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)))
+		if direct.Code != http.StatusBadRequest {
+			t.Fatalf("%s: the replica answered %d directly, want 400: %s", name, direct.Code, direct.Body.String())
+		}
+		before := hits.Load()
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != direct.Body.String() {
+			t.Errorf("%s: the gateway relayed %d %q, the replica answers %d %q", name, rec.Code, rec.Body.String(), direct.Code, direct.Body.String())
+		}
+		if n := hits.Load() - before; n != 1 {
+			t.Errorf("%s: the replica saw %d requests, want 1", name, n)
+		}
+	}
+	if n := g.Metrics().Failovers(); n != 0 {
+		t.Errorf("%d failovers on the replica's 400s", n)
+	}
+	if !g.replicas[0].healthy.Load() {
+		t.Error("the replica was marked down for answering 400")
+	}
+}
+
+// rankByHashing is the routing the gateway did before its route table: hash
+// the request's spec, sort the replicas by SHA-256 of key|url, healthy ones
+// first. The table must reproduce it for every request.
+func rankByHashing(g *Gateway, req *serve.ScheduleRequest) []string {
+	key := "invalid|" + req.Kind
+	if kind, err := taskgraph.KindFromString(req.Kind); err == nil {
+		key = exp.DefaultAgentSpec(kind, req.ModelT(), req.CPUs, req.GPUs).Hash()
+	}
+	type scored struct {
+		rep   *replica
+		score string
+	}
+	var all []scored
+	for _, rep := range g.replicas {
+		all = append(all, scored{rep, exp.HashBytes([]byte(key + "|" + rep.url))})
+	}
+	slices.SortFunc(all, func(a, b scored) int { return strings.Compare(b.score, a.score) })
+	var out []string
+	for _, up := range []bool{true, false} {
+		for _, s := range all {
+			if s.rep.healthy.Load() == up {
+				out = append(out, s.rep.url)
+			}
+		}
+	}
+	return out
+}
+
+// TestRouteTableMatchesRendezvous: for 1–5 replicas and a grid of keys wider
+// than the table, the candidates of every request equal rankByHashing's —
+// while the table fills, after it has been cleared for crossing maxRoutes,
+// and with replicas marked down — and the table never holds more than
+// maxRoutes keys.
+func TestRouteTableMatchesRendezvous(t *testing.T) {
+	var grid []*serve.ScheduleRequest
+	for _, kind := range []string{"cholesky", "lu", "qr", "gemm", "stencil", "forkjoin"} {
+		for T := 1; T <= 8; T++ {
+			for cpus := 0; cpus <= 2; cpus++ {
+				grid = append(grid,
+					&serve.ScheduleRequest{Kind: kind, T: T, CPUs: cpus, GPUs: 2},
+					&serve.ScheduleRequest{Kind: kind, T: 9, TrainT: T, CPUs: cpus, GPUs: 1, DAG: &serve.DAGSpec{}})
+			}
+		}
+	}
+	if len(grid) <= maxRoutes {
+		t.Fatalf("a grid of %d keys does not cross the table's bound of %d", len(grid), maxRoutes)
+	}
+	for n := 1; n <= 5; n++ {
+		var urls []string
+		for i := range n {
+			urls = append(urls, fmt.Sprintf("http://10.0.0.%d:8081", i+1))
+		}
+		g := newTestGateway(t, urls...)
+		check := func(phase string) {
+			t.Helper()
+			for _, req := range grid {
+				got := []string{}
+				for _, rep := range g.route(req) {
+					got = append(got, rep.url)
+				}
+				if want := rankByHashing(g, req); !slices.Equal(got, want) {
+					t.Fatalf("%d replicas, %s, %s T=%d train_t=%d %dc%dg: candidates %v, want %v",
+						n, phase, req.Kind, req.T, req.TrainT, req.CPUs, req.GPUs, got, want)
+				}
+				if got, want := g.RouteFor(req), rankByHashing(g, req)[0]; got != want {
+					t.Fatalf("%d replicas, %s: RouteFor %s, want %s", n, phase, got, want)
+				}
+				if len(g.routes) > maxRoutes {
+					t.Fatalf("%d replicas, %s: the table holds %d keys, bound %d", n, phase, len(g.routes), maxRoutes)
+				}
+			}
+		}
+		check("filling")
+		check("after the bound")
+		for i, rep := range g.replicas {
+			rep.healthy.Store(i%2 == 1)
+		}
+		check("some down")
+		for _, rep := range g.replicas {
+			rep.healthy.Store(false)
+		}
+		check("all down")
+	}
+}
+
+// TestGatewayHopAllocBounded is the gateway hop's cost contract, over a stub
+// replica: the hop decodes the head of a body and skips its dag, so an LU T=8
+// explicit DAG (204 tasks) costs at most 8 allocations more than an LU T=4
+// one (30 tasks); the few it does cost are the larger body's buffers. Decoding
+// the whole dag cost an allocation and more per task: 193 more for the T=8 dag
+// than for the T=4 one, which alone cost 56 more than a generated body.
+func TestGatewayHopAllocBounded(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops a quarter of sync.Pool puts, so pooled buffers regrow at random")
+	}
+	stub, _ := stubReplica(t)
+	g := newTestGateway(t, stub.URL)
+	allocs := func(req serve.ScheduleRequest) float64 {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+		})
+	}
+	gen := allocs(serve.ScheduleRequest{Kind: "lu", T: 4, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 1})
+	t4 := allocs(explicitDAG(taskgraph.LU, 4))
+	t8 := allocs(explicitDAG(taskgraph.LU, 8))
+	t.Logf("allocations per hop: generated %.0f, LU T=4 dag %.0f, LU T=8 dag %.0f", gen, t4, t8)
+	if t8-t4 > 8 {
+		t.Errorf("an LU T=8 dag body cost %.0f allocations more than an LU T=4 one, contract is 8", t8-t4)
+	}
+}
+
+// FuzzRouteRequest holds the gateway's head decode to the replica's full one:
+// a body the replica decodes (serve.DecodeBody) and validates, parseHead
+// accepts and routes as the full request's routeKey ranks — so a body the head
+// decode refuses, the replica refuses too.
+func FuzzRouteRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"kind":"cholesky","t":4,"cpus":2,"gpus":2,"sigma":0.1,"seed":42}`,
+		`{"kind":"lu","train_t":4,"cpus":1,"gpus":1,"dag":{"tasks":[{"kernel":0},{"kernel":1,"name":"b"}],"edges":[[0,1]]},"seed":3}`,
+		`{"kind":"qr","t":3,"cpus":1,"gpus":1,"dag":null}`,
+		`{"kind":"qr","train_t":3,"cpus":1,"gpus":1,"dag":"x"}`,
+		`{"kind":"qr","train_t":3,"cpus":1,"gpus":1,"dag":{"tasks":[{"kernel":0}]},"dag":null}`,
+		`{"KIND":"gemm","T":2,"Cpus":4,"gpus":0}`,
+		`{"kind":"cholesky","t":4,"cpus":1,"gpus":1,"bogus":1}`,
+		`{"kind":"cholesky","t":4,"cpus":1,"gpus":1} {"t":8}`,
+		`{"kind":"random","t":3,"cpus":1,"gpus":1}`,
+		`{"kind":"stencil","t":1000000,"cpus":1,"gpus":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	g, err := New(Config{Replicas: []string{"http://10.0.0.1:8081", "http://10.0.0.2:8081", "http://10.0.0.3:8081"}, HealthInterval: time.Hour})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(g.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var full serve.ScheduleRequest
+		replicaAccepts := serve.DecodeBody(bytes.NewReader(body), &full) == nil && full.Validate() == nil
+		req, err := parseHead(body)
+		if err != nil {
+			if replicaAccepts {
+				t.Fatalf("the head decode refused a body the replica accepts: %v", err)
+			}
+			return
+		}
+		if !replicaAccepts {
+			return // the replica's own 400, relayed
+		}
+		var got, want []string
+		for _, rep := range g.route(req) {
+			got = append(got, rep.url)
+		}
+		for _, rep := range g.rank(routeKey(&full)) {
+			want = append(want, rep.url)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("head routes to %v, the full request to %v", got, want)
+		}
+	})
 }

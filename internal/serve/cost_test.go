@@ -70,6 +70,48 @@ func TestScheduleRequestAllocBounded(t *testing.T) {
 	}
 }
 
+// explicitRequest is the explicit-DAG form of the generated (kind, T) problem,
+// as a client sends it: every task named, every edge in Succ order.
+func explicitRequest(kind taskgraph.Kind, T int) ScheduleRequest {
+	g := taskgraph.NewByKind(kind, T)
+	spec := &DAGSpec{}
+	for _, task := range g.Tasks {
+		spec.Tasks = append(spec.Tasks, DAGTask{Kernel: int(task.Kernel), Name: task.Name})
+	}
+	for from, succ := range g.Succ {
+		for _, to := range succ {
+			spec.Edges = append(spec.Edges, [2]int{from, to})
+		}
+	}
+	return ScheduleRequest{Kind: kind.String(), TrainT: T, CPUs: 2, GPUs: 2, DAG: spec}
+}
+
+// TestExplicitDAGBuildAllocBounded is the explicit-DAG build's cost contract:
+// LU T=8 (204 tasks) builds in at most 64 kB and 16 allocations — the graph,
+// its rows cut from one array per direction, the kernels and names handed to
+// taskgraph.NewFrozen and one TopoOrder. Built with AddTask, AddEdge and
+// Validate it took 179 kB and 903 allocations: an edge-set map, Validate's
+// duplicate map and a row grown by append per task.
+func TestExplicitDAGBuildAllocBounded(t *testing.T) {
+	req := explicitRequest(taskgraph.LU, 8)
+	build := func() {
+		if _, err := req.BuildGraph(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, build)
+	bytes := allocatedBy(func() {
+		for range runs {
+			build()
+		}
+	}) / runs
+	t.Logf("LU T=8 explicit build: %d bytes, %.0f allocations", bytes, allocs)
+	if bytes > 64<<10 || allocs > 16 {
+		t.Errorf("LU T=8 explicit build allocated %d bytes in %.0f allocations, contract is 64 kB and 16", bytes, allocs)
+	}
+}
+
 // TestRefusedRequestBuildsNoGraph: a generated body is judged by its closed-form
 // task count and by whether its model exists before anything is built. A t=150
 // Cholesky request (573 800 tasks: 1.9 s and 487 MB to build, as the handler

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -249,10 +250,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ScheduleRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err))
+	if err := DecodeBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
+		s.writeError(w, BodyErrorStatus(err), fmt.Errorf("serve: decoding request: %w", err))
 		return
 	}
 	resp, status, err := s.schedule(r.Context(), &req)
@@ -265,6 +264,40 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// errTrailingData refuses a body that goes on after its JSON object.
+var errTrailingData = errors.New("trailing data after the request object")
+
+// DecodeBody decodes a /v1/schedule body from r into v as a replica does, and
+// as a gateway does into the head it reads: one JSON object with no unknown
+// fields, followed by nothing but whitespace. An error reading r comes back
+// as r returned it, so BodyErrorStatus can tell a body over the size limit
+// from a malformed one.
+func DecodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil || errors.As(err, new(*json.SyntaxError)):
+		return errTrailingData
+	default:
+		return err
+	}
+}
+
+// BodyErrorStatus is the HTTP status answering a request body that could not
+// be read or decoded: 413 when it ran past http.MaxBytesReader's limit, 400
+// for anything else, a client that hung up mid-body included.
+func BodyErrorStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // schedule answers a decoded request: everything handleSchedule does between

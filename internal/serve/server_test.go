@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,6 +131,9 @@ func TestServeScheduleErrors(t *testing.T) {
 		{"dag bad kernel", `{"kind":"cholesky","train_t":2,"cpus":1,"gpus":1,"dag":{"tasks":[{"kernel":9}],"edges":[]}}`, http.StatusBadRequest},
 		{"dag cyclic", `{"kind":"cholesky","train_t":2,"cpus":1,"gpus":1,"dag":{"tasks":[{"kernel":0},{"kernel":1}],"edges":[[0,1],[1,0]]}}`, http.StatusBadRequest},
 		{"dag edge out of range", `{"kind":"cholesky","train_t":2,"cpus":1,"gpus":1,"dag":{"tasks":[{"kernel":0}],"edges":[[0,5]]}}`, http.StatusBadRequest},
+		{"trailing object", `{"kind":"cholesky","t":4,"cpus":1,"gpus":1}{"t":8}`, http.StatusBadRequest},
+		{"trailing junk", `{"kind":"cholesky","t":4,"cpus":1,"gpus":1} junk`, http.StatusBadRequest},
+		{"body over MaxBodyBytes", `{"kind":"cholesky","t":4,"cpus":1,"gpus":1` + strings.Repeat(" ", 1<<20) + `}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

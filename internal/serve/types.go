@@ -193,7 +193,8 @@ func (r *ScheduleRequest) ModelT() int {
 }
 
 // BuildGraph materialises the request's task graph: the named generator for
-// family requests, or the explicit DAG validated for bounds and acyclicity.
+// family requests, or the explicit DAG checked for bounds and acyclicity and
+// built frozen, in one pass, by taskgraph.NewFrozen.
 func (r *ScheduleRequest) BuildGraph() (*taskgraph.Graph, error) {
 	kind, err := r.kind()
 	if err != nil {
@@ -203,37 +204,36 @@ func (r *ScheduleRequest) BuildGraph() (*taskgraph.Graph, error) {
 		return taskgraph.NewByKind(kind, r.T), nil
 	}
 	spec := r.DAG
-	if len(spec.Tasks) == 0 {
+	n := len(spec.Tasks)
+	if n == 0 {
 		return nil, errors.New("serve: explicit dag has no tasks")
 	}
-	if len(spec.Tasks) > MaxDAGTasks {
-		return nil, fmt.Errorf("serve: explicit dag has %d tasks, limit is %d", len(spec.Tasks), MaxDAGTasks)
+	if n > MaxDAGTasks {
+		return nil, fmt.Errorf("serve: explicit dag has %d tasks, limit is %d", n, MaxDAGTasks)
 	}
 	// Kernel names come from the family whose timing tables the DAG borrows.
-	names := taskgraph.KernelNamesFor(kind)
-	g := taskgraph.NewCustom(kind, names)
+	kernelNames := taskgraph.KernelNamesFor(kind)
+	kernels, names := make([]taskgraph.Kernel, n), make([]string, n)
 	for i, task := range spec.Tasks {
 		if task.Kernel < 0 || task.Kernel >= taskgraph.NumKernels {
 			return nil, fmt.Errorf("serve: task %d kernel %d out of range [0,%d)", i, task.Kernel, taskgraph.NumKernels)
 		}
-		name := task.Name
-		if name == "" {
-			name = fmt.Sprintf("%s#%d", names[task.Kernel], i)
+		kernels[i], names[i] = taskgraph.Kernel(task.Kernel), task.Name
+		if task.Name == "" {
+			names[i] = fmt.Sprintf("%s#%d", kernelNames[task.Kernel], i)
 		}
-		g.AddTask(taskgraph.Kernel(task.Kernel), name)
 	}
 	for _, e := range spec.Edges {
 		from, to := e[0], e[1]
-		if from < 0 || from >= len(spec.Tasks) || to < 0 || to >= len(spec.Tasks) {
-			return nil, fmt.Errorf("serve: edge [%d,%d] out of range for %d tasks", from, to, len(spec.Tasks))
+		if from < 0 || from >= n || to < 0 || to >= n {
+			return nil, fmt.Errorf("serve: edge [%d,%d] out of range for %d tasks", from, to, n)
 		}
 		if from == to {
 			return nil, fmt.Errorf("serve: self-edge on task %d", from)
 		}
-		g.AddEdge(from, to)
 	}
-	// Validate includes the acyclicity check (it runs TopoOrder).
-	if err := g.Validate(); err != nil {
+	g, err := taskgraph.NewFrozen(kind, kernelNames, kernels, names, spec.Edges)
+	if err != nil {
 		return nil, fmt.Errorf("serve: explicit dag invalid: %w", err)
 	}
 	return g, nil

@@ -185,6 +185,102 @@ func NewFrozenByKind(kind Kind, T int) *Graph {
 	return g
 }
 
+// NewFrozen builds, in one pass, the graph that NewCustom, AddTask per task and
+// AddEdge per edge in request order would build, and freezes it: task i has
+// kernels[i] and names[i], Succ[i] lists i's successors in the order their
+// edges come, Pred[j] lists j's predecessors in the order their edges come,
+// and of duplicate edges the first is kept. Tasks, Succ and Pred are each
+// allocated once, the rows cut from one flat array per direction as Append
+// cuts them, and duplicates are found with a per-source stamp instead of a
+// map. A kernel out of range, a mismatched names slice, an edge out of range
+// and a self-edge panic, as AddTask and AddEdge do; a cycle is an error,
+// TopoOrder's.
+func NewFrozen(kind Kind, kernelNames [NumKernels]string, kernels []Kernel, names []string, edges [][2]int) (*Graph, error) {
+	n := len(kernels)
+	if len(names) != n {
+		panic(fmt.Sprintf("taskgraph: %d names for %d tasks", len(names), n))
+	}
+	g := &Graph{Kind: kind, KernelNames: kernelNames, Tasks: make([]Task, n)}
+	for i, k := range kernels {
+		if k < 0 || k >= NumKernels {
+			panic(fmt.Sprintf("taskgraph: kernel %d out of range", k))
+		}
+		g.Tasks[i] = Task{ID: i, Kernel: k, Name: names[i]}
+	}
+	// scratch holds at[0..n], where source i's edges start in flat, then a
+	// per-task int that is first the dedup stamp and then the Pred cursor.
+	scratch := make([]int, 2*n+1)
+	at, mark := scratch[:n+1], scratch[n+1:]
+	for _, e := range edges {
+		from, to := e[0], e[1]
+		if from == to {
+			panic(fmt.Sprintf("taskgraph: self-edge on task %d", from))
+		}
+		if from < 0 || from >= n || to < 0 || to >= n {
+			panic(fmt.Sprintf("taskgraph: edge (%d,%d) out of range for %d tasks", from, to, n))
+		}
+		at[from+1]++
+	}
+	for i := 0; i < n; i++ {
+		at[i+1] += at[i]
+	}
+	// Bucket the targets by source, in request order within a bucket; mark
+	// counts each bucket's fill on the way.
+	flat := make([]int, len(edges))
+	for _, e := range edges {
+		flat[at[e[0]]+mark[e[0]]] = e[1]
+		mark[e[0]]++
+	}
+	// Keep each bucket's first edge to a target (mark[to] == from+1 means it
+	// was seen from this source) and compact the kept edges to the front.
+	clear(mark)
+	g.Succ, g.Pred = make([][]int, n), make([][]int, n)
+	kept := 0
+	for from := 0; from < n; from++ {
+		lo := kept
+		for _, to := range flat[at[from]:at[from+1]] {
+			if mark[to] != from+1 {
+				mark[to] = from + 1
+				flat[kept] = to
+				kept++
+			}
+		}
+		if kept > lo {
+			g.Succ[from] = flat[lo:kept:kept]
+		}
+	}
+	// Pred rows, sized by in-degree and cut from one array, filled from the
+	// edges in request order. An edge is the first of its pair exactly when
+	// its target is the next of its source's Succ row not yet reached.
+	indeg := at[:n]
+	clear(indeg)
+	for _, row := range g.Succ {
+		for _, to := range row {
+			indeg[to]++
+		}
+	}
+	pred := make([]int, kept)
+	for j, k := range indeg {
+		if k > 0 {
+			g.Pred[j], pred = pred[:0:k], pred[k:]
+		}
+	}
+	next := mark
+	clear(next)
+	for _, e := range edges {
+		from, to := e[0], e[1]
+		if row := g.Succ[from]; next[from] < len(row) && row[next[from]] == to {
+			next[from]++
+			g.Pred[to] = append(g.Pred[to], from)
+		}
+	}
+	if _, err := g.TopoOrder(); err != nil {
+		return nil, err
+	}
+	g.frozen, g.final = true, n
+	return g, nil
+}
+
 // Freeze validates the graph and makes it immutable: AddTask, AddEdge and
 // Append panic on it from here on. A frozen graph never changes, so it may be
 // shared read-only across goroutines, whatever was computed from it (a HEFT
@@ -433,17 +529,16 @@ func (g *Graph) Validate() error {
 	if len(g.Succ) != n || len(g.Pred) != n {
 		return fmt.Errorf("taskgraph: adjacency size mismatch")
 	}
-	seen := make(map[[2]int]struct{})
+	seen := make([]int, n) // seen[j] == i+1: edge (i,j) came earlier in Succ[i]
 	for i, succ := range g.Succ {
 		for _, j := range succ {
 			if j < 0 || j >= n {
 				return fmt.Errorf("taskgraph: successor %d of task %d out of range", j, i)
 			}
-			key := [2]int{i, j}
-			if _, dup := seen[key]; dup {
+			if seen[j] == i+1 {
 				return fmt.Errorf("taskgraph: duplicate edge (%d,%d)", i, j)
 			}
-			seen[key] = struct{}{}
+			seen[j] = i + 1
 			if !contains(g.Pred[j], i) {
 				return fmt.Errorf("taskgraph: edge (%d,%d) missing from Pred", i, j)
 			}

@@ -265,6 +265,68 @@ func TestAppendMatchesAddTaskAddEdge(t *testing.T) {
 	}
 }
 
+// TestNewFrozenMatchesAddTaskAddEdge holds the one-pass constructor to the
+// task-by-task build it replaced for explicit DAGs: on random edge lists with
+// duplicates, edges against ID order and cycles, either both builds are
+// acyclic with the same Tasks, Succ and Pred row for row (nil rows included)
+// and NewFrozen's graph is frozen, or both fail with the same error.
+func TestNewFrozenMatchesAddTaskAddEdge(t *testing.T) {
+	names4 := [NumKernels]string{"a", "b", "c", "d"}
+	cycles := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		kernels, names := make([]Kernel, n), make([]string, n)
+		slow := NewCustom(QR, names4)
+		for i := range kernels {
+			kernels[i], names[i] = Kernel(rng.Intn(NumKernels)), fmt.Sprintf("t%d", rng.Intn(5))
+			slow.AddTask(kernels[i], names[i])
+		}
+		var edges [][2]int
+		for m := rng.Intn(3 * n); len(edges) < m && n > 1; {
+			e := [2]int{rng.Intn(n), rng.Intn(n)}
+			if e[0] == e[1] {
+				continue
+			}
+			if rng.Intn(3) > 0 { // mostly forward, so that most graphs are acyclic
+				e[0], e[1] = min(e[0], e[1]), max(e[0], e[1])
+			}
+			edges = append(edges, e)
+			if len(edges) > 1 && rng.Intn(4) == 0 {
+				edges = append(edges, edges[rng.Intn(len(edges))])
+			}
+		}
+		for _, e := range edges {
+			slow.AddEdge(e[0], e[1])
+		}
+		wantErr := slow.Validate()
+		g, err := NewFrozen(QR, names4, kernels, names, edges)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Logf("seed %d: error %v, task-by-task %v", seed, err, wantErr)
+			return false
+		}
+		if err != nil {
+			cycles++
+			return true
+		}
+		if !g.Frozen() || g.Kind != QR || g.KernelNames != names4 || g.Validate() != nil {
+			t.Logf("seed %d: frozen %v, kind %v, kernel names %v, Validate %v", seed, g.Frozen(), g.Kind, g.KernelNames, g.Validate())
+			return false
+		}
+		if !reflect.DeepEqual(g.Tasks, slow.Tasks) || !reflect.DeepEqual(g.Succ, slow.Succ) || !reflect.DeepEqual(g.Pred, slow.Pred) {
+			t.Logf("seed %d, edges %v:\n succ %v\n want %v\n pred %v\n want %v", seed, edges, g.Succ, slow.Succ, g.Pred, slow.Pred)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if cycles == 0 {
+		t.Fatal("no edge list had a cycle: the error path went untested")
+	}
+}
+
 // TestNumTasksForMatchesGenerators pins the closed forms to the generators, and
 // the kernel names to what a generated graph carries.
 func TestNumTasksForMatchesGenerators(t *testing.T) {
