@@ -43,7 +43,10 @@ func loadSpec(b *testing.B, spec exp.AgentSpec) *core.Agent {
 // the improvement ratios.
 func reportComparison(b *testing.B, agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int) {
 	b.Helper()
-	pts := exp.Compare(agent, kind, T, cpus, gpus, []float64{0, 0.5}, exp.EvalRuns, 42)
+	pts, err := exp.Compare(agent, kind, T, cpus, gpus, []float64{0, 0.5}, exp.EvalRuns, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(pts[0].ImproveHEFT, "vsHEFT@σ=0")
 	b.ReportMetric(pts[1].ImproveHEFT, "vsHEFT@σ=0.5")
 	b.ReportMetric(pts[0].ImproveMCT, "vsMCT@σ=0")

@@ -87,7 +87,11 @@ func main() {
 			Title:  fmt.Sprintf("READYS (trained T=%d) vs HEFT/MCT on %s T=%d, %dCPU+%dGPU", tt, kind, *tiles, *cpus, *gpus),
 			Header: []string{"sigma", "readys_ms", "heft_ms", "mct_ms", "improve_vs_heft", "improve_vs_mct"},
 		}
-		for _, pt := range exp.Compare(agent, kind, *tiles, *cpus, *gpus, sweep, *runs, *seed) {
+		pts, err := exp.Compare(agent, kind, *tiles, *cpus, *gpus, sweep, *runs, *seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, pt := range pts {
 			tab.AddRow(exp.F(pt.Sigma), exp.F(pt.READYS.Mean), exp.F(pt.HEFT.Mean), exp.F(pt.MCT.Mean),
 				exp.F(pt.ImproveHEFT), exp.F(pt.ImproveMCT))
 		}

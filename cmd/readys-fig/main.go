@@ -25,7 +25,7 @@ func main() {
 		fig      = flag.String("fig", "3", "figure: 3, 4, 5, 6, 7, resilience, stream, ablation or search")
 		models   = flag.String("models", exp.DefaultModelsDir(), "model directory")
 		out      = flag.String("o", "", "output CSV path (default: stdout as text)")
-		runs     = flag.Int("runs", 10, "figure 7: episodes per size")
+		runs     = flag.Int("runs", exp.Figure7Runs, "figure 7: episodes per size")
 		episodes = flag.Int("episodes", 4000, "ablation/search: training episodes per variant")
 		trials   = flag.Int("trials", 6, "search: number of sampled configurations")
 	)
@@ -45,7 +45,7 @@ func main() {
 	case "6":
 		tab, err = exp.Figure6(*models)
 	case "7":
-		tab, _ = exp.Figure7([]int{2, 4, 6, 8, 10, 12}, *runs)
+		tab, _, err = exp.Figure7(exp.Figure7Sizes, *runs)
 	case "resilience":
 		tab, err = exp.ResilienceFigure(*models)
 	case "stream":

@@ -14,13 +14,13 @@ import (
 )
 
 // Step records one decision of a training episode, off the tape: the chosen
-// action and the scalars of the rollout-time forward pass that trainers read —
-// the action's log-probability (PPO's ratio denominator), the policy entropy
-// −Σ p log p, and the critic's V(s) (advantages and bootstrapped targets) —
-// plus what the EpisodeLog it belongs to needs to rebuild the decision's state
-// (EpisodeLog.State). The trainers re-evaluate that state on a tape at update
-// time (rl.Trainer stacks an episode's states into one pass); the scalars
-// here have the bits that evaluation reproduces.
+// action and the scalars of the rollout-time forward pass — the action's
+// log-probability, the policy entropy −Σ p log p, and the critic's V(s)
+// (advantages and bootstrapped targets) — plus what the EpisodeLog it belongs
+// to needs to rebuild the decision's state (EpisodeLog.State). The trainer
+// re-evaluates that state on a tape at update time (rl.Trainer stacks an
+// episode's states into one pass); the scalars here have the bits that
+// evaluation reproduces.
 type Step struct {
 	Action int
 

@@ -41,8 +41,11 @@ func Ablation(modelsDir string, episodes int) (*Table, error) {
 			return nil, fmt.Errorf("exp: ablation %s: %w", v.name, err)
 		}
 		for _, sigma := range []float64{0, 0.3} {
-			pts := compareWithPolicy(agent, taskgraph.Cholesky, 4, 2, 2, sigma, EvalRuns, 44, v.disableIdle)
-			tab.AddRow(v.name, F(sigma), F(pts.READYS.Mean), F(pts.ImproveHEFT), F(pts.ImproveMCT))
+			pt, err := compareWithPolicy(agent, taskgraph.Cholesky, 4, 2, 2, sigma, EvalRuns, 44, v.disableIdle)
+			if err != nil {
+				return nil, fmt.Errorf("exp: ablation %s: %w", v.name, err)
+			}
+			tab.AddRow(v.name, F(sigma), F(pt.READYS.Mean), F(pt.ImproveHEFT), F(pt.ImproveMCT))
 		}
 	}
 	return tab, nil
@@ -50,11 +53,14 @@ func Ablation(modelsDir string, episodes int) (*Table, error) {
 
 // compareWithPolicy is Compare for a single σ with an optional idle-disabled
 // agent policy.
-func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int, sigma float64, runs int, seed int64, disableIdle bool) ComparisonPoint {
-	pts := Compare(agent, kind, T, cpus, gpus, []float64{sigma}, runs, seed)
+func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int, sigma float64, runs int, seed int64, disableIdle bool) (ComparisonPoint, error) {
+	pts, err := Compare(agent, kind, T, cpus, gpus, []float64{sigma}, runs, seed)
+	if err != nil {
+		return ComparisonPoint{}, err
+	}
 	pt := pts[0]
 	if !disableIdle {
-		return pt
+		return pt, nil
 	}
 	// Re-run READYS with the ∅ action masked.
 	prob := core.NewProblem(kind, T, cpus, gpus, sigma)
@@ -64,19 +70,16 @@ func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int
 	var runner sim.Runner
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < runs; i++ {
-		rng.Seed(seed + int64(i))
-		res, err := prob.SimulateOn(&runner, pol, rng)
-		if err != nil {
-			continue
+		if ms, err = appendMakespan(ms, prob, &runner, pol, rng, seed+int64(i)); err != nil {
+			return ComparisonPoint{}, fmt.Errorf("exp: READYS without ∅ on %s T=%d σ=%g: %w", kind, T, sigma, err)
 		}
-		ms = append(ms, res.Makespan)
 	}
 	pt.READYS = Summarise(ms)
 	if pt.READYS.Mean > 0 {
 		pt.ImproveHEFT = pt.HEFT.Mean / pt.READYS.Mean
 		pt.ImproveMCT = pt.MCT.Mean / pt.READYS.Mean
 	}
-	return pt
+	return pt, nil
 }
 
 // SearchTrial is one sampled configuration of the §V-D random search.

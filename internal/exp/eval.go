@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math/rand"
 
 	"readys/internal/core"
@@ -41,34 +42,34 @@ type ComparisonPoint struct {
 // Compare evaluates the agent against HEFT and MCT on the (kind, T, platform)
 // problem across the σ sweep, averaging each point over runs seeds. The HEFT
 // schedule is computed once from expected durations and replayed statically
-// under noise; MCT and READYS decide dynamically.
-func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigmas []float64, runs int, seed int64) []ComparisonPoint {
-	g := taskgraph.NewFrozenByKind(kind, T)
-	plat := platform.New(numCPU, numGPU)
-	tt := platform.TimingFor(kind)
-	heft := sched.HEFT(g, plat, tt)
+// under noise; MCT and READYS decide dynamically. A run that fails fails the
+// comparison.
+func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigmas []float64, runs int, seed int64) ([]ComparisonPoint, error) {
+	prob := core.Problem{Graph: taskgraph.NewFrozenByKind(kind, T), Platform: platform.New(numCPU, numGPU), Timing: platform.TimingFor(kind)}
+	heft := sched.NewStaticPolicy(sched.HEFT(prob.Graph, prob.Platform, prob.Timing))
 
-	// One simulator, one serving policy and two generators serve every run;
-	// Seed leaves a generator where rand.NewSource of the same seed starts.
+	// One simulator, one serving policy and two generators serve every run.
 	var runner sim.Runner
 	rng, polRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	pol := core.NewPolicy(agent)
 	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, polRng
 	out := make([]ComparisonPoint, 0, len(sigmas))
 	for si, sigma := range sigmas {
+		prob.Sigma = sigma
 		var rd, hd, md []float64
 		for i := 0; i < runs; i++ {
 			base := seed + int64(si*1000+i)
-			run := func(pol sim.Policy, into *[]float64) {
-				rng.Seed(base)
-				if res, err := runner.Simulate(g, plat, tt, pol, sim.Options{Sigma: sigma, Rng: rng}); err == nil {
-					*into = append(*into, res.Makespan)
-				}
-			}
 			polRng.Seed(base + 7919)
-			run(pol, &rd)
-			run(sched.NewStaticPolicy(heft), &hd)
-			run(sched.MCTPolicy{}, &md)
+			var err error
+			if rd, err = appendMakespan(rd, prob, &runner, pol, rng, base); err != nil {
+				return nil, fmt.Errorf("exp: READYS on %s T=%d σ=%g: %w", kind, T, sigma, err)
+			}
+			if hd, err = appendMakespan(hd, prob, &runner, heft, rng, base); err != nil {
+				return nil, fmt.Errorf("exp: HEFT on %s T=%d σ=%g: %w", kind, T, sigma, err)
+			}
+			if md, err = appendMakespan(md, prob, &runner, sched.MCTPolicy{}, rng, base); err != nil {
+				return nil, fmt.Errorf("exp: MCT on %s T=%d σ=%g: %w", kind, T, sigma, err)
+			}
 		}
 		pt := ComparisonPoint{
 			Sigma:  sigma,
@@ -82,5 +83,19 @@ func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigm
 		}
 		out = append(out, pt)
 	}
-	return out
+	return out, nil
+}
+
+// appendMakespan is one seed of a figure: it re-seeds rng at seed (Seed
+// leaves a generator where rand.NewSource of the same seed starts), runs pol
+// once on prob in runner and appends the makespan to ms. A failed run is
+// returned, not skipped, so a mean is never taken over fewer seeds than the
+// caller asked for.
+func appendMakespan(ms []float64, prob core.Problem, runner *sim.Runner, pol sim.Policy, rng *rand.Rand, seed int64) ([]float64, error) {
+	rng.Seed(seed)
+	res, err := prob.SimulateOn(runner, pol, rng)
+	if err != nil {
+		return ms, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	return append(ms, res.Makespan), nil
 }

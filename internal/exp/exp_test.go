@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"readys/internal/core"
+	"readys/internal/sched"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
@@ -122,7 +123,10 @@ func TestTrainSaveLoadRoundTrip(t *testing.T) {
 
 func TestCompareProducesSaneRatios(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 1})
-	pts := Compare(agent, taskgraph.Cholesky, 3, 1, 1, []float64{0, 0.3}, 3, 7)
+	pts, err := Compare(agent, taskgraph.Cholesky, 3, 1, 1, []float64{0, 0.3}, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -143,15 +147,51 @@ func TestCompareProducesSaneRatios(t *testing.T) {
 
 func TestCompareNoiseFreePointIsStable(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
-	a := Compare(agent, taskgraph.Cholesky, 3, 1, 1, []float64{0}, 2, 7)
-	b := Compare(agent, taskgraph.Cholesky, 3, 1, 1, []float64{0}, 2, 7)
+	a, err := Compare(agent, taskgraph.Cholesky, 3, 1, 1, []float64{0}, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Compare(agent, taskgraph.Cholesky, 3, 1, 1, []float64{0}, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a[0].READYS.Mean != b[0].READYS.Mean || a[0].HEFT.Mean != b[0].HEFT.Mean {
 		t.Fatal("same seed must reproduce")
 	}
 }
 
+// sinkFirst asks to start the graph's sink, which is never ready while other
+// tasks remain.
+type sinkFirst struct{}
+
+func (sinkFirst) Reset(*sim.State)               {}
+func (sinkFirst) Decide(s *sim.State, _ int) int { return s.Graph.NumTasks() - 1 }
+
+// TestAppendMakespanReturnsFailedRun: a run whose simulation fails reaches the
+// caller as its error, and the sample it was to join keeps what it had, so no
+// figure averages fewer seeds than it asked for.
+func TestAppendMakespanReturnsFailedRun(t *testing.T) {
+	prob := core.NewProblem(taskgraph.Cholesky, 3, 1, 1, 0.1)
+	var runner sim.Runner
+	rng := rand.New(rand.NewSource(1))
+	ms, err := appendMakespan(nil, prob, &runner, sched.MCTPolicy{}, rng, 1)
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("valid run: %d makespans, error %v", len(ms), err)
+	}
+	ms, err = appendMakespan(ms, prob, &runner, sinkFirst{}, rng, 2)
+	if err == nil || !strings.Contains(err.Error(), "non-ready") {
+		t.Fatalf("a policy starting a non-ready task gave error %v", err)
+	}
+	if len(ms) != 1 {
+		t.Fatalf("the failed run left %d makespans, want the 1 from before", len(ms))
+	}
+}
+
 func TestFigure7SmallSizes(t *testing.T) {
-	tab, pts := Figure7([]int{2, 3}, 2)
+	tab, pts, err := Figure7([]int{2, 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 || len(tab.Rows) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -197,7 +237,10 @@ func (p *rebuildWindowPolicy) Decide(s *sim.State, r int) int {
 // bit for bit the mean window an EncodeFault rebuild at every decision counts.
 func TestFigure7WindowMatchesRebuild(t *testing.T) {
 	sizes, runs := []int{4, 6}, 2
-	_, pts := Figure7(sizes, runs)
+	_, pts, err := Figure7(sizes, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
 	for i, T := range sizes {
 		prob := core.NewProblem(taskgraph.Cholesky, T, 2, 2, 0.1)

@@ -25,7 +25,11 @@ func Figure3(modelsDir string) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("exp: figure 3 %s: %w", spec.Name(), err)
 			}
-			for _, pt := range Compare(agent, kind, T, 2, 2, Sigmas, EvalRuns, 42) {
+			pts, err := Compare(agent, kind, T, 2, 2, Sigmas, EvalRuns, 42)
+			if err != nil {
+				return nil, fmt.Errorf("exp: figure 3 %s: %w", spec.Name(), err)
+			}
+			for _, pt := range pts {
 				tab.AddRow(kind.String(), fmt.Sprint(T), F(pt.Sigma),
 					F(pt.READYS.Mean), F(pt.HEFT.Mean), F(pt.MCT.Mean),
 					F(pt.ImproveHEFT), F(pt.ImproveMCT))
@@ -53,7 +57,11 @@ func TransferFigure(modelsDir string, numCPU, numGPU int) (*Table, error) {
 			return nil, fmt.Errorf("exp: transfer %s: %w", spec.Name(), err)
 		}
 		for _, testT := range []int{10, 12} {
-			for _, pt := range Compare(agent, taskgraph.Cholesky, testT, numCPU, numGPU, Sigmas, EvalRuns, 43) {
+			pts, err := Compare(agent, taskgraph.Cholesky, testT, numCPU, numGPU, Sigmas, EvalRuns, 43)
+			if err != nil {
+				return nil, fmt.Errorf("exp: transfer %s to T=%d: %w", spec.Name(), testT, err)
+			}
+			for _, pt := range pts {
 				tab.AddRow(fmt.Sprint(trainT), fmt.Sprint(testT), F(pt.Sigma),
 					F(pt.READYS.Mean), F(pt.HEFT.Mean), F(pt.MCT.Mean),
 					F(pt.ImproveHEFT), F(pt.ImproveMCT))
@@ -85,8 +93,8 @@ type InferencePoint struct {
 // paper), together with the mean number of tasks in the window. One untrained
 // agent is used — inference cost does not depend on the weights. Both come
 // from the policy's DecideStats: forward time and window rows, each over
-// every decision, memo hits included.
-func Figure7(sizes []int, runs int) (*Table, []InferencePoint) {
+// every decision, memo hits included. A run that fails fails the figure.
+func Figure7(sizes []int, runs int) (*Table, []InferencePoint, error) {
 	tab := &Table{
 		Title:  "Figure 7: mean inference time per decision (Cholesky, 2 CPUs + 2 GPUs)",
 		Header: []string{"T", "tasks", "mean_window_tasks", "mean_inference_ms", "ci99_ms"},
@@ -100,7 +108,7 @@ func Figure7(sizes []int, runs int) (*Table, []InferencePoint) {
 		for run := 0; run < runs; run++ {
 			pol := core.NewPolicy(agent)
 			if _, err := prob.Simulate(pol, rand.New(rand.NewSource(int64(run)))); err != nil {
-				continue
+				return nil, nil, fmt.Errorf("exp: figure 7 T=%d run %d: %w", T, run, err)
 			}
 			st := pol.Stats
 			perDecisionMs = append(perDecisionMs,
@@ -118,5 +126,5 @@ func Figure7(sizes []int, runs int) (*Table, []InferencePoint) {
 		points = append(points, pt)
 		tab.AddRow(fmt.Sprint(T), fmt.Sprint(pt.Tasks), F(pt.MeanWindow), F(s.Mean), F(s.CI))
 	}
-	return tab, points
+	return tab, points, nil
 }

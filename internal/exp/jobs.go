@@ -67,12 +67,12 @@ func (e EvalSpec) Run(modelsDir string) ([]ComparisonPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: eval %s: %w", e.Agent.Name(), err)
 	}
-	return e.RunWith(agent), nil
+	return e.RunWith(agent)
 }
 
 // RunWith executes the sweep with an already-loaded agent (used when the
 // caller manages checkpoints itself).
-func (e EvalSpec) RunWith(agent *core.Agent) []ComparisonPoint {
+func (e EvalSpec) RunWith(agent *core.Agent) ([]ComparisonPoint, error) {
 	return Compare(agent, e.Kind, e.T, e.NumCPU, e.NumGPU, e.Sigmas, e.Runs, e.Seed)
 }
 
@@ -83,7 +83,7 @@ func FigureNames() []string {
 }
 
 // Figure7Sizes and Figure7Runs are the defaults of the inference-time figure
-// (matching readys-fig).
+// (readys-fig -fig 7).
 var Figure7Sizes = []int{2, 4, 6, 8, 10, 12}
 
 const Figure7Runs = 10
@@ -102,8 +102,8 @@ func FigureByName(name, modelsDir string) (*Table, error) {
 	case "figure6":
 		return Figure6(modelsDir)
 	case "figure7":
-		tab, _ := Figure7(Figure7Sizes, Figure7Runs)
-		return tab, nil
+		tab, _, err := Figure7(Figure7Sizes, Figure7Runs)
+		return tab, err
 	default:
 		return nil, fmt.Errorf("exp: unknown figure %q (want one of %v)", name, FigureNames())
 	}

@@ -3,7 +3,7 @@
 // span/event tracer exporting the Chrome trace-event JSON format, and
 // structured JSONL telemetry sinks for training.
 //
-// Every subsystem — the discrete-event simulator, the A2C/PPO trainers and
+// Every subsystem — the discrete-event simulator, the A2C trainer and
 // the serving daemon — records into these primitives instead of growing its
 // own ad-hoc counters, so the signals one later perf PR optimises against are
 // the same signals every other layer reports.

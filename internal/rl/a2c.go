@@ -59,10 +59,6 @@ type Config struct {
 	// γⁿ·V(s_{t+n}) until the terminal reward takes over. 0 means full
 	// Monte-Carlo returns (paper grid: 20, 40, 60, 80).
 	Unroll int
-	// IdlePenalty, when positive, adds an immediate reward of −IdlePenalty
-	// to every ∅ decision — a reward-shaping ablation of the paper's
-	// terminal-only design (§III-B sets rₜ=0 on non-terminal transitions).
-	IdlePenalty float64
 	// Seed drives episode randomness (noise, sampling). Each episode uses
 	// its own stream derived from (Seed, episodeIndex), so results do not
 	// depend on rollout scheduling.
@@ -117,7 +113,7 @@ type EpisodeStats struct {
 	Entropy  float64 `json:"entropy"`
 	Loss     float64 `json:"loss"`
 	// PolicyLoss and ValueLoss are the actor and critic components of Loss
-	// (mean per decision for A2C; batch mean of the final PPO epoch).
+	// (mean per decision).
 	PolicyLoss float64 `json:"policy_loss"`
 	ValueLoss  float64 `json:"value_loss"`
 	// GradNorm is the pre-clip global gradient norm of the update applied at
@@ -206,14 +202,13 @@ func NewTrainer(agent *core.Agent, problem core.Problem, cfg Config) *Trainer {
 func (t *Trainer) Baseline() float64 { return t.baseline }
 
 // Run trains for Cfg.Episodes episodes and returns the training history.
-// Progress, if non-nil, is called after every episode; both a nil progress
-// callback and a nil Telemetry sink are fine — emission is routed through one
-// sink (emitEpisode), so the loop never branches on them.
+// Progress, if non-nil, is called after every episode, once the episode's
+// line is written to Telemetry (if set). Both only read the statistics, so
+// neither can change training.
 func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 	hist := History{BaselineMakespan: t.baseline}
 	params := t.Agent.Params()
 	params.ZeroGrad()
-	workers := resolveWorkers(t.Cfg.RolloutWorkers)
 	for start := 0; start < t.Cfg.Episodes; start += t.Cfg.BatchEpisodes {
 		n := t.Cfg.Episodes - start
 		if n > t.Cfg.BatchEpisodes {
@@ -222,7 +217,7 @@ func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 		// Roll out the whole batch under the current parameters, then
 		// accumulate gradients in fixed episode order: History does not
 		// depend on the worker count.
-		results := t.rollouts.collect(t.Agent, t.Problem, t.Cfg.Arrivals, t.baseline, t.Cfg.Seed, start, n, workers)
+		results := t.rollouts.collect(t, start, n)
 		for k := range results {
 			r := &results[k]
 			if r.err != nil {
@@ -244,8 +239,13 @@ func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 				GradNorm:   gradNorm,
 			}
 			hist.Episodes = append(hist.Episodes, st)
-			if err := emitEpisode(t.Telemetry, progress, st); err != nil {
-				return hist, err
+			if t.Telemetry != nil {
+				if err := t.Telemetry.Write(st); err != nil {
+					return hist, fmt.Errorf("rl: writing telemetry: %w", err)
+				}
+			}
+			if progress != nil {
+				progress(st)
 			}
 		}
 	}
@@ -266,22 +266,6 @@ func applyUpdate(params *nn.ParamSet, opt *nn.Adam, clipNorm float64) float64 {
 	return norm
 }
 
-// emitEpisode delivers one episode's statistics to the telemetry sink and the
-// optional progress callback. Both trainers route every emission through
-// here, so call sites stay free of nil checks and the sink can never mutate
-// training state.
-func emitEpisode(sink *obs.JSONL, progress func(EpisodeStats), st EpisodeStats) error {
-	if sink != nil {
-		if err := sink.Write(st); err != nil {
-			return fmt.Errorf("rl: writing telemetry: %w", err)
-		}
-	}
-	if progress != nil {
-		progress(st)
-	}
-	return nil
-}
-
 // accumulate adds one episode's gradients to the agent's parameters: the
 // states of steps, the leading decisions recorded in log, go through the
 // network in one tape pass (several, in decision order, past maxPassRows),
@@ -294,18 +278,10 @@ func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward flo
 		return 0, 0, 0
 	}
 	sc := &t.scratch
-	// Per-step rewards: zero on non-terminal transitions per §III-B, except
-	// under the idle-penalty shaping ablation.
+	// Per-step rewards: zero on non-terminal transitions per §III-B.
 	stepRewards := resize(&sc.stepRewards, d)
 	clear(stepRewards)
 	stepRewards[d-1] = reward
-	if t.Cfg.IdlePenalty > 0 {
-		for i, st := range steps {
-			if st.Idle() {
-				stepRewards[i] -= t.Cfg.IdlePenalty
-			}
-		}
-	}
 	// Targets: discounted returns, optionally bootstrapped from the recorded
 	// value n steps ahead.
 	targets := resize(&sc.targets, d)

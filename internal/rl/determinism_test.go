@@ -59,29 +59,6 @@ func TestA2CDefaultWorkersBitIdentical(t *testing.T) {
 	historiesIdentical(t, run(1), run(0), "a2c-default-workers")
 }
 
-func TestPPOParallelRolloutsBitIdentical(t *testing.T) {
-	run := func(workers int) (History, string) {
-		agent := tinyAgent(7)
-		cfg := DefaultPPOConfig()
-		cfg.Iterations = 3
-		cfg.EpisodesPerIter = 4
-		cfg.Epochs = 2
-		cfg.RolloutWorkers = workers
-		tr := NewPPOTrainer(agent, tinyProblem(), cfg)
-		h, err := tr.Run(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, snapshotParams(agent.Params())
-	}
-	seqHist, seqParams := run(1)
-	parHist, parParams := run(4)
-	historiesIdentical(t, seqHist, parHist, "ppo")
-	if seqParams != parParams {
-		t.Fatal("ppo: final parameters differ between sequential and parallel rollouts")
-	}
-}
-
 func TestEpisodeSeedStreamsDistinct(t *testing.T) {
 	seen := map[int64]int{}
 	for seed := int64(1); seed <= 3; seed++ {

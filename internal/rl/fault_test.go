@@ -53,21 +53,6 @@ func TestA2CFaultTrainingBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestPPOTrainsUnderFaults(t *testing.T) {
-	cfg := DefaultPPOConfig()
-	cfg.Iterations = 2
-	cfg.EpisodesPerIter = 4
-	cfg.Epochs = 2
-	cfg.Faults = faultSpec()
-	h, err := NewPPOTrainer(tinyAgent(2), tinyProblem(), cfg).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Episodes) != 8 {
-		t.Fatalf("got %d episodes", len(h.Episodes))
-	}
-}
-
 func TestFaultEpisodesActuallyFault(t *testing.T) {
 	// Derived per-episode plans must inject real events on the tiny problem:
 	// across a handful of episode streams at rate 1, at least one run sees a

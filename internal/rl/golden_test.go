@@ -86,7 +86,6 @@ var goldenCases = []struct {
 }{
 	{"a2c", goldenA2C(core.Config{}, func(*Config) {})},
 	{"a2c_unroll", goldenA2C(core.Config{}, func(c *Config) { c.Unroll = 20 })},
-	{"a2c_idle_penalty", goldenA2C(core.Config{}, func(c *Config) { c.IdlePenalty = 0.05 })},
 	{"a2c_faults", goldenA2C(core.Config{}, func(c *Config) { c.Faults = faultSpec() })},
 	{"a2c_stream", goldenA2C(core.Config{}, func(c *Config) {
 		c.Arrivals = &stream.PoissonProcess{
@@ -95,17 +94,6 @@ var goldenCases = []struct {
 	})},
 	{"a2c_directed", goldenA2C(core.Config{Directed: true}, func(*Config) {})},
 	{"a2c_fault_features", goldenA2C(core.Config{FaultFeatures: true}, func(c *Config) { c.Faults = faultSpec() })},
-	{"ppo", func(workers int) (History, *core.Agent, error) {
-		agent := goldenAgent(core.Config{})
-		cfg := DefaultPPOConfig()
-		cfg.Iterations = 2
-		cfg.EpisodesPerIter = 4
-		cfg.Epochs = 2
-		cfg.Seed = 5
-		cfg.RolloutWorkers = workers
-		h, err := NewPPOTrainer(agent, goldenProblem(), cfg).Run(nil)
-		return h, agent, err
-	}},
 }
 
 func goldenAgent(variant core.Config) *core.Agent {

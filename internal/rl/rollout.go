@@ -7,7 +7,6 @@ import (
 
 	"readys/internal/core"
 	"readys/internal/sim"
-	"readys/internal/stream"
 )
 
 // Parallel rollout collection.
@@ -44,15 +43,6 @@ func episodeSeed(seed int64, ep int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// resolveWorkers maps a RolloutWorkers config value to an effective worker
-// count (0 or negative selects GOMAXPROCS).
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // rolloutResult is one collected episode: the log holding its recorded
 // decisions, valid until the pool collects again, plus the episode's outcome.
 type rolloutResult struct {
@@ -81,18 +71,20 @@ type rolloutWorker struct {
 	run sim.Runner
 }
 
-// collect runs episodes [start, start+n) of the training schedule and
-// returns their results indexed by position, valid until the next collect.
-// With workers > 1 the episodes run concurrently on a bounded worker pool;
-// results are identical to the sequential path by construction (per-episode
-// RNG streams, no shared mutable state beyond the read-only agent
-// parameters). A non-nil arrivals process switches every episode to the
-// stream rollout (see stream.go).
-func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals *stream.PoissonProcess, baseline float64, seed int64, start, n, workers int) []rolloutResult {
-	if workers > n {
-		workers = n
+// collect runs episodes [start, start+n) of t's training schedule and returns
+// their results indexed by position, valid until the next collect. With more
+// than one rollout worker the episodes run concurrently on a bounded worker
+// pool; results are identical to the sequential path by construction
+// (per-episode RNG streams, no shared mutable state beyond the read-only agent
+// parameters). Config.Arrivals switches every episode to the stream rollout
+// (see stream.go).
+func (rp *rolloutPool) collect(t *Trainer, start, n int) []rolloutResult {
+	agent, problem, arrivals := t.Agent, t.Problem, t.Cfg.Arrivals
+	workers := t.Cfg.RolloutWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(workers, 1)
+	workers = max(min(workers, n), 1)
 	for len(rp.logs) < n {
 		rp.logs = append(rp.logs, core.NewEpisodeLog())
 	}
@@ -113,7 +105,7 @@ func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals
 		ep := start + k
 		// Seed leaves the generator where rand.NewSource(seed) starts.
 		pol, rng := w.pol, w.rng
-		rng.Seed(episodeSeed(seed, ep))
+		rng.Seed(episodeSeed(t.Cfg.Seed, ep))
 		pol.Log = rp.logs[k]
 		r := rolloutResult{ep: ep, log: pol.Log}
 		if arrivals != nil {
@@ -121,7 +113,7 @@ func (rp *rolloutPool) collect(agent *core.Agent, problem core.Problem, arrivals
 		} else {
 			var res sim.Result
 			if res, r.err = problem.SimulateOn(&w.run, pol, rng); r.err == nil {
-				r.makespan, r.reward = res.Makespan, core.Reward(baseline, res.Makespan)
+				r.makespan, r.reward = res.Makespan, core.Reward(t.baseline, res.Makespan)
 			}
 		}
 		if r.err == nil {

@@ -82,15 +82,19 @@ func TestEpisodeLogReuseIsolated(t *testing.T) {
 		if arr == nil {
 			baseline = prob.HEFTBaseline()
 		}
-		results := pool.collect(agent, prob, arr, baseline, seed, start, n, workers)
+		trainer := func(workers int) *Trainer {
+			cfg := Config{Seed: seed, RolloutWorkers: workers, Arrivals: arr}
+			return &Trainer{Agent: agent, Problem: prob, Cfg: cfg, baseline: baseline}
+		}
+		results := pool.collect(trainer(workers), start, n)
 		var fresh rolloutPool
-		want := fresh.collect(agent, prob, arr, baseline, seed, start, n, 1)
+		want := fresh.collect(trainer(1), start, n)
 		// One fresh policy rolled all n out: compare each to a policy that
 		// never saw another episode too.
 		for k := range results {
 			got, ctx := results[k], fmt.Sprintf("%s episode %d", name, start+k)
 			var alone rolloutPool
-			only := alone.collect(agent, prob, arr, baseline, seed, start+k, 1, 1)[0]
+			only := alone.collect(trainer(1), start+k, 1)[0]
 			for _, w := range []rolloutResult{want[k], only} {
 				if got.err != nil || w.err != nil {
 					t.Fatalf("%s: errors %v / %v", ctx, got.err, w.err)

@@ -1,6 +1,6 @@
 package rl
 
-// Stream training: when Config.Arrivals (or PPOConfig.Arrivals) is set, each
+// Stream training: when Config.Arrivals is set, each
 // episode is an online multi-tenant run instead of a single-DAG one. The
 // episode's RNG stream — the same (Seed, episodeIndex) splitmix64 derivation
 // as single-DAG training — first draws a Poisson arrival stream, then drives

@@ -92,18 +92,3 @@ func TestStreamTrainingUnderFaults(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamTrainingPPO(t *testing.T) {
-	cfg := DefaultPPOConfig()
-	cfg.Iterations = 2
-	cfg.EpisodesPerIter = 2
-	cfg.Epochs = 2
-	cfg.Arrivals = tinyArrivals()
-	h, err := NewPPOTrainer(tinyAgent(5), streamProblem(), cfg).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Episodes) != 4 || h.BaselineMakespan != 0 {
-		t.Fatalf("ppo stream history: %d episodes, baseline %v", len(h.Episodes), h.BaselineMakespan)
-	}
-}

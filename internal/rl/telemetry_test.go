@@ -97,52 +97,3 @@ func TestTelemetryFieldsPopulated(t *testing.T) {
 		t.Fatal("no update episode recorded a gradient norm")
 	}
 }
-
-// TestPPOTelemetry mirrors the A2C guarantees for the PPO trainer:
-// determinism with a sink attached and a JSONL stream identical to History.
-func TestPPOTelemetry(t *testing.T) {
-	run := func(telemetry bool) (History, []byte) {
-		cfg := DefaultPPOConfig()
-		cfg.Iterations = 2
-		cfg.EpisodesPerIter = 3
-		cfg.Epochs = 2
-		tr := NewPPOTrainer(tinyAgent(1), tinyProblem(), cfg)
-		var buf bytes.Buffer
-		if telemetry {
-			tr.Telemetry = obs.NewJSONL(&buf)
-		}
-		h, err := tr.Run(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if telemetry {
-			if err := tr.Telemetry.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return h, buf.Bytes()
-	}
-	plain, _ := run(false)
-	traced, data := run(true)
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatal("telemetry altered PPO training")
-	}
-	lines, err := obs.DecodeJSONLines(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != len(traced.Episodes) {
-		t.Fatalf("%d telemetry lines for %d episodes", len(lines), len(traced.Episodes))
-	}
-	var last EpisodeStats
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatal(err)
-	}
-	final := traced.Episodes[len(traced.Episodes)-1]
-	if last != final {
-		t.Fatalf("final telemetry %+v != history %+v", last, final)
-	}
-	if final.Loss == 0 && final.PolicyLoss == 0 && final.ValueLoss == 0 {
-		t.Fatalf("PPO episode stats carry no losses: %+v", final)
-	}
-}

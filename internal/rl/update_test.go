@@ -30,13 +30,6 @@ func accumulatePerDecision(agent *core.Agent, cfg Config, log *core.EpisodeLog, 
 	}
 	stepRewards := make([]float64, d)
 	stepRewards[d-1] = reward
-	if cfg.IdlePenalty > 0 {
-		for i, st := range steps {
-			if st.Idle() {
-				stepRewards[i] -= cfg.IdlePenalty
-			}
-		}
-	}
 	targets := make([]float64, d)
 	ret := 0.0
 	for i := d - 1; i >= 0; i-- {
@@ -88,7 +81,7 @@ func (m *maskEveryThird) Decide(s *sim.State, r int) int {
 // parameters, and the three losses it reports, are == on every element to
 // what the per-decision update leaves — for an episode of one pass, one with
 // ∅-masked decisions, one of a single decision, one long enough to take
-// several passes, and under bootstrapped and shaped targets.
+// several passes, and under bootstrapped targets.
 func TestBatchedUpdateBitIdentical(t *testing.T) {
 	type episode struct {
 		name   string
@@ -104,7 +97,7 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 		{name: "∅-masked decisions", T: 4, mask: true, passes: 1},
 		{name: "single decision", T: 4, first: 1, passes: 1},
 		{name: "several passes", T: 8, mask: true, passes: 3},
-		{name: "unroll + idle penalty", T: 4, passes: 1, tweak: func(c *Config) { c.Unroll, c.IdlePenalty = 5, 0.05 }},
+		{name: "unroll", T: 4, passes: 1, tweak: func(c *Config) { c.Unroll = 5 }},
 	} {
 		t.Run(ep.name, func(t *testing.T) {
 			cfg := DefaultConfig()

@@ -196,7 +196,7 @@ func appendN[T any](xs []T, n int, v T) []T {
 func (c *Cluster) RunUntil(pol Policy, until float64) error {
 	s := c.s
 	for {
-		if err := decisionPhase(s, pol, c.opt, &c.res); err != nil {
+		if err := decisionPhase(s, pol, c.opt.Rng, &c.res, false); err != nil {
 			return err
 		}
 		drained := s.NumDone == s.Graph.NumTasks()
@@ -225,7 +225,7 @@ func (c *Cluster) RunUntil(pol Policy, until float64) error {
 			if s.aliveCount() == 0 {
 				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, s.Graph.NumTasks()-s.NumDone)
 			}
-			if err := forcedPhase(s, pol, c.opt, &c.res); err != nil {
+			if err := decisionPhase(s, pol, c.opt.Rng, &c.res, true); err != nil {
 				return err
 			}
 			continue

@@ -321,10 +321,6 @@ type Options struct {
 	// Fault events consume no randomness from Rng, and an empty plan leaves
 	// every result bit-identical to a fault-free run.
 	Faults *FaultPlan
-	// OnDecision, if non-nil, is invoked after every policy decision with
-	// the state, the resource asked, and the chosen task (or NoTask). Used
-	// by the RL trainer to record trajectories.
-	OnDecision func(s *State, resource, task int)
 	// Tracer, if non-nil, records task-start/task-end events per resource
 	// lane (and, with a communication model, per-transfer slices) that
 	// export as a Chrome trace (obs.Tracer.WriteChromeTrace). Tracing never
@@ -401,7 +397,7 @@ func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing pl
 		rn.trace = make([]Placement, 0, n)
 	}
 	res := Result{Trace: rn.trace[:0], Kills: rn.kills[:0]}
-	err := rn.run(s, pol, opt, &res)
+	err := rn.run(s, pol, opt.Rng, &res)
 	if err == nil {
 		res.Makespan = s.Now
 		for i := 0; i < n; i++ {
@@ -480,13 +476,13 @@ func zeroed[T any](buf []T, n int) []T {
 
 // run is the event loop: decision phases and the advance to the next
 // completion or fault event, until every task is done.
-func (rn *Runner) run(s *State, pol Policy, opt Options, res *Result) error {
+func (rn *Runner) run(s *State, pol Policy, rng *rand.Rand, res *Result) error {
 	n := s.Graph.NumTasks()
 	faults := &rn.tl
 	for s.NumDone < n {
 		// Decision phase: fill free resources until the policy declines
 		// every remaining one or no ready task is left.
-		if err := decisionPhase(s, pol, opt, res); err != nil {
+		if err := decisionPhase(s, pol, rng, res, false); err != nil {
 			return err
 		}
 		if s.NumDone == n {
@@ -502,7 +498,7 @@ func (rn *Runner) run(s *State, pol Policy, opt Options, res *Result) error {
 			if s.aliveCount() == 0 {
 				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, n-s.NumDone)
 			}
-			if err := forcedPhase(s, pol, opt, res); err != nil {
+			if err := decisionPhase(s, pol, rng, res, true); err != nil {
 				return err
 			}
 			tc = earliestCompletion(s)
@@ -690,24 +686,39 @@ func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 // asked at most once per phase (an ∅ answer parks it until the next event),
 // and the "current processor" is drawn uniformly at random among the not-yet-
 // asked free resources, as in §III-B.
-func decisionPhase(s *State, pol Policy, opt Options, res *Result) error {
-	for _, r := range s.shuffledFree(opt.Rng) {
+//
+// A forced phase is entered only when nothing is running, no fault event is
+// pending, and every resource idled. It asks with MustAct set and ends at the
+// first start, since time can advance again; a policy that still declines
+// every resource deadlocks the system.
+func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced bool) error {
+	note := ""
+	if forced {
+		res.ForcedPhases++
+		s.MustAct = true
+		defer func() { s.MustAct = false }()
+		note = "forced"
+	}
+	for _, r := range s.shuffledFree(rng) {
 		if len(s.Ready) == 0 {
 			break
 		}
 		task := pol.Decide(s, r)
 		res.Decisions++
-		if opt.OnDecision != nil {
-			opt.OnDecision(s, r, task)
-		}
 		if task == NoTask {
 			res.IdleDecisions++
 			continue
 		}
-		if err := startTask(s, task, r, opt.Rng); err != nil {
+		if err := startTask(s, task, r, rng); err != nil {
 			return err
 		}
-		recordDecision(s, task, r, "")
+		recordDecision(s, task, r, note)
+		if forced {
+			return nil
+		}
+	}
+	if forced {
+		return ErrDeadlock
 	}
 	return nil
 }
@@ -725,36 +736,6 @@ func (s *State) DataReadyTime(task, r int) float64 {
 		}
 	}
 	return ready
-}
-
-// forcedPhase re-asks free resources with MustAct set until one starts a
-// task. It is only entered when nothing is running, no fault event is
-// pending, and every resource idled; a policy that still declines every
-// resource deadlocks the system.
-func forcedPhase(s *State, pol Policy, opt Options, res *Result) error {
-	res.ForcedPhases++
-	s.MustAct = true
-	defer func() { s.MustAct = false }()
-	for _, r := range s.shuffledFree(opt.Rng) {
-		if len(s.Ready) == 0 {
-			break
-		}
-		task := pol.Decide(s, r)
-		res.Decisions++
-		if opt.OnDecision != nil {
-			opt.OnDecision(s, r, task)
-		}
-		if task == NoTask {
-			res.IdleDecisions++
-			continue
-		}
-		if err := startTask(s, task, r, opt.Rng); err != nil {
-			return err
-		}
-		recordDecision(s, task, r, "forced")
-		return nil // time can advance again
-	}
-	return ErrDeadlock
 }
 
 // startTask begins executing task on resource r at s.Now, sampling its actual

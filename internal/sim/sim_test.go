@@ -17,6 +17,20 @@ type fifoPolicy struct{}
 func (fifoPolicy) Reset(*State)               {}
 func (fifoPolicy) Decide(s *State, _ int) int { return s.Ready[0] }
 
+// rangePolicy is fifoPolicy that counts its decisions and notes being asked
+// about a resource outside [0, n).
+type rangePolicy struct {
+	n, calls int
+	bad      bool
+}
+
+func (p *rangePolicy) Reset(*State) {}
+func (p *rangePolicy) Decide(s *State, r int) int {
+	p.calls++
+	p.bad = p.bad || r < 0 || r >= p.n
+	return s.Ready[0]
+}
+
 // idlePolicy always answers ∅ — used to exercise deadlock detection.
 type idlePolicy struct{}
 
@@ -120,6 +134,9 @@ func TestSimulateRequiresRng(t *testing.T) {
 	}
 }
 
+// TestSimulateValidScheduleProperty: every run is a valid schedule, the policy
+// is only asked about existing resources (rangePolicy), and the decisions that
+// were not ∅ started each task exactly once.
 func TestSimulateValidScheduleProperty(t *testing.T) {
 	f := func(seed int64, sigmaRaw uint8, kindSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,8 +149,9 @@ func TestSimulateValidScheduleProperty(t *testing.T) {
 		g := taskgraph.NewByKind(kind, T)
 		plat := platform.New(1+int(seed%2+2)%2, 1+int(seed%3+3)%3)
 		sigma := float64(sigmaRaw%5) * 0.1
-		res, err := Simulate(g, plat, platform.TimingFor(kind), fifoPolicy{}, Options{Sigma: sigma, Rng: rng})
-		if err != nil {
+		pol := &rangePolicy{n: plat.Size()}
+		res, err := Simulate(g, plat, platform.TimingFor(kind), pol, Options{Sigma: sigma, Rng: rng})
+		if err != nil || pol.bad || res.Decisions-res.IdleDecisions != g.NumTasks() {
 			return false
 		}
 		return ValidateResult(g, plat.Size(), res) == nil
@@ -159,29 +177,21 @@ func TestSimulateRandomDAGs(t *testing.T) {
 	}
 }
 
+// TestOnDecisionCallback: Policy.Decide is the engine's per-decision hook; it
+// is called once per start, each time on an existing resource.
 func TestOnDecisionCallback(t *testing.T) {
 	g, plat, tim := chol(4)
-	var calls, starts int
-	_, err := Simulate(g, plat, tim, fifoPolicy{}, Options{
-		Rng: rand.New(rand.NewSource(1)),
-		OnDecision: func(s *State, r, task int) {
-			calls++
-			if task != NoTask {
-				starts++
-			}
-			if r < 0 || r >= plat.Size() {
-				t.Fatalf("bad resource %d in callback", r)
-			}
-		},
-	})
+	pol := &rangePolicy{n: plat.Size()}
+	res, err := Simulate(g, plat, tim, pol, Options{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if starts != g.NumTasks() {
-		t.Fatalf("callback saw %d starts, want %d", starts, g.NumTasks())
+	if pol.bad {
+		t.Fatal("policy asked about a resource outside the platform")
 	}
-	if calls < starts {
-		t.Fatal("callback calls fewer than starts")
+	if pol.calls != res.Decisions || res.Decisions-res.IdleDecisions != g.NumTasks() {
+		t.Fatalf("%d calls, %d decisions (%d idle) for %d tasks",
+			pol.calls, res.Decisions, res.IdleDecisions, g.NumTasks())
 	}
 }
 
