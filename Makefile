@@ -28,7 +28,8 @@
 #                      (plan generation, kill/re-execution, strict validator)
 #   make stream-smoke— tiny online-scheduling run through readys-stream
 #                      (Poisson arrivals, faults mid-stream, strict union
-#                      validation, trace checked by readys-obs-check)
+#                      validation, trace checked by readys-obs-check), and a
+#                      written arrival trace replayed to the same schedule
 #   make fleet-smoke — dispatcher + worker end-to-end check (train job,
 #                      artifact verification, train → serve publish)
 #   make gateway-smoke — shard-router end-to-end check: two replicas behind
@@ -71,8 +72,12 @@ test:
 # go back to the free list. The stream path's append-only pieces are each pinned to the whole-union computation
 # they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
 # accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
-# and TestStreamCostFlat / TestMemoScopedToStateVersion fail if a per-arrival
-# pass over the union DAG or a stream-long memo comes back. The training path
+# the encoder, which reads the graph's neighbour rows in whatever order they
+# come, is held to the oracle on a DAG whose rows are out of order
+# (TestIncrementalUnsortedAdjacency), TestStreamCostFlat /
+# TestMemoScopedToStateVersion fail if a per-arrival pass over the union DAG or
+# a stream-long memo comes back, and TestClusterReserveGrowsNothing if an
+# arrival re-copies a reserved history. The training path
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
 # range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
 # its three ops and the input gradient vs the ∂C·Wᵀ dot loop
@@ -108,7 +113,7 @@ equiv:
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
-	$(GO) test -run 'TestRunnerReuseBitIdentical' ./internal/sim/
+	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./internal/obs/
@@ -215,7 +220,11 @@ chaos-smoke:
 # through readys-stream with faults firing mid-stream. Exercises arrivals on
 # the persistent cluster, kills/re-execution across jobs and the strict union
 # validator (readys-stream fails hard on an invalid schedule), then checks the
-# emitted Chrome trace with readys-obs-check.
+# emitted Chrome trace with readys-obs-check. Then a READYS stream is written
+# out with -write-arrivals and replayed with -arrivals: the per-job table and
+# the summary must match the direct run's line for line (the header names the
+# flags' mix on one and the trace's on the other, and only the direct run
+# writes a file).
 STREAM_TMP ?= /tmp/readys-stream-smoke
 stream-smoke:
 	rm -rf $(STREAM_TMP) && mkdir -p $(STREAM_TMP)
@@ -223,6 +232,13 @@ stream-smoke:
 		-policy heft-per-job -faults -fault-rate 1 -seed 7 -quiet \
 		-trace $(STREAM_TMP)/trace.json > /dev/null
 	$(GO) run ./cmd/readys-obs-check -trace $(STREAM_TMP)/trace.json
+	$(GO) run ./cmd/readys-stream -rate 6 -jobs 10 -policy readys -models models \
+		-seed 11 -write-arrivals $(STREAM_TMP)/arrivals.jsonl > $(STREAM_TMP)/direct.txt
+	$(GO) run ./cmd/readys-stream -arrivals $(STREAM_TMP)/arrivals.jsonl -policy readys \
+		-models models -seed 11 > $(STREAM_TMP)/replay.txt
+	grep -v '^wrote ' $(STREAM_TMP)/direct.txt | tail -n +2 > $(STREAM_TMP)/direct.body
+	tail -n +2 $(STREAM_TMP)/replay.txt > $(STREAM_TMP)/replay.body
+	cmp $(STREAM_TMP)/direct.body $(STREAM_TMP)/replay.body
 	rm -rf $(STREAM_TMP)
 	@echo stream-smoke OK
 

@@ -24,6 +24,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -131,8 +132,12 @@ func main() {
 		log.Fatalf("union schedule invalid: %v", err)
 	}
 
+	kinds, sizes := *jobKinds, *jobSizes
+	if *arrivalsPath != "" {
+		kinds, sizes = traceMix(arrivals)
+	}
 	fmt.Printf("%d jobs (%s, sizes %s) on %s, σ=%.2f, policy=%s\n",
-		len(res.Jobs), *jobKinds, *jobSizes, plat, *sigma, *policy)
+		len(res.Jobs), kinds, sizes, plat, *sigma, *policy)
 	if !*quiet {
 		fmt.Printf("%4s  %-9s %4s %6s  %10s %10s %10s %9s\n",
 			"job", "kind", "size", "tasks", "arrive_ms", "done_ms", "resp_ms", "slowdown")
@@ -210,6 +215,21 @@ func loadArrivals(path string, rate float64, jobs int, kindsCSV, sizesCSV string
 	}
 	return stream.PoissonProcess{Rate: rate, Jobs: jobs, Kinds: kinds, Sizes: sizes}.
 		Generate(rand.New(rand.NewSource(seed)))
+}
+
+// traceMix lists a trace's distinct families and sizes, each in the order of
+// its first arrival, as the -job-kinds and -job-sizes flags would spell them.
+func traceMix(arrivals []stream.Arrival) (kinds, sizes string) {
+	var ks, ss []string
+	for _, a := range arrivals {
+		if k := a.Kind.String(); !slices.Contains(ks, k) {
+			ks = append(ks, k)
+		}
+		if n := strconv.Itoa(a.Size); !slices.Contains(ss, n) {
+			ss = append(ss, n)
+		}
+	}
+	return strings.Join(ks, ","), strings.Join(ss, ",")
 }
 
 func writeFile(path string, fn func(*os.File) error) {

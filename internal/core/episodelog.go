@@ -151,7 +151,7 @@ func (l *EpisodeLog) newWindow(es *EncodedState) logWindow {
 	}
 	// Nodes are sorted: the last one is the largest task ID.
 	if n := len(w.nodes); n > 0 && w.nodes[n-1] >= len(l.staticOf) {
-		l.staticOf = growTo(l.staticOf, w.nodes[n-1]+1)
+		l.staticOf = growTo(l.staticOf, w.nodes[n-1]+1, 2*cap(l.staticOf))
 	}
 	for row, t := range w.nodes {
 		ref := &l.staticOf[t]

@@ -105,6 +105,63 @@ func TestIncrementalEncodeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestIncrementalUnsortedAdjacency holds the encoder to EncodeFault at every
+// decision on a graph whose Succ and Pred rows are out of order: an explicit
+// DAG built with NewFrozen from a shuffled edge list with duplicates keeps its
+// edges in request order. The encoder reads those rows as they are, so its CSR
+// rows come out sorted only because it sorts each one.
+func TestIncrementalUnsortedAdjacency(t *testing.T) {
+	gen := taskgraph.NewByKind(taskgraph.LU, 5)
+	kernels := make([]taskgraph.Kernel, gen.NumTasks())
+	names := make([]string, gen.NumTasks())
+	for i, task := range gen.Tasks {
+		kernels[i], names[i] = task.Kernel, task.Name
+	}
+	var edges [][2]int
+	for from, row := range gen.Succ {
+		for _, to := range row {
+			edges = append(edges, [2]int{from, to})
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < len(edges)/4; i++ {
+		edges = append(edges, edges[rng.Intn(len(edges))])
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g, err := taskgraph.NewFrozen(gen.Kind, gen.KernelNames, kernels, names, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := func(rows [][]int) int {
+		n := 0
+		for _, row := range rows {
+			for k := 1; k < len(row); k++ {
+				if row[k] < row[k-1] {
+					n++
+					break
+				}
+			}
+		}
+		return n
+	}
+	us, up := unsorted(g.Succ), unsorted(g.Pred)
+	if us == 0 || up == 0 {
+		t.Fatalf("the shuffled build left %d Succ and %d Pred rows unsorted; the test needs both", us, up)
+	}
+	prob := Problem{Graph: g, Platform: platform.New(2, 2), Timing: platform.TimingFor(gen.Kind), Sigma: 0.1}
+	for _, directed := range []bool{false, true} {
+		agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3, Directed: directed})
+		ctx := fmt.Sprintf("%d of %d Succ and %d Pred rows unsorted, directed=%v", us, g.NumTasks(), up, directed)
+		probe := &encodeProbe{t: t, inner: NewPolicy(agent), ctx: ctx}
+		if _, err := prob.Simulate(probe, rand.New(rand.NewSource(17))); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if probe.n == 0 || probe.rebuilds == 0 {
+			t.Fatalf("%s: %d decisions probed, %d window rebuilds", ctx, probe.n, probe.rebuilds)
+		}
+	}
+}
+
 // TestIncrementalResultIdentical runs whole episodes twice — incremental+memo
 // against the pre-optimization oracle path (full rebuild, no memo) — and
 // requires identical sim.Results, under faults and noise, greedy and

@@ -40,20 +40,19 @@ type incrementalEncoder struct {
 	numDone    int
 	faultEpoch int
 
-	// Per-graph-epoch caches (-1 = none yet). The per-task ones are
+	// Per-graph-epoch caches (-1 = none yet). The descendant features are
 	// append-only within an episode — a streaming arrival adds whole
-	// components, so what is cached for earlier tasks stays right — and
-	// len(sortedSucc) is how many tasks they cover. They read the graph alone,
-	// so when they were built over a frozen graph (statics names it) they stay
-	// across episodes for as long as episodes run on that graph.
+	// components, so what is cached for earlier tasks stays right. They read
+	// the graph alone, so when they were built over a frozen graph (statics
+	// names it) they stay across episodes for as long as episodes run on that
+	// graph.
 	graphEpoch int
 	maxE       float64
-	sortedSucc [][]int
-	sortedPred [][]int
 	desc       taskgraph.DescendantAccumulator // F(i), normalised on read
 	statics    *taskgraph.Graph                // the frozen graph they describe, or nil
 
-	// BFS scratch indexed by task ID. seen is all-false between rebuilds.
+	// BFS scratch indexed by task ID; len(seen) is the graph size the caches
+	// cover. seen is all-false between rebuilds.
 	seen  []bool
 	depth []int32
 	queue []int
@@ -94,8 +93,6 @@ func (e *incrementalEncoder) reset(g *taskgraph.Graph) {
 	e.graphEpoch = -1
 	if g == nil || g != e.statics {
 		e.statics = nil
-		e.sortedSucc = e.sortedSucc[:0] // rows stay in the backing array for reuse
-		e.sortedPred = e.sortedPred[:0]
 		e.desc.Reset()
 	}
 	e.xEpoch = -1
@@ -149,25 +146,25 @@ func (e *incrementalEncoder) Encode(s *sim.State, resource int) (es *EncodedStat
 // GraphEpoch bump (streaming arrival). Only the tasks added since the last call
 // are visited, so an arrival costs its own job rather than the stream so far;
 // desc.Extend panics should an appended task ever share an edge with a cached
-// one, the one way the earlier rows could go stale.
+// one, the one way the earlier rows could go stale. The per-task scratch that
+// must grow is sized for what the graph has room for — a stream's union is
+// reserved for the whole arrival list, so it grows once — and a frozen graph's
+// exactly.
 func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 	g := s.Graph
 	n := g.NumTasks()
-	if n < len(e.sortedSucc) {
+	if n < len(e.seen) {
 		e.reset(nil) // not the graph the caches describe: start over
 	}
 	e.maxE = s.MaxExpected()
 	e.desc.Extend(g)
-	lo := len(e.sortedSucc)
-	e.sortedSucc = growTo(e.sortedSucc, n)
-	e.sortedPred = growTo(e.sortedPred, n)
-	for t := lo; t < n; t++ {
-		e.sortedSucc[t] = appendSortedInts(e.sortedSucc[t][:0], g.Succ[t])
-		e.sortedPred[t] = appendSortedInts(e.sortedPred[t][:0], g.Pred[t])
+	room := n
+	if !g.Frozen() {
+		room = cap(g.Tasks)
 	}
-	e.seen = growTo(e.seen, n)
-	e.depth = growTo(e.depth, n)
-	e.rowOf = growTo(e.rowOf, n)
+	e.seen = growTo(e.seen, n, room)
+	e.depth = growTo(e.depth, n, room)
+	e.rowOf = growTo(e.rowOf, n, room)
 	e.graphEpoch = s.GraphEpoch
 	e.es.graphEpoch = s.GraphEpoch
 	e.valid = false
@@ -257,19 +254,19 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	e.es.X = newX
 
 	if !sameNodes || e.adjEpoch != e.graphEpoch {
-		e.rebuildAdjacency(nodes)
+		e.rebuildAdjacency(g, nodes)
 		e.adjEpoch = e.graphEpoch
 		e.adjBuilds++
 	}
 }
 
 // rebuildAdjacency reconstructs the induced normalized adjacency into the
-// encoder-owned CSR buffers. Window rows are sorted by task ID and the cached
-// neighbour lists are sorted too, so induced column indices arrive almost
-// sorted; a small insertion sort plus dedup reproduces nn.adjacencyRows'
-// sorted/deduplicated self-loop rows, and the value formulas match
-// nn.NormalizedAdjacency / nn.DirectedNormalizedAdjacency exactly.
-func (e *incrementalEncoder) rebuildAdjacency(nodes []int) {
+// encoder-owned CSR buffers. A row's in-window neighbours come in the graph's
+// Succ/Pred order, which nothing keeps sorted; a small insertion sort plus
+// dedup reproduces nn.adjacencyRows' sorted/deduplicated self-loop rows
+// whatever that order, and the value formulas match nn.NormalizedAdjacency /
+// nn.DirectedNormalizedAdjacency exactly.
+func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 	n := len(nodes)
 	rowPtr := e.norm.RowPtr[:0]
 	rowPtr = append(rowPtr, 0)
@@ -277,13 +274,13 @@ func (e *incrementalEncoder) rebuildAdjacency(nodes []int) {
 	for i, t := range nodes {
 		nb := e.nbuf[:0]
 		nb = append(nb, i) // self-loop
-		for _, c := range e.sortedSucc[t] {
+		for _, c := range g.Succ[t] {
 			if r := e.rowOf[c]; r != 0 {
 				nb = append(nb, int(r)-1)
 			}
 		}
 		if !e.directed {
-			for _, c := range e.sortedPred[t] {
+			for _, c := range g.Pred[t] {
 				if r := e.rowOf[c]; r != 0 {
 					nb = append(nb, int(r)-1)
 				}
@@ -338,27 +335,19 @@ func resizeMatrix(m *tensor.Matrix, rows, cols int) {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 }
 
-// growTo returns xs at length n with its contents kept. The first build is
-// sized exactly — a trainer's policy only ever sees one graph size, so slack
-// there is allocated and never used — and later growth doubles, so the appends
-// of a stream, or a lease's next bigger request, copy amortised O(new tasks).
-func growTo[T any](xs []T, n int) []T {
+// growTo returns xs at length n with its contents kept; when it must grow, it
+// makes room for max(n, room) elements.
+func growTo[T any](xs []T, n, room int) []T {
 	if n <= cap(xs) {
 		return xs[:n]
 	}
-	out := make([]T, n, max(n, 2*cap(xs)))
+	out := make([]T, n, max(n, room))
 	copy(out, xs)
 	return out
 }
 
-func appendSortedInts(dst, src []int) []int {
-	dst = append(dst, src...)
-	insertionSortInts(dst)
-	return dst
-}
-
-// insertionSortInts sorts small int slices in place (window rows and
-// neighbour lists are tens of elements).
+// insertionSortInts sorts small int slices in place (window rows and CSR
+// rows are tens of elements).
 func insertionSortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		v := xs[i]

@@ -183,7 +183,7 @@ func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 // Reset implements sim.Policy: it clears the episode recording, the
 // descendant features, the incremental state, and the decision memo. Handed
 // the frozen graph of its previous episode again, the incremental encoder
-// keeps what it derived from the graph alone (F(i), sorted neighbour lists).
+// keeps what it derived from the graph alone (F(i)).
 func (p *Policy) Reset(s *sim.State) {
 	p.feats = nil
 	p.Steps = nil

@@ -107,13 +107,32 @@ func (c *Cluster) OnTaskDone(fn func(task int, at float64)) {
 	}
 }
 
+// Reserve makes room for n more tasks in the union graph and in every per-task
+// State slice, so that AddJobs of up to n tasks in all grow none of them. A
+// caller that knows its arrivals reserves their sum once; without it each
+// slice grows by append's factor and copies the history so far at every step.
+func (c *Cluster) Reserve(n int) {
+	s := c.s
+	s.Graph.Reserve(n)
+	s.Done = slices.Grow(s.Done, n)
+	s.Started = slices.Grow(s.Started, n)
+	s.StartTime = slices.Grow(s.StartTime, n)
+	s.EndTime = slices.Grow(s.EndTime, n)
+	s.Attempts = slices.Grow(s.Attempts, n)
+	s.AssignedTo = slices.Grow(s.AssignedTo, n)
+	s.TimingIdx = slices.Grow(s.TimingIdx, n)
+	s.JobID = slices.Grow(s.JobID, n)
+	s.PredLeft = slices.Grow(s.PredLeft, n)
+}
+
 // AddJob appends a job's DAG to the union graph at the current simulated
 // time: task IDs are shifted by the current graph size, the job's roots enter
 // the shared ready set, and GraphEpoch is bumped so adaptive policies replan.
 // tt is the timing table of the job's DAG family (jobs of different families
 // legitimately carry different tables). Returns the job's base task offset.
 //
-// The job arrives in bulk — one Graph.Append, one growth per State slice — and
+// The job arrives in bulk — one Graph.Append, at most one growth per State
+// slice and none within a Reserve — and
 // a frozen graph, validated when it was frozen, is not validated again: a
 // caller that keeps one frozen graph per job shape pays for an arrival what
 // copying it costs.

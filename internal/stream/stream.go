@@ -118,13 +118,26 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	// One template per job shape: a stream draws its jobs from a handful of
+	// (family, size) pairs, and a pair's graph, timing table and isolated HEFT
+	// makespan are the same at every arrival. Building them all up front (HEFT
+	// draws nothing from the Rng) tells the cluster what the union will hold,
+	// so it grows its history once.
+	templates := make(map[jobShape]*jobTemplate)
+	total := 0
+	for _, a := range arrivals {
+		tpl := templates[jobShape{a.Kind, a.Size}]
+		if tpl == nil {
+			tpl = newJobTemplate(a, cfg.Platform)
+			templates[jobShape{a.Kind, a.Size}] = tpl
+		}
+		total += tpl.graph.NumTasks()
+	}
+	cl.Reserve(total)
+
 	var (
 		jobs      = make([]JobResult, len(arrivals))
 		remaining = make([]int, len(arrivals)) // undone tasks per job
-		// One template per job shape: a stream draws its jobs from a handful
-		// of (family, size) pairs, and a pair's graph, timing table and
-		// isolated HEFT makespan are the same at every arrival.
-		templates = make(map[jobShape]*jobTemplate)
 	)
 	var mArrived, mCompleted *obs.Counter
 	var mResponse *obs.Histogram
@@ -156,10 +169,6 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("stream: advancing to arrival %d at %.1f: %w", i, a.At, err)
 		}
 		tpl := templates[jobShape{a.Kind, a.Size}]
-		if tpl == nil {
-			tpl = newJobTemplate(a, cfg.Platform)
-			templates[jobShape{a.Kind, a.Size}] = tpl
-		}
 		jobs[i] = JobResult{
 			Job: i, Kind: a.Kind, Size: a.Size, Tasks: tpl.graph.NumTasks(), ArriveAt: a.At,
 			IsolatedMakespan: tpl.isolated,

@@ -90,9 +90,15 @@ func (a *DescendantAccumulator) Extend(g *Graph) {
 	if n <= cap(a.raw) {
 		a.raw = a.raw[:n]
 	} else {
-		// Exact on the first build (a single-DAG episode never grows), then
-		// doubling so a stream's appends stay amortised O(job).
-		grown := make([][NumKernels]float64, n, max(n, 2*cap(a.raw)))
+		// Exact for a frozen graph (a single-DAG episode never grows); for one
+		// that grows, room for what its Tasks have room for — a reserved
+		// stream's whole union, or append's geometric growth — so appends stay
+		// amortised O(job).
+		room := n
+		if !g.frozen {
+			room = cap(g.Tasks)
+		}
+		grown := make([][NumKernels]float64, n, room)
 		copy(grown, a.raw)
 		a.raw = grown
 	}

@@ -386,6 +386,20 @@ func (g *Graph) Append(h *Graph, prefix string) int {
 	return base
 }
 
+// Reserve makes room for n more tasks in Tasks, Succ and Pred, so that Appends
+// of up to n tasks in all grow none of the three: a caller that knows what a
+// graph will hold — a stream's union over its whole arrival list — pays for the
+// growth once instead of re-copying the graph so far as it grows. It panics on
+// a frozen graph, as Append does.
+func (g *Graph) Reserve(n int) {
+	if g.frozen {
+		panic("taskgraph: Reserve on a frozen graph")
+	}
+	g.Tasks = slices.Grow(g.Tasks, n)
+	g.Succ = slices.Grow(g.Succ, n)
+	g.Pred = slices.Grow(g.Pred, n)
+}
+
 // NumTasks returns the number of vertices.
 func (g *Graph) NumTasks() int { return len(g.Tasks) }
 
