@@ -88,7 +88,12 @@ test:
 # gradients vs the per-decision update kept in the test file
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
-# an episode is recorded in memory the trainer does not keep. The episode log
+# an episode is recorded in memory the trainer does not keep. A warm update
+# allocates nothing (TestUpdateAllocFree), the row-parallel products give the
+# serial bits at any GOMAXPROCS and with every helper busy
+# (TestParallelOpsBitIdenticalAcrossWorkerCounts,
+# TestConcurrentProductsShareHelpers), and an inference tape keeps no backward
+# step (TestInferenceTapeRecordsNoSteps). The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
 # features, directed, no incremental encoder, mid-episode stream arrivals), a reused log and resident rollout policy to fresh ones
@@ -108,10 +113,11 @@ test:
 # TestTracerStringTableBounded if the ring's string table keeps strings no
 # live record names. These also run under `make test`.
 equiv:
-	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps' ./internal/autograd/
+	$(GO) test -run 'TestParallelOpsBitIdenticalAcrossWorkerCounts|TestConcurrentProductsShareHelpers' ./internal/tensor/
+	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
 	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
-	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
+	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
@@ -138,7 +144,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/
 
-# Concurrency-sensitive packages run under the race detector: internal/serve
+# Concurrency-sensitive packages run under the race detector: internal/tensor,
+# internal/autograd and internal/nn (every goroutine that multiplies shares
+# the row-parallel products' helper goroutines —
+# TestConcurrentProductsShareHelpers), internal/serve
 # (registry, pool, handlers, and leases handing resident policies from one
 # worker to the next — TestConcurrentLeasedPolicies), internal/core
 # (shared-agent inference), internal/rl (parallel batch
@@ -148,7 +157,7 @@ fuzz:
 # internal/sim (fault injection under parallel rollouts), and internal/stream
 # (stream rollouts share agents across workers).
 race:
-	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/fleet/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
+	$(GO) test -race ./internal/tensor/... ./internal/autograd/... ./internal/nn/... ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/fleet/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
 
 # Portability gate. internal/tensor's assembly exists for amd64 only; every
 # other architecture runs the Go loops of axpy.go/ops.go behind

@@ -6,7 +6,7 @@
 // accumulating gradients into every node that requires them. The op set is
 // exactly what the READYS policy/value network of the paper (Fig. 2) and the
 // A2C loss need: matrix products (dense and sparse-propagation SpMM),
-// bias broadcasts, ReLU/Tanh/Exp nonlinearities, node-set pooling (mean/max
+// bias broadcasts, ReLU/Exp nonlinearities, node-set pooling (mean/max
 // over rows), row gathering for ready-task selection, concatenation,
 // log-softmax, and scalar arithmetic (scalars are represented as 1x1
 // matrices).
@@ -24,18 +24,25 @@
 //
 // Every intermediate the tape creates — op outputs, gradient accumulators and
 // backward-pass temporaries — is drawn from the size-bucketed buffer pool in
-// internal/tensor through a tape-scoped free list. A gradient is owned by
-// exactly one node at a time: an op's backward step builds its input's
-// gradient in a temporary, or reuses its own gradient in place, and hands it
-// over — it becomes the input's accumulator if the input has none yet, else it
-// is added in and goes back on the list (give, pass). An op node's accumulator
-// goes back on the list as soon as its backward step has run; Reset puts the
-// rest back and keeps the list for the next pass on the same tape (the shared
-// pool sits on sync.Pool, which every collection empties — a tape that cycles
-// through megabyte buffers keeps them itself); Release hands everything to the
-// shared pool. Caller-provided matrices (Const/Var/Param inputs) are never
-// pooled or released. Nodes themselves live in chunks the tape keeps across
-// Reset, so a warm tape records a pass without allocating a node.
+// internal/tensor through a tape-scoped free list; an op output its kernel
+// writes in full (MatMulSeg, LinearReLUSeg, SpMM) is drawn without zeroing. A
+// gradient is owned by exactly one node at a time: an op's backward step
+// builds its input's gradient in a temporary, or reuses its own gradient in
+// place, and hands it over — it becomes the input's accumulator if the input
+// has none yet, else it is added in and goes back on the list (give, pass). An
+// op node's accumulator goes back on the list as soon as its backward step has
+// run; Reset puts the rest back and keeps the list for the next pass on the
+// same tape (the shared pool sits on sync.Pool, which every collection empties
+// — a tape that cycles through megabyte buffers keeps them itself); Release
+// hands everything to the shared pool. Caller-provided matrices
+// (Const/Var/Param inputs) are never pooled or released.
+//
+// A backward step is a record, not a closure: an op code and the operands the
+// step reads (input nodes, segment table, index table, scalar, sparse
+// operand), kept in a slice the tape owns, which Backward dispatches with one
+// switch. Nodes live in chunks, and steps, index tables and ConcatRows' input
+// lists in buffers, that the tape keeps across Reset, so a warm tape records
+// and differentiates a pass without allocating.
 //
 // An inference tape (NewInferenceTape) is the same tape for passes that take
 // no gradient, such as a policy's decisions: nothing on it requires a
@@ -65,12 +72,53 @@ type Node struct {
 	requiresGrad bool
 	// extGrad marks a Param leaf: Grad is the caller's accumulator, never
 	// allocated, pooled or dropped by the tape.
-	extGrad  bool
-	backward func()
+	extGrad bool
+	// step is 1 + the index of the node's backward step in its tape's
+	// steps, or 0 when it has none.
+	step int
 }
 
 // RequiresGrad reports whether gradients flow into this node.
 func (n *Node) RequiresGrad() bool { return n.requiresGrad }
+
+// opCode names the op a backward step differentiates.
+type opCode uint8
+
+const (
+	opMatMul opCode = iota
+	opLinearReLU
+	opSpMM
+	opAdd
+	opSub
+	opMul
+	opScale
+	opAddConst
+	opAddRowVector
+	opReLU
+	opExp
+	opSquare
+	opSegmentSum
+	opSegmentMeanRows
+	opSegmentMaxRows
+	opGatherRows
+	opConcatCols
+	opConcatRows
+	opLogSoftmax
+	opPick
+)
+
+// step records an op's backward step: what Backward needs, besides the output
+// node, to hand the op's inputs their gradients.
+type step struct {
+	op      opCode
+	a, b, c *Node          // node operands, in argument order
+	segs    []int          // segment table of a's rows
+	idx     []int          // GatherRows' indices, SegmentMaxRows' argmaxes
+	parts   []*Node        // ConcatRows' inputs
+	s       float64        // Scale's factor
+	at      int            // Pick's entry, row-major
+	sp      *tensor.Sparse // SpMM's constant operand
+}
 
 // Tape records operations for a single forward pass. A Tape is not safe for
 // concurrent use; create one tape per goroutine.
@@ -78,6 +126,9 @@ type Tape struct {
 	// chunks hold the n recorded nodes in creation order; Reset keeps them.
 	chunks [][]Node
 	n      int
+	// steps holds the backward steps of the recorded nodes; Reset keeps its
+	// array.
+	steps []step
 	// owned lists the op outputs, which Reset and Release recycle with every
 	// remaining gradient accumulator — except on an inference tape, where
 	// owned[i] is the i-th output's slot, kept, and slot counts the outputs.
@@ -87,8 +138,10 @@ type Tape struct {
 	// bufs is where every buffer of the tape comes from and goes back to.
 	bufs tensor.FreeList
 	// idx backs the index tables ops keep for their backward step (gathered
-	// rows, pooling argmaxes); Reset rewinds it.
+	// rows, pooling argmaxes) and parts ConcatRows' input lists; Reset
+	// rewinds both.
 	idx      []int
+	parts    []*Node
 	released bool
 }
 
@@ -101,7 +154,7 @@ func (t *Tape) gradOf(n *Node) *tensor.Matrix {
 }
 
 // accum adds g into n.Grad and leaves g to the caller. It is a no-op for nodes
-// that do not require gradients, so op backward functions can call it
+// that do not require gradients, so backward steps can call it
 // unconditionally.
 func (t *Tape) accum(n *Node, g *tensor.Matrix) {
 	if n.requiresGrad {
@@ -169,16 +222,32 @@ func (t *Tape) push(n Node) *Node {
 	return p
 }
 
+// result records an op's output val, which requires a gradient when req, and
+// when it does, the op's backward step st.
+func (t *Tape) result(val *tensor.Matrix, req bool, st step) *Node {
+	out := t.push(Node{Value: val, requiresGrad: req})
+	if req {
+		t.steps = append(t.steps, st)
+		out.step = len(t.steps)
+	}
+	return out
+}
+
 // alloc draws a zeroed rows x cols op output and records it as tape-owned.
 func (t *Tape) alloc(rows, cols int) *tensor.Matrix { return t.output(rows, cols, true) }
 
-// overwrite draws an op output the op's kernel writes in full, so an
-// inference tape need not zero it first.
+// overwrite draws an op output the op's kernel writes in full, so it need not
+// be zeroed first.
 func (t *Tape) overwrite(rows, cols int) *tensor.Matrix { return t.output(rows, cols, false) }
 
 func (t *Tape) output(rows, cols int, zero bool) *tensor.Matrix {
 	if !t.infer {
-		m := t.bufs.Get(rows, cols)
+		var m *tensor.Matrix
+		if zero {
+			m = t.bufs.Get(rows, cols)
+		} else {
+			m = t.bufs.GetDirty(rows, cols)
+		}
 		t.owned = append(t.owned, m)
 		return m
 	}
@@ -196,16 +265,16 @@ func (t *Tape) output(rows, cols int, zero bool) *tensor.Matrix {
 	return m
 }
 
-// ints cuts an n-entry index table from the tape's kept buffer. When the
-// buffer is full a larger one replaces it; tables cut earlier keep the old
-// array alive until the Reset that voids them.
-func (t *Tape) ints(n int) []int {
-	lo := len(t.idx)
-	if lo+n > cap(t.idx) {
-		t.idx, lo = make([]int, 0, max(2*cap(t.idx), n)), 0
+// carve cuts an n-entry table, for the caller to fill, from the tape's kept
+// buffer *buf. When the buffer is full a larger one replaces it; tables cut
+// earlier keep the old array alive until the Reset that voids them.
+func carve[T any](buf *[]T, n int) []T {
+	lo := len(*buf)
+	if lo+n > cap(*buf) {
+		*buf, lo = make([]T, 0, max(2*cap(*buf), n)), 0
 	}
-	t.idx = t.idx[:lo+n]
-	return t.idx[lo : lo+n : lo+n]
+	*buf = (*buf)[:lo+n]
+	return (*buf)[lo : lo+n : lo+n]
 }
 
 // Reset empties the tape for another forward pass and keeps its buffers: every
@@ -221,7 +290,7 @@ func (t *Tape) Reset() {
 	used := t.n
 	t.n, t.slot, t.idx = 0, 0, t.idx[:0]
 	if t.infer {
-		return // its nodes hold no gradient or closure; the next pass overwrites them
+		return // its nodes hold no gradient or step; the next pass overwrites them
 	}
 	for i := range used {
 		n := t.node(i)
@@ -230,6 +299,9 @@ func (t *Tape) Reset() {
 		}
 		*n = Node{}
 	}
+	clear(t.steps)
+	clear(t.parts)
+	t.steps, t.parts = t.steps[:0], t.parts[:0]
 	for i, m := range t.owned {
 		t.bufs.Put(m)
 		t.owned[i] = nil
@@ -246,7 +318,7 @@ func (t *Tape) Release() {
 	}
 	t.Reset()
 	t.bufs.Drain()
-	t.chunks, t.owned, t.idx = nil, nil, nil
+	t.chunks, t.steps, t.owned, t.idx, t.parts = nil, nil, nil, nil, nil
 	t.released = true
 }
 
@@ -290,11 +362,165 @@ func (t *Tape) Backward(root *Node) {
 	t.gradOf(root).Data[0] += 1
 	for i := t.n - 1; i >= 0; i-- {
 		n := t.node(i)
-		if n.backward != nil && n.Grad != nil {
-			n.backward()
+		if n.step != 0 && n.Grad != nil {
+			t.backward(n, &t.steps[n.step-1])
 			t.bufs.Put(n.Grad) // a no-op when pass handed it on
 			n.Grad = nil
 		}
+	}
+}
+
+// backward runs out's backward step st: from ∂out (out.Grad) it gives each
+// input of the op its gradient.
+func (t *Tape) backward(out *Node, st *step) {
+	a, b, dc := st.a, st.b, out.Grad
+	switch st.op {
+	case opMatMul: // a*b over segs
+		t.matMulGrads(a, b, dc, st.segs)
+	case opLinearReLU: // ReLU(a*b + c) over segs
+		// out is +0 or positive, so its bits are 0 exactly where ∂out is
+		// masked; an AND keeps the unmasked bits, with no branch to
+		// mispredict on a half-zero activation.
+		val := out.Value.Data
+		d := dc.Data[:len(val)]
+		for i, v := range val {
+			keep := uint64(-int64(math.Float64bits(v)) >> 63)
+			d[i] = math.Float64frombits(math.Float64bits(d[i]) & keep)
+		}
+		t.addColSums(st.c, dc, st.segs)
+		t.matMulGrads(a, b, dc, st.segs)
+	case opSpMM: // sp*a
+		g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
+		tensor.SpMMTransAInto(st.sp, dc, g)
+		t.give(a, g)
+	case opAdd: // a + b
+		t.accum(a, dc)
+		t.pass(b, out)
+	case opSub: // a − b
+		t.accum(a, dc)
+		tensor.ScaleInto(dc, -1, dc)
+		t.pass(b, out)
+	case opMul: // a ⊙ b
+		if a.requiresGrad {
+			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
+			tensor.MulInto(dc, b.Value, g)
+			t.give(a, g)
+		}
+		tensor.MulInto(dc, a.Value, dc)
+		t.pass(b, out)
+	case opScale: // s·a
+		tensor.ScaleInto(dc, st.s, dc)
+		t.pass(a, out)
+	case opAddConst: // a + s
+		t.pass(a, out)
+	case opAddRowVector: // a + b broadcast over rows, b's gradient over segs
+		t.addColSums(b, dc, st.segs)
+		t.pass(a, out)
+	case opReLU: // max(a, 0)
+		for i, v := range a.Value.Data {
+			if !(v > 0) {
+				dc.Data[i] = 0
+			}
+		}
+		t.pass(a, out)
+	case opExp: // exp(a)
+		tensor.MulInto(dc, out.Value, dc)
+		t.pass(a, out)
+	case opSquare: // a²
+		for i, v := range a.Value.Data {
+			dc.Data[i] = float64(dc.Data[i]*v) * 2
+		}
+		t.pass(a, out)
+	case opSegmentSum: // Σ over each range of segs
+		cols := a.Value.Cols
+		g := t.bufs.Get(a.Value.Rows, cols)
+		for s, v := range dc.Data {
+			lo, hi := tensor.SegmentBounds(st.segs, s, a.Value.Rows)
+			for i := lo * cols; i < hi*cols; i++ {
+				g.Data[i] = v
+			}
+		}
+		t.give(a, g)
+	case opSegmentMeanRows: // column means over each range of segs
+		g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
+		for s := 0; s < dc.Rows; s++ {
+			lo, hi := tensor.SegmentBounds(st.segs, s, a.Value.Rows)
+			inv := 1.0 / float64(hi-lo)
+			for i := lo; i < hi; i++ {
+				grow := g.Row(i)
+				for j, v := range dc.Row(s) {
+					grow[j] = v * inv
+				}
+			}
+		}
+		t.give(a, g)
+	case opSegmentMaxRows: // column maxima over each range of segs, argmaxes in idx
+		cols := a.Value.Cols
+		g := t.bufs.Get(a.Value.Rows, cols)
+		for s := 0; s < dc.Rows; s++ {
+			lo, hi := tensor.SegmentBounds(st.segs, s, a.Value.Rows)
+			if lo == hi {
+				continue
+			}
+			for j, v := range dc.Row(s) {
+				g.Data[(lo+st.idx[s*cols+j])*cols+j] = v
+			}
+		}
+		t.give(a, g)
+	case opGatherRows: // a's rows idx
+		g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
+		for i, r := range st.idx {
+			grow := g.Row(r)
+			for j, v := range dc.Row(i) {
+				grow[j] += v
+			}
+		}
+		t.give(a, g)
+	case opConcatCols: // [a | b]
+		ac := a.Value.Cols
+		if a.requiresGrad {
+			g := t.bufs.Get(a.Value.Rows, ac)
+			for i := 0; i < g.Rows; i++ {
+				copy(g.Row(i), dc.Row(i)[:ac])
+			}
+			t.give(a, g)
+		}
+		if b.requiresGrad {
+			g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
+			for i := 0; i < g.Rows; i++ {
+				copy(g.Row(i), dc.Row(i)[ac:])
+			}
+			t.give(b, g)
+		}
+	case opConcatRows: // parts stacked
+		offset := 0
+		for _, p := range st.parts {
+			rows := p.Value.Rows
+			if p.requiresGrad {
+				g := t.bufs.Get(rows, p.Value.Cols)
+				copy(g.Data, dc.Data[offset*dc.Cols:(offset+rows)*dc.Cols])
+				t.give(p, g)
+			}
+			offset += rows
+		}
+	case opLogSoftmax: // log-softmax of each range of segs
+		// d logsoftmax: dx_i = g_i - softmax_i * Σ g, the sum over i's range.
+		val, n := out.Value.Data, a.Value.Rows
+		for s := 0; s < tensor.SegmentCount(st.segs); s++ {
+			lo, hi := tensor.SegmentBounds(st.segs, s, n)
+			var gsum float64
+			for _, v := range dc.Data[lo:hi] {
+				gsum += v
+			}
+			for i := lo; i < hi; i++ {
+				dc.Data[i] -= float64(math.Exp(val[i]) * gsum)
+			}
+		}
+		t.pass(a, out)
+	case opPick: // a's entry at (row-major)
+		g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
+		g.Data[st.at] = dc.Data[0]
+		t.give(a, g)
 	}
 }
 
@@ -316,11 +542,7 @@ func (t *Tape) MatMul(a, b *Node) *Node { return t.MatMulSeg(a, b, nil) }
 func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
 	val := t.overwrite(a.Value.Rows, b.Value.Cols)
 	tensor.MatMulInto(a.Value, b.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
-	if out.requiresGrad {
-		out.backward = func() { t.matMulGrads(a, b, out.Grad, segs) }
-	}
-	return out
+	return t.result(val, anyGrad(a, b), step{op: opMatMul, a: a, b: b, segs: segs})
 }
 
 // LinearReLUSeg records the dense layer c = ReLU(a*w + bias) as one node, with
@@ -331,22 +553,7 @@ func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
 func (t *Tape) LinearReLUSeg(a, w, bias *Node, segs []int) *Node {
 	val := t.overwrite(a.Value.Rows, w.Value.Cols)
 	tensor.LinearReLUInto(a.Value, w.Value, bias.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, w, bias)})
-	if out.requiresGrad {
-		out.backward = func() {
-			// c is +0 or positive, so its bits are 0 exactly where ∂c is
-			// masked; an AND keeps the unmasked bits, with no branch to
-			// mispredict on a half-zero activation.
-			dc := out.Grad.Data[:len(val.Data)]
-			for i, v := range val.Data {
-				keep := uint64(-int64(math.Float64bits(v)) >> 63)
-				dc[i] = math.Float64frombits(math.Float64bits(dc[i]) & keep)
-			}
-			t.addColSums(bias, out.Grad, segs)
-			t.matMulGrads(a, w, out.Grad, segs)
-		}
-	}
-	return out
+	return t.result(val, anyGrad(a, w, bias), step{op: opLinearReLU, a: a, b: w, c: bias, segs: segs})
 }
 
 // matMulGrads takes the gradients of c = a*b from ∂c = dc. a's, ∂c·bᵀ, runs on
@@ -378,88 +585,42 @@ func (t *Tape) matMulGrads(a, b *Node, dc *tensor.Matrix, segs []int) {
 func (t *Tape) SpMM(a *tensor.Sparse, b *Node) *Node {
 	val := t.overwrite(a.Rows, b.Value.Cols)
 	tensor.SpMMInto(a, b.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: b.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
-			tensor.SpMMTransAInto(a, out.Grad, g)
-			t.give(b, g)
-		}
-	}
-	return out
+	return t.result(val, b.requiresGrad, step{op: opSpMM, a: b, sp: a})
 }
 
 // Add records c = a + b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddInto(a.Value, b.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
-	if out.requiresGrad {
-		out.backward = func() {
-			t.accum(a, out.Grad)
-			t.pass(b, out)
-		}
-	}
-	return out
+	return t.result(val, anyGrad(a, b), step{op: opAdd, a: a, b: b})
 }
 
 // Sub records c = a - b.
 func (t *Tape) Sub(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.SubInto(a.Value, b.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
-	if out.requiresGrad {
-		out.backward = func() {
-			t.accum(a, out.Grad)
-			tensor.ScaleInto(out.Grad, -1, out.Grad)
-			t.pass(b, out)
-		}
-	}
-	return out
+	return t.result(val, anyGrad(a, b), step{op: opSub, a: a, b: b})
 }
 
 // Mul records the elementwise product c = a ⊙ b.
 func (t *Tape) Mul(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(a.Value, b.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
-	if out.requiresGrad {
-		out.backward = func() {
-			if a.requiresGrad {
-				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
-				tensor.MulInto(out.Grad, b.Value, g)
-				t.give(a, g)
-			}
-			tensor.MulInto(out.Grad, a.Value, out.Grad)
-			t.pass(b, out)
-		}
-	}
-	return out
+	return t.result(val, anyGrad(a, b), step{op: opMul, a: a, b: b})
 }
 
 // Scale records c = s*a for a constant s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ScaleInto(a.Value, s, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			tensor.ScaleInto(out.Grad, s, out.Grad)
-			t.pass(a, out)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opScale, a: a, s: s})
 }
 
 // AddConst records c = a + s for a constant s.
 func (t *Tape) AddConst(a *Node, s float64) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ApplyInto(a.Value, func(v float64) float64 { return v + s }, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() { t.pass(a, out) }
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opAddConst, a: a})
 }
 
 // AddRowVector records c[i,:] = a[i,:] + v where v is 1 x Cols (bias broadcast).
@@ -471,14 +632,7 @@ func (t *Tape) AddRowVector(a, v *Node) *Node { return t.AddRowVectorSeg(a, v, n
 func (t *Tape) AddRowVectorSeg(a, v *Node, segs []int) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddRowVectorInto(a.Value, v.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, v)})
-	if out.requiresGrad {
-		out.backward = func() {
-			t.addColSums(v, out.Grad, segs)
-			t.pass(a, out)
-		}
-	}
-	return out
+	return t.result(val, anyGrad(a, v), step{op: opAddRowVector, a: a, b: v, segs: segs})
 }
 
 // addColSums gives v, a row vector broadcast over dc's rows, its gradient: the
@@ -510,87 +664,21 @@ func (t *Tape) ReLU(a *Node) *Node {
 		}
 		return 0
 	}, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			for i, v := range a.Value.Data {
-				if !(v > 0) {
-					out.Grad.Data[i] = 0
-				}
-			}
-			t.pass(a, out)
-		}
-	}
-	return out
-}
-
-// LeakyReLU records c = a if a>0 else slope*a.
-func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
-	tensor.ApplyInto(a.Value, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return slope * v
-	}, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			for i, v := range a.Value.Data {
-				if !(v > 0) {
-					out.Grad.Data[i] *= slope
-				}
-			}
-			t.pass(a, out)
-		}
-	}
-	return out
-}
-
-// Tanh records c = tanh(a) elementwise.
-func (t *Tape) Tanh(a *Node) *Node {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
-	tensor.ApplyInto(a.Value, math.Tanh, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			for i, y := range val.Data {
-				out.Grad.Data[i] *= 1 - float64(y*y)
-			}
-			t.pass(a, out)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opReLU, a: a})
 }
 
 // Exp records c = exp(a) elementwise.
 func (t *Tape) Exp(a *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ApplyInto(a.Value, math.Exp, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			tensor.MulInto(out.Grad, val, out.Grad)
-			t.pass(a, out)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opExp, a: a})
 }
 
 // Square records c = a² elementwise.
 func (t *Tape) Square(a *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(a.Value, a.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			for i, v := range a.Value.Data {
-				out.Grad.Data[i] = float64(out.Grad.Data[i]*v) * 2
-			}
-			t.pass(a, out)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opSquare, a: a})
 }
 
 // SumAll records the 1x1 scalar sum of every entry of a.
@@ -599,27 +687,13 @@ func (t *Tape) SumAll(a *Node) *Node { return t.SegmentSum(a, nil) }
 // SegmentSum records the column vector whose entry s is the sum of every
 // entry of a's row range s, added in row-major order.
 func (t *Tape) SegmentSum(a *Node, segs []int) *Node {
-	cols := a.Value.Cols
 	val := t.alloc(tensor.SegmentCount(segs), 1)
 	var in tensor.Matrix
 	for s := range val.Data {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
 		val.Data[s] = tensor.Sum(rowsView(&in, a.Value, lo, hi))
 	}
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, cols)
-			for s, v := range out.Grad.Data {
-				lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
-				for i := lo * cols; i < hi*cols; i++ {
-					g.Data[i] = v
-				}
-			}
-			t.give(a, g)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opSegmentSum, a: a, segs: segs})
 }
 
 // rowsView points view at rows [lo, hi) of m.
@@ -635,31 +709,13 @@ func (t *Tape) MeanRows(a *Node) *Node { return t.SegmentMeanRows(a, nil) }
 // SegmentMeanRows records the matrix whose row s holds the column means of
 // a's row range s. An empty range pools to zeros and passes no gradient.
 func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
-	cols := a.Value.Cols
-	val := t.alloc(tensor.SegmentCount(segs), cols)
+	val := t.alloc(tensor.SegmentCount(segs), a.Value.Cols)
 	var in, res tensor.Matrix
 	for s := 0; s < val.Rows; s++ {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
 		tensor.MeanRowsInto(rowsView(&in, a.Value, lo, hi), rowsView(&res, val, s, s+1))
 	}
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, cols)
-			for s := 0; s < out.Grad.Rows; s++ {
-				lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
-				inv := 1.0 / float64(hi-lo)
-				for i := lo; i < hi; i++ {
-					grow := g.Row(i)
-					for j, v := range out.Grad.Row(s) {
-						grow[j] = v * inv
-					}
-				}
-			}
-			t.give(a, g)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opSegmentMeanRows, a: a, segs: segs})
 }
 
 // MaxRows records the 1 x Cols vector of column maxima (max pooling over the
@@ -673,81 +729,31 @@ func (t *Tape) MaxRows(a *Node) *Node { return t.SegmentMaxRows(a, nil) }
 func (t *Tape) SegmentMaxRows(a *Node, segs []int) *Node {
 	cols := a.Value.Cols
 	val := t.alloc(tensor.SegmentCount(segs), cols)
-	arg := t.ints(val.Rows * cols) // MaxRowsInto writes every entry
+	arg := carve(&t.idx, val.Rows*cols) // MaxRowsInto writes every entry
 	var in, res tensor.Matrix
 	for s := 0; s < val.Rows; s++ {
 		lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
 		tensor.MaxRowsInto(rowsView(&in, a.Value, lo, hi), rowsView(&res, val, s, s+1), arg[s*cols:(s+1)*cols])
 	}
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, cols)
-			for s := 0; s < out.Grad.Rows; s++ {
-				lo, hi := tensor.SegmentBounds(segs, s, a.Value.Rows)
-				if lo == hi {
-					continue
-				}
-				for j, v := range out.Grad.Row(s) {
-					g.Data[(lo+arg[s*cols+j])*cols+j] = v
-				}
-			}
-			t.give(a, g)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opSegmentMaxRows, a: a, segs: segs, idx: arg})
 }
 
 // GatherRows records the matrix whose i-th row is a's row idx[i] (selecting
 // the embeddings of the ready tasks). Gradients scatter-add back, so repeated
 // indices are handled correctly.
 func (t *Tape) GatherRows(a *Node, idx []int) *Node {
-	ids := t.ints(len(idx))
+	ids := carve(&t.idx, len(idx))
 	copy(ids, idx)
 	val := t.alloc(len(ids), a.Value.Cols)
 	tensor.GatherRowsInto(a.Value, ids, val)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
-			for i, r := range ids {
-				grow := g.Row(r)
-				orow := out.Grad.Row(i)
-				for j, v := range orow {
-					grow[j] += v
-				}
-			}
-			t.give(a, g)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opGatherRows, a: a, idx: ids})
 }
 
 // ConcatCols records [a | b].
 func (t *Tape) ConcatCols(a, b *Node) *Node {
 	val := t.alloc(a.Value.Rows, a.Value.Cols+b.Value.Cols)
 	tensor.ConcatColsInto(a.Value, b.Value, val)
-	out := t.push(Node{Value: val, requiresGrad: anyGrad(a, b)})
-	if out.requiresGrad {
-		ac := a.Value.Cols
-		out.backward = func() {
-			if a.requiresGrad {
-				g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
-				for i := 0; i < g.Rows; i++ {
-					copy(g.Row(i), out.Grad.Row(i)[:ac])
-				}
-				t.give(a, g)
-			}
-			if b.requiresGrad {
-				g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
-				for i := 0; i < g.Rows; i++ {
-					copy(g.Row(i), out.Grad.Row(i)[ac:])
-				}
-				t.give(b, g)
-			}
-		}
-	}
-	return out
+	return t.result(val, anyGrad(a, b), step{op: opConcatCols, a: a, b: b})
 }
 
 // ConcatRows records the vertical concatenation of nodes (all with equal
@@ -777,23 +783,12 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 		copy(val.Data[offset*cols:], n.Value.Data)
 		offset += n.Value.Rows
 	}
-	out := t.push(Node{Value: val, requiresGrad: req})
-	if out.requiresGrad {
-		parts := append([]*Node(nil), nodes...)
-		out.backward = func() {
-			offset := 0
-			for _, p := range parts {
-				rows := p.Value.Rows
-				if p.requiresGrad {
-					g := t.bufs.Get(rows, p.Value.Cols)
-					copy(g.Data, out.Grad.Data[offset*out.Grad.Cols:(offset+rows)*out.Grad.Cols])
-					t.give(p, g)
-				}
-				offset += rows
-			}
-		}
+	var parts []*Node
+	if req {
+		parts = carve(&t.parts, len(nodes))
+		copy(parts, nodes)
 	}
-	return out
+	return t.result(val, req, step{op: opConcatRows, parts: parts})
 }
 
 // LogSoftmaxCol records the log-softmax of an n x 1 column vector in a
@@ -826,39 +821,14 @@ func (t *Tape) SegmentLogSoftmax(a *Node, segs []int) *Node {
 			val.Data[lo+i] = v - logZ
 		}
 	}
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			// d logsoftmax: dx_i = g_i - softmax_i * Σ g, the sum over i's range.
-			for s := 0; s < tensor.SegmentCount(segs); s++ {
-				lo, hi := tensor.SegmentBounds(segs, s, n)
-				var gsum float64
-				for _, v := range out.Grad.Data[lo:hi] {
-					gsum += v
-				}
-				for i := lo; i < hi; i++ {
-					out.Grad.Data[i] -= float64(math.Exp(val.Data[i]) * gsum)
-				}
-			}
-			t.pass(a, out)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opLogSoftmax, a: a, segs: segs})
 }
 
 // Pick records the 1x1 scalar a[i,j].
 func (t *Tape) Pick(a *Node, i, j int) *Node {
 	val := t.alloc(1, 1)
 	val.Data[0] = a.Value.At(i, j)
-	out := t.push(Node{Value: val, requiresGrad: a.requiresGrad})
-	if out.requiresGrad {
-		out.backward = func() {
-			g := t.bufs.Get(a.Value.Rows, a.Value.Cols)
-			g.Set(i, j, out.Grad.Data[0])
-			t.give(a, g)
-		}
-	}
-	return out
+	return t.result(val, a.requiresGrad, step{op: opPick, a: a, at: i*a.Value.Cols + j})
 }
 
 // Neg records c = -a.

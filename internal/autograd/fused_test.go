@@ -152,7 +152,7 @@ func TestFirstGradientMoves(t *testing.T) {
 	bp := tp.Param(randMat(rng, 1, 8), tensor.New(1, 8))
 	proj := tp.Var(randMat(rng, 8, 1))
 	h := tp.LinearReLUSeg(x, wp, bp, segs)
-	h = tp.Add(h, tp.Tanh(tp.AddRowVectorSeg(tp.MatMulSeg(h, tp.Const(randMat(rng, 8, 8)), segs), bp, segs)))
+	h = tp.Add(h, tp.ReLU(tp.AddRowVectorSeg(tp.MatMulSeg(h, tp.Const(randMat(rng, 8, 8)), segs), bp, segs)))
 	h = tp.Sub(tp.Mul(h, h), tp.Scale(tp.Exp(tp.Scale(h, 0.1)), 0.5))
 	scores := tp.SegmentLogSoftmax(tp.MatMulSeg(h, proj, segs), segs)
 	pooled := tp.ConcatCols(tp.SegmentMaxRows(h, segs), tp.SegmentMeanRows(h, segs))
@@ -179,6 +179,23 @@ func TestFirstGradientMoves(t *testing.T) {
 	for p, k := range freeListed(tp) {
 		if k > 1 {
 			t.Fatalf("buffer %#x is on the free list %d times", p, k)
+		}
+	}
+}
+
+// TestInferenceTapeRecordsNoSteps: nothing on an inference tape requires a
+// gradient, so a pass keeps no backward step and no ConcatRows input list —
+// serving memory does not grow with the steps a gradient tape keeps.
+func TestInferenceTapeRecordsNoSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tp := NewInferenceTape()
+	for range 2 {
+		tp.Reset()
+		h := tp.LinearReLUSeg(tp.Const(randMat(rng, 4, 3)), tp.Const(randMat(rng, 3, 3)), tp.Const(randMat(rng, 1, 3)), nil)
+		scores := tp.MatMul(tp.GatherRows(h, []int{2, 0}), tp.Const(randMat(rng, 3, 1)))
+		tp.ConcatRows(tp.LogSoftmaxCol(scores), tp.Pick(h, 0, 0))
+		if len(tp.steps) != 0 || len(tp.parts) != 0 {
+			t.Fatalf("an inference pass kept %d backward steps and %d ConcatRows inputs", len(tp.steps), len(tp.parts))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"readys/internal/autograd"
@@ -178,7 +179,9 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 // one records into logs it keeps and rolls out on a policy and in simulator
 // memory it keeps, and read 19 868 B — the update's tape nodes — until each
 // dense layer became one node and a first gradient was moved instead of
-// copied; it reads 12 112 B. The bound is about 1.25 × that.
+// copied; it read 12 112 B, and 10 385 B until a backward step became a record
+// on the tape instead of a closure and the row-parallel products stopped
+// making goroutines; it reads 7 777 B. The bound is about 1.25 × that.
 //
 // Live heap: an episode is recorded in memory the trainer already holds, so
 // nothing new should be live while a batch is being consumed. Sampled after
@@ -216,8 +219,8 @@ func TestTrainCostBounded(t *testing.T) {
 	perEpisode := (after.TotalAlloc - before.TotalAlloc) / uint64(tr.Cfg.Episodes)
 	t.Logf("%d B allocated per episode (per-decision-tape trainer %d), live heap %d B before, %d B at its highest",
 		perEpisode, parentBytesPerEpisode, before.HeapAlloc, peak)
-	if perEpisode > 15000 {
-		t.Fatalf("%d B allocated per episode, contract is 15 000: a rollout is building its policy, log or simulator state again, or the update its tape nodes", perEpisode)
+	if perEpisode > 9750 {
+		t.Fatalf("%d B allocated per episode, contract is 9 750: a rollout is building its policy, log or simulator state again, or the update its tape nodes or backward steps", perEpisode)
 	}
 	if bound := before.HeapAlloc + before.HeapAlloc/10; peak > bound {
 		t.Fatalf("live heap reached %d B while a batch was consumed, bound %d: an episode is being recorded in memory the trainer does not keep", peak, bound)
@@ -236,21 +239,75 @@ func ExampleStep() {
 	// Output: true true true
 }
 
-// BenchmarkA2CUpdate times the update of one recorded Cholesky T=6 episode
-// (≈ 147 decisions, ≈ 4 000 stacked rows) on the benchmark's agent size: the
-// batched tape pass against the per-decision oracle it replaced.
-func BenchmarkA2CUpdate(b *testing.B) {
+// convergedEpisode records one episode of the committed Cholesky T=6
+// checkpoint — the converged policy train_a2c_t6 continues training — on its
+// training problem, and returns a trainer over that agent, the rollout policy
+// holding the episode, and the episode's reward.
+func convergedEpisode(tb testing.TB) (*Trainer, *core.Policy, float64) {
+	tb.Helper()
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
+	if _, err := agent.LoadCheckpoint("../../models/readys_cholesky_T6_2c2g_w2_l2_h32.json"); err != nil {
+		tb.Fatal(err)
+	}
 	prob := core.NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
 	pol := core.NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
 	res, err := prob.Simulate(pol, pol.Rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	reward := core.Reward(prob.HEFTBaseline(), res.Makespan)
 	cfg := DefaultConfig()
 	cfg.Episodes = 1
-	tr := NewTrainer(agent, prob, cfg)
+	return NewTrainer(agent, prob, cfg), pol, core.Reward(prob.HEFTBaseline(), res.Makespan)
+}
+
+// TestUpdateAllocFree: once warm, the update of a recorded episode — the
+// batched forward, the loss, Backward into the parameters — allocates
+// nothing, on one CPU and with a helper taking blocks of the row-parallel
+// products. Each backward step used to be a heap closure, and each large
+// product made a closure, a WaitGroup and a goroutine per block: 216
+// allocations an update of this episode. The runtime itself allocates now and
+// then — a collection finishing, the record of a goroutine parked on a
+// channel when its P's cache has run dry — so the least of three windows of
+// five updates must read 0; an allocation in the update shows in every one.
+func TestUpdateAllocFree(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race runtime allocates beside the program when goroutines hand off over channels")
+	}
+	tr, pol, reward := convergedEpisode(t)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		// Warm: the tape's free list, arena, steps and tables, and the
+		// helpers, grow to what this episode needs.
+		tr.accumulate(pol.Log, pol.Steps, reward)
+		tr.accumulate(pol.Log, pol.Steps, reward)
+		var windows []uint64
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 5 {
+				tr.accumulate(pol.Log, pol.Steps, reward)
+			}
+			runtime.ReadMemStats(&after)
+			if windows = append(windows, after.Mallocs-before.Mallocs); after.Mallocs == before.Mallocs {
+				break
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+		if least := slices.Min(windows); least != 0 {
+			t.Fatalf("GOMAXPROCS %d: %v allocations in windows of 5 warm updates of %d decisions, want 0 in one", procs, windows, len(pol.Steps))
+		}
+	}
+}
+
+// raceDetector is set under -race (race_test.go).
+var raceDetector bool
+
+// BenchmarkA2CUpdate times the update of one recorded Cholesky T=6 episode
+// (163 decisions) of the committed converged
+// checkpoint, the agent train_a2c_t6 trains: the batched tape pass against
+// the per-decision oracle it replaced.
+func BenchmarkA2CUpdate(b *testing.B) {
+	tr, pol, reward := convergedEpisode(b)
 	b.Run("batched", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -260,7 +317,7 @@ func BenchmarkA2CUpdate(b *testing.B) {
 	b.Run("per-decision", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			accumulatePerDecision(agent, cfg, pol.Log, pol.Steps, reward)
+			accumulatePerDecision(tr.Agent, tr.Cfg, pol.Log, pol.Steps, reward)
 		}
 	})
 }

@@ -3,50 +3,11 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
-
-// parallelThreshold is the number of multiply-adds below which the matrix
-// products stay single-threaded; spawning goroutines for tiny products costs
-// more than the product itself.
-const parallelThreshold = 64 * 64 * 64
-
-// parallelRows splits [0, rows) into one contiguous block per worker and runs
-// fn on each block concurrently. Each output row is written by exactly one
-// goroutine with the same inner-loop order as the serial path, so results are
-// bit-identical regardless of the split.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		// One worker gains nothing from a goroutine hop; run inline. The
-		// split never changes results, only who computes which rows (see
-		// TestParallelOpsBitIdenticalAcrossWorkerCounts).
-		fn(0, rows)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // MatMul returns a*b. It panics if the inner dimensions disagree.
 // Large products are split across row blocks and computed by a pool of
-// goroutines sized to GOMAXPROCS.
+// goroutines sized to GOMAXPROCS (parallelRows).
 func MatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	MatMulInto(a, b, out)
@@ -61,15 +22,14 @@ func MatMulInto(a, b, out *Matrix) {
 		matMulRange(a, b, nil, out, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(a, b, nil, out, lo, hi) })
+	parallelRows(a.Rows, rowJob{kind: jobDense, a: a, b: b, out: out})
 }
 
 // LinearReLUInto computes out = ReLU(x*w + bias), a dense layer. It is
 // MatMulInto, AddRowVectorInto and `v > 0 ? v : 0` with the same bits: on AVX2
 // hosts the row kernel applies bias and ReLU to the finished row before it
 // stores it, elsewhere the three passes run one after the other. The kernel
-// path splits rows as MatMulInto does, in a closure of its own: capturing a
-// bias in MatMulInto's would grow what every large product allocates.
+// path splits rows as MatMulInto does.
 func LinearReLUInto(x, w, bias, out *Matrix) {
 	if bias.Rows != 1 || bias.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: LinearReLU bias wants 1x%d, got %dx%d", w.Cols, bias.Rows, bias.Cols))
@@ -89,7 +49,7 @@ func LinearReLUInto(x, w, bias, out *Matrix) {
 		matMulRange(x, w, bias.Data, out, 0, x.Rows)
 		return
 	}
-	parallelRows(x.Rows, func(lo, hi int) { matMulRange(x, w, bias.Data, out, lo, hi) })
+	parallelRows(x.Rows, rowJob{kind: jobLinearReLU, a: x, b: w, bias: bias.Data, out: out})
 }
 
 func mustMatMul(a, b, out *Matrix) {
@@ -164,7 +124,7 @@ func MatMulTransAInto(a, b, out *Matrix) {
 		matMulTransARange(a, b, out, 0, a.Cols, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Cols, func(lo, hi int) { matMulTransARange(a, b, out, lo, hi, 0, a.Rows) })
+	parallelRows(a.Cols, rowJob{kind: jobTransA, a: a, b: b, out: out})
 }
 
 // matMulTransARange computes output rows [lo, hi) of out = a[klo:khi]ᵀ *
@@ -234,21 +194,23 @@ func MatMulTransASegAcc(a, b *Matrix, segs []int, scratch, acc *Matrix) {
 	}
 	mustShape("MatMulTransASegAcc scratch", scratch, a.Cols, b.Cols)
 	mustShape("MatMulTransASegAcc accumulator", acc, a.Cols, b.Cols)
-	p := b.Cols
-	block := func(lo, hi int) {
-		for s := 0; s < SegmentCount(segs); s++ {
-			klo, khi := SegmentBounds(segs, s, a.Rows)
-			matMulTransARange(a, b, scratch, lo, hi, klo, khi)
-			for i, v := range scratch.Data[lo*p : hi*p] {
-				acc.Data[lo*p+i] += v
-			}
-		}
-	}
 	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Cols < 2 {
-		block(0, a.Cols)
+		transASegAccRange(a, b, segs, scratch, acc, 0, a.Cols)
 		return
 	}
-	parallelRows(a.Cols, block)
+	parallelRows(a.Cols, rowJob{kind: jobTransASegAcc, a: a, b: b, segs: segs, out: scratch, acc: acc})
+}
+
+// transASegAccRange is MatMulTransASegAcc on output rows [lo, hi).
+func transASegAccRange(a, b *Matrix, segs []int, scratch, acc *Matrix, lo, hi int) {
+	p := b.Cols
+	for s := 0; s < SegmentCount(segs); s++ {
+		klo, khi := SegmentBounds(segs, s, a.Rows)
+		matMulTransARange(a, b, scratch, lo, hi, klo, khi)
+		for i, v := range scratch.Data[lo*p : hi*p] {
+			acc.Data[lo*p+i] += v
+		}
+	}
 }
 
 // Add returns a+b elementwise.

@@ -311,9 +311,9 @@ func TestMatMulTransAParallelPathMatchesNaive(t *testing.T) {
 }
 
 // TestParallelOpsBitIdenticalAcrossWorkerCounts pins the determinism contract
-// of the parallel kernels: each output element is produced by exactly one
-// goroutine with the same ascending-k accumulation order, so changing
-// GOMAXPROCS must not change a single bit.
+// of the parallel kernels, every job kind of parallelRows: each output element
+// is produced by exactly one goroutine with the same ascending-k accumulation
+// order, so changing GOMAXPROCS must not change a single bit.
 func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	a := RandNormal(rng, 128, 96, 1)
@@ -324,21 +324,30 @@ func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	d := RandNormal(rng, 128, 112, 1)
 	bias := RandNormal(rng, 1, 112, 1)
 	lr1, lr4 := New(128, 112), New(128, 112)
+	segs := []int{0, 50, 50, 128}
+	acc1, acc4 := RandNormal(rng, 96, 112, 1), New(96, 112)
+	copy(acc4.Data, acc1.Data)
+	sp4 := RandNormal(rng, 192, 64, 1) // a dirty destination
 
 	prev := runtime.GOMAXPROCS(1)
 	LinearReLUInto(a, b, bias, lr1)
 	mm1 := MatMul(a, b)
 	ta1 := MatMulTransA(a, d)
+	MatMulTransASegAcc(a, d, segs, New(96, 112), acc1)
 	sp1 := SpMM(s, x)
 	runtime.GOMAXPROCS(4)
 	LinearReLUInto(a, b, bias, lr4)
 	mm4 := MatMul(a, b)
 	ta4 := MatMulTransA(a, d)
-	sp4 := SpMM(s, x)
+	MatMulTransASegAcc(a, d, segs, RandNormal(rng, 96, 112, 1), acc4)
+	SpMMInto(s, x, sp4)
 	runtime.GOMAXPROCS(prev)
 
-	if !mm1.Equal(mm4) || !ta1.Equal(ta4) || !sp1.Equal(sp4) || !lr1.Equal(lr4) {
-		t.Fatal("parallel results depend on GOMAXPROCS")
+	for _, c := range []struct {
+		kind     string
+		one, on4 *Matrix
+	}{{"dense", mm1, mm4}, {"LinearReLU", lr1, lr4}, {"TransA", ta1, ta4}, {"TransASegAcc", acc1, acc4}, {"SpMM", sp1, sp4}} {
+		mustSameBits(t, c.kind+" at GOMAXPROCS 4 vs 1", c.on4, c.one)
 	}
 	biasReLU(mm1, bias)
 	mustSameBits(t, "parallel LinearReLUInto", lr4, mm1)

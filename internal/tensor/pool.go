@@ -41,10 +41,13 @@ func bucketFor(n int) int {
 	return b
 }
 
-// reshape hands a recycled matrix out again: rows x cols, zeroed.
-func (m *Matrix) reshape(rows, cols int) *Matrix {
+// reshape hands a recycled matrix out again: rows x cols, zeroed when zero is
+// set and otherwise holding whatever its last user left.
+func (m *Matrix) reshape(rows, cols int, zero bool) *Matrix {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
-	clear(m.Data)
+	if zero {
+		clear(m.Data)
+	}
 	return m
 }
 
@@ -75,7 +78,7 @@ func GetPooled(rows, cols int) *Matrix {
 		return New(rows, cols)
 	}
 	if v := bufPools[b].Get(); v != nil {
-		return v.(*Matrix).reshape(rows, cols)
+		return v.(*Matrix).reshape(rows, cols, true)
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<b)}
 }
@@ -103,7 +106,13 @@ type FreeList struct {
 
 // Get returns a zeroed rows x cols matrix, reusing a kept buffer when one of
 // its size class is on the list.
-func (f *FreeList) Get(rows, cols int) *Matrix {
+func (f *FreeList) Get(rows, cols int) *Matrix { return f.get(rows, cols, true) }
+
+// GetDirty is Get for a caller that writes every entry before it reads one: a
+// kept buffer comes back holding what its last user left, not zeroed.
+func (f *FreeList) GetDirty(rows, cols int) *Matrix { return f.get(rows, cols, false) }
+
+func (f *FreeList) get(rows, cols int, zero bool) *Matrix {
 	b := bucketFor(rows * cols)
 	if b < 0 {
 		return New(rows, cols)
@@ -114,7 +123,7 @@ func (f *FreeList) Get(rows, cols int) *Matrix {
 			last := len(f.free) - 1
 			f.free[i], f.free[last] = f.free[last], nil
 			f.free = f.free[:last]
-			return m.reshape(rows, cols)
+			return m.reshape(rows, cols, zero)
 		}
 	}
 	return GetPooled(rows, cols)

@@ -99,8 +99,8 @@ func TestUseAfterPutIsDetected(t *testing.T) {
 }
 
 // TestFreeListKeepsBuffersBySizeClass: a kept buffer serves any shape of its
-// size class, zeroed; other classes fall through to the shared pools; Drain
-// empties the list.
+// size class, zeroed by Get and as it was left by GetDirty; other classes fall
+// through to the shared pools; Drain empties the list.
 func TestFreeListKeepsBuffersBySizeClass(t *testing.T) {
 	var f FreeList
 	m := f.Get(4, 5) // class 32
@@ -122,6 +122,13 @@ func TestFreeListKeepsBuffersBySizeClass(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
 		}
+	}
+	for i := range got.Data {
+		got.Data[i] = 9
+	}
+	f.Put(got)
+	if dirty := f.GetDirty(4, 8); dirty != got || dirty.Data[20] != 9 {
+		t.Fatal("GetDirty did not hand the kept buffer back as its last user left it")
 	}
 	f.Put(got)
 	f.Put(New(1, 3)) // foreign capacity: dropped, not kept

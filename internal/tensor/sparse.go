@@ -174,7 +174,7 @@ func SpMMInto(s *Sparse, d, out *Matrix) {
 		spMMRange(s, d, out, 0, s.Rows)
 		return
 	}
-	parallelRows(s.Rows, func(lo, hi int) { spMMRange(s, d, out, lo, hi) })
+	parallelRows(s.Rows, rowJob{kind: jobSpMM, s: s, b: d, out: out})
 }
 
 // spMMRange computes rows [lo, hi) of out = s*d, one CSR row-kernel call per
