@@ -167,11 +167,11 @@ race:
 # float64(a*x), rounding once where VMULPD/VADDPD and amd64's scalar code round
 # twice — in the kernels, the tape, the simulator's clock, the schedulers'
 # finish times and the tables' statistics alike. Pure Go, no cgo: the
-# cross-build works offline. The disassembly is of the package archives (the
-# root package and every internal one; the commands' mains compute nothing
-# of their own), so it covers functions no command links.
+# cross-build works offline. The disassembly is of the package archives (every
+# internal one; the commands' mains compute nothing of their own), so it
+# covers functions no command links.
 PORTABLE_TMP ?= /tmp/readys-portable
-PORTABLE_PKGS = . $(wildcard internal/*)
+PORTABLE_PKGS = $(wildcard internal/*)
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/

@@ -151,7 +151,13 @@ func (p *capturePolicy) Decide(s *sim.State, r int) int {
 	}
 	p.n++
 	fw := p.agent.Forward(es)
-	a := fw.Argmax()
+	lp := fw.LogProbs.Value.Data[:fw.NumActions]
+	a := 0
+	for i, v := range lp {
+		if v > lp[a] {
+			a = i
+		}
+	}
 	if a == fw.IdleIndex && fw.IdleIndex >= 0 {
 		return sim.NoTask
 	}

@@ -60,6 +60,11 @@ func main() {
 	if tt == 0 {
 		tt = *tiles
 	}
+	for _, T := range []int{*tiles, tt} {
+		if err := exp.CheckProblem(T, *cpus, *gpus, *sigma); err != nil {
+			log.Fatal(err)
+		}
+	}
 	spec := exp.DefaultAgentSpec(kind, tt, *cpus, *gpus)
 	agent, err := exp.LoadAgent(spec, *models)
 	if err != nil {
@@ -80,6 +85,11 @@ func main() {
 		sweep := exp.Sigmas
 		if *sigmas != "" {
 			if sweep, err = parseFloats(*sigmas); err != nil {
+				log.Fatal(err)
+			}
+		}
+		for _, s := range sweep {
+			if err := exp.CheckProblem(*tiles, *cpus, *gpus, s); err != nil {
 				log.Fatal(err)
 			}
 		}

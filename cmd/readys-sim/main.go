@@ -50,6 +50,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := exp.CheckProblem(*tiles, *cpus, *gpus, *sigma); err != nil {
+		log.Fatal(err)
+	}
 	g := taskgraph.NewByKind(kind, *tiles)
 	plat := platform.New(*cpus, *gpus)
 	tt := platform.TimingFor(kind)

@@ -45,6 +45,9 @@ func main() {
 		faultRate = flag.Float64("fault-rate", 0, "train under per-episode fault injection at this rate (0 = fault-free; see sim.SpecForRate)")
 	)
 	flag.Parse()
+	if err := exp.CheckProblem(*tiles, *cpus, *gpus, 0); err != nil {
+		log.Fatal(err)
+	}
 
 	if *all {
 		if err := trainAll(*out, *quiet, *telemetry, *workers); err != nil {

@@ -16,8 +16,8 @@
 // tensor.SegmentBounds) says which rows belong to which sample. Row-local ops
 // need nothing more; the ops that reduce over a sample's rows (pooling,
 // log-softmax, sums) and the ops that reduce over rows into a parameter
-// gradient (MatMul's right operand, AddRowVector's vector) take the table and
-// work range by range, so every sample's values and every parameter's
+// gradient (MatMulSeg's right operand, AddRowVectorSeg's vector) take the
+// table and work range by range, so every sample's values and every parameter's
 // gradient carry the bits d separate tapes would have produced, summed in
 // sample order. A nil table is one sample: the unstacked case is the same
 // code at width 1.
@@ -322,9 +322,6 @@ func (t *Tape) Release() {
 	t.released = true
 }
 
-// Released reports whether Release has been called.
-func (t *Tape) Released() bool { return t.released }
-
 // Const records a node through which no gradient flows (inputs, masks).
 // The matrix is used as-is and must not be mutated afterwards.
 func (t *Tape) Const(m *tensor.Matrix) *Node {
@@ -533,9 +530,6 @@ func anyGrad(ns ...*Node) bool {
 	return false
 }
 
-// MatMul records c = a*b.
-func (t *Tape) MatMul(a, b *Node) *Node { return t.MatMulSeg(a, b, nil) }
-
 // MatMulSeg records c = a*b for a row-stacked a: segs is the segment table of
 // a's rows. The product and a's gradient are row-local and ignore it; b's
 // gradient reduces over rows and goes range by range (see matMulGrads).
@@ -623,10 +617,8 @@ func (t *Tape) AddConst(a *Node, s float64) *Node {
 	return t.result(val, a.requiresGrad, step{op: opAddConst, a: a})
 }
 
-// AddRowVector records c[i,:] = a[i,:] + v where v is 1 x Cols (bias broadcast).
-func (t *Tape) AddRowVector(a, v *Node) *Node { return t.AddRowVectorSeg(a, v, nil) }
-
-// AddRowVectorSeg is AddRowVector for a row-stacked a with segment table segs:
+// AddRowVectorSeg records c[i,:] = a[i,:] + v where v is 1 x Cols (bias
+// broadcast), for a row-stacked a with segment table segs:
 // v's gradient, the column sums of ∂c, is accumulated range by range like
 // MatMulSeg's right operand.
 func (t *Tape) AddRowVectorSeg(a, v *Node, segs []int) *Node {
@@ -702,10 +694,6 @@ func rowsView(view, m *tensor.Matrix, lo, hi int) *tensor.Matrix {
 	return view
 }
 
-// MeanRows records the 1 x Cols vector of column means (mean pooling over the
-// node set, used by the critic head).
-func (t *Tape) MeanRows(a *Node) *Node { return t.SegmentMeanRows(a, nil) }
-
 // SegmentMeanRows records the matrix whose row s holds the column means of
 // a's row range s. An empty range pools to zeros and passes no gradient.
 func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
@@ -717,11 +705,6 @@ func (t *Tape) SegmentMeanRows(a *Node, segs []int) *Node {
 	}
 	return t.result(val, a.requiresGrad, step{op: opSegmentMeanRows, a: a, segs: segs})
 }
-
-// MaxRows records the 1 x Cols vector of column maxima (max pooling over the
-// node set, used for the ∅-action score). The gradient routes to the argmax
-// row of each column.
-func (t *Tape) MaxRows(a *Node) *Node { return t.SegmentMaxRows(a, nil) }
 
 // SegmentMaxRows records the matrix whose row s holds the column maxima of
 // a's row range s; the gradient routes to the argmax row of each column, the
@@ -790,10 +773,6 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 	}
 	return t.result(val, req, step{op: opConcatRows, parts: parts})
 }
-
-// LogSoftmaxCol records the log-softmax of an n x 1 column vector in a
-// numerically stable way (max-shifted).
-func (t *Tape) LogSoftmaxCol(a *Node) *Node { return t.SegmentLogSoftmax(a, nil) }
 
 // SegmentLogSoftmax records, for an n x 1 column of stacked logits, the
 // log-softmax of each row range taken on its own (max-shifted).

@@ -60,7 +60,7 @@ func randMat(rng *rand.Rand, r, c int) *tensor.Matrix {
 func TestGradMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	checkGrad(t, "matmul", func(tp *Tape, xs []*Node) *Node {
-		return tp.SumAll(tp.MatMul(xs[0], xs[1]))
+		return tp.SumAll(tp.MatMulSeg(xs[0], xs[1], nil))
 	}, []*tensor.Matrix{randMat(rng, 3, 4), randMat(rng, 4, 2)}, 1e-5)
 }
 
@@ -82,7 +82,7 @@ func TestGradScaleAddConst(t *testing.T) {
 func TestGradAddRowVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	checkGrad(t, "bias", func(tp *Tape, xs []*Node) *Node {
-		return tp.SumAll(tp.Square(tp.AddRowVector(xs[0], xs[1])))
+		return tp.SumAll(tp.Square(tp.AddRowVectorSeg(xs[0], xs[1], nil)))
 	}, []*tensor.Matrix{randMat(rng, 3, 4), randMat(rng, 1, 4)}, 1e-5)
 }
 
@@ -110,7 +110,7 @@ func TestGradExp(t *testing.T) {
 func TestGradMeanRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	checkGrad(t, "meanrows", func(tp *Tape, xs []*Node) *Node {
-		return tp.SumAll(tp.Square(tp.MeanRows(xs[0])))
+		return tp.SumAll(tp.Square(tp.SegmentMeanRows(xs[0], nil)))
 	}, []*tensor.Matrix{randMat(rng, 5, 3)}, 1e-5)
 }
 
@@ -122,7 +122,7 @@ func TestGradMaxRows(t *testing.T) {
 		m.Data[i] *= 10
 	}
 	checkGrad(t, "maxrows", func(tp *Tape, xs []*Node) *Node {
-		return tp.SumAll(tp.Square(tp.MaxRows(xs[0])))
+		return tp.SumAll(tp.Square(tp.SegmentMaxRows(xs[0], nil)))
 	}, []*tensor.Matrix{m}, 1e-5)
 }
 
@@ -146,7 +146,7 @@ func TestGradConcat(t *testing.T) {
 func TestGradLogSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	checkGrad(t, "logsoftmax", func(tp *Tape, xs []*Node) *Node {
-		ls := tp.LogSoftmaxCol(xs[0])
+		ls := tp.SegmentLogSoftmax(xs[0], nil)
 		// Weighted negative log likelihood of entry 1 plus entropy-ish term.
 		pick := tp.Pick(ls, 1, 0)
 		ent := tp.SumAll(tp.Mul(tp.Exp(ls), ls))
@@ -169,13 +169,13 @@ func TestGradComposite(t *testing.T) {
 	checkGrad(t, "composite", func(tp *Tape, xs []*Node) *Node {
 		x, w1, w2, vproj := xs[0], xs[1], xs[2], xs[3]
 		a := tp.Const(adj)
-		h := tp.ReLU(tp.MatMul(tp.MatMul(a, x), w1))
-		h = tp.ReLU(tp.MatMul(tp.MatMul(a, h), w2))
+		h := tp.ReLU(tp.MatMulSeg(tp.MatMulSeg(a, x, nil), w1, nil))
+		h = tp.ReLU(tp.MatMulSeg(tp.MatMulSeg(a, h, nil), w2, nil))
 		scores := tp.GatherRows(h, []int{0, 2, 4})
-		col := tp.MatMul(scores, vproj) // 3x1
-		ls := tp.LogSoftmaxCol(col)
+		col := tp.MatMulSeg(scores, vproj, nil) // 3x1
+		ls := tp.SegmentLogSoftmax(col, nil)
 		nll := tp.Neg(tp.Pick(ls, 1, 0))
-		v := tp.MatMul(tp.MeanRows(h), vproj)
+		v := tp.MatMulSeg(tp.SegmentMeanRows(h, nil), vproj, nil)
 		mse := tp.Square(tp.AddConst(v, -0.37))
 		return tp.Add(nll, tp.Scale(mse, 0.5))
 	}, []*tensor.Matrix{
@@ -196,7 +196,7 @@ func TestLogSoftmaxIsNormalisedProperty(t *testing.T) {
 		// Large magnitudes stress numerical stability.
 		m := tensor.RandNormal(rng, n, 1, 1+math.Mod(math.Abs(scale), 100))
 		tp := NewTape()
-		ls := tp.LogSoftmaxCol(tp.Const(m))
+		ls := tp.SegmentLogSoftmax(tp.Const(m), nil)
 		var sum float64
 		for _, v := range ls.Value.Data {
 			if math.IsNaN(v) || v > 1e-9 {
@@ -224,8 +224,8 @@ func TestBackwardRequiresScalarRoot(t *testing.T) {
 
 func TestConstGetsNoGrad(t *testing.T) {
 	tp := NewTape()
-	c := tp.Const(tensor.Full(2, 2, 1))
-	v := tp.Var(tensor.Full(2, 2, 2))
+	c := tp.Const(tensor.FromSlice(2, 2, []float64{1, 1, 1, 1}))
+	v := tp.Var(tensor.FromSlice(2, 2, []float64{2, 2, 2, 2}))
 	out := tp.SumAll(tp.Mul(c, v))
 	tp.Backward(out)
 	if c.Grad != nil {
@@ -239,7 +239,7 @@ func TestConstGetsNoGrad(t *testing.T) {
 func TestGradAccumulatesOverReuse(t *testing.T) {
 	// Using the same node twice must sum both gradient paths.
 	tp := NewTape()
-	x := tp.Var(tensor.Full(1, 1, 3))
+	x := tp.Var(tensor.FromSlice(1, 1, []float64{3}))
 	y := tp.Add(x, x) // dy/dx = 2
 	tp.Backward(tp.SumAll(y))
 	if x.Grad.Data[0] != 2 {
@@ -281,15 +281,15 @@ func TestGradSegmentPooling(t *testing.T) {
 // TestSegmentMaxRowsTiesFirstWins: on tied maxima the gradient goes to the
 // first tied row of the range, as tensor.MaxRowsInto breaks ties.
 func TestSegmentMaxRowsTiesFirstWins(t *testing.T) {
-	x := tensor.FromRows([][]float64{{1, 5}, {2, 5}, {2, 4}, {7, 0}, {7, 0}})
+	x := tensor.FromSlice(5, 2, []float64{1, 5, 2, 5, 2, 4, 7, 0, 7, 0})
 	tp := NewTape()
 	xv := tp.Var(x)
 	pooled := tp.SegmentMaxRows(xv, []int{0, 3, 5})
-	if want := tensor.FromRows([][]float64{{2, 5}, {7, 0}}); !pooled.Value.Equal(want) {
+	if want := tensor.FromSlice(2, 2, []float64{2, 5, 7, 0}); !pooled.Value.Equal(want) {
 		t.Fatalf("pooled %v, want %v", pooled.Value, want)
 	}
-	tp.Backward(tp.SumAll(tp.Mul(pooled, tp.Const(tensor.FromRows([][]float64{{1, 2}, {3, 4}})))))
-	want := tensor.FromRows([][]float64{{0, 2}, {1, 0}, {0, 0}, {3, 4}, {0, 0}})
+	tp.Backward(tp.SumAll(tp.Mul(pooled, tp.Const(tensor.FromSlice(2, 2, []float64{1, 2, 3, 4})))))
+	want := tensor.FromSlice(5, 2, []float64{0, 2, 1, 0, 0, 0, 3, 4, 0, 0})
 	if !xv.Grad.Equal(want) {
 		t.Fatalf("gradient routed to %v, want %v", xv.Grad, want)
 	}
@@ -412,7 +412,7 @@ func nil2unit(segs []int, rows int) []int {
 // TestBackwardRecyclesOpGradients: after Backward only leaves hold a gradient.
 func TestBackwardRecyclesOpGradients(t *testing.T) {
 	tp := NewTape()
-	x := tp.Var(tensor.Full(2, 2, 3))
+	x := tp.Var(tensor.FromSlice(2, 2, []float64{3, 3, 3, 3}))
 	sq := tp.Square(x)
 	tp.Backward(tp.SumAll(sq))
 	if sq.Grad != nil {
@@ -432,7 +432,7 @@ func TestResetKeepsBuffersAndParamGradients(t *testing.T) {
 	x, w, grad := randMat(rng, 512, 64), randMat(rng, 64, 64), tensor.New(64, 64)
 	tp := NewTape()
 	pass := func() {
-		h := tp.ReLU(tp.MatMul(tp.Const(x), tp.Param(w, grad)))
+		h := tp.ReLU(tp.MatMulSeg(tp.Const(x), tp.Param(w, grad), nil))
 		tp.Backward(tp.SumAll(tp.Square(h)))
 	}
 	pass()

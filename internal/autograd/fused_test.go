@@ -192,8 +192,8 @@ func TestInferenceTapeRecordsNoSteps(t *testing.T) {
 	for range 2 {
 		tp.Reset()
 		h := tp.LinearReLUSeg(tp.Const(randMat(rng, 4, 3)), tp.Const(randMat(rng, 3, 3)), tp.Const(randMat(rng, 1, 3)), nil)
-		scores := tp.MatMul(tp.GatherRows(h, []int{2, 0}), tp.Const(randMat(rng, 3, 1)))
-		tp.ConcatRows(tp.LogSoftmaxCol(scores), tp.Pick(h, 0, 0))
+		scores := tp.MatMulSeg(tp.GatherRows(h, []int{2, 0}), tp.Const(randMat(rng, 3, 1)), nil)
+		tp.ConcatRows(tp.SegmentLogSoftmax(scores, nil), tp.Pick(h, 0, 0))
 		if len(tp.steps) != 0 || len(tp.parts) != 0 {
 			t.Fatalf("an inference pass kept %d backward steps and %d ConcatRows inputs", len(tp.steps), len(tp.parts))
 		}

@@ -18,8 +18,8 @@ func TestReleaseIsIdempotentAndGuardsReuse(t *testing.T) {
 		t.Fatal("expected non-zero scalar before release")
 	}
 	tp.Release()
-	if !tp.Released() {
-		t.Fatal("Released must report true")
+	if !tp.released {
+		t.Fatal("Release must mark the tape released")
 	}
 	tp.Release() // idempotent
 	defer func() {
@@ -42,8 +42,8 @@ func TestPooledTapesAreDeterministic(t *testing.T) {
 	run := func() (float64, []float64) {
 		tp := NewTape()
 		av, bv := tp.Var(a), tp.Var(b)
-		h := tp.ReLU(tp.MatMul(tp.SpMM(s, av), bv))
-		pooled := tp.ConcatCols(tp.MeanRows(h), tp.MaxRows(h))
+		h := tp.ReLU(tp.MatMulSeg(tp.SpMM(s, av), bv, nil))
+		pooled := tp.ConcatCols(tp.SegmentMeanRows(h, nil), tp.SegmentMaxRows(h, nil))
 		loss := tp.SumAll(tp.Square(pooled))
 		tp.Backward(loss)
 		out := Scalar(loss)
@@ -70,7 +70,7 @@ func TestParamValuesSurviveRelease(t *testing.T) {
 	w := randMat(rng, 3, 3)
 	before := append([]float64(nil), w.Data...)
 	tp := NewTape()
-	y := tp.SumAll(tp.MatMul(tp.Var(w), tp.Const(tensor.Eye(3))))
+	y := tp.SumAll(tp.MatMulSeg(tp.Var(w), tp.Const(randMat(rng, 3, 3)), nil))
 	tp.Backward(y)
 	tp.Release()
 	for i, v := range w.Data {

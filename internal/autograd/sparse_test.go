@@ -39,7 +39,7 @@ func TestGradSpMMThroughChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	s := randomSparseOperator(rng, 4)
 	checkGrad(t, "spmm-chain", func(tp *Tape, xs []*Node) *Node {
-		h := tp.ReLU(tp.MatMul(tp.SpMM(s, xs[0]), xs[1]))
+		h := tp.ReLU(tp.MatMulSeg(tp.SpMM(s, xs[0]), xs[1], nil))
 		return tp.SumAll(h)
 	}, []*tensor.Matrix{randMat(rng, 4, 3), randMat(rng, 3, 2)}, 1e-5)
 }
@@ -50,7 +50,7 @@ func TestSpMMMatchesDenseOnTape(t *testing.T) {
 	x := randMat(rng, 8, 4)
 	tp := NewTape()
 	sparse := tp.SpMM(s, tp.Const(x))
-	dense := tp.MatMul(tp.Const(s.Dense()), tp.Const(x))
+	dense := tp.MatMulSeg(tp.Const(s.Dense()), tp.Const(x), nil)
 	if !sparse.Value.Equal(dense.Value) {
 		t.Fatal("tape SpMM diverges from dense MatMul")
 	}

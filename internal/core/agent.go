@@ -34,17 +34,11 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's best-performing region of the
-// hyper-parameter search: window 2, two GCN layers.
-func DefaultConfig() Config {
-	return Config{Window: 2, Layers: 2, Hidden: 64, Seed: 1}
-}
-
 // Agent is the READYS policy/value network of Fig. 2.
 type Agent struct {
 	Cfg Config
 
-	input  *nn.Linear // NumNodeFeatures -> Hidden
+	input  *nn.Linear // NodeFeatureWidth -> Hidden
 	gcn    []*nn.GCN  // Hidden -> Hidden, Cfg.Layers of them
 	actor  *nn.Linear // Hidden -> 1: per-ready-task score
 	proc   *nn.Linear // NumProcFeatures -> Hidden: processor embedding
@@ -122,7 +116,7 @@ type Forward struct {
 }
 
 // Forward evaluates the network on an encoded state. The caller chooses an
-// action from LogProbs (Argmax, or a sample) and maps it back through
+// action from LogProbs (the most probable, or a sample) and maps it back through
 // EncodedState.ReadyTasks. It is ForwardBatch at width 1 on a fresh binding.
 //
 // Concurrency: Forward only READS the agent's parameters. All intermediate
@@ -130,7 +124,7 @@ type Forward struct {
 // shared parameters only when a trainer explicitly calls Tape.Backward. Any
 // number of goroutines may therefore call Forward on the same agent
 // concurrently, as long as no goroutine is mutating the parameters (training,
-// LoadCheckpoint, InitSeed) at the same time. internal/serve relies on this
+// LoadCheckpoint) at the same time. internal/serve relies on this
 // contract; TestConcurrentInference enforces it under the race detector.
 func (a *Agent) Forward(es *EncodedState) *Forward {
 	fw := a.ForwardBatch(nn.NewBinding(), new(StateBatch).wrap(es))
@@ -208,11 +202,6 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) Forward {
 		NumActions: logProbs.Value.Rows,
 		actionSegs: sb.actionSegs,
 	}
-}
-
-// Argmax returns the most probable action index.
-func (f *Forward) Argmax() int {
-	return argmaxLogProbs(f.LogProbs.Value.Data[:f.NumActions])
 }
 
 // sampleLogProbs draws an index from a log-probability vector, consuming

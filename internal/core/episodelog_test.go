@@ -136,8 +136,9 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 				if log.Rows(i) != want.X.Rows {
 					t.Fatalf("decision %d: Rows %d, state has %d", i, log.Rows(i), want.X.Rows)
 				}
-				if idle := want.AllowIdle && log.Steps()[i].Action == len(want.ReadyRows); log.Steps()[i].Idle() != idle {
-					t.Fatalf("decision %d: Idle() %v, want %v", i, !idle, idle)
+				st := log.Steps()[i]
+				if idle := want.AllowIdle && st.Action == len(want.ReadyRows); (st.allowIdle && st.Action == len(st.ready)) != idle {
+					t.Fatalf("decision %d: recorded as idle %v, want %v", i, !idle, idle)
 				}
 				if !want.AllowIdle {
 					masked++

@@ -98,10 +98,10 @@ func TestFaultFeaturesBitInertWhenOff(t *testing.T) {
 // checkpoints load), flag-on agents widen input and proc layers by the
 // fault block, and the two layouts refuse to cross-load.
 func TestFaultFeatureWidths(t *testing.T) {
-	if ProcFeatureWidth(false) != NumProcFeatures || NodeFeatureWidth(false) != NumNodeFeatures {
+	if ProcFeatureWidth(false) != NumProcFeatures || NodeFeatureWidth(false) != numTaskFeatures+NumProcFeatures {
 		t.Fatalf("flag-off widths drifted: proc %d node %d", ProcFeatureWidth(false), NodeFeatureWidth(false))
 	}
-	if ProcFeatureWidth(true) != NumProcFeatures+3 || NodeFeatureWidth(true) != NumNodeFeatures+3 {
+	if ProcFeatureWidth(true) != NumProcFeatures+3 || NodeFeatureWidth(true) != numTaskFeatures+NumProcFeatures+3 {
 		t.Fatalf("flag-on widths wrong: proc %d node %d", ProcFeatureWidth(true), NodeFeatureWidth(true))
 	}
 

@@ -69,10 +69,6 @@ const (
 	faultEpochNorm = 8.0
 )
 
-// NumNodeFeatures is the width of each node row: task features plus the
-// broadcast resource context.
-const NumNodeFeatures = numTaskFeatures + NumProcFeatures
-
 // ProcFeatureWidth returns the resource-context width for the given
 // fault-feature setting; NodeFeatureWidth the matching node-row width. The
 // legacy constants equal the faultFeatures=false widths, so existing
@@ -102,7 +98,7 @@ type EncodedState struct {
 	// Nodes lists the window's task IDs, sorted; row i of X describes
 	// Nodes[i].
 	Nodes []int
-	// X is the len(Nodes) x NumNodeFeatures feature matrix.
+	// X is the len(Nodes) x NodeFeatureWidth feature matrix.
 	X *tensor.Matrix
 	// Norm is the normalised adjacency of the induced sub-DAG in CSR form
 	// (DAG windows are sparse: O(E) nonzeros against n² dense entries).
@@ -119,15 +115,6 @@ type EncodedState struct {
 	// graphEpoch is the sim.State.GraphEpoch the state was encoded at: within
 	// one epoch a task's static feature columns are the same in every state.
 	graphEpoch int
-}
-
-// NumActions returns the size of the action space of this state.
-func (e *EncodedState) NumActions() int {
-	n := len(e.ReadyRows)
-	if e.AllowIdle {
-		n++
-	}
-	return n
 }
 
 // EncodeFault builds the EncodedState for a decision on the given resource. F

@@ -54,7 +54,7 @@ func TestEncodeInitialState(t *testing.T) {
 	if len(es.Nodes) != len(want) {
 		t.Fatalf("window size %d, want %d", len(es.Nodes), len(want))
 	}
-	if es.X.Rows != len(es.Nodes) || es.X.Cols != NumNodeFeatures {
+	if es.X.Rows != len(es.Nodes) || es.X.Cols != NodeFeatureWidth(false) {
 		t.Fatalf("X shape %dx%d", es.X.Rows, es.X.Cols)
 	}
 	if es.Norm.Rows != len(es.Nodes) || es.Norm.Cols != len(es.Nodes) {
@@ -77,8 +77,8 @@ func TestEncodeInitialState(t *testing.T) {
 	if !es.AllowIdle {
 		t.Fatal("∅ must be allowed outside forced rounds")
 	}
-	if es.NumActions() != 2 {
-		t.Fatalf("NumActions = %d, want 2", es.NumActions())
+	if len(es.ReadyRows) != 1 {
+		t.Fatalf("%d ready rows, want 1", len(es.ReadyRows))
 	}
 	// Resource context: asked CPU 0; all resources free.
 	if es.Proc.Data[procIsCPU] != 1 || es.Proc.Data[procIsGPU] != 0 {
@@ -100,8 +100,8 @@ func TestEncodeMustActMasksIdle(t *testing.T) {
 	if es.AllowIdle {
 		t.Fatal("idle must be masked in forced rounds")
 	}
-	if es.NumActions() != 1 {
-		t.Fatalf("NumActions = %d, want 1", es.NumActions())
+	if len(es.ReadyRows) != 1 {
+		t.Fatalf("%d ready rows, want 1", len(es.ReadyRows))
 	}
 }
 

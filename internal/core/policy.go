@@ -41,9 +41,6 @@ type Step struct {
 	allowIdle bool
 }
 
-// Idle reports whether the step chose the ∅ action.
-func (st Step) Idle() bool { return st.allowIdle && st.Action == len(st.ready) }
-
 // releasedForward is what every recorded Step.Forward points at.
 var releasedForward = &Forward{IdleIndex: -1}
 

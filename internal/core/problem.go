@@ -15,8 +15,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 
 	"readys/internal/platform"
@@ -106,37 +104,4 @@ func (p Problem) SimulateOn(rn *sim.Runner, pol sim.Policy, rng *rand.Rand) (sim
 		plan = p.FaultPlanFor(rng.Int63())
 	}
 	return rn.Simulate(p.Graph, p.Platform, p.Timing, pol, sim.Options{Sigma: p.Sigma, Rng: rng, Faults: plan})
-}
-
-// Validate checks that the problem is well-formed: a non-empty acyclic graph,
-// at least one resource, and a non-negative noise level. Zero-valued or
-// hand-assembled Problems pass through here before any simulation touches
-// them, so callers get an error instead of a panic deep inside the engine.
-func (p Problem) Validate() error {
-	if p.Graph == nil {
-		return errors.New("core: problem has no task graph")
-	}
-	if p.Graph.NumTasks() == 0 {
-		return errors.New("core: problem graph has no tasks")
-	}
-	if err := p.Graph.Validate(); err != nil {
-		return fmt.Errorf("core: problem graph invalid: %w", err)
-	}
-	if p.Platform.Size() < 1 {
-		return errors.New("core: problem platform has no resources")
-	}
-	if p.Sigma < 0 {
-		return fmt.Errorf("core: negative duration noise sigma %g", p.Sigma)
-	}
-	f := p.Faults
-	if f.OutageRate < 0 || f.DegradeRate < 0 {
-		return fmt.Errorf("core: negative fault rate (outage %g, degrade %g)", f.OutageRate, f.DegradeRate)
-	}
-	if f.DeathProb < 0 || f.DeathProb > 1 {
-		return fmt.Errorf("core: death probability %g outside [0, 1]", f.DeathProb)
-	}
-	if f.Horizon < 0 {
-		return fmt.Errorf("core: negative fault horizon %g", f.Horizon)
-	}
-	return nil
 }

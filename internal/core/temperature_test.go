@@ -14,7 +14,7 @@ func TestSampleTemperatureZeroIsArgmax(t *testing.T) {
 	fw := agent.Forward(encodeInitial(p, 0, 2))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		if sampleTemperatureLogProbs(rng, fw.LogProbs.Value.Data, 0) != fw.Argmax() {
+		if sampleTemperatureLogProbs(rng, fw.LogProbs.Value.Data, 0) != argmaxLogProbs(fw.LogProbs.Value.Data) {
 			t.Fatal("τ=0 must equal argmax")
 		}
 	}
@@ -25,7 +25,7 @@ func TestSampleTemperatureLowConcentratesOnArgmax(t *testing.T) {
 	agent := NewAgent(Config{Window: 2, Layers: 1, Hidden: 16, Seed: 4})
 	fw := agent.Forward(encodeInitial(p, 0, 2))
 	rng := rand.New(rand.NewSource(2))
-	best := fw.Argmax()
+	best := argmaxLogProbs(fw.LogProbs.Value.Data)
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {

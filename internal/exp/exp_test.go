@@ -40,18 +40,6 @@ func TestSummariseCI99(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "demo", Header: []string{"a", "b"}}
 	tab.AddRow("1", "2")

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 )
@@ -92,16 +91,6 @@ func (e EvalSpec) Hash() string {
 		"runs":   strconv.Itoa(e.Runs),
 		"seed":   strconv.FormatInt(e.Seed, 10),
 	})
-}
-
-// HashReader hashes a stream with the artifact-store digest function, so
-// callers can verify downloaded artifacts against their content address.
-func HashReader(r io.Reader) (string, error) {
-	h := sha256.New()
-	if _, err := io.Copy(h, r); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // HashBytes is the content digest of a byte slice (hex SHA-256) — the

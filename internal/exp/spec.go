@@ -17,6 +17,25 @@ import (
 	"readys/internal/taskgraph"
 )
 
+// CheckProblem refuses the sizes no problem can be built from: T < 1 tiles,
+// a negative resource count, a platform with no resource, or a noise level
+// σ < 0. The commands call it before they build anything, so a bad flag ends
+// in a one-line error instead of a panic in taskgraph or platform or a
+// schedule the validator rejects.
+func CheckProblem(T, cpus, gpus int, sigma float64) error {
+	switch {
+	case T < 1:
+		return fmt.Errorf("tile count T must be >= 1, got %d", T)
+	case cpus < 0 || gpus < 0:
+		return fmt.Errorf("resource counts must be >= 0, got %d CPUs and %d GPUs", cpus, gpus)
+	case cpus+gpus < 1:
+		return fmt.Errorf("the platform needs at least one resource, got %d CPUs and %d GPUs", cpus, gpus)
+	case !(sigma >= 0):
+		return fmt.Errorf("duration noise sigma must be >= 0, got %g", sigma)
+	}
+	return nil
+}
+
 // AgentSpec identifies one trained agent: the problem combination it was
 // trained on plus its architecture.
 type AgentSpec struct {

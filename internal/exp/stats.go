@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the mean and a confidence half-width of a sample.
@@ -46,20 +45,6 @@ func SummariseCI(xs []float64, z float64) Summary {
 		s.CI = s.CI / 1.96 * z
 	}
 	return s
-}
-
-// Median returns the sample median.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	mid := len(ys) / 2
-	if len(ys)%2 == 1 {
-		return ys[mid]
-	}
-	return (ys[mid-1] + ys[mid]) / 2
 }
 
 // Table is a simple textual table: the common output format of every figure

@@ -28,9 +28,6 @@ func NewArtifactStore(dir string) (*ArtifactStore, error) {
 	return &ArtifactStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *ArtifactStore) Dir() string { return s.dir }
-
 func (s *ArtifactStore) path(digest string) string {
 	return filepath.Join(s.dir, "sha256", digest[:2], digest)
 }

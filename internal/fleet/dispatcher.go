@@ -245,12 +245,6 @@ func (d *Dispatcher) Close() error {
 	return d.wal.Close()
 }
 
-// Metrics exposes the dispatcher's counter set.
-func (d *Dispatcher) Metrics() *Metrics { return d.metrics }
-
-// Store exposes the artifact store (the daemon and tests read it directly).
-func (d *Dispatcher) Store() *ArtifactStore { return d.store }
-
 // WriteTrace exports the dispatcher's request and job spans as Chrome
 // trace-event JSON — the same document /debug/trace serves, available without
 // an HTTP round-trip so an in-process run (fleet smoke) can merge it with the

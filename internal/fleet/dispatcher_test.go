@@ -83,7 +83,7 @@ func TestSubmitDedupsBySpecHash(t *testing.T) {
 	if !dup || j2.ID != j1.ID {
 		t.Fatalf("resubmit returned job %s (dup=%v), want dedup onto %s", j2.ID, dup, j1.ID)
 	}
-	if got := d.Metrics().dedupHits.Value(); got != 1 {
+	if got := d.metrics.dedupHits.Value(); got != 1 {
 		t.Fatalf("dedup counter = %d, want 1", got)
 	}
 	// A different spec is a different job.
@@ -186,7 +186,7 @@ func TestFailRequeuesWithBackoffThenTerminal(t *testing.T) {
 	if j.State != StateFailed {
 		t.Fatalf("after retry budget spent state = %q, want failed", j.State)
 	}
-	if got := d.Metrics().retries.Value(); got != 1 {
+	if got := d.metrics.retries.Value(); got != 1 {
 		t.Fatalf("retry counter = %d, want 1 (terminal failure is not a retry)", got)
 	}
 	fresh, dup, err := d.Submit(figureJob("figure7", 0))
@@ -230,7 +230,7 @@ func TestLoneWorkerRetriesAfterTransientFailure(t *testing.T) {
 	if retried == nil || retried.ID != job.ID {
 		t.Fatalf("lone worker not re-leased its own failed job: %v", retried)
 	}
-	digest, err := d.Store().Put([]byte("rows\n"))
+	digest, err := d.store.Put([]byte("rows\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCompleteMissingArtifactIsClientError(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatalf("job state after refused completion = %q, want running", j.State)
 	}
-	digest, err := d.Store().Put([]byte("rows\n"))
+	digest, err := d.store.Put([]byte("rows\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := d.Metrics().leaseExpirations.Value(); got == 0 {
+	if got := d.metrics.leaseExpirations.Value(); got == 0 {
 		t.Fatal("lease expiration not counted")
 	}
 	// The expired worker's heartbeat and completion must be rejected.
@@ -363,7 +363,7 @@ func TestCompleteVerifiesArtifactsExist(t *testing.T) {
 	if _, err := d.Complete(w.ID, job.ID, missing, nil); err == nil {
 		t.Fatal("completion with an unuploaded artifact accepted")
 	}
-	digest, err := d.Store().Put([]byte("the result"))
+	digest, err := d.store.Put([]byte("the result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestDispatcherCrashReplay(t *testing.T) {
 	if first == nil || first.ID != done.ID {
 		t.Fatalf("first lease = %v, want %s", first, done.ID)
 	}
-	digest, err := d.Store().Put([]byte("figure5 rows"))
+	digest, err := d.store.Put([]byte("figure5 rows"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestDispatcherCrashReplay(t *testing.T) {
 	if j := byID[done.ID]; j == nil || j.State != StateDone || j.Artifacts[ArtifactResult] != digest {
 		t.Fatalf("done job replayed as %+v", byID[done.ID])
 	}
-	if data, err := d2.Store().Get(digest); err != nil || string(data) != "figure5 rows" {
+	if data, err := d2.store.Get(digest); err != nil || string(data) != "figure5 rows" {
 		t.Fatalf("artifact lost across restart: (%q, %v)", data, err)
 	}
 	// Dedup survives the restart: resubmitting completed work answers with
@@ -521,7 +521,7 @@ func TestWALCompactionTriggersOnChurn(t *testing.T) {
 			}
 		}
 	}
-	if got := d.Metrics().walCompactions.Value(); got == 0 {
+	if got := d.metrics.walCompactions.Value(); got == 0 {
 		t.Fatalf("no WAL compaction after churn (%d records, %d jobs)", d.wal.Records(), len(d.jobs))
 	}
 	// Compaction must preserve the live set.
@@ -546,7 +546,7 @@ func TestPaperGridSubmissionIsIdempotent(t *testing.T) {
 			t.Fatalf("second grid pass not deduplicated (dup=%v, err=%v)", dup, err)
 		}
 	}
-	if got := int(d.Metrics().dedupHits.Value()); got != len(grid) {
+	if got := int(d.metrics.dedupHits.Value()); got != len(grid) {
 		t.Fatalf("dedup hits = %d, want %d", got, len(grid))
 	}
 }

@@ -26,6 +26,11 @@ func failoverConfig(c *Config) {
 // is never reported — the in-process equivalent of kill -9) and checks the
 // dispatcher notices via lease expiry, requeues with the dead worker
 // excluded, and a survivor completes the job.
+// kill simulates abrupt process death: heartbeats stop immediately, the
+// in-flight job's result is discarded, and Run returns without completing or
+// deregistering. The dispatcher notices via lease expiry.
+func kill(w *Worker) { w.killOnce.Do(func() { close(w.killed) }) }
+
 func TestWorkerKillFailover(t *testing.T) {
 	d := newTestDispatcher(t, failoverConfig)
 	srv := httptest.NewServer(d.Handler())
@@ -43,7 +48,7 @@ func TestWorkerKillFailover(t *testing.T) {
 		Dispatcher: srv.URL,
 		Name:       "victim",
 	}, func(w *Worker) {
-		w.testHookJobStart = func(*Job) { w.Kill() }
+		w.testHookJobStart = func(*Job) { kill(w) }
 	})
 
 	select {
@@ -54,7 +59,7 @@ func TestWorkerKillFailover(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("killed worker never exited")
 	}
-	victimID := victim.ID()
+	victimID := victim.id
 	if victimID == "" {
 		t.Fatal("victim never registered")
 	}
@@ -84,10 +89,10 @@ func TestWorkerKillFailover(t *testing.T) {
 	if finished.Artifacts[ArtifactCheckpoint] == "" || finished.Artifacts[ArtifactHistory] == "" {
 		t.Fatalf("completed job missing artifacts: %v", finished.Artifacts)
 	}
-	if got := d.Metrics().leaseExpirations.Value(); got == 0 {
+	if got := d.metrics.leaseExpirations.Value(); got == 0 {
 		t.Fatal("lease expiration not counted")
 	}
-	if got := d.Metrics().retries.Value(); got == 0 {
+	if got := d.metrics.retries.Value(); got == 0 {
 		t.Fatal("retry not counted")
 	}
 	_ = survivor
@@ -147,7 +152,7 @@ func TestTrainJobDeterministicAcrossFailover(t *testing.T) {
 	defer victimCancel()
 	_, victimDone := startWorkerWith(t, victimCtx, WorkerConfig{Dispatcher: srv.URL, Name: "victim"},
 		func(w *Worker) {
-			w.testHookJobStart = func(*Job) { w.Kill() }
+			w.testHookJobStart = func(*Job) { kill(w) }
 		})
 	select {
 	case <-victimDone:
@@ -167,11 +172,11 @@ func TestTrainJobDeterministicAcrossFailover(t *testing.T) {
 		t.Fatalf("attempts = %d, want 2 (the kill must have forced a requeue)", finished.Attempts)
 	}
 
-	gotCheckpoint, err := d.Store().Get(finished.Artifacts[ArtifactCheckpoint])
+	gotCheckpoint, err := d.store.Get(finished.Artifacts[ArtifactCheckpoint])
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHistory, err := d.Store().Get(finished.Artifacts[ArtifactHistory])
+	gotHistory, err := d.store.Get(finished.Artifacts[ArtifactHistory])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,6 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// Registry exposes the underlying obs registry.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 // ObserveHTTP records one finished request against an endpoint.
 func (m *Metrics) ObserveHTTP(endpoint string, d time.Duration, isError bool) {
 	m.httpRequests.With(endpoint).Inc()

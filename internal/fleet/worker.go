@@ -101,9 +101,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return w
 }
 
-// Tracer exposes the worker's span ring (tests and trace export).
-func (w *Worker) Tracer() *obs.Tracer { return w.tracer }
-
 // WriteTrace exports the worker's execution spans as Chrome trace-event JSON.
 // Merged with the dispatcher's /debug/trace export via obs.MergeTraces, the
 // two processes' spans stitch into one timeline through the job's trace IDs.
@@ -115,14 +112,6 @@ func (w *Worker) span(name, cat string, tid int64, start time.Time, args map[str
 		float64(start.Sub(w.epoch))/float64(time.Microsecond),
 		float64(time.Since(start))/float64(time.Microsecond), args)
 }
-
-// ID returns the dispatcher-assigned worker ID (empty before Run registers).
-func (w *Worker) ID() string { return w.id }
-
-// Kill simulates abrupt process death: heartbeats stop immediately, the
-// in-flight job's result is discarded, and Run returns without completing or
-// deregistering. The dispatcher notices via lease expiry.
-func (w *Worker) Kill() { w.killOnce.Do(func() { close(w.killed) }) }
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.cfg.Logger != nil {

@@ -147,7 +147,7 @@ func TestWorkerRunsEvalJob(t *testing.T) {
 		t.Fatalf("worker shutdown: %v", err)
 	}
 
-	data, err := d.Store().Get(finished.Artifacts[ArtifactResult])
+	data, err := d.store.Get(finished.Artifacts[ArtifactResult])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestWorkerReportsJobFailure(t *testing.T) {
 	if finished.Error == "" {
 		t.Fatal("failed job carries no error message")
 	}
-	if got := d.Metrics().failed.With(string(JobEval)).Value(); got != 1 {
+	if got := d.metrics.failed.With(string(JobEval)).Value(); got != 1 {
 		t.Fatalf("failed counter = %d, want 1", got)
 	}
 }

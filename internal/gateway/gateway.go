@@ -199,9 +199,6 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 // Metrics exposes the counter set.
 func (g *Gateway) Metrics() *Metrics { return g.metrics }
 
-// Tracer exposes the gateway's span ring (tests and trace export).
-func (g *Gateway) Tracer() *obs.Tracer { return g.tracer }
-
 // Close stops the health-probe loop. In-flight requests are unaffected.
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })

@@ -460,7 +460,7 @@ func TestGatewayTraceLinks(t *testing.T) {
 	srv.Handler().ServeHTTP(resp, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
 	replicaTrace.Write(resp.Body.Bytes())
 
-	merged, err := obs.MergeTraces(export(clientTracer), export(g.Tracer()), replicaTrace.Bytes())
+	merged, err := obs.MergeTraces(export(clientTracer), export(g.tracer), replicaTrace.Bytes())
 	if err != nil {
 		t.Fatalf("merging traces: %v", err)
 	}
@@ -499,7 +499,7 @@ func TestGatewayTraceRingIgnoresProbes(t *testing.T) {
 		}
 	}
 	spans := map[string]int{}
-	for _, e := range g.Tracer().Events() {
+	for _, e := range g.tracer.Events() {
 		if e.Ph != obs.PhaseMetadata {
 			spans[e.Name+"/"+e.Cat]++
 		}
@@ -574,7 +574,7 @@ func TestGatewayRingCoversReplicaWindows(t *testing.T) {
 	}
 
 	forwards := map[string]bool{}
-	for _, e := range g.Tracer().Events() {
+	for _, e := range g.tracer.Events() {
 		if e.Name == "forward" {
 			forwards[e.Args[obs.ArgSpanID].(string)] = true
 		}

@@ -57,43 +57,3 @@ func (a *Adam) Step(params *ParamSet) {
 		}
 	}
 }
-
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }
-
-// SGD is a plain stochastic-gradient-descent optimizer, used as an ablation
-// and in optimizer unit tests.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer with optional momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step applies one SGD update using the gradients in Param.Grad.
-func (s *SGD) Step(params *ParamSet) {
-	for _, p := range params.All() {
-		if s.Momentum == 0 {
-			tensor.AddScaledInPlace(p.Value, p.Grad, -s.LR)
-			continue
-		}
-		v, ok := s.vel[p]
-		if !ok {
-			v = tensor.New(p.Value.Rows, p.Value.Cols)
-			s.vel[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v.Data[i] = float64(s.Momentum*v.Data[i]) + g
-			p.Value.Data[i] -= float64(s.LR * v.Data[i])
-		}
-	}
-}
-
-// Optimizer is the interface shared by Adam and SGD.
-type Optimizer interface {
-	Step(params *ParamSet)
-}

@@ -28,7 +28,8 @@ func TestLinearMatchesManualCompute(t *testing.T) {
 	b := NewBinding()
 	x := tensor.FromSlice(1, 2, []float64{1, -1})
 	y := l.Forward(b, b.Tape.Const(x), nil)
-	want := tensor.AddRowVector(tensor.MatMul(x, l.W.Value), l.B.Value)
+	want := tensor.New(x.Rows, l.W.Value.Cols)
+	tensor.AddRowVectorInto(tensor.MatMul(x, l.W.Value), l.B.Value, want)
 	if !y.Value.AllClose(want, 1e-12) {
 		t.Fatal("Linear forward diverges from manual compute")
 	}
@@ -191,8 +192,8 @@ func TestGCNForwardDepthPropagation(t *testing.T) {
 // ReLU(MatMul(MatMul(Dense(norm), h), W) + b), every product a dense one — the
 // oracle GCN.Forward's CSR propagation is held to.
 func denseGCN(g *GCN, b *Binding, norm *tensor.Matrix, h *autograd.Node) *autograd.Node {
-	agg := b.Tape.MatMul(b.Tape.Const(norm), h)
-	lin := b.Tape.AddRowVector(b.Tape.MatMul(agg, b.Bind(g.W)), b.Bind(g.B))
+	agg := b.Tape.MatMulSeg(b.Tape.Const(norm), h, nil)
+	lin := b.Tape.AddRowVectorSeg(b.Tape.MatMulSeg(agg, b.Bind(g.W), nil), b.Bind(g.B), nil)
 	return b.Tape.ReLU(lin)
 }
 
@@ -281,9 +282,9 @@ func TestInferenceBindingMatchesFreshTapes(t *testing.T) {
 		}
 		tp := b.Tape
 		h := g.Forward(b, NormalizedAdjacency(n, succ), in.ForwardReLU(b, tp.Const(x), nil), nil)
-		pooled := tp.ConcatCols(tp.MeanRows(h), tp.MaxRows(h))
+		pooled := tp.ConcatCols(tp.SegmentMeanRows(h, nil), tp.SegmentMaxRows(h, nil))
 		scores := tp.ConcatRows(score.Forward(b, tp.GatherRows(h, []int{n - 1, 0}), nil), idle.Forward(b, pooled, nil))
-		return tp.ConcatRows(tp.LogSoftmaxCol(scores), tp.Scale(tp.SumAll(h), 0.5))
+		return tp.ConcatRows(tp.SegmentLogSoftmax(scores, nil), tp.Scale(tp.SumAll(h), 0.5))
 	}
 	inf := NewInferenceBinding()
 	for _, n := range []int{3, 11, 2, 5} {
@@ -326,24 +327,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 	if !p.Value.AllClose(target, 1e-2) {
 		t.Fatalf("Adam did not converge: %v", p.Value)
-	}
-	if opt.StepCount() != 500 {
-		t.Fatalf("step count %d", opt.StepCount())
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice(1, 1, []float64{5}))
-	set := NewParamSet()
-	set.Add(p)
-	opt := NewSGD(0.05, 0.9)
-	for it := 0; it < 300; it++ {
-		set.ZeroGrad()
-		p.Grad.Data[0] = 2 * p.Value.Data[0]
-		opt.Step(set)
-	}
-	if math.Abs(p.Value.Data[0]) > 1e-3 {
-		t.Fatalf("SGD did not converge: %v", p.Value.Data[0])
 	}
 }
 
@@ -474,34 +457,5 @@ func TestCopyValuesFrom(t *testing.T) {
 	c.Add(NewParam("missing", tensor.New(1, 1)))
 	if err := c.CopyValuesFrom(a); err == nil {
 		t.Fatal("missing source should error")
-	}
-}
-
-func TestInitSeedDeterministic(t *testing.T) {
-	build := func(seed int64) *ParamSet {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewParamSet()
-		s.Add(NewParam("w", tensor.New(3, 3)), NewParam("b", tensor.New(1, 3)))
-		s.InitSeed(rng)
-		return s
-	}
-	a, b := build(42), build(42)
-	if !a.Get("w").Value.Equal(b.Get("w").Value) {
-		t.Fatal("same seed must give same init")
-	}
-	if tensor.Sum(a.Get("b").Value) != 0 {
-		t.Fatal("bias rows must be zero-initialised")
-	}
-	c := build(43)
-	if a.Get("w").Value.Equal(c.Get("w").Value) {
-		t.Fatal("different seeds should differ")
-	}
-}
-
-func TestNumValues(t *testing.T) {
-	s := NewParamSet()
-	s.Add(NewParam("a", tensor.New(2, 3)), NewParam("b", tensor.New(1, 4)))
-	if s.NumValues() != 10 {
-		t.Fatalf("NumValues = %d, want 10", s.NumValues())
 	}
 }

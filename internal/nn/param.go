@@ -11,7 +11,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"readys/internal/autograd"
 	"readys/internal/tensor"
@@ -124,15 +123,6 @@ func (s *ParamSet) ZeroGrad() {
 	}
 }
 
-// NumValues returns the total number of scalar parameters.
-func (s *ParamSet) NumValues() int {
-	var n int
-	for _, p := range s.params {
-		n += len(p.Value.Data)
-	}
-	return n
-}
-
 // GradNorm returns the global L2 norm over every gradient in the set.
 func (s *ParamSet) GradNorm() float64 {
 	var sq float64
@@ -172,17 +162,4 @@ func (s *ParamSet) CopyValuesFrom(src *ParamSet) error {
 		copy(p.Value.Data, q.Value.Data)
 	}
 	return nil
-}
-
-// InitSeed re-initialises every parameter with Glorot-uniform values drawn
-// from rng; bias-like parameters (single row beginning with "b") are zeroed.
-func (s *ParamSet) InitSeed(rng *rand.Rand) {
-	for _, p := range s.params {
-		if p.Value.Rows == 1 {
-			p.Value.Zero()
-			continue
-		}
-		g := tensor.GlorotUniform(rng, p.Value.Rows, p.Value.Cols)
-		copy(p.Value.Data, g.Data)
-	}
 }

@@ -153,7 +153,7 @@ func TestTracerRingAndExport(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("ring holds %d, want 4", tr.Len())
 	}
-	if tr.Dropped() == 0 {
+	if tr.dropped == 0 {
 		t.Fatal("dropped count not recorded")
 	}
 	ev := tr.Events()

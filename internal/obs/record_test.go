@@ -148,8 +148,8 @@ func TestTracerRingBytesFixed(t *testing.T) {
 		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, sc.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
 	}
 	after := liveHeap()
-	if tr.Len() != capacity || tr.Dropped() != 2*capacity {
-		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.Dropped())
+	if tr.Len() != capacity || tr.dropped != 2*capacity {
+		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.dropped)
 	}
 	ring := uint64(capacity * unsafe.Sizeof(record{}))
 	const slack = 16 << 10

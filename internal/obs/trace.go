@@ -174,13 +174,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Dropped returns how many events were overwritten by ring wrap-around.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Len returns the number of buffered events.
 func (t *Tracer) Len() int {
 	t.mu.Lock()

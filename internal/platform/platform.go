@@ -215,16 +215,6 @@ func (tt Timing) MaxExpected() float64 {
 	return m
 }
 
-// MeanExpected returns the mean expected duration of kernel k over resource
-// types, the quantity HEFT's upward ranks average over.
-func (tt Timing) MeanExpected(k taskgraph.Kernel) float64 {
-	var s float64
-	for t := ResourceType(0); t < NumResourceTypes; t++ {
-		s += tt.Expected[k][t]
-	}
-	return s / float64(NumResourceTypes)
-}
-
 // SampleDuration draws the actual duration of a task of kernel k on resource
 // type t under noise level sigma, following §V-B:
 // d = max(0, N(E, σE)). sigma = 0 returns E exactly, keeping the noise-free

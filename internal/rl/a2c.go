@@ -198,9 +198,6 @@ func NewTrainer(agent *core.Agent, problem core.Problem, cfg Config) *Trainer {
 	return t
 }
 
-// Baseline returns the HEFT projected makespan used in the reward.
-func (t *Trainer) Baseline() float64 { return t.baseline }
-
 // Run trains for Cfg.Episodes episodes and returns the training history.
 // Progress, if non-nil, is called after every episode, once the episode's
 // line is written to Telemetry (if set). Both only read the statistics, so

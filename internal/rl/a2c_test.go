@@ -35,7 +35,7 @@ func TestTrainerRunsAndRecordsHistory(t *testing.T) {
 	if len(h.Episodes) != 10 || progressed != 10 {
 		t.Fatalf("history %d episodes, progress %d", len(h.Episodes), progressed)
 	}
-	if h.BaselineMakespan != tr.Baseline() || h.BaselineMakespan <= 0 {
+	if h.BaselineMakespan != tr.baseline || h.BaselineMakespan <= 0 {
 		t.Fatalf("baseline %v", h.BaselineMakespan)
 	}
 	for _, e := range h.Episodes {

@@ -107,7 +107,7 @@ func TestEpisodeLogReuseIsolated(t *testing.T) {
 				var a, b core.EncodedState
 				for i, st := range steps {
 					ws := wsteps[i]
-					if st.Action != ws.Action || st.LogProb != ws.LogProb || st.Entropy != ws.Entropy || st.Value != ws.Value || st.Idle() != ws.Idle() {
+					if st.Action != ws.Action || st.LogProb != ws.LogProb || st.Entropy != ws.Entropy || st.Value != ws.Value {
 						t.Fatalf("%s decision %d: step differs from a fresh policy's", ctx, i)
 					}
 					if !statesBitEqual(got.log.State(i, &a), w.log.State(i, &b)) {

@@ -30,8 +30,8 @@ func TestStreamTrainingRunsAndRewardsConsistent(t *testing.T) {
 	cfg.BatchEpisodes = 3
 	cfg.Arrivals = tinyArrivals()
 	tr := NewTrainer(tinyAgent(1), streamProblem(), cfg)
-	if tr.Baseline() != 0 {
-		t.Fatalf("stream trainer has a single-DAG baseline: %v", tr.Baseline())
+	if tr.baseline != 0 {
+		t.Fatalf("stream trainer has a single-DAG baseline: %v", tr.baseline)
 	}
 	h, err := tr.Run(nil)
 	if err != nil {

@@ -159,7 +159,7 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			if tensor.Norm(batched.Params().All()[0].Grad) == 0 {
+			if g := batched.Params().All()[0].Grad; tensor.Dot(g, g) == 0 {
 				t.Fatal("the update left a zero input-layer gradient: nothing was compared")
 			}
 		})

@@ -37,7 +37,7 @@ func TestUpwardRanksCommAddsEdgeTerm(t *testing.T) {
 	if withComm[root] < base[root]+cbar-1e-9 {
 		t.Fatalf("comm rank %v should exceed %v", withComm[root], base[root]+cbar)
 	}
-	sink := g.Sinks()[0]
+	sink := g.NumTasks() - 1 // POTRF(T-1), the only sink
 	if withComm[sink] != base[sink] {
 		t.Fatal("sink rank must be unchanged (no outgoing edges)")
 	}

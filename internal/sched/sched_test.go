@@ -26,8 +26,9 @@ func TestUpwardRanksMonotoneAlongEdges(t *testing.T) {
 		}
 	}
 	// Sink rank equals its own average duration.
-	sink := g.Sinks()[0]
-	want := tt.MeanExpected(g.Tasks[sink].Kernel) // 2 CPU + 2 GPU → same as type mean
+	sink := g.NumTasks() - 1 // POTRF(T-1), the only sink
+	k := g.Tasks[sink].Kernel
+	want := (tt.Expected[k][platform.CPU] + tt.Expected[k][platform.GPU]) / 2 // 2 CPU + 2 GPU → same as type mean
 	if math.Abs(rank[sink]-want) > 1e-9 {
 		t.Fatalf("sink rank = %v, want %v", rank[sink], want)
 	}
@@ -38,7 +39,7 @@ func TestUpwardRanksWeightedByPlatform(t *testing.T) {
 	tt := platform.TimingFor(taskgraph.Cholesky)
 	cpuOnly := UpwardRanks(g, platform.New(4, 0), tt)
 	gpuOnly := UpwardRanks(g, platform.New(0, 4), tt)
-	sink := g.Sinks()[0] // POTRF(1)
+	sink := g.NumTasks() - 1 // POTRF(1), the only sink
 	if cpuOnly[sink] != 16 || gpuOnly[sink] != 8 {
 		t.Fatalf("platform weighting wrong: cpu %v gpu %v", cpuOnly[sink], gpuOnly[sink])
 	}

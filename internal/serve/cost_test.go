@@ -27,8 +27,8 @@ func allocatedBy(fn func()) uint64 {
 // HEFT-scheduled its graph and ran on a new simulator state), and what the
 // handler does between a decoded body and an encoded answer — the lease, the
 // template, the pool hand-off, the two runs, the placements — allocates the
-// same on the fourth request as on the third: nothing the model or the lease
-// keeps grows per request.
+// same on the sixth to eighth requests as on the third to fifth: nothing the
+// model or the lease keeps grows per request.
 func TestScheduleRequestAllocBounded(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, exp.DefaultAgentSpec(taskgraph.LU, 8, 2, 2))
@@ -55,9 +55,12 @@ func TestScheduleRequestAllocBounded(t *testing.T) {
 			}
 		})
 	}
+	// The runtime's allocations only ever add to a window (a 5.5 kB one lands
+	// in about one window in 25), so each reading is the least of three.
+	least := func() uint64 { return min(share(), share(), share()) }
 	cold := request()
 	request() // the memo slab reaches its size on the second rollout
-	third, fourth := share(), share()
+	third, fourth := least(), least()
 	warm := request()
 	t.Logf("bytes allocated by a request: cold %d, warm %d; between decoding and encoding: %d, then %d", cold, warm, third, fourth)
 	// ≈ 90 kB, or ≈ 65 kB more per sync.Pool that a collection emptied since

@@ -27,8 +27,8 @@ func TestPublishInstallsAndInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit || lease.Meta()["gen"] != "1" {
-		t.Fatalf("first acquire = (hit=%v, gen=%q)", hit, lease.Meta()["gen"])
+	if hit || lease.model.meta["gen"] != "1" {
+		t.Fatalf("first acquire = (hit=%v, gen=%q)", hit, lease.model.meta["gen"])
 	}
 	lease.Release()
 	warm, hit, err := reg.Acquire(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
@@ -67,7 +67,7 @@ func TestPublishInstallsAndInvalidates(t *testing.T) {
 	if hit {
 		t.Fatal("stale model answered the acquire after Publish")
 	}
-	if got := lease2.Meta()["gen"]; got != "2" {
+	if got := lease2.model.meta["gen"]; got != "2" {
 		t.Fatalf("acquired generation %q after publish, want 2", got)
 	}
 	// On-disk bytes are the published bytes, verbatim (atomic install).

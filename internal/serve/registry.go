@@ -184,9 +184,6 @@ func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 // ModelName returns the canonical name of the model backing the lease.
 func (l *Lease) ModelName() string { return l.model.name }
 
-// Meta returns the checkpoint metadata of the model backing the lease.
-func (l *Lease) Meta() map[string]string { return l.model.meta }
-
 // Release returns the leased clone to the model's free list (or drops it if
 // the model was evicted or the list is full). The lease must not be used
 // afterwards.

@@ -69,8 +69,8 @@ func TestRegistryAcquireCachesAndCounts(t *testing.T) {
 	if l1.ModelName() != spec.Name() {
 		t.Fatalf("lease model %q, want %q", l1.ModelName(), spec.Name())
 	}
-	if l1.Meta()["test"] != "1" {
-		t.Fatalf("lease meta %v", l1.Meta())
+	if l1.model.meta["test"] != "1" {
+		t.Fatalf("lease meta %v", l1.model.meta)
 	}
 
 	l2, hit, err := r.Acquire(taskgraph.Cholesky, 4, 1, 1)

@@ -141,9 +141,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry exposes the model registry (tests and the daemon's preloading).
 func (s *Server) Registry() *Registry { return s.registry }
 
-// Metrics exposes the counter set.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Shutdown drains the worker pool: new schedule requests are refused with
 // 503 while queued and in-flight rollouts run to completion (or ctx ends).
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -49,7 +49,10 @@ func TestAnalyzeKernelPlacementCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := Analyze(g, plat, res)
-	counts := g.KernelCounts()
+	var counts [taskgraph.NumKernels]int
+	for _, task := range g.Tasks {
+		counts[task.Kernel]++
+	}
 	for k := 0; k < taskgraph.NumKernels; k++ {
 		total := 0
 		for rt := platform.ResourceType(0); rt < platform.NumResourceTypes; rt++ {

@@ -91,12 +91,6 @@ func (c *Cluster) State() *State { return c.s }
 // Now returns the current simulated time in ms.
 func (c *Cluster) Now() float64 { return c.s.Now }
 
-// TotalTasks returns the number of tasks injected so far.
-func (c *Cluster) TotalTasks() int { return c.s.Graph.NumTasks() }
-
-// Done reports whether every injected task has completed.
-func (c *Cluster) Done() bool { return c.s.NumDone == c.s.Graph.NumTasks() }
-
 // OnTaskDone registers a completion hook (task ID, completion time); the
 // stream layer uses it to detect job completions. Must be set before running.
 func (c *Cluster) OnTaskDone(fn func(task int, at float64)) {

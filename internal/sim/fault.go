@@ -110,21 +110,6 @@ func (p *FaultPlan) Validate(numResources int) error {
 	return nil
 }
 
-// DeadResources returns, per resource, whether the plan eventually kills it
-// permanently. Validators and generators use it to reason about survivors.
-func (p *FaultPlan) DeadResources(numResources int) []bool {
-	dead := make([]bool, numResources)
-	if p == nil {
-		return dead
-	}
-	for _, e := range p.Events {
-		if e.Kind == FaultDeath && e.Resource >= 0 && e.Resource < numResources {
-			dead[e.Resource] = true
-		}
-	}
-	return dead
-}
-
 // Kill records one killed task attempt: the task was executing on Resource
 // since Start and was terminated by a fault at At, then returned to the
 // ready set.

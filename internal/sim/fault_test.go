@@ -58,7 +58,10 @@ func TestGeneratePlanDeterministicAndSparing(t *testing.T) {
 		t.Fatalf("generated plan invalid: %v", err)
 	}
 	// DeathProb 1 kills every resource except the spared one.
-	dead := a.DeadResources(4)
+	dead := make([]bool, 4)
+	for _, e := range a.Events {
+		dead[e.Resource] = dead[e.Resource] || e.Kind == FaultDeath
+	}
 	alive := 0
 	for _, d := range dead {
 		if !d {
@@ -365,7 +368,7 @@ func TestFaultStateAccessorsOnHandBuiltState(t *testing.T) {
 	// States assembled by hand (no fault bookkeeping) must behave as fully
 	// up, alive, nominal speed.
 	s := &State{RunningTask: []int{NoTask}}
-	if !s.ResourceUp(0) || s.ResourceDead(0) || s.SpeedFactor(0) != 1 {
+	if !s.ResourceUp(0) || s.SpeedFactor(0) != 1 {
 		t.Fatal("nil fault state must read as healthy")
 	}
 	if !s.IsFree(0) {

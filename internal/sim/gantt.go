@@ -33,19 +33,3 @@ func WriteGanttCSV(w io.Writer, g *taskgraph.Graph, plat platform.Platform, res 
 	}
 	return nil
 }
-
-// ResourceUtilisation returns, per resource, the fraction of the makespan
-// spent computing (busy time / makespan). A perfectly packed schedule has
-// utilisation 1 on every resource.
-func ResourceUtilisation(plat platform.Platform, res Result) []float64 {
-	busy := make([]float64, plat.Size())
-	for _, p := range res.Trace {
-		busy[p.Resource] += p.End - p.Start
-	}
-	if res.Makespan > 0 {
-		for i := range busy {
-			busy[i] /= res.Makespan
-		}
-	}
-	return busy
-}

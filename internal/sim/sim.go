@@ -135,9 +135,6 @@ type State struct {
 	onDone func(task int, at float64)
 }
 
-// NumRunning returns the number of tasks currently executing.
-func (s *State) NumRunning() int { return len(s.Running) }
-
 // up reports current availability, tolerating hand-built States without
 // fault bookkeeping.
 func (s *State) up(r int) bool { return s.Up == nil || s.Up[r] }
@@ -157,19 +154,12 @@ func (s *State) speed(r int) float64 {
 // exclude them when estimating completion times.
 func (s *State) ResourceUp(r int) bool { return s.up(r) }
 
-// ResourceDead reports whether resource r failed permanently.
-func (s *State) ResourceDead(r int) bool { return s.Dead != nil && s.Dead[r] }
-
 // SpeedFactor returns the current duration multiplier of resource r.
 func (s *State) SpeedFactor(r int) float64 { return s.speed(r) }
 
 // IsFree reports whether resource r can start a task at s.Now: idle and
 // currently available.
 func (s *State) IsFree(r int) bool { return s.RunningTask[r] == NoTask && s.up(r) }
-
-// FreeResources returns the IDs of idle, available resources in ascending
-// order, in a slice the caller owns.
-func (s *State) FreeResources() []int { return s.appendFree(nil) }
 
 func (s *State) appendFree(dst []int) []int {
 	for r := range s.RunningTask {
@@ -180,8 +170,8 @@ func (s *State) appendFree(dst []int) []int {
 	return dst
 }
 
-// shuffledFree fills the state's scratch with the free resources, ascending
-// as FreeResources lists them so that the shuffle draws what it always drew,
+// shuffledFree fills the state's scratch with the free resources, in
+// ascending order so that the shuffle draws what it always drew,
 // and shuffles it: the asking processor is uniform among the free ones. The
 // slice is valid until the next phase.
 func (s *State) shuffledFree(rng *rand.Rand) []int {
@@ -189,26 +179,6 @@ func (s *State) shuffledFree(rng *rand.Rand) []int {
 	s.free = free
 	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 	return free
-}
-
-// TimeUntilFree returns max(0, BusyUntil[r] - Now): the *actual* wait before
-// resource r becomes available (0 when free). Only the engine knows this
-// exactly; schedulers should use EstTimeUntilFree, which is based on expected
-// durations.
-func (s *State) TimeUntilFree(r int) float64 {
-	d := s.BusyUntil[r] - s.Now
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// EstDuration returns the expected duration of kernel k on resource r under
-// r's current speed factor — the best estimate a scheduler can make for a
-// possibly degraded resource. In multi-job streams the kernel index alone is
-// ambiguous (families have distinct tables); use EstTaskDuration there.
-func (s *State) EstDuration(k taskgraph.Kernel, r int) float64 {
-	return s.Timing.ExpectedDuration(k, s.Platform.Resources[r].Type) * s.speed(r)
 }
 
 // TaskTiming returns the timing table governing task t: the per-job table in

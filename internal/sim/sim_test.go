@@ -226,18 +226,12 @@ func TestTimeUntilFree(t *testing.T) {
 		BusyUntil:   []float64{5, 15},
 		RunningTask: []int{NoTask, 3},
 	}
-	if s.TimeUntilFree(0) != 0 {
-		t.Fatal("free resource should have 0 wait")
-	}
-	if s.TimeUntilFree(1) != 5 {
-		t.Fatalf("wait = %v, want 5", s.TimeUntilFree(1))
-	}
 	if !s.IsFree(0) || s.IsFree(1) {
 		t.Fatal("IsFree wrong")
 	}
-	free := s.FreeResources()
+	free := s.appendFree(nil)
 	if len(free) != 1 || free[0] != 0 {
-		t.Fatalf("FreeResources = %v", free)
+		t.Fatalf("free resources = %v", free)
 	}
 }
 
@@ -261,15 +255,6 @@ func TestGanttCSVAndUtilisation(t *testing.T) {
 	lines := strings.Count(out, "\n")
 	if lines != g.NumTasks()+1 {
 		t.Fatalf("%d lines, want %d", lines, g.NumTasks()+1)
-	}
-	util := ResourceUtilisation(plat, res)
-	if len(util) != plat.Size() {
-		t.Fatal("utilisation length wrong")
-	}
-	for r, u := range util {
-		if u < 0 || u > 1+1e-9 {
-			t.Fatalf("utilisation[%d] = %v", r, u)
-		}
 	}
 }
 

@@ -240,7 +240,7 @@ func TestDescendantAccumulatorMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			if counts := union.KernelCounts(); counts[0]*counts[1]*counts[2]*counts[3] == 0 {
+			if counts := kernelCounts(union); counts[0]*counts[1]*counts[2]*counts[3] == 0 {
 				zeroNorm++
 			}
 		}

@@ -14,12 +14,12 @@ func TestGemmStructure(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c := g.KernelCounts()
+	c := kernelCounts(g)
 	if c[KLoadA] != T*T || c[KLoadB] != T*T || c[KStoreC] != T*T || c[KMulAcc] != T*T*T {
 		t.Fatalf("kernel counts %v", c)
 	}
 	// Each multiply chain is serialised: critical path ≥ T (chain) + load + store.
-	if cp := g.CriticalPathLength(); cp != T+2 {
+	if cp := criticalPathLength(g); cp != T+2 {
 		t.Fatalf("critical path %d, want %d", cp, T+2)
 	}
 	// GEMM(i,j,k) depends on LOAD_A(i,k), LOAD_B(k,j) and the previous chain link.
@@ -44,14 +44,14 @@ func TestStencilStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wavefront critical path: (0,0) → ... → (T-1,T-1) = 2T-1 tasks.
-	if cp := g.CriticalPathLength(); cp != 2*T-1 {
+	if cp := criticalPathLength(g); cp != 2*T-1 {
 		t.Fatalf("critical path %d, want %d", cp, 2*T-1)
 	}
 	// Single root (corner) and single sink (opposite corner).
-	if len(g.Roots()) != 1 || len(g.Sinks()) != 1 {
-		t.Fatalf("roots %v sinks %v", g.Roots(), g.Sinks())
+	if len(g.Roots()) != 1 || len(sinksOf(g)) != 1 {
+		t.Fatalf("roots %v sinks %v", g.Roots(), sinksOf(g))
 	}
-	c := g.KernelCounts()
+	c := kernelCounts(g)
 	if c[KCorner] != 1 || c[KEdgeRow] != T-1 || c[KEdgeCol] != T-1 || c[KInterior] != (T-1)*(T-1) {
 		t.Fatalf("kernel counts %v", c)
 	}
@@ -67,10 +67,10 @@ func TestForkJoinStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Critical path: per stage fork→work→join (3 each) plus the reduce.
-	if cp := g.CriticalPathLength(); cp != 3*stages+1 {
+	if cp := criticalPathLength(g); cp != 3*stages+1 {
 		t.Fatalf("critical path %d, want %d", cp, 3*stages+1)
 	}
-	c := g.KernelCounts()
+	c := kernelCounts(g)
 	if c[KFork] != stages || c[KJoin] != stages || c[KWork] != stages*width || c[KReduce] != 1 {
 		t.Fatalf("kernel counts %v", c)
 	}

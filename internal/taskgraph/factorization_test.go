@@ -36,7 +36,7 @@ func TestTaskCountFormulasProperty(t *testing.T) {
 func TestLUKernelCounts(t *testing.T) {
 	T := 5
 	g := NewLU(T)
-	c := g.KernelCounts()
+	c := kernelCounts(g)
 	if c[KGETRF] != T {
 		t.Fatalf("#GETRF = %d", c[KGETRF])
 	}
@@ -51,7 +51,7 @@ func TestLUKernelCounts(t *testing.T) {
 func TestQRKernelCounts(t *testing.T) {
 	T := 5
 	g := NewQR(T)
-	c := g.KernelCounts()
+	c := kernelCounts(g)
 	if c[KGEQRT] != T || c[KORMQR] != T*(T-1)/2 || c[KTSQRT] != T*(T-1)/2 {
 		t.Fatalf("QR counts = %v", c)
 	}
@@ -206,6 +206,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 
 func ExampleNewCholesky() {
 	g := NewCholesky(4)
-	fmt.Println(g.NumTasks(), g.CriticalPathLength())
-	// Output: 20 10
+	fmt.Println(g.NumTasks(), len(g.Roots()))
+	// Output: 20 1
 }

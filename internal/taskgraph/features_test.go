@@ -56,7 +56,7 @@ func TestDescendantFeaturesRootIsOne(t *testing.T) {
 	for _, g := range []*Graph{NewCholesky(6), NewLU(5), NewQR(5)} {
 		f := DescendantFeatures(g)
 		root := g.Roots()[0]
-		counts := g.KernelCounts()
+		counts := kernelCounts(g)
 		for k := 0; k < NumKernels; k++ {
 			want := 0.0
 			if counts[k] > 0 {
@@ -97,7 +97,7 @@ func TestDescendantFeaturesRootSumEqualsTaskCounts(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := NewLayeredRandom(rng, DefaultRandomConfig())
 		f := DescendantFeatures(g)
-		counts := g.KernelCounts()
+		counts := kernelCounts(g)
 		var rootSum [NumKernels]float64
 		for _, r := range g.Roots() {
 			for k := 0; k < NumKernels; k++ {
@@ -125,7 +125,7 @@ func TestDescendantFeaturesMonotoneAlongChain(t *testing.T) {
 	// shrink to zero.
 	g := NewCholesky(6)
 	f := DescendantFeatures(g)
-	sink := g.Sinks()[0]
+	sink := sinksOf(g)[0]
 	if f[sink][KGEMM] != 0 || f[sink][KPOTRF] == 0 {
 		t.Fatalf("sink F = %v", f[sink])
 	}

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Kernel identifies one of the four computational kernels of a DAG family.
@@ -423,17 +422,6 @@ func (g *Graph) Roots() []int {
 	return roots
 }
 
-// Sinks returns the tasks with no successors, in ID order.
-func (g *Graph) Sinks() []int {
-	var sinks []int
-	for i := range g.Tasks {
-		if len(g.Succ[i]) == 0 {
-			sinks = append(sinks, i)
-		}
-	}
-	return sinks
-}
-
 // TopoOrder returns a topological ordering of the tasks, or an error if the
 // graph contains a cycle (Kahn's algorithm; ties broken by smallest ID for
 // determinism).
@@ -569,59 +557,6 @@ func (g *Graph) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// KernelCounts returns the number of tasks of each kernel type.
-func (g *Graph) KernelCounts() [NumKernels]int {
-	var c [NumKernels]int
-	for _, t := range g.Tasks {
-		c[t.Kernel]++
-	}
-	return c
-}
-
-// CriticalPathLength returns the length (in tasks) of the longest path.
-func (g *Graph) CriticalPathLength() int {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	depth := make([]int, g.NumTasks())
-	best := 0
-	for _, i := range order {
-		d := 1
-		for _, p := range g.Pred[i] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[i] = d
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// Descendants returns the set (as a sorted slice) of tasks reachable from id.
-func (g *Graph) Descendants(id int) []int {
-	seen := make(map[int]bool)
-	stack := append([]int(nil), g.Succ[id]...)
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[t] {
-			continue
-		}
-		seen[t] = true
-		stack = append(stack, g.Succ[t]...)
-	}
-	out := make([]int, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func contains(xs []int, v int) bool {

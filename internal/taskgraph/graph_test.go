@@ -75,7 +75,7 @@ func TestRootsAndSinks(t *testing.T) {
 	if len(roots) != 1 || g.Tasks[roots[0]].Name != "POTRF(0)" {
 		t.Fatalf("Cholesky root = %v", roots)
 	}
-	sinks := g.Sinks()
+	sinks := sinksOf(g)
 	if len(sinks) != 1 || g.Tasks[sinks[0]].Name != "POTRF(3)" {
 		t.Fatalf("Cholesky sink = %v (names %v)", sinks, taskNames(g, sinks))
 	}
@@ -87,27 +87,15 @@ func TestCriticalPathCholesky(t *testing.T) {
 	for T := 1; T <= 8; T++ {
 		g := NewCholesky(T)
 		want := 3*(T-1) + 1
-		if got := g.CriticalPathLength(); got != want {
+		if got := criticalPathLength(g); got != want {
 			t.Fatalf("T=%d critical path = %d, want %d", T, got, want)
 		}
 	}
 }
 
-func TestDescendants(t *testing.T) {
-	g := NewCholesky(3) // 10 tasks, root POTRF(0)
-	all := g.Descendants(0)
-	if len(all) != g.NumTasks()-1 {
-		t.Fatalf("root should reach all others, got %d of %d", len(all), g.NumTasks()-1)
-	}
-	sink := g.Sinks()[0]
-	if len(g.Descendants(sink)) != 0 {
-		t.Fatal("sink has no descendants")
-	}
-}
-
 func TestKernelCounts(t *testing.T) {
 	g := NewCholesky(6)
-	c := g.KernelCounts()
+	c := kernelCounts(g)
 	if c[KPOTRF] != 6 || c[KTRSM] != 15 || c[KSYRK] != 15 || c[KGEMM] != 20 {
 		t.Fatalf("Cholesky T=6 kernel counts = %v", c)
 	}
@@ -135,18 +123,43 @@ func TestValidateAllFamilies(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	g := NewCholesky(2)
-	var sb strings.Builder
-	if err := WriteDOT(&sb, g); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"digraph cholesky", "POTRF(0)", "TRSM(1,0)", "->"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
+// sinksOf returns the tasks with no successors, in ID order.
+func sinksOf(g *Graph) []int {
+	var sinks []int
+	for i := range g.Tasks {
+		if len(g.Succ[i]) == 0 {
+			sinks = append(sinks, i)
 		}
 	}
+	return sinks
+}
+
+// kernelCounts returns the number of tasks of each kernel type.
+func kernelCounts(g *Graph) [NumKernels]int {
+	var c [NumKernels]int
+	for _, t := range g.Tasks {
+		c[t.Kernel]++
+	}
+	return c
+}
+
+// criticalPathLength returns the length (in tasks) of the longest path.
+func criticalPathLength(g *Graph) int {
+	order, err := g.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	depth := make([]int, g.NumTasks())
+	best := 0
+	for _, i := range order {
+		d := 1
+		for _, p := range g.Pred[i] {
+			d = max(d, depth[p]+1)
+		}
+		depth[i] = d
+		best = max(best, d)
+	}
+	return best
 }
 
 func taskNames(g *Graph, ids []int) []string {

@@ -41,40 +41,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows, copying data.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic(fmt.Sprintf("tensor: FromRows ragged input: row %d has %d cols, want %d", i, len(r), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
-// Eye returns the n x n identity matrix.
-func Eye(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// Full returns a rows x cols matrix with every entry set to v.
-func Full(rows, cols int, v float64) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-	return m
-}
-
 // RandUniform returns a rows x cols matrix with entries drawn uniformly from
 // [-scale, scale] using rng.
 func RandUniform(rng *rand.Rand, rows, cols int, scale float64) *Matrix {
@@ -145,13 +111,6 @@ func (m *Matrix) Zero() {
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix) SameShape(o *Matrix) bool {
 	return m.Rows == o.Rows && m.Cols == o.Cols
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	TransposeInto(m, t)
-	return t
 }
 
 // TransposeInto writes mᵀ into out.

@@ -35,39 +35,34 @@ func TestFromSlicePanicsOnBadLength(t *testing.T) {
 	FromSlice(2, 2, []float64{1, 2, 3})
 }
 
-func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 || m.At(2, 1) != 6 {
-		t.Fatalf("FromRows wrong: %v", m)
+// eye is the n x n identity matrix.
+func eye(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] = 1
 	}
-	if FromRows(nil).Rows != 0 {
-		t.Fatal("FromRows(nil) should be empty")
-	}
+	return m
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer mustPanic(t, "FromRows ragged")
-	FromRows([][]float64{{1, 2}, {3}})
+// full is a rows x cols matrix with every entry v.
+func full(rows, cols int, v float64) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
 }
 
-func TestEye(t *testing.T) {
-	m := Eye(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if m.At(i, j) != want {
-				t.Fatalf("Eye(3)[%d,%d] = %v", i, j, m.At(i, j))
-			}
-		}
-	}
+// transposed is the transpose of m.
+func transposed(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	TransposeInto(m, t)
+	return t
 }
 
 func TestTranspose(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	tr := m.T()
+	tr := transposed(m)
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("bad transpose shape %dx%d", tr.Rows, tr.Cols)
 	}
@@ -85,7 +80,7 @@ func TestTransposeInvolution(t *testing.T) {
 	f := func(r8, c8 uint8) bool {
 		r, c := int(r8%20)+1, int(c8%20)+1
 		m := RandNormal(rng, r, c, 1)
-		return m.T().T().Equal(m)
+		return transposed(transposed(m)).Equal(m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

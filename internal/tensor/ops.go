@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // MatMul returns a*b. It panics if the inner dimensions disagree.
@@ -213,13 +212,6 @@ func transASegAccRange(a, b *Matrix, segs []int, scratch, acc *Matrix, lo, hi in
 	}
 }
 
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	AddInto(a, b, out)
-	return out
-}
-
 // AddInto computes out = a+b.
 func AddInto(a, b, out *Matrix) {
 	mustSameShape("Add", a, b)
@@ -227,13 +219,6 @@ func AddInto(a, b, out *Matrix) {
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
 	}
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	SubInto(a, b, out)
-	return out
 }
 
 // SubInto computes out = a-b.
@@ -245,13 +230,6 @@ func SubInto(a, b, out *Matrix) {
 	}
 }
 
-// Mul returns the elementwise (Hadamard) product a⊙b.
-func Mul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	MulInto(a, b, out)
-	return out
-}
-
 // MulInto computes out = a⊙b.
 func MulInto(a, b, out *Matrix) {
 	mustSameShape("Mul", a, b)
@@ -259,13 +237,6 @@ func MulInto(a, b, out *Matrix) {
 	for i, v := range a.Data {
 		out.Data[i] = v * b.Data[i]
 	}
-}
-
-// Scale returns s*a.
-func Scale(a *Matrix, s float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	ScaleInto(a, s, out)
-	return out
 }
 
 // ScaleInto computes out = s*a.
@@ -284,22 +255,6 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// AddScaledInPlace accumulates s*b into a.
-func AddScaledInPlace(a *Matrix, b *Matrix, s float64) {
-	mustSameShape("AddScaledInPlace", a, b)
-	for i, v := range b.Data {
-		a.Data[i] += float64(s * v)
-	}
-}
-
-// AddRowVector returns a matrix whose every row is the corresponding row of a
-// plus the 1 x Cols row vector v (bias broadcast).
-func AddRowVector(a, v *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	AddRowVectorInto(a, v, out)
-	return out
-}
-
 // AddRowVectorInto computes the bias broadcast into out.
 func AddRowVectorInto(a, v, out *Matrix) {
 	if v.Rows != 1 || v.Cols != a.Cols {
@@ -313,13 +268,6 @@ func AddRowVectorInto(a, v, out *Matrix) {
 			orow[j] = x + v.Data[j]
 		}
 	}
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Matrix, f func(float64) float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	ApplyInto(a, f, out)
-	return out
 }
 
 // ApplyInto computes out = f(a) elementwise.
@@ -349,18 +297,6 @@ func Dot(a, b *Matrix) float64 {
 	return s
 }
 
-// Norm returns the Frobenius norm of a.
-func Norm(a *Matrix) float64 {
-	return math.Sqrt(Dot(a, a))
-}
-
-// MeanRows returns the 1 x Cols row vector of column means.
-func MeanRows(a *Matrix) *Matrix {
-	out := New(1, a.Cols)
-	MeanRowsInto(a, out)
-	return out
-}
-
 // MeanRowsInto computes the column means into a 1 x Cols destination.
 func MeanRowsInto(a, out *Matrix) {
 	mustShape("MeanRows destination", out, 1, a.Cols)
@@ -378,15 +314,6 @@ func MeanRowsInto(a, out *Matrix) {
 	for j := range out.Data {
 		out.Data[j] *= inv
 	}
-}
-
-// MaxRows returns the 1 x Cols row vector of column maxima and, for each
-// column, the row index attaining it (ties resolved to the smallest index).
-func MaxRows(a *Matrix) (*Matrix, []int) {
-	out := New(1, a.Cols)
-	arg := make([]int, a.Cols)
-	MaxRowsInto(a, out, arg)
-	return out, arg
 }
 
 // MaxRowsInto computes column maxima and argmax rows into caller buffers.
@@ -414,29 +341,12 @@ func MaxRowsInto(a, out *Matrix, arg []int) {
 	}
 }
 
-// GatherRows returns the matrix whose i-th row is a's row idx[i].
-func GatherRows(a *Matrix, idx []int) *Matrix {
-	out := New(len(idx), a.Cols)
-	GatherRowsInto(a, idx, out)
-	return out
-}
-
 // GatherRowsInto gathers a's rows idx into out.
 func GatherRowsInto(a *Matrix, idx []int, out *Matrix) {
 	mustShape("GatherRows destination", out, len(idx), a.Cols)
 	for i, r := range idx {
 		copy(out.Row(i), a.Row(r))
 	}
-}
-
-// ConcatCols returns [a | b], the horizontal concatenation of a and b.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	ConcatColsInto(a, b, out)
-	return out
 }
 
 // ConcatColsInto writes [a | b] into out.
@@ -449,21 +359,6 @@ func ConcatColsInto(a, b, out *Matrix) {
 		copy(out.Data[i*out.Cols:], a.Row(i))
 		copy(out.Data[i*out.Cols+a.Cols:], b.Row(i))
 	}
-}
-
-// ConcatRows returns the vertical concatenation of a above b.
-func ConcatRows(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols && a.Rows != 0 && b.Rows != 0 {
-		panic(fmt.Sprintf("tensor: ConcatRows col mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	cols := a.Cols
-	if a.Rows == 0 {
-		cols = b.Cols
-	}
-	out := New(a.Rows+b.Rows, cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[a.Rows*cols:], b.Data)
-	return out
 }
 
 func mustSameShape(op string, a, b *Matrix) {

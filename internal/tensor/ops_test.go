@@ -43,7 +43,7 @@ func TestMatMulMismatchPanics(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := RandNormal(rng, 7, 7, 1)
-	if !MatMul(m, Eye(7)).AllClose(m, 1e-12) || !MatMul(Eye(7), m).AllClose(m, 1e-12) {
+	if !MatMul(m, eye(7)).AllClose(m, 1e-12) || !MatMul(eye(7), m).AllClose(m, 1e-12) {
 		t.Fatal("identity should be neutral")
 	}
 }
@@ -75,7 +75,7 @@ func TestMatMulTransA(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := RandNormal(rng, 9, 5, 1)
 	b := RandNormal(rng, 9, 7, 1)
-	if !MatMulTransA(a, b).AllClose(MatMul(a.T(), b), 1e-10) {
+	if !MatMulTransA(a, b).AllClose(MatMul(transposed(a), b), 1e-10) {
 		t.Fatal("MatMulTransA mismatch")
 	}
 }
@@ -97,17 +97,18 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
-	if !Add(a, b).Equal(FromSlice(2, 2, []float64{6, 8, 10, 12})) {
-		t.Fatal("Add wrong")
+	out := New(2, 2)
+	if AddInto(a, b, out); !out.Equal(FromSlice(2, 2, []float64{6, 8, 10, 12})) {
+		t.Fatal("AddInto wrong")
 	}
-	if !Sub(b, a).Equal(FromSlice(2, 2, []float64{4, 4, 4, 4})) {
-		t.Fatal("Sub wrong")
+	if SubInto(b, a, out); !out.Equal(FromSlice(2, 2, []float64{4, 4, 4, 4})) {
+		t.Fatal("SubInto wrong")
 	}
-	if !Mul(a, b).Equal(FromSlice(2, 2, []float64{5, 12, 21, 32})) {
-		t.Fatal("Mul wrong")
+	if MulInto(a, b, out); !out.Equal(FromSlice(2, 2, []float64{5, 12, 21, 32})) {
+		t.Fatal("MulInto wrong")
 	}
-	if !Scale(a, 2).Equal(FromSlice(2, 2, []float64{2, 4, 6, 8})) {
-		t.Fatal("Scale wrong")
+	if ScaleInto(a, 2, out); !out.Equal(FromSlice(2, 2, []float64{2, 4, 6, 8})) {
+		t.Fatal("ScaleInto wrong")
 	}
 }
 
@@ -117,16 +118,13 @@ func TestAddInPlaceAndScaled(t *testing.T) {
 	if !a.Equal(FromSlice(1, 3, []float64{2, 3, 4})) {
 		t.Fatal("AddInPlace wrong")
 	}
-	AddScaledInPlace(a, FromSlice(1, 3, []float64{1, 1, 1}), -2)
-	if !a.Equal(FromSlice(1, 3, []float64{0, 1, 2})) {
-		t.Fatal("AddScaledInPlace wrong")
-	}
 }
 
 func TestAddRowVector(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	v := FromSlice(1, 3, []float64{10, 20, 30})
-	got := AddRowVector(a, v)
+	got := New(2, 3)
+	AddRowVectorInto(a, v, got)
 	want := FromSlice(2, 3, []float64{11, 22, 33, 14, 25, 36})
 	if !got.Equal(want) {
 		t.Fatalf("AddRowVector = %v", got)
@@ -135,24 +133,24 @@ func TestAddRowVector(t *testing.T) {
 
 func TestApplySumDotNorm(t *testing.T) {
 	a := FromSlice(1, 4, []float64{-1, 2, -3, 4})
-	abs := Apply(a, math.Abs)
+	abs := New(1, 4)
+	ApplyInto(a, math.Abs, abs)
 	if Sum(abs) != 10 {
 		t.Fatalf("Sum(|a|) = %v", Sum(abs))
 	}
 	if Dot(a, a) != 30 {
 		t.Fatalf("Dot = %v", Dot(a, a))
 	}
-	if math.Abs(Norm(a)-math.Sqrt(30)) > 1e-12 {
-		t.Fatalf("Norm = %v", Norm(a))
-	}
 }
 
 func TestMeanRows(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 3, 3, 5})
-	if !MeanRows(a).Equal(FromSlice(1, 2, []float64{2, 4})) {
+	mean := New(1, 2)
+	if MeanRowsInto(a, mean); !mean.Equal(FromSlice(1, 2, []float64{2, 4})) {
 		t.Fatal("MeanRows wrong")
 	}
-	empty := MeanRows(New(0, 3))
+	empty := full(1, 3, 1)
+	MeanRowsInto(New(0, 3), empty)
 	if empty.Rows != 1 || empty.Cols != 3 || Sum(empty) != 0 {
 		t.Fatal("MeanRows of empty should be zeros")
 	}
@@ -160,7 +158,8 @@ func TestMeanRows(t *testing.T) {
 
 func TestMaxRows(t *testing.T) {
 	a := FromSlice(3, 2, []float64{1, 9, 7, 2, 7, 5})
-	m, arg := MaxRows(a)
+	m, arg := New(1, 2), make([]int, 2)
+	MaxRowsInto(a, m, arg)
 	if !m.Equal(FromSlice(1, 2, []float64{7, 9})) {
 		t.Fatalf("MaxRows values = %v", m)
 	}
@@ -171,7 +170,8 @@ func TestMaxRows(t *testing.T) {
 
 func TestGatherRows(t *testing.T) {
 	a := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	g := GatherRows(a, []int{2, 0, 2})
+	g := New(3, 2)
+	GatherRowsInto(a, []int{2, 0, 2}, g)
 	want := FromSlice(3, 2, []float64{5, 6, 1, 2, 5, 6})
 	if !g.Equal(want) {
 		t.Fatalf("GatherRows = %v", g)
@@ -181,17 +181,9 @@ func TestGatherRows(t *testing.T) {
 func TestConcat(t *testing.T) {
 	a := FromSlice(2, 1, []float64{1, 2})
 	b := FromSlice(2, 2, []float64{3, 4, 5, 6})
-	h := ConcatCols(a, b)
-	if !h.Equal(FromSlice(2, 3, []float64{1, 3, 4, 2, 5, 6})) {
+	h := New(2, 3)
+	if ConcatColsInto(a, b, h); !h.Equal(FromSlice(2, 3, []float64{1, 3, 4, 2, 5, 6})) {
 		t.Fatalf("ConcatCols = %v", h)
-	}
-	v := ConcatRows(FromSlice(1, 2, []float64{1, 2}), FromSlice(2, 2, []float64{3, 4, 5, 6}))
-	if !v.Equal(FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})) {
-		t.Fatalf("ConcatRows = %v", v)
-	}
-	e := ConcatRows(New(0, 0), FromSlice(1, 2, []float64{7, 8}))
-	if !e.Equal(FromSlice(1, 2, []float64{7, 8})) {
-		t.Fatalf("ConcatRows with empty = %v", e)
 	}
 }
 
@@ -202,8 +194,10 @@ func TestDistributivityProperty(t *testing.T) {
 		a := RandNormal(rng, n, n, 1)
 		b := RandNormal(rng, n, n, 1)
 		c := RandNormal(rng, n, n, 1)
-		left := MatMul(a, Add(b, c))
-		right := Add(MatMul(a, b), MatMul(a, c))
+		bc, right := New(n, n), New(n, n)
+		AddInto(b, c, bc)
+		left := MatMul(a, bc)
+		AddInto(MatMul(a, b), MatMul(a, c), right)
 		return left.AllClose(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -305,7 +299,7 @@ func TestMatMulTransAParallelPathMatchesNaive(t *testing.T) {
 	// Work = a.Cols * b.Cols * a.Rows above parallelThreshold.
 	a := RandNormal(rng, 80, 128, 1)
 	b := RandNormal(rng, 80, 96, 1)
-	if !MatMulTransA(a, b).AllClose(naiveMatMul(a.T(), b), 1e-8) {
+	if !MatMulTransA(a, b).AllClose(naiveMatMul(transposed(a), b), 1e-8) {
 		t.Fatal("parallel MatMulTransA diverges from naive")
 	}
 }
@@ -365,7 +359,7 @@ func TestMatMulOfTransposeMatchesSequentialDots(t *testing.T) {
 		rows, k, outCols := sh[0], sh[1], sh[2]
 		a, b := RandNormal(rng, rows, k, 1), RandNormal(rng, outCols, k, 1)
 		a.Data[4], a.Data[5] = 0, math.Copysign(0, -1) // zero terms must cost no bit
-		got := MatMul(a, b.T())
+		got := MatMul(a, transposed(b))
 		for i := 0; i < a.Rows; i++ {
 			for j := 0; j < b.Rows; j++ {
 				var s float64

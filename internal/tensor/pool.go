@@ -9,7 +9,7 @@ import (
 //
 // Training and serving allocate the same handful of matrix shapes millions of
 // times (one set of intermediates per scheduling decision). GetPooled hands
-// out zeroed matrices from size-bucketed sync.Pools; PutPooled returns them.
+// out zeroed matrices from size-bucketed sync.Pools; a FreeList returns them.
 // Buckets are powers of two, so a recycled buffer serves every shape in its
 // size class and the pool never fragments across the many slightly-different
 // sub-DAG sizes. What is pooled is the *Matrix itself, header and backing
@@ -18,7 +18,7 @@ import (
 // Pooling is strictly opt-in: New remains a plain allocation, and a pooled
 // matrix behaves exactly like any other Matrix. Callers own the lifetime —
 // returning a buffer that is still referenced elsewhere is the caller's bug,
-// exactly as with any free list. PutPooled leaves the matrix at -1 x -1 with
+// exactly as with any free list. FreeList.Put leaves the matrix at -1 x -1 with
 // an empty Data, so a use after Put fails a shape or bounds check for as long
 // as the matrix has not been handed out again.
 
@@ -70,7 +70,8 @@ func (m *Matrix) retire() int {
 }
 
 // GetPooled returns a zeroed rows x cols matrix backed by a recycled buffer
-// when one is available. Return it with PutPooled once no reference escapes.
+// when one is available. Return it through a FreeList once no reference
+// escapes.
 func GetPooled(rows, cols int) *Matrix {
 	n := rows * cols
 	b := bucketFor(n)
@@ -81,16 +82,6 @@ func GetPooled(rows, cols int) *Matrix {
 		return v.(*Matrix).reshape(rows, cols, true)
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<b)}
-}
-
-// PutPooled returns m to its size-class pool. The matrix must not be used
-// afterwards; putting it twice is a no-op. Matrices whose capacity is not a
-// pooled size class (e.g. built with New or FromSlice) are detached and
-// dropped.
-func PutPooled(m *Matrix) {
-	if b := m.retire(); b >= 0 {
-		bufPools[b].Put(m)
-	}
 }
 
 // FreeList is a single-goroutine free list layered over the shared pools: Put
@@ -129,7 +120,9 @@ func (f *FreeList) get(rows, cols int, zero bool) *Matrix {
 	return GetPooled(rows, cols)
 }
 
-// Put keeps m for a later Get, under PutPooled's rules.
+// Put keeps m for a later Get. The matrix must not be used afterwards;
+// putting it twice is a no-op. Matrices whose capacity is not a pooled size
+// class (e.g. built with New or FromSlice) are detached and dropped.
 func (f *FreeList) Put(m *Matrix) {
 	if m.retire() >= 0 {
 		f.free = append(f.free, m)

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// shared hands matrices back to the shared pools, as a FreeList's Put and
+// Drain do.
+var shared FreeList
+
+func putPooled(m *Matrix) {
+	shared.Put(m)
+	shared.Drain()
+}
+
 func TestBucketForClasses(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
 	for n, want := range cases {
@@ -22,11 +31,11 @@ func TestGetPooledIsZeroedAfterDirtyPut(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = 42
 	}
-	PutPooled(m)
+	putPooled(m)
 	if len(m.Data) != 0 || m.Rows >= 0 {
-		t.Fatal("PutPooled must leave the matrix unusable")
+		t.Fatal("Put must leave the matrix unusable")
 	}
-	PutPooled(m) // a second Put must not pool the matrix twice
+	putPooled(m) // a second Put must not pool the matrix twice
 	// Whether or not the next Get recycles the same buffer, it must be zero.
 	n := GetPooled(3, 7)
 	for i, v := range n.Data {
@@ -34,18 +43,18 @@ func TestGetPooledIsZeroedAfterDirtyPut(t *testing.T) {
 			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
 		}
 	}
-	PutPooled(n)
+	putPooled(n)
 }
 
 func TestPutPooledDropsForeignBuffers(t *testing.T) {
 	// Buffers whose capacity is not a pool size class (plain New/FromSlice
 	// allocations) must be silently dropped, not corrupt a pool class.
 	m := &Matrix{Rows: 1, Cols: 3, Data: make([]float64, 3, 3)}
-	PutPooled(m)
+	putPooled(m)
 	if m.Data != nil {
 		t.Fatal("foreign buffer should still be detached")
 	}
-	PutPooled(nil) // must not panic
+	putPooled(nil) // must not panic
 }
 
 func TestPooledMatrixBehavesLikeNew(t *testing.T) {
@@ -58,7 +67,7 @@ func TestPooledMatrixBehavesLikeNew(t *testing.T) {
 	if !out.Equal(want) {
 		t.Fatal("MatMulInto into a pooled matrix diverges")
 	}
-	PutPooled(out)
+	putPooled(out)
 }
 
 // TestPooledRoundTripAllocatesNothing: what the pool recycles is the *Matrix,
@@ -66,7 +75,7 @@ func TestPooledMatrixBehavesLikeNew(t *testing.T) {
 // The first round trip may have to make the buffer; AllocsPerRun's warm-up
 // call absorbs it.
 func TestPooledRoundTripAllocatesNothing(t *testing.T) {
-	if n := testing.AllocsPerRun(200, func() { PutPooled(GetPooled(5, 7)) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { putPooled(GetPooled(5, 7)) }); n != 0 {
 		t.Fatalf("shared pool: %v allocations per Get/Put round trip, want 0", n)
 	}
 	var f FreeList
@@ -76,7 +85,7 @@ func TestPooledRoundTripAllocatesNothing(t *testing.T) {
 }
 
 func TestUseAfterPutIsDetected(t *testing.T) {
-	for name, put := range map[string]func(*Matrix){"shared": PutPooled, "free list": new(FreeList).Put} {
+	for name, put := range map[string]func(*Matrix){"shared": putPooled, "free list": new(FreeList).Put} {
 		m := GetPooled(2, 3)
 		put(m)
 		func() {

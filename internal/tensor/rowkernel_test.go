@@ -52,7 +52,7 @@ func kernelMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 
 // dirty returns a destination full of a value no product leaves behind, so a
 // column the kernel fails to store shows.
-func dirty(rows, cols int) *Matrix { return Full(rows, cols, math.Float64frombits(0x7ff8dead0000beef)) }
+func dirty(rows, cols int) *Matrix { return full(rows, cols, math.Float64frombits(0x7ff8dead0000beef)) }
 
 func mustSameBits(t *testing.T, what string, got, want *Matrix) {
 	t.Helper()
@@ -148,7 +148,7 @@ func TestDenseRowKernelStridedMatchesLoop(t *testing.T) {
 
 // CSR rows with 0, 1 and many stored entries, stored zeros and repeated
 // columns included: the kernel gathers by Col and skips nothing, like the
-// loop. The Sparse is assembled by hand — NewSparse would refuse the repeats.
+// loop. The Sparse is assembled by hand — SparseFromRows would merge the repeats.
 func TestCSRRowKernelMatchesLoop(t *testing.T) {
 	skipWithoutAVX2(t)
 	rng := rand.New(rand.NewSource(26))

@@ -21,38 +21,6 @@ type Sparse struct {
 	Val        []float64
 }
 
-// NewSparse builds a CSR matrix from raw components, validating the
-// structure eagerly (monotone row pointers, sorted in-range columns).
-func NewSparse(rows, cols int, rowPtr, col []int, val []float64) *Sparse {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative sparse dimensions %dx%d", rows, cols))
-	}
-	if len(rowPtr) != rows+1 {
-		panic(fmt.Sprintf("tensor: sparse RowPtr length %d, want %d", len(rowPtr), rows+1))
-	}
-	if len(col) != len(val) {
-		panic(fmt.Sprintf("tensor: sparse Col/Val length mismatch %d vs %d", len(col), len(val)))
-	}
-	if rowPtr[0] != 0 || rowPtr[rows] != len(col) {
-		panic(fmt.Sprintf("tensor: sparse RowPtr bounds [%d,%d], want [0,%d]", rowPtr[0], rowPtr[rows], len(col)))
-	}
-	for i := 0; i < rows; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		if lo > hi {
-			panic(fmt.Sprintf("tensor: sparse RowPtr not monotone at row %d", i))
-		}
-		for k := lo; k < hi; k++ {
-			if col[k] < 0 || col[k] >= cols {
-				panic(fmt.Sprintf("tensor: sparse column %d out of range at row %d", col[k], i))
-			}
-			if k > lo && col[k] <= col[k-1] {
-				panic(fmt.Sprintf("tensor: sparse columns not strictly increasing in row %d", i))
-			}
-		}
-	}
-	return &Sparse{Rows: rows, Cols: cols, RowPtr: rowPtr, Col: col, Val: val}
-}
-
 // SparseFromDense converts a dense matrix to CSR, keeping exact nonzeros.
 func SparseFromDense(m *Matrix) *Sparse {
 	rowPtr := make([]int, m.Rows+1)
@@ -203,14 +171,6 @@ func spMMLoop(s *Sparse, d, out *Matrix, lo, hi int) {
 			axpyF64(s.Val[k], d.Data[s.Col[k]*p:(s.Col[k]+1)*p], orow)
 		}
 	}
-}
-
-// SpMMTransA returns sᵀ*g without materialising the transpose — the gradient
-// of SpMM's dense operand (d(s·H)/dH applied to an upstream gradient g).
-func SpMMTransA(s *Sparse, g *Matrix) *Matrix {
-	out := New(s.Cols, g.Cols)
-	SpMMTransAInto(s, g, out)
-	return out
 }
 
 // SpMMTransAInto computes out = sᵀ*g into a caller-supplied matrix. The
