@@ -103,7 +103,7 @@ test:
 # policies, simulator memory and problem templates are held to ones built
 # fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
 # down, explicit DAGs, eviction;
-# TestLeasedPolicyFollowsPublishedWeights for Publish/Invalidate; a reused
+# TestLeasedPolicyFollowsPublishedWeights for new weights after LRU eviction; a reused
 # sim.Runner to a new one: TestRunnerReuseBitIdentical), its typed spans to the
 # map path's exported bytes (TestSpanExportsAsCompleteWithSpanArgs), and
 # TestScheduleRequestAllocBounded / TestSpanAllocatesNothing /

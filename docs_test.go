@@ -76,7 +76,7 @@ var (
 func TestDocsNameOnlyExistingTests(t *testing.T) {
 	funcs := map[string][]string{} // the Test, Benchmark and Fuzz functions by directory
 	var all []string
-	for _, f := range parseTree(t, token.NewFileSet(), true) {
+	for _, f := range parseTree(t, token.NewFileSet(), ".", true) {
 		for _, decl := range f.ast.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testIdent.MatchString(fn.Name.Name) {
 				funcs[f.dir] = append(funcs[f.dir], fn.Name.Name)

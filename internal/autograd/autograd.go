@@ -201,10 +201,6 @@ func NewInferenceTape() *Tape { return &Tape{infer: true} }
 // nodeChunk is how many nodes one arena chunk holds.
 const nodeChunk = 64
 
-// Len returns the number of recorded nodes (useful in tests and for sizing
-// diagnostics).
-func (t *Tape) Len() int { return t.n }
-
 // node returns the i-th recorded node.
 func (t *Tape) node(i int) *Node { return &t.chunks[i/nodeChunk][i%nodeChunk] }
 

@@ -76,7 +76,7 @@ func TestLinearReLUSegMatchesThreeOps(t *testing.T) {
 				xv := tp.Var(x)
 				c := layer(tp, xv, tp.Param(w, r.dw), tp.Param(bias, r.db))
 				tp.Backward(tp.SumAll(tp.Mul(c, tp.Const(up))))
-				r.out, r.dx = c.Value.Clone(), xv.Grad.Clone()
+				r.out, r.dx = clone(c.Value), clone(xv.Grad)
 				tp.Release()
 				return r
 			}
@@ -94,7 +94,7 @@ func TestLinearReLUSegMatchesThreeOps(t *testing.T) {
 					t.Fatalf("width %d: a zero row's output %d is %v, want +0", cols, j, v)
 				}
 			}
-			dc := up.Clone()
+			dc := clone(up)
 			for i, v := range fused.out.Data {
 				if !(v > 0) {
 					dc.Data[i] = 0
@@ -164,7 +164,7 @@ func TestFirstGradientMoves(t *testing.T) {
 	for _, m := range tp.owned {
 		live[reflect.ValueOf(m).Pointer()] = true
 	}
-	for i := range tp.Len() {
+	for i := range tp.n {
 		n := tp.node(i)
 		if n.Grad == nil || n.extGrad {
 			continue

@@ -28,17 +28,18 @@ func TestEncodeWithDirectedOperator(t *testing.T) {
 		return true
 	}
 	n := len(sym.Nodes)
-	if !symmetric(sym.Norm, n) {
+	if !symmetric(sym.Norm.Dense(), n) {
 		t.Fatal("symmetric operator is not symmetric")
 	}
-	if symmetric(dir.Norm, n) {
+	if symmetric(dir.Norm.Dense(), n) {
 		t.Fatal("directed operator should not be symmetric on this window")
 	}
 	// Directed rows are stochastic.
+	dense := dir.Norm.Dense()
 	for i := 0; i < n; i++ {
 		var sum float64
 		for j := 0; j < n; j++ {
-			sum += dir.Norm.At(i, j)
+			sum += dense.At(i, j)
 		}
 		if sum < 1-1e-9 || sum > 1+1e-9 {
 			t.Fatalf("directed row %d sums to %v", i, sum)

@@ -14,13 +14,13 @@ import (
 	"readys/internal/obs"
 )
 
-// Backoff defaults: a failed idempotent request is re-sent up to
-// defaultRetries times, sleeping defaultRetryBase before the first retry and
-// doubling per attempt, each delay jittered to ±50% so a worker fleet hitting
-// a briefly-down dispatcher does not retry in lockstep.
+// Backoff: a failed idempotent request is re-sent up to retries times,
+// sleeping retryBase before the first retry and doubling per attempt, each
+// delay jittered to ±50% so a worker fleet hitting a briefly-down dispatcher
+// does not retry in lockstep.
 const (
-	defaultRetries   = 3
-	defaultRetryBase = 25 * time.Millisecond
+	retries   = 3
+	retryBase = 25 * time.Millisecond
 )
 
 // Client is the typed HTTP client of the fleet API, used by workers, the
@@ -36,12 +36,6 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to a client with a 30s timeout.
 	HTTPClient *http.Client
-	// Retries is the number of re-sends after a failed idempotent request.
-	// Zero means defaultRetries; negative disables retrying.
-	Retries int
-	// RetryBase is the pre-jitter delay before the first retry, doubling
-	// each attempt. Zero means defaultRetryBase.
-	RetryBase time.Duration
 
 	// trace, when set, is injected into every outbound request's headers so
 	// dispatcher-side request spans join the caller's trace. Workers set it
@@ -77,23 +71,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) retries() int {
-	switch {
-	case c.Retries < 0:
-		return 0
-	case c.Retries == 0:
-		return defaultRetries
-	}
-	return c.Retries
-}
-
-func (c *Client) retryBase() time.Duration {
-	if c.RetryBase > 0 {
-		return c.RetryBase
-	}
-	return defaultRetryBase
 }
 
 // backoffDelay is the sleep before retry attempt i (1-based): the base delay
@@ -132,7 +109,7 @@ func (c *Client) send(method, path string, body, out any, retry bool, wantStatus
 	}
 	attempts := 1
 	if retry {
-		attempts += c.retries()
+		attempts += retries
 	}
 	var (
 		status int
@@ -140,7 +117,7 @@ func (c *Client) send(method, path string, body, out any, retry bool, wantStatus
 	)
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(backoffDelay(c.retryBase(), i))
+			time.Sleep(backoffDelay(retryBase, i))
 		}
 		status, err = c.doOnce(method, path, data, body != nil, out, wantStatus...)
 		if !retriable(status, err) {
@@ -194,15 +171,6 @@ func (c *Client) Submit(spec JobSpec) (*Job, bool, error) {
 		return nil, false, err
 	}
 	return resp.Job, resp.Deduped, nil
-}
-
-// Jobs lists every job on the dispatcher.
-func (c *Client) Jobs() ([]*Job, error) {
-	var resp JobsResponse
-	if _, err := c.doIdempotent(http.MethodGet, "/v1/jobs", nil, &resp, http.StatusOK); err != nil {
-		return nil, err
-	}
-	return resp.Jobs, nil
 }
 
 // Job fetches one job by ID.

@@ -30,9 +30,8 @@ var (
 	ErrArtifactMissing = errors.New("fleet: artifact not uploaded")
 )
 
-// Publisher receives completed training checkpoints. serve.(*Registry).Publish
-// satisfies it for in-process train → serve loops; DirPublisher writes into a
-// shared model directory for daemon deployments.
+// Publisher receives completed training checkpoints. DirPublisher writes
+// them into a model directory a replica serves from.
 type Publisher interface {
 	Publish(base string, data []byte) error
 }
@@ -257,18 +256,13 @@ func (d *Dispatcher) logf(format string, args ...any) {
 	}
 }
 
-// Submit validates, dedups and enqueues a job. When a non-failed job with
+// submit validates, dedups and enqueues a job. When a non-failed job with
 // the same spec hash already exists, that job is returned with deduped=true
-// and nothing is enqueued.
-func (d *Dispatcher) Submit(spec JobSpec) (*Job, bool, error) {
-	return d.submitTraced(spec, "", "")
-}
-
-// submitTraced is Submit with the submitter's trace context: the new job
-// adopts the caller's trace (or mints one) and gets a job span whose parent
-// is the submitting request's span, so dispatcher and worker exports stitch.
-// A deduplicated submission keeps the existing job's original trace.
-func (d *Dispatcher) submitTraced(spec JobSpec, traceID, parentSpan string) (*Job, bool, error) {
+// and nothing is enqueued. A new job adopts the submitter's trace (or mints
+// one when traceID is empty) and gets a job span whose parent is the
+// submitting request's span, so dispatcher and worker exports stitch. A
+// deduplicated submission keeps the existing job's original trace.
+func (d *Dispatcher) submit(spec JobSpec, traceID, parentSpan string) (*Job, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}

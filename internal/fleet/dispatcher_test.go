@@ -63,7 +63,7 @@ func TestSubmitValidates(t *testing.T) {
 		{Type: "bake", Figure: &FigureSpec{Name: "figure7"}},                        // unknown type
 	}
 	for i, spec := range bad {
-		if _, _, err := d.Submit(spec); err == nil {
+		if _, _, err := d.submit(spec, "", ""); err == nil {
 			t.Errorf("spec %d accepted: %+v", i, spec)
 		}
 	}
@@ -71,12 +71,12 @@ func TestSubmitValidates(t *testing.T) {
 
 func TestSubmitDedupsBySpecHash(t *testing.T) {
 	d := newTestDispatcher(t, nil)
-	j1, dup, err := d.Submit(trainJob(0))
+	j1, dup, err := d.submit(trainJob(0), "", "")
 	if err != nil || dup {
 		t.Fatalf("first submit = (dup=%v, err=%v)", dup, err)
 	}
 	// Same work at a different priority must dedup onto the existing job.
-	j2, dup, err := d.Submit(trainJob(99))
+	j2, dup, err := d.submit(trainJob(99), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSubmitDedupsBySpecHash(t *testing.T) {
 		t.Fatalf("dedup counter = %d, want 1", got)
 	}
 	// A different spec is a different job.
-	j3, dup, err := d.Submit(figureJob("figure7", 0))
+	j3, dup, err := d.submit(figureJob("figure7", 0), "", "")
 	if err != nil || dup {
 		t.Fatalf("distinct submit = (dup=%v, err=%v)", dup, err)
 	}
@@ -98,10 +98,10 @@ func TestSubmitDedupsBySpecHash(t *testing.T) {
 
 func TestLeaseOrderPriorityThenSubmission(t *testing.T) {
 	d := newTestDispatcher(t, nil)
-	low, _, _ := d.Submit(figureJob("figure3", 0))
-	mid1, _, _ := d.Submit(figureJob("figure4", 5))
-	mid2, _, _ := d.Submit(figureJob("figure5", 5))
-	high, _, _ := d.Submit(figureJob("figure6", 10))
+	low, _, _ := d.submit(figureJob("figure3", 0), "", "")
+	mid1, _, _ := d.submit(figureJob("figure4", 5), "", "")
+	mid2, _, _ := d.submit(figureJob("figure5", 5), "", "")
+	high, _, _ := d.submit(figureJob("figure6", 10), "", "")
 
 	w := d.Register("order")
 	var got []string
@@ -138,7 +138,7 @@ func TestFailRequeuesWithBackoffThenTerminal(t *testing.T) {
 		c.MaxAttempts = 2
 		c.RetryBackoff = time.Hour // visible, never elapses in-test
 	})
-	job, _, err := d.Submit(figureJob("figure7", 0))
+	job, _, err := d.submit(figureJob("figure7", 0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFailRequeuesWithBackoffThenTerminal(t *testing.T) {
 	if got := d.metrics.retries.Value(); got != 1 {
 		t.Fatalf("retry counter = %d, want 1 (terminal failure is not a retry)", got)
 	}
-	fresh, dup, err := d.Submit(figureJob("figure7", 0))
+	fresh, dup, err := d.submit(figureJob("figure7", 0), "", "")
 	if err != nil || dup {
 		t.Fatalf("resubmit after terminal failure = (dup=%v, err=%v)", dup, err)
 	}
@@ -207,7 +207,7 @@ func TestLoneWorkerRetriesAfterTransientFailure(t *testing.T) {
 		c.MaxAttempts = 3
 		c.RetryBackoff = time.Millisecond
 	})
-	job, _, err := d.Submit(figureJob("figure7", 0))
+	job, _, err := d.submit(figureJob("figure7", 0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLoneWorkerRetriesAfterTransientFailure(t *testing.T) {
 		t.Fatalf("retry completion = (%v, %v)", done, err)
 	}
 	// With a second worker registered, exclusion applies again.
-	job2, _, _ := d.Submit(figureJob("figure3", 0))
+	job2, _, _ := d.submit(figureJob("figure3", 0), "", "")
 	w2 := d.Register("second")
 	if leased, _, _ = d.Lease(w.ID); leased == nil || leased.ID != job2.ID {
 		t.Fatalf("lease = %v, want %s", leased, job2.ID)
@@ -263,7 +263,7 @@ func TestLoneWorkerRetriesAfterTransientFailure(t *testing.T) {
 // leaves the lease (and job state) intact so the worker can upload and retry.
 func TestCompleteMissingArtifactIsClientError(t *testing.T) {
 	d := newTestDispatcher(t, nil)
-	job, _, _ := d.Submit(figureJob("figure7", 0))
+	job, _, _ := d.submit(figureJob("figure7", 0), "", "")
 	w := d.Register("uploader")
 	if leased, _, _ := d.Lease(w.ID); leased == nil {
 		t.Fatal("lease failed")
@@ -291,7 +291,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		c.SweepInterval = 5 * time.Millisecond
 		c.RetryBackoff = time.Millisecond
 	})
-	job, _, err := d.Submit(figureJob("figure7", 0))
+	job, _, err := d.submit(figureJob("figure7", 0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestHeartbeatExtendsLeaseAndRecordsProgress(t *testing.T) {
 		c.LeaseTTL = 60 * time.Millisecond
 		c.SweepInterval = 10 * time.Millisecond
 	})
-	job, _, _ := d.Submit(figureJob("figure7", 0))
+	job, _, _ := d.submit(figureJob("figure7", 0), "", "")
 	w := d.Register("beater")
 	if leased, _, _ := d.Lease(w.ID); leased == nil {
 		t.Fatal("lease failed")
@@ -354,7 +354,7 @@ func TestHeartbeatExtendsLeaseAndRecordsProgress(t *testing.T) {
 
 func TestCompleteVerifiesArtifactsExist(t *testing.T) {
 	d := newTestDispatcher(t, nil)
-	job, _, _ := d.Submit(figureJob("figure7", 0))
+	job, _, _ := d.submit(figureJob("figure7", 0), "", "")
 	w := d.Register("uploader")
 	if leased, _, _ := d.Lease(w.ID); leased == nil {
 		t.Fatal("lease failed")
@@ -378,7 +378,7 @@ func TestCompleteVerifiesArtifactsExist(t *testing.T) {
 
 func TestDeregisterRequeuesHeldLease(t *testing.T) {
 	d := newTestDispatcher(t, func(c *Config) { c.RetryBackoff = time.Millisecond })
-	job, _, _ := d.Submit(figureJob("figure7", 0))
+	job, _, _ := d.submit(figureJob("figure7", 0), "", "")
 	w := d.Register("quitter")
 	if leased, _, _ := d.Lease(w.ID); leased == nil {
 		t.Fatal("lease failed")
@@ -406,9 +406,9 @@ func TestDispatcherCrashReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pending, _, _ := d.Submit(figureJob("figure3", 1))
-	running, _, _ := d.Submit(figureJob("figure4", 2))
-	done, _, _ := d.Submit(figureJob("figure5", 3))
+	pending, _, _ := d.submit(figureJob("figure3", 1), "", "")
+	running, _, _ := d.submit(figureJob("figure4", 2), "", "")
+	done, _, _ := d.submit(figureJob("figure5", 3), "", "")
 	w := d.Register("doomed")
 	// Drain by priority: figure5 first (completed), then figure4 (left
 	// running across the crash).
@@ -460,12 +460,12 @@ func TestDispatcherCrashReplay(t *testing.T) {
 	}
 	// Dedup survives the restart: resubmitting completed work answers with
 	// the done job; the new ID sequence does not collide with replayed IDs.
-	again, dup, err := d2.Submit(figureJob("figure5", 3))
+	again, dup, err := d2.submit(figureJob("figure5", 3), "", "")
 	if err != nil || !dup || again.ID != done.ID {
 		t.Fatalf("post-restart dedup = (%v, dup=%v, err=%v)", again, dup, err)
 	}
 	freshSpec := figureJob("figure6", 0)
-	fresh, dup, err := d2.Submit(freshSpec)
+	fresh, dup, err := d2.submit(freshSpec, "", "")
 	if err != nil || dup {
 		t.Fatal("fresh submission after restart failed")
 	}
@@ -487,7 +487,7 @@ func TestWALCompactionTriggersOnChurn(t *testing.T) {
 	// One job cycled through fail→resubmit repeatedly appends far more
 	// records than live jobs, crossing the compaction threshold.
 	for i := 0; i < 10; i++ {
-		job, _, err := d.Submit(figureJob("figure7", 0))
+		job, _, err := d.submit(figureJob("figure7", 0), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,12 +537,12 @@ func TestPaperGridSubmissionIsIdempotent(t *testing.T) {
 	d := newTestDispatcher(t, nil)
 	grid := PaperGrid()
 	for _, spec := range grid {
-		if _, dup, err := d.Submit(spec); err != nil || dup {
+		if _, dup, err := d.submit(spec, "", ""); err != nil || dup {
 			t.Fatalf("first grid pass: dup=%v err=%v for %s job", dup, err, spec.Type)
 		}
 	}
 	for _, spec := range grid {
-		if _, dup, err := d.Submit(spec); err != nil || !dup {
+		if _, dup, err := d.submit(spec, "", ""); err != nil || !dup {
 			t.Fatalf("second grid pass not deduplicated (dup=%v, err=%v)", dup, err)
 		}
 	}

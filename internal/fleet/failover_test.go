@@ -36,7 +36,7 @@ func TestWorkerKillFailover(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	job, _, err := d.Submit(trainJob(0))
+	job, _, err := d.submit(trainJob(0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTrainJobDeterministicAcrossFailover(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	job, _, err := d.Submit(JobSpec{Type: JobTrain, Train: &TrainSpec{Agent: spec, Episodes: episodes}})
+	job, _, err := d.submit(JobSpec{Type: JobTrain, Train: &TrainSpec{Agent: spec, Episodes: episodes}}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func (d *Dispatcher) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sc := requestTrace(r.Context())
-		job, deduped, err := d.submitTraced(req.Spec, sc.TraceID, sc.SpanID)
+		job, deduped, err := d.submit(req.Spec, sc.TraceID, sc.SpanID)
 		if err != nil {
 			d.writeError(w, http.StatusBadRequest, err)
 			return

@@ -77,9 +77,9 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err != nil || string(back) != string(data) {
 		t.Fatalf("artifact round-trip = (%q, %v)", back, err)
 	}
-	all, err := client.Jobs()
-	if err != nil || len(all) != 1 {
-		t.Fatalf("jobs listing = (%d, %v)", len(all), err)
+	var all JobsResponse
+	if _, err := client.doIdempotent(http.MethodGet, "/v1/jobs", nil, &all, http.StatusOK); err != nil || len(all.Jobs) != 1 {
+		t.Fatalf("jobs listing = (%d, %v)", len(all.Jobs), err)
 	}
 	if err := client.Deregister(workerID); err != nil {
 		t.Fatal(err)

@@ -4,13 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"readys/internal/serve"
 )
-
-// The train → serve loop depends on serve's registry satisfying the fleet's
-// publisher contract.
-var _ Publisher = (*serve.Registry)(nil)
 
 func TestDirPublisherAtomicWrite(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "models") // not yet created: Publish must mkdir

@@ -47,9 +47,7 @@ func flakyClient(t *testing.T, fails int) (*flakyProxy, *Client) {
 	proxy := newFlakyProxy(d.Handler(), fails)
 	srv := httptest.NewServer(proxy)
 	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL)
-	c.RetryBase = time.Millisecond // keep the test fast
-	return proxy, c
+	return proxy, NewClient(srv.URL)
 }
 
 func TestIdempotentCallsRetryThroughFlakiness(t *testing.T) {
@@ -82,8 +80,8 @@ func TestRetriesExhaustOnPersistentOutage(t *testing.T) {
 	if _, _, err := client.Register("doomed"); err == nil {
 		t.Fatal("register against a dead dispatcher succeeded")
 	}
-	if got := proxy.counter("/v1/workers/register").Load(); got != 1+defaultRetries {
-		t.Fatalf("register sent %d times, want %d", got, 1+defaultRetries)
+	if got := proxy.counter("/v1/workers/register").Load(); got != 1+retries {
+		t.Fatalf("register sent %d times, want %d", got, 1+retries)
 	}
 }
 
@@ -105,17 +103,6 @@ func TestConflictsAndNonIdempotentCallsNotRetried(t *testing.T) {
 	}
 	if got := proxy.counter("/v1/jobs").Load(); got != 1 {
 		t.Fatalf("submit sent %d times, want 1 (non-idempotent must not retry)", got)
-	}
-}
-
-func TestRetryDisabled(t *testing.T) {
-	proxy, client := flakyClient(t, 1)
-	client.Retries = -1
-	if _, _, err := client.Register("no-retry"); err == nil {
-		t.Fatal("register succeeded without retries against a flap")
-	}
-	if got := proxy.counter("/v1/workers/register").Load(); got != 1 {
-		t.Fatalf("register sent %d times, want 1", got)
 	}
 }
 

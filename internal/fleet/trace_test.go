@@ -152,7 +152,7 @@ func TestDispatcherHealthzBuildInfo(t *testing.T) {
 // headers) must still put the job on a fresh trace so worker spans stitch.
 func TestSubmitWithoutUpstreamTraceMintsOne(t *testing.T) {
 	d := newTestDispatcher(t, nil)
-	job, _, err := d.Submit(trainJob(0))
+	job, _, err := d.submit(trainJob(0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestWorkerGracefulShutdown(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	job, _, err := d.Submit(trainJob(0))
+	job, _, err := d.submit(trainJob(0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWorkerRunsEvalJob(t *testing.T) {
 		Runs:   2,
 		Seed:   7,
 	}
-	job, _, err := d.Submit(JobSpec{Type: JobEval, Eval: &evalSpec})
+	job, _, err := d.submit(JobSpec{Type: JobEval, Eval: &evalSpec}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestWorkerReportsJobFailure(t *testing.T) {
 		Runs:   1,
 		Seed:   7,
 	}
-	job, _, err := d.Submit(JobSpec{Type: JobEval, Eval: &evalSpec})
+	job, _, err := d.submit(JobSpec{Type: JobEval, Eval: &evalSpec}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestParamSetClipGradNorm(t *testing.T) {
 
 func TestNormalizedAdjacencyProperties(t *testing.T) {
 	// Path graph 0→1→2.
-	norm := NormalizedAdjacency(3, [][]int{{1}, {2}, {}})
+	norm := NormalizedAdjacency(3, [][]int{{1}, {2}, {}}).Dense()
 	// Must be symmetric with self-loops.
 	for i := 0; i < 3; i++ {
 		if norm.At(i, i) == 0 {
@@ -102,7 +102,7 @@ func TestNormalizedAdjacencyProperties(t *testing.T) {
 		t.Fatalf("norm[0,0] = %v, want 0.5", norm.At(0, 0))
 	}
 	// Disconnected node keeps unit self weight.
-	iso := NormalizedAdjacency(1, [][]int{{}})
+	iso := NormalizedAdjacency(1, [][]int{{}}).Dense()
 	if iso.At(0, 0) != 1 {
 		t.Fatalf("isolated self-loop weight %v", iso.At(0, 0))
 	}
@@ -122,7 +122,7 @@ func TestNormalizedAdjacencySpectralBoundProperty(t *testing.T) {
 				}
 			}
 		}
-		m := NormalizedAdjacency(n, succ)
+		m := NormalizedAdjacency(n, succ).Dense()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				v := m.At(i, j)
@@ -139,7 +139,7 @@ func TestNormalizedAdjacencySpectralBoundProperty(t *testing.T) {
 }
 
 func TestDirectedNormalizedAdjacencyRowStochastic(t *testing.T) {
-	m := DirectedNormalizedAdjacency(3, [][]int{{1, 2}, {2}, {}})
+	m := DirectedNormalizedAdjacency(3, [][]int{{1, 2}, {2}, {}}).Dense()
 	for i := 0; i < 3; i++ {
 		var s float64
 		for j := 0; j < 3; j++ {

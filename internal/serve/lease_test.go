@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"testing"
 	"time"
 
@@ -117,7 +116,7 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	for _, k := range kinds {
 		writeTestModel(t, dir, leaseSpec(k, 8))
 	}
-	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute})
+	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute, MaxModels: len(kinds)})
 
 	var seq []ScheduleRequest
 	seed := int64(0)
@@ -154,8 +153,10 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 				i, req.Kind, req.T, req.DAG != nil, err)
 		}
 	}
+	evicted, old := map[taskgraph.Kind]*model{}, map[taskgraph.Kind]*template{}
 	for _, k := range kinds {
 		m := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
+		evicted[k], old[k] = m, m.templates[8]
 		if len(m.free) != 1 {
 			t.Errorf("%d idle clones of %s after a one-at-a-time sequence, want the one that served it all", len(m.free), m.name)
 		}
@@ -170,15 +171,24 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 		if len(m.templates) != len(generated[k]) {
 			t.Errorf("%s holds %d templates, %d tile counts were requested by name", m.name, len(m.templates), len(generated[k]))
 		}
+	}
 
-		// Eviction drops the templates with the model; the next request
-		// builds its own and still answers like a fresh policy.
-		old := m.templates[8]
-		if !s.Registry().Invalidate(m.name + ".json") {
-			t.Fatalf("Invalidate missed %s", m.name)
+	// Three other combinations push the models out of the cache. Eviction
+	// drops the templates with the model; the next request builds its own
+	// and still answers like a fresh policy.
+	for _, k := range kinds {
+		other := testSpec(k, 8, 1, 1)
+		writeTestModel(t, dir, other)
+		lease, _, err := s.Registry().Acquire(k, 8, 1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.templates != nil {
-			t.Errorf("evicted %s still holds %d templates", m.name, len(m.templates))
+		lease.Release()
+	}
+	for _, k := range kinds {
+		m := evicted[k]
+		if m.live || m.templates != nil {
+			t.Errorf("evicted %s: live=%v, %d templates", m.name, m.live, len(m.templates))
 		}
 		req := ScheduleRequest{Kind: k.String(), T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 77}
 		rec, got := postSchedule(t, s.Handler(), req)
@@ -189,21 +199,24 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 			t.Errorf("first request after eviction: %v", err)
 		}
 		reloaded := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
-		if tpl := reloaded.templates[8]; tpl == nil || tpl == old || len(reloaded.templates) != 1 {
-			t.Errorf("reloaded %s holds %d templates (t=8 rebuilt: %v), want its own one", m.name, len(reloaded.templates), tpl != nil && tpl != old)
+		if tpl := reloaded.templates[8]; tpl == nil || tpl == old[k] || len(reloaded.templates) != 1 {
+			t.Errorf("reloaded %s holds %d templates (t=8 rebuilt: %v), want its own one", m.name, len(reloaded.templates), tpl != nil && tpl != old[k])
 		}
 	}
 }
 
-// TestLeasedPolicyFollowsPublishedWeights: a policy is bound to the clone it
-// was built over, so when Publish or Invalidate evicts a model, no later lease
-// may be served by a policy of the evicted generation — not an idle one, and
-// not one that was out on lease at the time and released afterwards.
+// TestLeasedPolicyFollowsPublishedWeights: a replica serves the checkpoint
+// it loaded until LRU eviction. A policy is bound to the clone it was built
+// over, so once new weights are in the model directory and the model is
+// evicted, no later lease may be served by a policy of the old generation —
+// not an idle one, and not one that was out on lease at the time and
+// released afterwards.
 func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 	dir := t.TempDir()
-	spec := leaseSpec(taskgraph.Cholesky, 8)
+	spec, other := leaseSpec(taskgraph.Cholesky, 8), leaseSpec(taskgraph.LU, 8)
 	writeTestModel(t, dir, spec)
-	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute})
+	writeTestModel(t, dir, other)
+	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute, MaxModels: 1})
 	reg := s.Registry()
 	req := ScheduleRequest{Kind: "cholesky", T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 3}
 
@@ -215,6 +228,15 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 		}
 		return got
 	}
+	// evict loads the other combination into the one-model cache.
+	evict := func() {
+		t.Helper()
+		lease, _, err := reg.Acquire(other.Kind, other.T, other.NumCPU, other.NumGPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease.Release()
+	}
 	gen1 := freshAnswer(t, dir, req)
 	for i := 0; i < 2; i++ { // cold, then on the now-idle clone
 		if err := sameSchedule(answer(), gen1); err != nil {
@@ -222,38 +244,33 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 		}
 	}
 
-	// Publish different weights while generation 1's clone sits idle.
+	// Write different weights while generation 1's clone sits idle: it
+	// serves on until the model is evicted.
 	spec2 := spec
 	spec2.Seed += 100
-	staging := t.TempDir()
-	if err := core.NewAgent(spec2.AgentConfig()).SaveCheckpoint(spec.ModelPath(staging), nil); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(spec.ModelPath(staging))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Publish(spec.Name()+".json", data); err != nil {
+	if err := core.NewAgent(spec2.AgentConfig()).SaveCheckpoint(spec.ModelPath(dir), nil); err != nil {
 		t.Fatal(err)
 	}
 	gen2 := freshAnswer(t, dir, req)
 	if sameSchedule(gen2, gen1) == nil {
 		t.Fatal("the two generations schedule alike: the test cannot tell them apart")
 	}
+	if err := sameSchedule(answer(), gen1); err != nil {
+		t.Fatalf("resident model, new weights on disk: %v", err)
+	}
+	evict()
 	if err := sameSchedule(answer(), gen2); err != nil {
-		t.Fatalf("first request after Publish: %v", err)
+		t.Fatalf("first request after eviction: %v", err)
 	}
 
-	// Invalidate while a lease is out: its release must not bring the old
-	// clone, or its policy, back into circulation.
+	// Evict while a lease is out: its release must not bring the old clone,
+	// or its policy, back into circulation.
 	held, _, err := reg.Acquire(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stale := held.Policy()
-	if !reg.Invalidate(spec.Name() + ".json") {
-		t.Fatal("Invalidate missed the resident model")
-	}
+	evict()
 	held.Release()
 	next, hit, err := reg.Acquire(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
 	if err != nil {
@@ -261,7 +278,7 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 	}
 	defer next.Release()
 	if hit || next.Policy() == stale {
-		t.Fatalf("lease after Invalidate: hit=%v, stale policy=%v", hit, next.Policy() == stale)
+		t.Fatalf("lease after eviction: hit=%v, stale policy=%v", hit, next.Policy() == stale)
 	}
 	if next.Policy().Agent != next.Agent() {
 		t.Fatal("leased policy is not bound to the leased agent")

@@ -294,7 +294,7 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		oldest := r.lru.Back()
 		victim := oldest.Value.(*model)
 		victim.live = false
-		victim.free = nil
+		victim.free, victim.templates = nil, nil
 		r.lru.Remove(oldest)
 		delete(r.byName, victim.key)
 		r.evicted++
@@ -377,65 +377,3 @@ func (r *Registry) List() ([]ModelInfo, error) {
 
 // Dir returns the registry's checkpoint directory.
 func (r *Registry) Dir() string { return r.dir }
-
-// Invalidate evicts the resident model serving the combination the named
-// checkpoint belongs to, so the next Acquire reloads from disk. Returns true
-// when a resident model was dropped. Leases already handed out keep their
-// clones; stale releases are discarded via the live flag.
-func (r *Registry) Invalidate(base string) bool {
-	spec, ok := ParseModelName(base)
-	if !ok {
-		return false
-	}
-	key := cacheKey(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.byName[key]
-	if !ok {
-		return false
-	}
-	m := el.Value.(*model)
-	m.live = false
-	m.free, m.templates = nil, nil
-	r.lru.Remove(el)
-	delete(r.byName, key)
-	r.evicted++
-	return true
-}
-
-// Publish installs checkpoint bytes under the canonical name base in the
-// registry's directory (atomically: temp file + rename) and invalidates any
-// resident model for that combination. It is the fleet's train → serve
-// hook: a completed training job publishes here and the very next Acquire
-// serves the new weights. The name must parse as a canonical model name.
-func (r *Registry) Publish(base string, data []byte) error {
-	if _, ok := ParseModelName(base); !ok {
-		return fmt.Errorf("serve: publish: %q is not a canonical model name", base)
-	}
-	tmp, err := os.CreateTemp(r.dir, ".publish-*")
-	if err != nil {
-		return fmt.Errorf("serve: staging %s: %w", base, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: writing %s: %w", base, err)
-	}
-	// Sync before rename so a crash just after publish cannot install a
-	// zero-length or torn checkpoint under the canonical name.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: syncing %s: %w", base, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(r.dir, base)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: installing %s: %w", base, err)
-	}
-	r.Invalidate(base)
-	return nil
-}

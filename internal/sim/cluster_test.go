@@ -26,48 +26,66 @@ func TestClusterReserveGrowsNothing(t *testing.T) {
 	for j := 0; j < jobs; j++ {
 		total += shapes[j%len(shapes)].NumTasks()
 	}
-	c, err := NewCluster(platform.New(2, 2), Options{Rng: rand.New(rand.NewSource(1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Reserve(total)
-	s := c.s
-	// The ready set and the timing tables are working sets, not history: give
-	// them their room up front so that what is measured is the arrival.
-	s.Ready = make([]int, 0, total)
-	s.Timings = append(make([]platform.Timing, 0, len(timings)), timings...)
+	// arrivals runs the jobs on a fresh cluster and returns the bytes each
+	// arrival allocated.
+	arrivals := func() []uint64 {
+		c, err := NewCluster(platform.New(2, 2), Options{Rng: rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Reserve(total)
+		s := c.s
+		// The ready set and the timing tables are working sets, not history:
+		// give them their room up front so that what is measured is the
+		// arrival.
+		s.Ready = make([]int, 0, total)
+		s.Timings = append(make([]platform.Timing, 0, len(timings)), timings...)
 
-	caps := func() []int {
-		g := s.Graph
-		return []int{cap(g.Tasks), cap(g.Succ), cap(g.Pred), cap(s.Done), cap(s.Started), cap(s.StartTime),
-			cap(s.EndTime), cap(s.Attempts), cap(s.AssignedTo), cap(s.TimingIdx), cap(s.JobID), cap(s.PredLeft)}
+		caps := func() []int {
+			g := s.Graph
+			return []int{cap(g.Tasks), cap(g.Succ), cap(g.Pred), cap(s.Done), cap(s.Started), cap(s.StartTime),
+				cap(s.EndTime), cap(s.Attempts), cap(s.AssignedTo), cap(s.TimingIdx), cap(s.JobID), cap(s.PredLeft)}
+		}
+		reserved := caps()
+		for i, n := range reserved {
+			if n < total {
+				t.Fatalf("slice %d reserved for %d tasks, want %d", i, n, total)
+			}
+		}
+		windows := make([]uint64, jobs)
+		for j := range windows {
+			k := j % len(shapes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := c.AddJob(j, shapes[k], timings[k]); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := caps(); !slices.Equal(got, reserved) {
+				t.Fatalf("job %d grew a reserved slice: caps %v, reserved %v", j, got, reserved)
+			}
+			windows[j] = after.TotalAlloc - before.TotalAlloc
+		}
+		if s.Graph.NumTasks() != total {
+			t.Fatalf("%d tasks after every arrival, want %d", s.Graph.NumTasks(), total)
+		}
+		return windows
 	}
-	reserved := caps()
-	for i, n := range reserved {
-		if n < total {
-			t.Fatalf("slice %d reserved for %d tasks, want %d", i, n, total)
+	// Each window is the least of three fresh clusters', so a stray runtime
+	// allocation landing in one window of one run does not count.
+	least := arrivals()
+	for range 2 {
+		for j, bytes := range arrivals() {
+			least[j] = min(least[j], bytes)
 		}
 	}
 	var first, last [2]uint64
-	for j := 0; j < jobs; j++ {
+	for j, bytes := range least {
 		k := j % len(shapes)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := c.AddJob(j, shapes[k], timings[k]); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if got := caps(); !slices.Equal(got, reserved) {
-			t.Fatalf("job %d grew a reserved slice: caps %v, reserved %v", j, got, reserved)
-		}
-		bytes := after.TotalAlloc - before.TotalAlloc
 		if j < len(shapes) {
 			first[k] = bytes
 		}
 		last[k] = bytes
-	}
-	if s.Graph.NumTasks() != total {
-		t.Fatalf("%d tasks after every arrival, want %d", s.Graph.NumTasks(), total)
 	}
 	for k := range shapes {
 		if first[k] != last[k] {

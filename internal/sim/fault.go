@@ -134,9 +134,6 @@ type FaultSpec struct {
 	Horizon float64
 	// OutageRate is the expected number of transient outages per resource.
 	OutageRate float64
-	// OutageMeanFrac is the mean outage length as a fraction of the horizon
-	// (exponentially distributed). Zero selects the default 0.08.
-	OutageMeanFrac float64
 	// DeathProb is the per-resource probability of permanent death at a
 	// uniform time in the horizon. One uniformly chosen resource is always
 	// spared so that at least one compatible resource survives any plan.
@@ -144,9 +141,6 @@ type FaultSpec struct {
 	// DegradeRate is the expected number of speed-factor changes per
 	// resource.
 	DegradeRate float64
-	// DegradeMin/DegradeMax bound the uniform degrade factor. Zero values
-	// select the defaults [1.25, 3].
-	DegradeMin, DegradeMax float64
 }
 
 // Enabled reports whether the spec can generate any event.
@@ -175,10 +169,11 @@ func SpecForRate(rate, horizon float64) FaultSpec {
 	}
 }
 
+// An outage lasts outageMeanFrac of the horizon on average, exponentially
+// distributed; a degrade event slows its resource by degradeFactor.
 const (
-	defaultOutageMeanFrac = 0.08
-	defaultDegradeMin     = 1.25
-	defaultDegradeMax     = 3.0
+	outageMeanFrac = 0.08
+	degradeFactor  = 1.25
 )
 
 // GeneratePlan derives a deterministic fault plan from a seed: same (seed,
@@ -194,26 +189,15 @@ func GeneratePlan(seed int64, numResources int, spec FaultSpec) *FaultPlan {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	h := spec.Horizon
-	meanFrac := spec.OutageMeanFrac
-	if meanFrac <= 0 {
-		meanFrac = defaultOutageMeanFrac
-	}
-	dmin, dmax := spec.DegradeMin, spec.DegradeMax
-	if dmin <= 0 {
-		dmin = defaultDegradeMin
-	}
-	if dmax < dmin {
-		dmax = dmin
-	}
 	// One resource is always spared from permanent death so that every task
 	// retains at least one compatible resource.
 	spared := rng.Intn(numResources)
 	for r := 0; r < numResources; r++ {
 		for i := 0; i < drawCount(rng, spec.OutageRate); i++ {
 			at := rng.Float64() * h
-			dur := rng.ExpFloat64() * meanFrac * h
+			dur := rng.ExpFloat64() * outageMeanFrac * h
 			if dur <= 0 {
-				dur = meanFrac * h
+				dur = outageMeanFrac * h
 			}
 			plan.Events = append(plan.Events, FaultEvent{Kind: FaultOutage, Resource: r, At: at, Duration: dur})
 		}
@@ -221,8 +205,12 @@ func GeneratePlan(seed int64, numResources int, spec FaultSpec) *FaultPlan {
 			plan.Events = append(plan.Events, FaultEvent{Kind: FaultDeath, Resource: r, At: rng.Float64() * h})
 		}
 		for i := 0; i < drawCount(rng, spec.DegradeRate); i++ {
-			plan.Events = append(plan.Events, FaultEvent{Kind: FaultDegrade, Resource: r,
-				At: rng.Float64() * h, Factor: dmin + float64(rng.Float64()*(dmax-dmin))})
+			at := rng.Float64() * h
+			// The factor is fixed, but the uniform draw a factor range once
+			// took stays: it keeps every plan's later events at the bits the
+			// committed tables used.
+			rng.Float64()
+			plan.Events = append(plan.Events, FaultEvent{Kind: FaultDegrade, Resource: r, At: at, Factor: degradeFactor})
 		}
 	}
 	sortEvents(plan.Events)

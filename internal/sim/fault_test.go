@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -77,6 +78,28 @@ func TestGeneratePlanDeterministicAndSparing(t *testing.T) {
 	}
 	if p := GeneratePlan(1, 4, FaultSpec{OutageRate: 1}); !p.Empty() {
 		t.Fatal("zero horizon generated events")
+	}
+}
+
+// TestGeneratePlanDegradeFactorFixed: every degrade event slows its resource
+// by exactly 1.25, and the plans keep the bits the committed tables were made
+// with — the sum of every event's time, length and factor over 50 seeds.
+func TestGeneratePlanDegradeFactorFixed(t *testing.T) {
+	degrades := 0
+	var sum float64
+	for seed := int64(0); seed < 50; seed++ {
+		for _, e := range GeneratePlan(seed, 4, SpecForRate(2, 100)).Events {
+			sum += e.At + e.Duration + e.Factor
+			if e.Kind == FaultDegrade {
+				degrades++
+				if e.Factor != 1.25 {
+					t.Fatalf("seed %d: degrade factor %v, want 1.25", seed, e.Factor)
+				}
+			}
+		}
+	}
+	if degrades != 400 || math.Float64bits(sum) != 0x40e601deec8e347c {
+		t.Fatalf("%d degrade events, event sum %v (%#x): the plans moved", degrades, sum, math.Float64bits(sum))
 	}
 }
 

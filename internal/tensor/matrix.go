@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
@@ -94,13 +93,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Zero resets every entry to 0 in place.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -121,39 +113,6 @@ func TransposeInto(m, out *Matrix) {
 			out.Data[j*out.Cols+i] = v
 		}
 	}
-}
-
-// String renders the matrix for debugging; large matrices are elided.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Matrix(%dx%d)[", m.Rows, m.Cols)
-	maxRows := m.Rows
-	if maxRows > 6 {
-		maxRows = 6
-	}
-	for i := 0; i < maxRows; i++ {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		maxCols := m.Cols
-		if maxCols > 8 {
-			maxCols = 8
-		}
-		for j := 0; j < maxCols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%.4g", m.At(i, j))
-		}
-		if maxCols < m.Cols {
-			b.WriteString(" ...")
-		}
-	}
-	if maxRows < m.Rows {
-		b.WriteString("; ...")
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // Equal reports exact equality of shape and contents.

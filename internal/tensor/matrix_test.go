@@ -87,15 +87,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := FromSlice(1, 2, []float64{1, 2})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone is shallow")
-	}
-}
-
 func TestRowIsView(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	m.Row(1)[0] = 9
@@ -126,18 +117,6 @@ func TestGlorotUniformBounds(t *testing.T) {
 		if v < -limit || v > limit {
 			t.Fatalf("Glorot value %v outside [-%v, %v]", v, limit, limit)
 		}
-	}
-}
-
-func TestStringElision(t *testing.T) {
-	big := New(10, 20)
-	s := big.String()
-	if s == "" {
-		t.Fatal("String should render")
-	}
-	small := FromSlice(1, 1, []float64{3})
-	if small.String() != "Matrix(1x1)[3]" {
-		t.Fatalf("unexpected render: %q", small.String())
 	}
 }
 

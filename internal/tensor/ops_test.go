@@ -385,7 +385,7 @@ func TestMatMulTransASegAccMatchesPerRangeProducts(t *testing.T) {
 		segs := []int{0, 4, 4, rows - 2, rows}
 		for _, table := range [][]int{segs, nil} {
 			want := RandNormal(rng, 16, 16, 1) // a non-zero accumulator to add onto
-			acc := want.Clone()
+			acc := FromSlice(16, 16, append([]float64(nil), want.Data...))
 			for s := 0; s < SegmentCount(table); s++ {
 				lo, hi := SegmentBounds(table, s, rows)
 				part := New(16, 16)

@@ -76,19 +76,6 @@ type SparseEntry struct {
 // NNZ returns the number of stored nonzeros.
 func (s *Sparse) NNZ() int { return len(s.Val) }
 
-// At returns element (i, j) by binary search over row i.
-func (s *Sparse) At(i, j int) float64 {
-	if i < 0 || i >= s.Rows || j < 0 || j >= s.Cols {
-		panic(fmt.Sprintf("tensor: sparse index (%d,%d) out of range for %dx%d", i, j, s.Rows, s.Cols))
-	}
-	lo, hi := s.RowPtr[i], s.RowPtr[i+1]
-	k := lo + sort.SearchInts(s.Col[lo:hi], j)
-	if k < hi && s.Col[k] == j {
-		return s.Val[k]
-	}
-	return 0
-}
-
 // Dense materialises the matrix densely (tests, ablation baselines).
 func (s *Sparse) Dense() *Matrix {
 	m := New(s.Rows, s.Cols)
