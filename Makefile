@@ -89,11 +89,10 @@ test:
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
 # an episode is recorded in memory the trainer does not keep. A warm update
-# allocates nothing (TestUpdateAllocFree), the row-parallel products give the
-# serial bits at any GOMAXPROCS and with every helper busy
-# (TestParallelOpsBitIdenticalAcrossWorkerCounts,
-# TestConcurrentProductsShareHelpers), and an inference tape keeps no backward
-# step (TestInferenceTapeRecordsNoSteps). The episode log
+# allocates nothing (TestUpdateAllocFree), its tape keeps the buffers of one
+# 512-row pass whatever the episode's length (TestUpdateTapeRetainsBounded),
+# and an inference tape keeps no backward step
+# (TestInferenceTapeRecordsNoSteps). The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
 # features, directed, no incremental encoder, mid-episode stream arrivals), a reused log and resident rollout policy to fresh ones
@@ -113,11 +112,10 @@ test:
 # TestTracerStringTableBounded if the ring's string table keeps strings no
 # live record names. These also run under `make test`.
 equiv:
-	$(GO) test -run 'TestParallelOpsBitIdenticalAcrossWorkerCounts|TestConcurrentProductsShareHelpers' ./internal/tensor/
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
 	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
-	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
+	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestUpdateTapeRetainsBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
@@ -145,14 +143,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/
 
 # Concurrency-sensitive packages run under the race detector: internal/tensor,
-# internal/autograd and internal/nn (every goroutine that multiplies shares
-# the row-parallel products' helper goroutines —
-# TestConcurrentProductsShareHelpers), internal/serve
+# internal/autograd and internal/nn (the buffer pool every goroutine that
+# multiplies draws from), internal/serve
 # (registry, pool, handlers, and leases handing resident policies from one
 # worker to the next — TestConcurrentLeasedPolicies), internal/core
 # (shared-agent inference), internal/rl (parallel batch
 # rollouts on resident per-worker policies recording into per-slot episode
-# logs — TestEpisodeLogReuseIsolated), internal/fleet (dispatcher, leases,
+# logs — TestEpisodeLogReuseIsolated — beside the update, which accumulates
+# each episode as it is in and stops the rollouts when one fails —
+# TestRunStopsRolloutsOnError), internal/fleet (dispatcher, leases,
 # workers), internal/gateway (health prober, concurrent failover),
 # internal/sim (fault injection under parallel rollouts), and internal/stream
 # (stream rollouts share agents across workers).

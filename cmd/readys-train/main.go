@@ -41,7 +41,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "training seed")
 		quiet     = flag.Bool("quiet", false, "suppress per-interval progress")
 		telemetry = flag.String("telemetry", "", "write per-episode training stats as JSON lines to this file (with -all, one file per agent named after it)")
-		workers   = flag.Int("workers", 0, "concurrent episode rollouts per batch (0 = GOMAXPROCS); results are identical at any value")
+		workers   = flag.Int("workers", 0, "concurrent episode rollouts per batch, beside the update, which takes each episode as soon as it is in (0 = GOMAXPROCS); results are identical at any value")
 		faultRate = flag.Float64("fault-rate", 0, "train under per-episode fault injection at this rate (0 = fault-free; see sim.SpecForRate)")
 	)
 	flag.Parse()
@@ -124,7 +124,7 @@ func trainOne(spec exp.AgentSpec, dir string, episodes int, quiet bool, telemetr
 		fmt.Printf("  telemetry → %s\n", telemetryPath)
 	}
 	fmt.Printf("done in %s: HEFT baseline %.1f, final mean reward %+.3f → %s\n",
-		time.Since(start).Round(time.Second), hist.BaselineMakespan,
+		cost(start, episodes), hist.BaselineMakespan,
 		hist.FinalMeanReward(100), spec.ModelPath(dir))
 	return nil
 }
@@ -153,8 +153,15 @@ func trainStream(dir string, episodes int, quiet bool, workers int) error {
 		return err
 	}
 	fmt.Printf("done in %s: final mean reward %+.3f → %s\n",
-		time.Since(start).Round(time.Second), hist.FinalMeanReward(100), exp.StreamAgentPath(dir))
+		cost(start, episodes), hist.FinalMeanReward(100), exp.StreamAgentPath(dir))
 	return nil
+}
+
+// cost renders the wall-clock time since start and its share per episode,
+// e.g. "6.49 s, 32.4 ms/episode".
+func cost(start time.Time, episodes int) string {
+	d := time.Since(start)
+	return fmt.Sprintf("%.2f s, %.1f ms/episode", d.Seconds(), d.Seconds()*1000/float64(episodes))
 }
 
 // trainAll trains the agents of Figure 3 (three kernels × T∈{2,4,8} on

@@ -32,7 +32,7 @@ func main() {
 		name       = flag.String("name", "", "worker name (default: hostname)")
 		poll       = flag.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts")
 		models     = flag.String("models", "fleet-models", "local checkpoint cache (shared with other workers when on a shared filesystem)")
-		workers    = flag.Int("workers", 0, "concurrent episode rollouts per training batch (0 = GOMAXPROCS); results are identical at any value")
+		workers    = flag.Int("workers", 0, "concurrent episode rollouts per training batch, beside the update, which takes each episode as soon as it is in (0 = GOMAXPROCS); results are identical at any value")
 		traceOut   = flag.String("trace-out", "", "write the worker's execution spans as Chrome trace-event JSON here on shutdown (merge with the dispatcher's /debug/trace via readys-obs-check -merge)")
 	)
 	flag.Parse()

@@ -562,9 +562,7 @@ func (t *Tape) matMulGrads(a, b *Node, dc *tensor.Matrix, segs []int) {
 		t.give(a, g)
 	}
 	if b.requiresGrad {
-		g := t.bufs.Get(b.Value.Rows, b.Value.Cols)
-		tensor.MatMulTransASegAcc(a.Value, dc, segs, g, t.gradOf(b))
-		t.bufs.Put(g)
+		tensor.MatMulTransASegAcc(a.Value, dc, segs, t.gradOf(b))
 	}
 }
 
@@ -627,18 +625,8 @@ func (t *Tape) AddRowVectorSeg(a, v *Node, segs []int) *Node {
 // column sums of dc, one range of segs at a time, each summed from +0 in row
 // order.
 func (t *Tape) addColSums(v *Node, dc *tensor.Matrix, segs []int) {
-	if !v.requiresGrad {
-		return
-	}
-	for s := 0; s < tensor.SegmentCount(segs); s++ {
-		g := t.bufs.Get(1, dc.Cols)
-		lo, hi := tensor.SegmentBounds(segs, s, dc.Rows)
-		for i := lo; i < hi; i++ {
-			for j, x := range dc.Row(i) {
-				g.Data[j] += x
-			}
-		}
-		t.give(v, g)
+	if v.requiresGrad {
+		tensor.ColSumsSegAcc(dc, segs, t.gradOf(v))
 	}
 }
 

@@ -35,9 +35,10 @@ import (
 // keeps its buffers from pass to pass — a few dozen of rows x hidden floats —
 // so the cap bounds what a trainer retains whatever the episode length; an
 // episode beyond it takes several passes over consecutive decisions, whose
-// gradients add up in the same order. See EXPERIMENTS.md for the measurement
-// behind the value.
-const maxPassRows = 2048
+// gradients add up in the same order. EXPERIMENTS.md → "Current cost" has the
+// caps measured against each other (TestUpdateTapeRetainsBounded holds the
+// tape to this one).
+const maxPassRows = 512
 
 // Config holds the A2C hyper-parameters. Defaults follow §V-D.
 type Config struct {
@@ -64,9 +65,10 @@ type Config struct {
 	// depend on rollout scheduling.
 	Seed int64
 	// RolloutWorkers is the number of episodes of each batch rolled out
-	// concurrently (0 selects GOMAXPROCS). The training History is
+	// concurrently (0 selects GOMAXPROCS), beside the update, which
+	// accumulates each episode as soon as it is in. The training History is
 	// bit-identical at any worker count: per-episode RNG streams plus
-	// fixed-order gradient accumulation after the batch barrier.
+	// fixed-order gradient accumulation.
 	RolloutWorkers int
 	// Faults, when enabled, trains under fault injection: each episode
 	// derives its own fault plan (outages, deaths, degradation) from its
@@ -201,52 +203,60 @@ func NewTrainer(agent *core.Agent, problem core.Problem, cfg Config) *Trainer {
 // Run trains for Cfg.Episodes episodes and returns the training history.
 // Progress, if non-nil, is called after every episode, once the episode's
 // line is written to Telemetry (if set). Both only read the statistics, so
-// neither can change training.
+// neither can change training. When Run returns, no rollout of it is running.
 func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 	hist := History{BaselineMakespan: t.baseline}
-	params := t.Agent.Params()
-	params.ZeroGrad()
+	t.Agent.Params().ZeroGrad()
 	for start := 0; start < t.Cfg.Episodes; start += t.Cfg.BatchEpisodes {
-		n := t.Cfg.Episodes - start
-		if n > t.Cfg.BatchEpisodes {
-			n = t.Cfg.BatchEpisodes
-		}
-		// Roll out the whole batch under the current parameters, then
-		// accumulate gradients in fixed episode order: History does not
-		// depend on the worker count.
-		results := t.rollouts.collect(t, start, n)
-		for k := range results {
-			r := &results[k]
-			if r.err != nil {
-				return hist, fmt.Errorf("rl: episode %d: %w", r.ep, r.err)
-			}
-			loss, policyLoss, valueLoss := t.accumulate(r.log, r.log.Steps(), r.reward)
-			var gradNorm float64
-			if k == n-1 {
-				gradNorm = applyUpdate(params, t.opt, t.Cfg.ClipNorm)
-			}
-			st := EpisodeStats{
-				Episode:    r.ep,
-				Makespan:   r.makespan,
-				Reward:     r.reward,
-				Entropy:    r.entropy,
-				Loss:       loss,
-				PolicyLoss: policyLoss,
-				ValueLoss:  valueLoss,
-				GradNorm:   gradNorm,
-			}
-			hist.Episodes = append(hist.Episodes, st)
-			if t.Telemetry != nil {
-				if err := t.Telemetry.Write(st); err != nil {
-					return hist, fmt.Errorf("rl: writing telemetry: %w", err)
-				}
-			}
-			if progress != nil {
-				progress(st)
-			}
+		n := min(t.Cfg.Episodes-start, t.Cfg.BatchEpisodes)
+		// The batch rolls out under the current parameters while its episodes
+		// are accumulated in fixed episode order: History does not depend on
+		// the worker count.
+		t.rollouts.collect(t, start, n)
+		err := t.consume(&hist, n, progress)
+		t.rollouts.stop()
+		if err != nil {
+			return hist, err
 		}
 	}
 	return hist, nil
+}
+
+// consume accumulates the n episodes of the batch being collected as their
+// rollouts finish, applies the update after the last, and records each
+// episode's statistics.
+func (t *Trainer) consume(hist *History, n int, progress func(EpisodeStats)) error {
+	for k := 0; k < n; k++ {
+		r := t.rollouts.wait(k)
+		if r.err != nil {
+			return fmt.Errorf("rl: episode %d: %w", r.ep, r.err)
+		}
+		loss, policyLoss, valueLoss := t.accumulate(r.log, r.log.Steps(), r.reward)
+		var gradNorm float64
+		if k == n-1 {
+			gradNorm = applyUpdate(t.Agent.Params(), t.opt, t.Cfg.ClipNorm)
+		}
+		st := EpisodeStats{
+			Episode:    r.ep,
+			Makespan:   r.makespan,
+			Reward:     r.reward,
+			Entropy:    r.entropy,
+			Loss:       loss,
+			PolicyLoss: policyLoss,
+			ValueLoss:  valueLoss,
+			GradNorm:   gradNorm,
+		}
+		hist.Episodes = append(hist.Episodes, st)
+		if t.Telemetry != nil {
+			if err := t.Telemetry.Write(st); err != nil {
+				return fmt.Errorf("rl: writing telemetry: %w", err)
+			}
+		}
+		if progress != nil {
+			progress(st)
+		}
+	}
+	return nil
 }
 
 // applyUpdate clips gradients (when enabled), steps the optimiser and zeroes

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"readys/internal/core"
 	"readys/internal/sim"
@@ -22,9 +23,12 @@ import (
 //     episodeIndex) — episodeSeed below — so an episode's randomness never
 //     depends on which worker ran it or what ran before it.
 //  2. Gradient accumulation and statistics happen on the caller's goroutine
-//     in fixed episode order after the batch barrier; workers only fill
-//     episode logs — what differs from decision to decision, actions and
-//     forward-pass scalars, no tape.
+//     in fixed episode order; workers only fill episode logs — what differs
+//     from decision to decision, actions and forward-pass scalars, no tape.
+//     The caller accumulates episode k as soon as its rollout is done, while
+//     the workers roll out the rest of the batch: accumulation writes only
+//     the parameters' gradients, which rollouts never read, and the
+//     parameters themselves change only after the batch's last slot is in.
 //
 // The memory rollouts run in belongs to the trainer (rolloutPool): an episode
 // is recorded into the log of its batch slot by the policy of whichever
@@ -55,14 +59,21 @@ type rolloutResult struct {
 }
 
 // rolloutPool is what a trainer keeps from batch to batch so that a warmed
-// trainer's rollouts allocate next to nothing: one episode log per slot of
-// the batch, and per rollout worker one resident training policy, the
-// simulator memory it rolls out in and the generator it draws from, re-seeded
-// for every episode.
+// trainer's rollouts allocate next to nothing: per slot of the batch one
+// episode log, its result and the signal that the result is in, and per
+// rollout worker one resident training policy, the simulator memory it rolls
+// out in and the generator it draws from, re-seeded for every episode.
 type rolloutPool struct {
 	logs    []*core.EpisodeLog
-	workers []*rolloutWorker
+	ready   []chan struct{}
 	results []rolloutResult
+	workers []*rolloutWorker
+
+	// Of the batch being collected: how many slots it has, the next slot to
+	// claim (n or more: claim no more) and the running workers.
+	n       int
+	next    atomic.Int64
+	running sync.WaitGroup
 }
 
 type rolloutWorker struct {
@@ -71,15 +82,15 @@ type rolloutWorker struct {
 	run sim.Runner
 }
 
-// collect runs episodes [start, start+n) of t's training schedule and returns
-// their results indexed by position, valid until the next collect. With more
-// than one rollout worker the episodes run concurrently on a bounded worker
-// pool; results are identical to the sequential path by construction
-// (per-episode RNG streams, no shared mutable state beyond the read-only agent
-// parameters). Config.Arrivals switches every episode to the stream rollout
-// (see stream.go).
-func (rp *rolloutPool) collect(t *Trainer, start, n int) []rolloutResult {
-	agent, problem, arrivals := t.Agent, t.Problem, t.Cfg.Arrivals
+// collect starts rolling out episodes [start, start+n) of t's training
+// schedule on the pool's workers and returns at once. Workers claim slots in
+// order, so slot 0 is the first to finish; wait hands over each result as it
+// is in, and stop must be called before the pool collects again. The results
+// are identical to a sequential run's by construction (per-episode RNG
+// streams, no shared mutable state beyond the agent's parameters, which
+// rollouts only read). Config.Arrivals switches every episode to the stream
+// rollout (see stream.go).
+func (rp *rolloutPool) collect(t *Trainer, start, n int) {
 	workers := t.Cfg.RolloutWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -87,61 +98,73 @@ func (rp *rolloutPool) collect(t *Trainer, start, n int) []rolloutResult {
 	workers = max(min(workers, n), 1)
 	for len(rp.logs) < n {
 		rp.logs = append(rp.logs, core.NewEpisodeLog())
+		rp.ready = append(rp.ready, make(chan struct{}, 1))
+		rp.results = append(rp.results, rolloutResult{})
 	}
 	for len(rp.workers) < workers {
 		rp.workers = append(rp.workers, &rolloutWorker{rng: rand.New(rand.NewSource(0))})
 	}
 	for _, w := range rp.workers[:workers] {
-		if w.pol == nil || w.pol.Agent != agent {
-			w.pol = core.NewTrainingPolicy(agent, w.rng)
+		if w.pol == nil || w.pol.Agent != t.Agent {
+			w.pol = core.NewTrainingPolicy(t.Agent, w.rng)
 		}
 	}
-	if cap(rp.results) < n {
-		rp.results = make([]rolloutResult, n)
+	rp.n = n
+	rp.next.Store(0)
+	rp.running.Add(workers)
+	for _, w := range rp.workers[:workers] {
+		go rp.work(t, w, start)
 	}
-	results := rp.results[:n]
+}
 
-	runOne := func(w *rolloutWorker, k int) {
+// work rolls out the episodes of the slots w claims until none is left or the
+// pool is stopped.
+func (rp *rolloutPool) work(t *Trainer, w *rolloutWorker, start int) {
+	defer rp.running.Done()
+	for {
+		k := int(rp.next.Add(1) - 1)
+		if k >= rp.n {
+			return
+		}
 		ep := start + k
 		// Seed leaves the generator where rand.NewSource(seed) starts.
 		pol, rng := w.pol, w.rng
 		rng.Seed(episodeSeed(t.Cfg.Seed, ep))
 		pol.Log = rp.logs[k]
 		r := rolloutResult{ep: ep, log: pol.Log}
-		if arrivals != nil {
-			r.makespan, r.reward, r.err = runStreamEpisode(pol, problem, *arrivals, rng)
+		if t.Cfg.Arrivals != nil {
+			r.makespan, r.reward, r.err = runStreamEpisode(pol, t.Problem, *t.Cfg.Arrivals, rng)
 		} else {
 			var res sim.Result
-			if res, r.err = problem.SimulateOn(&w.run, pol, rng); r.err == nil {
+			if res, r.err = t.Problem.SimulateOn(&w.run, pol, rng); r.err == nil {
 				r.makespan, r.reward = res.Makespan, core.Reward(t.baseline, res.Makespan)
 			}
 		}
 		if r.err == nil {
 			r.entropy = pol.MeanEntropy()
 		}
-		results[k] = r
+		rp.results[k] = r
+		rp.ready[k] <- struct{}{}
 	}
-	if workers == 1 {
-		for k := 0; k < n; k++ {
-			runOne(rp.workers[0], k)
+}
+
+// wait returns slot k's result once its rollout is done. It is valid until
+// the pool collects again.
+func (rp *rolloutPool) wait(k int) *rolloutResult {
+	<-rp.ready[k]
+	return &rp.results[k]
+}
+
+// stop lets no worker claim another slot, waits for the rollouts in flight
+// and clears the signals of slots no one waited for. Once it returns, no
+// worker of the batch touches the pool.
+func (rp *rolloutPool) stop() {
+	rp.next.Store(int64(rp.n))
+	rp.running.Wait()
+	for _, c := range rp.ready[:rp.n] {
+		select {
+		case <-c:
+		default:
 		}
-		return results
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for _, w := range rp.workers[:workers] {
-		wg.Add(1)
-		go func(w *rolloutWorker) {
-			defer wg.Done()
-			for k := range idx {
-				runOne(w, k)
-			}
-		}(w)
-	}
-	for k := 0; k < n; k++ {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
-	return results
 }

@@ -1,10 +1,13 @@
 package rl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"readys/internal/core"
 	"readys/internal/sim"
@@ -40,6 +43,17 @@ func statesBitEqual(a, b *core.EncodedState) bool {
 		ints(a.Norm.RowPtr, b.Norm.RowPtr) && ints(a.Norm.Col, b.Norm.Col) && floats(a.Norm.Val, b.Norm.Val) &&
 		ints(a.Nodes, b.Nodes) && ints(a.ReadyRows, b.ReadyRows) && ints(a.ReadyTasks, b.ReadyTasks) &&
 		floats(a.Proc.Data, b.Proc.Data) && a.AllowIdle == b.AllowIdle
+}
+
+// collectAll collects a batch to its end and returns its results, valid until
+// the pool collects again.
+func collectAll(rp *rolloutPool, t *Trainer, start, n int) []rolloutResult {
+	rp.collect(t, start, n)
+	for k := 0; k < n; k++ {
+		rp.wait(k)
+	}
+	rp.stop()
+	return rp.results[:n]
 }
 
 // sabotage returns an invalid task from its n-th decision on, so the episode
@@ -86,15 +100,15 @@ func TestEpisodeLogReuseIsolated(t *testing.T) {
 			cfg := Config{Seed: seed, RolloutWorkers: workers, Arrivals: arr}
 			return &Trainer{Agent: agent, Problem: prob, Cfg: cfg, baseline: baseline}
 		}
-		results := pool.collect(trainer(workers), start, n)
+		results := collectAll(&pool, trainer(workers), start, n)
 		var fresh rolloutPool
-		want := fresh.collect(trainer(1), start, n)
+		want := collectAll(&fresh, trainer(1), start, n)
 		// One fresh policy rolled all n out: compare each to a policy that
 		// never saw another episode too.
 		for k := range results {
 			got, ctx := results[k], fmt.Sprintf("%s episode %d", name, start+k)
 			var alone rolloutPool
-			only := alone.collect(trainer(1), start+k, 1)[0]
+			only := collectAll(&alone, trainer(1), start+k, 1)[0]
 			for _, w := range []rolloutResult{want[k], only} {
 				if got.err != nil || w.err != nil {
 					t.Fatalf("%s: errors %v / %v", ctx, got.err, w.err)
@@ -141,6 +155,85 @@ func TestEpisodeLogReuseIsolated(t *testing.T) {
 	}
 	check("long after an error", long, nil)
 	check("short after an error", short, nil)
+}
+
+// TestRunStopsRolloutsOnError: the update overlaps the batch's rollouts, so
+// an episode that fails mid-batch leaves later ones in flight. An infinite
+// fault horizon puts every drawn outage at +Inf, which the simulator
+// refuses; at seed 12 only episode 3 of the first batch of 8 draws one. At 1
+// and 2 workers, Run must return that episode's error, no rollout of it may
+// run or write into the pool once it has returned, and a next Run on the
+// same trainer, the horizon fixed, must be bit-identical to a fresh trainer's
+// (no update was applied before the failure).
+func TestRunStopsRolloutsOnError(t *testing.T) {
+	const seed, failing = 12, 3
+	good := tinyProblem()
+	bad := good
+	bad.Faults = sim.FaultSpec{Horizon: math.Inf(1), OutageRate: 0.05}
+	cfg := fastCfg(16)
+	cfg.Seed = seed
+
+	// The oracle: which episodes of the first batch fail, and how.
+	oracle := &Trainer{Agent: tinyAgent(3), Problem: bad, Cfg: Config{Seed: seed, RolloutWorkers: 1}, baseline: good.HEFTBaseline()}
+	var pool rolloutPool
+	var wantErr error
+	for k, r := range collectAll(&pool, oracle, 0, cfg.BatchEpisodes) {
+		if (r.err != nil) != (k == failing) {
+			t.Fatalf("episode %d: error %v; only episode %d may fail", k, r.err, failing)
+		}
+		if k == failing {
+			wantErr = r.err
+		}
+	}
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg.RolloutWorkers = workers
+			before := runtime.NumGoroutine()
+			tr := NewTrainer(tinyAgent(3), bad, cfg)
+			hist, err := tr.Run(nil)
+			if err == nil || errors.Unwrap(err).Error() != wantErr.Error() || err.Error() != fmt.Sprintf("rl: episode %d: %v", failing, wantErr) {
+				t.Fatalf("Run returned %v, want episode %d's %v", err, failing, wantErr)
+			}
+			if len(hist.Episodes) != failing {
+				t.Fatalf("history holds %d episodes, want the %d before the failure", len(hist.Episodes), failing)
+			}
+			// Nothing may write into the pool now: snapshot it, let any
+			// straggler run, and compare.
+			results := append([]rolloutResult(nil), tr.rollouts.results...)
+			steps := make([]int, len(tr.rollouts.logs))
+			for i, l := range tr.rollouts.logs {
+				steps[i] = len(l.Steps())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after Run returned, %d before it", n, before)
+			}
+			for i, r := range tr.rollouts.results {
+				if r != results[i] || len(tr.rollouts.logs[i].Steps()) != steps[i] {
+					t.Fatalf("slot %d changed after Run returned", i)
+				}
+			}
+
+			tr.Problem = good
+			got, err := tr.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewTrainer(tinyAgent(3), good, cfg)
+			want, err := fresh.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			historiesIdentical(t, got, want, "after an error")
+			if paramHash(tr.Agent.Params()) != paramHash(fresh.Agent.Params()) {
+				t.Fatal("parameters after an error differ from a fresh trainer's")
+			}
+		})
+	}
 }
 
 // TestEvaluateResidentPolicyBitIdentical: Evaluate's one policy, reset by the

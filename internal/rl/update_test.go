@@ -262,40 +262,72 @@ func convergedEpisode(tb testing.TB) (*Trainer, *core.Policy, float64) {
 
 // TestUpdateAllocFree: once warm, the update of a recorded episode — the
 // batched forward, the loss, Backward into the parameters — allocates
-// nothing, on one CPU and with a helper taking blocks of the row-parallel
-// products. Each backward step used to be a heap closure, and each large
+// nothing. Each backward step used to be a heap closure, and each large
 // product made a closure, a WaitGroup and a goroutine per block: 216
 // allocations an update of this episode. The runtime itself allocates now and
-// then — a collection finishing, the record of a goroutine parked on a
-// channel when its P's cache has run dry — so the least of three windows of
-// five updates must read 0; an allocation in the update shows in every one.
+// then — a collection finishing — so the least of three windows of five
+// updates must read 0; an allocation in the update shows in every one.
 func TestUpdateAllocFree(t *testing.T) {
 	if raceDetector {
-		t.Skip("the race runtime allocates beside the program when goroutines hand off over channels")
+		t.Skip("the race runtime allocates beside the program")
 	}
 	tr, pol, reward := convergedEpisode(t)
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		// Warm: the tape's free list, arena, steps and tables, and the
-		// helpers, grow to what this episode needs.
-		tr.accumulate(pol.Log, pol.Steps, reward)
-		tr.accumulate(pol.Log, pol.Steps, reward)
-		var windows []uint64
-		for range 3 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for range 5 {
-				tr.accumulate(pol.Log, pol.Steps, reward)
-			}
-			runtime.ReadMemStats(&after)
-			if windows = append(windows, after.Mallocs-before.Mallocs); after.Mallocs == before.Mallocs {
-				break
-			}
+	// Warm: the tape's free list, arena, steps and tables grow to what this
+	// episode needs.
+	tr.accumulate(pol.Log, pol.Steps, reward)
+	tr.accumulate(pol.Log, pol.Steps, reward)
+	var windows []uint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			tr.accumulate(pol.Log, pol.Steps, reward)
 		}
-		runtime.GOMAXPROCS(prev)
-		if least := slices.Min(windows); least != 0 {
-			t.Fatalf("GOMAXPROCS %d: %v allocations in windows of 5 warm updates of %d decisions, want 0 in one", procs, windows, len(pol.Steps))
+		runtime.ReadMemStats(&after)
+		if windows = append(windows, after.Mallocs-before.Mallocs); after.Mallocs == before.Mallocs {
+			break
 		}
+	}
+	if least := slices.Min(windows); least != 0 {
+		t.Fatalf("%v allocations in windows of 5 warm updates of %d decisions, want 0 in one", windows, len(pol.Steps))
+	}
+}
+
+// TestUpdateTapeRetainsBounded makes the pass cap a retained-memory contract.
+// The update's tape keeps the buffers of its passes from update to update,
+// so what a warm trainer holds is set by the pass height, not by the episode:
+// the converged T=6 episode stacks ≈ 3 300 rows, which 512-row passes take in
+// seven. What the tape keeps after a few updates — the live heap before and
+// after it is released, the buffer pool emptied by two collections each
+// time — may be 16 buffers of a full 512-row pass, 512 × Hidden floats each,
+// 2 MiB at Hidden 32; the tape keeps ≈ 1.4 MB. Passes of 2 048 rows keep
+// ≈ 4.6 MB, of 1 024 ≈ 2.3 MB.
+func TestUpdateTapeRetainsBounded(t *testing.T) {
+	tr, pol, reward := convergedEpisode(t)
+	rows := 0
+	for i := range pol.Steps {
+		rows += pol.Log.Rows(i)
+	}
+	if rows <= maxPassRows {
+		t.Fatalf("the episode stacks %d rows, one %d-row pass: the cap is not reached", rows, maxPassRows)
+	}
+	for range 3 {
+		tr.accumulate(pol.Log, pol.Steps, reward)
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	tr.bind.Release()
+	kept := int64(before) - int64(live())
+	bound := int64(16 * 512 * tr.Agent.Cfg.Hidden * 8)
+	t.Logf("the update's tape keeps %d B over %d stacked rows in passes of at most %d, bound %d B", kept, rows, maxPassRows, bound)
+	if kept > bound {
+		t.Fatalf("the update's tape keeps %d B, bound %d B: its passes are taller than 512 rows, or it keeps buffers of passes gone by", kept, bound)
 	}
 }
 

@@ -12,7 +12,7 @@ func axpyAVX2F64(alpha float64, x, y []float64)
 // in registers; the contracts are at their TEXT blocks. They read base
 // pointers and the lengths of out and val only, so callers pass open-ended
 // slices.
-func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64)
+func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64, add bool)
 func csrRowAVX2(out, val []float64, col []int, d []float64)
 
 // hasAVX2 reports whether the CPU and OS support the AVX2 kernels: AVX and

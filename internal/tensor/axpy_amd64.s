@@ -107,7 +107,12 @@ f64done:
 	VADDPD off(R11), acc, acc; \
 	VMAXPD Y14, acc, acc
 
-// func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64)
+// The accumulate epilogue: acc + out[block], the sum an in-place `out += row`
+// makes (addition commutes bit for bit).
+#define ADDOUT(off, acc) \
+	VADDPD off(DI), acc, acc
+
+// func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64, add bool)
 //
 // One output row of a dense product, kept in registers for the whole k loop:
 //
@@ -116,9 +121,11 @@ f64done:
 // summed over ascending i from +0, a term whose a is ±0 skipped, VMULPD then
 // VADDPD (never fused) — per element the operations of the zero-fill +
 // axpy-per-k loop it replaces, in the same order. With a non-nil bias the row
-// leaves as max(out[j]+bias[j], +0). Columns go in blocks of 32 (eight
-// accumulators), then 4, then 1. The caller guarantees the operand lengths.
-TEXT ·denseRowAVX2(SB), NOSPLIT, $0-112
+// leaves as max(out[j]+bias[j], +0); with add it leaves as out[j] + the sum,
+// accumulated into what out held. No caller asks for both. Columns go in
+// blocks of 32 (eight accumulators), then 4, then 1. The caller guarantees the
+// operand lengths.
+TEXT ·denseRowAVX2(SB), NOSPLIT, $0-113
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
 	MOVQ a_base+24(FP), SI
@@ -156,7 +163,7 @@ d32next:
 
 d32bias:
 	TESTQ R11, R11
-	JZ   d32store
+	JZ   d32add
 	BIASRELU(0, Y0)
 	BIASRELU(32, Y1)
 	BIASRELU(64, Y2)
@@ -166,6 +173,18 @@ d32bias:
 	BIASRELU(192, Y6)
 	BIASRELU(224, Y7)
 	ADDQ $256, R11
+
+d32add:
+	CMPB add+112(FP), $0
+	JEQ  d32store
+	ADDOUT(0, Y0)
+	ADDOUT(32, Y1)
+	ADDOUT(64, Y2)
+	ADDOUT(96, Y3)
+	ADDOUT(128, Y4)
+	ADDOUT(160, Y5)
+	ADDOUT(192, Y6)
+	ADDOUT(224, Y7)
 
 d32store:
 	STORE8
@@ -199,9 +218,14 @@ d4next:
 
 d4bias:
 	TESTQ R11, R11
-	JZ   d4store
+	JZ   d4add
 	BIASRELU(0, Y0)
 	ADDQ $32, R11
+
+d4add:
+	CMPB add+112(FP), $0
+	JEQ  d4store
+	ADDOUT(0, Y0)
 
 d4store:
 	VMOVUPD Y0, (DI)
@@ -236,10 +260,15 @@ d1next:
 
 d1bias:
 	TESTQ R11, R11
-	JZ   d1store
+	JZ   d1add
 	VADDSD (R11), X0, X0
 	VMAXSD X14, X0, X0
 	ADDQ $8, R11
+
+d1add:
+	CMPB add+112(FP), $0
+	JEQ  d1store
+	VADDSD (DI), X0, X0
 
 d1store:
 	VMOVSD X0, (DI)

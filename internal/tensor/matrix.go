@@ -1,6 +1,7 @@
 // Package tensor provides dense float64 matrices and the linear-algebra
 // primitives needed by the neural-network stack: allocation, elementwise
-// arithmetic, reductions, and a cache-friendly, goroutine-parallel GEMM.
+// arithmetic, reductions, and dense and sparse products computed one output
+// row at a time (on AVX2 row kernels where the CPU has them).
 //
 // The package is deliberately small and allocation-explicit: every operation
 // either writes into a caller-supplied destination or returns a freshly

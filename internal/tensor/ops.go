@@ -5,8 +5,6 @@ import (
 )
 
 // MatMul returns a*b. It panics if the inner dimensions disagree.
-// Large products are split across row blocks and computed by a pool of
-// goroutines sized to GOMAXPROCS (parallelRows).
 func MatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	MatMulInto(a, b, out)
@@ -17,18 +15,13 @@ func MatMul(a, b *Matrix) *Matrix {
 // destination.
 func MatMulInto(a, b, out *Matrix) {
 	mustMatMul(a, b, out)
-	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows < 2 {
-		matMulRange(a, b, nil, out, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, rowJob{kind: jobDense, a: a, b: b, out: out})
+	matMulRows(a, b, nil, out)
 }
 
 // LinearReLUInto computes out = ReLU(x*w + bias), a dense layer. It is
 // MatMulInto, AddRowVectorInto and `v > 0 ? v : 0` with the same bits: on AVX2
 // hosts the row kernel applies bias and ReLU to the finished row before it
-// stores it, elsewhere the three passes run one after the other. The kernel
-// path splits rows as MatMulInto does.
+// stores it, elsewhere the three passes run one after the other.
 func LinearReLUInto(x, w, bias, out *Matrix) {
 	if bias.Rows != 1 || bias.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: LinearReLU bias wants 1x%d, got %dx%d", w.Cols, bias.Rows, bias.Cols))
@@ -44,11 +37,7 @@ func LinearReLUInto(x, w, bias, out *Matrix) {
 		return
 	}
 	mustMatMul(x, w, out)
-	if x.Rows*x.Cols*w.Cols < parallelThreshold || x.Rows < 2 {
-		matMulRange(x, w, bias.Data, out, 0, x.Rows)
-		return
-	}
-	parallelRows(x.Rows, rowJob{kind: jobLinearReLU, a: x, b: w, bias: bias.Data, out: out})
+	matMulRows(x, w, bias.Data, out)
 }
 
 func mustMatMul(a, b, out *Matrix) {
@@ -62,21 +51,21 @@ func mustMatMul(a, b, out *Matrix) {
 // the AVX2 row kernels — the bound axpyF64 dispatches on.
 func useRowKernel(cols int) bool { return hasAVX2 && cols >= axpyMinLen }
 
-// matMulRange computes rows [lo, hi) of out = a*b, one row-kernel call per row
-// where useRowKernel (see denseRowAVX2: the output row stays in registers for
-// the whole k loop, and a non-nil bias finishes it as max(row+bias, +0)).
-func matMulRange(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
+// matMulRows computes out = a*b, one row-kernel call per row where
+// useRowKernel (see denseRowAVX2: the output row stays in registers for the
+// whole k loop, and a non-nil bias finishes it as max(row+bias, +0)).
+func matMulRows(a, b *Matrix, bias []float64, out *Matrix) {
 	n, p := a.Cols, b.Cols
 	if !useRowKernel(p) {
-		matMulLoop(a, b, out, lo, hi)
+		matMulLoop(a, b, out)
 		return
 	}
-	for i := lo; i < hi; i++ {
-		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[i*n:], 1, n, b.Data, bias)
+	for i := 0; i < a.Rows; i++ {
+		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[i*n:], 1, n, b.Data, bias, false)
 	}
 }
 
-// matMulLoop is matMulRange without the row kernel: the path of hosts without
+// matMulLoop is matMulRows without the row kernel: the path of hosts without
 // AVX2 and of narrow outputs, and the oracle the kernel is tested against. The
 // ikj loop order streams the inner loop through contiguous rows of b and out.
 // Terms with av == 0 are skipped: since every accumulator starts at +0, a
@@ -85,9 +74,9 @@ func matMulRange(a, b *Matrix, bias []float64, out *Matrix, lo, hi int) {
 // bit-exact. Non-finite b values never occur here (features, weights, and
 // activations are all finite), and the axpy kernel matches the scalar loop bit
 // for bit.
-func matMulLoop(a, b, out *Matrix, lo, hi int) {
+func matMulLoop(a, b, out *Matrix) {
 	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*n : (i+1)*n]
 		orow := out.Data[i*p : (i+1)*p]
 		for j := range orow {
@@ -109,52 +98,25 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulTransAInto computes out = aᵀ*b into a caller-supplied destination.
-// Large products are split across blocks of output rows (columns of a) like
-// MatMul; per-element accumulation runs over k in ascending order on every
-// path, so the result is bit-identical at any parallelism level.
+// MatMulTransAInto computes out = aᵀ*b into a caller-supplied destination:
+// output row i is Σ_k a[k,i]·b[k,:] over ascending k from +0, ±0 terms of a
+// skipped (bit-exact, see matMulLoop). It runs no row kernel: tests call it
+// as the plain reference of the segmented products below.
 func MatMulTransAInto(a, b, out *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch %dx%d ᵀ* %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape("MatMulTransA destination", out, a.Cols, b.Cols)
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || a.Cols < 2 {
-		matMulTransARange(a, b, out, 0, a.Cols, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Cols, rowJob{kind: jobTransA, a: a, b: b, out: out})
-}
-
-// matMulTransARange computes output rows [lo, hi) of out = a[klo:khi]ᵀ *
-// b[klo:khi]: output row i is Σ_k a[k,i]·b[k,:] over the rows klo ≤ k < khi —
-// column i of a walked at stride a.Cols by the row kernel where useRowKernel.
-func matMulTransARange(a, b, out *Matrix, lo, hi, klo, khi int) {
 	n, p := a.Cols, b.Cols
-	if !useRowKernel(p) || klo >= khi {
-		matMulTransALoop(a, b, out, lo, hi, klo, khi)
-		return
-	}
-	for i := lo; i < hi; i++ {
-		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[klo*n+i:], n, khi-klo, b.Data[klo*p:], nil)
-	}
-}
-
-// matMulTransALoop is matMulTransARange without the row kernel (see
-// matMulLoop).
-func matMulTransALoop(a, b, out *Matrix, lo, hi, klo, khi int) {
-	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		orow := out.Data[i*p : (i+1)*p]
 		for j := range orow {
 			orow[j] = 0
 		}
-		for k := klo; k < khi; k++ {
-			av := a.Data[k*n+i]
-			if av == 0 {
-				continue // bit-exact: see matMulLoop
+		for k := 0; k < a.Rows; k++ {
+			if av := a.Data[k*n+i]; av != 0 {
+				axpyF64(av, b.Data[k*p:(k+1)*p], orow)
 			}
-			axpyF64(av, b.Data[k*p:(k+1)*p], orow)
 		}
 	}
 }
@@ -181,33 +143,68 @@ func SegmentBounds(segs []int, s, rows int) (lo, hi int) {
 }
 
 // MatMulTransASegAcc adds a[seg]ᵀ*b[seg] to acc for every row range of segs,
-// in order. Each range's product is formed from zero in scratch (same shape
-// as acc) before it is added, so acc ends with exactly the bits that one
-// MatMulTransAInto + AddInPlace per range would leave — the association a
-// sum of per-sample gradients has when the samples are processed one by one.
-// Blocks of output rows run in parallel for large products; an output element
-// sees the same operations in the same order on every path.
-func MatMulTransASegAcc(a, b *Matrix, segs []int, scratch, acc *Matrix) {
+// in order. Each range's product is formed from +0 and added to acc as it
+// leaves the row kernel, so acc ends with exactly the bits that one
+// MatMulTransAInto + AddInPlace per range would leave — the association a sum
+// of per-sample gradients has when the samples are processed one by one.
+func MatMulTransASegAcc(a, b *Matrix, segs []int, acc *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransASegAcc shape mismatch %dx%d ᵀ* %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	mustShape("MatMulTransASegAcc scratch", scratch, a.Cols, b.Cols)
 	mustShape("MatMulTransASegAcc accumulator", acc, a.Cols, b.Cols)
-	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Cols < 2 {
-		transASegAccRange(a, b, segs, scratch, acc, 0, a.Cols)
-		return
-	}
-	parallelRows(a.Cols, rowJob{kind: jobTransASegAcc, a: a, b: b, segs: segs, out: scratch, acc: acc})
+	segAcc(a.Data, a.Cols, b, segs, acc)
 }
 
-// transASegAccRange is MatMulTransASegAcc on output rows [lo, hi).
-func transASegAccRange(a, b *Matrix, segs []int, scratch, acc *Matrix, lo, hi int) {
+// ColSumsSegAcc adds the column sums of b's rows in each range of segs to the
+// row vector acc, range by range in order, each summed from +0 in row order.
+// It is MatMulTransASegAcc against a column of ones, read as one 1.0 at stride
+// 0: 1·x is x exactly, and 1 is never skipped as a zero.
+func ColSumsSegAcc(b *Matrix, segs []int, acc *Matrix) {
+	mustShape("ColSumsSegAcc accumulator", acc, 1, b.Cols)
+	segAcc(one[:], 0, b, segs, acc)
+}
+
+var one = [1]float64{1}
+
+// segAcc adds to row i of acc, for each range of segs in order, the range's
+// Σ_k a[k*stride+i]·b[k,:] over its rows k, formed from +0 — on the row
+// kernel, whose accumulate epilogue adds the finished row to acc's.
+func segAcc(a []float64, stride int, b *Matrix, segs []int, acc *Matrix) {
+	p := b.Cols
+	if !useRowKernel(p) {
+		segAccLoop(a, stride, b, segs, acc)
+		return
+	}
+	for s := 0; s < SegmentCount(segs); s++ {
+		klo, khi := SegmentBounds(segs, s, b.Rows)
+		for i := 0; i < acc.Rows; i++ {
+			ak := a // an empty range reads no term
+			if klo < khi {
+				ak = a[klo*stride+i:]
+			}
+			denseRowAVX2(acc.Data[i*p:(i+1)*p], ak, stride, khi-klo, b.Data[klo*p:], nil, true)
+		}
+	}
+}
+
+// segAccLoop is segAcc without the row kernel: each entry of a range's
+// product is summed in one register over ascending k from +0, ±0 terms of a
+// skipped (bit-exact, see matMulLoop), and added to acc.
+func segAccLoop(a []float64, stride int, b *Matrix, segs []int, acc *Matrix) {
 	p := b.Cols
 	for s := 0; s < SegmentCount(segs); s++ {
-		klo, khi := SegmentBounds(segs, s, a.Rows)
-		matMulTransARange(a, b, scratch, lo, hi, klo, khi)
-		for i, v := range scratch.Data[lo*p : hi*p] {
-			acc.Data[lo*p+i] += v
+		klo, khi := SegmentBounds(segs, s, b.Rows)
+		for i := 0; i < acc.Rows; i++ {
+			out := acc.Data[i*p : (i+1)*p]
+			for j := range out {
+				var v float64
+				for k := klo; k < khi; k++ {
+					if av := a[k*stride+i]; av != 0 {
+						v += float64(av * b.Data[k*p+j])
+					}
+				}
+				out[j] += v
+			}
 		}
 	}
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 // naiveMatMul is the reference implementation used to validate the optimised
-// and parallel paths.
+// paths.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -61,13 +60,12 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelPathMatchesNaive(t *testing.T) {
+func TestMatMulLargeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	// Sized to exceed parallelThreshold so the goroutine pool is exercised.
 	a := RandNormal(rng, 128, 80, 1)
 	b := RandNormal(rng, 80, 96, 1)
 	if !MatMul(a, b).AllClose(naiveMatMul(a, b), 1e-8) {
-		t.Fatal("parallel MatMul diverges from naive")
+		t.Fatal("large MatMul diverges from naive")
 	}
 }
 
@@ -276,7 +274,7 @@ func BenchmarkDenseLayer(b *testing.B) {
 		shape := fmt.Sprintf("%dx%d*%dx%d", rows, k, k, cols)
 		b.Run("axpy-loop/"+shape, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matMulLoop(x, w, out, 0, rows)
+				matMulLoop(x, w, out)
 				biasReLU(out, bias)
 			}
 		})
@@ -294,65 +292,20 @@ func BenchmarkDenseLayer(b *testing.B) {
 	}
 }
 
-func TestMatMulTransAParallelPathMatchesNaive(t *testing.T) {
+func TestMatMulTransALargeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	// Work = a.Cols * b.Cols * a.Rows above parallelThreshold.
 	a := RandNormal(rng, 80, 128, 1)
 	b := RandNormal(rng, 80, 96, 1)
 	if !MatMulTransA(a, b).AllClose(naiveMatMul(transposed(a), b), 1e-8) {
-		t.Fatal("parallel MatMulTransA diverges from naive")
+		t.Fatal("large MatMulTransA diverges from naive")
 	}
-}
-
-// TestParallelOpsBitIdenticalAcrossWorkerCounts pins the determinism contract
-// of the parallel kernels, every job kind of parallelRows: each output element
-// is produced by exactly one goroutine with the same ascending-k accumulation
-// order, so changing GOMAXPROCS must not change a single bit.
-func TestParallelOpsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := RandNormal(rng, 128, 96, 1)
-	b := RandNormal(rng, 96, 112, 1)
-	s := SparseFromDense(randomDAGDense(rng, 192, 0.4))
-	x := RandNormal(rng, 192, 64, 1)
-
-	d := RandNormal(rng, 128, 112, 1)
-	bias := RandNormal(rng, 1, 112, 1)
-	lr1, lr4 := New(128, 112), New(128, 112)
-	segs := []int{0, 50, 50, 128}
-	acc1, acc4 := RandNormal(rng, 96, 112, 1), New(96, 112)
-	copy(acc4.Data, acc1.Data)
-	sp4 := RandNormal(rng, 192, 64, 1) // a dirty destination
-
-	prev := runtime.GOMAXPROCS(1)
-	LinearReLUInto(a, b, bias, lr1)
-	mm1 := MatMul(a, b)
-	ta1 := MatMulTransA(a, d)
-	MatMulTransASegAcc(a, d, segs, New(96, 112), acc1)
-	sp1 := SpMM(s, x)
-	runtime.GOMAXPROCS(4)
-	LinearReLUInto(a, b, bias, lr4)
-	mm4 := MatMul(a, b)
-	ta4 := MatMulTransA(a, d)
-	MatMulTransASegAcc(a, d, segs, RandNormal(rng, 96, 112, 1), acc4)
-	SpMMInto(s, x, sp4)
-	runtime.GOMAXPROCS(prev)
-
-	for _, c := range []struct {
-		kind     string
-		one, on4 *Matrix
-	}{{"dense", mm1, mm4}, {"LinearReLU", lr1, lr4}, {"TransA", ta1, ta4}, {"TransASegAcc", acc1, acc4}, {"SpMM", sp1, sp4}} {
-		mustSameBits(t, c.kind+" at GOMAXPROCS 4 vs 1", c.on4, c.one)
-	}
-	biasReLU(mm1, bias)
-	mustSameBits(t, "parallel LinearReLUInto", lr4, mm1)
 }
 
 // TestMatMulOfTransposeMatchesSequentialDots: a*bᵀ formed as MatMul(a, bᵀ) —
 // how the tape takes an input gradient ∂C·Wᵀ — is, bit for bit, the plain dot
 // product of a's row and b's row summed in ascending k from +0, zero terms
 // included: the skipped ±0 terms are the identity (see matMulLoop). Output
-// widths straddle the row kernel's bound and its block sizes; the last shape
-// crosses parallelThreshold.
+// widths straddle the row kernel's bound and its block sizes.
 func TestMatMulOfTransposeMatchesSequentialDots(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range [][3]int{{6, 9, 1}, {6, 9, 3}, {6, 9, 4}, {6, 9, 5}, {6, 9, 8}, {6, 9, 11}, {6, 9, 32}, {6, 9, 37}, {128, 80, 96}} {
@@ -376,25 +329,40 @@ func TestMatMulOfTransposeMatchesSequentialDots(t *testing.T) {
 
 // TestMatMulTransASegAccMatchesPerRangeProducts: the segmented accumulate
 // leaves in acc the bits of one MatMulTransAInto + AddInPlace per row range,
-// in order, on the serial and on the row-parallel path, and a nil table is
-// the one range of all rows.
+// in order, and ColSumsSegAcc those of one AddInPlace of the range's row sum,
+// each summed from +0 in row order — at output widths on and below the row
+// kernel's bound. An empty range adds +0, and a nil table is the one range of
+// all rows.
 func TestMatMulTransASegAccMatchesPerRangeProducts(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for _, rows := range []int{9, 2100} { // 2100*16*16 crosses parallelThreshold
-		a, b := RandNormal(rng, rows, 16, 1), RandNormal(rng, rows, 16, 1)
-		segs := []int{0, 4, 4, rows - 2, rows}
-		for _, table := range [][]int{segs, nil} {
-			want := RandNormal(rng, 16, 16, 1) // a non-zero accumulator to add onto
-			acc := FromSlice(16, 16, append([]float64(nil), want.Data...))
-			for s := 0; s < SegmentCount(table); s++ {
-				lo, hi := SegmentBounds(table, s, rows)
-				part := New(16, 16)
-				MatMulTransAInto(FromSlice(hi-lo, 16, a.Data[lo*16:hi*16]), FromSlice(hi-lo, 16, b.Data[lo*16:hi*16]), part)
-				AddInPlace(want, part)
-			}
-			MatMulTransASegAcc(a, b, table, New(16, 16), acc)
-			if !acc.Equal(want) {
-				t.Fatalf("rows=%d table=%v: segmented accumulate diverges from per-range products", rows, table)
+	for _, rows := range []int{9, 2100} {
+		for _, p := range []int{1, 5, 16, 37} {
+			a, b := RandNormal(rng, rows, 16, 1), RandNormal(rng, rows, p, 1)
+			segs := []int{0, 4, 4, rows - 2, rows}
+			for _, table := range [][]int{segs, nil} {
+				want := RandNormal(rng, 16, p, 1) // a non-zero accumulator to add onto
+				want.Data[0] = math.Copysign(0, -1)
+				acc := FromSlice(16, p, append([]float64(nil), want.Data...))
+				wantSums := RandNormal(rng, 1, p, 1)
+				wantSums.Data[0] = math.Copysign(0, -1)
+				sums := FromSlice(1, p, append([]float64(nil), wantSums.Data...))
+				for s := 0; s < SegmentCount(table); s++ {
+					lo, hi := SegmentBounds(table, s, rows)
+					part := New(16, p)
+					bs := FromSlice(hi-lo, p, b.Data[lo*p:hi*p])
+					MatMulTransAInto(FromSlice(hi-lo, 16, a.Data[lo*16:hi*16]), bs, part)
+					AddInPlace(want, part)
+					colSum := New(1, p)
+					for i := 0; i < bs.Rows; i++ {
+						AddInPlace(colSum, FromSlice(1, p, bs.Row(i)))
+					}
+					AddInPlace(wantSums, colSum)
+				}
+				ctx := fmt.Sprintf("rows=%d p=%d table=%v", rows, p, table)
+				MatMulTransASegAcc(a, b, table, acc)
+				mustSameBits(t, ctx+": MatMulTransASegAcc", acc, want)
+				ColSumsSegAcc(b, table, sums)
+				mustSameBits(t, ctx+": ColSumsSegAcc", sums, wantSums)
 			}
 		}
 	}

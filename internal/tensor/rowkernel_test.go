@@ -7,8 +7,8 @@ import (
 )
 
 // The row kernels replace the zero-fill + axpy-per-k loops under MatMul,
-// MatMulTransA and SpMM, and every committed result rests on those loops'
-// bits. These tests hold each assembly entry point, and the dispatcher above
+// MatMulTransASegAcc and SpMM, and every committed result rests on those
+// loops' bits. These tests hold each assembly entry point, and the dispatcher above
 // it, to the loop it replaced on math.Float64bits, over every column
 // block/tail combination (32-, 4- and 1-wide) and the values where a fused,
 // reordered or non-skipping implementation would differ.
@@ -95,23 +95,23 @@ func TestDenseRowKernelMatchesLoop(t *testing.T) {
 				a, b := kernelMatrix(rng, rows, k), kernelMatrix(rng, k, cols)
 				bias := kernelMatrix(rng, 1, cols)
 				want := dirty(rows, cols)
-				matMulLoop(a, b, want, 0, rows)
+				matMulLoop(a, b, want)
 
 				// The entry point itself, below axpyMinLen too.
 				got := dirty(rows, cols)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, nil)
+					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, nil, false)
 				}
 				mustSameBits(t, "denseRowAVX2", got, want)
 				got = dirty(rows, cols)
-				matMulRange(a, b, nil, got, 0, rows)
-				mustSameBits(t, "matMulRange", got, want)
+				MatMulInto(a, b, got)
+				mustSameBits(t, "MatMulInto", got, want)
 
 				// With the epilogue.
 				biasReLU(want, bias)
 				got = dirty(rows, cols)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, bias.Data)
+					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, bias.Data, false)
 				}
 				mustSameBits(t, "denseRowAVX2+bias", got, want)
 			}
@@ -119,8 +119,12 @@ func TestDenseRowKernelMatchesLoop(t *testing.T) {
 	}
 }
 
-// Stride > 1 and a klo..khi sub-range: the shape MatMulTransASegAcc asks for.
-// a is k+3 rows tall and the product runs over rows 2 ≤ r < 2+k of a and b.
+// Stride > 1 over a klo..khi sub-range, with and without the accumulate
+// epilogue, and stride 0: the shapes MatMulTransASegAcc and ColSumsSegAcc ask
+// for, against MatMulTransAInto's loop. a is k+3 rows tall and the product runs over rows
+// 2 ≤ r < 2+k of a and b. The epilogue must leave what the loop's per-range
+// sum added to the accumulator leaves, and that must be the product formed
+// from +0 in full and then added in.
 func TestDenseRowKernelStridedMatchesLoop(t *testing.T) {
 	skipWithoutAVX2(t)
 	rng := rand.New(rand.NewSource(25))
@@ -130,17 +134,32 @@ func TestDenseRowKernelStridedMatchesLoop(t *testing.T) {
 				const klo = 2
 				khi := klo + k
 				a, b := kernelMatrix(rng, k+3, rows), kernelMatrix(rng, k+3, cols)
+				sub := func(m *Matrix) *Matrix { return FromSlice(k, m.Cols, m.Data[klo*m.Cols:khi*m.Cols]) }
 				want := dirty(rows, cols)
-				matMulTransALoop(a, b, want, 0, rows, klo, khi)
+				MatMulTransAInto(sub(a), sub(b), want)
 
 				got := dirty(rows, cols)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(got.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil)
+					denseRowAVX2(got.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil, false)
 				}
 				mustSameBits(t, "denseRowAVX2 strided", got, want)
-				got = dirty(rows, cols)
-				matMulTransARange(a, b, got, 0, rows, klo, khi)
-				mustSameBits(t, "matMulTransARange", got, want)
+
+				acc := kernelMatrix(rng, rows, cols)
+				wantAcc := FromSlice(rows, cols, append([]float64(nil), acc.Data...))
+				AddInPlace(wantAcc, want)
+				loopAcc := FromSlice(rows, cols, append([]float64(nil), acc.Data...))
+				segAccLoop(a.Data, rows, b, []int{klo, khi}, loopAcc)
+				mustSameBits(t, "segAccLoop", loopAcc, wantAcc)
+				for i := 0; i < rows; i++ {
+					denseRowAVX2(acc.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil, true)
+				}
+				mustSameBits(t, "denseRowAVX2 accumulate", acc, wantAcc)
+
+				sums := kernelMatrix(rng, 1, cols)
+				loopSums := FromSlice(1, cols, append([]float64(nil), sums.Data...))
+				segAccLoop(one[:], 0, b, []int{klo, khi}, loopSums)
+				denseRowAVX2(sums.Data, one[:], 0, k, b.Data[klo*cols:], nil, true)
+				mustSameBits(t, "denseRowAVX2 stride 0", sums, loopSums)
 			}
 		}
 	}
@@ -165,7 +184,7 @@ func TestCSRRowKernelMatchesLoop(t *testing.T) {
 		}
 		d := kernelMatrix(rng, dRows, cols)
 		want := dirty(s.Rows, cols)
-		spMMLoop(s, d, want, 0, s.Rows)
+		spMMLoop(s, d, want)
 
 		got := dirty(s.Rows, cols)
 		for i := 0; i < s.Rows; i++ {
@@ -174,8 +193,8 @@ func TestCSRRowKernelMatchesLoop(t *testing.T) {
 		}
 		mustSameBits(t, "csrRowAVX2", got, want)
 		got = dirty(s.Rows, cols)
-		spMMRange(s, d, got, 0, s.Rows)
-		mustSameBits(t, "spMMRange", got, want)
+		SpMMInto(s, d, got)
+		mustSameBits(t, "SpMMInto", got, want)
 	}
 }
 
@@ -196,7 +215,7 @@ func TestLinearReLUMatchesThreeOps(t *testing.T) {
 					x.Data[j] = 0 // row 0 sums to +0
 				}
 				want := dirty(rows, cols)
-				matMulLoop(x, w, want, 0, rows)
+				matMulLoop(x, w, want)
 				bias.Data[0] = math.Copysign(0, -1)
 				if cols > 1 {
 					bias.Data[1] = -want.Data[(rows-1)*cols+1] // exact cancellation in the last row
@@ -236,8 +255,8 @@ func TestRowKernelSkipsZeroTerms(t *testing.T) {
 			b.Data[j], b.Data[cols+j] = math.Inf(1), math.NaN()
 		}
 		want, got := dirty(1, cols), dirty(1, cols)
-		matMulLoop(a, b, want, 0, 1)
-		denseRowAVX2(got.Data, a.Data, 1, 3, b.Data, nil)
+		matMulLoop(a, b, want)
+		denseRowAVX2(got.Data, a.Data, 1, 3, b.Data, nil, false)
 		mustSameBits(t, "denseRowAVX2 zero skip", got, want)
 		for j, v := range got.Data {
 			if v != 1.5*b.Data[2*cols+j] {
@@ -246,7 +265,7 @@ func TestRowKernelSkipsZeroTerms(t *testing.T) {
 		}
 
 		s := &Sparse{Rows: 1, Cols: 3, RowPtr: []int{0, 2}, Col: []int{0, 2}, Val: []float64{0, 1.5}}
-		spMMLoop(s, b, want, 0, 1)
+		spMMLoop(s, b, want)
 		csrRowAVX2(got.Data, s.Val, s.Col, b.Data)
 		mustSameBits(t, "csrRowAVX2 stored zero", got, want)
 	}

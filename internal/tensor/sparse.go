@@ -107,16 +107,15 @@ func (s *Sparse) Equal(o *Sparse) bool {
 }
 
 // SpMM returns s*d (sparse × dense). Cost is O(nnz · d.Cols) instead of the
-// dense O(s.Rows · s.Cols · d.Cols). Large products are split across row
-// blocks like MatMul; per-output-element accumulation order is independent of
-// the split, so results are bit-identical at any parallelism level.
+// dense O(s.Rows · s.Cols · d.Cols).
 func SpMM(s *Sparse, d *Matrix) *Matrix {
 	out := New(s.Rows, d.Cols)
 	SpMMInto(s, d, out)
 	return out
 }
 
-// SpMMInto computes out = s*d into a caller-supplied matrix.
+// SpMMInto computes out = s*d into a caller-supplied matrix, one CSR
+// row-kernel call per row where useRowKernel.
 func SpMMInto(s *Sparse, d, out *Matrix) {
 	if s.Cols != d.Rows {
 		panic(fmt.Sprintf("tensor: SpMM shape mismatch %dx%d * %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
@@ -124,32 +123,21 @@ func SpMMInto(s *Sparse, d, out *Matrix) {
 	if out.Rows != s.Rows || out.Cols != d.Cols {
 		panic(fmt.Sprintf("tensor: SpMM destination %dx%d, want %dx%d", out.Rows, out.Cols, s.Rows, d.Cols))
 	}
-	work := s.NNZ() * d.Cols
-	if work < parallelThreshold || s.Rows < 2 {
-		spMMRange(s, d, out, 0, s.Rows)
-		return
-	}
-	parallelRows(s.Rows, rowJob{kind: jobSpMM, s: s, b: d, out: out})
-}
-
-// spMMRange computes rows [lo, hi) of out = s*d, one CSR row-kernel call per
-// row where useRowKernel.
-func spMMRange(s *Sparse, d, out *Matrix, lo, hi int) {
 	p := d.Cols
 	if !useRowKernel(p) {
-		spMMLoop(s, d, out, lo, hi)
+		spMMLoop(s, d, out)
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < s.Rows; i++ {
 		klo, khi := s.RowPtr[i], s.RowPtr[i+1]
 		csrRowAVX2(out.Data[i*p:(i+1)*p], s.Val[klo:khi], s.Col[klo:khi], d.Data)
 	}
 }
 
-// spMMLoop is spMMRange without the row kernel (see matMulLoop).
-func spMMLoop(s *Sparse, d, out *Matrix, lo, hi int) {
+// spMMLoop is SpMMInto without the row kernel (see matMulLoop).
+func spMMLoop(s *Sparse, d, out *Matrix) {
 	p := d.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < s.Rows; i++ {
 		orow := out.Data[i*p : (i+1)*p]
 		for j := range orow {
 			orow[j] = 0
@@ -160,10 +148,8 @@ func spMMLoop(s *Sparse, d, out *Matrix, lo, hi int) {
 	}
 }
 
-// SpMMTransAInto computes out = sᵀ*g into a caller-supplied matrix. The
-// scatter over output rows runs serially: backward passes are already
-// per-decision concurrent at the rollout level, and a fixed accumulation
-// order keeps gradients deterministic.
+// SpMMTransAInto computes out = sᵀ*g into a caller-supplied matrix,
+// scattering over output rows in a fixed order.
 func SpMMTransAInto(s *Sparse, g, out *Matrix) {
 	if s.Rows != g.Rows {
 		panic(fmt.Sprintf("tensor: SpMMTransA shape mismatch %dx%d ᵀ* %dx%d", s.Rows, s.Cols, g.Rows, g.Cols))

@@ -60,20 +60,6 @@ func TestSpMMMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-func TestSpMMLargeCrossesParallelThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 192
-	d := randomDAGDense(rng, n, 0.4)
-	x := RandNormal(rng, n, 64, 1)
-	s := SparseFromDense(d)
-	if s.NNZ()*x.Cols < parallelThreshold {
-		t.Fatalf("test must exercise the parallel path: work %d < threshold %d", s.NNZ()*x.Cols, parallelThreshold)
-	}
-	if !SpMM(s, x).Equal(MatMul(d, x)) {
-		t.Fatal("parallel SpMM diverges from dense MatMul")
-	}
-}
-
 func TestSpMMTransAMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
