@@ -21,15 +21,16 @@
 #                      compiles the non-amd64 kernel file) and require that no
 #                      product anywhere in the library was fused into its add
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
-#                      JSONL, sim trace, flight recorder, and a dispatcher +
+#                      JSONL, sim trace, stream trace, and a dispatcher +
 #                      worker pair whose merged cross-process trace must
 #                      link-validate
 #   make chaos-smoke — single-seed fault-injection run through readys-sim
 #                      (plan generation, kill/re-execution, strict validator)
 #   make stream-smoke— tiny online-scheduling run through readys-stream
 #                      (Poisson arrivals, faults mid-stream, strict union
-#                      validation, trace checked by readys-obs-check), and a
-#                      written arrival trace replayed to the same schedule
+#                      validation, trace checked by readys-obs-check), a
+#                      stream that outgrows its trace ring, and a written
+#                      arrival trace replayed to the same schedule
 #   make fleet-smoke — dispatcher + worker end-to-end check (train job,
 #                      artifact verification, train → serve publish)
 #   make gateway-smoke — shard-router end-to-end check: two replicas behind
@@ -186,8 +187,8 @@ portable:
 
 # End-to-end observability check. Phase 1 artifacts: train a tiny agent with
 # -telemetry, simulate one DAG with -trace, assert both are valid and
-# non-empty. Phase 2 artifacts: a READYS streaming run's flight recorder
-# summarized by readys-obs-check and its exported readys_decide_* counters
+# non-empty. Phase 2 artifacts: a READYS streaming run's trace validated by
+# readys-obs-check and its exported readys_decide_* counters
 # (∅ answers included),
 # and a real dispatcher + worker pair (fleet smoke)
 # whose two per-process span exports are merged — both by the smoke itself
@@ -203,12 +204,11 @@ obs-smoke:
 		-trace $(OBS_TMP)/trace.json
 	$(GO) run ./cmd/readys-stream -rate 6 -jobs 6 -sigma 0.1 \
 		-policy readys -models models -faults -fault-rate 1 -seed 7 -quiet \
-		-flight $(OBS_TMP)/flight.jsonl -metrics $(OBS_TMP)/metrics.prom > /dev/null
+		-trace $(OBS_TMP)/stream-trace.json -metrics $(OBS_TMP)/metrics.prom > /dev/null
 	for c in forwards memo_hits window_rows rebuilds idle; do \
 		grep -q "^# TYPE readys_decide_$${c}_total counter" $(OBS_TMP)/metrics.prom || exit 1; done
 	grep -q '^readys_decide_forwards_total [1-9]' $(OBS_TMP)/metrics.prom
-	$(GO) run ./cmd/readys-obs-check -flight $(OBS_TMP)/flight.jsonl
-	$(GO) run ./cmd/readys-obs-check -flight $(OBS_TMP)/flight.jsonl -flight-kind decision
+	$(GO) run ./cmd/readys-obs-check -trace $(OBS_TMP)/stream-trace.json
 	$(GO) run ./cmd/readys-fleet -smoke -trace-out $(OBS_TMP)/fleet
 	$(GO) run ./cmd/readys-obs-check -merge $(OBS_TMP)/fleet/remerged.json \
 		$(OBS_TMP)/fleet/dispatcher.json $(OBS_TMP)/fleet/worker.json
@@ -228,7 +228,10 @@ chaos-smoke:
 # through readys-stream with faults firing mid-stream. Exercises arrivals on
 # the persistent cluster, kills/re-execution across jobs and the strict union
 # validator (readys-stream fails hard on an invalid schedule), then checks the
-# emitted Chrome trace with readys-obs-check. Then a READYS stream is written
+# emitted Chrome trace with readys-obs-check. A 4000-job stream then outgrows
+# its trace ring, whose export must still validate: the ring keeps the most
+# recent window, so it holds E events whose B it overwrote, and the export
+# leaves those out. Then a READYS stream is written
 # out with -write-arrivals and replayed with -arrivals: the per-job table and
 # the summary must match the direct run's line for line (the header names the
 # flags' mix on one and the trace's on the other, and only the direct run
@@ -240,6 +243,9 @@ stream-smoke:
 		-policy heft-per-job -faults -fault-rate 1 -seed 7 -quiet \
 		-trace $(STREAM_TMP)/trace.json > /dev/null
 	$(GO) run ./cmd/readys-obs-check -trace $(STREAM_TMP)/trace.json
+	$(GO) run ./cmd/readys-stream -jobs 4000 -job-sizes 4,5 -policy mct -quiet \
+		-trace $(STREAM_TMP)/wrapped.json > /dev/null
+	$(GO) run ./cmd/readys-obs-check -trace $(STREAM_TMP)/wrapped.json
 	$(GO) run ./cmd/readys-stream -rate 6 -jobs 10 -policy readys -models models \
 		-seed 11 -write-arrivals $(STREAM_TMP)/arrivals.jsonl > $(STREAM_TMP)/direct.txt
 	$(GO) run ./cmd/readys-stream -arrivals $(STREAM_TMP)/arrivals.jsonl -policy readys \

@@ -9,20 +9,23 @@
 // and "kill" instants — which are counted in the summary and validate like
 // any other span.
 //
-// Obs phase 2 adds three more surfaces. -merge joins per-process trace
+// Two flags serve distributed traces. -merge joins per-process trace
 // exports (dispatcher + worker, client + serve) into one document whose pid
 // lanes are disjoint and whose spans stitch by trace ID; -links additionally
 // checks that every parent_span_id resolves within its trace and that at
-// least one link crosses a process boundary in multi-process traces. -flight
-// summarizes (or, with -flight-kind/-flight-from/-flight-to, queries) a
-// cluster flight-recorder JSONL export from readys-stream -flight.
+// least one link crosses a process boundary in multi-process traces.
+//
+// A stream's trace (readys-stream -trace) is its bounded post-mortem record:
+// arrivals, placements, kills and fault spans. When the run outgrew the ring
+// the export keeps the most recent window, reports dropped_events in
+// otherData, and still validates.
 //
 // Usage:
 //
 //	readys-obs-check -jsonl train.jsonl -trace trace.json
 //	readys-obs-check -merge merged.json dispatcher.json worker.json
 //	readys-obs-check -trace merged.json -links
-//	readys-obs-check -flight stream-flight.jsonl [-flight-kind kill] [-flight-from 0 -flight-to 5000]
+//	readys-obs-check -trace stream-trace.json
 package main
 
 import (
@@ -37,18 +40,14 @@ import (
 
 func main() {
 	var (
-		jsonlPath  = flag.String("jsonl", "", "JSONL telemetry file to validate")
-		tracePath  = flag.String("trace", "", "Chrome trace-event JSON file to validate")
-		links      = flag.Bool("links", false, "with -trace: also validate distributed-trace parent links")
-		mergeOut   = flag.String("merge", "", "merge the trace files given as positional args into this output, then validate it")
-		flightPath = flag.String("flight", "", "flight-recorder JSONL file to summarize")
-		flightKind = flag.String("flight-kind", "", "with -flight: only count events of this kind")
-		flightFrom = flag.Float64("flight-from", 0, "with -flight: ignore events before this simulated time")
-		flightTo   = flag.Float64("flight-to", 0, "with -flight: ignore events after this simulated time (0 = unbounded)")
+		jsonlPath = flag.String("jsonl", "", "JSONL telemetry file to validate")
+		tracePath = flag.String("trace", "", "Chrome trace-event JSON file to validate")
+		links     = flag.Bool("links", false, "with -trace: also validate distributed-trace parent links")
+		mergeOut  = flag.String("merge", "", "merge the trace files given as positional args into this output, then validate it")
 	)
 	flag.Parse()
-	if *jsonlPath == "" && *tracePath == "" && *mergeOut == "" && *flightPath == "" {
-		log.Fatal("nothing to check: pass -jsonl, -trace, -merge and/or -flight")
+	if *jsonlPath == "" && *tracePath == "" && *mergeOut == "" {
+		log.Fatal("nothing to check: pass -jsonl, -trace and/or -merge")
 	}
 
 	if *mergeOut != "" {
@@ -119,23 +118,6 @@ func main() {
 		default:
 			fmt.Printf("%s: valid Chrome trace (%d bytes)\n", *tracePath, len(data))
 		}
-	}
-
-	if *flightPath != "" {
-		f, err := os.Open(*flightPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		events, err := obs.ReadFlightEvents(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", *flightPath, err)
-		}
-		if len(events) == 0 {
-			log.Fatalf("%s: no flight events", *flightPath)
-		}
-		events = obs.FilterFlight(events, *flightKind, *flightFrom, *flightTo)
-		fmt.Printf("%s: %s\n", *flightPath, obs.FormatFlightSummary(obs.SummarizeFlight(events)))
 	}
 }
 

@@ -57,7 +57,6 @@ func main() {
 		faultSeed    = flag.Int64("fault-seed", 0, "fault-plan seed for -faults (default: derived from -seed)")
 		tracePath    = flag.String("trace", "", "write the stream (arrivals, slices, faults) as Chrome trace-event JSON to this path")
 		metricsPath  = flag.String("metrics", "", "write the run's readys_stream_* metrics, and with -policy readys its readys_decide_* counters, as Prometheus text exposition to this path ('-' for stdout)")
-		flightPath   = flag.String("flight", "", "write the cluster flight recorder (arrivals, decisions, kills, faults, ready depth) as JSONL to this path")
 		writeArr     = flag.String("write-arrivals", "", "write the (generated or replayed) arrival list as JSONL to this path")
 		quiet        = flag.Bool("quiet", false, "suppress the per-job table")
 	)
@@ -120,9 +119,6 @@ func main() {
 	if *metricsPath != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if *flightPath != "" {
-		cfg.Recorder = obs.NewFlightRecorder(0)
-	}
 
 	res, err := stream.Run(pol, cfg)
 	if err != nil {
@@ -179,10 +175,6 @@ func main() {
 			writeFile(*metricsPath, func(f *os.File) error { return cfg.Metrics.WriteText(f) })
 			fmt.Println("wrote", *metricsPath)
 		}
-	}
-	if res.Flight != nil {
-		writeFile(*flightPath, func(f *os.File) error { return res.Flight.WriteJSONL(f) })
-		fmt.Printf("wrote %s (%d flight events, %d overwritten)\n", *flightPath, res.Flight.Len(), res.Flight.Dropped())
 	}
 }
 

@@ -160,6 +160,27 @@ func TestTracerRingAndExport(t *testing.T) {
 	if ev[0].TS >= ev[len(ev)-1].TS {
 		t.Fatalf("ring order wrong: %+v", ev)
 	}
+
+	// Past capacity, the ring overwrites the B of "a" on lane 0 and of "c" on
+	// lane 1 but keeps their E: the export leaves both out, so the wrapped
+	// trace still validates.
+	tr = NewTracer(4)
+	tr.Begin("a", "", 1, 0, 1, nil)
+	tr.Begin("c", "", 1, 1, 1, nil)
+	tr.End("a", 1, 0, 2)
+	tr.Begin("b", "", 1, 0, 3, nil)
+	tr.End("b", 1, 0, 4)
+	tr.End("c", 1, 1, 5)
+	buf.Reset()
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("wrapped trace invalid: %v\n%s", err, buf.String())
+	}
+	if ev := tr.Events(); len(ev) != 2 || ev[0].Name != "b" || ev[0].Ph != PhaseBegin || ev[1].Name != "b" || ev[1].Ph != PhaseEnd {
+		t.Fatalf("wrapped export = %+v, want only b's B and E", ev)
+	}
 }
 
 func TestValidateChromeTraceRejects(t *testing.T) {

@@ -162,14 +162,33 @@ func (t *Tracer) NameThread(pid, tid int64, name string) {
 }
 
 // Events returns a copy of the buffered events in record order (oldest
-// first), excluding naming metadata.
+// first), excluding naming metadata. Once the ring has dropped records, an E
+// whose B was overwritten is left out, per lane, so a wrapped trace still
+// balances.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, 0, len(t.buf))
+	var open map[[2]int64]int // B records without their E yet, per lane
+	if t.dropped > 0 {
+		open = make(map[[2]int64]int)
+	}
 	for i := range t.buf {
 		// next is 0 until the ring wraps, the oldest record's slot after.
-		out = append(out, t.event((t.next+i)%len(t.buf)))
+		slot := (t.next + i) % len(t.buf)
+		if r := &t.buf[slot]; open != nil {
+			lane := [2]int64{int64(r.pid), r.tid}
+			switch r.ph {
+			case PhaseBegin[0]:
+				open[lane]++
+			case PhaseEnd[0]:
+				if open[lane] == 0 {
+					continue
+				}
+				open[lane]--
+			}
+		}
+		out = append(out, t.event(slot))
 	}
 	return out
 }

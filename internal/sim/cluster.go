@@ -25,7 +25,6 @@ import (
 	"slices"
 	"strconv"
 
-	"readys/internal/obs"
 	"readys/internal/platform"
 	"readys/internal/taskgraph"
 )
@@ -68,7 +67,6 @@ func NewCluster(plat platform.Platform, opt Options) (*Cluster, error) {
 		downUntil:   make([]float64, plat.Size()),
 		deathAt:     make([]float64, plat.Size()),
 		tracer:      opt.Tracer,
-		recorder:    opt.Recorder,
 	}
 	for r := range s.RunningTask {
 		s.RunningTask[r] = NoTask
@@ -157,8 +155,7 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 		s.Timings = append(s.Timings, tt)
 		ti = len(s.Timings) - 1
 	}
-	prefix := "j" + strconv.Itoa(job) + ":"
-	base := s.Graph.Append(g, prefix)
+	base := s.Graph.Append(g, "j"+strconv.Itoa(job)+":")
 	s.Done = append(s.Done, make([]bool, n)...)
 	s.Started = append(s.Started, make([]bool, n)...)
 	s.StartTime = append(s.StartTime, make([]float64, n)...)
@@ -179,12 +176,6 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 	s.GraphEpoch++
 	if s.tracer != nil {
 		traceArrival(s, job, base, n)
-	}
-	if s.recorder != nil {
-		s.recorder.Record(obs.FlightEvent{
-			T: s.Now, Kind: obs.FlightArrival,
-			Job: prefix[:len(prefix)-1], Res: -1, Val: float64(n),
-		})
 	}
 	return base, nil
 }
@@ -265,16 +256,10 @@ func (c *Cluster) Drain(pol Policy) error {
 	return nil
 }
 
-// account integrates the ready-queue depth up to time t and samples it into
-// the flight recorder (one sample per advance, at the interval's start).
+// account integrates the ready-queue depth up to time t.
 func (c *Cluster) account(t float64) {
 	if dt := t - c.s.Now; dt > 0 {
 		c.readyIntegral += float64(float64(len(c.s.Ready)) * dt)
-		if c.s.recorder != nil {
-			c.s.recorder.Record(obs.FlightEvent{
-				T: c.s.Now, Kind: obs.FlightReadyDepth, Res: -1, Val: float64(len(c.s.Ready)),
-			})
-		}
 	}
 }
 

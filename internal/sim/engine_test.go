@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"readys/internal/obs"
 	"readys/internal/platform"
 	"readys/internal/taskgraph"
 )
@@ -25,45 +24,32 @@ func (p *stubbornPolicy) Decide(s *State, _ int) int {
 	return NoTask
 }
 
-// forcedNotes counts the decisions a flight recorder marked "forced".
-func forcedNotes(rec *obs.FlightRecorder) int {
-	n := 0
-	for _, e := range obs.FilterFlight(rec.Events(), obs.FlightDecision, 0, 0) {
-		if e.Note == "forced" {
-			n++
-		}
-	}
-	return n
-}
-
 // TestForcedPhaseRescuesStubbornPolicy: a policy that answers ∅ unless MustAct
 // starts every task in a forced round, and Result.ForcedPhases counts those
-// rounds as the flight recorder's "forced" decisions do, in a single run and
-// on a cluster.
+// rounds as the policy's forced calls do, in a single run and on a cluster.
 func TestForcedPhaseRescuesStubbornPolicy(t *testing.T) {
 	g, plat, tim := chol(4)
 	pol := &stubbornPolicy{}
-	rec := obs.NewFlightRecorder(0)
-	res, err := Simulate(g, plat, tim, pol, Options{Rng: rand.New(rand.NewSource(1)), Recorder: rec})
+	res, err := Simulate(g, plat, tim, pol, Options{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := forcedNotes(rec); res.ForcedPhases != n || n != g.NumTasks() {
-		t.Fatalf("%d forced phases, %d forced notes recorded, want %d of each", res.ForcedPhases, n, g.NumTasks())
+	if res.ForcedPhases != pol.forcedCalls {
+		t.Fatalf("%d forced phases, %d forced calls", res.ForcedPhases, pol.forcedCalls)
 	}
-	rec = obs.NewFlightRecorder(0)
-	c, err := NewCluster(plat, Options{Rng: rand.New(rand.NewSource(1)), Recorder: rec})
+	c, err := NewCluster(plat, Options{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddJob(0, g, tim); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Drain(&stubbornPolicy{}); err != nil {
+	cpol := &stubbornPolicy{}
+	if err := c.Drain(cpol); err != nil {
 		t.Fatal(err)
 	}
-	if got, n := c.Result().ForcedPhases, forcedNotes(rec); got != n || n != g.NumTasks() {
-		t.Fatalf("cluster: %d forced phases, %d forced notes recorded, want %d of each", got, n, g.NumTasks())
+	if got := c.Result().ForcedPhases; got != cpol.forcedCalls || got != g.NumTasks() {
+		t.Fatalf("cluster: %d forced phases, %d forced calls, want %d of each", got, cpol.forcedCalls, g.NumTasks())
 	}
 	if err := ValidateResult(g, plat.Size(), res); err != nil {
 		t.Fatal(err)

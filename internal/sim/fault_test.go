@@ -382,8 +382,23 @@ func TestFaultTraceIsValidChromeTraceAndInert(t *testing.T) {
 	if !strings.Contains(out, `"outage"`) {
 		t.Fatal("trace missing outage spans")
 	}
-	if len(traced.Kills) > 0 && !strings.Contains(out, `"kill"`) {
-		t.Fatal("trace missing kill instants")
+	// One kill instant per Result.Kills entry, in order, naming its cause.
+	var kills []obs.Event
+	for _, e := range tr.Events() {
+		if e.Name == "kill" {
+			kills = append(kills, e)
+		}
+	}
+	if len(traced.Kills) == 0 {
+		t.Fatal("test plan killed no task")
+	}
+	if len(kills) != len(traced.Kills) {
+		t.Fatalf("trace has %d kill instants, Result.Kills has %d", len(kills), len(traced.Kills))
+	}
+	for i, k := range traced.Kills {
+		if got := kills[i].Args["cause"]; got != k.Cause.String() || kills[i].Args["task"] != k.Task {
+			t.Errorf("kill %d: instant names task %v cause %v, want task %d cause %s", i, kills[i].Args["task"], got, k.Task, k.Cause)
+		}
 	}
 }
 

@@ -125,11 +125,6 @@ type State struct {
 	// kill fault spans. Invisible to policies.
 	tracer *obs.Tracer
 
-	// recorder, when set via Options.Recorder, receives cluster-level flight
-	// events (arrivals, placements, kills, faults, resource up/down,
-	// ready-depth samples). Invisible to policies; nil is a no-op.
-	recorder *obs.FlightRecorder
-
 	// onDone, when set (Cluster runs), is invoked after each task completes
 	// — the hook streaming job bookkeeping hangs off. Invisible to policies.
 	onDone func(task int, at float64)
@@ -297,12 +292,6 @@ type Options struct {
 	// consumes randomness, so a traced run is bit-identical to an untraced
 	// one.
 	Tracer *obs.Tracer
-	// Recorder, if non-nil, is the cluster flight recorder: a bounded ring
-	// of arrivals, placement decisions, kills, fault transitions and
-	// ready-depth samples for post-mortem queries (readys-obs-check
-	// -flight). Like Tracer it never consumes randomness — a recorded run
-	// is bit-identical to an unrecorded one.
-	Recorder *obs.FlightRecorder
 }
 
 // ErrDeadlock is returned when every resource idles while no task is running
@@ -414,7 +403,6 @@ func (rn *Runner) newState(g *taskgraph.Graph, plat platform.Platform, timing pl
 		deathAt:     zeroed(s.deathAt, m),
 		free:        s.free[:0],
 		tracer:      opt.Tracer,
-		recorder:    opt.Recorder,
 	}
 	for i := range s.AssignedTo {
 		s.AssignedTo[i] = -1
@@ -534,10 +522,6 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 		}
 		if s.Up[r] {
 			s.Up[r] = false
-			if s.recorder != nil {
-				s.recorder.Record(obs.FlightEvent{T: ev.at, Kind: obs.FlightFault, Res: r, Note: FaultOutage.String()})
-				s.recorder.Record(obs.FlightEvent{T: ev.at, Kind: obs.FlightResourceDown, Res: r})
-			}
 			killRunning(s, r, ev.at, FaultOutage, res)
 			s.FaultEpoch++
 		}
@@ -549,9 +533,6 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 		// only the recovery matching the latest outage end releases it.
 		if ev.at >= s.downUntil[r] {
 			s.Up[r] = true
-			if s.recorder != nil {
-				s.recorder.Record(obs.FlightEvent{T: ev.at, Kind: obs.FlightResourceUp, Res: r, Val: s.Speed[r]})
-			}
 			s.FaultEpoch++
 		}
 	case tlDeath:
@@ -563,10 +544,6 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 		s.downUntil[r] = math.Inf(1)
 		if s.tracer != nil {
 			traceDeath(s, r, ev.at)
-		}
-		if s.recorder != nil {
-			s.recorder.Record(obs.FlightEvent{T: ev.at, Kind: obs.FlightFault, Res: r, Note: FaultDeath.String()})
-			s.recorder.Record(obs.FlightEvent{T: ev.at, Kind: obs.FlightResourceDown, Res: r})
 		}
 		s.Up[r] = false
 		killRunning(s, r, ev.at, FaultDeath, res)
@@ -595,31 +572,8 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 		if s.tracer != nil {
 			traceDegrade(s, r, ev.at, ev.factor)
 		}
-		if s.recorder != nil {
-			s.recorder.Record(obs.FlightEvent{T: ev.at, Kind: obs.FlightFault, Res: r, Val: ev.factor, Note: FaultDegrade.String()})
-		}
 		s.FaultEpoch++
 	}
-}
-
-// recordDecision logs one placement into the flight recorder (no-op when
-// recording is off).
-func recordDecision(s *State, task, r int, note string) {
-	if s.recorder == nil {
-		return
-	}
-	s.recorder.Record(obs.FlightEvent{
-		T: s.Now, Kind: obs.FlightDecision,
-		Job: jobLabel(s, task), Task: s.Graph.Tasks[task].Name, Res: r, Note: note,
-	})
-}
-
-// jobLabel names the stream job owning task t ("" in single-DAG runs).
-func jobLabel(s *State, t int) string {
-	if s.JobID == nil {
-		return ""
-	}
-	return fmt.Sprintf("j%d", s.JobID[t])
 }
 
 // killRunning terminates the task executing on resource r (if any) at time
@@ -632,13 +586,7 @@ func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 		return
 	}
 	if s.tracer != nil {
-		traceKill(s, t, r, at)
-	}
-	if s.recorder != nil {
-		s.recorder.Record(obs.FlightEvent{
-			T: at, Kind: obs.FlightKill,
-			Job: jobLabel(s, t), Task: s.Graph.Tasks[t].Name, Res: r, Note: cause.String(),
-		})
+		traceKill(s, t, r, at, cause)
 	}
 	res.Kills = append(res.Kills, Kill{Task: t, Resource: r, Start: s.StartTime[t], At: at, Cause: cause})
 	s.Attempts[t]++
@@ -662,12 +610,10 @@ func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 // first start, since time can advance again; a policy that still declines
 // every resource deadlocks the system.
 func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced bool) error {
-	note := ""
 	if forced {
 		res.ForcedPhases++
 		s.MustAct = true
 		defer func() { s.MustAct = false }()
-		note = "forced"
 	}
 	for _, r := range s.shuffledFree(rng) {
 		if len(s.Ready) == 0 {
@@ -682,7 +628,6 @@ func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced boo
 		if err := startTask(s, task, r, rng); err != nil {
 			return err
 		}
-		recordDecision(s, task, r, note)
 		if forced {
 			return nil
 		}

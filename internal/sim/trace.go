@@ -60,7 +60,8 @@ func traceEnd(s *State, task int) {
 //     X slice from the death to the makespan emitted at end of run;
 //   - "degrade" — an i instant carrying the new speed factor;
 //   - "kill"   — the killed attempt's B is closed by a normal E at the kill
-//     instant, marked with a "kill" i instant naming the task.
+//     instant, marked with a "kill" i instant naming the task and the fault
+//     that killed it.
 //
 // X and i phases carry no stack constraints, so ValidateChromeTrace accepts
 // traces with and without fault spans unchanged. Comm slices of killed
@@ -84,12 +85,14 @@ func traceDegrade(s *State, r int, at, factor float64) {
 }
 
 // traceKill closes the killed attempt's open B slice and marks the kill
-// instant. Must run before the kill bookkeeping resets AssignedTo.
-func traceKill(s *State, task, r int, at float64) {
+// instant with its cause. Must run before the kill bookkeeping resets
+// AssignedTo.
+func traceKill(s *State, task, r int, at float64, cause FaultKind) {
 	s.tracer.End(s.Graph.Tasks[task].Name, TracePID, int64(r), at*1000)
 	s.tracer.Instant("kill", "fault", TracePID, int64(r), at*1000, map[string]any{
 		"task":    task,
 		"started": s.StartTime[task] * 1000,
+		"cause":   cause.String(),
 	})
 }
 

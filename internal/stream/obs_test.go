@@ -16,11 +16,9 @@ import (
 )
 
 // resultBytes serializes everything the scheduler computed — job table, sim
-// trace, aggregate stats — with the recorder pointer nulled out, so two runs
-// can be compared byte for byte.
+// trace, aggregate stats — so two runs can be compared byte for byte.
 func resultBytes(t *testing.T, res *Result) []byte {
 	t.Helper()
-	res.Flight = nil
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -28,22 +26,22 @@ func resultBytes(t *testing.T, res *Result) []byte {
 	return data
 }
 
-// TestFlightRecorderBitInert is the observability contract: attaching a
-// flight recorder must not consume randomness or alter scheduling, so the
-// recorded and unrecorded runs produce byte-identical results.
-func TestFlightRecorderBitInert(t *testing.T) {
+// TestStreamTraceBitInert is the observability contract: attaching a tracer
+// to a faulted stream must not consume randomness or alter scheduling, so the
+// traced and untraced runs produce byte-identical results.
+func TestStreamTraceBitInert(t *testing.T) {
 	arr := testArrivals(t, 3, 8, 4.0)
 	horizon := arr[len(arr)-1].At + 4000
 	faults := sim.GeneratePlan(7, 4, sim.SpecForRate(2, horizon))
 
-	run := func(rec *obs.FlightRecorder) *Result {
+	run := func(tr *obs.Tracer) *Result {
 		res, err := Run(sched.MCTPolicy{}, Config{
 			Platform: platform.New(2, 2),
 			Arrivals: arr,
 			Sigma:    0.1,
 			Faults:   faults,
 			Rng:      rand.New(rand.NewSource(42)),
-			Recorder: rec,
+			Tracer:   tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,74 +50,72 @@ func TestFlightRecorderBitInert(t *testing.T) {
 	}
 
 	plain := run(nil)
-	rec := obs.NewFlightRecorder(0)
-	recorded := run(rec)
-	if recorded.Flight != rec {
-		t.Fatal("result did not carry the recorder through")
+	tr := obs.NewTracer(0)
+	traced := run(tr)
+	if !bytes.Equal(resultBytes(t, plain), resultBytes(t, traced)) {
+		t.Fatal("tracer changed the schedule: results are not byte-identical")
 	}
-	if !bytes.Equal(resultBytes(t, plain), resultBytes(t, recorded)) {
-		t.Fatal("flight recorder changed the schedule: results are not byte-identical")
-	}
-	if rec.Len() == 0 {
-		t.Fatal("recorder attached but empty")
+	if tr.Len() == 0 {
+		t.Fatal("tracer attached but empty")
 	}
 }
 
-// TestFlightRecorderContents cross-checks the recorded window against the
-// run's own aggregates: one arrival per job, kills matching Result.Kills,
-// fault and resource-transition events from the injected plan, and ready
-// depth samples bounded by the union queue.
-func TestFlightRecorderContents(t *testing.T) {
+// TestStreamTraceContents cross-checks a faulted stream's trace against the
+// run's own aggregates: one arrival instant per job, one kill instant per
+// Result.Kills entry, and one task B per placement (every finished task once,
+// every killed attempt once more), each named for its job and on a resource
+// lane.
+func TestStreamTraceContents(t *testing.T) {
 	arr := testArrivals(t, 5, 8, 4.0)
 	horizon := arr[len(arr)-1].At + 4000
-	faults := sim.GeneratePlan(11, 4, sim.SpecForRate(2, horizon))
-	rec := obs.NewFlightRecorder(0)
+	// This plan kills two attempts, so the kill counts are checked on real
+	// kills.
+	faults := sim.GeneratePlan(8, 4, sim.SpecForRate(4, horizon))
+	tr := obs.NewTracer(0)
 	res, err := Run(sched.MCTPolicy{}, Config{
 		Platform: platform.New(2, 2),
 		Arrivals: arr,
 		Sigma:    0.1,
 		Faults:   faults,
 		Rng:      rand.New(rand.NewSource(9)),
-		Recorder: rec,
+		Tracer:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	s := obs.SummarizeFlight(rec.Events())
-	if s.ByKind[obs.FlightArrival] != len(arr) {
-		t.Errorf("recorded %d arrivals, want %d", s.ByKind[obs.FlightArrival], len(arr))
-	}
-	if s.ByKind[obs.FlightKill] != res.Kills {
-		t.Errorf("recorded %d kills, Result.Kills = %d", s.ByKind[obs.FlightKill], res.Kills)
-	}
-	if res.Kills > 0 && s.ByKind[obs.FlightFault] == 0 {
-		t.Error("kills happened but no fault events recorded")
-	}
-	if s.ByKind[obs.FlightDecision] == 0 {
-		t.Error("no decision events recorded")
-	}
-	decisions := obs.FilterFlight(rec.Events(), obs.FlightDecision, 0, 0)
-	for _, d := range decisions {
-		if d.Res < 0 || d.Res >= 4 {
-			t.Fatalf("decision on impossible resource: %+v", d)
-		}
-		if d.Job == "" || d.Task == "" {
-			t.Fatalf("decision missing job/task identity: %+v", d)
-		}
+	if res.Kills == 0 {
+		t.Fatal("test plan killed no task")
 	}
 
-	// The JSONL export round-trips through the readys-obs-check reader.
-	var b bytes.Buffer
-	if err := rec.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
+	tasks := 0
+	for _, j := range res.Jobs {
+		tasks += j.Tasks
 	}
-	back, err := obs.ReadFlightEvents(&b)
-	if err != nil {
-		t.Fatal(err)
+	var arrivals, kills, begins int
+	for _, e := range tr.Events() {
+		switch {
+		case e.Cat == "arrival" && strings.HasPrefix(e.Name, "arrive j"):
+			arrivals++
+		case e.Name == "kill":
+			kills++
+		case e.Ph == obs.PhaseBegin && e.Cat == "task":
+			begins++
+			if job, _, ok := strings.Cut(e.Name, ":"); !ok || len(job) < 2 || job[0] != 'j' {
+				t.Fatalf("task B %q has no jN: job prefix", e.Name)
+			}
+			if e.TID < 0 || e.TID >= 4 {
+				t.Fatalf("task B %q on impossible lane %d", e.Name, e.TID)
+			}
+		}
 	}
-	if len(back) != rec.Len() {
-		t.Fatalf("JSONL round trip: %d != %d", len(back), rec.Len())
+	if arrivals != len(arr) {
+		t.Errorf("traced %d arrivals, want %d", arrivals, len(arr))
+	}
+	if kills != res.Kills {
+		t.Errorf("traced %d kills, Result.Kills = %d", kills, res.Kills)
+	}
+	if begins != tasks+res.Kills {
+		t.Errorf("traced %d task starts, want %d tasks + %d kills", begins, tasks, res.Kills)
 	}
 }
 

@@ -25,17 +25,16 @@ type Config struct {
 	Faults *sim.FaultPlan
 	// Rng drives duration sampling (and nothing else); required.
 	Rng *rand.Rand
-	// Tracer, if non-nil, records the whole stream (arrivals, every job's
-	// slices, fault spans) as one Chrome trace.
+	// Tracer, if non-nil, records the whole stream as one Chrome trace: an
+	// "arrive jN" instant per job, a B/E slice per placement on its
+	// resource's lane (task names carry the jN: prefix), the fault spans, and
+	// a "kill" instant naming its cause per killed attempt. It is the run's
+	// bounded post-mortem record: a long stream keeps the most recent window
+	// of its ring. Tracing is bit-inert: results are identical with it off.
 	Tracer *obs.Tracer
 	// Metrics, if non-nil, receives job-level metrics: readys_stream_*
 	// counters, response-time histogram and terminal gauges.
 	Metrics *obs.Registry
-	// Recorder, if non-nil, is the cluster flight recorder: the run's
-	// arrivals, placements, kills, fault transitions and ready-depth samples
-	// land in its ring and the Result keeps a reference (Result.Flight) for
-	// export. Recording is bit-inert: results are identical with it off.
-	Recorder *obs.FlightRecorder
 }
 
 // JobResult is the job-level outcome streaming scheduling is judged on.
@@ -79,10 +78,6 @@ type Result struct {
 	// Sim is the union-schedule result; Validate checks it.
 	Sim sim.Result
 
-	// Flight is the run's flight recorder (nil when Config.Recorder was
-	// unset): the queryable event window behind post-mortems.
-	Flight *obs.FlightRecorder
-
 	graph    *taskgraph.Graph
 	timingOf func(task int) platform.Timing
 	cfg      Config
@@ -108,11 +103,10 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 	}
 
 	cl, err := sim.NewCluster(cfg.Platform, sim.Options{
-		Sigma:    cfg.Sigma,
-		Rng:      cfg.Rng,
-		Faults:   cfg.Faults,
-		Tracer:   cfg.Tracer,
-		Recorder: cfg.Recorder,
+		Sigma:  cfg.Sigma,
+		Rng:    cfg.Rng,
+		Faults: cfg.Faults,
+		Tracer: cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -191,7 +185,6 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		Makespan:       cl.Now(),
 		MeanReadyDepth: cl.MeanReadyDepth(),
 		Sim:            cl.Result(),
-		Flight:         cfg.Recorder,
 		graph:          s.Graph,
 		timingOf:       s.TaskTiming,
 		cfg:            cfg,
