@@ -78,7 +78,11 @@ test:
 # (TestIncrementalUnsortedAdjacency), TestStreamCostFlat /
 # TestMemoScopedToStateVersion fail if a per-arrival pass over the union DAG or
 # a stream-long memo comes back, and TestClusterReserveGrowsNothing if an
-# arrival re-copies a reserved history. The training path
+# arrival re-copies a reserved history. The streaming cluster runs Simulate's
+# event loop: a one-job cluster must schedule as Simulate does — error,
+# makespan, decision counts, trace and kills — across factorisations, noise,
+# fault plans and policies that idle until forced
+# (TestSimulateMatchesSingleJobCluster). The training path
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
 # range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
 # its three ops and the input gradient vs the ∂C·Wᵀ dot loop
@@ -119,7 +123,7 @@ equiv:
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestUpdateTapeRetainsBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing' ./internal/sim/
-	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion' ./internal/stream/
+	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./internal/obs/
 

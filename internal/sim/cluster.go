@@ -1,16 +1,18 @@
 package sim
 
-// Cluster is the long-lived variant of the event engine: a persistent
-// platform whose task graph GROWS over time as jobs arrive, instead of being
-// fixed once per Simulate call. It is the substrate of internal/stream's
-// online multi-tenant scheduling: every job's DAG is appended to one union
-// graph with namespaced task IDs, the shared ready set spans all live jobs,
-// and a single Policy (READYS, MCT, re-planning HEFT, ...) fills free
-// resources from that union exactly as in the single-DAG engine. Duration
-// noise, the ∅ action, forced rounds and the full fault model (outages,
-// deaths, degradation, kill/retain/re-time semantics) behave identically —
-// the decision and completion machinery is shared with Simulate, not
-// reimplemented.
+// Cluster is the long-lived form of a simulated run: a persistent platform
+// whose task graph GROWS over time as jobs arrive, instead of being fixed
+// once per Simulate call. It is the substrate of internal/stream's online
+// multi-tenant scheduling: every job's DAG is appended to one union graph
+// with namespaced task IDs, the shared ready set spans all live jobs, and a
+// single Policy (READYS, MCT, re-planning HEFT, ...) fills free resources from
+// that union. A Cluster is a Runner whose run is cut at each arrival: its
+// State is built as Simulate builds one, on an empty graph, and RunUntil and
+// Drain are Simulate's event loop with a deadline. Duration noise, the ∅
+// action, forced rounds and the full fault model (outages, deaths,
+// degradation, kill/retain/re-time semantics) are therefore those of
+// Simulate, and a cluster given one job at time 0 and drained schedules it
+// exactly as Simulate does.
 //
 // The driving loop belongs to the caller: RunUntil advances simulated time to
 // a deadline (typically the next job arrival), AddJob injects a DAG at the
@@ -19,9 +21,9 @@ package sim
 // replays bit-identically.
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 
@@ -31,80 +33,40 @@ import (
 
 // Cluster is a persistent simulation state accepting streaming job arrivals.
 type Cluster struct {
-	s   *State
-	opt Options
-	tl  *faultTimeline
+	rn  Runner
+	rng *rand.Rand
+	// res accumulates the decision counts and the kills across runs.
 	res Result
-
-	// readyIntegral accumulates ∫ |Ready| dt for queue-depth metrics.
-	readyIntegral float64
-	// busy accumulates realised occupancy per resource, including killed
-	// attempts (the resource was genuinely occupied until the kill).
-	busy []float64
 }
 
 // NewCluster builds an empty persistent cluster on the platform. Options are
 // interpreted as in Simulate (Rng required; Faults replay against the
 // cluster's whole lifetime; Tracer records every job's slices in one trace).
 func NewCluster(plat platform.Platform, opt Options) (*Cluster, error) {
-	if opt.Rng == nil {
-		return nil, errors.New("sim: Options.Rng is required")
-	}
-	if err := opt.Faults.Validate(plat.Size()); err != nil {
+	c := &Cluster{rng: opt.Rng}
+	union := taskgraph.NewCustom(taskgraph.Random, [taskgraph.NumKernels]string{"k0", "k1", "k2", "k3"})
+	if _, err := c.rn.start(union, plat, platform.Timing{}, opt); err != nil {
 		return nil, err
-	}
-	s := &State{
-		Platform:    plat,
-		Sigma:       opt.Sigma,
-		Comm:        opt.Comm,
-		Graph:       taskgraph.NewCustom(taskgraph.Random, [taskgraph.NumKernels]string{"k0", "k1", "k2", "k3"}),
-		BusyUntil:   make([]float64, plat.Size()),
-		RunningTask: make([]int, plat.Size()),
-		Up:          make([]bool, plat.Size()),
-		Dead:        make([]bool, plat.Size()),
-		Speed:       make([]float64, plat.Size()),
-		JobID:       []int{},
-		downUntil:   make([]float64, plat.Size()),
-		deathAt:     make([]float64, plat.Size()),
-		tracer:      opt.Tracer,
-	}
-	for r := range s.RunningTask {
-		s.RunningTask[r] = NoTask
-		s.Up[r] = true
-		s.Speed[r] = 1
-	}
-	c := &Cluster{s: s, opt: opt, tl: newFaultTimeline(opt.Faults), busy: make([]float64, plat.Size())}
-	if s.tracer != nil {
-		setupTrace(s)
-	}
-	s.onDone = func(t int, at float64) {
-		c.busy[s.AssignedTo[t]] += at - s.StartTime[t]
 	}
 	return c, nil
 }
 
 // State exposes the cluster's scheduling state (read-only for policies).
-func (c *Cluster) State() *State { return c.s }
+func (c *Cluster) State() *State { return &c.rn.s }
 
 // Now returns the current simulated time in ms.
-func (c *Cluster) Now() float64 { return c.s.Now }
+func (c *Cluster) Now() float64 { return c.rn.s.Now }
 
 // OnTaskDone registers a completion hook (task ID, completion time); the
 // stream layer uses it to detect job completions. Must be set before running.
-func (c *Cluster) OnTaskDone(fn func(task int, at float64)) {
-	inner := c.s.onDone
-	c.s.onDone = func(t int, at float64) {
-		inner(t, at)
-		fn(t, at)
-	}
-}
+func (c *Cluster) OnTaskDone(fn func(task int, at float64)) { c.rn.s.onDone = fn }
 
 // Reserve makes room for n more tasks in the union graph and in every per-task
 // State slice, so that AddJobs of up to n tasks in all grow none of them. A
 // caller that knows its arrivals reserves their sum once; without it each
 // slice grows by append's factor and copies the history so far at every step.
 func (c *Cluster) Reserve(n int) {
-	s := c.s
+	s := &c.rn.s
 	s.Graph.Reserve(n)
 	s.Done = slices.Grow(s.Done, n)
 	s.Started = slices.Grow(s.Started, n)
@@ -129,7 +91,7 @@ func (c *Cluster) Reserve(n int) {
 // caller that keeps one frozen graph per job shape pays for an arrival what
 // copying it costs.
 func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, error) {
-	s := c.s
+	s := &c.rn.s
 	if !g.Frozen() {
 		if err := g.Validate(); err != nil {
 			return 0, fmt.Errorf("sim: job %d graph invalid: %w", job, err)
@@ -189,78 +151,29 @@ func appendN[T any](xs []T, n int, v T) []T {
 	return xs
 }
 
-// RunUntil advances the cluster to the given deadline (exclusive of any event
-// strictly after it): completions, fault events and scheduling decisions with
-// time ≤ until are processed, then Now is set to until. A completion tying
-// with the deadline is processed (completions win ties, matching Simulate's
-// fault-boundary rule), so a job arriving at `until` sees fully current
-// state. With until = +Inf this drains every injected task, entering forced
-// rounds (MustAct) when every resource idles with nothing running — exactly
-// Simulate's deadlock/all-dead semantics.
+// RunUntil advances the cluster to the given deadline: completions, fault
+// events and scheduling decisions at or before until are processed, then Now
+// is set to until. A completion tying with the deadline is processed
+// (completions win ties, as with fault boundaries), so a job arriving at
+// until sees fully current state. With nothing running and no fault event
+// pending, the cluster waits for the deadline rather than force a start.
 func (c *Cluster) RunUntil(pol Policy, until float64) error {
-	s := c.s
-	for {
-		if err := decisionPhase(s, pol, c.opt.Rng, &c.res, false); err != nil {
-			return err
-		}
-		drained := s.NumDone == s.Graph.NumTasks()
-		if drained && math.IsInf(until, 1) {
-			// Draining stops at the last completion: later fault events
-			// cannot affect finished work (Makespan = last task's end, as in
-			// Simulate). With a finite deadline they still fire below, so an
-			// idle cluster's resource state is current when a job arrives.
-			return nil
-		}
-		tc := earliestCompletion(s)
-		tf := c.tl.nextTime()
-		next := math.Min(tc, tf)
-		// next == +Inf must take this branch even when until is +Inf too
-		// (Inf > Inf is false): with no event pending, the only ways forward
-		// are parking at a finite deadline or a forced round.
-		if next > until || math.IsInf(next, 1) {
-			if !math.IsInf(until, 1) {
-				c.account(until)
-				s.Now = until
-				return nil
-			}
-			// Nothing pending and no deadline: either the platform is gone
-			// or every free resource declined while nothing runs — force a
-			// start exactly as the single-DAG engine does.
-			if s.aliveCount() == 0 {
-				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, s.Graph.NumTasks()-s.NumDone)
-			}
-			if err := decisionPhase(s, pol, c.opt.Rng, &c.res, true); err != nil {
-				return err
-			}
-			continue
-		}
-		c.account(next)
-		if tf < tc {
-			s.Now = tf
-			applyFaults(s, c.tl, &c.res)
-			continue
-		}
-		completeNext(s)
-	}
+	return c.rn.run(pol, c.rng, &c.res, until)
 }
 
 // Drain runs every remaining task to completion and finalises the result
-// (makespan = completion time of the last task, full union trace).
+// (makespan = completion time of the last task, full union trace). It is
+// Simulate's loop on the union: a forced round (MustAct) when every resource
+// idles with nothing running and no fault pending, then the advance to the
+// next event, and the same deadlock and all-dead errors.
 func (c *Cluster) Drain(pol Policy) error {
 	if err := c.RunUntil(pol, math.Inf(1)); err != nil {
 		return err
 	}
-	if c.s.tracer != nil {
-		finishTraceFaults(c.s)
+	if s := &c.rn.s; s.tracer != nil {
+		finishTraceFaults(s)
 	}
 	return nil
-}
-
-// account integrates the ready-queue depth up to time t.
-func (c *Cluster) account(t float64) {
-	if dt := t - c.s.Now; dt > 0 {
-		c.readyIntegral += float64(float64(len(c.s.Ready)) * dt)
-	}
 }
 
 // Result snapshots the cluster outcome in Simulate's Result shape: the union
@@ -269,28 +182,28 @@ func (c *Cluster) account(t float64) {
 // schedule (ValidateResult/ValidateResultStrict accept it against the union
 // graph).
 func (c *Cluster) Result() Result {
-	s := c.s
-	res := Result{
-		Makespan:      s.Now,
-		Decisions:     c.res.Decisions,
-		IdleDecisions: c.res.IdleDecisions,
-		ForcedPhases:  c.res.ForcedPhases,
-		Kills:         append([]Kill(nil), c.res.Kills...),
-		Trace:         make([]Placement, 0, s.NumDone),
-	}
-	for t := 0; t < s.Graph.NumTasks(); t++ {
-		if s.Done[t] {
-			res.Trace = append(res.Trace, Placement{Task: t, Resource: s.AssignedTo[t], Start: s.StartTime[t], End: s.EndTime[t]})
-		}
-	}
+	s := &c.rn.s
+	res := c.res
+	res.Makespan = s.Now
+	res.Kills = append([]Kill(nil), c.res.Kills...)
+	res.Trace = s.appendPlacements(make([]Placement, 0, s.NumDone))
 	return res
 }
 
-// BusyTime returns the cumulative realised occupancy of each resource in ms,
-// including killed attempts (occupancy the cluster genuinely spent).
+// BusyTime returns the cumulative realised occupancy of each resource in ms
+// up to Now: completed tasks, killed attempts up to their kill (the resource
+// was genuinely occupied until then) and running tasks up to Now.
 func (c *Cluster) BusyTime() []float64 {
-	out := append([]float64(nil), c.busy...)
-	s := c.s
+	s := &c.rn.s
+	out := make([]float64, s.Platform.Size())
+	for t, done := range s.Done {
+		if done {
+			out[s.AssignedTo[t]] += s.EndTime[t] - s.StartTime[t]
+		}
+	}
+	for _, k := range c.res.Kills {
+		out[k.Resource] += k.At - k.Start
+	}
 	for r, t := range s.RunningTask {
 		if t != NoTask {
 			out[r] += s.Now - s.StartTime[t]
@@ -301,8 +214,9 @@ func (c *Cluster) BusyTime() []float64 {
 
 // MeanReadyDepth returns the time-averaged ready-set depth since t=0.
 func (c *Cluster) MeanReadyDepth() float64 {
-	if c.s.Now <= 0 {
+	s := &c.rn.s
+	if s.Now <= 0 {
 		return 0
 	}
-	return c.readyIntegral / c.s.Now
+	return s.readyIntegral / s.Now
 }

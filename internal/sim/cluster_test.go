@@ -34,7 +34,7 @@ func TestClusterReserveGrowsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Reserve(total)
-		s := c.s
+		s := &c.rn.s
 		// The ready set and the timing tables are working sets, not history:
 		// give them their room up front so that what is measured is the
 		// arrival.

@@ -280,12 +280,6 @@ type faultTimeline struct {
 	next   int
 }
 
-func newFaultTimeline(p *FaultPlan) *faultTimeline {
-	tl := &faultTimeline{}
-	tl.load(p)
-	return tl
-}
-
 // load rewinds the timeline onto plan p, keeping the event array.
 func (tl *faultTimeline) load(p *FaultPlan) {
 	tl.events, tl.next = tl.events[:0], 0

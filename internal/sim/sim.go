@@ -128,6 +128,10 @@ type State struct {
 	// onDone, when set (Cluster runs), is invoked after each task completes
 	// — the hook streaming job bookkeeping hangs off. Invisible to policies.
 	onDone func(task int, at float64)
+
+	// readyIntegral accumulates ∫ |Ready| dt from time 0 to Now, for
+	// Cluster.MeanReadyDepth.
+	readyIntegral float64
 }
 
 // up reports current availability, tolerating hand-built States without
@@ -338,30 +342,20 @@ type Runner struct {
 
 // Simulate is sim.Simulate on the runner's memory.
 func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, pol Policy, opt Options) (Result, error) {
-	if opt.Rng == nil {
-		return Result{}, errors.New("sim: Options.Rng is required")
-	}
-	if err := opt.Faults.Validate(plat.Size()); err != nil {
+	s, err := rn.start(g, plat, timing, opt)
+	if err != nil {
 		return Result{}, err
 	}
-	n := g.NumTasks()
-	s := rn.newState(g, plat, timing, opt)
-	if s.tracer != nil {
-		setupTrace(s)
-	}
-	rn.tl.load(opt.Faults)
 	pol.Reset(s)
 
-	if cap(rn.trace) < n {
+	if n := g.NumTasks(); cap(rn.trace) < n {
 		rn.trace = make([]Placement, 0, n)
 	}
 	res := Result{Trace: rn.trace[:0], Kills: rn.kills[:0]}
-	err := rn.run(s, pol, opt.Rng, &res)
+	err = rn.run(pol, opt.Rng, &res, math.Inf(1))
 	if err == nil {
 		res.Makespan = s.Now
-		for i := 0; i < n; i++ {
-			res.Trace = append(res.Trace, Placement{Task: i, Resource: s.AssignedTo[i], Start: s.StartTime[i], End: s.EndTime[i]})
-		}
+		res.Trace = s.appendPlacements(res.Trace)
 		if s.tracer != nil {
 			finishTraceFaults(s)
 		}
@@ -373,10 +367,17 @@ func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing pl
 	return res, err
 }
 
-// newState rebuilds the runner's State for a run: every field is either set
-// here or zero, and the slices are the previous run's arrays, cleared, where
-// those are large enough.
-func (rn *Runner) newState(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, opt Options) *State {
+// start checks the options and rebuilds the runner's State and fault
+// timeline for a run of g: every State field is either set here or zero, and
+// the slices are the previous run's arrays, cleared, where those are large
+// enough. Simulate and NewCluster both begin here.
+func (rn *Runner) start(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, opt Options) (*State, error) {
+	if opt.Rng == nil {
+		return nil, errors.New("sim: Options.Rng is required")
+	}
+	if err := opt.Faults.Validate(plat.Size()); err != nil {
+		return nil, err
+	}
 	s := &rn.s
 	n, m := g.NumTasks(), plat.Size()
 	*s = State{
@@ -418,7 +419,11 @@ func (rn *Runner) newState(g *taskgraph.Graph, plat platform.Platform, timing pl
 			s.Ready = append(s.Ready, i)
 		}
 	}
-	return s
+	if s.tracer != nil {
+		setupTrace(s)
+	}
+	rn.tl.load(opt.Faults)
+	return s, nil
 }
 
 // zeroed returns n zero values in buf's array when it is large enough, in a
@@ -432,35 +437,45 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// run is the event loop: decision phases and the advance to the next
-// completion or fault event, until every task is done.
-func (rn *Runner) run(s *State, pol Policy, rng *rand.Rand, res *Result) error {
-	n := s.Graph.NumTasks()
-	faults := &rn.tl
-	for s.NumDone < n {
+// run is the event loop of every simulated run: decision phases and the
+// advance to the next completion or fault event. With until = +Inf it runs
+// until every task is done; with a finite until it processes every event at
+// or before until, then parks Now at until, so that a job arriving then sees
+// current state. Only with until = +Inf can it force a start: with nothing
+// running and no fault event pending, an arrival at the deadline is the next
+// event.
+func (rn *Runner) run(pol Policy, rng *rand.Rand, res *Result, until float64) error {
+	s, faults := &rn.s, &rn.tl
+	drain := math.IsInf(until, 1)
+	for !drain || s.NumDone < s.Graph.NumTasks() {
 		// Decision phase: fill free resources until the policy declines
 		// every remaining one or no ready task is left.
 		if err := decisionPhase(s, pol, rng, res, false); err != nil {
 			return err
 		}
-		if s.NumDone == n {
-			break
-		}
 		tc := earliestCompletion(s)
 		tf := faults.nextTime()
-		if math.IsInf(tc, 1) && math.IsInf(tf, 1) {
+		if drain && math.IsInf(tc, 1) && math.IsInf(tf, 1) {
 			// Nothing runs and no fault event can change the resource
 			// state. If nothing is even alive, the remaining tasks can
 			// never complete; otherwise re-ask in forced mode (∅
-			// disallowed) until someone starts a task.
+			// disallowed) until someone starts a task, then advance to
+			// the next event: an ∅ answer parks a resource until then.
 			if s.aliveCount() == 0 {
-				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, n-s.NumDone)
+				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, s.Graph.NumTasks()-s.NumDone)
 			}
 			if err := decisionPhase(s, pol, rng, res, true); err != nil {
 				return err
 			}
 			tc = earliestCompletion(s)
 		}
+		next := min(tc, tf)
+		if next > until {
+			s.account(until)
+			s.Now = until
+			return nil
+		}
+		s.account(next)
 		// Advance to the earlier of the next completion and the next fault
 		// event; completions win ties so a task finishing exactly at an
 		// outage boundary is not killed retroactively.
@@ -472,6 +487,24 @@ func (rn *Runner) run(s *State, pol Policy, rng *rand.Rand, res *Result) error {
 		completeNext(s)
 	}
 	return nil
+}
+
+// account integrates the ready-set depth from Now up to time t.
+func (s *State) account(t float64) {
+	if dt := t - s.Now; dt > 0 {
+		s.readyIntegral += float64(float64(len(s.Ready)) * dt)
+	}
+}
+
+// appendPlacements appends the placement of every completed task, in task
+// order.
+func (s *State) appendPlacements(dst []Placement) []Placement {
+	for t, done := range s.Done {
+		if done {
+			dst = append(dst, Placement{Task: t, Resource: s.AssignedTo[t], Start: s.StartTime[t], End: s.EndTime[t]})
+		}
+	}
+	return dst
 }
 
 // earliestCompletion returns the earliest running-task end time, or +Inf when

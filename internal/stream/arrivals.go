@@ -8,9 +8,10 @@
 // in; the single-DAG paths elsewhere in the repo are the special case of one
 // arrival at t=0.
 //
-// The engine underneath is sim.Cluster: stream turns an arrival process into
-// AddJob/RunUntil calls and job-completion bookkeeping, so the fault model,
-// duration noise and decision semantics are exactly those of internal/sim.
+// The engine underneath is sim.Cluster, which runs sim.Simulate's event loop
+// with a deadline: stream turns an arrival process into AddJob/RunUntil calls
+// and job-completion bookkeeping, so the fault model, duration noise and
+// decision semantics are exactly those of Simulate.
 package stream
 
 import (

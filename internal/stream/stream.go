@@ -67,7 +67,8 @@ type Result struct {
 	// MeanSlowdown averages per-job slowdowns.
 	MeanSlowdown float64
 	// Utilization is Σ busy time / (resources × makespan) ∈ [0, 1], busy
-	// including killed attempts (the cluster genuinely spent them).
+	// time being sim.Cluster.BusyTime: every completed task and every killed
+	// attempt up to its kill (the cluster genuinely spent them).
 	Utilization float64
 	// MeanReadyDepth is the time-averaged ready-queue depth.
 	MeanReadyDepth float64
