@@ -78,7 +78,11 @@ test:
 # (TestIncrementalUnsortedAdjacency), TestStreamCostFlat /
 # TestMemoScopedToStateVersion fail if a per-arrival pass over the union DAG or
 # a stream-long memo comes back, and TestClusterReserveGrowsNothing if an
-# arrival re-copies a reserved history. The streaming cluster runs Simulate's
+# arrival re-copies a reserved history. The policy's per-task caches cover the
+# live jobs only, and are held to the whole-union oracle all the same: the
+# accumulator under random retirement (TestDescendantAccumulatorRetireMatchesOracle),
+# the encoder decision for decision over a faulted 200-job stream
+# (TestIncrementalRetiresFinishedJobs). The streaming cluster runs Simulate's
 # event loop: a one-job cluster must schedule as Simulate does — error,
 # makespan, decision counts, trace and kills — across factorisations, noise,
 # fault plans and policies that idle until forced

@@ -192,3 +192,14 @@ func (l *EpisodeLog) State(i int, es *EncodedState) *EncodedState {
 	es.graphEpoch = w.epoch
 	return es
 }
+
+// growTo returns xs at length n with its contents kept; when it must grow, it
+// makes room for max(n, room) elements.
+func growTo[T any](xs []T, n, room int) []T {
+	if n <= cap(xs) {
+		return xs[:n]
+	}
+	out := make([]T, n, max(n, room))
+	copy(out, xs)
+	return out
+}

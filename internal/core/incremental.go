@@ -51,14 +51,12 @@ type incrementalEncoder struct {
 	desc       taskgraph.DescendantAccumulator // F(i), normalised on read
 	statics    *taskgraph.Graph                // the frozen graph they describe, or nil
 
-	// BFS scratch indexed by task ID; len(seen) is the graph size the caches
-	// cover. seen is all-false between rebuilds.
-	seen  []bool
-	depth []int32
-	queue []int
-
-	// rowOf[t] is 1 + the row of task t in the current window, 0 when absent.
-	rowOf []int32
+	// BFS scratch and window rows per live task: scratch.Len() is the graph
+	// size the caches cover, and scratch.Live(), like desc's, the first task
+	// of the oldest job with a ready or running task (State.LiveFrom; 0 in a
+	// single-DAG run), below which no window reaches again.
+	scratch taskgraph.LiveRows[taskScratch]
+	queue   []int
 
 	// Double-buffered node lists and feature matrices: rebuilds fill the spare
 	// buffer (copying unchanged static rows from the active one) and flip.
@@ -77,6 +75,13 @@ type incrementalEncoder struct {
 	es EncodedState
 }
 
+// taskScratch is what the encoder keeps per live task.
+type taskScratch struct {
+	seen  bool  // visited by the running BFS; false between rebuilds
+	depth int32 // BFS depth when seen
+	row   int32 // 1 + the task's row in the current window, 0 when absent
+}
+
 func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEncoder {
 	e := &incrementalEncoder{w: w, directed: directed, faultFeatures: faultFeatures}
 	e.es.Proc = tensor.New(1, ProcFeatureWidth(faultFeatures))
@@ -91,19 +96,16 @@ func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEnco
 func (e *incrementalEncoder) reset(g *taskgraph.Graph) {
 	e.valid = false
 	e.graphEpoch = -1
+	// The stale window's rows must not leak into the next episode (same task
+	// IDs, different graph).
+	e.clearRows(e.nodes[e.cur])
 	if g == nil || g != e.statics {
 		e.statics = nil
 		e.desc.Reset()
+		e.scratch.Reset()
 	}
 	e.xEpoch = -1
 	e.adjEpoch = -1
-	// rowOf entries for the stale window must not leak into the next episode
-	// (same task IDs, different graph).
-	for _, t := range e.nodes[e.cur] {
-		if t < len(e.rowOf) {
-			e.rowOf[t] = 0
-		}
-	}
 	e.nodes[e.cur] = e.nodes[e.cur][:0]
 	e.es.Nodes = nil
 	e.es.Norm = nil
@@ -113,7 +115,7 @@ func (e *incrementalEncoder) reset(g *taskgraph.Graph) {
 // reusing as much of the previous decision's state as the validity key allows,
 // and whether it had to recompute the window.
 func (e *incrementalEncoder) Encode(s *sim.State, resource int) (es *EncodedState, rebuilt bool) {
-	if e.graphEpoch != s.GraphEpoch || len(e.seen) != s.Graph.NumTasks() {
+	if e.graphEpoch != s.GraphEpoch || e.scratch.Len() != s.Graph.NumTasks() {
 		e.refreshGraphCaches(s)
 	}
 	if !e.valid || e.numDone != s.NumDone || e.faultEpoch != s.FaultEpoch {
@@ -146,25 +148,20 @@ func (e *incrementalEncoder) Encode(s *sim.State, resource int) (es *EncodedStat
 // GraphEpoch bump (streaming arrival). Only the tasks added since the last call
 // are visited, so an arrival costs its own job rather than the stream so far;
 // desc.Extend panics should an appended task ever share an edge with a cached
-// one, the one way the earlier rows could go stale. The per-task scratch that
-// must grow is sized for what the graph has room for — a stream's union is
-// reserved for the whole arrival list, so it grows once — and a frozen graph's
-// exactly.
+// one, the one way the earlier rows could go stale. The per-task caches cover
+// the live jobs only: finished jobs are retired first, so what must grow is
+// sized to the live jobs: doubling, exact on a frozen graph, and never past
+// what the graph has room for.
 func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 	g := s.Graph
 	n := g.NumTasks()
-	if n < len(e.seen) {
+	if n < e.scratch.Len() {
 		e.reset(nil) // not the graph the caches describe: start over
 	}
 	e.maxE = s.MaxExpected()
+	e.retire(s.LiveFrom())
 	e.desc.Extend(g)
-	room := n
-	if !g.Frozen() {
-		room = cap(g.Tasks)
-	}
-	e.seen = growTo(e.seen, n, room)
-	e.depth = growTo(e.depth, n, room)
-	e.rowOf = growTo(e.rowOf, n, room)
+	e.scratch.Cover(n, g.Room())
 	e.graphEpoch = s.GraphEpoch
 	e.es.graphEpoch = s.GraphEpoch
 	e.valid = false
@@ -178,35 +175,34 @@ func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 // the induced adjacency when the node set changed.
 func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	g := s.Graph
+	e.retire(s.LiveFrom())
+	sc := &e.scratch
 
 	// Multi-source BFS over successors, depth-capped at w. All seeds start at
 	// depth 0 and expansion is FIFO, so first-visit depth is minimal and the
 	// visited set equals taskgraph.Window's membership.
 	q := e.queue[:0]
 	for _, t := range s.Running {
-		if !e.seen[t] {
-			e.seen[t] = true
-			e.depth[t] = 0
+		if r := sc.At(t); !r.seen {
+			r.seen, r.depth = true, 0
 			q = append(q, t)
 		}
 	}
 	for _, t := range s.Ready {
-		if !e.seen[t] {
-			e.seen[t] = true
-			e.depth[t] = 0
+		if r := sc.At(t); !r.seen {
+			r.seen, r.depth = true, 0
 			q = append(q, t)
 		}
 	}
 	for head := 0; head < len(q); head++ {
 		t := q[head]
-		d := e.depth[t]
+		d := sc.At(t).depth
 		if int(d) == e.w {
 			continue
 		}
 		for _, c := range g.Succ[t] {
-			if !e.seen[c] {
-				e.seen[c] = true
-				e.depth[c] = d + 1
+			if r := sc.At(c); !r.seen {
+				r.seen, r.depth = true, d+1
 				q = append(q, c)
 			}
 		}
@@ -217,7 +213,7 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	nodes := append(e.nodes[next][:0], q...)
 	insertionSortInts(nodes)
 	for _, t := range q {
-		e.seen[t] = false
+		sc.At(t).seen = false
 	}
 
 	// Static rows: copy rows whose task already had a row at this graph epoch,
@@ -229,8 +225,8 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	canCopy := e.xEpoch == e.graphEpoch
 	for row, t := range nodes {
 		rf := newX.Row(row)
-		if canCopy && e.rowOf[t] != 0 {
-			copy(rf, oldX.Row(int(e.rowOf[t])-1))
+		if r := sc.At(t).row; canCopy && r != 0 {
+			copy(rf, oldX.Row(int(r)-1))
 		} else {
 			for i := range rf {
 				rf[i] = 0
@@ -240,11 +236,9 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 	}
 
 	sameNodes := intsEqual(nodes, e.nodes[e.cur])
-	for _, t := range e.nodes[e.cur] {
-		e.rowOf[t] = 0
-	}
+	e.clearRows(e.nodes[e.cur])
 	for row, t := range nodes {
-		e.rowOf[t] = int32(row + 1)
+		sc.At(t).row = int32(row + 1)
 	}
 
 	e.nodes[next] = nodes
@@ -257,6 +251,25 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State) {
 		e.rebuildAdjacency(g, nodes)
 		e.adjEpoch = e.graphEpoch
 		e.adjBuilds++
+	}
+}
+
+// retire drops the per-task caches below from, the first task of the oldest
+// job that still has a ready or running task. Every unfinished task has a
+// ready or running ancestor-or-self in its own job, and a job's tasks lie
+// above every earlier job's, so no window holds a task below from again.
+func (e *incrementalEncoder) retire(from int) {
+	e.desc.Retire(from)
+	e.scratch.Retire(from)
+}
+
+// clearRows zeroes the row entries of a stale window's tasks; a retired task
+// has none left to clear.
+func (e *incrementalEncoder) clearRows(nodes []int) {
+	for _, t := range nodes {
+		if t >= e.scratch.Live() {
+			e.scratch.At(t).row = 0
+		}
 	}
 }
 
@@ -275,13 +288,13 @@ func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 		nb := e.nbuf[:0]
 		nb = append(nb, i) // self-loop
 		for _, c := range g.Succ[t] {
-			if r := e.rowOf[c]; r != 0 {
+			if r := e.scratch.At(c).row; r != 0 {
 				nb = append(nb, int(r)-1)
 			}
 		}
 		if !e.directed {
 			for _, c := range g.Pred[t] {
-				if r := e.rowOf[c]; r != 0 {
+				if r := e.scratch.At(c).row; r != 0 {
 					nb = append(nb, int(r)-1)
 				}
 			}
@@ -333,17 +346,6 @@ func resizeMatrix(m *tensor.Matrix, rows, cols int) {
 		m.Data = make([]float64, n)
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-}
-
-// growTo returns xs at length n with its contents kept; when it must grow, it
-// makes room for max(n, room) elements.
-func growTo[T any](xs []T, n, room int) []T {
-	if n <= cap(xs) {
-		return xs[:n]
-	}
-	out := make([]T, n, max(n, room))
-	copy(out, xs)
-	return out
 }
 
 // insertionSortInts sorts small int slices in place (window rows and CSR

@@ -11,7 +11,7 @@ import (
 
 // twoJobTieState builds a minimal two-task state where both ready tasks are
 // interchangeable (same kernel, no predecessors, idle platform), so every
-// ECT- or rank-based key ties exactly. JobID is deliberately NON-monotone in
+// ECT- or rank-based key ties exactly. The job ID is deliberately NON-monotone in
 // task ID — task 0 belongs to job 1 and task 1 to job 0 — so the (job, task)
 // tie-break order differs from plain task order and from ready-set iteration
 // order: any policy leaning on first-seen iteration would pick task 0.
@@ -33,7 +33,8 @@ func twoJobTieState() *sim.State {
 		PredLeft:    make([]int, 2),
 		BusyUntil:   make([]float64, plat.Size()),
 		RunningTask: []int{sim.NoTask, sim.NoTask},
-		JobID:       []int{1, 0},
+		Jobs:        []sim.Job{{ID: 1, Base: 0}, {ID: 0, Base: 1}},
+		JobIdx:      []int32{0, 1},
 	}
 	return s
 }

@@ -61,21 +61,24 @@ func (c *Cluster) Now() float64 { return c.rn.s.Now }
 // stream layer uses it to detect job completions. Must be set before running.
 func (c *Cluster) OnTaskDone(fn func(task int, at float64)) { c.rn.s.onDone = fn }
 
-// Reserve makes room for n more tasks in the union graph and in every per-task
-// State slice, so that AddJobs of up to n tasks in all grow none of them. A
-// caller that knows its arrivals reserves their sum once; without it each
-// slice grows by append's factor and copies the history so far at every step.
-func (c *Cluster) Reserve(n int) {
+// Reserve makes room for n more tasks and jobs more jobs in the union graph,
+// in every per-task State slice and in the job table, so that up to jobs
+// AddJobs of up to n tasks in all grow none of them. A caller that knows its
+// arrivals reserves their sums once; without it each slice grows by append's
+// factor and copies the history so far at every step. What a job's tasks
+// share — its number, first task and timing table — is one entry of the job
+// table, so a task costs the job index alone beyond its own state.
+func (c *Cluster) Reserve(n, jobs int) {
 	s := &c.rn.s
 	s.Graph.Reserve(n)
+	s.Jobs = slices.Grow(s.Jobs, jobs)
 	s.Done = slices.Grow(s.Done, n)
 	s.Started = slices.Grow(s.Started, n)
 	s.StartTime = slices.Grow(s.StartTime, n)
 	s.EndTime = slices.Grow(s.EndTime, n)
 	s.Attempts = slices.Grow(s.Attempts, n)
 	s.AssignedTo = slices.Grow(s.AssignedTo, n)
-	s.TimingIdx = slices.Grow(s.TimingIdx, n)
-	s.JobID = slices.Grow(s.JobID, n)
+	s.JobIdx = slices.Grow(s.JobIdx, n)
 	s.PredLeft = slices.Grow(s.PredLeft, n)
 }
 
@@ -124,8 +127,8 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 	s.EndTime = append(s.EndTime, make([]float64, n)...)
 	s.Attempts = append(s.Attempts, make([]int, n)...)
 	s.AssignedTo = appendN(s.AssignedTo, n, -1)
-	s.TimingIdx = appendN(s.TimingIdx, n, ti)
-	s.JobID = appendN(s.JobID, n, job)
+	s.Jobs = append(s.Jobs, Job{ID: job, Base: base, Timing: ti})
+	s.JobIdx = appendN(s.JobIdx, n, int32(len(s.Jobs)-1))
 	s.PredLeft = slices.Grow(s.PredLeft, n)
 	for i, pred := range g.Pred {
 		s.PredLeft = append(s.PredLeft, len(pred))
@@ -156,8 +159,12 @@ func appendN[T any](xs []T, n int, v T) []T {
 // is set to until. A completion tying with the deadline is processed
 // (completions win ties, as with fault boundaries), so a job arriving at
 // until sees fully current state. With nothing running and no fault event
-// pending, the cluster waits for the deadline rather than force a start.
+// pending, the cluster waits for the deadline rather than force a start. A
+// NaN deadline, which no event time exceeds, or one before Now is an error.
 func (c *Cluster) RunUntil(pol Policy, until float64) error {
+	if !(until >= c.rn.s.Now) {
+		return fmt.Errorf("sim: deadline %v is not at or after the current time %v", until, c.rn.s.Now)
+	}
 	return c.rn.run(pol, c.rng, &c.res, until)
 }
 

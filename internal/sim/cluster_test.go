@@ -11,7 +11,8 @@ import (
 )
 
 // TestClusterReserveGrowsNothing: after Reserve of the whole arrival list, no
-// AddJob grows the union graph or a per-task State slice, and an arrival costs
+// AddJob grows the union graph, a per-task State slice or the job table, and
+// an arrival costs
 // its own job — its rows and names — whatever the history: the first and the
 // last arrival of a shape allocate the same. Graph.Reserve refuses a frozen
 // graph, as Append does.
@@ -33,7 +34,7 @@ func TestClusterReserveGrowsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Reserve(total)
+		c.Reserve(total, jobs)
 		s := &c.rn.s
 		// The ready set and the timing tables are working sets, not history:
 		// give them their room up front so that what is measured is the
@@ -41,16 +42,20 @@ func TestClusterReserveGrowsNothing(t *testing.T) {
 		s.Ready = make([]int, 0, total)
 		s.Timings = append(make([]platform.Timing, 0, len(timings)), timings...)
 
+		// The per-task slices, then the job table.
 		caps := func() []int {
 			g := s.Graph
 			return []int{cap(g.Tasks), cap(g.Succ), cap(g.Pred), cap(s.Done), cap(s.Started), cap(s.StartTime),
-				cap(s.EndTime), cap(s.Attempts), cap(s.AssignedTo), cap(s.TimingIdx), cap(s.JobID), cap(s.PredLeft)}
+				cap(s.EndTime), cap(s.Attempts), cap(s.AssignedTo), cap(s.JobIdx), cap(s.PredLeft), cap(s.Jobs)}
 		}
 		reserved := caps()
-		for i, n := range reserved {
+		for i, n := range reserved[:len(reserved)-1] {
 			if n < total {
 				t.Fatalf("slice %d reserved for %d tasks, want %d", i, n, total)
 			}
+		}
+		if n := reserved[len(reserved)-1]; n < jobs {
+			t.Fatalf("job table reserved for %d jobs, want %d", n, jobs)
 		}
 		windows := make([]uint64, jobs)
 		for j := range windows {

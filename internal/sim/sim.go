@@ -95,19 +95,21 @@ type State struct {
 	Attempts   []int
 	FaultEpoch int
 
-	// Multi-job (streaming) state. Single-DAG runs leave all three nil/zero
+	// Multi-job (streaming) state. Single-DAG runs leave all four nil/zero
 	// and behave exactly as before.
 	//
 	// Timings, when non-empty, holds the distinct timing tables of the jobs
-	// sharing the cluster, and TimingIdx[t] selects the table governing task
-	// t (mixed DAG families have different per-kernel durations, so one
-	// global table cannot describe a multi-family stream). JobID[t], when
-	// non-nil, is the arrival-ordered job a task belongs to. GraphEpoch
-	// increments whenever tasks are appended to the graph mid-run (a job
-	// arrival); adaptive policies key replans on it like on FaultEpoch.
+	// sharing the cluster (mixed DAG families have different per-kernel
+	// durations, so one global table cannot describe a multi-family stream).
+	// Jobs lists the jobs in arrival order, each once with what all its tasks
+	// share, and JobIdx[t], when non-nil, indexes the job task t belongs to:
+	// four bytes per task, the job's number, first task and timing table kept
+	// once per job. GraphEpoch increments whenever tasks are appended to the
+	// graph mid-run (a job arrival); adaptive policies key replans on it like
+	// on FaultEpoch.
 	Timings    []platform.Timing
-	TimingIdx  []int
-	JobID      []int
+	Jobs       []Job
+	JobIdx     []int32
 	GraphEpoch int
 
 	// downUntil[r] is the engine-internal recovery time of an ongoing
@@ -132,6 +134,13 @@ type State struct {
 	// readyIntegral accumulates ∫ |Ready| dt from time 0 to Now, for
 	// Cluster.MeanReadyDepth.
 	readyIntegral float64
+}
+
+// Job is what a multi-job State keeps once per job.
+type Job struct {
+	ID     int // the caller's number for the job (Cluster.AddJob's job)
+	Base   int // the job's first task; its tasks are Base, Base+1, …
+	Timing int // the index in State.Timings of the job's timing table
 }
 
 // up reports current availability, tolerating hand-built States without
@@ -184,7 +193,7 @@ func (s *State) shuffledFree(rng *rand.Rand) []int {
 // a multi-job stream, the problem-wide table otherwise.
 func (s *State) TaskTiming(t int) platform.Timing {
 	if len(s.Timings) > 0 {
-		return s.Timings[s.TimingIdx[t]]
+		return s.Timings[s.Jobs[s.JobIdx[t]].Timing]
 	}
 	return s.Timing
 }
@@ -197,10 +206,34 @@ func (s *State) EstTaskDuration(t, r int) float64 {
 
 // JobOf returns the job a task belongs to (0 for single-DAG runs).
 func (s *State) JobOf(t int) int {
-	if s.JobID == nil {
+	if s.JobIdx == nil {
 		return 0
 	}
-	return s.JobID[t]
+	return s.Jobs[s.JobIdx[t]].ID
+}
+
+// LiveFrom returns the first task of the oldest job that still has a ready
+// or running task, the graph's size when no job has, and 0 in a single-DAG
+// run. A job's tasks lie above every earlier job's, and every unfinished task
+// has a ready or running ancestor-or-self in its own job, so no task below
+// LiveFrom is ready, running or reachable from one: a policy's per-task
+// caches may drop it. Ready and Running are sorted, so this is O(1).
+func (s *State) LiveFrom() int {
+	if len(s.Jobs) == 0 {
+		return 0
+	}
+	n := s.Graph.NumTasks()
+	t := n
+	if len(s.Ready) > 0 {
+		t = s.Ready[0]
+	}
+	if len(s.Running) > 0 {
+		t = min(t, s.Running[0])
+	}
+	if t == n {
+		return n
+	}
+	return s.Jobs[s.JobIdx[t]].Base
 }
 
 // MaxExpected returns the largest expected duration over every timing table

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -45,7 +46,7 @@ func (a Arrival) Graph() *taskgraph.Graph { return taskgraph.NewByKind(a.Kind, a
 // uniformly per arrival.
 type PoissonProcess struct {
 	// Rate is the arrival intensity in jobs per second of simulated time
-	// (1000 ms). Must be positive.
+	// (1000 ms). Must be positive and finite, with a finite mean gap.
 	Rate float64
 	// Jobs is the number of arrivals to generate.
 	Jobs int
@@ -58,8 +59,10 @@ type PoissonProcess struct {
 // Generate draws the arrival list from rng. Draw order is fixed
 // (interarrival, kind, size) so a seed pins the whole stream.
 func (p PoissonProcess) Generate(rng *rand.Rand) ([]Arrival, error) {
-	if p.Rate <= 0 {
-		return nil, fmt.Errorf("stream: arrival rate %v must be positive", p.Rate)
+	// NaN fails every comparison, so the rate is checked for what it must
+	// be rather than for what it must not.
+	if !(p.Rate > 0) || math.IsInf(p.Rate, 1) || math.IsInf(1000/p.Rate, 1) {
+		return nil, fmt.Errorf("stream: arrival rate %v must be positive, with a finite mean gap of 1000/rate ms", p.Rate)
 	}
 	if p.Jobs <= 0 {
 		return nil, fmt.Errorf("stream: job count %d must be positive", p.Jobs)
@@ -134,8 +137,8 @@ func WriteArrivals(w io.Writer, arrivals []Arrival) error {
 // validate accepts exactly the arrivals whose Graph builds, and builds within
 // taskgraph.MaxTasks.
 func (a Arrival) validate() error {
-	if a.At < 0 {
-		return fmt.Errorf("negative arrival time %v", a.At)
+	if !(a.At >= 0) || math.IsInf(a.At, 1) {
+		return fmt.Errorf("arrival time %v must be finite and non-negative", a.At)
 	}
 	if a.Kind == taskgraph.Random {
 		return errors.New(`kind "random" has no sized generator`)

@@ -2,11 +2,17 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"readys/internal/platform"
+	"readys/internal/sched"
+	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
 
@@ -35,6 +41,59 @@ func TestArrivalsRejectUnbuildable(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteTimesRefused: a time that is not a finite number is an error
+// wherever it enters a stream. A NaN rate or arrival time used to run the
+// stream forever, because no event time exceeds a NaN deadline, and a +Inf
+// arrival gave a "valid" result whose job response was −Inf. A deadline
+// before the cluster's clock would run time backwards. Each case runs under a
+// timeout, so a hang fails instead of stalling the suite.
+func TestNonFiniteTimesRefused(t *testing.T) {
+	within := func(name string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: no error", name)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: still running after 20 s", name)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e-320, 0, -1} {
+		within("rate "+fmtFloat(rate), func() error {
+			_, err := PoissonProcess{Rate: rate, Jobs: 3, Kinds: chaosKinds, Sizes: []int{2}}.
+				Generate(rand.New(rand.NewSource(1)))
+			return err
+		})
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1), -1} {
+		within("arrival at "+fmtFloat(at), func() error {
+			arr := []Arrival{{At: 0, Kind: taskgraph.Cholesky, Size: 2}, {At: at, Kind: taskgraph.LU, Size: 2}}
+			_, err := Run(sched.MCTPolicy{}, Config{Platform: platform.New(2, 2), Arrivals: arr, Rng: rand.New(rand.NewSource(1))})
+			return err
+		})
+	}
+	cl, err := sim.NewCluster(platform.New(1, 1), sim.Options{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddJob(0, taskgraph.NewFrozenByKind(taskgraph.Cholesky, 2), platform.TimingFor(taskgraph.Cholesky)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.RunUntil(sched.MCTPolicy{}, 50); err != nil {
+		t.Fatal(err)
+	}
+	within("deadline NaN", func() error { return cl.RunUntil(sched.MCTPolicy{}, math.NaN()) })
+	within("deadline before now", func() error { return cl.RunUntil(sched.MCTPolicy{}, 10) })
+	if cl.Now() != 50 {
+		t.Errorf("a refused deadline moved the clock to %v", cl.Now())
+	}
+}
+
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // FuzzReadArrivals: a trace is refused, or every arrival in it builds a graph
 // within taskgraph.MaxTasks, and writing the arrivals out reads them back. The

@@ -128,7 +128,7 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		}
 		total += tpl.graph.NumTasks()
 	}
-	cl.Reserve(total)
+	cl.Reserve(total, len(arrivals))
 
 	var (
 		jobs      = make([]JobResult, len(arrivals))

@@ -269,3 +269,60 @@ func TestDescendantAccumulatorRejectsCrossEdge(t *testing.T) {
 	}()
 	acc.Extend(union)
 }
+
+// TestDescendantAccumulatorRetireMatchesOracle interleaves Extend and Retire
+// at random over a growing union of frozen Cholesky, LU and QR jobs, as a
+// stream's policy does when jobs arrive and finish. After every step, for
+// every task from the retire point on, F(t) must equal DescendantFeatures over
+// the whole union bit for bit: the normaliser still sums every root ever seen.
+// The slab must compact once half of it is retired and hold at most twice the
+// most rows ever live, however long the union grows.
+func TestDescendantAccumulatorRetireMatchesOracle(t *testing.T) {
+	kinds := []Kind{Cholesky, LU, QR}
+	var acc DescendantAccumulator // reused across unions, as Reset keeps its storage
+	peak := 0                     // the most rows ever live
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		acc.Reset()
+		union := newUnion()
+		from := 0
+		for step, steps := 0, 20+rng.Intn(60); step < steps; step++ {
+			if rng.Intn(3) > 0 {
+				union.Append(NewFrozenByKind(kinds[rng.Intn(len(kinds))], 1+rng.Intn(4)), "")
+				acc.Extend(union)
+			} else {
+				from += rng.Intn(union.NumTasks() - from + 1)
+				acc.Retire(from)
+			}
+			n := union.NumTasks()
+			peak = max(peak, n-from)
+			want := DescendantFeatures(union)
+			for i := from; i < n; i++ {
+				got := acc.At(i)
+				for k := range want[i] {
+					if math.Float64bits(got[k]) != math.Float64bits(want[i][k]) {
+						t.Logf("seed %d step %d (retired below %d): F(%d)[%d] = %v, oracle %v", seed, step, from, i, k, got[k], want[i][k])
+						return false
+					}
+				}
+			}
+			raw := &acc.raw
+			if raw.Live() != from || raw.Len() != n {
+				t.Logf("seed %d step %d: rows cover [%d, %d), want [%d, %d)", seed, step, raw.Live(), raw.Len(), from, n)
+				return false
+			}
+			if dead := raw.live - raw.lo; dead > 0 && 2*dead >= len(raw.rows) {
+				t.Logf("seed %d step %d: %d of %d rows retired and not compacted", seed, step, dead, len(raw.rows))
+				return false
+			}
+			if acc.Held() > 2*peak {
+				t.Logf("seed %d step %d: %d rows held, at most %d ever live", seed, step, acc.Held(), peak)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

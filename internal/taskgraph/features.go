@@ -63,23 +63,34 @@ func DescendantFeatures(g *Graph) [][NumKernels]float64 {
 // over the graph as last extended — including for earlier tasks, whose F
 // shrinks as the normaliser grows.
 //
+// F̄ is kept for live tasks only: Retire drops the rows of the components a
+// stream has finished with, whose tasks no window holds again, while the
+// normaliser goes on summing every root ever seen. The rows are a LiveRows
+// slab, sized to the live tasks rather than to every task of the graph.
+//
 // The zero value is ready to use.
 type DescendantAccumulator struct {
-	raw  [][NumKernels]float64 // F̄ per task
-	norm [NumKernels]float64   // Σ F̄ over the roots seen so far
+	raw  LiveRows[[NumKernels]float64] // F̄ per live task
+	norm [NumKernels]float64           // Σ F̄ over the roots seen so far
 }
 
 // Reset forgets every task, keeping the storage for the next graph.
 func (a *DescendantAccumulator) Reset() {
-	a.raw = a.raw[:0]
+	a.raw.Reset()
 	a.norm = [NumKernels]float64{}
 }
+
+// Retire drops F̄ of every task below from; At is not asked for them again.
+func (a *DescendantAccumulator) Retire(from int) { a.raw.Retire(from) }
+
+// Held is the number of F̄ rows of storage the accumulator holds.
+func (a *DescendantAccumulator) Held() int { return a.raw.Held() }
 
 // Extend takes in the tasks g gained since the last call (all of them after
 // Reset). It panics if one of them shares an edge with an earlier task, which
 // would change values already handed out.
 func (a *DescendantAccumulator) Extend(g *Graph) {
-	lo, n := len(a.raw), g.NumTasks()
+	lo, n := a.raw.Len(), g.NumTasks()
 	if lo >= n {
 		return
 	}
@@ -87,48 +98,40 @@ func (a *DescendantAccumulator) Extend(g *Graph) {
 	if err != nil {
 		panic(err)
 	}
-	if n <= cap(a.raw) {
-		a.raw = a.raw[:n]
-	} else {
-		// Exact for a frozen graph (a single-DAG episode never grows); for one
-		// that grows, room for what its Tasks have room for — a reserved
-		// stream's whole union, or append's geometric growth — so appends stay
-		// amortised O(job).
-		room := n
-		if !g.frozen {
-			room = cap(g.Tasks)
-		}
-		grown := make([][NumKernels]float64, n, room)
-		copy(grown, a.raw)
-		a.raw = grown
-	}
+	// Doubling from the live rows, so that appends stay amortised O(job), up
+	// to what the graph has room for: exact for a frozen graph (a single-DAG
+	// episode never grows), a reserved stream's whole union at most.
+	a.raw.Cover(n, g.Room())
 	// Same arithmetic, in the same order per task, as DescendantFeatures.
 	for _, i := range order {
 		var f [NumKernels]float64
 		f[g.Tasks[i].Kernel] = 1
 		for _, c := range g.Succ[i] {
 			share := 1.0 / float64(len(g.Pred[c]))
+			rc := a.raw.At(c)
 			for k := 0; k < NumKernels; k++ {
-				f[k] += float64(a.raw[c][k] * share)
+				f[k] += float64(rc[k] * share)
 			}
 		}
-		a.raw[i] = f
+		*a.raw.At(i) = f
 	}
 	for r := lo; r < n; r++ {
 		if len(g.Pred[r]) == 0 {
+			rr := a.raw.At(r)
 			for k := 0; k < NumKernels; k++ {
-				a.norm[k] += a.raw[r][k]
+				a.norm[k] += rr[k]
 			}
 		}
 	}
 }
 
-// At returns F(t) under the current normaliser.
+// At returns F(t) under the current normaliser; t must not be retired.
 func (a *DescendantAccumulator) At(t int) [NumKernels]float64 {
 	var f [NumKernels]float64
+	raw := a.raw.At(t)
 	for k := 0; k < NumKernels; k++ {
 		if a.norm[k] > 0 {
-			f[k] = a.raw[t][k] / a.norm[k]
+			f[k] = raw[k] / a.norm[k]
 		}
 	}
 	return f

@@ -399,6 +399,15 @@ func (g *Graph) Reserve(n int) {
 	g.Pred = slices.Grow(g.Pred, n)
 }
 
+// Room is the most tasks g holds without growing its task list: its size
+// when frozen, its capacity otherwise.
+func (g *Graph) Room() int {
+	if g.frozen {
+		return len(g.Tasks)
+	}
+	return cap(g.Tasks)
+}
+
 // NumTasks returns the number of vertices.
 func (g *Graph) NumTasks() int { return len(g.Tasks) }
 

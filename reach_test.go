@@ -31,6 +31,8 @@ var reachAllowed = map[string]string{
 	"tensor.MatMulTransA":        "tensor TestMatMulTransA and TestSpMMTransAMatchesDense: the dense reference of the fused ∂W products",
 	"tensor.Sparse.Dense":        "autograd TestSpMMMatchesDenseOnTape and nn TestGCNForwardMatchesDenseComposition: the dense reference of a sparse product",
 	"tensor.SparseFromDense":     "tensor TestSpMMMatchesDenseProperty and autograd TestGradSpMM: a sparse operand from a dense fixture",
+	// What the retirement tests bound.
+	"taskgraph.DescendantAccumulator.Held": "core TestIncrementalRetiresFinishedJobs and taskgraph TestDescendantAccumulatorRetireMatchesOracle: F̄ rows, like the encoder's scratch (LiveRows.Held), stay within twice the most tasks ever live",
 	// Fixtures the tests of several packages share.
 	"taskgraph.NewLayeredRandom":    "root TestChaosAllPoliciesSurviveRandomFaults, sched TestHEFTValidOnRandomDAGsProperty, sim TestSimulateRandomDAGs: random layered DAGs",
 	"taskgraph.DefaultRandomConfig": "root TestChaosFaultFreePlansAreInert, sched and sim random-DAG tests: the shape of NewLayeredRandom's DAGs",
