@@ -82,7 +82,11 @@ test:
 # live jobs only, and are held to the whole-union oracle all the same: the
 # accumulator under random retirement (TestDescendantAccumulatorRetireMatchesOracle),
 # the encoder decision for decision over a faulted 200-job stream
-# (TestIncrementalRetiresFinishedJobs). The streaming cluster runs Simulate's
+# (TestIncrementalRetiresFinishedJobs). The cluster drops a finished job's
+# union rows: a live job's rows must stay its own graph's and the union valid
+# after every completion (TestClusterRetiresFinishedJobs), and a retired job's
+# precedence must still be checked, from its own graph
+# (TestStreamValidateCatchesRetiredJobViolation). The streaming cluster runs Simulate's
 # event loop: a one-job cluster must schedule as Simulate does — error,
 # makespan, decision counts, trace and kills — across factorisations, noise,
 # fault plans and policies that idle until forced
@@ -126,8 +130,8 @@ equiv:
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestUpdateTapeRetainsBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
-	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing' ./internal/sim/
-	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster' ./internal/stream/
+	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing|TestClusterRetiresFinishedJobs' ./internal/sim/
+	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster|TestStreamValidateCatchesRetiredJobViolation' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./internal/obs/
 

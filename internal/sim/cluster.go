@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 
 	"readys/internal/platform"
 	"readys/internal/taskgraph"
@@ -57,17 +56,20 @@ func (c *Cluster) State() *State { return &c.rn.s }
 // Now returns the current simulated time in ms.
 func (c *Cluster) Now() float64 { return c.rn.s.Now }
 
-// OnTaskDone registers a completion hook (task ID, completion time); the
-// stream layer uses it to detect job completions. Must be set before running.
-func (c *Cluster) OnTaskDone(fn func(task int, at float64)) { c.rn.s.onDone = fn }
+// OnJobDone registers a job-completion hook, called with the job's number
+// (AddJob's job) and its last task's completion time once that task's
+// successors are released and the job's union rows are dropped. Must be set
+// before running.
+func (c *Cluster) OnJobDone(fn func(job int, at float64)) { c.rn.s.onJobDone = fn }
 
 // Reserve makes room for n more tasks and jobs more jobs in the union graph,
 // in every per-task State slice and in the job table, so that up to jobs
 // AddJobs of up to n tasks in all grow none of them. A caller that knows its
 // arrivals reserves their sums once; without it each slice grows by append's
 // factor and copies the history so far at every step. What a job's tasks
-// share — its number, first task and timing table — is one entry of the job
-// table, so a task costs the job index alone beyond its own state.
+// share — its number, first task, source graph and timing table — is one
+// entry of the job table, so a task costs the job index alone beyond its own
+// state.
 func (c *Cluster) Reserve(n, jobs int) {
 	s := &c.rn.s
 	s.Graph.Reserve(n)
@@ -89,45 +91,45 @@ func (c *Cluster) Reserve(n, jobs int) {
 // legitimately carry different tables). Returns the job's base task offset.
 //
 // The job arrives in bulk — one Graph.Append, at most one growth per State
-// slice and none within a Reserve — and
-// a frozen graph, validated when it was frozen, is not validated again: a
-// caller that keeps one frozen graph per job shape pays for an arrival what
-// copying it costs.
+// slice and none within a Reserve. Its union tasks share g's name strings,
+// and the job table keeps g as the job's source: an unfrozen g is validated
+// and frozen here, a frozen one, validated when it was frozen, is taken as it
+// is. A caller that keeps one frozen graph per job shape therefore pays for
+// an arrival what copying its rows costs.
+//
+// When the job's last task completes, its union rows are dropped: no live
+// task has an edge into a finished job, so nothing reads them again, and a
+// stream holds the adjacency of its live jobs only.
 func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, error) {
 	s := &c.rn.s
-	if !g.Frozen() {
-		if err := g.Validate(); err != nil {
-			return 0, fmt.Errorf("sim: job %d graph invalid: %w", job, err)
-		}
+	if err := g.Freeze(); err != nil {
+		return 0, fmt.Errorf("sim: job %d graph invalid: %w", job, err)
 	}
 	n := g.NumTasks()
 	if n == 0 {
 		return 0, fmt.Errorf("sim: job %d has no tasks", job)
 	}
-	if s.Graph.NumTasks() == 0 {
-		// Cosmetic: label union kernels after the first job's family.
-		s.Graph.KernelNames = g.KernelNames
-	}
 	// Intern the timing table (streams mix at most a handful of families).
-	ti := -1
-	for i, have := range s.Timings {
-		if have == tt {
-			ti = i
+	var timing *platform.Timing
+	for _, have := range s.Timings {
+		if *have == tt {
+			timing = have
 			break
 		}
 	}
-	if ti == -1 {
-		s.Timings = append(s.Timings, tt)
-		ti = len(s.Timings) - 1
+	if timing == nil {
+		timing = new(platform.Timing)
+		*timing = tt
+		s.Timings = append(s.Timings, timing)
 	}
-	base := s.Graph.Append(g, "j"+strconv.Itoa(job)+":")
+	base := s.Graph.Append(g)
 	s.Done = append(s.Done, make([]bool, n)...)
 	s.Started = append(s.Started, make([]bool, n)...)
 	s.StartTime = append(s.StartTime, make([]float64, n)...)
 	s.EndTime = append(s.EndTime, make([]float64, n)...)
 	s.Attempts = append(s.Attempts, make([]int, n)...)
 	s.AssignedTo = appendN(s.AssignedTo, n, -1)
-	s.Jobs = append(s.Jobs, Job{ID: job, Base: base, Timing: ti})
+	s.Jobs = append(s.Jobs, Job{ID: job, Base: base, Graph: g, Timing: timing, left: n})
 	s.JobIdx = appendN(s.JobIdx, n, int32(len(s.Jobs)-1))
 	s.PredLeft = slices.Grow(s.PredLeft, n)
 	for i, pred := range g.Pred {
@@ -143,6 +145,22 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 		traceArrival(s, job, base, n)
 	}
 	return base, nil
+}
+
+// jobTaskDone counts the completion of task t against its job. At the job's
+// last completion it drops the job's union rows — AddJob appended the job
+// whole, so no edge leaves them — and calls the job-completion hook.
+func (s *State) jobTaskDone(t int) {
+	j := &s.Jobs[s.JobIdx[t]]
+	if j.left--; j.left > 0 {
+		return
+	}
+	if err := s.Graph.DropEdges(j.Base, j.Base+j.Graph.NumTasks()); err != nil {
+		panic(err)
+	}
+	if s.onJobDone != nil {
+		s.onJobDone(j.ID, s.Now)
+	}
 }
 
 // appendN appends n copies of v, growing xs at most once.
@@ -186,8 +204,9 @@ func (c *Cluster) Drain(pol Policy) error {
 // Result snapshots the cluster outcome in Simulate's Result shape: the union
 // trace over every completed task, the cumulative decision counts and kill
 // log, and Makespan = current simulated time. Call after Drain for the final
-// schedule (ValidateResult/ValidateResultStrict accept it against the union
-// graph).
+// schedule. A finished job's union rows are empty, so ValidateResult checks
+// no precedence of a drained cluster's result: ValidateResultStrict with
+// CheckOptions.Jobs = State().Jobs checks every job against its own graph.
 func (c *Cluster) Result() Result {
 	s := &c.rn.s
 	res := c.res

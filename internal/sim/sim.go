@@ -103,11 +103,11 @@ type State struct {
 	// durations, so one global table cannot describe a multi-family stream).
 	// Jobs lists the jobs in arrival order, each once with what all its tasks
 	// share, and JobIdx[t], when non-nil, indexes the job task t belongs to:
-	// four bytes per task, the job's number, first task and timing table kept
-	// once per job. GraphEpoch increments whenever tasks are appended to the
-	// graph mid-run (a job arrival); adaptive policies key replans on it like
-	// on FaultEpoch.
-	Timings    []platform.Timing
+	// four bytes per task, the job's number, first task, source graph and
+	// timing table kept once per job. GraphEpoch increments whenever tasks are
+	// appended to the graph mid-run (a job arrival); adaptive policies key
+	// replans on it like on FaultEpoch.
+	Timings    []*platform.Timing
 	Jobs       []Job
 	JobIdx     []int32
 	GraphEpoch int
@@ -127,20 +127,29 @@ type State struct {
 	// kill fault spans. Invisible to policies.
 	tracer *obs.Tracer
 
-	// onDone, when set (Cluster runs), is invoked after each task completes
-	// — the hook streaming job bookkeeping hangs off. Invisible to policies.
-	onDone func(task int, at float64)
+	// onJobDone, when set (Cluster runs), is invoked when a job's last task
+	// completes — the hook streaming job bookkeeping hangs off. Invisible to
+	// policies.
+	onJobDone func(job int, at float64)
 
 	// readyIntegral accumulates ∫ |Ready| dt from time 0 to Now, for
 	// Cluster.MeanReadyDepth.
 	readyIntegral float64
 }
 
-// Job is what a multi-job State keeps once per job.
+// Job is what a multi-job State keeps once per job. Its tasks are the union
+// tasks Base, Base+1, …: union task Base+i is Graph's task i, with the same
+// kernel, the same name string and the edges of Graph shifted by Base until
+// the job finishes, none after (taskgraph.Graph.DropEdges). Graph is the
+// source the job's union rows, its trace labels and the strict validator
+// read.
 type Job struct {
-	ID     int // the caller's number for the job (Cluster.AddJob's job)
-	Base   int // the job's first task; its tasks are Base, Base+1, …
-	Timing int // the index in State.Timings of the job's timing table
+	ID     int              // the caller's number for the job (Cluster.AddJob's job)
+	Base   int              // the job's first task
+	Graph  *taskgraph.Graph // the frozen graph the job was appended from
+	Timing *platform.Timing // the job's timing table, one of State.Timings
+
+	left int // the job's tasks not yet done
 }
 
 // up reports current availability, tolerating hand-built States without
@@ -193,7 +202,7 @@ func (s *State) shuffledFree(rng *rand.Rand) []int {
 // a multi-job stream, the problem-wide table otherwise.
 func (s *State) TaskTiming(t int) platform.Timing {
 	if len(s.Timings) > 0 {
-		return s.Timings[s.Jobs[s.JobIdx[t]].Timing]
+		return *s.Jobs[s.JobIdx[t]].Timing
 	}
 	return s.Timing
 }
@@ -786,8 +795,8 @@ func finishTask(s *State, t int) {
 			s.Ready = insertSorted(s.Ready, succ)
 		}
 	}
-	if s.onDone != nil {
-		s.onDone(t, s.Now)
+	if s.JobIdx != nil {
+		s.jobTaskDone(t)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // TracePID is the pid under which the simulator records every trace event.
 const TracePID = 1
@@ -26,14 +29,26 @@ func setupTrace(s *State) {
 	}
 }
 
+// taskLabel returns the trace name and kernel label of a task. A job's task
+// is named "jN:" and its own name and labelled after its job's family; the
+// names are built here, so only a traced run pays for them.
+func taskLabel(s *State, task int) (name, kernel string) {
+	t := s.Graph.Tasks[task]
+	if s.JobIdx == nil {
+		return t.Name, s.Graph.KernelNames[t.Kernel]
+	}
+	j := &s.Jobs[s.JobIdx[task]]
+	return "j" + strconv.Itoa(j.ID) + ":" + t.Name, j.Graph.KernelNames[t.Kernel]
+}
+
 // traceStart records the task-start event on the resource lane and, under a
 // communication model, one complete slice per inbound transfer on the
 // destination's comm lane. Simulated milliseconds map to trace microseconds.
 func traceStart(s *State, task, r int) {
-	name := s.Graph.Tasks[task].Name
+	name, kernel := taskLabel(s, task)
 	s.tracer.Begin(name, "task", TracePID, int64(r), s.StartTime[task]*1000, map[string]any{
 		"task":   task,
-		"kernel": s.Graph.KernelNames[s.Graph.Tasks[task].Kernel],
+		"kernel": kernel,
 	})
 	if s.Comm == nil {
 		return
@@ -51,7 +66,8 @@ func traceStart(s *State, task, r int) {
 
 // traceEnd records the task-end event on the resource lane.
 func traceEnd(s *State, task int) {
-	s.tracer.End(s.Graph.Tasks[task].Name, TracePID, int64(s.AssignedTo[task]), s.EndTime[task]*1000)
+	name, _ := taskLabel(s, task)
+	s.tracer.End(name, TracePID, int64(s.AssignedTo[task]), s.EndTime[task]*1000)
 }
 
 // Fault spans. Fault events render on the lane of the affected resource:
@@ -88,7 +104,8 @@ func traceDegrade(s *State, r int, at, factor float64) {
 // instant with its cause. Must run before the kill bookkeeping resets
 // AssignedTo.
 func traceKill(s *State, task, r int, at float64, cause FaultKind) {
-	s.tracer.End(s.Graph.Tasks[task].Name, TracePID, int64(r), at*1000)
+	name, _ := taskLabel(s, task)
+	s.tracer.End(name, TracePID, int64(r), at*1000)
 	s.tracer.Instant("kill", "fault", TracePID, int64(r), at*1000, map[string]any{
 		"task":    task,
 		"started": s.StartTime[task] * 1000,

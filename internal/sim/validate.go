@@ -118,18 +118,11 @@ type CheckOptions struct {
 	// Faults is the fault plan the run replayed (nil = none): slices are
 	// checked against outage windows, death times, and degrade factors.
 	Faults *FaultPlan
-	// TimingOf, if non-nil, overrides Timing per task — required to check
-	// union schedules of multi-family streams, where each job's tasks carry
-	// the timing table of its own DAG family (State.TaskTiming).
-	TimingOf func(task int) platform.Timing
-}
-
-// timingOf resolves the timing table governing one task.
-func (o CheckOptions) timingOf(task int) platform.Timing {
-	if o.TimingOf != nil {
-		return o.TimingOf(task)
-	}
-	return o.Timing
+	// Jobs, if non-empty, is the job table of a multi-job run
+	// (Cluster.State().Jobs): every task is checked against its job's own
+	// graph and timing table instead of the union's rows and Timing — the
+	// union holds no edges of a finished job.
+	Jobs []Job
 }
 
 // Relative and absolute tolerances of the strict duration checks. Durations
@@ -148,6 +141,10 @@ func sigmaEnvelope(sigma float64) float64 { return 1 + float64(10*sigma) }
 // ValidateResultStrict runs ValidateResult and then recomputes every slice
 // against the timing table and the fault plan:
 //
+//   - each task must start no earlier than its predecessors end, its
+//     predecessors, kernel and timing table read from its job's graph when
+//     CheckOptions.Jobs is set, and the union's tasks must be the jobs' tasks
+//     in job order, kernel for kernel;
 //   - each final slice's compute duration (slice length minus the recomputed
 //     communication stall) must be exactly the expected duration when Sigma
 //     is zero and the resource is never degraded, and inside
@@ -165,15 +162,17 @@ func sigmaEnvelope(sigma float64) float64 { return 1 + float64(10*sigma) }
 // before a successor starts and their (End, AssignedTo) never change
 // afterwards, so the reconstruction is sound even under kills.
 func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) error {
-	if err := ValidateResult(g, opt.Platform.Size(), res); err != nil {
+	var rn Runner
+	if err := rn.Validate(g, opt.Platform.Size(), res); err != nil {
 		return err
 	}
 	if err := opt.Faults.Validate(opt.Platform.Size()); err != nil {
 		return err
 	}
-	byTask := make([]Placement, g.NumTasks())
-	for _, p := range res.Trace {
-		byTask[p.Task] = p
+	byTask := rn.byTask // every task's placement, from the pass above
+	jobs := opt.Jobs
+	if len(jobs) == 0 {
+		jobs = []Job{{Graph: g, Timing: &opt.Timing}}
 	}
 	// Per-resource degrade factor bounds and fault windows from the plan.
 	numRes := opt.Platform.Size()
@@ -212,43 +211,64 @@ func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) erro
 		return fmt.Errorf("sim: fault plan kills every resource, yet the result claims completion")
 	}
 
-	// Slice-level duration and fault-window checks for the final attempts.
-	for t := 0; t < g.NumTasks(); t++ {
-		p := byTask[t]
-		// Recompute the communication stall embedded in the slice.
-		var ready float64
-		for _, pr := range g.Pred[t] {
-			at := byTask[pr].End + opt.Comm.Cost(byTask[pr].Resource, p.Resource)
-			if at > ready {
-				ready = at
+	// Job by job, which must tile the graph in order, kernel for kernel:
+	// precedence, then duration and fault-window checks for the final
+	// attempts.
+	next := 0
+	for _, job := range jobs {
+		if job.Base != next || next+job.Graph.NumTasks() > g.NumTasks() {
+			return fmt.Errorf("sim: job %d at task %d with %d tasks does not follow the %d tasks before it in a graph of %d",
+				job.ID, job.Base, job.Graph.NumTasks(), next, g.NumTasks())
+		}
+		next += job.Graph.NumTasks()
+		for i, task := range job.Graph.Tasks {
+			t := job.Base + i
+			if k := g.Tasks[t].Kernel; k != task.Kernel {
+				return fmt.Errorf("sim: task %d has kernel %d, its job %d's graph says %d", t, k, job.ID, task.Kernel)
+			}
+			p := byTask[t]
+			// Recompute the communication stall embedded in the slice.
+			var ready float64
+			for _, pi := range job.Graph.Pred[i] {
+				pr := byTask[job.Base+pi]
+				if p.Start < pr.End-1e-9 {
+					return fmt.Errorf("sim: task %d starts at %.3f before predecessor %d ends at %.3f",
+						t, p.Start, pr.Task, pr.End)
+				}
+				if at := pr.End + opt.Comm.Cost(pr.Resource, p.Resource); at > ready {
+					ready = at
+				}
+			}
+			stall := ready - p.Start
+			if stall < 0 {
+				stall = 0
+			}
+			work := (p.End - p.Start) - stall
+			e := job.Timing.ExpectedDuration(task.Kernel, opt.Platform.Resources[p.Resource].Type)
+			tol := float64(strictRelTol*e) + strictAbsTol
+			if opt.Sigma == 0 && !degraded[p.Resource] {
+				if math.Abs(work-e) > tol {
+					return fmt.Errorf("sim: task %d compute time %.6f != expected %.6f on resource %d (sigma 0, no degrade)",
+						t, work, e, p.Resource)
+				}
+			} else {
+				lo := 0.0
+				if opt.Sigma == 0 {
+					lo = float64(e*minF[p.Resource]) - tol
+				}
+				hi := float64(e*sigmaEnvelope(opt.Sigma)*maxF[p.Resource]) + tol
+				if work < lo || work > hi {
+					return fmt.Errorf("sim: task %d compute time %.6f outside [%.6f, %.6f] on resource %d",
+						t, work, lo, hi, p.Resource)
+				}
+			}
+			if err := checkSliceAgainstFaults("task", t, p.Resource, p.Start, p.End, outages, deathAt); err != nil {
+				return err
 			}
 		}
-		stall := ready - p.Start
-		if stall < 0 {
-			stall = 0
-		}
-		work := (p.End - p.Start) - stall
-		e := opt.timingOf(t).ExpectedDuration(g.Tasks[t].Kernel, opt.Platform.Resources[p.Resource].Type)
-		tol := float64(strictRelTol*e) + strictAbsTol
-		if opt.Sigma == 0 && !degraded[p.Resource] {
-			if math.Abs(work-e) > tol {
-				return fmt.Errorf("sim: task %d compute time %.6f != expected %.6f on resource %d (sigma 0, no degrade)",
-					t, work, e, p.Resource)
-			}
-		} else {
-			lo := 0.0
-			if opt.Sigma == 0 {
-				lo = float64(e*minF[p.Resource]) - tol
-			}
-			hi := float64(e*sigmaEnvelope(opt.Sigma)*maxF[p.Resource]) + tol
-			if work < lo || work > hi {
-				return fmt.Errorf("sim: task %d compute time %.6f outside [%.6f, %.6f] on resource %d",
-					t, work, lo, hi, p.Resource)
-			}
-		}
-		if err := checkSliceAgainstFaults(fmt.Sprintf("task %d", t), p.Resource, p.Start, p.End, outages, deathAt); err != nil {
-			return err
-		}
+	}
+	if next != g.NumTasks() {
+		return fmt.Errorf("sim: the jobs hold %d tasks, the graph %d", next, g.NumTasks())
 	}
 
 	// Killed attempts: internally consistent and inside no forbidden window
@@ -267,8 +287,7 @@ func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) erro
 		if k.Cause != FaultOutage && k.Cause != FaultDeath {
 			return fmt.Errorf("sim: kill %d of task %d has non-killing cause %v", i, k.Task, k.Cause)
 		}
-		if err := checkSliceAgainstFaults(fmt.Sprintf("killed attempt of task %d", k.Task),
-			k.Resource, k.Start, k.At, outages, deathAt); err != nil {
+		if err := checkSliceAgainstFaults("killed attempt of task", k.Task, k.Resource, k.Start, k.At, outages, deathAt); err != nil {
 			return err
 		}
 	}
@@ -277,21 +296,22 @@ func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) erro
 
 // checkSliceAgainstFaults rejects a slice [start, end] on resource r that
 // overlaps an outage window of r with positive measure, or extends past r's
-// death. Touching endpoints are legal: the engine lets completions win ties,
-// and re-executions may start exactly at a recovery instant.
-func checkSliceAgainstFaults(what string, r int, start, end float64, outages []FaultEvent, deathAt []float64) error {
+// death; what and task name the slice in the error. Touching endpoints are
+// legal: the engine lets completions win ties, and re-executions may start
+// exactly at a recovery instant.
+func checkSliceAgainstFaults(what string, task, r int, start, end float64, outages []FaultEvent, deathAt []float64) error {
 	for _, o := range outages {
 		if o.Resource != r {
 			continue
 		}
 		oEnd := o.At + o.Duration
 		if start < oEnd-strictAbsTol && end > o.At+strictAbsTol {
-			return fmt.Errorf("sim: %s [%.3f, %.3f] overlaps outage [%.3f, %.3f] on resource %d",
-				what, start, end, o.At, oEnd, r)
+			return fmt.Errorf("sim: %s %d [%.3f, %.3f] overlaps outage [%.3f, %.3f] on resource %d",
+				what, task, start, end, o.At, oEnd, r)
 		}
 	}
 	if end > deathAt[r]+strictAbsTol {
-		return fmt.Errorf("sim: %s runs until %.3f on resource %d, which died at %.3f", what, end, r, deathAt[r])
+		return fmt.Errorf("sim: %s %d runs until %.3f on resource %d, which died at %.3f", what, task, end, r, deathAt[r])
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"readys/internal/platform"
 	"readys/internal/sched"
 	"readys/internal/sim"
+	"readys/internal/taskgraph"
 )
 
 // resultBytes serializes everything the scheduler computed — job table, sim
@@ -116,6 +117,49 @@ func TestStreamTraceContents(t *testing.T) {
 	}
 	if begins != tasks+res.Kills {
 		t.Errorf("traced %d task starts, want %d tasks + %d kills", begins, tasks, res.Kills)
+	}
+}
+
+// TestStreamTraceKernelLabels: in a stream mixing Cholesky and LU jobs, every
+// task slice's kernel arg names its kernel after its own job's family, not
+// after the family of the stream's first job.
+func TestStreamTraceKernelLabels(t *testing.T) {
+	arr, err := PoissonProcess{
+		Rate: 4, Jobs: 8, Kinds: []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU}, Sizes: []int{2, 3},
+	}.Generate(rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(0)
+	res, err := Run(sched.MCTPolicy{}, Config{
+		Platform: platform.New(2, 2),
+		Arrivals: arr,
+		Sigma:    0.1,
+		Rng:      rand.New(rand.NewSource(5)),
+		Tracer:   tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelled := make(map[taskgraph.Kind]int)
+	for _, e := range tr.Events() {
+		if e.Ph != obs.PhaseBegin || e.Cat != "task" {
+			continue
+		}
+		prefix, _, _ := strings.Cut(e.Name, ":")
+		job, err := strconv.Atoi(strings.TrimPrefix(prefix, "j"))
+		if err != nil || job < 0 || job >= len(res.Jobs) {
+			t.Fatalf("task B %q names no job of the stream", e.Name)
+		}
+		kind := res.Jobs[job].Kind
+		task, _ := e.Args["task"].(int)
+		if want := taskgraph.KernelNamesFor(kind)[res.graph.Tasks[task].Kernel]; e.Args["kernel"] != want {
+			t.Fatalf("task B %q (task %d of a %v job) has kernel %v, want %q", e.Name, task, kind, e.Args["kernel"], want)
+		}
+		labelled[kind]++
+	}
+	if labelled[taskgraph.Cholesky] == 0 || labelled[taskgraph.LU] == 0 {
+		t.Fatalf("task slices per family %v: the stream does not mix families", labelled)
 	}
 }
 

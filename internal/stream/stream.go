@@ -27,10 +27,11 @@ type Config struct {
 	Rng *rand.Rand
 	// Tracer, if non-nil, records the whole stream as one Chrome trace: an
 	// "arrive jN" instant per job, a B/E slice per placement on its
-	// resource's lane (task names carry the jN: prefix), the fault spans, and
-	// a "kill" instant naming its cause per killed attempt. It is the run's
-	// bounded post-mortem record: a long stream keeps the most recent window
-	// of its ring. Tracing is bit-inert: results are identical with it off.
+	// resource's lane (named "jN:" + the task's name, its kernel arg named
+	// after the job's own family), the fault spans, and a "kill" instant
+	// naming its cause per killed attempt. It is the run's bounded
+	// post-mortem record: a long stream keeps the most recent window of its
+	// ring. Tracing is bit-inert: results are identical with it off.
 	Tracer *obs.Tracer
 	// Metrics, if non-nil, receives job-level metrics: readys_stream_*
 	// counters, response-time histogram and terminal gauges.
@@ -80,7 +81,7 @@ type Result struct {
 	Sim sim.Result
 
 	graph    *taskgraph.Graph
-	timingOf func(task int) platform.Timing
+	jobTable []sim.Job
 	cfg      Config
 }
 
@@ -130,10 +131,7 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 	}
 	cl.Reserve(total, len(arrivals))
 
-	var (
-		jobs      = make([]JobResult, len(arrivals))
-		remaining = make([]int, len(arrivals)) // undone tasks per job
-	)
+	jobs := make([]JobResult, len(arrivals))
 	var mArrived, mCompleted *obs.Counter
 	var mResponse *obs.Histogram
 	if cfg.Metrics != nil {
@@ -142,19 +140,15 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		mResponse = cfg.Metrics.Histogram("readys_stream_job_response_ms", "job response time (completion − arrival) in ms",
 			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000})
 	}
-	cl.OnTaskDone(func(task int, at float64) {
-		j := cl.State().JobOf(task)
-		remaining[j]--
-		if remaining[j] == 0 {
-			jobs[j].DoneAt = at
-			jobs[j].Response = at - jobs[j].ArriveAt
-			if jobs[j].IsolatedMakespan > 0 {
-				jobs[j].Slowdown = jobs[j].Response / jobs[j].IsolatedMakespan
-			}
-			if mCompleted != nil {
-				mCompleted.Inc()
-				mResponse.Observe(jobs[j].Response)
-			}
+	cl.OnJobDone(func(j int, at float64) {
+		jobs[j].DoneAt = at
+		jobs[j].Response = at - jobs[j].ArriveAt
+		if jobs[j].IsolatedMakespan > 0 {
+			jobs[j].Slowdown = jobs[j].Response / jobs[j].IsolatedMakespan
+		}
+		if mCompleted != nil {
+			mCompleted.Inc()
+			mResponse.Observe(jobs[j].Response)
 		}
 	})
 
@@ -168,7 +162,6 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 			Job: i, Kind: a.Kind, Size: a.Size, Tasks: tpl.graph.NumTasks(), ArriveAt: a.At,
 			IsolatedMakespan: tpl.isolated,
 		}
-		remaining[i] = tpl.graph.NumTasks()
 		if _, err := cl.AddJob(i, tpl.graph, tpl.timing); err != nil {
 			return nil, err
 		}
@@ -187,7 +180,7 @@ func Run(pol sim.Policy, cfg Config) (*Result, error) {
 		MeanReadyDepth: cl.MeanReadyDepth(),
 		Sim:            cl.Result(),
 		graph:          s.Graph,
-		timingOf:       s.TaskTiming,
+		jobTable:       s.Jobs,
 		cfg:            cfg,
 	}
 	res.Kills = len(res.Sim.Kills)
@@ -245,15 +238,16 @@ func newJobTemplate(a Arrival, plat platform.Platform) *jobTemplate {
 	return t
 }
 
-// Validate checks the union schedule with the strict validator: per-task
-// durations against each job's own timing table, fault windows, kill
-// consistency. A passing stream run is a feasible multi-job schedule.
+// Validate checks the union schedule with the strict validator: every job's
+// precedence and durations against its own graph and timing table, fault
+// windows, kill consistency. A passing stream run is a feasible multi-job
+// schedule.
 func (r *Result) Validate() error {
 	return sim.ValidateResultStrict(r.graph, r.Sim, sim.CheckOptions{
 		Platform: r.cfg.Platform,
 		Sigma:    r.cfg.Sigma,
 		Faults:   r.cfg.Faults,
-		TimingOf: r.timingOf,
+		Jobs:     r.jobTable,
 	})
 }
 

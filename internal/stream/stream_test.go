@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"readys/internal/core"
@@ -122,6 +124,66 @@ func TestStreamFaultsMidStream(t *testing.T) {
 	}
 }
 
+// TestStreamValidateCatchesRetiredJobViolation: a drained stream's union
+// holds no edges, so its precedence lives in the jobs' own graphs alone. Moved
+// to start before its predecessor ends — on an idle stretch of its resource,
+// its duration kept — a task of a finished job still fails the stream's
+// validation, though the union graph alone no longer sees it; and so does a
+// job table that does not tile the union.
+func TestStreamValidateCatchesRetiredJobViolation(t *testing.T) {
+	res := runStream(t, func() sim.Policy { return sched.MCTPolicy{} }, testArrivals(t, 31, 10, 3.0), 32, nil)
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := res.graph.NumEdges(); n != 0 {
+		t.Fatalf("a drained stream's union keeps %d edges", n)
+	}
+	trace := res.Sim.Trace // in task order: every task is done
+	// prevEnd[t] is when the task before t on t's resource ends.
+	prevEnd := make([]float64, len(trace))
+	byRes := make(map[int][]sim.Placement)
+	for _, p := range trace {
+		byRes[p.Resource] = append(byRes[p.Resource], p)
+	}
+	for _, ps := range byRes {
+		sort.Slice(ps, func(a, b int) bool { return ps[a].Start < ps[b].Start })
+		for i := 1; i < len(ps); i++ {
+			prevEnd[ps[i].Task] = ps[i-1].End
+		}
+	}
+	task, shift := -1, 0.0
+	for _, job := range res.jobTable {
+		for i, pred := range job.Graph.Pred {
+			p := trace[job.Base+i]
+			for _, pi := range pred {
+				gap := p.Start - prevEnd[p.Task]
+				if trace[job.Base+pi].End == p.Start && gap > 1e-3 && p.End < res.Sim.Makespan {
+					task, shift = p.Task, gap/2
+				}
+			}
+		}
+	}
+	if task < 0 {
+		t.Fatal("no task starts at its predecessor's end after an idle stretch of its resource")
+	}
+	bad := *res
+	bad.Sim.Trace = append([]sim.Placement(nil), trace...)
+	bad.Sim.Trace[task].Start -= shift
+	bad.Sim.Trace[task].End -= shift
+	if err := sim.ValidateResult(bad.graph, 4, bad.Sim); err != nil {
+		t.Fatalf("the mutation broke more than precedence: %v", err)
+	}
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "before predecessor") {
+		t.Fatalf("task %d moved %.3f ms before its predecessor's end: Validate says %v", task, shift, err)
+	}
+
+	bad = *res
+	bad.jobTable = res.jobTable[1:]
+	if err := bad.Validate(); err == nil {
+		t.Fatal("a job table missing its first job validated")
+	}
+}
+
 // fingerprint reduces a Result to a comparable value covering everything
 // downstream consumers read.
 func fingerprint(r *Result) string {
@@ -218,9 +280,11 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 // regrow with the union several times inside the comparison.
 //
 // Each stream is also replayed on a cluster handed a graph built new for every
-// arrival (unfrozen, so validated on arrival) instead of Run's frozen per-shape
-// templates: the union schedule must not move, and the union graph Run's bulk
-// appends built must equal, row for row, the one AddTask and AddEdge build.
+// arrival (unfrozen, so validated and frozen on arrival) instead of Run's
+// frozen per-shape templates: the union schedule must not move, and right
+// after each arrival, before the job can finish and its rows be dropped, the
+// job's rows of the union AddJob's bulk append built must equal, row for row,
+// those AddTask and AddEdge build.
 func TestStreamIncrementalIdentical(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
 	faultAgent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4, FaultFeatures: true})
@@ -236,13 +300,10 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 			for _, ag := range []*core.Agent{agent, faultAgent} {
 				oracle := runStream(t, func() sim.Policy { return core.NewReferencePolicy(ag) }, arr, seed, faults)
 				want := fingerprint(oracle)
-				fresh, union := freshGraphStream(t, core.NewPolicy(ag), arr, seed, faults)
+				fresh := freshGraphStream(t, core.NewPolicy(ag), arr, seed, faults)
 				if !reflect.DeepEqual(fresh, oracle.Sim) {
 					t.Fatalf("stream %d faults=%d ff=%v: a graph built per arrival schedules differently from the frozen templates",
 						i, fi, ag.Cfg.FaultFeatures)
-				}
-				if g := oracle.graph; !reflect.DeepEqual(g.Tasks, union.Tasks) || !reflect.DeepEqual(g.Succ, union.Succ) || !reflect.DeepEqual(g.Pred, union.Pred) {
-					t.Fatalf("stream %d: the appended union graph differs from the AddTask/AddEdge one", i)
 				}
 				got := runStream(t, func() sim.Policy { return core.NewPolicy(ag) }, arr, seed, faults)
 				if g := fingerprint(got); g != want {
@@ -255,10 +316,10 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 }
 
 // freshGraphStream is Run's loop over a cluster that gets a.Graph(), built new
-// and unfrozen, at every arrival. Beside the union schedule it returns the union
-// graph as AddJob built it before it appended in bulk: task by task, then edge
-// by edge in Succ order.
-func freshGraphStream(t *testing.T, pol sim.Policy, arr []Arrival, seed int64, faults *sim.FaultPlan) (sim.Result, *taskgraph.Graph) {
+// and unfrozen, at every arrival, and returns the union schedule. Right after
+// each AddJob it holds the job's union rows to those of a union built task by
+// task, then edge by edge in Succ order.
+func freshGraphStream(t *testing.T, pol sim.Policy, arr []Arrival, seed int64, faults *sim.FaultPlan) sim.Result {
 	t.Helper()
 	cl, err := sim.NewCluster(platform.New(2, 2), sim.Options{Sigma: 0.1, Rng: rand.New(rand.NewSource(seed)), Faults: faults})
 	if err != nil {
@@ -276,18 +337,23 @@ func freshGraphStream(t *testing.T, pol sim.Policy, arr []Arrival, seed int64, f
 			t.Fatal(err)
 		}
 		for _, task := range g.Tasks {
-			union.AddTask(task.Kernel, fmt.Sprintf("j%d:%s", i, task.Name))
+			union.AddTask(task.Kernel, task.Name)
 		}
 		for from, succ := range g.Succ {
 			for _, to := range succ {
 				union.AddEdge(base+from, base+to)
 			}
 		}
+		got, end := cl.State().Graph, base+g.NumTasks()
+		if !reflect.DeepEqual(got.Tasks[base:end], union.Tasks[base:end]) || !reflect.DeepEqual(got.Succ[base:end], union.Succ[base:end]) ||
+			!reflect.DeepEqual(got.Pred[base:end], union.Pred[base:end]) {
+			t.Fatalf("job %d: the appended rows differ from the AddTask/AddEdge ones", i)
+		}
 	}
 	if err := cl.Drain(pol); err != nil {
 		t.Fatal(err)
 	}
-	return cl.Result(), union
+	return cl.Result()
 }
 
 // TestHEFTPerJobRanksMatchUnion pins the append-only ranks: after every
@@ -325,17 +391,19 @@ func TestHEFTPerJobRanksMatchUnion(t *testing.T) {
 // per-arrival pass over the union DAG the ratio below is about 4; with the
 // union and the State grown by append instead of reserved once, 1.34.
 //
-// The figure is bounded absolutely too, at ≈ 1.8 × what it reads: 2.49 kB per
+// The figure is bounded absolutely too, at ≈ 1.9 × what it reads: 2.34 kB per
 // job at 600 jobs, of which the union graph, the State and the schedule's
-// validation are most. It was 2.93 kB while the policy's per-task caches grew
+// validation are most. It was 2.48 kB while every union task had a name of its
+// own and the validator tabled the placements twice, 2.93 kB while the policy's per-task caches grew
 // with the union rather than with the live jobs, 9.5 kB while the history grew by append and the
 // encoder kept a sorted copy of the union's adjacency, and 16.6 kB while every
 // arrival generated, validated and HEFT-scheduled a graph that Run now builds
 // once per (family, size).
 //
 // And what the history keeps resident is bounded per union task, read at the
-// first decision after the last arrival: ≈ 201 B, bounded at 220. It read
-// 253 B while the policy kept F̄ rows and window scratch for every union task
+// first decision after the last arrival: ≈ 164 B, bounded at 185. It read
+// 200 B while the cluster kept every finished job's edges and a "jN:" name
+// per task, 253 B while the policy kept F̄ rows and window scratch for every union task
 // and the State two ints of job constants per task, and 433 B while the
 // encoder kept a sorted copy of the union's adjacency and every State slice
 // kept up to a quarter of itself unused.
@@ -372,8 +440,8 @@ func TestStreamCostFlat(t *testing.T) {
 	if long > 4500 && !raceDetector { // the race runtime allocates ≈ 1.5 kB a job more
 		t.Fatalf("%.0f B allocated per job over 600 jobs, contract is 4 500: something is built or re-copied per arrival again", long)
 	}
-	if resident > 220 {
-		t.Fatalf("%.0f B resident per union task after the last arrival, contract is 220: the history is held twice or with slack, or the policy keeps finished jobs, again", resident)
+	if resident > 185 {
+		t.Fatalf("%.0f B resident per union task after the last arrival, contract is 185: the history is held twice or with slack, or the policy or the cluster keeps finished jobs, again", resident)
 	}
 }
 

@@ -288,7 +288,7 @@ func TestDescendantAccumulatorRetireMatchesOracle(t *testing.T) {
 		from := 0
 		for step, steps := 0, 20+rng.Intn(60); step < steps; step++ {
 			if rng.Intn(3) > 0 {
-				union.Append(NewFrozenByKind(kinds[rng.Intn(len(kinds))], 1+rng.Intn(4)), "")
+				union.Append(NewFrozenByKind(kinds[rng.Intn(len(kinds))], 1+rng.Intn(4)))
 				acc.Extend(union)
 			} else {
 				from += rng.Intn(union.NumTasks() - from + 1)

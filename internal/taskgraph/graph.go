@@ -114,7 +114,8 @@ type Task struct {
 
 // Graph is a directed acyclic task graph. Tasks are identified by their index
 // in Tasks; Succ[i] and Pred[i] list the direct successors and predecessors
-// of task i.
+// of task i. A component dropped with DropEdges — a stream's finished job —
+// keeps its tasks, and its rows are empty.
 type Graph struct {
 	Kind  Kind
 	Tiles int // tile count T for factorisation DAGs, 0 for random DAGs
@@ -341,21 +342,21 @@ func (g *Graph) AddEdge(from, to int) {
 }
 
 // Append adds every task and edge of h as a new component of g: task i of h
-// becomes task base+i, named prefix + its name, and base — g's size before the
-// call — is returned. The result is the graph that AddTask per task and then
-// AddEdge per edge, in Succ order, would have built, row for row; but the
-// tasks, Succ and Pred each grow once and the component's adjacency lives in
-// one array per direction. h's edges are trusted to be duplicate-free (a
+// becomes task base+i, under h's kernel and the very string of h's name, and
+// base — g's size before the call — is returned. The result is the graph
+// that AddTask per task and then AddEdge per edge, in Succ order, would have
+// built, row for row; but the tasks, Succ and Pred each grow once and the
+// component's adjacency lives in one array per direction. h's edges are trusted to be duplicate-free (a
 // validated or frozen graph's are) and leave no entry in g's duplicate check;
 // the appended tasks take no further edges.
-func (g *Graph) Append(h *Graph, prefix string) int {
+func (g *Graph) Append(h *Graph) int {
 	if g.frozen {
 		panic("taskgraph: Append on a frozen graph")
 	}
 	base, n, edges := len(g.Tasks), len(h.Tasks), h.NumEdges()
 	g.Tasks = slices.Grow(g.Tasks, n)
 	for _, t := range h.Tasks {
-		g.Tasks = append(g.Tasks, Task{ID: base + t.ID, Kernel: t.Kernel, Name: prefix + t.Name})
+		g.Tasks = append(g.Tasks, Task{ID: base + t.ID, Kernel: t.Kernel, Name: t.Name})
 	}
 	// Rows are cut from the flat arrays at exactly their length, so an append
 	// to one could never write into the next. Succ rows are h's, shifted; Pred
@@ -383,6 +384,34 @@ func (g *Graph) Append(h *Graph, prefix string) int {
 	}
 	g.final = len(g.Tasks)
 	return base
+}
+
+// DropEdges empties the Succ and Pred rows of the tasks lo..hi-1, which must
+// form whole components: it is for a graph grown by Append, where a component
+// whose work is done — a stream's finished job — is read by nothing again and
+// its two flat edge arrays can be freed. The tasks keep their IDs, kernels and
+// names. It refuses, changing nothing, a range that shares an edge with a task
+// outside it or reaches past the tasks that take no more edges, and panics on
+// a frozen graph, as Append does.
+func (g *Graph) DropEdges(lo, hi int) error {
+	if g.frozen {
+		panic("taskgraph: DropEdges on a frozen graph")
+	}
+	if lo < 0 || lo > hi || hi > g.final {
+		return fmt.Errorf("taskgraph: cannot drop the edges of tasks [%d, %d): %d tasks are final", lo, hi, g.final)
+	}
+	for i := lo; i < hi; i++ {
+		for _, row := range [2][]int{g.Succ[i], g.Pred[i]} {
+			for _, j := range row {
+				if j < lo || j >= hi {
+					return fmt.Errorf("taskgraph: edge between task %d and task %d leaves [%d, %d)", i, j, lo, hi)
+				}
+			}
+		}
+	}
+	clear(g.Succ[lo:hi])
+	clear(g.Pred[lo:hi])
+	return nil
 }
 
 // Reserve makes room for n more tasks in Tasks, Succ and Pred, so that Appends

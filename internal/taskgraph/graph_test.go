@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddTaskAndEdge(t *testing.T) {
@@ -220,7 +222,7 @@ func TestFrozenGraphIsImmutable(t *testing.T) {
 	}
 	mustPanic("AddTask on a frozen graph", func() { g.AddTask(0, "X") })
 	mustPanic("AddEdge on a frozen graph", func() { g.AddEdge(0, g.NumTasks()-1) })
-	mustPanic("Append on a frozen graph", func() { g.Append(NewLU(2), "x:") })
+	mustPanic("Append on a frozen graph", func() { g.Append(NewLU(2)) })
 	if err := g.Validate(); err != nil {
 		t.Fatalf("frozen graph no longer validates: %v", err)
 	}
@@ -234,7 +236,7 @@ func TestFrozenGraphIsImmutable(t *testing.T) {
 	}
 
 	union := newUnion()
-	union.Append(g, "j0:")
+	union.Append(g)
 	x := union.AddTask(0, "X")
 	y := union.AddTask(0, "Y")
 	union.AddEdge(x, y) // tasks added after the append stay open
@@ -242,40 +244,103 @@ func TestFrozenGraphIsImmutable(t *testing.T) {
 }
 
 // TestAppendMatchesAddTaskAddEdge holds the bulk append to the task-by-task
-// union it replaced in sim.Cluster.AddJob: same Tasks (IDs shifted, names
-// prefixed), same Succ and Pred, row for row — whether the job graph is frozen
-// or not, and with relabelled jobs whose edges run against ID order.
+// union it replaced in sim.Cluster.AddJob: same Tasks (IDs shifted), same Succ
+// and Pred, row for row — whether the job graph is frozen or not, and with
+// relabelled jobs whose edges run against ID order. A task's name is the job's
+// own string, not a copy.
 func TestAppendMatchesAddTaskAddEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bulk, slow := newUnion(), newUnion()
 	for j := 0; j < 30; j++ {
 		job := randomJob(rng)
-		prefix := fmt.Sprintf("j%d:", j)
-		named := newGraph(job.Kind, job.Tiles, job.KernelNames)
-		for _, task := range job.Tasks {
-			named.AddTask(task.Kernel, prefix+task.Name)
-		}
-		for from, succ := range job.Succ {
-			for _, to := range succ {
-				named.AddEdge(from, to)
-			}
-		}
-		appendJob(slow, named)
+		appendJob(slow, job)
 		if j%2 == 0 {
 			if err := job.Freeze(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if base := bulk.Append(job, prefix); base != slow.NumTasks()-job.NumTasks() {
+		if base := bulk.Append(job); base != slow.NumTasks()-job.NumTasks() {
 			t.Fatalf("job %d appended at %d, want %d", j, base, slow.NumTasks()-job.NumTasks())
 		}
 		if !reflect.DeepEqual(bulk.Tasks, slow.Tasks) || !reflect.DeepEqual(bulk.Succ, slow.Succ) || !reflect.DeepEqual(bulk.Pred, slow.Pred) {
 			t.Fatalf("after job %d the appended union differs from the AddTask/AddEdge one", j)
 		}
+		for i, task := range job.Tasks {
+			if got := bulk.Tasks[len(bulk.Tasks)-job.NumTasks()+i].Name; unsafe.StringData(got) != unsafe.StringData(task.Name) {
+				t.Fatalf("job %d task %d: the union copied the name %q", j, i, got)
+			}
+		}
 	}
 	if err := bulk.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDropEdges drops the components of an appended union in random order:
+// each drop empties exactly its own rows, keeps every task and leaves a graph
+// that validates. A range that splits a component, reaches past the final
+// tasks or holds a task that still takes edges is refused with nothing
+// changed, and a frozen graph panics.
+func TestDropEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	union := newUnion()
+	var bases []int
+	for j := 0; j < 20; j++ {
+		bases = append(bases, union.Append(randomJob(rng)))
+	}
+	bases = append(bases, union.NumTasks())
+	clone := func(rows [][]int) [][]int {
+		out := make([][]int, len(rows))
+		for i, row := range rows {
+			out[i] = slices.Clone(row)
+		}
+		return out
+	}
+	refused := func(lo, hi int) {
+		t.Helper()
+		succ, pred := clone(union.Succ), clone(union.Pred)
+		if err := union.DropEdges(lo, hi); err == nil {
+			t.Fatalf("DropEdges(%d, %d) accepted", lo, hi)
+		}
+		if !reflect.DeepEqual(union.Succ, succ) || !reflect.DeepEqual(union.Pred, pred) {
+			t.Fatalf("a refused DropEdges(%d, %d) changed the graph", lo, hi)
+		}
+	}
+	for _, j := range rng.Perm(len(bases) - 1) {
+		lo, hi := bases[j], bases[j+1]
+		for i := lo; i < hi; i++ {
+			if len(union.Succ[i]) > 0 {
+				refused(i, i+1) // a task alone: its edge leaves the range
+				break
+			}
+		}
+		succ, pred, n := clone(union.Succ), clone(union.Pred), union.NumTasks()
+		if err := union.DropEdges(lo, hi); err != nil {
+			t.Fatalf("job %d [%d, %d): %v", j, lo, hi, err)
+		}
+		clear(succ[lo:hi])
+		clear(pred[lo:hi])
+		if union.NumTasks() != n || !reflect.DeepEqual(union.Succ, succ) || !reflect.DeepEqual(union.Pred, pred) {
+			t.Fatalf("dropping job %d changed more than its rows", j)
+		}
+		if err := union.Validate(); err != nil {
+			t.Fatalf("after dropping job %d: %v", j, err)
+		}
+	}
+	if union.NumEdges() != 0 {
+		t.Fatalf("%d edges left after every job was dropped", union.NumEdges())
+	}
+	refused(0, union.NumTasks()+1)
+	open := union.AddTask(0, "open")
+	refused(open, open+1)
+
+	g := NewFrozenByKind(LU, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DropEdges on a frozen graph did not panic")
+		}
+	}()
+	_ = g.DropEdges(0, g.NumTasks())
 }
 
 // TestNewFrozenMatchesAddTaskAddEdge holds the one-pass constructor to the
