@@ -2,8 +2,8 @@
 #
 #   make check       — everything a PR must pass: build, vet, tests, decision-
 #                      equivalence gate, fuzzing, race tests, portability gate,
-#                      observability smoke test, fleet, stream and gateway
-#                      smoke tests, paper tables
+#                      observability smoke test, stream and gateway smoke
+#                      tests, paper tables
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild reference
 #                      policy bit for bit, and the training path (rollouts on
@@ -16,14 +16,13 @@
 #                      headers);
 #                      their seeds also run under go test
 #   make race        — just the race-detector runs (serving, agent core, RL,
-#                      fleet, fault-injecting simulator, streaming arrivals)
+#                      gateway, fault-injecting simulator, streaming arrivals)
 #   make portable    — cross-build for arm64 (the only thing here that
 #                      compiles the non-amd64 kernel file) and require that no
 #                      product anywhere in the library was fused into its add
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
-#                      JSONL, sim trace, stream trace, and a dispatcher +
-#                      worker pair whose merged cross-process trace must
-#                      link-validate
+#                      JSONL, sim trace and stream trace (the cross-process
+#                      trace merge is gateway-smoke's)
 #   make chaos-smoke — single-seed fault-injection run through readys-sim
 #                      (plan generation, kill/re-execution, strict validator)
 #   make stream-smoke— tiny online-scheduling run through readys-stream
@@ -31,8 +30,6 @@
 #                      validation, trace checked by readys-obs-check), a
 #                      stream that outgrows its trace ring, and a written
 #                      arrival trace replayed to the same schedule
-#   make fleet-smoke — dispatcher + worker end-to-end check (train job,
-#                      artifact verification, train → serve publish)
 #   make gateway-smoke — shard-router end-to-end check: two replicas behind
 #                      readys-gateway, a replica killed under
 #                      concurrent load (failover, identical responses), and
@@ -41,14 +38,13 @@
 #                      results/*.csv from ./models and cmp them byte for byte
 #   make bench-serve — serving-throughput benchmark
 #   make serve       — run the scheduling daemon against ./models
-#   make fleet       — run the fleet dispatcher, publishing into ./models
 
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
 
-.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables bench-serve serve fleet gateway
+.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke gateway-smoke tables bench-serve serve gateway
 
-check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke fleet-smoke gateway-smoke tables
+check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke gateway-smoke tables
 
 build:
 	$(GO) build ./...
@@ -164,12 +160,12 @@ fuzz:
 # rollouts on resident per-worker policies recording into per-slot episode
 # logs — TestEpisodeLogReuseIsolated — beside the update, which accumulates
 # each episode as it is in and stops the rollouts when one fails —
-# TestRunStopsRolloutsOnError), internal/fleet (dispatcher, leases,
-# workers), internal/gateway (health prober, concurrent failover),
+# TestRunStopsRolloutsOnError), internal/gateway (health prober, concurrent
+# failover),
 # internal/sim (fault injection under parallel rollouts), and internal/stream
 # (stream rollouts share agents across workers).
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/autograd/... ./internal/nn/... ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/fleet/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
+	$(GO) test -race ./internal/tensor/... ./internal/autograd/... ./internal/nn/... ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
 
 # Portability gate. internal/tensor's assembly exists for amd64 only; every
 # other architecture runs the Go loops of axpy.go/ops.go behind
@@ -201,11 +197,8 @@ portable:
 # -telemetry, simulate one DAG with -trace, assert both are valid and
 # non-empty. Phase 2 artifacts: a READYS streaming run's trace validated by
 # readys-obs-check and its exported readys_decide_* counters
-# (∅ answers included),
-# and a real dispatcher + worker pair (fleet smoke)
-# whose two per-process span exports are merged — both by the smoke itself
-# and again through readys-obs-check -merge — and must pass cross-process
-# parent-link validation (-links).
+# (∅ answers included). Cross-process trace merging and parent-link
+# validation (-merge, -links) run in gateway-smoke.
 obs-smoke:
 	rm -rf $(OBS_TMP) && mkdir -p $(OBS_TMP)
 	$(GO) run ./cmd/readys-train -kind cholesky -T 2 -episodes 3 -quiet \
@@ -221,10 +214,6 @@ obs-smoke:
 		grep -q "^# TYPE readys_decide_$${c}_total counter" $(OBS_TMP)/metrics.prom || exit 1; done
 	grep -q '^readys_decide_forwards_total [1-9]' $(OBS_TMP)/metrics.prom
 	$(GO) run ./cmd/readys-obs-check -trace $(OBS_TMP)/stream-trace.json
-	$(GO) run ./cmd/readys-fleet -smoke -trace-out $(OBS_TMP)/fleet
-	$(GO) run ./cmd/readys-obs-check -merge $(OBS_TMP)/fleet/remerged.json \
-		$(OBS_TMP)/fleet/dispatcher.json $(OBS_TMP)/fleet/worker.json
-	$(GO) run ./cmd/readys-obs-check -trace $(OBS_TMP)/fleet/remerged.json -links
 	rm -rf $(OBS_TMP)
 
 # Single-seed chaos check: a tiny DAG scheduled through readys-sim with fault
@@ -287,12 +276,6 @@ tables:
 bench-serve:
 	$(GO) test -bench BenchmarkServeScheduleThroughput -benchtime 2s -run '^$$' ./internal/serve/
 
-# End-to-end fleet check: an in-process dispatcher and worker run one tiny
-# train job through the wire protocol, then the checkpoint artifact, history
-# JSONL and the published train → serve copy are verified.
-fleet-smoke:
-	$(GO) run ./cmd/readys-fleet -smoke
-
 # End-to-end gateway check: two in-process serve replicas behind
 # readys-gateway. Phase 1 routes a concurrent burst by model hash, phase 2
 # kills the owning replica and requires transparent failover with responses
@@ -315,9 +298,6 @@ gateway-smoke:
 
 serve:
 	$(GO) run ./cmd/readys-serve -addr :8080 -models models
-
-fleet:
-	$(GO) run ./cmd/readys-fleet -addr :9090 -dir fleet -publish models
 
 # Front two local replicas started by hand, e.g.
 #   make serve & $(GO) run ./cmd/readys-serve -addr :8081 -models models &

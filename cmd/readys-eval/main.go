@@ -79,6 +79,11 @@ func main() {
 				log.Fatal(err)
 			}
 		}
+		for _, r := range sweep {
+			if err := exp.CheckFaultRate(r); err != nil {
+				log.Fatal(err)
+			}
+		}
 		pts := exp.ResilienceSweep(agent, kind, *tiles, *cpus, *gpus, *sigma, sweep, *runs, *seed)
 		tab = exp.ResilienceTable(pts, kind, *tiles, *cpus, *gpus, *sigma)
 	} else {

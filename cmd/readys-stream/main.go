@@ -61,6 +61,14 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress the per-job table")
 	)
 	flag.Parse()
+	// A stream has no single tile count: T=1 passes, and each job's size is
+	// checked where the arrivals are built.
+	if err := exp.CheckProblem(1, *cpus, *gpus, *sigma); err != nil {
+		log.Fatal(err)
+	}
+	if err := exp.CheckFaultRate(*faultRate); err != nil {
+		log.Fatal(err)
+	}
 
 	arrivals, err := loadArrivals(*arrivalsPath, *rate, *jobs, *jobKinds, *jobSizes, *arrivalSeed)
 	if err != nil {

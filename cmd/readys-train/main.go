@@ -48,6 +48,9 @@ func main() {
 	if err := exp.CheckProblem(*tiles, *cpus, *gpus, 0); err != nil {
 		log.Fatal(err)
 	}
+	if err := exp.CheckFaultRate(*faultRate); err != nil {
+		log.Fatal(err)
+	}
 
 	if *all {
 		if err := trainAll(*out, *quiet, *telemetry, *workers); err != nil {

@@ -10,11 +10,12 @@ import (
 	"testing"
 )
 
-// docsNamingCommands are the documents that tell a reader what to run. The
-// dated diaries of EXPERIMENTS.md describe past trees and are not checked.
+// docsNamingCommands are the documents that tell a reader what to run, and
+// name the tests, benchmarks and fuzz targets a reader may run or trust.
 var docsNamingCommands = []string{
 	"README.md",
 	"DESIGN.md",
+	"EXPERIMENTS.md",
 	"Makefile",
 	".claude/skills/verify/SKILL.md",
 }
@@ -26,12 +27,27 @@ var (
 	// goRunTarget matches the package a go run (or $(GO) run) line names,
 	// past any flags.
 	goRunTarget = regexp.MustCompile(`(?:\bgo|\$\(GO\)) run (?:-\S+ +)*(\./[\w./-]*[\w-])`)
+	// makeCitation matches a backticked make command and captures its target.
+	makeCitation = regexp.MustCompile("`make ([\\w-]+)")
+	// makeRule matches a rule's target at the start of a Makefile line; a
+	// variable assignment (:=, ?=) is no rule.
+	makeRule = regexp.MustCompile(`(?m)^([\w-]+)[ \t]*:(?:[^=]|$)`)
 )
 
 // TestDocsNameOnlyExistingCommands: every command, example and go run target
-// the documents name is a directory of this tree, so a deleted command cannot
+// the documents name is a directory of this tree, and every `make <target>`
+// they cite is a rule of the Makefile, so a deleted command or target cannot
 // stay documented.
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeRule.FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	cited := 0
 	for _, doc := range docsNamingCommands {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -52,12 +68,17 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 				t.Errorf("%s names %s, which is not a directory of this tree", doc, p)
 			}
 		}
+		for _, m := range makeCitation.FindAllSubmatch(data, -1) {
+			cited++
+			if !targets[string(m[1])] {
+				t.Errorf("%s cites `make %s`, which is no target of the Makefile", doc, m[1])
+			}
+		}
+	}
+	if cited == 0 {
+		t.Error("the documents cite no make target: the pattern no longer matches their citations")
 	}
 }
-
-// docsNamingTests are the documents that name tests, benchmarks and fuzz
-// targets for a reader to run or trust.
-var docsNamingTests = append([]string{"EXPERIMENTS.md"}, docsNamingCommands...)
 
 var (
 	// testIdent matches a Test…, Benchmark… or Fuzz… identifier.
@@ -85,7 +106,7 @@ func TestDocsNameOnlyExistingTests(t *testing.T) {
 		}
 	}
 	allLines := "\n" + strings.Join(all, "\n")
-	for _, doc := range docsNamingTests {
+	for _, doc := range docsNamingCommands {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -113,6 +113,24 @@ func TestConstructorValidation(t *testing.T) {
 			}
 		})
 	}
+	for _, tc := range []struct {
+		name string
+		rate float64
+		ok   bool
+	}{
+		{"fault rate NaN", math.NaN(), false},
+		{"fault rate -1", -1, false},
+		{"fault rate +Inf", math.Inf(1), false},
+		{"fault rate 0", 0, true},
+		{"fault rate 1", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := exp.CheckFaultRate(tc.rate)
+			if (err == nil) != tc.ok || (err != nil && !strings.Contains(err.Error(), "fault rate")) {
+				t.Fatalf("CheckFaultRate(%g) = %v, want ok=%v", tc.rate, err, tc.ok)
+			}
+		})
+	}
 }
 
 // TestCheckpointRoundTrip: an agent restored into a matching architecture

@@ -88,6 +88,12 @@ type InferencePoint struct {
 	MeanInferenceMs Summary
 }
 
+// Figure7Sizes and Figure7Runs are the defaults of the inference-time figure
+// (readys-fig -fig 7).
+var Figure7Sizes = []int{2, 4, 6, 8, 10, 12}
+
+const Figure7Runs = 10
+
 // Figure7 measures the mean wall-clock inference time per scheduling decision
 // on Cholesky DAGs of growing size (99% confidence interval, as in the
 // paper), together with the mean number of tasks in the window. One untrained

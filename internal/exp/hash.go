@@ -8,19 +8,21 @@ import (
 	"strconv"
 )
 
-// This file defines the canonical spec hashing used by the fleet for job
-// deduplication and checkpoint cache keys. The hash must be stable across
-// processes, Go versions and code refactors, so it is NOT derived from any
-// struct encoding (field order would leak in): every spec explicitly lists
-// its fields as strings, the fields are sorted by name, floats are formatted
-// with strconv's shortest round-trip representation, and the result is the
-// SHA-256 of the sorted key=value lines under a versioned domain prefix.
+// This file defines the canonical spec hashing the gateway routes by: a
+// replica owns a model by rendezvous hashing of its AgentSpec.Hash against
+// the replica's URL (HashBytes), so every gateway process must compute the
+// same keys. The hash must be stable across processes, Go versions and code
+// refactors, so it is NOT derived from any struct encoding (field order would
+// leak in): a spec explicitly lists its fields as strings, the fields are
+// sorted by name, floats are formatted with strconv's shortest round-trip
+// representation, and the result is the SHA-256 of the sorted key=value lines
+// under a versioned domain prefix. TestRoutingKeysPinned holds the values.
 
 // canonicalHash hashes a field map deterministically: the domain string
-// separates spec kinds (an AgentSpec can never collide with an EvalSpec of
-// coincidentally equal fields), keys are sorted so insertion order is
-// irrelevant, and keys/values are length-prefixed so no concatenation of
-// values can alias another ("ab"+"c" vs "a"+"bc").
+// separates spec kinds (a hash under one domain never collides with another
+// domain's of coincidentally equal fields), keys are sorted so insertion
+// order is irrelevant, and keys/values are length-prefixed so no
+// concatenation of values can alias another ("ab"+"c" vs "a"+"bc").
 func canonicalHash(domain string, fields map[string]string) string {
 	keys := make([]string, 0, len(fields))
 	for k := range fields {
@@ -41,19 +43,6 @@ func canonicalHash(domain string, fields map[string]string) string {
 // regardless of how the value was computed or previously printed.
 func canonFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// canonFloats formats a float slice canonically, preserving order (a σ sweep
-// [0, 0.1] is a different experiment from [0.1, 0]).
-func canonFloats(vs []float64) string {
-	var b []byte
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, canonFloat(v)...)
-	}
-	return string(b)
 }
 
 // Hash returns the canonical SHA-256 identity of the spec, hex-encoded. Two
@@ -77,24 +66,9 @@ func (s AgentSpec) hashFields() map[string]string {
 	}
 }
 
-// Hash returns the canonical SHA-256 identity of the evaluation spec. The
-// agent's own hash is embedded as one field, so an eval of a differently
-// trained agent on the same test problem is a different job.
-func (e EvalSpec) Hash() string {
-	return canonicalHash("readys/eval-spec/v1", map[string]string{
-		"agent":  e.Agent.Hash(),
-		"kind":   e.Kind.String(),
-		"t":      strconv.Itoa(e.T),
-		"cpus":   strconv.Itoa(e.NumCPU),
-		"gpus":   strconv.Itoa(e.NumGPU),
-		"sigmas": canonFloats(e.Sigmas),
-		"runs":   strconv.Itoa(e.Runs),
-		"seed":   strconv.FormatInt(e.Seed, 10),
-	})
-}
-
-// HashBytes is the content digest of a byte slice (hex SHA-256) — the
-// address under which the fleet's artifact store files the content.
+// HashBytes is the hex SHA-256 of a byte slice. The gateway scores a
+// replica for a model by HashBytes of the model's key and the replica's URL,
+// and routes to the highest score.
 func HashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

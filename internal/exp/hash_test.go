@@ -8,7 +8,7 @@ import (
 	"readys/internal/taskgraph"
 )
 
-// TestCanonicalHashOrderIndependent proves the property the fleet's dedup
+// TestCanonicalHashOrderIndependent proves the property a routing key
 // relies on: the hash is a function of the field *set*, not of any insertion
 // or declaration order.
 func TestCanonicalHashOrderIndependent(t *testing.T) {
@@ -68,7 +68,7 @@ func TestAgentSpecHashDeterministic(t *testing.T) {
 	if len(s.Hash()) != 64 {
 		t.Fatalf("hash length %d, want 64 hex chars", len(s.Hash()))
 	}
-	// A JSON round trip (the fleet wire format) preserves the hash.
+	// A JSON round trip preserves the hash.
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +79,31 @@ func TestAgentSpecHashDeterministic(t *testing.T) {
 	}
 	if back.Hash() != s.Hash() {
 		t.Fatalf("hash changed across JSON round trip: %s vs %s", back.Hash(), s.Hash())
+	}
+}
+
+// TestRoutingKeysPinned pins the hashes the gateway routes by to literal
+// values: a replica owns a model by rendezvous on AgentSpec.Hash and
+// HashBytes, so a change to either moves models between replicas. The
+// other tests here compare the hash with itself; this one fails if the
+// function changes.
+func TestRoutingKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec AgentSpec
+		want string
+	}{
+		{DefaultAgentSpec(taskgraph.Cholesky, 8, 2, 2), "8a726cffead1a0c2383aadbabc76e98d8bf9a08315ac42a5a1014ef5911cebe1"},
+		{DefaultAgentSpec(taskgraph.LU, 4, 2, 2), "49929391c8d3997fe4f6507b07b0a501f0e7f17be72cb9d45e3851083676e8ee"},
+		{DefaultAgentSpec(taskgraph.Cholesky, 6, 4, 0), "7eacea1599b1e5dcc2c6f252a1d842ae6e9adc4ef6d230ad73521d510b97534e"},
+		{DefaultAgentSpec(taskgraph.QR, 4, 2, 2), "ade0ed55a00dce11b2d9d8c25d23ab0c6e634bc6a88f1789e5087b7fdc49eba7"},
+	} {
+		if got := c.spec.Hash(); got != c.want {
+			t.Errorf("%s: Hash() = %s, want %s", c.spec.Name(), got, c.want)
+		}
+	}
+	const key = "cholesky|http://127.0.0.1:18474"
+	if got, want := HashBytes([]byte(key)), "8a3dc0616fe0baa1e86a5f15f81c5476ec9ddd5d96b10acd09ccf8d040d27319"; got != want {
+		t.Errorf("HashBytes(%q) = %s, want %s", key, got, want)
 	}
 }
 
@@ -114,41 +139,5 @@ func TestAgentSpecHashNoCollisions(t *testing.T) {
 	}
 	if len(seen) < 1000 {
 		t.Fatalf("sweep degenerate: only %d distinct specs", len(seen))
-	}
-}
-
-// TestEvalSpecHashSensitivity mutates each EvalSpec field in turn and
-// asserts the hash moves, and that the eval domain never collides with the
-// agent domain.
-func TestEvalSpecHashSensitivity(t *testing.T) {
-	base := DefaultEvalSpec(DefaultAgentSpec(taskgraph.Cholesky, 4, 2, 2), 10)
-	h0 := base.Hash()
-	if h0 == base.Agent.Hash() {
-		t.Fatal("eval spec hash collides with its agent's hash")
-	}
-	mutate := []func(*EvalSpec){
-		func(e *EvalSpec) { e.Agent.Seed++ },
-		func(e *EvalSpec) { e.Kind = taskgraph.LU },
-		func(e *EvalSpec) { e.T++ },
-		func(e *EvalSpec) { e.NumCPU++ },
-		func(e *EvalSpec) { e.NumGPU++ },
-		func(e *EvalSpec) { e.Sigmas = []float64{0.5, 0.1} },
-		func(e *EvalSpec) { e.Runs++ },
-		func(e *EvalSpec) { e.Seed++ },
-	}
-	for i, m := range mutate {
-		e := base
-		e.Sigmas = append([]float64(nil), base.Sigmas...)
-		m(&e)
-		if e.Hash() == h0 {
-			t.Fatalf("mutation %d did not change the hash", i)
-		}
-	}
-	// Sigma order matters: a reordered sweep is a different experiment.
-	a, b := base, base
-	a.Sigmas = []float64{0, 0.1}
-	b.Sigmas = []float64{0.1, 0}
-	if a.Hash() == b.Hash() {
-		t.Fatal("sigma order ignored by the hash")
 	}
 }

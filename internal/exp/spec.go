@@ -11,6 +11,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 
 	"readys/internal/core"
@@ -32,6 +33,16 @@ func CheckProblem(T, cpus, gpus int, sigma float64) error {
 		return fmt.Errorf("the platform needs at least one resource, got %d CPUs and %d GPUs", cpus, gpus)
 	case !(sigma >= 0):
 		return fmt.Errorf("duration noise sigma must be >= 0, got %g", sigma)
+	}
+	return nil
+}
+
+// CheckFaultRate refuses a fault rate (sim.SpecForRate) that is not a finite
+// number >= 0. SpecForRate reads a rate <= 0 as "no faults", so without this
+// check a negative or NaN -fault-rate would run fault-free without a word.
+func CheckFaultRate(rate float64) error {
+	if !(rate >= 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("fault rate must be a finite number >= 0, got %g", rate)
 	}
 	return nil
 }

@@ -295,7 +295,7 @@ func (g *Gateway) rendezvous(key string) []*replica {
 
 // byHealth orders a rendezvous order's replicas for one request: the healthy
 // ones, then the unhealthy ones as last-ditch candidates, each group in
-// rendezvous order — a fully-down fleet is still tried rather than failed
+// rendezvous order — a fully-down replica set is still tried rather than failed
 // outright, which is what lets the first request after a full restart succeed
 // before the next probe cycle. With every replica healthy that is order
 // itself, which the caller must not modify.
@@ -644,7 +644,7 @@ func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int
 }
 
 // handleModels proxies GET /v1/models from any healthy replica. Replicas
-// front the same checkpoint directory, so one answer represents the fleet.
+// front the same checkpoint directory, so one answer represents them all.
 func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use GET"))

@@ -7,8 +7,8 @@ import (
 
 // MergeTraces joins Chrome trace exports from several processes into one
 // loadable document. Every exporter in this repository records under its own
-// local pid namespace (sim and serve both use pid 1, fleet uses 1 and 2), so
-// a naive concatenation would interleave unrelated lanes. Merge assigns each
+// local pid namespace (sim and every serving replica use pid 1), so a naive
+// concatenation would interleave unrelated lanes. Merge assigns each
 // (input document, local pid) pair a fresh global pid in order of first
 // appearance, rewrites naming metadata and events accordingly, and emits all
 // metadata first followed by each document's events in record order — lanes

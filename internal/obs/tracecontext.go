@@ -6,8 +6,8 @@ import (
 )
 
 // Distributed trace context. A trace is one logical operation (a schedule
-// request, a fleet job) whose spans may be recorded by several processes —
-// client, dispatcher, worker, serving daemon — each into its own Tracer ring.
+// request) whose spans may be recorded by several processes — client,
+// gateway, serving replica — each into its own Tracer ring.
 // The context travels between processes in two HTTP headers next to
 // X-Request-ID; inside a trace export it lives in the span's Args under the
 // "trace_id" / "span_id" / "parent_span_id" keys, which is what MergeTraces
@@ -110,8 +110,9 @@ func ExtractTraceContext(h http.Header) (traceID, parentSpan string, ok bool) {
 // SpanArgs merges span identity into a (possibly nil) args map: trace_id and
 // span_id always, parent_span_id only when non-empty. The input map is
 // returned when non-nil (mutated in place), matching how trace call sites
-// build their args. It serves the map-taking Tracer methods, which the cold
-// fleet call sites still use; the request paths record through Tracer.Span.
+// build their args. It serves the map-taking Tracer methods, which only cold
+// call sites use (the gateway smoke's client span); the request paths record
+// through Tracer.Span.
 func SpanArgs(args map[string]any, traceID, spanID, parentSpan string) map[string]any {
 	if args == nil {
 		args = make(map[string]any, 3)

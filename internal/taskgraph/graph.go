@@ -84,8 +84,9 @@ func KindFromString(s string) (Kind, error) {
 	}
 }
 
-// MarshalJSON encodes the family as its name, so serialised specs (fleet
-// jobs, checkpoints metadata) read "cholesky" rather than an opaque integer.
+// MarshalJSON encodes the family as its name, so a stream's arrival trace
+// (readys-stream -write-arrivals) reads "cholesky" rather than an opaque
+// integer.
 func (k Kind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }

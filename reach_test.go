@@ -45,8 +45,8 @@ var reachAllowed = map[string]string{
 	"obs.metricKind.String":             "fmt.Stringer: the %s of a family's # TYPE line in Registry.WriteText",
 	"platform.Platform.String":          "fmt.Stringer: the %s of the platform in readys-sim, readys-stream, the quick-start and sim's SVG title",
 	"gateway.dagPresence.UnmarshalJSON": "encoding/json.Unmarshaler: the head decode of a request body",
-	"taskgraph.Kind.MarshalJSON":        "encoding/json.Marshaler: a kind in checkpoints and fleet job specs",
-	"taskgraph.Kind.UnmarshalJSON":      "encoding/json.Unmarshaler: a kind in checkpoints and fleet job specs",
+	"taskgraph.Kind.MarshalJSON":        "encoding/json.Marshaler: a kind in a stream arrival trace (stream.Arrival)",
+	"taskgraph.Kind.UnmarshalJSON":      "encoding/json.Unmarshaler: a kind in a stream arrival trace (stream.Arrival)",
 	// Fields a later change decides.
 	"core.Config.Directed":      "benchmark/probes.go passes it to EncodeFault: it goes with the benchmark harness's other vestiges (ROADMAP, speed verdicts)",
 	"core.Config.FaultFeatures": "the fault-features experiment (ROADMAP) keeps it with a trained checkpoint or deletes it",
