@@ -106,8 +106,10 @@ test:
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
 # features, directed, no incremental encoder, mid-episode stream arrivals), a reused log and resident rollout policy to fresh ones
 # (TestEpisodeLogReuseIsolated: long then short, short then long, after an
-# error mid-episode), and rl.Evaluate's one policy to one per run
-# (TestEvaluateResidentPolicyBitIdentical). The serving path's resident
+# error mid-episode). The comparison tables' one evaluator, reused across
+# factorisations, faults and noise levels with its resident sampling READYS
+# policy, is held to a fresh policy, simulator and generators per run
+# (TestEvaluatorReuseBitIdentical). The serving path's resident
 # policies, simulator memory and problem templates are held to ones built
 # fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
 # down, explicit DAGs, eviction;
@@ -124,7 +126,8 @@ equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
 	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
-	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestUpdateTapeRetainsBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated|TestEvaluateResidentPolicyBitIdentical' ./internal/rl/
+	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestUpdateTapeRetainsBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/
+	$(GO) test -run 'TestEvaluatorReuseBitIdentical' ./internal/exp/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing|TestClusterRetiresFinishedJobs' ./internal/sim/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster|TestStreamValidateCatchesRetiredJobViolation' ./internal/stream/

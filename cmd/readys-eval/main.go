@@ -84,7 +84,10 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		pts := exp.ResilienceSweep(agent, kind, *tiles, *cpus, *gpus, *sigma, sweep, *runs, *seed)
+		pts, err := exp.ResilienceSweep(agent, kind, *tiles, *cpus, *gpus, *sigma, sweep, *runs, *seed)
+		if err != nil {
+			log.Fatal(err)
+		}
 		tab = exp.ResilienceTable(pts, kind, *tiles, *cpus, *gpus, *sigma)
 	} else {
 		sweep := exp.Sigmas

@@ -36,8 +36,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if hist, err := rl.NewTrainer(agent, prob, cfg).Run(nil); err != nil || len(hist.Episodes) != 10 {
 		t.Fatalf("history has %d episodes, err %v", len(hist.Episodes), err)
 	}
-	if ms, err := rl.Evaluate(agent, prob, 3, 1); err != nil || len(ms) != 3 || ms[0] <= 0 {
-		t.Fatalf("evaluate returned %v, err %v", ms, err)
+	for seed := int64(1); seed <= 3; seed++ {
+		if res, err := prob.Simulate(core.NewPolicy(agent), rand.New(rand.NewSource(seed))); err != nil || res.Makespan <= 0 {
+			t.Fatalf("seed %d: greedy makespan %v, err %v", seed, res.Makespan, err)
+		}
 	}
 	if h := sched.HEFT(prob.Graph, prob.Platform, prob.Timing).Makespan; h <= 0 {
 		t.Fatalf("HEFT makespan %v", h)

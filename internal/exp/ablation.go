@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"readys/internal/core"
-	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
 
@@ -51,35 +50,13 @@ func Ablation(modelsDir string, episodes int) (*Table, error) {
 	return tab, nil
 }
 
-// compareWithPolicy is Compare for a single σ with an optional idle-disabled
-// agent policy.
+// compareWithPolicy is Compare for a single σ, with READYS's ∅ action masked
+// when disableIdle is set; READYS samples as in every other row.
 func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int, sigma float64, runs int, seed int64, disableIdle bool) (ComparisonPoint, error) {
-	pts, err := Compare(agent, kind, T, cpus, gpus, []float64{sigma}, runs, seed)
-	if err != nil {
-		return ComparisonPoint{}, err
-	}
-	pt := pts[0]
-	if !disableIdle {
-		return pt, nil
-	}
-	// Re-run READYS with the ∅ action masked.
-	prob := core.NewProblem(kind, T, cpus, gpus, sigma)
-	var ms []float64
-	pol := core.NewPolicy(agent)
-	pol.DisableIdle = true
-	var runner sim.Runner
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < runs; i++ {
-		if ms, err = appendMakespan(ms, prob, &runner, pol, rng, seed+int64(i)); err != nil {
-			return ComparisonPoint{}, fmt.Errorf("exp: READYS without ∅ on %s T=%d σ=%g: %w", kind, T, sigma, err)
-		}
-	}
-	pt.READYS = Summarise(ms)
-	if pt.READYS.Mean > 0 {
-		pt.ImproveHEFT = pt.HEFT.Mean / pt.READYS.Mean
-		pt.ImproveMCT = pt.MCT.Mean / pt.READYS.Mean
-	}
-	return pt, nil
+	e := newEvaluator()
+	pol := e.readys(agent)
+	pol.DisableIdle = disableIdle
+	return e.compare(core.NewProblem(kind, T, cpus, gpus, sigma), pol, 0, runs, seed)
 }
 
 // SearchTrial is one sampled configuration of the §V-D random search.

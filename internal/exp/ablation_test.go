@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"readys/internal/core"
 	"readys/internal/taskgraph"
 )
 
@@ -34,6 +35,42 @@ func TestAblationCachesVariants(t *testing.T) {
 	// proves the cache was hit.
 	if _, err := Ablation(dir, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAblationNoIdleRowSamples: the ablation's no-idle row changes only the
+// ∅ mask. Its HEFT and MCT columns are the with-∅ row's, and its READYS column
+// is a fresh ∅-masked policy sampling at EvalTemperature on each seed.
+func TestAblationNoIdleRowSamples(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Seed: 5})
+	const runs, seed = 3, 44
+	for _, sigma := range []float64{0, 0.3} {
+		with, err := compareWithPolicy(agent, taskgraph.Cholesky, 4, 2, 2, sigma, runs, seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := compareWithPolicy(agent, taskgraph.Cholesky, 4, 2, 2, sigma, runs, seed, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without.HEFT != with.HEFT || without.MCT != with.MCT {
+			t.Fatalf("σ=%g: no-idle baselines %+v / %+v, with-∅ %+v / %+v", sigma, without.HEFT, without.MCT, with.HEFT, with.MCT)
+		}
+		prob := core.NewProblem(taskgraph.Cholesky, 4, 2, 2, sigma)
+		var ms []float64
+		for i := 0; i < runs; i++ {
+			pol := core.NewPolicy(agent)
+			pol.Greedy, pol.Temperature, pol.DisableIdle = false, EvalTemperature, true
+			pol.Rng = rand.New(rand.NewSource(seed + int64(i) + 7919))
+			res, err := prob.Simulate(pol, rand.New(rand.NewSource(seed+int64(i))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, res.Makespan)
+		}
+		if want := Summarise(ms); without.READYS != want {
+			t.Fatalf("σ=%g: no-idle READYS %+v, a fresh ∅-masked sampling policy %+v", sigma, without.READYS, want)
+		}
 	}
 }
 

@@ -155,23 +155,86 @@ type sinkFirst struct{}
 func (sinkFirst) Reset(*sim.State)               {}
 func (sinkFirst) Decide(s *sim.State, _ int) int { return s.Graph.NumTasks() - 1 }
 
-// TestAppendMakespanReturnsFailedRun: a run whose simulation fails reaches the
-// caller as its error, and the sample it was to join keeps what it had, so no
-// figure averages fewer seeds than it asked for.
-func TestAppendMakespanReturnsFailedRun(t *testing.T) {
+// TestEvaluatorReturnsFailedRun: a run whose simulation fails reaches the
+// caller as its error, naming the scheduler and the seed, and no makespans
+// come back, so no figure averages fewer seeds than it asked for.
+func TestEvaluatorReturnsFailedRun(t *testing.T) {
 	prob := core.NewProblem(taskgraph.Cholesky, 3, 1, 1, 0.1)
-	var runner sim.Runner
-	rng := rand.New(rand.NewSource(1))
-	ms, err := appendMakespan(nil, prob, &runner, sched.MCTPolicy{}, rng, 1)
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("valid run: %d makespans, error %v", len(ms), err)
+	e := newEvaluator()
+	ms, err := e.makespans(prob, []scheduler{{"MCT", sched.MCTPolicy{}}}, 0, 2, 1)
+	if err != nil || len(ms) != 1 || len(ms[0]) != 2 {
+		t.Fatalf("valid runs: makespans %v, error %v", ms, err)
 	}
-	ms, err = appendMakespan(ms, prob, &runner, sinkFirst{}, rng, 2)
-	if err == nil || !strings.Contains(err.Error(), "non-ready") {
+	ms, err = e.makespans(prob, []scheduler{{"MCT", sched.MCTPolicy{}}, {"sink-first", sinkFirst{}}}, 0, 2, 1)
+	if err == nil || !strings.Contains(err.Error(), "non-ready") || !strings.Contains(err.Error(), "sink-first, seed 1") {
 		t.Fatalf("a policy starting a non-ready task gave error %v", err)
 	}
-	if len(ms) != 1 {
-		t.Fatalf("the failed run left %d makespans, want the 1 from before", len(ms))
+	if ms != nil {
+		t.Fatalf("the failed evaluation returned makespans %v", ms)
+	}
+}
+
+// TestStreamSweepReturnsFailedRun: a stream run whose arrivals cannot be
+// generated fails the sweep instead of leaving its row a seed short.
+func TestStreamSweepReturnsFailedRun(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 1})
+	cases := []StreamCase{{Load: 1}}
+	pts, err := StreamSweep(agent, 1, 1, StreamKinds, StreamSizes, 0.1, cases, 3, 2, 7)
+	if err != nil || len(pts) != 1 || pts[0].READYS.MeanResponse.N != 2 || pts[0].MCT.MeanResponse.N != 2 {
+		t.Fatalf("valid sweep: points %+v, error %v", pts, err)
+	}
+	pts, err = StreamSweep(agent, 1, 1, StreamKinds, StreamSizes, 0.1, cases, 0, 2, 7)
+	if err == nil || !strings.Contains(err.Error(), "seed 7") {
+		t.Fatalf("a stream with no jobs gave points %+v, error %v", pts, err)
+	}
+}
+
+// TestEvaluatorReuseBitIdentical: one evaluator, reused across cells
+// (factorisations, faults on and off, two noise levels) with its resident
+// sampling READYS policy, simulator and generators, gives the makespans of a
+// fresh policy, simulator and generators per run, bit for bit.
+func TestEvaluatorReuseBitIdentical(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Seed: 3})
+	e := newEvaluator()
+	scheds := []scheduler{{"READYS", e.readys(agent)}, {"MCT", sched.MCTPolicy{}}}
+	const runs, seed = 4, 13
+	p := 0
+	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
+		for _, faults := range []bool{false, true} {
+			for _, sigma := range []float64{0.1, 0.3} {
+				prob := core.NewProblem(kind, 4, 2, 2, sigma)
+				if faults {
+					prob.Faults = sim.SpecForRate(1, core.FaultHorizonFactor*prob.HEFTBaseline())
+				}
+				got, err := e.makespans(prob, scheds, p, runs, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				distinct := map[float64]bool{}
+				for i := 0; i < runs; i++ {
+					base := seed + int64(1000*p+i)
+					fresh := core.NewPolicy(agent)
+					fresh.Greedy, fresh.Temperature, fresh.Rng = false, EvalTemperature, rand.New(rand.NewSource(base+7919))
+					for s, pol := range []sim.Policy{fresh, sched.MCTPolicy{}} {
+						res, err := new(sim.Runner).Simulate(prob.Graph, prob.Platform, prob.Timing, pol, sim.Options{
+							Sigma: sigma, Rng: rand.New(rand.NewSource(base)), Faults: prob.FaultPlanFor(base + 104729),
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(got[s][i]) != math.Float64bits(res.Makespan) {
+							t.Fatalf("%v faults=%v σ=%g %s run %d: makespan %v from the evaluator, %v fresh",
+								kind, faults, sigma, scheds[s].name, i, got[s][i], res.Makespan)
+						}
+					}
+					distinct[got[0][i]] = true
+				}
+				if len(distinct) < 2 {
+					t.Fatalf("%v faults=%v σ=%g: every READYS run has the same makespan; the runs do not differ enough to tell policies apart", kind, faults, sigma)
+				}
+				p++
+			}
+		}
 	}
 }
 

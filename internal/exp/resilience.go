@@ -2,10 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"readys/internal/core"
-	"readys/internal/platform"
 	"readys/internal/sched"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
@@ -41,59 +39,33 @@ type ResiliencePoint struct {
 // *same* fault plan with the same duration-noise seed, so differences isolate
 // scheduling behaviour. Fault plans are derived from (seed, rate index, run)
 // with a horizon of core.FaultHorizonFactor times the HEFT projection; plans
-// from sim.GeneratePlan always spare one resource, so runs complete (a
-// scheduler failing a run — e.g. a deadlock — simply contributes no sample,
-// like the error paths in Compare).
-func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigma float64, rates []float64, runs int, seed int64) []ResiliencePoint {
-	g := taskgraph.NewFrozenByKind(kind, T)
-	plat := platform.New(numCPU, numGPU)
-	tt := platform.TimingFor(kind)
-	heft := sched.HEFT(g, plat, tt)
+// from sim.GeneratePlan always spare one resource, so runs complete. A run
+// that fails (a deadlock, say) fails the sweep, as in Compare.
+func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigma float64, rates []float64, runs int, seed int64) ([]ResiliencePoint, error) {
+	prob := core.NewProblem(kind, T, numCPU, numGPU, sigma)
+	heft := sched.HEFT(prob.Graph, prob.Platform, prob.Timing)
 	horizon := core.FaultHorizonFactor * heft.Makespan
 
-	// One simulator, one policy and two generators serve every run, as in
-	// Compare.
-	var runner sim.Runner
-	rng, polRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	pol := core.NewPolicy(agent)
-	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, polRng
+	e := newEvaluator()
+	scheds := []scheduler{
+		{"READYS", e.readys(agent)},
+		{"HEFT", sched.NewStaticPolicy(heft)},
+		{"ReplanHEFT", sched.NewReplanHEFTPolicy()},
+		{"MCT", sched.MCTPolicy{}},
+	}
 	out := make([]ResiliencePoint, 0, len(rates))
 	for ri, rate := range rates {
-		var rd, hd, pd, md []float64
-		for i := 0; i < runs; i++ {
-			base := seed + int64(ri*1000+i)
-			var plan *sim.FaultPlan
-			if rate > 0 {
-				plan = sim.GeneratePlan(base+104729, plat.Size(), sim.SpecForRate(rate, horizon))
-			}
-			run := func(pol sim.Policy) (float64, bool) {
-				rng.Seed(base)
-				res, err := runner.Simulate(g, plat, tt, pol, sim.Options{Sigma: sigma, Rng: rng, Faults: plan})
-				if err != nil {
-					return 0, false
-				}
-				return res.Makespan, true
-			}
-			polRng.Seed(base + 7919)
-			if m, ok := run(pol); ok {
-				rd = append(rd, m)
-			}
-			if m, ok := run(sched.NewStaticPolicy(heft)); ok {
-				hd = append(hd, m)
-			}
-			if m, ok := run(sched.NewReplanHEFTPolicy()); ok {
-				pd = append(pd, m)
-			}
-			if m, ok := run(sched.MCTPolicy{}); ok {
-				md = append(md, m)
-			}
+		prob.Faults = sim.SpecForRate(rate, horizon)
+		ms, err := e.makespans(prob, scheds, ri, runs, seed)
+		if err != nil {
+			return nil, fmt.Errorf("exp: resilience on %s T=%d fault rate %g: %w", kind, T, rate, err)
 		}
 		out = append(out, ResiliencePoint{
 			Rate:       rate,
-			READYS:     Summarise(rd),
-			HEFT:       Summarise(hd),
-			ReplanHEFT: Summarise(pd),
-			MCT:        Summarise(md),
+			READYS:     Summarise(ms[0]),
+			HEFT:       Summarise(ms[1]),
+			ReplanHEFT: Summarise(ms[2]),
+			MCT:        Summarise(ms[3]),
 		})
 	}
 	// Degradation relative to the first rate point (by convention rate 0).
@@ -112,7 +84,7 @@ func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU i
 			out[i].DegradeMCT = ratio(out[i].MCT.Mean, ref.MCT.Mean)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ResilienceTable renders a resilience sweep as the benchmark's figure table.
@@ -142,6 +114,9 @@ func ResilienceFigure(modelsDir string) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: resilience figure %s: %w", spec.Name(), err)
 	}
-	pts := ResilienceSweep(agent, taskgraph.Cholesky, 8, 2, 2, 0.1, FaultRates, EvalRuns, 47)
+	pts, err := ResilienceSweep(agent, taskgraph.Cholesky, 8, 2, 2, 0.1, FaultRates, EvalRuns, 47)
+	if err != nil {
+		return nil, err
+	}
 	return ResilienceTable(pts, taskgraph.Cholesky, 8, 2, 2, 0.1), nil
 }

@@ -86,51 +86,54 @@ func meanIsolatedMakespan(plat platform.Platform, kinds []taskgraph.Kind, sizes 
 // StreamSweep benchmarks the agent against HEFT-per-job, re-planning HEFT and
 // MCT on streaming arrivals. The comparison is paired, mirroring
 // ResilienceSweep: at each (case, run) every policy replays the same arrival
-// list, the same fault plan and the same duration-noise seed, so differences
-// isolate scheduling behaviour. Jobs per stream and runs per row are
-// configurable; a policy failing a run contributes no sample.
-func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, sizes []int, sigma float64, cases []StreamCase, jobs, runs int, seed int64) []StreamPoint {
+// list (drawn from the run's base seed + 13), the same fault plan and the same
+// duration-noise seed, so differences isolate scheduling behaviour. Jobs per
+// stream and runs per row are configurable; a run that fails, or whose
+// arrivals cannot be generated, fails the sweep.
+func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, sizes []int, sigma float64, cases []StreamCase, jobs, runs int, seed int64) ([]StreamPoint, error) {
 	plat := platform.New(numCPU, numGPU)
 	isolated := meanIsolatedMakespan(plat, kinds, sizes)
-	pol := core.NewPolicy(agent)
-	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, rand.New(rand.NewSource(seed))
+	e := newEvaluator()
+	scheds := []scheduler{
+		{"READYS", e.readys(agent)},
+		{"HEFT-per-job", stream.NewHEFTPerJobPolicy()},
+		{"ReplanHEFT", sched.NewReplanHEFTPolicy()},
+		{"MCT", sched.MCTPolicy{}},
+	}
 
 	out := make([]StreamPoint, 0, len(cases))
 	for ci, sc := range cases {
 		rate := sc.Load * 1000 / isolated // jobs per second of simulated time
+		cfg := stream.Config{Platform: plat, Sigma: sigma, Rng: e.rng}
 		type agg struct{ resp, p99, slow, util []float64 }
-		var ra, ha, pa, ma agg
-		for i := 0; i < runs; i++ {
-			base := seed + int64(ci*1000+i)
+		aggs := make([]agg, len(scheds))
+		err := e.each(scheds, ci, runs, seed, func(base int64) error {
 			arrivals, err := stream.PoissonProcess{
 				Rate: rate, Jobs: jobs, Kinds: kinds, Sizes: sizes,
 			}.Generate(rand.New(rand.NewSource(base + 13)))
 			if err != nil {
-				continue
+				return err
 			}
-			var plan *sim.FaultPlan
+			cfg.Arrivals, cfg.Faults = arrivals, nil
 			if sc.FaultRate > 0 {
 				horizon := arrivals[len(arrivals)-1].At + float64(core.FaultHorizonFactor*isolated)
-				plan = sim.GeneratePlan(base+104729, plat.Size(), sim.SpecForRate(sc.FaultRate, horizon))
+				cfg.Faults = sim.GeneratePlan(base+104729, plat.Size(), sim.SpecForRate(sc.FaultRate, horizon))
 			}
-			run := func(pol sim.Policy, a *agg) {
-				res, err := stream.Run(pol, stream.Config{
-					Platform: plat, Arrivals: arrivals, Sigma: sigma,
-					Faults: plan, Rng: rand.New(rand.NewSource(base)),
-				})
-				if err != nil {
-					return
-				}
-				a.resp = append(a.resp, res.MeanResponse)
-				a.p99 = append(a.p99, res.P99Response)
-				a.slow = append(a.slow, res.MeanSlowdown)
-				a.util = append(a.util, res.Utilization)
+			return nil
+		}, func(s int) error {
+			res, err := stream.Run(scheds[s].pol, cfg)
+			if err != nil {
+				return err
 			}
-			pol.Rng.Seed(base + 7919)
-			run(pol, &ra)
-			run(stream.NewHEFTPerJobPolicy(), &ha)
-			run(sched.NewReplanHEFTPolicy(), &pa)
-			run(sched.MCTPolicy{}, &ma)
+			a := &aggs[s]
+			a.resp = append(a.resp, res.MeanResponse)
+			a.p99 = append(a.p99, res.P99Response)
+			a.slow = append(a.slow, res.MeanSlowdown)
+			a.util = append(a.util, res.Utilization)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("exp: stream at load %g, fault rate %g: %w", sc.Load, sc.FaultRate, err)
 		}
 		sum := func(a agg) StreamStats {
 			return StreamStats{
@@ -142,10 +145,10 @@ func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, 
 		}
 		out = append(out, StreamPoint{
 			Load: sc.Load, FaultRate: sc.FaultRate, RateJobsPerSec: rate,
-			READYS: sum(ra), HEFTPerJob: sum(ha), ReplanHEFT: sum(pa), MCT: sum(ma),
+			READYS: sum(aggs[0]), HEFTPerJob: sum(aggs[1]), ReplanHEFT: sum(aggs[2]), MCT: sum(aggs[3]),
 		})
 	}
-	return out
+	return out, nil
 }
 
 // StreamTable renders a stream sweep as the benchmark's figure table.
@@ -267,6 +270,9 @@ func StreamFigure(modelsDir string) (*Table, error) {
 		return nil, fmt.Errorf("exp: stream figure: %w", err)
 	}
 	const jobs = 12
-	pts := StreamSweep(agent, 2, 2, StreamKinds, StreamSizes, 0.1, DefaultStreamCases(), jobs, EvalRuns, 53)
+	pts, err := StreamSweep(agent, 2, 2, StreamKinds, StreamSizes, 0.1, DefaultStreamCases(), jobs, EvalRuns, 53)
+	if err != nil {
+		return nil, err
+	}
 	return StreamTable(pts, 2, 2, jobs, 0.1, StreamKinds, StreamSizes), nil
 }

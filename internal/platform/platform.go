@@ -38,7 +38,6 @@ func (r ResourceType) String() string {
 
 // Resource is one computing unit of the platform.
 type Resource struct {
-	ID   int
 	Type ResourceType
 }
 
@@ -55,10 +54,10 @@ func New(numCPU, numGPU int) Platform {
 	}
 	p := Platform{}
 	for i := 0; i < numCPU; i++ {
-		p.Resources = append(p.Resources, Resource{ID: len(p.Resources), Type: CPU})
+		p.Resources = append(p.Resources, Resource{Type: CPU})
 	}
 	for i := 0; i < numGPU; i++ {
-		p.Resources = append(p.Resources, Resource{ID: len(p.Resources), Type: GPU})
+		p.Resources = append(p.Resources, Resource{Type: GPU})
 	}
 	return p
 }

@@ -14,11 +14,8 @@ func TestNewPlatformLayout(t *testing.T) {
 	if p.Size() != 5 || p.Count(CPU) != 2 || p.Count(GPU) != 3 {
 		t.Fatalf("platform layout wrong: %v", p)
 	}
-	// CPUs first, IDs dense.
+	// CPUs first: a resource's ID is its index.
 	for i, r := range p.Resources {
-		if r.ID != i {
-			t.Fatalf("resource %d has ID %d", i, r.ID)
-		}
 		wantType := CPU
 		if i >= 2 {
 			wantType = GPU

@@ -21,7 +21,6 @@ package rl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"readys/internal/core"
 	"readys/internal/nn"
@@ -367,24 +366,4 @@ func resize[T any](buf *[]T, n int) []T {
 func column(m *tensor.Matrix, n int) *tensor.Matrix {
 	m.Rows, m.Cols, m.Data = n, 1, resize(&m.Data, n)
 	return m
-}
-
-// Evaluate runs the agent greedily on the problem for the given number of
-// runs/seeds and returns the makespans. One policy, one simulator and one
-// generator serve every run: the simulator resets policy and state at the
-// start of each, and Seed leaves the generator where rand.NewSource starts.
-func Evaluate(agent *core.Agent, problem core.Problem, runs int, seed int64) ([]float64, error) {
-	out := make([]float64, 0, runs)
-	pol := core.NewPolicy(agent)
-	var runner sim.Runner
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < runs; i++ {
-		rng.Seed(seed + int64(i))
-		res, err := problem.SimulateOn(&runner, pol, rng)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res.Makespan)
-	}
-	return out, nil
 }

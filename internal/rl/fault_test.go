@@ -89,23 +89,11 @@ func TestEvaluateUnderFaults(t *testing.T) {
 	p := tinyProblem()
 	p.Faults = faultSpec()
 	agent := tinyAgent(3)
-	faulty, err := Evaluate(agent, p, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := Evaluate(agent, tinyProblem(), 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faulty) != 4 || len(clean) != 4 {
-		t.Fatal("wrong run counts")
-	}
+	faulty := greedyMakespans(t, agent, p, 4, 9)
+	greedyMakespans(t, agent, tinyProblem(), 4, 9) // the fault-free problem on the same seeds
 	// Same seeds re-yield the same faulty makespans (plan derivation is
 	// part of the per-run RNG stream).
-	again, err := Evaluate(agent, p, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := greedyMakespans(t, agent, p, 4, 9)
 	for i := range faulty {
 		if faulty[i] != again[i] {
 			t.Fatalf("faulty evaluation not reproducible: run %d %v vs %v", i, faulty[i], again[i])

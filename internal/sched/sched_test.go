@@ -94,10 +94,10 @@ func TestHEFTPrefersGPUForUpdates(t *testing.T) {
 	h := HEFT(g, plat, tt)
 	gpu := 1 // resource 1 is the GPU (CPUs first)
 	var gemmTotal, gemmOnGPU int
-	for _, task := range g.Tasks {
+	for i, task := range g.Tasks {
 		if task.Kernel == taskgraph.KGEMM {
 			gemmTotal++
-			if h.Assignment[task.ID] == gpu {
+			if h.Assignment[i] == gpu {
 				gemmOnGPU++
 			}
 		}

@@ -113,9 +113,9 @@ func TestKindStringsExtra(t *testing.T) {
 
 func findTaskByName(t *testing.T, g *Graph, name string) int {
 	t.Helper()
-	for _, task := range g.Tasks {
+	for i, task := range g.Tasks {
 		if task.Name == name {
-			return task.ID
+			return i
 		}
 	}
 	t.Fatalf("task %q not found", name)

@@ -63,9 +63,9 @@ func TestQRKernelCounts(t *testing.T) {
 // findTask locates a task by name; the generators use deterministic names.
 func findTask(t *testing.T, g *Graph, name string) int {
 	t.Helper()
-	for _, task := range g.Tasks {
+	for i, task := range g.Tasks {
 		if task.Name == name {
-			return task.ID
+			return i
 		}
 	}
 	t.Fatalf("task %q not found", name)

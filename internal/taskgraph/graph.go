@@ -107,7 +107,6 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 
 // Task is one vertex of the DAG.
 type Task struct {
-	ID     int
 	Kernel Kernel
 	// Name is a human-readable label such as "GEMM(3,2,1)".
 	Name string
@@ -206,7 +205,7 @@ func NewFrozen(kind Kind, kernelNames [NumKernels]string, kernels []Kernel, name
 		if k < 0 || k >= NumKernels {
 			panic(fmt.Sprintf("taskgraph: kernel %d out of range", k))
 		}
-		g.Tasks[i] = Task{ID: i, Kernel: k, Name: names[i]}
+		g.Tasks[i] = Task{Kernel: k, Name: names[i]}
 	}
 	// scratch holds at[0..n], where source i's edges start in flat, then a
 	// per-task int that is first the dedup stamp and then the Pred cursor.
@@ -311,7 +310,7 @@ func (g *Graph) AddTask(kernel Kernel, name string) int {
 		panic(fmt.Sprintf("taskgraph: kernel %d out of range", kernel))
 	}
 	id := len(g.Tasks)
-	g.Tasks = append(g.Tasks, Task{ID: id, Kernel: kernel, Name: name})
+	g.Tasks = append(g.Tasks, Task{Kernel: kernel, Name: name})
 	g.Succ = append(g.Succ, nil)
 	g.Pred = append(g.Pred, nil)
 	return id
@@ -355,10 +354,7 @@ func (g *Graph) Append(h *Graph) int {
 		panic("taskgraph: Append on a frozen graph")
 	}
 	base, n, edges := len(g.Tasks), len(h.Tasks), h.NumEdges()
-	g.Tasks = slices.Grow(g.Tasks, n)
-	for _, t := range h.Tasks {
-		g.Tasks = append(g.Tasks, Task{ID: base + t.ID, Kernel: t.Kernel, Name: t.Name})
-	}
+	g.Tasks = append(g.Tasks, h.Tasks...)
 	// Rows are cut from the flat arrays at exactly their length, so an append
 	// to one could never write into the next. Succ rows are h's, shifted; Pred
 	// rows fill in the order AddEdge would have reached them, by source task.
