@@ -51,6 +51,9 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	)
 	flag.Parse()
+	if err := exp.CheckCount("-runs", *runs, 1); err != nil {
+		log.Fatal(err)
+	}
 
 	kind, err := taskgraph.KindFromString(*kindStr)
 	if err != nil {

@@ -30,6 +30,14 @@ func main() {
 		trials   = flag.Int("trials", 6, "search: number of sampled configurations")
 	)
 	flag.Parse()
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"-runs", *runs}, {"-episodes", *episodes}, {"-trials", *trials}} {
+		if err := exp.CheckCount(c.flag, c.n, 1); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var (
 		tab *exp.Table

@@ -41,10 +41,18 @@ func main() {
 		seed      = flag.Int64("seed", 1, "training seed")
 		quiet     = flag.Bool("quiet", false, "suppress per-interval progress")
 		telemetry = flag.String("telemetry", "", "write per-episode training stats as JSON lines to this file (with -all, one file per agent named after it)")
-		workers   = flag.Int("workers", 0, "concurrent episode rollouts per batch, beside the update, which takes each episode as soon as it is in (0 = GOMAXPROCS); results are identical at any value")
+		workers   = flag.Int("workers", 0, "concurrent episode rollouts per batch, beside the update, which takes each episode as soon as it is in (0 = GOMAXPROCS); W workers record into W+1 episode logs, each free again once its episode is taken; results are identical at any value")
 		faultRate = flag.Float64("fault-rate", 0, "train under per-episode fault injection at this rate (0 = fault-free; see sim.SpecForRate)")
 	)
 	flag.Parse()
+	for _, c := range []struct {
+		flag     string
+		n, least int
+	}{{"-episodes", *episodes, 0}, {"-workers", *workers, 0}, {"-window", *window, 0}, {"-layers", *layers, 0}, {"-hidden", *hidden, 1}} {
+		if err := exp.CheckCount(c.flag, c.n, c.least); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if err := exp.CheckProblem(*tiles, *cpus, *gpus, 0); err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package readys_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -81,9 +82,10 @@ func TestPublicGraphConstructors(t *testing.T) {
 }
 
 // TestConstructorValidation is the table test of the checks the commands run
-// on their flags before they build anything: the kind parser and
-// exp.CheckProblem. A bad value gives an error, never a panic in taskgraph or
-// platform or a schedule the validator rejects.
+// on their flags before they build anything: the kind parser,
+// exp.CheckProblem, exp.CheckFaultRate and exp.CheckCount on readys-train's
+// counts. A bad value gives an error, never a panic in taskgraph, platform,
+// core or rl or a schedule the validator rejects.
 func TestConstructorValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name, kind    string
@@ -133,6 +135,42 @@ func TestConstructorValidation(t *testing.T) {
 			}
 		})
 	}
+	// readys-train's counts, with the floor it checks each against.
+	for _, tc := range []struct {
+		name     string
+		flag     string
+		n, least int
+	}{
+		{"train episodes -5", "-episodes", -5, 0},
+		{"train episodes 0", "-episodes", 0, 0},
+		{"train workers -2", "-workers", -2, 0},
+		{"train workers 0", "-workers", 0, 0},
+		{"train window -1", "-window", -1, 0},
+		{"train window 0", "-window", 0, 0},
+		{"train layers -1", "-layers", -1, 0},
+		{"train layers 0", "-layers", 0, 0},
+		{"train hidden 0", "-hidden", 0, 1},
+		{"train hidden 1", "-hidden", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := exp.CheckCount(tc.flag, tc.n, tc.least)
+			if ok := tc.n >= tc.least; (err == nil) != ok || (err != nil && !strings.Contains(err.Error(), tc.flag+" must be >= ")) {
+				t.Fatalf("CheckCount(%q, %d, %d) = %v, want ok=%v", tc.flag, tc.n, tc.least, err, ok)
+			}
+		})
+	}
+	// The pool's logs are sized from the worker count: the trainer refuses a
+	// negative one, as it does an empty budget.
+	t.Run("trainer workers -1", func(t *testing.T) {
+		cfg := rl.DefaultConfig()
+		cfg.Episodes, cfg.RolloutWorkers = 1, -1
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "rl: invalid config") {
+				t.Fatalf("NewTrainer with %d workers: recovered %v, want an invalid-config panic", cfg.RolloutWorkers, r)
+			}
+		}()
+		rl.NewTrainer(testAgent(8, 1), core.NewProblem(taskgraph.Cholesky, 2, 1, 1, 0), cfg)
+	})
 }
 
 // TestCheckpointRoundTrip: an agent restored into a matching architecture

@@ -74,8 +74,16 @@ type SearchTrial struct {
 // layers g from [1, 3] (random search); the entropy coefficient is sampled
 // from the paper's grid {1e-3, 5e-3, 1e-2} and the unroll length from
 // {20, 40, 60, 80}. Each trial trains for the given episode budget; trials
-// are returned in sampling order.
+// are returned in sampling order. Fewer than one trial, or a budget below
+// one episode, is an error.
 func RandomSearch(rng *rand.Rand, trials, episodes int) ([]SearchTrial, *Table, error) {
+	err := CheckCount("trials", trials, 1)
+	if err == nil {
+		err = CheckCount("episodes", episodes, 1)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("exp: search: %w", err)
+	}
 	entropyGrid := []float64{1e-3, 5e-3, 1e-2}
 	unrollGrid := []int{20, 40, 60, 80}
 	tab := &Table{

@@ -61,8 +61,11 @@ func (e *evaluator) readys(agent *core.Agent) *core.Policy {
 // each runs the seeds of sweep point p: for each run it calls prepare with
 // the run's base seed, then run once per scheduler with both generators
 // seeded for that run. The first error ends the sweep, naming its seed and,
-// when a scheduler failed, the scheduler.
+// when a scheduler failed, the scheduler; fewer than one run is an error too.
 func (e *evaluator) each(scheds []scheduler, p, runs int, seed int64, prepare func(base int64) error, run func(s int) error) error {
+	if err := CheckCount("runs", runs, 1); err != nil {
+		return err
+	}
 	for i := 0; i < runs; i++ {
 		base := seed + int64(p*1000+i)
 		if err := prepare(base); err != nil {

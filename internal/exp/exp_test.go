@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -186,6 +188,60 @@ func TestStreamSweepReturnsFailedRun(t *testing.T) {
 	pts, err = StreamSweep(agent, 1, 1, StreamKinds, StreamSizes, 0.1, cases, 0, 2, 7)
 	if err == nil || !strings.Contains(err.Error(), "seed 7") {
 		t.Fatalf("a stream with no jobs gave points %+v, error %v", pts, err)
+	}
+}
+
+// TestEmptySweepRefused: every entry point of the comparison tables refuses
+// a run, trial or episode count below one, at 0 and at −1, instead of
+// printing a table of zeros, NaN window sizes or no rows at all.
+func TestEmptySweepRefused(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 1})
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		run  func(n int) error
+	}{
+		{"Compare", func(n int) error {
+			_, err := Compare(agent, taskgraph.Cholesky, 2, 1, 1, Sigmas, n, 1)
+			return err
+		}},
+		{"ResilienceSweep", func(n int) error {
+			_, err := ResilienceSweep(agent, taskgraph.Cholesky, 2, 1, 1, 0.1, FaultRates, n, 1)
+			return err
+		}},
+		{"StreamSweep", func(n int) error {
+			_, err := StreamSweep(agent, 1, 1, StreamKinds, StreamSizes, 0.1, DefaultStreamCases(), 3, n, 1)
+			return err
+		}},
+		{"ablation", func(n int) error {
+			if _, err := Ablation(dir, n); err == nil || !strings.Contains(err.Error(), "episodes") {
+				return fmt.Errorf("Ablation with %d episodes: %v", n, err)
+			}
+			_, err := compareWithPolicy(agent, taskgraph.Cholesky, 2, 1, 1, 0, n, 1, true)
+			return err
+		}},
+		{"Figure7", func(n int) error {
+			_, _, err := Figure7([]int{2}, n)
+			return err
+		}},
+		{"RandomSearch", func(n int) error {
+			if _, _, err := RandomSearch(rand.New(rand.NewSource(1)), 1, n); err == nil || !strings.Contains(err.Error(), "episodes") {
+				return fmt.Errorf("RandomSearch with %d episodes: %v", n, err)
+			}
+			_, _, err := RandomSearch(rand.New(rand.NewSource(1)), n, 1)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{0, -1} {
+				if err := tc.run(n); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("must be >= 1, got %d", n)) {
+					t.Fatalf("a count of %d gave error %v", n, err)
+				}
+			}
+		})
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("a refused ablation wrote %d files (%v)", len(entries), err)
 	}
 }
 

@@ -99,8 +99,12 @@ const Figure7Runs = 10
 // paper), together with the mean number of tasks in the window. One untrained
 // agent is used — inference cost does not depend on the weights. Both come
 // from the policy's DecideStats: forward time and window rows, each over
-// every decision, memo hits included. A run that fails fails the figure.
+// every decision, memo hits included. A run that fails fails the figure, and
+// so do fewer than one run.
 func Figure7(sizes []int, runs int) (*Table, []InferencePoint, error) {
+	if err := CheckCount("runs", runs, 1); err != nil {
+		return nil, nil, fmt.Errorf("exp: figure 7: %w", err)
+	}
 	tab := &Table{
 		Title:  "Figure 7: mean inference time per decision (Cholesky, 2 CPUs + 2 GPUs)",
 		Header: []string{"T", "tasks", "mean_window_tasks", "mean_inference_ms", "ci99_ms"},

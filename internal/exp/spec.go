@@ -37,6 +37,17 @@ func CheckProblem(T, cpus, gpus int, sigma float64) error {
 	return nil
 }
 
+// CheckCount refuses a count below least, naming what it counts. The
+// commands call it on their count flags before they build anything, and the
+// sweeps on their run counts, so a count out of range is a one-line error
+// rather than a panic or a table of zeros.
+func CheckCount(what string, n, least int) error {
+	if n < least {
+		return fmt.Errorf("%s must be >= %d, got %d", what, least, n)
+	}
+	return nil
+}
+
 // CheckFaultRate refuses a fault rate (sim.SpecForRate) that is not a finite
 // number >= 0. SpecForRate reads a rate <= 0 as "no faults", so without this
 // check a negative or NaN -fault-rate would run fault-free without a word.

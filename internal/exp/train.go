@@ -37,8 +37,11 @@ func TrainAgent(spec AgentSpec, dir string, episodes int, progress func(rl.Episo
 }
 
 // TrainAgentWith is TrainAgent with a full option set, including a structured
-// telemetry sink.
+// telemetry sink. A budget below one episode is an error.
 func TrainAgentWith(spec AgentSpec, dir string, opt TrainOptions) (*core.Agent, rl.History, error) {
+	if err := CheckCount("episodes", opt.Episodes, 1); err != nil {
+		return nil, rl.History{}, fmt.Errorf("exp: training %s: %w", spec.Name(), err)
+	}
 	agent := core.NewAgent(spec.AgentConfig())
 	cfg := rl.DefaultConfig()
 	cfg.Episodes = opt.Episodes

@@ -65,9 +65,11 @@ type Config struct {
 	Seed int64
 	// RolloutWorkers is the number of episodes of each batch rolled out
 	// concurrently (0 selects GOMAXPROCS), beside the update, which
-	// accumulates each episode as soon as it is in. The training History is
-	// bit-identical at any worker count: per-episode RNG streams plus
-	// fixed-order gradient accumulation.
+	// accumulates each episode as soon as it is in. W workers record into
+	// min(BatchEpisodes, W+1) episode logs the trainer keeps: a log goes to
+	// the next episode once the update has accumulated the one it holds. The
+	// training History is bit-identical at any worker count: per-episode RNG
+	// streams plus fixed-order gradient accumulation.
 	RolloutWorkers int
 	// Faults, when enabled, trains under fault injection: each episode
 	// derives its own fault plan (outages, deaths, degradation) from its
@@ -161,8 +163,10 @@ type Trainer struct {
 	opt      *nn.Adam
 	baseline float64
 
-	// Kept from batch to batch for their memory: what rollouts run in, the
-	// update's tape and state stack, and the update's per-episode vectors.
+	// Kept from batch to batch for their memory: what rollouts run in (a
+	// policy per rollout worker and W+1 episode logs, each handed to the
+	// next episode once its own is accumulated), the update's tape and state
+	// stack, and the update's per-episode vectors.
 	rollouts rolloutPool
 	bind     *nn.Binding
 	stack    core.StateBatch
@@ -180,7 +184,7 @@ type Trainer struct {
 // skipped (the problem may carry no graph at all) and baselines are computed
 // per episode on each episode's own arrival stream.
 func NewTrainer(agent *core.Agent, problem core.Problem, cfg Config) *Trainer {
-	if cfg.Episodes <= 0 || cfg.BatchEpisodes <= 0 {
+	if cfg.Episodes <= 0 || cfg.BatchEpisodes <= 0 || cfg.RolloutWorkers < 0 {
 		panic(fmt.Sprintf("rl: invalid config %+v", cfg))
 	}
 	if cfg.Faults.Enabled() {
@@ -222,28 +226,20 @@ func (t *Trainer) Run(progress func(EpisodeStats)) (History, error) {
 }
 
 // consume accumulates the n episodes of the batch being collected as their
-// rollouts finish, applies the update after the last, and records each
-// episode's statistics.
+// rollouts finish, releasing each once it is accumulated, applies the update
+// after the last, and records each episode's statistics.
 func (t *Trainer) consume(hist *History, n int, progress func(EpisodeStats)) error {
 	for k := 0; k < n; k++ {
 		r := t.rollouts.wait(k)
 		if r.err != nil {
 			return fmt.Errorf("rl: episode %d: %w", r.ep, r.err)
 		}
-		loss, policyLoss, valueLoss := t.accumulate(r.log, r.log.Steps(), r.reward)
-		var gradNorm float64
+		st := EpisodeStats{Episode: r.ep, Makespan: r.makespan, Reward: r.reward, Entropy: r.entropy}
+		st.Loss, st.PolicyLoss, st.ValueLoss = t.accumulate(r.log, r.log.Steps(), r.reward)
+		// Episode k's log may take the next episode now.
+		t.rollouts.release(k)
 		if k == n-1 {
-			gradNorm = applyUpdate(t.Agent.Params(), t.opt, t.Cfg.ClipNorm)
-		}
-		st := EpisodeStats{
-			Episode:    r.ep,
-			Makespan:   r.makespan,
-			Reward:     r.reward,
-			Entropy:    r.entropy,
-			Loss:       loss,
-			PolicyLoss: policyLoss,
-			ValueLoss:  valueLoss,
-			GradNorm:   gradNorm,
+			st.GradNorm = applyUpdate(t.Agent.Params(), t.opt, t.Cfg.ClipNorm)
 		}
 		hist.Episodes = append(hist.Episodes, st)
 		if t.Telemetry != nil {

@@ -28,12 +28,17 @@ import (
 //     The caller accumulates episode k as soon as its rollout is done, while
 //     the workers roll out the rest of the batch: accumulation writes only
 //     the parameters' gradients, which rollouts never read, and the
-//     parameters themselves change only after the batch's last slot is in.
+//     parameters themselves change only after the batch's last episode is in.
 //
 // The memory rollouts run in belongs to the trainer (rolloutPool): an episode
-// is recorded into the log of its batch slot by the policy of whichever
-// worker ran it, and both are reused batch after batch. Which worker's policy
-// ran an episode cannot matter: core.Policy.Reset leaves nothing of the
+// is recorded into the log of its slot by the policy of whichever worker ran
+// it, and both are reused episode after episode. A batch cycles through
+// L = min(n, W+1) slots for W workers — one per rollout in flight and one for
+// the episode being accumulated — so the logs kept follow the worker count,
+// not the batch size: episode k records into slot k mod L once the caller has
+// released episode k−L, that is accumulated it and read its statistics.
+// Which worker's policy ran an episode, or which log it was recorded in,
+// cannot matter: core.Policy.Reset and EpisodeLog.Reset leave nothing of the
 // previous episode but allocated memory, and the worker's generator is
 // re-seeded from (Seed, episodeIndex).
 
@@ -48,7 +53,7 @@ func episodeSeed(seed int64, ep int) int64 {
 }
 
 // rolloutResult is one collected episode: the log holding its recorded
-// decisions, valid until the pool collects again, plus the episode's outcome.
+// decisions, valid until the episode is released, plus the episode's outcome.
 type rolloutResult struct {
 	ep       int
 	log      *core.EpisodeLog
@@ -59,21 +64,28 @@ type rolloutResult struct {
 }
 
 // rolloutPool is what a trainer keeps from batch to batch so that a warmed
-// trainer's rollouts allocate next to nothing: per slot of the batch one
-// episode log, its result and the signal that the result is in, and per
-// rollout worker one resident training policy, the simulator memory it rolls
-// out in and the generator it draws from, re-seeded for every episode.
+// trainer's rollouts allocate next to nothing: per slot one episode log, its
+// result and the signal that the result is in, and per rollout worker one
+// resident training policy, the simulator memory it rolls out in and the
+// generator it draws from, re-seeded for every episode.
 type rolloutPool struct {
 	logs    []*core.EpisodeLog
 	ready   []chan struct{}
 	results []rolloutResult
 	workers []*rolloutWorker
 
-	// Of the batch being collected: how many slots it has, the next slot to
-	// claim (n or more: claim no more) and the running workers.
-	n       int
-	next    atomic.Int64
-	running sync.WaitGroup
+	// Of the batch being collected: how many episodes it has, how many slots
+	// it cycles through, the next episode to claim and the running workers.
+	n, slots int
+	next     atomic.Int64
+	running  sync.WaitGroup
+
+	// mu guards released — the episodes of the batch the caller is done
+	// with — and stopped; freed is signalled when either changes.
+	mu       sync.Mutex
+	freed    sync.Cond
+	released int
+	stopped  bool
 }
 
 type rolloutWorker struct {
@@ -83,20 +95,21 @@ type rolloutWorker struct {
 }
 
 // collect starts rolling out episodes [start, start+n) of t's training
-// schedule on the pool's workers and returns at once. Workers claim slots in
-// order, so slot 0 is the first to finish; wait hands over each result as it
-// is in, and stop must be called before the pool collects again. The results
-// are identical to a sequential run's by construction (per-episode RNG
-// streams, no shared mutable state beyond the agent's parameters, which
-// rollouts only read). Config.Arrivals switches every episode to the stream
-// rollout (see stream.go).
+// schedule on the pool's workers and returns at once. Workers claim episodes
+// in order, so episode 0 is the first to finish; wait hands over each result
+// as it is in, release hands its slot on, and stop must be called before the
+// pool collects again. The results are identical to a sequential run's by
+// construction (per-episode RNG streams, no shared mutable state beyond the
+// agent's parameters, which rollouts only read). Config.Arrivals switches
+// every episode to the stream rollout (see stream.go).
 func (rp *rolloutPool) collect(t *Trainer, start, n int) {
 	workers := t.Cfg.RolloutWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(min(workers, n), 1)
-	for len(rp.logs) < n {
+	slots := min(n, workers+1)
+	for len(rp.logs) < slots {
 		rp.logs = append(rp.logs, core.NewEpisodeLog())
 		rp.ready = append(rp.ready, make(chan struct{}, 1))
 		rp.results = append(rp.results, rolloutResult{})
@@ -109,28 +122,30 @@ func (rp *rolloutPool) collect(t *Trainer, start, n int) {
 			w.pol = core.NewTrainingPolicy(t.Agent, w.rng)
 		}
 	}
-	rp.n = n
+	rp.n, rp.slots = n, slots
 	rp.next.Store(0)
+	rp.freed.L = &rp.mu
+	rp.released, rp.stopped = 0, false
 	rp.running.Add(workers)
 	for _, w := range rp.workers[:workers] {
 		go rp.work(t, w, start)
 	}
 }
 
-// work rolls out the episodes of the slots w claims until none is left or the
-// pool is stopped.
+// work rolls out the episodes w claims until none is left or the pool is
+// stopped.
 func (rp *rolloutPool) work(t *Trainer, w *rolloutWorker, start int) {
 	defer rp.running.Done()
 	for {
 		k := int(rp.next.Add(1) - 1)
-		if k >= rp.n {
+		if k >= rp.n || !rp.await(k) {
 			return
 		}
-		ep := start + k
+		s, ep := k%rp.slots, start+k
 		// Seed leaves the generator where rand.NewSource(seed) starts.
 		pol, rng := w.pol, w.rng
 		rng.Seed(episodeSeed(t.Cfg.Seed, ep))
-		pol.Log = rp.logs[k]
+		pol.Log = rp.logs[s]
 		r := rolloutResult{ep: ep, log: pol.Log}
 		if t.Cfg.Arrivals != nil {
 			r.makespan, r.reward, r.err = runStreamEpisode(pol, t.Problem, *t.Cfg.Arrivals, rng)
@@ -143,25 +158,50 @@ func (rp *rolloutPool) work(t *Trainer, w *rolloutWorker, start int) {
 		if r.err == nil {
 			r.entropy = pol.MeanEntropy()
 		}
-		rp.results[k] = r
-		rp.ready[k] <- struct{}{}
+		rp.results[s] = r
+		rp.ready[s] <- struct{}{}
 	}
 }
 
-// wait returns slot k's result once its rollout is done. It is valid until
-// the pool collects again.
-func (rp *rolloutPool) wait(k int) *rolloutResult {
-	<-rp.ready[k]
-	return &rp.results[k]
+// await blocks until episode k's slot is free — episode k−slots has been
+// released — and reports whether the pool is still collecting.
+func (rp *rolloutPool) await(k int) bool {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	for rp.released <= k-rp.slots && !rp.stopped {
+		rp.freed.Wait()
+	}
+	return !rp.stopped
 }
 
-// stop lets no worker claim another slot, waits for the rollouts in flight
-// and clears the signals of slots no one waited for. Once it returns, no
-// worker of the batch touches the pool.
+// wait returns episode k's result once its rollout is done. It is valid until
+// the episode is released.
+func (rp *rolloutPool) wait(k int) *rolloutResult {
+	s := k % rp.slots
+	<-rp.ready[s]
+	return &rp.results[s]
+}
+
+// release hands episode k's slot, its result and its log, on to episode
+// k+slots. Episodes are released in order.
+func (rp *rolloutPool) release(k int) {
+	rp.mu.Lock()
+	rp.released = k + 1
+	rp.mu.Unlock()
+	rp.freed.Broadcast()
+}
+
+// stop lets no worker start another episode, wakes the ones waiting for a
+// slot, waits for the rollouts in flight and clears the signals of slots no
+// one waited for. Once it returns, no worker of the batch touches the pool
+// and every slot is free for the next batch.
 func (rp *rolloutPool) stop() {
-	rp.next.Store(int64(rp.n))
+	rp.mu.Lock()
+	rp.stopped = true
+	rp.mu.Unlock()
+	rp.freed.Broadcast()
 	rp.running.Wait()
-	for _, c := range rp.ready[:rp.n] {
+	for _, c := range rp.ready[:rp.slots] {
 		select {
 		case <-c:
 		default:

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -44,15 +45,16 @@ func statesBitEqual(a, b *core.EncodedState) bool {
 		floats(a.Proc.Data, b.Proc.Data) && a.AllowIdle == b.AllowIdle
 }
 
-// collectAll collects a batch to its end and returns its results, valid until
-// the pool collects again.
-func collectAll(rp *rolloutPool, t *Trainer, start, n int) []rolloutResult {
+// collectAll collects a batch to its end, handing check each result as it is
+// in. A result and its log are the pool's again once check returns: a later
+// episode of the batch records into the same log.
+func collectAll(rp *rolloutPool, t *Trainer, start, n int, check func(k int, r *rolloutResult)) {
 	rp.collect(t, start, n)
+	defer rp.stop()
 	for k := 0; k < n; k++ {
-		rp.wait(k)
+		check(k, rp.wait(k))
+		rp.release(k)
 	}
-	rp.stop()
-	return rp.results[:n]
 }
 
 // sabotage returns an invalid task from its n-th decision on, so the episode
@@ -71,12 +73,13 @@ func (p *sabotage) Decide(s *sim.State, r int) int {
 
 // TestEpisodeLogReuseIsolated: nothing of an earlier episode shows in what a
 // reused episode log and resident rollout policy record. One pool, two
-// workers, collects a long episode batch, a short one, a long one again, a
-// stream batch (another graph per arrival), and a batch after both policies
-// were left in the middle of an episode by an error; every result — outcome,
-// steps, and each decision state read back from the log — must equal what a
-// fresh policy recording into a fresh log gives from the same seed. Run under
-// the race detector by `make race`.
+// workers — three logs, each reused within the batch — collects a long
+// episode batch, a short one, a long one again, a stream batch (another graph
+// per arrival), and a batch after both policies were left in the middle of an
+// episode by an error; every result — outcome, steps, and each decision state
+// read back from the log — must equal what a fresh policy recording into a
+// fresh log gives from the same seed. Run under the race detector by
+// `make race`.
 func TestEpisodeLogReuseIsolated(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Seed: 3})
 	long := core.NewProblem(taskgraph.Cholesky, 5, 2, 2, 0.1)
@@ -99,38 +102,42 @@ func TestEpisodeLogReuseIsolated(t *testing.T) {
 			cfg := Config{Seed: seed, RolloutWorkers: workers, Arrivals: arr}
 			return &Trainer{Agent: agent, Problem: prob, Cfg: cfg, baseline: baseline}
 		}
-		results := collectAll(&pool, trainer(workers), start, n)
+		// One fresh policy rolls the batch out beside the pool, in step with
+		// it; each episode is also compared to a policy that never saw another
+		// episode.
 		var fresh rolloutPool
-		want := collectAll(&fresh, trainer(1), start, n)
-		// One fresh policy rolled all n out: compare each to a policy that
-		// never saw another episode too.
-		for k := range results {
-			got, ctx := results[k], fmt.Sprintf("%s episode %d", name, start+k)
+		fresh.collect(trainer(1), start, n)
+		defer fresh.stop()
+		collectAll(&pool, trainer(workers), start, n, func(k int, got *rolloutResult) {
+			want := fresh.wait(k)
+			defer fresh.release(k)
+			ctx := fmt.Sprintf("%s episode %d", name, start+k)
 			var alone rolloutPool
-			only := collectAll(&alone, trainer(1), start+k, 1)[0]
-			for _, w := range []rolloutResult{want[k], only} {
-				if got.err != nil || w.err != nil {
-					t.Fatalf("%s: errors %v / %v", ctx, got.err, w.err)
-				}
-				steps, wsteps := got.log.Steps(), w.log.Steps()
-				if got.ep != w.ep || got.makespan != w.makespan || got.reward != w.reward || got.entropy != w.entropy || len(steps) != len(wsteps) {
-					t.Fatalf("%s: outcome (%v, %v, %v) over %d decisions, fresh (%v, %v, %v) over %d", ctx,
-						got.makespan, got.reward, got.entropy, len(steps), w.makespan, w.reward, w.entropy, len(wsteps))
-				}
-				var a, b core.EncodedState
-				for i, st := range steps {
-					ws := wsteps[i]
-					if st.Action != ws.Action || st.LogProb != ws.LogProb || st.Entropy != ws.Entropy || st.Value != ws.Value {
-						t.Fatalf("%s decision %d: step differs from a fresh policy's", ctx, i)
+			collectAll(&alone, trainer(1), start+k, 1, func(_ int, only *rolloutResult) {
+				for _, w := range []*rolloutResult{want, only} {
+					if got.err != nil || w.err != nil {
+						t.Fatalf("%s: errors %v / %v", ctx, got.err, w.err)
 					}
-					if !statesBitEqual(got.log.State(i, &a), w.log.State(i, &b)) {
-						t.Fatalf("%s decision %d: state differs from a fresh log's", ctx, i)
+					steps, wsteps := got.log.Steps(), w.log.Steps()
+					if got.ep != w.ep || got.makespan != w.makespan || got.reward != w.reward || got.entropy != w.entropy || len(steps) != len(wsteps) {
+						t.Fatalf("%s: outcome (%v, %v, %v) over %d decisions, fresh (%v, %v, %v) over %d", ctx,
+							got.makespan, got.reward, got.entropy, len(steps), w.makespan, w.reward, w.entropy, len(wsteps))
+					}
+					var a, b core.EncodedState
+					for i, st := range steps {
+						ws := wsteps[i]
+						if st.Action != ws.Action || st.LogProb != ws.LogProb || st.Entropy != ws.Entropy || st.Value != ws.Value {
+							t.Fatalf("%s decision %d: step differs from a fresh policy's", ctx, i)
+						}
+						if !statesBitEqual(got.log.State(i, &a), w.log.State(i, &b)) {
+							t.Fatalf("%s decision %d: state differs from a fresh log's", ctx, i)
+						}
 					}
 				}
-			}
-		}
-		if len(pool.workers) != workers || len(pool.logs) != n {
-			t.Fatalf("%s: pool holds %d policies and %d logs, want %d and %d", name, len(pool.workers), len(pool.logs), workers, n)
+			})
+		})
+		if len(pool.workers) != workers || len(pool.logs) != min(n, workers+1) {
+			t.Fatalf("%s: pool holds %d policies and %d logs, want %d and %d", name, len(pool.workers), len(pool.logs), workers, min(n, workers+1))
 		}
 		start += n
 	}
@@ -157,13 +164,16 @@ func TestEpisodeLogReuseIsolated(t *testing.T) {
 }
 
 // TestRunStopsRolloutsOnError: the update overlaps the batch's rollouts, so
-// an episode that fails mid-batch leaves later ones in flight. An infinite
-// fault horizon puts every drawn outage at +Inf, which the simulator
-// refuses; at seed 12 only episode 3 of the first batch of 8 draws one. At 1
-// and 2 workers, Run must return that episode's error, no rollout of it may
-// run or write into the pool once it has returned, and a next Run on the
-// same trainer, the horizon fixed, must be bit-identical to a fresh trainer's
-// (no update was applied before the failure).
+// an episode that fails mid-batch leaves later ones in flight, or waiting for
+// a log. An infinite fault horizon puts every drawn outage at +Inf, which the
+// simulator refuses; at seed 12 only episode 3 of the first batch of 8 draws
+// one, after the batch's 2 (1 worker) or 3 (2 workers) logs have all been
+// used once. At 1 and 2 workers, Run must return that episode's error, no
+// rollout of it may run or write into the pool once it has returned, and a
+// next Run on the same trainer, the horizon fixed, must be bit-identical to a
+// fresh trainer's (no update was applied before the failure). In the blocked
+// case the update holds back until episodes 3 to 5 fill every log and both
+// workers wait for one: stop must wake them.
 func TestRunStopsRolloutsOnError(t *testing.T) {
 	const seed, failing = 12, 3
 	good := tinyProblem()
@@ -176,26 +186,45 @@ func TestRunStopsRolloutsOnError(t *testing.T) {
 	oracle := &Trainer{Agent: tinyAgent(3), Problem: bad, Cfg: Config{Seed: seed, RolloutWorkers: 1}, baseline: good.HEFTBaseline()}
 	var pool rolloutPool
 	var wantErr error
-	for k, r := range collectAll(&pool, oracle, 0, cfg.BatchEpisodes) {
+	collectAll(&pool, oracle, 0, cfg.BatchEpisodes, func(k int, r *rolloutResult) {
 		if (r.err != nil) != (k == failing) {
 			t.Fatalf("episode %d: error %v; only episode %d may fail", k, r.err, failing)
 		}
 		if k == failing {
 			wantErr = r.err
 		}
-	}
+	})
 
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg.RolloutWorkers = workers
+	for _, tc := range []struct {
+		name    string
+		workers int
+		blocked bool
+	}{
+		{"workers=1", 1, false},
+		{"workers=2", 2, false},
+		{"workers=2,blocked", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg.RolloutWorkers = tc.workers
 			before := runtime.NumGoroutine()
 			tr := NewTrainer(tinyAgent(3), bad, cfg)
-			hist, err := tr.Run(nil)
+			var progress func(EpisodeStats)
+			if tc.blocked {
+				progress = func(st EpisodeStats) {
+					if st.Episode == failing-1 {
+						awaitBlockedWorkers(t, &tr.rollouts, tc.workers)
+					}
+				}
+			}
+			hist, err := tr.Run(progress)
 			if err == nil || errors.Unwrap(err).Error() != wantErr.Error() || err.Error() != fmt.Sprintf("rl: episode %d: %v", failing, wantErr) {
 				t.Fatalf("Run returned %v, want episode %d's %v", err, failing, wantErr)
 			}
 			if len(hist.Episodes) != failing {
 				t.Fatalf("history holds %d episodes, want the %d before the failure", len(hist.Episodes), failing)
+			}
+			if len(tr.rollouts.logs) != tc.workers+1 {
+				t.Fatalf("the pool holds %d logs, want %d", len(tr.rollouts.logs), tc.workers+1)
 			}
 			// Nothing may write into the pool now: snapshot it, let any
 			// straggler run, and compare.
@@ -233,4 +262,24 @@ func TestRunStopsRolloutsOnError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// awaitBlockedWorkers returns once every log of rp holds a result the update
+// has not taken and workers goroutines wait in rolloutPool.await for a log
+// to come free. It runs on the update's goroutine, so nothing is taken
+// meanwhile.
+func awaitBlockedWorkers(t *testing.T, rp *rolloutPool, workers int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		full := true
+		for _, c := range rp.ready[:rp.slots] {
+			full = full && len(c) == 1
+		}
+		stacks := buf[:runtime.Stack(buf, true)]
+		if full && bytes.Count(stacks, []byte("rl.(*rolloutPool).await(")) == workers {
+			return
+		}
+	}
+	t.Errorf("the workers did not fill every log and wait for one within 10 s")
 }

@@ -331,6 +331,50 @@ func TestUpdateTapeRetainsBounded(t *testing.T) {
 	}
 }
 
+// TestRolloutLogsRetainBounded makes the rollout pipeline a retained-memory
+// contract: W rollout workers record into W+1 episode logs, whatever the
+// batch size. The trainer continues the converged Cholesky T=6 checkpoint
+// with 2 workers for 32 episodes, at 8 and at 16 episodes a batch. The pool
+// must hold 3 logs, and what the logs keep — the live heap before and after
+// they are dropped, the buffer pool emptied by two collections each time —
+// may grow by a quarter at most from batch 8 to batch 16. The three keep
+// ≈ 0.6 MB at either; a log per episode of the batch kept ≈ 1.9 MB at 8 and
+// ≈ 3.8 MB at 16.
+func TestRolloutLogsRetainBounded(t *testing.T) {
+	live := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	kept := map[int]int64{}
+	for _, batch := range []int{8, 16} {
+		tr, _, _ := convergedEpisode(t)
+		cfg := tr.Cfg
+		cfg.Episodes, cfg.BatchEpisodes, cfg.RolloutWorkers = 32, batch, 2
+		tr = NewTrainer(tr.Agent, tr.Problem, cfg)
+		if _, err := tr.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		rp := &tr.rollouts
+		if len(rp.logs) != 3 {
+			t.Fatalf("batch %d: the pool holds %d episode logs, want 3 for 2 workers", batch, len(rp.logs))
+		}
+		before := live()
+		rp.logs, rp.results = nil, nil
+		for _, w := range rp.workers {
+			w.pol.Log, w.pol.Steps = nil, nil
+		}
+		kept[batch] = before - live()
+		runtime.KeepAlive(tr)
+		t.Logf("batch %d: 3 episode logs keep %d B", batch, kept[batch])
+	}
+	if kept[16] > kept[8]+kept[8]/4 {
+		t.Fatalf("the episode logs keep %d B at batch 16, %d B at batch 8: what a trainer keeps grows with the batch", kept[16], kept[8])
+	}
+}
+
 // raceDetector is set under -race (race_test.go).
 var raceDetector bool
 
