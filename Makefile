@@ -98,13 +98,16 @@ test:
 # (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
 # wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
 # an episode is recorded in memory the trainer does not keep. A warm update
-# allocates nothing (TestUpdateAllocFree), its tape keeps the buffers of one
-# 512-row pass whatever the episode's length (TestUpdateTapeRetainsBounded),
-# and an inference tape keeps no backward step
+# allocates nothing (TestUpdateAllocFree), an episode is cut into passes of
+# at most 512 rows and about equal height (TestPassSplitContract), so its tape
+# keeps the buffers of one such pass whatever the episodes' lengths
+# (TestUpdateTapeRetainsBounded), and an inference tape keeps no backward step
 # (TestInferenceTapeRecordsNoSteps). The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
-# features, directed, no incremental encoder, mid-episode stream arrivals), a reused log and resident rollout policy to fresh ones
+# features, directed, no incremental encoder, mid-episode stream arrivals,
+# remaining times clamped to +0, nothing running), W+1 logs to what they keep
+# at two batch sizes (TestRolloutLogsRetainBounded), a reused log and resident rollout policy to fresh ones
 # (TestEpisodeLogReuseIsolated: long then short, short then long, after an
 # error mid-episode). The comparison tables' one evaluator, reused across
 # factorisations, faults and noise levels with its resident sampling READYS
@@ -126,7 +129,7 @@ equiv:
 	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
 	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
-	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestUpdateTapeRetainsBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/
+	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/
 	$(GO) test -run 'TestEvaluatorReuseBitIdentical' ./internal/exp/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing|TestClusterRetiresFinishedJobs' ./internal/sim/

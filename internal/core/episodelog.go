@@ -54,16 +54,20 @@ func (a *arena[T]) reset() {
 //   - Per (task, GraphEpoch): the task-feature columns of the task's row.
 //     Within one graph epoch fillStaticTaskFeatures writes the same bits for
 //     a task whatever the decision; the three dynamic columns in the middle
-//     are stored along and overwritten on reading.
+//     are stored as +0.
 //   - Per window (the node list or the graph epoch changed): the node list,
 //     which stored row each node reads, and the CSR adjacency.
-//   - Per decision (a Step): the dynamic columns ready/running/remaining of
-//     every row, the resource-context vector once (not broadcast into the
-//     rows), the ready rows, AllowIdle, the action and the forward's three
-//     scalars.
+//   - Per decision (a Step): the resource-context vector once (not broadcast
+//     into the rows), the ready rows, the running rows and their remaining
+//     times, AllowIdle, the action and the forward's three scalars. That is
+//     all of the dynamic columns ready/running/remaining:
+//     fillDynamicTaskFeatures writes ready = 1 exactly on the rows it reports
+//     ready, running = 1 and a remaining time on the running rows, and +0
+//     everywhere else.
 //
-// State is the one function that reads this layout back. It only copies, so
-// every bit of a materialised state is a bit the encoder wrote.
+// State is the one function that reads this layout back. It only copies and
+// writes those 1s, so every bit of a materialised state is a bit the encoder
+// wrote.
 //
 // A log is written by one recording Policy at a time (Policy.Log) and reused
 // episode after episode: Reset keeps every buffer, so a trainer that owns its
@@ -92,10 +96,6 @@ type logWindow struct {
 	norm   tensor.Sparse
 }
 
-// numDynFeatures is the width of the decision-varying block of task features,
-// the consecutive columns featReady..featRemaining.
-const numDynFeatures = featRemaining - featReady + 1
-
 // NewEpisodeLog returns an empty log.
 func NewEpisodeLog() *EpisodeLog { return &EpisodeLog{} }
 
@@ -123,16 +123,27 @@ func (l *EpisodeLog) record(es *EncodedState, action int, logProb, entropy, valu
 		l.windows = append(l.windows, l.newWindow(es))
 		w++
 	}
-	dyn := l.floats.alloc(numDynFeatures * len(es.Nodes))
+	n := 0
 	for row := range es.Nodes {
-		copy(dyn[numDynFeatures*row:], es.X.Row(row)[featReady:featReady+numDynFeatures])
+		if es.X.Row(row)[featRunning] == 1 {
+			n++
+		}
+	}
+	running, remaining := l.ints.alloc(n), l.floats.alloc(n)
+	n = 0
+	for row := range es.Nodes {
+		if rf := es.X.Row(row); rf[featRunning] == 1 {
+			running[n], remaining[n] = row, rf[featRemaining]
+			n++
+		}
 	}
 	l.steps = append(l.steps, Step{
 		Action: action, LogProb: logProb, Entropy: entropy, Value: value,
 		Forward: releasedForward,
-		window:  w, dyn: dyn,
-		proc:      l.floats.put(es.Proc.Data),
-		ready:     l.ints.put(es.ReadyRows),
+		window:  w,
+		proc:    l.floats.put(es.Proc.Data),
+		ready:   l.ints.put(es.ReadyRows),
+		running: running, remaining: remaining,
 		allowIdle: es.AllowIdle,
 	})
 }
@@ -156,7 +167,9 @@ func (l *EpisodeLog) newWindow(es *EncodedState) logWindow {
 	for row, t := range w.nodes {
 		ref := &l.staticOf[t]
 		if ref.row == 0 || ref.epoch != es.graphEpoch {
-			l.static = append(l.static, l.floats.put(es.X.Row(row)[:numTaskFeatures]))
+			rf := l.floats.put(es.X.Row(row)[:numTaskFeatures])
+			rf[featReady], rf[featRunning], rf[featRemaining] = 0, 0, 0
+			l.static = append(l.static, rf)
 			ref.epoch, ref.row = es.graphEpoch, len(l.static)
 		}
 		w.static[row] = ref.row - 1
@@ -165,10 +178,12 @@ func (l *EpisodeLog) newWindow(es *EncodedState) logWindow {
 }
 
 // State materialises decision i into es and returns es. Each row of X is
-// rebuilt as stored task features ∪ the decision's dynamic columns ∪ the
-// decision's resource context; es's X buffer is reused, and everything else
-// aliases the log, so the state is valid until es is materialised into again
-// or the log is Reset. A zero EncodedState is a fine es.
+// rebuilt as stored task features (dynamic columns +0) ∪ the decision's
+// resource context, then the decision's ready rows get ready = 1 and its
+// running rows running = 1 and their remaining times; es's X buffer is
+// reused, and everything else aliases the log, so the state is valid until es
+// is materialised into again or the log is Reset. A zero EncodedState is a
+// fine es.
 func (l *EpisodeLog) State(i int, es *EncodedState) *EncodedState {
 	st := &l.steps[i]
 	w := &l.windows[st.window]
@@ -179,8 +194,14 @@ func (l *EpisodeLog) State(i int, es *EncodedState) *EncodedState {
 	for row, ref := range w.static {
 		rf := es.X.Row(row)
 		copy(rf, l.static[ref])
-		copy(rf[featReady:], st.dyn[numDynFeatures*row:numDynFeatures*(row+1)])
 		copy(rf[numTaskFeatures:], st.proc)
+	}
+	for _, row := range st.ready {
+		es.X.Row(row)[featReady] = 1
+	}
+	for k, row := range st.running {
+		rf := es.X.Row(row)
+		rf[featRunning], rf[featRemaining] = 1, st.remaining[k]
 	}
 	*es.Proc = tensor.Matrix{Rows: 1, Cols: len(st.proc), Data: st.proc}
 	es.Nodes, es.Norm, es.ReadyRows = w.nodes, &w.norm, st.ready

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,10 @@ func (sp *stateProbe) Decide(s *sim.State, r int) int {
 // three factorisations, a faulted problem, the fault-features agent (ten
 // context columns), the directed operator, a policy without the incremental
 // encoder, and a stream whose arrivals land mid-episode, where each GraphEpoch
-// bump re-keys the stored task rows.
+// bump re-keys the stored task rows. The log keeps of the dynamic columns only
+// the ready rows and the running rows' remaining times, so the sweep must also
+// meet running tasks whose remaining time clamps to +0 and decisions with no
+// task running.
 func TestEpisodeLogReproducesStates(t *testing.T) {
 	base := Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3}
 	with := func(tweak func(*Config)) Config {
@@ -99,6 +103,10 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 		return err
 	}
 	carriedOver := 0 // window rebuilds that kept their adjacency
+	// The log stores only the running rows' remaining times and rebuilds
+	// every other dynamic column as +0: a running task past its estimate
+	// reads remaining = +0, and a decision may see nothing running.
+	var clamped, idleWindows int
 	for _, c := range []struct {
 		name   string
 		agent  Config
@@ -143,6 +151,18 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 				if !want.AllowIdle {
 					masked++
 				}
+				running := 0
+				for row := range want.Nodes {
+					if rf := want.X.Row(row); rf[featRunning] == 1 {
+						running++
+						if math.Float64bits(rf[featRemaining]) == 0 {
+							clamped++
+						}
+					}
+				}
+				if running == 0 {
+					idleWindows++
+				}
 				tasks = max(tasks, want.Nodes[len(want.Nodes)-1]+1)
 			}
 			if masked == 0 || masked == len(probe.states) {
@@ -185,5 +205,9 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 	// its adjacency.
 	if carriedOver == 0 {
 		t.Fatal("no window rebuild of the sweep carried its adjacency over")
+	}
+	t.Logf("%d running rows with remaining clamped to +0, %d decisions with nothing running", clamped, idleWindows)
+	if clamped == 0 || idleWindows == 0 {
+		t.Fatalf("%d running rows with remaining clamped to +0, %d decisions with nothing running: both must occur", clamped, idleWindows)
 	}
 }

@@ -33,12 +33,12 @@ type Step struct {
 	Forward *Forward
 
 	// What differs from decision to decision, cut from the log's arenas: the
-	// window it saw, the dynamic feature columns of every row, the resource
-	// context and the ready rows.
-	window    int
-	dyn, proc []float64
-	ready     []int
-	allowIdle bool
+	// window it saw, the resource context, the ready rows, and the running
+	// rows with their remaining times.
+	window          int
+	proc, remaining []float64
+	ready, running  []int
+	allowIdle       bool
 }
 
 // releasedForward is what every recorded Step.Forward points at.

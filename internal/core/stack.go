@@ -76,9 +76,6 @@ func (sb *StateBatch) Len() int {
 	return max(len(sb.rowSegs)-1, 0)
 }
 
-// Rows returns the number of stacked node rows.
-func (sb *StateBatch) Rows() int { return sb.x.Rows }
-
 // ActionIndex returns the position of state i's action a in the stacked
 // action list, i.e. its row in the pass's LogProbs.
 func (sb *StateBatch) ActionIndex(i, a int) int {

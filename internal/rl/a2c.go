@@ -33,10 +33,10 @@ import (
 // maxPassRows caps the stacked node rows of one tape pass. The update's tape
 // keeps its buffers from pass to pass — a few dozen of rows x hidden floats —
 // so the cap bounds what a trainer retains whatever the episode length; an
-// episode beyond it takes several passes over consecutive decisions, whose
-// gradients add up in the same order. EXPERIMENTS.md → "Current cost" has the
-// caps measured against each other (TestUpdateTapeRetainsBounded holds the
-// tape to this one).
+// episode beyond it takes several passes of about equal height over
+// consecutive decisions (passSplit), whose gradients add up in the same order.
+// EXPERIMENTS.md → "Current cost" has the caps measured against each other
+// (TestUpdateTapeRetainsBounded holds the tape to this one).
 const maxPassRows = 512
 
 // Config holds the A2C hyper-parameters. Defaults follow §V-D.
@@ -173,6 +173,7 @@ type Trainer struct {
 	scratch  struct {
 		stepRewards, targets []float64
 		picks                []int
+		passes               passSplit
 		negAdv, negTarget    tensor.Matrix
 	}
 }
@@ -270,7 +271,8 @@ func applyUpdate(params *nn.ParamSet, opt *nn.Adam, clipNorm float64) float64 {
 
 // accumulate adds one episode's gradients to the agent's parameters: the
 // states of steps, the leading decisions recorded in log, go through the
-// network in one tape pass (several, in decision order, past maxPassRows),
+// network in one tape pass (several of about equal height, in decision
+// order, past maxPassRows),
 // the per-decision losses are built as d-vectors on the same tape, and one
 // Backward accumulates straight into the parameters. It returns the mean
 // per-decision total, policy and value losses.
@@ -302,21 +304,18 @@ func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward flo
 
 	// Normalise by episode length so long episodes don't dominate.
 	scale := 1.0 / float64(d)
-	// An episode past the row cap is cut into passes of about equal height,
-	// so that their buffers fall into one size class of the tape's free list.
-	passRows := 0
+	ps := &sc.passes
+	ps.ends = append(ps.ends[:0], 0)
 	for i := range steps {
-		passRows += log.Rows(i)
+		ps.ends = append(ps.ends, ps.ends[i]+log.Rows(i))
 	}
-	passes := (passRows + maxPassRows - 1) / maxPassRows
-	passRows = (passRows + passes - 1) / passes
-	for lo := 0; lo < d; {
+	cuts := ps.split(maxPassRows)
+	for p := 1; p < len(cuts); p++ {
+		lo, hi := cuts[p-1], cuts[p]
 		sb := &t.stack
 		sb.Reset()
-		hi := lo
-		for hi < d && (hi == lo || sb.Rows()+log.Rows(hi) <= passRows) {
-			sb.AppendLogged(log, hi)
-			hi++
+		for i := lo; i < hi; i++ {
+			sb.AppendLogged(log, i)
 		}
 		k := hi - lo
 		picks := resize(&sc.picks, k)
@@ -342,9 +341,126 @@ func (t *Trainer) accumulate(log *core.EpisodeLog, steps []core.Step, reward flo
 			value += float64(valueLoss.Value.Data[i] * scale)
 			total += loss.Value.Data[i]
 		}
-		lo = hi
 	}
 	return total, policy, value
+}
+
+// passSplit cuts an episode's decisions into tape passes of about equal
+// height, so that the buffers of every pass fall into one size class of the
+// tape's free list. Its slices are kept from update to update.
+type passSplit struct {
+	ends []int // ends[i]: the rows decisions [0, i) stack; the caller's to fill
+	high []int
+	cuts []int
+}
+
+// split returns the cuts 0 = c₀ < c₁ < … < cₚ = d between the passes of the
+// d decisions ends describes, pass j taking decisions [cⱼ₋₁, cⱼ). The heights
+// of its passes differ by at most the tallest decision's rows, and a pass of
+// more than one decision stacks at most maxRows. p is ⌈ends[d] / maxRows⌉
+// unless no such passes exist at that count, when it is the least larger
+// count that has them (at p = d every decision is a pass of its own). With a
+// decision taller than maxRows p may be larger than that least count, never
+// smaller. The cuts are valid until the next split.
+func (ps *passSplit) split(maxRows int) []int {
+	ends := ps.ends
+	d, tallest := len(ends)-1, 0
+	for i := range d {
+		tallest = max(tallest, ends[i+1]-ends[i])
+	}
+	for p := max(1, (ends[d]+maxRows-1)/maxRows); p < d; p++ {
+		if ps.balanced(p, tallest) && ps.fit(maxRows) {
+			return ps.cuts
+		}
+	}
+	ps.cuts = ps.cuts[:0]
+	for i := 0; i <= d; i++ {
+		ps.cuts = append(ps.cuts, i)
+	}
+	return ps.cuts
+}
+
+// balanced sets cuts to p passes whose heights all lie in [U-h, U], h the
+// tallest decision's rows, for the least U that has such passes, and reports
+// whether it found them. No p passes whose heights differ by at most h have
+// a lower tallest pass than U.
+func (ps *passSplit) balanced(p, h int) bool {
+	// The least U at which passes of at most U rows reach the last decision
+	// or passes of at least U-h rows overshoot it; both only become true as
+	// U grows, and the tallest pass is at least h and at most share+h.
+	share := (ps.ends[len(ps.ends)-1] + p - 1) / p
+	lo, hi := max(h, share), share+h
+	for lo < hi {
+		if U := (lo + hi) / 2; ps.bounds(p, h, U) == tooShort {
+			lo = U + 1
+		} else {
+			hi = U
+		}
+	}
+	if ps.bounds(p, h, lo) != fits {
+		return false
+	}
+	// Read the passes back from the last decision, each cut the latest
+	// boundary its pass allows that j-1 passes can end at.
+	ends, low, high := ps.ends, ps.cuts, ps.high
+	L := max(1, lo-h)
+	for j, c := p, len(ends)-1; j > 0; j-- {
+		low[j] = c
+		k := min(high[j-1], c-1)
+		for ends[k] > ends[c]-L {
+			k--
+		}
+		c = k
+	}
+	return true
+}
+
+// The verdicts of bounds.
+const (
+	tooShort  = iota // passes of at most U rows end short of the last decision
+	fits             // p passes of [max(1, U-h), U] rows cut the episode
+	overshoot        // passes of at least U-h rows end past the last decision
+)
+
+// bounds sets low[j] (in cuts) and high[j] to the first and the last
+// boundary at which j passes of heights in [max(1, U-h), U] can end, and
+// says whether p of them can end at the last decision. Every boundary
+// between low[j] and high[j] can end them too: a decision is at most h rows
+// high, so any h rows past a boundary hold another.
+func (ps *passSplit) bounds(p, h, U int) int {
+	ends := ps.ends
+	d, L := len(ends)-1, max(1, U-h)
+	low, high := resize(&ps.cuts, p+1), resize(&ps.high, p+1)
+	low[0], high[0] = 0, 0
+	lo, hi := 0, 0
+	for j := 1; j <= p; j++ {
+		for lo <= d && ends[lo] < ends[low[j-1]]+L {
+			lo++
+		}
+		if lo > d {
+			return overshoot
+		}
+		for hi < d && ends[hi+1] <= ends[high[j-1]]+U {
+			hi++
+		}
+		low[j], high[j] = lo, hi
+	}
+	if high[p] < d {
+		return tooShort
+	}
+	return fits
+}
+
+// fit reports whether every pass of more than one decision stacks at most
+// maxRows.
+func (ps *passSplit) fit(maxRows int) bool {
+	for j := 1; j < len(ps.cuts); j++ {
+		lo, hi := ps.cuts[j-1], ps.cuts[j]
+		if hi-lo > 1 && ps.ends[hi]-ps.ends[lo] > maxRows {
+			return false
+		}
+	}
+	return true
 }
 
 // resize returns *buf at length n, reallocating only when it has to grow;

@@ -170,8 +170,11 @@ func TestBatchedUpdateBitIdentical(t *testing.T) {
 // are the golden problem's (Cholesky T=4, 2c2g, w2 l2 h16), 4 updates of 8
 // episodes, one rollout worker, on a trainer that has run four updates already
 // (so its tape, episode logs and rollout policy own their memory, sized for
-// the longest episode they have seen, and count as heap before the run; after
-// a single update the tape's free list is still gaining a size class).
+// the longest episode they have seen, and count as heap before the run). An
+// episode here is one pass of about 250–280 rows, so its widest buffers fall
+// into the 4 096- or the 8 192-float class as it is shorter or taller than
+// 256 rows; after a single update the tape's free list has met only one, and
+// gains seven buffers of the other, ≈ 230 kB, within the run.
 //
 // Bytes: the per-decision-tape trainer allocated 1 228 850 B per episode here
 // (20 282 mallocs), the trainer that copied every decision's state about
@@ -245,19 +248,161 @@ func ExampleStep() {
 // holding the episode, and the episode's reward.
 func convergedEpisode(tb testing.TB) (*Trainer, *core.Policy, float64) {
 	tb.Helper()
+	tr, pols, rewards := convergedEpisodes(tb, 1)
+	return tr, pols[0], rewards[0]
+}
+
+// convergedEpisodes is convergedEpisode for one episode per seed, each on a
+// rollout policy and in an episode log of its own.
+func convergedEpisodes(tb testing.TB, seeds ...int64) (*Trainer, []*core.Policy, []float64) {
+	tb.Helper()
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
 	if _, err := agent.LoadCheckpoint("../../models/readys_cholesky_T6_2c2g_w2_l2_h32.json"); err != nil {
 		tb.Fatal(err)
 	}
 	prob := core.NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
-	pol := core.NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-	res, err := prob.Simulate(pol, pol.Rng)
-	if err != nil {
-		tb.Fatal(err)
+	var pols []*core.Policy
+	var rewards []float64
+	for _, seed := range seeds {
+		pol := core.NewTrainingPolicy(agent, rand.New(rand.NewSource(seed)))
+		res, err := prob.Simulate(pol, pol.Rng)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pols = append(pols, pol)
+		rewards = append(rewards, core.Reward(prob.HEFTBaseline(), res.Makespan))
 	}
 	cfg := DefaultConfig()
 	cfg.Episodes = 1
-	return NewTrainer(agent, prob, cfg), pol, core.Reward(prob.HEFTBaseline(), res.Makespan)
+	return NewTrainer(agent, prob, cfg), pols, rewards
+}
+
+// stackedRows returns the rows each decision of pol's episode stacks.
+func stackedRows(pol *core.Policy) []int {
+	rows := make([]int, len(pol.Steps))
+	for i := range rows {
+		rows[i] = pol.Log.Rows(i)
+	}
+	return rows
+}
+
+// passesExist reports whether rows cut into p passes whose heights differ by
+// at most the tallest decision's rows and of which none but a lone decision
+// stacks more than maxRows: an exhaustive search, boundary by boundary, for
+// each band [U-tallest, U] of heights the passes could lie in.
+func passesExist(rows []int, p, maxRows int) bool {
+	d, tallest := len(rows), slices.Max(rows)
+	ends := make([]int, d+1)
+	for i, r := range rows {
+		ends[i+1] = ends[i] + r
+	}
+	share := (ends[d] + p - 1) / p
+	for U := max(tallest, share); U <= share+tallest; U++ {
+		L := max(1, U-tallest)
+		// reach[i]: decisions [0, i) cut into the passes so far.
+		reach := make([]bool, d+1)
+		reach[0] = true
+		for range p {
+			next := make([]bool, d+1)
+			for lo := range d {
+				for hi := lo + 1; reach[lo] && hi <= d && ends[hi]-ends[lo] <= U; hi++ {
+					if h := ends[hi] - ends[lo]; h >= L && (hi-lo == 1 || h <= maxRows) {
+						next[hi] = true
+					}
+				}
+			}
+			reach = next
+		}
+		if reach[d] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPassSplitContract makes the cut of an episode into tape passes a
+// contract, on converged Cholesky T=6 episodes and on edge cases: the
+// decisions stay in order; no pass of more than one decision stacks more
+// than the cap; the heights of one episode's passes differ by at most its
+// tallest decision's rows; and the pass count is ⌈rows/cap⌉ unless a larger
+// one is forced — passesExist finds no passes meeting the other three at
+// any count skipped. The greedy fill to ⌈rows/passes⌉ it replaced left a
+// remainder pass of 64–97 rows on these episodes; cuts at the boundaries
+// nearest k·rows/p differ by 42 rows on the seed-6 episode, whose tallest
+// decision is 37.
+func TestPassSplitContract(t *testing.T) {
+	type episode struct {
+		name   string
+		rows   []int
+		cap    int
+		passes int // the count the split must take, 0: ⌈rows/cap⌉ or forced
+	}
+	repeat := func(n int, rows ...int) []int {
+		var out []int
+		for range n {
+			out = append(out, rows...)
+		}
+		return out
+	}
+	cases := []episode{
+		{name: "a decision taller than the cap", rows: []int{100, 100, 700, 100, 100}, cap: 512, passes: 3},
+		{name: "a tall decision forces a pass more", rows: []int{10, 600, 10}, cap: 512, passes: 3},
+		{name: "every decision taller than the cap", rows: []int{600, 700}, cap: 512, passes: 2},
+		{name: "total = 3·cap", rows: repeat(48, 8, 24), cap: 512, passes: 3},
+		{name: "total = cap+1", rows: append([]int{1}, repeat(32, 16)...), cap: 512, passes: 2},
+		{name: "one decision", rows: []int{40}, cap: 512, passes: 1},
+	}
+	seeds := []int64{1, 2, 3, 4, 5, 6}
+	_, pols, _ := convergedEpisodes(t, seeds...)
+	for i, pol := range pols {
+		cases = append(cases, episode{name: fmt.Sprintf("converged T=6, seed %d", seeds[i]), rows: stackedRows(pol), cap: maxPassRows})
+	}
+	var atCeil, forced int
+	for _, c := range cases {
+		var ps passSplit
+		ps.ends = append(ps.ends, 0)
+		for i, r := range c.rows {
+			ps.ends = append(ps.ends, ps.ends[i]+r)
+		}
+		cuts := ps.split(c.cap)
+		d, total, tallest := len(c.rows), ps.ends[len(c.rows)], slices.Max(c.rows)
+		p := len(cuts) - 1
+		if cuts[0] != 0 || cuts[p] != d {
+			t.Fatalf("%s: cuts %v do not run from 0 to %d", c.name, cuts, d)
+		}
+		heights := make([]int, p)
+		for j := range p {
+			lo, hi := cuts[j], cuts[j+1]
+			if hi <= lo {
+				t.Fatalf("%s: cuts %v are out of order", c.name, cuts)
+			}
+			heights[j] = ps.ends[hi] - ps.ends[lo]
+			if hi-lo > 1 && heights[j] > c.cap {
+				t.Fatalf("%s: pass %d of %d decisions stacks %d rows, cap %d", c.name, j, hi-lo, heights[j], c.cap)
+			}
+		}
+		if spread := slices.Max(heights) - slices.Min(heights); spread > tallest {
+			t.Fatalf("%s: pass heights %v differ by %d, the tallest decision stacks %d", c.name, heights, spread, tallest)
+		}
+		ceil := min(d, (total+c.cap-1)/c.cap)
+		for q := ceil; q < p; q++ {
+			if passesExist(c.rows, q, c.cap) {
+				t.Fatalf("%s: %d passes %v, but %d would do (⌈%d/%d⌉ = %d)", c.name, p, heights, q, total, c.cap, ceil)
+			}
+		}
+		if p < ceil || c.passes > 0 && p != c.passes {
+			t.Fatalf("%s: %d passes %v, want %d", c.name, p, heights, max(ceil, c.passes))
+		}
+		if p == ceil {
+			atCeil++
+		} else {
+			forced++
+		}
+		t.Logf("%s: %d rows, tallest %d, passes %v", c.name, total, tallest, heights)
+	}
+	if atCeil == 0 || forced == 0 {
+		t.Fatalf("%d episodes at ⌈rows/cap⌉ passes, %d forced past it: both kinds must occur", atCeil, forced)
+	}
 }
 
 // TestUpdateAllocFree: once warm, the update of a recorded episode — the
@@ -296,23 +441,29 @@ func TestUpdateAllocFree(t *testing.T) {
 // TestUpdateTapeRetainsBounded makes the pass cap a retained-memory contract.
 // The update's tape keeps the buffers of its passes from update to update,
 // so what a warm trainer holds is set by the pass height, not by the episode:
-// the converged T=6 episode stacks ≈ 3 300 rows, which 512-row passes take in
-// seven. What the tape keeps after a few updates — the live heap before and
-// after it is released, the buffer pool emptied by two collections each
-// time — may be 16 buffers of a full 512-row pass, 512 × Hidden floats each,
-// 2 MiB at Hidden 32; the tape keeps ≈ 1.4 MB. Passes of 2 048 rows keep
-// ≈ 4.6 MB, of 1 024 ≈ 2.3 MB.
+// four converged T=6 episodes stack 3 336, 3 381, 3 072 and 3 152 rows, which
+// the update takes in seven passes of 423–494 rows each. The tape updates on
+// each in turn, twice; what it keeps then — the live heap before and after
+// it is released, the buffer pool emptied by two collections each time —
+// reads ≈ 1.47 MB, and the bound is 1.1 × that. The greedy fill these
+// passes replaced left the episodes remainder passes of 81, 118, 52 and 25
+// rows, whose buffers fall into size classes of their own: that tape kept
+// ≈ 1.74 MB here. Passes of 2 048 rows kept ≈ 4.6 MB and of 1 024 ≈ 2.3 MB
+// on one of these episodes.
 func TestUpdateTapeRetainsBounded(t *testing.T) {
-	tr, pol, reward := convergedEpisode(t)
-	rows := 0
-	for i := range pol.Steps {
-		rows += pol.Log.Rows(i)
+	tr, pols, rewards := convergedEpisodes(t, 1, 7, 11, 63)
+	var totals []int
+	for i, pol := range pols {
+		rows := stackedRows(pol)
+		if sum(rows) <= maxPassRows {
+			t.Fatalf("episode %d stacks %d rows: the cap is not reached", i, sum(rows))
+		}
+		totals = append(totals, sum(rows))
 	}
-	if rows <= maxPassRows {
-		t.Fatalf("the episode stacks %d rows, one %d-row pass: the cap is not reached", rows, maxPassRows)
-	}
-	for range 3 {
-		tr.accumulate(pol.Log, pol.Steps, reward)
+	for range 2 {
+		for i, pol := range pols {
+			tr.accumulate(pol.Log, pol.Steps, rewards[i])
+		}
 	}
 	live := func() uint64 {
 		var m runtime.MemStats
@@ -324,11 +475,21 @@ func TestUpdateTapeRetainsBounded(t *testing.T) {
 	before := live()
 	tr.bind.Release()
 	kept := int64(before) - int64(live())
-	bound := int64(16 * 512 * tr.Agent.Cfg.Hidden * 8)
-	t.Logf("the update's tape keeps %d B over %d stacked rows in passes of at most %d, bound %d B", kept, rows, maxPassRows, bound)
+	runtime.KeepAlive(pols)
+	const bound = 1_617_000
+	t.Logf("the update's tape keeps %d B after passes of at most %d rows over episodes of %v rows, bound %d B", kept, maxPassRows, totals, bound)
 	if kept > bound {
-		t.Fatalf("the update's tape keeps %d B, bound %d B: its passes are taller than 512 rows, or it keeps buffers of passes gone by", kept, bound)
+		t.Fatalf("the update's tape keeps %d B, bound %d B: its passes are taller than %d rows or of unequal height, or it keeps buffers of passes gone by", kept, bound, maxPassRows)
 	}
+}
+
+// sum returns the sum of xs.
+func sum(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
 
 // TestRolloutLogsRetainBounded makes the rollout pipeline a retained-memory
@@ -337,9 +498,11 @@ func TestUpdateTapeRetainsBounded(t *testing.T) {
 // with 2 workers for 32 episodes, at 8 and at 16 episodes a batch. The pool
 // must hold 3 logs, and what the logs keep — the live heap before and after
 // they are dropped, the buffer pool emptied by two collections each time —
-// may grow by a quarter at most from batch 8 to batch 16. The three keep
-// ≈ 0.6 MB at either; a log per episode of the batch kept ≈ 1.9 MB at 8 and
-// ≈ 3.8 MB at 16.
+// may grow by a quarter at most from batch 8 to batch 16, and a log may keep
+// 185 000 B, about 1.25 × what one keeps. The three keep ≈ 0.44 MB at either;
+// while a log stored ready/running/remaining for every row of every decision
+// they kept ≈ 0.59 MB, and a log per episode of the batch kept ≈ 1.9 MB at 8
+// and ≈ 3.8 MB at 16.
 func TestRolloutLogsRetainBounded(t *testing.T) {
 	live := func() int64 {
 		var m runtime.MemStats
@@ -372,6 +535,12 @@ func TestRolloutLogsRetainBounded(t *testing.T) {
 	}
 	if kept[16] > kept[8]+kept[8]/4 {
 		t.Fatalf("the episode logs keep %d B at batch 16, %d B at batch 8: what a trainer keeps grows with the batch", kept[16], kept[8])
+	}
+	const perLog = 185_000
+	for batch, b := range kept {
+		if b/3 > perLog {
+			t.Fatalf("batch %d: an episode log keeps %d B, bound %d: a log stores what it could rebuild", batch, b/3, perLog)
+		}
 	}
 }
 

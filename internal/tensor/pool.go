@@ -5,15 +5,21 @@ import (
 	"sync"
 )
 
-// Buffer pooling for hot-path scratch matrices.
+// Buffer pooling for the intermediates of gradient tapes.
 //
-// Training and serving allocate the same handful of matrix shapes millions of
-// times (one set of intermediates per scheduling decision). GetPooled hands
-// out zeroed matrices from size-bucketed sync.Pools; a FreeList returns them.
+// A gradient tape (autograd.NewTape, the training update's) allocates the
+// same handful of matrix shapes pass after pass. It draws them from its
+// FreeList, which falls back to GetPooled: zeroed matrices from size-bucketed
+// sync.Pools. Deciding — serving, rollouts, streams — runs on inference
+// tapes, which keep one buffer per output position instead
+// (autograd.NewInferenceTape) and never touch the pool.
+//
 // Buckets are powers of two, so a recycled buffer serves every shape in its
 // size class and the pool never fragments across the many slightly-different
-// sub-DAG sizes. What is pooled is the *Matrix itself, header and backing
-// slice together, so a Get/Put round trip allocates nothing.
+// sub-DAG sizes. A FreeList serves a buffer to its own class only: a tape
+// whose passes fall into two classes keeps a set of buffers in each. What is
+// pooled is the *Matrix itself, header and backing slice together, so a
+// Get/Put round trip allocates nothing.
 //
 // Pooling is strictly opt-in: New remains a plain allocation, and a pooled
 // matrix behaves exactly like any other Matrix. Callers own the lifetime —
