@@ -89,8 +89,11 @@ test:
 # (TestSimulateMatchesSingleJobCluster). The training path
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
 # range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
-# its three ops and the input gradient vs the ∂C·Wᵀ dot loop
-# (TestLinearReLUSegMatchesThreeOps), rollouts on the inference tape vs a
+# its three ops and the input gradient vs the ∂C·Wᵀ dot loop, its backward
+# also with its output dropped and overwritten, on the ReLU mask alone
+# (TestLinearReLUSegMatchesThreeOps), a dropped activation's buffer going to
+# the next output and a Drop that would lose values someone reads panicking
+# (TestDropContract), rollouts on the inference tape vs a
 # per-decision-tape rollout kept in the test file
 # (TestTrainingRolloutMatchesTape), the width-d pass vs width 1 vs what the
 # rollout recorded (TestBatchedForwardBitIdentical),
@@ -100,8 +103,10 @@ test:
 # an episode is recorded in memory the trainer does not keep. A warm update
 # allocates nothing (TestUpdateAllocFree), an episode is cut into passes of
 # at most 512 rows and about equal height (TestPassSplitContract), so its tape
-# keeps the buffers of one such pass whatever the episodes' lengths
-# (TestUpdateTapeRetainsBounded), and an inference tape keeps no backward step
+# keeps the buffers of one such pass whatever the episodes' lengths — and of
+# that pass only the propagated rows Â·h, the live activation h and two
+# gradients, each activation dropped for its ReLU mask once the next layer has
+# read it (TestUpdateTapeRetainsBounded) — and an inference tape keeps no backward step
 # (TestInferenceTapeRecordsNoSteps). The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
@@ -126,7 +131,7 @@ test:
 # TestTracerStringTableBounded if the ring's string table keeps strings no
 # live record names. These also run under `make test`.
 equiv:
-	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
+	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
 	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
 	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/

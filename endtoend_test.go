@@ -105,6 +105,7 @@ func TestConstructorValidation(t *testing.T) {
 		{"problem empty platform", "qr", 4, 0, 0, 0.1, "at least one resource"},
 		{"problem sigma<0", "cholesky", 4, 2, 2, -0.1, "sigma"},
 		{"problem sigma NaN", "cholesky", 4, 2, 2, math.NaN(), "sigma"},
+		{"problem sigma +Inf", "cholesky", 4, 2, 2, math.Inf(1), "sigma"},
 		{"problem bad kind", "", 4, 2, 2, 0.1, "unknown DAG kind"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,18 +31,27 @@
 // place, and hands it over — it becomes the input's accumulator if the input
 // has none yet, else it is added in and goes back on the list (give, pass). An
 // op node's accumulator goes back on the list as soon as its backward step has
-// run; Reset puts the rest back and keeps the list for the next pass on the
-// same tape (the shared pool sits on sync.Pool, which every collection empties
-// — a tape that cycles through megabyte buffers keeps them itself); Release
-// hands everything to the shared pool. Caller-provided matrices
-// (Const/Var/Param inputs) are never pooled or released.
+// run. An op output goes back on the list when the caller drops it (Drop) —
+// once the forward has read it, if no backward step reads its values — and
+// otherwise at Reset, which puts back everything left and keeps the list for
+// the next pass on the same tape (the shared pool sits on sync.Pool, which
+// every collection empties — a tape that cycles through megabyte buffers keeps
+// them itself); Release hands everything to the shared pool. Caller-provided
+// matrices (Const/Var/Param inputs) are never pooled or released.
+//
+// The tape keeps what backward reads and no more. Most backward steps read
+// their inputs' shapes only; the few that read values pin them against Drop.
+// A dense layer (LinearReLUSeg) keeps its ReLU mask, one bit per output entry
+// written by the row kernel, in place of its output's values, so a network
+// can drop each activation once the next layer has read it.
 //
 // A backward step is a record, not a closure: an op code and the operands the
-// step reads (input nodes, segment table, index table, scalar, sparse
-// operand), kept in a slice the tape owns, which Backward dispatches with one
-// switch. Nodes live in chunks, and steps, index tables and ConcatRows' input
-// lists in buffers, that the tape keeps across Reset, so a warm tape records
-// and differentiates a pass without allocating.
+// step reads (input nodes, segment table, index table, ReLU mask, scalar,
+// sparse operand), kept in a slice the tape owns, which Backward dispatches
+// with one switch. Nodes live in chunks, and steps, index tables, ReLU masks,
+// ConcatRows' input lists and dropped nodes' shapes in buffers, that the tape
+// keeps across Reset, so a warm tape records and differentiates a pass without
+// allocating.
 //
 // An inference tape (NewInferenceTape) is the same tape for passes that take
 // no gradient, such as a policy's decisions: nothing on it requires a
@@ -73,6 +82,10 @@ type Node struct {
 	// extGrad marks a Param leaf: Grad is the caller's accumulator, never
 	// allocated, pooled or dropped by the tape.
 	extGrad bool
+	// leaf marks a Const/Var/Param node, whose Value is the caller's; read
+	// marks a node whose values a recorded backward step reads. Drop refuses
+	// both, and marks what it drops dropped.
+	leaf, read, dropped bool
 	// step is 1 + the index of the node's backward step in its tape's
 	// steps, or 0 when it has none.
 	step int
@@ -114,6 +127,7 @@ type step struct {
 	a, b, c *Node          // node operands, in argument order
 	segs    []int          // segment table of a's rows
 	idx     []int          // GatherRows' indices, SegmentMaxRows' argmaxes
+	mask    []uint32       // LinearReLUSeg's ReLU mask (see tensor.ApplyReLUMask)
 	parts   []*Node        // ConcatRows' inputs
 	s       float64        // Scale's factor
 	at      int            // Pick's entry, row-major
@@ -130,18 +144,22 @@ type Tape struct {
 	// array.
 	steps []step
 	// owned lists the op outputs, which Reset and Release recycle with every
-	// remaining gradient accumulator — except on an inference tape, where
-	// owned[i] is the i-th output's slot, kept, and slot counts the outputs.
+	// remaining gradient accumulator (a dropped output's entry is nil, its
+	// buffer recycled already) — except on an inference tape, where owned[i]
+	// is the i-th output's slot, kept, and slot counts the outputs.
 	owned []*tensor.Matrix
 	infer bool
 	slot  int
 	// bufs is where every buffer of the tape comes from and goes back to.
 	bufs tensor.FreeList
 	// idx backs the index tables ops keep for their backward step (gathered
-	// rows, pooling argmaxes) and parts ConcatRows' input lists; Reset
-	// rewinds both.
+	// rows, pooling argmaxes), masks the dense layers' ReLU masks, parts
+	// ConcatRows' input lists and shapes the Values of dropped nodes; Reset
+	// rewinds them all.
 	idx      []int
+	masks    []uint32
 	parts    []*Node
+	shapes   []tensor.Matrix
 	released bool
 }
 
@@ -219,14 +237,34 @@ func (t *Tape) push(n Node) *Node {
 }
 
 // result records an op's output val, which requires a gradient when req, and
-// when it does, the op's backward step st.
+// when it does, the op's backward step st, whose operands' values the step
+// reads are then pinned against Drop. It panics if the op read a dropped node.
 func (t *Tape) result(val *tensor.Matrix, req bool, st step) *Node {
+	for _, in := range [...]*Node{st.a, st.b, st.c} {
+		mustLive(in)
+	}
 	out := t.push(Node{Value: val, requiresGrad: req})
 	if req {
 		t.steps = append(t.steps, st)
 		out.step = len(t.steps)
+		switch st.op {
+		case opMatMul, opLinearReLU, opMul:
+			st.a.read, st.b.read = true, true
+		case opReLU, opSquare:
+			st.a.read = true
+		case opExp, opLogSoftmax:
+			out.read = true
+		}
 	}
 	return out
+}
+
+// mustLive panics when an op has read n, a dropped node: its Value is a shape
+// with no data, which a kernel that ranges over it reads as empty.
+func mustLive(n *Node) {
+	if n != nil && n.dropped {
+		panic(fmt.Sprintf("autograd: an op read a dropped %dx%d node", n.Value.Rows, n.Value.Cols))
+	}
 }
 
 // alloc draws a zeroed rows x cols op output and records it as tape-owned.
@@ -284,7 +322,7 @@ func (t *Tape) Reset() {
 		panic("autograd: use of a released tape")
 	}
 	used := t.n
-	t.n, t.slot, t.idx = 0, 0, t.idx[:0]
+	t.n, t.slot, t.idx, t.masks, t.shapes = 0, 0, t.idx[:0], t.masks[:0], t.shapes[:0]
 	if t.infer {
 		return // its nodes hold no gradient or step; the next pass overwrites them
 	}
@@ -314,20 +352,58 @@ func (t *Tape) Release() {
 	}
 	t.Reset()
 	t.bufs.Drain()
-	t.chunks, t.steps, t.owned, t.idx, t.parts = nil, nil, nil, nil, nil
+	t.chunks, t.steps, t.owned, t.idx, t.masks, t.parts, t.shapes = nil, nil, nil, nil, nil, nil, nil
 	t.released = true
+}
+
+// Drop declares that nothing reads n's values any more: no op recorded after
+// it takes n as an input, and no backward step reads them. n's buffer goes
+// back on the tape's free list at once, for the next op output or gradient of
+// its size class, and n keeps only its shape — all that the backward steps of
+// the ops that took it as an input (SpMM, GatherRows, segment pooling, Add,
+// ...) and its own, if it is a LinearReLUSeg output, read. The shape's header
+// comes from a table the tape keeps, so a warm Drop allocates nothing.
+// Reading a dropped node's data, directly or through an op, panics.
+//
+// Drop is a no-op on an inference tape, whose outputs are positional slots,
+// and on a node already dropped. It panics on a leaf, whose value is the
+// caller's, and on a node whose values a recorded backward step reads: its
+// own (Exp, SegmentLogSoftmax) or a consumer's (MatMulSeg, LinearReLUSeg's
+// input, Mul, ReLU, Square).
+func (t *Tape) Drop(n *Node) {
+	if t.infer || n.dropped {
+		return
+	}
+	switch {
+	case n.leaf:
+		panic("autograd: Drop of a leaf: its value is the caller's")
+	case n.read:
+		panic(fmt.Sprintf("autograd: Drop of a %dx%d node whose values a backward step reads", n.Value.Rows, n.Value.Cols))
+	}
+	for i := len(t.owned) - 1; i >= 0; i-- {
+		if t.owned[i] != n.Value {
+			continue
+		}
+		t.owned[i] = nil
+		shape := &carve(&t.shapes, 1)[0]
+		shape.Rows, shape.Cols, shape.Data = n.Value.Rows, n.Value.Cols, nil
+		t.bufs.Put(n.Value)
+		n.Value, n.dropped = shape, true
+		return
+	}
+	panic("autograd: Drop of a node this tape did not record")
 }
 
 // Const records a node through which no gradient flows (inputs, masks).
 // The matrix is used as-is and must not be mutated afterwards.
 func (t *Tape) Const(m *tensor.Matrix) *Node {
-	return t.push(Node{Value: m})
+	return t.push(Node{Value: m, leaf: true})
 }
 
 // Var records a differentiable leaf (a parameter or an input whose gradient
 // is wanted). After Backward, the accumulated gradient is in Node.Grad.
 func (t *Tape) Var(m *tensor.Matrix) *Node {
-	return t.push(Node{Value: m, requiresGrad: true})
+	return t.push(Node{Value: m, requiresGrad: true, leaf: true})
 }
 
 // Param records a differentiable leaf whose gradient accumulator is the
@@ -338,7 +414,7 @@ func (t *Tape) Param(value, grad *tensor.Matrix) *Node {
 	if !value.SameShape(grad) {
 		panic(fmt.Sprintf("autograd: Param gradient is %dx%d for a %dx%d value", grad.Rows, grad.Cols, value.Rows, value.Cols))
 	}
-	return t.push(Node{Value: value, Grad: grad, requiresGrad: true, extGrad: true})
+	return t.push(Node{Value: value, Grad: grad, requiresGrad: true, extGrad: true, leaf: true})
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a 1x1
@@ -371,15 +447,8 @@ func (t *Tape) backward(out *Node, st *step) {
 	case opMatMul: // a*b over segs
 		t.matMulGrads(a, b, dc, st.segs)
 	case opLinearReLU: // ReLU(a*b + c) over segs
-		// out is +0 or positive, so its bits are 0 exactly where ∂out is
-		// masked; an AND keeps the unmasked bits, with no branch to
-		// mispredict on a half-zero activation.
-		val := out.Value.Data
-		d := dc.Data[:len(val)]
-		for i, v := range val {
-			keep := uint64(-int64(math.Float64bits(v)) >> 63)
-			d[i] = math.Float64frombits(math.Float64bits(d[i]) & keep)
-		}
+		// The mask's bits are set exactly where out > 0, where ∂out passes.
+		tensor.ApplyReLUMask(dc, st.mask)
 		t.addColSums(st.c, dc, st.segs)
 		t.matMulGrads(a, b, dc, st.segs)
 	case opSpMM: // sp*a
@@ -537,13 +606,22 @@ func (t *Tape) MatMulSeg(a, b *Node, segs []int) *Node {
 
 // LinearReLUSeg records the dense layer c = ReLU(a*w + bias) as one node, with
 // the bits of MatMulSeg, AddRowVectorSeg and ReLU (segs as there): the forward
-// is tensor.LinearReLUInto, and the backward masks ∂c in place where c is not
-// > 0 — exactly where the pre-activation is not — then takes bias's, a's and
-// w's gradients from it as those three nodes would.
+// is tensor.LinearReLUInto, which also writes, when c takes a gradient, c's
+// ReLU mask into the step; the backward masks ∂c in place where the mask's bit
+// is clear — where c is not > 0, exactly where the pre-activation is not —
+// then takes bias's, a's and w's gradients from it as those three nodes would.
+// It never reads c's values, so c can be dropped once the forward has read
+// it.
 func (t *Tape) LinearReLUSeg(a, w, bias *Node, segs []int) *Node {
-	val := t.overwrite(a.Value.Rows, w.Value.Cols)
-	tensor.LinearReLUInto(a.Value, w.Value, bias.Value, val)
-	return t.result(val, anyGrad(a, w, bias), step{op: opLinearReLU, a: a, b: w, c: bias, segs: segs})
+	rows, cols := a.Value.Rows, w.Value.Cols
+	val := t.overwrite(rows, cols)
+	req := anyGrad(a, w, bias)
+	var mask []uint32
+	if req {
+		mask = carve(&t.masks, tensor.ReLUMaskLen(rows, cols))
+	}
+	tensor.LinearReLUInto(a.Value, w.Value, bias.Value, val, mask)
+	return t.result(val, req, step{op: opLinearReLU, a: a, b: w, c: bias, segs: segs, mask: mask})
 }
 
 // matMulGrads takes the gradients of c = a*b from ∂c = dc. a's, ∂c·bᵀ, runs on
@@ -733,6 +811,7 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 	rows := 0
 	req := false
 	for _, n := range nodes {
+		mustLive(n)
 		if n.Value.Rows > 0 {
 			if cols == 0 || nodes[0].Value.Rows == 0 {
 				cols = n.Value.Cols

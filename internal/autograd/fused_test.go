@@ -48,7 +48,11 @@ func mustSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 // pre-activations are exactly the bias — +0 from a +0 and from a −0 bias entry
 // (a sum from +0 is never −0), and negative — and some inputs are −0, terms
 // the products skip. The upstream gradient holds −0s and zeros where the
-// output is positive and where it is masked.
+// output is positive and where it is masked. The fused node runs twice: read
+// by the loss directly, and read through a gather of all its rows — a step
+// that keeps its shape only — and then dropped, so that the loss's product
+// takes its buffer and overwrites it: the backward then has the ReLU mask and
+// nothing else of the output to go by.
 func TestLinearReLUSegMatchesThreeOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const rows = 7
@@ -70,25 +74,44 @@ func TestLinearReLUSegMatchesThreeOps(t *testing.T) {
 			}
 
 			type result struct{ out, dx, dw, db *tensor.Matrix }
-			run := func(layer func(tp *Tape, x, w, b *Node) *Node) result {
+			run := func(layer func(tp *Tape, x, w, b *Node) *Node, drop bool) result {
 				r := result{dw: tensor.New(in, cols), db: tensor.New(1, cols)}
 				tp := NewTape()
 				xv := tp.Var(x)
 				c := layer(tp, xv, tp.Param(w, r.dw), tp.Param(bias, r.db))
-				tp.Backward(tp.SumAll(tp.Mul(c, tp.Const(up))))
-				r.out, r.dx = clone(c.Value), clone(xv.Grad)
+				buf, read := c.Value, c
+				if drop {
+					all := make([]int, rows)
+					for i := range all {
+						all[i] = i
+					}
+					read = tp.GatherRows(c, all)
+					tp.Drop(c)
+				}
+				prod := tp.Mul(read, tp.Const(up))
+				if drop && prod.Value != buf {
+					t.Fatal("the loss's product did not take the dropped output's buffer")
+				}
+				tp.Backward(tp.SumAll(prod))
+				r.out, r.dx = clone(read.Value), clone(xv.Grad)
 				tp.Release()
 				return r
 			}
 			three := run(func(tp *Tape, x, w, b *Node) *Node {
 				return tp.ReLU(tp.AddRowVectorSeg(tp.MatMulSeg(x, w, segs), b, segs))
-			})
-			fused := run(func(tp *Tape, x, w, b *Node) *Node { return tp.LinearReLUSeg(x, w, b, segs) })
+			}, false)
+			layer := func(tp *Tape, x, w, b *Node) *Node { return tp.LinearReLUSeg(x, w, b, segs) }
+			fused, dropped := run(layer, false), run(layer, true)
 
-			mustSameBits(t, "output", fused.out, three.out)
-			mustSameBits(t, "input gradient", fused.dx, three.dx)
-			mustSameBits(t, "weight gradient", fused.dw, three.dw)
-			mustSameBits(t, "bias gradient", fused.db, three.db)
+			for _, r := range []struct {
+				name string
+				result
+			}{{"", fused}, {"dropped ", dropped}} {
+				mustSameBits(t, r.name+"output", r.out, three.out)
+				mustSameBits(t, r.name+"input gradient", r.dx, three.dx)
+				mustSameBits(t, r.name+"weight gradient", r.dw, three.dw)
+				mustSameBits(t, r.name+"bias gradient", r.db, three.db)
+			}
 			for j := 0; j < 3; j++ {
 				if v := fused.out.At(2, j); math.Float64bits(v) != 0 {
 					t.Fatalf("width %d: a zero row's output %d is %v, want +0", cols, j, v)
@@ -119,10 +142,12 @@ func freeListed(tp *Tape) map[uintptr]int {
 // gradient is moved into it, not added onto a zeroed accumulator: here u first
 // receives a −0 (a Mul by a −0 constant), which a Var in w's place keeps, and
 // the Param behind u still ends with the +0 zero-fill-and-add gave it. And a
-// buffer has one owner: after Backward no node's gradient is on the free list
-// or shared with another node, and after Reset no buffer is on the list twice
-// — what a gradient handed on by pass and then freed by its old node would
-// leave.
+// buffer has one owner (mustOwnOnce): after Backward no node's gradient is on
+// the free list or shared with another node, and after Reset no buffer is on
+// the list twice — what a gradient handed on by pass and then freed by its old
+// node would leave. The same holds after the forward and after the backward of
+// a pass that drops the activations of a two-layer GCN once their readers have
+// read them, whose buffers the next outputs and gradients take.
 func TestFirstGradientMoves(t *testing.T) {
 	w := tensor.FromSlice(1, 3, []float64{2, -3, 0.5})
 	c := tensor.FromSlice(1, 3, []float64{negZero, 1, -0.25})
@@ -159,26 +184,59 @@ func TestFirstGradientMoves(t *testing.T) {
 	loss := tp.Add(tp.SumAll(tp.GatherRows(scores, []int{0, 2, 2, 5})), tp.SumAll(tp.Square(pooled)))
 	tp.Backward(tp.AddConst(tp.Add(loss, tp.Pick(scores, 1, 0)), 1))
 
+	mustOwnOnce(t, tp, "after Backward")
+	tp.Reset()
+	mustOwnOnce(t, tp, "after Reset")
+
+	sp := randomSparseOperator(rng, 6)
+	wp = tp.Param(randMat(rng, 5, 8), tensor.New(5, 8))
+	wq := tp.Param(randMat(rng, 8, 8), tensor.New(8, 8))
+	bp = tp.Param(randMat(rng, 1, 8), tensor.New(1, 8))
+	proj = tp.Var(randMat(rng, 8, 1))
+	h1 := tp.LinearReLUSeg(tp.Var(randMat(rng, 6, 5)), wp, bp, segs)
+	h2 := tp.LinearReLUSeg(tp.SpMM(sp, h1), wq, bp, segs)
+	tp.Drop(h1)
+	h3 := tp.LinearReLUSeg(tp.SpMM(sp, h2), wq, bp, segs)
+	tp.Drop(h2)
+	pooled = tp.ConcatCols(tp.SegmentMaxRows(h3, segs), tp.SegmentMeanRows(h3, segs))
+	ready := tp.GatherRows(h3, []int{1, 4, 4})
+	tp.Drop(h3)
+	mustOwnOnce(t, tp, "after a forward with drops")
+	tp.Backward(tp.Add(tp.SumAll(tp.Square(pooled)), tp.SumAll(tp.MatMulSeg(ready, proj, nil))))
+	mustOwnOnce(t, tp, "after a Backward with drops")
+	tp.Reset()
+	mustOwnOnce(t, tp, "after a Reset with drops")
+}
+
+// mustOwnOnce fails unless every buffer of tp has one owner: none is on the
+// free list twice, and no op output's value or tape-drawn gradient is retired,
+// on the free list, or another node's value or gradient as well.
+func mustOwnOnce(t *testing.T, tp *Tape, when string) {
+	t.Helper()
 	on := freeListed(tp)
-	live := map[uintptr]bool{}
-	for _, m := range tp.owned {
-		live[reflect.ValueOf(m).Pointer()] = true
+	for p, k := range on {
+		if k > 1 {
+			t.Fatalf("%s: buffer %#x is on the free list %d times", when, p, k)
+		}
+	}
+	owner := map[uintptr]int{}
+	claim := func(i int, what string, m *tensor.Matrix) {
+		p := reflect.ValueOf(m).Pointer()
+		if j, ok := owner[p]; ok {
+			t.Fatalf("%s: node %d's %s is node %d's too", when, i, what, j)
+		}
+		if on[p] > 0 || m.Rows < 0 {
+			t.Fatalf("%s: node %d's %s is on the free list", when, i, what)
+		}
+		owner[p] = i
 	}
 	for i := range tp.n {
 		n := tp.node(i)
-		if n.Grad == nil || n.extGrad {
-			continue
+		if !n.leaf {
+			claim(i, "value", n.Value)
 		}
-		p := reflect.ValueOf(n.Grad).Pointer()
-		if live[p] || on[p] > 0 || n.Grad.Rows < 0 {
-			t.Fatalf("node %d's gradient is also another node's, or on the free list", i)
-		}
-		live[p] = true
-	}
-	tp.Reset()
-	for p, k := range freeListed(tp) {
-		if k > 1 {
-			t.Fatalf("buffer %#x is on the free list %d times", p, k)
+		if n.Grad != nil && !n.extGrad {
+			claim(i, "gradient", n.Grad)
 		}
 	}
 }

@@ -155,10 +155,15 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) Forward {
 	tp := b.Tape
 
 	// Node embeddings: input projection then the GCN stack, propagating
-	// through the CSR operator.
+	// through the CSR operator. Backward reads an embedding's shape only
+	// (SpMM, gathers, pooling) and its ReLU mask, so each one goes back to the
+	// tape as soon as the layer after it, and at the end the heads, have
+	// read it.
 	h := a.input.ForwardReLU(b, tp.Const(&sb.x), sb.nodeSegs)
 	for _, g := range a.gcn {
-		h = g.Forward(b, &sb.norm, h, sb.nodeSegs)
+		next := g.Forward(b, &sb.norm, h, sb.nodeSegs)
+		tp.Drop(h)
+		h = next
 	}
 
 	// Actor: one score per ready task.
@@ -193,6 +198,7 @@ func (a *Agent) ForwardBatch(b *nn.Binding, sb *StateBatch) Forward {
 	if !sb.skipCritic {
 		value = a.critic.Forward(b, tp.SegmentMeanRows(h, sb.nodeSegs), sb.rowSegs)
 	}
+	tp.Drop(h)
 
 	return Forward{
 		Binding:    b,

@@ -19,10 +19,11 @@ import (
 )
 
 // CheckProblem refuses the sizes no problem can be built from: T < 1 tiles,
-// a negative resource count, a platform with no resource, or a noise level
-// σ < 0. The commands call it before they build anything, so a bad flag ends
-// in a one-line error instead of a panic in taskgraph or platform or a
-// schedule the validator rejects.
+// a negative resource count, a platform with no resource, or a noise level σ
+// that is not a finite number >= 0. The commands call it before they build
+// anything, so a bad flag ends in a one-line error instead of a panic in
+// taskgraph or platform, a schedule the validator rejects, or a simulation
+// that cannot advance.
 func CheckProblem(T, cpus, gpus int, sigma float64) error {
 	switch {
 	case T < 1:
@@ -31,8 +32,8 @@ func CheckProblem(T, cpus, gpus int, sigma float64) error {
 		return fmt.Errorf("resource counts must be >= 0, got %d CPUs and %d GPUs", cpus, gpus)
 	case cpus+gpus < 1:
 		return fmt.Errorf("the platform needs at least one resource, got %d CPUs and %d GPUs", cpus, gpus)
-	case !(sigma >= 0):
-		return fmt.Errorf("duration noise sigma must be >= 0, got %g", sigma)
+	case !(sigma >= 0) || math.IsInf(sigma, 1):
+		return fmt.Errorf("duration noise sigma must be a finite number >= 0, got %g", sigma)
 	}
 	return nil
 }

@@ -22,6 +22,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"readys/internal/taskgraph"
 )
@@ -160,8 +161,8 @@ func (r *ScheduleRequest) Validate() error {
 	if r.CPUs < 0 || r.GPUs < 0 || r.CPUs+r.GPUs < 1 {
 		return fmt.Errorf("serve: platform needs >= 1 resource, got %d CPUs and %d GPUs", r.CPUs, r.GPUs)
 	}
-	if r.Sigma < 0 {
-		return fmt.Errorf("serve: sigma must be >= 0, got %g", r.Sigma)
+	if !(r.Sigma >= 0) || math.IsInf(r.Sigma, 1) {
+		return fmt.Errorf("serve: sigma must be a finite number >= 0, got %g", r.Sigma)
 	}
 	if r.TrainT < 0 {
 		return fmt.Errorf("serve: train_t must be >= 1, got %d", r.TrainT)

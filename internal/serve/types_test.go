@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -125,4 +126,18 @@ func FuzzScheduleRequest(f *testing.F) {
 			t.Fatalf("accepted graph of %d tasks: topological order of %d, %v", n, len(order), err)
 		}
 	})
+}
+
+// TestValidateRefusesNonFiniteSigma: a noise level must be a finite number
+// >= 0, as exp.CheckProblem requires of the commands' flags. JSON carries no
+// NaN or Inf, but an in-process caller can pass them, and a request that
+// passed them used to end in the simulator's deadlock error.
+func TestValidateRefusesNonFiniteSigma(t *testing.T) {
+	for _, sigma := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 0.5} {
+		r := ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Sigma: sigma}
+		err := r.Validate()
+		if ok := sigma >= 0 && !math.IsInf(sigma, 1); (err == nil) != ok || (err != nil && !strings.Contains(err.Error(), "sigma")) {
+			t.Fatalf("sigma %g: Validate() = %v, want ok=%v", sigma, err, ok)
+		}
+	}
 }

@@ -344,6 +344,11 @@ type Options struct {
 // and tasks remain: simulated time can no longer advance.
 var ErrDeadlock = errors.New("sim: all resources idle with no running task but tasks remain")
 
+// ErrNonFiniteDuration is returned when a task draws a duration that is not a
+// finite number — a noise level σ so large that σ·E overflows, or one that is
+// not finite itself — which no simulated clock can advance past.
+var ErrNonFiniteDuration = errors.New("sim: drawn task duration is not finite")
+
 // ErrAllResourcesDead is returned when the fault plan permanently kills every
 // resource before the DAG completes: the remaining tasks have no compatible
 // survivor. Plans produced by GeneratePlan always spare one resource.
@@ -744,6 +749,9 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 		return fmt.Errorf("sim: resource %d is busy or unavailable", r)
 	}
 	dur := float64(s.TaskTiming(task).SampleDuration(rng, s.Graph.Tasks[task].Kernel, s.Platform.Resources[r].Type, s.Sigma) * s.speed(r))
+	if math.IsInf(dur, 0) || math.IsNaN(dur) {
+		return fmt.Errorf("%w: task %d on resource %d drew %g at sigma %g", ErrNonFiniteDuration, task, r, dur, s.Sigma)
+	}
 	// Communication extension: the computation stalls until every input tile
 	// produced on another resource has arrived (transfers overlap but data
 	// cannot be consumed before it lands).

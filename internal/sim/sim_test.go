@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -64,6 +66,25 @@ func TestSimulateCompletesAllTasks(t *testing.T) {
 	}
 	if res.Decisions < g.NumTasks() {
 		t.Fatalf("decisions %d < tasks %d", res.Decisions, g.NumTasks())
+	}
+}
+
+// TestNonFiniteDurationIsRefused: σ = 1e308 is finite, but σ·E overflows, so
+// tasks draw infinite durations, as they do at σ = +Inf. The run ends in an
+// error that names the task, its resource and σ, not in the ErrDeadlock such
+// a run used to end in once the clock had nowhere to go.
+func TestNonFiniteDurationIsRefused(t *testing.T) {
+	g, plat, tim := chol(3)
+	for _, sigma := range []float64{1e308, math.Inf(1)} {
+		_, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Sigma: sigma, Rng: rand.New(rand.NewSource(1))})
+		if !errors.Is(err, ErrNonFiniteDuration) {
+			t.Fatalf("sigma %g: got %v, want ErrNonFiniteDuration", sigma, err)
+		}
+		for _, want := range []string{"task ", "resource ", fmt.Sprintf("sigma %g", sigma)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("sigma %g: %q does not name the %s", sigma, err, strings.TrimSpace(want))
+			}
+		}
 	}
 }
 

@@ -12,8 +12,11 @@ func axpyAVX2F64(alpha float64, x, y []float64)
 // in registers; the contracts are at their TEXT blocks. They read base
 // pointers and the lengths of out and val only, so callers pass open-ended
 // slices.
-func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64, add bool)
+func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64, mask []uint32, add bool)
 func csrRowAVX2(out, val []float64, col []int, d []float64)
+
+// andMaskAVX2 applies a ReLU mask of whole words (contract at its TEXT block).
+func andMaskAVX2(d []float64, mask []uint32)
 
 // hasAVX2 reports whether the CPU and OS support the AVX2 kernels: AVX and
 // OSXSAVE advertised, XMM+YMM state enabled by the OS (XGETBV), and the AVX2

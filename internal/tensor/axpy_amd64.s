@@ -107,12 +107,43 @@ f64done:
 	VADDPD off(R11), acc, acc; \
 	VMAXPD Y14, acc, acc
 
+// The ReLU mask of a finished column block: one bit per lane, set where the
+// lane is > +0, ORed into AX at bit sh.
+#define MASK4(acc, sh) \
+	VCMPPD    $0x1e, Y14, acc, Y9; \
+	VMOVMSKPD Y9, DX; \
+	SHLQ      $sh, DX; \
+	ORQ       DX, AX
+
+// DX = j0, the first column of the block being finished: the row's width
+// (R10 / 8) less the columns not yet finished (CX).
+#define BLOCKCOL \
+	MOVQ R10, DX; \
+	SHRQ $3, DX; \
+	SUBQ CX, DX
+
+// Puts the block's mask bits, AX from bit 0, at column DX of the mask row
+// (R13): from bit DX%32 of word DX/32 on. Blocks go left to right and a
+// 32-block fills a word, so a block at bit 0 is its word's first and stores
+// it; a later one ORs into it. Uses R12 and keeps CX.
+#define MASKPUT \
+	MOVQ  CX, R12; \
+	MOVQ  DX, CX; \
+	SHLL  CX, AX; \
+	MOVQ  R12, CX; \
+	MOVQ  DX, R12; \
+	SHRQ  $5, R12; \
+	TESTQ $31, DX; \
+	JZ    2(PC); \
+	ORL   (R13)(R12*4), AX; \
+	MOVL  AX, (R13)(R12*4)
+
 // The accumulate epilogue: acc + out[block], the sum an in-place `out += row`
 // makes (addition commutes bit for bit).
 #define ADDOUT(off, acc) \
 	VADDPD off(DI), acc, acc
 
-// func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64, add bool)
+// func denseRowAVX2(out, a []float64, stride, k int, b, bias []float64, mask []uint32, add bool)
 //
 // One output row of a dense product, kept in registers for the whole k loop:
 //
@@ -121,11 +152,15 @@ f64done:
 // summed over ascending i from +0, a term whose a is ±0 skipped, VMULPD then
 // VADDPD (never fused) — per element the operations of the zero-fill +
 // axpy-per-k loop it replaces, in the same order. With a non-nil bias the row
-// leaves as max(out[j]+bias[j], +0); with add it leaves as out[j] + the sum,
+// leaves as max(out[j]+bias[j], +0), and a non-nil mask gets its ReLU mask:
+// bit j%32 of mask[j/32] is set where out[j] > 0, every bit of the row's
+// ⌈len(out)/32⌉ words written. With add it leaves as out[j] + the sum,
 // accumulated into what out held. No caller asks for both. Columns go in
-// blocks of 32 (eight accumulators), then 4, then 1. The caller guarantees the
+// blocks of 32 (eight accumulators), then 4, then 1: a 32-block's mask is one
+// word, stored; the narrower blocks after it share the last word, which the
+// block at its bit 0 stores and the others OR into. The caller guarantees the
 // operand lengths.
-TEXT ·denseRowAVX2(SB), NOSPLIT, $0-113
+TEXT ·denseRowAVX2(SB), NOSPLIT, $0-137
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
 	MOVQ a_base+24(FP), SI
@@ -173,9 +208,23 @@ d32bias:
 	BIASRELU(192, Y6)
 	BIASRELU(224, Y7)
 	ADDQ $256, R11
+	MOVQ mask_base+112(FP), R13
+	TESTQ R13, R13
+	JZ   d32add
+	VCMPPD    $0x1e, Y14, Y0, Y9
+	VMOVMSKPD Y9, AX
+	MASK4(Y1, 4)
+	MASK4(Y2, 8)
+	MASK4(Y3, 12)
+	MASK4(Y4, 16)
+	MASK4(Y5, 20)
+	MASK4(Y6, 24)
+	MASK4(Y7, 28)
+	BLOCKCOL
+	MASKPUT
 
 d32add:
-	CMPB add+112(FP), $0
+	CMPB add+136(FP), $0
 	JEQ  d32store
 	ADDOUT(0, Y0)
 	ADDOUT(32, Y1)
@@ -221,9 +270,16 @@ d4bias:
 	JZ   d4add
 	BIASRELU(0, Y0)
 	ADDQ $32, R11
+	MOVQ mask_base+112(FP), R13
+	TESTQ R13, R13
+	JZ   d4add
+	VCMPPD    $0x1e, Y14, Y0, Y9
+	VMOVMSKPD Y9, AX
+	BLOCKCOL
+	MASKPUT
 
 d4add:
-	CMPB add+112(FP), $0
+	CMPB add+136(FP), $0
 	JEQ  d4store
 	ADDOUT(0, Y0)
 
@@ -264,9 +320,17 @@ d1bias:
 	VADDSD (R11), X0, X0
 	VMAXSD X14, X0, X0
 	ADDQ $8, R11
+	MOVQ mask_base+112(FP), R13
+	TESTQ R13, R13
+	JZ   d1add
+	VCMPSD    $0x1e, X14, X0, X9
+	VMOVMSKPD X9, AX
+	ANDL $1, AX
+	BLOCKCOL
+	MASKPUT
 
 d1add:
-	CMPB add+112(FP), $0
+	CMPB add+136(FP), $0
 	JEQ  d1store
 	VADDSD (DI), X0, X0
 
@@ -370,5 +434,81 @@ c1test:
 	JMP  c1
 
 cdone:
+	VZEROUPPER
+	RET
+
+// relubits holds 1<<i in qword i, i < 32: the bit of a mask word that each
+// lane of a 4-entry block tests, block b at offset 32·b.
+DATA relubits<>+0(SB)/8, $0x1
+DATA relubits<>+8(SB)/8, $0x2
+DATA relubits<>+16(SB)/8, $0x4
+DATA relubits<>+24(SB)/8, $0x8
+DATA relubits<>+32(SB)/8, $0x10
+DATA relubits<>+40(SB)/8, $0x20
+DATA relubits<>+48(SB)/8, $0x40
+DATA relubits<>+56(SB)/8, $0x80
+DATA relubits<>+64(SB)/8, $0x100
+DATA relubits<>+72(SB)/8, $0x200
+DATA relubits<>+80(SB)/8, $0x400
+DATA relubits<>+88(SB)/8, $0x800
+DATA relubits<>+96(SB)/8, $0x1000
+DATA relubits<>+104(SB)/8, $0x2000
+DATA relubits<>+112(SB)/8, $0x4000
+DATA relubits<>+120(SB)/8, $0x8000
+DATA relubits<>+128(SB)/8, $0x10000
+DATA relubits<>+136(SB)/8, $0x20000
+DATA relubits<>+144(SB)/8, $0x40000
+DATA relubits<>+152(SB)/8, $0x80000
+DATA relubits<>+160(SB)/8, $0x100000
+DATA relubits<>+168(SB)/8, $0x200000
+DATA relubits<>+176(SB)/8, $0x400000
+DATA relubits<>+184(SB)/8, $0x800000
+DATA relubits<>+192(SB)/8, $0x1000000
+DATA relubits<>+200(SB)/8, $0x2000000
+DATA relubits<>+208(SB)/8, $0x4000000
+DATA relubits<>+216(SB)/8, $0x8000000
+DATA relubits<>+224(SB)/8, $0x10000000
+DATA relubits<>+232(SB)/8, $0x20000000
+DATA relubits<>+240(SB)/8, $0x40000000
+DATA relubits<>+248(SB)/8, $0x80000000
+GLOBL relubits<>(SB), RODATA|NOPTR, $256
+
+// One 4-entry block of a mask word: lanes whose bit of the word (broadcast in
+// Y8) is set become all ones, the others zero, and d's entries are ANDed with
+// them.
+#define ANDMASK4(off) \
+	VPAND    relubits<>+off(SB), Y8, Y9; \
+	VPCMPEQQ relubits<>+off(SB), Y9, Y9; \
+	VANDPD   off(DI), Y9, Y9; \
+	VMOVUPD  Y9, off(DI)
+
+// func andMaskAVX2(d []float64, mask []uint32)
+//
+// d[j] keeps its bits where bit j%32 of mask[j/32] is set and becomes +0
+// elsewhere, for the 32·len(mask) entries of d: a ReLU mask applied over rows
+// whose words are all full. The caller guarantees len(d) >= 32·len(mask).
+TEXT ·andMaskAVX2(SB), NOSPLIT, $0-48
+	MOVQ d_base+0(FP), DI
+	MOVQ mask_base+24(FP), SI
+	MOVQ mask_len+32(FP), CX
+	TESTQ CX, CX
+	JZ   mdone
+
+mword:
+	VPBROADCASTD (SI), Y8
+	ANDMASK4(0)
+	ANDMASK4(32)
+	ANDMASK4(64)
+	ANDMASK4(96)
+	ANDMASK4(128)
+	ANDMASK4(160)
+	ANDMASK4(192)
+	ANDMASK4(224)
+	ADDQ $4, SI
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  mword
+
+mdone:
 	VZEROUPPER
 	RET

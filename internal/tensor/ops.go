@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 )
 
 // MatMul returns a*b. It panics if the inner dimensions disagree.
@@ -15,29 +16,94 @@ func MatMul(a, b *Matrix) *Matrix {
 // destination.
 func MatMulInto(a, b, out *Matrix) {
 	mustMatMul(a, b, out)
-	matMulRows(a, b, nil, out)
+	matMulRows(a, b, nil, nil, out)
 }
 
 // LinearReLUInto computes out = ReLU(x*w + bias), a dense layer. It is
 // MatMulInto, AddRowVectorInto and `v > 0 ? v : 0` with the same bits: on AVX2
 // hosts the row kernel applies bias and ReLU to the finished row before it
-// stores it, elsewhere the three passes run one after the other.
-func LinearReLUInto(x, w, bias, out *Matrix) {
+// stores it, elsewhere the three passes run one after the other. A non-nil
+// mask, ReLUMaskLen(out.Rows, out.Cols) words long, receives the layer's ReLU
+// mask: one bit per entry of out, set where it is > 0 (see ApplyReLUMask).
+func LinearReLUInto(x, w, bias, out *Matrix, mask []uint32) {
 	if bias.Rows != 1 || bias.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: LinearReLU bias wants 1x%d, got %dx%d", w.Cols, bias.Rows, bias.Cols))
+	}
+	if mask != nil && len(mask) != ReLUMaskLen(x.Rows, w.Cols) {
+		panic(fmt.Sprintf("tensor: LinearReLU mask has %d words, want %d", len(mask), ReLUMaskLen(x.Rows, w.Cols)))
 	}
 	if !useRowKernel(w.Cols) {
 		MatMulInto(x, w, out)
 		AddRowVectorInto(out, bias, out)
-		for i, v := range out.Data {
-			if !(v > 0) {
-				out.Data[i] = 0
-			}
-		}
+		reluMaskLoop(out, mask)
 		return
 	}
 	mustMatMul(x, w, out)
-	matMulRows(x, w, bias.Data, out)
+	matMulRows(x, w, bias.Data, mask, out)
+}
+
+// reluMaskLoop is the ReLU pass of LinearReLUInto without the row kernel, and
+// writes the mask (if any) from the finished entries: +0 or positive, so an
+// entry's sign bit is clear and its bits are nonzero exactly where it is > 0.
+func reluMaskLoop(out *Matrix, mask []uint32) {
+	for i, v := range out.Data {
+		if !(v > 0) {
+			out.Data[i] = 0
+		}
+	}
+	if mask == nil {
+		return
+	}
+	stride := maskStride(out.Cols)
+	for i := 0; i < out.Rows; i++ {
+		words := mask[i*stride : (i+1)*stride]
+		clear(words)
+		for j, v := range out.Row(i) {
+			words[j>>5] |= uint32(-math.Float64bits(v)>>63) << (j & 31)
+		}
+	}
+}
+
+// A ReLU mask keeps one bit per entry of a rows x cols matrix: row i owns
+// words [i·s, (i+1)·s) of the mask, s = ⌈cols/32⌉, and entry (i, j) is bit
+// j%32 of the row's word j/32. Bits past the last column are clear.
+
+// maskStride returns the words a mask row of cols entries takes.
+func maskStride(cols int) int { return (cols + 31) / 32 }
+
+// ReLUMaskLen returns how many words the ReLU mask of a rows x cols matrix
+// takes.
+func ReLUMaskLen(rows, cols int) int { return rows * maskStride(cols) }
+
+// ApplyReLUMask zeroes every entry of m whose bit in mask, a ReLU mask of m's
+// shape, is clear, and leaves the others' bits as they are: an AND with the
+// bit spread over the entry, with no branch to mispredict on a half-zero
+// activation. On AVX2 hosts a matrix whose rows fill whole mask words (a
+// width that is a multiple of 32, as the network's are) goes four entries
+// to a vector, in one run over all rows.
+func ApplyReLUMask(m *Matrix, mask []uint32) {
+	stride := maskStride(m.Cols)
+	if len(mask) != m.Rows*stride {
+		panic(fmt.Sprintf("tensor: ReLU mask has %d words for %dx%d, want %d", len(mask), m.Rows, m.Cols, m.Rows*stride))
+	}
+	if hasAVX2 && m.Cols%32 == 0 {
+		andMaskAVX2(m.Data, mask)
+		return
+	}
+	for i := 0; i < m.Rows; i++ {
+		andMaskLoop(m.Row(i), mask[i*stride:(i+1)*stride])
+	}
+}
+
+// andMaskLoop is ApplyReLUMask on one row, without the vector kernel.
+func andMaskLoop(row []float64, words []uint32) {
+	for w, bits := range words {
+		part := row[w*32 : min(w*32+32, len(row))]
+		for j, v := range part {
+			part[j] = math.Float64frombits(math.Float64bits(v) & -uint64(bits&1))
+			bits >>= 1
+		}
+	}
 }
 
 func mustMatMul(a, b, out *Matrix) {
@@ -53,15 +119,21 @@ func useRowKernel(cols int) bool { return hasAVX2 && cols >= axpyMinLen }
 
 // matMulRows computes out = a*b, one row-kernel call per row where
 // useRowKernel (see denseRowAVX2: the output row stays in registers for the
-// whole k loop, and a non-nil bias finishes it as max(row+bias, +0)).
-func matMulRows(a, b *Matrix, bias []float64, out *Matrix) {
+// whole k loop, a non-nil bias finishes it as max(row+bias, +0), and a
+// non-nil mask then receives its ReLU mask).
+func matMulRows(a, b *Matrix, bias []float64, mask []uint32, out *Matrix) {
 	n, p := a.Cols, b.Cols
 	if !useRowKernel(p) {
 		matMulLoop(a, b, out)
 		return
 	}
+	stride := maskStride(p)
 	for i := 0; i < a.Rows; i++ {
-		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[i*n:], 1, n, b.Data, bias, false)
+		var m []uint32
+		if mask != nil {
+			m = mask[i*stride:]
+		}
+		denseRowAVX2(out.Data[i*p:(i+1)*p], a.Data[i*n:], 1, n, b.Data, bias, m, false)
 	}
 }
 
@@ -182,7 +254,7 @@ func segAcc(a []float64, stride int, b *Matrix, segs []int, acc *Matrix) {
 			if klo < khi {
 				ak = a[klo*stride+i:]
 			}
-			denseRowAVX2(acc.Data[i*p:(i+1)*p], ak, stride, khi-klo, b.Data[klo*p:], nil, true)
+			denseRowAVX2(acc.Data[i*p:(i+1)*p], ak, stride, khi-klo, b.Data[klo*p:], nil, nil, true)
 		}
 	}
 }

@@ -254,10 +254,11 @@ func BenchmarkSpMM(b *testing.B) {
 
 // BenchmarkDenseLayer times one dense layer, ReLU(x*W + b), at the shapes the
 // committed checkpoints run at 49 window rows (22 features → hidden 32, hidden
-// 32 → 32) and at DefaultConfig's hidden 64, three ways: the zero-fill +
+// 32 → 32) and at DefaultConfig's hidden 64, four ways: the zero-fill +
 // axpy-per-k loop followed by a bias pass and a ReLU pass (the layer before
 // the row kernel), the row kernel followed by the same two passes, and the row
-// kernel finishing the row in registers (LinearReLUInto). Hidden inputs are
+// kernel finishing the row in registers (LinearReLUInto), without and with the
+// ReLU mask a gradient tape keeps. Hidden inputs are
 // post-ReLU, about half zeros, as in a forward.
 func BenchmarkDenseLayer(b *testing.B) {
 	if !hasAVX2 {
@@ -286,7 +287,13 @@ func BenchmarkDenseLayer(b *testing.B) {
 		})
 		b.Run("row-kernel+epilogue/"+shape, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LinearReLUInto(x, w, bias, out)
+				LinearReLUInto(x, w, bias, out, nil)
+			}
+		})
+		mask := make([]uint32, ReLUMaskLen(rows, cols))
+		b.Run("row-kernel+epilogue+mask/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				LinearReLUInto(x, w, bias, out, mask)
 			}
 		})
 	}

@@ -100,7 +100,7 @@ func TestDenseRowKernelMatchesLoop(t *testing.T) {
 				// The entry point itself, below axpyMinLen too.
 				got := dirty(rows, cols)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, nil, false)
+					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, nil, nil, false)
 				}
 				mustSameBits(t, "denseRowAVX2", got, want)
 				got = dirty(rows, cols)
@@ -111,7 +111,7 @@ func TestDenseRowKernelMatchesLoop(t *testing.T) {
 				biasReLU(want, bias)
 				got = dirty(rows, cols)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, bias.Data, false)
+					denseRowAVX2(got.Row(i), a.Data[i*k:], 1, k, b.Data, bias.Data, nil, false)
 				}
 				mustSameBits(t, "denseRowAVX2+bias", got, want)
 			}
@@ -140,7 +140,7 @@ func TestDenseRowKernelStridedMatchesLoop(t *testing.T) {
 
 				got := dirty(rows, cols)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(got.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil, false)
+					denseRowAVX2(got.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil, nil, false)
 				}
 				mustSameBits(t, "denseRowAVX2 strided", got, want)
 
@@ -151,14 +151,14 @@ func TestDenseRowKernelStridedMatchesLoop(t *testing.T) {
 				segAccLoop(a.Data, rows, b, []int{klo, khi}, loopAcc)
 				mustSameBits(t, "segAccLoop", loopAcc, wantAcc)
 				for i := 0; i < rows; i++ {
-					denseRowAVX2(acc.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil, true)
+					denseRowAVX2(acc.Row(i), a.Data[klo*rows+i:], rows, k, b.Data[klo*cols:], nil, nil, true)
 				}
 				mustSameBits(t, "denseRowAVX2 accumulate", acc, wantAcc)
 
 				sums := kernelMatrix(rng, 1, cols)
 				loopSums := FromSlice(1, cols, append([]float64(nil), sums.Data...))
 				segAccLoop(one[:], 0, b, []int{klo, khi}, loopSums)
-				denseRowAVX2(sums.Data, one[:], 0, k, b.Data[klo*cols:], nil, true)
+				denseRowAVX2(sums.Data, one[:], 0, k, b.Data[klo*cols:], nil, nil, true)
 				mustSameBits(t, "denseRowAVX2 stride 0", sums, loopSums)
 			}
 		}
@@ -225,7 +225,7 @@ func TestLinearReLUMatchesThreeOps(t *testing.T) {
 				}
 				biasReLU(want, bias)
 				got := dirty(rows, cols)
-				LinearReLUInto(x, w, bias, got)
+				LinearReLUInto(x, w, bias, got, nil)
 				mustSameBits(t, "LinearReLUInto", got, want)
 				for _, j := range []int{0, 2} {
 					if j < cols && math.Float64bits(got.Data[j]) != 0 {
@@ -256,7 +256,7 @@ func TestRowKernelSkipsZeroTerms(t *testing.T) {
 		}
 		want, got := dirty(1, cols), dirty(1, cols)
 		matMulLoop(a, b, want)
-		denseRowAVX2(got.Data, a.Data, 1, 3, b.Data, nil, false)
+		denseRowAVX2(got.Data, a.Data, 1, 3, b.Data, nil, nil, false)
 		mustSameBits(t, "denseRowAVX2 zero skip", got, want)
 		for j, v := range got.Data {
 			if v != 1.5*b.Data[2*cols+j] {
@@ -268,5 +268,130 @@ func TestRowKernelSkipsZeroTerms(t *testing.T) {
 		spMMLoop(s, b, want)
 		csrRowAVX2(got.Data, s.Val, s.Col, b.Data)
 		mustSameBits(t, "csrRowAVX2 stored zero", got, want)
+	}
+}
+
+// The ReLU mask the row kernel writes is, bit for bit, the one the Go pass
+// writes from the finished entries (reluMaskLoop, the path of narrow rows and
+// of hosts without AVX2), and each bit says whether its entry is > 0. It runs
+// over every column block/tail combination into a mask full of stale ones, so
+// a word the kernel fails to write in full, or a bit past the last column it
+// leaves set, shows. Row 0 of x is zero, so its pre-activations are the bias
+// alone; row 1 is the first unit vector, so its are w's first row plus the
+// bias. Between them they reach what the mask must tell apart: +0 from a +0
+// and from a −0 bias (the nearest the kernel comes to a −0 pre-activation,
+// which a sum from +0 never is), NaN, ±Inf, subnormals of both signs,
+// negatives and positives.
+func TestReLUMaskKernelMatchesLoop(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(29))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 1e-310, -1e-310, -1, 1}
+	special := func() float64 {
+		if rng.Intn(3) == 0 {
+			return kernelValue(rng)
+		}
+		return specials[rng.Intn(len(specials))]
+	}
+	for _, rows := range kernelRows {
+		for _, k := range kernelKs {
+			for cols := 1; cols <= kernelMaxCols; cols++ {
+				x, w := kernelMatrix(rng, rows, k), kernelMatrix(rng, k, cols)
+				bias := kernelMatrix(rng, 1, cols)
+				for j := range bias.Data {
+					bias.Data[j] = special()
+				}
+				clear(x.Row(0))
+				if rows > 1 && k > 0 {
+					clear(x.Row(1))
+					x.Data[k] = 1
+					for j := range w.Row(0) {
+						w.Data[j] = special()
+					}
+				}
+				n := ReLUMaskLen(rows, cols)
+				stale := func() []uint32 {
+					m := make([]uint32, n)
+					for i := range m {
+						m[i] = ^uint32(0)
+					}
+					return m
+				}
+
+				want, wantMask := dirty(rows, cols), stale()
+				matMulLoop(x, w, want)
+				AddRowVectorInto(want, bias, want)
+				reluMaskLoop(want, wantMask)
+				stride := maskStride(cols)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < 32*stride; j++ {
+						bit := wantMask[i*stride+j/32] >> (j % 32) & 1
+						if pos := j < cols && want.At(i, j) > 0; bit != 0 != pos {
+							t.Fatalf("k=%d %dx%d: the Go pass's bit (%d,%d) is %d over an entry %g", k, rows, cols, i, j, bit, want.Data[min(i*cols+j, len(want.Data)-1)])
+						}
+					}
+				}
+
+				got, gotMask := dirty(rows, cols), stale()
+				for i := 0; i < rows; i++ {
+					denseRowAVX2(got.Row(i), x.Data[i*k:], 1, k, w.Data, bias.Data, gotMask[i*stride:], false)
+				}
+				mustSameBits(t, "denseRowAVX2+bias+mask", got, want)
+				mustSameMask(t, "denseRowAVX2", k, rows, cols, gotMask, wantMask)
+
+				got, gotMask = dirty(rows, cols), stale()
+				LinearReLUInto(x, w, bias, got, gotMask)
+				mustSameBits(t, "LinearReLUInto+mask", got, want)
+				mustSameMask(t, "LinearReLUInto", k, rows, cols, gotMask, wantMask)
+			}
+		}
+	}
+}
+
+func mustSameMask(t *testing.T, what string, k, rows, cols int, got, want []uint32) {
+	t.Helper()
+	for i, w := range want {
+		if got[i] != w {
+			t.Fatalf("%s k=%d %dx%d: mask word %d (row %d) is %032b, want %032b", what, k, rows, cols, i, i/maskStride(cols), got[i], w)
+		}
+	}
+}
+
+// ApplyReLUMask keeps an entry's bits where its mask bit is set — −0, NaN,
+// Inf and subnormals included — and leaves +0 where it is clear, on the
+// vector kernel (widths 32 and 64) and the Go loop alike, and every row's
+// word through the Go loop on its own.
+func TestApplyReLUMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, rows := range kernelRows {
+		for cols := 1; cols <= kernelMaxCols; cols++ {
+			m := kernelMatrix(rng, rows, cols)
+			m.Data[0], m.Data[len(m.Data)-1] = math.NaN(), math.Copysign(0, -1)
+			m.Data[rng.Intn(len(m.Data))] = math.Inf(-1)
+			mask := make([]uint32, ReLUMaskLen(rows, cols))
+			for i := range mask {
+				mask[i] = rng.Uint32()
+			}
+			mask[0] |= 1
+			mask[len(mask)-1] |= 1 << ((cols - 1) % 32)
+			stride := maskStride(cols)
+			want := dirty(rows, cols)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					want.Set(i, j, 0)
+					if mask[i*stride+j/32]>>(j%32)&1 != 0 {
+						want.Set(i, j, m.At(i, j))
+					}
+				}
+			}
+			got := FromSlice(rows, cols, append([]float64(nil), m.Data...))
+			ApplyReLUMask(got, mask)
+			mustSameBits(t, "ApplyReLUMask", got, want)
+			got = FromSlice(rows, cols, append([]float64(nil), m.Data...))
+			for i := 0; i < rows; i++ {
+				andMaskLoop(got.Row(i), mask[i*stride:(i+1)*stride])
+			}
+			mustSameBits(t, "andMaskLoop", got, want)
+		}
 	}
 }
