@@ -219,7 +219,7 @@ obs-smoke:
 	$(GO) run ./cmd/readys-obs-check -jsonl $(OBS_TMP)/train.jsonl \
 		-trace $(OBS_TMP)/trace.json
 	$(GO) run ./cmd/readys-stream -rate 6 -jobs 6 -sigma 0.1 \
-		-policy readys -models models -faults -fault-rate 1 -seed 7 -quiet \
+		-policy readys -models models -fault-rate 1 -seed 7 -quiet \
 		-trace $(OBS_TMP)/stream-trace.json -metrics $(OBS_TMP)/metrics.prom > /dev/null
 	for c in forwards memo_hits window_rows rebuilds idle; do \
 		grep -q "^# TYPE readys_decide_$${c}_total counter" $(OBS_TMP)/metrics.prom || exit 1; done
@@ -233,7 +233,7 @@ obs-smoke:
 # overlaps an outage or a duration leaves the timing envelope).
 chaos-smoke:
 	$(GO) run ./cmd/readys-sim -kind cholesky -T 3 -cpus 1 -gpus 1 -sigma 0.1 \
-		-policy mct -faults -fault-rate 2 -seed 7 > /dev/null
+		-policy mct -fault-rate 2 -seed 7 > /dev/null
 	@echo chaos-smoke OK
 
 # Online-scheduling smoke: a tiny mixed-family Poisson stream scheduled
@@ -252,7 +252,7 @@ STREAM_TMP ?= /tmp/readys-stream-smoke
 stream-smoke:
 	rm -rf $(STREAM_TMP) && mkdir -p $(STREAM_TMP)
 	$(GO) run ./cmd/readys-stream -rate 6 -jobs 6 -sigma 0.1 \
-		-policy heft-per-job -faults -fault-rate 1 -seed 7 -quiet \
+		-policy heft-per-job -fault-rate 1 -seed 7 -quiet \
 		-trace $(STREAM_TMP)/trace.json > /dev/null
 	$(GO) run ./cmd/readys-obs-check -trace $(STREAM_TMP)/trace.json
 	$(GO) run ./cmd/readys-stream -jobs 4000 -job-sizes 4,5 -policy mct -quiet \

@@ -252,35 +252,6 @@ func BenchmarkAblationIdleAction(b *testing.B) {
 	b.ReportMetric(evalMean(true), "ms_no_idle")
 }
 
-// BenchmarkCommOverlap quantifies the paper's §III-A assumption that
-// communications can be neglected: the same HEFT schedule is executed with
-// free communication and with a PCIe-class communication model; the reported
-// metric is the makespan inflation factor (≈1 validates the assumption).
-func BenchmarkCommOverlap(b *testing.B) {
-	g := taskgraph.NewCholesky(8)
-	plat := platform.New(2, 2)
-	tt := platform.TimingFor(taskgraph.Cholesky)
-	comm := platform.DefaultCommModel()
-	h := sched.HEFTComm(g, plat, tt, comm)
-	b.ResetTimer()
-	var freeMs, commMs float64
-	for i := 0; i < b.N; i++ {
-		rf, err := sim.Simulate(g, plat, tt, sched.NewStaticPolicy(h), sim.Options{Rng: rand.New(rand.NewSource(int64(i)))})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rc, err := sim.Simulate(g, plat, tt, sched.NewStaticPolicy(h), sim.Options{Rng: rand.New(rand.NewSource(int64(i))), Comm: comm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		freeMs, commMs = rf.Makespan, rc.Makespan
-	}
-	b.StopTimer()
-	if freeMs > 0 {
-		b.ReportMetric(commMs/freeMs, "comm_inflation")
-	}
-}
-
 // BenchmarkDAGGeneration measures the task-graph generators.
 func BenchmarkDAGGeneration(b *testing.B) {
 	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {

@@ -4,10 +4,10 @@
 // missing, empty, or malformed, so `make obs-smoke` can assert the pipeline
 // end to end.
 //
-// Traces from fault-injecting runs (readys-sim -faults) carry extra spans in
-// the "fault" category — "outage" and "dead" slices plus "death", "degrade"
-// and "kill" instants — which are counted in the summary and validate like
-// any other span.
+// Traces from fault-injecting runs (readys-sim -fault-rate) carry extra spans
+// in the "fault" category — "outage" and "dead" slices plus "death",
+// "degrade" and "kill" instants — which are counted in the summary and
+// validate like any other span.
 //
 // Two flags serve distributed traces. -merge joins per-process trace
 // exports (dispatcher + worker, client + serve) into one document whose pid

@@ -1,13 +1,13 @@
 // readys-sim runs a single scheduling episode of any scheduler on any problem
 // and reports the makespan, per-resource utilisation, the per-kernel
 // CPU/GPU placement split and the realised critical chain. The schedule can
-// be exported as a Gantt chart (CSV or SVG).
+// be exported as Chrome trace-event JSON, one lane per resource.
 //
 // Usage:
 //
 //	readys-sim -kind cholesky -T 8 -cpus 2 -gpus 2 -policy mct -sigma 0.3
-//	readys-sim -policy readys -models models -svg schedule.svg
-//	readys-sim -policy heft -comm                # with communication costs
+//	readys-sim -policy readys -models models -trace trace.json
+//	readys-sim -policy heft -fault-rate 1        # with injected faults
 package main
 
 import (
@@ -36,13 +36,9 @@ func main() {
 		policy    = flag.String("policy", "mct", "scheduler: readys, heft, replan-heft, mct, minmin, maxmin, rank, fifo, random")
 		models    = flag.String("models", exp.DefaultModelsDir(), "model directory (for -policy readys)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		comm      = flag.Bool("comm", false, "enable the PCIe-class communication model")
-		csvPath   = flag.String("gantt", "", "write the schedule as Gantt CSV to this path")
-		svgPath   = flag.String("svg", "", "write the schedule as an SVG Gantt chart to this path")
 		tracePath = flag.String("trace", "", "write the schedule as Chrome trace-event JSON to this path (load in chrome://tracing or ui.perfetto.dev)")
-		faults    = flag.Bool("faults", false, "inject faults (outages, deaths, degradation) from a seed-derived plan")
-		faultRate = flag.Float64("fault-rate", 1, "fault rate for -faults (events of each kind per resource, see sim.SpecForRate)")
-		faultSeed = flag.Int64("fault-seed", 0, "fault-plan seed for -faults (default: derived from -seed)")
+		faultRate = flag.Float64("fault-rate", 0, "inject faults (outages, deaths, degradation) at this rate from a seed-derived plan (events of each kind per resource, see sim.SpecForRate; 0 = fault-free)")
+		faultSeed = flag.Int64("fault-seed", 0, "fault-plan seed (default: derived from -seed)")
 	)
 	flag.Parse()
 
@@ -90,10 +86,7 @@ func main() {
 	}
 
 	opts := sim.Options{Sigma: *sigma, Rng: rand.New(rand.NewSource(*seed))}
-	if *comm {
-		opts.Comm = platform.DefaultCommModel()
-	}
-	if *faults {
+	if *faultRate > 0 {
 		horizon := core.FaultHorizonFactor * sched.HEFT(g, plat, tt).Makespan
 		fs := *faultSeed
 		if fs == 0 {
@@ -111,7 +104,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := sim.ValidateResultStrict(g, res, sim.CheckOptions{
-		Platform: plat, Timing: tt, Sigma: *sigma, Comm: opts.Comm, Faults: opts.Faults,
+		Platform: plat, Timing: tt, Sigma: *sigma, Faults: opts.Faults,
 	}); err != nil {
 		log.Fatalf("schedule invalid: %v", err)
 	}
@@ -152,27 +145,15 @@ func main() {
 		}
 	}
 
-	if *csvPath != "" {
-		writeFile(*csvPath, func(f *os.File) error { return sim.WriteGanttCSV(f, g, plat, res) })
-		fmt.Println("wrote", *csvPath)
-	}
-	if *svgPath != "" {
-		writeFile(*svgPath, func(f *os.File) error { return sim.WriteGanttSVG(f, g, plat, res) })
-		fmt.Println("wrote", *svgPath)
-	}
 	if tracer != nil {
-		writeFile(*tracePath, func(f *os.File) error { return tracer.WriteChromeTrace(f) })
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer f.Close()
+		if err := tracer.WriteChromeTrace(f); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Println("wrote", *tracePath)
-	}
-}
-
-func writeFile(path string, fn func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
-		log.Fatal(err)
 	}
 }

@@ -14,7 +14,7 @@
 //
 //	readys-stream -rate 4 -jobs 12 -policy mct -sigma 0.1
 //	readys-stream -policy readys -models models
-//	readys-stream -arrivals stream.jsonl -policy replan-heft -faults
+//	readys-stream -arrivals stream.jsonl -policy replan-heft -fault-rate 1
 //	readys-stream -rate 8 -jobs 20 -trace stream-trace.json
 package main
 
@@ -52,9 +52,8 @@ func main() {
 		policy       = flag.String("policy", "mct", "scheduler: readys, heft-per-job, replan-heft, mct, minmin, maxmin, fifo, random")
 		models       = flag.String("models", exp.DefaultModelsDir(), "model directory (for -policy readys)")
 		seed         = flag.Int64("seed", 1, "simulation seed (duration noise, resource shuffles)")
-		faults       = flag.Bool("faults", false, "inject mid-stream faults from a seed-derived plan")
-		faultRate    = flag.Float64("fault-rate", 1, "fault rate for -faults (events of each kind per resource, see sim.SpecForRate)")
-		faultSeed    = flag.Int64("fault-seed", 0, "fault-plan seed for -faults (default: derived from -seed)")
+		faultRate    = flag.Float64("fault-rate", 0, "inject mid-stream faults at this rate from a seed-derived plan (events of each kind per resource, see sim.SpecForRate; 0 = fault-free)")
+		faultSeed    = flag.Int64("fault-seed", 0, "fault-plan seed (default: derived from -seed)")
 		tracePath    = flag.String("trace", "", "write the stream (arrivals, slices, faults) as Chrome trace-event JSON to this path")
 		metricsPath  = flag.String("metrics", "", "write the run's readys_stream_* metrics, and with -policy readys its readys_decide_* counters, as Prometheus text exposition to this path ('-' for stdout)")
 		writeArr     = flag.String("write-arrivals", "", "write the (generated or replayed) arrival list as JSONL to this path")
@@ -108,7 +107,7 @@ func main() {
 		Sigma:    *sigma,
 		Rng:      rand.New(rand.NewSource(*seed)),
 	}
-	if *faults {
+	if *faultRate > 0 {
 		horizon := arrivals[len(arrivals)-1].At * 1.5
 		if horizon <= 0 {
 			horizon = 1000

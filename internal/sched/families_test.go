@@ -10,8 +10,9 @@ import (
 )
 
 // TestAllPoliciesAllFamilies is a cross-product soak test: every scheduler
-// must produce a valid schedule on every DAG family, with and without noise
-// and with and without communication costs.
+// must produce a schedule on every DAG family, with and without noise, that
+// the strict validator accepts — every slice checked against the timing
+// table.
 func TestAllPoliciesAllFamilies(t *testing.T) {
 	kinds := []taskgraph.Kind{
 		taskgraph.Cholesky, taskgraph.LU, taskgraph.QR,
@@ -32,16 +33,14 @@ func TestAllPoliciesAllFamilies(t *testing.T) {
 		}
 		for name, pol := range policies {
 			for _, sigma := range []float64{0, 0.3} {
-				for _, comm := range []*platform.CommModel{nil, platform.DefaultCommModel()} {
-					res, err := sim.Simulate(g, plat, tt, pol, sim.Options{
-						Sigma: sigma, Comm: comm, Rng: rand.New(rand.NewSource(7)),
-					})
-					if err != nil {
-						t.Fatalf("%v/%s σ=%v comm=%v: %v", kind, name, sigma, comm != nil, err)
-					}
-					if err := sim.ValidateResult(g, plat.Size(), res); err != nil {
-						t.Fatalf("%v/%s σ=%v comm=%v: %v", kind, name, sigma, comm != nil, err)
-					}
+				res, err := sim.Simulate(g, plat, tt, pol, sim.Options{
+					Sigma: sigma, Rng: rand.New(rand.NewSource(7)),
+				})
+				if err != nil {
+					t.Fatalf("%v/%s σ=%v: %v", kind, name, sigma, err)
+				}
+				if err := sim.ValidateResultStrict(g, res, sim.CheckOptions{Platform: plat, Timing: tt, Sigma: sigma}); err != nil {
+					t.Fatalf("%v/%s σ=%v: %v", kind, name, sigma, err)
 				}
 			}
 		}

@@ -40,15 +40,7 @@ type HEFTSchedule struct {
 // resources and zero communication costs (communications are overlapped,
 // §III-A).
 func UpwardRanks(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) []float64 {
-	return UpwardRanksComm(g, plat, tt, nil)
-}
-
-// UpwardRanksComm generalises UpwardRanks with the classical HEFT
-// communication term: each edge adds the mean transfer cost c̄ over resource
-// pairs, rank(i) = w̄(i) + max_j (c̄ + rank(j)).
-func UpwardRanksComm(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing, comm *platform.CommModel) []float64 {
 	n := g.NumTasks()
-	cbar := comm.MeanCost(plat.Size())
 	avg := make([]float64, taskgraph.NumKernels)
 	for k := 0; k < taskgraph.NumKernels; k++ {
 		var s float64
@@ -66,8 +58,8 @@ func UpwardRanksComm(g *taskgraph.Graph, plat platform.Platform, tt platform.Tim
 		i := order[idx]
 		var best float64
 		for _, j := range g.Succ[i] {
-			if cbar+rank[j] > best {
-				best = cbar + rank[j]
+			if rank[j] > best {
+				best = rank[j]
 			}
 		}
 		rank[i] = avg[g.Tasks[i].Kernel] + best
@@ -117,15 +109,8 @@ type slot struct{ start, end float64 }
 // idle gap — insertion-based policy) minimising its earliest finish time
 // under expected durations. Communication costs are zero, as in the paper.
 func HEFT(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) *HEFTSchedule {
-	return HEFTComm(g, plat, tt, nil)
-}
-
-// HEFTComm is HEFT with the communication-cost extension: a task's earliest
-// start on resource r accounts for the transfer of each input produced on a
-// different resource, as in the original HEFT formulation [48].
-func HEFTComm(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing, comm *platform.CommModel) *HEFTSchedule {
 	n := g.NumTasks()
-	rank := UpwardRanksComm(g, plat, tt, comm)
+	rank := UpwardRanks(g, plat, tt)
 	byRank := make([]int, n)
 	for i := range byRank {
 		byRank[i] = i
@@ -157,17 +142,16 @@ func HEFTComm(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing, co
 				panic("sched: HEFT predecessor not yet scheduled")
 			}
 		}
+		// Earliest time every input is available: the predecessors'
+		// projected completion, on any resource.
+		var readyAt float64
+		for _, p := range g.Pred[t] {
+			if sched.ProjEnd[p] > readyAt {
+				readyAt = sched.ProjEnd[p]
+			}
+		}
 		bestRes, bestStart, bestEnd := -1, 0.0, math.Inf(1)
 		for r := 0; r < plat.Size(); r++ {
-			// Earliest time every input is available on r (projected
-			// completion plus cross-resource transfer when comm is modelled).
-			var readyAt float64
-			for _, p := range g.Pred[t] {
-				at := sched.ProjEnd[p] + comm.Cost(sched.Assignment[p], r)
-				if at > readyAt {
-					readyAt = at
-				}
-			}
 			dur := tt.ExpectedDuration(g.Tasks[t].Kernel, plat.Resources[r].Type)
 			start := earliestGap(timelines[r], readyAt, dur)
 			if end := start + dur; end < bestEnd {

@@ -50,13 +50,7 @@ func (MCTPolicy) Decide(s *sim.State, r int) int {
 // ectOn returns the expected completion time of ready task t on resource r
 // under r's current speed factor.
 func ectOn(s *sim.State, t, r int) float64 {
-	start := s.Now + s.EstTimeUntilFree(r)
-	// With the communication extension, inputs produced elsewhere delay the
-	// start on r.
-	if dr := s.DataReadyTime(t, r); dr > start {
-		start = dr
-	}
-	return start + s.EstTaskDuration(t, r)
+	return s.Now + s.EstTimeUntilFree(r) + s.EstTaskDuration(t, r)
 }
 
 // mctChoice returns the resource minimising the expected completion time of

@@ -41,9 +41,6 @@ type State struct {
 	Platform platform.Platform
 	Timing   platform.Timing
 	Sigma    float64
-	// Comm is the optional communication model (nil = free communication,
-	// the paper's setting).
-	Comm *platform.CommModel
 
 	// Now is the current simulated time in ms.
 	Now float64
@@ -123,8 +120,8 @@ type State struct {
 	free []int
 
 	// tracer, when set via Options.Tracer, receives task-start/task-end
-	// events per resource lane (and comm transfers), plus outage / death /
-	// kill fault spans. Invisible to policies.
+	// events per resource lane, plus outage / death / kill fault spans.
+	// Invisible to policies.
 	tracer *obs.Tracer
 
 	// onJobDone, when set (Cluster runs), is invoked when a job's last task
@@ -321,9 +318,6 @@ type Result struct {
 type Options struct {
 	// Sigma is the duration noise level (§V-B).
 	Sigma float64
-	// Comm enables the communication-cost extension (nil = free, as in the
-	// paper).
-	Comm *platform.CommModel
 	// Rng drives duration sampling and the random choice of the current
 	// processor. Required.
 	Rng *rand.Rand
@@ -333,10 +327,9 @@ type Options struct {
 	// every result bit-identical to a fault-free run.
 	Faults *FaultPlan
 	// Tracer, if non-nil, records task-start/task-end events per resource
-	// lane (and, with a communication model, per-transfer slices) that
-	// export as a Chrome trace (obs.Tracer.WriteChromeTrace). Tracing never
-	// consumes randomness, so a traced run is bit-identical to an untraced
-	// one.
+	// lane that export as a Chrome trace (obs.Tracer.WriteChromeTrace).
+	// Tracing never consumes randomness, so a traced run is bit-identical to
+	// an untraced one.
 	Tracer *obs.Tracer
 }
 
@@ -432,7 +425,6 @@ func (rn *Runner) start(g *taskgraph.Graph, plat platform.Platform, timing platf
 		Platform:    plat,
 		Timing:      timing,
 		Sigma:       opt.Sigma,
-		Comm:        opt.Comm,
 		Ready:       s.Ready[:0],
 		Running:     s.Running[:0],
 		Done:        zeroed(s.Done, n),
@@ -659,7 +651,7 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 // killRunning terminates the task executing on resource r (if any) at time
 // at: the attempt is recorded, the task returns to the ready set, and its
 // predecessors' outputs are retained so re-execution only repeats the killed
-// work (plus fresh input transfers under the communication model).
+// work.
 func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 	t := s.RunningTask[r]
 	if t == NoTask {
@@ -718,21 +710,6 @@ func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced boo
 	return nil
 }
 
-// DataReadyTime returns the earliest time the inputs of a ready task are
-// available on resource r: the max over predecessors of their completion time
-// plus the transfer cost from their resource to r. Equals the predecessors'
-// max end time when no communication model is set.
-func (s *State) DataReadyTime(task, r int) float64 {
-	var ready float64
-	for _, p := range s.Graph.Pred[task] {
-		at := s.EndTime[p] + s.Comm.Cost(s.AssignedTo[p], r)
-		if at > ready {
-			ready = at
-		}
-	}
-	return ready
-}
-
 // startTask begins executing task on resource r at s.Now, sampling its actual
 // duration (scaled by r's current speed factor).
 func startTask(s *State, task, r int, rng *rand.Rand) error {
@@ -752,16 +729,9 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 	if math.IsInf(dur, 0) || math.IsNaN(dur) {
 		return fmt.Errorf("%w: task %d on resource %d drew %g at sigma %g", ErrNonFiniteDuration, task, r, dur, s.Sigma)
 	}
-	// Communication extension: the computation stalls until every input tile
-	// produced on another resource has arrived (transfers overlap but data
-	// cannot be consumed before it lands).
-	stall := s.DataReadyTime(task, r) - s.Now
-	if stall < 0 {
-		stall = 0
-	}
 	s.Started[task] = true
 	s.StartTime[task] = s.Now
-	s.EndTime[task] = s.Now + stall + dur
+	s.EndTime[task] = s.Now + dur
 	s.AssignedTo[task] = r
 	s.RunningTask[r] = task
 	s.BusyUntil[r] = s.Now + dur

@@ -256,29 +256,6 @@ func TestTimeUntilFree(t *testing.T) {
 	}
 }
 
-func TestGanttCSVAndUtilisation(t *testing.T) {
-	g, plat, tim := chol(4)
-	res, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Rng: rand.New(rand.NewSource(1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteGanttCSV(&sb, g, plat, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "resource,resource_type,task,kernel,start,end\n") {
-		t.Fatalf("missing header:\n%s", out)
-	}
-	if !strings.Contains(out, "POTRF(0)") {
-		t.Fatal("missing task row")
-	}
-	lines := strings.Count(out, "\n")
-	if lines != g.NumTasks()+1 {
-		t.Fatalf("%d lines, want %d", lines, g.NumTasks()+1)
-	}
-}
-
 func TestValidateResultCatchesViolations(t *testing.T) {
 	g := taskgraph.NewCholesky(2) // 4 tasks: POTRF(0), TRSM(1,0), SYRK(1,0), POTRF(1)
 	ok := Result{

@@ -8,24 +8,14 @@ import (
 // TracePID is the pid under which the simulator records every trace event.
 const TracePID = 1
 
-// Trace lanes: resource r executes on tid == r; when a communication model is
-// active, transfers *into* resource r render on tid == Size()+r, so each
-// resource lane is paired with its inbound-transfer lane.
-func commLane(s *State, r int) int64 { return int64(s.Platform.Size() + r) }
-
-// setupTrace names the trace process and one lane per resource (plus the
-// inbound-communication lanes when a communication model is active). Lane
-// names are stable across runs: "<Type> <id>" in platform order.
+// setupTrace names the trace process and one lane per resource: resource r
+// executes on tid == r. Lane names are stable across runs: "<Type> <id>" in
+// platform order.
 func setupTrace(s *State) {
 	tr := s.tracer
 	tr.NameProcess(TracePID, "readys-sim")
 	for r, res := range s.Platform.Resources {
 		tr.NameThread(TracePID, int64(r), fmt.Sprintf("%s %d", res.Type, r))
-	}
-	if s.Comm != nil {
-		for r, res := range s.Platform.Resources {
-			tr.NameThread(TracePID, commLane(s, r), fmt.Sprintf("comm → %s %d", res.Type, r))
-		}
 	}
 }
 
@@ -41,27 +31,14 @@ func taskLabel(s *State, task int) (name, kernel string) {
 	return "j" + strconv.Itoa(j.ID) + ":" + t.Name, j.Graph.KernelNames[t.Kernel]
 }
 
-// traceStart records the task-start event on the resource lane and, under a
-// communication model, one complete slice per inbound transfer on the
-// destination's comm lane. Simulated milliseconds map to trace microseconds.
+// traceStart records the task-start event on the resource lane. Simulated
+// milliseconds map to trace microseconds.
 func traceStart(s *State, task, r int) {
 	name, kernel := taskLabel(s, task)
 	s.tracer.Begin(name, "task", TracePID, int64(r), s.StartTime[task]*1000, map[string]any{
 		"task":   task,
 		"kernel": kernel,
 	})
-	if s.Comm == nil {
-		return
-	}
-	for _, p := range s.Graph.Pred[task] {
-		from := s.AssignedTo[p]
-		cost := s.Comm.Cost(from, r)
-		if cost <= 0 {
-			continue
-		}
-		s.tracer.Complete(fmt.Sprintf("t%d→t%d", p, task), "comm", TracePID, commLane(s, r),
-			s.EndTime[p]*1000, cost*1000, map[string]any{"from_resource": from})
-	}
 }
 
 // traceEnd records the task-end event on the resource lane.
@@ -80,8 +57,7 @@ func traceEnd(s *State, task int) {
 //     that killed it.
 //
 // X and i phases carry no stack constraints, so ValidateChromeTrace accepts
-// traces with and without fault spans unchanged. Comm slices of killed
-// attempts remain in the trace: the transfers did happen.
+// traces with and without fault spans unchanged.
 
 // traceOutage records the outage window on the resource lane at the time the
 // outage begins.

@@ -136,9 +136,8 @@ func TestTraceIsDeterministicAndInert(t *testing.T) {
 }
 
 // TestTracePropertyAnySchedule is the fuzz-ish property test: any simulated
-// schedule — random layered DAGs, varying platforms, noise levels, with and
-// without the communication model — must export parseable, structurally
-// valid Chrome trace JSON.
+// schedule — random layered DAGs, varying platforms and noise levels — must
+// export parseable, structurally valid Chrome trace JSON.
 func TestTracePropertyAnySchedule(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -153,13 +152,10 @@ func TestTracePropertyAnySchedule(t *testing.T) {
 		plat := platform.New(1+rng.Intn(3), rng.Intn(3))
 		tim := platform.TimingFor(taskgraph.Random)
 		opt := Options{Sigma: []float64{0, 0.2, 0.5}[rng.Intn(3)], Rng: rng}
-		if rng.Intn(2) == 1 {
-			opt.Comm = platform.DefaultCommModel()
-		}
 		data, res := simulateTraced(t, g, plat, tim, fifoPolicy{}, opt)
 		if err := obs.ValidateChromeTrace(data); err != nil {
-			t.Fatalf("seed %d (%d tasks, %s, σ=%g comm=%v): %v",
-				seed, g.NumTasks(), plat, opt.Sigma, opt.Comm != nil, err)
+			t.Fatalf("seed %d (%d tasks, %s, σ=%g): %v",
+				seed, g.NumTasks(), plat, opt.Sigma, err)
 		}
 		if err := ValidateResult(g, plat.Size(), res); err != nil {
 			t.Fatalf("seed %d: schedule invalid: %v", seed, err)

@@ -112,9 +112,6 @@ type CheckOptions struct {
 	// Sigma is the duration noise level the run used. Zero makes the
 	// duration check exact.
 	Sigma float64
-	// Comm is the communication model (nil = free), needed to recompute the
-	// data stall embedded in each slice.
-	Comm *platform.CommModel
 	// Faults is the fault plan the run replayed (nil = none): slices are
 	// checked against outage windows, death times, and degrade factors.
 	Faults *FaultPlan
@@ -145,10 +142,9 @@ func sigmaEnvelope(sigma float64) float64 { return 1 + float64(10*sigma) }
 //     predecessors, kernel and timing table read from its job's graph when
 //     CheckOptions.Jobs is set, and the union's tasks must be the jobs' tasks
 //     in job order, kernel for kernel;
-//   - each final slice's compute duration (slice length minus the recomputed
-//     communication stall) must be exactly the expected duration when Sigma
-//     is zero and the resource is never degraded, and inside
-//     [E·minFactor, E·(1+10σ)·maxFactor] otherwise;
+//   - each final slice's compute time (its length) must be exactly the
+//     expected duration when Sigma is zero and the resource is never
+//     degraded, and inside [E·minFactor, E·(1+10σ)·maxFactor] otherwise;
 //   - no final or killed slice may overlap a transient outage window of its
 //     resource (touching endpoints are legal: completions win ties against
 //     fault events);
@@ -157,10 +153,6 @@ func sigmaEnvelope(sigma float64) float64 { return 1 + float64(10*sigma) }
 //     result is impossible and the engine should have failed;
 //   - every recorded Kill must be consistent (known task and resource,
 //     attempt killed after it started, cause an outage or death).
-//
-// The recomputed stall uses the final trace: predecessors are always Done
-// before a successor starts and their (End, AssignedTo) never change
-// afterwards, so the reconstruction is sound even under kills.
 func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) error {
 	var rn Runner
 	if err := rn.Validate(g, opt.Platform.Size(), res); err != nil {
@@ -227,23 +219,13 @@ func ValidateResultStrict(g *taskgraph.Graph, res Result, opt CheckOptions) erro
 				return fmt.Errorf("sim: task %d has kernel %d, its job %d's graph says %d", t, k, job.ID, task.Kernel)
 			}
 			p := byTask[t]
-			// Recompute the communication stall embedded in the slice.
-			var ready float64
 			for _, pi := range job.Graph.Pred[i] {
-				pr := byTask[job.Base+pi]
-				if p.Start < pr.End-1e-9 {
+				if pr := byTask[job.Base+pi]; p.Start < pr.End-1e-9 {
 					return fmt.Errorf("sim: task %d starts at %.3f before predecessor %d ends at %.3f",
 						t, p.Start, pr.Task, pr.End)
 				}
-				if at := pr.End + opt.Comm.Cost(pr.Resource, p.Resource); at > ready {
-					ready = at
-				}
 			}
-			stall := ready - p.Start
-			if stall < 0 {
-				stall = 0
-			}
-			work := (p.End - p.Start) - stall
+			work := p.End - p.Start
 			e := job.Timing.ExpectedDuration(task.Kernel, opt.Platform.Resources[p.Resource].Type)
 			tol := float64(strictRelTol*e) + strictAbsTol
 			if opt.Sigma == 0 && !degraded[p.Resource] {

@@ -104,11 +104,7 @@ func (p *HEFTPerJobPolicy) ectBest(s *sim.State, t int) int {
 		if !s.ResourceUp(r) {
 			continue
 		}
-		start := s.Now + s.EstTimeUntilFree(r)
-		if dr := s.DataReadyTime(t, r); dr > start {
-			start = dr
-		}
-		if ect := start + s.EstTaskDuration(t, r); ect < bestECT {
+		if ect := s.Now + s.EstTimeUntilFree(r) + s.EstTaskDuration(t, r); ect < bestECT {
 			best, bestECT = r, ect
 		}
 	}

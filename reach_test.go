@@ -43,7 +43,7 @@ var reachAllowed = map[string]string{
 	"tensor.Sparse.Equal":           "tensor and core tests: bitwise comparison of sparse operators",
 	// Methods the standard library calls through an interface.
 	"obs.metricKind.String":             "fmt.Stringer: the %s of a family's # TYPE line in Registry.WriteText",
-	"platform.Platform.String":          "fmt.Stringer: the %s of the platform in readys-sim, readys-stream, the quick-start and sim's SVG title",
+	"platform.Platform.String":          "fmt.Stringer: the %s of the platform in readys-sim, readys-stream and the quick-start",
 	"gateway.dagPresence.UnmarshalJSON": "encoding/json.Unmarshaler: the head decode of a request body",
 	"taskgraph.Kind.MarshalJSON":        "encoding/json.Marshaler: a kind in a stream arrival trace (stream.Arrival)",
 	"taskgraph.Kind.UnmarshalJSON":      "encoding/json.Unmarshaler: a kind in a stream arrival trace (stream.Arrival)",
