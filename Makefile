@@ -68,7 +68,12 @@ test:
 # which fails if a warm decision allocates or the inference tape's outputs
 # go back to the free list. The stream path's append-only pieces are each pinned to the whole-union computation
 # they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
-# accumulator vs DescendantFeatures, HEFT-per-job ranks vs UpwardRanksFor),
+# accumulator vs DescendantFeatures, HEFT-per-job ranks over the union vs
+# sched.UpwardRanks of each job on its own graph), ReplanHEFT's first plan
+# (time 0, nothing started) is held to HEFT's Assignment, Order, ProjStart
+# and ProjEnd bit for bit on Cholesky/LU/QR at 2c2g and 4c0g and on random
+# layered DAGs, so both callers of the one placement loop must seed it alike
+# (TestReplanHEFTMatchesHEFTAtSigmaZero),
 # the encoder, which reads the graph's neighbour rows in whatever order they
 # come, is held to the oracle on a DAG whose rows are out of order
 # (TestIncrementalUnsortedAdjacency), TestStreamCostFlat /
@@ -138,6 +143,7 @@ equiv:
 	$(GO) test -run 'TestEvaluatorReuseBitIdentical' ./internal/exp/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
 	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing|TestClusterRetiresFinishedJobs' ./internal/sim/
+	$(GO) test -run 'TestReplanHEFTMatchesHEFTAtSigmaZero' ./internal/sched/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster|TestStreamValidateCatchesRetiredJobViolation' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
 	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./internal/obs/

@@ -1,13 +1,22 @@
-// Package sched implements the classical scheduling algorithms READYS is
-// compared against in the paper: the static HEFT heuristic [48] (upward
-// ranks + insertion-based earliest-finish-time allocation, executed as a
-// fixed per-resource order under duration noise) and the dynamic MCT
-// heuristic [46], plus auxiliary dynamic policies (random, FIFO, rank-greedy)
-// used in tests and ablations.
+// Package sched implements the list-scheduling baselines READYS is compared
+// against. The paper's two are the static HEFT heuristic [48] (upward ranks +
+// insertion-based earliest-finish-time placement, replayed as a fixed
+// per-resource order under duration noise) and the dynamic MCT heuristic
+// [46]. ReplanHEFT re-runs HEFT's placement whenever the world drifts; it
+// feeds the resilience and stream tables. Min-Min, Max-Min, rank-greedy,
+// FIFO and random are further readys-sim / readys-stream -policy choices.
+//
+// The family shares one copy of each mechanism: AppendUpwardRanks is the
+// upward rank (HEFT, ReplanHEFT, RankPolicy and the stream's per-job HEFT),
+// HEFTSchedule.place the insertion-based placement (HEFT and ReplanHEFT),
+// StaticPolicy the plan cursor (HEFT and ReplanHEFT) and MCTChoice the
+// minimum-ECT resource (MCT, Min-Min, Max-Min and per-job HEFT).
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"readys/internal/platform"
@@ -21,7 +30,8 @@ import (
 type HEFTSchedule struct {
 	// Assignment[t] is the resource chosen for task t.
 	Assignment []int
-	// Order[r] lists the tasks of resource r sorted by projected start.
+	// Order[r] lists the tasks of resource r sorted by projected start; a
+	// re-plan's also holds the task running on r, which StaticPolicy skips.
 	Order [][]int
 	// ProjStart and ProjEnd are the projected task timings under expected
 	// durations.
@@ -40,167 +50,151 @@ type HEFTSchedule struct {
 // resources and zero communication costs (communications are overlapped,
 // §III-A).
 func UpwardRanks(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) []float64 {
-	n := g.NumTasks()
-	avg := make([]float64, taskgraph.NumKernels)
-	for k := 0; k < taskgraph.NumKernels; k++ {
-		var s float64
-		for _, r := range plat.Resources {
-			s += tt.ExpectedDuration(taskgraph.Kernel(k), r.Type)
-		}
-		avg[k] = s / float64(plat.Size())
+	return AppendUpwardRanks(nil, g, plat, func(int) platform.Timing { return tt })
+}
+
+// AppendUpwardRanks extends rank, the upward ranks of tasks 0…len(rank)−1, to
+// every task of g, resolving task i's expected durations through
+// timingOf(i) — (*sim.State).TaskTiming in a stream, where each job carries
+// its own family's table. It visits the new tasks only, so it is for graphs
+// that grow by appending whole components (g.ReverseTopoFrom): a stream's
+// union DAG, whose earlier ranks stay final, or a fresh graph from a nil
+// slice.
+func AppendUpwardRanks(rank []float64, g *taskgraph.Graph, plat platform.Platform, timingOf func(task int) platform.Timing) []float64 {
+	lo, n := len(rank), g.NumTasks()
+	if lo >= n {
+		return rank
 	}
-	order, err := g.TopoOrder()
+	order, err := g.ReverseTopoFrom(lo)
 	if err != nil {
 		panic(err)
 	}
-	rank := make([]float64, n)
-	for idx := n - 1; idx >= 0; idx-- {
-		i := order[idx]
-		var best float64
-		for _, j := range g.Succ[i] {
-			if rank[j] > best {
-				best = rank[j]
-			}
-		}
-		rank[i] = avg[g.Tasks[i].Kernel] + best
-	}
-	return rank
-}
-
-// UpwardRanksFor generalises UpwardRanks to per-task timing tables — the
-// multi-family (streaming) case where each job's tasks carry the table of
-// their own DAG family. timingOf is typically (*sim.State).TaskTiming. When
-// every task resolves to the same table the arithmetic is identical to
-// UpwardRanks, so single-DAG ranks are bit-equal.
-func UpwardRanksFor(g *taskgraph.Graph, plat platform.Platform, timingOf func(task int) platform.Timing) []float64 {
-	n := g.NumTasks()
-	w := make([]float64, n)
-	for i, t := range g.Tasks {
-		var s float64
+	rank = append(rank, make([]float64, n-lo)...)
+	for _, i := range order {
+		var w float64
 		tt := timingOf(i)
 		for _, r := range plat.Resources {
-			s += tt.ExpectedDuration(t.Kernel, r.Type)
+			w += tt.ExpectedDuration(g.Tasks[i].Kernel, r.Type)
 		}
-		w[i] = s / float64(plat.Size())
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	rank := make([]float64, n)
-	for idx := n - 1; idx >= 0; idx-- {
-		i := order[idx]
 		var best float64
 		for _, j := range g.Succ[i] {
 			if rank[j] > best {
 				best = rank[j]
 			}
 		}
-		rank[i] = w[i] + best
+		rank[i] = w/float64(plat.Size()) + best
 	}
 	return rank
 }
-
-// slot is an occupied interval on a resource timeline.
-type slot struct{ start, end float64 }
 
 // HEFT computes the static HEFT schedule: tasks are taken in decreasing
 // upward-rank order and each is placed on the resource (and in the earliest
 // idle gap — insertion-based policy) minimising its earliest finish time
 // under expected durations. Communication costs are zero, as in the paper.
 func HEFT(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) *HEFTSchedule {
-	n := g.NumTasks()
-	rank := UpwardRanks(g, plat, tt)
-	byRank := make([]int, n)
-	for i := range byRank {
-		byRank[i] = i
-	}
-	sort.Slice(byRank, func(a, b int) bool {
-		if rank[byRank[a]] != rank[byRank[b]] {
-			return rank[byRank[a]] > rank[byRank[b]]
-		}
-		return byRank[a] < byRank[b] // deterministic tie-break
+	plan := newPlan(g.NumTasks(), plat.Size(), UpwardRanks(g, plat, tt))
+	plan.place(g, 0, func(t, r int) float64 {
+		return tt.ExpectedDuration(g.Tasks[t].Kernel, plat.Resources[r].Type)
 	})
+	return plan
+}
 
-	sched := &HEFTSchedule{
+// newPlan returns a schedule of n tasks on m resources with nothing placed.
+func newPlan(n, m int, rank []float64) *HEFTSchedule {
+	plan := &HEFTSchedule{
 		Assignment: make([]int, n),
-		Order:      make([][]int, plat.Size()),
+		Order:      make([][]int, m),
 		ProjStart:  make([]float64, n),
 		ProjEnd:    make([]float64, n),
 		Rank:       rank,
 	}
-	for i := range sched.Assignment {
-		sched.Assignment[i] = -1
+	for i := range plan.Assignment {
+		plan.Assignment[i] = -1
 	}
-	timelines := make([][]slot, plat.Size())
+	return plan
+}
 
-	for _, t := range byRank {
-		for _, p := range g.Pred[t] {
-			if sched.Assignment[p] == -1 {
+// place is HEFT's insertion-based earliest-finish-time loop. It takes every
+// task whose Assignment is still -1 in decreasing rank order (ties to the
+// smaller ID) and puts it on the resource, and in the earliest idle gap, that
+// minimises its projected end. A task is ready at the latest of floor and its
+// predecessors' ProjEnd; dur(t, r) is its duration on r, +Inf when r may not
+// take it. Order[r] is r's timeline: the caller may seed it with
+// reservations — tasks with their projected interval set — sorted by start,
+// and every placed task is inserted by its projected start.
+func (p *HEFTSchedule) place(g *taskgraph.Graph, floor float64, dur func(t, r int) float64) {
+	tasks := make([]int, 0, len(p.Assignment))
+	for t, r := range p.Assignment {
+		if r == -1 {
+			tasks = append(tasks, t)
+		}
+	}
+	slices.SortFunc(tasks, func(a, b int) int {
+		if c := cmp.Compare(p.Rank[b], p.Rank[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	for _, t := range tasks {
+		// Earliest time every input is available: the predecessors'
+		// projected completion, on any resource.
+		readyAt := floor
+		for _, pr := range g.Pred[t] {
+			if p.Assignment[pr] == -1 {
 				// Decreasing rank order guarantees predecessors first
 				// (rank(pred) > rank(succ) since w̄ > 0).
 				panic("sched: HEFT predecessor not yet scheduled")
 			}
-		}
-		// Earliest time every input is available: the predecessors'
-		// projected completion, on any resource.
-		var readyAt float64
-		for _, p := range g.Pred[t] {
-			if sched.ProjEnd[p] > readyAt {
-				readyAt = sched.ProjEnd[p]
+			if p.ProjEnd[pr] > readyAt {
+				readyAt = p.ProjEnd[pr]
 			}
 		}
 		bestRes, bestStart, bestEnd := -1, 0.0, math.Inf(1)
-		for r := 0; r < plat.Size(); r++ {
-			dur := tt.ExpectedDuration(g.Tasks[t].Kernel, plat.Resources[r].Type)
-			start := earliestGap(timelines[r], readyAt, dur)
-			if end := start + dur; end < bestEnd {
+		for r := range p.Order {
+			d := dur(t, r)
+			if math.IsInf(d, 1) {
+				continue
+			}
+			start := p.earliestGap(p.Order[r], readyAt, d)
+			if end := start + d; end < bestEnd {
 				bestRes, bestStart, bestEnd = r, start, end
 			}
 		}
-		sched.Assignment[t] = bestRes
-		sched.ProjStart[t] = bestStart
-		sched.ProjEnd[t] = bestEnd
-		timelines[bestRes] = insertSlot(timelines[bestRes], slot{bestStart, bestEnd})
-		if bestEnd > sched.Makespan {
-			sched.Makespan = bestEnd
+		p.Assignment[t] = bestRes
+		p.ProjStart[t] = bestStart
+		p.ProjEnd[t] = bestEnd
+		p.Order[bestRes] = p.insert(p.Order[bestRes], t)
+		if bestEnd > p.Makespan {
+			p.Makespan = bestEnd
 		}
 	}
-
-	// Build per-resource orders sorted by projected start.
-	for t := 0; t < n; t++ {
-		r := sched.Assignment[t]
-		sched.Order[r] = append(sched.Order[r], t)
-	}
-	for r := range sched.Order {
-		o := sched.Order[r]
-		sort.Slice(o, func(a, b int) bool { return sched.ProjStart[o[a]] < sched.ProjStart[o[b]] })
-	}
-	return sched
 }
 
 // earliestGap returns the earliest start ≥ readyAt at which a task of the
-// given duration fits into the timeline (insertion-based policy): either
-// inside an idle gap between existing slots or after the last one.
-func earliestGap(tl []slot, readyAt, dur float64) float64 {
+// given duration fits into the timeline tl, a list of tasks sorted by
+// projected start (insertion-based policy): either inside an idle gap between
+// their projected intervals or after the last one.
+func (p *HEFTSchedule) earliestGap(tl []int, readyAt, dur float64) float64 {
 	cur := readyAt
-	for _, s := range tl {
-		if cur+dur <= s.start {
+	for _, t := range tl {
+		if cur+dur <= p.ProjStart[t] {
 			return cur
 		}
-		if s.end > cur {
-			cur = s.end
+		if p.ProjEnd[t] > cur {
+			cur = p.ProjEnd[t]
 		}
 	}
 	return cur
 }
 
-// insertSlot keeps the timeline sorted by start time.
-func insertSlot(tl []slot, s slot) []slot {
-	i := sort.Search(len(tl), func(i int) bool { return tl[i].start >= s.start })
-	tl = append(tl, slot{})
+// insert puts task t, its projected interval already set, into the timeline
+// tl, keeping it sorted by projected start.
+func (p *HEFTSchedule) insert(tl []int, t int) []int {
+	start := p.ProjStart[t]
+	i := sort.Search(len(tl), func(i int) bool { return p.ProjStart[tl[i]] >= start })
+	tl = append(tl, 0)
 	copy(tl[i+1:], tl[i:])
-	tl[i] = s
+	tl[i] = t
 	return tl
 }
 
@@ -224,11 +218,12 @@ func (p *StaticPolicy) Reset(*sim.State) {
 }
 
 // Decide starts resource r's next prescribed task if it is ready. Tasks
-// already executed elsewhere (possible only under fault injection, when an
-// emergency round re-placed killed work) are skipped. In a forced round the
-// plan has failed — e.g. the task's prescribed resource died — and the
-// policy falls back to the highest-rank ready task to keep the run alive;
-// the makespan it pays for that is exactly the static plan's fragility.
+// already started or executed elsewhere (a re-plan's running reservations,
+// or killed work an emergency round re-placed under fault injection) are
+// skipped. In a forced round the plan has failed — e.g. the task's
+// prescribed resource died — and the policy falls back to the highest-rank
+// ready task to keep the run alive; the makespan it pays for that is exactly
+// the static plan's fragility.
 func (p *StaticPolicy) Decide(s *sim.State, r int) int {
 	order := p.Schedule.Order[r]
 	for p.next[r] < len(order) {
@@ -244,13 +239,7 @@ func (p *StaticPolicy) Decide(s *sim.State, r int) int {
 		return t
 	}
 	if s.MustAct {
-		best, bestRank := sim.NoTask, math.Inf(-1)
-		for _, t := range s.Ready {
-			if p.Schedule.Rank[t] > bestRank || (p.Schedule.Rank[t] == bestRank && best != sim.NoTask && jobTaskLess(s, t, best)) {
-				best, bestRank = t, p.Schedule.Rank[t]
-			}
-		}
-		return best
+		return highestRank(s, p.Schedule.Rank)
 	}
 	return sim.NoTask
 }

@@ -28,7 +28,7 @@ func (MCTPolicy) Decide(s *sim.State, r int) int {
 	bestTask := sim.NoTask
 	bestECT := math.Inf(1)
 	for _, t := range s.Ready {
-		res, ect := mctChoice(s, t)
+		res, ect := MCTChoice(s, t)
 		if res == r && (ect < bestECT || (ect == bestECT && bestTask != sim.NoTask && jobTaskLess(s, t, bestTask))) {
 			bestTask, bestECT = t, ect
 		}
@@ -53,11 +53,12 @@ func ectOn(s *sim.State, t, r int) float64 {
 	return s.Now + s.EstTimeUntilFree(r) + s.EstTaskDuration(t, r)
 }
 
-// mctChoice returns the resource minimising the expected completion time of
-// task t and that time. Ties break towards the smaller resource ID, keeping
-// the heuristic deterministic. Unavailable resources (outage or death) are
-// excluded: dispatching to them would stall forever.
-func mctChoice(s *sim.State, t int) (int, float64) {
+// MCTChoice returns the resource minimising the expected completion time of
+// task t and that time, or -1 and +Inf when no resource is up. Ties break
+// towards the smaller resource ID, keeping the heuristic deterministic.
+// Unavailable resources (outage or death) are excluded: dispatching to them
+// would stall forever.
+func MCTChoice(s *sim.State, t int) (int, float64) {
 	best, bestECT := -1, math.Inf(1)
 	for r := 0; r < s.Platform.Size(); r++ {
 		if !s.ResourceUp(r) {

@@ -17,8 +17,8 @@ import (
 // it serves as an upper-bound reference for plan-based scheduling under
 // uncertainty.
 type ReplanHEFTPolicy struct {
-	plan        *HEFTSchedule
-	next        []int
+	rank        []float64 // upward rank per task, append-only within a run
+	cursor      StaticPolicy
 	doneAtPlan  int
 	epochAtPlan int
 	graphAtPlan int
@@ -28,158 +28,58 @@ type ReplanHEFTPolicy struct {
 func NewReplanHEFTPolicy() *ReplanHEFTPolicy { return &ReplanHEFTPolicy{} }
 
 // Reset implements sim.Policy.
-func (p *ReplanHEFTPolicy) Reset(s *sim.State) {
-	p.plan = nil
-	p.next = nil
-	p.doneAtPlan = -1
-	p.epochAtPlan = -1
-	p.graphAtPlan = -1
+func (p *ReplanHEFTPolicy) Reset(*sim.State) {
+	p.rank = p.rank[:0]
+	p.cursor.Schedule = nil
 }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy: it walks the latest plan as a StaticPolicy,
+// forced-round fallback included.
 func (p *ReplanHEFTPolicy) Decide(s *sim.State, r int) int {
 	// Re-plan whenever the world drifted: a task completed, a fault
 	// event changed resource state (outage, recovery, death, degrade), or
 	// a streaming job arrival grew the graph — keying only on NumDone
 	// would keep dispatching onto dead resources, never reclaim killed
 	// work, and never see newly arrived jobs.
-	if p.plan == nil || s.NumDone != p.doneAtPlan || s.FaultEpoch != p.epochAtPlan || s.GraphEpoch != p.graphAtPlan {
+	if p.cursor.Schedule == nil || s.NumDone != p.doneAtPlan || s.FaultEpoch != p.epochAtPlan || s.GraphEpoch != p.graphAtPlan {
 		p.replan(s)
 	}
-	order := p.plan.Order[r]
-	for p.next[r] < len(order) {
-		t := order[p.next[r]]
-		if s.Done[t] || s.Started[t] {
-			p.next[r]++
-			continue
-		}
-		if s.PredLeft[t] != 0 {
-			break
-		}
-		p.next[r]++
-		return t
-	}
-	if s.MustAct {
-		// Forced round: start the highest-rank ready task rather than
-		// deadlocking on a plan invalidated between replans; exact rank
-		// ties break by (job, task).
-		best, bestRank := sim.NoTask, math.Inf(-1)
-		for _, t := range s.Ready {
-			if p.plan.Rank[t] > bestRank || (p.plan.Rank[t] == bestRank && best != sim.NoTask && jobTaskLess(s, t, best)) {
-				best, bestRank = t, p.plan.Rank[t]
-			}
-		}
-		return best
-	}
-	return sim.NoTask
+	return p.cursor.Decide(s, r)
 }
 
 // replan recomputes HEFT over the unfinished, unstarted tasks. Completed
 // tasks contribute their realised end times as release dates; running tasks
-// reserve their resource until their estimated completion.
+// reserve their resource from now until their estimated completion, and
+// nothing starts before now.
 func (p *ReplanHEFTPolicy) replan(s *sim.State) {
 	g := s.Graph
-	n := g.NumTasks()
-	rank := UpwardRanksFor(g, s.Platform, s.TaskTiming)
-
-	// Remaining tasks in decreasing rank order.
-	remaining := make([]int, 0, n)
-	for t := 0; t < n; t++ {
-		if !s.Started[t] {
-			remaining = append(remaining, t)
-		}
-	}
-	sortByRankDesc(remaining, rank)
-
-	plan := &HEFTSchedule{
-		Assignment: make([]int, n),
-		Order:      make([][]int, s.Platform.Size()),
-		ProjStart:  make([]float64, n),
-		ProjEnd:    make([]float64, n),
-		Rank:       rank,
-	}
-	for i := range plan.Assignment {
-		plan.Assignment[i] = -1
-	}
-	timelines := make([][]slot, s.Platform.Size())
-	// Seed projections with reality: done tasks ended when they ended;
-	// running tasks end at their estimated completion and reserve their
-	// resource from now until then.
-	for t := 0; t < n; t++ {
+	p.rank = AppendUpwardRanks(p.rank, g, s.Platform, s.TaskTiming)
+	plan := newPlan(g.NumTasks(), s.Platform.Size(), p.rank)
+	for t := range plan.Assignment {
 		if s.Done[t] {
 			plan.Assignment[t] = s.AssignedTo[t]
 			plan.ProjEnd[t] = s.EndTime[t]
 		} else if s.Started[t] {
 			r := s.AssignedTo[t]
 			plan.Assignment[t] = r
-			est := s.Now + s.EstTimeUntilFree(r)
-			plan.ProjEnd[t] = est
-			timelines[r] = insertSlot(timelines[r], slot{s.Now, est})
+			plan.ProjStart[t] = s.Now
+			plan.ProjEnd[t] = s.Now + s.EstTimeUntilFree(r)
+			plan.Order[r] = plan.insert(plan.Order[r], t)
 		}
 	}
-
-	for _, t := range remaining {
-		var readyAt float64 = s.Now
-		for _, pr := range g.Pred[t] {
-			if plan.ProjEnd[pr] > readyAt {
-				readyAt = plan.ProjEnd[pr]
-			}
+	// Only place on currently available resources, at their current speed;
+	// a recovery or degrade bumps FaultEpoch and triggers a fresh plan. At
+	// least one resource is up whenever the engine asks for a decision, so
+	// every task finds one.
+	plan.place(g, s.Now, func(t, r int) float64 {
+		if !s.ResourceUp(r) {
+			return math.Inf(1)
 		}
-		bestRes, bestStart, bestEnd := -1, 0.0, math.Inf(1)
-		for r := 0; r < s.Platform.Size(); r++ {
-			// Only place on currently available resources, at their current
-			// speed; a recovery or degrade bumps FaultEpoch and triggers a
-			// fresh plan. At least one resource is up whenever the engine
-			// asks for a decision, so bestRes is always found.
-			if !s.ResourceUp(r) {
-				continue
-			}
-			dur := s.EstTaskDuration(t, r)
-			start := earliestGap(timelines[r], readyAt, dur)
-			if end := start + dur; end < bestEnd {
-				bestRes, bestStart, bestEnd = r, start, end
-			}
-		}
-		plan.Assignment[t] = bestRes
-		plan.ProjStart[t] = bestStart
-		plan.ProjEnd[t] = bestEnd
-		timelines[bestRes] = insertSlot(timelines[bestRes], slot{bestStart, bestEnd})
-	}
-
-	for _, t := range remaining {
-		r := plan.Assignment[t]
-		plan.Order[r] = append(plan.Order[r], t)
-	}
-	for r := range plan.Order {
-		sortByProjStart(plan.Order[r], plan.ProjStart)
-	}
-	p.plan = plan
-	p.next = make([]int, s.Platform.Size())
+		return s.EstTaskDuration(t, r)
+	})
+	p.cursor = StaticPolicy{Schedule: plan}
+	p.cursor.Reset(s)
 	p.doneAtPlan = s.NumDone
 	p.epochAtPlan = s.FaultEpoch
 	p.graphAtPlan = s.GraphEpoch
-}
-
-func sortByRankDesc(xs []int, rank []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && (rank[xs[j]] < rank[v] || (rank[xs[j]] == rank[v] && xs[j] > v)) {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
-func sortByProjStart(xs []int, start []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && start[xs[j]] > start[v] {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }

@@ -270,20 +270,22 @@ func TestHEFTDeterministic(t *testing.T) {
 }
 
 func TestEarliestGapInsertion(t *testing.T) {
-	tl := []slot{{10, 20}, {30, 40}}
-	if got := earliestGap(tl, 0, 5); got != 0 {
+	// A timeline lists tasks; their projected intervals are the slots.
+	p := &HEFTSchedule{ProjStart: []float64{10, 30}, ProjEnd: []float64{20, 40}}
+	tl := []int{0, 1}
+	if got := p.earliestGap(tl, 0, 5); got != 0 {
 		t.Fatalf("gap before first slot: %v", got)
 	}
-	if got := earliestGap(tl, 0, 15); got != 40 {
+	if got := p.earliestGap(tl, 0, 15); got != 40 {
 		t.Fatalf("too big for gaps: %v", got)
 	}
-	if got := earliestGap(tl, 22, 8); got != 22 {
+	if got := p.earliestGap(tl, 22, 8); got != 22 {
 		t.Fatalf("fits between: %v", got)
 	}
-	if got := earliestGap(tl, 15, 5); got != 20 {
+	if got := p.earliestGap(tl, 15, 5); got != 20 {
 		t.Fatalf("ready inside slot: %v", got)
 	}
-	if got := earliestGap(nil, 7, 3); got != 7 {
+	if got := p.earliestGap(nil, 7, 3); got != 7 {
 		t.Fatalf("empty timeline: %v", got)
 	}
 }

@@ -66,10 +66,14 @@ func NewRankPolicy(g *taskgraph.Graph, plat platform.Platform, tt platform.Timin
 func (*RankPolicy) Reset(*sim.State) {}
 
 // Decide implements sim.Policy.
-func (p *RankPolicy) Decide(s *sim.State, _ int) int {
-	best := s.Ready[0]
-	for _, t := range s.Ready[1:] {
-		if p.rank[t] > p.rank[best] || (p.rank[t] == p.rank[best] && jobTaskLess(s, t, best)) {
+func (p *RankPolicy) Decide(s *sim.State, _ int) int { return highestRank(s, p.rank) }
+
+// highestRank returns the ready task of highest rank, exact ties to the
+// smaller (job, task), or NoTask when none is ready.
+func highestRank(s *sim.State, rank []float64) int {
+	best := sim.NoTask
+	for _, t := range s.Ready {
+		if best == sim.NoTask || rank[t] > rank[best] || (rank[t] == rank[best] && jobTaskLess(s, t, best)) {
 			best = t
 		}
 	}

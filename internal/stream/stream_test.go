@@ -356,29 +356,34 @@ func freshGraphStream(t *testing.T, pol sim.Policy, arr []Arrival, seed int64, f
 	return cl.Result()
 }
 
-// TestHEFTPerJobRanksMatchUnion pins the append-only ranks: after every
-// arrival each task's rank — just computed or kept from an earlier arrival —
-// equals sched.UpwardRanksFor over the whole union bit for bit.
+// TestHEFTPerJobRanksMatchUnion pins the append-only ranks to what the
+// policy's doc claims: after every arrival, the ranks the policy keeps for the
+// union — each just computed or kept from an earlier arrival — are the
+// concatenation of sched.UpwardRanks over every job so far, each on its own
+// graph and timing table, bit for bit.
 func TestHEFTPerJobRanksMatchUnion(t *testing.T) {
-	cl, err := sim.NewCluster(platform.New(2, 2), sim.Options{Rng: rand.New(rand.NewSource(1))})
+	plat := platform.New(2, 2)
+	cl, err := sim.NewCluster(plat, sim.Options{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := cl.State()
 	p := NewHEFTPerJobPolicy()
 	p.Reset(s)
+	var want []float64
 	for i, a := range testArrivals(t, 21, 40, 3.0) {
-		if _, err := cl.AddJob(i, a.Graph(), platform.TimingFor(a.Kind)); err != nil {
+		g, tt := a.Graph(), platform.TimingFor(a.Kind)
+		if _, err := cl.AddJob(i, g, tt); err != nil {
 			t.Fatal(err)
 		}
-		p.refresh(s)
-		want := sched.UpwardRanksFor(s.Graph, s.Platform, s.TaskTiming)
+		p.Decide(s, 0)
+		want = append(want, sched.UpwardRanks(g, plat, tt)...)
 		if len(p.rank) != len(want) {
 			t.Fatalf("after job %d: %d ranks for %d tasks", i, len(p.rank), len(want))
 		}
 		for task := range want {
 			if math.Float64bits(p.rank[task]) != math.Float64bits(want[task]) {
-				t.Fatalf("after job %d: rank[%d] = %v, union ranks give %v", i, task, p.rank[task], want[task])
+				t.Fatalf("after job %d: rank[%d] = %v, its job's own ranks give %v", i, task, p.rank[task], want[task])
 			}
 		}
 	}
