@@ -2,8 +2,8 @@
 #
 #   make check       — everything a PR must pass: build, vet, tests, decision-
 #                      equivalence gate, fuzzing, race tests, portability gate,
-#                      observability smoke test, stream and gateway smoke
-#                      tests, paper tables
+#                      observability, chaos and stream smoke tests, paper
+#                      tables
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild reference
 #                      policy bit for bit, and the training path (rollouts on
@@ -21,8 +21,9 @@
 #                      compiles the non-amd64 kernel file) and require that no
 #                      product anywhere in the library was fused into its add
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
-#                      JSONL, sim trace and stream trace (the cross-process
-#                      trace merge is gateway-smoke's)
+#                      JSONL, sim trace, stream trace and their merge (the
+#                      gateway's cross-process trace is checked by
+#                      TestGatewayFailoverChaos under make test)
 #   make chaos-smoke — single-seed fault-injection run through readys-sim
 #                      (plan generation, kill/re-execution, strict validator)
 #   make stream-smoke— tiny online-scheduling run through readys-stream
@@ -30,10 +31,6 @@
 #                      validation, trace checked by readys-obs-check), a
 #                      stream that outgrows its trace ring, and a written
 #                      arrival trace replayed to the same schedule
-#   make gateway-smoke — shard-router end-to-end check: two replicas behind
-#                      readys-gateway, a replica killed under
-#                      concurrent load (failover, identical responses), and
-#                      the client → gateway → replica trace link-validated
 #   make tables      — paper-table gate: regenerate the six deterministic
 #                      results/*.csv from ./models and cmp them byte for byte
 #   make bench-serve — serving-throughput benchmark
@@ -42,9 +39,9 @@
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
 
-.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke gateway-smoke tables bench-serve serve gateway
+.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables bench-serve serve gateway
 
-check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke gateway-smoke tables
+check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables
 
 build:
 	$(GO) build ./...
@@ -214,8 +211,10 @@ portable:
 # -telemetry, simulate one DAG with -trace, assert both are valid and
 # non-empty. Phase 2 artifacts: a READYS streaming run's trace validated by
 # readys-obs-check and its exported readys_decide_* counters
-# (∅ answers included). Cross-process trace merging and parent-link
-# validation (-merge, -links) run in gateway-smoke.
+# (∅ answers included), then the sim and stream traces merged into one
+# document (-merge) that must validate too. Parent-link validation (-links)
+# of a client → gateway → replica trace is TestGatewayFailoverChaos's and
+# TestGatewayTraceLinks's, under make test.
 obs-smoke:
 	rm -rf $(OBS_TMP) && mkdir -p $(OBS_TMP)
 	$(GO) run ./cmd/readys-train -kind cholesky -T 2 -episodes 3 -quiet \
@@ -231,6 +230,8 @@ obs-smoke:
 		grep -q "^# TYPE readys_decide_$${c}_total counter" $(OBS_TMP)/metrics.prom || exit 1; done
 	grep -q '^readys_decide_forwards_total [1-9]' $(OBS_TMP)/metrics.prom
 	$(GO) run ./cmd/readys-obs-check -trace $(OBS_TMP)/stream-trace.json
+	$(GO) run ./cmd/readys-obs-check -merge $(OBS_TMP)/merged.json \
+		$(OBS_TMP)/trace.json $(OBS_TMP)/stream-trace.json
 	rm -rf $(OBS_TMP)
 
 # Single-seed chaos check: a tiny DAG scheduled through readys-sim with fault
@@ -292,26 +293,6 @@ tables:
 
 bench-serve:
 	$(GO) test -bench BenchmarkServeScheduleThroughput -benchtime 2s -run '^$$' ./internal/serve/
-
-# End-to-end gateway check: two in-process serve replicas behind
-# readys-gateway. Phase 1 routes a concurrent burst by model hash, phase 2
-# kills the owning replica and requires transparent failover with responses
-# identical to the pre-kill run, phase 3 requires each replica's trace to hold
-# one rollout span per request it answered (forwards ≤ decisions) and no
-# per-decision span, and the gateway's one request span per schedule request,
-# with no span for the /healthz probes and /metrics scrapes the smoke sends
-# four times a second throughout, and exports client/gateway/replica span
-# files whose merge must pass cross-process parent-link validation.
-GW_TMP ?= /tmp/readys-gateway-smoke
-gateway-smoke:
-	rm -rf $(GW_TMP) && mkdir -p $(GW_TMP)
-	$(GO) run ./cmd/readys-gateway -smoke -trace-out $(GW_TMP)
-	$(GO) run ./cmd/readys-obs-check -merge $(GW_TMP)/merged.json \
-		$(GW_TMP)/client.json $(GW_TMP)/gateway.json \
-		$(GW_TMP)/replica1.json $(GW_TMP)/replica2.json
-	$(GO) run ./cmd/readys-obs-check -trace $(GW_TMP)/merged.json -links
-	rm -rf $(GW_TMP)
-	@echo gateway-smoke OK
 
 serve:
 	$(GO) run ./cmd/readys-serve -addr :8080 -models models

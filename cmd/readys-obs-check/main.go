@@ -1,17 +1,17 @@
 // readys-obs-check validates observability artifacts: structured-telemetry
 // JSONL files (readys-train -telemetry) and Chrome trace-event JSON files
-// (readys-sim -trace, serve's /debug/trace). It exits non-zero when a file is
-// missing, empty, or malformed, so `make obs-smoke` can assert the pipeline
-// end to end.
+// (readys-sim -trace, readys-stream -trace, the /debug/trace of readys-serve
+// and readys-gateway). It exits non-zero when a file is missing, empty, or
+// malformed, so `make obs-smoke` can assert the pipeline end to end.
 //
 // Traces from fault-injecting runs (readys-sim -fault-rate) carry extra spans
 // in the "fault" category — "outage" and "dead" slices plus "death",
 // "degrade" and "kill" instants — which are counted in the summary and
 // validate like any other span.
 //
-// Two flags serve distributed traces. -merge joins per-process trace
-// exports (dispatcher + worker, client + serve) into one document whose pid
-// lanes are disjoint and whose spans stitch by trace ID; -links additionally
+// Two flags serve distributed traces. -merge joins per-process trace exports
+// (client, gateway and replicas) into one document whose pid lanes are
+// disjoint and whose spans stitch by trace ID; -links additionally
 // checks that every parent_span_id resolves within its trace and that at
 // least one link crosses a process boundary in multi-process traces.
 //
@@ -23,7 +23,7 @@
 // Usage:
 //
 //	readys-obs-check -jsonl train.jsonl -trace trace.json
-//	readys-obs-check -merge merged.json dispatcher.json worker.json
+//	readys-obs-check -merge merged.json gateway.json replica1.json replica2.json
 //	readys-obs-check -trace merged.json -links
 //	readys-obs-check -trace stream-trace.json
 package main

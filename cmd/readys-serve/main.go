@@ -12,9 +12,9 @@
 //	GET  /v1/models     list checkpoints the registry can serve
 //	GET  /healthz       liveness probe
 //	GET  /metrics       request counters, latency histograms, cache stats,
-//	                    decision counters (?format=prometheus for text
-//	                    exposition)
+//	                    decision counters (Prometheus text exposition)
 //	GET  /debug/trace   request spans as Chrome trace-event JSON
+//	GET  /debug/pprof/  net/http/pprof, with -pprof only
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections and drains
 // queued and in-flight rollouts before exiting.
@@ -44,7 +44,7 @@ func main() {
 		maxModels   = flag.Int("max-models", 8, "resident checkpoints before LRU eviction")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
-		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof and /debug/runtime (off by default)")
+		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace, five spans per schedule request and none per /healthz probe or /metrics scrape (0 = default: 8192 spans in 768 KiB, the last ≈ 1 600 schedule requests of any size)")
 	)
 	flag.Parse()

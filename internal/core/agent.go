@@ -227,9 +227,11 @@ func sampleLogProbs(rng *rand.Rand, logProbs []float64) int {
 // sampleTemperatureLogProbs draws an index from the temperature-sharpened
 // distribution pᵢ ∝ exp(log πᵢ/τ), consuming one rng value (none for τ ≤ 0).
 // τ→0 approaches the argmax, τ=1 is sampleLogProbs. Low-temperature sampling
-// keeps the learned preferences while escaping the rare degenerate argmax
-// loops (a policy whose mode is ∅ in some recurring state would otherwise idle
-// forever on it).
+// keeps the learned preferences while escaping the argmax's ∅ loops (a policy
+// whose mode is ∅ in a recurring state idles on it until a forced round): on
+// 4c0g, readys-sim -T 8 -sigma 0 -policy readys reads 5 870 ms with 314 of
+// 434 decisions ∅ under the argmax, against HEFT's 1 978 ms; 2c2g does not
+// collapse. The tables sample at τ = 0.25; serving takes the argmax.
 func sampleTemperatureLogProbs(rng *rand.Rand, logProbs []float64, tau float64) int {
 	if tau <= 0 {
 		return argmaxLogProbs(logProbs)

@@ -18,7 +18,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,7 +27,6 @@ import (
 	"net/http/httptrace"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,9 +112,10 @@ type Gateway struct {
 	metrics  *Metrics
 	mux      *http.ServeMux
 
-	epoch  time.Time
+	// front counts, identifies and traces every request; tracer is the
+	// bounded ring it records the request and forward spans into.
+	front  *obs.Front
 	tracer *obs.Tracer
-	reqSeq atomic.Int64
 
 	routeMu sync.Mutex
 	routes  map[routeID][]*replica // rendezvous orders, at most maxRoutes
@@ -156,7 +155,6 @@ func New(cfg Config) (*Gateway, error) {
 		client:  &http.Client{Timeout: cfg.RequestTimeout},
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
-		epoch:   time.Now(),
 		routes:  make(map[routeID][]*replica),
 		stop:    make(chan struct{}),
 	}
@@ -179,15 +177,13 @@ func New(cfg Config) (*Gateway, error) {
 		g.cfg.TraceEvents = traceCapacity(len(g.replicas), serve.DefaultTraceEvents)
 	}
 	g.tracer = obs.NewTracer(g.cfg.TraceEvents)
-	g.tracer.NameProcess(gatewayPID, "readys-gateway")
-	g.mux.HandleFunc("/v1/schedule", g.instrument("schedule", true, g.handleSchedule))
-	g.mux.HandleFunc("/v1/models", g.instrument("models", true, g.handleModels))
-	// Liveness probes and metric scrapes are counted but not traced: a load
-	// balancer probing the gateway would otherwise eat the window sized for
-	// the replicas' schedule requests.
-	g.mux.HandleFunc("/healthz", g.instrument("healthz", false, g.handleHealthz))
-	g.mux.HandleFunc("/metrics", g.instrument("metrics", false, g.handleMetrics))
-	g.mux.HandleFunc("/debug/trace", g.handleTrace)
+	g.front = obs.NewFront("gateway", gatewayPID, g.tracer, g.metrics.reg, g.metrics, cfg.Logger)
+	g.mux.HandleFunc("/v1/schedule", g.front.Wrap("schedule", true, g.handleSchedule))
+	g.mux.HandleFunc("/v1/models", g.front.Wrap("models", true, g.handleModels))
+	// A load balancer probing the gateway would otherwise eat the window
+	// sized for the replicas' schedule requests: counted, not traced.
+	g.mux.HandleFunc("/healthz", g.front.Wrap("healthz", false, g.handleHealthz))
+	g.front.Mount(g.mux)
 	g.wg.Add(1)
 	go g.healthLoop()
 	return g, nil
@@ -353,68 +349,10 @@ func (g *Gateway) route(req *serve.ScheduleRequest) []*replica {
 
 // RouteFor returns the URL of the replica a schedule request currently routes
 // to: the rendezvous winner among healthy replicas. Exposed for operational
-// debugging ("which replica owns this model?") and the smoke harness's
-// targeted replica kill.
+// debugging ("which replica owns this model?") and a test's or the
+// benchmark's targeted replica kill.
 func (g *Gateway) RouteFor(req *serve.ScheduleRequest) string {
 	return g.route(req)[0].url
-}
-
-// instrument wraps a handler with request counters, a request ID and, when
-// traced, an overall request span that adopts the caller's trace context (or
-// starts a fresh trace), mirroring the serving daemon's instrumentation so
-// gateway spans stitch into the same timeline.
-func (g *Gateway) instrument(name string, traced bool, h func(http.ResponseWriter, *http.Request, int64, obs.SpanContext)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := g.reqSeq.Add(1)
-		w.Header().Set("X-Request-ID", strconv.FormatInt(id, 10))
-		traceID, parentSpan, _ := obs.ExtractTraceContext(r.Header)
-		if traceID == "" {
-			traceID = obs.NewTraceID()
-		}
-		link := obs.RootLink(traceID, parentSpan)
-		w.Header().Set(obs.HeaderTraceID, traceID)
-		g.metrics.ObserveRequest(name)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r, id, link.Context())
-		if sw.status >= 400 {
-			g.metrics.ObserveError(name)
-		}
-		if traced {
-			g.span("request", name, id, start, link,
-				obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
-		}
-	}
-}
-
-// statusWriter captures the response code for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// span records a completed slice on the request's lane.
-func (g *Gateway) span(name, cat string, tid int64, start time.Time, link obs.Link, attrs ...obs.Attr) {
-	ts := float64(start.Sub(g.epoch)) / float64(time.Microsecond)
-	g.tracer.Span(name, cat, gatewayPID, tid, ts,
-		float64(time.Since(start))/float64(time.Microsecond), link, attrs...)
-}
-
-func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil && g.cfg.Logger != nil {
-		g.cfg.Logger.Printf("gateway: writing response: %v", err)
-	}
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, status int, err error) {
-	g.writeJSON(w, status, serve.ErrorResponse{Error: err.Error()})
 }
 
 // forwardResult is one attempt's outcome. body, when set, is a bodyPool
@@ -494,7 +432,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 		_, err = res.body.ReadFrom(resp.Body)
 		resp.Body.Close()
 	}
-	g.span("forward", "proxy", tid, start, attempt,
+	g.front.Span("forward", "proxy", tid, start, attempt,
 		obs.String(obs.KeyReplica, rep.url), obs.String(obs.KeyPath, path), obs.Int(obs.KeyStatus, int64(res.status)))
 	return res, err
 }
@@ -540,7 +478,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 			select {
 			case <-time.After(backoffDelay(g.cfg.RetryBase, i)):
 			case <-ctx.Done():
-				g.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("gateway: request exceeded %s", g.cfg.RequestTimeout))
+				g.front.WriteError(w, http.StatusGatewayTimeout, fmt.Errorf("gateway: request exceeded %s", g.cfg.RequestTimeout))
 				return
 			}
 		}
@@ -575,7 +513,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 			break
 		}
 	}
-	g.writeError(w, http.StatusBadGateway, fmt.Errorf("gateway: all %d candidate replicas failed: %w", attempts, lastErr))
+	g.front.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: all %d candidate replicas failed: %w", attempts, lastErr))
 }
 
 // head is what the gateway decodes of a /v1/schedule body: every field of a
@@ -625,19 +563,18 @@ func parseHead(body []byte) (*serve.ScheduleRequest, error) {
 // handleSchedule routes POST /v1/schedule by model identity and fails over
 // on replica death. The body is read into a pooled buffer (outBody).
 func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
-	if r.Method != http.MethodPost {
-		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use POST"))
+	if !g.front.Allow(w, r, http.MethodPost) {
 		return
 	}
 	body := newOutBody()
 	defer body.release(g.cfg.MaxBodyBytes)
 	if _, err := body.buf.ReadFrom(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)); err != nil {
-		g.writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("gateway: reading request: %w", err))
+		g.front.WriteError(w, serve.BodyErrorStatus(err), fmt.Errorf("gateway: reading request: %w", err))
 		return
 	}
 	req, err := parseHead(body.buf.Bytes())
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.front.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.proxy(w, r, http.MethodPost, "/v1/schedule", body, g.route(req), tid, sc)
@@ -646,8 +583,7 @@ func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int
 // handleModels proxies GET /v1/models from any healthy replica. Replicas
 // front the same checkpoint directory, so one answer represents them all.
 func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use GET"))
+	if !g.front.Allow(w, r, http.MethodGet) {
 		return
 	}
 	g.proxy(w, r, http.MethodGet, "/v1/models", nil, g.rank("models"), tid, sc)
@@ -656,9 +592,8 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request, tid int64
 // handleHealthz reports the gateway's own liveness plus per-replica health.
 // The gateway is "ok" while at least one replica is healthy; with none it
 // answers 503 so a fronting load balancer can drain it.
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use GET"))
+func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, _ obs.SpanContext) {
+	if !g.front.Allow(w, r, http.MethodGet) {
 		return
 	}
 	reps := make(map[string]bool, len(g.replicas))
@@ -674,38 +609,9 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request, tid int6
 		status = http.StatusServiceUnavailable
 		state = "no healthy replicas"
 	}
-	g.writeJSON(w, status, map[string]any{
+	g.front.WriteJSON(w, status, map[string]any{
 		"status":         state,
 		"replicas":       reps,
-		"uptime_seconds": time.Since(g.epoch).Seconds(),
+		"uptime_seconds": g.front.Uptime().Seconds(),
 	})
-}
-
-// handleMetrics serves the gateway's registry: Prometheus text exposition
-// with ?format=prometheus, JSON otherwise.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use GET"))
-		return
-	}
-	write, ctype := g.metrics.reg.WriteJSON, "application/json"
-	if r.URL.Query().Get("format") == "prometheus" {
-		write, ctype = g.metrics.reg.WriteText, "text/plain; version=0.0.4; charset=utf-8"
-	}
-	w.Header().Set("Content-Type", ctype)
-	if err := write(w); err != nil && g.cfg.Logger != nil {
-		g.cfg.Logger.Printf("gateway: writing metrics: %v", err)
-	}
-}
-
-// handleTrace exports the gateway's span ring as Chrome trace-event JSON.
-func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, errors.New("gateway: use GET"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := g.tracer.WriteChromeTrace(w); err != nil && g.cfg.Logger != nil {
-		g.cfg.Logger.Printf("gateway: writing trace: %v", err)
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,58 +152,161 @@ func TestRankDeterministicAndOrderFree(t *testing.T) {
 	target.healthy.Store(true)
 }
 
-// TestGatewayFailoverChaos kills the replica that owns a key while requests
-// are in flight and requires every request to complete on the survivor with
-// a bit-identical schedule — replica death must never surface as a 5xx.
+// clientTrace is the "client process" of a traced test: one root span, whose
+// context rides every request it sends, on a tracer of its own.
+type clientTrace struct {
+	tracer *obs.Tracer
+	link   obs.Link
+	start  time.Time
+}
+
+func newClientTrace() *clientTrace {
+	tr := obs.NewTracer(4)
+	tr.NameProcess(3, "client")
+	return &clientTrace{tracer: tr, link: obs.RootLink(obs.NewTraceID(), ""), start: time.Now()}
+}
+
+// header carries the root span's context to the gateway.
+func (c *clientTrace) header() http.Header {
+	h := http.Header{}
+	c.link.Context().Inject(h)
+	return h
+}
+
+// export closes the root span now and exports the client's trace.
+func (c *clientTrace) export(t testing.TB) []byte {
+	c.tracer.Span("request", "client", 3, 1, 0, float64(time.Since(c.start))/float64(time.Microsecond), c.link)
+	return exportTrace(t, c.tracer)
+}
+
+func exportTrace(t testing.TB, tr *obs.Tracer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// get answers GET path from h in-process, failing the test on a non-200.
+func get(t testing.TB, h http.Handler, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body.String())
+	}
+	return rec.Body.Bytes()
+}
+
+// traceEvents decodes a Chrome trace export's events.
+func traceEvents(t testing.TB, trace []byte) []obs.Event {
+	t.Helper()
+	var doc struct {
+		TraceEvents []obs.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.TraceEvents
+}
+
+// probe sends a round of probes now and every interval until the returned
+// stop is called — each replica's /healthz and /metrics over its listener, as
+// a gateway's prober and a scraper do, and the gateway's in-process, as a load
+// balancer and a scraper do — and stop returns how many rounds ran. Answers
+// are not checked: a killed replica's fail.
+func probe(gw http.Handler, reps []*httptest.Server, interval time.Duration) (stop func() int) {
+	done := make(chan struct{})
+	rounds := 0
+	var wg sync.WaitGroup
+	client := &http.Client{Timeout: time.Second}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			for _, path := range []string{"/healthz", "/metrics"} {
+				for _, rep := range reps {
+					if resp, err := client.Get(rep.URL + path); err == nil {
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
+				}
+				gw.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+			}
+			rounds++
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+			}
+		}
+	}()
+	return func() int {
+		close(done)
+		wg.Wait()
+		return rounds
+	}
+}
+
+// TestGatewayFailoverChaos sends a burst of concurrent requests, kills the
+// replica that owns their model, and sends the burst again: every request of
+// the second must complete on the survivor with the schedule the first got
+// for its seed — replica death must never surface as a 5xx. Liveness probes
+// and metric scrapes run at the prober's default rate throughout and must
+// leave no span. Afterwards every process's trace holds exactly what the
+// requests it served record: one request span per schedule request and, on a
+// replica, one rollout span per request its readys_schedules_answered_total
+// counts; all of it in the client's trace, each replica request span under a
+// gateway forward span, and the client, gateway and replica traces merged
+// must validate with every parent link resolved.
 func TestGatewayFailoverChaos(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, taskgraph.Cholesky, 4, 1, 1)
-	rep1 := startReplica(t, dir)
-	rep2 := startReplica(t, dir)
-	g := newTestGateway(t, rep1.URL, rep2.URL)
+	reps := []*httptest.Server{startReplica(t, dir), startReplica(t, dir)}
+	g := newTestGateway(t, reps[0].URL, reps[1].URL)
+	client := newClientTrace()
+	stopProbes := probe(g.Handler(), reps, DefaultConfig().HealthInterval)
 
-	req := serve.ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Seed: 42}
-
-	// Reference answer while both replicas are up.
-	rec := postJSON(t, g.Handler(), "/v1/schedule", req, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("warm-up request: status %d: %s", rec.Code, rec.Body.String())
+	const clients = 8
+	burst := func(phase string) []serve.ScheduleResponse {
+		recs := make([]*httptest.ResponseRecorder, clients)
+		var wg sync.WaitGroup
+		for i := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := serve.ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Seed: int64(i)}
+				recs[i] = postJSON(t, g.Handler(), "/v1/schedule", req, client.header())
+			}()
+		}
+		wg.Wait()
+		resps := make([]serve.ScheduleResponse, clients)
+		for i, rec := range recs {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: seed %d: status %d: %s", phase, i, rec.Code, rec.Body.String())
+			}
+			resps[i] = decodeSchedule(t, rec)
+		}
+		return resps
 	}
-	want := decodeSchedule(t, rec)
+	want := burst("both replicas up")
 
-	// Kill the replica that owns this request's route, so the very next
-	// request must fail over. CloseClientConnections drops keep-alive
+	// Kill the replica that owns the route, so every request of the next
+	// burst must fail over. CloseClientConnections drops keep-alive
 	// connections too, making in-flight forwards fail like a crashed process.
-	owner := g.rank(routeKey(&req))[0].url
-	for _, ts := range []*httptest.Server{rep1, rep2} {
+	owner := g.RouteFor(&serve.ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1})
+	for _, ts := range reps {
 		if ts.URL == owner {
 			ts.CloseClientConnections()
 			ts.Close()
 		}
 	}
-
-	const clients = 8
-	codes := make([]int, clients)
-	resps := make([]serve.ScheduleResponse, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := postJSON(t, g.Handler(), "/v1/schedule", req, nil)
-			codes[i] = r.Code
-			if r.Code == http.StatusOK {
-				resps[i] = decodeSchedule(t, r)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 0; i < clients; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("request %d after replica death: status %d", i, codes[i])
-		}
-		sameSchedule(t, "survivor response", resps[i], want)
+	got := burst("owner killed")
+	for i := range got {
+		sameSchedule(t, fmt.Sprintf("seed %d after failover", i), got[i], want[i])
 	}
 	if g.Metrics().Failovers() == 0 {
 		t.Error("no failover recorded despite the owning replica dying")
@@ -210,16 +314,99 @@ func TestGatewayFailoverChaos(t *testing.T) {
 
 	// The dead replica must be marked down in the health gauge and in
 	// /healthz, while the gateway itself stays serving.
-	rec = httptest.NewRecorder()
-	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prometheus", nil))
-	body := rec.Body.String()
-	if !strings.Contains(body, `readys_gateway_replica_healthy{replica="`+owner+`"} 0`) {
+	if body := string(get(t, g.Handler(), "/metrics")); !strings.Contains(body, `readys_gateway_replica_healthy{replica="`+owner+`"} 0`) {
 		t.Errorf("dead replica %s not marked down in exposition:\n%s", owner, body)
 	}
-	rec = httptest.NewRecorder()
-	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK {
-		t.Errorf("gateway /healthz answered %d with one live replica", rec.Code)
+	get(t, g.Handler(), "/healthz")
+	if rounds := stopProbes(); rounds == 0 {
+		t.Fatal("no probe round ran")
+	}
+
+	// requestSpans requires one request span per schedule request, and none
+	// for a probe or a scrape.
+	requestSpans := func(who string, events []obs.Event, answered int) {
+		t.Helper()
+		requests := 0
+		for _, e := range events {
+			if e.Name == "request" {
+				if e.Cat != "schedule" {
+					t.Errorf("%s: a request span for %s: probes and scrapes are counted, not traced", who, e.Cat)
+				}
+				requests++
+			}
+		}
+		if requests != answered {
+			t.Errorf("%s: %d request spans for %d schedule requests", who, requests, answered)
+		}
+	}
+	traceID := client.link.Context().TraceID
+	gatewayTrace := exportTrace(t, g.tracer)
+	forwards := map[string]bool{}
+	gatewayEvents := traceEvents(t, gatewayTrace)
+	for _, e := range gatewayEvents {
+		if e.Name == "forward" {
+			forwards[e.Args[obs.ArgSpanID].(string)] = true
+		}
+	}
+	requestSpans("gateway", gatewayEvents, 2*clients)
+
+	// A dead replica's listener is gone, but its handler still answers
+	// in-process.
+	traces := [][]byte{client.export(t), gatewayTrace}
+	answeredTotal := 0
+	for i, ts := range reps {
+		who := fmt.Sprintf("replica %d", i+1)
+		trace := get(t, ts.Config.Handler, "/debug/trace")
+		traces = append(traces, trace)
+		var answered int
+		for _, line := range strings.Split(string(get(t, ts.Config.Handler, "/metrics")), "\n") {
+			if v, ok := strings.CutPrefix(line, "readys_schedules_answered_total "); ok {
+				answered, _ = strconv.Atoi(v)
+			}
+		}
+		answeredTotal += answered
+		events := traceEvents(t, trace)
+		requestSpans(who, events, answered)
+		rollouts := 0
+		for _, e := range events {
+			if e.Ph == obs.PhaseMetadata {
+				continue
+			}
+			if e.Args[obs.ArgTraceID] != traceID {
+				t.Errorf("%s: %q span in trace %v, want the client's %s", who, e.Name, e.Args[obs.ArgTraceID], traceID)
+			}
+			switch e.Name {
+			case "request":
+				if parent, _ := e.Args[obs.ArgParentSpan].(string); !forwards[parent] {
+					t.Errorf("%s: request span's parent %q is no gateway forward span", who, parent)
+				}
+			case "decide":
+				t.Errorf("%s: a decide span: a decision is counted on its rollout span, not traced", who)
+			case "rollout":
+				rollouts++
+				decisions, _ := e.Args["decisions"].(float64)
+				if forwards, ok := e.Args["forwards"].(float64); !ok || forwards <= 0 || forwards > decisions {
+					t.Errorf("%s: rollout span with %v forwards over %v decisions", who, e.Args["forwards"], decisions)
+				}
+			}
+		}
+		if rollouts != answered {
+			t.Errorf("%s: %d rollout spans for the %d requests it answered", who, rollouts, answered)
+		}
+	}
+	if answeredTotal != 2*clients {
+		t.Errorf("the replicas answered %d schedule requests, the client got %d answers", answeredTotal, 2*clients)
+	}
+
+	merged, err := obs.MergeTraces(traces...)
+	if err != nil {
+		t.Fatalf("merging traces: %v", err)
+	}
+	if err := obs.ValidateChromeTrace(merged); err != nil {
+		t.Fatalf("merged trace invalid: %v", err)
+	}
+	if err := obs.ValidateTraceLinks(merged); err != nil {
+		t.Fatalf("trace links broken across client→gateway→replica: %v", err)
 	}
 }
 
@@ -422,8 +609,8 @@ func TestGatewayRelaysPooledAnswers(t *testing.T) {
 
 // TestGatewayTraceLinks posts a request with a client trace context, merges
 // the client, gateway and replica trace exports and requires every parent
-// link to resolve — the stitched client→gateway→replica timeline the
-// gateway-smoke target checks end to end.
+// link to resolve — the stitched client→gateway→replica timeline of one
+// request, which TestGatewayFailoverChaos checks across a failover.
 func TestGatewayTraceLinks(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, taskgraph.Cholesky, 2, 1, 1)
@@ -432,35 +619,14 @@ func TestGatewayTraceLinks(t *testing.T) {
 	t.Cleanup(rep.Close)
 	g := newTestGateway(t, rep.URL)
 
-	// The "client process": one root span whose context rides the request.
-	clientTracer := obs.NewTracer(0)
-	clientTracer.NameProcess(3, "client")
-	client := obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID()}
-	hdr := http.Header{}
-	client.Inject(hdr)
-	start := time.Now()
+	client := newClientTrace()
 	rec := postJSON(t, g.Handler(), "/v1/schedule",
-		serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1, Seed: 7}, hdr)
+		serve.ScheduleRequest{Kind: "cholesky", T: 2, CPUs: 1, GPUs: 1, Seed: 7}, client.header())
 	if rec.Code != http.StatusOK {
 		t.Fatalf("schedule via gateway: status %d: %s", rec.Code, rec.Body.String())
 	}
-	clientTracer.Complete("request", "client", 3, 1, 0,
-		float64(time.Since(start))/float64(time.Microsecond),
-		obs.SpanArgs(nil, client.TraceID, client.SpanID, ""))
 
-	export := func(tr *obs.Tracer) []byte {
-		var buf bytes.Buffer
-		if err := tr.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	var replicaTrace bytes.Buffer
-	resp := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(resp, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
-	replicaTrace.Write(resp.Body.Bytes())
-
-	merged, err := obs.MergeTraces(export(clientTracer), export(g.tracer), replicaTrace.Bytes())
+	merged, err := obs.MergeTraces(client.export(t), exportTrace(t, g.tracer), get(t, srv.Handler(), "/debug/trace"))
 	if err != nil {
 		t.Fatalf("merging traces: %v", err)
 	}
@@ -673,7 +839,7 @@ func TestGatewayMetricsPrometheusFormat(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prometheus", nil))
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics: status %d", rec.Code)
 	}

@@ -41,11 +41,17 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// ObserveRequest counts one inbound request against an endpoint.
-func (m *Metrics) ObserveRequest(endpoint string) { m.requests.With(endpoint).Inc() }
+// BeginRequest counts one inbound request against an endpoint
+// (obs.RequestCounter).
+func (m *Metrics) BeginRequest(endpoint string) { m.requests.With(endpoint).Inc() }
 
-// ObserveError counts one >= 400 response against an endpoint.
-func (m *Metrics) ObserveError(endpoint string) { m.errors.With(endpoint).Inc() }
+// EndRequest counts a response with status >= 400 against its endpoint
+// (obs.RequestCounter).
+func (m *Metrics) EndRequest(endpoint string, _ time.Duration, status int) {
+	if status >= 400 {
+		m.errors.With(endpoint).Inc()
+	}
+}
 
 // ObserveReplicaRequest counts one forward to a replica.
 func (m *Metrics) ObserveReplicaRequest(url string) { m.replicaRequests.With(url).Inc() }
@@ -62,5 +68,5 @@ func (m *Metrics) SetReplicaHealth(url string, healthy bool) {
 // Failover counts one retry on a different replica.
 func (m *Metrics) Failover() { m.failovers.Inc() }
 
-// Failovers returns the failover count (tests and the smoke harness).
+// Failovers returns the failover count (tests and the benchmark harness).
 func (m *Metrics) Failovers() uint64 { return m.failovers.Value() }

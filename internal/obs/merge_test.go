@@ -154,7 +154,7 @@ func TestValidateTraceLinksDemandsCrossProcessLink(t *testing.T) {
 }
 
 func TestSpanContextHeaderRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	sc := RootLink(NewTraceID(), "").Context()
 	if sc.TraceID == "" || sc.SpanID == "" || sc.TraceID == sc.SpanID {
 		t.Fatalf("degenerate ids: %+v", sc)
 	}
@@ -181,4 +181,21 @@ func TestSpanArgsOmitsEmptyParent(t *testing.T) {
 	if b[ArgParentSpan] != "p" {
 		t.Errorf("parent lost: %v", b)
 	}
+}
+
+// SpanArgs merges span identity into a (possibly nil) args map, as a span
+// export renders it: trace_id and span_id always, parent_span_id only when
+// non-empty. The input map is returned when non-nil (mutated in place). It
+// gives the map-taking Tracer methods the identity Tracer.Span records from a
+// Link.
+func SpanArgs(args map[string]any, traceID, spanID, parentSpan string) map[string]any {
+	if args == nil {
+		args = make(map[string]any, 3)
+	}
+	args[ArgTraceID] = traceID
+	args[ArgSpanID] = spanID
+	if parentSpan != "" {
+		args[ArgParentSpan] = parentSpan
+	}
+	return args
 }

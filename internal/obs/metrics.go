@@ -10,7 +10,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -299,57 +298,6 @@ func (r *Registry) ordered() []*family {
 		fams[i] = r.families[name]
 	}
 	return fams
-}
-
-// WriteJSON renders the same samples as WriteText as one JSON object keyed by
-// family name (keys sorted, so output is deterministic): an unlabelled counter
-// or gauge is a number, a labelled family an object keyed by its label values
-// (joined by "," when there are several), and a histogram
-// {"count", "sum", "buckets"} with cumulative counts keyed by upper bound,
-// "+Inf" last.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	out := make(map[string]any)
-	for _, f := range r.ordered() {
-		out[f.name] = f.jsonValue()
-	}
-	return json.NewEncoder(w).Encode(out)
-}
-
-func (f *family) jsonValue() any {
-	if f.kind == kindGaugeFunc {
-		return f.fn()
-	}
-	byLabel := make(map[string]any)
-	for _, values := range f.labelValues() {
-		f.mu.Lock()
-		c := f.children[strings.Join(values, "\x00")]
-		f.mu.Unlock()
-		var v any
-		switch m := c.(type) {
-		case *Counter:
-			v = m.Value()
-		case *Gauge:
-			v = m.Value()
-		case *Histogram:
-			s := m.Snapshot()
-			buckets := make(map[string]uint64, len(s.Counts))
-			var cum uint64
-			for i, n := range s.Counts {
-				cum += n
-				le := "+Inf"
-				if i < len(s.Bounds) {
-					le = formatFloat(s.Bounds[i])
-				}
-				buckets[le] = cum
-			}
-			v = map[string]any{"count": s.Count, "sum": s.Sum, "buckets": buckets}
-		}
-		if len(f.labels) == 0 {
-			return v
-		}
-		byLabel[strings.Join(values, ",")] = v
-	}
-	return byLabel
 }
 
 func (f *family) writeText(w io.Writer) error {

@@ -126,8 +126,8 @@ func (t *Tracer) Complete(name, cat string, pid, tid int64, ts, dur float64, arg
 // Span records a complete slice that carries its place in a distributed trace
 // and up to three typed attributes (maxSpanAttrs), without allocating: the request
 // paths write one per stage. A zero link records a plain slice. The export
-// is the Event that Complete would have produced from SpanArgs over a map of
-// the same attributes.
+// is the Event that Complete would have produced over a map of the same
+// attributes plus the link's trace_id, span_id and, when set, parent_span_id.
 func (t *Tracer) Span(name, cat string, pid, tid int64, ts, dur float64, link Link, attrs ...Attr) {
 	if len(attrs) > maxSpanAttrs {
 		panic("obs: span with more than 3 attributes")

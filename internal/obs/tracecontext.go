@@ -40,9 +40,6 @@ type SpanContext struct {
 // independently by different processes never collide.
 func NewTraceID() string { return formatID(rand.Uint64()) }
 
-// NewSpanID returns a fresh 16-hex-digit span identity.
-func NewSpanID() string { return formatID(rand.Uint64()) }
-
 // formatID renders an ID as 16 lowercase hex digits.
 func formatID(id uint64) string {
 	const digits = "0123456789abcdef"
@@ -105,22 +102,4 @@ func ExtractTraceContext(h http.Header) (traceID, parentSpan string, ok bool) {
 	traceID = h.Get(HeaderTraceID)
 	parentSpan = h.Get(HeaderParentSpan)
 	return traceID, parentSpan, traceID != "" || parentSpan != ""
-}
-
-// SpanArgs merges span identity into a (possibly nil) args map: trace_id and
-// span_id always, parent_span_id only when non-empty. The input map is
-// returned when non-nil (mutated in place), matching how trace call sites
-// build their args. It serves the map-taking Tracer methods, which only cold
-// call sites use (the gateway smoke's client span); the request paths record
-// through Tracer.Span.
-func SpanArgs(args map[string]any, traceID, spanID, parentSpan string) map[string]any {
-	if args == nil {
-		args = make(map[string]any, 3)
-	}
-	args[ArgTraceID] = traceID
-	args[ArgSpanID] = spanID
-	if parentSpan != "" {
-		args[ArgParentSpan] = parentSpan
-	}
-	return args
 }

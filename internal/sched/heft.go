@@ -93,7 +93,7 @@ func AppendUpwardRanks(rank []float64, g *taskgraph.Graph, plat platform.Platfor
 // under expected durations. Communication costs are zero, as in the paper.
 func HEFT(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) *HEFTSchedule {
 	plan := newPlan(g.NumTasks(), plat.Size(), UpwardRanks(g, plat, tt))
-	plan.place(g, 0, func(t, r int) float64 {
+	plan.place(g, 0, 0, func(t, r int) float64 {
 		return tt.ExpectedDuration(g.Tasks[t].Kernel, plat.Resources[r].Type)
 	})
 	return plan
@@ -115,17 +115,17 @@ func newPlan(n, m int, rank []float64) *HEFTSchedule {
 }
 
 // place is HEFT's insertion-based earliest-finish-time loop. It takes every
-// task whose Assignment is still -1 in decreasing rank order (ties to the
-// smaller ID) and puts it on the resource, and in the earliest idle gap, that
-// minimises its projected end. A task is ready at the latest of floor and its
+// task from the first on whose Assignment is still -1 in decreasing rank
+// order (ties to the smaller ID) and puts it on the resource, and in the
+// earliest idle gap, that minimises its projected end. A task is ready at the latest of floor and its
 // predecessors' ProjEnd; dur(t, r) is its duration on r, +Inf when r may not
 // take it. Order[r] is r's timeline: the caller may seed it with
 // reservations — tasks with their projected interval set — sorted by start,
 // and every placed task is inserted by its projected start.
-func (p *HEFTSchedule) place(g *taskgraph.Graph, floor float64, dur func(t, r int) float64) {
-	tasks := make([]int, 0, len(p.Assignment))
-	for t, r := range p.Assignment {
-		if r == -1 {
+func (p *HEFTSchedule) place(g *taskgraph.Graph, first int, floor float64, dur func(t, r int) float64) {
+	tasks := make([]int, 0, len(p.Assignment)-first)
+	for t := first; t < len(p.Assignment); t++ {
+		if p.Assignment[t] == -1 {
 			tasks = append(tasks, t)
 		}
 	}
@@ -214,7 +214,7 @@ func NewStaticPolicy(s *HEFTSchedule) *StaticPolicy {
 
 // Reset rewinds the per-resource cursors.
 func (p *StaticPolicy) Reset(*sim.State) {
-	p.next = make([]int, len(p.Schedule.Order))
+	p.next = append(p.next[:0], make([]int, len(p.Schedule.Order))...)
 }
 
 // Decide starts resource r's next prescribed task if it is ready. Tasks

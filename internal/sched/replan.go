@@ -17,7 +17,9 @@ import (
 // it serves as an upper-bound reference for plan-based scheduling under
 // uncertainty.
 type ReplanHEFTPolicy struct {
-	rank        []float64 // upward rank per task, append-only within a run
+	// plan is the latest plan. Its slices are kept across re-plans and grow
+	// with a stream's union; Rank is append-only within a run.
+	plan        HEFTSchedule
 	cursor      StaticPolicy
 	doneAtPlan  int
 	epochAtPlan int
@@ -29,7 +31,7 @@ func NewReplanHEFTPolicy() *ReplanHEFTPolicy { return &ReplanHEFTPolicy{} }
 
 // Reset implements sim.Policy.
 func (p *ReplanHEFTPolicy) Reset(*sim.State) {
-	p.rank = p.rank[:0]
+	p.plan.Rank = p.plan.Rank[:0]
 	p.cursor.Schedule = nil
 }
 
@@ -50,12 +52,24 @@ func (p *ReplanHEFTPolicy) Decide(s *sim.State, r int) int {
 // replan recomputes HEFT over the unfinished, unstarted tasks. Completed
 // tasks contribute their realised end times as release dates; running tasks
 // reserve their resource from now until their estimated completion, and
-// nothing starts before now.
+// nothing starts before now. Only tasks from s.LiveFrom() on are seeded and
+// placed: every earlier job is finished, and no edge crosses a job, so its
+// tasks are no task's predecessors and no resource's reservations.
 func (p *ReplanHEFTPolicy) replan(s *sim.State) {
 	g := s.Graph
-	p.rank = AppendUpwardRanks(p.rank, g, s.Platform, s.TaskTiming)
-	plan := newPlan(g.NumTasks(), s.Platform.Size(), p.rank)
-	for t := range plan.Assignment {
+	n, lo := g.NumTasks(), s.LiveFrom()
+	plan := &p.plan
+	plan.Rank = AppendUpwardRanks(plan.Rank, g, s.Platform, s.TaskTiming)
+	plan.Assignment = resize(plan.Assignment, n)
+	plan.ProjStart = resize(plan.ProjStart, n)
+	plan.ProjEnd = resize(plan.ProjEnd, n)
+	plan.Order = resize(plan.Order, s.Platform.Size())
+	for r := range plan.Order {
+		plan.Order[r] = plan.Order[r][:0]
+	}
+	plan.Makespan = 0
+	for t := lo; t < n; t++ {
+		plan.Assignment[t], plan.ProjStart[t], plan.ProjEnd[t] = -1, 0, 0
 		if s.Done[t] {
 			plan.Assignment[t] = s.AssignedTo[t]
 			plan.ProjEnd[t] = s.EndTime[t]
@@ -71,15 +85,23 @@ func (p *ReplanHEFTPolicy) replan(s *sim.State) {
 	// a recovery or degrade bumps FaultEpoch and triggers a fresh plan. At
 	// least one resource is up whenever the engine asks for a decision, so
 	// every task finds one.
-	plan.place(g, s.Now, func(t, r int) float64 {
+	plan.place(g, lo, s.Now, func(t, r int) float64 {
 		if !s.ResourceUp(r) {
 			return math.Inf(1)
 		}
 		return s.EstTaskDuration(t, r)
 	})
-	p.cursor = StaticPolicy{Schedule: plan}
+	p.cursor.Schedule = plan
 	p.cursor.Reset(s)
 	p.doneAtPlan = s.NumDone
 	p.epochAtPlan = s.FaultEpoch
 	p.graphAtPlan = s.GraphEpoch
+}
+
+// resize returns s with length n, reusing its array when it has room.
+func resize[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make(S, n-cap(s))...)
 }

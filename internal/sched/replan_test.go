@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"readys/internal/platform"
@@ -29,8 +30,8 @@ func TestReplanHEFTValidAcrossFamilies(t *testing.T) {
 	}
 }
 
-// firstPlan records the plan its ReplanHEFT makes at the run's first
-// decision.
+// firstPlan records a copy of the plan its ReplanHEFT makes at the run's
+// first decision; later re-plans overwrite the policy's own.
 type firstPlan struct {
 	*ReplanHEFTPolicy
 	plan *HEFTSchedule
@@ -39,7 +40,15 @@ type firstPlan struct {
 func (f *firstPlan) Decide(s *sim.State, r int) int {
 	t := f.ReplanHEFTPolicy.Decide(s, r)
 	if f.plan == nil {
-		f.plan = f.cursor.Schedule
+		p := f.cursor.Schedule
+		f.plan = &HEFTSchedule{
+			Assignment: slices.Clone(p.Assignment),
+			ProjStart:  slices.Clone(p.ProjStart),
+			ProjEnd:    slices.Clone(p.ProjEnd),
+		}
+		for _, tl := range p.Order {
+			f.plan.Order = append(f.plan.Order, slices.Clone(tl))
+		}
 	}
 	return t
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"readys/internal/exp"
+	"readys/internal/obs"
 	"readys/internal/taskgraph"
 )
 
@@ -50,7 +51,7 @@ func TestScheduleRequestAllocBounded(t *testing.T) {
 	share := func() uint64 {
 		t.Helper()
 		return allocatedBy(func() {
-			if _, status, err := s.schedule(context.Background(), &req); err != nil {
+			if _, status, err := s.schedule(context.Background(), &req, 0, obs.SpanContext{}); err != nil {
 				t.Fatalf("status %d: %v", status, err)
 			}
 		})

@@ -7,6 +7,7 @@ import (
 
 	"readys/internal/core"
 	"readys/internal/obs"
+	"readys/internal/sim"
 )
 
 // latencyBucketsMS are the upper bounds (in milliseconds) of the latency
@@ -20,9 +21,9 @@ var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 // starts and full rebuilds.
 var decideBucketsUS = []float64{5, 10, 25, 50, 100, 250, 1000, 10000}
 
-// Metrics is the service's counter set, backed by the shared obs registry.
-// GET /metrics serves the registry as JSON or, with ?format=prometheus, as
-// Prometheus text exposition. All methods are safe for concurrent use.
+// Metrics is the service's counter set, backed by the shared obs registry,
+// which GET /metrics serves as Prometheus text exposition. All methods are
+// safe for concurrent use.
 type Metrics struct {
 	start time.Time
 	reg   *obs.Registry
@@ -76,19 +77,19 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// Registry exposes the underlying obs registry so the server can attach
-// component gauges (model cache, pool depth) without Metrics depending on
-// those components.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
+// BeginRequest counts a request in flight (obs.RequestCounter).
+func (m *Metrics) BeginRequest(string) { m.inflight.Add(1) }
 
-// Observe records one finished request against an endpoint.
-func (m *Metrics) Observe(endpoint string, d time.Duration, isError bool) {
+// EndRequest records one finished request against an endpoint: its latency,
+// and an error when its status is >= 400 (obs.RequestCounter).
+func (m *Metrics) EndRequest(endpoint string, d time.Duration, status int) {
 	m.requests.With(endpoint).Inc()
 	e := m.errors.With(endpoint) // materialise the series even at zero
-	if isError {
+	if status >= 400 {
 		e.Inc()
 	}
 	m.latency.With(endpoint).Observe(float64(d) / float64(time.Millisecond))
+	m.inflight.Add(-1)
 }
 
 // ObserveDecide records the wall-clock latency of one scheduling decision.
@@ -105,10 +106,6 @@ func (m *Metrics) ObserveDecideStats(d core.DecideStats) {
 	m.idle.Add(uint64(d.Idle))
 }
 
-// IncInflight / DecInflight track requests currently being handled.
-func (m *Metrics) IncInflight() { m.inflight.Add(1) }
-func (m *Metrics) DecInflight() { m.inflight.Add(-1) }
-
 // Rejected counts a backpressure rejection (full queue).
 func (m *Metrics) Rejected() { m.rejected.Inc() }
 
@@ -117,3 +114,40 @@ func (m *Metrics) Timeout() { m.timeouts.Inc() }
 
 // Scheduled counts a successfully served schedule request.
 func (m *Metrics) Scheduled() { m.scheduled.Inc() }
+
+// timedPolicy wraps the inference policy and observes the wall-clock latency
+// of every scheduling decision into readys_decide_latency_us. A decision is
+// counted, not traced: the rollout span and the readys_decide_* counters carry
+// what the policy's DecideStats counted over the request.
+type timedPolicy struct {
+	inner   sim.Policy
+	metrics *Metrics
+}
+
+func (p timedPolicy) Reset(st *sim.State) { p.inner.Reset(st) }
+
+func (p timedPolicy) Decide(st *sim.State, r int) int {
+	start := time.Now()
+	task := p.inner.Decide(st, r)
+	p.metrics.ObserveDecide(time.Since(start))
+	return task
+}
+
+// registerComponentGauges exposes registry and pool occupancy on /metrics
+// without coupling Metrics to either component.
+func registerComponentGauges(reg *obs.Registry, registry *Registry, pool *Pool) {
+	reg.GaugeFunc("readys_model_cache_resident", "Checkpoints currently resident in the LRU registry.",
+		func() float64 { resident, _, _, _ := registry.Stats(); return float64(resident) })
+	reg.GaugeFunc("readys_model_cache_hits_total", "Model cache hits.",
+		func() float64 { _, hits, _, _ := registry.Stats(); return float64(hits) })
+	reg.GaugeFunc("readys_model_cache_misses_total", "Model cache misses.",
+		func() float64 { _, _, misses, _ := registry.Stats(); return float64(misses) })
+	reg.GaugeFunc("readys_model_cache_evicted_total", "Checkpoints evicted from the LRU registry.",
+		func() float64 { _, _, _, evicted := registry.Stats(); return float64(evicted) })
+	reg.GaugeFunc("readys_pool_queued", "Jobs waiting in the bounded queue.",
+		func() float64 { return float64(pool.Queued()) })
+	reg.GaugeFunc("readys_pool_running", "Jobs currently executing.",
+		func() float64 { return float64(pool.Running()) })
+	reg.GaugeFunc("readys_rollout_workers", "Default rollout worker count on this host (GOMAXPROCS), the parallelism a training batch collects episodes with.",
+		func() float64 { return float64(runtime.GOMAXPROCS(0)) })
+}

@@ -8,9 +8,8 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"readys/internal/exp"
@@ -34,9 +33,9 @@ type Config struct {
 	MaxBodyBytes int64
 	// Logger receives request-level diagnostics; nil disables logging.
 	Logger *log.Logger
-	// EnablePprof mounts net/http/pprof and GET /debug/runtime. Off by
-	// default: profiling endpoints leak operational detail, so they must be
-	// asked for (readys-serve -pprof).
+	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by default:
+	// profiling endpoints leak operational detail, so they must be asked for
+	// (readys-serve -pprof).
 	EnablePprof bool
 	// TraceEvents is the request-span ring capacity (<= 0 picks
 	// DefaultTraceEvents). Only the most recent window is kept, so tracing is
@@ -66,8 +65,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// servePID is the pid under which the server records trace events.
+const servePID = 1
+
 // Server is the online scheduling service: registry + pool + metrics behind
-// a stdlib net/http mux.
+// an obs.Front on a stdlib net/http mux.
 type Server struct {
 	cfg      Config
 	registry *Registry
@@ -75,11 +77,10 @@ type Server struct {
 	metrics  *Metrics
 	mux      *http.ServeMux
 
-	// epoch anchors trace timestamps; tracer records per-request spans into
-	// a bounded ring; reqSeq hands out request IDs.
-	epoch  time.Time
+	// front counts, identifies and traces every request; tracer is the
+	// bounded ring it records the request spans into.
+	front  *obs.Front
 	tracer *obs.Tracer
-	reqSeq atomic.Int64
 	build  obs.BuildInfo
 }
 
@@ -115,22 +116,23 @@ func New(cfg Config) *Server {
 		pool:     NewPool(cfg.Workers, cfg.Queue),
 		metrics:  NewMetrics(),
 		mux:      http.NewServeMux(),
-		epoch:    time.Now(),
 		tracer:   obs.NewTracer(cfg.TraceEvents),
 		build:    obs.ReadBuildInfo(),
 	}
-	s.tracer.NameProcess(servePID, "readys-serve")
-	registerComponentGauges(s.metrics.Registry(), s.registry, s.pool)
-	s.mux.HandleFunc("/v1/schedule", s.instrument("schedule", true, s.handleSchedule))
-	s.mux.HandleFunc("/v1/models", s.instrument("models", true, s.handleModels))
-	// Liveness probes and metric scrapes are counted but not traced: a
-	// gateway probes each replica's /healthz four times a second by default,
-	// which would otherwise crowd the schedule requests out of the ring.
-	s.mux.HandleFunc("/healthz", s.instrument("healthz", false, s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("/debug/trace", s.handleTrace)
+	s.front = obs.NewFront("serve", servePID, s.tracer, s.metrics.reg, s.metrics, cfg.Logger)
+	registerComponentGauges(s.metrics.reg, s.registry, s.pool)
+	s.mux.HandleFunc("/v1/schedule", s.front.Wrap("schedule", true, s.handleSchedule))
+	s.mux.HandleFunc("/v1/models", s.front.Wrap("models", true, s.handleModels))
+	// A gateway probes each replica's /healthz four times a second by
+	// default: counted, not traced.
+	s.mux.HandleFunc("/healthz", s.front.Wrap("healthz", false, s.handleHealthz))
+	s.front.Mount(s.mux)
 	if cfg.EnablePprof {
-		s.registerDebug()
+		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return s
 }
@@ -147,120 +149,49 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.pool.Shutdown(ctx)
 }
 
-// statusWriter captures the response code for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the in-flight gauge, per-endpoint
-// request/error counters and latency histogram, a request ID (echoed in the
-// X-Request-ID response header) and, when traced, an overall request span on
-// the request's trace lane.
-func (s *Server) instrument(name string, traced bool, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := s.reqSeq.Add(1)
-		w.Header().Set("X-Request-ID", strconv.FormatInt(id, 10))
-		// Adopt the caller's trace (client→serve spans stitch into one
-		// timeline) or start a fresh one; children parent to the request span.
-		traceID, parentSpan, _ := obs.ExtractTraceContext(r.Header)
-		if traceID == "" {
-			traceID = obs.NewTraceID()
-		}
-		link := obs.RootLink(traceID, parentSpan)
-		w.Header().Set(obs.HeaderTraceID, traceID)
-		r = r.WithContext(context.WithValue(r.Context(), ridKey{}, reqInfo{id: id, sc: link.Context()}))
-		s.metrics.IncInflight()
-		defer s.metrics.DecInflight()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		s.metrics.Observe(name, time.Since(start), sw.status >= 400)
-		if traced {
-			s.span("request", name, id, start, link,
-				obs.Int(obs.KeyRequestID, id), obs.String(obs.KeyEndpoint, name), obs.Int(obs.KeyStatus, int64(sw.status)))
-		}
-	}
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("serve: writing response: %v", err)
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, errors.New("serve: use GET"))
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, _ obs.SpanContext) {
+	if !s.front.Allow(w, r, http.MethodGet) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"models":         s.cfg.ModelsDir,
 		"build":          s.build,
-		"uptime_seconds": time.Since(s.epoch).Seconds(),
+		"uptime_seconds": s.front.Uptime().Seconds(),
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, errors.New("serve: use GET"))
-		return
-	}
-	write, ctype := s.metrics.reg.WriteJSON, "application/json"
-	if r.URL.Query().Get("format") == "prometheus" {
-		write, ctype = s.metrics.reg.WriteText, "text/plain; version=0.0.4; charset=utf-8"
-	}
-	w.Header().Set("Content-Type", ctype)
-	if err := write(w); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("serve: writing metrics: %v", err)
-	}
-}
-
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, errors.New("serve: use GET"))
+func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, _ int64, _ obs.SpanContext) {
+	if !s.front.Allow(w, r, http.MethodGet) {
 		return
 	}
 	models, err := s.registry.List()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.front.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ModelsResponse{Dir: s.registry.Dir(), Models: models})
+	s.front.WriteJSON(w, http.StatusOK, ModelsResponse{Dir: s.registry.Dir(), Models: models})
 }
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, errors.New("serve: use POST"))
+func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rid int64, sc obs.SpanContext) {
+	if !s.front.Allow(w, r, http.MethodPost) {
 		return
 	}
 	var req ScheduleRequest
 	if err := DecodeBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
-		s.writeError(w, BodyErrorStatus(err), fmt.Errorf("serve: decoding request: %w", err))
+		s.front.WriteError(w, BodyErrorStatus(err), fmt.Errorf("serve: decoding request: %w", err))
 		return
 	}
-	resp, status, err := s.schedule(r.Context(), &req)
+	resp, status, err := s.schedule(r.Context(), &req, rid, sc)
 	if err != nil {
 		if errors.Is(err, ErrBusy) || errors.Is(err, ErrShuttingDown) {
 			// Shed, not broken: say when to come back. The gateway relays it.
 			w.Header().Set("Retry-After", "1")
 		}
-		s.writeError(w, status, err)
+		s.front.WriteError(w, status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // errTrailingData refuses a body that goes on after its JSON object.
@@ -298,23 +229,21 @@ func BodyErrorStatus(err error) int {
 }
 
 // schedule answers a decoded request: everything handleSchedule does between
-// reading the body and writing the response. On error the status is the HTTP
-// code to answer with.
-func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (ScheduleResponse, int, error) {
+// reading the body and writing the response. Its spans go on lane rid under
+// the request span sc. On error the status is the HTTP code to answer with.
+func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, sc obs.SpanContext) (ScheduleResponse, int, error) {
 	fail := func(status int, err error) (ScheduleResponse, int, error) { return ScheduleResponse{}, status, err }
 	if err := req.Validate(); err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
 	kind, _ := req.kind() // validated above
-	rid := requestID(ctx)
-	sc := traceContext(ctx)
 
 	// The model comes before the graph: a request for a checkpoint that is
 	// not there costs a directory listing, and one for a resident model finds
 	// its problem already built.
 	acquireStart := time.Now()
 	lease, cacheHit, err := s.registry.Acquire(kind, req.ModelT(), req.CPUs, req.GPUs)
-	s.span("model_load", "registry", rid, acquireStart, sc.Child(), obs.Bool(obs.KeyCacheHit, cacheHit))
+	s.front.Span("model_load", "registry", rid, acquireStart, sc.Child(), obs.Bool(obs.KeyCacheHit, cacheHit))
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errModelNotFound) {
@@ -337,7 +266,7 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (ScheduleRe
 	)
 	enqueued := time.Now()
 	err = s.pool.Do(ctx, func() {
-		s.span("queue_wait", "pool", rid, enqueued, sc.Child())
+		s.front.Span("queue_wait", "pool", rid, enqueued, sc.Child())
 		defer lease.Release()
 		resp, runErr = s.runSchedule(req, tpl, lease, cacheHit, rid, sc)
 	})
@@ -378,7 +307,7 @@ func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, 
 	res, err := prob.SimulateOn(runner, timedPolicy{inner: pol, metrics: s.metrics}, lease.Rand(req.Seed))
 	counted := pol.Stats.Sub(before)
 	s.metrics.ObserveDecideStats(counted)
-	s.span("rollout", "sim", rid, start, sc.Child(), obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())),
+	s.front.Span("rollout", "sim", rid, start, sc.Child(), obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())),
 		obs.Int(obs.KeyDecisions, int64(res.Decisions)), obs.Int(obs.KeyForwards, int64(counted.Forwards)))
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: rollout: %w", err)
@@ -411,7 +340,7 @@ func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, 
 
 	refStart := time.Now()
 	mctRes, err := prob.SimulateOn(runner, sched.MCTPolicy{}, lease.Rand(req.Seed))
-	s.span("references", "sim", rid, refStart, sc.Child())
+	s.front.Span("references", "sim", rid, refStart, sc.Child())
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: MCT reference: %w", err)
 	}

@@ -142,7 +142,9 @@ func TestServeScheduleErrors(t *testing.T) {
 			if rec.Code != tc.status {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body.String())
 			}
-			var e ErrorResponse
+			var e struct {
+				Error string `json:"error"`
+			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
 				t.Fatalf("error envelope missing: %s", rec.Body.String())
 			}
@@ -215,40 +217,33 @@ func TestServeMetrics(t *testing.T) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader([]byte(`{`))))
 
+	// /metrics answers in the text exposition whatever the query asks for.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=json", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics -> %d", rec.Code)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("content type %q, want text/plain exposition", ct)
 	}
-	// byEndpoint reads a labelled family's "schedule" child.
-	byEndpoint := func(family string) any {
-		children, _ := m[family].(map[string]any)
-		return children["schedule"]
-	}
-	if got := byEndpoint("readys_http_requests_total"); got != 4.0 {
-		t.Errorf("schedule requests = %v, want 4 in %s", got, rec.Body.String())
-	}
-	if got := byEndpoint("readys_http_errors_total"); got != 1.0 {
-		t.Errorf("schedule errors = %v, want 1", got)
-	}
-	lat, _ := byEndpoint("readys_http_latency_ms").(map[string]any)
-	if buckets, _ := lat["buckets"].(map[string]any); lat["count"] != 4.0 || buckets["+Inf"] != 4.0 {
-		t.Errorf("latency histogram wrong: %v", lat)
-	}
-	for family, want := range map[string]float64{
-		"readys_model_cache_hits_total":    2,
-		"readys_model_cache_misses_total":  1,
-		"readys_model_cache_evicted_total": 0,
-		"readys_model_cache_resident":      1,
-		"readys_schedules_answered_total":  3,
+	body := rec.Body.String()
+	for _, want := range []string{
+		`readys_http_requests_total{endpoint="schedule"} 4`,
+		`readys_http_errors_total{endpoint="schedule"} 1`,
+		`readys_http_latency_ms_count{endpoint="schedule"} 4`,
+		`readys_http_latency_ms_bucket{endpoint="schedule",le="+Inf"} 4`,
+		"readys_model_cache_hits_total 2",
+		"readys_model_cache_misses_total 1",
+		"readys_model_cache_evicted_total 0",
+		"readys_model_cache_resident 1",
+		"readys_schedules_answered_total 3",
 	} {
-		if got, ok := m[family]; !ok || got != want {
-			t.Errorf("%s = %v, want %v", family, got, want)
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if t.Failed() {
+		t.Log(body)
 	}
 }
 

@@ -137,11 +137,6 @@ type ModelsResponse struct {
 	Models []ModelInfo `json:"models"`
 }
 
-// ErrorResponse is the JSON envelope of every non-2xx answer.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
 // Validate checks a schedule request's scalar fields; DAG contents are
 // validated by BuildGraph.
 func (r *ScheduleRequest) Validate() error {

@@ -450,6 +450,32 @@ func TestStreamCostFlat(t *testing.T) {
 	}
 }
 
+// TestReplanHEFTCostFlat: a ReplanHEFT re-plan seeds and places the live
+// jobs' tasks only, in a plan whose slices it keeps, so what a stream under it
+// allocates per job — the re-plans' bytes and the flat rest TestStreamCostFlat
+// holds — does not grow with the stream's length: ≈ 3.8 kB over 100 jobs,
+// ≈ 4.2 kB over 400. Re-planning over the whole union, a fresh plan of every
+// union task each time, allocated 121 kB and 461 kB (ratio 3.81).
+func TestReplanHEFTCostFlat(t *testing.T) {
+	cost := func(jobs int) float64 {
+		arr := testArrivals(t, 77, jobs, 8.0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := runStream(t, func() sim.Policy { return sched.NewReplanHEFTPolicy() }, arr, 78, nil)
+		runtime.ReadMemStats(&after)
+		if err := res.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(jobs)
+	}
+	short, long := cost(100), cost(400)
+	t.Logf("allocated per job: %.0f B over 100 jobs, %.0f B over 400 jobs (ratio %.2f)", short, long, long/short)
+	if long > 1.5*short {
+		t.Fatalf("a ReplanHEFT stream allocates %.0f B per job over 100 jobs, %.0f B over 400 (ratio %.2f > 1.5): a re-plan sizes or scans the whole union again",
+			short, long, long/short)
+	}
+}
+
 // raceDetector is set under -race, whose runtime allocates beside the program.
 var raceDetector bool
 
