@@ -16,7 +16,8 @@
 #                      headers);
 #                      their seeds also run under go test
 #   make race        — just the race-detector runs (serving, agent core, RL,
-#                      gateway, fault-injecting simulator, streaming arrivals)
+#                      gateway, trace ring, fault-injecting simulator,
+#                      streaming arrivals)
 #   make portable    — cross-build for arm64 (the only thing here that
 #                      compiles the non-amd64 kernel file) and require that no
 #                      product anywhere in the library was fused into its add
@@ -124,8 +125,8 @@ test:
 # fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
 # down, explicit DAGs, eviction;
 # TestLeasedPolicyFollowsPublishedWeights for new weights after LRU eviction; a reused
-# sim.Runner to a new one: TestRunnerReuseBitIdentical), its typed spans to the
-# map path's exported bytes (TestSpanExportsAsCompleteWithSpanArgs), and
+# sim.Runner to a new one: TestRunnerReuseBitIdentical), its ring records to
+# the bytes of literal exported events (TestSpanExportsAsCompleteWithSpanArgs), and
 # TestScheduleRequestAllocBounded / TestSpanAllocatesNothing /
 # TestTracerRingBytesFixed fail if a request rebuilds its problem or state or a
 # span boxes its attributes again; TestRecordHasNoPointers fails if a ring
@@ -152,7 +153,9 @@ equiv:
 # accepts and routes every body a replica accepts, as the replica's full
 # decode would route it; a checkpoint either errors or sets every parameter and
 # round-trips bit for bit; trace-context headers of any bytes come back out
-# of a span export as encoding/json renders them. A failing input is written
+# of a span export by the header contract (an ID of 1–16 hex digits keeps its
+# value, anything else gets a fresh trace), and no byte of them stays in the
+# trace ring. A failing input is written
 # to the package's testdata/fuzz/, where plain go test replays it from then
 # on. The checkpoint seeds are a 66 kB model: minimising each new interesting
 # input of that size would take the whole run, so it gets one minimisation
@@ -166,8 +169,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/
 
 # Concurrency-sensitive packages run under the race detector: internal/tensor,
-# internal/autograd and internal/nn (the buffer pool every goroutine that
-# multiplies draws from), internal/serve
+# internal/autograd and internal/nn (the kernels and tapes every rollout and
+# serving goroutine runs, each tape on its own free list), internal/obs (the
+# trace ring and the metrics every request goroutine writes), internal/serve
 # (registry, pool, handlers, and leases handing resident policies from one
 # worker to the next — TestConcurrentLeasedPolicies), internal/core
 # (shared-agent inference), internal/rl (parallel batch
@@ -179,7 +183,7 @@ fuzz:
 # internal/sim (fault injection under parallel rollouts), and internal/stream
 # (stream rollouts share agents across workers).
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/autograd/... ./internal/nn/... ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
+	$(GO) test -race ./internal/tensor/... ./internal/autograd/... ./internal/nn/... ./internal/obs/... ./internal/serve/... ./internal/core/... ./internal/rl/... ./internal/gateway/... ./internal/sim/... ./internal/stream/...
 
 # Portability gate. internal/tensor's assembly exists for amd64 only; every
 # other architecture runs the Go loops of axpy.go/ops.go behind
@@ -249,8 +253,8 @@ chaos-smoke:
 # validator (readys-stream fails hard on an invalid schedule), then checks the
 # emitted Chrome trace with readys-obs-check. A 4000-job stream then outgrows
 # its trace ring, whose export must still validate: the ring keeps the most
-# recent window, so it holds E events whose B it overwrote, and the export
-# leaves those out. Then a READYS stream is written
+# recent window, and each of its records is a whole event — a task attempt is
+# one complete slice, recorded when it ends. Then a READYS stream is written
 # out with -write-arrivals and replayed with -arrivals: the per-job table and
 # the summary must match the direct run's line for line (the header names the
 # flags' mix on one and the trace's on the other, and only the direct run

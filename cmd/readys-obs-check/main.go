@@ -4,21 +4,25 @@
 // and readys-gateway). It exits non-zero when a file is missing, empty, or
 // malformed, so `make obs-smoke` can assert the pipeline end to end.
 //
-// Traces from fault-injecting runs (readys-sim -fault-rate) carry extra spans
-// in the "fault" category — "outage" and "dead" slices plus "death",
-// "degrade" and "kill" instants — which are counted in the summary and
-// validate like any other span.
+// A simulated schedule's trace carries one complete ("X") slice per attempt
+// of a task on its resource's lane, in the "task" category, recorded when
+// the attempt finishes or is killed. Traces from fault-injecting runs
+// (readys-sim -fault-rate) carry extra spans in the "fault" category —
+// "outage" and "dead" slices plus "death", "degrade" and "kill" instants —
+// which are counted in the summary and validate like any other span.
 //
 // Two flags serve distributed traces. -merge joins per-process trace exports
 // (client, gateway and replicas) into one document whose pid lanes are
-// disjoint and whose spans stitch by trace ID; -links additionally
+// disjoint and whose spans stitch by trace ID (a 64-bit ID in 16 lowercase hex
+// digits: the serving tier keeps a client's ID of 1–16 hex digits by value
+// and starts a fresh trace for any other); -links additionally
 // checks that every parent_span_id resolves within its trace and that at
 // least one link crosses a process boundary in multi-process traces.
 //
 // A stream's trace (readys-stream -trace) is its bounded post-mortem record:
-// arrivals, placements, kills and fault spans. When the run outgrew the ring
-// the export keeps the most recent window, reports dropped_events in
-// otherData, and still validates.
+// arrivals, task slices, kills and fault spans. When the run outgrew the ring
+// the export keeps the most recent window of whole events, reports
+// dropped_events in otherData, and still validates.
 //
 // Usage:
 //

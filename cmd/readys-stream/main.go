@@ -167,12 +167,7 @@ func main() {
 	if cfg.Metrics != nil {
 		if p, ok := pol.(*core.Policy); ok {
 			// The same counters readys-serve exports per rollout, over the run.
-			reg, d := cfg.Metrics, p.Stats
-			reg.Counter("readys_decide_forwards_total", "Decisions that ran the network (memo misses).").Add(uint64(d.Forwards))
-			reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo.").Add(uint64(d.MemoHits()))
-			reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision.").Add(uint64(d.WindowRows))
-			reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed.").Add(uint64(d.Rebuilds))
-			reg.Counter("readys_decide_idle_total", "Decisions that left the asking resource idle (∅).").Add(uint64(d.Idle))
+			core.NewDecideCounters(cfg.Metrics).Add(p.Stats)
 		}
 		if *metricsPath == "-" {
 			if err := cfg.Metrics.WriteText(os.Stdout); err != nil {

@@ -23,9 +23,9 @@
 // code at width 1.
 //
 // Every intermediate the tape creates — op outputs, gradient accumulators and
-// backward-pass temporaries — is drawn from the size-bucketed buffer pool in
-// internal/tensor through a tape-scoped free list; an op output its kernel
-// writes in full (MatMulSeg, LinearReLUSeg, SpMM) is drawn without zeroing. A
+// backward-pass temporaries — is drawn from the tape's own size-bucketed free
+// list (tensor.FreeList); an op output its kernel writes in full (MatMulSeg,
+// LinearReLUSeg, SpMM) is drawn without zeroing. A
 // gradient is owned by exactly one node at a time: an op's backward step
 // builds its input's gradient in a temporary, or reuses its own gradient in
 // place, and hands it over — it becomes the input's accumulator if the input
@@ -34,10 +34,8 @@
 // run. An op output goes back on the list when the caller drops it (Drop) —
 // once the forward has read it, if no backward step reads its values — and
 // otherwise at Reset, which puts back everything left and keeps the list for
-// the next pass on the same tape (the shared pool sits on sync.Pool, which
-// every collection empties — a tape that cycles through megabyte buffers keeps
-// them itself); Release hands everything to the shared pool. Caller-provided
-// matrices (Const/Var/Param inputs) are never pooled or released.
+// the next pass on the same tape; Release drops the list. Caller-provided
+// matrices (Const/Var/Param inputs) are never recycled or released.
 //
 // The tape keeps what backward reads and no more. Most backward steps read
 // their inputs' shapes only; the few that read values pin them against Drop.
@@ -343,7 +341,7 @@ func (t *Tape) Reset() {
 	t.owned = t.owned[:0]
 }
 
-// Release is the final Reset: the tape's buffers go to the shared pool and
+// Release is the final Reset: the tape drops its buffers and free list, and
 // the tape and its nodes must not be used afterwards. Release is idempotent;
 // a tape that is never released is simply collected by the GC.
 func (t *Tape) Release() {
@@ -351,7 +349,7 @@ func (t *Tape) Release() {
 		return
 	}
 	t.Reset()
-	t.bufs.Drain()
+	t.bufs = tensor.FreeList{}
 	t.chunks, t.steps, t.owned, t.idx, t.masks, t.parts, t.shapes = nil, nil, nil, nil, nil, nil, nil
 	t.released = true
 }

@@ -429,9 +429,8 @@ func TestBackwardRecyclesOpGradients(t *testing.T) {
 }
 
 // TestResetKeepsBuffersAndParamGradients: a pass on a Reset tape draws its
-// buffers from the tape's own list — also right after a collection, which
-// empties the shared sync.Pool-backed pool — and the gradients of both passes
-// add up in the caller's Param accumulator.
+// buffers from the tape's own list — also right after a collection — and the
+// gradients of both passes add up in the caller's Param accumulator.
 func TestResetKeepsBuffersAndParamGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	x, w, grad := randMat(rng, 512, 64), randMat(rng, 64, 64), tensor.New(64, 64)

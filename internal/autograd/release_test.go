@@ -30,17 +30,19 @@ func TestReleaseIsIdempotentAndGuardsReuse(t *testing.T) {
 	tp.Const(tensor.New(1, 1))
 }
 
-// TestPooledTapesAreDeterministic runs the same computation twice; the second
-// run consumes recycled (previously dirty) buffers from the first, so any op
-// that fails to fully overwrite its pooled destination would diverge.
+// TestPooledTapesAreDeterministic runs the same computation twice on one
+// tape; the second run, after Reset, consumes the recycled (previously dirty)
+// buffers of the first, so any op that fails to fully overwrite its recycled
+// destination would diverge.
 func TestPooledTapesAreDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := randMat(rng, 6, 4)
 	b := randMat(rng, 4, 5)
 	s := randomSparseOperator(rng, 6)
 
+	tp := NewTape()
+	defer tp.Release()
 	run := func() (float64, []float64) {
-		tp := NewTape()
 		av, bv := tp.Var(a), tp.Var(b)
 		h := tp.ReLU(tp.MatMulSeg(tp.SpMM(s, av), bv, nil))
 		pooled := tp.ConcatCols(tp.SegmentMeanRows(h, nil), tp.SegmentMaxRows(h, nil))
@@ -48,7 +50,7 @@ func TestPooledTapesAreDeterministic(t *testing.T) {
 		tp.Backward(loss)
 		out := Scalar(loss)
 		grad := append([]float64(nil), av.Grad.Data...)
-		tp.Release()
+		tp.Reset()
 		return out, grad
 	}
 	l1, g1 := run()

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math"
-
+	"readys/internal/nn"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
 	"readys/internal/tensor"
@@ -22,10 +21,10 @@ import (
 // adjacency is rebuilt only if the node set actually changed.
 //
 // Every feature value is produced by the same fill helpers EncodeFault uses
-// and the adjacency by the same formulas as nn.NormalizedAdjacency /
-// nn.DirectedNormalizedAdjacency, so the encoder is bit-identical to the full
-// rebuild — the equivalence tests enforce this per decision. EncodeFault
-// remains the fallback and the oracle.
+// and the adjacency's values by the function nn.NormalizedAdjacency /
+// nn.DirectedNormalizedAdjacency use (nn.NormalizedValues), so the encoder is
+// bit-identical to the full rebuild — the equivalence tests enforce this per
+// decision. EncodeFault remains the fallback and the oracle.
 //
 // The returned EncodedState aliases buffers owned by the encoder and is only
 // valid until the next Encode call; a recording (training) policy copies what
@@ -277,8 +276,8 @@ func (e *incrementalEncoder) clearRows(nodes []int) {
 // encoder-owned CSR buffers. A row's in-window neighbours come in the graph's
 // Succ/Pred order, which nothing keeps sorted; a small insertion sort plus
 // dedup reproduces nn.adjacencyRows' sorted/deduplicated self-loop rows
-// whatever that order, and the value formulas match nn.NormalizedAdjacency /
-// nn.DirectedNormalizedAdjacency exactly.
+// whatever that order, and nn.NormalizedValues fills in the values, as it
+// does for nn.NormalizedAdjacency / nn.DirectedNormalizedAdjacency.
 func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 	n := len(nodes)
 	rowPtr := e.norm.RowPtr[:0]
@@ -316,26 +315,8 @@ func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 	if cap(vals) < len(cols) {
 		vals = make([]float64, len(cols))
 	}
-	vals = vals[:len(cols)]
-	if e.directed {
-		for i := 0; i < n; i++ {
-			d := float64(rowPtr[i+1] - rowPtr[i])
-			v := 1 / d
-			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-				vals[k] = v
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			di := float64(rowPtr[i+1] - rowPtr[i])
-			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-				j := cols[k]
-				dj := float64(rowPtr[j+1] - rowPtr[j])
-				vals[k] = 1 / math.Sqrt(di*dj)
-			}
-		}
-	}
-	e.norm = tensor.Sparse{Rows: n, Cols: n, RowPtr: rowPtr, Col: cols, Val: vals}
+	e.norm = tensor.Sparse{Rows: n, Cols: n, RowPtr: rowPtr, Col: cols, Val: vals[:len(cols)]}
+	nn.NormalizedValues(&e.norm, e.directed)
 	e.es.Norm = &e.norm
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"readys/internal/autograd"
 	"readys/internal/nn"
+	"readys/internal/obs"
 	"readys/internal/platform"
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
@@ -122,6 +123,33 @@ type DecideStats struct {
 
 // MemoHits is how many decisions reused a memoised forward.
 func (d DecideStats) MemoHits() int { return d.Decisions - d.Forwards }
+
+// DecideCounters are the readys_decide_* counters of a metric registry:
+// DecideStats summed over rollouts (readys-serve) or a whole run
+// (readys-stream -metrics).
+type DecideCounters struct {
+	forwards, memoHits, windowRows, rebuilds, idle *obs.Counter
+}
+
+// NewDecideCounters registers the counters on reg, or finds them there.
+func NewDecideCounters(reg *obs.Registry) DecideCounters {
+	return DecideCounters{
+		forwards:   reg.Counter("readys_decide_forwards_total", "Decisions that ran the network (memo misses)."),
+		memoHits:   reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo."),
+		windowRows: reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision."),
+		rebuilds:   reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed."),
+		idle:       reg.Counter("readys_decide_idle_total", "Decisions that left the asking resource idle (∅)."),
+	}
+}
+
+// Add adds what a policy counted.
+func (c DecideCounters) Add(d DecideStats) {
+	c.forwards.Add(uint64(d.Forwards))
+	c.memoHits.Add(uint64(d.MemoHits()))
+	c.windowRows.Add(uint64(d.WindowRows))
+	c.rebuilds.Add(uint64(d.Rebuilds))
+	c.idle.Add(uint64(d.Idle))
+}
 
 // Sub returns the counts accumulated since an earlier reading o.
 func (d DecideStats) Sub(o DecideStats) DecideStats {

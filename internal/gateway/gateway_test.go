@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -636,6 +637,73 @@ func TestGatewayTraceLinks(t *testing.T) {
 	if err := obs.ValidateTraceLinks(merged); err != nil {
 		t.Fatalf("trace links broken across client→gateway→replica: %v", err)
 	}
+}
+
+// TestGatewayTraceIDHeadersBounded: a client's trace ID of 1–16 hex digits
+// keeps its value, in 16 digits, in the gateway's export, in the echoed
+// X-Trace-ID and on the header forwarded to the replica; and 400 requests
+// whose X-Trace-ID headers are 256 KiB each, all different, leave less than
+// 1 MiB of heap behind, in the gateway and in the replica it forwards to.
+func TestGatewayTraceIDHeadersBounded(t *testing.T) {
+	var mu sync.Mutex
+	var forwarded [2]string // the last trace and parent headers the replica got
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		forwarded = [2]string{r.Header.Get(obs.HeaderTraceID), r.Header.Get(obs.HeaderParentSpan)}
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"models":[]}`)
+	}))
+	t.Cleanup(rep.Close)
+	g := newTestGateway(t, rep.URL)
+	get := func(traceID string) string {
+		req := httptest.NewRequest(http.MethodGet, "/v1/models", nil)
+		req.Header.Set(obs.HeaderTraceID, traceID)
+		req.Header.Set(obs.HeaderParentSpan, "b")
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("models -> %d: %s", rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get(obs.HeaderTraceID)
+	}
+
+	const want = "000000000000001a"
+	if echoed := get("1A"); echoed != want {
+		t.Errorf("trace 1A echoed as %q, want %s", echoed, want)
+	}
+	if mu.Lock(); forwarded[0] != want || len(forwarded[1]) != 16 {
+		t.Errorf("forwarded trace %q, parent %q; want %s and a forward span's 16 digits", forwarded[0], forwarded[1], want)
+	}
+	mu.Unlock()
+	for _, e := range g.tracer.Events() {
+		if e.Args[obs.ArgTraceID] != want {
+			t.Errorf("%s span in trace %v, want %s", e.Name, e.Args[obs.ArgTraceID], want)
+		}
+		if e.Name == "request" && e.Args[obs.ArgParentSpan] != "000000000000000b" {
+			t.Errorf("request span's parent %v, want 000000000000000b", e.Args[obs.ArgParentSpan])
+		}
+	}
+
+	pad := strings.Repeat("x", 256<<10)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range 400 {
+		if echoed := get(strconv.Itoa(i) + pad); len(echoed) != 16 {
+			t.Fatalf("a 256 KiB trace ID echoed as %d bytes, want a fresh trace's 16", len(echoed))
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("400 requests with 256 KiB trace IDs leave %d B of heap", kept)
+	if kept > 1<<20 {
+		t.Fatalf("400 requests with 256 KiB trace IDs leave %d B of heap, bound is 1 MiB", kept)
+	}
+	runtime.KeepAlive(g)
 }
 
 // TestGatewayTraceRingIgnoresProbes: a ring sized for one schedule request

@@ -84,20 +84,7 @@ func (g *GCN) Params() []*Param { return []*Param{g.W, g.B} }
 // result is built directly in CSR form — O(E) work and memory, never
 // materialising the n x n matrix.
 func NormalizedAdjacency(n int, succ [][]int) *tensor.Sparse {
-	neigh := adjacencyRows(n, succ, true)
-	deg := make([]float64, n)
-	for i, row := range neigh {
-		deg[i] = float64(len(row))
-	}
-	entries := make([][]tensor.SparseEntry, n)
-	for i, row := range neigh {
-		es := make([]tensor.SparseEntry, len(row))
-		for k, j := range row {
-			es[k] = tensor.SparseEntry{Col: j, Val: 1 / sqrtf(deg[i]*deg[j])}
-		}
-		entries[i] = es
-	}
-	return tensor.SparseFromRows(n, n, entries)
+	return normalizedAdjacency(n, succ, false)
 }
 
 // DirectedNormalizedAdjacency returns D̃^{-1} (A + I) for a strictly
@@ -105,17 +92,38 @@ func NormalizedAdjacency(n int, succ [][]int) *tensor.Sparse {
 // where node i aggregates itself and its successors. Built directly in CSR
 // form like NormalizedAdjacency.
 func DirectedNormalizedAdjacency(n int, succ [][]int) *tensor.Sparse {
-	neigh := adjacencyRows(n, succ, false)
-	entries := make([][]tensor.SparseEntry, n)
-	for i, row := range neigh {
-		d := float64(len(row))
-		es := make([]tensor.SparseEntry, len(row))
-		for k, j := range row {
-			es[k] = tensor.SparseEntry{Col: j, Val: 1 / d}
-		}
-		entries[i] = es
+	return normalizedAdjacency(n, succ, true)
+}
+
+func normalizedAdjacency(n int, succ [][]int, directed bool) *tensor.Sparse {
+	a := &tensor.Sparse{Rows: n, Cols: n, RowPtr: make([]int, 1, n+1)}
+	for _, row := range adjacencyRows(n, succ, !directed) {
+		a.Col = append(a.Col, row...)
+		a.RowPtr = append(a.RowPtr, len(a.Col))
 	}
-	return tensor.SparseFromRows(n, n, entries)
+	a.Val = make([]float64, len(a.Col))
+	NormalizedValues(a, directed)
+	return a
+}
+
+// NormalizedValues writes the values of a normalised adjacency into a.Val
+// from its pattern: the sorted, deduplicated rows of A + I, so that row i's
+// length is the degree d_i. Symmetric, entry (i, j) is 1/√(d_i·d_j), of
+// D̃^{-1/2} (A + I) D̃^{-1/2}; directed, it is 1/d_i, of D̃^{-1} (A + I).
+// Every operator the network propagates over gets its values here, whoever
+// builds its pattern.
+func NormalizedValues(a *tensor.Sparse, directed bool) {
+	for i := 0; i < a.Rows; i++ {
+		di := float64(a.RowPtr[i+1] - a.RowPtr[i])
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if directed {
+				a.Val[k] = 1 / di
+				continue
+			}
+			j := a.Col[k]
+			a.Val[k] = 1 / math.Sqrt(di*float64(a.RowPtr[j+1]-a.RowPtr[j]))
+		}
+	}
 }
 
 // adjacencyRows builds sorted, deduplicated neighbour lists of A + I from
@@ -150,13 +158,4 @@ func adjacencyRows(n int, succ [][]int, symmetric bool) [][]int {
 		rows[i] = rows[i][:w]
 	}
 	return rows
-}
-
-// sqrtf is math.Sqrt with a guard for zero degrees (isolated vertices keep a
-// unit self-loop weight instead of dividing by zero).
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return math.Sqrt(x)
 }

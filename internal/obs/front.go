@@ -58,7 +58,8 @@ func (f *Front) Mount(mux *http.ServeMux) {
 func (f *Front) Uptime() time.Duration { return time.Since(f.epoch) }
 
 // Wrap serves h as the named endpoint. Each request gets an ID, echoed in
-// X-Request-ID, and the caller's trace (or a fresh one), echoed in X-Trace-ID;
+// X-Request-ID, and the caller's trace (or a fresh one, see RootLink), echoed
+// in X-Trace-ID as 16 hex digits;
 // it is counted, and when traced is set it records a request span, parent of
 // the spans h records under sc. Liveness probes and metric scrapes are
 // counted but not traced: probed several times a second, they would push the
@@ -69,14 +70,12 @@ func (f *Front) Wrap(endpoint string, traced bool, h Endpoint) http.HandlerFunc 
 		id := f.reqSeq.Add(1)
 		w.Header().Set("X-Request-ID", strconv.FormatInt(id, 10))
 		traceID, parentSpan, _ := ExtractTraceContext(r.Header)
-		if traceID == "" {
-			traceID = NewTraceID()
-		}
 		link := RootLink(traceID, parentSpan)
-		w.Header().Set(HeaderTraceID, traceID)
+		sc := link.Context()
+		w.Header().Set(HeaderTraceID, sc.TraceID)
 		f.counter.BeginRequest(endpoint)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r, id, link.Context())
+		h(sw, r, id, sc)
 		f.counter.EndRequest(endpoint, time.Since(start), sw.status)
 		if traced {
 			f.Span("request", endpoint, id, start, link,

@@ -7,29 +7,39 @@ import (
 	"testing"
 )
 
+// traceDoc is one process's Chrome trace export of events, named process
+// under pid 1 when process is set. The merge and the link validator read
+// exports of any exporter, whose IDs need not be this package's 16 hex
+// digits, so the tests write their events literally.
+func traceDoc(t *testing.T, process string, events ...Event) []byte {
+	t.Helper()
+	doc := chromeTrace{DisplayTimeUnit: "ms"}
+	if process != "" {
+		doc.TraceEvents = append(doc.TraceEvents, Event{Name: "process_name", Ph: PhaseMetadata, PID: 1, Args: map[string]any{"name": process}})
+	}
+	doc.TraceEvents = append(doc.TraceEvents, events...)
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// slice is a complete slice on lane (1, 1) with args.
+func slice(name, cat string, ts, dur float64, args map[string]any) Event {
+	return Event{Name: name, Cat: cat, Ph: PhaseComplete, TS: ts, Dur: dur, PID: 1, TID: 1, Args: args}
+}
+
 // twoProcessDocs builds a dispatcher-like and a worker-like export, both
 // recorded under local pid 1 (the collision MergeTraces must resolve), with
 // the worker's span parented to the dispatcher's via trace context args.
 func twoProcessDocs(t *testing.T) (disp, work []byte) {
 	t.Helper()
-	d := NewTracer(0)
-	d.NameProcess(1, "dispatcher")
-	d.Complete("request", "request", 1, 1, 0, 100,
-		SpanArgs(map[string]any{"path": "/v1/jobs"}, "trace1", "spanA", ""))
-
-	w := NewTracer(0)
-	w.NameProcess(1, "worker")
-	w.Complete("execute", "job", 1, 1, 50, 40,
-		SpanArgs(map[string]any{"job_id": "j000001"}, "trace1", "spanB", "spanA"))
-
-	var db, wb bytes.Buffer
-	if err := d.WriteChromeTrace(&db); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteChromeTrace(&wb); err != nil {
-		t.Fatal(err)
-	}
-	return db.Bytes(), wb.Bytes()
+	disp = traceDoc(t, "dispatcher", slice("request", "request", 0, 100,
+		SpanArgs(map[string]any{"path": "/v1/jobs"}, "trace1", "spanA", "")))
+	work = traceDoc(t, "worker", slice("execute", "job", 50, 40,
+		SpanArgs(map[string]any{"job_id": "j000001"}, "trace1", "spanB", "spanA")))
+	return disp, work
 }
 
 func TestMergeTracesStitchesProcesses(t *testing.T) {
@@ -87,17 +97,11 @@ func TestMergeTracesRejectsBadInput(t *testing.T) {
 func TestValidateTraceLinksDanglingParent(t *testing.T) {
 	// A single-process export whose span points at a parent recorded in
 	// another process's ring: fine structurally, an error for -links.
-	tr := NewTracer(0)
-	tr.Complete("execute", "job", 1, 1, 0, 10,
-		SpanArgs(nil, "trace1", "spanB", "missing-parent"))
-	var b bytes.Buffer
-	if err := tr.WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChromeTrace(b.Bytes()); err != nil {
+	data := traceDoc(t, "", slice("execute", "job", 0, 10, SpanArgs(nil, "trace1", "spanB", "missing-parent")))
+	if err := ValidateChromeTrace(data); err != nil {
 		t.Fatalf("structure should validate: %v", err)
 	}
-	err := ValidateTraceLinks(b.Bytes())
+	err := ValidateTraceLinks(data)
 	if err == nil || !strings.Contains(err.Error(), "parent span missing-parent not found") {
 		t.Fatalf("dangling parent not reported: %v", err)
 	}
@@ -115,13 +119,8 @@ func TestValidateTraceLinksRequiresContextAndLinks(t *testing.T) {
 		t.Errorf("context-free trace: %v", err)
 	}
 
-	tr2 := NewTracer(0)
-	tr2.Complete("root", "work", 1, 1, 0, 10, SpanArgs(nil, "trace1", "spanA", ""))
-	var b2 bytes.Buffer
-	if err := tr2.WriteChromeTrace(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateTraceLinks(b2.Bytes()); err == nil ||
+	rootOnly := traceDoc(t, "", slice("root", "work", 0, 10, SpanArgs(nil, "trace1", "spanA", "")))
+	if err := ValidateTraceLinks(rootOnly); err == nil ||
 		!strings.Contains(err.Error(), "no parent links") {
 		t.Errorf("link-free trace: %v", err)
 	}
@@ -130,20 +129,13 @@ func TestValidateTraceLinksRequiresContextAndLinks(t *testing.T) {
 func TestValidateTraceLinksDemandsCrossProcessLink(t *testing.T) {
 	// Two processes whose links all stay process-local: the stitch failed
 	// even though every parent resolves.
-	d := NewTracer(0)
-	d.Complete("a", "work", 1, 1, 0, 10, SpanArgs(nil, "t1", "s1", ""))
-	d.Complete("b", "work", 1, 1, 20, 10, SpanArgs(nil, "t1", "s2", "s1"))
-	w := NewTracer(0)
-	w.Complete("c", "work", 1, 1, 0, 10, SpanArgs(nil, "t2", "s3", ""))
-	w.Complete("d", "work", 1, 1, 20, 10, SpanArgs(nil, "t2", "s4", "s3"))
-	var db, wb bytes.Buffer
-	if err := d.WriteChromeTrace(&db); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteChromeTrace(&wb); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeTraces(db.Bytes(), wb.Bytes())
+	d := traceDoc(t, "",
+		slice("a", "work", 0, 10, SpanArgs(nil, "t1", "s1", "")),
+		slice("b", "work", 20, 10, SpanArgs(nil, "t1", "s2", "s1")))
+	w := traceDoc(t, "",
+		slice("c", "work", 0, 10, SpanArgs(nil, "t2", "s3", "")),
+		slice("d", "work", 20, 10, SpanArgs(nil, "t2", "s4", "s3")))
+	merged, err := MergeTraces(d, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +178,7 @@ func TestSpanArgsOmitsEmptyParent(t *testing.T) {
 // SpanArgs merges span identity into a (possibly nil) args map, as a span
 // export renders it: trace_id and span_id always, parent_span_id only when
 // non-empty. The input map is returned when non-nil (mutated in place). It
-// gives the map-taking Tracer methods the identity Tracer.Span records from a
-// Link.
+// writes the Args of the literal events the export and link tests expect.
 func SpanArgs(args map[string]any, traceID, spanID, parentSpan string) map[string]any {
 	if args == nil {
 		args = make(map[string]any, 3)

@@ -123,8 +123,8 @@ func TestTracerRingAndExport(t *testing.T) {
 	tr := NewTracer(4)
 	tr.NameProcess(1, "proc")
 	tr.NameThread(1, 0, "lane0")
-	tr.Begin("a", "cat", 1, 0, 10, map[string]any{"k": 1})
-	tr.End("a", 1, 0, 20)
+	tr.Complete("a", "cat", 1, 0, 10, 10, []Attr{Int(KeyTask, 1)})
+	tr.Instant("b", "cat", 1, 0, 20, Float(KeyFactor, 0.5))
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -161,16 +161,16 @@ func TestTracerRingAndExport(t *testing.T) {
 		t.Fatalf("ring order wrong: %+v", ev)
 	}
 
-	// Past capacity, the ring overwrites the B of "a" on lane 0 and of "c" on
-	// lane 1 but keeps their E: the export leaves both out, so the wrapped
-	// trace still validates.
+	// Past capacity, the ring overwrites its oldest records: a slice is one
+	// record, recorded when it ends, so the export is the newest four events
+	// whole, oldest first, and the wrapped trace still validates.
 	tr = NewTracer(4)
-	tr.Begin("a", "", 1, 0, 1, nil)
-	tr.Begin("c", "", 1, 1, 1, nil)
-	tr.End("a", 1, 0, 2)
-	tr.Begin("b", "", 1, 0, 3, nil)
-	tr.End("b", 1, 0, 4)
-	tr.End("c", 1, 1, 5)
+	tr.Complete("a", "", 1, 0, 1, 1, nil)
+	tr.Complete("c", "", 1, 1, 1, 4, nil)
+	tr.Instant("kill", "", 1, 1, 5)
+	tr.Complete("b", "", 1, 0, 3, 1, nil)
+	tr.Complete("d", "", 1, 1, 6, 1, nil)
+	tr.Instant("late", "", 1, 0, 7)
 	buf.Reset()
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -178,8 +178,12 @@ func TestTracerRingAndExport(t *testing.T) {
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("wrapped trace invalid: %v\n%s", err, buf.String())
 	}
-	if ev := tr.Events(); len(ev) != 2 || ev[0].Name != "b" || ev[0].Ph != PhaseBegin || ev[1].Name != "b" || ev[1].Ph != PhaseEnd {
-		t.Fatalf("wrapped export = %+v, want only b's B and E", ev)
+	var names []string
+	for _, e := range tr.Events() {
+		names = append(names, e.Name+":"+e.Ph)
+	}
+	if got, want := strings.Join(names, " "), "kill:i b:X d:X late:i"; got != want || tr.dropped != 2 {
+		t.Fatalf("wrapped export = %s with %d dropped, want %s with 2", got, tr.dropped, want)
 	}
 }
 

@@ -1,5 +1,7 @@
 package obs
 
+import "math"
+
 // record is what a Tracer's ring holds per event: every field of the Event it
 // exports as, with the span identity and attributes inline instead of in an
 // Args map. It holds no pointers — strings are handles into the tracer's
@@ -11,14 +13,12 @@ type record struct {
 	tid     int64
 	span    uint64
 
-	// The trace and parent IDs (when flagTrace / flagParent say the event
-	// carries them): the 64 bits of a canonical ID (formatID's 16 lowercase
-	// hex digits), or, with flagTraceStr / flagParentStr, the handle of the ID
-	// as a foreign client sent it. span is always minted here.
+	// The trace and parent IDs, when flagTrace / flagParent say the event
+	// carries them. span is always minted here.
 	trace, parent uint64
 
-	// vals holds an attribute's integer, its bool as 0/1, or its string's
-	// handle.
+	// vals holds an attribute's integer, its bool as 0/1, its float's bits or
+	// its string's handle.
 	vals  [maxSpanAttrs]int64
 	name  uint32 // handle
 	cat   uint32 // handle
@@ -33,20 +33,19 @@ type record struct {
 // record.flags bits.
 const (
 	flagTrace uint8 = 1 << iota
-	flagTraceStr
 	flagParent
-	flagParentStr
 )
 
-// maxSpanAttrs is how many attributes one Span call may carry.
+// maxSpanAttrs is how many attributes one event may carry.
 const maxSpanAttrs = 3
 
-// Key names a span attribute. The keys are a closed vocabulary so that an
+// Key names an event attribute. The keys are a closed vocabulary so that an
 // attribute is a byte in the ring rather than a string header; a new call site
 // that needs a new key adds a constant and its name here.
 type Key uint8
 
-// Attribute keys of the serve and gateway request paths.
+// Attribute keys of the serve and gateway request paths, then of the
+// simulator's task, fault and arrival events.
 const (
 	KeyRequestID Key = iota
 	KeyEndpoint
@@ -57,6 +56,13 @@ const (
 	KeyForwards
 	KeyReplica
 	KeyPath
+	KeyTask
+	KeyKernel
+	KeyStarted
+	KeyCause
+	KeyFactor
+	KeyJob
+	KeyBase
 )
 
 var keyNames = [...]string{
@@ -69,6 +75,13 @@ var keyNames = [...]string{
 	KeyForwards:  "forwards",
 	KeyReplica:   "replica",
 	KeyPath:      "path",
+	KeyTask:      "task",
+	KeyKernel:    "kernel",
+	KeyStarted:   "started",
+	KeyCause:     "cause",
+	KeyFactor:    "factor",
+	KeyJob:       "job",
+	KeyBase:      "base",
 }
 
 type attrKind uint8
@@ -76,10 +89,11 @@ type attrKind uint8
 const (
 	attrInt attrKind = iota
 	attrBool
+	attrFloat
 	attrString
 )
 
-// Attr is one typed span attribute, built with Int, Bool or String.
+// Attr is one typed event attribute, built with Int, Bool, Float or String.
 type Attr struct {
 	key  Key
 	kind attrKind
@@ -99,33 +113,15 @@ func Bool(k Key, v bool) Attr {
 	return a
 }
 
+// Float returns a floating-point attribute.
+func Float(k Key, v float64) Attr {
+	return Attr{key: k, kind: attrFloat, num: int64(math.Float64bits(v))}
+}
+
 // String returns a string attribute. The tracer keeps v itself, not a copy,
 // until the last record in its ring that names v is overwritten, so v should
 // not alias a large buffer.
 func String(k Key, v string) Attr { return Attr{key: k, kind: attrString, str: v} }
-
-// parseID returns the 64 bits a canonical ID renders, and false for any other
-// string: a canonical ID is exactly what formatID writes, so formatID of the
-// result gives back the same bytes.
-func parseID(s string) (uint64, bool) {
-	if len(s) != 16 {
-		return 0, false
-	}
-	var id uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		default:
-			return 0, false
-		}
-		id = id<<4 | uint64(c)
-	}
-	return id, true
-}
 
 // strtab interns the strings a ring's records name. An entry counts the
 // records that hold its handle and is freed when the last of them is
@@ -174,14 +170,8 @@ func (s *strtab) release(h uint32) {
 }
 
 // internRecord resolves the strings of an event into r's handles.
-func (s *strtab) internRecord(r *record, name, cat string, link Link, attrs []Attr) {
+func (s *strtab) internRecord(r *record, name, cat string, attrs []Attr) {
 	r.name, r.cat = s.intern(name), s.intern(cat)
-	if r.flags&flagTraceStr != 0 {
-		r.trace = uint64(s.intern(link.trace))
-	}
-	if r.flags&flagParentStr != 0 {
-		r.parent = uint64(s.intern(link.parent))
-	}
 	for i, a := range attrs {
 		if a.kind == attrString {
 			r.vals[i] = int64(s.intern(a.str))
@@ -193,12 +183,6 @@ func (s *strtab) internRecord(r *record, name, cat string, link Link, attrs []At
 func (s *strtab) releaseRecord(r *record) {
 	s.release(r.name)
 	s.release(r.cat)
-	if r.flags&flagTraceStr != 0 {
-		s.release(uint32(r.trace))
-	}
-	if r.flags&flagParentStr != 0 {
-		s.release(uint32(r.parent))
-	}
 	for i := 0; i < int(r.nattr); i++ {
 		if r.kinds[i] == attrString {
 			s.release(uint32(r.vals[i]))
@@ -209,20 +193,8 @@ func (s *strtab) releaseRecord(r *record) {
 // newRecord fills in everything of an event that needs no string table; push
 // interns the rest under the tracer's lock.
 func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr) record {
-	r := record{ph: ph, ts: ts, dur: dur, pid: int32(pid), tid: tid}
-	if link.trace != "" {
-		r.flags, r.span = flagTrace, link.span
-		var ok bool
-		if r.trace, ok = parseID(link.trace); !ok {
-			r.flags |= flagTraceStr
-		}
-		if link.parent != "" {
-			r.flags |= flagParent
-			if r.parent, ok = parseID(link.parent); !ok {
-				r.flags |= flagParentStr
-			}
-		}
-	}
+	r := record{ph: ph, ts: ts, dur: dur, pid: int32(pid), tid: tid,
+		trace: link.trace, parent: link.parent, span: link.span, flags: link.flags}
 	r.nattr = uint8(len(attrs))
 	for i, a := range attrs {
 		r.keys[i], r.kinds[i], r.vals[i] = a.key, a.kind, a.num
@@ -231,16 +203,12 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 }
 
 // event materialises the export form of the record in a ring slot. Only
-// Events calls it: the Args map of a Span record exists from here on, never
-// in the ring.
+// Events calls it: an event's Args map exists from here on, never in the ring.
 func (t *Tracer) event(slot int) Event {
 	r, s := &t.buf[slot], &t.strs
 	e := Event{
 		Name: s.strs[r.name], Cat: s.strs[r.cat], Ph: string(rune(r.ph)),
 		TS: r.ts, Dur: r.dur, PID: int64(r.pid), TID: r.tid,
-	}
-	if t.args != nil {
-		e.Args = t.args[slot]
 	}
 	if r.nattr == 0 && r.flags&flagTrace == 0 {
 		return e
@@ -251,25 +219,19 @@ func (t *Tracer) event(slot int) Event {
 		switch r.kinds[i] {
 		case attrBool:
 			v = r.vals[i] != 0
+		case attrFloat:
+			v = math.Float64frombits(uint64(r.vals[i]))
 		case attrString:
 			v = s.strs[r.vals[i]]
 		}
 		e.Args[keyNames[r.keys[i]]] = v
 	}
 	if r.flags&flagTrace != 0 {
-		e.Args[ArgTraceID] = s.id(r.trace, r.flags&flagTraceStr != 0)
+		e.Args[ArgTraceID] = formatID(r.trace)
 		e.Args[ArgSpanID] = formatID(r.span)
 		if r.flags&flagParent != 0 {
-			e.Args[ArgParentSpan] = s.id(r.parent, r.flags&flagParentStr != 0)
+			e.Args[ArgParentSpan] = formatID(r.parent)
 		}
 	}
 	return e
-}
-
-// id renders a record's trace or parent ID.
-func (s *strtab) id(v uint64, interned bool) string {
-	if interned {
-		return s.strs[v]
-	}
-	return formatID(v)
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -10,9 +11,10 @@ import (
 	"unsafe"
 )
 
-// TestSpanExportsAsCompleteWithSpanArgs pins the export of the typed span
-// path to the map path it replaced on the request paths: the same span written
-// both ways serialises to the same bytes, foreign IDs included.
+// TestSpanExportsAsCompleteWithSpanArgs pins the export of a record: each
+// span, typed attributes and link, serialises to the bytes of a literal
+// complete event whose Args hold the attributes plus the link's IDs in 16 hex
+// digits (SpanArgs).
 func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -22,23 +24,27 @@ func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 	}{
 		{
 			name:  "child with three ints",
-			link:  Link{trace: "00000000000000aa", parent: "00000000000000bb", span: 0x0123456789abcdef},
+			link:  Link{trace: 0xaa, parent: 0xbb, span: 0x0123456789abcdef, flags: flagTrace | flagParent},
 			attrs: []Attr{Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, -1)},
 			args:  SpanArgs(map[string]any{"tasks": 120, "decisions": 497, "forwards": -1}, "00000000000000aa", "0123456789abcdef", "00000000000000bb"),
 		},
 		{
 			name:  "root without a parent",
-			link:  Link{trace: "00000000000000aa", span: 1},
+			link:  Link{trace: 0xaa, span: 1, flags: flagTrace},
 			attrs: []Attr{Int(KeyRequestID, 7), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200)},
-			args:  SpanArgs(map[string]any{"request_id": int64(7), "endpoint": "schedule", "status": 200}, "00000000000000aa", "0000000000000001", ""),
+			args:  SpanArgs(map[string]any{"request_id": 7, "endpoint": "schedule", "status": 200}, "00000000000000aa", "0000000000000001", ""),
 		},
 		{
-			// A client's IDs are whatever it sent, not 16 hex digits; both
-			// must come back verbatim for its own spans to link.
-			name:  "foreign trace and parent",
-			link:  Link{trace: "1a", parent: "client/span 7", span: 0xffffffffffffffff},
+			// A zero ID is an ID: the flags, not the value, say it is there.
+			name:  "zero trace and parent",
+			link:  Link{span: 0xffffffffffffffff, flags: flagTrace | flagParent},
 			attrs: []Attr{Bool(KeyCacheHit, true)},
-			args:  SpanArgs(map[string]any{"cache_hit": true}, "1a", "ffffffffffffffff", "client/span 7"),
+			args:  SpanArgs(map[string]any{"cache_hit": true}, "0000000000000000", "ffffffffffffffff", "0000000000000000"),
+		},
+		{
+			name:  "floats and a string",
+			attrs: []Attr{Float(KeyStarted, 1234.5678), Float(KeyFactor, 1e-7), String(KeyCause, "outage")},
+			args:  map[string]any{"started": 1234.5678, "factor": 1e-7, "cause": "outage"},
 		},
 		{
 			name:  "no trace context",
@@ -47,34 +53,48 @@ func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 		},
 		{name: "bare"},
 	}
-	typed, mapped := NewTracer(8), NewTracer(8)
+	tr := NewTracer(8)
+	want := chromeTrace{DisplayTimeUnit: "ms"}
 	for i, c := range cases {
-		typed.Span(c.name, "cat", 1, int64(i), float64(i), 2.5, c.link, c.attrs...)
-		mapped.Complete(c.name, "cat", 1, int64(i), float64(i), 2.5, c.args)
+		tr.Span(c.name, "cat", 1, int64(i), float64(i), 2.5, c.link, c.attrs...)
+		want.TraceEvents = append(want.TraceEvents, Event{
+			Name: c.name, Cat: "cat", Ph: PhaseComplete, TS: float64(i), Dur: 2.5, PID: 1, TID: int64(i), Args: c.args,
+		})
 	}
-	var got, want bytes.Buffer
-	if err := typed.WriteChromeTrace(&got); err != nil {
+	var got, wantBuf bytes.Buffer
+	if err := tr.WriteChromeTrace(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := mapped.WriteChromeTrace(&want); err != nil {
+	if err := json.NewEncoder(&wantBuf).Encode(want); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("typed spans export differently from Complete+SpanArgs:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	if !bytes.Equal(got.Bytes(), wantBuf.Bytes()) {
+		t.Fatalf("spans export differently from their literal events:\n got %s\nwant %s", got.Bytes(), wantBuf.Bytes())
 	}
 }
 
-// TestLinkContextRoundTrip: a child names its parent by the ID the parent's
-// Context carries, and a traceless context yields no link at all.
+// TestLinkContextRoundTrip: an inbound ID of 1–16 hex digits keeps its value
+// and anything else starts a fresh trace without a parent; a child names its
+// parent by the ID the parent's Context carries, and a traceless context
+// yields no link at all.
 func TestLinkContextRoundTrip(t *testing.T) {
-	root := RootLink("trace-from-client", "not-hex")
+	root := RootLink("1A", "not-hex")
 	sc := root.Context()
-	if sc.TraceID != "trace-from-client" || len(sc.SpanID) != 16 {
-		t.Fatalf("root context = %+v", sc)
+	if sc.TraceID != "000000000000001a" || len(sc.SpanID) != 16 || root.flags != flagTrace {
+		t.Fatalf("root %+v has context %+v", root, sc)
 	}
 	child := sc.Child()
-	if child.trace != sc.TraceID || child.parent != sc.SpanID || child.span == root.span {
+	if child.trace != 0x1a || child.parent != root.span || child.flags != flagTrace|flagParent || child.span == root.span {
 		t.Fatalf("child = %+v under %+v", child, sc)
+	}
+	if l := RootLink("00000000000000aa", "b"); l.trace != 0xaa || l.parent != 0xb || l.flags != flagTrace|flagParent {
+		t.Fatalf("short hex parent: %+v", l)
+	}
+	for _, id := range []string{"", "trace-from-client", "0123456789abcdef0", "0x1a", "+1a"} {
+		a, b := RootLink(id, "00000000000000bb"), RootLink(id, "00000000000000bb")
+		if a.flags != flagTrace || a.trace == b.trace {
+			t.Fatalf("trace ID %q: links %+v and %+v, want two fresh traces without a parent", id, a, b)
+		}
 	}
 	if (SpanContext{}).Child() != (Link{}) || (Link{}).Context() != (SpanContext{}) {
 		t.Fatal("no trace, no link: the zero context and the zero Link must map to each other")
@@ -162,29 +182,30 @@ func TestTracerRingBytesFixed(t *testing.T) {
 }
 
 // TestTracerStringTableBounded: a trace whose every span has a name and a
-// foreign trace ID of its own (a simulator's per-task names, a client's IDs)
-// keeps only the strings of the records still in the ring — after three laps
-// the table has the last lap's names and IDs plus the vocabulary, and the
-// survivors still export their own strings.
+// client's trace ID of its own (a simulator's per-task names, a client's
+// short hex IDs) keeps only the names of the records still in the ring — the
+// IDs are their 64 bits, in no table — so after three laps the table has the
+// last lap's names plus the vocabulary, and the survivors still export their
+// own names and IDs.
 func TestTracerStringTableBounded(t *testing.T) {
 	const capacity = 1 << 10
 	tr := NewTracer(capacity)
 	name := func(i int) string { return fmt.Sprintf("task %d", i) }
-	id := func(i int) string { return strconv.FormatInt(int64(i), 16) } // short hex: foreign
+	id := func(i int) string { return strconv.FormatInt(int64(i), 16) }
 	for i := 0; i < 3*capacity; i++ {
 		tr.Span(name(i), "sim", 1, 1, float64(i), 1, RootLink(id(i), ""), String(KeyPath, "/v1/schedule"))
 	}
 	checkStrtab(t, tr)
 	vocab := len([]string{"", "sim", "/v1/schedule"})
-	if live, slots := len(tr.strs.ids), len(tr.strs.strs); live != 2*capacity+vocab-1 || slots > 2*capacity+vocab {
-		t.Fatalf("string table: %d live entries, %d slots; want %d live and at most %d slots (2 × capacity + vocabulary)",
-			live, slots, 2*capacity+vocab-1, 2*capacity+vocab)
+	if live, slots := len(tr.strs.ids), len(tr.strs.strs); live != capacity+vocab-1 || slots > capacity+vocab {
+		t.Fatalf("string table: %d live entries, %d slots; want %d live and at most %d slots (capacity + vocabulary)",
+			live, slots, capacity+vocab-1, capacity+vocab)
 	}
 	ev := tr.Events()
 	for _, i := range []int{0, capacity - 1} {
 		e, want := ev[i], 2*capacity+i
-		if e.Name != name(want) || e.Args[ArgTraceID] != id(want) || e.Args["path"] != "/v1/schedule" {
-			t.Fatalf("event %d exports as %q %v, want %q with trace %q", i, e.Name, e.Args, name(want), id(want))
+		if e.Name != name(want) || e.Args[ArgTraceID] != formatID(uint64(want)) || e.Args["path"] != "/v1/schedule" {
+			t.Fatalf("event %d exports as %q %v, want %q with trace %016x", i, e.Name, e.Args, name(want), want)
 		}
 	}
 }
@@ -200,12 +221,6 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 		r := &tr.buf[i]
 		held[r.name]++
 		held[r.cat]++
-		if r.flags&flagTraceStr != 0 {
-			held[r.trace]++
-		}
-		if r.flags&flagParentStr != 0 {
-			held[r.parent]++
-		}
 		for j := 0; j < int(r.nattr); j++ {
 			if r.kinds[j] == attrString {
 				held[r.vals[j]]++

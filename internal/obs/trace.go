@@ -21,7 +21,9 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Trace-event phase constants used by this repository.
+// Trace-event phase constants used by this repository. A Tracer writes X, i
+// and M events; B/E pairs occur only in traces other tools wrote, which
+// ValidateChromeTrace checks too.
 const (
 	PhaseBegin    = "B" // duration-slice begin
 	PhaseEnd      = "E" // duration-slice end
@@ -30,29 +32,24 @@ const (
 	PhaseMetadata = "M" // process/thread naming
 )
 
-// Tracer records timestamped, attributed events into a fixed-capacity ring
-// buffer. When the ring is full, the oldest events are overwritten (the
-// dropped count is reported in the exported trace), so a long-running server
-// always keeps the most recent window. Process and thread names are stored
-// outside the ring so lane naming survives wrap-around. All methods are safe
-// for concurrent use.
+// Tracer records timestamped events with typed attributes into a
+// fixed-capacity ring buffer. When the ring is full, the oldest events are
+// overwritten (the dropped count is reported in the exported trace), so a
+// long-running server always keeps the most recent window. Process and
+// thread names are stored outside the ring so lane naming survives
+// wrap-around. All methods are safe for concurrent use.
 //
-// The ring holds fixed-size records without pointers, not Events: a span
-// written with Span costs no allocation, and a full ring retains capacity ×
-// sizeof(record) bytes whatever was written to it, plus one table entry per
-// distinct string its records name. Events are built from the records on
-// export.
+// The ring holds fixed-size records without pointers, not Events: an event
+// whose strings the ring already names costs no allocation, and a full ring
+// retains capacity × sizeof(record) bytes whatever was written to it, plus
+// one table entry per distinct string its records name. Events are built
+// from the records on export.
 type Tracer struct {
 	mu      sync.Mutex
 	buf     []record
 	strs    strtab
 	next    int
 	dropped uint64
-
-	// args is the Args map of each ring slot written by a map-taking method
-	// (Begin, Complete, Instant), parallel to buf; nil until the first such
-	// event carries a map.
-	args []map[string]any
 
 	procNames   map[int64]string
 	threadNames map[[2]int64]string
@@ -84,7 +81,10 @@ func NewTracer(capacity int) *Tracer {
 
 // push writes one event into the ring, overwriting the oldest record when it
 // is full; its strings are interned under the lock.
-func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64, link Link, attrs []Attr, args map[string]any) {
+func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64, link Link, attrs []Attr) {
+	if len(attrs) > maxSpanAttrs {
+		panic("obs: event with more than 3 attributes")
+	}
 	r := newRecord(ph, pid, tid, ts, dur, link, attrs)
 	t.mu.Lock()
 	slot := len(t.buf)
@@ -96,48 +96,30 @@ func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64
 		t.dropped++
 		t.strs.releaseRecord(&t.buf[slot])
 	}
-	t.strs.internRecord(&r, name, cat, link, attrs)
+	t.strs.internRecord(&r, name, cat, attrs)
 	t.buf[slot] = r
-	if args != nil && t.args == nil {
-		t.args = make([]map[string]any, cap(t.buf))
-	}
-	if t.args != nil {
-		t.args[slot] = args
-	}
 	t.mu.Unlock()
 }
 
-// Begin records the start of a duration slice on lane (pid, tid) at ts
-// microseconds.
-func (t *Tracer) Begin(name, cat string, pid, tid int64, ts float64, args map[string]any) {
-	t.push(PhaseBegin[0], name, cat, pid, tid, ts, 0, Link{}, nil, args)
-}
-
-// End closes the innermost open slice on lane (pid, tid) at ts microseconds.
-func (t *Tracer) End(name string, pid, tid int64, ts float64) {
-	t.push(PhaseEnd[0], name, "", pid, tid, ts, 0, Link{}, nil, nil)
-}
-
-// Complete records a slice with an explicit duration (both in microseconds).
-func (t *Tracer) Complete(name, cat string, pid, tid int64, ts, dur float64, args map[string]any) {
-	t.push(PhaseComplete[0], name, cat, pid, tid, ts, dur, Link{}, nil, args)
-}
-
-// Span records a complete slice that carries its place in a distributed trace
-// and up to three typed attributes (maxSpanAttrs), without allocating: the request
+// Span records a complete slice on lane (pid, tid), from ts for dur (both in
+// microseconds), that carries its place in a distributed trace and up to
+// three typed attributes (maxSpanAttrs), without allocating: the request
 // paths write one per stage. A zero link records a plain slice. The export
-// is the Event that Complete would have produced over a map of the same
-// attributes plus the link's trace_id, span_id and, when set, parent_span_id.
+// carries the attributes and the link's trace_id, span_id and, when set,
+// parent_span_id in its Args.
 func (t *Tracer) Span(name, cat string, pid, tid int64, ts, dur float64, link Link, attrs ...Attr) {
-	if len(attrs) > maxSpanAttrs {
-		panic("obs: span with more than 3 attributes")
-	}
-	t.push(PhaseComplete[0], name, cat, pid, tid, ts, dur, link, attrs, nil)
+	t.push(PhaseComplete[0], name, cat, pid, tid, ts, dur, link, attrs)
 }
 
-// Instant records a point event.
-func (t *Tracer) Instant(name, cat string, pid, tid int64, ts float64, args map[string]any) {
-	t.push(PhaseInstant[0], name, cat, pid, tid, ts, 0, Link{}, nil, args)
+// Complete records a complete slice outside any distributed trace: Span with
+// the zero Link. attrs may be nil.
+func (t *Tracer) Complete(name, cat string, pid, tid int64, ts, dur float64, attrs []Attr) {
+	t.push(PhaseComplete[0], name, cat, pid, tid, ts, dur, Link{}, attrs)
+}
+
+// Instant records a point event with up to three typed attributes.
+func (t *Tracer) Instant(name, cat string, pid, tid int64, ts float64, attrs ...Attr) {
+	t.push(PhaseInstant[0], name, cat, pid, tid, ts, 0, Link{}, attrs)
 }
 
 // NameProcess assigns a display name to a pid.
@@ -162,33 +144,15 @@ func (t *Tracer) NameThread(pid, tid int64, name string) {
 }
 
 // Events returns a copy of the buffered events in record order (oldest
-// first), excluding naming metadata. Once the ring has dropped records, an E
-// whose B was overwritten is left out, per lane, so a wrapped trace still
-// balances.
+// first), excluding naming metadata. Every event is whole on its own — a
+// complete slice or an instant — so a wrapped ring exports a valid trace.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, 0, len(t.buf))
-	var open map[[2]int64]int // B records without their E yet, per lane
-	if t.dropped > 0 {
-		open = make(map[[2]int64]int)
-	}
 	for i := range t.buf {
 		// next is 0 until the ring wraps, the oldest record's slot after.
-		slot := (t.next + i) % len(t.buf)
-		if r := &t.buf[slot]; open != nil {
-			lane := [2]int64{int64(r.pid), r.tid}
-			switch r.ph {
-			case PhaseBegin[0]:
-				open[lane]++
-			case PhaseEnd[0]:
-				if open[lane] == 0 {
-					continue
-				}
-				open[lane]--
-			}
-		}
-		out = append(out, t.event(slot))
+		out = append(out, t.event((t.next+i)%len(t.buf)))
 	}
 	return out
 }

@@ -12,6 +12,12 @@ import (
 // X-Request-ID; inside a trace export it lives in the span's Args under the
 // "trace_id" / "span_id" / "parent_span_id" keys, which is what MergeTraces
 // joins on and ValidateTraceLinks resolves.
+//
+// An ID is 64 bits, written as 16 lowercase hex digits. An inbound header ID
+// of 1–16 hex digits, either case, keeps its value (the export and every
+// outbound header write it in 16 digits); a trace ID of anything else, or
+// none, starts a fresh trace, and a parent span ID of anything else is
+// dropped. Nothing of a header's bytes outlives the request.
 const (
 	// HeaderTraceID carries the trace identity of the calling operation.
 	HeaderTraceID = "X-Trace-ID"
@@ -27,7 +33,8 @@ const (
 	ArgParentSpan = "parent_span_id"
 )
 
-// SpanContext identifies one span within one trace.
+// SpanContext identifies one span within one trace, its IDs in the 16 hex
+// digits of the headers.
 type SpanContext struct {
 	// TraceID groups every span of one logical operation across processes.
 	TraceID string
@@ -50,38 +57,73 @@ func formatID(id uint64) string {
 	return string(b[:])
 }
 
-// Link is one span's place in a trace, in the form Tracer.Span takes it: the
-// trace and parent IDs as the caller holds them (the ring keeps a canonical
-// one as its 64 bits, any other as a string-table handle), the span's own ID
-// as the 64 bits it was minted from, so that minting and recording a child
-// span allocates nothing. The zero Link means "no trace context".
-type Link struct {
-	trace, parent string
-	span          uint64
+// parseID returns the value of an ID of 1–16 hex digits, either case, and
+// false for any other string.
+func parseID(s string) (uint64, bool) {
+	if len(s) == 0 || len(s) > 16 {
+		return 0, false
+	}
+	var id uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		id = id<<4 | uint64(c)
+	}
+	return id, true
 }
 
-// RootLink mints the identity of a process's first span in a trace: a fresh
-// span ID under the (possibly empty) parent span another process named.
-// Without a trace ID there is no trace to have a place in: the zero Link.
+// Link is one span's place in a trace, in the form Tracer.Span takes it: the
+// trace, parent and span IDs as their 64 bits, so that minting and recording
+// a child span allocates nothing. The zero Link means "no trace context".
+type Link struct {
+	trace, parent, span uint64
+	flags               uint8 // flagTrace, flagParent
+}
+
+// RootLink mints the identity of a process's first span in the trace another
+// process named: a fresh span ID under traceID and parentSpan. An ID of 1–16
+// hex digits keeps its value; a traceID of anything else, none included,
+// starts a fresh trace, which has no parent, and a parentSpan of anything
+// else is dropped.
 func RootLink(traceID, parentSpan string) Link {
-	if traceID == "" {
-		return Link{}
+	l := Link{span: rand.Uint64(), flags: flagTrace}
+	var ok bool
+	if l.trace, ok = parseID(traceID); !ok {
+		l.trace = rand.Uint64()
+		return l
 	}
-	return Link{trace: traceID, parent: parentSpan, span: rand.Uint64()}
+	if l.parent, ok = parseID(parentSpan); ok {
+		l.flags |= flagParent
+	}
+	return l
 }
 
 // Child mints the identity of a span whose parent is sc; the zero Link when
 // sc carries no trace, so untraced work records plain slices.
-func (sc SpanContext) Child() Link { return RootLink(sc.TraceID, sc.SpanID) }
+func (sc SpanContext) Child() Link {
+	if sc.TraceID == "" {
+		return Link{}
+	}
+	return RootLink(sc.TraceID, sc.SpanID)
+}
 
 // Context returns the link's span as a SpanContext: what its children name as
 // their parent and what Inject sends to the next process. The zero Link has
 // the zero context, which injects nothing.
 func (l Link) Context() SpanContext {
-	if l.trace == "" {
+	if l.flags&flagTrace == 0 {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: l.trace, SpanID: formatID(l.span)}
+	return SpanContext{TraceID: formatID(l.trace), SpanID: formatID(l.span)}
 }
 
 // Inject writes the context into outbound request headers. Empty fields are
@@ -95,9 +137,9 @@ func (sc SpanContext) Inject(h http.Header) {
 	}
 }
 
-// ExtractTraceContext reads the inbound trace context: the caller's trace ID
-// and the span that should become the parent of the callee's request span.
-// ok is false when no trace header was present.
+// ExtractTraceContext reads the inbound trace context as sent: the caller's
+// trace ID and the span that should become the parent of the callee's request
+// span, for RootLink to read. ok is false when no trace header was present.
 func ExtractTraceContext(h http.Header) (traceID, parentSpan string, ok bool) {
 	traceID = h.Get(HeaderTraceID)
 	parentSpan = h.Get(HeaderParentSpan)

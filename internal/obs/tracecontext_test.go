@@ -4,25 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"testing"
 )
 
 // FuzzTraceContext feeds arbitrary trace-context header bytes down the path a
 // request takes — ExtractTraceContext, RootLink, a root and a child Span,
-// WriteChromeTrace — and requires the export to decode with trace_id and
-// parent_span_id as encoding/json renders what the client sent, whether or
-// not it is a canonical ID. The ring holds three records and is written twice,
-// so the second root overwrites the first and the strings they share must
-// outlive the record that interned them, counted exactly (checkStrtab).
+// WriteChromeTrace — and requires the export to decode with the header
+// contract: a trace or parent ID of 1–16 hex digits comes back as its value in
+// 16 lowercase digits, a trace ID of anything else is a fresh trace without a
+// parent, every span carries the trace the front echoes (Context), and no byte
+// of an ID is kept in the ring's string table. The ring holds three records
+// and is written twice, so the second root overwrites the first and the
+// strings they share must outlive the record that interned them, counted
+// exactly (checkStrtab).
 func FuzzTraceContext(f *testing.F) {
 	f.Fuzz(func(t *testing.T, traceHdr, parentHdr string) {
 		h := http.Header{}
 		h.Set(HeaderTraceID, traceHdr)
 		h.Set(HeaderParentSpan, parentHdr)
 		traceID, parent, _ := ExtractTraceContext(h)
-		if traceID == "" {
-			traceID = NewTraceID() // what serve and the gateway do
-		}
 		tr := NewTracer(3)
 		var root Link
 		for pass := 0; pass < 2; pass++ {
@@ -31,6 +32,11 @@ func FuzzTraceContext(f *testing.F) {
 			tr.Span("rollout", "sim", 1, 1, 1, 1, root.Context().Child(), Int(KeyForwards, 3))
 		}
 		checkStrtab(t, tr)
+		for _, s := range tr.strs.strs {
+			if s != "" && s != "request" && s != "schedule" && s != "rollout" && s != "sim" && s != traceHdr {
+				t.Fatalf("string table holds %q", s)
+			}
+		}
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)
@@ -47,22 +53,36 @@ func FuzzTraceContext(f *testing.F) {
 			json.Unmarshal(b, &out)
 			return out
 		}
-		rootSpan := formatID(root.span)
+		// kept is the value an ID of 1–16 hex digits keeps, in 16 digits.
+		kept := func(id string) (string, bool) {
+			v, err := strconv.ParseUint(id, 16, 64)
+			if err != nil || len(id) > 16 {
+				return "", false
+			}
+			return formatID(v), true
+		}
 		ev := doc.TraceEvents
 		if len(ev) != 3 || ev[0].Name != "rollout" || ev[1].Name != "request" || ev[2].Name != "rollout" {
 			t.Fatalf("exported %+v, want rollout, request, rollout", ev)
 		}
-		for _, e := range ev {
-			if got := e.Args[ArgTraceID]; got != rendered(traceID) {
-				t.Fatalf("%s: trace_id %q, sent %q", e.Name, got, traceID)
+		echoed := root.Context().TraceID
+		if want, ok := kept(traceID); ok && echoed != want {
+			t.Fatalf("trace %q comes back as %s, want %s", traceID, echoed, want)
+		}
+		for _, e := range ev[1:] {
+			if got := e.Args[ArgTraceID]; got != echoed {
+				t.Fatalf("%s: trace_id %v, echoed %s", e.Name, got, echoed)
 			}
 		}
+		rootSpan := formatID(root.span)
 		req, child := ev[1].Args, ev[2].Args
 		if req[ArgSpanID] != rootSpan || child[ArgParentSpan] != rootSpan {
 			t.Fatalf("root span %v, child's parent %v, want both %s", req[ArgSpanID], child[ArgParentSpan], rootSpan)
 		}
-		if got, ok := req[ArgParentSpan]; ok != (parent != "") || (ok && got != rendered(parent)) {
-			t.Fatalf("root's parent_span_id %q (present %v), sent %q", got, ok, parent)
+		_, traceKept := kept(traceID)
+		wantParent, parentKept := kept(parent)
+		if got, ok := req[ArgParentSpan]; ok != (traceKept && parentKept) || (ok && got != wantParent) {
+			t.Fatalf("root's parent_span_id %v (present %v), sent %q under trace %q", got, ok, parent, traceID)
 		}
 		if got := req["endpoint"]; got != rendered(traceHdr) {
 			t.Fatalf("string attribute %q, sent %q", got, traceHdr)

@@ -33,8 +33,8 @@ type Metrics struct {
 	latency  *obs.HistogramVec
 	decide   *obs.Histogram
 
-	// What the policies counted over the answered rollouts (core.DecideStats).
-	forwards, memoHits, windowRows, rebuilds, idle *obs.Counter
+	// What the policies counted over the answered rollouts.
+	decideStats core.DecideCounters
 
 	inflight  *obs.Gauge
 	rejected  *obs.Counter // 503s from a full queue
@@ -47,21 +47,17 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		start:      time.Now(),
-		reg:        reg,
-		requests:   reg.CounterVec("readys_http_requests_total", "HTTP requests by endpoint.", "endpoint"),
-		errors:     reg.CounterVec("readys_http_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint"),
-		latency:    reg.HistogramVec("readys_http_latency_ms", "Request latency in milliseconds by endpoint.", latencyBucketsMS, "endpoint"),
-		decide:     reg.Histogram("readys_decide_latency_us", "Per-decision inference latency in microseconds.", decideBucketsUS),
-		forwards:   reg.Counter("readys_decide_forwards_total", "Decisions that ran the network (memo misses)."),
-		memoHits:   reg.Counter("readys_decide_memo_hits_total", "Decisions answered from the forward memo."),
-		windowRows: reg.Counter("readys_decide_window_rows_total", "Window rows summed over every decision."),
-		rebuilds:   reg.Counter("readys_decide_rebuilds_total", "Decisions whose window was recomputed."),
-		idle:       reg.Counter("readys_decide_idle_total", "Decisions that left the asking resource idle (∅)."),
-		inflight:   reg.Gauge("readys_http_inflight", "Requests currently being handled."),
-		rejected:   reg.Counter("readys_rejected_busy_total", "Backpressure rejections from a full queue (503)."),
-		timeouts:   reg.Counter("readys_request_timeouts_total", "Requests that exceeded the server-side deadline."),
-		scheduled:  reg.Counter("readys_schedules_answered_total", "Successfully answered schedule requests."),
+		start:       time.Now(),
+		reg:         reg,
+		requests:    reg.CounterVec("readys_http_requests_total", "HTTP requests by endpoint.", "endpoint"),
+		errors:      reg.CounterVec("readys_http_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint"),
+		latency:     reg.HistogramVec("readys_http_latency_ms", "Request latency in milliseconds by endpoint.", latencyBucketsMS, "endpoint"),
+		decide:      reg.Histogram("readys_decide_latency_us", "Per-decision inference latency in microseconds.", decideBucketsUS),
+		decideStats: core.NewDecideCounters(reg),
+		inflight:    reg.Gauge("readys_http_inflight", "Requests currently being handled."),
+		rejected:    reg.Counter("readys_rejected_busy_total", "Backpressure rejections from a full queue (503)."),
+		timeouts:    reg.Counter("readys_request_timeouts_total", "Requests that exceeded the server-side deadline."),
+		scheduled:   reg.Counter("readys_schedules_answered_total", "Successfully answered schedule requests."),
 	}
 	reg.GaugeFunc("readys_uptime_seconds", "Seconds since the metric set was created.",
 		func() float64 { return time.Since(m.start).Seconds() })
@@ -98,13 +94,7 @@ func (m *Metrics) ObserveDecide(d time.Duration) {
 }
 
 // ObserveDecideStats adds what a policy counted over one rollout.
-func (m *Metrics) ObserveDecideStats(d core.DecideStats) {
-	m.forwards.Add(uint64(d.Forwards))
-	m.memoHits.Add(uint64(d.MemoHits()))
-	m.windowRows.Add(uint64(d.WindowRows))
-	m.rebuilds.Add(uint64(d.Rebuilds))
-	m.idle.Add(uint64(d.Idle))
-}
+func (m *Metrics) ObserveDecideStats(d core.DecideStats) { m.decideStats.Add(d) }
 
 // Rejected counts a backpressure rejection (full queue).
 func (m *Metrics) Rejected() { m.rejected.Inc() }

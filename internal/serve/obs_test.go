@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -278,52 +279,102 @@ func TestServeTraceRingIgnoresProbes(t *testing.T) {
 	}
 }
 
-// TestServeTraceKeepsForeignIDs: the IDs a client sends are its own — the
-// benchmark's are short hex, another tracer's may be anything — and its spans
-// only link to ours if the export names them exactly as sent: the trace ID on
-// every span of the request, the parent on the request span.
+// TestServeTraceKeepsForeignIDs: the IDs a client sends are kept by value
+// when they are 1–16 hex digits (the benchmark's are short hex), so its spans
+// link to ours: the trace ID on every span of the request and in the echoed
+// X-Trace-ID, the parent on the request span, all in 16 lowercase digits. Any
+// other trace ID starts a fresh trace, echoed, with no parent.
 func TestServeTraceKeepsForeignIDs(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-	body := strings.NewReader(`{"kind":"cholesky","t":2,"cpus":1,"gpus":1}`)
-	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", body)
-	req.Header.Set(obs.HeaderTraceID, "1a")
-	req.Header.Set(obs.HeaderParentSpan, "client/span 7")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("schedule -> %d: %s", rec.Code, rec.Body.String())
+	schedule := func(traceID, parent string) (echoed string, events []obs.Event) {
+		t.Helper()
+		body := strings.NewReader(`{"kind":"cholesky","t":2,"cpus":1,"gpus":1}`)
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", body)
+		req.Header.Set(obs.HeaderTraceID, traceID)
+		req.Header.Set(obs.HeaderParentSpan, parent)
+		rec := httptest.NewRecorder()
+		before := s.tracer.Len()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("schedule -> %d: %s", rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get(obs.HeaderTraceID), s.tracer.Events()[before:]
 	}
-	if got := rec.Header().Get(obs.HeaderTraceID); got != "1a" {
-		t.Errorf("response echoes trace %q, want 1a", got)
+	check := func(traceID, parent, wantTrace string, wantParent any) {
+		t.Helper()
+		echoed, events := schedule(traceID, parent)
+		if len(echoed) != 16 || (wantTrace != "" && echoed != wantTrace) {
+			t.Fatalf("trace %q: response echoes %q, want %q", traceID, echoed, wantTrace)
+		}
+		var requestSpan string
+		for _, e := range events {
+			if e.Args[obs.ArgTraceID] != echoed {
+				t.Fatalf("span %q carries trace %v, want the echoed %s", e.Name, e.Args[obs.ArgTraceID], echoed)
+			}
+			if e.Name == "request" {
+				requestSpan, _ = e.Args[obs.ArgSpanID].(string)
+				if e.Args[obs.ArgParentSpan] != wantParent {
+					t.Errorf("trace %q: request span's parent is %v, want %v", traceID, e.Args[obs.ArgParentSpan], wantParent)
+				}
+			}
+		}
+		if len(requestSpan) != 16 {
+			t.Fatalf("request span ID %q is not 16 hex digits", requestSpan)
+		}
+		children := 0
+		for _, e := range events {
+			if e.Name != "request" {
+				children++
+				if e.Args[obs.ArgParentSpan] != requestSpan {
+					t.Errorf("%q span's parent is %v, want the request span %s", e.Name, e.Args[obs.ArgParentSpan], requestSpan)
+				}
+			}
+		}
+		if children < 4 {
+			t.Errorf("only %d child spans recorded", children)
+		}
 	}
+	check("1A", "b", "000000000000001a", "000000000000000b")
+	check("1a", "client/span 7", "000000000000001a", nil)
+	check("client/trace 1", "00000000000000bb", "", nil)
+}
 
-	var requestSpan string
-	children := 0
-	events := s.tracer.Events()
-	for _, e := range events {
-		if e.Args[obs.ArgTraceID] != "1a" {
-			t.Fatalf("span %q carries trace %v, want the client's 1a", e.Name, e.Args[obs.ArgTraceID])
-		}
-		if e.Name == "request" {
-			requestSpan, _ = e.Args[obs.ArgSpanID].(string)
-			if e.Args[obs.ArgParentSpan] != "client/span 7" {
-				t.Errorf("request span's parent is %v, want the client's span verbatim", e.Args[obs.ArgParentSpan])
-			}
-		}
-	}
-	if len(requestSpan) != 16 {
-		t.Fatalf("request span ID %q is not 16 hex digits", requestSpan)
-	}
-	for _, e := range events {
-		if e.Name != "request" {
-			children++
-			if e.Args[obs.ArgParentSpan] != requestSpan {
-				t.Errorf("%q span's parent is %v, want the request span %s", e.Name, e.Args[obs.ArgParentSpan], requestSpan)
-			}
+// TestServeTraceIDHeadersBounded: 400 requests whose X-Trace-ID headers are
+// 256 KiB each, all different, leave less than 1 MiB of heap behind — a
+// trace ID is its 64 bits from the header on, never the header's bytes,
+// which the ring would otherwise keep, ≈ 100 MiB of them.
+func TestServeTraceIDHeadersBounded(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	pad := strings.Repeat("x", 256<<10)
+	get := func(i int) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/models", nil)
+		req.Header.Set(obs.HeaderTraceID, strconv.Itoa(i)+pad)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || len(rec.Header().Get(obs.HeaderTraceID)) != 16 {
+			t.Fatalf("models -> %d, trace %q", rec.Code, rec.Header().Get(obs.HeaderTraceID))
 		}
 	}
-	if children < 4 {
-		t.Errorf("only %d child spans recorded", children)
+	get(-1) // the registry's listing and the ring's strings, once
+	before := liveHeap()
+	for i := range 400 {
+		get(i)
 	}
+	after := liveHeap()
+	t.Logf("400 requests with 256 KiB trace IDs leave %d B of heap", int64(after)-int64(before))
+	if after > before && after-before > 1<<20 {
+		t.Fatalf("400 requests with 256 KiB trace IDs leave %d B of heap, bound is 1 MiB", after-before)
+	}
+	runtime.KeepAlive(s)
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -396,7 +396,7 @@ func TestFaultTraceIsValidChromeTraceAndInert(t *testing.T) {
 		t.Fatalf("trace has %d kill instants, Result.Kills has %d", len(kills), len(traced.Kills))
 	}
 	for i, k := range traced.Kills {
-		if got := kills[i].Args["cause"]; got != k.Cause.String() || kills[i].Args["task"] != k.Task {
+		if got := kills[i].Args["cause"]; got != k.Cause.String() || kills[i].Args["task"] != int64(k.Task) {
 			t.Errorf("kill %d: instant names task %v cause %v, want task %d cause %s", i, kills[i].Args["task"], got, k.Task, k.Cause)
 		}
 	}

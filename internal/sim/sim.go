@@ -119,8 +119,8 @@ type State struct {
 	// per phase; FreeResources hands callers their own slice instead.
 	free []int
 
-	// tracer, when set via Options.Tracer, receives task-start/task-end
-	// events per resource lane, plus outage / death / kill fault spans.
+	// tracer, when set via Options.Tracer, receives one task slice per
+	// attempt on its resource lane, plus outage / death / kill fault spans.
 	// Invisible to policies.
 	tracer *obs.Tracer
 
@@ -326,8 +326,10 @@ type Options struct {
 	// Fault events consume no randomness from Rng, and an empty plan leaves
 	// every result bit-identical to a fault-free run.
 	Faults *FaultPlan
-	// Tracer, if non-nil, records task-start/task-end events per resource
-	// lane that export as a Chrome trace (obs.Tracer.WriteChromeTrace).
+	// Tracer, if non-nil, records the schedule as a Chrome trace
+	// (obs.Tracer.WriteChromeTrace): one complete slice per attempt on its
+	// resource's lane, recorded when the attempt finishes or is killed, and
+	// the fault spans.
 	// Tracing never consumes randomness, so a traced run is bit-identical to
 	// an untraced one.
 	Tracer *obs.Tracer
@@ -737,9 +739,6 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 	s.BusyUntil[r] = s.Now + dur
 	s.Ready = removeSorted(s.Ready, task)
 	s.Running = insertSorted(s.Running, task)
-	if s.tracer != nil {
-		traceStart(s, task, r)
-	}
 	return nil
 }
 
@@ -760,12 +759,12 @@ func completeNext(s *State) {
 }
 
 func finishTask(s *State, t int) {
+	r := s.AssignedTo[t]
 	if s.tracer != nil {
-		traceEnd(s, t)
+		traceAttempt(s, t, r, s.EndTime[t])
 	}
 	s.Done[t] = true
 	s.NumDone++
-	r := s.AssignedTo[t]
 	s.RunningTask[r] = NoTask
 	for _, succ := range s.Graph.Succ[t] {
 		s.PredLeft[succ]--

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"strconv"
+
+	"readys/internal/obs"
 )
 
 // TracePID is the pid under which the simulator records every trace event.
@@ -31,20 +33,15 @@ func taskLabel(s *State, task int) (name, kernel string) {
 	return "j" + strconv.Itoa(j.ID) + ":" + t.Name, j.Graph.KernelNames[t.Kernel]
 }
 
-// traceStart records the task-start event on the resource lane. Simulated
-// milliseconds map to trace microseconds.
-func traceStart(s *State, task, r int) {
+// traceAttempt records one attempt of task on resource r, from its start to
+// end (its completion or its kill), as a complete slice on the resource lane.
+// Simulated milliseconds map to trace microseconds. An attempt is recorded
+// when it ends, so a trace holds no slice of work still running.
+func traceAttempt(s *State, task, r int, end float64) {
 	name, kernel := taskLabel(s, task)
-	s.tracer.Begin(name, "task", TracePID, int64(r), s.StartTime[task]*1000, map[string]any{
-		"task":   task,
-		"kernel": kernel,
-	})
-}
-
-// traceEnd records the task-end event on the resource lane.
-func traceEnd(s *State, task int) {
-	name, _ := taskLabel(s, task)
-	s.tracer.End(name, TracePID, int64(s.AssignedTo[task]), s.EndTime[task]*1000)
+	start := float64(s.StartTime[task] * 1000)
+	s.tracer.Complete(name, "task", TracePID, int64(r), start, float64(end*1000)-start,
+		[]obs.Attr{obs.Int(obs.KeyTask, int64(task)), obs.String(obs.KeyKernel, kernel)})
 }
 
 // Fault spans. Fault events render on the lane of the affected resource:
@@ -52,12 +49,8 @@ func traceEnd(s *State, task int) {
 //   - "death"  — an i instant when the resource dies, plus a final "dead"
 //     X slice from the death to the makespan emitted at end of run;
 //   - "degrade" — an i instant carrying the new speed factor;
-//   - "kill"   — the killed attempt's B is closed by a normal E at the kill
-//     instant, marked with a "kill" i instant naming the task and the fault
-//     that killed it.
-//
-// X and i phases carry no stack constraints, so ValidateChromeTrace accepts
-// traces with and without fault spans unchanged.
+//   - "kill"   — the killed attempt's slice ends at the kill instant, marked
+//     with a "kill" i instant naming the task and the fault that killed it.
 
 // traceOutage records the outage window on the resource lane at the time the
 // outage begins.
@@ -68,35 +61,27 @@ func traceOutage(s *State, r int, at, dur float64) {
 // traceDeath records the instant resource r dies. The terminal "dead" slice
 // is emitted by finishTraceFaults once the makespan is known.
 func traceDeath(s *State, r int, at float64) {
-	s.tracer.Instant("death", "fault", TracePID, int64(r), at*1000, nil)
+	s.tracer.Instant("death", "fault", TracePID, int64(r), at*1000)
 }
 
 // traceDegrade records a speed-factor change on the resource lane.
 func traceDegrade(s *State, r int, at, factor float64) {
-	s.tracer.Instant("degrade", "fault", TracePID, int64(r), at*1000, map[string]any{"factor": factor})
+	s.tracer.Instant("degrade", "fault", TracePID, int64(r), at*1000, obs.Float(obs.KeyFactor, factor))
 }
 
-// traceKill closes the killed attempt's open B slice and marks the kill
-// instant with its cause. Must run before the kill bookkeeping resets
-// AssignedTo.
+// traceKill records the killed attempt's slice and marks the kill instant
+// with its cause. Must run before the kill bookkeeping resets StartTime.
 func traceKill(s *State, task, r int, at float64, cause FaultKind) {
-	name, _ := taskLabel(s, task)
-	s.tracer.End(name, TracePID, int64(r), at*1000)
-	s.tracer.Instant("kill", "fault", TracePID, int64(r), at*1000, map[string]any{
-		"task":    task,
-		"started": s.StartTime[task] * 1000,
-		"cause":   cause.String(),
-	})
+	traceAttempt(s, task, r, at)
+	s.tracer.Instant("kill", "fault", TracePID, int64(r), at*1000,
+		obs.Int(obs.KeyTask, int64(task)), obs.Float(obs.KeyStarted, s.StartTime[task]*1000), obs.String(obs.KeyCause, cause.String()))
 }
 
 // traceArrival records a job-arrival instant on the first resource lane
 // (arrivals are platform-wide events; lane 0 keeps them on one row).
 func traceArrival(s *State, job, base, tasks int) {
-	s.tracer.Instant(fmt.Sprintf("arrive j%d", job), "arrival", TracePID, 0, s.Now*1000, map[string]any{
-		"job":   job,
-		"base":  base,
-		"tasks": tasks,
-	})
+	s.tracer.Instant(fmt.Sprintf("arrive j%d", job), "arrival", TracePID, 0, s.Now*1000,
+		obs.Int(obs.KeyJob, int64(job)), obs.Int(obs.KeyBase, int64(base)), obs.Int(obs.KeyTasks, int64(tasks)))
 }
 
 // finishTraceFaults emits, for each permanently dead resource, a "dead" X

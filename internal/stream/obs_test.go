@@ -63,9 +63,9 @@ func TestStreamTraceBitInert(t *testing.T) {
 
 // TestStreamTraceContents cross-checks a faulted stream's trace against the
 // run's own aggregates: one arrival instant per job, one kill instant per
-// Result.Kills entry, and one task B per placement (every finished task once,
-// every killed attempt once more), each named for its job and on a resource
-// lane.
+// Result.Kills entry, and one task slice per attempt (every finished task
+// once, every killed attempt once more), each named for its job and on a
+// resource lane.
 func TestStreamTraceContents(t *testing.T) {
 	arr := testArrivals(t, 5, 8, 4.0)
 	horizon := arr[len(arr)-1].At + 4000
@@ -92,20 +92,20 @@ func TestStreamTraceContents(t *testing.T) {
 	for _, j := range res.Jobs {
 		tasks += j.Tasks
 	}
-	var arrivals, kills, begins int
+	var arrivals, kills, slices int
 	for _, e := range tr.Events() {
 		switch {
 		case e.Cat == "arrival" && strings.HasPrefix(e.Name, "arrive j"):
 			arrivals++
 		case e.Name == "kill":
 			kills++
-		case e.Ph == obs.PhaseBegin && e.Cat == "task":
-			begins++
+		case e.Ph == obs.PhaseComplete && e.Cat == "task":
+			slices++
 			if job, _, ok := strings.Cut(e.Name, ":"); !ok || len(job) < 2 || job[0] != 'j' {
-				t.Fatalf("task B %q has no jN: job prefix", e.Name)
+				t.Fatalf("task slice %q has no jN: job prefix", e.Name)
 			}
 			if e.TID < 0 || e.TID >= 4 {
-				t.Fatalf("task B %q on impossible lane %d", e.Name, e.TID)
+				t.Fatalf("task slice %q on impossible lane %d", e.Name, e.TID)
 			}
 		}
 	}
@@ -115,8 +115,8 @@ func TestStreamTraceContents(t *testing.T) {
 	if kills != res.Kills {
 		t.Errorf("traced %d kills, Result.Kills = %d", kills, res.Kills)
 	}
-	if begins != tasks+res.Kills {
-		t.Errorf("traced %d task starts, want %d tasks + %d kills", begins, tasks, res.Kills)
+	if slices != tasks+res.Kills {
+		t.Errorf("traced %d task slices, want %d tasks + %d kills", slices, tasks, res.Kills)
 	}
 }
 
@@ -143,18 +143,18 @@ func TestStreamTraceKernelLabels(t *testing.T) {
 	}
 	labelled := make(map[taskgraph.Kind]int)
 	for _, e := range tr.Events() {
-		if e.Ph != obs.PhaseBegin || e.Cat != "task" {
+		if e.Ph != obs.PhaseComplete || e.Cat != "task" {
 			continue
 		}
 		prefix, _, _ := strings.Cut(e.Name, ":")
 		job, err := strconv.Atoi(strings.TrimPrefix(prefix, "j"))
 		if err != nil || job < 0 || job >= len(res.Jobs) {
-			t.Fatalf("task B %q names no job of the stream", e.Name)
+			t.Fatalf("task slice %q names no job of the stream", e.Name)
 		}
 		kind := res.Jobs[job].Kind
-		task, _ := e.Args["task"].(int)
+		task, _ := e.Args["task"].(int64)
 		if want := taskgraph.KernelNamesFor(kind)[res.graph.Tasks[task].Kernel]; e.Args["kernel"] != want {
-			t.Fatalf("task B %q (task %d of a %v job) has kernel %v, want %q", e.Name, task, kind, e.Args["kernel"], want)
+			t.Fatalf("task slice %q (task %d of a %v job) has kernel %v, want %q", e.Name, task, kind, e.Args["kernel"], want)
 		}
 		labelled[kind]++
 	}

@@ -26,7 +26,7 @@ type Config struct {
 	// Rng drives duration sampling (and nothing else); required.
 	Rng *rand.Rand
 	// Tracer, if non-nil, records the whole stream as one Chrome trace: an
-	// "arrive jN" instant per job, a B/E slice per placement on its
+	// "arrive jN" instant per job, a complete slice per attempt on its
 	// resource's lane (named "jN:" + the task's name, its kernel arg named
 	// after the job's own family), the fault spans, and a "kill" instant
 	// naming its cause per killed attempt. It is the run's bounded

@@ -220,21 +220,24 @@ func BenchmarkMatMul128(b *testing.B) {
 func BenchmarkSpMM(b *testing.B) {
 	const hidden = 64
 	for _, n := range []int{128, 256} {
-		rows := make([][]SparseEntry, n)
-		for i := range rows {
-			for _, j := range []int{i - 7, i - 1, i, i + 1, i + 7} {
-				if j >= 0 && j < n {
-					rows[i] = append(rows[i], SparseEntry{Col: j})
+		deg := make([]int, n)
+		offsets := []int{-7, -1, 0, 1, 7}
+		for i := range deg {
+			for _, d := range offsets {
+				if j := i + d; j >= 0 && j < n {
+					deg[i]++
 				}
 			}
 		}
-		for _, row := range rows {
-			for k := range row {
-				row[k].Val = 1 / math.Sqrt(float64(len(row)*len(rows[row[k].Col])))
+		dn := New(n, n)
+		for i := range deg {
+			for _, d := range offsets {
+				if j := i + d; j >= 0 && j < n {
+					dn.Set(i, j, 1/math.Sqrt(float64(deg[i]*deg[j])))
+				}
 			}
 		}
-		sp := SparseFromRows(n, n, rows)
-		dn := sp.Dense()
+		sp := SparseFromDense(dn)
 		x := RandNormal(rand.New(rand.NewSource(1)), n, hidden, 1)
 		out := New(n, hidden)
 		b.Run(fmt.Sprintf("sparse/n=%d", n), func(b *testing.B) {

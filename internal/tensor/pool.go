@@ -1,41 +1,35 @@
 package tensor
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
-// Buffer pooling for the intermediates of gradient tapes.
+// Buffer recycling for the intermediates of gradient tapes.
 //
 // A gradient tape (autograd.NewTape, the training update's) allocates the
-// same handful of matrix shapes pass after pass. It draws them from its
-// FreeList, which falls back to GetPooled: zeroed matrices from size-bucketed
-// sync.Pools. Deciding — serving, rollouts, streams — runs on inference
-// tapes, which keep one buffer per output position instead
-// (autograd.NewInferenceTape) and never touch the pool.
+// same handful of matrix shapes pass after pass. It draws them from its own
+// FreeList, which keeps what the tape puts back and makes a fresh buffer
+// when it has none of the size asked for. Deciding — serving, rollouts,
+// streams — runs on inference tapes, which keep one buffer per output
+// position instead (autograd.NewInferenceTape) and never touch a list.
 //
-// Buckets are powers of two, so a recycled buffer serves every shape in its
-// size class and the pool never fragments across the many slightly-different
-// sub-DAG sizes. A FreeList serves a buffer to its own class only: a tape
-// whose passes fall into two classes keeps a set of buffers in each. What is
-// pooled is the *Matrix itself, header and backing slice together, so a
-// Get/Put round trip allocates nothing.
+// Size classes are powers of two, so a kept buffer serves every shape in its
+// class and the list never fragments across the many slightly-different
+// sub-DAG sizes; a tape whose passes fall into two classes keeps a set of
+// buffers in each. What is kept is the *Matrix itself, header and backing
+// slice together, so a Get/Put round trip allocates nothing.
 //
-// Pooling is strictly opt-in: New remains a plain allocation, and a pooled
-// matrix behaves exactly like any other Matrix. Callers own the lifetime —
-// returning a buffer that is still referenced elsewhere is the caller's bug,
-// exactly as with any free list. FreeList.Put leaves the matrix at -1 x -1 with
-// an empty Data, so a use after Put fails a shape or bounds check for as long
-// as the matrix has not been handed out again.
+// Recycling is strictly opt-in: New remains a plain allocation, and a
+// recycled matrix behaves exactly like any other Matrix. Callers own the
+// lifetime — returning a buffer that is still referenced elsewhere is the
+// caller's bug, exactly as with any free list. FreeList.Put leaves the matrix
+// at -1 x -1 with an empty Data, so a use after Put fails a shape or bounds
+// check for as long as the matrix has not been handed out again.
 
-// maxPoolBucket bounds the pooled size classes: buffers beyond 2^22 floats
+// maxPoolBucket bounds the kept size classes: buffers beyond 2^22 floats
 // (32 MiB) are handed to the garbage collector instead of being retained.
 const maxPoolBucket = 22
 
-var bufPools [maxPoolBucket + 1]sync.Pool
-
 // bucketFor returns the smallest power-of-two size class holding n floats,
-// or -1 when n is too large to pool.
+// or -1 when n is too large to keep.
 func bucketFor(n int) int {
 	if n <= 0 {
 		return 0
@@ -57,46 +51,26 @@ func (m *Matrix) reshape(rows, cols int, zero bool) *Matrix {
 	return m
 }
 
-// retire detaches m from its user and returns the size class its buffer
-// belongs to, or -1 when there is nothing to keep: a nil or already retired
-// matrix, or a capacity that is not a pooled size class (a plain New or
-// FromSlice allocation, which is left to the GC).
-func (m *Matrix) retire() int {
+// retire detaches m from its user and reports whether its buffer is worth
+// keeping: not for a nil or already retired matrix, nor for a capacity that
+// is not a size class (a plain New or FromSlice allocation, which is left to
+// the GC).
+func (m *Matrix) retire() bool {
 	if m == nil || m.Rows < 0 {
-		return -1
+		return false
 	}
 	c := cap(m.Data)
-	b := bucketFor(c)
-	if c == 0 || b < 0 || 1<<b != c {
+	if b := bucketFor(c); c == 0 || b < 0 || 1<<b != c {
 		m.Data = nil
-		return -1
+		return false
 	}
 	m.Rows, m.Cols, m.Data = -1, -1, m.Data[:0]
-	return b
+	return true
 }
 
-// GetPooled returns a zeroed rows x cols matrix backed by a recycled buffer
-// when one is available. Return it through a FreeList once no reference
-// escapes.
-func GetPooled(rows, cols int) *Matrix {
-	n := rows * cols
-	b := bucketFor(n)
-	if b < 0 {
-		return New(rows, cols)
-	}
-	if v := bufPools[b].Get(); v != nil {
-		return v.(*Matrix).reshape(rows, cols, true)
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<b)}
-}
-
-// FreeList is a single-goroutine free list layered over the shared pools: Put
-// keeps a matrix, Get prefers a kept one of the right size class and falls
-// back to GetPooled, Drain hands everything kept to the shared pools. The
-// shared pools sit on sync.Pool, which a garbage collection empties; a caller
-// that cycles through the same large buffers pass after pass (the training
-// update's tape) keeps them here instead of re-making them after every
-// collection. The zero value is an empty list.
+// FreeList is a single-goroutine free list: Put keeps a matrix, Get prefers a
+// kept one of the right size class and otherwise makes a buffer of the whole
+// class, so that it can be kept. The zero value is an empty list.
 type FreeList struct {
 	free []*Matrix
 }
@@ -123,23 +97,14 @@ func (f *FreeList) get(rows, cols int, zero bool) *Matrix {
 			return m.reshape(rows, cols, zero)
 		}
 	}
-	return GetPooled(rows, cols)
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols, want)}
 }
 
 // Put keeps m for a later Get. The matrix must not be used afterwards;
-// putting it twice is a no-op. Matrices whose capacity is not a pooled size
-// class (e.g. built with New or FromSlice) are detached and dropped.
+// putting it twice is a no-op. Matrices whose capacity is not a size class
+// (e.g. built with New or FromSlice) are detached and dropped.
 func (f *FreeList) Put(m *Matrix) {
-	if m.retire() >= 0 {
+	if m.retire() {
 		f.free = append(f.free, m)
 	}
-}
-
-// Drain moves every kept matrix to the shared pools.
-func (f *FreeList) Drain() {
-	for i, m := range f.free {
-		bufPools[bucketFor(cap(m.Data))].Put(m)
-		f.free[i] = nil
-	}
-	f.free = f.free[:0]
 }

@@ -1,18 +1,6 @@
 package tensor
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// shared hands matrices back to the shared pools, as a FreeList's Put and
-// Drain do.
-var shared FreeList
-
-func putPooled(m *Matrix) {
-	shared.Put(m)
-	shared.Drain()
-}
+import "testing"
 
 func TestBucketForClasses(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
@@ -26,58 +14,23 @@ func TestBucketForClasses(t *testing.T) {
 	}
 }
 
-func TestGetPooledIsZeroedAfterDirtyPut(t *testing.T) {
-	m := GetPooled(4, 5)
-	for i := range m.Data {
-		m.Data[i] = 42
-	}
-	putPooled(m)
-	if len(m.Data) != 0 || m.Rows >= 0 {
-		t.Fatal("Put must leave the matrix unusable")
-	}
-	putPooled(m) // a second Put must not pool the matrix twice
-	// Whether or not the next Get recycles the same buffer, it must be zero.
-	n := GetPooled(3, 7)
-	for i, v := range n.Data {
-		if v != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
-		}
-	}
-	putPooled(n)
-}
-
 func TestPutPooledDropsForeignBuffers(t *testing.T) {
-	// Buffers whose capacity is not a pool size class (plain New/FromSlice
-	// allocations) must be silently dropped, not corrupt a pool class.
+	// Buffers whose capacity is not a size class (plain New/FromSlice
+	// allocations) must be silently dropped, not corrupt a class.
+	var f FreeList
 	m := &Matrix{Rows: 1, Cols: 3, Data: make([]float64, 3, 3)}
-	putPooled(m)
-	if m.Data != nil {
-		t.Fatal("foreign buffer should still be detached")
+	f.Put(m)
+	if m.Data != nil || len(f.free) != 0 {
+		t.Fatal("a foreign buffer must be detached and not kept")
 	}
-	putPooled(nil) // must not panic
+	f.Put(nil) // must not panic
 }
 
-func TestPooledMatrixBehavesLikeNew(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := RandNormal(rng, 8, 8, 1)
-	b := RandNormal(rng, 8, 8, 1)
-	want := MatMul(a, b)
-	out := GetPooled(8, 8)
-	MatMulInto(a, b, out)
-	if !out.Equal(want) {
-		t.Fatal("MatMulInto into a pooled matrix diverges")
-	}
-	putPooled(out)
-}
-
-// TestPooledRoundTripAllocatesNothing: what the pool recycles is the *Matrix,
-// so neither Get (no fresh header) nor Put (no boxed slice header) allocates.
-// The first round trip may have to make the buffer; AllocsPerRun's warm-up
-// call absorbs it.
+// TestPooledRoundTripAllocatesNothing: what a free list keeps is the
+// *Matrix, so neither Get (no fresh header) nor Put (no boxed slice header)
+// allocates. The first round trip has to make the buffer; AllocsPerRun's
+// warm-up call absorbs it.
 func TestPooledRoundTripAllocatesNothing(t *testing.T) {
-	if n := testing.AllocsPerRun(200, func() { putPooled(GetPooled(5, 7)) }); n != 0 {
-		t.Fatalf("shared pool: %v allocations per Get/Put round trip, want 0", n)
-	}
 	var f FreeList
 	if n := testing.AllocsPerRun(200, func() { f.Put(f.Get(5, 7)) }); n != 0 {
 		t.Fatalf("free list: %v allocations per Get/Put round trip, want 0", n)
@@ -85,31 +38,37 @@ func TestPooledRoundTripAllocatesNothing(t *testing.T) {
 }
 
 func TestUseAfterPutIsDetected(t *testing.T) {
-	for name, put := range map[string]func(*Matrix){"shared": putPooled, "free list": new(FreeList).Put} {
-		m := GetPooled(2, 3)
-		put(m)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: writing through a matrix after Put did not panic", name)
-				}
-			}()
-			m.Set(0, 0, 1)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: an op on a matrix after Put did not panic", name)
-				}
-			}()
-			AddInPlace(m, New(2, 3))
-		}()
+	var f FreeList
+	m := f.Get(2, 3)
+	f.Put(m)
+	if len(m.Data) != 0 || m.Rows >= 0 {
+		t.Fatal("Put must leave the matrix unusable")
 	}
+	f.Put(m) // a second Put must not keep the matrix twice
+	if len(f.free) != 1 {
+		t.Fatalf("%d matrices kept after putting one twice", len(f.free))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("writing through a matrix after Put did not panic")
+			}
+		}()
+		m.Set(0, 0, 1)
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an op on a matrix after Put did not panic")
+			}
+		}()
+		AddInPlace(m, New(2, 3))
+	}()
 }
 
 // TestFreeListKeepsBuffersBySizeClass: a kept buffer serves any shape of its
-// size class, zeroed by Get and as it was left by GetDirty; other classes fall
-// through to the shared pools; Drain empties the list.
+// size class, zeroed by Get and as it was left by GetDirty; another class gets
+// a fresh buffer of its own class.
 func TestFreeListKeepsBuffersBySizeClass(t *testing.T) {
 	var f FreeList
 	m := f.Get(4, 5) // class 32
@@ -117,8 +76,8 @@ func TestFreeListKeepsBuffersBySizeClass(t *testing.T) {
 		m.Data[i] = 7
 	}
 	f.Put(m)
-	if other := f.Get(8, 8); other == m {
-		t.Fatal("a 64-float request was served from the 32-float class")
+	if other := f.Get(8, 8); other == m || cap(other.Data) != 64 {
+		t.Fatalf("a 64-float request was served a buffer of %d floats", cap(other.Data))
 	}
 	got := f.Get(3, 7) // 21 floats: class 32 again
 	if got != m {
@@ -141,8 +100,7 @@ func TestFreeListKeepsBuffersBySizeClass(t *testing.T) {
 	}
 	f.Put(got)
 	f.Put(New(1, 3)) // foreign capacity: dropped, not kept
-	f.Drain()
-	if len(f.free) != 0 {
-		t.Fatalf("%d matrices left after Drain", len(f.free))
+	if len(f.free) != 1 {
+		t.Fatalf("%d matrices kept, want the one of the 32-float class", len(f.free))
 	}
 }

@@ -167,7 +167,7 @@ func TestDenseRowKernelStridedMatchesLoop(t *testing.T) {
 
 // CSR rows with 0, 1 and many stored entries, stored zeros and repeated
 // columns included: the kernel gathers by Col and skips nothing, like the
-// loop. The Sparse is assembled by hand — SparseFromRows would merge the repeats.
+// loop. The Sparse is assembled by hand, repeats and stored zeros included.
 func TestCSRRowKernelMatchesLoop(t *testing.T) {
 	skipWithoutAVX2(t)
 	rng := rand.New(rand.NewSource(26))

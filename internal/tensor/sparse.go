@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Sparse is an immutable sparse matrix in compressed sparse row (CSR) form.
 // Row i's nonzeros are Col[RowPtr[i]:RowPtr[i+1]] (column indices, strictly
@@ -37,40 +34,6 @@ func SparseFromDense(m *Matrix) *Sparse {
 		rowPtr[i+1] = len(col)
 	}
 	return &Sparse{Rows: m.Rows, Cols: m.Cols, RowPtr: rowPtr, Col: col, Val: val}
-}
-
-// SparseFromRows builds a CSR matrix from per-row (column, value) entries.
-// Entries within a row are sorted by column; duplicate columns accumulate.
-func SparseFromRows(rows, cols int, entries [][]SparseEntry) *Sparse {
-	if len(entries) != rows {
-		panic(fmt.Sprintf("tensor: SparseFromRows got %d rows, want %d", len(entries), rows))
-	}
-	rowPtr := make([]int, rows+1)
-	var col []int
-	var val []float64
-	for i, es := range entries {
-		sorted := append([]SparseEntry(nil), es...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Col < sorted[b].Col })
-		for _, e := range sorted {
-			if e.Col < 0 || e.Col >= cols {
-				panic(fmt.Sprintf("tensor: SparseFromRows column %d out of range in row %d", e.Col, i))
-			}
-			if n := len(col); n > rowPtr[i] && col[n-1] == e.Col {
-				val[n-1] += e.Val
-				continue
-			}
-			col = append(col, e.Col)
-			val = append(val, e.Val)
-		}
-		rowPtr[i+1] = len(col)
-	}
-	return &Sparse{Rows: rows, Cols: cols, RowPtr: rowPtr, Col: col, Val: val}
-}
-
-// SparseEntry is one (column, value) pair of a row under construction.
-type SparseEntry struct {
-	Col int
-	Val float64
 }
 
 // NNZ returns the number of stored nonzeros.

@@ -33,19 +33,6 @@ func TestSparseFromDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSparseFromRowsSortsAndAccumulates(t *testing.T) {
-	s := SparseFromRows(2, 3, [][]SparseEntry{
-		{{Col: 2, Val: 1}, {Col: 0, Val: 2}, {Col: 2, Val: 3}},
-		{},
-	})
-	if s.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2 (duplicates must merge)", s.NNZ())
-	}
-	if d := s.Dense(); d.At(0, 0) != 2 || d.At(0, 2) != 4 || d.At(1, 1) != 0 {
-		t.Fatalf("unexpected values: %v %v", d.At(0, 0), d.At(0, 2))
-	}
-}
-
 func TestSpMMMatchesDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(n8, h8 uint8) bool {

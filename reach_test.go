@@ -36,6 +36,7 @@ var reachAllowed = map[string]string{
 	// Fixtures the tests of several packages share.
 	"taskgraph.NewLayeredRandom":    "root TestChaosAllPoliciesSurviveRandomFaults, sched TestHEFTValidOnRandomDAGsProperty, sim TestSimulateRandomDAGs: random layered DAGs",
 	"taskgraph.DefaultRandomConfig": "root TestChaosFaultFreePlansAreInert, sched and sim random-DAG tests: the shape of NewLayeredRandom's DAGs",
+	"obs.NewTraceID":                "gateway TestGatewayFailoverChaos and obs tests: the trace ID a client sends",
 	"tensor.FromSlice":              "tensor, autograd and nn tests: a matrix from literal values",
 	"tensor.Matrix.Set":             "tensor, autograd and nn tests: one element of a fixture",
 	"tensor.Matrix.AllClose":        "tensor TestMatMulMatchesNaiveProperty and nn TestLinearMatchesManualCompute: comparison within a tolerance",
