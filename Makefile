@@ -25,8 +25,9 @@
 #                      JSONL, sim trace, stream trace and their merge (the
 #                      gateway's cross-process trace is checked by
 #                      TestGatewayFailoverChaos under make test)
-#   make chaos-smoke — single-seed fault-injection run through readys-sim
-#                      (plan generation, kill/re-execution, strict validator)
+#   make chaos-smoke — single-seed fault-injection runs of MCT and READYS
+#                      through readys-sim (plan generation, kill/re-execution,
+#                      strict validator)
 #   make stream-smoke— tiny online-scheduling run through readys-stream
 #                      (Poisson arrivals, faults mid-stream, strict union
 #                      validation, trace checked by readys-obs-check), a
@@ -238,13 +239,17 @@ obs-smoke:
 		$(OBS_TMP)/trace.json $(OBS_TMP)/stream-trace.json
 	rm -rf $(OBS_TMP)
 
-# Single-seed chaos check: a tiny DAG scheduled through readys-sim with fault
-# injection on. Exercises plan generation, in-flight kills, re-execution and
-# the strict fault-aware validator (readys-sim fails hard if any slice
-# overlaps an outage or a duration leaves the timing envelope).
+# Single-seed chaos check: tiny DAGs scheduled through readys-sim with fault
+# injection on, by MCT and by READYS (the committed Cholesky T=4 agent, whose
+# ∅ rule reads which resources are up). Exercises plan generation, in-flight
+# kills, re-execution and the strict fault-aware validator (readys-sim fails
+# hard if any slice overlaps an outage or a duration leaves the timing
+# envelope).
 chaos-smoke:
 	$(GO) run ./cmd/readys-sim -kind cholesky -T 3 -cpus 1 -gpus 1 -sigma 0.1 \
 		-policy mct -fault-rate 2 -seed 7 > /dev/null
+	$(GO) run ./cmd/readys-sim -kind cholesky -T 4 -cpus 2 -gpus 2 -sigma 0.1 \
+		-policy readys -models models -fault-rate 2 -seed 7 > /dev/null
 	@echo chaos-smoke OK
 
 # Online-scheduling smoke: a tiny mixed-family Poisson stream scheduled

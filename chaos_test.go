@@ -23,7 +23,7 @@ func chaosPolicies(g *taskgraph.Graph, plat platform.Platform, tt platform.Timin
 	return map[string]func() sim.Policy{
 		"readys": func() sim.Policy {
 			// An untrained agent exercises the full featurise→GCN→decide
-			// path; greedy decoding keeps it deterministic.
+			// path; its argmax rule keeps it deterministic.
 			return core.NewPolicy(core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 11}))
 		},
 		"heft":        func() sim.Policy { return sched.NewStaticPolicy(sched.HEFT(g, plat, tt)) },

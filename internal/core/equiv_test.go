@@ -164,8 +164,8 @@ func TestIncrementalUnsortedAdjacency(t *testing.T) {
 
 // TestIncrementalResultIdentical runs whole episodes twice — incremental+memo
 // against the pre-optimization oracle path (full rebuild, no memo) — and
-// requires identical sim.Results, under faults and noise, greedy and
-// sampling.
+// requires identical sim.Results, under faults and noise, deciding by the
+// argmax rule and sampling (recording).
 func TestIncrementalResultIdentical(t *testing.T) {
 	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU} {
 		for _, faults := range []bool{false, true} {
@@ -180,8 +180,8 @@ func TestIncrementalResultIdentical(t *testing.T) {
 				fast := NewPolicy(agent)
 				slow := NewReferencePolicy(agent)
 				if !greedy {
-					fast.Greedy, fast.Rng = false, rand.New(rand.NewSource(7))
-					slow.Greedy, slow.Rng = false, rand.New(rand.NewSource(7))
+					fast.Record, fast.Rng = true, rand.New(rand.NewSource(7))
+					slow.Record, slow.Rng = true, rand.New(rand.NewSource(7))
 				}
 
 				ra, err := prob.Simulate(fast, rand.New(rand.NewSource(23)))

@@ -47,23 +47,18 @@ var releasedForward = &Forward{IdleIndex: -1}
 
 // Policy adapts an Agent to the simulator's Policy interface.
 //
-// In greedy mode it picks the argmax action; otherwise it samples from the
-// policy distribution using Rng (training behaviour). When Record is true,
-// every decision's state, action and forward-pass scalars are recorded in Log
-// so the trainers can compute losses after the episode terminates.
+// A recording policy (Record) samples its actions from the policy
+// distribution using Rng and records every decision's state, action and
+// forward-pass scalars in Log, so the trainers can compute losses after the
+// episode terminates. Every other policy decides by one deterministic rule:
+// the argmax, with ∅ legal only while some up resource has a type other than
+// the asking one's (see idleUseful). The tables, serving, readys-sim and
+// readys-stream all decide that way.
 type Policy struct {
 	Agent *Agent
-	// Rng drives action sampling; required unless Greedy.
+	// Rng drives action sampling; required when Record.
 	Rng *rand.Rand
-	// Greedy selects argmax actions: serving and readys-sim. The tables
-	// sample at τ = 0.25 instead: on 4c0g the argmax idles in ∅ loops
-	// (readys-sim -T 8 -sigma 0 -policy readys: 5 870 ms with 314 of 434
-	// decisions ∅, against HEFT's 1 978 ms); 2c2g does not collapse.
-	Greedy bool
-	// Temperature, when positive and Greedy is false, sharpens the sampling
-	// distribution (pᵢ ∝ exp(log πᵢ/τ)). Ignored in Greedy mode.
-	Temperature float64
-	// Record keeps every decision as a Step for training.
+	// Record samples actions and keeps every decision as a Step for training.
 	Record bool
 	// DisableIdle masks the ∅ action at every decision (ablation: READYS
 	// reduced to a pure list scheduler that must fill the asking resource).
@@ -179,21 +174,21 @@ type memoKey struct {
 	isCPU, allowIdle     bool
 }
 
-// NewPolicy returns an evaluation-mode (greedy) policy for the agent. The
+// NewPolicy returns an evaluation-mode policy for the agent. The
 // decision state is maintained incrementally and forwards are memoised within
 // a state version — both bit-identical to NewReferencePolicy's full rebuild
 // (see the equivalence tests).
 func NewPolicy(agent *Agent) *Policy {
-	p := &Policy{Agent: agent, Greedy: true}
+	p := &Policy{Agent: agent}
 	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 	return p
 }
 
 // NewReferencePolicy returns the reference implementation the equivalence
-// tests compare every other policy against: a greedy policy that rebuilds the
-// state with EncodeFault on every decision and memoises nothing.
+// tests compare every other policy against: a policy that rebuilds the state
+// with EncodeFault on every decision and memoises nothing.
 func NewReferencePolicy(agent *Agent) *Policy {
-	return &Policy{Agent: agent, Greedy: true, noMemo: true}
+	return &Policy{Agent: agent, noMemo: true}
 }
 
 // NewTrainingPolicy returns a sampling, recording policy for the agent.
@@ -204,7 +199,7 @@ func NewReferencePolicy(agent *Agent) *Policy {
 // (and Log) is all a new episode needs.
 func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 	p := NewPolicy(agent)
-	p.Greedy, p.Rng, p.Record = false, rng, true
+	p.Rng, p.Record = rng, true
 	return p
 }
 
@@ -255,7 +250,7 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	if rebuilt {
 		p.Stats.Rebuilds++
 	}
-	if p.DisableIdle {
+	if p.DisableIdle || !p.Record && !idleUseful(s, r) {
 		es.AllowIdle = false
 	}
 
@@ -310,20 +305,15 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	return p.act(es, stored, 0)
 }
 
-// act picks an action from the log-probabilities, records the decision on a
-// recording policy (value is the forward's V(s)), and maps the action to a
-// task.
+// act picks an action from the log-probabilities — the argmax, or a sample on
+// a recording policy, which also records the decision (value is the
+// forward's V(s)) — and maps the action to a task.
 func (p *Policy) act(es *EncodedState, logProbs []float64, value float64) int {
 	var action int
-	switch {
-	case p.Greedy:
+	if !p.Record {
 		action = argmaxLogProbs(logProbs)
-	case p.Temperature > 0:
-		action = sampleTemperatureLogProbs(p.Rng, logProbs, p.Temperature)
-	default:
+	} else {
 		action = sampleLogProbs(p.Rng, logProbs)
-	}
-	if p.Record {
 		// The sum mirrors Forward.Entropy on the tape: exp, product rounded
 		// to float64 (no fused multiply-add), added in index order, negated.
 		var plogp float64
@@ -341,6 +331,21 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, value float64) int {
 		return sim.NoTask // only legal when es.AllowIdle
 	}
 	return es.ReadyTasks[action]
+}
+
+// idleUseful reports whether ∅ may help resource r: whether some up resource
+// has a type other than r's, and so may take later the task r leaves. On a
+// one-type platform, or while every resource of the other type is down, the
+// argmax would otherwise answer ∅ to the same state until the engine forces
+// a start.
+func idleUseful(s *sim.State, r int) bool {
+	res := s.Platform.Resources
+	for q := range res {
+		if res[q].Type != res[r].Type && s.ResourceUp(q) {
+			return true
+		}
+	}
+	return false
 }
 
 // SaveCheckpoint writes the agent's parameters and architecture metadata.

@@ -10,7 +10,7 @@
 //     the processor embedding and the max-pooled DAG representation, and a
 //     critic head on the mean-pooled representation),
 //   - the sim.Policy adapter used for both training (sampling, trajectory
-//     recording) and evaluation (greedy), and
+//     recording) and everything else (the argmax rule of Policy), and
 //   - checkpointing for the transfer-learning experiments (§V-F).
 package core
 

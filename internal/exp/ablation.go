@@ -51,12 +51,11 @@ func Ablation(modelsDir string, episodes int) (*Table, error) {
 }
 
 // compareWithPolicy is Compare for a single σ, with READYS's ∅ action masked
-// when disableIdle is set; READYS samples as in every other row.
+// when disableIdle is set; READYS otherwise decides as in every other row.
 func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int, sigma float64, runs int, seed int64, disableIdle bool) (ComparisonPoint, error) {
-	e := newEvaluator()
-	pol := e.readys(agent)
+	pol := core.NewPolicy(agent)
 	pol.DisableIdle = disableIdle
-	return e.compare(core.NewProblem(kind, T, cpus, gpus, sigma), pol, 0, runs, seed)
+	return newEvaluator().compare(core.NewProblem(kind, T, cpus, gpus, sigma), pol, 0, runs, seed)
 }
 
 // SearchTrial is one sampled configuration of the §V-D random search.
@@ -106,8 +105,8 @@ func RandomSearch(rng *rand.Rand, trials, episodes int) ([]SearchTrial, *Table, 
 			return nil, nil, err
 		}
 		tr.FinalReward = hist.FinalMeanReward(100)
-		if ms, err := evaluateGreedy(agent, spec, 3, 45); err == nil {
-			tr.GreedyMs = ms
+		if ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 0, 3, 45); err == nil {
+			tr.GreedyMs = Summarise(ms[0]).Mean
 		}
 		out = append(out, tr)
 		tab.AddRow(fmt.Sprint(tr.Window), fmt.Sprint(tr.Layers), F(tr.EntropyBeta),

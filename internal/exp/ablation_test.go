@@ -40,7 +40,7 @@ func TestAblationCachesVariants(t *testing.T) {
 
 // TestAblationNoIdleRowSamples: the ablation's no-idle row changes only the
 // ∅ mask. Its HEFT and MCT columns are the with-∅ row's, and its READYS column
-// is a fresh ∅-masked policy sampling at EvalTemperature on each seed.
+// is a fresh ∅-masked policy on each seed.
 func TestAblationNoIdleRowSamples(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Seed: 5})
 	const runs, seed = 3, 44
@@ -60,8 +60,7 @@ func TestAblationNoIdleRowSamples(t *testing.T) {
 		var ms []float64
 		for i := 0; i < runs; i++ {
 			pol := core.NewPolicy(agent)
-			pol.Greedy, pol.Temperature, pol.DisableIdle = false, EvalTemperature, true
-			pol.Rng = rand.New(rand.NewSource(seed + int64(i) + 7919))
+			pol.DisableIdle = true
 			res, err := prob.Simulate(pol, rand.New(rand.NewSource(seed+int64(i))))
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +68,7 @@ func TestAblationNoIdleRowSamples(t *testing.T) {
 			ms = append(ms, res.Makespan)
 		}
 		if want := Summarise(ms); without.READYS != want {
-			t.Fatalf("σ=%g: no-idle READYS %+v, a fresh ∅-masked sampling policy %+v", sigma, without.READYS, want)
+			t.Fatalf("σ=%g: no-idle READYS %+v, a fresh ∅-masked policy %+v", sigma, without.READYS, want)
 		}
 	}
 }
@@ -111,8 +110,8 @@ func TestSearchHelpers(t *testing.T) {
 	if len(hist.Episodes) != 3 {
 		t.Fatal("override training wrong length")
 	}
-	ms, err := evaluateGreedy(agent, spec, 2, 1)
-	if err != nil || ms <= 0 {
-		t.Fatalf("greedy eval %v err %v", ms, err)
+	ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 0, 2, 1)
+	if err != nil || ms[0][0] <= 0 {
+		t.Fatalf("evaluation %v err %v", ms, err)
 	}
 }

@@ -18,17 +18,6 @@ var Sigmas = []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5}
 // (the paper uses 5).
 const EvalRuns = 5
 
-// EvalTemperature is the sampling temperature used when evaluating READYS
-// agents. The paper samples actions from the policy distribution (§IV-B);
-// with our shorter training budgets the policies keep non-trivial entropy,
-// so raw sampling is noisy while pure argmax collapses into ∅ loops on the
-// single-type platforms: on 4c0g, readys-sim -T 8 -sigma 0 -policy readys
-// reads 5 870 ms with 314 of 434 decisions ∅, against HEFT's 1 978 ms (2c2g
-// does not collapse). Sharpened sampling at τ=0.25 keeps the learned
-// preferences, avoids those loops, and is seed-reproducible; the tables
-// sample at it, serving takes the argmax.
-const EvalTemperature = 0.25
-
 // scheduler is one column of a comparison: a policy and the name its failed
 // runs are reported under.
 type scheduler struct {
@@ -38,31 +27,24 @@ type scheduler struct {
 
 // evaluator runs schedulers over seeded runs for every comparison table. Run
 // i of sweep point p has base seed b = seed + 1000·p + i: every scheduler
-// draws its durations from b, READYS samples its actions from b + 7919, and a
-// faulted run takes its plan from b + 104729, so the schedulers of one run
-// share their noise seed and their faults. One simulator, one noise generator
-// and one action generator serve every run; Seed leaves a generator where
-// rand.NewSource of the same seed starts. A failed run fails the evaluation,
-// so no mean is ever taken over fewer seeds than the caller asked for.
+// draws its durations from b, and a faulted run takes its plan from
+// b + 104729, so the schedulers of one run share their noise seed and their
+// faults. READYS decides as everywhere else (core.NewPolicy) and draws
+// nothing. One simulator and one noise generator serve every run; Seed leaves
+// the generator where rand.NewSource of the same seed starts. A failed run
+// fails the evaluation, so no mean is ever taken over fewer seeds than the
+// caller asked for.
 type evaluator struct {
-	runner      sim.Runner
-	rng, polRng *rand.Rand
+	runner sim.Runner
+	rng    *rand.Rand
 }
 
 func newEvaluator() *evaluator {
-	return &evaluator{rng: rand.New(rand.NewSource(1)), polRng: rand.New(rand.NewSource(1))}
-}
-
-// readys returns the agent's evaluation policy: it samples at
-// EvalTemperature from the evaluator's action generator.
-func (e *evaluator) readys(agent *core.Agent) *core.Policy {
-	pol := core.NewPolicy(agent)
-	pol.Greedy, pol.Temperature, pol.Rng = false, EvalTemperature, e.polRng
-	return pol
+	return &evaluator{rng: rand.New(rand.NewSource(1))}
 }
 
 // each runs the seeds of sweep point p: for each run it calls prepare with
-// the run's base seed, then run once per scheduler with both generators
+// the run's base seed, then run once per scheduler with the noise generator
 // seeded for that run. The first error ends the sweep, naming its seed and,
 // when a scheduler failed, the scheduler; fewer than one run is an error too.
 func (e *evaluator) each(scheds []scheduler, p, runs int, seed int64, prepare func(base int64) error, run func(s int) error) error {
@@ -76,7 +58,6 @@ func (e *evaluator) each(scheds []scheduler, p, runs int, seed int64, prepare fu
 		}
 		for s, sc := range scheds {
 			e.rng.Seed(base)
-			e.polRng.Seed(base + 7919)
 			if err := run(s); err != nil {
 				return fmt.Errorf("%s, seed %d: %w", sc.name, base, err)
 			}
@@ -131,7 +112,7 @@ type ComparisonPoint struct {
 func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigmas []float64, runs int, seed int64) ([]ComparisonPoint, error) {
 	prob := core.NewProblem(kind, T, numCPU, numGPU, 0)
 	e := newEvaluator()
-	pol := e.readys(agent)
+	pol := core.NewPolicy(agent)
 	out := make([]ComparisonPoint, 0, len(sigmas))
 	for p, sigma := range sigmas {
 		prob.Sigma = sigma

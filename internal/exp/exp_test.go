@@ -247,12 +247,12 @@ func TestEmptySweepRefused(t *testing.T) {
 
 // TestEvaluatorReuseBitIdentical: one evaluator, reused across cells
 // (factorisations, faults on and off, two noise levels) with its resident
-// sampling READYS policy, simulator and generators, gives the makespans of a
+// READYS policy, simulator and noise generator, gives the makespans of a
 // fresh policy, simulator and generators per run, bit for bit.
 func TestEvaluatorReuseBitIdentical(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Seed: 3})
 	e := newEvaluator()
-	scheds := []scheduler{{"READYS", e.readys(agent)}, {"MCT", sched.MCTPolicy{}}}
+	scheds := []scheduler{{"READYS", core.NewPolicy(agent)}, {"MCT", sched.MCTPolicy{}}}
 	const runs, seed = 4, 13
 	p := 0
 	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
@@ -270,7 +270,6 @@ func TestEvaluatorReuseBitIdentical(t *testing.T) {
 				for i := 0; i < runs; i++ {
 					base := seed + int64(1000*p+i)
 					fresh := core.NewPolicy(agent)
-					fresh.Greedy, fresh.Temperature, fresh.Rng = false, EvalTemperature, rand.New(rand.NewSource(base+7919))
 					for s, pol := range []sim.Policy{fresh, sched.MCTPolicy{}} {
 						res, err := new(sim.Runner).Simulate(prob.Graph, prob.Platform, prob.Timing, pol, sim.Options{
 							Sigma: sigma, Rng: rand.New(rand.NewSource(base)), Faults: prob.FaultPlanFor(base + 104729),

@@ -48,7 +48,7 @@ func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU i
 
 	e := newEvaluator()
 	scheds := []scheduler{
-		{"READYS", e.readys(agent)},
+		{"READYS", core.NewPolicy(agent)},
 		{"HEFT", sched.NewStaticPolicy(heft)},
 		{"ReplanHEFT", sched.NewReplanHEFTPolicy()},
 		{"MCT", sched.MCTPolicy{}},

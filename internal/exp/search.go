@@ -18,13 +18,3 @@ func trainWithOverrides(spec AgentSpec, episodes int, entropyBeta float64, unrol
 	hist, err := rl.NewTrainer(agent, spec.Problem(), cfg).Run(nil)
 	return agent, hist, err
 }
-
-// evaluateGreedy returns the mean makespan of the agent's argmax policy on
-// the spec's own problem.
-func evaluateGreedy(agent *core.Agent, spec AgentSpec, runs int, seed int64) (float64, error) {
-	ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS (argmax)", core.NewPolicy(agent)}}, 0, runs, seed)
-	if err != nil {
-		return 0, err
-	}
-	return Summarise(ms[0]).Mean, nil
-}

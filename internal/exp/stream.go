@@ -95,7 +95,7 @@ func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, 
 	isolated := meanIsolatedMakespan(plat, kinds, sizes)
 	e := newEvaluator()
 	scheds := []scheduler{
-		{"READYS", e.readys(agent)},
+		{"READYS", core.NewPolicy(agent)},
 		{"HEFT-per-job", stream.NewHEFTPerJobPolicy()},
 		{"ReplanHEFT", sched.NewReplanHEFTPolicy()},
 		{"MCT", sched.MCTPolicy{}},

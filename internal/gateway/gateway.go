@@ -407,9 +407,9 @@ func (b *outBody) release(maxBytes int64) {
 // carries its own span identity in the outbound trace headers, so the
 // replica's request span becomes a child of this attempt's "forward" span —
 // the cross-process link readys-obs-check -links resolves.
-func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, body *outBody, tid int64, sc obs.SpanContext) (forwardResult, error) {
+func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, body *outBody, tid int64, link obs.Link) (forwardResult, error) {
 	start := time.Now()
-	attempt := sc.Child()
+	attempt := link.Child()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body.buf.Bytes())
@@ -421,7 +421,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	attempt.Context().Inject(req.Header)
+	attempt.Inject(req.Header)
 	g.metrics.ObserveReplicaRequest(rep.url)
 	res := forwardResult{}
 	resp, err := g.client.Do(req)
@@ -460,7 +460,7 @@ func retriable(status int, err error) bool {
 // failover: transport errors, truncated bodies, 500 and 502 mark the replica
 // down and move on; any other status is the replica's answer and is relayed
 // verbatim.
-func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path string, body *outBody, candidates []*replica, tid int64, sc obs.SpanContext) {
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path string, body *outBody, candidates []*replica, tid int64, link obs.Link) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
 	if body != nil {
@@ -483,7 +483,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, method, path str
 			}
 		}
 		rep := candidates[i]
-		res, err := g.forward(ctx, rep, method, path, body, tid, sc)
+		res, err := g.forward(ctx, rep, method, path, body, tid, link)
 		if !retriable(res.status, err) {
 			// The replica answered: relay its response verbatim.
 			for _, k := range []string{"Content-Type", "Retry-After"} {
@@ -562,7 +562,7 @@ func parseHead(body []byte) (*serve.ScheduleRequest, error) {
 
 // handleSchedule routes POST /v1/schedule by model identity and fails over
 // on replica death. The body is read into a pooled buffer (outBody).
-func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
+func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int64, link obs.Link) {
 	if !g.front.Allow(w, r, http.MethodPost) {
 		return
 	}
@@ -577,22 +577,22 @@ func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request, tid int
 		g.front.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	g.proxy(w, r, http.MethodPost, "/v1/schedule", body, g.route(req), tid, sc)
+	g.proxy(w, r, http.MethodPost, "/v1/schedule", body, g.route(req), tid, link)
 }
 
 // handleModels proxies GET /v1/models from any healthy replica. Replicas
 // front the same checkpoint directory, so one answer represents them all.
-func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request, tid int64, sc obs.SpanContext) {
+func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request, tid int64, link obs.Link) {
 	if !g.front.Allow(w, r, http.MethodGet) {
 		return
 	}
-	g.proxy(w, r, http.MethodGet, "/v1/models", nil, g.rank("models"), tid, sc)
+	g.proxy(w, r, http.MethodGet, "/v1/models", nil, g.rank("models"), tid, link)
 }
 
 // handleHealthz reports the gateway's own liveness plus per-replica health.
 // The gateway is "ok" while at least one replica is healthy; with none it
 // answers 503 so a fronting load balancer can drain it.
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, _ obs.SpanContext) {
+func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, _ obs.Link) {
 	if !g.front.Allow(w, r, http.MethodGet) {
 		return
 	}

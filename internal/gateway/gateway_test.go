@@ -170,7 +170,7 @@ func newClientTrace() *clientTrace {
 // header carries the root span's context to the gateway.
 func (c *clientTrace) header() http.Header {
 	h := http.Header{}
-	c.link.Context().Inject(h)
+	c.link.Inject(h)
 	return h
 }
 
@@ -340,7 +340,7 @@ func TestGatewayFailoverChaos(t *testing.T) {
 			t.Errorf("%s: %d request spans for %d schedule requests", who, requests, answered)
 		}
 	}
-	traceID := client.link.Context().TraceID
+	traceID := client.link.TraceID()
 	gatewayTrace := exportTrace(t, g.tracer)
 	forwards := map[string]bool{}
 	gatewayEvents := traceEvents(t, gatewayTrace)

@@ -20,9 +20,9 @@ type RequestCounter interface {
 }
 
 // Endpoint is a handler behind a Front. It gets the request's ID, which is
-// also its trace lane, and the context its child spans name as parent (the
-// zero SpanContext on an untraced endpoint).
-type Endpoint func(w http.ResponseWriter, r *http.Request, id int64, sc SpanContext)
+// also its trace lane, and the request span's link, whose Child its own spans
+// record under.
+type Endpoint func(w http.ResponseWriter, r *http.Request, id int64, link Link)
 
 // Front is the HTTP boundary a serving process shares with the others: request
 // IDs, trace-context adoption, request counting, the request span, the JSON
@@ -59,11 +59,11 @@ func (f *Front) Uptime() time.Duration { return time.Since(f.epoch) }
 
 // Wrap serves h as the named endpoint. Each request gets an ID, echoed in
 // X-Request-ID, and the caller's trace (or a fresh one, see RootLink), echoed
-// in X-Trace-ID as 16 hex digits;
-// it is counted, and when traced is set it records a request span, parent of
-// the spans h records under sc. Liveness probes and metric scrapes are
-// counted but not traced: probed several times a second, they would push the
-// schedule requests out of the ring.
+// in X-Trace-ID as 16 hex digits; it is counted, and when traced is set it
+// records a request span, parent of the spans h records under link.Child().
+// Liveness probes and metric scrapes are counted but not traced: probed
+// several times a second, they would push the schedule requests out of the
+// ring.
 func (f *Front) Wrap(endpoint string, traced bool, h Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -71,11 +71,10 @@ func (f *Front) Wrap(endpoint string, traced bool, h Endpoint) http.HandlerFunc 
 		w.Header().Set("X-Request-ID", strconv.FormatInt(id, 10))
 		traceID, parentSpan, _ := ExtractTraceContext(r.Header)
 		link := RootLink(traceID, parentSpan)
-		sc := link.Context()
-		w.Header().Set(HeaderTraceID, sc.TraceID)
+		w.Header().Set(HeaderTraceID, link.TraceID())
 		f.counter.BeginRequest(endpoint)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r, id, sc)
+		h(sw, r, id, link)
 		f.counter.EndRequest(endpoint, time.Since(start), sw.status)
 		if traced {
 			f.Span("request", endpoint, id, start, link,
@@ -96,7 +95,7 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // Span records a completed slice from start to now on request lane tid.
-// Children of the request span pass sc.Child() as their link.
+// Children of the request span pass its link's Child().
 func (f *Front) Span(name, cat string, tid int64, start time.Time, link Link, attrs ...Attr) {
 	f.tracer.Span(name, cat, f.pid, tid, float64(start.Sub(f.epoch))/float64(time.Microsecond),
 		float64(time.Since(start))/float64(time.Microsecond), link, attrs...)
@@ -138,7 +137,7 @@ func (f *Front) logf(format string, args ...any) {
 }
 
 // handleMetrics serves the registry in the Prometheus text exposition format.
-func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request, _ int64, _ SpanContext) {
+func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request, _ int64, _ Link) {
 	if !f.Allow(w, r, http.MethodGet) {
 		return
 	}

@@ -12,8 +12,7 @@ import (
 // (input document, local pid) pair a fresh global pid in order of first
 // appearance, rewrites naming metadata and events accordingly, and emits all
 // metadata first followed by each document's events in record order — lanes
-// stay disjoint, so per-lane B/E balance and timestamp monotonicity survive
-// the merge. Span identity in Args (trace_id / span_id / parent_span_id) is
+// stay disjoint, so what held per lane holds after the merge. Span identity in Args (trace_id / span_id / parent_span_id) is
 // untouched: that is what stitches the processes together logically, and what
 // ValidateTraceLinks resolves afterwards.
 func MergeTraces(docs ...[]byte) ([]byte, error) {

@@ -146,18 +146,23 @@ func TestValidateTraceLinksDemandsCrossProcessLink(t *testing.T) {
 }
 
 func TestSpanContextHeaderRoundTrip(t *testing.T) {
-	sc := RootLink(NewTraceID(), "").Context()
-	if sc.TraceID == "" || sc.SpanID == "" || sc.TraceID == sc.SpanID {
-		t.Fatalf("degenerate ids: %+v", sc)
+	link := RootLink(NewTraceID(), "")
+	traceID, spanID := link.TraceID(), formatID(link.span)
+	if len(traceID) != 16 || traceID == spanID {
+		t.Fatalf("degenerate ids: %q, %q", traceID, spanID)
 	}
 	h := make(map[string][]string)
-	sc.Inject(h)
+	link.Inject(h)
 	trace, parent, ok := ExtractTraceContext(h)
-	if !ok || trace != sc.TraceID || parent != sc.SpanID {
-		t.Fatalf("round trip: got (%q, %q, %v), want (%q, %q, true)", trace, parent, ok, sc.TraceID, sc.SpanID)
+	if !ok || trace != traceID || parent != spanID {
+		t.Fatalf("round trip: got (%q, %q, %v), want (%q, %q, true)", trace, parent, ok, traceID, spanID)
 	}
 	if _, _, ok := ExtractTraceContext(map[string][]string{}); ok {
 		t.Error("empty headers should not extract")
+	}
+	h = make(map[string][]string)
+	if (Link{}).Inject(h); len(h) != 0 {
+		t.Errorf("the zero Link injected %v", h)
 	}
 }
 

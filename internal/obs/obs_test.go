@@ -189,21 +189,22 @@ func TestTracerRingAndExport(t *testing.T) {
 
 func TestValidateChromeTraceRejects(t *testing.T) {
 	cases := map[string]string{
-		"not json":     `{`,
-		"empty":        `{"traceEvents":[]}`,
-		"unbalanced B": `{"traceEvents":[{"name":"a","ph":"B","ts":1,"pid":1,"tid":1}]}`,
-		"stray E":      `{"traceEvents":[{"name":"a","ph":"E","ts":1,"pid":1,"tid":1}]}`,
-		"time travel": `{"traceEvents":[
-			{"name":"a","ph":"B","ts":5,"pid":1,"tid":1},
-			{"name":"a","ph":"E","ts":4,"pid":1,"tid":1}]}`,
-		"mismatched nesting": `{"traceEvents":[
-			{"name":"a","ph":"B","ts":1,"pid":1,"tid":1},
-			{"name":"b","ph":"E","ts":2,"pid":1,"tid":1}]}`,
+		"not json":   `{`,
+		"empty":      `{"traceEvents":[]}`,
+		"negative X": `{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-1,"pid":1,"tid":1}]}`,
+		"unknown":    `{"traceEvents":[{"name":"a","ph":"Q","ts":1,"pid":1,"tid":1}]}`,
 	}
 	for name, data := range cases {
 		if err := ValidateChromeTrace([]byte(data)); err == nil {
 			t.Errorf("%s: validation passed, want error", name)
 		}
+	}
+	// A balanced B/E pair is refused by its phase, which the error names.
+	pair := `{"traceEvents":[
+		{"name":"a","ph":"B","ts":1,"pid":1,"tid":1},
+		{"name":"a","ph":"E","ts":2,"pid":1,"tid":1}]}`
+	if err := ValidateChromeTrace([]byte(pair)); err == nil || !strings.Contains(err.Error(), "phase B") {
+		t.Errorf("a B/E pair gave %v, want an error naming phase B", err)
 	}
 }
 

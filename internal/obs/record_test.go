@@ -75,17 +75,15 @@ func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 
 // TestLinkContextRoundTrip: an inbound ID of 1–16 hex digits keeps its value
 // and anything else starts a fresh trace without a parent; a child names its
-// parent by the ID the parent's Context carries, and a traceless context
-// yields no link at all.
+// parent by the parent's span ID, and a traceless link has no children.
 func TestLinkContextRoundTrip(t *testing.T) {
 	root := RootLink("1A", "not-hex")
-	sc := root.Context()
-	if sc.TraceID != "000000000000001a" || len(sc.SpanID) != 16 || root.flags != flagTrace {
-		t.Fatalf("root %+v has context %+v", root, sc)
+	if root.TraceID() != "000000000000001a" || root.flags != flagTrace {
+		t.Fatalf("root %+v has trace ID %q", root, root.TraceID())
 	}
-	child := sc.Child()
+	child := root.Child()
 	if child.trace != 0x1a || child.parent != root.span || child.flags != flagTrace|flagParent || child.span == root.span {
-		t.Fatalf("child = %+v under %+v", child, sc)
+		t.Fatalf("child = %+v under %+v", child, root)
 	}
 	if l := RootLink("00000000000000aa", "b"); l.trace != 0xaa || l.parent != 0xb || l.flags != flagTrace|flagParent {
 		t.Fatalf("short hex parent: %+v", l)
@@ -96,8 +94,8 @@ func TestLinkContextRoundTrip(t *testing.T) {
 			t.Fatalf("trace ID %q: links %+v and %+v, want two fresh traces without a parent", id, a, b)
 		}
 	}
-	if (SpanContext{}).Child() != (Link{}) || (Link{}).Context() != (SpanContext{}) {
-		t.Fatal("no trace, no link: the zero context and the zero Link must map to each other")
+	if (Link{}).Child() != (Link{}) || (Link{}).TraceID() != "" {
+		t.Fatal("no trace, no link: the zero Link must have no trace ID and only zero children")
 	}
 }
 
@@ -106,9 +104,9 @@ func TestLinkContextRoundTrip(t *testing.T) {
 // attributes touches the heap zero times.
 func TestSpanAllocatesNothing(t *testing.T) {
 	tr := NewTracer(64)
-	sc := RootLink(NewTraceID(), "").Context()
+	root := RootLink(NewTraceID(), "")
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Span("rollout", "sim", 1, 9, 12.5, 3, sc.Child(), Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, 388))
+		tr.Span("rollout", "sim", 1, 9, 12.5, 3, root.Child(), Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, 388))
 	})
 	if allocs != 0 {
 		t.Fatalf("a child span with three int attributes costs %v allocations, want 0", allocs)
@@ -156,16 +154,15 @@ func TestTracerRingBytesFixed(t *testing.T) {
 	before := liveHeap()
 	tr := NewTracer(capacity)
 	stages := []string{"model_load", "queue_wait", "rollout", "references"}
-	var sc SpanContext
+	var root Link
 	for i := 0; i < 3*capacity; i++ {
 		if i%5 == 0 {
-			root := RootLink(NewTraceID(), "")
-			sc = root.Context()
+			root = RootLink(NewTraceID(), "")
 			tr.Span("request", "schedule", 1, int64(i), float64(i), 1, root,
 				Int(KeyRequestID, int64(i)), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200))
 			continue
 		}
-		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, sc.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
+		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, root.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
 	}
 	after := liveHeap()
 	if tr.Len() != capacity || tr.dropped != 2*capacity {

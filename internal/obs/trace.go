@@ -21,12 +21,8 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Trace-event phase constants used by this repository. A Tracer writes X, i
-// and M events; B/E pairs occur only in traces other tools wrote, which
-// ValidateChromeTrace checks too.
+// Trace-event phases a Tracer writes; ValidateChromeTrace accepts these only.
 const (
-	PhaseBegin    = "B" // duration-slice begin
-	PhaseEnd      = "E" // duration-slice end
 	PhaseComplete = "X" // complete slice with an explicit duration
 	PhaseInstant  = "i" // point event
 	PhaseMetadata = "M" // process/thread naming

@@ -33,15 +33,6 @@ const (
 	ArgParentSpan = "parent_span_id"
 )
 
-// SpanContext identifies one span within one trace, its IDs in the 16 hex
-// digits of the headers.
-type SpanContext struct {
-	// TraceID groups every span of one logical operation across processes.
-	TraceID string
-	// SpanID identifies this span; children reference it as their parent.
-	SpanID string
-}
-
 // NewTraceID returns a fresh 16-hex-digit trace identity. IDs are 64 random
 // bits from the runtime's randomly seeded ChaCha8 generator, so traces started
 // independently by different processes never collide.
@@ -107,34 +98,32 @@ func RootLink(traceID, parentSpan string) Link {
 	return l
 }
 
-// Child mints the identity of a span whose parent is sc; the zero Link when
-// sc carries no trace, so untraced work records plain slices.
-func (sc SpanContext) Child() Link {
-	if sc.TraceID == "" {
+// Child mints the identity of a span whose parent is l's span, in l's trace;
+// the zero Link when l carries no trace, so untraced work records plain slices.
+func (l Link) Child() Link {
+	if l.flags&flagTrace == 0 {
 		return Link{}
 	}
-	return RootLink(sc.TraceID, sc.SpanID)
+	return Link{trace: l.trace, parent: l.span, span: rand.Uint64(), flags: flagTrace | flagParent}
 }
 
-// Context returns the link's span as a SpanContext: what its children name as
-// their parent and what Inject sends to the next process. The zero Link has
-// the zero context, which injects nothing.
-func (l Link) Context() SpanContext {
+// TraceID returns the link's trace ID in the 16 hex digits of the headers, or
+// "" for the zero Link.
+func (l Link) TraceID() string {
 	if l.flags&flagTrace == 0 {
-		return SpanContext{}
+		return ""
 	}
-	return SpanContext{TraceID: formatID(l.trace), SpanID: formatID(l.span)}
+	return formatID(l.trace)
 }
 
-// Inject writes the context into outbound request headers. Empty fields are
-// omitted, so an uninitialised context injects nothing.
-func (sc SpanContext) Inject(h http.Header) {
-	if sc.TraceID != "" {
-		h.Set(HeaderTraceID, sc.TraceID)
+// Inject writes the link into outbound request headers: its trace, and its
+// span as the callee's parent. The zero Link injects nothing.
+func (l Link) Inject(h http.Header) {
+	if l.flags&flagTrace == 0 {
+		return
 	}
-	if sc.SpanID != "" {
-		h.Set(HeaderParentSpan, sc.SpanID)
-	}
+	h.Set(HeaderTraceID, formatID(l.trace))
+	h.Set(HeaderParentSpan, formatID(l.span))
 }
 
 // ExtractTraceContext reads the inbound trace context as sent: the caller's

@@ -29,7 +29,7 @@ func FuzzTraceContext(f *testing.F) {
 		for pass := 0; pass < 2; pass++ {
 			root = RootLink(traceID, parent)
 			tr.Span("request", "schedule", 1, 1, 0, 2, root, String(KeyEndpoint, traceHdr))
-			tr.Span("rollout", "sim", 1, 1, 1, 1, root.Context().Child(), Int(KeyForwards, 3))
+			tr.Span("rollout", "sim", 1, 1, 1, 1, root.Child(), Int(KeyForwards, 3))
 		}
 		checkStrtab(t, tr)
 		for _, s := range tr.strs.strs {
@@ -65,7 +65,7 @@ func FuzzTraceContext(f *testing.F) {
 		if len(ev) != 3 || ev[0].Name != "rollout" || ev[1].Name != "request" || ev[2].Name != "rollout" {
 			t.Fatalf("exported %+v, want rollout, request, rollout", ev)
 		}
-		echoed := root.Context().TraceID
+		echoed := root.TraceID()
 		if want, ok := kept(traceID); ok && echoed != want {
 			t.Fatalf("trace %q comes back as %s, want %s", traceID, echoed, want)
 		}

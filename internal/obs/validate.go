@@ -6,11 +6,11 @@ import (
 )
 
 // ValidateChromeTrace checks that data is a loadable Chrome trace-event JSON
-// document: a JSON object with a non-empty traceEvents array, every B event
-// balanced by a matching E on the same (pid, tid) lane, non-decreasing B/E
-// timestamps per lane, and non-negative X durations. This is what the golden
-// and property tests (and `readys-obs-check`) assert before anyone loads a
-// trace into Perfetto.
+// document in the phases a Tracer writes: a JSON object with a non-empty
+// traceEvents array of X events of non-negative duration, i and M events. A
+// B/E pair is refused by its phase: every producer here records a slice as one
+// X event when it ends. This is what the golden and property tests (and
+// `readys-obs-check`) assert before anyone loads a trace into Perfetto.
 func ValidateChromeTrace(data []byte) error {
 	var doc chromeTrace
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -19,44 +19,18 @@ func ValidateChromeTrace(data []byte) error {
 	if len(doc.TraceEvents) == 0 {
 		return fmt.Errorf("obs: trace has no events")
 	}
-	type lane struct{ pid, tid int64 }
-	stacks := make(map[lane][]string)
-	lastTS := make(map[lane]float64)
 	for i, e := range doc.TraceEvents {
-		l := lane{e.PID, e.TID}
 		switch e.Ph {
-		case PhaseBegin, PhaseEnd:
-			if last, ok := lastTS[l]; ok && e.TS < last {
-				return fmt.Errorf("obs: event %d (%s %q): timestamp %.3f before %.3f on lane pid=%d tid=%d",
-					i, e.Ph, e.Name, e.TS, last, e.PID, e.TID)
-			}
-			lastTS[l] = e.TS
-			if e.Ph == PhaseBegin {
-				stacks[l] = append(stacks[l], e.Name)
-				continue
-			}
-			st := stacks[l]
-			if len(st) == 0 {
-				return fmt.Errorf("obs: event %d: E %q on lane pid=%d tid=%d with no open B", i, e.Name, e.PID, e.TID)
-			}
-			top := st[len(st)-1]
-			if e.Name != "" && top != "" && e.Name != top {
-				return fmt.Errorf("obs: event %d: E %q closes B %q on lane pid=%d tid=%d", i, e.Name, top, e.PID, e.TID)
-			}
-			stacks[l] = st[:len(st)-1]
 		case PhaseComplete:
 			if e.Dur < 0 {
 				return fmt.Errorf("obs: event %d: X %q has negative duration %.3f", i, e.Name, e.Dur)
 			}
 		case PhaseInstant, PhaseMetadata:
 			// Nothing positional to check.
+		case "B", "E":
+			return fmt.Errorf("obs: event %d (%q): phase %s is not accepted; record a slice as one X event", i, e.Name, e.Ph)
 		default:
 			return fmt.Errorf("obs: event %d: unknown phase %q", i, e.Ph)
-		}
-	}
-	for l, st := range stacks {
-		if len(st) > 0 {
-			return fmt.Errorf("obs: lane pid=%d tid=%d ends with %d unclosed B events (first: %q)", l.pid, l.tid, len(st), st[0])
 		}
 	}
 	return nil

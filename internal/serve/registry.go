@@ -131,7 +131,7 @@ type Lease struct {
 // Agent returns the leased inference instance.
 func (l *Lease) Agent() *core.Agent { return l.clone.agent }
 
-// Policy returns the leased agent's resident greedy policy. It decides exactly
+// Policy returns the leased agent's resident policy. It decides exactly
 // as core.NewPolicy(l.Agent()) would; sim.Simulate resets it, which is all a
 // request pays for its state.
 func (l *Lease) Policy() *core.Policy { return l.clone.policy }

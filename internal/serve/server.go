@@ -149,7 +149,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.pool.Shutdown(ctx)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, _ obs.SpanContext) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, _ obs.Link) {
 	if !s.front.Allow(w, r, http.MethodGet) {
 		return
 	}
@@ -161,7 +161,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ int64, 
 	})
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, _ int64, _ obs.SpanContext) {
+func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, _ int64, _ obs.Link) {
 	if !s.front.Allow(w, r, http.MethodGet) {
 		return
 	}
@@ -173,7 +173,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, _ int64, _
 	s.front.WriteJSON(w, http.StatusOK, ModelsResponse{Dir: s.registry.Dir(), Models: models})
 }
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rid int64, sc obs.SpanContext) {
+func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rid int64, link obs.Link) {
 	if !s.front.Allow(w, r, http.MethodPost) {
 		return
 	}
@@ -182,7 +182,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rid int6
 		s.front.WriteError(w, BodyErrorStatus(err), fmt.Errorf("serve: decoding request: %w", err))
 		return
 	}
-	resp, status, err := s.schedule(r.Context(), &req, rid, sc)
+	resp, status, err := s.schedule(r.Context(), &req, rid, link)
 	if err != nil {
 		if errors.Is(err, ErrBusy) || errors.Is(err, ErrShuttingDown) {
 			// Shed, not broken: say when to come back. The gateway relays it.
@@ -229,9 +229,10 @@ func BodyErrorStatus(err error) int {
 }
 
 // schedule answers a decoded request: everything handleSchedule does between
-// reading the body and writing the response. Its spans go on lane rid under
-// the request span sc. On error the status is the HTTP code to answer with.
-func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, sc obs.SpanContext) (ScheduleResponse, int, error) {
+// reading the body and writing the response. Its spans go on lane rid as
+// children of link, the request span's. On error the status is the HTTP code
+// to answer with.
+func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, link obs.Link) (ScheduleResponse, int, error) {
 	fail := func(status int, err error) (ScheduleResponse, int, error) { return ScheduleResponse{}, status, err }
 	if err := req.Validate(); err != nil {
 		return fail(http.StatusBadRequest, err)
@@ -243,7 +244,7 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, 
 	// its problem already built.
 	acquireStart := time.Now()
 	lease, cacheHit, err := s.registry.Acquire(kind, req.ModelT(), req.CPUs, req.GPUs)
-	s.front.Span("model_load", "registry", rid, acquireStart, sc.Child(), obs.Bool(obs.KeyCacheHit, cacheHit))
+	s.front.Span("model_load", "registry", rid, acquireStart, link.Child(), obs.Bool(obs.KeyCacheHit, cacheHit))
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errModelNotFound) {
@@ -266,9 +267,9 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, 
 	)
 	enqueued := time.Now()
 	err = s.pool.Do(ctx, func() {
-		s.front.Span("queue_wait", "pool", rid, enqueued, sc.Child())
+		s.front.Span("queue_wait", "pool", rid, enqueued, link.Child())
 		defer lease.Release()
-		resp, runErr = s.runSchedule(req, tpl, lease, cacheHit, rid, sc)
+		resp, runErr = s.runSchedule(req, tpl, lease, cacheHit, rid, link)
 	})
 	switch {
 	case errors.Is(err, ErrBusy):
@@ -297,7 +298,7 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, 
 // the reference are recorded as spans on the request's trace lane; what the
 // policy counted over the rollout goes on the rollout span and into the
 // readys_decide_* counters.
-func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, cacheHit bool, rid int64, sc obs.SpanContext) (ScheduleResponse, error) {
+func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, cacheHit bool, rid int64, link obs.Link) (ScheduleResponse, error) {
 	start := time.Now()
 	prob := tpl.prob
 	prob.Sigma = req.Sigma
@@ -307,7 +308,7 @@ func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, 
 	res, err := prob.SimulateOn(runner, timedPolicy{inner: pol, metrics: s.metrics}, lease.Rand(req.Seed))
 	counted := pol.Stats.Sub(before)
 	s.metrics.ObserveDecideStats(counted)
-	s.front.Span("rollout", "sim", rid, start, sc.Child(), obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())),
+	s.front.Span("rollout", "sim", rid, start, link.Child(), obs.Int(obs.KeyTasks, int64(prob.Graph.NumTasks())),
 		obs.Int(obs.KeyDecisions, int64(res.Decisions)), obs.Int(obs.KeyForwards, int64(counted.Forwards)))
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: rollout: %w", err)
@@ -340,7 +341,7 @@ func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, 
 
 	refStart := time.Now()
 	mctRes, err := prob.SimulateOn(runner, sched.MCTPolicy{}, lease.Rand(req.Seed))
-	s.front.Span("references", "sim", rid, refStart, sc.Child())
+	s.front.Span("references", "sim", rid, refStart, link.Child())
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: MCT reference: %w", err)
 	}

@@ -391,3 +391,28 @@ func TestServedPlanMatchesDirectSchedule(t *testing.T) {
 		t.Fatalf("served %g vs direct %g", resp.Makespan, direct.Makespan)
 	}
 }
+
+// TestServeOneTypePlatformsNearHEFT: on a one-type platform ∅ cannot help (no
+// resource of the other type will take what the asking one leaves), so the
+// committed Cholesky T=8 agents, served at σ = 0, keep within a few percent of
+// HEFT. An argmax that may answer ∅ there reads 2.97× HEFT on 4c0g and 3.33×
+// on 0c4g.
+func TestServeOneTypePlatformsNearHEFT(t *testing.T) {
+	s := New(Config{ModelsDir: "../../models", Workers: 1, Queue: 4, RequestTimeout: 10 * time.Second})
+	for _, c := range []struct {
+		cpus, gpus int
+		bound      float64
+	}{{4, 0, 1.05}, {0, 4, 1.15}} {
+		rec, resp := postSchedule(t, s.Handler(), ScheduleRequest{Kind: "cholesky", T: 8, CPUs: c.cpus, GPUs: c.gpus, Sigma: 0, Seed: 1})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%dc%dg: status %d: %s", c.cpus, c.gpus, rec.Code, rec.Body.String())
+		}
+		ratio := resp.Makespan / resp.HEFTMakespan
+		t.Logf("%dc%dg: READYS %.1f ms, HEFT %.1f ms (%.3f×), %d of %d decisions ∅",
+			c.cpus, c.gpus, resp.Makespan, resp.HEFTMakespan, ratio, resp.IdleDecisions, resp.Decisions)
+		if ratio > c.bound {
+			t.Errorf("%dc%dg: READYS %.1f ms is %.3f× HEFT's %.1f ms, want ≤ %.2f×",
+				c.cpus, c.gpus, resp.Makespan, ratio, resp.HEFTMakespan, c.bound)
+		}
+	}
+}
