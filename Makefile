@@ -114,7 +114,7 @@ test:
 # (TestInferenceTapeRecordsNoSteps). The episode log
 # is held to deep copies of the encoder's states decision by decision
 # (TestEpisodeLogReproducesStates: three factorisations, faults, fault
-# features, directed, no incremental encoder, mid-episode stream arrivals,
+# features, no incremental encoder, mid-episode stream arrivals,
 # remaining times clamped to +0, nothing running), W+1 logs to what they keep
 # at two batch sizes (TestRolloutLogsRetainBounded), a reused log and resident rollout policy to fresh ones
 # (TestEpisodeLogReuseIsolated: long then short, short then long, after an

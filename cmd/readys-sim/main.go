@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		kindStr   = flag.String("kind", "cholesky", "DAG family: cholesky, lu, qr, gemm, stencil or forkjoin")
+		kindStr   = flag.String("kind", "cholesky", "DAG family: cholesky, lu or qr")
 		tiles     = flag.Int("T", 8, "problem size")
 		cpus      = flag.Int("cpus", 2, "number of CPUs")
 		gpus      = flag.Int("gpus", 2, "number of GPUs")

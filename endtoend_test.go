@@ -98,6 +98,7 @@ func TestConstructorValidation(t *testing.T) {
 		{"graph T=0", "cholesky", 0, 1, 1, 0, "tile count"},
 		{"graph T<0", "lu", -3, 1, 1, 0, "tile count"},
 		{"graph bad kind", "tree", 4, 1, 1, 0, "unknown DAG kind"},
+		{"graph random", "random", 4, 1, 1, 0, "no sized generator"},
 		{"platform empty", "cholesky", 4, 0, 0, 0, "at least one resource"},
 		{"platform negative CPUs", "cholesky", 4, -1, 2, 0, "resource counts"},
 		{"platform negative GPUs", "cholesky", 4, 2, -1, 0, "resource counts"},

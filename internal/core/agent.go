@@ -18,10 +18,9 @@ type Config struct {
 	Layers int
 	// Hidden is the embedding width.
 	Hidden int
-	// Directed switches the GCN propagation operator from the symmetric
-	// D̃^{-1/2}ÃD̃^{-1/2} of the paper to the row-normalised downstream
-	// operator D̃^{-1}Ã (ablation: information flows only from a task to its
-	// descendants).
+	// Directed must be false: the GCN propagates through the paper's
+	// symmetric D̃^{-1/2}ÃD̃^{-1/2} only, and NewAgent refuses true. The field
+	// stays because EncodeFault's callers pass it on.
 	Directed bool
 	// FaultFeatures appends the fault-state block (resource availability,
 	// speed factor, normalised fault-epoch counter) to the resource context,
@@ -50,7 +49,7 @@ type Agent struct {
 
 // NewAgent builds an agent with freshly initialised parameters.
 func NewAgent(cfg Config) *Agent {
-	if cfg.Hidden <= 0 || cfg.Layers < 0 || cfg.Window < 0 {
+	if cfg.Hidden <= 0 || cfg.Layers < 0 || cfg.Window < 0 || cfg.Directed {
 		panic(fmt.Sprintf("core: invalid config %+v", cfg))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))

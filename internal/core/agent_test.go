@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"readys/internal/autograd"
@@ -317,4 +319,23 @@ func TestNewAgentRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	NewAgent(Config{Window: 1, Layers: 1, Hidden: 0})
+}
+
+// TestDirectedOperatorRefused: the network propagates through the symmetric
+// operator only. An agent configured for the directed one is an invalid
+// config, and EncodeFault refuses to build a directed window.
+func TestDirectedOperatorRefused(t *testing.T) {
+	panics := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+				t.Fatalf("panic %v, want one containing %q", r, want)
+			}
+		}()
+		f()
+	}
+	panics("core: invalid config", func() { NewAgent(Config{Window: 2, Layers: 2, Hidden: 8, Directed: true}) })
+	p := NewProblem(taskgraph.Cholesky, 4, 2, 2, 0)
+	s, F := initialState(p), taskgraph.DescendantFeatures(p.Graph)
+	panics("no directed operator", func() { EncodeFault(s, 0, F, 2, true, false) })
 }

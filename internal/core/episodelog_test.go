@@ -56,7 +56,7 @@ func (sp *stateProbe) Decide(s *sim.State, r int) int {
 	if p.inc != nil {
 		es = cloneState(&p.inc.es)
 	} else {
-		es = EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+		es = EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, false, p.Agent.Cfg.FaultFeatures)
 		es.AllowIdle = es.AllowIdle && !p.DisableIdle
 	}
 	sp.states = append(sp.states, es)
@@ -69,9 +69,9 @@ func (sp *stateProbe) Decide(s *sim.State, r int) int {
 // adjacency, ready rows and tasks, resource context, AllowIdle — to a deep
 // copy of the encoder's state taken at that decision. The sweep covers the
 // three factorisations, a faulted problem, the fault-features agent (ten
-// context columns), the directed operator, a policy without the incremental
-// encoder, and a stream whose arrivals land mid-episode, where each GraphEpoch
-// bump re-keys the stored task rows. The log keeps of the dynamic columns only
+// context columns), a policy without the incremental encoder, and a stream
+// whose arrivals land mid-episode, where each GraphEpoch bump re-keys the
+// stored task rows. The log keeps of the dynamic columns only
 // the ready rows and the running rows' remaining times, so the sweep must also
 // meet running tasks whose remaining time clamps to +0 and decisions with no
 // task running.
@@ -119,7 +119,6 @@ func TestEpisodeLogReproducesStates(t *testing.T) {
 		{name: "qr", agent: base, run: dag(taskgraph.QR, false)},
 		{name: "faulted", agent: base, run: dag(taskgraph.Cholesky, true)},
 		{name: "fault features", agent: with(func(c *Config) { c.FaultFeatures = true }), run: dag(taskgraph.LU, true)},
-		{name: "directed", agent: with(func(c *Config) { c.Directed = true }), run: dag(taskgraph.Cholesky, false)},
 		{name: "no incremental encoder", agent: base, noInc: true, run: dag(taskgraph.Cholesky, true)},
 		{name: "stream", agent: base, stream: true, run: streamRun},
 		{name: "stream, no incremental encoder", agent: base, noInc: true, stream: true, run: streamRun},

@@ -61,7 +61,7 @@ func (pp *encodeProbe) Reset(s *sim.State) { pp.inner.Reset(s) }
 
 func (pp *encodeProbe) Decide(s *sim.State, r int) int {
 	p := pp.inner
-	oracle := EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+	oracle := EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, false, p.Agent.Cfg.FaultFeatures)
 	inc, rebuilt := p.inc.Encode(s, r)
 	assertStatesEqual(pp.t, oracle, inc, fmt.Sprintf("%s decision %d", pp.ctx, pp.n))
 	pp.n++
@@ -72,33 +72,31 @@ func (pp *encodeProbe) Decide(s *sim.State, r int) int {
 }
 
 // TestIncrementalEncodeBitIdentical sweeps problem kinds, fault injection,
-// duration noise, the directed operator, and fault features, asserting the
+// duration noise, and fault features, asserting the
 // incremental encoder reproduces EncodeFault bit for bit at every single
 // decision of full episodes.
 func TestIncrementalEncodeBitIdentical(t *testing.T) {
 	kinds := []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR}
 	for _, kind := range kinds {
 		for _, faults := range []bool{false, true} {
-			for _, directed := range []bool{false, true} {
-				for _, ff := range []bool{false, true} {
-					cfg := Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3, Directed: directed, FaultFeatures: ff}
-					agent := NewAgent(cfg)
-					prob := NewProblem(kind, 6, 2, 2, 0.1)
-					if faults {
-						prob.Faults = sim.SpecForRate(1.5, 0)
-					}
-					pol := NewPolicy(agent)
-					ctx := fmt.Sprintf("%v faults=%v directed=%v ff=%v", kind, faults, directed, ff)
-					probe := &encodeProbe{t: t, inner: pol, ctx: ctx}
-					if _, err := prob.Simulate(probe, rand.New(rand.NewSource(17))); err != nil {
-						t.Fatalf("%s: %v", ctx, err)
-					}
-					if probe.n == 0 {
-						t.Fatalf("%s: no decisions probed", ctx)
-					}
-					if probe.rebuilds == 0 || probe.rebuilds >= probe.n {
-						t.Fatalf("%s: the window was recomputed at %d of %d decisions", ctx, probe.rebuilds, probe.n)
-					}
+			for _, ff := range []bool{false, true} {
+				cfg := Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3, FaultFeatures: ff}
+				agent := NewAgent(cfg)
+				prob := NewProblem(kind, 6, 2, 2, 0.1)
+				if faults {
+					prob.Faults = sim.SpecForRate(1.5, 0)
+				}
+				pol := NewPolicy(agent)
+				ctx := fmt.Sprintf("%v faults=%v ff=%v", kind, faults, ff)
+				probe := &encodeProbe{t: t, inner: pol, ctx: ctx}
+				if _, err := prob.Simulate(probe, rand.New(rand.NewSource(17))); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				if probe.n == 0 {
+					t.Fatalf("%s: no decisions probed", ctx)
+				}
+				if probe.rebuilds == 0 || probe.rebuilds >= probe.n {
+					t.Fatalf("%s: the window was recomputed at %d of %d decisions", ctx, probe.rebuilds, probe.n)
 				}
 			}
 		}
@@ -149,16 +147,14 @@ func TestIncrementalUnsortedAdjacency(t *testing.T) {
 		t.Fatalf("the shuffled build left %d Succ and %d Pred rows unsorted; the test needs both", us, up)
 	}
 	prob := Problem{Graph: g, Platform: platform.New(2, 2), Timing: platform.TimingFor(gen.Kind), Sigma: 0.1}
-	for _, directed := range []bool{false, true} {
-		agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3, Directed: directed})
-		ctx := fmt.Sprintf("%d of %d Succ and %d Pred rows unsorted, directed=%v", us, g.NumTasks(), up, directed)
-		probe := &encodeProbe{t: t, inner: NewPolicy(agent), ctx: ctx}
-		if _, err := prob.Simulate(probe, rand.New(rand.NewSource(17))); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if probe.n == 0 || probe.rebuilds == 0 {
-			t.Fatalf("%s: %d decisions probed, %d window rebuilds", ctx, probe.n, probe.rebuilds)
-		}
+	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 3})
+	ctx := fmt.Sprintf("%d of %d Succ and %d Pred rows unsorted", us, g.NumTasks(), up)
+	probe := &encodeProbe{t: t, inner: NewPolicy(agent), ctx: ctx}
+	if _, err := prob.Simulate(probe, rand.New(rand.NewSource(17))); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if probe.n == 0 || probe.rebuilds == 0 {
+		t.Fatalf("%s: %d decisions probed, %d window rebuilds", ctx, probe.n, probe.rebuilds)
 	}
 }
 

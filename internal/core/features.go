@@ -119,14 +119,18 @@ type EncodedState struct {
 
 // EncodeFault builds the EncodedState for a decision on the given resource. F
 // is the per-task descendant feature matrix of the full DAG (computed once per
-// episode with taskgraph.DescendantFeatures); w is the window depth. directed
-// selects the row-normalised downstream operator (see
-// nn.DirectedNormalizedAdjacency) over the paper's symmetric normalisation.
-// When faultFeatures is true the resource context (and hence every node row)
-// gains the fault-state block, widening rows to NodeFeatureWidth(true); with it
-// false the encoding is bit-identical to the one from before the flag existed
-// — the flag-off inertness the checkpoint format relies on.
+// episode with taskgraph.DescendantFeatures); w is the window depth. The
+// window's adjacency is the paper's symmetric D̃^{-1/2}ÃD̃^{-1/2}, the only
+// operator the network propagates over: directed must be false, and
+// EncodeFault panics on true. When faultFeatures is true the resource context
+// (and hence every node row) gains the fault-state block, widening rows to
+// NodeFeatureWidth(true); with it false the encoding is bit-identical to the
+// one from before the flag existed — the flag-off inertness the checkpoint
+// format relies on.
 func EncodeFault(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, w int, directed, faultFeatures bool) *EncodedState {
+	if directed {
+		panic("core: EncodeFault has no directed operator")
+	}
 	g := s.Graph
 	nodes := taskgraph.Window(g, s.Running, s.Ready, w)
 	rowOf := make(map[int]int, len(nodes))
@@ -163,11 +167,7 @@ func EncodeFault(s *sim.State, resource int, F [][taskgraph.NumKernels]float64, 
 			}
 		}
 	}
-	if directed {
-		es.Norm = nn.DirectedNormalizedAdjacency(len(nodes), succ)
-	} else {
-		es.Norm = nn.NormalizedAdjacency(len(nodes), succ)
-	}
+	es.Norm = nn.NormalizedAdjacency(len(nodes), succ)
 	return es
 }
 

@@ -21,8 +21,8 @@ import (
 // adjacency is rebuilt only if the node set actually changed.
 //
 // Every feature value is produced by the same fill helpers EncodeFault uses
-// and the adjacency's values by the function nn.NormalizedAdjacency /
-// nn.DirectedNormalizedAdjacency use (nn.NormalizedValues), so the encoder is
+// and the adjacency's values by the function nn.NormalizedAdjacency uses
+// (nn.NormalizedValues), so the encoder is
 // bit-identical to the full rebuild — the equivalence tests enforce this per
 // decision. EncodeFault remains the fallback and the oracle.
 //
@@ -31,7 +31,6 @@ import (
 // it keeps of each into its EpisodeLog before then.
 type incrementalEncoder struct {
 	w             int
-	directed      bool
 	faultFeatures bool
 
 	// Window validity key.
@@ -81,8 +80,8 @@ type taskScratch struct {
 	row   int32 // 1 + the task's row in the current window, 0 when absent
 }
 
-func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEncoder {
-	e := &incrementalEncoder{w: w, directed: directed, faultFeatures: faultFeatures}
+func newIncrementalEncoder(w int, faultFeatures bool) *incrementalEncoder {
+	e := &incrementalEncoder{w: w, faultFeatures: faultFeatures}
 	e.es.Proc = tensor.New(1, ProcFeatureWidth(faultFeatures))
 	e.reset(nil)
 	return e
@@ -277,7 +276,7 @@ func (e *incrementalEncoder) clearRows(nodes []int) {
 // Succ/Pred order, which nothing keeps sorted; a small insertion sort plus
 // dedup reproduces nn.adjacencyRows' sorted/deduplicated self-loop rows
 // whatever that order, and nn.NormalizedValues fills in the values, as it
-// does for nn.NormalizedAdjacency / nn.DirectedNormalizedAdjacency.
+// does for nn.NormalizedAdjacency.
 func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 	n := len(nodes)
 	rowPtr := e.norm.RowPtr[:0]
@@ -291,11 +290,9 @@ func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 				nb = append(nb, int(r)-1)
 			}
 		}
-		if !e.directed {
-			for _, c := range g.Pred[t] {
-				if r := e.scratch.At(c).row; r != 0 {
-					nb = append(nb, int(r)-1)
-				}
+		for _, c := range g.Pred[t] {
+			if r := e.scratch.At(c).row; r != 0 {
+				nb = append(nb, int(r)-1)
 			}
 		}
 		insertionSortInts(nb)
@@ -316,7 +313,7 @@ func (e *incrementalEncoder) rebuildAdjacency(g *taskgraph.Graph, nodes []int) {
 		vals = make([]float64, len(cols))
 	}
 	e.norm = tensor.Sparse{Rows: n, Cols: n, RowPtr: rowPtr, Col: cols, Val: vals[:len(cols)]}
-	nn.NormalizedValues(&e.norm, e.directed)
+	nn.NormalizedValues(&e.norm)
 	e.es.Norm = &e.norm
 }
 

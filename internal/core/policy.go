@@ -180,7 +180,7 @@ type memoKey struct {
 // (see the equivalence tests).
 func NewPolicy(agent *Agent) *Policy {
 	p := &Policy{Agent: agent}
-	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
+	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.FaultFeatures)
 	return p
 }
 
@@ -243,7 +243,7 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	if p.inc != nil {
 		es, rebuilt = p.inc.Encode(s, r)
 	} else {
-		es = EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+		es = EncodeFault(s, r, p.unionFeats(s.Graph), p.Agent.Cfg.Window, false, p.Agent.Cfg.FaultFeatures)
 	}
 	p.Stats.Decisions++
 	p.Stats.WindowRows += len(es.Nodes)

@@ -33,7 +33,7 @@ func (p *tapePolicy) Decide(s *sim.State, r int) int {
 		p.feats = taskgraph.DescendantFeatures(s.Graph)
 	}
 	cfg := p.agent.Cfg
-	es := EncodeFault(s, r, p.feats, cfg.Window, cfg.Directed, cfg.FaultFeatures)
+	es := EncodeFault(s, r, p.feats, cfg.Window, false, cfg.FaultFeatures)
 	if p.disableIdle {
 		es.AllowIdle = false
 	}
@@ -70,7 +70,7 @@ func (m *maskEveryThird) Decide(s *sim.State, r int) int {
 
 // trainingEpisodes are the rollouts the training-path proofs sweep: a faulted
 // single-DAG episode and a faulted stream, each with a plain and a
-// directed + fault-features agent. run rolls one out under pol, drawing every
+// fault-features agent. run rolls one out under pol, drawing every
 // random number from seed.
 func trainingEpisodes() []struct {
 	name  string
@@ -83,10 +83,10 @@ func trainingEpisodes() []struct {
 		run   func(pol sim.Policy, rng *rand.Rand) (float64, error)
 	}
 	var out []episode
-	for _, variant := range []Config{{}, {Directed: true, FaultFeatures: true}} {
+	for _, variant := range []Config{{}, {FaultFeatures: true}} {
 		variant.Window, variant.Layers, variant.Hidden, variant.Seed = 2, 2, 16, 3
 		agent := NewAgent(variant)
-		tag := fmt.Sprintf("directed=%v ff=%v", variant.Directed, variant.FaultFeatures)
+		tag := fmt.Sprintf("ff=%v", variant.FaultFeatures)
 
 		prob := NewProblem(taskgraph.Cholesky, 5, 2, 2, 0.1)
 		prob.Faults = sim.SpecForRate(1.5, 0)

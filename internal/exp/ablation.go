@@ -105,9 +105,11 @@ func RandomSearch(rng *rand.Rand, trials, episodes int) ([]SearchTrial, *Table, 
 			return nil, nil, err
 		}
 		tr.FinalReward = hist.FinalMeanReward(100)
-		if ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 0, 3, 45); err == nil {
-			tr.GreedyMs = Summarise(ms[0]).Mean
+		ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 0, 3, 45)
+		if err != nil {
+			return nil, nil, fmt.Errorf("exp: search trial %d: %w", i, err)
 		}
+		tr.GreedyMs = Summarise(ms[0]).Mean
 		out = append(out, tr)
 		tab.AddRow(fmt.Sprint(tr.Window), fmt.Sprint(tr.Layers), F(tr.EntropyBeta),
 			fmt.Sprint(tr.Unroll), F(tr.FinalReward), F(tr.GreedyMs))

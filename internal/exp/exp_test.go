@@ -333,7 +333,7 @@ func (p *rebuildWindowPolicy) Reset(s *sim.State) {
 
 func (p *rebuildWindowPolicy) Decide(s *sim.State, r int) int {
 	cfg := p.Agent.Cfg
-	p.rows += len(core.EncodeFault(s, r, p.feats, cfg.Window, cfg.Directed, cfg.FaultFeatures).Nodes)
+	p.rows += len(core.EncodeFault(s, r, p.feats, cfg.Window, false, cfg.FaultFeatures).Nodes)
 	p.decisions++
 	return p.Policy.Decide(s, r)
 }

@@ -1088,8 +1088,8 @@ func rankByHashing(g *Gateway, req *serve.ScheduleRequest) []string {
 // maxRoutes keys.
 func TestRouteTableMatchesRendezvous(t *testing.T) {
 	var grid []*serve.ScheduleRequest
-	for _, kind := range []string{"cholesky", "lu", "qr", "gemm", "stencil", "forkjoin"} {
-		for T := 1; T <= 8; T++ {
+	for _, kind := range []string{"cholesky", "lu", "qr"} {
+		for T := 1; T <= 16; T++ {
 			for cpus := 0; cpus <= 2; cpus++ {
 				grid = append(grid,
 					&serve.ScheduleRequest{Kind: kind, T: T, CPUs: cpus, GPUs: 2},

@@ -84,42 +84,25 @@ func (g *GCN) Params() []*Param { return []*Param{g.W, g.B} }
 // result is built directly in CSR form — O(E) work and memory, never
 // materialising the n x n matrix.
 func NormalizedAdjacency(n int, succ [][]int) *tensor.Sparse {
-	return normalizedAdjacency(n, succ, false)
-}
-
-// DirectedNormalizedAdjacency returns D̃^{-1} (A + I) for a strictly
-// downstream information flow (ablation variant): row-normalised adjacency
-// where node i aggregates itself and its successors. Built directly in CSR
-// form like NormalizedAdjacency.
-func DirectedNormalizedAdjacency(n int, succ [][]int) *tensor.Sparse {
-	return normalizedAdjacency(n, succ, true)
-}
-
-func normalizedAdjacency(n int, succ [][]int, directed bool) *tensor.Sparse {
 	a := &tensor.Sparse{Rows: n, Cols: n, RowPtr: make([]int, 1, n+1)}
-	for _, row := range adjacencyRows(n, succ, !directed) {
+	for _, row := range adjacencyRows(n, succ) {
 		a.Col = append(a.Col, row...)
 		a.RowPtr = append(a.RowPtr, len(a.Col))
 	}
 	a.Val = make([]float64, len(a.Col))
-	NormalizedValues(a, directed)
+	NormalizedValues(a)
 	return a
 }
 
-// NormalizedValues writes the values of a normalised adjacency into a.Val
-// from its pattern: the sorted, deduplicated rows of A + I, so that row i's
-// length is the degree d_i. Symmetric, entry (i, j) is 1/√(d_i·d_j), of
-// D̃^{-1/2} (A + I) D̃^{-1/2}; directed, it is 1/d_i, of D̃^{-1} (A + I).
-// Every operator the network propagates over gets its values here, whoever
-// builds its pattern.
-func NormalizedValues(a *tensor.Sparse, directed bool) {
+// NormalizedValues writes the values of D̃^{-1/2} (A + I) D̃^{-1/2} into a.Val
+// from its pattern: the sorted, deduplicated, symmetric rows of A + I, so that
+// row i's length is the degree d_i and entry (i, j) is 1/√(d_i·d_j). Every
+// operator the network propagates over gets its values here, whoever builds
+// its pattern.
+func NormalizedValues(a *tensor.Sparse) {
 	for i := 0; i < a.Rows; i++ {
 		di := float64(a.RowPtr[i+1] - a.RowPtr[i])
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if directed {
-				a.Val[k] = 1 / di
-				continue
-			}
 			j := a.Col[k]
 			a.Val[k] = 1 / math.Sqrt(di*float64(a.RowPtr[j+1]-a.RowPtr[j]))
 		}
@@ -127,9 +110,9 @@ func NormalizedValues(a *tensor.Sparse, directed bool) {
 }
 
 // adjacencyRows builds sorted, deduplicated neighbour lists of A + I from
-// successor lists, mirroring edges when symmetric is set. Row i always
-// contains i (the self-loop), so every row is non-empty.
-func adjacencyRows(n int, succ [][]int, symmetric bool) [][]int {
+// successor lists, each edge in both directions. Row i always contains i (the
+// self-loop), so every row is non-empty.
+func adjacencyRows(n int, succ [][]int) [][]int {
 	rows := make([][]int, n)
 	for i := 0; i < n; i++ {
 		rows[i] = append(rows[i], i) // self-loop
@@ -140,9 +123,7 @@ func adjacencyRows(n int, succ [][]int, symmetric bool) [][]int {
 				panic(fmt.Sprintf("nn: edge (%d,%d) out of range for n=%d", i, j, n))
 			}
 			rows[i] = append(rows[i], j)
-			if symmetric {
-				rows[j] = append(rows[j], i)
-			}
+			rows[j] = append(rows[j], i)
 		}
 	}
 	for i := range rows {

@@ -138,19 +138,6 @@ func TestNormalizedAdjacencySpectralBoundProperty(t *testing.T) {
 	}
 }
 
-func TestDirectedNormalizedAdjacencyRowStochastic(t *testing.T) {
-	m := DirectedNormalizedAdjacency(3, [][]int{{1, 2}, {2}, {}}).Dense()
-	for i := 0; i < 3; i++ {
-		var s float64
-		for j := 0; j < 3; j++ {
-			s += m.At(i, j)
-		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Fatalf("row %d sums to %v", i, s)
-		}
-	}
-}
-
 func TestGCNForwardDepthPropagation(t *testing.T) {
 	// On a path 0→1→2, one GCN layer mixes only direct neighbours: node 2's
 	// output must not depend on node 0's features, but with two layers it must.
@@ -199,10 +186,9 @@ func denseGCN(g *GCN, b *Binding, norm *tensor.Matrix, h *autograd.Node) *autogr
 
 // TestGCNForwardMatchesDenseComposition: propagating through the CSR operator
 // gives the layer's output and, after Backward, the gradients of h, W and b
-// the bits the dense composition gives, for the symmetric and the directed
-// operator. Equality is exact because both accumulate every output element in
-// ascending column order and the zero terms the CSR form skips cannot change an
-// IEEE sum. (The kernels alone: tensor.TestSpMMMatchesDenseProperty,
+// the bits the dense composition gives. Equality is exact because both
+// accumulate every output element in ascending column order and the zero
+// terms the CSR form skips cannot change an IEEE sum. (The kernels alone: tensor.TestSpMMMatchesDenseProperty,
 // TestSpMMTransAMatchesDense.)
 func TestGCNForwardMatchesDenseComposition(t *testing.T) {
 	const n, in, out = 14, 6, 5
@@ -213,46 +199,42 @@ func TestGCNForwardMatchesDenseComposition(t *testing.T) {
 			succ[i] = append(succ[i], j)
 		}
 	}
-	for name, norm := range map[string]*tensor.Sparse{
-		"symmetric": NormalizedAdjacency(n, succ),
-		"directed":  DirectedNormalizedAdjacency(n, succ),
+	norm := NormalizedAdjacency(n, succ)
+	rng := rand.New(rand.NewSource(17))
+	x := tensor.RandNormal(rng, n, in, 1)
+	weight := tensor.RandNormal(rng, n, out, 1)
+	run := func(dense bool) (g *GCN, y, dh *tensor.Matrix) {
+		g = NewGCN(rand.New(rand.NewSource(18)), "g", in, out)
+		b := NewBinding()
+		h := b.Tape.Var(x)
+		var o *autograd.Node
+		if dense {
+			o = denseGCN(g, b, norm.Dense(), h)
+		} else {
+			o = g.Forward(b, norm, h, nil)
+		}
+		b.Tape.Backward(b.Tape.SumAll(b.Tape.Mul(o, b.Tape.Const(weight))))
+		return g, o.Value, h.Grad
+	}
+	sg, sy, sdh := run(false)
+	dg, dy, ddh := run(true)
+	for _, c := range []struct {
+		what      string
+		got, want *tensor.Matrix
+	}{
+		{"output", sy, dy}, {"dL/dh", sdh, ddh}, {"dL/dW", sg.W.Grad, dg.W.Grad}, {"dL/db", sg.B.Grad, dg.B.Grad},
 	} {
-		rng := rand.New(rand.NewSource(17))
-		x := tensor.RandNormal(rng, n, in, 1)
-		weight := tensor.RandNormal(rng, n, out, 1)
-		run := func(dense bool) (g *GCN, y, dh *tensor.Matrix) {
-			g = NewGCN(rand.New(rand.NewSource(18)), "g", in, out)
-			b := NewBinding()
-			h := b.Tape.Var(x)
-			var o *autograd.Node
-			if dense {
-				o = denseGCN(g, b, norm.Dense(), h)
-			} else {
-				o = g.Forward(b, norm, h, nil)
-			}
-			b.Tape.Backward(b.Tape.SumAll(b.Tape.Mul(o, b.Tape.Const(weight))))
-			return g, o.Value, h.Grad
+		if !c.got.SameShape(c.want) {
+			t.Fatalf("%s is %dx%d on CSR, %dx%d dense", c.what, c.got.Rows, c.got.Cols, c.want.Rows, c.want.Cols)
 		}
-		sg, sy, sdh := run(false)
-		dg, dy, ddh := run(true)
-		for _, c := range []struct {
-			what      string
-			got, want *tensor.Matrix
-		}{
-			{"output", sy, dy}, {"dL/dh", sdh, ddh}, {"dL/dW", sg.W.Grad, dg.W.Grad}, {"dL/db", sg.B.Grad, dg.B.Grad},
-		} {
-			if !c.got.SameShape(c.want) {
-				t.Fatalf("%s: %s is %dx%d on CSR, %dx%d dense", name, c.what, c.got.Rows, c.got.Cols, c.want.Rows, c.want.Cols)
-			}
-			for i, v := range c.got.Data {
-				if math.Float64bits(v) != math.Float64bits(c.want.Data[i]) {
-					t.Fatalf("%s: %s[%d] = %v on CSR, %v dense", name, c.what, i, v, c.want.Data[i])
-				}
+		for i, v := range c.got.Data {
+			if math.Float64bits(v) != math.Float64bits(c.want.Data[i]) {
+				t.Fatalf("%s[%d] = %v on CSR, %v dense", c.what, i, v, c.want.Data[i])
 			}
 		}
-		if sdh.Equal(tensor.New(n, in)) || sg.W.Grad.Equal(tensor.New(in, out)) {
-			t.Fatalf("%s: a zero gradient compares nothing", name)
-		}
+	}
+	if sdh.Equal(tensor.New(n, in)) || sg.W.Grad.Equal(tensor.New(in, out)) {
+		t.Fatal("a zero gradient compares nothing")
 	}
 }
 

@@ -137,39 +137,6 @@ var (
 			3: {90, 3},  // 30x
 		},
 	}
-	// gemmTiming: loads/stores are memory-bound (little GPU advantage), the
-	// multiply-accumulate kernel is the GPU's best case.
-	gemmTiming = Timing{
-		Kind: taskgraph.Gemm,
-		Expected: [taskgraph.NumKernels][NumResourceTypes]float64{
-			taskgraph.KLoadA:  {6, 4},  // 1.5x
-			taskgraph.KLoadB:  {6, 4},  // 1.5x
-			taskgraph.KStoreC: {6, 5},  // 1.2x
-			taskgraph.KMulAcc: {88, 3}, // 29.3x
-		},
-	}
-	// stencilTiming: interior cells vectorise well on GPUs; boundary cells
-	// are branchy and favour CPUs slightly less markedly.
-	stencilTiming = Timing{
-		Kind: taskgraph.Stencil,
-		Expected: [taskgraph.NumKernels][NumResourceTypes]float64{
-			taskgraph.KCorner:   {10, 8}, // 1.25x
-			taskgraph.KEdgeRow:  {18, 6}, // 3x
-			taskgraph.KEdgeCol:  {18, 6}, // 3x
-			taskgraph.KInterior: {30, 2}, // 15x
-		},
-	}
-	// forkJoinTiming: fork/join/reduce are serial control tasks (CPU-ish),
-	// the worker kernel is throughput-oriented.
-	forkJoinTiming = Timing{
-		Kind: taskgraph.ForkJoin,
-		Expected: [taskgraph.NumKernels][NumResourceTypes]float64{
-			taskgraph.KFork:   {5, 5},   // 1x
-			taskgraph.KWork:   {60, 3},  // 20x
-			taskgraph.KJoin:   {8, 6},   // 1.3x
-			taskgraph.KReduce: {25, 10}, // 2.5x
-		},
-	}
 )
 
 // TimingFor returns the timing table of a DAG family.
@@ -183,12 +150,6 @@ func TimingFor(kind taskgraph.Kind) Timing {
 		return qrTiming
 	case taskgraph.Random:
 		return randomTiming
-	case taskgraph.Gemm:
-		return gemmTiming
-	case taskgraph.Stencil:
-		return stencilTiming
-	case taskgraph.ForkJoin:
-		return forkJoinTiming
 	default:
 		panic(fmt.Sprintf("platform: no timing for kind %v", kind))
 	}

@@ -60,7 +60,6 @@ func TestTimingTablesUnrelatedStructure(t *testing.T) {
 func TestTimingPositive(t *testing.T) {
 	for _, kind := range []taskgraph.Kind{
 		taskgraph.Cholesky, taskgraph.LU, taskgraph.QR, taskgraph.Random,
-		taskgraph.Gemm, taskgraph.Stencil, taskgraph.ForkJoin,
 	} {
 		tt := TimingFor(kind)
 		if tt.Kind != kind {

@@ -223,24 +223,3 @@ func TestTrainerOnGPUOnlyPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDirectedAgentVariant(t *testing.T) {
-	prob := core.NewProblem(taskgraph.Cholesky, 3, 1, 1, 0)
-	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Directed: true, Seed: 1})
-	cfg := fastCfg(5)
-	tr := NewTrainer(agent, prob, cfg)
-	if _, err := tr.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Directed and symmetric agents with identical weights must differ in
-	// behaviour (different propagation operator).
-	sym := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Seed: 99})
-	dir := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 8, Directed: true, Seed: 99})
-	msSym := greedyMakespans(t, sym, prob, 1, 5)
-	msDir := greedyMakespans(t, dir, prob, 1, 5)
-	// They *may* coincide by luck on a tiny DAG; check the encoded operator
-	// differs instead if makespans agree.
-	if msSym[0] == msDir[0] {
-		t.Log("identical makespans on tiny problem; operator difference checked in core tests")
-	}
-}

@@ -92,7 +92,6 @@ var goldenCases = []struct {
 			Rate: 4, Jobs: 3, Kinds: []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU}, Sizes: []int{2, 3},
 		}
 	})},
-	{"a2c_directed", goldenA2C(core.Config{Directed: true}, func(*Config) {})},
 	{"a2c_fault_features", goldenA2C(core.Config{FaultFeatures: true}, func(c *Config) { c.Faults = faultSpec() })},
 }
 

@@ -10,18 +10,21 @@ import (
 )
 
 // TestAllPoliciesAllFamilies is a cross-product soak test: every scheduler
-// must produce a schedule on every DAG family, with and without noise, that
-// the strict validator accepts — every slice checked against the timing
-// table.
+// must produce a schedule on every DAG family, and on layered random DAGs of
+// irregular shape (several roots and sinks, long edges), with and without
+// noise, that the strict validator accepts — every slice checked against the
+// timing table.
 func TestAllPoliciesAllFamilies(t *testing.T) {
-	kinds := []taskgraph.Kind{
-		taskgraph.Cholesky, taskgraph.LU, taskgraph.QR,
-		taskgraph.Gemm, taskgraph.Stencil, taskgraph.ForkJoin,
+	var graphs []*taskgraph.Graph
+	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
+		graphs = append(graphs, taskgraph.NewByKind(kind, 4))
 	}
-	for _, kind := range kinds {
-		g := taskgraph.NewByKind(kind, 4)
+	for seed := int64(1); seed <= 3; seed++ {
+		graphs = append(graphs, taskgraph.NewLayeredRandom(rand.New(rand.NewSource(seed)), taskgraph.DefaultRandomConfig()))
+	}
+	for i, g := range graphs {
 		plat := platform.New(2, 2)
-		tt := platform.TimingFor(kind)
+		tt := platform.TimingFor(g.Kind)
 		policies := map[string]sim.Policy{
 			"fifo":   FIFOPolicy{},
 			"random": RandomPolicy{Rng: rand.New(rand.NewSource(1))},
@@ -37,30 +40,12 @@ func TestAllPoliciesAllFamilies(t *testing.T) {
 					Sigma: sigma, Rng: rand.New(rand.NewSource(7)),
 				})
 				if err != nil {
-					t.Fatalf("%v/%s σ=%v: %v", kind, name, sigma, err)
+					t.Fatalf("graph %d (%v)/%s σ=%v: %v", i, g.Kind, name, sigma, err)
 				}
 				if err := sim.ValidateResultStrict(g, res, sim.CheckOptions{Platform: plat, Timing: tt, Sigma: sigma}); err != nil {
-					t.Fatalf("%v/%s σ=%v: %v", kind, name, sigma, err)
+					t.Fatalf("graph %d (%v)/%s σ=%v: %v", i, g.Kind, name, sigma, err)
 				}
 			}
-		}
-	}
-}
-
-// TestHEFTBeatsFIFOAcrossFamilies checks the heuristics keep their expected
-// ordering on the new families too.
-func TestHEFTBeatsFIFOAcrossFamilies(t *testing.T) {
-	for _, kind := range []taskgraph.Kind{taskgraph.Gemm, taskgraph.Stencil, taskgraph.ForkJoin} {
-		g := taskgraph.NewByKind(kind, 5)
-		plat := platform.New(2, 2)
-		tt := platform.TimingFor(kind)
-		h := HEFT(g, plat, tt)
-		fifo, err := sim.Simulate(g, plat, tt, FIFOPolicy{}, sim.Options{Rng: rand.New(rand.NewSource(1))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Makespan > fifo.Makespan {
-			t.Fatalf("%v: HEFT %.1f worse than FIFO %.1f", kind, h.Makespan, fifo.Makespan)
 		}
 	}
 }

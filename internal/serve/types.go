@@ -34,9 +34,8 @@ import (
 // transfer-learning usage; it is required for explicit DAGs, which have no
 // tile count of their own.
 type ScheduleRequest struct {
-	// Kind is the DAG family: "cholesky", "lu" or "qr" (also "gemm",
-	// "stencil", "forkjoin" for the extra generators, model availability
-	// permitting). For explicit DAGs it selects the timing tables.
+	// Kind is the DAG family: "cholesky", "lu" or "qr". For explicit DAGs it
+	// selects the timing tables.
 	Kind string `json:"kind"`
 	// T is the tile count of the generated DAG. Ignored when DAG is set.
 	T int `json:"t,omitempty"`
@@ -173,9 +172,6 @@ func (r *ScheduleRequest) kind() (taskgraph.Kind, error) {
 	kind, err := taskgraph.KindFromString(r.Kind)
 	if err != nil {
 		return 0, fmt.Errorf("serve: %w", err)
-	}
-	if kind == taskgraph.Random {
-		return 0, errors.New(`serve: kind "random" has no sized generator; submit it as an explicit dag`)
 	}
 	return kind, nil
 }

@@ -33,7 +33,7 @@ type Arrival struct {
 	At float64 `json:"at_ms"`
 	// Kind is the DAG family (serialised by name, e.g. "cholesky").
 	Kind taskgraph.Kind `json:"kind"`
-	// Size is the family's size parameter (tile count T; width for forkjoin).
+	// Size is the family's size parameter, the tile count T.
 	Size int `json:"size"`
 }
 

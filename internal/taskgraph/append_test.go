@@ -89,8 +89,6 @@ func randomJob(rng *rand.Rand) *Graph {
 		g = NewLU(1 + rng.Intn(3))
 	case 2:
 		g = NewQR(1 + rng.Intn(3))
-	case 3:
-		g = NewForkJoin(1+rng.Intn(2), 1+rng.Intn(4))
 	default:
 		g = NewLayeredRandom(rng, RandomConfig{
 			Layers: 1 + rng.Intn(5), WidthMin: 1, WidthMax: 1 + rng.Intn(5),
@@ -159,7 +157,8 @@ func TestTopoOrderMatchesSortEveryPop(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*Graph{newUnion(), NewCholesky(6), NewLU(5), NewQR(5), NewGemm(3), NewStencil(5)} {
+	layered := NewLayeredRandom(rand.New(rand.NewSource(3)), DefaultRandomConfig())
+	for _, g := range []*Graph{newUnion(), NewCholesky(6), NewLU(5), NewQR(5), layered} {
 		if err := check(g); err != nil {
 			t.Fatalf("%v T=%d: %v", g.Kind, g.Tiles, err)
 		}

@@ -12,6 +12,7 @@ package taskgraph
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -28,16 +29,13 @@ const NumKernels = 4
 type Kind int
 
 // DAG families. Cholesky, LU and QR are the paper's evaluation kernels;
-// Gemm, Stencil, ForkJoin and Random are additional families for generality
-// testing.
+// Random marks the layered random DAGs of generality testing and graphs built
+// with NewCustom.
 const (
 	Cholesky Kind = iota
 	LU
 	QR
 	Random
-	Gemm
-	Stencil
-	ForkJoin
 )
 
 // String returns the family name.
@@ -51,18 +49,14 @@ func (k Kind) String() string {
 		return "qr"
 	case Random:
 		return "random"
-	case Gemm:
-		return "gemm"
-	case Stencil:
-		return "stencil"
-	case ForkJoin:
-		return "forkjoin"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
 
-// KindFromString parses a family name as produced by Kind.String.
+// KindFromString parses the name of a family NewByKind builds, as produced by
+// Kind.String. It refuses "random": a random DAG has no size parameter to
+// build it from.
 func KindFromString(s string) (Kind, error) {
 	switch s {
 	case "cholesky":
@@ -72,13 +66,7 @@ func KindFromString(s string) (Kind, error) {
 	case "qr":
 		return QR, nil
 	case "random":
-		return Random, nil
-	case "gemm":
-		return Gemm, nil
-	case "stencil":
-		return Stencil, nil
-	case "forkjoin":
-		return ForkJoin, nil
+		return 0, errors.New(`kind "random" has no sized generator`)
 	default:
 		return 0, fmt.Errorf("taskgraph: unknown DAG kind %q", s)
 	}
@@ -156,12 +144,6 @@ func KernelNamesFor(kind Kind) [NumKernels]string {
 		return [NumKernels]string{"GETRF", "TRSM_L", "TRSM_U", "GEMM"}
 	case QR:
 		return [NumKernels]string{"GEQRT", "ORMQR", "TSQRT", "TSMQR"}
-	case Gemm:
-		return [NumKernels]string{"LOAD_A", "LOAD_B", "STORE_C", "GEMM"}
-	case Stencil:
-		return [NumKernels]string{"CORNER", "EDGE_ROW", "EDGE_COL", "INTERIOR"}
-	case ForkJoin:
-		return [NumKernels]string{"FORK", "WORK", "JOIN", "REDUCE"}
 	default:
 		return [NumKernels]string{"K0", "K1", "K2", "K3"}
 	}

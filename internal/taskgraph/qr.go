@@ -81,8 +81,8 @@ func NewQR(T int) *Graph {
 func QRTaskCount(T int) int { return T * (T + 1) * (2*T + 1) / 6 }
 
 // NewByKind dispatches to the generator for the given family with a single
-// size parameter T (ForkJoin uses T stages of T workers). Random graphs are
-// not supported here — they need an RNG; use NewLayeredRandom.
+// size parameter T. Random graphs are not supported here — they need an RNG;
+// use NewLayeredRandom.
 func NewByKind(kind Kind, T int) *Graph {
 	switch kind {
 	case Cholesky:
@@ -91,12 +91,6 @@ func NewByKind(kind Kind, T int) *Graph {
 		return NewLU(T)
 	case QR:
 		return NewQR(T)
-	case Gemm:
-		return NewGemm(T)
-	case Stencil:
-		return NewStencil(T)
-	case ForkJoin:
-		return NewForkJoin(T, T)
 	default:
 		panic(fmt.Sprintf("taskgraph: NewByKind unsupported kind %v", kind))
 	}
@@ -113,12 +107,6 @@ func NumTasksFor(kind Kind, T int) int {
 		return LUTaskCount(T)
 	case QR:
 		return QRTaskCount(T)
-	case Gemm:
-		return GemmTaskCount(T)
-	case Stencil:
-		return StencilTaskCount(T)
-	case ForkJoin:
-		return ForkJoinTaskCount(T, T)
 	default:
 		panic(fmt.Sprintf("taskgraph: NumTasksFor unsupported kind %v", kind))
 	}

@@ -49,7 +49,7 @@ var reachAllowed = map[string]string{
 	"taskgraph.Kind.MarshalJSON":        "encoding/json.Marshaler: a kind in a stream arrival trace (stream.Arrival)",
 	"taskgraph.Kind.UnmarshalJSON":      "encoding/json.Unmarshaler: a kind in a stream arrival trace (stream.Arrival)",
 	// Fields a later change decides.
-	"core.Config.Directed":      "benchmark/probes.go passes it to EncodeFault: it goes with the benchmark harness's other vestiges (ROADMAP, speed verdicts)",
+	"core.Config.Directed":      "benchmark/probes.go passes it; it refuses true",
 	"core.Config.FaultFeatures": "the fault-features experiment (ROADMAP) keeps it with a trained checkpoint or deletes it",
 }
 
