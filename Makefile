@@ -77,9 +77,12 @@ test:
 # come, is held to the oracle on a DAG whose rows are out of order
 # (TestIncrementalUnsortedAdjacency), TestStreamCostFlat /
 # TestMemoScopedToStateVersion fail if a per-arrival pass over the union DAG or
-# a stream-long memo comes back, and TestClusterReserveGrowsNothing if an
-# arrival re-copies a reserved history. The policy's per-task caches cover the
-# live jobs only, and are held to the whole-union oracle all the same: the
+# a stream-long memo comes back, and TestClusterLiveWindowBounded if an
+# arrival grows the reserved graph, job table or placement log, the log holds
+# other than the retired tasks, or the cluster's task rows outgrow twice the
+# most tasks ever live plus a job over a 16 000-job stream. The policy's
+# per-task caches cover the live jobs only, and are held to the whole-union
+# oracle all the same: the
 # accumulator under random retirement (TestDescendantAccumulatorRetireMatchesOracle),
 # the encoder decision for decision over a faulted 200-job stream
 # (TestIncrementalRetiresFinishedJobs). The cluster drops a finished job's
@@ -141,7 +144,7 @@ equiv:
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/
 	$(GO) test -run 'TestEvaluatorReuseBitIdentical' ./internal/exp/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
-	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterReserveGrowsNothing|TestClusterRetiresFinishedJobs' ./internal/sim/
+	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs' ./internal/sim/
 	$(GO) test -run 'TestReplanHEFTMatchesHEFTAtSigmaZero' ./internal/sched/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster|TestStreamValidateCatchesRetiredJobViolation' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/

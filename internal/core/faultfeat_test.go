@@ -9,8 +9,8 @@ import (
 	"readys/internal/taskgraph"
 )
 
-// faultedState runs a few decisions of a Cholesky episode and then fakes the
-// fault context the new features read: a bumped FaultEpoch, one resource
+// faultedState is a Cholesky episode's initial state, on which the tests fake
+// the fault context the new features read: a bumped FaultEpoch, one resource
 // down, one degraded. The legacy feature set reads none of those fields, so a
 // flag-off encoding must not see the difference.
 func faultedState(t *testing.T) *sim.State {
@@ -18,31 +18,7 @@ func faultedState(t *testing.T) *sim.State {
 	g := taskgraph.NewCholesky(4)
 	plat := platform.New(2, 2)
 	tt := platform.TimingFor(taskgraph.Cholesky)
-	n := g.NumTasks()
-	s := &sim.State{
-		Graph:       g,
-		Platform:    plat,
-		Timing:      tt,
-		Done:        make([]bool, n),
-		Started:     make([]bool, n),
-		StartTime:   make([]float64, n),
-		EndTime:     make([]float64, n),
-		AssignedTo:  make([]int, n),
-		PredLeft:    make([]int, n),
-		BusyUntil:   make([]float64, plat.Size()),
-		RunningTask: []int{sim.NoTask, sim.NoTask, sim.NoTask, sim.NoTask},
-		Up:          []bool{true, true, true, true},
-		Dead:        make([]bool, plat.Size()),
-		Speed:       []float64{1, 1, 1, 1},
-	}
-	for i := 0; i < n; i++ {
-		s.AssignedTo[i] = -1
-		s.PredLeft[i] = len(g.Pred[i])
-		if s.PredLeft[i] == 0 {
-			s.Ready = append(s.Ready, i)
-		}
-	}
-	return s
+	return sim.NewState(g, plat, tt, 0)
 }
 
 func cloneFeatures(s *sim.State, fault bool) []float64 {

@@ -251,19 +251,19 @@ func fillStaticTaskFeatures(s *sim.State, t int, f [taskgraph.NumKernels]float64
 // whether it is a candidate action of this decision.
 func fillDynamicTaskFeatures(s *sim.State, t int, maxE float64, rf []float64) bool {
 	rf[featReady], rf[featRunning], rf[featRemaining] = 0, 0, 0
-	if s.Started[t] && !s.Done[t] {
+	if s.Started(t) && !s.Done(t) {
 		rf[featRunning] = 1
-		r := s.AssignedTo[t]
+		r := s.AssignedTo(t)
 		// Speed-aware under fault injection (exact multiply by 1 without).
 		e := s.EstTaskDuration(t, r)
-		rem := s.StartTime[t] + e - s.Now
+		rem := s.StartTime(t) + e - s.Now
 		if rem < 0 {
 			rem = 0
 		}
 		rf[featRemaining] = rem / maxE
 		return false
 	}
-	if s.PredLeft[t] == 0 && !s.Started[t] {
+	if s.PredLeft(t) == 0 && !s.Started(t) {
 		rf[featReady] = 1
 		return true
 	}

@@ -12,35 +12,7 @@ import (
 
 // initialState builds a State at t=0 for a problem, before any decision.
 func initialState(p Problem) *sim.State {
-	g := p.Graph
-	n := g.NumTasks()
-	s := &sim.State{
-		Graph:       g,
-		Platform:    p.Platform,
-		Timing:      p.Timing,
-		Sigma:       p.Sigma,
-		Done:        make([]bool, n),
-		Started:     make([]bool, n),
-		StartTime:   make([]float64, n),
-		EndTime:     make([]float64, n),
-		AssignedTo:  make([]int, n),
-		BusyUntil:   make([]float64, p.Platform.Size()),
-		RunningTask: make([]int, p.Platform.Size()),
-		PredLeft:    make([]int, n),
-	}
-	for i := range s.AssignedTo {
-		s.AssignedTo[i] = -1
-	}
-	for r := range s.RunningTask {
-		s.RunningTask[r] = sim.NoTask
-	}
-	for i := 0; i < n; i++ {
-		s.PredLeft[i] = len(g.Pred[i])
-		if s.PredLeft[i] == 0 {
-			s.Ready = append(s.Ready, i)
-		}
-	}
-	return s
+	return sim.NewState(p.Graph, p.Platform, p.Timing, p.Sigma)
 }
 
 func TestEncodeInitialState(t *testing.T) {
@@ -107,22 +79,24 @@ func TestEncodeMustActMasksIdle(t *testing.T) {
 
 func TestEncodeRunningTask(t *testing.T) {
 	p := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
-	s := initialState(p)
-	// Start the root on the GPU (resource 1) manually.
-	s.Started[0] = true
-	s.StartTime[0] = 0
-	s.EndTime[0] = 8
-	s.AssignedTo[0] = 1
-	s.RunningTask[1] = 0
-	s.BusyUntil[1] = 8
-	s.Ready = nil
-	s.Running = []int{0}
-	s.Now = 2
+	// Start the root on the GPU (resource 1) at time 0 and stop the clock at
+	// 2, mid-attempt: the one job of a cluster, at σ = 0.
+	cl, err := sim.NewCluster(p.Platform, sim.Options{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddJob(0, p.Graph, p.Timing); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.RunUntil(rootOnGPU{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	s := cl.State()
+	if len(s.Running) != 1 || s.AssignedTo(0) != 1 || s.EndTime(0) != 8 {
+		t.Fatalf("running %v, root on %d until %v: want the root alone on the GPU until 8", s.Running, s.AssignedTo(0), s.EndTime(0))
+	}
 
 	F := taskgraph.DescendantFeatures(p.Graph)
-	// Make TRSM(1,0)=task 1 ready for the encoder to have a candidate.
-	s.PredLeft[1] = 0
-	s.Ready = []int{1}
 	es := EncodeFault(s, 0, F, 1, false, false)
 
 	var rootRow []float64
@@ -177,6 +151,17 @@ func TestEncodeFeatureBoundsProperty(t *testing.T) {
 	if violated {
 		t.Fatal("feature out of bounds during episode")
 	}
+}
+
+// rootOnGPU starts task 0 on resource 1 and leaves every other choice idle.
+type rootOnGPU struct{}
+
+func (rootOnGPU) Reset(*sim.State) {}
+func (rootOnGPU) Decide(s *sim.State, r int) int {
+	if r == 1 && len(s.Ready) > 0 && s.Ready[0] == 0 {
+		return 0
+	}
+	return sim.NoTask
 }
 
 // probePolicy runs FIFO while letting a test inspect every decision state.

@@ -1188,6 +1188,7 @@ func FuzzRouteRequest(f *testing.F) {
 		`{"kind":"cholesky","t":4,"cpus":1,"gpus":1} {"t":8}`,
 		`{"kind":"random","t":3,"cpus":1,"gpus":1}`,
 		`{"kind":"stencil","t":1000000,"cpus":1,"gpus":1}`,
+		`{"kind":"cholesky","t":1000000,"cpus":1,"gpus":1}`,
 	} {
 		f.Add([]byte(body))
 	}

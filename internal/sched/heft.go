@@ -228,11 +228,11 @@ func (p *StaticPolicy) Decide(s *sim.State, r int) int {
 	order := p.Schedule.Order[r]
 	for p.next[r] < len(order) {
 		t := order[p.next[r]]
-		if s.Done[t] || s.Started[t] {
+		if s.Done(t) || s.Started(t) {
 			p.next[r]++
 			continue
 		}
-		if s.PredLeft[t] != 0 {
+		if s.PredLeft(t) != 0 {
 			break
 		}
 		p.next[r]++

@@ -70,11 +70,11 @@ func (p *ReplanHEFTPolicy) replan(s *sim.State) {
 	plan.Makespan = 0
 	for t := lo; t < n; t++ {
 		plan.Assignment[t], plan.ProjStart[t], plan.ProjEnd[t] = -1, 0, 0
-		if s.Done[t] {
-			plan.Assignment[t] = s.AssignedTo[t]
-			plan.ProjEnd[t] = s.EndTime[t]
-		} else if s.Started[t] {
-			r := s.AssignedTo[t]
+		if s.Done(t) {
+			plan.Assignment[t] = s.AssignedTo(t)
+			plan.ProjEnd[t] = s.EndTime(t)
+		} else if s.Started(t) {
+			r := s.AssignedTo(t)
 			plan.Assignment[t] = r
 			plan.ProjStart[t] = s.Now
 			plan.ProjEnd[t] = s.Now + s.EstTimeUntilFree(r)

@@ -17,26 +17,17 @@ import (
 // order: any policy leaning on first-seen iteration would pick task 0.
 func twoJobTieState() *sim.State {
 	g := taskgraph.NewCustom(taskgraph.Cholesky, [taskgraph.NumKernels]string{"POTRF", "TRSM", "SYRK", "GEMM"})
-	g.AddTask(0, "j1:POTRF(0)")
-	g.AddTask(0, "j0:POTRF(0)")
-	plat := platform.New(1, 1)
-	s := &sim.State{
-		Graph:       g,
-		Platform:    plat,
-		Timing:      platform.TimingFor(taskgraph.Cholesky),
-		Ready:       []int{0, 1},
-		Done:        make([]bool, 2),
-		Started:     make([]bool, 2),
-		StartTime:   make([]float64, 2),
-		EndTime:     make([]float64, 2),
-		AssignedTo:  []int{-1, -1},
-		PredLeft:    make([]int, 2),
-		BusyUntil:   make([]float64, plat.Size()),
-		RunningTask: []int{sim.NoTask, sim.NoTask},
-		Jobs:        []sim.Job{{ID: 1, Base: 0}, {ID: 0, Base: 1}},
-		JobIdx:      []int32{0, 1},
+	g.AddTask(0, "POTRF(0)")
+	cl, err := sim.NewCluster(platform.New(1, 1), sim.Options{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		panic(err)
 	}
-	return s
+	for _, job := range []int{1, 0} {
+		if _, err := cl.AddJob(job, g, platform.TimingFor(taskgraph.Cholesky)); err != nil {
+			panic(err)
+		}
+	}
+	return cl.State()
 }
 
 // TestTieBreakPrefersLowerJobID pins the multi-job tie-break contract: when

@@ -63,25 +63,18 @@ func (c *Cluster) Now() float64 { return c.rn.s.Now }
 func (c *Cluster) OnJobDone(fn func(job int, at float64)) { c.rn.s.onJobDone = fn }
 
 // Reserve makes room for n more tasks and jobs more jobs in the union graph,
-// in every per-task State slice and in the job table, so that up to jobs
-// AddJobs of up to n tasks in all grow none of them. A caller that knows its
-// arrivals reserves their sums once; without it each slice grows by append's
-// factor and copies the history so far at every step. What a job's tasks
-// share — its number, first task, source graph and timing table — is one
-// entry of the job table, so a task costs the job index alone beyond its own
-// state.
+// the job table and the placement log, so that up to jobs AddJobs of up to n
+// tasks in all grow none of them. A caller that knows its arrivals reserves
+// their sums once; without it each grows by append's factor and copies the
+// history so far at every step. The per-task state needs no reservation: it
+// is a row per live task (taskgraph.LiveRows), and a retired task leaves a
+// 24-byte record in the log. What a job's tasks share — its number, first
+// task, source graph and timing table — is one entry of the job table.
 func (c *Cluster) Reserve(n, jobs int) {
 	s := &c.rn.s
 	s.Graph.Reserve(n)
 	s.Jobs = slices.Grow(s.Jobs, jobs)
-	s.Done = slices.Grow(s.Done, n)
-	s.Started = slices.Grow(s.Started, n)
-	s.StartTime = slices.Grow(s.StartTime, n)
-	s.EndTime = slices.Grow(s.EndTime, n)
-	s.Attempts = slices.Grow(s.Attempts, n)
-	s.AssignedTo = slices.Grow(s.AssignedTo, n)
-	s.JobIdx = slices.Grow(s.JobIdx, n)
-	s.PredLeft = slices.Grow(s.PredLeft, n)
+	s.log = slices.Grow(s.log, n)
 }
 
 // AddJob appends a job's DAG to the union graph at the current simulated
@@ -90,16 +83,17 @@ func (c *Cluster) Reserve(n, jobs int) {
 // tt is the timing table of the job's DAG family (jobs of different families
 // legitimately carry different tables). Returns the job's base task offset.
 //
-// The job arrives in bulk — one Graph.Append, at most one growth per State
-// slice and none within a Reserve. Its union tasks share g's name strings,
-// and the job table keeps g as the job's source: an unfrozen g is validated
-// and frozen here, a frozen one, validated when it was frozen, is taken as it
-// is. A caller that keeps one frozen graph per job shape therefore pays for
+// The job arrives in bulk — one Graph.Append and a state row per task, with
+// no growth of the graph or the job table within a Reserve. Its union tasks
+// share g's name strings, and the job table keeps g as the job's source: an
+// unfrozen g is validated and frozen here, a frozen one, validated when it
+// was frozen, is taken as it is. A caller that keeps one frozen graph per job shape therefore pays for
 // an arrival what copying its rows costs.
 //
 // When the job's last task completes, its union rows are dropped: no live
 // task has an edge into a finished job, so nothing reads them again, and a
-// stream holds the adjacency of its live jobs only.
+// stream holds the adjacency of its live jobs only. Its tasks' state rows
+// retire once no older job is live (State.LiveFrom).
 func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, error) {
 	s := &c.rn.s
 	if err := g.Freeze(); err != nil {
@@ -123,17 +117,12 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 		s.Timings = append(s.Timings, timing)
 	}
 	base := s.Graph.Append(g)
-	s.Done = append(s.Done, make([]bool, n)...)
-	s.Started = append(s.Started, make([]bool, n)...)
-	s.StartTime = append(s.StartTime, make([]float64, n)...)
-	s.EndTime = append(s.EndTime, make([]float64, n)...)
-	s.Attempts = append(s.Attempts, make([]int, n)...)
-	s.AssignedTo = appendN(s.AssignedTo, n, -1)
+	s.tasks.Cover(base+n, s.Graph.Room())
+	jobIdx := int32(len(s.Jobs))
 	s.Jobs = append(s.Jobs, Job{ID: job, Base: base, Graph: g, Timing: timing, left: n})
-	s.JobIdx = appendN(s.JobIdx, n, int32(len(s.Jobs)-1))
-	s.PredLeft = slices.Grow(s.PredLeft, n)
 	for i, pred := range g.Pred {
-		s.PredLeft = append(s.PredLeft, len(pred))
+		row := s.tasks.At(base + i)
+		row.resource, row.predLeft, row.job = -1, int32(len(pred)), jobIdx
 		if len(pred) == 0 {
 			// The job's IDs lie above every earlier one and come ascending, so
 			// appending keeps Ready sorted.
@@ -149,27 +138,32 @@ func (c *Cluster) AddJob(job int, g *taskgraph.Graph, tt platform.Timing) (int, 
 
 // jobTaskDone counts the completion of task t against its job. At the job's
 // last completion it drops the job's union rows — AddJob appended the job
-// whole, so no edge leaves them — and calls the job-completion hook.
+// whole, so no edge leaves them — retires the state rows below LiveFrom and
+// calls the job-completion hook.
 func (s *State) jobTaskDone(t int) {
-	j := &s.Jobs[s.JobIdx[t]]
+	j := &s.Jobs[s.tasks.At(t).job]
 	if j.left--; j.left > 0 {
 		return
 	}
 	if err := s.Graph.DropEdges(j.Base, j.Base+j.Graph.NumTasks()); err != nil {
 		panic(err)
 	}
+	s.retire()
 	if s.onJobDone != nil {
 		s.onJobDone(j.ID, s.Now)
 	}
 }
 
-// appendN appends n copies of v, growing xs at most once.
-func appendN[T any](xs []T, n int, v T) []T {
-	xs = slices.Grow(xs, n)
-	for i := 0; i < n; i++ {
-		xs = append(xs, v)
+// retire moves every row below LiveFrom into the log, in task order. Every
+// such task is done: its job and every earlier one have finished.
+func (s *State) retire() {
+	live := s.LiveFrom()
+	for t := s.tasks.Live(); t < live; t++ {
+		row := s.tasks.At(t)
+		s.log = append(s.log, retired{start: row.start, end: row.end, resource: row.resource, job: row.job})
+		s.retiredBusy[row.resource] += row.end - row.start
 	}
-	return xs
+	s.tasks.Retire(live)
 }
 
 // RunUntil advances the cluster to the given deadline: completions, fault
@@ -218,13 +212,16 @@ func (c *Cluster) Result() Result {
 
 // BusyTime returns the cumulative realised occupancy of each resource in ms
 // up to Now: completed tasks, killed attempts up to their kill (the resource
-// was genuinely occupied until then) and running tasks up to Now.
+// was genuinely occupied until then) and running tasks up to Now. The
+// retired tasks' sums are kept as they retire; only the live rows are read.
+// Both add in task order, so each resource's sum is the one a pass over every
+// completed task in task order would give, bit for bit.
 func (c *Cluster) BusyTime() []float64 {
 	s := &c.rn.s
-	out := make([]float64, s.Platform.Size())
-	for t, done := range s.Done {
-		if done {
-			out[s.AssignedTo[t]] += s.EndTime[t] - s.StartTime[t]
+	out := slices.Clone(s.retiredBusy)
+	for t := s.tasks.Live(); t < s.tasks.Len(); t++ {
+		if row := s.tasks.At(t); row.done {
+			out[row.resource] += row.end - row.start
 		}
 	}
 	for _, k := range c.res.Kills {
@@ -232,7 +229,7 @@ func (c *Cluster) BusyTime() []float64 {
 	}
 	for r, t := range s.RunningTask {
 		if t != NoTask {
-			out[r] += s.Now - s.StartTime[t]
+			out[r] += s.Now - s.tasks.At(t).start
 		}
 	}
 	return out

@@ -106,10 +106,8 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 			name      string
 			got, want any
 		}{
-			{"Done", a.Done, b.Done}, {"Started", a.Started, b.Started},
-			{"StartTime", a.StartTime, b.StartTime}, {"EndTime", a.EndTime, b.EndTime},
-			{"AssignedTo", a.AssignedTo, b.AssignedTo}, {"PredLeft", a.PredLeft, b.PredLeft},
-			{"Attempts", a.Attempts, b.Attempts}, {"Ready", a.Ready, b.Ready}, {"Running", a.Running, b.Running},
+			{"tasks", liveRows(a), liveRows(b)}, {"log", a.log, b.log}, {"retiredBusy", a.retiredBusy, b.retiredBusy},
+			{"Ready", a.Ready, b.Ready}, {"Running", a.Running, b.Running},
 			{"BusyUntil", a.BusyUntil, b.BusyUntil}, {"RunningTask", a.RunningTask, b.RunningTask},
 			{"Up", a.Up, b.Up}, {"Dead", a.Dead, b.Dead}, {"Speed", a.Speed, b.Speed},
 			{"downUntil", a.downUntil, b.downUntil}, {"deathAt", a.deathAt, b.deathAt},
@@ -132,4 +130,13 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
+}
+
+// liveRows copies the state rows s holds, from its first live task on.
+func liveRows(s *State) []taskRow {
+	rows := make([]taskRow, 0, s.tasks.Len()-s.tasks.Live())
+	for t := s.tasks.Live(); t < s.tasks.Len(); t++ {
+		rows = append(rows, *s.tasks.At(t))
+	}
+	return rows
 }

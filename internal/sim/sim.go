@@ -50,15 +50,6 @@ type State struct {
 	// Running lists the currently executing tasks, sorted by task ID.
 	Running []int
 
-	// Status per task.
-	Done      []bool
-	Started   []bool
-	StartTime []float64
-	EndTime   []float64
-	// AssignedTo[i] is the resource executing (or having executed) task i,
-	// or -1.
-	AssignedTo []int
-
 	// BusyUntil[r] is the time at which resource r finishes its current
 	// task (<= Now when free). RunningTask[r] is the task executing on r,
 	// or -1.
@@ -67,8 +58,6 @@ type State struct {
 
 	// NumDone counts completed tasks.
 	NumDone int
-	// PredLeft[i] counts unfinished predecessors of task i.
-	PredLeft []int
 
 	// MustAct is set by the engine during a forced decision round: every
 	// free resource declined while no task was running, so simulated time
@@ -83,31 +72,40 @@ type State struct {
 	// Up[r] reports whether resource r is currently available (alive and
 	// not inside an outage). Dead[r] reports permanent death. Speed[r] is
 	// the current duration multiplier of r (1 = nominal, 2 = half speed).
-	// Attempts[i] counts killed executions of task i. FaultEpoch increments
-	// whenever a fault event changes visible resource state — adaptive
-	// policies key replans on it.
+	// FaultEpoch increments whenever a fault event changes visible resource
+	// state — adaptive policies key replans on it.
 	Up         []bool
 	Dead       []bool
 	Speed      []float64
-	Attempts   []int
 	FaultEpoch int
 
-	// Multi-job (streaming) state. Single-DAG runs leave all four nil/zero
+	// Multi-job (streaming) state. Single-DAG runs leave all three nil/zero
 	// and behave exactly as before.
 	//
 	// Timings, when non-empty, holds the distinct timing tables of the jobs
 	// sharing the cluster (mixed DAG families have different per-kernel
 	// durations, so one global table cannot describe a multi-family stream).
 	// Jobs lists the jobs in arrival order, each once with what all its tasks
-	// share, and JobIdx[t], when non-nil, indexes the job task t belongs to:
-	// four bytes per task, the job's number, first task, source graph and
-	// timing table kept once per job. GraphEpoch increments whenever tasks are
-	// appended to the graph mid-run (a job arrival); adaptive policies key
-	// replans on it like on FaultEpoch.
+	// share: the job's number, first task, source graph and timing table.
+	// GraphEpoch increments whenever tasks are appended to the graph mid-run
+	// (a job arrival); adaptive policies key replans on it like on
+	// FaultEpoch.
 	Timings    []*platform.Timing
 	Jobs       []Job
-	JobIdx     []int32
 	GraphEpoch int
+
+	// tasks holds the runtime state of every task from tasks.Live() on, one
+	// row each; log holds a record for each task below, in task order (task
+	// t's is log[t]). Policies read both through Done, Started, StartTime,
+	// EndTime, AssignedTo and PredLeft. A single-DAG run retires nothing; a
+	// cluster retires the rows below LiveFrom at each job completion
+	// (retire), so its rows cover the live jobs and the jobs that arrived
+	// after them, and a finished task costs its 24-byte record.
+	// retiredBusy[r] sums the durations of the retired tasks run on resource
+	// r, in task order, for Cluster.BusyTime.
+	tasks       taskgraph.LiveRows[taskRow]
+	log         []retired
+	retiredBusy []float64
 
 	// downUntil[r] is the engine-internal recovery time of an ongoing
 	// outage (not exposed: policies must not see the future). deathAt[r]
@@ -132,6 +130,75 @@ type State struct {
 	// readyIntegral accumulates ∫ |Ready| dt from time 0 to Now, for
 	// Cluster.MeanReadyDepth.
 	readyIntegral float64
+}
+
+// taskRow is one task's runtime state: 32 bytes, held while the task is live.
+type taskRow struct {
+	// start and end bound the current or last attempt; 0 until it starts.
+	start, end float64
+	// resource executes (or executed) the task, -1 while it is not started;
+	// predLeft counts its unfinished predecessors; job indexes its job in
+	// State.Jobs (0 in a single-DAG run).
+	resource, predLeft, job int32
+	done, started           bool
+}
+
+// retired is what a task leaves behind when its row retires: where and when
+// its completed attempt ran, and its job's index in State.Jobs, in 24 bytes.
+// The task is the record's index in State.log.
+type retired struct {
+	start, end    float64
+	resource, job int32
+}
+
+// Done reports whether task t has completed. A retired task has.
+func (s *State) Done(t int) bool { return t < s.tasks.Live() || s.tasks.At(t).done }
+
+// Started reports whether task t is running or has completed: a killed
+// attempt un-starts its task. A retired task has started.
+func (s *State) Started(t int) bool { return t < s.tasks.Live() || s.tasks.At(t).started }
+
+// StartTime returns when task t's current or completed attempt started, 0
+// while it is not started.
+func (s *State) StartTime(t int) float64 {
+	if t < s.tasks.Live() {
+		return s.log[t].start
+	}
+	return s.tasks.At(t).start
+}
+
+// EndTime returns when task t's current attempt ends — a drawn time while it
+// runs — or its completed attempt ended; 0 while it is not started.
+func (s *State) EndTime(t int) float64 {
+	if t < s.tasks.Live() {
+		return s.log[t].end
+	}
+	return s.tasks.At(t).end
+}
+
+// AssignedTo returns the resource executing (or having executed) task t, or
+// -1 while it is not started.
+func (s *State) AssignedTo(t int) int {
+	if t < s.tasks.Live() {
+		return int(s.log[t].resource)
+	}
+	return int(s.tasks.At(t).resource)
+}
+
+// PredLeft returns how many predecessors of task t have not completed.
+func (s *State) PredLeft(t int) int {
+	if t < s.tasks.Live() {
+		return 0
+	}
+	return int(s.tasks.At(t).predLeft)
+}
+
+// jobIdx returns the index in Jobs of task t's job, in a multi-job State.
+func (s *State) jobIdx(t int) int32 {
+	if t < s.tasks.Live() {
+		return s.log[t].job
+	}
+	return s.tasks.At(t).job
 }
 
 // Job is what a multi-job State keeps once per job. Its tasks are the union
@@ -197,25 +264,28 @@ func (s *State) shuffledFree(rng *rand.Rand) []int {
 
 // TaskTiming returns the timing table governing task t: the per-job table in
 // a multi-job stream, the problem-wide table otherwise.
-func (s *State) TaskTiming(t int) platform.Timing {
+func (s *State) TaskTiming(t int) platform.Timing { return *s.timing(t) }
+
+// timing is TaskTiming without the copy of the table.
+func (s *State) timing(t int) *platform.Timing {
 	if len(s.Timings) > 0 {
-		return *s.Jobs[s.JobIdx[t]].Timing
+		return s.Jobs[s.jobIdx(t)].Timing
 	}
-	return s.Timing
+	return &s.Timing
 }
 
 // EstTaskDuration returns the expected duration of task t on resource r under
 // r's current speed factor, resolved through t's own timing table.
 func (s *State) EstTaskDuration(t, r int) float64 {
-	return float64(s.TaskTiming(t).ExpectedDuration(s.Graph.Tasks[t].Kernel, s.Platform.Resources[r].Type) * s.speed(r))
+	return float64(s.timing(t).ExpectedDuration(s.Graph.Tasks[t].Kernel, s.Platform.Resources[r].Type) * s.speed(r))
 }
 
 // JobOf returns the job a task belongs to (0 for single-DAG runs).
 func (s *State) JobOf(t int) int {
-	if s.JobIdx == nil {
+	if len(s.Jobs) == 0 {
 		return 0
 	}
-	return s.Jobs[s.JobIdx[t]].ID
+	return s.Jobs[s.jobIdx(t)].ID
 }
 
 // LiveFrom returns the first task of the oldest job that still has a ready
@@ -239,7 +309,7 @@ func (s *State) LiveFrom() int {
 	if t == n {
 		return n
 	}
-	return s.Jobs[s.JobIdx[t]].Base
+	return s.Jobs[s.tasks.At(t).job].Base
 }
 
 // MaxExpected returns the largest expected duration over every timing table
@@ -271,7 +341,7 @@ func (s *State) EstTimeUntilFree(r int) float64 {
 		return 0
 	}
 	e := s.EstTaskDuration(t, r)
-	d := s.StartTime[t] + e - s.Now
+	d := s.tasks.At(t).start + e - s.Now
 	if d < 0 {
 		return 0
 	}
@@ -359,7 +429,7 @@ func Simulate(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing
 }
 
 // Runner runs simulations one after another in memory it keeps: the State
-// with its per-task and per-resource slices, the ready and running lists, the
+// with its task rows and per-resource slices, the ready and running lists, the
 // fault timeline, the trace and kill buffers and the validator's scratch.
 // Every run starts from a State rebuilt from nothing but that memory, so a run
 // on a used Runner is bit-identical to one on a new Runner — whatever the
@@ -410,9 +480,7 @@ func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing pl
 }
 
 // start checks the options and rebuilds the runner's State and fault
-// timeline for a run of g: every State field is either set here or zero, and
-// the slices are the previous run's arrays, cleared, where those are large
-// enough. Simulate and NewCluster both begin here.
+// timeline for a run of g. Simulate and NewCluster both begin here.
 func (rn *Runner) start(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, opt Options) (*State, error) {
 	if opt.Rng == nil {
 		return nil, errors.New("sim: Options.Rng is required")
@@ -421,50 +489,64 @@ func (rn *Runner) start(g *taskgraph.Graph, plat platform.Platform, timing platf
 		return nil, err
 	}
 	s := &rn.s
+	s.reset(g, plat, timing, opt.Sigma, opt.Tracer)
+	rn.tl.load(opt.Faults)
+	return s, nil
+}
+
+// NewState returns the state a fault-free run of g starts from — time 0,
+// every root ready, every resource up and idle, no decision taken — as
+// Simulate hands it to a policy's Reset. It is for reading a policy or an
+// encoder outside a run; a run builds its own.
+func NewState(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, sigma float64) *State {
+	s := new(State)
+	s.reset(g, plat, timing, sigma, nil)
+	return s
+}
+
+// reset rebuilds s for a run of g: every field is either set here or zero,
+// and the slices and the row slab are the previous run's arrays, cleared,
+// where those are large enough.
+func (s *State) reset(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, sigma float64, tracer *obs.Tracer) {
 	n, m := g.NumTasks(), plat.Size()
+	tasks := s.tasks
+	tasks.Reset()
+	tasks.Cover(n, n)
 	*s = State{
 		Graph:       g,
 		Platform:    plat,
 		Timing:      timing,
-		Sigma:       opt.Sigma,
+		Sigma:       sigma,
 		Ready:       s.Ready[:0],
 		Running:     s.Running[:0],
-		Done:        zeroed(s.Done, n),
-		Started:     zeroed(s.Started, n),
-		StartTime:   zeroed(s.StartTime, n),
-		EndTime:     zeroed(s.EndTime, n),
-		AssignedTo:  zeroed(s.AssignedTo, n),
 		BusyUntil:   zeroed(s.BusyUntil, m),
 		RunningTask: zeroed(s.RunningTask, m),
-		PredLeft:    zeroed(s.PredLeft, n),
 		Up:          zeroed(s.Up, m),
 		Dead:        zeroed(s.Dead, m),
 		Speed:       zeroed(s.Speed, m),
-		Attempts:    zeroed(s.Attempts, n),
+		tasks:       tasks,
+		log:         s.log[:0],
+		retiredBusy: zeroed(s.retiredBusy, m),
 		downUntil:   zeroed(s.downUntil, m),
 		deathAt:     zeroed(s.deathAt, m),
 		free:        s.free[:0],
-		tracer:      opt.Tracer,
-	}
-	for i := range s.AssignedTo {
-		s.AssignedTo[i] = -1
+		tracer:      tracer,
 	}
 	for r := range s.RunningTask {
 		s.RunningTask[r] = NoTask
 		s.Up[r] = true
 		s.Speed[r] = 1
 	}
-	for i := 0; i < n; i++ {
-		s.PredLeft[i] = len(g.Pred[i])
-		if s.PredLeft[i] == 0 {
-			s.Ready = append(s.Ready, i)
+	for t := 0; t < n; t++ {
+		row := s.tasks.At(t)
+		row.resource, row.predLeft = -1, int32(len(g.Pred[t]))
+		if row.predLeft == 0 {
+			s.Ready = append(s.Ready, t)
 		}
 	}
 	if s.tracer != nil {
 		setupTrace(s)
 	}
-	rn.tl.load(opt.Faults)
-	return s, nil
 }
 
 // zeroed returns n zero values in buf's array when it is large enough, in a
@@ -538,11 +620,14 @@ func (s *State) account(t float64) {
 }
 
 // appendPlacements appends the placement of every completed task, in task
-// order.
+// order: the retired tasks' from the log, then the live rows'.
 func (s *State) appendPlacements(dst []Placement) []Placement {
-	for t, done := range s.Done {
-		if done {
-			dst = append(dst, Placement{Task: t, Resource: s.AssignedTo[t], Start: s.StartTime[t], End: s.EndTime[t]})
+	for t, rec := range s.log {
+		dst = append(dst, Placement{Task: t, Resource: int(rec.resource), Start: rec.start, End: rec.end})
+	}
+	for t := s.tasks.Live(); t < s.tasks.Len(); t++ {
+		if row := s.tasks.At(t); row.done {
+			dst = append(dst, Placement{Task: t, Resource: int(row.resource), Start: row.start, End: row.end})
 		}
 	}
 	return dst
@@ -553,8 +638,8 @@ func (s *State) appendPlacements(dst []Placement) []Placement {
 func earliestCompletion(s *State) float64 {
 	earliest := math.Inf(1)
 	for _, t := range s.Running {
-		if s.EndTime[t] < earliest {
-			earliest = s.EndTime[t]
+		if end := s.tasks.At(t).end; end < earliest {
+			earliest = end
 		}
 	}
 	return earliest
@@ -640,7 +725,7 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 			ratio := ev.factor / old
 			if rem := s.BusyUntil[r] - ev.at; rem > 0 {
 				s.BusyUntil[r] = ev.at + float64(rem*ratio)
-				s.EndTime[t] += float64(rem * (ratio - 1))
+				s.tasks.At(t).end += float64(rem * (ratio - 1))
 			}
 		}
 		if s.tracer != nil {
@@ -662,15 +747,12 @@ func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 	if s.tracer != nil {
 		traceKill(s, t, r, at, cause)
 	}
-	res.Kills = append(res.Kills, Kill{Task: t, Resource: r, Start: s.StartTime[t], At: at, Cause: cause})
-	s.Attempts[t]++
+	row := s.tasks.At(t)
+	res.Kills = append(res.Kills, Kill{Task: t, Resource: r, Start: row.start, At: at, Cause: cause})
 	s.Running = removeSorted(s.Running, t)
 	s.RunningTask[r] = NoTask
 	s.BusyUntil[r] = at
-	s.Started[t] = false
-	s.AssignedTo[t] = -1
-	s.StartTime[t] = 0
-	s.EndTime[t] = 0
+	row.started, row.resource, row.start, row.end = false, -1, 0, 0
 	s.Ready = insertSorted(s.Ready, t)
 }
 
@@ -718,11 +800,12 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 	if task < 0 || task >= s.Graph.NumTasks() {
 		return fmt.Errorf("sim: policy chose invalid task %d", task)
 	}
-	if s.Started[task] {
+	if s.Started(task) {
 		return fmt.Errorf("sim: policy chose already-started task %d", task)
 	}
-	if s.PredLeft[task] != 0 {
-		return fmt.Errorf("sim: policy chose non-ready task %d (%d predecessors pending)", task, s.PredLeft[task])
+	row := s.tasks.At(task)
+	if row.predLeft != 0 {
+		return fmt.Errorf("sim: policy chose non-ready task %d (%d predecessors pending)", task, row.predLeft)
 	}
 	if !s.IsFree(r) {
 		return fmt.Errorf("sim: resource %d is busy or unavailable", r)
@@ -731,10 +814,7 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 	if math.IsInf(dur, 0) || math.IsNaN(dur) {
 		return fmt.Errorf("%w: task %d on resource %d drew %g at sigma %g", ErrNonFiniteDuration, task, r, dur, s.Sigma)
 	}
-	s.Started[task] = true
-	s.StartTime[task] = s.Now
-	s.EndTime[task] = s.Now + dur
-	s.AssignedTo[task] = r
+	row.started, row.start, row.end, row.resource = true, s.Now, s.Now+dur, int32(r)
 	s.RunningTask[r] = task
 	s.BusyUntil[r] = s.Now + dur
 	s.Ready = removeSorted(s.Ready, task)
@@ -749,7 +829,7 @@ func completeNext(s *State) {
 	// Retire all tasks completing now (ties happen with sigma = 0).
 	for i := 0; i < len(s.Running); {
 		t := s.Running[i]
-		if s.EndTime[t] <= s.Now {
+		if s.tasks.At(t).end <= s.Now {
 			s.Running = append(s.Running[:i], s.Running[i+1:]...)
 			finishTask(s, t)
 			continue
@@ -759,20 +839,21 @@ func completeNext(s *State) {
 }
 
 func finishTask(s *State, t int) {
-	r := s.AssignedTo[t]
+	row := s.tasks.At(t)
+	r := int(row.resource)
 	if s.tracer != nil {
-		traceAttempt(s, t, r, s.EndTime[t])
+		traceAttempt(s, t, r, row.end)
 	}
-	s.Done[t] = true
+	row.done = true
 	s.NumDone++
 	s.RunningTask[r] = NoTask
 	for _, succ := range s.Graph.Succ[t] {
-		s.PredLeft[succ]--
-		if s.PredLeft[succ] == 0 {
+		next := s.tasks.At(succ)
+		if next.predLeft--; next.predLeft == 0 {
 			s.Ready = insertSorted(s.Ready, succ)
 		}
 	}
-	if s.JobIdx != nil {
+	if len(s.Jobs) > 0 {
 		s.jobTaskDone(t)
 	}
 }

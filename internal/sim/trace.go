@@ -26,10 +26,10 @@ func setupTrace(s *State) {
 // names are built here, so only a traced run pays for them.
 func taskLabel(s *State, task int) (name, kernel string) {
 	t := s.Graph.Tasks[task]
-	if s.JobIdx == nil {
+	if len(s.Jobs) == 0 {
 		return t.Name, s.Graph.KernelNames[t.Kernel]
 	}
-	j := &s.Jobs[s.JobIdx[task]]
+	j := &s.Jobs[s.jobIdx(task)]
 	return "j" + strconv.Itoa(j.ID) + ":" + t.Name, j.Graph.KernelNames[t.Kernel]
 }
 
@@ -39,7 +39,7 @@ func taskLabel(s *State, task int) (name, kernel string) {
 // when it ends, so a trace holds no slice of work still running.
 func traceAttempt(s *State, task, r int, end float64) {
 	name, kernel := taskLabel(s, task)
-	start := float64(s.StartTime[task] * 1000)
+	start := float64(s.StartTime(task) * 1000)
 	s.tracer.Complete(name, "task", TracePID, int64(r), start, float64(end*1000)-start,
 		[]obs.Attr{obs.Int(obs.KeyTask, int64(task)), obs.String(obs.KeyKernel, kernel)})
 }
@@ -74,7 +74,7 @@ func traceDegrade(s *State, r int, at, factor float64) {
 func traceKill(s *State, task, r int, at float64, cause FaultKind) {
 	traceAttempt(s, task, r, at)
 	s.tracer.Instant("kill", "fault", TracePID, int64(r), at*1000,
-		obs.Int(obs.KeyTask, int64(task)), obs.Float(obs.KeyStarted, s.StartTime[task]*1000), obs.String(obs.KeyCause, cause.String()))
+		obs.Int(obs.KeyTask, int64(task)), obs.Float(obs.KeyStarted, s.StartTime(task)*1000), obs.String(obs.KeyCause, cause.String()))
 }
 
 // traceArrival records a job-arrival instant on the first resource lane

@@ -396,9 +396,10 @@ func TestHEFTPerJobRanksMatchUnion(t *testing.T) {
 // per-arrival pass over the union DAG the ratio below is about 4; with the
 // union and the State grown by append instead of reserved once, 1.34.
 //
-// The figure is bounded absolutely too, at ≈ 1.9 × what it reads: 2.34 kB per
+// The figure is bounded absolutely too, at ≈ 2.2 × what it reads: 2.03 kB per
 // job at 600 jobs, of which the union graph, the State and the schedule's
-// validation are most. It was 2.48 kB while every union task had a name of its
+// validation are most. It was 2.26 kB while the State kept eight columns for
+// every task submitted, 2.48 kB while every union task had a name of its
 // own and the validator tabled the placements twice, 2.93 kB while the policy's per-task caches grew
 // with the union rather than with the live jobs, 9.5 kB while the history grew by append and the
 // encoder kept a sorted copy of the union's adjacency, and 16.6 kB while every
@@ -406,7 +407,8 @@ func TestHEFTPerJobRanksMatchUnion(t *testing.T) {
 // once per (family, size).
 //
 // And what the history keeps resident is bounded per union task, read at the
-// first decision after the last arrival: ≈ 164 B, bounded at 185. It read
+// first decision after the last arrival: ≈ 128 B, bounded at 185. It read
+// 156 B while the State kept eight columns, 46 B, for every task submitted,
 // 200 B while the cluster kept every finished job's edges and a "jN:" name
 // per task, 253 B while the policy kept F̄ rows and window scratch for every union task
 // and the State two ints of job constants per task, and 433 B while the
@@ -500,4 +502,39 @@ func liveHeap() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// TestStreamHeapPerTask bounds what a stream keeps resident for each task it
+// has submitted: from a 1 000-job to a 4 000-job MCT stream, the live heap at
+// the first decision after the last arrival grows by at most 125 B per task.
+// That is the history: 72 B of union graph rows (a Tasks entry and the Succ
+// and Pred headers), the task's 24-byte placement record, and its share of
+// the job table, the JobResults and the arrivals; it reads ≈ 110 B. It read
+// ≈ 131 B while the cluster kept eight state columns, 46 B, for every task
+// ever submitted. The cluster's task rows and the policy's caches cover the
+// live jobs only, so they are the same at both lengths.
+func TestStreamHeapPerTask(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race runtime allocates beside the program")
+	}
+	live := func(jobs int) (heap float64, tasks int) {
+		arr := testArrivals(t, 77, jobs, 8.0)
+		for _, a := range arr {
+			tasks += taskgraph.NumTasksFor(a.Kind, a.Size)
+		}
+		pol := &liveAtTasks{Policy: sched.MCTPolicy{}, tasks: tasks}
+		runStream(t, func() sim.Policy { return pol }, arr, 78, nil)
+		if pol.tasks != 0 {
+			t.Fatalf("no decision after the last arrival's %d tasks", tasks)
+		}
+		return float64(pol.live), tasks
+	}
+	shortHeap, shortTasks := live(1000)
+	longHeap, longTasks := live(4000)
+	slope := (longHeap - shortHeap) / float64(longTasks-shortTasks)
+	t.Logf("live heap %.0f kB at %d tasks, %.0f kB at %d: %.1f B per submitted task",
+		shortHeap/1e3, shortTasks, longHeap/1e3, longTasks, slope)
+	if slope > 125 {
+		t.Fatalf("the live heap grows by %.1f B per submitted task, contract is 125: the cluster or the policy keeps per-task state for finished jobs again", slope)
+	}
 }

@@ -42,6 +42,7 @@ var reachAllowed = map[string]string{
 	"tensor.Matrix.AllClose":        "tensor TestMatMulMatchesNaiveProperty and nn TestLinearMatchesManualCompute: comparison within a tolerance",
 	"tensor.Matrix.Equal":           "tensor, autograd, nn and core tests: bitwise comparison of matrices",
 	"tensor.Sparse.Equal":           "tensor and core tests: bitwise comparison of sparse operators",
+	"sim.NewState":                  "core tests (initialState, faultedState): the state a run starts from, encoded outside a run",
 	// Methods the standard library calls through an interface.
 	"obs.metricKind.String":             "fmt.Stringer: the %s of a family's # TYPE line in Registry.WriteText",
 	"platform.Platform.String":          "fmt.Stringer: the %s of the platform in readys-sim, readys-stream and the quick-start",
