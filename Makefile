@@ -93,7 +93,14 @@ test:
 # event loop: a one-job cluster must schedule as Simulate does — error,
 # makespan, decision counts, trace and kills — across factorisations, noise,
 # fault plans and policies that idle until forced
-# (TestSimulateMatchesSingleJobCluster). The training path
+# (TestSimulateMatchesSingleJobCluster). A run is a function of its seed:
+# HEFT, MCT and READYS run on one seed read back the same keyed duration draw
+# for every (task, attempt) (TestKeyedDrawsPairedAcrossSchedulers), a killed
+# task's retry draws a new one (TestKeyedDrawRetryGetsNewZ), a stream's draw
+# depends on the union index and attempt alone
+# (TestKeyedDrawsInStreamByUnionIndex), the draws allocate nothing
+# (TestKeyedDrawAllocFree) and are standard normal and uncorrelated
+# (TestKeyedDrawIsStandardNormal). The training path
 # is held to the per-decision tapes it replaced: segment ops vs one tape per
 # range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
 # its three ops and the input gradient vs the ∂C·Wᵀ dot loop, its backward
@@ -144,7 +151,7 @@ equiv:
 	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/
 	$(GO) test -run 'TestEvaluatorReuseBitIdentical' ./internal/exp/
 	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
-	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs' ./internal/sim/
+	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw' ./internal/sim/
 	$(GO) test -run 'TestReplanHEFTMatchesHEFTAtSigmaZero' ./internal/sched/
 	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster|TestStreamValidateCatchesRetiredJobViolation' ./internal/stream/
 	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/

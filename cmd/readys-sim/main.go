@@ -38,7 +38,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		tracePath = flag.String("trace", "", "write the schedule as Chrome trace-event JSON to this path (load in chrome://tracing or ui.perfetto.dev)")
 		faultRate = flag.Float64("fault-rate", 0, "inject faults (outages, deaths, degradation) at this rate from a seed-derived plan (events of each kind per resource, see sim.SpecForRate; 0 = fault-free)")
-		faultSeed = flag.Int64("fault-seed", 0, "fault-plan seed (default: derived from -seed)")
 	)
 	flag.Parse()
 
@@ -88,11 +87,7 @@ func main() {
 	opts := sim.Options{Sigma: *sigma, Rng: rand.New(rand.NewSource(*seed))}
 	if *faultRate > 0 {
 		horizon := core.FaultHorizonFactor * sched.HEFT(g, plat, tt).Makespan
-		fs := *faultSeed
-		if fs == 0 {
-			fs = *seed + 104729
-		}
-		opts.Faults = sim.GeneratePlan(fs, plat.Size(), sim.SpecForRate(*faultRate, horizon))
+		opts.Faults = sim.GeneratePlan(sim.PlanSeed(*seed), plat.Size(), sim.SpecForRate(*faultRate, horizon))
 	}
 	var tracer *obs.Tracer
 	if *tracePath != "" {

@@ -53,7 +53,6 @@ func main() {
 		models       = flag.String("models", exp.DefaultModelsDir(), "model directory (for -policy readys)")
 		seed         = flag.Int64("seed", 1, "simulation seed (duration noise, resource shuffles)")
 		faultRate    = flag.Float64("fault-rate", 0, "inject mid-stream faults at this rate from a seed-derived plan (events of each kind per resource, see sim.SpecForRate; 0 = fault-free)")
-		faultSeed    = flag.Int64("fault-seed", 0, "fault-plan seed (default: derived from -seed)")
 		tracePath    = flag.String("trace", "", "write the stream (arrivals, slices, faults) as Chrome trace-event JSON to this path")
 		metricsPath  = flag.String("metrics", "", "write the run's readys_stream_* metrics, and with -policy readys its readys_decide_* counters, as Prometheus text exposition to this path ('-' for stdout)")
 		writeArr     = flag.String("write-arrivals", "", "write the (generated or replayed) arrival list as JSONL to this path")
@@ -112,11 +111,7 @@ func main() {
 		if horizon <= 0 {
 			horizon = 1000
 		}
-		fs := *faultSeed
-		if fs == 0 {
-			fs = *seed + 104729
-		}
-		cfg.Faults = sim.GeneratePlan(fs, plat.Size(), sim.SpecForRate(*faultRate, horizon))
+		cfg.Faults = sim.GeneratePlan(sim.PlanSeed(*seed), plat.Size(), sim.SpecForRate(*faultRate, horizon))
 	}
 	var tracer *obs.Tracer
 	if *tracePath != "" {

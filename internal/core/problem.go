@@ -87,10 +87,11 @@ func (p Problem) FaultPlanFor(seed int64) *sim.FaultPlan {
 	return sim.GeneratePlan(seed, p.Platform.Size(), spec)
 }
 
-// Simulate runs the problem under an arbitrary policy with the given RNG.
-// When the problem's fault spec is enabled, a fault plan is derived from one
-// draw of rng — so distinct episode RNGs yield distinct, reproducible fault
-// streams; with faults disabled, rng is consumed exactly as before.
+// Simulate runs the problem under an arbitrary policy with the given RNG, the
+// run's randomness: when the problem's fault spec is enabled, the fault
+// plan's seed is rng's first draw, and the run's key (sim.Options.Rng), which
+// fixes every duration draw and processor shuffle, is the next. A recording
+// policy that samples from rng samples after both.
 func (p Problem) Simulate(pol sim.Policy, rng *rand.Rand) (sim.Result, error) {
 	return p.SimulateOn(new(sim.Runner), pol, rng)
 }

@@ -27,8 +27,9 @@ type scheduler struct {
 
 // evaluator runs schedulers over seeded runs for every comparison table. Run
 // i of sweep point p has base seed b = seed + 1000·p + i: every scheduler
-// draws its durations from b, and a faulted run takes its plan from
-// b + 104729, so the schedulers of one run share their noise seed and their
+// runs on the generator seeded at b, and a faulted run replays the plan of
+// sim.PlanSeed(b). So the schedulers of one run share their key, and with it
+// the duration draw of every (task, attempt) they all start, and their
 // faults. READYS decides as everywhere else (core.NewPolicy) and draws
 // nothing. One simulator and one noise generator serve every run; Seed leaves
 // the generator where rand.NewSource of the same seed starts. A failed run
@@ -69,13 +70,13 @@ func (e *evaluator) each(scheds []scheduler, p, runs int, seed int64, prepare fu
 // makespans runs every scheduler on the cell prob for the seeds of sweep
 // point p and returns ms[s][i], scheduler s's makespan on run i. When the
 // cell's fault spec is enabled, each run replays the plan of
-// prob.FaultPlanFor(b + 104729) rather than the one Problem.Simulate would
-// draw from the noise generator.
+// prob.FaultPlanFor(sim.PlanSeed(b)) rather than the one Problem.Simulate
+// would draw from the noise generator.
 func (e *evaluator) makespans(prob core.Problem, scheds []scheduler, p, runs int, seed int64) ([][]float64, error) {
 	ms := make([][]float64, len(scheds))
 	var plan *sim.FaultPlan
 	err := e.each(scheds, p, runs, seed, func(base int64) error {
-		plan = prob.FaultPlanFor(base + 104729)
+		plan = prob.FaultPlanFor(sim.PlanSeed(base))
 		return nil
 	}, func(s int) error {
 		res, err := e.runner.Simulate(prob.Graph, prob.Platform, prob.Timing, scheds[s].pol,

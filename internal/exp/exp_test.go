@@ -272,7 +272,7 @@ func TestEvaluatorReuseBitIdentical(t *testing.T) {
 					fresh := core.NewPolicy(agent)
 					for s, pol := range []sim.Policy{fresh, sched.MCTPolicy{}} {
 						res, err := new(sim.Runner).Simulate(prob.Graph, prob.Platform, prob.Timing, pol, sim.Options{
-							Sigma: sigma, Rng: rand.New(rand.NewSource(base)), Faults: prob.FaultPlanFor(base + 104729),
+							Sigma: sigma, Rng: rand.New(rand.NewSource(base)), Faults: prob.FaultPlanFor(sim.PlanSeed(base)),
 						})
 						if err != nil {
 							t.Fatal(err)

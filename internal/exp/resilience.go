@@ -36,11 +36,12 @@ type ResiliencePoint struct {
 // MCT under increasing fault rates on the (kind, T, platform, sigma) problem.
 //
 // The comparison is paired: at each (rate, run) every scheduler replays the
-// *same* fault plan with the same duration-noise seed, so differences isolate
-// scheduling behaviour. Fault plans are derived from (seed, rate index, run)
-// with a horizon of core.FaultHorizonFactor times the HEFT projection; plans
-// from sim.GeneratePlan always spare one resource, so runs complete. A run
-// that fails (a deadlock, say) fails the sweep, as in Compare.
+// *same* fault plan and draws the same duration for every (task, attempt) it
+// starts, so differences isolate scheduling behaviour. Fault plans are
+// derived from (seed, rate index, run) with a horizon of
+// core.FaultHorizonFactor times the HEFT projection; plans from
+// sim.GeneratePlan always spare one resource, so runs complete. A run that
+// fails (a deadlock, say) fails the sweep, as in Compare.
 func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigma float64, rates []float64, runs int, seed int64) ([]ResiliencePoint, error) {
 	prob := core.NewProblem(kind, T, numCPU, numGPU, sigma)
 	heft := sched.HEFT(prob.Graph, prob.Platform, prob.Timing)

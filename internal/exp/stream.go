@@ -87,9 +87,9 @@ func meanIsolatedMakespan(plat platform.Platform, kinds []taskgraph.Kind, sizes 
 // MCT on streaming arrivals. The comparison is paired, mirroring
 // ResilienceSweep: at each (case, run) every policy replays the same arrival
 // list (drawn from the run's base seed + 13), the same fault plan and the same
-// duration-noise seed, so differences isolate scheduling behaviour. Jobs per
-// stream and runs per row are configurable; a run that fails, or whose
-// arrivals cannot be generated, fails the sweep.
+// duration draw for every (task, attempt) it starts, so differences isolate
+// scheduling behaviour. Jobs per stream and runs per row are configurable; a
+// run that fails, or whose arrivals cannot be generated, fails the sweep.
 func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, sizes []int, sigma float64, cases []StreamCase, jobs, runs int, seed int64) ([]StreamPoint, error) {
 	plat := platform.New(numCPU, numGPU)
 	isolated := meanIsolatedMakespan(plat, kinds, sizes)
@@ -117,7 +117,7 @@ func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, 
 			cfg.Arrivals, cfg.Faults = arrivals, nil
 			if sc.FaultRate > 0 {
 				horizon := arrivals[len(arrivals)-1].At + float64(core.FaultHorizonFactor*isolated)
-				cfg.Faults = sim.GeneratePlan(base+104729, plat.Size(), sim.SpecForRate(sc.FaultRate, horizon))
+				cfg.Faults = sim.GeneratePlan(sim.PlanSeed(base), plat.Size(), sim.SpecForRate(sc.FaultRate, horizon))
 			}
 			return nil
 		}, func(s int) error {

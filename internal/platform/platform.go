@@ -9,7 +9,6 @@ package platform
 
 import (
 	"fmt"
-	"math/rand"
 
 	"readys/internal/taskgraph"
 )
@@ -167,26 +166,20 @@ func (tt Timing) MaxExpected() float64 {
 	var m float64
 	for _, row := range tt.Expected {
 		for _, v := range row {
-			if v > m {
-				m = v
-			}
+			m = max(m, v)
 		}
 	}
 	return m
 }
 
-// SampleDuration draws the actual duration of a task of kernel k on resource
-// type t under noise level sigma, following §V-B:
-// d = max(0, N(E, σE)). sigma = 0 returns E exactly, keeping the noise-free
-// case deterministic.
-func (tt Timing) SampleDuration(rng *rand.Rand, k taskgraph.Kernel, t ResourceType, sigma float64) float64 {
+// SampleDuration is the actual duration of a task of kernel k on resource
+// type t under noise level sigma, given the attempt's standard normal draw z,
+// following §V-B: d = max(0, E + z·σE), a draw of max(0, N(E, σE)). sigma = 0
+// returns E exactly, whatever z, keeping the noise-free case deterministic.
+func (tt Timing) SampleDuration(z float64, k taskgraph.Kernel, t ResourceType, sigma float64) float64 {
 	e := tt.Expected[k][t]
 	if sigma == 0 {
 		return e
 	}
-	d := float64(rng.NormFloat64()*sigma*e) + e
-	if d < 0 {
-		return 0
-	}
-	return d
+	return max(0, float64(z*sigma*e)+e)
 }

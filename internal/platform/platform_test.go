@@ -90,7 +90,7 @@ func TestSampleDurationNoiseFreeDeterministic(t *testing.T) {
 	tt := TimingFor(taskgraph.Cholesky)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
-		d := tt.SampleDuration(rng, taskgraph.KGEMM, CPU, 0)
+		d := tt.SampleDuration(rng.NormFloat64(), taskgraph.KGEMM, CPU, 0)
 		if d != 88 {
 			t.Fatalf("sigma=0 sample = %v, want 88", d)
 		}
@@ -107,7 +107,7 @@ func TestSampleDurationNonNegativeProperty(t *testing.T) {
 		if math.IsNaN(sigma) {
 			sigma = 0.5
 		}
-		d := tt.SampleDuration(rng, k, rt, sigma)
+		d := tt.SampleDuration(rng.NormFloat64(), k, rt, sigma)
 		return d >= 0 && !math.IsNaN(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -123,7 +123,7 @@ func TestSampleDurationMeanAndSpread(t *testing.T) {
 	e := tt.Expected[taskgraph.KGEMM][CPU]
 	var sum, sumsq float64
 	for i := 0; i < n; i++ {
-		d := tt.SampleDuration(rng, taskgraph.KGEMM, CPU, sigma)
+		d := tt.SampleDuration(rng.NormFloat64(), taskgraph.KGEMM, CPU, sigma)
 		sum += d
 		sumsq += d * d
 	}
@@ -142,8 +142,8 @@ func TestSampleDurationSeedDeterminism(t *testing.T) {
 	a := rand.New(rand.NewSource(7))
 	b := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
-		da := tt.SampleDuration(a, taskgraph.KGEMMLU, GPU, 0.5)
-		db := tt.SampleDuration(b, taskgraph.KGEMMLU, GPU, 0.5)
+		da := tt.SampleDuration(a.NormFloat64(), taskgraph.KGEMMLU, GPU, 0.5)
+		db := tt.SampleDuration(b.NormFloat64(), taskgraph.KGEMMLU, GPU, 0.5)
 		if da != db {
 			t.Fatal("same seed must give same samples")
 		}

@@ -50,7 +50,7 @@ type HEFTSchedule struct {
 // resources and zero communication costs (communications are overlapped,
 // §III-A).
 func UpwardRanks(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) []float64 {
-	return AppendUpwardRanks(nil, g, plat, func(int) platform.Timing { return tt })
+	return AppendUpwardRanks(nil, g, plat, func(int) *platform.Timing { return &tt })
 }
 
 // AppendUpwardRanks extends rank, the upward ranks of tasks 0…len(rank)−1, to
@@ -60,7 +60,7 @@ func UpwardRanks(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing)
 // that grow by appending whole components (g.ReverseTopoFrom): a stream's
 // union DAG, whose earlier ranks stay final, or a fresh graph from a nil
 // slice.
-func AppendUpwardRanks(rank []float64, g *taskgraph.Graph, plat platform.Platform, timingOf func(task int) platform.Timing) []float64 {
+func AppendUpwardRanks(rank []float64, g *taskgraph.Graph, plat platform.Platform, timingOf func(task int) *platform.Timing) []float64 {
 	lo, n := len(rank), g.NumTasks()
 	if lo >= n {
 		return rank
@@ -78,9 +78,7 @@ func AppendUpwardRanks(rank []float64, g *taskgraph.Graph, plat platform.Platfor
 		}
 		var best float64
 		for _, j := range g.Succ[i] {
-			if rank[j] > best {
-				best = rank[j]
-			}
+			best = max(best, rank[j])
 		}
 		rank[i] = w/float64(plat.Size()) + best
 	}

@@ -16,14 +16,14 @@ package sim
 //
 // The driving loop belongs to the caller: RunUntil advances simulated time to
 // a deadline (typically the next job arrival), AddJob injects a DAG at the
-// current instant, and Drain runs the remaining work to completion. All
-// randomness comes from Options.Rng, so a (seed, arrivals, fault plan) triple
-// replays bit-identically.
+// current instant, and Drain runs the remaining work to completion. The
+// cluster draws its key from Options.Rng once, in NewCluster, and a task's
+// duration draw is keyed by its union index and attempt, so a (seed,
+// arrivals, fault plan) triple replays bit-identically.
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"readys/internal/platform"
@@ -32,8 +32,7 @@ import (
 
 // Cluster is a persistent simulation state accepting streaming job arrivals.
 type Cluster struct {
-	rn  Runner
-	rng *rand.Rand
+	rn Runner
 	// res accumulates the decision counts and the kills across runs.
 	res Result
 }
@@ -42,7 +41,7 @@ type Cluster struct {
 // interpreted as in Simulate (Rng required; Faults replay against the
 // cluster's whole lifetime; Tracer records every job's slices in one trace).
 func NewCluster(plat platform.Platform, opt Options) (*Cluster, error) {
-	c := &Cluster{rng: opt.Rng}
+	c := new(Cluster)
 	union := taskgraph.NewCustom(taskgraph.Random, [taskgraph.NumKernels]string{"k0", "k1", "k2", "k3"})
 	if _, err := c.rn.start(union, plat, platform.Timing{}, opt); err != nil {
 		return nil, err
@@ -177,7 +176,7 @@ func (c *Cluster) RunUntil(pol Policy, until float64) error {
 	if !(until >= c.rn.s.Now) {
 		return fmt.Errorf("sim: deadline %v is not at or after the current time %v", until, c.rn.s.Now)
 	}
-	return c.rn.run(pol, c.rng, &c.res, until)
+	return c.rn.run(pol, &c.res, until)
 }
 
 // Drain runs every remaining task to completion and finalises the result

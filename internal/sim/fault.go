@@ -157,14 +157,10 @@ func SpecForRate(rate, horizon float64) FaultSpec {
 	if rate <= 0 {
 		return FaultSpec{Horizon: horizon}
 	}
-	death := 0.15 * rate
-	if death > 0.4 {
-		death = 0.4
-	}
 	return FaultSpec{
 		Horizon:     horizon,
 		OutageRate:  rate,
-		DeathProb:   death,
+		DeathProb:   min(0.15*rate, 0.4),
 		DegradeRate: rate,
 	}
 }
@@ -175,6 +171,12 @@ const (
 	outageMeanFrac = 0.08
 	degradeFactor  = 1.25
 )
+
+// PlanSeed is the seed of the fault plan of the run seeded with seed, for
+// every caller that names its runs by seed (the comparison tables, the
+// stream sweep, readys-sim and readys-stream). The offset keeps a run's plan
+// seed clear of the run seeds of its sweep.
+func PlanSeed(seed int64) int64 { return seed + 104729 }
 
 // GeneratePlan derives a deterministic fault plan from a seed: same (seed,
 // numResources, spec) always yields the same plan, independent of any other
@@ -206,10 +208,6 @@ func GeneratePlan(seed int64, numResources int, spec FaultSpec) *FaultPlan {
 		}
 		for i := 0; i < drawCount(rng, spec.DegradeRate); i++ {
 			at := rng.Float64() * h
-			// The factor is fixed, but the uniform draw a factor range once
-			// took stays: it keeps every plan's later events at the bits the
-			// committed tables used.
-			rng.Float64()
 			plan.Events = append(plan.Events, FaultEvent{Kind: FaultDegrade, Resource: r, At: at, Factor: degradeFactor})
 		}
 	}

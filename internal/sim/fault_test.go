@@ -98,7 +98,7 @@ func TestGeneratePlanDegradeFactorFixed(t *testing.T) {
 			}
 		}
 	}
-	if degrades != 400 || math.Float64bits(sum) != 0x40e601deec8e347c {
+	if degrades != 400 || math.Float64bits(sum) != 0x40e69523f7d713e0 {
 		t.Fatalf("%d degrade events, event sum %v (%#x): the plans moved", degrades, sum, math.Float64bits(sum))
 	}
 }

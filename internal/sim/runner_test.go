@@ -34,7 +34,13 @@ func (p *failAfter) Decide(s *State, _ int) int {
 func TestRunnerReuseBitIdentical(t *testing.T) {
 	mixed, cpus := platform.New(2, 2), platform.New(4, 0)
 	tim := platform.TimingFor(taskgraph.Cholesky)
+	// Every resource drops out for 1 ms at 1 ms, before the first task can
+	// end, so the harsh plan kills an attempt wherever the run put it.
 	harsh := &FaultPlan{Events: []FaultEvent{
+		{Kind: FaultOutage, Resource: 0, At: 1, Duration: 1},
+		{Kind: FaultOutage, Resource: 1, At: 1, Duration: 1},
+		{Kind: FaultOutage, Resource: 2, At: 1, Duration: 1},
+		{Kind: FaultOutage, Resource: 3, At: 1, Duration: 1},
 		{Kind: FaultDegrade, Resource: 0, At: 5, Factor: 3},
 		{Kind: FaultDeath, Resource: 1, At: 20},
 		{Kind: FaultOutage, Resource: 2, At: 10, Duration: 1e6},
@@ -55,8 +61,8 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 		{"short, other platform", 2, cpus, nil, func() Policy { return fifoPolicy{} }, false},
 		{"long, no faults", 6, mixed, nil, func() Policy { return fifoPolicy{} }, false},
 		{"long, brief outages", 6, mixed, brief, func() Policy { return fifoPolicy{} }, false},
-		// The failure comes before the plan's first event, so the whole plan
-		// is still pending when the run is abandoned.
+		// The failure comes before the plan's long outage ends, so part of
+		// the plan is still pending when the run is abandoned.
 		{"fails mid-way under faults", 5, mixed, harsh, func() Policy { return &failAfter{n: 3} }, true},
 		{"long after the failure", 6, mixed, nil, func() Policy { return fifoPolicy{} }, false},
 		{"short after the failure", 3, cpus, brief, func() Policy { return fifoPolicy{} }, false},

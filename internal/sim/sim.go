@@ -10,7 +10,9 @@
 // next event. Actual task durations are drawn from the platform's stochastic
 // duration model at start time, so dynamic policies observe — and can react
 // to — realised durations, while static policies suffer from drift, exactly
-// the phenomenon the paper studies.
+// the phenomenon the paper studies. Every draw is a pure function of the
+// run's key (noise), so schedulers run on one seed see the same duration
+// draw for every task attempt they all start.
 //
 // Beyond duration noise the engine can replay a deterministic FaultPlan
 // (Options.Faults): transient resource outages, permanent deaths and
@@ -24,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"slices"
 
 	"readys/internal/obs"
 	"readys/internal/platform"
@@ -114,8 +118,11 @@ type State struct {
 	deathAt   []float64
 
 	// free is the decision phases' scratch list of free resources, refilled
-	// per phase; FreeResources hands callers their own slice instead.
-	free []int
+	// per phase; phase numbers the phases, which key their shuffles; noise
+	// draws the run's durations and shuffles from its key.
+	free  []int
+	phase uint64
+	noise noise
 
 	// tracer, when set via Options.Tracer, receives one task slice per
 	// attempt on its resource lane, plus outage / death / kill fault spans.
@@ -138,9 +145,11 @@ type taskRow struct {
 	start, end float64
 	// resource executes (or executed) the task, -1 while it is not started;
 	// predLeft counts its unfinished predecessors; job indexes its job in
-	// State.Jobs (0 in a single-DAG run).
+	// State.Jobs (0 in a single-DAG run); attempt counts its killed attempts
+	// (mod 2¹⁶), which key its duration draw.
 	resource, predLeft, job int32
 	done, started           bool
+	attempt                 uint16
 }
 
 // retired is what a task leaves behind when its row retires: where and when
@@ -216,58 +225,70 @@ type Job struct {
 	left int // the job's tasks not yet done
 }
 
-// up reports current availability, tolerating hand-built States without
-// fault bookkeeping.
-func (s *State) up(r int) bool { return s.Up == nil || s.Up[r] }
+// ResourceUp reports whether resource r is currently available: alive and
+// not inside an outage (always, in a hand-built State without fault
+// bookkeeping). The engine never asks policies to fill unavailable
+// resources, but resource-ranking heuristics (MCT, re-planning HEFT) must
+// exclude them when estimating completion times.
+func (s *State) ResourceUp(r int) bool { return s.Up == nil || s.Up[r] }
 
-// speed returns the current duration multiplier of r (1 when no fault state
-// is attached).
-func (s *State) speed(r int) float64 {
+// SpeedFactor returns the current duration multiplier of resource r (1 when
+// no fault state is attached).
+func (s *State) SpeedFactor(r int) float64 {
 	if s.Speed == nil {
 		return 1
 	}
 	return s.Speed[r]
 }
 
-// ResourceUp reports whether resource r is currently available: alive and
-// not inside an outage. The engine never asks policies to fill unavailable
-// resources, but resource-ranking heuristics (MCT, re-planning HEFT) must
-// exclude them when estimating completion times.
-func (s *State) ResourceUp(r int) bool { return s.up(r) }
-
-// SpeedFactor returns the current duration multiplier of resource r.
-func (s *State) SpeedFactor(r int) float64 { return s.speed(r) }
-
 // IsFree reports whether resource r can start a task at s.Now: idle and
 // currently available.
-func (s *State) IsFree(r int) bool { return s.RunningTask[r] == NoTask && s.up(r) }
+func (s *State) IsFree(r int) bool { return s.RunningTask[r] == NoTask && s.ResourceUp(r) }
 
-func (s *State) appendFree(dst []int) []int {
+// shuffledFree fills the state's scratch with the free resources and
+// shuffles it by the phase's keyed draw: the asking processor is uniform
+// among the free ones. The slice is valid until the next phase.
+func (s *State) shuffledFree() []int {
+	free := s.free[:0]
 	for r := range s.RunningTask {
-		if s.RunningTask[r] == NoTask && s.up(r) {
-			dst = append(dst, r)
+		if s.IsFree(r) {
+			free = append(free, r)
 		}
 	}
-	return dst
-}
-
-// shuffledFree fills the state's scratch with the free resources, in
-// ascending order so that the shuffle draws what it always drew,
-// and shuffles it: the asking processor is uniform among the free ones. The
-// slice is valid until the next phase.
-func (s *State) shuffledFree(rng *rand.Rand) []int {
-	free := s.appendFree(s.free[:0])
-	s.free = free
-	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	s.free, s.phase = free, s.phase+1
+	if len(free) > 1 {
+		s.noise.at(1<<63|s.phase).Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	}
 	return free
 }
 
+// noise makes a run's random quantities pure functions of its key, the first
+// draw of Options.Rng: attempt a of task t draws its duration's z from stream
+// t<<32 | a, and decision phase p shuffles the free resources from stream
+// 1<<63 | p. Each draw re-seeds one PCG generator, so no draw depends on
+// another, nor on the order in which a scheduler starts its tasks.
+type noise struct {
+	key uint64
+	pcg *randv2.PCG
+	rng *randv2.Rand
+}
+
+// at returns the generator seeded for stream id.
+func (n *noise) at(id uint64) *randv2.Rand {
+	if n.rng == nil {
+		n.pcg = randv2.NewPCG(0, 0)
+		n.rng = randv2.New(n.pcg)
+	}
+	n.pcg.Seed(n.key, id)
+	return n.rng
+}
+
+// z is the standard normal draw of attempt a of task t.
+func (n *noise) z(t int, a uint16) float64 { return n.at(uint64(t)<<32 | uint64(a)).NormFloat64() }
+
 // TaskTiming returns the timing table governing task t: the per-job table in
 // a multi-job stream, the problem-wide table otherwise.
-func (s *State) TaskTiming(t int) platform.Timing { return *s.timing(t) }
-
-// timing is TaskTiming without the copy of the table.
-func (s *State) timing(t int) *platform.Timing {
+func (s *State) TaskTiming(t int) *platform.Timing {
 	if len(s.Timings) > 0 {
 		return s.Jobs[s.jobIdx(t)].Timing
 	}
@@ -277,7 +298,7 @@ func (s *State) timing(t int) *platform.Timing {
 // EstTaskDuration returns the expected duration of task t on resource r under
 // r's current speed factor, resolved through t's own timing table.
 func (s *State) EstTaskDuration(t, r int) float64 {
-	return float64(s.timing(t).ExpectedDuration(s.Graph.Tasks[t].Kernel, s.Platform.Resources[r].Type) * s.speed(r))
+	return float64(s.TaskTiming(t).ExpectedDuration(s.Graph.Tasks[t].Kernel, s.Platform.Resources[r].Type) * s.SpeedFactor(r))
 }
 
 // JobOf returns the job a task belongs to (0 for single-DAG runs).
@@ -321,9 +342,7 @@ func (s *State) MaxExpected() float64 {
 	}
 	var m float64
 	for _, tt := range s.Timings {
-		if v := tt.MaxExpected(); v > m {
-			m = v
-		}
+		m = max(m, tt.MaxExpected())
 	}
 	return m
 }
@@ -340,12 +359,7 @@ func (s *State) EstTimeUntilFree(r int) float64 {
 	if t == NoTask {
 		return 0
 	}
-	e := s.EstTaskDuration(t, r)
-	d := s.tasks.At(t).start + e - s.Now
-	if d < 0 {
-		return 0
-	}
-	return d
+	return max(0, s.tasks.At(t).start+s.EstTaskDuration(t, r)-s.Now)
 }
 
 // Policy decides, each time a free resource must be filled, which ready task
@@ -388,13 +402,14 @@ type Result struct {
 type Options struct {
 	// Sigma is the duration noise level (§V-B).
 	Sigma float64
-	// Rng drives duration sampling and the random choice of the current
-	// processor. Required.
+	// Rng is where the run's randomness comes from: the run draws its key
+	// from it once, at the start, and every duration and every choice of the
+	// current processor is a pure function of that key. Required.
 	Rng *rand.Rand
 	// Faults, if non-nil and non-empty, replays the fault plan against the
 	// run: outages and deaths kill in-flight work, degrades re-time it.
-	// Fault events consume no randomness from Rng, and an empty plan leaves
-	// every result bit-identical to a fault-free run.
+	// Fault events draw nothing, and an empty plan leaves every result
+	// bit-identical to a fault-free run.
 	Faults *FaultPlan
 	// Tracer, if non-nil, records the schedule as a Chrome trace
 	// (obs.Tracer.WriteChromeTrace): one complete slice per attempt on its
@@ -464,7 +479,7 @@ func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing pl
 		rn.trace = make([]Placement, 0, n)
 	}
 	res := Result{Trace: rn.trace[:0], Kills: rn.kills[:0]}
-	err = rn.run(pol, opt.Rng, &res, math.Inf(1))
+	err = rn.run(pol, &res, math.Inf(1))
 	if err == nil {
 		res.Makespan = s.Now
 		res.Trace = s.appendPlacements(res.Trace)
@@ -479,8 +494,9 @@ func (rn *Runner) Simulate(g *taskgraph.Graph, plat platform.Platform, timing pl
 	return res, err
 }
 
-// start checks the options and rebuilds the runner's State and fault
-// timeline for a run of g. Simulate and NewCluster both begin here.
+// start checks the options, rebuilds the runner's State and fault timeline
+// for a run of g and draws the run's key. Simulate and NewCluster both begin
+// here.
 func (rn *Runner) start(g *taskgraph.Graph, plat platform.Platform, timing platform.Timing, opt Options) (*State, error) {
 	if opt.Rng == nil {
 		return nil, errors.New("sim: Options.Rng is required")
@@ -490,6 +506,7 @@ func (rn *Runner) start(g *taskgraph.Graph, plat platform.Platform, timing platf
 	}
 	s := &rn.s
 	s.reset(g, plat, timing, opt.Sigma, opt.Tracer)
+	s.noise.key = opt.Rng.Uint64()
 	rn.tl.load(opt.Faults)
 	return s, nil
 }
@@ -530,6 +547,7 @@ func (s *State) reset(g *taskgraph.Graph, plat platform.Platform, timing platfor
 		downUntil:   zeroed(s.downUntil, m),
 		deathAt:     zeroed(s.deathAt, m),
 		free:        s.free[:0],
+		noise:       s.noise,
 		tracer:      tracer,
 	}
 	for r := range s.RunningTask {
@@ -567,13 +585,13 @@ func zeroed[T any](buf []T, n int) []T {
 // current state. Only with until = +Inf can it force a start: with nothing
 // running and no fault event pending, an arrival at the deadline is the next
 // event.
-func (rn *Runner) run(pol Policy, rng *rand.Rand, res *Result, until float64) error {
+func (rn *Runner) run(pol Policy, res *Result, until float64) error {
 	s, faults := &rn.s, &rn.tl
 	drain := math.IsInf(until, 1)
 	for !drain || s.NumDone < s.Graph.NumTasks() {
 		// Decision phase: fill free resources until the policy declines
 		// every remaining one or no ready task is left.
-		if err := decisionPhase(s, pol, rng, res, false); err != nil {
+		if err := decisionPhase(s, pol, res, false); err != nil {
 			return err
 		}
 		tc := earliestCompletion(s)
@@ -587,7 +605,7 @@ func (rn *Runner) run(pol Policy, rng *rand.Rand, res *Result, until float64) er
 			if s.aliveCount() == 0 {
 				return fmt.Errorf("%w: %d tasks remain", ErrAllResourcesDead, s.Graph.NumTasks()-s.NumDone)
 			}
-			if err := decisionPhase(s, pol, rng, res, true); err != nil {
+			if err := decisionPhase(s, pol, res, true); err != nil {
 				return err
 			}
 			tc = earliestCompletion(s)
@@ -638,9 +656,7 @@ func (s *State) appendPlacements(dst []Placement) []Placement {
 func earliestCompletion(s *State) float64 {
 	earliest := math.Inf(1)
 	for _, t := range s.Running {
-		if end := s.tasks.At(t).end; end < earliest {
-			earliest = end
-		}
+		earliest = min(earliest, s.tasks.At(t).end)
 	}
 	return earliest
 }
@@ -673,9 +689,7 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 		if s.Dead[r] {
 			return
 		}
-		if ev.end > s.downUntil[r] {
-			s.downUntil[r] = ev.end
-		}
+		s.downUntil[r] = max(s.downUntil[r], ev.end)
 		if s.tracer != nil {
 			traceOutage(s, r, ev.at, ev.end-ev.at)
 		}
@@ -736,9 +750,9 @@ func applyFaultEvent(s *State, ev tlEvent, res *Result) {
 }
 
 // killRunning terminates the task executing on resource r (if any) at time
-// at: the attempt is recorded, the task returns to the ready set, and its
-// predecessors' outputs are retained so re-execution only repeats the killed
-// work.
+// at: the attempt is recorded, the task returns to the ready set with its
+// next attempt's draw, and its predecessors' outputs are retained so
+// re-execution only repeats the killed work.
 func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 	t := s.RunningTask[r]
 	if t == NoTask {
@@ -753,25 +767,26 @@ func killRunning(s *State, r int, at float64, cause FaultKind, res *Result) {
 	s.RunningTask[r] = NoTask
 	s.BusyUntil[r] = at
 	row.started, row.resource, row.start, row.end = false, -1, 0, 0
+	row.attempt++
 	s.Ready = insertSorted(s.Ready, t)
 }
 
 // decisionPhase asks the policy to fill free resources. Each free resource is
 // asked at most once per phase (an ∅ answer parks it until the next event),
 // and the "current processor" is drawn uniformly at random among the not-yet-
-// asked free resources, as in §III-B.
+// asked free resources, as in §III-B, by the phase's keyed shuffle.
 //
 // A forced phase is entered only when nothing is running, no fault event is
 // pending, and every resource idled. It asks with MustAct set and ends at the
 // first start, since time can advance again; a policy that still declines
 // every resource deadlocks the system.
-func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced bool) error {
+func decisionPhase(s *State, pol Policy, res *Result, forced bool) error {
 	if forced {
 		res.ForcedPhases++
 		s.MustAct = true
 		defer func() { s.MustAct = false }()
 	}
-	for _, r := range s.shuffledFree(rng) {
+	for _, r := range s.shuffledFree() {
 		if len(s.Ready) == 0 {
 			break
 		}
@@ -781,7 +796,7 @@ func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced boo
 			res.IdleDecisions++
 			continue
 		}
-		if err := startTask(s, task, r, rng); err != nil {
+		if err := startTask(s, task, r); err != nil {
 			return err
 		}
 		if forced {
@@ -795,8 +810,9 @@ func decisionPhase(s *State, pol Policy, rng *rand.Rand, res *Result, forced boo
 }
 
 // startTask begins executing task on resource r at s.Now, sampling its actual
-// duration (scaled by r's current speed factor).
-func startTask(s *State, task, r int, rng *rand.Rand) error {
+// duration from the attempt's keyed draw (scaled by r's current speed
+// factor).
+func startTask(s *State, task, r int) error {
 	if task < 0 || task >= s.Graph.NumTasks() {
 		return fmt.Errorf("sim: policy chose invalid task %d", task)
 	}
@@ -810,7 +826,7 @@ func startTask(s *State, task, r int, rng *rand.Rand) error {
 	if !s.IsFree(r) {
 		return fmt.Errorf("sim: resource %d is busy or unavailable", r)
 	}
-	dur := float64(s.TaskTiming(task).SampleDuration(rng, s.Graph.Tasks[task].Kernel, s.Platform.Resources[r].Type, s.Sigma) * s.speed(r))
+	dur := float64(s.TaskTiming(task).SampleDuration(s.noise.z(task, row.attempt), s.Graph.Tasks[task].Kernel, s.Platform.Resources[r].Type, s.Sigma) * s.SpeedFactor(r))
 	if math.IsInf(dur, 0) || math.IsNaN(dur) {
 		return fmt.Errorf("%w: task %d on resource %d drew %g at sigma %g", ErrNonFiniteDuration, task, r, dur, s.Sigma)
 	}
@@ -859,33 +875,17 @@ func finishTask(s *State, t int) {
 }
 
 func insertSorted(xs []int, v int) []int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	i, _ := slices.BinarySearch(xs, v)
 	xs = append(xs, 0)
-	copy(xs[lo+1:], xs[lo:])
-	xs[lo] = v
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
 	return xs
 }
 
 func removeSorted(xs []int, v int) []int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(xs) || xs[lo] != v {
+	i, found := slices.BinarySearch(xs, v)
+	if !found {
 		panic(fmt.Sprintf("sim: %d not found in sorted slice", v))
 	}
-	return append(xs[:lo], xs[lo+1:]...)
+	return append(xs[:i], xs[i+1:]...)
 }

@@ -250,7 +250,7 @@ func TestTimeUntilFree(t *testing.T) {
 	if !s.IsFree(0) || s.IsFree(1) {
 		t.Fatal("IsFree wrong")
 	}
-	free := s.appendFree(nil)
+	free := s.shuffledFree()
 	if len(free) != 1 || free[0] != 0 {
 		t.Fatalf("free resources = %v", free)
 	}

@@ -69,9 +69,13 @@ func TestStreamTraceBitInert(t *testing.T) {
 func TestStreamTraceContents(t *testing.T) {
 	arr := testArrivals(t, 5, 8, 4.0)
 	horizon := arr[len(arr)-1].At + 4000
-	// This plan kills two attempts, so the kill counts are checked on real
+	// Every resource also drops out for 1 ms just after the first arrival,
+	// while the first job's roots run, so the kill counts are checked on real
 	// kills.
 	faults := sim.GeneratePlan(8, 4, sim.SpecForRate(4, horizon))
+	for r := 0; r < 4; r++ {
+		faults.Events = append(faults.Events, sim.FaultEvent{Kind: sim.FaultOutage, Resource: r, At: arr[0].At + 0.5, Duration: 1})
+	}
 	tr := obs.NewTracer(0)
 	res, err := Run(sched.MCTPolicy{}, Config{
 		Platform: platform.New(2, 2),

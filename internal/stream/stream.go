@@ -23,7 +23,9 @@ type Config struct {
 	Sigma float64
 	// Faults, if non-nil, replays mid-stream against the shared platform.
 	Faults *sim.FaultPlan
-	// Rng drives duration sampling (and nothing else); required.
+	// Rng is the run's randomness, as sim.Options.Rng: the cluster draws its
+	// key from it once, and a task's duration draw is keyed by its union
+	// index and attempt. Required.
 	Rng *rand.Rand
 	// Tracer, if non-nil, records the whole stream as one Chrome trace: an
 	// "arrive jN" instant per job, a complete slice per attempt on its
