@@ -4,12 +4,10 @@
 #                      equivalence gate, fuzzing, race tests, portability gate,
 #                      observability, chaos and stream smoke tests, paper
 #                      tables
-#   make equiv       — decision-equivalence gate: the incremental/serving
-#                      decision paths must match the full-rebuild reference
-#                      policy bit for bit, and the training path (rollouts on
-#                      inference tapes recorded in reused episode logs, one
-#                      batched tape pass per episode) must match
-#                      per-decision-tape training bit for bit
+#   make equiv       — decision-equivalence gate: the differential harness
+#                      (every scheduling path against its reference, bit for
+#                      bit) and the tests that hold each optimised piece to
+#                      the code it replaced
 #   make fuzz        — a short native-fuzzing run of each decoder of outside
 #                      input (arrival traces, schedule requests and the
 #                      gateway's reading of them, checkpoints, trace-context
@@ -57,105 +55,13 @@ test:
 	$(GO) test ./...
 	cd benchmark && $(GO) test ./...
 
-# Decision-equivalence proofs, named explicitly so a failure reads as "the
-# optimised decision path diverged from the oracle" rather than a generic
-# test break: incremental state vs full rebuild (bitwise, incl. faults and
-# streaming AddJob invalidation), the serving policy vs the reference policy
-# (TestServingPolicyResultIdentical), the inference tape — output slots
-# reused across growing and shrinking passes — vs fresh gradient tapes
-# (TestInferenceBindingMatchesFreshTapes), and TestPolicyDecideAllocFree,
-# which fails if a warm decision allocates or the inference tape's outputs
-# go back to the free list. The stream path's append-only pieces are each pinned to the whole-union computation
-# they replaced (heap TopoOrder vs sort-every-pop, the descendant-feature
-# accumulator vs DescendantFeatures, HEFT-per-job ranks over the union vs
-# sched.UpwardRanks of each job on its own graph), ReplanHEFT's first plan
-# (time 0, nothing started) is held to HEFT's Assignment, Order, ProjStart
-# and ProjEnd bit for bit on Cholesky/LU/QR at 2c2g and 4c0g and on random
-# layered DAGs, so both callers of the one placement loop must seed it alike
-# (TestReplanHEFTMatchesHEFTAtSigmaZero),
-# the encoder, which reads the graph's neighbour rows in whatever order they
-# come, is held to the oracle on a DAG whose rows are out of order
-# (TestIncrementalUnsortedAdjacency), TestStreamCostFlat /
-# TestMemoScopedToStateVersion fail if a per-arrival pass over the union DAG or
-# a stream-long memo comes back, and TestClusterLiveWindowBounded if an
-# arrival grows the reserved graph, job table or placement log, the log holds
-# other than the retired tasks, or the cluster's task rows outgrow twice the
-# most tasks ever live plus a job over a 16 000-job stream. The policy's
-# per-task caches cover the live jobs only, and are held to the whole-union
-# oracle all the same: the
-# accumulator under random retirement (TestDescendantAccumulatorRetireMatchesOracle),
-# the encoder decision for decision over a faulted 200-job stream
-# (TestIncrementalRetiresFinishedJobs). The cluster drops a finished job's
-# union rows: a live job's rows must stay its own graph's and the union valid
-# after every completion (TestClusterRetiresFinishedJobs), and a retired job's
-# precedence must still be checked, from its own graph
-# (TestStreamValidateCatchesRetiredJobViolation). The streaming cluster runs Simulate's
-# event loop: a one-job cluster must schedule as Simulate does — error,
-# makespan, decision counts, trace and kills — across factorisations, noise,
-# fault plans and policies that idle until forced
-# (TestSimulateMatchesSingleJobCluster). A run is a function of its seed:
-# HEFT, MCT and READYS run on one seed read back the same keyed duration draw
-# for every (task, attempt) (TestKeyedDrawsPairedAcrossSchedulers), a killed
-# task's retry draws a new one (TestKeyedDrawRetryGetsNewZ), a stream's draw
-# depends on the union index and attempt alone
-# (TestKeyedDrawsInStreamByUnionIndex), the draws allocate nothing
-# (TestKeyedDrawAllocFree) and are standard normal and uncorrelated
-# (TestKeyedDrawIsStandardNormal). The training path
-# is held to the per-decision tapes it replaced: segment ops vs one tape per
-# range (TestSegmentOpsMatchPerSegmentTapes), the fused dense-layer node vs
-# its three ops and the input gradient vs the ∂C·Wᵀ dot loop, its backward
-# also with its output dropped and overwritten, on the ReLU mask alone
-# (TestLinearReLUSegMatchesThreeOps), a dropped activation's buffer going to
-# the next output and a Drop that would lose values someone reads panicking
-# (TestDropContract), rollouts on the inference tape vs a
-# per-decision-tape rollout kept in the test file
-# (TestTrainingRolloutMatchesTape), the width-d pass vs width 1 vs what the
-# rollout recorded (TestBatchedForwardBitIdentical),
-# gradients vs the per-decision update kept in the test file
-# (TestBatchedUpdateBitIdentical), whole Histories vs files the old trainer
-# wrote (TestHistoryMatchesParentGolden), and TestTrainCostBounded fails if
-# an episode is recorded in memory the trainer does not keep. A warm update
-# allocates nothing (TestUpdateAllocFree), an episode is cut into passes of
-# at most 512 rows and about equal height (TestPassSplitContract), so its tape
-# keeps the buffers of one such pass whatever the episodes' lengths — and of
-# that pass only the propagated rows Â·h, the live activation h and two
-# gradients, each activation dropped for its ReLU mask once the next layer has
-# read it (TestUpdateTapeRetainsBounded) — and an inference tape keeps no backward step
-# (TestInferenceTapeRecordsNoSteps). The episode log
-# is held to deep copies of the encoder's states decision by decision
-# (TestEpisodeLogReproducesStates: three factorisations, faults, fault
-# features, no incremental encoder, mid-episode stream arrivals,
-# remaining times clamped to +0, nothing running), W+1 logs to what they keep
-# at two batch sizes (TestRolloutLogsRetainBounded), a reused log and resident rollout policy to fresh ones
-# (TestEpisodeLogReuseIsolated: long then short, short then long, after an
-# error mid-episode). The comparison tables' one evaluator, reused across
-# factorisations, faults and noise levels with its resident sampling READYS
-# policy, is held to a fresh policy, simulator and generators per run
-# (TestEvaluatorReuseBitIdentical). The serving path's resident
-# policies, simulator memory and problem templates are held to ones built
-# fresh per request (TestLeasedPolicyMatchesFreshPolicy: graph sizes up and
-# down, explicit DAGs, eviction;
-# TestLeasedPolicyFollowsPublishedWeights for new weights after LRU eviction; a reused
-# sim.Runner to a new one: TestRunnerReuseBitIdentical), its ring records to
-# the bytes of literal exported events (TestSpanExportsAsCompleteWithSpanArgs), and
-# TestScheduleRequestAllocBounded / TestSpanAllocatesNothing /
-# TestTracerRingBytesFixed fail if a request rebuilds its problem or state or a
-# span boxes its attributes again; TestRecordHasNoPointers fails if a ring
-# record grows past 96 bytes or holds a pointer the collector must scan, and
-# TestTracerStringTableBounded if the ring's string table keeps strings no
-# live record names. These also run under `make test`.
+# Decision-equivalence gate: TestDifferential, the differential harness whose
+# doc lists its relations (every path that schedules a DAG against its
+# reference), and each test that holds an optimised piece to the code it
+# replaced bit for bit or bounds what it keeps or allocates. These also run
+# under `make test`; a failure here reads as a path that diverged.
 equiv:
-	$(GO) test -run 'TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps' ./internal/autograd/
-	$(GO) test -run 'TestInferenceBindingMatchesFreshTapes' ./internal/nn/
-	$(GO) test -run 'TestIncremental|TestServingPolicyResultIdentical|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates' ./internal/core/
-	$(GO) test -run 'TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestEpisodeLogReuseIsolated' ./internal/rl/
-	$(GO) test -run 'TestEvaluatorReuseBitIdentical' ./internal/exp/
-	$(GO) test -run 'TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator' ./internal/taskgraph/
-	$(GO) test -run 'TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw' ./internal/sim/
-	$(GO) test -run 'TestReplanHEFTMatchesHEFTAtSigmaZero' ./internal/sched/
-	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestSimulateMatchesSingleJobCluster|TestStreamValidateCatchesRetiredJobViolation' ./internal/stream/
-	$(GO) test -run 'TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded' ./internal/serve/
-	$(GO) test -run 'TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./internal/obs/
+	$(GO) test -run 'TestDifferential|TestServingPolicyResultIdentical|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestStreamIncrementalIdentical|TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps|TestInferenceBindingMatchesFreshTapes|TestIncremental|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates|TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestEpisodeLogReuseIsolated|TestEvaluatorReuseBitIdentical|TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator|TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw|TestReplanHEFTMatchesHEFTAtSigmaZero|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestStreamValidateCatchesRetiredJobViolation|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded|TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./...
 
 # Native fuzzing of the decoders that read outside bytes: an arrival trace
 # either errors or builds every graph within taskgraph.MaxTasks and

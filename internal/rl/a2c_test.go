@@ -1,13 +1,11 @@
 package rl
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"readys/internal/core"
-	"readys/internal/nn"
 	"readys/internal/platform"
 	"readys/internal/taskgraph"
 )
@@ -67,25 +65,15 @@ func TestTrainerRunsAndRecordsHistory(t *testing.T) {
 
 func TestTrainerChangesParameters(t *testing.T) {
 	agent := tinyAgent(1)
-	before := snapshotParams(agent.Params())
+	before := paramHash(agent.Params())
 	tr := NewTrainer(agent, tinyProblem(), fastCfg(4))
 	if _, err := tr.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	after := snapshotParams(agent.Params())
+	after := paramHash(agent.Params())
 	if before == after {
 		t.Fatal("training did not update parameters")
 	}
-}
-
-func snapshotParams(ps *nn.ParamSet) string {
-	var sum float64
-	for _, p := range ps.All() {
-		for _, v := range p.Value.Data {
-			sum += v * v
-		}
-	}
-	return fmt.Sprintf("%.12f", sum)
 }
 
 func TestTrainerDeterministicWithSeed(t *testing.T) {

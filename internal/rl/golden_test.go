@@ -121,7 +121,8 @@ func goldenA2C(variant core.Config, tweak func(*Config)) func(int) (History, *co
 
 // TestHistoryMatchesParentGolden holds every EpisodeStats field and the final
 // weights of each pinned configuration to the bits the per-decision-tape
-// trainer produced, at one and two rollout workers.
+// trainer produced, at 1, 2 and 4 rollout workers and at 0 (GOMAXPROCS): a
+// History is the same whichever worker rolls out which episode.
 func TestHistoryMatchesParentGolden(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,7 +151,7 @@ func TestHistoryMatchesParentGolden(t *testing.T) {
 			if err := json.Unmarshal(data, &want); err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2} {
+			for _, workers := range []int{1, 2, 4, 0} {
 				h, agent, err := c.run(workers)
 				if err != nil {
 					t.Fatal(err)

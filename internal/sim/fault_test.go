@@ -353,6 +353,10 @@ func TestValidateResultStrictChecksFaultWindows(t *testing.T) {
 	}
 }
 
+// TestFaultTraceIsValidChromeTraceAndInert checks a faulted run's Chrome
+// trace: valid, with its outage spans and one kill instant per Result.Kills
+// entry. That tracing leaves the run as it is, is the traced relation of the
+// root package's TestDifferential.
 func TestFaultTraceIsValidChromeTraceAndInert(t *testing.T) {
 	g, plat, tim := chol(5)
 	plan := GeneratePlan(7, plat.Size(), SpecForRate(2, 500))
@@ -363,13 +367,6 @@ func TestFaultTraceIsValidChromeTraceAndInert(t *testing.T) {
 	traced, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Sigma: 0.2, Rng: rand.New(rand.NewSource(8)), Faults: plan, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
-	}
-	plain, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Sigma: 0.2, Rng: rand.New(rand.NewSource(8)), Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(traced, plain) {
-		t.Fatal("tracing changed a faulty run")
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -15,51 +14,6 @@ import (
 	"readys/internal/sim"
 	"readys/internal/taskgraph"
 )
-
-// resultBytes serializes everything the scheduler computed — job table, sim
-// trace, aggregate stats — so two runs can be compared byte for byte.
-func resultBytes(t *testing.T, res *Result) []byte {
-	t.Helper()
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestStreamTraceBitInert is the observability contract: attaching a tracer
-// to a faulted stream must not consume randomness or alter scheduling, so the
-// traced and untraced runs produce byte-identical results.
-func TestStreamTraceBitInert(t *testing.T) {
-	arr := testArrivals(t, 3, 8, 4.0)
-	horizon := arr[len(arr)-1].At + 4000
-	faults := sim.GeneratePlan(7, 4, sim.SpecForRate(2, horizon))
-
-	run := func(tr *obs.Tracer) *Result {
-		res, err := Run(sched.MCTPolicy{}, Config{
-			Platform: platform.New(2, 2),
-			Arrivals: arr,
-			Sigma:    0.1,
-			Faults:   faults,
-			Rng:      rand.New(rand.NewSource(42)),
-			Tracer:   tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	plain := run(nil)
-	tr := obs.NewTracer(0)
-	traced := run(tr)
-	if !bytes.Equal(resultBytes(t, plain), resultBytes(t, traced)) {
-		t.Fatal("tracer changed the schedule: results are not byte-identical")
-	}
-	if tr.Len() == 0 {
-		t.Fatal("tracer attached but empty")
-	}
-}
 
 // TestStreamTraceContents cross-checks a faulted stream's trace against the
 // run's own aggregates: one arrival instant per job, one kill instant per

@@ -27,7 +27,7 @@ var reachAllowed = map[string]string{
 	"autograd.Tape.Pick":         "rl accumulatePerDecision (TestBatchedUpdateBitIdentical): the per-decision tape reference",
 	"autograd.Tape.AddConst":     "rl accumulatePerDecision (TestBatchedUpdateBitIdentical): the per-decision tape reference",
 	"autograd.Node.RequiresGrad": "nn TestInferenceBindingMatchesFreshTapes: a pass on an inference binding requires no gradient",
-	"core.NewReferencePolicy":    "core TestServingPolicyResultIdentical, TestIncrementalResultIdentical and stream TestStreamIncrementalIdentical: the full-rebuild oracle",
+	"core.NewReferencePolicy":    "root TestDifferential, its reference and recording relations: the full-rebuild oracle",
 	"tensor.MatMulTransA":        "tensor TestMatMulTransA and TestSpMMTransAMatchesDense: the dense reference of the fused ∂W products",
 	"tensor.Sparse.Dense":        "autograd TestSpMMMatchesDenseOnTape and nn TestGCNForwardMatchesDenseComposition: the dense reference of a sparse product",
 	"tensor.SparseFromDense":     "tensor TestSpMMMatchesDenseProperty and autograd TestGradSpMM: a sparse operand from a dense fixture",
@@ -35,7 +35,7 @@ var reachAllowed = map[string]string{
 	"taskgraph.DescendantAccumulator.Held": "core TestIncrementalRetiresFinishedJobs and taskgraph TestDescendantAccumulatorRetireMatchesOracle: F̄ rows, like the encoder's scratch (LiveRows.Held), stay within twice the most tasks ever live",
 	// Fixtures the tests of several packages share.
 	"taskgraph.NewLayeredRandom":    "root TestChaosAllPoliciesSurviveRandomFaults, sched TestHEFTValidOnRandomDAGsProperty, sim TestSimulateRandomDAGs: random layered DAGs",
-	"taskgraph.DefaultRandomConfig": "root TestChaosFaultFreePlansAreInert, sched and sim random-DAG tests: the shape of NewLayeredRandom's DAGs",
+	"taskgraph.DefaultRandomConfig": "root TestDifferential (its fault-free random DAGs), sched and sim random-DAG tests: the shape of NewLayeredRandom's DAGs",
 	"obs.NewTraceID":                "gateway TestGatewayFailoverChaos and obs tests: the trace ID a client sends",
 	"tensor.FromSlice":              "tensor, autograd and nn tests: a matrix from literal values",
 	"tensor.Matrix.Set":             "tensor, autograd and nn tests: one element of a fixture",
@@ -45,7 +45,7 @@ var reachAllowed = map[string]string{
 	"sim.NewState":                  "core tests (initialState, faultedState): the state a run starts from, encoded outside a run",
 	// Methods the standard library calls through an interface.
 	"obs.metricKind.String":             "fmt.Stringer: the %s of a family's # TYPE line in Registry.WriteText",
-	"platform.Platform.String":          "fmt.Stringer: the %s of the platform in readys-sim, readys-stream and the quick-start",
+	"platform.Platform.String":          "fmt.Stringer: the %s of the platform in cmd/readys-sim, cmd/readys-stream and examples/quickstart",
 	"gateway.dagPresence.UnmarshalJSON": "encoding/json.Unmarshaler: the head decode of a request body",
 	"taskgraph.Kind.MarshalJSON":        "encoding/json.Marshaler: a kind in a stream arrival trace (stream.Arrival)",
 	"taskgraph.Kind.UnmarshalJSON":      "encoding/json.Unmarshaler: a kind in a stream arrival trace (stream.Arrival)",
