@@ -33,7 +33,7 @@ func main() {
 		cpus      = flag.Int("cpus", 2, "number of CPUs")
 		gpus      = flag.Int("gpus", 2, "number of GPUs")
 		sigma     = flag.Float64("sigma", 0.2, "duration noise level σ")
-		policy    = flag.String("policy", "mct", "scheduler: readys, heft, replan-heft, mct, minmin, maxmin, rank, fifo, random")
+		policy    = flag.String("policy", "mct", "scheduler: readys, heft, replan-heft, mct, fifo")
 		models    = flag.String("models", exp.DefaultModelsDir(), "model directory (for -policy readys)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		tracePath = flag.String("trace", "", "write the schedule as Chrome trace-event JSON to this path (load in chrome://tracing or ui.perfetto.dev)")
@@ -70,16 +70,8 @@ func main() {
 		pol = sched.NewReplanHEFTPolicy()
 	case "mct":
 		pol = sched.MCTPolicy{}
-	case "minmin":
-		pol = sched.MinMinPolicy{}
-	case "maxmin":
-		pol = sched.MaxMinPolicy{}
-	case "rank":
-		pol = sched.NewRankPolicy(g, plat, tt)
 	case "fifo":
 		pol = sched.FIFOPolicy{}
-	case "random":
-		pol = sched.RandomPolicy{Rng: rand.New(rand.NewSource(*seed + 1))}
 	default:
 		log.Fatalf("unknown policy %q", *policy)
 	}

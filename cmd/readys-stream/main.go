@@ -49,7 +49,7 @@ func main() {
 		cpus         = flag.Int("cpus", 2, "number of CPUs")
 		gpus         = flag.Int("gpus", 2, "number of GPUs")
 		sigma        = flag.Float64("sigma", 0.1, "duration noise level σ")
-		policy       = flag.String("policy", "mct", "scheduler: readys, heft-per-job, replan-heft, mct, minmin, maxmin, fifo, random")
+		policy       = flag.String("policy", "mct", "scheduler: readys, heft-per-job, replan-heft, mct, fifo")
 		models       = flag.String("models", exp.DefaultModelsDir(), "model directory (for -policy readys)")
 		seed         = flag.Int64("seed", 1, "simulation seed (duration noise, resource shuffles)")
 		faultRate    = flag.Float64("fault-rate", 0, "inject mid-stream faults at this rate from a seed-derived plan (events of each kind per resource, see sim.SpecForRate; 0 = fault-free)")
@@ -88,14 +88,8 @@ func main() {
 		pol = sched.NewReplanHEFTPolicy()
 	case "mct":
 		pol = sched.MCTPolicy{}
-	case "minmin":
-		pol = sched.MinMinPolicy{}
-	case "maxmin":
-		pol = sched.MaxMinPolicy{}
 	case "fifo":
 		pol = sched.FIFOPolicy{}
-	case "random":
-		pol = sched.RandomPolicy{Rng: rand.New(rand.NewSource(*seed + 1))}
 	default:
 		log.Fatalf("unknown policy %q", *policy)
 	}

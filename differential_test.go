@@ -92,7 +92,7 @@ var relations = []struct {
 	{"evaluator", "checkpoint", []string{"readys"}, evaluator, library},
 }
 
-var dagPolicies = []string{"fifo", "mct", "minmin", "maxmin", "heft", "replan-heft", "readys"}
+var dagPolicies = []string{"fifo", "mct", "heft", "replan-heft", "readys"}
 
 // dcase is one case of the corpus, in a group of cases that stand for one
 // thing: a DAG (kind and T; a Random DAG of T layers is drawn from seed dag)
@@ -243,8 +243,6 @@ var policies = map[string]func(c *dcase) sim.Policy{
 	"fifo":              func(*dcase) sim.Policy { return firstReady{} },
 	"idle-until-forced": func(*dcase) sim.Policy { return firstReady{idle: true} },
 	"mct":               func(*dcase) sim.Policy { return sched.MCTPolicy{} },
-	"minmin":            func(*dcase) sim.Policy { return sched.MinMinPolicy{} },
-	"maxmin":            func(*dcase) sim.Policy { return sched.MaxMinPolicy{} },
 	"heft":              func(c *dcase) sim.Policy { return sched.NewStaticPolicy(c.heft) },
 	"replan-heft":       func(*dcase) sim.Policy { return sched.NewReplanHEFTPolicy() },
 	"readys":            func(c *dcase) sim.Policy { return core.NewPolicy(c.ag) },

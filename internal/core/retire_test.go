@@ -29,9 +29,14 @@ func TestIncrementalRetiresFinishedJobs(t *testing.T) {
 	plat := platform.New(2, 2)
 	plan := sim.GeneratePlan(5, plat.Size(), sim.SpecForRate(1.0, arr[len(arr)-1].At+3000))
 	plan.Events = append(plan.Events, sim.FaultEvent{Kind: sim.FaultDeath, Resource: 0, At: arr[len(arr)/2].At})
-	for _, ff := range []bool{false, true} {
-		ctx := fmt.Sprintf("fault features %v", ff)
-		pol := NewPolicy(NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 6, FaultFeatures: ff}))
+	// Each agent starts tasks rather than idling until forced (an untrained
+	// agent may do either), so the bound on held rows has work to do.
+	for _, cfg := range []Config{
+		{Window: 2, Layers: 2, Hidden: 16, Seed: 6},
+		{Window: 2, Layers: 2, Hidden: 16, Seed: 9, FaultFeatures: true},
+	} {
+		ctx := fmt.Sprintf("fault features %v", cfg.FaultFeatures)
+		pol := NewPolicy(NewAgent(cfg))
 		e := pol.inc
 		peak, held := 0, 0
 		probe := policyFunc{reset: pol.Reset, decide: func(s *sim.State, r int) int {
@@ -53,6 +58,9 @@ func TestIncrementalRetiresFinishedJobs(t *testing.T) {
 			t.Fatalf("%s: no kill: the plan does not exercise re-execution", ctx)
 		}
 		total := len(got.Sim.Trace)
+		if 10*peak > total {
+			t.Fatalf("%s: %d of %d tasks were live at once: the agent idles, and the bound holds trivially", ctx, peak, total)
+		}
 		if live := e.scratch.Live(); live < total/2 {
 			t.Fatalf("%s: the encoder's caches start at task %d of %d: finished jobs were not retired", ctx, live, total)
 		}

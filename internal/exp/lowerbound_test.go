@@ -118,10 +118,10 @@ func TestLowerBoundByHand(t *testing.T) {
 
 // TestMakespanAtLeastLowerBound is the yardstick's oracle: at σ = 0 no
 // scheduler beats lowerBound, with or without faults. It covers the three
-// factorisations at two sizes on 2c2g, 4c0g and 0c4g, three seeds and nine
-// schedulers each — 972 runs. A simulator that shortens a duration — a kernel
-// or resource type read off by one, a speed factor dropped — falls below the
-// bound somewhere in them.
+// factorisations at two sizes on 2c2g, 4c0g and 0c4g, three seeds and five
+// schedulers each (HEFT, MCT, re-planning HEFT, FIFO and READYS) — 540 runs.
+// A simulator that shortens a duration — a kernel or resource type read off
+// by one, a speed factor dropped — falls below the bound somewhere in them.
 func TestMakespanAtLeastLowerBound(t *testing.T) {
 	agent, err := LoadAgent(DefaultAgentSpec(taskgraph.Cholesky, 4, 2, 2), "../../models")
 	if err != nil {
@@ -144,9 +144,7 @@ func TestMakespanAtLeastLowerBound(t *testing.T) {
 							plan = sim.GeneratePlan(sim.PlanSeed(seed), plat.Size(), sim.SpecForRate(rate, core.FaultHorizonFactor*heft.Makespan))
 						}
 						for _, pol := range []sim.Policy{
-							sched.NewStaticPolicy(heft), sched.MCTPolicy{}, sched.NewReplanHEFTPolicy(),
-							sched.MinMinPolicy{}, sched.MaxMinPolicy{}, sched.NewRankPolicy(g, plat, tt),
-							sched.FIFOPolicy{}, sched.RandomPolicy{Rng: rand.New(rand.NewSource(seed))}, readys,
+							sched.NewStaticPolicy(heft), sched.MCTPolicy{}, sched.NewReplanHEFTPolicy(), sched.FIFOPolicy{}, readys,
 						} {
 							res, err := rn.Simulate(g, plat, tt, pol, sim.Options{Rng: rand.New(rand.NewSource(seed)), Faults: plan})
 							if err != nil {

@@ -26,13 +26,9 @@ func TestAllPoliciesAllFamilies(t *testing.T) {
 		plat := platform.New(2, 2)
 		tt := platform.TimingFor(g.Kind)
 		policies := map[string]sim.Policy{
-			"fifo":   FIFOPolicy{},
-			"random": RandomPolicy{Rng: rand.New(rand.NewSource(1))},
-			"mct":    MCTPolicy{},
-			"minmin": MinMinPolicy{},
-			"maxmin": MaxMinPolicy{},
-			"rank":   NewRankPolicy(g, plat, tt),
-			"heft":   NewStaticPolicy(HEFT(g, plat, tt)),
+			"fifo": FIFOPolicy{},
+			"mct":  MCTPolicy{},
+			"heft": NewStaticPolicy(HEFT(g, plat, tt)),
 		}
 		for name, pol := range policies {
 			for _, sigma := range []float64{0, 0.3} {

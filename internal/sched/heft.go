@@ -3,14 +3,14 @@
 // insertion-based earliest-finish-time placement, replayed as a fixed
 // per-resource order under duration noise) and the dynamic MCT heuristic
 // [46]. ReplanHEFT re-runs HEFT's placement whenever the world drifts; it
-// feeds the resilience and stream tables. Min-Min, Max-Min, rank-greedy,
-// FIFO and random are further readys-sim / readys-stream -policy choices.
+// feeds the resilience and stream tables. FIFO is a further readys-sim /
+// readys-stream -policy choice.
 //
 // The family shares one copy of each mechanism: AppendUpwardRanks is the
-// upward rank (HEFT, ReplanHEFT, RankPolicy and the stream's per-job HEFT),
+// upward rank (HEFT, ReplanHEFT and the stream's per-job HEFT),
 // HEFTSchedule.place the insertion-based placement (HEFT and ReplanHEFT),
 // StaticPolicy the plan cursor (HEFT and ReplanHEFT) and MCTChoice the
-// minimum-ECT resource (MCT, Min-Min, Max-Min and per-job HEFT).
+// minimum-ECT resource (MCT and per-job HEFT).
 package sched
 
 import (

@@ -220,42 +220,6 @@ func TestMCTRobustToNoise(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyValid(t *testing.T) {
-	g, plat, tt := setup(taskgraph.QR, 5, 2, 2)
-	pol := RandomPolicy{Rng: rand.New(rand.NewSource(42))}
-	res, err := sim.Simulate(g, plat, tt, pol, sim.Options{Sigma: 0.2, Rng: rand.New(rand.NewSource(1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.ValidateResult(g, plat.Size(), res); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRankPolicyBeatsRandomOnAverage(t *testing.T) {
-	// Homogeneous platform: with no placement dimension, priority order is
-	// the only signal, and critical-path-first must win on average.
-	g, plat, tt := setup(taskgraph.Cholesky, 8, 4, 0)
-	var rankSum, randSum float64
-	const runs = 10
-	for i := 0; i < runs; i++ {
-		rr, err := sim.Simulate(g, plat, tt, NewRankPolicy(g, plat, tt), sim.Options{Rng: rand.New(rand.NewSource(int64(i)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rankSum += rr.Makespan
-		rd, err := sim.Simulate(g, plat, tt, RandomPolicy{Rng: rand.New(rand.NewSource(int64(1000 + i)))},
-			sim.Options{Rng: rand.New(rand.NewSource(int64(i)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		randSum += rd.Makespan
-	}
-	if rankSum >= randSum {
-		t.Fatalf("rank policy (%.0f) should beat random (%.0f) on average", rankSum/runs, randSum/runs)
-	}
-}
-
 func TestHEFTDeterministic(t *testing.T) {
 	g, plat, tt := setup(taskgraph.QR, 6, 2, 2)
 	a, b := HEFT(g, plat, tt), HEFT(g, plat, tt)

@@ -1,12 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-
-	"readys/internal/platform"
-	"readys/internal/sim"
-	"readys/internal/taskgraph"
-)
+import "readys/internal/sim"
 
 // jobTaskLess reports whether ready task a precedes ready task b in the
 // deterministic tie-break order used when a policy's scheduling key (ECT,
@@ -33,40 +27,6 @@ func (FIFOPolicy) Reset(*sim.State) {}
 
 // Decide implements sim.Policy.
 func (FIFOPolicy) Decide(s *sim.State, _ int) int { return s.Ready[0] }
-
-// RandomPolicy starts a uniformly random ready task. It needs its own RNG so
-// that baseline randomness is decoupled from the simulator's duration noise.
-type RandomPolicy struct {
-	Rng *rand.Rand
-}
-
-// Reset implements sim.Policy.
-func (RandomPolicy) Reset(*sim.State) {}
-
-// Decide implements sim.Policy.
-func (p RandomPolicy) Decide(s *sim.State, _ int) int {
-	return s.Ready[p.Rng.Intn(len(s.Ready))]
-}
-
-// RankPolicy is dynamic list scheduling with HEFT priorities: it always
-// starts the ready task with the highest upward rank (the task farthest from
-// the end of the computation), on whichever resource asks. It uses dynamic
-// dispatch like MCT but HEFT's global priority information, isolating the
-// value of priorities from the value of static placement.
-type RankPolicy struct {
-	rank []float64
-}
-
-// NewRankPolicy precomputes upward ranks for the given problem.
-func NewRankPolicy(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) *RankPolicy {
-	return &RankPolicy{rank: UpwardRanks(g, plat, tt)}
-}
-
-// Reset implements sim.Policy.
-func (*RankPolicy) Reset(*sim.State) {}
-
-// Decide implements sim.Policy.
-func (p *RankPolicy) Decide(s *sim.State, _ int) int { return highestRank(s, p.rank) }
 
 // highestRank returns the ready task of highest rank, exact ties to the
 // smaller (job, task), or NoTask when none is ready.

@@ -234,37 +234,6 @@ func TestOverlappingOutagesRecoverAtLatestEnd(t *testing.T) {
 	}
 }
 
-func TestEmptyPlanBitInert(t *testing.T) {
-	g, plat, tim := chol(5)
-	run := func(plan *FaultPlan) Result {
-		res, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Sigma: 0.3, Rng: rand.New(rand.NewSource(9)), Faults: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(nil)
-	if got := run(&FaultPlan{}); !reflect.DeepEqual(base, got) {
-		t.Fatal("empty plan changed the result")
-	}
-}
-
-func TestFaultRunsDeterministicPerSeed(t *testing.T) {
-	g, plat, tim := chol(6)
-	plan := GeneratePlan(3, plat.Size(), SpecForRate(1.5, 400))
-	a, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Sigma: 0.2, Rng: rand.New(rand.NewSource(4)), Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Sigma: 0.2, Rng: rand.New(rand.NewSource(4)), Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same (plan, seed) produced different results")
-	}
-}
-
 func TestValidateResultStrictChecksDurations(t *testing.T) {
 	g, plat, tim := chol(4)
 	res, err := Simulate(g, plat, tim, fifoPolicy{}, Options{Rng: rand.New(rand.NewSource(5))})

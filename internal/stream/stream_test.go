@@ -203,7 +203,6 @@ func TestStreamReplayChaos(t *testing.T) {
 		"mct":        func() sim.Policy { return sched.MCTPolicy{} },
 		"replanheft": func() sim.Policy { return sched.NewReplanHEFTPolicy() },
 		"heftperjob": func() sim.Policy { return NewHEFTPerJobPolicy() },
-		"random":     func() sim.Policy { return sched.RandomPolicy{Rng: rand.New(rand.NewSource(123))} },
 		"readys":     func() sim.Policy { return core.NewPolicy(agent) },
 		"readys-ff":  func() sim.Policy { return core.NewPolicy(faultAgent) },
 	}
