@@ -79,18 +79,6 @@ func NewAgent(cfg Config) *Agent {
 // checkpointing).
 func (a *Agent) Params() *nn.ParamSet { return a.params }
 
-// Clone returns a new agent with the same architecture and a deep copy of the
-// parameter values. The clone shares nothing mutable with the receiver, so
-// clone and original can train or infer concurrently without coordination.
-func (a *Agent) Clone() *Agent {
-	c := NewAgent(a.Cfg)
-	if err := c.params.CopyValuesFrom(a.params); err != nil {
-		// Same Cfg always produces an identical parameter layout.
-		panic(fmt.Sprintf("core: cloning agent: %v", err))
-	}
-	return c
-}
-
 // Forward is the result of one policy/value evaluation: everything a trainer
 // needs to build its loss on the pass's tape. Agent.Forward evaluates one
 // state; Agent.ForwardBatch a stack of d, in which case LogProbs and Value
@@ -118,13 +106,12 @@ type Forward struct {
 // action from LogProbs (the most probable, or a sample) and maps it back through
 // EncodedState.ReadyTasks. It is ForwardBatch at width 1 on a fresh binding.
 //
-// Concurrency: Forward only READS the agent's parameters. All intermediate
-// state lives on a fresh per-call Binding/Tape, and gradients reach the
-// shared parameters only when a trainer explicitly calls Tape.Backward. Any
-// number of goroutines may therefore call Forward on the same agent
-// concurrently, as long as no goroutine is mutating the parameters (training,
-// LoadCheckpoint) at the same time. internal/serve relies on this
-// contract; TestConcurrentInference enforces it under the race detector.
+// Concurrency: Forward's gradient tape gives each parameter its gradient
+// buffer on first bind (nn.Param). Policy.Decide only READS the parameters,
+// so any number of goroutines, each with its own Policy, may decide on one
+// agent at once while nothing mutates them (training, LoadCheckpoint).
+// internal/serve's leases all decide on their model's one loaded agent;
+// TestConcurrentInference enforces the contract under the race detector.
 func (a *Agent) Forward(es *EncodedState) *Forward {
 	fw := a.ForwardBatch(nn.NewBinding(), new(StateBatch).wrap(es))
 	if es.AllowIdle {

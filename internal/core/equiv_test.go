@@ -158,82 +158,6 @@ func TestIncrementalUnsortedAdjacency(t *testing.T) {
 	}
 }
 
-// TestIncrementalResultIdentical runs whole episodes twice — incremental+memo
-// against the pre-optimization oracle path (full rebuild, no memo) — and
-// requires identical sim.Results, under faults and noise, deciding by the
-// argmax rule and sampling (recording).
-func TestIncrementalResultIdentical(t *testing.T) {
-	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU} {
-		for _, faults := range []bool{false, true} {
-			for _, greedy := range []bool{true, false} {
-				cfg := Config{Window: 2, Layers: 2, Hidden: 16, Seed: 5}
-				agent := NewAgent(cfg)
-				prob := NewProblem(kind, 6, 2, 2, 0.15)
-				if faults {
-					prob.Faults = sim.SpecForRate(1.0, 0)
-				}
-
-				fast := NewPolicy(agent)
-				slow := NewReferencePolicy(agent)
-				if !greedy {
-					fast.Record, fast.Rng = true, rand.New(rand.NewSource(7))
-					slow.Record, slow.Rng = true, rand.New(rand.NewSource(7))
-				}
-
-				ra, err := prob.Simulate(fast, rand.New(rand.NewSource(23)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := prob.Simulate(slow, rand.New(rand.NewSource(23)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx := fmt.Sprintf("%v faults=%v greedy=%v", kind, faults, greedy)
-				if ra.Makespan != rb.Makespan || ra.Decisions != rb.Decisions || ra.IdleDecisions != rb.IdleDecisions {
-					t.Fatalf("%s: results diverge: %+v vs %+v", ctx, ra, rb)
-				}
-				if len(ra.Trace) != len(rb.Trace) {
-					t.Fatalf("%s: trace lengths differ", ctx)
-				}
-				for i := range ra.Trace {
-					if ra.Trace[i] != rb.Trace[i] {
-						t.Fatalf("%s: trace[%d] %+v vs %+v", ctx, i, ra.Trace[i], rb.Trace[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestServingPolicyResultIdentical pins the end-to-end contract serve relies
-// on: the serving policy (incremental + memo) schedules exactly like the
-// reference policy.
-func TestServingPolicyResultIdentical(t *testing.T) {
-	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 11})
-	prob := NewProblem(taskgraph.QR, 6, 2, 2, 0.1)
-	prob.Faults = sim.SpecForRate(1.0, 0)
-
-	serving := NewPolicy(agent)
-	oracle := NewReferencePolicy(agent)
-
-	ra, err := prob.Simulate(serving, rand.New(rand.NewSource(41)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := prob.Simulate(oracle, rand.New(rand.NewSource(41)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Makespan != rb.Makespan || len(ra.Trace) != len(rb.Trace) {
-		t.Fatalf("serving policy diverged from the reference: %+v vs %+v", ra, rb)
-	}
-	for i := range ra.Trace {
-		if ra.Trace[i] != rb.Trace[i] {
-			t.Fatalf("trace[%d]: %+v vs %+v", i, ra.Trace[i], rb.Trace[i])
-		}
-	}
-}
-
 // policyFunc adapts two closures to sim.Policy for probing tests.
 type policyFunc struct {
 	reset  func(*sim.State)

@@ -99,9 +99,9 @@ func TestTrainSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Loaded agent must equal the trained one parameter for parameter.
-	for _, p := range agent.Params().All() {
-		q := loaded.Params().Get(p.Name)
-		if q == nil || !q.Value.Equal(p.Value) {
+	got := loaded.Params().All()
+	for i, p := range agent.Params().All() {
+		if q := got[i]; q.Name != p.Name || !q.Value.Equal(p.Value) {
 			t.Fatalf("parameter %s not restored", p.Name)
 		}
 	}

@@ -30,7 +30,7 @@ func lowerBound(g *taskgraph.Graph, plat platform.Platform, tt platform.Timing) 
 	}
 	dur := func(i int, rt platform.ResourceType) float64 { return tt.ExpectedDuration(g.Tasks[i].Kernel, rt) }
 
-	order, err := g.ReverseTopoFrom(0)
+	order, err := g.ReverseTopoFrom(0, nil)
 	if err != nil {
 		panic(err)
 	}

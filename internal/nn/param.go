@@ -17,26 +17,34 @@ import (
 )
 
 // Param is a named trainable matrix together with its gradient accumulator.
+// Only training needs the accumulator, so Grad stays nil until a gradient
+// tape binds the parameter or ZeroGrad runs; a parameter that only ever
+// infers (a served checkpoint) holds its values alone.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
 }
 
-// NewParam allocates a parameter with a zero gradient buffer.
+// NewParam wraps value as a parameter with no gradient buffer yet.
 func NewParam(name string, value *tensor.Matrix) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
+	return &Param{Name: name, Value: value}
 }
 
-// ZeroGrad resets the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// ZeroGrad resets the gradient accumulator, allocating it on first use.
+func (p *Param) ZeroGrad() {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Rows, p.Value.Cols)
+	}
+	p.Grad.Zero()
+}
 
 // Binding ties parameters to a single autograd tape. Binding the same
 // parameter twice returns the same node, so gradient contributions from
 // every use site accumulate correctly. A parameter's node takes the
-// parameter's own Grad as its accumulator (autograd.Tape.Param), so after
-// Tape.Backward the gradient is already where the optimiser reads it, added
-// onto whatever earlier passes left there.
+// parameter's own Grad as its accumulator (autograd.Tape.Param), allocated
+// when the parameter has none, so after Tape.Backward the gradient is already
+// where the optimiser reads it, added onto whatever earlier passes left there.
 type Binding struct {
 	Tape  *autograd.Tape
 	nodes map[*Param]*autograd.Node
@@ -50,7 +58,8 @@ func NewBinding() *Binding {
 // NewInferenceBinding returns a Binding for passes that take no gradient, over
 // an inference tape (autograd.NewInferenceTape). It binds every parameter as a
 // constant: no node of its passes requires a gradient or records a backward
-// step, and no Param.Grad is ever touched.
+// step, and no Param.Grad is ever touched or allocated, so passes on any number
+// of inference bindings may share the parameters.
 func NewInferenceBinding() *Binding {
 	return &Binding{Tape: autograd.NewInferenceTape()}
 }
@@ -63,6 +72,9 @@ func (b *Binding) Bind(p *Param) *autograd.Node {
 	}
 	if n, ok := b.nodes[p]; ok {
 		return n
+	}
+	if p.Grad == nil {
+		p.ZeroGrad()
 	}
 	n := b.Tape.Param(p.Value, p.Grad)
 	b.nodes[p] = n
@@ -91,30 +103,25 @@ func (b *Binding) Release() {
 // and serialisation.
 type ParamSet struct {
 	params []*Param
-	byName map[string]*Param
 }
 
 // NewParamSet returns an empty set.
-func NewParamSet() *ParamSet {
-	return &ParamSet{byName: make(map[string]*Param)}
-}
+func NewParamSet() *ParamSet { return &ParamSet{} }
 
 // Add registers params; duplicate names panic since checkpoints key on them.
 func (s *ParamSet) Add(params ...*Param) {
 	for _, p := range params {
-		if _, dup := s.byName[p.Name]; dup {
-			panic(fmt.Sprintf("nn: duplicate parameter name %q", p.Name))
+		for _, q := range s.params {
+			if q.Name == p.Name {
+				panic(fmt.Sprintf("nn: duplicate parameter name %q", p.Name))
+			}
 		}
 		s.params = append(s.params, p)
-		s.byName[p.Name] = p
 	}
 }
 
 // All returns the parameters in registration order.
 func (s *ParamSet) All() []*Param { return s.params }
-
-// Get returns the parameter with the given name, or nil.
-func (s *ParamSet) Get(name string) *Param { return s.byName[name] }
 
 // ZeroGrad clears every gradient in the set.
 func (s *ParamSet) ZeroGrad() {
@@ -145,21 +152,4 @@ func (s *ParamSet) ClipGradNorm(max float64) float64 {
 		}
 	}
 	return norm
-}
-
-// CopyValuesFrom copies parameter values from src, matching by name. Every
-// parameter in s must exist in src with the same shape.
-func (s *ParamSet) CopyValuesFrom(src *ParamSet) error {
-	for _, p := range s.params {
-		q := src.Get(p.Name)
-		if q == nil {
-			return fmt.Errorf("nn: source set missing parameter %q", p.Name)
-		}
-		if !p.Value.SameShape(q.Value) {
-			return fmt.Errorf("nn: parameter %q shape mismatch %dx%d vs %dx%d",
-				p.Name, p.Value.Rows, p.Value.Cols, q.Value.Rows, q.Value.Cols)
-		}
-		copy(p.Value.Data, q.Value.Data)
-	}
-	return nil
 }

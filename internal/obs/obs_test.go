@@ -3,9 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"log"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryText(t *testing.T) {
@@ -229,5 +234,40 @@ func TestJSONL(t *testing.T) {
 	}
 	if _, err := DecodeJSONLines([]byte("{\"ok\":1}\nnope\n")); err == nil {
 		t.Fatal("malformed line accepted")
+	}
+}
+
+// failingWriter is a ResponseWriter whose client has gone: every body write
+// fails.
+type failingWriter struct{ header http.Header }
+
+func (w *failingWriter) Header() http.Header       { return w.header }
+func (w *failingWriter) WriteHeader(int)           {}
+func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// countNothing is a RequestCounter that counts nothing.
+type countNothing struct{}
+
+func (countNothing) BeginRequest(string)                   {}
+func (countNothing) EndRequest(string, time.Duration, int) {}
+
+// TestFrontLogsFailedMetricsWrite: a /metrics scrape whose client has gone
+// makes Registry.WriteText return the write error, and the front logs it
+// under its name instead of failing silently; a scrape by POST answers 405.
+func TestFrontLogsFailedMetricsWrite(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("readys_things_total", "things that happened").Inc()
+	var logged bytes.Buffer
+	f := NewFront("serve", 1, NewTracer(16), reg, countNothing{}, log.New(&logged, "", 0))
+	mux := http.NewServeMux()
+	f.Mount(mux)
+	mux.ServeHTTP(&failingWriter{header: http.Header{}}, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if got, want := logged.String(), "serve: writing metrics: connection reset\n"; got != want {
+		t.Fatalf("logged %q, want %q", got, want)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/metrics", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /metrics answered %d, want 405", rec.Code)
 	}
 }

@@ -191,6 +191,9 @@ func NewTrainer(agent *core.Agent, problem core.Problem, cfg Config) *Trainer {
 	if cfg.Faults.Enabled() {
 		problem.Faults = cfg.Faults
 	}
+	// The agent's gradient buffers (nn.Param) are made with the rest of the
+	// trainer's memory, before any episode runs.
+	agent.Params().ZeroGrad()
 	t := &Trainer{
 		Agent:   agent,
 		Problem: problem,

@@ -65,7 +65,7 @@ func AppendUpwardRanks(rank []float64, g *taskgraph.Graph, plat platform.Platfor
 	if lo >= n {
 		return rank
 	}
-	order, err := g.ReverseTopoFrom(lo)
+	order, err := g.ReverseTopoFrom(lo, nil)
 	if err != nil {
 		panic(err)
 	}

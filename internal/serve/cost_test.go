@@ -74,6 +74,47 @@ func TestScheduleRequestAllocBounded(t *testing.T) {
 	}
 }
 
+// TestSwitchingModelsAllocatesNothing: a one-worker replica's one decision
+// context serves LU and Cholesky T=8 in turn, so every request rebinds it to
+// the other model's agent and rebuilds its graph statics — the descendant
+// features included, ordered in memory the accumulator keeps. The handler's
+// share of an LU request that follows a Cholesky one allocates within 1 kB of
+// one that follows an LU one. Ordering in fresh arrays per rebuild
+// (ReverseTopoFrom given no buffer) costs 3.4 kB more here.
+func TestSwitchingModelsAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	for _, k := range []taskgraph.Kind{taskgraph.LU, taskgraph.Cholesky} {
+		writeTestModel(t, dir, exp.DefaultAgentSpec(k, 8, 2, 2))
+	}
+	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: 30 * time.Second})
+	lu := ScheduleRequest{Kind: "lu", T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 5}
+	chol := ScheduleRequest{Kind: "cholesky", T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 5}
+	share := func(req ScheduleRequest) uint64 {
+		t.Helper()
+		return allocatedBy(func() {
+			if _, status, err := s.schedule(context.Background(), &req, 0, obs.Link{}); err != nil {
+				t.Fatalf("status %d: %v", status, err)
+			}
+		})
+	}
+	for range 3 { // every buffer reaches the larger model's size
+		share(lu)
+		share(chol)
+	}
+	// Least of three readings each, as in TestScheduleRequestAllocBounded.
+	repeated, switched := ^uint64(0), ^uint64(0)
+	for range 3 {
+		share(lu)
+		repeated = min(repeated, share(lu))
+		share(chol)
+		switched = min(switched, share(lu))
+	}
+	t.Logf("the handler's share of an LU request: %d bytes after LU, %d after Cholesky", repeated, switched)
+	if diff := int64(switched) - int64(repeated); diff > 1<<10 || diff < -1<<10 {
+		t.Errorf("an LU request allocated %d bytes after an LU one and %d after a Cholesky one: switching models rebuilds something per request", repeated, switched)
+	}
+}
+
 // explicitRequest is the explicit-DAG form of the generated (kind, T) problem,
 // as a client sends it: every task named, every edge in Succ order.
 func explicitRequest(kind taskgraph.Kind, T int) ScheduleRequest {

@@ -103,13 +103,16 @@ func sameSchedule(got, want ScheduleResponse) error {
 
 // TestLeasedPolicyMatchesFreshPolicy holds what is resident with a lease — the
 // policy, the simulator memory, the generator — and the model's problem
-// templates to what they replaced. One worker means one clone, hence one
-// policy and one runner, per model; each serves big, small and big graphs
-// again, generated and explicit — and every answer must equal the one a policy
-// built fresh, on a graph built fresh, gives. The last rounds are generated
-// bodies only: the same template twice running, a second tile count on the
-// same model, an explicit DAG between two uses of one template; then the
-// models are evicted, which must drop their templates.
+// templates to what they replaced. One worker means one decision context,
+// hence one policy and one runner, for all three models: it moves from model
+// to model at every request, over big, small and big graphs again, generated
+// and explicit — and every answer must equal the one a policy built fresh, on
+// a graph built fresh, gives. The last rounds are generated bodies only: the
+// same template twice running, a second tile count on the same model, an
+// explicit DAG between two uses of one template. Then the replica holds one
+// context and three parameter sets, each bit for bit the checkpoint and with
+// no gradient buffer; last, the models are evicted, which must drop their
+// templates.
 func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 	dir := t.TempDir()
 	kinds := []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR}
@@ -153,12 +156,25 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 				i, req.Kind, req.T, req.DAG != nil, err)
 		}
 	}
+	if idle := s.Registry().idle; len(idle) != 1 {
+		t.Errorf("%d idle decision contexts after a one-at-a-time sequence, want the one that served it all", len(idle))
+	}
 	evicted, old := map[taskgraph.Kind]*model{}, map[taskgraph.Kind]*template{}
 	for _, k := range kinds {
 		m := s.Registry().byName[cacheKey(k, 8, 2, 2)].Value.(*model)
 		evicted[k], old[k] = m, m.templates[8]
-		if len(m.free) != 1 {
-			t.Errorf("%d idle clones of %s after a one-at-a-time sequence, want the one that served it all", len(m.free), m.name)
+		loaded := core.NewAgent(m.spec.AgentConfig())
+		if _, err := loaded.LoadCheckpoint(m.spec.ModelPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		fresh := loaded.Params().All()
+		for i, p := range m.agent.Params().All() {
+			if p.Grad != nil {
+				t.Errorf("%s: parameter %s holds a gradient buffer after serving", m.name, p.Name)
+			}
+			if !p.Value.Equal(fresh[i].Value) {
+				t.Errorf("%s: parameter %s differs from a fresh load of the checkpoint after serving", m.name, p.Name)
+			}
 		}
 		// A template per tile count ever requested by name, whatever came
 		// between, none for explicit DAGs; each frozen.
@@ -206,11 +222,10 @@ func TestLeasedPolicyMatchesFreshPolicy(t *testing.T) {
 }
 
 // TestLeasedPolicyFollowsPublishedWeights: a replica serves the checkpoint
-// it loaded until LRU eviction. A policy is bound to the clone it was built
-// over, so once new weights are in the model directory and the model is
-// evicted, no later lease may be served by a policy of the old generation —
-// not an idle one, and not one that was out on lease at the time and
-// released afterwards.
+// it loaded until LRU eviction. Once new weights are in the model directory
+// and the model is evicted, no later lease may decide with the old
+// generation's parameters — not on an idle decision context, and not on one
+// that was out on lease at the time and released afterwards.
 func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 	dir := t.TempDir()
 	spec, other := leaseSpec(taskgraph.Cholesky, 8), leaseSpec(taskgraph.LU, 8)
@@ -238,14 +253,14 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 		lease.Release()
 	}
 	gen1 := freshAnswer(t, dir, req)
-	for i := 0; i < 2; i++ { // cold, then on the now-idle clone
+	for i := 0; i < 2; i++ { // cold, then on the now-idle context
 		if err := sameSchedule(answer(), gen1); err != nil {
 			t.Fatalf("generation 1, request %d: %v", i, err)
 		}
 	}
 
-	// Write different weights while generation 1's clone sits idle: it
-	// serves on until the model is evicted.
+	// Write different weights while generation 1 is resident: it serves on
+	// until the model is evicted.
 	spec2 := spec
 	spec2.Seed += 100
 	if err := core.NewAgent(spec2.AgentConfig()).SaveCheckpoint(spec.ModelPath(dir), nil); err != nil {
@@ -263,13 +278,13 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 		t.Fatalf("first request after eviction: %v", err)
 	}
 
-	// Evict while a lease is out: its release must not bring the old clone,
-	// or its policy, back into circulation.
+	// Evict while a lease is out: after its release the next lease decides
+	// on the reloaded agent.
 	held, _, err := reg.Acquire(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := held.Policy()
+	stale := held.Agent()
 	evict()
 	held.Release()
 	next, hit, err := reg.Acquire(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
@@ -277,10 +292,8 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer next.Release()
-	if hit || next.Policy() == stale {
-		t.Fatalf("lease after eviction: hit=%v, stale policy=%v", hit, next.Policy() == stale)
-	}
-	if next.Policy().Agent != next.Agent() {
-		t.Fatal("leased policy is not bound to the leased agent")
+	if hit || next.Agent() == stale || next.Policy().Agent != next.Agent() {
+		t.Fatalf("lease after eviction: hit=%v, evicted agent=%v, policy bound to the leased agent=%v",
+			hit, next.Agent() == stale, next.Policy().Agent == next.Agent())
 	}
 }

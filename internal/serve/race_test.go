@@ -15,8 +15,8 @@ import (
 // once, each scheduling a different problem with its own Policy. Run under
 // `go test -race ./internal/serve/...` this enforces the contract documented
 // on core.Agent.Forward: inference reads shared parameters but mutates no
-// shared state. The registry's per-lease clones make sharing unnecessary in
-// production, but the contract must hold even for a shared instance.
+// shared state. It is the registry's own contract: every lease of a model
+// decides on the model's one loaded agent.
 func TestConcurrentInference(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(taskgraph.Cholesky, 4, 1, 1)
@@ -77,7 +77,7 @@ func TestConcurrentInference(t *testing.T) {
 
 // TestConcurrentRegistry hammers Acquire/Release across goroutines and
 // models, interleaved with List and Stats, to catch registry-internal races
-// (LRU mutation, free-list reuse, racing first loads).
+// (LRU mutation, idle-pool reuse, racing first loads).
 func TestConcurrentRegistry(t *testing.T) {
 	dir := t.TempDir()
 	for _, T := range []int{2, 3, 4, 5} {
@@ -123,9 +123,10 @@ func TestConcurrentRegistry(t *testing.T) {
 }
 
 // TestConcurrentLeasedPolicies hands resident policies, with their simulator
-// memory and generator, from goroutine to goroutine through the free list —
-// more leases in flight than idle slots, and a cache too small for the
-// models, so models are evicted while their leases are out — while all of a
+// memory and generator, from goroutine to goroutine and from model to model
+// through the registry's idle pool — more leases in flight than idle slots,
+// and a cache too small for the models, so models are evicted while their
+// leases are out — while all of a
 // model's leases roll out on the one template the model holds for the tile
 // count, and requires every rollout to decide as a fresh policy on a fresh
 // graph does. Under -race it

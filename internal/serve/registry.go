@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,25 +46,24 @@ func ParseModelName(base string) (exp.AgentSpec, bool) {
 }
 
 // Registry lazily loads agents from a checkpoint directory and LRU-caches
-// them keyed by their canonical model name. Each resident model keeps one
-// master agent (the loaded parameters) plus a free list of clones, each with
-// its own decision context (a core.Policy: incremental encoder, inference
-// tape and their scratch) and simulator memory; Acquire hands every caller
-// its own clone, so concurrent requests never share a mutable agent even
-// accidentally, and Release returns it for reuse — the next request on it
-// pays Policy.Reset, not a rebuild. The model also keeps the problems it has
-// been asked to schedule (templates), shared read-only by all its leases.
+// them keyed by their canonical model name. It keeps one parameter set per
+// resident model, which every lease of the model decides on read-only, and
+// one pool of decision contexts (deciders) shared by all models: Acquire
+// hands every caller a decider of its own, bound to the model's agent, and
+// Release returns it for the next lease of any model whose agent it fits —
+// which pays Policy.Reset, not a rebuild. Each model also keeps the problems
+// it has been asked to schedule (templates), shared read-only by its leases.
 type Registry struct {
 	dir string
 	// maxModels bounds the number of resident checkpoints (LRU eviction).
 	maxModels int
-	// maxIdleClones bounds each model's free list; clones beyond it are
-	// dropped on Release and rebuilt on demand.
-	maxIdleClones int
+	// maxIdle bounds the idle deciders; beyond it the oldest is dropped.
+	maxIdle int
 
 	mu      sync.Mutex
 	byName  map[string]*list.Element // -> *model, element of lru
 	lru     *list.List               // front = most recently used
+	idle    []*decider               // released deciders, any model's
 	hits    uint64
 	misses  uint64
 	evicted uint64
@@ -73,13 +73,12 @@ type Registry struct {
 type model struct {
 	// key is the (kind, T, platform) cache key; name is the full canonical
 	// checkpoint name including the architecture suffix.
-	key    string
-	name   string
-	spec   exp.AgentSpec
-	meta   map[string]string
-	master *core.Agent
-	free   []*clone // idle clones, capped at maxIdleClones
-	live   bool     // false once evicted: stale releases are dropped
+	key   string
+	name  string
+	spec  exp.AgentSpec
+	meta  map[string]string
+	agent *core.Agent // the loaded parameters, shared read-only by every lease
+	live  bool        // false once evicted: templates built afterwards are not kept
 	// templates holds the generated problems requested of the model, by tile
 	// count t (family and platform are the model's own). Request validation
 	// bounds t and with it the map's size; eviction drops it with the model.
@@ -107,44 +106,50 @@ func (m *model) newTemplate(g *taskgraph.Graph) *template {
 	return &template{prob: prob, heft: prob.HEFTBaseline()}
 }
 
-// clone is one private copy of a model's parameters with the decision
-// context built over it. The policy lives as long as the clone: between
-// leases it keeps every buffer (Policy.Reset only rewinds them). Beside it
-// live the simulator memory every run of a request happens in and the
-// generator those runs draw from, re-seeded per run. Evicting the model drops
-// its idle clones, policies included.
-type clone struct {
-	agent  *core.Agent
+// decider is one decision context: everything a request in flight mutates —
+// the policy, whose buffers outlive leases (Policy.Reset only rewinds them),
+// the simulator memory every run of a request happens in, and the generator
+// those runs draw from, re-seeded per run. It outlives the models it served:
+// an idle decider holds no agent, and eviction drops parameters and
+// templates, not deciders.
+type decider struct {
+	cfg    core.Config // the agent config the policy's encoder was built for
 	policy *core.Policy
 	runner sim.Runner
 	rng    *rand.Rand
 }
 
-// Lease is one acquired agent instance. The agent, its policy, runner and
+// fits reports whether d's encoder produces the input a's network reads.
+func (d *decider) fits(a *core.Agent) bool {
+	return d.cfg.Window == a.Cfg.Window && d.cfg.FaultFeatures == a.Cfg.FaultFeatures
+}
+
+// Lease is one acquired model with a decision context. The agent is shared
+// read-only with every other lease of the model; the policy, runner and
 // generator are exclusively the lease-holder's until Release.
 type Lease struct {
 	registry *Registry
 	model    *model
-	clone    *clone
+	dec      *decider
 }
 
-// Agent returns the leased inference instance.
-func (l *Lease) Agent() *core.Agent { return l.clone.agent }
+// Agent returns the leased model's agent, shared read-only by its leases.
+func (l *Lease) Agent() *core.Agent { return l.model.agent }
 
-// Policy returns the leased agent's resident policy. It decides exactly
-// as core.NewPolicy(l.Agent()) would; sim.Simulate resets it, which is all a
+// Policy returns the lease's policy, bound to Agent(). It decides exactly as
+// core.NewPolicy(l.Agent()) would; sim.Simulate resets it, which is all a
 // request pays for its state.
-func (l *Lease) Policy() *core.Policy { return l.clone.policy }
+func (l *Lease) Policy() *core.Policy { return l.dec.policy }
 
-// Runner returns the simulator memory resident with the leased clone. All of a
-// request's runs share it, so a Result's Trace is good until the next run.
-func (l *Lease) Runner() *sim.Runner { return &l.clone.runner }
+// Runner returns the lease's simulator memory. All of a request's runs share
+// it, so a Result's Trace is good until the next run.
+func (l *Lease) Runner() *sim.Runner { return &l.dec.runner }
 
-// Rand returns the clone's generator, positioned where
+// Rand returns the lease's generator, positioned where
 // rand.New(rand.NewSource(seed)) starts.
 func (l *Lease) Rand(seed int64) *rand.Rand {
-	l.clone.rng.Seed(seed)
-	return l.clone.rng
+	l.dec.rng.Seed(seed)
+	return l.dec.rng
 }
 
 // template returns the problem a validated request schedules. A generated
@@ -184,38 +189,40 @@ func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 // ModelName returns the canonical name of the model backing the lease.
 func (l *Lease) ModelName() string { return l.model.name }
 
-// Release returns the leased clone to the model's free list (or drops it if
-// the model was evicted or the list is full). The lease must not be used
+// Release returns the lease's decider to the registry's idle pool, dropping
+// the oldest idle one when the pool is full. The lease must not be used
 // afterwards.
 func (l *Lease) Release() {
-	if l.clone == nil {
+	if l.dec == nil {
 		return
 	}
-	r, m, c := l.registry, l.model, l.clone
-	l.clone = nil
+	r, d := l.registry, l.dec
+	l.dec = nil
+	d.policy.Agent = nil // an evicted model's parameters go with the model
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.live && len(m.free) < r.maxIdleClones {
-		m.free = append(m.free, c)
+	if len(r.idle) == r.maxIdle {
+		r.idle = slices.Delete(r.idle, 0, 1)
 	}
+	r.idle = append(r.idle, d)
 }
 
 // NewRegistry builds a registry over dir holding at most maxModels resident
-// checkpoints (minimum 1) and at most maxIdleClones idle per-worker clones
-// per checkpoint (minimum 1).
-func NewRegistry(dir string, maxModels, maxIdleClones int) *Registry {
+// checkpoints (minimum 1) and at most maxIdle idle deciders across them
+// (minimum 1): one per request the caller runs at once is enough.
+func NewRegistry(dir string, maxModels, maxIdle int) *Registry {
 	if maxModels < 1 {
 		maxModels = 1
 	}
-	if maxIdleClones < 1 {
-		maxIdleClones = 1
+	if maxIdle < 1 {
+		maxIdle = 1
 	}
 	return &Registry{
-		dir:           dir,
-		maxModels:     maxModels,
-		maxIdleClones: maxIdleClones,
-		byName:        make(map[string]*list.Element),
-		lru:           list.New(),
+		dir:       dir,
+		maxModels: maxModels,
+		maxIdle:   maxIdle,
+		byName:    make(map[string]*list.Element),
+		lru:       list.New(),
 	}
 }
 
@@ -253,12 +260,10 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 
 	r.mu.Lock()
 	if el, ok := r.byName[name]; ok {
-		r.lru.MoveToFront(el)
-		m := el.Value.(*model)
 		r.hits++
-		lease = r.leaseLocked(m)
+		lease = r.leaseLocked(el)
 		r.mu.Unlock()
-		return lease.ready(), true, nil
+		return lease, true, nil
 	}
 	r.misses++
 	r.mu.Unlock()
@@ -271,8 +276,8 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		return nil, false, err
 	}
 	path := spec.ModelPath(r.dir)
-	master := core.NewAgent(spec.AgentConfig())
-	meta, err := master.LoadCheckpoint(path)
+	agent := core.NewAgent(spec.AgentConfig())
+	meta, err := agent.LoadCheckpoint(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, false, fmt.Errorf("serve: checkpoint %s disappeared: %w", path, errModelNotFound)
@@ -281,51 +286,43 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 	}
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if el, ok := r.byName[name]; ok {
 		// Someone else finished loading first; use theirs.
-		r.lru.MoveToFront(el)
-		lease = r.leaseLocked(el.Value.(*model))
-		r.mu.Unlock()
-		return lease.ready(), true, nil
+		return r.leaseLocked(el), true, nil
 	}
-	m := &model{key: name, name: spec.Name(), spec: spec, meta: meta, master: master, live: true}
-	r.byName[name] = r.lru.PushFront(m)
+	el := r.lru.PushFront(&model{key: name, name: spec.Name(), spec: spec, meta: meta, agent: agent, live: true})
+	r.byName[name] = el
 	for r.lru.Len() > r.maxModels {
 		oldest := r.lru.Back()
 		victim := oldest.Value.(*model)
 		victim.live = false
-		victim.free, victim.templates = nil, nil
+		victim.templates = nil
 		r.lru.Remove(oldest)
 		delete(r.byName, victim.key)
 		r.evicted++
 	}
-	lease = r.leaseLocked(m)
-	r.mu.Unlock()
-	// The first lease uses its own clone so the master's parameters stay a
-	// pristine copy of the checkpoint.
-	return lease.ready(), false, nil
+	return r.leaseLocked(el), false, nil
 }
 
-// leaseLocked resolves what a lease of m carries — an idle clone if there is
-// one — under r.mu; ready finishes it outside.
-func (r *Registry) leaseLocked(m *model) *Lease {
-	l := &Lease{registry: r, model: m}
-	if n := len(m.free); n > 0 {
-		l.clone = m.free[n-1]
-		m.free = m.free[:n-1]
+// leaseLocked leases the model of LRU element el under r.mu, with the most
+// recently released idle decider that fits the model's agent, or a new one,
+// bound to that agent (its values are immutable once loaded).
+func (r *Registry) leaseLocked(el *list.Element) *Lease {
+	r.lru.MoveToFront(el)
+	m := el.Value.(*model)
+	var d *decider
+	for i := len(r.idle) - 1; i >= 0 && d == nil; i-- {
+		if r.idle[i].fits(m.agent) {
+			d = r.idle[i]
+			r.idle = slices.Delete(r.idle, i, i+1)
+		}
 	}
-	return l
-}
-
-// ready does the lease's expensive part outside the registry lock: cloning
-// the master when no idle clone was free (its values are immutable once
-// loaded).
-func (l *Lease) ready() *Lease {
-	if l.clone == nil {
-		agent := l.model.master.Clone()
-		l.clone = &clone{agent: agent, policy: core.NewPolicy(agent), rng: rand.New(rand.NewSource(0))}
+	if d == nil {
+		d = &decider{cfg: m.agent.Cfg, policy: core.NewPolicy(m.agent), rng: rand.New(rand.NewSource(0))}
 	}
-	return l
+	d.policy.Agent = m.agent
+	return &Lease{registry: r, model: m, dec: d}
 }
 
 // Stats returns the registry's counters: resident models, cache hits,

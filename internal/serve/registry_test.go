@@ -80,20 +80,28 @@ func TestRegistryAcquireCachesAndCounts(t *testing.T) {
 	if !hit {
 		t.Fatal("second acquire must hit the cache")
 	}
-	a1, a2 := l1.Agent(), l2.Agent()
-	if a1 == a2 {
-		t.Fatal("concurrent leases must hold distinct agent instances")
+	// Concurrent leases decide on the model's one agent, each with a
+	// decision context of its own, bound to that agent.
+	if l1.Agent() != l2.Agent() {
+		t.Fatal("concurrent leases of one model must share its loaded agent")
+	}
+	p1, p2 := l1.Policy(), l2.Policy()
+	if p1 == p2 || l1.Runner() == l2.Runner() {
+		t.Fatal("concurrent leases must hold distinct policies and runners")
+	}
+	if p1.Agent != l1.Agent() || p2.Agent != l2.Agent() {
+		t.Fatal("a leased policy is not bound to the leased agent")
 	}
 	l1.Release()
 	l2.Release()
 
-	// A released clone is reused rather than re-cloned.
+	// A released decider is reused rather than rebuilt.
 	l3, _, err := r.Acquire(taskgraph.Cholesky, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l3.Agent() != a1 && l3.Agent() != a2 {
-		t.Fatal("expected a pooled clone to be reused")
+	if p := l3.Policy(); p != p1 && p != p2 {
+		t.Fatal("expected a pooled decision context to be reused")
 	}
 	l3.Release()
 

@@ -110,8 +110,8 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg: cfg,
-		// Idle clones are capped at the worker count: more can never be in
-		// flight at once, so anything beyond that would be dead weight.
+		// Idle deciders, across all models, are capped at the worker count:
+		// no more rollouts than that run at once.
 		registry: NewRegistry(cfg.ModelsDir, cfg.MaxModels, cfg.Workers),
 		pool:     NewPool(cfg.Workers, cfg.Queue),
 		metrics:  NewMetrics(),
@@ -291,13 +291,13 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest, rid int64, 
 }
 
 // runSchedule executes one policy rollout plus the MCT reference on a worker
-// goroutine. The leased clone is exclusively ours for the duration, so the
-// forward passes share no mutable state with other workers. Both runs happen
-// in the clone's simulator memory, which is why the placements are taken out
-// of the rollout's result before the reference run reuses it. The rollout and
-// the reference are recorded as spans on the request's trace lane; what the
-// policy counted over the rollout goes on the rollout span and into the
-// readys_decide_* counters.
+// goroutine. The lease's decider is exclusively ours for the duration and the
+// agent is only read, so the forward passes share no mutable state with other
+// workers. Both runs happen in the decider's simulator memory, which is why
+// the placements are taken out of the rollout's result before the reference
+// run reuses it. The rollout and the reference are recorded as spans on the
+// request's trace lane; what the policy counted over the rollout goes on the
+// rollout span and into the readys_decide_* counters.
 func (s *Server) runSchedule(req *ScheduleRequest, tpl *template, lease *Lease, cacheHit bool, rid int64, link obs.Link) (ScheduleResponse, error) {
 	start := time.Now()
 	prob := tpl.prob

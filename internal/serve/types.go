@@ -9,8 +9,9 @@
 //
 //   - Registry (registry.go): lazily loads checkpoints from a model
 //     directory, LRU-caches them keyed by (kind, T, platform) and hands each
-//     in-flight request its own agent clone, so inference never shares
-//     mutable state between goroutines.
+//     in-flight request a decision context of its own over the model's one
+//     shared, read-only agent, so inference never shares mutable state
+//     between goroutines.
 //   - Pool (pool.go): a fixed set of worker goroutines behind a bounded
 //     queue. The queue bound is the service's backpressure: when it is full,
 //     requests are rejected immediately with 503 instead of piling up.

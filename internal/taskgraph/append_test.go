@@ -168,10 +168,12 @@ func TestTopoOrderMatchesSortEveryPop(t *testing.T) {
 func TestReverseTopoFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	union := newUnion()
+	var order []int // each job is ordered in the array the last one was
 	for j := 0; j < 20; j++ {
 		lo := union.NumTasks()
 		appendJob(union, randomJob(rng))
-		order, err := union.ReverseTopoFrom(lo)
+		var err error
+		order, err = union.ReverseTopoFrom(lo, order)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +210,7 @@ func TestReverseTopoFrom(t *testing.T) {
 		"edge to an earlier task":   broken(lo+1, 0),
 		"cycle":                     broken(union.NumTasks()-1, lo),
 	} {
-		if _, err := g.ReverseTopoFrom(lo); err == nil {
+		if _, err := g.ReverseTopoFrom(lo, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

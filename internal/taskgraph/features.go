@@ -70,8 +70,9 @@ func DescendantFeatures(g *Graph) [][NumKernels]float64 {
 //
 // The zero value is ready to use.
 type DescendantAccumulator struct {
-	raw  LiveRows[[NumKernels]float64] // F̄ per live task
-	norm [NumKernels]float64           // Σ F̄ over the roots seen so far
+	raw   LiveRows[[NumKernels]float64] // F̄ per live task
+	norm  [NumKernels]float64           // Σ F̄ over the roots seen so far
+	order []int                         // Extend's ordering memory
 }
 
 // Reset forgets every task, keeping the storage for the next graph.
@@ -94,10 +95,11 @@ func (a *DescendantAccumulator) Extend(g *Graph) {
 	if lo >= n {
 		return
 	}
-	order, err := g.ReverseTopoFrom(lo)
+	order, err := g.ReverseTopoFrom(lo, a.order)
 	if err != nil {
 		panic(err)
 	}
+	a.order = order
 	// Doubling from the live rows, so that appends stay amortised O(job), up
 	// to what the graph has room for: exact for a frozen graph (a single-DAG
 	// episode never grows), a reserved stream's whole union at most.

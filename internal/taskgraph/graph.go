@@ -514,13 +514,15 @@ func siftUp(h []int, i int) {
 // for graphs that grow by appending whole components — a stream's union DAG
 // under sim.Cluster.AddJob — where what was computed for the tasks below lo
 // stays final. An edge between the suffix and an earlier task, or a cycle in
-// the suffix, is an error.
-func (g *Graph) ReverseTopoFrom(lo int) ([]int, error) {
+// the suffix, is an error. The order is built in buf's array when it has room
+// for twice the suffix, so a caller that passes back the order it got last
+// time orders a suffix no longer than that one without allocating.
+func (g *Graph) ReverseTopoFrom(lo int, buf []int) ([]int, error) {
 	n := g.NumTasks() - lo
-	left := make([]int32, n) // successors not yet ordered
-	order := make([]int, 0, n)
+	buf = slices.Grow(buf[:0], 2*n)[:2*n]
+	order, left := buf[:0], buf[n:] // left: successors not yet ordered
 	for i := range left {
-		left[i] = int32(len(g.Succ[lo+i]))
+		left[i] = len(g.Succ[lo+i])
 		if left[i] == 0 {
 			order = append(order, lo+i)
 		}
