@@ -61,7 +61,7 @@ test:
 # replaced bit for bit or bounds what it keeps or allocates. These also run
 # under `make test`; a failure here reads as a path that diverged.
 equiv:
-	$(GO) test -run 'TestDifferential|TestStreamTrainingWorkerInvariance|TestA2CFaultTrainingBitIdenticalAcrossWorkers|TestStreamIncrementalIdentical|TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps|TestInferenceBindingMatchesFreshTapes|TestIncremental|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates|TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestEpisodeLogReuseIsolated|TestEvaluatorReuseBitIdentical|TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator|TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw|TestReplanHEFTMatchesHEFTAtSigmaZero|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestStreamValidateCatchesRetiredJobViolation|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded|TestSwitchingModelsAllocatesNothing|TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./...
+	$(GO) test -run 'TestDifferential|TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps|TestInferenceBindingMatchesFreshTapes|TestIncremental|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates|TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestEpisodeLogReuseIsolated|TestEvaluatorReuseBitIdentical|TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator|TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw|TestReplanHEFTMatchesHEFTAtSigmaZero|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestStreamValidateCatchesRetiredJobViolation|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded|TestSwitchingModelsAllocatesNothing|TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./...
 
 # Native fuzzing of the decoders that read outside bytes: an arrival trace
 # either errors or builds every graph within taskgraph.MaxTasks and
@@ -134,8 +134,8 @@ portable:
 # readys-obs-check and its exported readys_decide_* counters
 # (∅ answers included), then the sim and stream traces merged into one
 # document (-merge) that must validate too. Parent-link validation (-links)
-# of a client → gateway → replica trace is TestGatewayFailoverChaos's and
-# TestGatewayTraceLinks's, under make test.
+# of a client → gateway → replica trace is TestGatewayFailoverChaos's, under
+# make test.
 obs-smoke:
 	rm -rf $(OBS_TMP) && mkdir -p $(OBS_TMP)
 	$(GO) run ./cmd/readys-train -kind cholesky -T 2 -episodes 3 -quiet \

@@ -76,27 +76,6 @@ func TestTrainerChangesParameters(t *testing.T) {
 	}
 }
 
-func TestTrainerDeterministicWithSeed(t *testing.T) {
-	run := func() []float64 {
-		tr := NewTrainer(tinyAgent(3), tinyProblem(), fastCfg(6))
-		h, err := tr.Run(nil)
-		if err != nil {
-			panic(err)
-		}
-		out := make([]float64, len(h.Episodes))
-		for i, e := range h.Episodes {
-			out[i] = e.Makespan
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("episode %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestTrainerUnrollBootstrap(t *testing.T) {
 	cfg := fastCfg(6)
 	cfg.Unroll = 5

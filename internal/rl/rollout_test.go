@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -256,9 +257,8 @@ func TestRunStopsRolloutsOnError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			historiesIdentical(t, got, want, "after an error")
-			if paramHash(tr.Agent.Params()) != paramHash(fresh.Agent.Params()) {
-				t.Fatal("parameters after an error differ from a fresh trainer's")
+			if g, w := toGolden(got, paramHash(tr.Agent.Params())), toGolden(want, paramHash(fresh.Agent.Params())); !reflect.DeepEqual(g, w) {
+				t.Fatalf("after an error, the history or weights differ from a fresh trainer's:\n  got  %+v\n  want %+v", g, w)
 			}
 		})
 	}

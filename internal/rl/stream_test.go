@@ -50,30 +50,6 @@ func TestStreamTrainingRunsAndRewardsConsistent(t *testing.T) {
 	}
 }
 
-// TestStreamTrainingWorkerInvariance extends the repo's determinism criterion
-// to stream training: the History (and final parameters) must be bit-identical
-// whether episodes roll out sequentially or on 4 workers.
-func TestStreamTrainingWorkerInvariance(t *testing.T) {
-	run := func(workers int) (History, string) {
-		agent := tinyAgent(7)
-		cfg := fastCfg(8)
-		cfg.BatchEpisodes = 4
-		cfg.RolloutWorkers = workers
-		cfg.Arrivals = tinyArrivals()
-		h, err := NewTrainer(agent, streamProblem(), cfg).Run(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, paramHash(agent.Params())
-	}
-	seqHist, seqParams := run(1)
-	parHist, parParams := run(4)
-	historiesIdentical(t, seqHist, parHist, "a2c-stream")
-	if seqParams != parParams {
-		t.Fatal("stream training: final parameters differ between sequential and parallel rollouts")
-	}
-}
-
 // TestStreamTrainingUnderFaults trains with mid-stream fault injection and
 // fault-state features on, pinning the full stream-training surface.
 func TestStreamTrainingUnderFaults(t *testing.T) {

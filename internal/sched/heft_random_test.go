@@ -10,78 +10,62 @@ import (
 	"readys/internal/taskgraph"
 )
 
+var randomSigmas = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
+
 // TestHEFTValidOnRandomDAGsProperty checks HEFT end to end on arbitrary
 // multi-root layered DAGs: the projection must be a feasible schedule and its
 // static replay must execute without deadlock at any noise level.
 func TestHEFTValidOnRandomDAGsProperty(t *testing.T) {
-	f := func(seed int64, sig8 uint8, cpus8, gpus8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := taskgraph.NewLayeredRandom(rng, taskgraph.DefaultRandomConfig())
-		cpus := int(cpus8%3) + 1
-		gpus := int(gpus8 % 3)
-		plat := platform.New(cpus, gpus)
-		tt := platform.TimingFor(taskgraph.Random)
-		h := HEFT(g, plat, tt)
-
-		proj := sim.Result{Makespan: h.Makespan}
-		for task := 0; task < g.NumTasks(); task++ {
-			proj.Trace = append(proj.Trace, sim.Placement{
-				Task: task, Resource: h.Assignment[task], Start: h.ProjStart[task], End: h.ProjEnd[task],
-			})
-		}
-		if sim.ValidateResult(g, plat.Size(), proj) != nil {
-			return false
-		}
-		sigma := float64(sig8%6) * 0.1
-		res, err := sim.Simulate(g, plat, tt, NewStaticPolicy(h), sim.Options{
-			Sigma: sigma, Rng: rand.New(rand.NewSource(seed + 1)),
-		})
-		if err != nil {
-			return false
-		}
-		return sim.ValidateResult(g, plat.Size(), res) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	validOnRandomDAGs(t, func(h *HEFTSchedule) sim.Policy { return NewStaticPolicy(h) },
+		[]int{1, 2, 3}, []int{0, 1, 2}, randomSigmas, 40)
 }
 
 // TestMCTValidOnRandomDAGsProperty does the same for the dynamic MCT.
 func TestMCTValidOnRandomDAGsProperty(t *testing.T) {
-	f := func(seed int64, sig8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := taskgraph.NewLayeredRandom(rng, taskgraph.DefaultRandomConfig())
-		plat := platform.New(2, 2)
-		tt := platform.TimingFor(taskgraph.Random)
-		res, err := sim.Simulate(g, plat, tt, MCTPolicy{}, sim.Options{
-			Sigma: float64(sig8%6) * 0.1, Rng: rand.New(rand.NewSource(seed + 1)),
-		})
-		if err != nil {
-			return false
-		}
-		return sim.ValidateResult(g, plat.Size(), res) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	validOnRandomDAGs(t, func(*HEFTSchedule) sim.Policy { return MCTPolicy{} },
+		[]int{2}, []int{2}, randomSigmas, 40)
 }
 
 // TestReplanHEFTValidOnRandomDAGsProperty covers the adaptive variant too.
 func TestReplanHEFTValidOnRandomDAGsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := taskgraph.NewLayeredRandom(rng, taskgraph.DefaultRandomConfig())
-		plat := platform.New(2, 1)
+	validOnRandomDAGs(t, func(*HEFTSchedule) sim.Policy { return NewReplanHEFTPolicy() },
+		[]int{2}, []int{1}, []float64{0.4}, 25)
+}
+
+// validOnRandomDAGs runs policy end to end on runs arbitrary multi-root
+// layered DAGs, on a platform and at a σ drawn from cpus, gpus and sigmas:
+// the run must execute without deadlock and its schedule validate, and
+// HEFT's projection, from which policy is built, must be a feasible schedule
+// itself.
+func validOnRandomDAGs(t *testing.T, policy func(*HEFTSchedule) sim.Policy, cpus, gpus []int, sigmas []float64, runs int) {
+	t.Helper()
+	f := func(seed int64, c, g, sigma uint8) bool {
+		dag := taskgraph.NewLayeredRandom(rand.New(rand.NewSource(seed)), taskgraph.DefaultRandomConfig())
+		plat := platform.New(cpus[int(c)%len(cpus)], gpus[int(g)%len(gpus)])
 		tt := platform.TimingFor(taskgraph.Random)
-		res, err := sim.Simulate(g, plat, tt, NewReplanHEFTPolicy(), sim.Options{
-			Sigma: 0.4, Rng: rand.New(rand.NewSource(seed + 1)),
-		})
-		if err != nil {
+		h := HEFT(dag, plat, tt)
+		proj := sim.Result{Makespan: h.Makespan}
+		for task := 0; task < dag.NumTasks(); task++ {
+			proj.Trace = append(proj.Trace, sim.Placement{
+				Task: task, Resource: h.Assignment[task], Start: h.ProjStart[task], End: h.ProjEnd[task],
+			})
+		}
+		if err := sim.ValidateResult(dag, plat.Size(), proj); err != nil {
+			t.Logf("seed %d on %v: HEFT's projection: %v", seed, plat, err)
 			return false
 		}
-		return sim.ValidateResult(g, plat.Size(), res) == nil
+		res, err := sim.Simulate(dag, plat, tt, policy(h), sim.Options{
+			Sigma: sigmas[int(sigma)%len(sigmas)], Rng: rand.New(rand.NewSource(seed + 1)),
+		})
+		if err == nil {
+			err = sim.ValidateResult(dag, plat.Size(), res)
+		}
+		if err != nil {
+			t.Logf("seed %d on %v: %v", seed, plat, err)
+		}
+		return err == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: runs}); err != nil {
 		t.Fatal(err)
 	}
 }

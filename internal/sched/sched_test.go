@@ -220,19 +220,6 @@ func TestMCTRobustToNoise(t *testing.T) {
 	}
 }
 
-func TestHEFTDeterministic(t *testing.T) {
-	g, plat, tt := setup(taskgraph.QR, 6, 2, 2)
-	a, b := HEFT(g, plat, tt), HEFT(g, plat, tt)
-	if a.Makespan != b.Makespan {
-		t.Fatal("HEFT nondeterministic makespan")
-	}
-	for i := range a.Assignment {
-		if a.Assignment[i] != b.Assignment[i] {
-			t.Fatal("HEFT nondeterministic assignment")
-		}
-	}
-}
-
 func TestEarliestGapInsertion(t *testing.T) {
 	// A timeline lists tasks; their projected intervals are the slots.
 	p := &HEFTSchedule{ProjStart: []float64{10, 30}, ProjEnd: []float64{20, 40}}

@@ -266,95 +266,6 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 	}
 }
 
-// TestStreamIncrementalIdentical pins the incremental decision state against
-// its full-rebuild oracle across streaming arrivals: Cluster.AddJob bumps the
-// graph epoch mid-episode, so every cache layer (window, adjacency, static
-// features, decision memo) must invalidate correctly. The default policy
-// (incremental + memo + inference tape) must fingerprint identically to the
-// pre-optimization path (full EncodeFault rebuild, tape
-// forward, no memo), with and without fault plans. Six streams are short; the
-// seventh is 60 jobs long. Run reserves the union, so the append-only caches
-// (descendant features, BFS scratch) are allocated once there; in the replay
-// below, which reserves nothing, they outgrow their first allocation and
-// regrow with the union several times inside the comparison.
-//
-// Each stream is also replayed on a cluster handed a graph built new for every
-// arrival (unfrozen, so validated and frozen on arrival) instead of Run's
-// frozen per-shape templates: the union schedule must not move, and right
-// after each arrival, before the job can finish and its rows be dropped, the
-// job's rows of the union AddJob's bulk append built must equal, row for row,
-// those AddTask and AddEdge build.
-func TestStreamIncrementalIdentical(t *testing.T) {
-	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
-	faultAgent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4, FaultFeatures: true})
-	for i := 0; i < 7; i++ {
-		seed := int64(5000 + i)
-		jobs := 5
-		if i == 6 {
-			jobs = 60
-		}
-		arr := testArrivals(t, seed, jobs, 2.5)
-		horizon := arr[len(arr)-1].At + 3000
-		for fi, faults := range []*sim.FaultPlan{nil, sim.GeneratePlan(seed, 4, sim.SpecForRate(1.0, horizon))} {
-			for _, ag := range []*core.Agent{agent, faultAgent} {
-				oracle := runStream(t, func() sim.Policy { return core.NewReferencePolicy(ag) }, arr, seed, faults)
-				want := fingerprint(oracle)
-				fresh := freshGraphStream(t, core.NewPolicy(ag), arr, seed, faults)
-				if !reflect.DeepEqual(fresh, oracle.Sim) {
-					t.Fatalf("stream %d faults=%d ff=%v: a graph built per arrival schedules differently from the frozen templates",
-						i, fi, ag.Cfg.FaultFeatures)
-				}
-				got := runStream(t, func() sim.Policy { return core.NewPolicy(ag) }, arr, seed, faults)
-				if g := fingerprint(got); g != want {
-					t.Fatalf("stream %d faults=%d ff=%v incremental diverged from rebuild oracle:\n%s\nvs\n%s",
-						i, fi, ag.Cfg.FaultFeatures, g, want)
-				}
-			}
-		}
-	}
-}
-
-// freshGraphStream is Run's loop over a cluster that gets a.Graph(), built new
-// and unfrozen, at every arrival, and returns the union schedule. Right after
-// each AddJob it holds the job's union rows to those of a union built task by
-// task, then edge by edge in Succ order.
-func freshGraphStream(t *testing.T, pol sim.Policy, arr []Arrival, seed int64, faults *sim.FaultPlan) sim.Result {
-	t.Helper()
-	cl, err := sim.NewCluster(platform.New(2, 2), sim.Options{Sigma: 0.1, Rng: rand.New(rand.NewSource(seed)), Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	union := taskgraph.NewCustom(taskgraph.Random, [taskgraph.NumKernels]string{"k0", "k1", "k2", "k3"})
-	pol.Reset(cl.State())
-	for i, a := range arr {
-		if err := cl.RunUntil(pol, a.At); err != nil {
-			t.Fatal(err)
-		}
-		g := a.Graph()
-		base, err := cl.AddJob(i, g, platform.TimingFor(a.Kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, task := range g.Tasks {
-			union.AddTask(task.Kernel, task.Name)
-		}
-		for from, succ := range g.Succ {
-			for _, to := range succ {
-				union.AddEdge(base+from, base+to)
-			}
-		}
-		got, end := cl.State().Graph, base+g.NumTasks()
-		if !reflect.DeepEqual(got.Tasks[base:end], union.Tasks[base:end]) || !reflect.DeepEqual(got.Succ[base:end], union.Succ[base:end]) ||
-			!reflect.DeepEqual(got.Pred[base:end], union.Pred[base:end]) {
-			t.Fatalf("job %d: the appended rows differ from the AddTask/AddEdge ones", i)
-		}
-	}
-	if err := cl.Drain(pol); err != nil {
-		t.Fatal(err)
-	}
-	return cl.Result()
-}
-
 // TestHEFTPerJobRanksMatchUnion pins the append-only ranks to what the
 // policy's doc claims: after every arrival, the ranks the policy keeps for the
 // union — each just computed or kept from an earlier arrival — are the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -165,13 +166,22 @@ func TestTopoOrderMatchesSortEveryPop(t *testing.T) {
 	}
 }
 
+// TestReverseTopoFrom orders each job of a union grown by Append, as a
+// stream's cluster grows it, right after the job is appended; the union's
+// Tasks, Succ and Pred rows must then equal, row for row, those AddTask and
+// AddEdge build (appendJob).
 func TestReverseTopoFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	union := newUnion()
+	union, slow := newUnion(), newUnion()
 	var order []int // each job is ordered in the array the last one was
 	for j := 0; j < 20; j++ {
 		lo := union.NumTasks()
-		appendJob(union, randomJob(rng))
+		job := randomJob(rng)
+		union.Append(job)
+		appendJob(slow, job)
+		if !reflect.DeepEqual(union.Tasks, slow.Tasks) || !reflect.DeepEqual(union.Succ, slow.Succ) || !reflect.DeepEqual(union.Pred, slow.Pred) {
+			t.Fatalf("job %d: the appended rows differ from the AddTask/AddEdge ones", j)
+		}
 		var err error
 		order, err = union.ReverseTopoFrom(lo, order)
 		if err != nil {
