@@ -33,13 +33,16 @@
 #                      arrival trace replayed to the same schedule
 #   make tables      — paper-table gate: regenerate the six deterministic
 #                      results/*.csv from ./models and cmp them byte for byte
+#   make test-times  — one uncached `go test ./...`: each package's time, the
+#                      root package's and their sum (a test removed outside
+#                      the root package shows in the sum, not in wall time)
 #   make bench-serve — serving-throughput benchmark
 #   make serve       — run the scheduling daemon against ./models
 
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
 
-.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables bench-serve serve gateway
+.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables test-times bench-serve serve gateway
 
 check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables
 
@@ -215,6 +218,17 @@ tables:
 	done
 	rm -rf $(TABLES_TMP)
 	@echo tables OK
+
+# Test time by package. Packages run in parallel, so the wall time of
+# `go test ./...` is about the root package's (the differential harness)
+# whatever the others take; the sum of the package times is what a removal
+# elsewhere moves. One run; compare several, alternated, between two trees.
+test-times:
+	@root=$$($(GO) list .); out=$$($(GO) test -count=1 ./... 2>&1); status=$$?; \
+	if [ $$status != 0 ]; then echo "$$out"; exit $$status; fi; \
+	echo "$$out" | awk -v root="$$root" '$$1 == "ok" { t = $$3; sub(/s$$/, "", t); n++; sum += t; \
+		if ($$2 == root) r = t; printf "%8.2f s  %s\n", t, $$2 } \
+		END { printf "%8.2f s  root package (%s)\n%8.2f s  sum of %d packages\n", r, root, sum, n }'
 
 bench-serve:
 	$(GO) test -bench BenchmarkServeScheduleThroughput -benchtime 2s -run '^$$' ./internal/serve/

@@ -45,7 +45,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
-		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace, five spans per schedule request and none per /healthz probe or /metrics scrape (0 = default: 8192 spans in 768 KiB, the last ≈ 1 600 schedule requests of any size)")
+		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace, five spans per schedule request and none per /healthz probe or /metrics scrape (0 = default: 8192 spans, at most 768 KiB, the last ≈ 1 600 schedule requests of any size)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "readys-serve: ", log.LstdFlags)

@@ -67,7 +67,8 @@ type Config struct {
 	Logger *log.Logger
 	// TraceEvents is the request-span ring capacity. <= 0 picks one
 	// serve.DefaultTraceEvents ring per replica (traceCapacity): 16 384
-	// records, 1.5 MiB, for two replicas. A schedule request records two
+	// records for two replicas, 1.5 MiB once full (the ring grows in chunks
+	// as it fills). A schedule request records two
 	// spans here (request, forward) and five on its replica, and /healthz
 	// and /metrics record none on either, so over N replicas this window
 	// covers the default window of every replica that takes at least 0.4 / N

@@ -113,46 +113,6 @@ func sameSchedule(t testing.TB, ctx string, got, want serve.ScheduleResponse) {
 	}
 }
 
-// TestRankDeterministicAndOrderFree pins the rendezvous-routing contract:
-// the ranking for a key does not depend on the order replicas were listed
-// in, and different keys spread across replicas.
-func TestRankDeterministicAndOrderFree(t *testing.T) {
-	urls := []string{"http://10.0.0.1:8081", "http://10.0.0.2:8081", "http://10.0.0.3:8081"}
-	g1 := newTestGateway(t, urls[0], urls[1], urls[2])
-	g2 := newTestGateway(t, urls[2], urls[0], urls[1])
-
-	keys := []string{"model-a", "model-b", "model-c", "model-d", "model-e"}
-	first := make(map[string]bool)
-	for _, key := range keys {
-		r1, r2 := g1.rank(key), g2.rank(key)
-		if len(r1) != len(urls) || len(r2) != len(urls) {
-			t.Fatalf("rank(%q) returned %d and %d replicas, want %d", key, len(r1), len(r2), len(urls))
-		}
-		for i := range r1 {
-			if r1[i].url != r2[i].url {
-				t.Fatalf("rank(%q) depends on listing order: %s vs %s at position %d", key, r1[i].url, r2[i].url, i)
-			}
-		}
-		first[r1[0].url] = true
-	}
-	if len(first) < 2 {
-		t.Errorf("5 keys all ranked the same replica first; rendezvous hashing should spread them")
-	}
-
-	// An unhealthy replica drops behind every healthy one but stays a
-	// candidate of last resort.
-	target := g1.rank("model-a")[0]
-	target.healthy.Store(false)
-	ranked := g1.rank("model-a")
-	if ranked[0] == target {
-		t.Fatal("unhealthy replica still ranked first")
-	}
-	if ranked[len(ranked)-1] != target {
-		t.Fatal("unhealthy replica dropped from the candidate list entirely")
-	}
-	target.healthy.Store(true)
-}
-
 // clientTrace is the "client process" of a traced test: one root span, whose
 // context rides every request it sends, on a tracer of its own.
 type clientTrace struct {
@@ -1051,11 +1011,13 @@ func rankByHashing(g *Gateway, req *serve.ScheduleRequest) []string {
 	return out
 }
 
-// TestRouteTableMatchesRendezvous: for 1–5 replicas and a grid of keys wider
-// than the table, the candidates of every request equal rankByHashing's —
+// TestRouteTableMatchesRendezvous: for 1–5 replicas, listed in either order,
+// and a grid of keys wider than the table, the candidates of every request
+// equal rankByHashing's, which depends on the replica set and not its order —
 // while the table fills, after it has been cleared for crossing maxRoutes,
-// and with replicas marked down — and the table never holds more than
-// maxRoutes keys.
+// and with replicas marked down, which drop behind every healthy one but stay
+// candidates of last resort — and the table never holds more than maxRoutes
+// keys. The grid's keys spread over every replica.
 func TestRouteTableMatchesRendezvous(t *testing.T) {
 	var grid []*serve.ScheduleRequest
 	for _, kind := range []string{"cholesky", "lu", "qr"} {
@@ -1075,34 +1037,47 @@ func TestRouteTableMatchesRendezvous(t *testing.T) {
 		for i := range n {
 			urls = append(urls, fmt.Sprintf("http://10.0.0.%d:8081", i+1))
 		}
-		g := newTestGateway(t, urls...)
+		reversed := slices.Clone(urls)
+		slices.Reverse(reversed)
+		gateways := []*Gateway{newTestGateway(t, urls...), newTestGateway(t, reversed...)}
+		first := map[string]bool{}
 		check := func(phase string) {
 			t.Helper()
-			for _, req := range grid {
-				got := []string{}
-				for _, rep := range g.route(req) {
-					got = append(got, rep.url)
-				}
-				if want := rankByHashing(g, req); !slices.Equal(got, want) {
-					t.Fatalf("%d replicas, %s, %s T=%d train_t=%d %dc%dg: candidates %v, want %v",
-						n, phase, req.Kind, req.T, req.TrainT, req.CPUs, req.GPUs, got, want)
-				}
-				if got, want := g.RouteFor(req), rankByHashing(g, req)[0]; got != want {
-					t.Fatalf("%d replicas, %s: RouteFor %s, want %s", n, phase, got, want)
-				}
-				if len(g.routes) > maxRoutes {
-					t.Fatalf("%d replicas, %s: the table holds %d keys, bound %d", n, phase, len(g.routes), maxRoutes)
+			for order, g := range gateways {
+				for _, req := range grid {
+					got := []string{}
+					for _, rep := range g.route(req) {
+						got = append(got, rep.url)
+					}
+					if want := rankByHashing(g, req); !slices.Equal(got, want) {
+						t.Fatalf("%d replicas in order %d, %s, %s T=%d train_t=%d %dc%dg: candidates %v, want %v",
+							n, order, phase, req.Kind, req.T, req.TrainT, req.CPUs, req.GPUs, got, want)
+					}
+					if got, want := g.RouteFor(req), rankByHashing(g, req)[0]; got != want {
+						t.Fatalf("%d replicas in order %d, %s: RouteFor %s, want %s", n, order, phase, got, want)
+					}
+					if len(g.routes) > maxRoutes {
+						t.Fatalf("%d replicas in order %d, %s: the table holds %d keys, bound %d", n, order, phase, len(g.routes), maxRoutes)
+					}
+					first[got[0]] = true
 				}
 			}
 		}
 		check("filling")
+		if len(first) != n {
+			t.Fatalf("%d replicas: the grid's keys route first to only %d of them", n, len(first))
+		}
 		check("after the bound")
-		for i, rep := range g.replicas {
-			rep.healthy.Store(i%2 == 1)
+		for _, g := range gateways {
+			for i, rep := range g.replicas {
+				rep.healthy.Store(i%2 == 1)
+			}
 		}
 		check("some down")
-		for _, rep := range g.replicas {
-			rep.healthy.Store(false)
+		for _, g := range gateways {
+			for _, rep := range g.replicas {
+				rep.healthy.Store(false)
+			}
 		}
 		check("all down")
 	}

@@ -5,8 +5,8 @@ import "math"
 // record is what a Tracer's ring holds per event: every field of the Event it
 // exports as, with the span identity and attributes inline instead of in an
 // Args map. It holds no pointers — strings are handles into the tracer's
-// strtab — so a ring is one allocation the collector never scans, and a full
-// ring retains capacity × sizeof(record) bytes by construction
+// strtab — so a ring's chunks are allocations the collector never scans, and
+// a full ring retains capacity × sizeof(record) bytes by construction
 // (TestTracerRingBytesFixed, TestRecordHasNoPointers).
 type record struct {
 	ts, dur float64
@@ -205,7 +205,7 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 // event materialises the export form of the record in a ring slot. Only
 // Events calls it: an event's Args map exists from here on, never in the ring.
 func (t *Tracer) event(slot int) Event {
-	r, s := &t.buf[slot], &t.strs
+	r, s := t.at(slot), &t.strs
 	e := Event{
 		Name: s.strs[r.name], Cat: s.strs[r.cat], Ph: string(rune(r.ph)),
 		TS: r.ts, Dur: r.dur, PID: int64(r.pid), TID: r.tid,

@@ -113,9 +113,9 @@ func TestSpanAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRecordHasNoPointers: a ring is one allocation the collector never
-// scans only if a record holds no pointer, and 96 bytes a record is what sizes
-// a ring (DefaultTraceCapacity, a serving daemon's TraceEvents).
+// TestRecordHasNoPointers: a ring's chunks are allocations the collector
+// never scans only if a record holds no pointer, and 96 bytes a record is what
+// bounds a ring (DefaultTraceCapacity, a serving daemon's TraceEvents).
 func TestRecordHasNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -137,13 +137,16 @@ func TestRecordHasNoPointers(t *testing.T) {
 	}
 }
 
-// TestTracerRingBytesFixed holds the ring to its byte bound: after three laps
-// of request-shaped traffic (a fresh trace every five spans, a request's root
-// and its four stages) the tracer keeps capacity × sizeof(record) bytes alive
-// and a table of the few strings its call sites name — not a map per span, and
-// not the requests' IDs, which a record holds as their 64 bits.
+// TestTracerRingBytesFixed holds the ring to its byte bounds under
+// request-shaped traffic (a fresh trace every five spans, a request's root and
+// its four stages): a fresh tracer keeps a few KiB whatever its capacity; a
+// ring filled to a third keeps its records rounded up to one chunk; and after
+// three laps the tracer keeps capacity × sizeof(record) bytes alive and a
+// table of the few strings its call sites name — not a map per span, and not
+// the requests' IDs, which a record holds as their 64 bits.
 func TestTracerRingBytesFixed(t *testing.T) {
 	const capacity = 1 << 14
+	const slack = 16 << 10
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -151,29 +154,59 @@ func TestTracerRingBytesFixed(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	keeps := func(before uint64) uint64 {
+		if after := liveHeap(); after > before {
+			return after - before
+		}
+		return 0
+	}
+	rec := uint64(unsafe.Sizeof(record{}))
+
+	// Sixteen of them, so that one reading is not the heap's noise.
 	before := liveHeap()
+	var fresh [16]*Tracer
+	for i := range fresh {
+		fresh[i] = NewTracer(0)
+	}
+	if kept := keeps(before) / uint64(len(fresh)); kept > 4<<10 {
+		t.Fatalf("a fresh NewTracer(0) keeps %d bytes live, want at most 4 KiB: the ring must grow on demand", kept)
+	}
+	runtime.KeepAlive(fresh)
+
+	before = liveHeap()
 	tr := NewTracer(capacity)
 	stages := []string{"model_load", "queue_wait", "rollout", "references"}
 	var root Link
-	for i := 0; i < 3*capacity; i++ {
+	span := func(i int) {
 		if i%5 == 0 {
 			root = RootLink(NewTraceID(), "")
 			tr.Span("request", "schedule", 1, int64(i), float64(i), 1, root,
 				Int(KeyRequestID, int64(i)), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200))
-			continue
+			return
 		}
 		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, root.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
 	}
-	after := liveHeap()
+	const third = capacity / 3
+	for i := 0; i < third; i++ {
+		span(i)
+	}
+	chunks := uint64((third + chunkLen - 1) / chunkLen)
+	keptThird := keeps(before)
+	if bound := chunks*chunkLen*rec + slack; keptThird > bound {
+		t.Fatalf("a ring holding %d of %d records keeps %d bytes live, bound is %d (%d chunks of %d × %d B) + %d slack",
+			third, capacity, keptThird, bound, chunks, chunkLen, rec, slack)
+	}
+	for i := third; i < 3*capacity; i++ {
+		span(i)
+	}
+	kept := keeps(before)
 	if tr.Len() != capacity || tr.dropped != 2*capacity {
 		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.dropped)
 	}
-	ring := uint64(capacity * unsafe.Sizeof(record{}))
-	const slack = 16 << 10
-	t.Logf("record %d B, ring %d B, tracer keeps %d B live", unsafe.Sizeof(record{}), ring, after-before)
-	if after > before && after-before > ring+slack {
-		t.Fatalf("a full ring keeps %d bytes live, bound is %d (capacity × %d B) + %d slack",
-			after-before, ring, unsafe.Sizeof(record{}), slack)
+	ring := capacity * rec
+	t.Logf("record %d B, ring %d B, tracer keeps %d B live full and %d B a third full", rec, ring, kept, keptThird)
+	if kept > ring+slack {
+		t.Fatalf("a full ring keeps %d bytes live, bound is %d (capacity × %d B) + %d slack", kept, ring, rec, slack)
 	}
 	runtime.KeepAlive(tr)
 }
@@ -181,28 +214,38 @@ func TestTracerRingBytesFixed(t *testing.T) {
 // TestTracerStringTableBounded: a trace whose every span has a name and a
 // client's trace ID of its own (a simulator's per-task names, a client's
 // short hex IDs) keeps only the names of the records still in the ring — the
-// IDs are their 64 bits, in no table — so after three laps the table has the
-// last lap's names plus the vocabulary, and the survivors still export their
-// own names and IDs.
+// IDs are their 64 bits, in no table. Over three laps of a ring whose last
+// chunk is cut short, checked at every chunk and lap boundary against a plain
+// slice of what was written, the ring exports the newest capacity events
+// oldest first under their own names and IDs, counts the rest as dropped,
+// and its table holds their names plus the vocabulary.
 func TestTracerStringTableBounded(t *testing.T) {
-	const capacity = 1 << 10
+	const capacity = 2*chunkLen + 77
 	tr := NewTracer(capacity)
 	name := func(i int) string { return fmt.Sprintf("task %d", i) }
 	id := func(i int) string { return strconv.FormatInt(int64(i), 16) }
+	vocab := len([]string{"", "sim", "/v1/schedule"})
+	var written []int // every event, oldest first
 	for i := 0; i < 3*capacity; i++ {
 		tr.Span(name(i), "sim", 1, 1, float64(i), 1, RootLink(id(i), ""), String(KeyPath, "/v1/schedule"))
-	}
-	checkStrtab(t, tr)
-	vocab := len([]string{"", "sim", "/v1/schedule"})
-	if live, slots := len(tr.strs.ids), len(tr.strs.strs); live != capacity+vocab-1 || slots > capacity+vocab {
-		t.Fatalf("string table: %d live entries, %d slots; want %d live and at most %d slots (capacity + vocabulary)",
-			live, slots, capacity+vocab-1, capacity+vocab)
-	}
-	ev := tr.Events()
-	for _, i := range []int{0, capacity - 1} {
-		e, want := ev[i], 2*capacity+i
-		if e.Name != name(want) || e.Args[ArgTraceID] != formatID(uint64(want)) || e.Args["path"] != "/v1/schedule" {
-			t.Fatalf("event %d exports as %q %v, want %q with trace %016x", i, e.Name, e.Args, name(want), want)
+		written = append(written, i)
+		if n := len(written); n%chunkLen > 1 && n%capacity > 1 && n != 3*capacity {
+			continue
+		}
+		want := written[max(0, len(written)-capacity):]
+		kept, dropped := len(want), len(written)-len(want)
+		if tr.Len() != kept || tr.dropped != uint64(dropped) {
+			t.Fatalf("after %d events: Len %d, dropped %d; want %d and %d", len(written), tr.Len(), tr.dropped, kept, dropped)
+		}
+		for j, e := range tr.Events() {
+			if w := want[j]; e.Name != name(w) || e.TS != float64(w) || e.Args[ArgTraceID] != formatID(uint64(w)) || e.Args["path"] != "/v1/schedule" {
+				t.Fatalf("after %d events, event %d exports as %q at %v %v, want %q with trace %016x", len(written), j, e.Name, e.TS, e.Args, name(w), w)
+			}
+		}
+		checkStrtab(t, tr)
+		if live, slots := len(tr.strs.ids), len(tr.strs.strs); live != kept+vocab-1 || slots > capacity+vocab {
+			t.Fatalf("after %d events, string table: %d live entries, %d slots; want %d live and at most %d slots (capacity + vocabulary)",
+				len(written), live, slots, kept+vocab-1, capacity+vocab)
 		}
 	}
 }
@@ -214,8 +257,8 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 	t.Helper()
 	s := &tr.strs
 	held := make([]int32, len(s.refs))
-	for i := range tr.buf {
-		r := &tr.buf[i]
+	for i := 0; i < tr.n; i++ {
+		r := tr.at(i)
 		held[r.name]++
 		held[r.cat]++
 		for j := 0; j < int(r.nattr); j++ {

@@ -39,13 +39,18 @@ const (
 // whose strings the ring already names costs no allocation, and a full ring
 // retains capacity × sizeof(record) bytes whatever was written to it, plus
 // one table entry per distinct string its records name. Events are built
-// from the records on export.
+// from the records on export. The ring grows on demand in chunks of chunkLen
+// records, the last cut to the capacity, so a tracer that has recorded n
+// events keeps ⌈n / chunkLen⌉ chunks: a request-span ring sized for the
+// busiest window costs only what a quieter one has filled.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []record
-	strs    strtab
-	next    int
-	dropped uint64
+	mu       sync.Mutex
+	chunks   [][]record // ring slot i is chunks[i/chunkLen][i%chunkLen]
+	n        int        // records in the ring
+	capacity int
+	strs     strtab
+	next     int
+	dropped  uint64
 
 	procNames   map[int64]string
 	threadNames map[[2]int64]string
@@ -54,21 +59,28 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
-// non-positive capacity: 6 MiB, allocated whole at 96 bytes a record. It holds
-// a mid-size simulated schedule or a stream run's trace. The serving tier
-// sizes its own rings: a serving daemon's from the five stage spans it
-// records a request (serve.Config.TraceEvents), a gateway's from the
-// replicas it fronts (gateway.Config.TraceEvents).
+// non-positive capacity: at most 6 MiB at 96 bytes a record, of which a trace
+// keeps only the chunks it has filled. It holds a mid-size simulated schedule
+// or a stream run's trace. The serving tier sizes its own rings: a serving
+// daemon's from the five stage spans it records a request
+// (serve.Config.TraceEvents), a gateway's from the replicas it fronts
+// (gateway.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
+// chunkLen is how many records the ring allocates at a time: 48 KiB, small
+// beside the rings the serving tier sizes (768 KiB a replica) and large
+// enough that a chunk is allocated once per hundred requests.
+const chunkLen = 512
+
 // NewTracer returns a tracer with the given ring capacity (<= 0 selects
-// DefaultTraceCapacity).
+// DefaultTraceCapacity). It allocates no ring slot until the first event.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
 	return &Tracer{
-		buf:         make([]record, 0, capacity),
+		chunks:      make([][]record, 0, (capacity+chunkLen-1)/chunkLen),
+		capacity:    capacity,
 		strs:        newStrtab(),
 		procNames:   make(map[int64]string),
 		threadNames: make(map[[2]int64]string),
@@ -83,19 +95,25 @@ func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64
 	}
 	r := newRecord(ph, pid, tid, ts, dur, link, attrs)
 	t.mu.Lock()
-	slot := len(t.buf)
-	if slot < cap(t.buf) {
-		t.buf = t.buf[:slot+1]
+	slot := t.n
+	if slot < t.capacity {
+		if slot%chunkLen == 0 {
+			t.chunks = append(t.chunks, make([]record, min(chunkLen, t.capacity-slot)))
+		}
+		t.n++
 	} else {
 		slot = t.next
-		t.next = (t.next + 1) % cap(t.buf)
+		t.next = (t.next + 1) % t.capacity
 		t.dropped++
-		t.strs.releaseRecord(&t.buf[slot])
+		t.strs.releaseRecord(t.at(slot))
 	}
 	t.strs.internRecord(&r, name, cat, attrs)
-	t.buf[slot] = r
+	*t.at(slot) = r
 	t.mu.Unlock()
 }
+
+// at returns the record in ring slot i.
+func (t *Tracer) at(i int) *record { return &t.chunks[i/chunkLen][i%chunkLen] }
 
 // Span records a complete slice on lane (pid, tid), from ts for dur (both in
 // microseconds), that carries its place in a distributed trace and up to
@@ -145,10 +163,10 @@ func (t *Tracer) NameThread(pid, tid int64, name string) {
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	for i := range t.buf {
+	out := make([]Event, 0, t.n)
+	for i := 0; i < t.n; i++ {
 		// next is 0 until the ring wraps, the oldest record's slot after.
-		out = append(out, t.event((t.next+i)%len(t.buf)))
+		out = append(out, t.event((t.next+i)%t.n))
 	}
 	return out
 }
@@ -157,7 +175,7 @@ func (t *Tracer) Events() []Event {
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.n
 }
 
 // chromeTrace is the JSON-object envelope of the trace-event format.

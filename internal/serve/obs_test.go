@@ -68,17 +68,19 @@ func sample(t *testing.T, exposition, name string) int {
 	return 0
 }
 
-// TestMetricsPrometheusFormat checks the text exposition: readys_-prefixed
-// families with endpoint labels, plus runtime and component gauges, and the
-// readys_decide_* counters, which two schedule requests advance by exactly
-// their decisions, readys_decide_idle_total by each answer's idle_decisions.
+// TestMetricsPrometheusFormat checks the text exposition, whatever the query
+// asks for: readys_-prefixed families with endpoint labels, which count a
+// malformed body as a request and an error; the model cache's miss and hit;
+// runtime and component gauges; and the readys_decide_* counters, which two
+// schedule requests advance by exactly their decisions,
+// readys_decide_idle_total by each answer's idle_decisions.
 func TestMetricsPrometheusFormat(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-	scrape := func() string {
+	scrape := func(query string) string {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics"+query, nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("metrics -> %d", rec.Code)
 		}
@@ -87,7 +89,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		}
 		return rec.Body.String()
 	}
-	if before := scrape(); sample(t, before, "readys_decide_forwards_total")+sample(t, before, "readys_decide_memo_hits_total") != 0 {
+	if before := scrape(""); sample(t, before, "readys_decide_forwards_total")+sample(t, before, "readys_decide_memo_hits_total") != 0 {
 		t.Fatalf("decide counters before any request:\n%s", before)
 	}
 	// On 2 CPUs + 2 GPUs the untrained policy answers ∅ at some decisions.
@@ -99,14 +101,19 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 			t.Fatalf("schedule -> %d: %s", rec.Code, rec.Body.String())
 		}
 		decisions += resp.Decisions
-		counted := sample(t, scrape(), "readys_decide_idle_total")
+		counted := sample(t, scrape(""), "readys_decide_idle_total")
 		if counted-idle != resp.IdleDecisions || resp.IdleDecisions == 0 {
 			t.Errorf("request %d: readys_decide_idle_total rose by %d, the answer says %d idle decisions", seed, counted-idle, resp.IdleDecisions)
 		}
 		idle = counted
 	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(`{`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("malformed body -> %d", rec.Code)
+	}
 
-	body := scrape()
+	body := scrape("?format=json")
 	forwards, hits := sample(t, body, "readys_decide_forwards_total"), sample(t, body, "readys_decide_memo_hits_total")
 	if forwards+hits != decisions || forwards == 0 {
 		t.Errorf("%d forwards + %d memo hits, the two requests made %d decisions", forwards, hits, decisions)
@@ -118,14 +125,17 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		t.Errorf("decide latency observed %d times, the requests made %d decisions", n, decisions)
 	}
 	for _, want := range []string{
-		`readys_http_requests_total{endpoint="schedule"} 2`,
-		`readys_http_errors_total{endpoint="schedule"} 0`,
-		`readys_http_latency_ms_bucket{endpoint="schedule",le="+Inf"} 2`,
-		"readys_schedules_answered_total 2",
+		`readys_http_requests_total{endpoint="schedule"} 3` + "\n",
+		`readys_http_errors_total{endpoint="schedule"} 1` + "\n",
+		`readys_http_latency_ms_count{endpoint="schedule"} 3` + "\n",
+		`readys_http_latency_ms_bucket{endpoint="schedule",le="+Inf"} 3` + "\n",
+		"readys_schedules_answered_total 2\n",
 		"readys_goroutines ",
 		"readys_heap_alloc_bytes ",
-		"readys_model_cache_resident 1",
-		"readys_model_cache_evicted_total 0",
+		"readys_model_cache_hits_total 1\n",
+		"readys_model_cache_misses_total 1\n",
+		"readys_model_cache_resident 1\n",
+		"readys_model_cache_evicted_total 0\n",
 		"readys_pool_queued 0",
 		"# TYPE readys_http_latency_ms histogram",
 		// Per-decision inference latency: the sub-100µs serving buckets must

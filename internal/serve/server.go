@@ -44,12 +44,14 @@ type Config struct {
 }
 
 // DefaultTraceEvents is a serving daemon's default request-span ring: 8 192
-// records in 768 KiB. A successful schedule request records five spans
-// whatever its size (request, model_load, queue_wait, rollout, references; its
-// decisions are counted on the rollout span and in the readys_decide_*
-// metrics). /healthz probes and /metrics scrapes record none, so the ring
-// holds the last ≈ 1 600 schedule requests however often a gateway probes. A
-// gateway sizes its own default ring from this one (gateway.Config.TraceEvents).
+// records, 768 KiB once full. It grows in 48 KiB chunks as it fills
+// (obs.Tracer), so a daemon keeps only the spans it has recorded. A
+// successful schedule request records five spans whatever its size (request,
+// model_load, queue_wait, rollout, references; its decisions are counted on
+// the rollout span and in the readys_decide_* metrics). /healthz probes and
+// /metrics scrapes record none, so the ring holds the last ≈ 1 600 schedule
+// requests however often a gateway probes. A gateway sizes its own default
+// ring from this one (gateway.Config.TraceEvents).
 const DefaultTraceEvents = 1 << 13
 
 // DefaultConfig returns production-shaped defaults sized to the host.

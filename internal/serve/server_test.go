@@ -201,49 +201,6 @@ func TestServeModelsAndHealthz(t *testing.T) {
 	}
 }
 
-func TestServeMetrics(t *testing.T) {
-	s := newTestServer(t)
-	h := s.Handler()
-	for i := 0; i < 3; i++ {
-		rec, _ := postSchedule(t, h, ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Seed: int64(i)})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("schedule %d -> %d", i, rec.Code)
-		}
-	}
-	// One failing request to populate error counters.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader([]byte(`{`))))
-
-	// /metrics answers in the text exposition whatever the query asks for.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=json", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("metrics -> %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q, want text/plain exposition", ct)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{
-		`readys_http_requests_total{endpoint="schedule"} 4`,
-		`readys_http_errors_total{endpoint="schedule"} 1`,
-		`readys_http_latency_ms_count{endpoint="schedule"} 4`,
-		`readys_http_latency_ms_bucket{endpoint="schedule",le="+Inf"} 4`,
-		"readys_model_cache_hits_total 2",
-		"readys_model_cache_misses_total 1",
-		"readys_model_cache_evicted_total 0",
-		"readys_model_cache_resident 1",
-		"readys_schedules_answered_total 3",
-	} {
-		if !strings.Contains(body, want+"\n") {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	if t.Failed() {
-		t.Log(body)
-	}
-}
-
 func TestServeBackpressure(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, testSpec(taskgraph.Cholesky, 4, 1, 1))

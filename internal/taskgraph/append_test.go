@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // topoOrderSortEveryPop is the TopoOrder this package shipped before the
@@ -167,9 +168,12 @@ func TestTopoOrderMatchesSortEveryPop(t *testing.T) {
 }
 
 // TestReverseTopoFrom orders each job of a union grown by Append, as a
-// stream's cluster grows it, right after the job is appended; the union's
-// Tasks, Succ and Pred rows must then equal, row for row, those AddTask and
-// AddEdge build (appendJob).
+// stream's cluster grows it, right after the job is appended. Append is held
+// to the task-by-task union it replaced in sim.Cluster.AddJob (appendJob):
+// the job lands at the union's old size, and the union's Tasks, Succ and Pred
+// rows equal AddTask and AddEdge's, row for row — whether the job graph is
+// frozen or not, and with relabelled jobs whose edges run against ID order. A
+// task's name is the job's own string, not a copy.
 func TestReverseTopoFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	union, slow := newUnion(), newUnion()
@@ -177,10 +181,22 @@ func TestReverseTopoFrom(t *testing.T) {
 	for j := 0; j < 20; j++ {
 		lo := union.NumTasks()
 		job := randomJob(rng)
-		union.Append(job)
+		if j%2 == 0 {
+			if err := job.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if base := union.Append(job); base != lo {
+			t.Fatalf("job %d appended at %d, want %d", j, base, lo)
+		}
 		appendJob(slow, job)
 		if !reflect.DeepEqual(union.Tasks, slow.Tasks) || !reflect.DeepEqual(union.Succ, slow.Succ) || !reflect.DeepEqual(union.Pred, slow.Pred) {
 			t.Fatalf("job %d: the appended rows differ from the AddTask/AddEdge ones", j)
+		}
+		for i, task := range job.Tasks {
+			if got := union.Tasks[lo+i].Name; unsafe.StringData(got) != unsafe.StringData(task.Name) {
+				t.Fatalf("job %d task %d: the union copied the name %q", j, i, got)
+			}
 		}
 		var err error
 		order, err = union.ReverseTopoFrom(lo, order)
@@ -204,6 +220,10 @@ func TestReverseTopoFrom(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	if err := union.Validate(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Anything but a self-contained acyclic suffix is refused.

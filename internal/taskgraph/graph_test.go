@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func TestAddTaskAndEdge(t *testing.T) {
@@ -263,39 +262,6 @@ func TestFrozenGraphIsImmutable(t *testing.T) {
 	y := union.AddTask(0, "Y")
 	union.AddEdge(x, y) // tasks added after the append stay open
 	mustPanic("AddEdge at an appended task", func() { union.AddEdge(0, x) })
-}
-
-// TestAppendMatchesAddTaskAddEdge holds the bulk append to the task-by-task
-// union it replaced in sim.Cluster.AddJob: same Tasks (IDs shifted), same Succ
-// and Pred, row for row — whether the job graph is frozen or not, and with
-// relabelled jobs whose edges run against ID order. A task's name is the job's
-// own string, not a copy.
-func TestAppendMatchesAddTaskAddEdge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	bulk, slow := newUnion(), newUnion()
-	for j := 0; j < 30; j++ {
-		job := randomJob(rng)
-		appendJob(slow, job)
-		if j%2 == 0 {
-			if err := job.Freeze(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if base := bulk.Append(job); base != slow.NumTasks()-job.NumTasks() {
-			t.Fatalf("job %d appended at %d, want %d", j, base, slow.NumTasks()-job.NumTasks())
-		}
-		if !reflect.DeepEqual(bulk.Tasks, slow.Tasks) || !reflect.DeepEqual(bulk.Succ, slow.Succ) || !reflect.DeepEqual(bulk.Pred, slow.Pred) {
-			t.Fatalf("after job %d the appended union differs from the AddTask/AddEdge one", j)
-		}
-		for i, task := range job.Tasks {
-			if got := bulk.Tasks[len(bulk.Tasks)-job.NumTasks()+i].Name; unsafe.StringData(got) != unsafe.StringData(task.Name) {
-				t.Fatalf("job %d task %d: the union copied the name %q", j, i, got)
-			}
-		}
-	}
-	if err := bulk.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDropEdges drops the components of an appended union in random order:
