@@ -257,3 +257,89 @@ func TestTraceSlicesAreTheSchedule(t *testing.T) {
 	}
 	checkSlicesAreSchedule(t, tr.Events(), res)
 }
+
+// TestTraceGoldenFaultedStream pins the export of every event kind the
+// simulator writes, through a ring small enough to wrap: a stream of jobs
+// arriving at a 2c2g cluster under an outage, a degrade and a death, traced
+// into a tracer that keeps its newest events and counts the rest as dropped.
+// The retained window holds task slices, "arrive jN" instants (three int
+// attributes), an "outage" slice, "degrade" (a float attribute), "kill" (int,
+// float and string attributes), "death" and the terminal "dead" slice, and
+// the export ends with otherData.dropped_events.
+// Regenerate with: go test ./internal/sim -run TestTraceGolden -update
+func TestTraceGoldenFaultedStream(t *testing.T) {
+	plat := platform.New(2, 2)
+	tr := obs.NewTracer(53)
+	c, err := NewCluster(plat, Options{
+		Sigma: 0.2, Rng: rand.New(rand.NewSource(17)), Tracer: tr,
+		Faults: &FaultPlan{Events: []FaultEvent{
+			{Kind: FaultOutage, Resource: 1, At: 370, Duration: 7},
+			{Kind: FaultDegrade, Resource: 2, At: 375, Factor: 1.75},
+			{Kind: FaultDeath, Resource: 3, At: 380},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []*taskgraph.Graph{taskgraph.NewCholesky(3), taskgraph.NewLU(3)}
+	for j := 0; j < 10; j++ {
+		if err := c.RunUntil(fifoPolicy{}, float64(j)*40); err != nil {
+			t.Fatal(err)
+		}
+		g := shapes[j%len(shapes)]
+		if _, err := c.AddJob(j, g, platform.TimingFor(g.Kind)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Drain(fifoPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if err := obs.ValidateChromeTrace(data); err != nil {
+		t.Fatalf("trace invalid: %v", err)
+	}
+
+	var doc struct {
+		TraceEvents []obs.Event    `json:"traceEvents"`
+		OtherData   map[string]any `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		name := e.Name
+		if e.Cat == "arrival" {
+			name = "arrive"
+		} else if e.Cat == "task" {
+			name = "task"
+		}
+		seen[name] = true
+	}
+	for _, name := range []string{"task", "arrive", "outage", "degrade", "kill", "death", "dead"} {
+		if !seen[name] {
+			t.Errorf("the retained window holds no %q event", name)
+		}
+	}
+	if d, _ := doc.OtherData["dropped_events"].(float64); d == 0 {
+		t.Errorf("otherData = %v: the ring did not wrap", doc.OtherData)
+	}
+
+	golden := filepath.Join("testdata", "faulted_stream_trace.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("trace drifted from golden file (run with -update if intended)\ngot:  %.400s\nwant: %.400s", data, want)
+	}
+}
