@@ -1,13 +1,16 @@
 package obs
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
-// record is what a Tracer's ring holds per event: every field of the Event it
-// exports as, with the span identity and attributes inline instead of in an
-// Args map. It holds no pointers — strings are handles into the tracer's
-// strtab — so a ring's chunks are allocations the collector never scans, and
-// a full ring retains capacity × sizeof(record) bytes by construction
-// (TestTracerRingBytesFixed, TestRecordHasNoPointers).
+// record is one event in the form push builds it and the ring's readers
+// decode it: every field of the Event it exports as, with the span identity
+// and attributes inline instead of in an Args map, and its strings as handles
+// into the tracer's strtab. The ring holds no records: it holds each one
+// packed by appendTo into a byte chunk, only the fields the event carries,
+// and decodeRecord reads it back bit for bit.
 type record struct {
 	ts, dur float64
 	tid     int64
@@ -40,8 +43,8 @@ const (
 const maxSpanAttrs = 3
 
 // Key names an event attribute. The keys are a closed vocabulary so that an
-// attribute is a byte in the ring rather than a string header; a new call site
-// that needs a new key adds a constant and its name here.
+// attribute's key shares one byte of the ring with its kind; a new call site
+// that needs a new key adds a constant and its name here (at most 64 keys).
 type Key uint8
 
 // Attribute keys of the serve and gateway request paths, then of the
@@ -202,10 +205,118 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 	return r
 }
 
-// event materialises the export form of the record in a ring slot. Only
-// Events calls it: an event's Args map exists from here on, never in the ring.
-func (t *Tracer) event(slot int) Event {
-	r, s := t.at(slot), &t.strs
+// The encoded event, as appendTo writes it and decodeRecord reads it:
+//
+//	header   1 byte: hdrInstant, the link flags << 1, nattr << 3
+//	name     uvarint handle
+//	cat      uvarint handle
+//	pid      uvarint of its 32 bits
+//	tid      zigzag varint
+//	ts, dur  8 bytes each, the float64 bits, little-endian
+//	trace    8 bytes, then span, when flagTrace
+//	parent   8 bytes, when flagParent
+//	attrs    per attribute a key << 2 | kind byte, then its integer or bool
+//	         as a zigzag varint, its float's 8 bytes, or its string's
+//	         uvarint handle
+//
+// A request span with three small attributes packs into about 50 bytes.
+const hdrInstant = 1
+
+// maxEventLen bounds one encoded event: the widest handles, pid and tid, all
+// three IDs, and three attributes of the widest kind (TestRecordHasNoPointers).
+const maxEventLen = 1 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64 + 2*8 + 3*8 +
+	maxSpanAttrs*(1+binary.MaxVarintLen64)
+
+// appendTo appends r's encoding to b.
+func (r *record) appendTo(b []byte) []byte {
+	h := r.flags<<1 | r.nattr<<3
+	if r.ph == PhaseInstant[0] {
+		h |= hdrInstant
+	}
+	b = append(b, h)
+	b = binary.AppendUvarint(b, uint64(r.name))
+	b = binary.AppendUvarint(b, uint64(r.cat))
+	b = binary.AppendUvarint(b, uint64(uint32(r.pid)))
+	b = binary.AppendVarint(b, r.tid)
+	b = le.AppendUint64(b, math.Float64bits(r.ts))
+	b = le.AppendUint64(b, math.Float64bits(r.dur))
+	if r.flags&flagTrace != 0 {
+		b = le.AppendUint64(b, r.trace)
+		b = le.AppendUint64(b, r.span)
+	}
+	if r.flags&flagParent != 0 {
+		b = le.AppendUint64(b, r.parent)
+	}
+	for i := 0; i < int(r.nattr); i++ {
+		b = append(b, byte(r.keys[i])<<2|byte(r.kinds[i]))
+		switch r.kinds[i] {
+		case attrFloat:
+			b = le.AppendUint64(b, uint64(r.vals[i]))
+		case attrString:
+			b = binary.AppendUvarint(b, uint64(r.vals[i]))
+		default:
+			b = binary.AppendVarint(b, r.vals[i])
+		}
+	}
+	return b
+}
+
+var le = binary.LittleEndian
+
+// decodeRecord reads the event appendTo encoded at the start of b and returns
+// it with its encoded length.
+func decodeRecord(b []byte) (record, int) {
+	i := 0
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b[i:])
+		i += n
+		return v
+	}
+	varint := func() int64 {
+		v, n := binary.Varint(b[i:])
+		i += n
+		return v
+	}
+	u64 := func() uint64 {
+		v := le.Uint64(b[i:])
+		i += 8
+		return v
+	}
+	h := b[0]
+	i++
+	r := record{ph: PhaseComplete[0], flags: h >> 1 & (flagTrace | flagParent), nattr: h >> 3}
+	if h&hdrInstant != 0 {
+		r.ph = PhaseInstant[0]
+	}
+	r.name, r.cat, r.pid = uint32(uvarint()), uint32(uvarint()), int32(uint32(uvarint()))
+	r.tid = varint()
+	r.ts, r.dur = math.Float64frombits(u64()), math.Float64frombits(u64())
+	if r.flags&flagTrace != 0 {
+		r.trace, r.span = u64(), u64()
+	}
+	if r.flags&flagParent != 0 {
+		r.parent = u64()
+	}
+	for j := 0; j < int(r.nattr); j++ {
+		kb := b[i]
+		i++
+		r.keys[j], r.kinds[j] = Key(kb>>2), attrKind(kb&3)
+		switch r.kinds[j] {
+		case attrFloat:
+			r.vals[j] = int64(u64())
+		case attrString:
+			r.vals[j] = int64(uvarint())
+		default:
+			r.vals[j] = varint()
+		}
+	}
+	return r, i
+}
+
+// event materialises the export form of a decoded record. Only Events calls
+// it: an event's Args map exists from here on, never in the ring.
+func (t *Tracer) event(r *record) Event {
+	s := &t.strs
 	e := Event{
 		Name: s.strs[r.name], Cat: s.strs[r.cat], Ph: string(rune(r.ph)),
 		TS: r.ts, Dur: r.dur, PID: int64(r.pid), TID: r.tid,

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
-	"unsafe"
 )
 
 // TestSpanExportsAsCompleteWithSpanArgs pins the export of a record: each
@@ -114,36 +115,57 @@ func TestSpanAllocatesNothing(t *testing.T) {
 }
 
 // TestRecordHasNoPointers: a ring's chunks are allocations the collector
-// never scans only if a record holds no pointer, and 96 bytes a record is what
-// bounds a ring (DefaultTraceCapacity, a serving daemon's TraceEvents).
+// never scans only if they hold no pointer, so a record lives in the ring as
+// bytes; and maxEventLen, which bounds a ring at capacity × maxEventLen
+// (DefaultTraceCapacity, a serving daemon's TraceEvents) and sizes the room
+// push keeps at a chunk's end, is exactly the widest event's encoding.
 func TestRecordHasNoPointers(t *testing.T) {
-	var walk func(path string, typ reflect.Type)
-	walk = func(path string, typ reflect.Type) {
-		switch typ.Kind() {
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
-			}
-		case reflect.Array:
-			walk(path+"[]", typ.Elem())
-		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
-			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
-			t.Errorf("%s is a %s: the collector would scan every ring", path, typ.Kind())
-		}
+	if typ := reflect.TypeOf(Tracer{}.chunks).Elem(); typ != reflect.TypeOf([]byte(nil)) {
+		t.Fatalf("a ring chunk is a %s, want []byte", typ)
 	}
-	walk("record", reflect.TypeOf(record{}))
-	if size := unsafe.Sizeof(record{}); size > 96 {
-		t.Errorf("a record is %d bytes, want at most 96", size)
+	widest := Link{trace: math.MaxUint64, parent: math.MaxUint64, span: math.MaxUint64, flags: flagTrace | flagParent}
+	attrs := []Attr{Int(KeyBase, math.MinInt64), Int(KeyBase, math.MaxInt64), Int(KeyBase, math.MinInt64)}
+	r := newRecord(PhaseComplete[0], -1, math.MinInt64, math.NaN(), math.Inf(-1), widest, attrs)
+	r.name, r.cat = math.MaxUint32, math.MaxUint32
+	b := r.appendTo(nil)
+	if len(b) != maxEventLen {
+		t.Fatalf("the widest event encodes in %d bytes, maxEventLen is %d", len(b), maxEventLen)
+	}
+	got, n := decodeRecord(b)
+	if n != len(b) || !sameRecord(got, r) {
+		t.Fatalf("the widest event decodes as %+v from %d of %d bytes, want %+v", got, n, len(b), r)
+	}
+}
+
+// sameRecord compares two records bit for bit, floats by their bits.
+func sameRecord(a, b record) bool {
+	bits := func(r record) record {
+		r.ts, r.dur = math.Float64frombits(0), 0
+		return r
+	}
+	return math.Float64bits(a.ts) == math.Float64bits(b.ts) && math.Float64bits(a.dur) == math.Float64bits(b.dur) &&
+		bits(a) == bits(b)
+}
+
+// ringBytes is how many bytes of a tracer's chunks its events fill.
+func ringBytes(tr *Tracer) int {
+	n := -tr.off
+	for c := tr.head; ; c = (c + 1) % len(tr.chunks) {
+		n += len(tr.chunks[c])
+		if c == tr.tail {
+			return n
+		}
 	}
 }
 
 // TestTracerRingBytesFixed holds the ring to its byte bounds under
 // request-shaped traffic (a fresh trace every five spans, a request's root and
-// its four stages): a fresh tracer keeps a few KiB whatever its capacity; a
-// ring filled to a third keeps its records rounded up to one chunk; and after
-// three laps the tracer keeps capacity × sizeof(record) bytes alive and a
-// table of the few strings its call sites name — not a map per span, and not
-// the requests' IDs, which a record holds as their 64 bits.
+// its four stages): a fresh tracer keeps under a KiB whatever its capacity; a
+// request span packs into at most 64 bytes; a ring filled to a third keeps
+// chunks only for the bytes its events fill; and after three laps the tracer
+// keeps its events' bytes, at most one chunk more, and a table of the few
+// strings its call sites name — not a map per span, and not the requests'
+// IDs, which an event holds as their 64 bits.
 func TestTracerRingBytesFixed(t *testing.T) {
 	const capacity = 1 << 14
 	const slack = 16 << 10
@@ -160,7 +182,6 @@ func TestTracerRingBytesFixed(t *testing.T) {
 		}
 		return 0
 	}
-	rec := uint64(unsafe.Sizeof(record{}))
 
 	// Sixteen of them, so that one reading is not the heap's noise.
 	before := liveHeap()
@@ -168,8 +189,8 @@ func TestTracerRingBytesFixed(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = NewTracer(0)
 	}
-	if kept := keeps(before) / uint64(len(fresh)); kept > 4<<10 {
-		t.Fatalf("a fresh NewTracer(0) keeps %d bytes live, want at most 4 KiB: the ring must grow on demand", kept)
+	if kept := keeps(before) / uint64(len(fresh)); kept > 1<<10 {
+		t.Fatalf("a fresh NewTracer(0) keeps %d bytes live, want at most 1 KiB: the ring must grow on demand", kept)
 	}
 	runtime.KeepAlive(fresh)
 
@@ -186,52 +207,71 @@ func TestTracerRingBytesFixed(t *testing.T) {
 		}
 		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, root.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
 	}
+	// A chunk is cut when less than maxEventLen is left at its end.
+	const usable = chunkBytes - maxEventLen
 	const third = capacity / 3
 	for i := 0; i < third; i++ {
 		span(i)
 	}
-	chunks := uint64((third + chunkLen - 1) / chunkLen)
-	keptThird := keeps(before)
-	if bound := chunks*chunkLen*rec + slack; keptThird > bound {
-		t.Fatalf("a ring holding %d of %d records keeps %d bytes live, bound is %d (%d chunks of %d × %d B) + %d slack",
-			third, capacity, keptThird, bound, chunks, chunkLen, rec, slack)
+	keptThird, filled := keeps(before), ringBytes(tr)
+	if chunks := (filled + usable - 1) / usable; len(tr.chunks) > chunks {
+		t.Fatalf("a ring holding %d events in %d bytes has %d chunks, want at most %d", third, filled, len(tr.chunks), chunks)
+	}
+	if bound := uint64(len(tr.chunks)*chunkBytes + slack); keptThird > bound {
+		t.Fatalf("a ring holding %d of %d events keeps %d bytes live, bound is %d (%d chunks of %d B) + %d slack",
+			third, capacity, keptThird, bound, len(tr.chunks), chunkBytes, slack)
 	}
 	for i := third; i < 3*capacity; i++ {
 		span(i)
 	}
-	kept := keeps(before)
+	kept, filled := keeps(before), ringBytes(tr)
 	if tr.Len() != capacity || tr.dropped != 2*capacity {
 		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.dropped)
 	}
-	ring := capacity * rec
-	t.Logf("record %d B, ring %d B, tracer keeps %d B live full and %d B a third full", rec, ring, kept, keptThird)
-	if kept > ring+slack {
-		t.Fatalf("a full ring keeps %d bytes live, bound is %d (capacity × %d B) + %d slack", kept, ring, rec, slack)
+	perEvent := float64(filled) / capacity
+	t.Logf("%.1f B an event, %d B of events in %d chunks, tracer keeps %d B live full and %d B a third full",
+		perEvent, filled, len(tr.chunks), kept, keptThird)
+	if perEvent > 64 {
+		t.Fatalf("a request span packs into %.1f bytes, want at most 64", perEvent)
+	}
+	// The head's chunk is part drained and the tail's part filled: one
+	// chunk's worth between them.
+	chunks := (filled+usable-1)/usable + 1
+	if len(tr.chunks) > chunks {
+		t.Fatalf("a full ring of %d bytes has %d chunks, want at most %d", filled, len(tr.chunks), chunks)
+	}
+	if bound := uint64(chunks*chunkBytes + slack); kept > bound {
+		t.Fatalf("a full ring keeps %d bytes live, bound is %d (%d B of events in %d chunks of %d B) + %d slack",
+			kept, bound, filled, chunks, chunkBytes, slack)
 	}
 	runtime.KeepAlive(tr)
 }
 
 // TestTracerStringTableBounded: a trace whose every span has a name and a
 // client's trace ID of its own (a simulator's per-task names, a client's
-// short hex IDs) keeps only the names of the records still in the ring — the
-// IDs are their 64 bits, in no table. Over three laps of a ring whose last
-// chunk is cut short, checked at every chunk and lap boundary against a plain
-// slice of what was written, the ring exports the newest capacity events
-// oldest first under their own names and IDs, counts the rest as dropped,
-// and its table holds their names plus the vocabulary.
+// short hex IDs) keeps only the names of the events still in the ring — the
+// IDs are their 64 bits, in no table. Over three laps of a ring of a few
+// chunks, checked at every chunk and lap boundary against a plain slice of
+// what was written, the ring exports the newest capacity events oldest first
+// under their own names and IDs, counts the rest as dropped, and its table
+// holds their names plus the vocabulary.
 func TestTracerStringTableBounded(t *testing.T) {
-	const capacity = 2*chunkLen + 77
+	const capacity = 2501
 	tr := NewTracer(capacity)
 	name := func(i int) string { return fmt.Sprintf("task %d", i) }
 	id := func(i int) string { return strconv.FormatInt(int64(i), 16) }
 	vocab := len([]string{"", "sim", "/v1/schedule"})
 	var written []int // every event, oldest first
+	chunk, checks := 0, 0
 	for i := 0; i < 3*capacity; i++ {
 		tr.Span(name(i), "sim", 1, 1, float64(i), 1, RootLink(id(i), ""), String(KeyPath, "/v1/schedule"))
 		written = append(written, i)
-		if n := len(written); n%chunkLen > 1 && n%capacity > 1 && n != 3*capacity {
+		moved := tr.tail != chunk
+		chunk = tr.tail
+		if n := len(written); !moved && n%capacity > 1 && n != 3*capacity {
 			continue
 		}
+		checks++
 		want := written[max(0, len(written)-capacity):]
 		kept, dropped := len(want), len(written)-len(want)
 		if tr.Len() != kept || tr.dropped != uint64(dropped) {
@@ -248,17 +288,19 @@ func TestTracerStringTableBounded(t *testing.T) {
 				len(written), live, slots, kept+vocab-1, capacity+vocab)
 		}
 	}
+	if len(tr.chunks) < 3 || checks < 12 {
+		t.Fatalf("%d chunks, %d checks: the ring must span several chunks and cross them every lap", len(tr.chunks), checks)
+	}
 }
 
 // checkStrtab holds a tracer's string table to its ring: every entry counts
-// exactly the records that name it, a live entry is indexed under its own
+// exactly the events that name it, a live entry is indexed under its own
 // handle, and a dead one is on the free list.
 func checkStrtab(t *testing.T, tr *Tracer) {
 	t.Helper()
 	s := &tr.strs
 	held := make([]int32, len(s.refs))
-	for i := 0; i < tr.n; i++ {
-		r := tr.at(i)
+	tr.each(func(r *record) {
 		held[r.name]++
 		held[r.cat]++
 		for j := 0; j < int(r.nattr); j++ {
@@ -266,15 +308,124 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 				held[r.vals[j]]++
 			}
 		}
-	}
+	})
 	for h := 1; h < len(held); h++ {
 		indexed := s.strs[h] != "" && s.ids[s.strs[h]] == uint32(h)
 		if s.refs[h] != held[h] || indexed != (held[h] > 0) {
-			t.Fatalf("handle %d (%q) counts %d records and is indexed %v; the ring holds it %d times",
+			t.Fatalf("handle %d (%q) counts %d events and is indexed %v; the ring holds it %d times",
 				h, s.strs[h], s.refs[h], indexed, held[h])
 		}
 	}
 	if len(s.ids)+len(s.free)+1 != len(s.strs) {
 		t.Fatalf("string table: %d indexed + %d free + \"\" != %d slots", len(s.ids), len(s.free), len(s.strs))
 	}
+}
+
+// TestRecordRoundTrip feeds events of extreme values through an odd-capacity
+// ring for three laps and compares every export, at each of many points,
+// with a plain slice of what was written: tids and int attributes at
+// MinInt64 and MaxInt64, NaN (with a payload), ±Inf, −0 and subnormal floats
+// as timestamps, durations and attributes (compared by their bits), empty
+// names and strings, every link shape, and pids outside int32, which export
+// truncated exactly as int32(pid).
+func TestRecordRoundTrip(t *testing.T) {
+	ints := []int64{0, 1, -1, 63, -64, 64, math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxUint32, 1 << 40}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff), math.MaxFloat64, 1234.5678}
+	strs := []string{"", "x", "outage", "a longer string value"}
+	ids := []uint64{0, 1, math.MaxUint64, 0x0123456789abcdef}
+	rng := rand.New(rand.NewPCG(1, 2))
+	pick := func(n int) int { return rng.IntN(n) }
+
+	const capacity = 1999
+	tr := NewTracer(capacity)
+	var written []Event
+	for i := 0; i < 3*capacity+17; i++ {
+		e := Event{Name: strs[pick(len(strs))] + strconv.Itoa(pick(40)), Cat: strs[pick(len(strs))],
+			TS: floats[pick(len(floats))], TID: ints[pick(len(ints))]}
+		if pick(5) == 0 {
+			e.Name = ""
+		}
+		pid := ints[pick(len(ints))]
+		e.PID = int64(int32(pid))
+		var attrs []Attr
+		args := map[string]any{}
+		for _, k := range rng.Perm(int(KeyBase) + 1)[:pick(maxSpanAttrs+1)] {
+			key := Key(k)
+			var a Attr
+			switch pick(4) {
+			case 0:
+				a = Int(key, ints[pick(len(ints))])
+				args[keyNames[key]] = a.num
+			case 1:
+				b := pick(2) == 0
+				a = Bool(key, b)
+				args[keyNames[key]] = b
+			case 2:
+				f := floats[pick(len(floats))]
+				a = Float(key, f)
+				args[keyNames[key]] = f
+			default:
+				a = String(key, strs[pick(len(strs))])
+				args[keyNames[key]] = a.str
+			}
+			attrs = append(attrs, a)
+		}
+		if pick(3) == 0 {
+			e.Ph = PhaseInstant
+			tr.Instant(e.Name, e.Cat, pid, e.TID, e.TS, attrs...)
+		} else {
+			e.Ph, e.Dur = PhaseComplete, floats[pick(len(floats))]
+			link := Link{trace: ids[pick(len(ids))], parent: ids[pick(len(ids))], span: ids[pick(len(ids))], flags: uint8(pick(4))}
+			if link.flags&flagTrace != 0 {
+				args[ArgTraceID], args[ArgSpanID] = formatID(link.trace), formatID(link.span)
+				if link.flags&flagParent != 0 {
+					args[ArgParentSpan] = formatID(link.parent)
+				}
+			}
+			tr.Span(e.Name, e.Cat, pid, e.TID, e.TS, e.Dur, link, attrs...)
+		}
+		if len(args) > 0 {
+			e.Args = args
+		}
+		written = append(written, e)
+		if i%97 != 0 && i%capacity != 0 {
+			continue
+		}
+		want := written[max(0, len(written)-capacity):]
+		got := tr.Events()
+		if len(got) != len(want) || tr.dropped != uint64(len(written)-len(want)) {
+			t.Fatalf("after %d events: %d exported, %d dropped", len(written), len(got), tr.dropped)
+		}
+		for j := range got {
+			if !sameEvent(got[j], want[j]) {
+				t.Fatalf("after %d events, event %d exports as\n%#v, want\n%#v", len(written), j, got[j], want[j])
+			}
+		}
+		checkStrtab(t, tr)
+	}
+	if len(tr.chunks) < 3 {
+		t.Fatalf("the ring spans %d chunks, want several", len(tr.chunks))
+	}
+}
+
+// sameEvent compares two events field by field, floats by their bits.
+func sameEvent(a, b Event) bool {
+	same := func(x, y any) bool {
+		if fx, ok := x.(float64); ok {
+			fy, ok := y.(float64)
+			return ok && math.Float64bits(fx) == math.Float64bits(fy)
+		}
+		return x == y
+	}
+	if a.Name != b.Name || a.Cat != b.Cat || a.Ph != b.Ph || a.PID != b.PID || a.TID != b.TID ||
+		!same(a.TS, b.TS) || !same(a.Dur, b.Dur) || len(a.Args) != len(b.Args) || (a.Args == nil) != (b.Args == nil) {
+		return false
+	}
+	for k, v := range a.Args {
+		if w, ok := b.Args[k]; !ok || !same(v, w) {
+			return false
+		}
+	}
+	return true
 }

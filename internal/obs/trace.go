@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -35,22 +36,28 @@ const (
 // thread names are stored outside the ring so lane naming survives
 // wrap-around. All methods are safe for concurrent use.
 //
-// The ring holds fixed-size records without pointers, not Events: an event
-// whose strings the ring already names costs no allocation, and a full ring
-// retains capacity × sizeof(record) bytes whatever was written to it, plus
-// one table entry per distinct string its records name. Events are built
-// from the records on export. The ring grows on demand in chunks of chunkLen
-// records, the last cut to the capacity, so a tracer that has recorded n
-// events keeps ⌈n / chunkLen⌉ chunks: a request-span ring sized for the
-// busiest window costs only what a quieter one has filled.
+// The ring holds events packed into pointer-free byte chunks, not Events: a
+// record (record.go) costs the bytes of the fields it carries, about 50 for
+// a request span and at most maxEventLen, and an event whose strings the ring
+// already names costs no allocation. Events are decoded and built on
+// export. The ring is bounded by its event count: once it holds capacity
+// events, each new one evicts the oldest. Chunks are allocated as the ring
+// grows and reused in FIFO order once the oldest events have left them, so a
+// tracer keeps about its events' bytes plus part of a chunk, and one table
+// entry per distinct string its events name.
 type Tracer struct {
-	mu       sync.Mutex
-	chunks   [][]record // ring slot i is chunks[i/chunkLen][i%chunkLen]
-	n        int        // records in the ring
-	capacity int
-	strs     strtab
-	next     int
-	dropped  uint64
+	mu sync.Mutex
+	// chunks is a circular list of byte chunks. The events run from offset
+	// off of chunks[head] through chunks[tail], oldest first; a chunk's
+	// length is where its last event ends, and the chunks after tail up to
+	// head hold none.
+	chunks     [][]byte
+	head, tail int
+	off        int
+	n          int // events in the ring
+	capacity   int
+	strs       strtab
+	dropped    uint64
 
 	procNames   map[int64]string
 	threadNames map[[2]int64]string
@@ -58,28 +65,29 @@ type Tracer struct {
 	threadOrder [][2]int64
 }
 
-// DefaultTraceCapacity is the ring size used when NewTracer is given a
-// non-positive capacity: at most 6 MiB at 96 bytes a record, of which a trace
-// keeps only the chunks it has filled. It holds a mid-size simulated schedule
-// or a stream run's trace. The serving tier sizes its own rings: a serving
-// daemon's from the five stage spans it records a request
+// DefaultTraceCapacity is the ring size, in events, used when NewTracer is
+// given a non-positive capacity: about 3 MiB when full of simulator task
+// slices (≈ 40–50 bytes each) and at most 65 536 × maxEventLen (6.2 MiB), of
+// which a trace keeps only the chunks it has filled. It holds a mid-size
+// simulated schedule or a stream run's trace. The serving tier sizes its own
+// rings: a serving daemon's from the five stage spans it records a request
 // (serve.Config.TraceEvents), a gateway's from the replicas it fronts
 // (gateway.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
-// chunkLen is how many records the ring allocates at a time: 48 KiB, small
-// beside the rings the serving tier sizes (768 KiB a replica) and large
-// enough that a chunk is allocated once per hundred requests.
-const chunkLen = 512
+// chunkBytes is the size of a ring chunk: 32 KiB, about 650 request spans,
+// small beside the rings the serving tier sizes (≈ 400 KiB a replica) and
+// large enough that a chunk is allocated once per hundred requests. A ring
+// too small to fill one gets chunks of capacity × maxEventLen.
+const chunkBytes = 32 << 10
 
-// NewTracer returns a tracer with the given ring capacity (<= 0 selects
-// DefaultTraceCapacity). It allocates no ring slot until the first event.
+// NewTracer returns a tracer with the given ring capacity in events (<= 0
+// selects DefaultTraceCapacity). It allocates no chunk until the first event.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
 	return &Tracer{
-		chunks:      make([][]record, 0, (capacity+chunkLen-1)/chunkLen),
 		capacity:    capacity,
 		strs:        newStrtab(),
 		procNames:   make(map[int64]string),
@@ -87,33 +95,76 @@ func NewTracer(capacity int) *Tracer {
 	}
 }
 
-// push writes one event into the ring, overwriting the oldest record when it
-// is full; its strings are interned under the lock.
+// push writes one event into the ring, evicting the oldest when it is full;
+// its strings are interned and it is encoded under the lock.
 func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64, link Link, attrs []Attr) {
 	if len(attrs) > maxSpanAttrs {
 		panic("obs: event with more than 3 attributes")
 	}
 	r := newRecord(ph, pid, tid, ts, dur, link, attrs)
 	t.mu.Lock()
-	slot := t.n
-	if slot < t.capacity {
-		if slot%chunkLen == 0 {
-			t.chunks = append(t.chunks, make([]record, min(chunkLen, t.capacity-slot)))
-		}
-		t.n++
+	if t.n == t.capacity {
+		t.evict()
 	} else {
-		slot = t.next
-		t.next = (t.next + 1) % t.capacity
-		t.dropped++
-		t.strs.releaseRecord(t.at(slot))
+		t.n++
 	}
 	t.strs.internRecord(&r, name, cat, attrs)
-	*t.at(slot) = r
+	t.reserve()
+	t.chunks[t.tail] = r.appendTo(t.chunks[t.tail])
 	t.mu.Unlock()
 }
 
-// at returns the record in ring slot i.
-func (t *Tracer) at(i int) *record { return &t.chunks[i/chunkLen][i%chunkLen] }
+// evict drops the oldest event and releases the strings it names. A ring
+// left empty (a capacity of one) restarts its chunk.
+func (t *Tracer) evict() {
+	c := t.chunks[t.head]
+	r, size := decodeRecord(c[t.off:])
+	t.strs.releaseRecord(&r)
+	t.dropped++
+	if t.off += size; t.off == len(c) {
+		if t.head == t.tail {
+			t.chunks[t.tail] = c[:0]
+		} else {
+			t.head = (t.head + 1) % len(t.chunks)
+		}
+		t.off = 0
+	}
+}
+
+// reserve makes room for one encoded event at the end of chunks[tail]: when
+// the tail chunk is too full, the tail moves on to the chunk after it if no
+// event is left there, and to a new chunk inserted after it otherwise.
+func (t *Tracer) reserve() {
+	if len(t.chunks) == 0 {
+		t.chunks = append(t.chunks, make([]byte, 0, min(chunkBytes, t.capacity*maxEventLen)))
+	}
+	if c := t.chunks[t.tail]; cap(c)-len(c) >= maxEventLen {
+		return
+	}
+	next := (t.tail + 1) % len(t.chunks)
+	if next == t.head {
+		next = t.tail + 1
+		t.chunks = slices.Insert(t.chunks, next, make([]byte, 0, cap(t.chunks[t.tail])))
+		if t.head > t.tail {
+			t.head++
+		}
+	}
+	t.tail = next
+	t.chunks[next] = t.chunks[next][:0]
+}
+
+// each decodes the ring's events in record order, oldest first.
+func (t *Tracer) each(f func(r *record)) {
+	c, off := t.head, t.off
+	for i := 0; i < t.n; i++ {
+		if off == len(t.chunks[c]) {
+			c, off = (c+1)%len(t.chunks), 0
+		}
+		r, size := decodeRecord(t.chunks[c][off:])
+		f(&r)
+		off += size
+	}
+}
 
 // Span records a complete slice on lane (pid, tid), from ts for dur (both in
 // microseconds), that carries its place in a distributed trace and up to
@@ -164,10 +215,7 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		// next is 0 until the ring wraps, the oldest record's slot after.
-		out = append(out, t.event((t.next+i)%t.n))
-	}
+	t.each(func(r *record) { out = append(out, t.event(r)) })
 	return out
 }
 
