@@ -10,7 +10,7 @@ import (
 // and attributes inline instead of in an Args map, and its strings as handles
 // into the tracer's strtab. The ring holds no records: it holds each one
 // packed by appendTo into a byte chunk, only the fields the event carries,
-// and decodeRecord reads it back bit for bit.
+// and decode reads it back bit for bit.
 type record struct {
 	ts, dur float64
 	tid     int64
@@ -205,7 +205,7 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 	return r
 }
 
-// The encoded event, as appendTo writes it and decodeRecord reads it:
+// The encoded event, as appendTo writes it and decode reads it:
 //
 //	header   1 byte: hdrInstant, the link flags << 1, nattr << 3
 //	name     uvarint handle
@@ -263,54 +263,66 @@ func (r *record) appendTo(b []byte) []byte {
 
 var le = binary.LittleEndian
 
-// decodeRecord reads the event appendTo encoded at the start of b and returns
-// it with its encoded length.
-func decodeRecord(b []byte) (record, int) {
-	i := 0
-	uvarint := func() uint64 {
-		v, n := binary.Uvarint(b[i:])
-		i += n
-		return v
-	}
-	varint := func() int64 {
-		v, n := binary.Varint(b[i:])
-		i += n
-		return v
-	}
-	u64 := func() uint64 {
-		v := le.Uint64(b[i:])
-		i += 8
-		return v
-	}
-	h := b[0]
-	i++
-	r := record{ph: PhaseComplete[0], flags: h >> 1 & (flagTrace | flagParent), nattr: h >> 3}
+// decoder reads an encoded event field by field.
+type decoder struct {
+	b []byte
+	i int
+}
+
+func (d *decoder) byte() byte {
+	d.i++
+	return d.b[d.i-1]
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b[d.i:])
+	d.i += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b[d.i:])
+	d.i += n
+	return v
+}
+
+func (d *decoder) u64() uint64 {
+	d.i += 8
+	return le.Uint64(d.b[d.i-8:])
+}
+
+// decode reads into r the event appendTo encoded at the start of b and
+// returns its encoded length.
+func (r *record) decode(b []byte) int {
+	d := decoder{b: b}
+	h := d.byte()
+	r.ph, r.flags, r.nattr = PhaseComplete[0], h>>1&(flagTrace|flagParent), h>>3
 	if h&hdrInstant != 0 {
 		r.ph = PhaseInstant[0]
 	}
-	r.name, r.cat, r.pid = uint32(uvarint()), uint32(uvarint()), int32(uint32(uvarint()))
-	r.tid = varint()
-	r.ts, r.dur = math.Float64frombits(u64()), math.Float64frombits(u64())
+	r.name, r.cat, r.pid = uint32(d.uvarint()), uint32(d.uvarint()), int32(uint32(d.uvarint()))
+	r.tid = d.varint()
+	r.ts, r.dur = math.Float64frombits(d.u64()), math.Float64frombits(d.u64())
+	r.trace, r.span, r.parent = 0, 0, 0
 	if r.flags&flagTrace != 0 {
-		r.trace, r.span = u64(), u64()
+		r.trace, r.span = d.u64(), d.u64()
 	}
 	if r.flags&flagParent != 0 {
-		r.parent = u64()
+		r.parent = d.u64()
 	}
 	for j := 0; j < int(r.nattr); j++ {
-		kb := b[i]
-		i++
+		kb := d.byte()
 		r.keys[j], r.kinds[j] = Key(kb>>2), attrKind(kb&3)
 		switch r.kinds[j] {
 		case attrFloat:
-			r.vals[j] = int64(u64())
+			r.vals[j] = int64(d.u64())
 		case attrString:
-			r.vals[j] = int64(uvarint())
+			r.vals[j] = int64(d.uvarint())
 		default:
-			r.vals[j] = varint()
+			r.vals[j] = d.varint()
 		}
 	}
-	return r, i
+	return d.i
 }
 
 // event materialises the export form of a decoded record. Only Events calls

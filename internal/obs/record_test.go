@@ -131,9 +131,9 @@ func TestRecordHasNoPointers(t *testing.T) {
 	if len(b) != maxEventLen {
 		t.Fatalf("the widest event encodes in %d bytes, maxEventLen is %d", len(b), maxEventLen)
 	}
-	got, n := decodeRecord(b)
-	if n != len(b) || !sameRecord(got, r) {
-		t.Fatalf("the widest event decodes as %+v from %d of %d bytes, want %+v", got, n, len(b), r)
+	var got record
+	if n := got.decode(b); n != len(b) || !sameRecord(got, r) {
+		t.Fatalf("the widest event decodes as %+v from %d bytes, want %+v", got, len(b), r)
 	}
 }
 

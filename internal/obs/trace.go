@@ -118,7 +118,8 @@ func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64
 // left empty (a capacity of one) restarts its chunk.
 func (t *Tracer) evict() {
 	c := t.chunks[t.head]
-	r, size := decodeRecord(c[t.off:])
+	var r record
+	size := r.decode(c[t.off:])
 	t.strs.releaseRecord(&r)
 	t.dropped++
 	if t.off += size; t.off == len(c) {
@@ -155,14 +156,14 @@ func (t *Tracer) reserve() {
 
 // each decodes the ring's events in record order, oldest first.
 func (t *Tracer) each(f func(r *record)) {
+	var r record
 	c, off := t.head, t.off
 	for i := 0; i < t.n; i++ {
 		if off == len(t.chunks[c]) {
 			c, off = (c+1)%len(t.chunks), 0
 		}
-		r, size := decodeRecord(t.chunks[c][off:])
+		off += r.decode(t.chunks[c][off:])
 		f(&r)
-		off += size
 	}
 }
 
