@@ -393,29 +393,6 @@ func TestGatewayAllReplicasDown(t *testing.T) {
 	}
 }
 
-// TestGatewayBadRequestNotRetried pins the 4xx contract: application answers
-// are relayed verbatim and never counted or retried as failures.
-func TestGatewayBadRequestNotRetried(t *testing.T) {
-	dir := t.TempDir()
-	writeTestModel(t, dir, taskgraph.Cholesky, 2, 1, 1)
-	rep := startReplica(t, dir)
-	g := newTestGateway(t, rep.URL)
-
-	// Invalid at the gateway: rejected before any forward.
-	rec := postJSON(t, g.Handler(), "/v1/schedule", serve.ScheduleRequest{Kind: "nope", T: 2, CPUs: 1}, nil)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("invalid kind: status %d, want 400", rec.Code)
-	}
-	// Valid shape but no such model: the replica's 404 comes through as-is.
-	rec = postJSON(t, g.Handler(), "/v1/schedule", serve.ScheduleRequest{Kind: "qr", T: 9, CPUs: 1, GPUs: 1}, nil)
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("missing model: status %d, want 404: %s", rec.Code, rec.Body.String())
-	}
-	if n := g.Metrics().Failovers(); n != 0 {
-		t.Errorf("4xx answers triggered %d failovers, want 0", n)
-	}
-}
-
 // TestGatewayBusyIsNotBroken pins which outcomes of a forward cost a replica
 // its place: no answer, a 500 or a 502 mark it down and send the request to the
 // next candidate; a 503 (queue full, draining), a 504 (one request past its
@@ -901,8 +878,9 @@ func stubReplica(t testing.TB) (*httptest.Server, *atomic.Int32) {
 
 // TestGatewayBodyRefusals: a body the gateway cannot read or whose head it
 // refuses is answered by the gateway and never forwarded — 413 only for a body
-// past MaxBodyBytes, 400 for one whose client hung up mid-body or that goes on
-// after its object — while trailing whitespace is no refusal.
+// past MaxBodyBytes, 400 for one whose client hung up mid-body, that goes on
+// after its object or that names no known kind — while trailing whitespace is
+// no refusal.
 func TestGatewayBodyRefusals(t *testing.T) {
 	stub, hits := stubReplica(t)
 	g, err := New(Config{Replicas: []string{stub.URL}, HealthInterval: time.Hour, MaxBodyBytes: 4 << 10})
@@ -923,6 +901,7 @@ func TestGatewayBodyRefusals(t *testing.T) {
 		{"client hung up", io.MultiReader(strings.NewReader(obj[:10]), iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest, false},
 		{"trailing object", strings.NewReader(obj + `{"t":8}`), http.StatusBadRequest, false},
 		{"trailing junk", strings.NewReader(obj + " junk"), http.StatusBadRequest, false},
+		{"unknown kind", strings.NewReader(`{"kind":"nope","t":2,"cpus":1}`), http.StatusBadRequest, false},
 	} {
 		before := hits.Load()
 		rec := httptest.NewRecorder()
@@ -936,10 +915,11 @@ func TestGatewayBodyRefusals(t *testing.T) {
 	}
 }
 
-// TestGatewayRelaysReplicaVerdictOnDAG: the gateway decodes no dag, so a body
-// whose dag is malformed reaches the replica once, and the replica's 400 comes
-// back byte for byte as the replica answers it directly — no failover, no
-// retry, the replica still healthy.
+// TestGatewayRelaysReplicaVerdictOnDAG: the gateway decodes no dag and loads
+// no model, so a body whose dag is malformed, or that names a model the
+// replica does not have, reaches the replica once, and the replica's 400 or
+// 404 comes back byte for byte as the replica answers it directly — no
+// failover, no retry, the replica still healthy.
 func TestGatewayRelaysReplicaVerdictOnDAG(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, taskgraph.Cholesky, 2, 1, 1)
@@ -954,21 +934,25 @@ func TestGatewayRelaysReplicaVerdictOnDAG(t *testing.T) {
 	t.Cleanup(rep.Close)
 	g := newTestGateway(t, rep.URL)
 	const prefix = `{"kind":"cholesky","train_t":2,"cpus":1,"gpus":1,"dag":`
-	for name, dag := range map[string]string{
-		"unknown field in dag": `{"tasks":[{"kernel":0}],"edges":[],"weights":[1]}`,
-		"tasks not a list":     `{"tasks":"x","edges":[]}`,
-		"cycle":                `{"tasks":[{"kernel":0},{"kernel":1}],"edges":[[0,1],[1,0]]}`,
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"unknown field in dag", prefix + `{"tasks":[{"kernel":0}],"edges":[],"weights":[1]}}`, http.StatusBadRequest},
+		{"tasks not a list", prefix + `{"tasks":"x","edges":[]}}`, http.StatusBadRequest},
+		{"cycle", prefix + `{"tasks":[{"kernel":0},{"kernel":1}],"edges":[[0,1],[1,0]]}}`, http.StatusBadRequest},
+		{"no such model", `{"kind":"qr","t":9,"cpus":1,"gpus":1}`, http.StatusNotFound},
 	} {
-		body := prefix + dag + "}"
+		name, body := c.name, c.body
 		direct := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(direct, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)))
-		if direct.Code != http.StatusBadRequest {
-			t.Fatalf("%s: the replica answered %d directly, want 400: %s", name, direct.Code, direct.Body.String())
+		if direct.Code != c.status {
+			t.Fatalf("%s: the replica answered %d directly, want %d: %s", name, direct.Code, c.status, direct.Body.String())
 		}
 		before := hits.Load()
 		rec := httptest.NewRecorder()
 		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)))
-		if rec.Code != http.StatusBadRequest || rec.Body.String() != direct.Body.String() {
+		if rec.Code != c.status || rec.Body.String() != direct.Body.String() {
 			t.Errorf("%s: the gateway relayed %d %q, the replica answers %d %q", name, rec.Code, rec.Body.String(), direct.Code, direct.Body.String())
 		}
 		if n := hits.Load() - before; n != 1 {
@@ -976,10 +960,10 @@ func TestGatewayRelaysReplicaVerdictOnDAG(t *testing.T) {
 		}
 	}
 	if n := g.Metrics().Failovers(); n != 0 {
-		t.Errorf("%d failovers on the replica's 400s", n)
+		t.Errorf("%d failovers on the replica's 400s and 404", n)
 	}
 	if !g.replicas[0].healthy.Load() {
-		t.Error("the replica was marked down for answering 400")
+		t.Error("the replica was marked down for answering 400 or 404")
 	}
 }
 

@@ -12,24 +12,25 @@ import (
 
 var randomSigmas = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 
-// TestHEFTValidOnRandomDAGsProperty checks HEFT end to end on arbitrary
-// multi-root layered DAGs: the projection must be a feasible schedule and its
-// static replay must execute without deadlock at any noise level.
-func TestHEFTValidOnRandomDAGsProperty(t *testing.T) {
-	validOnRandomDAGs(t, func(h *HEFTSchedule) sim.Policy { return NewStaticPolicy(h) },
-		[]int{1, 2, 3}, []int{0, 1, 2}, randomSigmas, 40)
-}
-
-// TestMCTValidOnRandomDAGsProperty does the same for the dynamic MCT.
-func TestMCTValidOnRandomDAGsProperty(t *testing.T) {
-	validOnRandomDAGs(t, func(*HEFTSchedule) sim.Policy { return MCTPolicy{} },
-		[]int{2}, []int{2}, randomSigmas, 40)
-}
-
-// TestReplanHEFTValidOnRandomDAGsProperty covers the adaptive variant too.
-func TestReplanHEFTValidOnRandomDAGsProperty(t *testing.T) {
-	validOnRandomDAGs(t, func(*HEFTSchedule) sim.Policy { return NewReplanHEFTPolicy() },
-		[]int{2}, []int{1}, []float64{0.4}, 25)
+// TestValidOnRandomDAGsProperty checks each policy end to end on arbitrary
+// multi-root layered DAGs: HEFT's static replay on every small platform at
+// every σ, the dynamic MCT on 2c2g, and the adaptive ReplanHEFT on 2c1g at
+// σ = 0.4. The projection must be a feasible schedule and the run must
+// execute without deadlock.
+func TestValidOnRandomDAGsProperty(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		policy     func(*HEFTSchedule) sim.Policy
+		cpus, gpus []int
+		sigmas     []float64
+		runs       int
+	}{
+		{"heft", func(h *HEFTSchedule) sim.Policy { return NewStaticPolicy(h) }, []int{1, 2, 3}, []int{0, 1, 2}, randomSigmas, 40},
+		{"mct", func(*HEFTSchedule) sim.Policy { return MCTPolicy{} }, []int{2}, []int{2}, randomSigmas, 40},
+		{"replan-heft", func(*HEFTSchedule) sim.Policy { return NewReplanHEFTPolicy() }, []int{2}, []int{1}, []float64{0.4}, 25},
+	} {
+		t.Run(c.name, func(t *testing.T) { validOnRandomDAGs(t, c.policy, c.cpus, c.gpus, c.sigmas, c.runs) })
+	}
 }
 
 // validOnRandomDAGs runs policy end to end on runs arbitrary multi-root

@@ -34,7 +34,7 @@ var reachAllowed = map[string]string{
 	// What the retirement tests bound.
 	"taskgraph.DescendantAccumulator.Held": "core TestIncrementalRetiresFinishedJobs and taskgraph TestDescendantAccumulatorRetireMatchesOracle: F̄ rows, like the encoder's scratch (LiveRows.Held), stay within twice the most tasks ever live",
 	// Fixtures the tests of several packages share.
-	"taskgraph.NewLayeredRandom":    "root TestChaosAllPoliciesSurviveRandomFaults, sched TestHEFTValidOnRandomDAGsProperty, sim TestSimulateRandomDAGs: random layered DAGs",
+	"taskgraph.NewLayeredRandom":    "root TestChaosAllPoliciesSurviveRandomFaults, sched TestValidOnRandomDAGsProperty, sim TestSimulateRandomDAGs: random layered DAGs",
 	"taskgraph.DefaultRandomConfig": "root TestDifferential (its fault-free random DAGs), sched and sim random-DAG tests: the shape of NewLayeredRandom's DAGs",
 	"obs.NewTraceID":                "gateway TestGatewayFailoverChaos and obs tests: the trace ID a client sends",
 	"tensor.FromSlice":              "tensor, autograd and nn tests: a matrix from literal values",
