@@ -321,9 +321,10 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 	}
 }
 
-// TestRecordRoundTrip feeds events of extreme values through an odd-capacity
-// ring for three laps and compares every export, at each of many points,
-// with a plain slice of what was written: tids and int attributes at
+// TestRecordRoundTrip feeds events of extreme values through rings of odd
+// capacities — one event, a few, several chunks' worth — for three laps and
+// compares every export, at each of many points, with a plain slice of what
+// was written: tids and int attributes at
 // MinInt64 and MaxInt64, NaN (with a payload), ±Inf, −0 and subnormal floats
 // as timestamps, durations and attributes (compared by their bits), empty
 // names and strings, every link shape, and pids outside int32, which export
@@ -337,75 +338,76 @@ func TestRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	pick := func(n int) int { return rng.IntN(n) }
 
-	const capacity = 1999
-	tr := NewTracer(capacity)
-	var written []Event
-	for i := 0; i < 3*capacity+17; i++ {
-		e := Event{Name: strs[pick(len(strs))] + strconv.Itoa(pick(40)), Cat: strs[pick(len(strs))],
-			TS: floats[pick(len(floats))], TID: ints[pick(len(ints))]}
-		if pick(5) == 0 {
-			e.Name = ""
-		}
-		pid := ints[pick(len(ints))]
-		e.PID = int64(int32(pid))
-		var attrs []Attr
-		args := map[string]any{}
-		for _, k := range rng.Perm(int(KeyBase) + 1)[:pick(maxSpanAttrs+1)] {
-			key := Key(k)
-			var a Attr
-			switch pick(4) {
-			case 0:
-				a = Int(key, ints[pick(len(ints))])
-				args[keyNames[key]] = a.num
-			case 1:
-				b := pick(2) == 0
-				a = Bool(key, b)
-				args[keyNames[key]] = b
-			case 2:
-				f := floats[pick(len(floats))]
-				a = Float(key, f)
-				args[keyNames[key]] = f
-			default:
-				a = String(key, strs[pick(len(strs))])
-				args[keyNames[key]] = a.str
+	for _, capacity := range []int{1, 7, 1999} {
+		tr := NewTracer(capacity)
+		var written []Event
+		for i := 0; i < 3*capacity+17; i++ {
+			e := Event{Name: strs[pick(len(strs))] + strconv.Itoa(pick(40)), Cat: strs[pick(len(strs))],
+				TS: floats[pick(len(floats))], TID: ints[pick(len(ints))]}
+			if pick(5) == 0 {
+				e.Name = ""
 			}
-			attrs = append(attrs, a)
-		}
-		if pick(3) == 0 {
-			e.Ph = PhaseInstant
-			tr.Instant(e.Name, e.Cat, pid, e.TID, e.TS, attrs...)
-		} else {
-			e.Ph, e.Dur = PhaseComplete, floats[pick(len(floats))]
-			link := Link{trace: ids[pick(len(ids))], parent: ids[pick(len(ids))], span: ids[pick(len(ids))], flags: uint8(pick(4))}
-			if link.flags&flagTrace != 0 {
-				args[ArgTraceID], args[ArgSpanID] = formatID(link.trace), formatID(link.span)
-				if link.flags&flagParent != 0 {
-					args[ArgParentSpan] = formatID(link.parent)
+			pid := ints[pick(len(ints))]
+			e.PID = int64(int32(pid))
+			var attrs []Attr
+			args := map[string]any{}
+			for _, k := range rng.Perm(int(KeyBase) + 1)[:pick(maxSpanAttrs+1)] {
+				key := Key(k)
+				var a Attr
+				switch pick(4) {
+				case 0:
+					a = Int(key, ints[pick(len(ints))])
+					args[keyNames[key]] = a.num
+				case 1:
+					b := pick(2) == 0
+					a = Bool(key, b)
+					args[keyNames[key]] = b
+				case 2:
+					f := floats[pick(len(floats))]
+					a = Float(key, f)
+					args[keyNames[key]] = f
+				default:
+					a = String(key, strs[pick(len(strs))])
+					args[keyNames[key]] = a.str
+				}
+				attrs = append(attrs, a)
+			}
+			if pick(3) == 0 {
+				e.Ph = PhaseInstant
+				tr.Instant(e.Name, e.Cat, pid, e.TID, e.TS, attrs...)
+			} else {
+				e.Ph, e.Dur = PhaseComplete, floats[pick(len(floats))]
+				link := Link{trace: ids[pick(len(ids))], parent: ids[pick(len(ids))], span: ids[pick(len(ids))], flags: uint8(pick(4))}
+				if link.flags&flagTrace != 0 {
+					args[ArgTraceID], args[ArgSpanID] = formatID(link.trace), formatID(link.span)
+					if link.flags&flagParent != 0 {
+						args[ArgParentSpan] = formatID(link.parent)
+					}
+				}
+				tr.Span(e.Name, e.Cat, pid, e.TID, e.TS, e.Dur, link, attrs...)
+			}
+			if len(args) > 0 {
+				e.Args = args
+			}
+			written = append(written, e)
+			if i%97 != 0 && i%capacity != 0 {
+				continue
+			}
+			want := written[max(0, len(written)-capacity):]
+			got := tr.Events()
+			if len(got) != len(want) || tr.dropped != uint64(len(written)-len(want)) {
+				t.Fatalf("capacity %d, after %d events: %d exported, %d dropped", capacity, len(written), len(got), tr.dropped)
+			}
+			for j := range got {
+				if !sameEvent(got[j], want[j]) {
+					t.Fatalf("capacity %d, after %d events, event %d exports as\n%#v, want\n%#v", capacity, len(written), j, got[j], want[j])
 				}
 			}
-			tr.Span(e.Name, e.Cat, pid, e.TID, e.TS, e.Dur, link, attrs...)
+			checkStrtab(t, tr)
 		}
-		if len(args) > 0 {
-			e.Args = args
+		if capacity > 1000 && len(tr.chunks) < 3 {
+			t.Fatalf("the ring spans %d chunks, want several", len(tr.chunks))
 		}
-		written = append(written, e)
-		if i%97 != 0 && i%capacity != 0 {
-			continue
-		}
-		want := written[max(0, len(written)-capacity):]
-		got := tr.Events()
-		if len(got) != len(want) || tr.dropped != uint64(len(written)-len(want)) {
-			t.Fatalf("after %d events: %d exported, %d dropped", len(written), len(got), tr.dropped)
-		}
-		for j := range got {
-			if !sameEvent(got[j], want[j]) {
-				t.Fatalf("after %d events, event %d exports as\n%#v, want\n%#v", len(written), j, got[j], want[j])
-			}
-		}
-		checkStrtab(t, tr)
-	}
-	if len(tr.chunks) < 3 {
-		t.Fatalf("the ring spans %d chunks, want several", len(tr.chunks))
 	}
 }
 

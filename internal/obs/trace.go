@@ -66,8 +66,8 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity is the ring size, in events, used when NewTracer is
-// given a non-positive capacity: about 3 MiB when full of simulator task
-// slices (≈ 40–50 bytes each) and at most 65 536 × maxEventLen (6.2 MiB), of
+// given a non-positive capacity: about 2 MiB when full of simulator task
+// slices (≈ 30 bytes each) and at most 65 536 × maxEventLen (6.2 MiB), of
 // which a trace keeps only the chunks it has filled. It holds a mid-size
 // simulated schedule or a stream run's trace. The serving tier sizes its own
 // rings: a serving daemon's from the five stage spans it records a request
@@ -75,7 +75,7 @@ type Tracer struct {
 // (gateway.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
-// chunkBytes is the size of a ring chunk: 32 KiB, about 650 request spans,
+// chunkBytes is the size of a ring chunk: 32 KiB, about 630 request spans,
 // small beside the rings the serving tier sizes (≈ 400 KiB a replica) and
 // large enough that a chunk is allocated once per hundred requests. A ring
 // too small to fill one gets chunks of capacity × maxEventLen.
