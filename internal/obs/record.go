@@ -269,7 +269,7 @@ type decoder struct {
 	i int
 }
 
-func (d *decoder) byte() byte {
+func (d *decoder) u8() byte {
 	d.i++
 	return d.b[d.i-1]
 }
@@ -295,7 +295,7 @@ func (d *decoder) u64() uint64 {
 // returns its encoded length.
 func (r *record) decode(b []byte) int {
 	d := decoder{b: b}
-	h := d.byte()
+	h := d.u8()
 	r.ph, r.flags, r.nattr = PhaseComplete[0], h>>1&(flagTrace|flagParent), h>>3
 	if h&hdrInstant != 0 {
 		r.ph = PhaseInstant[0]
@@ -311,7 +311,7 @@ func (r *record) decode(b []byte) int {
 		r.parent = d.u64()
 	}
 	for j := 0; j < int(r.nattr); j++ {
-		kb := d.byte()
+		kb := d.u8()
 		r.keys[j], r.kinds[j] = Key(kb>>2), attrKind(kb&3)
 		switch r.kinds[j] {
 		case attrFloat:
