@@ -189,8 +189,9 @@ func TestTracerRingBytesFixed(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = NewTracer(0)
 	}
-	if kept := keeps(before) / uint64(len(fresh)); kept > 1<<10 {
-		t.Fatalf("a fresh NewTracer(0) keeps %d bytes live, want at most 1 KiB: the ring must grow on demand", kept)
+	keptFresh := keeps(before) / uint64(len(fresh))
+	if keptFresh > 1<<10 {
+		t.Fatalf("a fresh NewTracer(0) keeps %d bytes live, want at most 1 KiB: the ring must grow on demand", keptFresh)
 	}
 	runtime.KeepAlive(fresh)
 
@@ -229,8 +230,8 @@ func TestTracerRingBytesFixed(t *testing.T) {
 		t.Fatalf("ring holds %d, dropped %d", tr.Len(), tr.dropped)
 	}
 	perEvent := float64(filled) / capacity
-	t.Logf("%.1f B an event, %d B of events in %d chunks, tracer keeps %d B live full and %d B a third full",
-		perEvent, filled, len(tr.chunks), kept, keptThird)
+	t.Logf("%.1f B an event, %d B of events in %d chunks, tracer keeps %d B live full, %d B a third full and %d B fresh",
+		perEvent, filled, len(tr.chunks), kept, keptThird, keptFresh)
 	if perEvent > 64 {
 		t.Fatalf("a request span packs into %.1f bytes, want at most 64", perEvent)
 	}
@@ -324,11 +325,11 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 // TestRecordRoundTrip feeds events of extreme values through rings of odd
 // capacities — one event, a few, several chunks' worth — for three laps and
 // compares every export, at each of many points, with a plain slice of what
-// was written: tids and int attributes at
-// MinInt64 and MaxInt64, NaN (with a payload), ±Inf, −0 and subnormal floats
-// as timestamps, durations and attributes (compared by their bits), empty
-// names and strings, every link shape, and pids outside int32, which export
-// truncated exactly as int32(pid).
+// was written: tids and int attributes at MinInt64 and MaxInt64, NaN (with a
+// payload), ±Inf, −0 and subnormal floats as timestamps, durations and
+// attributes (compared by their bits), empty names and strings, every key,
+// every link shape, and pids outside int32, which export truncated exactly as
+// int32(pid).
 func TestRecordRoundTrip(t *testing.T) {
 	ints := []int64{0, 1, -1, 63, -64, 64, math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxUint32, 1 << 40}
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
@@ -351,7 +352,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			e.PID = int64(int32(pid))
 			var attrs []Attr
 			args := map[string]any{}
-			for _, k := range rng.Perm(int(KeyBase) + 1)[:pick(maxSpanAttrs+1)] {
+			for _, k := range rng.Perm(len(keyNames))[:pick(maxSpanAttrs+1)] {
 				key := Key(k)
 				var a Attr
 				switch pick(4) {
