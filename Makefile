@@ -64,7 +64,7 @@ test:
 # replaced bit for bit or bounds what it keeps or allocates. These also run
 # under `make test`; a failure here reads as a path that diverged.
 equiv:
-	$(GO) test -run 'TestDifferential|TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps|TestInferenceBindingMatchesFreshTapes|TestIncremental|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates|TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestEpisodeLogReuseIsolated|TestEvaluatorReuseBitIdentical|TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator|TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw|TestReplanHEFTMatchesHEFTAtSigmaZero|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestStreamValidateCatchesRetiredJobViolation|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded|TestSwitchingModelsAllocatesNothing|TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./...
+	$(GO) test -run 'TestDifferential|TestSegmentOpsMatchPerSegmentTapes|TestLinearReLUSegMatchesThreeOps|TestDropContract|TestInferenceTapeRecordsNoSteps|TestInferenceBindingMatchesFreshTapes|TestIncremental|TestPolicyDecideAllocFree|TestBatchedForwardBitIdentical|TestMemoScopedToStateVersion|TestTrainingRolloutMatchesTape|TestEpisodeLogReproducesStates|TestBatchedUpdateBitIdentical|TestHistoryMatchesParentGolden|TestTrainCostBounded|TestUpdateAllocFree|TestPassSplitContract|TestUpdateTapeRetainsBounded|TestRolloutLogsRetainBounded|TestEpisodeLogReuseIsolated|TestEvaluatorReuseBitIdentical|TestTopoOrderMatchesSortEveryPop|TestReverseTopoFrom|TestDescendantAccumulator|TestRunnerReuseBitIdentical|TestClusterLiveWindowBounded|TestClusterRetiresFinishedJobs|TestKeyedDraw|TestReplanHEFTMatchesHEFTAtSigmaZero|TestStreamCostFlat|TestHEFTPerJobRanksMatchUnion|TestStreamValidateCatchesRetiredJobViolation|TestLeasedPolicyMatchesFreshPolicy|TestLeasedPolicyFollowsPublishedWeights|TestScheduleRequestAllocBounded|TestExplicitDAGTemplateMatchesColdBuild|TestSwitchingModelsAllocatesNothing|TestSpanExportsAsCompleteWithSpanArgs|TestSpanAllocatesNothing|TestTracerRingBytesFixed|TestRecordHasNoPointers|TestTracerStringTableBounded' ./...
 
 # Native fuzzing of the decoders that read outside bytes: an arrival trace
 # either errors or builds every graph within taskgraph.MaxTasks and

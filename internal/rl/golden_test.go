@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"readys/internal/core"
 	"readys/internal/nn"
+	"readys/internal/obs"
 	"readys/internal/stream"
 	"readys/internal/taskgraph"
 )
@@ -82,7 +84,7 @@ func toGolden(h History, hash string) goldenHistory {
 // commit. Each run is a pure function of the worker count.
 var goldenCases = []struct {
 	name string
-	run  func(workers int) (History, *core.Agent, error)
+	run  func(workers int, telemetry *obs.JSONL) (History, *core.Agent, error)
 }{
 	{"a2c", goldenA2C(core.Config{}, func(*Config) {})},
 	{"a2c_unroll", goldenA2C(core.Config{}, func(c *Config) { c.Unroll = 20 })},
@@ -105,16 +107,19 @@ func goldenProblem() core.Problem {
 	return core.NewProblem(taskgraph.Cholesky, 4, 2, 2, 0.1)
 }
 
-// goldenA2C trains three default-size updates (24 episodes) of A2C.
-func goldenA2C(variant core.Config, tweak func(*Config)) func(int) (History, *core.Agent, error) {
-	return func(workers int) (History, *core.Agent, error) {
+// goldenA2C trains three default-size updates (24 episodes) of A2C, writing
+// telemetry to a non-nil sink.
+func goldenA2C(variant core.Config, tweak func(*Config)) func(int, *obs.JSONL) (History, *core.Agent, error) {
+	return func(workers int, telemetry *obs.JSONL) (History, *core.Agent, error) {
 		agent := goldenAgent(variant)
 		cfg := DefaultConfig()
 		cfg.Episodes = 3 * cfg.BatchEpisodes
 		cfg.Seed = 5
 		cfg.RolloutWorkers = workers
 		tweak(&cfg)
-		h, err := NewTrainer(agent, goldenProblem(), cfg).Run(nil)
+		tr := NewTrainer(agent, goldenProblem(), cfg)
+		tr.Telemetry = telemetry
+		h, err := tr.Run(nil)
 		return h, agent, err
 	}
 }
@@ -122,13 +127,15 @@ func goldenA2C(variant core.Config, tweak func(*Config)) func(int) (History, *co
 // TestHistoryMatchesParentGolden holds every EpisodeStats field and the final
 // weights of each pinned configuration to the bits the per-decision-tape
 // trainer produced, at 1, 2 and 4 rollout workers and at 0 (GOMAXPROCS): a
-// History is the same whichever worker rolls out which episode.
+// History is the same whichever worker rolls out which episode. The run at 2
+// workers writes telemetry, a line per episode, which must not alter it
+// either.
 func TestHistoryMatchesParentGolden(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "history_"+c.name+".json")
 			if *updateGolden {
-				h, agent, err := c.run(1)
+				h, agent, err := c.run(1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,9 +159,22 @@ func TestHistoryMatchesParentGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, 0} {
-				h, agent, err := c.run(workers)
+				var lines bytes.Buffer
+				var telemetry *obs.JSONL
+				if workers == 2 {
+					telemetry = obs.NewJSONL(&lines)
+				}
+				h, agent, err := c.run(workers, telemetry)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if telemetry != nil {
+					if err := telemetry.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if n := bytes.Count(lines.Bytes(), []byte("\n")); n != len(h.Episodes) {
+						t.Fatalf("workers=%d: %d telemetry lines for %d episodes", workers, n, len(h.Episodes))
+					}
 				}
 				got := toGolden(h, paramHash(agent.Params()))
 				if got.Baseline != want.Baseline || len(got.Episodes) != len(want.Episodes) {

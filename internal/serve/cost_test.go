@@ -29,13 +29,18 @@ func allocatedBy(fn func()) uint64 {
 // handler does between a decoded body and an encoded answer — the lease, the
 // template, the pool hand-off, the two runs, the placements — allocates the
 // same on the sixth to eighth requests as on the third to fifth: nothing the
-// model or the lease keeps grows per request.
+// model or the lease keeps grows per request. The same holds for the problem
+// sent as an explicit DAG, whose share is at most 1 kB over the generated
+// one's: a warm DAG finds its template and builds no graph (the build alone
+// is ≈ 39 kB, TestExplicitDAGBuildAllocBounded).
 func TestScheduleRequestAllocBounded(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, exp.DefaultAgentSpec(taskgraph.LU, 8, 2, 2))
 	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: 30 * time.Second})
 	h := s.Handler()
 	req := ScheduleRequest{Kind: "lu", T: 8, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: 5}
+	dag := explicitRequest(taskgraph.LU, 8)
+	dag.Sigma, dag.Seed = req.Sigma, req.Seed
 
 	request := func() uint64 {
 		t.Helper()
@@ -48,29 +53,37 @@ func TestScheduleRequestAllocBounded(t *testing.T) {
 	// schedule touches no sync.Pool (those are encoding/json's and
 	// net/http's), so on the warm clone it repeats to the byte; the slack is
 	// for what the runtime allocates behind the test's back.
-	share := func() uint64 {
+	share := func(req *ScheduleRequest) uint64 {
 		t.Helper()
 		return allocatedBy(func() {
-			if _, status, err := s.schedule(context.Background(), &req, 0, obs.Link{}); err != nil {
+			if _, status, err := s.schedule(context.Background(), req, 0, obs.Link{}); err != nil {
 				t.Fatalf("status %d: %v", status, err)
 			}
 		})
 	}
 	// The runtime's allocations only ever add to a window (a 5.5 kB one lands
 	// in about one window in 25), so each reading is the least of three.
-	least := func() uint64 { return min(share(), share(), share()) }
+	least := func(req *ScheduleRequest) uint64 { return min(share(req), share(req), share(req)) }
 	cold := request()
 	request() // the memo slab reaches its size on the second rollout
-	third, fourth := least(), least()
+	third, fourth := least(&req), least(&req)
 	warm := request()
-	t.Logf("bytes allocated by a request: cold %d, warm %d; between decoding and encoding: %d, then %d", cold, warm, third, fourth)
+	share(&dag) // the DAG's template is built here
+	dagThird, dagFourth := least(&dag), least(&dag)
+	t.Logf("bytes allocated by a request: cold %d, warm %d; between decoding and encoding: %d, then %d; for the explicit DAG %d, then %d",
+		cold, warm, third, fourth, dagThird, dagFourth)
 	// ≈ 90 kB, or ≈ 65 kB more per sync.Pool that a collection emptied since
 	// the last request.
 	if warm > 300<<10 {
 		t.Errorf("warm T=8 request allocated %d bytes, contract is 300 kB", warm)
 	}
-	if diff := int64(fourth) - int64(third); diff > 1<<10 || diff < -1<<10 {
-		t.Errorf("the handler's share of a warm request allocated %d bytes, then %d: something resident grows or is rebuilt per request", third, fourth)
+	for _, c := range [][2]uint64{{third, fourth}, {dagThird, dagFourth}} {
+		if diff := int64(c[1]) - int64(c[0]); diff > 1<<10 || diff < -1<<10 {
+			t.Errorf("the handler's share of a warm request allocated %d bytes, then %d: something resident grows or is rebuilt per request", c[0], c[1])
+		}
+	}
+	if over := int64(dagFourth) - int64(fourth); over > 1<<10 {
+		t.Errorf("the handler's share of a warm explicit-DAG request allocated %d bytes, %d more than the generated one's: it builds its graph again", dagFourth, over)
 	}
 }
 
@@ -118,17 +131,7 @@ func TestSwitchingModelsAllocatesNothing(t *testing.T) {
 // explicitRequest is the explicit-DAG form of the generated (kind, T) problem,
 // as a client sends it: every task named, every edge in Succ order.
 func explicitRequest(kind taskgraph.Kind, T int) ScheduleRequest {
-	g := taskgraph.NewByKind(kind, T)
-	spec := &DAGSpec{}
-	for _, task := range g.Tasks {
-		spec.Tasks = append(spec.Tasks, DAGTask{Kernel: int(task.Kernel), Name: task.Name})
-	}
-	for from, succ := range g.Succ {
-		for _, to := range succ {
-			spec.Edges = append(spec.Edges, [2]int{from, to})
-		}
-	}
-	return ScheduleRequest{Kind: kind.String(), TrainT: T, CPUs: 2, GPUs: 2, DAG: spec}
+	return ScheduleRequest{Kind: kind.String(), TrainT: T, CPUs: 2, GPUs: 2, DAG: explicitDAG(kind, T)}
 }
 
 // TestExplicitDAGBuildAllocBounded is the explicit-DAG build's cost contract:

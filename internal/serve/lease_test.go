@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"regexp"
 	"testing"
 	"time"
 
@@ -295,5 +298,53 @@ func TestLeasedPolicyFollowsPublishedWeights(t *testing.T) {
 	if hit || next.Agent() == stale || next.Policy().Agent != next.Agent() {
 		t.Fatalf("lease after eviction: hit=%v, evicted agent=%v, policy bound to the leased agent=%v",
 			hit, next.Agent() == stale, next.Policy().Agent == next.Agent())
+	}
+}
+
+// TestExplicitDAGTemplateMatchesColdBuild: a replica builds and HEFT-plans an
+// explicit DAG once per model and answers every later body carrying the same
+// DAG from that template. On the committed checkpoints, one replica answers
+// LU T=8 and Cholesky T=4 explicit DAGs over ten seeds each, interleaved with
+// generated bodies for the same models, and every answer must be the bytes a
+// fresh server, building the DAG cold, answers — but for elapsed_ms and
+// cache_hit, which a warm replica answers differently by design.
+func TestExplicitDAGTemplateMatchesColdBuild(t *testing.T) {
+	const dir = "../../models"
+	cfg := Config{ModelsDir: dir, Workers: 1, Queue: 4, RequestTimeout: time.Minute}
+	s := New(cfg)
+	defer s.Shutdown(context.Background())
+	variable := regexp.MustCompile(`"(elapsed_ms|cache_hit)":[^,]*,`)
+	body := func(s *Server, req ScheduleRequest) []byte {
+		t.Helper()
+		rec, _ := postSchedule(t, s.Handler(), req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s dag=%v seed %d: status %d: %s", req.Kind, req.DAG != nil, req.Seed, rec.Code, rec.Body.String())
+		}
+		return variable.ReplaceAll(rec.Body.Bytes(), nil)
+	}
+	problems := []struct {
+		kind taskgraph.Kind
+		T    int
+	}{{taskgraph.LU, 8}, {taskgraph.Cholesky, 4}}
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, p := range problems {
+			generated := ScheduleRequest{Kind: p.kind.String(), T: p.T, CPUs: 2, GPUs: 2, Sigma: 0.1, Seed: seed}
+			explicit := generated
+			explicit.T, explicit.TrainT, explicit.DAG = 0, p.T, explicitDAG(p.kind, p.T)
+			for _, req := range []ScheduleRequest{explicit, generated} {
+				cold := New(cfg)
+				want := body(cold, req)
+				cold.Shutdown(context.Background())
+				if got := body(s, req); !bytes.Equal(got, want) {
+					t.Fatalf("%s T=%d dag=%v seed %d: the replica answered\n%s\na cold server\n%s", p.kind, p.T, req.DAG != nil, seed, got, want)
+				}
+			}
+		}
+	}
+	for _, p := range problems {
+		m := s.Registry().byName[cacheKey(p.kind, p.T, 2, 2)].Value.(*model)
+		if len(m.dags) != 1 {
+			t.Errorf("%s T=%d keeps %d explicit DAGs, want the one it was sent ten times", p.kind, p.T, len(m.dags))
+		}
 	}
 }

@@ -77,7 +77,9 @@ func TestConcurrentInference(t *testing.T) {
 
 // TestConcurrentRegistry hammers Acquire/Release across goroutines and
 // models, interleaved with List and Stats, to catch registry-internal races
-// (LRU mutation, idle-pool reuse, racing first loads).
+// (LRU mutation, idle-pool reuse, racing first loads). Last, concurrent first
+// requests for one explicit DAG race to build its template: one is kept, and
+// every request schedules on it alike.
 func TestConcurrentRegistry(t *testing.T) {
 	dir := t.TempDir()
 	for _, T := range []int{2, 3, 4, 5} {
@@ -118,6 +120,44 @@ func TestConcurrentRegistry(t *testing.T) {
 	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+
+	r = NewRegistry(dir, 2, 8)
+	const racers = 8
+	tpls, makespans := make([]*template, racers), make([]float64, racers)
+	for g := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lease, _, err := r.Acquire(taskgraph.Cholesky, 3, 1, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer lease.Release()
+			tpls[g], err = lease.template(&ScheduleRequest{Kind: "cholesky", TrainT: 3, CPUs: 1, GPUs: 1, DAG: diamond()})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := tpls[g].prob.SimulateOn(lease.Runner(), lease.Policy(), lease.Rand(1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			makespans[g] = res.Makespan
+		}()
+	}
+	wg.Wait()
+	m := r.byName[cacheKey(taskgraph.Cholesky, 3, 1, 1)].Value.(*model)
+	if len(m.dags) != 1 {
+		t.Fatalf("%d explicit DAGs kept after racing first requests for one", len(m.dags))
+	}
+	kept := m.dags[m.dagOrder[0]]
+	for g := range racers {
+		if tpls[g] != kept || makespans[g] != makespans[0] {
+			t.Errorf("racer %d: kept template %v, makespan %v against %v", g, tpls[g] == kept, makespans[g], makespans[0])
 		}
 	}
 }

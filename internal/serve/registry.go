@@ -2,8 +2,10 @@ package serve
 
 import (
 	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -52,7 +54,8 @@ func ParseModelName(base string) (exp.AgentSpec, bool) {
 // hands every caller a decider of its own, bound to the model's agent, and
 // Release returns it for the next lease of any model whose agent it fits —
 // which pays Policy.Reset, not a rebuild. Each model also keeps the problems
-// it has been asked to schedule (templates), shared read-only by its leases.
+// it has been asked to schedule (templates), by tile count or by an explicit
+// DAG's content, shared read-only by its leases.
 type Registry struct {
 	dir string
 	// maxModels bounds the number of resident checkpoints (LRU eviction).
@@ -69,7 +72,7 @@ type Registry struct {
 	evicted uint64
 }
 
-// model is one resident checkpoint.
+// model is one resident checkpoint and the problems scheduled on it.
 type model struct {
 	// key is the (kind, T, platform) cache key; name is the full canonical
 	// checkpoint name including the architecture suffix.
@@ -83,17 +86,59 @@ type model struct {
 	// count t (family and platform are the model's own). Request validation
 	// bounds t and with it the map's size; eviction drops it with the model.
 	templates map[int]*template
+	// dags holds the explicit DAGs requested of the model, by the hash of
+	// their content, each kept with a copy of its spec that a lookup must
+	// equal. dagOrder lists their keys oldest first; their tasks plus edges,
+	// dagSize, stay within dagBudget, the oldest dropped first. Eviction
+	// drops them with the model.
+	dags     map[uint64]*template
+	dagOrder []uint64
+	dagSize  int
+}
+
+// dagBudget bounds the tasks plus edges of a model's kept explicit DAGs:
+// room for one of the largest a request may carry, MaxDAGTasks tasks at the
+// factorisation families' ≈ 2.5 edges a task.
+const dagBudget = 4 * MaxDAGTasks
+
+// dagSeed seeds every model's DAG keys.
+var dagSeed = maphash.MakeSeed()
+
+// dagKey hashes a spec's full content: every task's kernel and name (its
+// length first, so no two name lists join alike) and its edges in order.
+func dagKey(spec *DAGSpec) uint64 {
+	var h maphash.Hash
+	h.SetSeed(dagSeed)
+	var b [8]byte
+	word := func(v int) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	word(len(spec.Tasks))
+	for _, t := range spec.Tasks {
+		word(t.Kernel)
+		word(len(t.Name))
+		h.WriteString(t.Name)
+	}
+	for _, e := range spec.Edges {
+		word(e[0])
+		word(e[1])
+	}
+	return h.Sum64()
 }
 
 // template is a problem built once and scheduled many times: the frozen graph
 // on the model's platform under its family's timing table (the noise level is
 // each request's own), and what depends on those alone — the projected HEFT
-// makespan every response quotes. It is immutable, so leases on any number of
-// goroutines share it; a policy handed its graph twice in a row keeps the
-// statics it derived from it (core.Policy.Reset).
+// makespan every response quotes. A template built from an explicit DAG keeps
+// a copy of the DAG's spec, which a request's must equal to share it. It is
+// immutable, so leases on any number of goroutines share it; a policy handed
+// its graph twice in a row keeps the statics it derived from it
+// (core.Policy.Reset).
 type template struct {
 	prob core.Problem
 	heft float64
+	dag  DAGSpec
 }
 
 // newTemplate wraps a validated graph of the model's family as a template.
@@ -104,6 +149,44 @@ func (m *model) newTemplate(g *taskgraph.Graph) *template {
 		Timing:   platform.TimingFor(m.spec.Kind),
 	}
 	return &template{prob: prob, heft: prob.HEFTBaseline()}
+}
+
+// templateLocked returns the model's template for req, whose DAG, if it has
+// one, hashes to key; or nil.
+func (m *model) templateLocked(req *ScheduleRequest, key uint64) *template {
+	if req.DAG == nil {
+		return m.templates[req.T]
+	}
+	if tpl := m.dags[key]; tpl != nil && slices.Equal(tpl.dag.Tasks, req.DAG.Tasks) && slices.Equal(tpl.dag.Edges, req.DAG.Edges) {
+		return tpl
+	}
+	return nil
+}
+
+// keepLocked keeps tpl as req's template unless the model is evicted. An
+// explicit DAG is not kept either when another spec holds its key or it alone
+// is over dagBudget; the oldest kept DAGs are dropped until the rest fit.
+func (m *model) keepLocked(req *ScheduleRequest, key uint64, tpl *template) {
+	if !m.live {
+		return
+	}
+	if req.DAG == nil {
+		m.templates[req.T] = tpl
+		return
+	}
+	size := len(tpl.dag.Tasks) + len(tpl.dag.Edges)
+	if m.dags[key] != nil || size > dagBudget {
+		return
+	}
+	for m.dagSize+size > dagBudget {
+		old := m.dags[m.dagOrder[0]].dag
+		m.dagSize -= len(old.Tasks) + len(old.Edges)
+		delete(m.dags, m.dagOrder[0])
+		m.dagOrder = m.dagOrder[1:]
+	}
+	m.dags[key] = tpl
+	m.dagOrder = append(m.dagOrder, key)
+	m.dagSize += size
 }
 
 // decider is one decision context: everything a request in flight mutates —
@@ -153,36 +236,38 @@ func (l *Lease) Rand(seed int64) *rand.Rand {
 }
 
 // template returns the problem a validated request schedules. A generated
-// (kind, t) body resolves to the model's resident template, built on first
-// request — outside the registry lock, a racing build of the same t being
-// harmless — and dropped with the model; an explicit DAG is built per request.
+// (kind, t) body resolves to the model's resident template and an explicit
+// DAG to the one built from an equal spec, each built on first request —
+// outside the registry lock, a racing build being discarded — and dropped
+// with the model. A DAG that BuildGraph refuses is never kept.
 func (l *Lease) template(req *ScheduleRequest) (*template, error) {
-	if req.DAG != nil {
-		g, err := req.BuildGraph()
-		if err != nil {
-			return nil, err
-		}
-		return l.model.newTemplate(g), nil
-	}
 	r, m := l.registry, l.model
+	var key uint64
+	if req.DAG != nil {
+		key = dagKey(req.DAG)
+	}
 	r.mu.Lock()
-	tpl := m.templates[req.T]
+	tpl := m.templateLocked(req, key)
 	r.mu.Unlock()
 	if tpl != nil {
 		return tpl, nil
 	}
-	tpl = m.newTemplate(taskgraph.NewFrozenByKind(m.spec.Kind, req.T))
+	if req.DAG == nil {
+		tpl = m.newTemplate(taskgraph.NewFrozenByKind(m.spec.Kind, req.T))
+	} else {
+		g, err := req.BuildGraph()
+		if err != nil {
+			return nil, err
+		}
+		tpl = m.newTemplate(g)
+		tpl.dag = DAGSpec{Tasks: slices.Clone(req.DAG.Tasks), Edges: slices.Clone(req.DAG.Edges)}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if have := m.templates[req.T]; have != nil {
+	if have := m.templateLocked(req, key); have != nil {
 		return have, nil
 	}
-	if m.live {
-		if m.templates == nil {
-			m.templates = make(map[int]*template)
-		}
-		m.templates[req.T] = tpl
-	}
+	m.keepLocked(req, key, tpl)
 	return tpl, nil
 }
 
@@ -291,13 +376,14 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		// Someone else finished loading first; use theirs.
 		return r.leaseLocked(el), true, nil
 	}
-	el := r.lru.PushFront(&model{key: name, name: spec.Name(), spec: spec, meta: meta, agent: agent, live: true})
+	el := r.lru.PushFront(&model{key: name, name: spec.Name(), spec: spec, meta: meta, agent: agent, live: true,
+		templates: make(map[int]*template), dags: make(map[uint64]*template)})
 	r.byName[name] = el
 	for r.lru.Len() > r.maxModels {
 		oldest := r.lru.Back()
 		victim := oldest.Value.(*model)
 		victim.live = false
-		victim.templates = nil
+		victim.templates, victim.dags, victim.dagOrder = nil, nil, nil
 		r.lru.Remove(oldest)
 		delete(r.byName, victim.key)
 		r.evicted++

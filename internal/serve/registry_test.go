@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"readys/internal/core"
@@ -135,16 +137,28 @@ func TestRegistryLRUEviction(t *testing.T) {
 		writeTestModel(t, dir, testSpec(taskgraph.Cholesky, T, 1, 1))
 	}
 	r := NewRegistry(dir, 2, 2)
+	var first *model
 	for _, T := range []int{2, 3, 4} { // third load evicts T=2
 		l, _, err := r.Acquire(taskgraph.Cholesky, T, 1, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if first == nil { // a generated and an explicit template go with it
+			first = l.model
+			for _, req := range []ScheduleRequest{{Kind: "cholesky", T: 2}, {Kind: "cholesky", DAG: diamond()}} {
+				if _, err := l.template(&req); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		l.Release()
 	}
 	resident, _, misses, evicted := r.Stats()
 	if resident != 2 || evicted != 1 {
 		t.Fatalf("resident=%d evicted=%d, want 2 and 1", resident, evicted)
+	}
+	if first.live || first.templates != nil || first.dags != nil || first.dagOrder != nil {
+		t.Fatalf("evicted model: live=%v, %d templates, %d explicit DAGs", first.live, len(first.templates), len(first.dags))
 	}
 	// T=2 was evicted: re-acquiring it is a miss again.
 	l, hit, err := r.Acquire(taskgraph.Cholesky, 2, 1, 1)
@@ -194,5 +208,154 @@ func TestRegistryList(t *testing.T) {
 	}
 	if m := byName[specB.Name()]; m.Loaded || m.Kind != "lu" || m.CPUs != 2 || m.GPUs != 0 {
 		t.Fatalf("lu entry wrong: %+v", m)
+	}
+}
+
+// diamond is a four-task explicit DAG, 0 -> {1,2} -> 3, with task 2 unnamed.
+func diamond() *DAGSpec {
+	return &DAGSpec{
+		Tasks: []DAGTask{{Kernel: 0, Name: "a"}, {Kernel: 1, Name: "bc"}, {Kernel: 2}, {Kernel: 3, Name: "d"}},
+		Edges: [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+	}
+}
+
+// TestExplicitDAGTemplateKeys: a model keeps one template per explicit DAG
+// content — every task's kernel and name and the edges in order — so each
+// single change to a spec gets a template of its own, and a repeat of any of
+// them, decoded from JSON laid out differently or not, finds the one it got
+// first. A refused DAG is never kept, a stream of distinct DAGs keeps the
+// model's within their budget, the oldest dropped first, and a key that two
+// specs share is told apart by the spec the template keeps.
+func TestExplicitDAGTemplateKeys(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, testSpec(taskgraph.Cholesky, 2, 1, 1))
+	r := NewRegistry(dir, 1, 1)
+	l, _, err := r.Acquire(taskgraph.Cholesky, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	m := l.model
+	lookup := func(spec *DAGSpec) (*template, error) {
+		return l.template(&ScheduleRequest{Kind: "cholesky", TrainT: 2, CPUs: 1, GPUs: 1, DAG: spec})
+	}
+	must := func(spec *DAGSpec) *template {
+		t.Helper()
+		tpl, err := lookup(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tpl
+	}
+	variants := map[string]func(*DAGSpec){
+		"as sent":                  func(*DAGSpec) {},
+		"one kernel":               func(s *DAGSpec) { s.Tasks[2].Kernel = 1 },
+		"one name":                 func(s *DAGSpec) { s.Tasks[3].Name = "e" },
+		"the name \"\" stands for": func(s *DAGSpec) { s.Tasks[2].Name = taskgraph.KernelNamesFor(taskgraph.Cholesky)[2] + "#2" },
+		"one endpoint":             func(s *DAGSpec) { s.Edges[1][0] = 1 },
+		"two edges swapped":        func(s *DAGSpec) { s.Edges[0], s.Edges[1] = s.Edges[1], s.Edges[0] },
+		"a duplicated edge":        func(s *DAGSpec) { s.Edges = append(s.Edges, s.Edges[0]) },
+		"names joined alike":       func(s *DAGSpec) { s.Tasks[0].Name, s.Tasks[1].Name = "ab", "c" },
+		// Unless a name's length goes first, these two read alike: task 1's
+		// kernel word, 1, is the eight bytes inside each name.
+		"a kernel word at a name's end":  func(s *DAGSpec) { s.Tasks[0].Name, s.Tasks[1].Name = "a\x01\x00\x00\x00\x00\x00\x00\x00b", "c" },
+		"a kernel word in the next name": func(s *DAGSpec) { s.Tasks[1].Name = "b\x01\x00\x00\x00\x00\x00\x00\x00c" },
+	}
+	got := map[*template]string{}
+	for name, change := range variants {
+		spec := diamond()
+		change(spec)
+		tpl := must(spec)
+		if other, ok := got[tpl]; ok {
+			t.Errorf("%q shares the template of %q", name, other)
+		}
+		got[tpl] = name
+	}
+	for tpl, name := range got {
+		spec := diamond()
+		variants[name](spec)
+		if again := must(spec); again != tpl {
+			t.Errorf("%q sent again built a new template", name)
+		}
+	}
+	for _, body := range []string{
+		`{"kind":"cholesky","train_t":2,"cpus":1,"gpus":1,"dag":{"tasks":[{"kernel":0,"name":"a"},{"kernel":1,"name":"bc"},{"kernel":2},{"kernel":3,"name":"d"}],"edges":[[0,1],[0,2],[1,3],[2,3]]}}`,
+		"{ \"gpus\": 1, \"dag\": {\"edges\": [ [0, 1], [0,2],\n[1,3], [2,3] ],\n \"tasks\": [{\"name\": \"a\", \"kernel\": 0}, {\"name\": \"bc\", \"kernel\": 1}, {\"kernel\": 2, \"name\": \"\"}, {\"name\": \"d\", \"kernel\": 3}]},\n \"cpus\": 1, \"train_t\": 2, \"kind\": \"cholesky\" }",
+	} {
+		var req ScheduleRequest
+		if err := DecodeBody(strings.NewReader(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if tpl := must(req.DAG); got[tpl] != "as sent" {
+			t.Errorf("body %s: a template of its own, not the one the same DAG got", body)
+		}
+	}
+	if len(m.dags) != len(variants) || len(m.dagOrder) != len(variants) {
+		t.Fatalf("%d explicit DAGs kept (%d in order) for %d distinct specs", len(m.dags), len(m.dagOrder), len(variants))
+	}
+
+	cyclic := diamond()
+	cyclic.Edges = append(cyclic.Edges, [2]int{3, 0})
+	if _, err := lookup(cyclic); err == nil {
+		t.Fatal("a cyclic DAG was accepted")
+	}
+	if len(m.dags) != len(variants) {
+		t.Fatalf("a refused DAG was kept: %d explicit DAGs", len(m.dags))
+	}
+
+	// Chains of 1 000 tasks weigh 1 999 of the budget's tasks plus edges.
+	chain := func(id int) *DAGSpec {
+		spec := &DAGSpec{}
+		for i := range 1000 {
+			spec.Tasks = append(spec.Tasks, DAGTask{Kernel: i % 4, Name: fmt.Sprint(id, ".", i)})
+			if i > 0 {
+				spec.Edges = append(spec.Edges, [2]int{i - 1, i})
+			}
+		}
+		return spec
+	}
+	const chains = 2 * dagBudget / 1999
+	first := must(chain(0))
+	for id := 1; id < chains; id++ {
+		must(chain(id))
+		size := 0
+		for _, d := range m.dags {
+			size += len(d.dag.Tasks) + len(d.dag.Edges)
+		}
+		if size != m.dagSize || m.dagSize > dagBudget || len(m.dags) != len(m.dagOrder) {
+			t.Fatalf("after %d chains: %d tasks plus edges kept, counted %d, budget %d; %d DAGs, %d in order",
+				id+1, size, m.dagSize, dagBudget, len(m.dags), len(m.dagOrder))
+		}
+	}
+	if must(chain(0)) == first {
+		t.Error("the oldest chain is still kept past the budget")
+	}
+	if last := must(chain(chains - 1)); last != must(chain(chains-1)) {
+		t.Error("the newest chain is not kept")
+	}
+	// A DAG over the budget on its own is built, and not kept.
+	kept := len(m.dags)
+	dense := &DAGSpec{Tasks: make([]DAGTask, 200)}
+	for i := range dense.Tasks {
+		for j := i + 1; j < len(dense.Tasks); j++ {
+			dense.Edges = append(dense.Edges, [2]int{i, j})
+		}
+	}
+	if must(dense) == must(dense) || len(m.dags) != kept {
+		t.Errorf("a DAG of %d tasks plus edges was kept under a budget of %d", len(dense.Tasks)+len(dense.Edges), dagBudget)
+	}
+
+	// A key two specs share is told apart by the kept copy: with each
+	// changed spec's key holding the unchanged DAG's template, none gets it.
+	base := must(diamond())
+	for name, change := range variants {
+		spec := diamond()
+		change(spec)
+		if name != "as sent" {
+			m.dags[dagKey(spec)] = base
+			if must(spec) == base {
+				t.Errorf("%q, its key holding the unchanged DAG's template, was answered from it", name)
+			}
+		}
 	}
 }
