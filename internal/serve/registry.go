@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -14,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"readys/internal/core"
 	"readys/internal/exp"
@@ -86,55 +86,56 @@ type model struct {
 	// count t (family and platform are the model's own). Request validation
 	// bounds t and with it the map's size; eviction drops it with the model.
 	templates map[int]*template
-	// dags holds the explicit DAGs requested of the model, by the hash of
-	// their content, each kept with a copy of its spec that a lookup must
-	// equal. dagOrder lists their keys oldest first; their tasks plus edges,
-	// dagSize, stay within dagBudget, the oldest dropped first. Eviction
-	// drops them with the model.
+	// dags holds the explicit DAGs requested of the model by their dagKey,
+	// each with a copy of its spec that a lookup must equal, and dagOrder
+	// their keys oldest first. Eviction drops them with the model.
 	dags     map[uint64]*template
 	dagOrder []uint64
-	dagSize  int
 }
 
-// dagBudget bounds the tasks plus edges of a model's kept explicit DAGs:
-// room for one of the largest a request may carry, MaxDAGTasks tasks at the
-// factorisation families' ≈ 2.5 edges a task.
-const dagBudget = 4 * MaxDAGTasks
+// A model keeps its last maxKeptDAGs explicit DAGs whose specs weigh at most
+// maxDAGBytes (dagBytes; LU at T=8: 15 kB). A kept DAG holds at most ≈ 5 times
+// its spec with its graph (2 730 unnamed tasks: 305 kB), so a model's hold
+// under 5 MB whatever their names; a heavier DAG is built per request.
+const (
+	maxKeptDAGs = 16
+	maxDAGBytes = 64 << 10
+)
 
 // dagSeed seeds every model's DAG keys.
 var dagSeed = maphash.MakeSeed()
 
-// dagKey hashes a spec's full content: every task's kernel and name (its
-// length first, so no two name lists join alike) and its edges in order.
+// dagKey hashes a spec's full content, task by task and edge by edge: every
+// task's kernel and name and the edges in order.
 func dagKey(spec *DAGSpec) uint64 {
 	var h maphash.Hash
 	h.SetSeed(dagSeed)
-	var b [8]byte
-	word := func(v int) {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-	word(len(spec.Tasks))
 	for _, t := range spec.Tasks {
-		word(t.Kernel)
-		word(len(t.Name))
-		h.WriteString(t.Name)
+		maphash.WriteComparable(&h, t)
 	}
 	for _, e := range spec.Edges {
-		word(e[0])
-		word(e[1])
+		maphash.WriteComparable(&h, e)
 	}
 	return h.Sum64()
+}
+
+// dagBytes is what a decoded spec holds: its tasks, its edges and its names.
+func dagBytes(spec *DAGSpec) int {
+	n := len(spec.Tasks)*int(unsafe.Sizeof(DAGTask{})) + len(spec.Edges)*int(unsafe.Sizeof([2]int{}))
+	for _, t := range spec.Tasks {
+		n += len(t.Name)
+	}
+	return n
 }
 
 // template is a problem built once and scheduled many times: the frozen graph
 // on the model's platform under its family's timing table (the noise level is
 // each request's own), and what depends on those alone — the projected HEFT
-// makespan every response quotes. A template built from an explicit DAG keeps
-// a copy of the DAG's spec, which a request's must equal to share it. It is
-// immutable, so leases on any number of goroutines share it; a policy handed
-// its graph twice in a row keeps the statics it derived from it
-// (core.Policy.Reset).
+// makespan every response quotes. A template built from an explicit DAG small
+// enough to keep holds a copy of the DAG's spec, which a request's must equal
+// to share it. It is immutable, so leases on any number of goroutines share
+// it; a policy handed its graph twice in a row keeps the statics it derived
+// from it (core.Policy.Reset).
 type template struct {
 	prob core.Problem
 	heft float64
@@ -151,42 +152,37 @@ func (m *model) newTemplate(g *taskgraph.Graph) *template {
 	return &template{prob: prob, heft: prob.HEFTBaseline()}
 }
 
-// templateLocked returns the model's template for req, whose DAG, if it has
-// one, hashes to key; or nil.
-func (m *model) templateLocked(req *ScheduleRequest, key uint64) *template {
+// serves reports whether tpl, which may be nil, is the problem req schedules:
+// any kept template of req's tile count, or one of an equal DAG.
+func (tpl *template) serves(req *ScheduleRequest) bool {
+	return tpl != nil && (req.DAG == nil ||
+		slices.Equal(tpl.dag.Tasks, req.DAG.Tasks) && slices.Equal(tpl.dag.Edges, req.DAG.Edges))
+}
+
+// keptLocked returns what the model keeps under req's tile count or, for an
+// explicit DAG, under its key; or nil.
+func (m *model) keptLocked(req *ScheduleRequest, key uint64) *template {
 	if req.DAG == nil {
 		return m.templates[req.T]
 	}
-	if tpl := m.dags[key]; tpl != nil && slices.Equal(tpl.dag.Tasks, req.DAG.Tasks) && slices.Equal(tpl.dag.Edges, req.DAG.Edges) {
-		return tpl
-	}
-	return nil
+	return m.dags[key]
 }
 
-// keepLocked keeps tpl as req's template unless the model is evicted. An
-// explicit DAG is not kept either when another spec holds its key or it alone
-// is over dagBudget; the oldest kept DAGs are dropped until the rest fit.
+// keepLocked keeps tpl, which nothing is kept under yet, as req's template
+// unless the model is evicted or tpl holds no copy of its DAG.
 func (m *model) keepLocked(req *ScheduleRequest, key uint64, tpl *template) {
-	if !m.live {
-		return
-	}
-	if req.DAG == nil {
+	switch {
+	case !m.live:
+	case req.DAG == nil:
 		m.templates[req.T] = tpl
-		return
+	case tpl.dag.Tasks != nil:
+		if len(m.dagOrder) == maxKeptDAGs {
+			delete(m.dags, m.dagOrder[0])
+			m.dagOrder = slices.Delete(m.dagOrder, 0, 1)
+		}
+		m.dags[key] = tpl
+		m.dagOrder = append(m.dagOrder, key)
 	}
-	size := len(tpl.dag.Tasks) + len(tpl.dag.Edges)
-	if m.dags[key] != nil || size > dagBudget {
-		return
-	}
-	for m.dagSize+size > dagBudget {
-		old := m.dags[m.dagOrder[0]].dag
-		m.dagSize -= len(old.Tasks) + len(old.Edges)
-		delete(m.dags, m.dagOrder[0])
-		m.dagOrder = m.dagOrder[1:]
-	}
-	m.dags[key] = tpl
-	m.dagOrder = append(m.dagOrder, key)
-	m.dagSize += size
 }
 
 // decider is one decision context: everything a request in flight mutates —
@@ -239,7 +235,8 @@ func (l *Lease) Rand(seed int64) *rand.Rand {
 // (kind, t) body resolves to the model's resident template and an explicit
 // DAG to the one built from an equal spec, each built on first request —
 // outside the registry lock, a racing build being discarded — and dropped
-// with the model. A DAG that BuildGraph refuses is never kept.
+// with the model. A DAG that BuildGraph refuses is never kept. The lock
+// covers map reads and writes only; specs are compared outside it.
 func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 	r, m := l.registry, l.model
 	var key uint64
@@ -247,9 +244,9 @@ func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 		key = dagKey(req.DAG)
 	}
 	r.mu.Lock()
-	tpl := m.templateLocked(req, key)
+	tpl := m.keptLocked(req, key)
 	r.mu.Unlock()
-	if tpl != nil {
+	if tpl.serves(req) {
 		return tpl, nil
 	}
 	if req.DAG == nil {
@@ -260,14 +257,19 @@ func (l *Lease) template(req *ScheduleRequest) (*template, error) {
 			return nil, err
 		}
 		tpl = m.newTemplate(g)
-		tpl.dag = DAGSpec{Tasks: slices.Clone(req.DAG.Tasks), Edges: slices.Clone(req.DAG.Edges)}
+		if dagBytes(req.DAG) <= maxDAGBytes {
+			tpl.dag = DAGSpec{Tasks: slices.Clone(req.DAG.Tasks), Edges: slices.Clone(req.DAG.Edges)}
+		}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if have := m.templateLocked(req, key); have != nil {
+	have := m.keptLocked(req, key)
+	if have == nil {
+		m.keepLocked(req, key, tpl)
+	}
+	r.mu.Unlock()
+	if have.serves(req) {
 		return have, nil
 	}
-	m.keepLocked(req, key, tpl)
 	return tpl, nil
 }
 

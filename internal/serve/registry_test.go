@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -223,9 +224,10 @@ func diamond() *DAGSpec {
 // content — every task's kernel and name and the edges in order — so each
 // single change to a spec gets a template of its own, and a repeat of any of
 // them, decoded from JSON laid out differently or not, finds the one it got
-// first. A refused DAG is never kept, a stream of distinct DAGs keeps the
-// model's within their budget, the oldest dropped first, and a key that two
-// specs share is told apart by the spec the template keeps.
+// first. A refused DAG is never kept, nor one whose spec weighs more than
+// maxDAGBytes; a stream of distinct DAGs keeps the last maxKeptDAGs, and the
+// heap they hold with them; and a key that two specs share is told apart by
+// the spec the template keeps.
 func TestExplicitDAGTemplateKeys(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, testSpec(taskgraph.Cholesky, 2, 1, 1))
@@ -256,8 +258,8 @@ func TestExplicitDAGTemplateKeys(t *testing.T) {
 		"two edges swapped":        func(s *DAGSpec) { s.Edges[0], s.Edges[1] = s.Edges[1], s.Edges[0] },
 		"a duplicated edge":        func(s *DAGSpec) { s.Edges = append(s.Edges, s.Edges[0]) },
 		"names joined alike":       func(s *DAGSpec) { s.Tasks[0].Name, s.Tasks[1].Name = "ab", "c" },
-		// Unless a name's length goes first, these two read alike: task 1's
-		// kernel word, 1, is the eight bytes inside each name.
+		// A key that joined kernels and names into one byte string would
+		// read these two alike: task 1's kernel, 1, as eight bytes in a name.
 		"a kernel word at a name's end":  func(s *DAGSpec) { s.Tasks[0].Name, s.Tasks[1].Name = "a\x01\x00\x00\x00\x00\x00\x00\x00b", "c" },
 		"a kernel word in the next name": func(s *DAGSpec) { s.Tasks[1].Name = "b\x01\x00\x00\x00\x00\x00\x00\x00c" },
 	}
@@ -303,10 +305,10 @@ func TestExplicitDAGTemplateKeys(t *testing.T) {
 		t.Fatalf("a refused DAG was kept: %d explicit DAGs", len(m.dags))
 	}
 
-	// Chains of 1 000 tasks weigh 1 999 of the budget's tasks plus edges.
+	// A stream of distinct DAGs keeps the last maxKeptDAGs of them.
 	chain := func(id int) *DAGSpec {
 		spec := &DAGSpec{}
-		for i := range 1000 {
+		for i := range 10 {
 			spec.Tasks = append(spec.Tasks, DAGTask{Kernel: i % 4, Name: fmt.Sprint(id, ".", i)})
 			if i > 0 {
 				spec.Edges = append(spec.Edges, [2]int{i - 1, i})
@@ -314,35 +316,41 @@ func TestExplicitDAGTemplateKeys(t *testing.T) {
 		}
 		return spec
 	}
-	const chains = 2 * dagBudget / 1999
+	const chains = 3 * maxKeptDAGs
 	first := must(chain(0))
 	for id := 1; id < chains; id++ {
 		must(chain(id))
-		size := 0
-		for _, d := range m.dags {
-			size += len(d.dag.Tasks) + len(d.dag.Edges)
-		}
-		if size != m.dagSize || m.dagSize > dagBudget || len(m.dags) != len(m.dagOrder) {
-			t.Fatalf("after %d chains: %d tasks plus edges kept, counted %d, budget %d; %d DAGs, %d in order",
-				id+1, size, m.dagSize, dagBudget, len(m.dags), len(m.dagOrder))
+		if want := min(len(variants)+id+1, maxKeptDAGs); len(m.dags) != want || len(m.dagOrder) != want {
+			t.Fatalf("after %d chains: %d DAGs kept, %d in order, want %d", id+1, len(m.dags), len(m.dagOrder), want)
 		}
 	}
 	if must(chain(0)) == first {
-		t.Error("the oldest chain is still kept past the budget")
+		t.Error("the oldest chain is still kept past the cap")
 	}
 	if last := must(chain(chains - 1)); last != must(chain(chains-1)) {
 		t.Error("the newest chain is not kept")
 	}
-	// A DAG over the budget on its own is built, and not kept.
-	kept := len(m.dags)
-	dense := &DAGSpec{Tasks: make([]DAGTask, 200)}
-	for i := range dense.Tasks {
-		for j := i + 1; j < len(dense.Tasks); j++ {
-			dense.Edges = append(dense.Edges, [2]int{i, j})
-		}
+
+	// A DAG whose spec weighs more than maxDAGBytes is built, and not kept.
+	heavy := &DAGSpec{Tasks: []DAGTask{{Name: strings.Repeat("n", maxDAGBytes)}}}
+	if must(heavy) == must(heavy) || len(m.dags) != maxKeptDAGs {
+		t.Errorf("a DAG of %d bytes was kept under a cap of %d", dagBytes(heavy), maxDAGBytes)
 	}
-	if must(dense) == must(dense) || len(m.dags) != kept {
-		t.Errorf("a DAG of %d tasks plus edges was kept under a budget of %d", len(dense.Tasks)+len(dense.Edges), dagBudget)
+	// However long their names, the model's DAGs hold about maxKeptDAGs specs
+	// of at most maxDAGBytes: one-task DAGs with names just under the cap,
+	// 6.4 MB of them, leave the heap grown by one name apiece it keeps.
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for id := range 100 {
+		must(&DAGSpec{Tasks: []DAGTask{{Name: fmt.Sprint(id, strings.Repeat("n", maxDAGBytes-64))}}})
+	}
+	if grown, bound := heap()-before, int64(maxKeptDAGs*(maxDAGBytes+8<<10)); grown > bound {
+		t.Errorf("100 DAGs of long names grew the heap by %d B, over %d B", grown, bound)
 	}
 
 	// A key two specs share is told apart by the kept copy: with each
@@ -353,8 +361,8 @@ func TestExplicitDAGTemplateKeys(t *testing.T) {
 		change(spec)
 		if name != "as sent" {
 			m.dags[dagKey(spec)] = base
-			if must(spec) == base {
-				t.Errorf("%q, its key holding the unchanged DAG's template, was answered from it", name)
+			if must(spec) == base || m.dags[dagKey(spec)] != base {
+				t.Errorf("%q, its key holding the unchanged DAG's template, was answered from it or took the key", name)
 			}
 		}
 	}
