@@ -36,13 +36,12 @@
 #   make test-times  — one uncached `go test ./...`: each package's time, the
 #                      root package's and their sum (a test removed outside
 #                      the root package shows in the sum, not in wall time)
-#   make bench-serve — serving-throughput benchmark
 #   make serve       — run the scheduling daemon against ./models
 
 GO ?= go
 OBS_TMP ?= /tmp/readys-obs-smoke
 
-.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables test-times bench-serve serve gateway
+.PHONY: check build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables test-times serve gateway
 
 check: build vet test equiv fuzz race portable obs-smoke chaos-smoke stream-smoke tables
 
@@ -229,9 +228,6 @@ test-times:
 	echo "$$out" | awk -v root="$$root" '$$1 == "ok" { t = $$3; sub(/s$$/, "", t); n++; sum += t; \
 		if ($$2 == root) r = t; printf "%8.2f s  %s\n", t, $$2 } \
 		END { printf "%8.2f s  root package (%s)\n%8.2f s  sum of %d packages\n", r, root, sum, n }'
-
-bench-serve:
-	$(GO) test -bench BenchmarkServeScheduleThroughput -benchtime 2s -run '^$$' ./internal/serve/
 
 serve:
 	$(GO) run ./cmd/readys-serve -addr :8080 -models models

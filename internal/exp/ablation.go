@@ -55,7 +55,7 @@ func Ablation(modelsDir string, episodes int) (*Table, error) {
 func compareWithPolicy(agent *core.Agent, kind taskgraph.Kind, T, cpus, gpus int, sigma float64, runs int, seed int64, disableIdle bool) (ComparisonPoint, error) {
 	pol := core.NewPolicy(agent)
 	pol.DisableIdle = disableIdle
-	return newEvaluator().compare(core.NewProblem(kind, T, cpus, gpus, sigma), pol, 0, runs, seed)
+	return newEvaluator().compare(core.NewProblem(kind, T, cpus, gpus, sigma), pol, runs, seed)
 }
 
 // SearchTrial is one sampled configuration of the §V-D random search.
@@ -105,7 +105,7 @@ func RandomSearch(rng *rand.Rand, trials, episodes int) ([]SearchTrial, *Table, 
 			return nil, nil, err
 		}
 		tr.FinalReward = hist.FinalMeanReward(100)
-		ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 0, 3, 45)
+		ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 3, 45)
 		if err != nil {
 			return nil, nil, fmt.Errorf("exp: search trial %d: %w", i, err)
 		}

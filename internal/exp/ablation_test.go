@@ -110,7 +110,7 @@ func TestSearchHelpers(t *testing.T) {
 	if len(hist.Episodes) != 3 {
 		t.Fatal("override training wrong length")
 	}
-	ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 0, 2, 1)
+	ms, err := newEvaluator().makespans(spec.Problem(), []scheduler{{"READYS", core.NewPolicy(agent)}}, 2, 1)
 	if err != nil || ms[0][0] <= 0 {
 		t.Fatalf("evaluation %v err %v", ms, err)
 	}

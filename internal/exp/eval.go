@@ -26,15 +26,16 @@ type scheduler struct {
 }
 
 // evaluator runs schedulers over seeded runs for every comparison table. Run
-// i of sweep point p has base seed b = seed + 1000·p + i: every scheduler
-// runs on the generator seeded at b, and a faulted run replays the plan of
+// i of every sweep point has base seed b = seed + i: every scheduler runs on
+// the generator seeded at b, and a faulted run replays the plan of
 // sim.PlanSeed(b). So the schedulers of one run share their key, and with it
 // the duration draw of every (task, attempt) they all start, and their
-// faults. READYS decides as everywhere else (core.NewPolicy) and draws
-// nothing. One simulator and one noise generator serve every run; Seed leaves
-// the generator where rand.NewSource of the same seed starts. A failed run
-// fails the evaluation, so no mean is ever taken over fewer seeds than the
-// caller asked for.
+// faults; and a cell's value does not depend on where it sits in a sweep.
+// READYS decides as everywhere else (core.NewPolicy) and draws nothing. One
+// simulator and one noise generator serve every run; Seed leaves the
+// generator where rand.NewSource of the same seed starts. A failed run fails
+// the evaluation, so no mean is ever taken over fewer seeds than the caller
+// asked for.
 type evaluator struct {
 	runner sim.Runner
 	rng    *rand.Rand
@@ -44,16 +45,16 @@ func newEvaluator() *evaluator {
 	return &evaluator{rng: rand.New(rand.NewSource(1))}
 }
 
-// each runs the seeds of sweep point p: for each run it calls prepare with
+// each runs the seeds of one sweep point: for each run it calls prepare with
 // the run's base seed, then run once per scheduler with the noise generator
 // seeded for that run. The first error ends the sweep, naming its seed and,
 // when a scheduler failed, the scheduler; fewer than one run is an error too.
-func (e *evaluator) each(scheds []scheduler, p, runs int, seed int64, prepare func(base int64) error, run func(s int) error) error {
+func (e *evaluator) each(scheds []scheduler, runs int, seed int64, prepare func(base int64) error, run func(s int) error) error {
 	if err := CheckCount("runs", runs, 1); err != nil {
 		return err
 	}
 	for i := 0; i < runs; i++ {
-		base := seed + int64(p*1000+i)
+		base := seed + int64(i)
 		if err := prepare(base); err != nil {
 			return fmt.Errorf("seed %d: %w", base, err)
 		}
@@ -67,15 +68,14 @@ func (e *evaluator) each(scheds []scheduler, p, runs int, seed int64, prepare fu
 	return nil
 }
 
-// makespans runs every scheduler on the cell prob for the seeds of sweep
-// point p and returns ms[s][i], scheduler s's makespan on run i. When the
-// cell's fault spec is enabled, each run replays the plan of
-// prob.FaultPlanFor(sim.PlanSeed(b)) rather than the one Problem.Simulate
-// would draw from the noise generator.
-func (e *evaluator) makespans(prob core.Problem, scheds []scheduler, p, runs int, seed int64) ([][]float64, error) {
+// makespans runs every scheduler on the cell prob for runs seeds and returns
+// ms[s][i], scheduler s's makespan on run i. When the cell's fault spec is
+// enabled, each run replays the plan of prob.FaultPlanFor(sim.PlanSeed(b))
+// rather than the one Problem.Simulate would draw from the noise generator.
+func (e *evaluator) makespans(prob core.Problem, scheds []scheduler, runs int, seed int64) ([][]float64, error) {
 	ms := make([][]float64, len(scheds))
 	var plan *sim.FaultPlan
-	err := e.each(scheds, p, runs, seed, func(base int64) error {
+	err := e.each(scheds, runs, seed, func(base int64) error {
 		plan = prob.FaultPlanFor(sim.PlanSeed(base))
 		return nil
 	}, func(s int) error {
@@ -115,9 +115,9 @@ func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigm
 	e := newEvaluator()
 	pol := core.NewPolicy(agent)
 	out := make([]ComparisonPoint, 0, len(sigmas))
-	for p, sigma := range sigmas {
+	for _, sigma := range sigmas {
 		prob.Sigma = sigma
-		pt, err := e.compare(prob, pol, p, runs, seed)
+		pt, err := e.compare(prob, pol, runs, seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s T=%d σ=%g: %w", kind, T, sigma, err)
 		}
@@ -127,10 +127,10 @@ func Compare(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU int, sigm
 }
 
 // compare is one point of Compare: pol against HEFT's static schedule and
-// MCT on prob for the seeds of sweep point p.
-func (e *evaluator) compare(prob core.Problem, pol *core.Policy, p, runs int, seed int64) (ComparisonPoint, error) {
+// MCT on prob.
+func (e *evaluator) compare(prob core.Problem, pol *core.Policy, runs int, seed int64) (ComparisonPoint, error) {
 	heft := sched.NewStaticPolicy(sched.HEFT(prob.Graph, prob.Platform, prob.Timing))
-	ms, err := e.makespans(prob, []scheduler{{"READYS", pol}, {"HEFT", heft}, {"MCT", sched.MCTPolicy{}}}, p, runs, seed)
+	ms, err := e.makespans(prob, []scheduler{{"READYS", pol}, {"HEFT", heft}, {"MCT", sched.MCTPolicy{}}}, runs, seed)
 	if err != nil {
 		return ComparisonPoint{}, err
 	}

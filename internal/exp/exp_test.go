@@ -163,11 +163,11 @@ func (sinkFirst) Decide(s *sim.State, _ int) int { return s.Graph.NumTasks() - 1
 func TestEvaluatorReturnsFailedRun(t *testing.T) {
 	prob := core.NewProblem(taskgraph.Cholesky, 3, 1, 1, 0.1)
 	e := newEvaluator()
-	ms, err := e.makespans(prob, []scheduler{{"MCT", sched.MCTPolicy{}}}, 0, 2, 1)
+	ms, err := e.makespans(prob, []scheduler{{"MCT", sched.MCTPolicy{}}}, 2, 1)
 	if err != nil || len(ms) != 1 || len(ms[0]) != 2 {
 		t.Fatalf("valid runs: makespans %v, error %v", ms, err)
 	}
-	ms, err = e.makespans(prob, []scheduler{{"MCT", sched.MCTPolicy{}}, {"sink-first", sinkFirst{}}}, 0, 2, 1)
+	ms, err = e.makespans(prob, []scheduler{{"MCT", sched.MCTPolicy{}}, {"sink-first", sinkFirst{}}}, 2, 1)
 	if err == nil || !strings.Contains(err.Error(), "non-ready") || !strings.Contains(err.Error(), "sink-first, seed 1") {
 		t.Fatalf("a policy starting a non-ready task gave error %v", err)
 	}
@@ -254,7 +254,6 @@ func TestEvaluatorReuseBitIdentical(t *testing.T) {
 	e := newEvaluator()
 	scheds := []scheduler{{"READYS", core.NewPolicy(agent)}, {"MCT", sched.MCTPolicy{}}}
 	const runs, seed = 4, 13
-	p := 0
 	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
 		for _, faults := range []bool{false, true} {
 			for _, sigma := range []float64{0.1, 0.3} {
@@ -262,13 +261,13 @@ func TestEvaluatorReuseBitIdentical(t *testing.T) {
 				if faults {
 					prob.Faults = sim.SpecForRate(1, core.FaultHorizonFactor*prob.HEFTBaseline())
 				}
-				got, err := e.makespans(prob, scheds, p, runs, seed)
+				got, err := e.makespans(prob, scheds, runs, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				distinct := map[float64]bool{}
 				for i := 0; i < runs; i++ {
-					base := seed + int64(1000*p+i)
+					base := seed + int64(i)
 					fresh := core.NewPolicy(agent)
 					for s, pol := range []sim.Policy{fresh, sched.MCTPolicy{}} {
 						res, err := new(sim.Runner).Simulate(prob.Graph, prob.Platform, prob.Timing, pol, sim.Options{
@@ -287,9 +286,74 @@ func TestEvaluatorReuseBitIdentical(t *testing.T) {
 				if len(distinct) < 2 {
 					t.Fatalf("%v faults=%v σ=%g: every READYS run has the same makespan; the runs do not differ enough to tell policies apart", kind, faults, sigma)
 				}
-				p++
 			}
 		}
+	}
+}
+
+// TestSweepPointIsItsOwnCell: a cell's value does not depend on where it sits
+// in its sweep. A one-point call gives the full sweep's matching point bit for
+// bit (%v prints each float's shortest round-trip form), because run i of
+// every point draws from seed + i: the same keyed z at every σ, the same fault
+// plan at every rate and the same arrivals at every load. A resilience point's
+// degradations are left out: they are relative to the sweep's first point.
+func TestSweepPointIsItsOwnCell(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 1})
+	const runs, seed = 2, 5
+	resilience := func(rates []float64) (string, error) {
+		pts, err := ResilienceSweep(agent, taskgraph.Cholesky, 3, 1, 1, 0.1, rates, runs, seed)
+		if err != nil {
+			return "", err
+		}
+		pt := pts[len(pts)-1]
+		pt.DegradeREADYS, pt.DegradeHEFT, pt.DegradeReplan, pt.DegradeMCT = 0, 0, 0, 0
+		return fmt.Sprintf("%+v", pt), nil
+	}
+	stream := func(cases []StreamCase) (string, error) {
+		pts, err := StreamSweep(agent, 1, 1, StreamKinds, StreamSizes, 0.1, cases, 4, runs, seed)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%+v", pts[len(pts)-1]), nil
+	}
+	compare := func(sigmas []float64) (string, error) {
+		pts, err := Compare(agent, taskgraph.LU, 3, 1, 1, sigmas, runs, seed)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%+v", pts[len(pts)-1]), nil
+	}
+	if Sigmas[len(Sigmas)-1] != 0.5 || FaultRates[len(FaultRates)-1] != 2 {
+		t.Fatalf("the pinned points are the last of Sigmas %v and FaultRates %v", Sigmas, FaultRates)
+	}
+	cases := DefaultStreamCases()
+	for _, tc := range []struct {
+		name      string
+		one, full func() (string, error)
+	}{
+		{"Compare σ=0.5",
+			func() (string, error) { return compare([]float64{0.5}) },
+			func() (string, error) { return compare(Sigmas) }},
+		{"ResilienceSweep rate 2",
+			func() (string, error) { return resilience([]float64{2}) },
+			func() (string, error) { return resilience(FaultRates) }},
+		{"StreamSweep last case",
+			func() (string, error) { return stream(cases[len(cases)-1:]) },
+			func() (string, error) { return stream(cases) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one, err := tc.one()
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := tc.full()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one != full {
+				t.Fatalf("alone:\n  %s\nin the full sweep:\n  %s", one, full)
+			}
+		})
 	}
 }
 

@@ -37,8 +37,8 @@ type ResiliencePoint struct {
 //
 // The comparison is paired: at each (rate, run) every scheduler replays the
 // *same* fault plan and draws the same duration for every (task, attempt) it
-// starts, so differences isolate scheduling behaviour. Fault plans are
-// derived from (seed, rate index, run) with a horizon of
+// starts, so differences isolate scheduling behaviour. Run i replays the
+// plan of sim.PlanSeed(seed + i) at every rate, with a horizon of
 // core.FaultHorizonFactor times the HEFT projection; plans from
 // sim.GeneratePlan always spare one resource, so runs complete. A run that
 // fails (a deadlock, say) fails the sweep, as in Compare.
@@ -55,9 +55,9 @@ func ResilienceSweep(agent *core.Agent, kind taskgraph.Kind, T, numCPU, numGPU i
 		{"MCT", sched.MCTPolicy{}},
 	}
 	out := make([]ResiliencePoint, 0, len(rates))
-	for ri, rate := range rates {
+	for _, rate := range rates {
 		prob.Faults = sim.SpecForRate(rate, horizon)
-		ms, err := e.makespans(prob, scheds, ri, runs, seed)
+		ms, err := e.makespans(prob, scheds, runs, seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: resilience on %s T=%d fault rate %g: %w", kind, T, rate, err)
 		}

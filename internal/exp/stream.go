@@ -102,12 +102,12 @@ func StreamSweep(agent *core.Agent, numCPU, numGPU int, kinds []taskgraph.Kind, 
 	}
 
 	out := make([]StreamPoint, 0, len(cases))
-	for ci, sc := range cases {
+	for _, sc := range cases {
 		rate := sc.Load * 1000 / isolated // jobs per second of simulated time
 		cfg := stream.Config{Platform: plat, Sigma: sigma, Rng: e.rng}
 		type agg struct{ resp, p99, slow, util []float64 }
 		aggs := make([]agg, len(scheds))
-		err := e.each(scheds, ci, runs, seed, func(base int64) error {
+		err := e.each(scheds, runs, seed, func(base int64) error {
 			arrivals, err := stream.PoissonProcess{
 				Rate: rate, Jobs: jobs, Kinds: kinds, Sizes: sizes,
 			}.Generate(rand.New(rand.NewSource(base + 13)))
