@@ -205,46 +205,116 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 	return r
 }
 
-// The encoded event, as appendTo writes it and decode reads it:
+// The encoded event, as appendTo writes it and decode reads it against a base,
+// the state the events before it left (see base):
 //
-//	header   1 byte: hdrInstant, the link flags << 1, nattr << 3
+//	header   uvarint: the link flags, nattr << 2, then the hdr* bits; a
+//	         serving span sets only the first seven, so it is one byte
 //	name     uvarint handle
 //	cat      uvarint handle
 //	pid      uvarint of its 32 bits
 //	tid      zigzag varint
-//	ts, dur  8 bytes each, the float64 bits, little-endian
-//	trace    8 bytes, then span, when flagTrace
-//	parent   8 bytes, when flagParent
+//	ts, dur  when both are whole ns (nanos): ts's ns minus the base's as a
+//	         zigzag varint, then dur's ns as a uvarint; else, hdrRawTime, 8
+//	         bytes each, the float64 bits, little-endian
+//	trace    8 bytes, when flagTrace and not hdrSameTrace
+//	span     8 bytes, when flagTrace and not hdrSpanIsParent
+//	parent   8 bytes, when flagParent and not hdrSameParent
 //	attrs    per attribute a key << 2 | kind byte, then its integer or bool
 //	         as a zigzag varint, its float's 8 bytes, or its string's
 //	         uvarint handle
 //
-// A request span with three small attributes packs into about 50 bytes.
-const hdrInstant = 1
+// On a replica, whose two pool workers interleave requests, a stage span that
+// follows one of its request's packs into about 18 bytes plus its attributes,
+// and a request span that follows its stages, 28 with three. Its ring holds
+// about 29 bytes an event, a gateway's about 33.
+const (
+	hdrSameTrace    = 1 << (4 + iota) // the trace ID is the base's
+	hdrSameParent                     // the parent ID is the base's
+	hdrSpanIsParent                   // the span ID is the base's parent
+	hdrInstant
+	hdrRawTime
+)
 
-// maxEventLen bounds one encoded event: the widest handles, pid and tid, all
-// three IDs, and three attributes of the widest kind (TestRecordHasNoPointers).
-const maxEventLen = 1 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64 + 2*8 + 3*8 +
+// maxEventLen bounds one encoded event: a two-byte header, the widest handles,
+// pid and tid, raw times (whole-ns times are at most 8 bytes each), all three
+// IDs, and three attributes of the widest kind (TestRecordHasNoPointers).
+const maxEventLen = 2 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64 + 2*8 + 3*8 +
 	maxSpanAttrs*(1+binary.MaxVarintLen64)
 
-// appendTo appends r's encoding to b.
-func (r *record) appendTo(b []byte) []byte {
-	h := r.flags<<1 | r.nattr<<3
+// base is what an event is encoded against: the time in ns and the trace and
+// parent IDs of the last events before it that carried them. An encoder and
+// its decoder advance their bases alike, event by event.
+type base struct {
+	ns            int64
+	trace, parent uint64
+}
+
+func (bs *base) advance(r *record, ns int64, whole bool) {
+	if whole {
+		bs.ns = ns
+	}
+	if r.flags&flagTrace != 0 {
+		bs.trace = r.trace
+	}
+	if r.flags&flagParent != 0 {
+		bs.parent = r.parent
+	}
+}
+
+// nanos returns n when x is, bit for bit, float64(n)/1e3 for an integer n of
+// at most 2^53: a time in µs taken from whole nanoseconds, as Front.Span takes
+// it. NaN, ±Inf, −0 and most simulated times are not.
+func nanos(x float64) (int64, bool) {
+	f := math.RoundToEven(x * 1e3)
+	if !(math.Abs(f) < 1<<53) {
+		return 0, false
+	}
+	n := int64(f)
+	return n, math.Float64bits(float64(n)/1e3) == math.Float64bits(x)
+}
+
+// appendTo appends r's encoding against bs to b and advances bs past r.
+func (r *record) appendTo(b []byte, bs *base) []byte {
+	h := uint64(r.flags) | uint64(r.nattr)<<2
 	if r.ph == PhaseInstant[0] {
 		h |= hdrInstant
 	}
-	b = append(b, h)
+	ts, tsWhole := nanos(r.ts)
+	dur, durWhole := nanos(r.dur)
+	whole := tsWhole && durWhole && dur >= 0
+	if !whole {
+		h |= hdrRawTime
+	}
+	trace, parent := r.flags&flagTrace != 0, r.flags&flagParent != 0
+	if trace && r.trace == bs.trace {
+		h |= hdrSameTrace
+	}
+	if trace && r.span == bs.parent {
+		h |= hdrSpanIsParent
+	}
+	if parent && r.parent == bs.parent {
+		h |= hdrSameParent
+	}
+	b = binary.AppendUvarint(b, h)
 	b = binary.AppendUvarint(b, uint64(r.name))
 	b = binary.AppendUvarint(b, uint64(r.cat))
 	b = binary.AppendUvarint(b, uint64(uint32(r.pid)))
 	b = binary.AppendVarint(b, r.tid)
-	b = le.AppendUint64(b, math.Float64bits(r.ts))
-	b = le.AppendUint64(b, math.Float64bits(r.dur))
-	if r.flags&flagTrace != 0 {
+	if whole {
+		b = binary.AppendVarint(b, ts-bs.ns)
+		b = binary.AppendUvarint(b, uint64(dur))
+	} else {
+		b = le.AppendUint64(b, math.Float64bits(r.ts))
+		b = le.AppendUint64(b, math.Float64bits(r.dur))
+	}
+	if trace && h&hdrSameTrace == 0 {
 		b = le.AppendUint64(b, r.trace)
+	}
+	if trace && h&hdrSpanIsParent == 0 {
 		b = le.AppendUint64(b, r.span)
 	}
-	if r.flags&flagParent != 0 {
+	if parent && h&hdrSameParent == 0 {
 		b = le.AppendUint64(b, r.parent)
 	}
 	for i := 0; i < int(r.nattr); i++ {
@@ -258,6 +328,7 @@ func (r *record) appendTo(b []byte) []byte {
 			b = binary.AppendVarint(b, r.vals[i])
 		}
 	}
+	bs.advance(r, ts, whole)
 	return b
 }
 
@@ -291,24 +362,39 @@ func (d *decoder) u64() uint64 {
 	return le.Uint64(d.b[d.i-8:])
 }
 
-// decode reads into r the event appendTo encoded at the start of b and
-// returns its encoded length.
-func (r *record) decode(b []byte) int {
+// decode reads into r the event appendTo encoded against bs at the start of
+// b, advances bs past it and returns its encoded length.
+func (r *record) decode(b []byte, bs *base) int {
 	d := decoder{b: b}
-	h := d.u8()
-	r.ph, r.flags, r.nattr = PhaseComplete[0], h>>1&(flagTrace|flagParent), h>>3
+	h := d.uvarint()
+	r.ph, r.flags, r.nattr = PhaseComplete[0], uint8(h)&(flagTrace|flagParent), uint8(h>>2)&3
 	if h&hdrInstant != 0 {
 		r.ph = PhaseInstant[0]
 	}
 	r.name, r.cat, r.pid = uint32(d.uvarint()), uint32(d.uvarint()), int32(uint32(d.uvarint()))
 	r.tid = d.varint()
-	r.ts, r.dur = math.Float64frombits(d.u64()), math.Float64frombits(d.u64())
+	whole := h&hdrRawTime == 0
+	var ts int64
+	if whole {
+		ts = bs.ns + d.varint()
+		r.ts, r.dur = float64(ts)/1e3, float64(int64(d.uvarint()))/1e3
+	} else {
+		r.ts, r.dur = math.Float64frombits(d.u64()), math.Float64frombits(d.u64())
+	}
 	r.trace, r.span, r.parent = 0, 0, 0
 	if r.flags&flagTrace != 0 {
-		r.trace, r.span = d.u64(), d.u64()
+		r.trace, r.span = bs.trace, bs.parent
+		if h&hdrSameTrace == 0 {
+			r.trace = d.u64()
+		}
+		if h&hdrSpanIsParent == 0 {
+			r.span = d.u64()
+		}
 	}
 	if r.flags&flagParent != 0 {
-		r.parent = d.u64()
+		if r.parent = bs.parent; h&hdrSameParent == 0 {
+			r.parent = d.u64()
+		}
 	}
 	for j := 0; j < int(r.nattr); j++ {
 		kb := d.u8()
@@ -322,6 +408,7 @@ func (r *record) decode(b []byte) int {
 			r.vals[j] = d.varint()
 		}
 	}
+	bs.advance(r, ts, whole)
 	return d.i
 }
 

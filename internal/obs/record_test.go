@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // TestSpanExportsAsCompleteWithSpanArgs pins the export of a record: each
@@ -118,7 +119,9 @@ func TestSpanAllocatesNothing(t *testing.T) {
 // never scans only if they hold no pointer, so a record lives in the ring as
 // bytes; and maxEventLen, which bounds a ring at capacity × maxEventLen
 // (DefaultTraceCapacity, a serving daemon's TraceEvents) and sizes the room
-// push keeps at a chunk's end, is exactly the widest event's encoding.
+// push keeps at a chunk's end, is exactly the widest event's encoding: raw
+// times, which take the header's second byte. Whole-ns times as far from
+// their base as they may be are no wider.
 func TestRecordHasNoPointers(t *testing.T) {
 	if typ := reflect.TypeOf(Tracer{}.chunks).Elem(); typ != reflect.TypeOf([]byte(nil)) {
 		t.Fatalf("a ring chunk is a %s, want []byte", typ)
@@ -127,13 +130,18 @@ func TestRecordHasNoPointers(t *testing.T) {
 	attrs := []Attr{Int(KeyBase, math.MinInt64), Int(KeyBase, math.MaxInt64), Int(KeyBase, math.MinInt64)}
 	r := newRecord(PhaseComplete[0], -1, math.MinInt64, math.NaN(), math.Inf(-1), widest, attrs)
 	r.name, r.cat = math.MaxUint32, math.MaxUint32
-	b := r.appendTo(nil)
+	b := r.appendTo(nil, &base{})
 	if len(b) != maxEventLen {
 		t.Fatalf("the widest event encodes in %d bytes, maxEventLen is %d", len(b), maxEventLen)
 	}
 	var got record
-	if n := got.decode(b); n != len(b) || !sameRecord(got, r) {
+	if n := got.decode(b, &base{}); n != len(b) || !sameRecord(got, r) {
 		t.Fatalf("the widest event decodes as %+v from %d bytes, want %+v", got, len(b), r)
+	}
+	const far = 1<<53 - 2
+	r.ts, r.dur = -far/1e3, far/1e3
+	if b := r.appendTo(nil, &base{ns: far}); len(b) > maxEventLen || b[0] >= 0x80 {
+		t.Fatalf("whole-ns times %d ns from their base encode in %d bytes, header byte %#x; want at most maxEventLen, %d, and a one-byte header", 2*far, len(b), b[0], maxEventLen)
 	}
 }
 
@@ -159,9 +167,13 @@ func ringBytes(tr *Tracer) int {
 }
 
 // TestTracerRingBytesFixed holds the ring to its byte bounds under
-// request-shaped traffic (a fresh trace every five spans, a request's root and
-// its four stages): a fresh tracer keeps under a KiB whatever its capacity; a
-// request span packs into at most 64 bytes; a ring filled to a third keeps
+// replica-shaped traffic: two requests in flight, as two pool workers run
+// them, each recording its four stages and then its request span, which of
+// the two records next drawn at random, with times in whole ns as Front.Span
+// takes them. A fresh tracer keeps under a KiB whatever its capacity; an
+// event packs into at most 38 bytes (it reads 34: a stage that follows one of
+// its own request's takes its trace and parent from it, a request span that
+// follows its stages takes its span ID); a ring filled to a third keeps
 // chunks only for the bytes its events fill; and after three laps the tracer
 // keeps its events' bytes, at most one chunk more, and a table of the few
 // strings its call sites name — not a map per span, and not the requests'
@@ -197,16 +209,40 @@ func TestTracerRingBytesFixed(t *testing.T) {
 
 	before = liveHeap()
 	tr := NewTracer(capacity)
-	stages := []string{"model_load", "queue_wait", "rollout", "references"}
-	var root Link
+	type request struct {
+		link      Link
+		id, start int64
+		stage     int
+	}
+	var inflight [2]request
+	var ids int64
+	clock := int64(time.Hour) // ns since the front's epoch
+	us := func(ns int64) float64 { return float64(ns) / float64(time.Microsecond) }
+	rng := rand.New(rand.NewPCG(3, 4))
 	span := func(i int) {
-		if i%5 == 0 {
-			root = RootLink(NewTraceID(), "")
-			tr.Span("request", "schedule", 1, int64(i), float64(i), 1, root,
-				Int(KeyRequestID, int64(i)), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200))
-			return
+		w := &inflight[rng.IntN(2)]
+		if w.stage == 0 {
+			ids++
+			*w = request{link: RootLink(NewTraceID(), NewTraceID()), id: ids, start: clock}
 		}
-		tr.Span(stages[i%5-1], "serve", 1, int64(i), float64(i), 1, root.Child(), Int(KeyTasks, 1), Int(KeyDecisions, int64(i)))
+		start := clock
+		clock += 40_000 + int64(i%7)*3_001
+		switch w.stage {
+		case 0:
+			tr.Span("model_load", "registry", 1, w.id, us(start), us(clock-start), w.link.Child(), Bool(KeyCacheHit, true))
+		case 1:
+			tr.Span("queue_wait", "pool", 1, w.id, us(start), us(clock-start), w.link.Child())
+		case 2:
+			tr.Span("rollout", "sim", 1, w.id, us(start), us(clock-start), w.link.Child(),
+				Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, 388))
+		case 3:
+			tr.Span("references", "sim", 1, w.id, us(start), us(clock-start), w.link.Child())
+		default:
+			tr.Span("request", "schedule", 1, w.id, us(w.start), us(clock-w.start), w.link,
+				Int(KeyRequestID, w.id), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200))
+			w.stage = -1
+		}
+		w.stage++
 	}
 	// A chunk is cut when less than maxEventLen is left at its end.
 	const usable = chunkBytes - maxEventLen
@@ -232,8 +268,8 @@ func TestTracerRingBytesFixed(t *testing.T) {
 	perEvent := float64(filled) / capacity
 	t.Logf("%.1f B an event, %d B of events in %d chunks, tracer keeps %d B live full, %d B a third full and %d B fresh",
 		perEvent, filled, len(tr.chunks), kept, keptThird, keptFresh)
-	if perEvent > 64 {
-		t.Fatalf("a request span packs into %.1f bytes, want at most 64", perEvent)
+	if perEvent > 38 {
+		t.Fatalf("an event packs into %.1f bytes, want at most 38", perEvent)
 	}
 	// The head's chunk is part drained and the tail's part filled: one
 	// chunk's worth between them.
@@ -329,22 +365,46 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 // payload), ±Inf, −0 and subnormal floats as timestamps, durations and
 // attributes (compared by their bits), empty names and strings, every key,
 // every link shape, and pids outside int32, which export truncated exactly as
-// int32(pid).
+// int32(pid). Times are as often whole ns, as Front.Span writes them, on a
+// clock that rises, falls and stands still, or near 2^53 ns, where whole-ns
+// encoding gives way to raw bits; IDs come from a small set, and an event
+// often takes the trace and parent of the one before it, or has its parent
+// as span ID, so every field that an event may take from its base does, on
+// both sides of each ring's wrap.
 func TestRecordRoundTrip(t *testing.T) {
 	ints := []int64{0, 1, -1, 63, -64, 64, math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxUint32, 1 << 40}
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff), math.MaxFloat64, 1234.5678}
 	strs := []string{"", "x", "outage", "a longer string value"}
 	ids := []uint64{0, 1, math.MaxUint64, 0x0123456789abcdef}
+	near53 := []int64{1<<53 - 2, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1<<53 - 1), -(1 << 53)}
+	if _, whole := nanos(float64(near53[0]) / 1e3); !whole {
+		t.Fatal("2^53 - 2 ns does not encode as whole ns")
+	}
+	if _, whole := nanos(float64(near53[2]) / 1e3); whole {
+		t.Fatal("2^53 ns encodes as whole ns, want raw bits")
+	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	pick := func(n int) int { return rng.IntN(n) }
+	var clock int64 // ns
+	when := func() float64 {
+		switch pick(4) {
+		case 0:
+			return floats[pick(len(floats))]
+		case 1:
+			return float64(near53[pick(len(near53))]) / 1e3
+		}
+		clock += int64(pick(3)-1) * int64(pick(1<<30))
+		return float64(clock) / 1e3
+	}
 
 	for _, capacity := range []int{1, 7, 1999} {
 		tr := NewTracer(capacity)
 		var written []Event
+		var prev Link
 		for i := 0; i < 3*capacity+17; i++ {
 			e := Event{Name: strs[pick(len(strs))] + strconv.Itoa(pick(40)), Cat: strs[pick(len(strs))],
-				TS: floats[pick(len(floats))], TID: ints[pick(len(ints))]}
+				TS: when(), TID: ints[pick(len(ints))]}
 			if pick(5) == 0 {
 				e.Name = ""
 			}
@@ -377,8 +437,15 @@ func TestRecordRoundTrip(t *testing.T) {
 				e.Ph = PhaseInstant
 				tr.Instant(e.Name, e.Cat, pid, e.TID, e.TS, attrs...)
 			} else {
-				e.Ph, e.Dur = PhaseComplete, floats[pick(len(floats))]
+				e.Ph, e.Dur = PhaseComplete, when()
 				link := Link{trace: ids[pick(len(ids))], parent: ids[pick(len(ids))], span: ids[pick(len(ids))], flags: uint8(pick(4))}
+				switch pick(3) {
+				case 0: // a stage after a stage of its request
+					link.trace, link.parent = prev.trace, prev.parent
+				case 1: // a request span after its stages
+					link.trace, link.span = prev.trace, prev.parent
+				}
+				prev = link
 				if link.flags&flagTrace != 0 {
 					args[ArgTraceID], args[ArgSpanID] = formatID(link.trace), formatID(link.span)
 					if link.flags&flagParent != 0 {

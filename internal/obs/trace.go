@@ -37,9 +37,10 @@ const (
 // wrap-around. All methods are safe for concurrent use.
 //
 // The ring holds events packed into pointer-free byte chunks, not Events: a
-// record (record.go) costs the bytes of the fields it carries, about 50 for
-// a request span and at most maxEventLen, and an event whose strings the ring
-// already names costs no allocation. Events are decoded and built on
+// record (record.go) costs the bytes of the fields it carries and does not
+// share with the event before it, about 30 for a request-path span and at
+// most maxEventLen, and an event whose strings the ring already names costs
+// no allocation. Events are decoded and built on
 // export. The ring is bounded by its event count: once it holds capacity
 // events, each new one evicts the oldest. Chunks are allocated as the ring
 // grows and reused in FIFO order once the oldest events have left them, so a
@@ -58,6 +59,11 @@ type Tracer struct {
 	capacity   int
 	strs       strtab
 	dropped    uint64
+	// Each event is encoded against the base the events before it left:
+	// tailBase is the state after the newest, which push advances, and
+	// headBase the state before the oldest, which evict advances, so that
+	// the ring decodes from its head whatever it has overwritten.
+	headBase, tailBase base
 
 	procNames   map[int64]string
 	threadNames map[[2]int64]string
@@ -67,7 +73,7 @@ type Tracer struct {
 
 // DefaultTraceCapacity is the ring size, in events, used when NewTracer is
 // given a non-positive capacity: about 2 MiB when full of simulator task
-// slices (≈ 30 bytes each) and at most 65 536 × maxEventLen (6.2 MiB), of
+// slices (≈ 30 bytes each) and at most 65 536 × maxEventLen (6.25 MiB), of
 // which a trace keeps only the chunks it has filled. It holds a mid-size
 // simulated schedule or a stream run's trace. The serving tier sizes its own
 // rings: a serving daemon's from the five stage spans it records a request
@@ -75,9 +81,9 @@ type Tracer struct {
 // (gateway.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
-// chunkBytes is the size of a ring chunk: 32 KiB, about 630 request spans,
-// small beside the rings the serving tier sizes (≈ 400 KiB a replica) and
-// large enough that a chunk is allocated once per hundred requests. A ring
+// chunkBytes is the size of a ring chunk: 32 KiB, about 1 100 request-path
+// spans, small beside the rings the serving tier sizes (≈ 240 KiB a replica)
+// and large enough that a chunk is allocated once per two hundred requests. A ring
 // too small to fill one gets chunks of capacity × maxEventLen.
 const chunkBytes = 32 << 10
 
@@ -110,7 +116,7 @@ func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64
 	}
 	t.strs.internRecord(&r, name, cat, attrs)
 	t.reserve()
-	t.chunks[t.tail] = r.appendTo(t.chunks[t.tail])
+	t.chunks[t.tail] = r.appendTo(t.chunks[t.tail], &t.tailBase)
 	t.mu.Unlock()
 }
 
@@ -119,7 +125,7 @@ func (t *Tracer) push(ph byte, name, cat string, pid, tid int64, ts, dur float64
 func (t *Tracer) evict() {
 	c := t.chunks[t.head]
 	var r record
-	size := r.decode(c[t.off:])
+	size := r.decode(c[t.off:], &t.headBase)
 	t.strs.releaseRecord(&r)
 	t.dropped++
 	if t.off += size; t.off == len(c) {
@@ -157,12 +163,13 @@ func (t *Tracer) reserve() {
 // each decodes the ring's events in record order, oldest first.
 func (t *Tracer) each(f func(r *record)) {
 	var r record
+	bs := t.headBase
 	c, off := t.head, t.off
 	for i := 0; i < t.n; i++ {
 		if off == len(t.chunks[c]) {
 			c, off = (c+1)%len(t.chunks), 0
 		}
-		off += r.decode(t.chunks[c][off:])
+		off += r.decode(t.chunks[c][off:], &bs)
 		f(&r)
 	}
 }

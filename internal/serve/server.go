@@ -44,8 +44,9 @@ type Config struct {
 }
 
 // DefaultTraceEvents is a serving daemon's default request-span ring: 8 192
-// spans, ≈ 410 KiB once full at ≈ 50 bytes a span and at most 792 KiB at
-// obs.Tracer's widest event. It grows in 32 KiB chunks as it fills
+// spans, ≈ 240 KiB once full at ≈ 30 bytes a span (each encoded against the
+// one before it, see obs.Tracer) and at most 800 KiB at obs.Tracer's widest
+// event. It grows in 32 KiB chunks as it fills
 // (obs.Tracer), so a daemon keeps only the spans it has recorded. A
 // successful schedule request records five spans whatever its size (request,
 // model_load, queue_wait, rollout, references; its decisions are counted on
