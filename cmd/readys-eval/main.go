@@ -71,7 +71,7 @@ func main() {
 	spec := exp.DefaultAgentSpec(kind, tt, *cpus, *gpus)
 	agent, err := exp.LoadAgent(spec, *models)
 	if err != nil {
-		log.Fatalf("loading %s: %v (train it with readys-train)", spec.ModelPath(*models), err)
+		log.Fatal(err)
 	}
 
 	var tab *exp.Table

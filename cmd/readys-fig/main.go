@@ -6,8 +6,11 @@
 //	readys-fig -fig 3 -models models -o figure3.csv
 //	readys-fig -fig 7
 //
-// Figures 3-6 need the corresponding trained checkpoints (readys-train -all);
-// missing agents are trained on the fly, which takes minutes per agent.
+// Figures 3-6 and the resilience, stream and ablation tables load the
+// committed checkpoints from -models (readys-train -all makes them); a
+// missing one is an error that names the readys-train command for it. The
+// ablation and the search train their other variants in memory, for
+// -episodes each, on every run.
 package main
 
 import (

@@ -61,7 +61,7 @@ func main() {
 		spec := exp.DefaultAgentSpec(kind, *tiles, *cpus, *gpus)
 		agent, err := exp.LoadAgent(spec, *models)
 		if err != nil {
-			log.Fatalf("loading %s: %v (train it with readys-train)", spec.ModelPath(*models), err)
+			log.Fatal(err)
 		}
 		pol = core.NewPolicy(agent)
 	case "heft":

@@ -77,9 +77,9 @@ func main() {
 	var pol sim.Policy
 	switch *policy {
 	case "readys":
-		agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
-		if _, err := agent.LoadCheckpoint(exp.StreamAgentPath(*models)); err != nil {
-			log.Fatalf("loading %s: %v (train it with readys-train -stream)", exp.StreamAgentPath(*models), err)
+		agent, err := exp.StreamRecipe().Load(*models)
+		if err != nil {
+			log.Fatal(err)
 		}
 		pol = core.NewPolicy(agent)
 	case "heft-per-job":

@@ -1,10 +1,13 @@
 // readys-train trains a READYS agent on one (kernel, size, platform)
-// combination and saves its checkpoint, or — with -all — trains every agent
-// the paper's figures need.
+// combination, or on streaming arrivals, and saves its checkpoint; with
+// -all it trains every committed checkpoint's recipe (exp.Recipes). A
+// combination listed there trains on its recipe's budget unless -episodes
+// says otherwise; any other combination needs -episodes.
 //
 // Usage:
 //
-//	readys-train -kind cholesky -T 8 -cpus 2 -gpus 2 -episodes 2500 -out models
+//	readys-train -kind cholesky -T 8 -cpus 2 -gpus 2 -out models
+//	readys-train -kind cholesky -T 3 -cpus 1 -gpus 1 -episodes 500 -out runs
 //	readys-train -all -out models
 //	readys-train -stream -episodes 600 -out models
 package main
@@ -31,10 +34,10 @@ func main() {
 		tiles     = flag.Int("T", 4, "tile count per matrix dimension")
 		cpus      = flag.Int("cpus", 2, "number of CPUs")
 		gpus      = flag.Int("gpus", 2, "number of GPUs")
-		episodes  = flag.Int("episodes", 0, "training episodes (0 = size-scaled default)")
+		episodes  = flag.Int("episodes", 0, "training episodes (0 = the recipe's budget, which a combination outside exp.Recipes does not have)")
 		out       = flag.String("out", exp.DefaultModelsDir(), "model output directory")
-		all       = flag.Bool("all", false, "train every agent needed by the paper's figures")
-		streaming = flag.Bool("stream", false, "train on streaming job arrivals (mixed-family Poisson streams; see exp.TrainStreamAgent)")
+		all       = flag.Bool("all", false, "train every committed checkpoint's recipe (exp.Recipes), skipping those in -out")
+		streaming = flag.Bool("stream", false, "train the stream agent's recipe on streaming job arrivals (mixed-family Poisson streams; see exp.StreamRecipe)")
 		window    = flag.Int("window", 2, "sub-DAG window depth w")
 		layers    = flag.Int("layers", 2, "number of GCN layers g")
 		hidden    = flag.Int("hidden", 32, "embedding width")
@@ -61,51 +64,49 @@ func main() {
 	}
 
 	if *all {
-		if err := trainAll(*out, *quiet, *telemetry, *workers); err != nil {
-			log.Fatal(err)
+		for _, r := range exp.Recipes() {
+			if err := trainOne(r, *out, *quiet, perAgentTelemetry(*telemetry, r), *workers, 0); err != nil {
+				log.Fatal(err)
+			}
 		}
 		return
 	}
-	if *streaming {
-		eps := *episodes
-		if eps == 0 {
-			eps = exp.StreamTrainEpisodes
-		}
-		if err := trainStream(*out, eps, *quiet, *workers); err != nil {
+	r := exp.StreamRecipe()
+	if !*streaming {
+		kind, err := taskgraph.KindFromString(*kindStr)
+		if err != nil {
 			log.Fatal(err)
 		}
-		return
+		spec := exp.DefaultAgentSpec(kind, *tiles, *cpus, *gpus)
+		spec.Window, spec.Layers, spec.Hidden, spec.Seed = *window, *layers, *hidden, *seed
+		r = exp.RecipeFor(spec)
 	}
-
-	kind, err := taskgraph.KindFromString(*kindStr)
-	if err != nil {
-		log.Fatal(err)
+	if *episodes > 0 {
+		r.Episodes = *episodes
 	}
-	spec := exp.DefaultAgentSpec(kind, *tiles, *cpus, *gpus)
-	spec.Window, spec.Layers, spec.Hidden, spec.Seed = *window, *layers, *hidden, *seed
-	eps := *episodes
-	if eps == 0 {
-		eps = exp.EpisodesFor(kind, *tiles)
+	if r.Episodes == 0 {
+		log.Fatalf("%s has no recipe in exp.Recipes: give its budget with -episodes", r.Name())
 	}
-	if err := trainOne(spec, *out, eps, *quiet, *telemetry, *workers, *faultRate); err != nil {
+	if err := trainOne(r, *out, *quiet, *telemetry, *workers, *faultRate); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func trainOne(spec exp.AgentSpec, dir string, episodes int, quiet bool, telemetryPath string, workers int, faultRate float64) error {
-	if _, err := os.Stat(spec.ModelPath(dir)); err == nil {
-		fmt.Printf("%s: checkpoint exists, skipping\n", spec.Name())
+// trainOne trains the recipe and saves its checkpoint under dir. An existing
+// checkpoint is skipped, so -all is resumable.
+func trainOne(r exp.Recipe, dir string, quiet bool, telemetryPath string, workers int, faultRate float64) error {
+	if _, err := os.Stat(r.Path(dir)); err == nil {
+		fmt.Printf("%s: checkpoint exists, skipping\n", r.Name())
 		return nil
 	}
-	fmt.Printf("training %s for %d episodes...\n", spec.Name(), episodes)
+	fmt.Printf("training %s for %d episodes...\n", r.Name(), r.Episodes)
 	start := time.Now()
-	interval := episodes / 10
+	interval := r.Episodes / 10
 	if interval == 0 {
 		interval = 1
 	}
 	opt := exp.TrainOptions{
-		Episodes: episodes,
-		Workers:  workers,
+		Workers: workers,
 		// Horizon 0: each episode defaults it to a multiple of the problem's
 		// HEFT projection (see core.Problem.FaultPlanFor).
 		Faults: sim.SpecForRate(faultRate, 0),
@@ -124,7 +125,7 @@ func trainOne(spec exp.AgentSpec, dir string, episodes int, quiet bool, telemetr
 		defer sink.Close()
 		opt.Telemetry = sink
 	}
-	_, hist, err := exp.TrainAgentWith(spec, dir, opt)
+	_, hist, err := exp.Train(r, dir, opt)
 	if err != nil {
 		return err
 	}
@@ -134,37 +135,11 @@ func trainOne(spec exp.AgentSpec, dir string, episodes int, quiet bool, telemetr
 		}
 		fmt.Printf("  telemetry → %s\n", telemetryPath)
 	}
-	fmt.Printf("done in %s: HEFT baseline %.1f, final mean reward %+.3f → %s\n",
-		cost(start, episodes), hist.BaselineMakespan,
-		hist.FinalMeanReward(100), spec.ModelPath(dir))
-	return nil
-}
-
-// trainStream trains the stream benchmark's agent on Poisson arrival streams
-// and saves it under exp.StreamAgentPath(dir). Existing checkpoints are
-// skipped, matching trainOne.
-func trainStream(dir string, episodes int, quiet bool, workers int) error {
-	if _, err := os.Stat(exp.StreamAgentPath(dir)); err == nil {
-		fmt.Printf("%s: checkpoint exists, skipping\n", exp.StreamAgentPath(dir))
-		return nil
+	fmt.Printf("done in %s: ", cost(start, r.Episodes))
+	if hist.BaselineMakespan > 0 { // a stream's baselines are per episode
+		fmt.Printf("HEFT baseline %.1f, ", hist.BaselineMakespan)
 	}
-	fmt.Printf("training stream agent for %d episodes...\n", episodes)
-	start := time.Now()
-	interval := episodes / 10
-	if interval == 0 {
-		interval = 1
-	}
-	_, hist, err := exp.TrainStreamAgent(dir, episodes, workers, func(st rl.EpisodeStats) {
-		if !quiet && st.Episode%interval == 0 {
-			fmt.Printf("  ep %5d  reward %+.3f  stream makespan %8.1f  entropy %.3f\n",
-				st.Episode, st.Reward, st.Makespan, st.Entropy)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("done in %s: final mean reward %+.3f → %s\n",
-		cost(start, episodes), hist.FinalMeanReward(100), exp.StreamAgentPath(dir))
+	fmt.Printf("final mean reward %+.3f → %s\n", hist.FinalMeanReward(100), r.Path(dir))
 	return nil
 }
 
@@ -175,42 +150,13 @@ func cost(start time.Time, episodes int) string {
 	return fmt.Sprintf("%.2f s, %.1f ms/episode", d.Seconds(), d.Seconds()*1000/float64(episodes))
 }
 
-// trainAll trains the agents of Figure 3 (three kernels × T∈{2,4,8} on
-// 2 CPUs + 2 GPUs) and of the transfer experiments of Figures 4-6 (Cholesky
-// T∈{4,6,8} on 4 CPUs, 2 CPUs + 2 GPUs and 4 GPUs). Existing checkpoints are
-// skipped, so the command is resumable.
-func trainAll(dir string, quiet bool, telemetryPath string, workers int) error {
-	var specs []exp.AgentSpec
-	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
-		for _, T := range []int{2, 4, 8} {
-			specs = append(specs, exp.DefaultAgentSpec(kind, T, 2, 2))
-		}
-	}
-	for _, plat := range [][2]int{{4, 0}, {2, 2}, {0, 4}} {
-		for _, T := range []int{4, 6, 8} {
-			specs = append(specs, exp.DefaultAgentSpec(taskgraph.Cholesky, T, plat[0], plat[1]))
-		}
-	}
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		if seen[spec.Name()] {
-			continue
-		}
-		seen[spec.Name()] = true
-		if err := trainOne(spec, dir, exp.EpisodesFor(spec.Kind, spec.T), quiet, perAgentTelemetry(telemetryPath, spec), workers, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // perAgentTelemetry derives a per-agent JSONL path from the -telemetry flag
 // so -all runs don't interleave every agent's stream into one file:
 // "runs/train.jsonl" becomes "runs/train_<spec name>.jsonl".
-func perAgentTelemetry(path string, spec exp.AgentSpec) string {
+func perAgentTelemetry(path string, r exp.Recipe) string {
 	if path == "" {
 		return ""
 	}
 	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + "_" + spec.Name() + ext
+	return strings.TrimSuffix(path, ext) + "_" + r.Name() + ext
 }

@@ -8,12 +8,22 @@ import (
 	"readys/internal/taskgraph"
 )
 
-// Ablation trains small READYS variants on Cholesky T=4 (2 CPUs + 2 GPUs)
-// and isolates the contribution of the design choices DESIGN.md calls out:
-// the window depth w, the number of GCN layers g, and the ∅ (idle) action.
-// Each variant is evaluated against HEFT and MCT at σ ∈ {0, 0.3}. Variants
-// are cached in modelsDir like the main agents.
+// Ablation isolates the contribution of the design choices DESIGN.md calls
+// out on Cholesky T=4 (2 CPUs + 2 GPUs): the window depth w, the number of
+// GCN layers g, and the ∅ (idle) action. Each variant is evaluated against
+// HEFT and MCT at σ ∈ {0, 0.3}. The w=2_g=2 rows, with ∅ and without, use the
+// committed Cholesky T=4 agent from modelsDir, loaded before anything
+// trains. Every other variant trains in memory for the given episodes, on
+// every run; nothing is written.
 func Ablation(modelsDir string, episodes int) (*Table, error) {
+	if err := CheckCount("episodes", episodes, 1); err != nil {
+		return nil, fmt.Errorf("exp: ablation: %w", err)
+	}
+	base := DefaultAgentSpec(taskgraph.Cholesky, 4, 2, 2)
+	committed, err := LoadAgent(base, modelsDir)
+	if err != nil {
+		return nil, fmt.Errorf("exp: ablation: %w", err)
+	}
 	tab := &Table{
 		Title:  "Ablation: window depth, GCN depth and the ∅ action (Cholesky T=4, 2 CPUs + 2 GPUs)",
 		Header: []string{"variant", "sigma", "readys_ms", "improve_vs_heft", "improve_vs_mct"},
@@ -33,11 +43,13 @@ func Ablation(modelsDir string, episodes int) (*Table, error) {
 		{"w=2_g=2_no-idle", 2, 2, true},
 	}
 	for _, v := range variants {
-		spec := DefaultAgentSpec(taskgraph.Cholesky, 4, 2, 2)
+		spec := base
 		spec.Window, spec.Layers = v.window, v.layers
-		agent, err := LoadOrTrain(spec, modelsDir, episodes)
-		if err != nil {
-			return nil, fmt.Errorf("exp: ablation %s: %w", v.name, err)
+		agent := committed
+		if spec != base {
+			if agent, _, err = Train(Recipe{Spec: spec, Episodes: episodes}, "", TrainOptions{}); err != nil {
+				return nil, fmt.Errorf("exp: ablation %s: %w", v.name, err)
+			}
 		}
 		for _, sigma := range []float64{0, 0.3} {
 			pt, err := compareWithPolicy(agent, taskgraph.Cholesky, 4, 2, 2, sigma, EvalRuns, 44, v.disableIdle)

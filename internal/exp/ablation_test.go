@@ -1,16 +1,34 @@
 package exp
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"readys/internal/core"
 	"readys/internal/taskgraph"
 )
 
+// TestAblationRunsWithTinyBudget: the ablation loads its one committed
+// variant and trains the others in memory at the budget it is given, on
+// every run: the models directory it reads is byte for byte what it was, and
+// budgets 9 and 8 give different w=0_g=1 rows. (A budget up to 8 is one
+// batch and one update, and at 2, 3 or 8 that update leaves the w=0_g=1 rows
+// as they were; 9 takes a second update.)
 func TestAblationRunsWithTinyBudget(t *testing.T) {
+	const name = "readys_cholesky_T4_2c2g_w2_l2_h32.json"
+	data, err := os.ReadFile(filepath.Join("../../models", name))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	tab, err := Ablation(dir, 3)
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Ablation(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,18 +41,19 @@ func TestAblationRunsWithTinyBudget(t *testing.T) {
 			t.Fatalf("ragged row %v", row)
 		}
 	}
-}
-
-func TestAblationCachesVariants(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Ablation(dir, 2); err != nil {
+	tab2, err := Ablation(dir, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Second run must reuse the cached checkpoints: with episodes=0 a train
-	// attempt would panic inside the trainer config validation, so success
-	// proves the cache was hit.
-	if _, err := Ablation(dir, 0); err != nil {
-		t.Fatal(err)
+	if tab.Rows[0][0] != "w=0_g=1" || slices.Equal(tab.Rows[0], tab2.Rows[0]) && slices.Equal(tab.Rows[1], tab2.Rows[1]) {
+		t.Fatalf("w=0_g=1 rows at budget 9 %v and at budget 8 %v: the second run did not train", tab.Rows[:2], tab2.Rows[:2])
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("the ablation left %d files in the models directory (%v)", len(entries), err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("the ablation changed %s (%v)", name, err)
 	}
 }
 

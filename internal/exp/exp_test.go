@@ -69,25 +69,11 @@ func TestAgentSpecNaming(t *testing.T) {
 	}
 }
 
-func TestEpisodesForScaling(t *testing.T) {
-	small := EpisodesFor(taskgraph.Cholesky, 2)
-	large := EpisodesFor(taskgraph.Cholesky, 12)
-	if small != 8000 {
-		t.Fatalf("tiny problem should cap at 8000, got %d", small)
-	}
-	if large >= small {
-		t.Fatal("episodes must shrink with problem size")
-	}
-	if large < 1200 {
-		t.Fatalf("floor violated: %d", large)
-	}
-}
-
 func TestTrainSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	spec := DefaultAgentSpec(taskgraph.Cholesky, 2, 1, 1)
 	spec.Hidden, spec.Layers, spec.Window = 8, 1, 1
-	agent, hist, err := TrainAgent(spec, dir, 5, nil)
+	agent, hist, err := Train(Recipe{Spec: spec, Episodes: 5}, dir, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +90,6 @@ func TestTrainSaveLoadRoundTrip(t *testing.T) {
 		if q := got[i]; q.Name != p.Name || !q.Value.Equal(p.Value) {
 			t.Fatalf("parameter %s not restored", p.Name)
 		}
-	}
-	// LoadOrTrain must hit the cache (episodes=0 would fail if it trained).
-	if _, err := LoadOrTrain(spec, dir, 5); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // Figure3 regenerates the data of the paper's Figure 3: the makespan
 // improvement of READYS over HEFT and over MCT for the three kernels
 // (columns), T ∈ {2, 4, 8} (rows) and the σ sweep, on 2 CPUs + 2 GPUs.
-// Ratios above 1 mean READYS wins. Agents are loaded from modelsDir (trained
-// on demand with the size-scaled episode budget when missing).
+// Ratios above 1 mean READYS wins. The agents are the committed checkpoints
+// in modelsDir; a missing one is an error.
 func Figure3(modelsDir string) (*Table, error) {
 	tab := &Table{
 		Title:  "Figure 3: makespan improvement over HEFT and MCT (2 CPUs + 2 GPUs)",
@@ -21,7 +21,7 @@ func Figure3(modelsDir string) (*Table, error) {
 	for _, kind := range []taskgraph.Kind{taskgraph.Cholesky, taskgraph.LU, taskgraph.QR} {
 		for _, T := range []int{2, 4, 8} {
 			spec := DefaultAgentSpec(kind, T, 2, 2)
-			agent, err := LoadOrTrain(spec, modelsDir, EpisodesFor(kind, T))
+			agent, err := LoadAgent(spec, modelsDir)
 			if err != nil {
 				return nil, fmt.Errorf("exp: figure 3 %s: %w", spec.Name(), err)
 			}
@@ -41,7 +41,8 @@ func Figure3(modelsDir string) (*Table, error) {
 
 // TransferFigure regenerates one of Figures 4, 5 or 6: agents trained on
 // Cholesky T ∈ {4, 6, 8} are applied unchanged to Cholesky T ∈ {10, 12} on
-// the given platform, and compared to HEFT and MCT across σ.
+// the given platform, and compared to HEFT and MCT across σ. The agents are
+// the committed checkpoints in modelsDir; a missing one is an error.
 //   - Figure 4: 4 CPUs
 //   - Figure 5: 2 CPUs + 2 GPUs
 //   - Figure 6: 4 GPUs
@@ -52,7 +53,7 @@ func TransferFigure(modelsDir string, numCPU, numGPU int) (*Table, error) {
 	}
 	for _, trainT := range []int{4, 6, 8} {
 		spec := DefaultAgentSpec(taskgraph.Cholesky, trainT, numCPU, numGPU)
-		agent, err := LoadOrTrain(spec, modelsDir, EpisodesFor(taskgraph.Cholesky, trainT))
+		agent, err := LoadAgent(spec, modelsDir)
 		if err != nil {
 			return nil, fmt.Errorf("exp: transfer %s: %w", spec.Name(), err)
 		}

@@ -107,11 +107,11 @@ func ResilienceTable(points []ResiliencePoint, kind taskgraph.Kind, T, numCPU, n
 
 // ResilienceFigure regenerates the resilience benchmark end-to-end on the
 // repo's reference configuration (Cholesky T=8 on 2 CPUs + 2 GPUs, the
-// paper's main platform) at mild duration noise, loading (or training) the
-// default agent from modelsDir.
+// paper's main platform) at mild duration noise, with the committed agent
+// from modelsDir; a missing checkpoint is an error.
 func ResilienceFigure(modelsDir string) (*Table, error) {
 	spec := DefaultAgentSpec(taskgraph.Cholesky, 8, 2, 2)
-	agent, err := LoadOrTrain(spec, modelsDir, EpisodesFor(taskgraph.Cholesky, 8))
+	agent, err := LoadAgent(spec, modelsDir)
 	if err != nil {
 		return nil, fmt.Errorf("exp: resilience figure %s: %w", spec.Name(), err)
 	}

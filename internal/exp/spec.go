@@ -1,7 +1,8 @@
-// Package exp is the experiment harness: it trains and caches READYS agents
-// for every (kernel, size, platform) combination the paper evaluates,
-// compares them against HEFT and MCT across noise levels, and regenerates the
-// data behind every figure of the evaluation section (§V):
+// Package exp is the experiment harness: it lists the recipe of every READYS
+// agent the paper's figures use (Recipes), trains and loads them, compares
+// them against HEFT and MCT across noise levels, and regenerates the data
+// behind every figure of the evaluation section (§V) from the committed
+// checkpoints:
 //
 //	Figure 3   — READYS vs HEFT and MCT, kernels × sizes × σ, 2 CPUs + 2 GPUs
 //	Figures 4-6 — transfer learning: train on T∈{4,6,8}, test on T∈{10,12}
@@ -107,21 +108,4 @@ func (s AgentSpec) Problem() core.Problem {
 // AgentConfig returns the architecture config of the spec.
 func (s AgentSpec) AgentConfig() core.Config {
 	return core.Config{Window: s.Window, Layers: s.Layers, Hidden: s.Hidden, Seed: s.Seed}
-}
-
-// EpisodesFor scales the training budget inversely with the DAG size: larger
-// problems have more decisions (and therefore more gradient signal) per
-// episode, and cost proportionally more wall-clock per episode. The schedule
-// keeps every combination trainable on a single laptop core, in the spirit of
-// the paper's "approximately 20 minutes on a standard laptop".
-func EpisodesFor(kind taskgraph.Kind, T int) int {
-	n := taskgraph.NumTasksFor(kind, T)
-	ep := 300000 / n
-	if ep > 8000 {
-		ep = 8000
-	}
-	if ep < 1200 {
-		ep = 1200
-	}
-	return ep
 }

@@ -3,14 +3,10 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 
 	"readys/internal/core"
 	"readys/internal/platform"
-	"readys/internal/rl"
 	"readys/internal/sched"
 	"readys/internal/sim"
 	"readys/internal/stream"
@@ -176,96 +172,30 @@ func StreamTable(points []StreamPoint, numCPU, numGPU, jobs int, sigma float64, 
 	return tab
 }
 
-// Stream agent: READYS trained directly on arrival streams (rl.Config.Arrivals)
-// rather than on a single DAG. The checkpoint is named outside the AgentSpec
-// scheme because its identity is the job mix, not one (kind, T) combination.
-
-// StreamTrainJobs is the number of arrivals per training episode; streams this
-// short keep episodes affordable while still overlapping several jobs.
-const StreamTrainJobs = 5
-
-// StreamTrainEpisodes is the default stream-training budget: the policy
-// reaches HEFT-per-job parity on mean response around here (~2 minutes on a
-// single laptop core).
-const StreamTrainEpisodes = 8000
-
-// streamAgentName identifies the stream-trained checkpoint for the benchmark
-// platform and the default architecture.
-const streamAgentName = "readys_stream_mix_2c2g_w2_l2_h32"
-
-// StreamAgentPath returns the stream-trained checkpoint path inside dir.
-func StreamAgentPath(dir string) string { return filepath.Join(dir, streamAgentName+".json") }
-
-// StreamTrainProcess is the arrival process used for stream training: the
-// benchmark job mix at unit load on the benchmark platform.
-func StreamTrainProcess() stream.PoissonProcess {
+// StreamRecipe is the stream agent's recipe: READYS trained directly on
+// arrival streams (rl.Config.Arrivals) rather than on a single DAG, with the
+// default architecture on 2 CPUs + 2 GPUs at σ 0.1. It trains on streams of
+// five arrivals of the benchmark job mix at unit load — short enough to keep
+// episodes affordable, long enough to overlap several jobs — for 8 000
+// episodes, around where the policy reaches HEFT-per-job parity on mean
+// response.
+func StreamRecipe() Recipe {
 	isolated := meanIsolatedMakespan(platform.New(2, 2), StreamKinds, StreamSizes)
-	return stream.PoissonProcess{
-		Rate: 1000 / isolated, Jobs: StreamTrainJobs,
-		Kinds: StreamKinds, Sizes: StreamSizes,
+	return Recipe{
+		Spec:     DefaultAgentSpec(0, 0, 2, 2), // no kind or T: the mix is the problem
+		Episodes: 8000,
+		Arrivals: &stream.PoissonProcess{
+			Rate: 1000 / isolated, Jobs: 5,
+			Kinds: StreamKinds, Sizes: StreamSizes,
+		},
 	}
-}
-
-// TrainStreamAgent trains a fresh default-architecture agent on arrival
-// streams (see rl.Config.Arrivals) and saves its checkpoint under dir.
-func TrainStreamAgent(dir string, episodes, workers int, progress func(rl.EpisodeStats)) (*core.Agent, rl.History, error) {
-	agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
-	proc := StreamTrainProcess()
-	cfg := rl.DefaultConfig()
-	cfg.Episodes = episodes
-	cfg.RolloutWorkers = workers
-	cfg.Arrivals = &proc
-	problem := core.Problem{Platform: platform.New(2, 2), Sigma: 0.1}
-	trainer := rl.NewTrainer(agent, problem, cfg)
-	hist, err := trainer.Run(progress)
-	if err != nil {
-		return nil, hist, fmt.Errorf("exp: stream training: %w", err)
-	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, hist, err
-		}
-		sizes := make([]string, len(StreamSizes))
-		for i, s := range StreamSizes {
-			sizes[i] = strconv.Itoa(s)
-		}
-		meta := map[string]string{
-			"stream":            "1",
-			"kinds":             "cholesky,lu",
-			"sizes":             strings.Join(sizes, ","),
-			"rate_jobs_per_s":   fmt.Sprintf("%g", proc.Rate),
-			"jobs_per_episode":  strconv.Itoa(proc.Jobs),
-			"episodes":          strconv.Itoa(episodes),
-			"final_mean_reward": fmt.Sprintf("%.4f", hist.FinalMeanReward(100)),
-		}
-		if err := agent.SaveCheckpoint(StreamAgentPath(dir), meta); err != nil {
-			return nil, hist, fmt.Errorf("exp: saving stream agent: %w", err)
-		}
-	}
-	return agent, hist, nil
-}
-
-// LoadOrTrainStreamAgent restores the stream-trained checkpoint if present,
-// otherwise trains it with the given episode budget.
-func LoadOrTrainStreamAgent(dir string, episodes int) (*core.Agent, error) {
-	if dir != "" {
-		if _, err := os.Stat(StreamAgentPath(dir)); err == nil {
-			agent := core.NewAgent(core.Config{Window: 2, Layers: 2, Hidden: 32, Seed: 1})
-			if _, err := agent.LoadCheckpoint(StreamAgentPath(dir)); err != nil {
-				return nil, err
-			}
-			return agent, nil
-		}
-	}
-	agent, _, err := TrainStreamAgent(dir, episodes, 0, nil)
-	return agent, err
 }
 
 // StreamFigure regenerates the stream benchmark end-to-end on the reference
-// platform (2 CPUs + 2 GPUs) at mild duration noise, loading (or training)
-// the stream-trained agent from modelsDir.
+// platform (2 CPUs + 2 GPUs) at mild duration noise with the committed
+// stream agent from modelsDir; a missing checkpoint is an error.
 func StreamFigure(modelsDir string) (*Table, error) {
-	agent, err := LoadOrTrainStreamAgent(modelsDir, StreamTrainEpisodes)
+	agent, err := StreamRecipe().Load(modelsDir)
 	if err != nil {
 		return nil, fmt.Errorf("exp: stream figure: %w", err)
 	}

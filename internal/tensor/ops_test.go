@@ -203,105 +203,6 @@ func TestDistributivityProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	x := RandNormal(rng, 128, 128, 1)
-	y := RandNormal(rng, 128, 128, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-// BenchmarkSpMM times one GCN propagation on the normalised adjacency
-// D^-1/2 (A+I) D^-1/2 of a factorisation-shaped DAG (a chain with skip-7
-// edges, taken symmetrically) at hidden 64: CSR SpMMInto against dense
-// MatMulInto on the same operator.
-func BenchmarkSpMM(b *testing.B) {
-	const hidden = 64
-	for _, n := range []int{128, 256} {
-		deg := make([]int, n)
-		offsets := []int{-7, -1, 0, 1, 7}
-		for i := range deg {
-			for _, d := range offsets {
-				if j := i + d; j >= 0 && j < n {
-					deg[i]++
-				}
-			}
-		}
-		dn := New(n, n)
-		for i := range deg {
-			for _, d := range offsets {
-				if j := i + d; j >= 0 && j < n {
-					dn.Set(i, j, 1/math.Sqrt(float64(deg[i]*deg[j])))
-				}
-			}
-		}
-		sp := SparseFromDense(dn)
-		x := RandNormal(rand.New(rand.NewSource(1)), n, hidden, 1)
-		out := New(n, hidden)
-		b.Run(fmt.Sprintf("sparse/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				SpMMInto(sp, x, out)
-			}
-		})
-		b.Run(fmt.Sprintf("dense/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(dn, x, out)
-			}
-		})
-	}
-}
-
-// BenchmarkDenseLayer times one dense layer, ReLU(x*W + b), at the shapes the
-// committed checkpoints run at 49 window rows (22 features → hidden 32, hidden
-// 32 → 32) and at DefaultConfig's hidden 64, four ways: the zero-fill +
-// axpy-per-k loop followed by a bias pass and a ReLU pass (the layer before
-// the row kernel), the row kernel followed by the same two passes, and the row
-// kernel finishing the row in registers (LinearReLUInto), without and with the
-// ReLU mask a gradient tape keeps. Hidden inputs are
-// post-ReLU, about half zeros, as in a forward.
-func BenchmarkDenseLayer(b *testing.B) {
-	if !hasAVX2 {
-		b.Skip("hasAVX2=false: all three are the loop")
-	}
-	for _, sh := range [][3]int{{49, 22, 32}, {49, 32, 32}, {49, 64, 64}} {
-		rows, k, cols := sh[0], sh[1], sh[2]
-		rng := rand.New(rand.NewSource(1))
-		x, w, bias := RandNormal(rng, rows, k, 1), RandNormal(rng, k, cols, 0.3), RandNormal(rng, 1, cols, 0.1)
-		if k == cols {
-			relu(x)
-		}
-		out := New(rows, cols)
-		shape := fmt.Sprintf("%dx%d*%dx%d", rows, k, k, cols)
-		b.Run("axpy-loop/"+shape, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matMulLoop(x, w, out)
-				biasReLU(out, bias)
-			}
-		})
-		b.Run("row-kernel/"+shape, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMulInto(x, w, out)
-				biasReLU(out, bias)
-			}
-		})
-		b.Run("row-kernel+epilogue/"+shape, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				LinearReLUInto(x, w, bias, out, nil)
-			}
-		})
-		mask := make([]uint32, ReLUMaskLen(rows, cols))
-		b.Run("row-kernel+epilogue+mask/"+shape, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				LinearReLUInto(x, w, bias, out, mask)
-			}
-		})
-	}
-}
-
 func TestMatMulTransALargeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := RandNormal(rng, 80, 128, 1)
