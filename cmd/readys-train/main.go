@@ -2,7 +2,8 @@
 // combination, or on streaming arrivals, and saves its checkpoint; with
 // -all it trains every committed checkpoint's recipe (exp.Recipes). A
 // combination listed there trains on its recipe's budget unless -episodes
-// says otherwise; any other combination needs -episodes.
+// says otherwise; any other combination needs -episodes. -all and -stream
+// refuse the flags they do not read (exp.CheckTrainFlags).
 //
 // Usage:
 //
@@ -48,6 +49,11 @@ func main() {
 		faultRate = flag.Float64("fault-rate", 0, "train under per-episode fault injection at this rate (0 = fault-free; see sim.SpecForRate)")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := exp.CheckTrainFlags(*all, *streaming, set); err != nil {
+		log.Fatal(err)
+	}
 	for _, c := range []struct {
 		flag     string
 		n, least int

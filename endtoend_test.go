@@ -81,8 +81,8 @@ func TestPublicGraphConstructors(t *testing.T) {
 
 // TestConstructorValidation is the table test of the checks the commands run
 // on their flags before they build anything: the kind parser,
-// exp.CheckProblem, exp.CheckFaultRate and exp.CheckCount on readys-train's
-// counts. A bad value gives an error, never a panic in taskgraph, platform,
+// exp.CheckProblem, exp.CheckFaultRate, exp.CheckCount on readys-train's
+// counts and exp.CheckTrainFlags on the flags each of its modes reads. A bad value gives an error, never a panic in taskgraph, platform,
 // core or rl or a schedule the validator rejects.
 func TestConstructorValidation(t *testing.T) {
 	for _, tc := range []struct {
@@ -156,6 +156,33 @@ func TestConstructorValidation(t *testing.T) {
 			err := exp.CheckCount(tc.flag, tc.n, tc.least)
 			if ok := tc.n >= tc.least; (err == nil) != ok || (err != nil && !strings.Contains(err.Error(), tc.flag+" must be >= ")) {
 				t.Fatalf("CheckCount(%q, %d, %d) = %v, want ok=%v", tc.flag, tc.n, tc.least, err, ok)
+			}
+		})
+	}
+	// readys-train's modes, each with the flags set on its command line (as
+	// flag.Visit names them) and the ones it must refuse, in that order.
+	for _, tc := range []struct {
+		name        string
+		all, stream bool
+		set         []string
+		want        string // the error; "" for none
+	}{
+		{"train one reads every flag", false, false,
+			[]string{"kind", "T", "cpus", "gpus", "episodes", "out", "stream", "window", "layers", "hidden", "seed", "quiet", "telemetry", "workers", "fault-rate"}, ""},
+		{"train -all reads where and how", true, false, []string{"all", "out", "quiet", "telemetry", "workers"}, ""},
+		{"train -all -episodes -fault-rate", true, false, []string{"all", "episodes", "out", "fault-rate"}, "-all does not read -episodes, -fault-rate"},
+		{"train -all problem and architecture", true, false,
+			[]string{"kind", "T", "cpus", "gpus", "all", "stream", "window", "layers", "hidden", "seed"},
+			"-all does not read -kind, -T, -cpus, -gpus, -stream, -window, -layers, -hidden, -seed"},
+		{"train -stream reads budget and faults", false, true, []string{"stream", "episodes", "fault-rate", "workers", "all"}, ""},
+		{"train -stream problem and architecture", false, true,
+			[]string{"kind", "T", "cpus", "gpus", "episodes", "stream", "window", "layers", "hidden", "seed"},
+			"-stream does not read -kind, -T, -cpus, -gpus, -window, -layers, -hidden, -seed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := exp.CheckTrainFlags(tc.all, tc.stream, tc.set)
+			if (err == nil) != (tc.want == "") || (err != nil && err.Error() != tc.want) {
+				t.Fatalf("CheckTrainFlags(%v, %v, %q) = %v, want %q (none if empty)", tc.all, tc.stream, tc.set, err, tc.want)
 			}
 		})
 	}

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"readys/internal/core"
 	"readys/internal/taskgraph"
@@ -46,6 +48,35 @@ func CheckProblem(T, cpus, gpus int, sigma float64) error {
 func CheckCount(what string, n, least int) error {
 	if n < least {
 		return fmt.Errorf("%s must be >= %d, got %d", what, least, n)
+	}
+	return nil
+}
+
+// CheckTrainFlags refuses a readys-train command line that sets a flag its
+// mode does not read, naming each such flag, so that a setting is never
+// dropped without a word. set holds the names of the flags given, without
+// their dash, as flag.Visit reports them. -all trains every recipe of Recipes
+// on its own problem, architecture and budget, fault-free, so it reads only
+// where and how to train; -stream trains StreamRecipe, whose problem mix and
+// architecture are its own, so it reads the budget and the fault rate but no
+// problem or architecture flag. Training one combination reads them all.
+func CheckTrainFlags(all, stream bool, set []string) error {
+	var mode string
+	var unread []string
+	switch {
+	case all:
+		mode, unread = "-all", []string{"kind", "T", "cpus", "gpus", "episodes", "stream", "window", "layers", "hidden", "seed", "fault-rate"}
+	case stream:
+		mode, unread = "-stream", []string{"kind", "T", "cpus", "gpus", "window", "layers", "hidden", "seed"}
+	}
+	var ignored []string
+	for _, f := range set {
+		if slices.Contains(unread, f) {
+			ignored = append(ignored, "-"+f)
+		}
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("%s does not read %s", mode, strings.Join(ignored, ", "))
 	}
 	return nil
 }

@@ -67,8 +67,8 @@ type Config struct {
 	Logger *log.Logger
 	// TraceEvents is the request-span ring capacity. <= 0 picks one
 	// serve.DefaultTraceEvents ring per replica (traceCapacity): 16 384
-	// spans for two replicas, ≈ 530 KiB once full at ≈ 33 bytes a span and
-	// at most 1.56 MiB at obs.Tracer's widest event (the ring grows in chunks
+	// spans for two replicas, ≈ 465 KiB once full at ≈ 29 bytes a span and
+	// at most 1.6 MiB at obs.Tracer's widest event (the ring grows in chunks
 	// as it fills). A schedule request records two
 	// spans here (request, forward) and five on its replica, and /healthz
 	// and /metrics record none on either, so over N replicas this window

@@ -145,9 +145,12 @@ func TestValidateTraceLinksDemandsCrossProcessLink(t *testing.T) {
 	}
 }
 
+// TestSpanContextHeaderRoundTrip: Inject writes the trace ID and the span ID
+// as the export shows it (extern of the stored one), and ExtractTraceContext
+// reads back what Inject wrote.
 func TestSpanContextHeaderRoundTrip(t *testing.T) {
 	link := RootLink(NewTraceID(), "")
-	traceID, spanID := link.TraceID(), formatID(link.span)
+	traceID, spanID := link.TraceID(), formatID(extern(link.span))
 	if len(traceID) != 16 || traceID == spanID {
 		t.Fatalf("degenerate ids: %q, %q", traceID, spanID)
 	}

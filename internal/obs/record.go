@@ -208,8 +208,11 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 // The encoded event, as appendTo writes it and decode reads it against a base,
 // the state the events before it left (see base):
 //
-//	header   uvarint: the link flags, nattr << 2, then the hdr* bits; a
-//	         serving span sets only the first seven, so it is one byte
+//	header   uvarint: the link flags, nattr << 2, then the hdr* bits, of
+//	         which a traceless event carries its instant and raw-time bits
+//	         in two a traced event needs (phaseBits); one byte but for a
+//	         traced instant or a traced event in raw time, which no call
+//	         site records
 //	name     uvarint handle
 //	cat      uvarint handle
 //	pid      uvarint of its 32 bits
@@ -218,16 +221,20 @@ func newRecord(ph byte, pid, tid int64, ts, dur float64, link Link, attrs []Attr
 //	         zigzag varint, then dur's ns as a uvarint; else, hdrRawTime, 8
 //	         bytes each, the float64 bits, little-endian
 //	trace    8 bytes, when flagTrace and not hdrSameTrace
-//	span     8 bytes, when flagTrace and not hdrSpanIsParent
+//	span     when flagTrace and not hdrSpanIsParent, the span ID minus the
+//	         base's as a zigzag varint of the 64-bit difference, exact
+//	         across the wrap at 2⁶⁴: the sequence mints IDs a step apart, so
+//	         one or two bytes
 //	parent   8 bytes, when flagParent and not hdrSameParent
 //	attrs    per attribute a key << 2 | kind byte, then its integer or bool
 //	         as a zigzag varint, its float's 8 bytes, or its string's
 //	         uvarint handle
 //
 // On a replica, whose two pool workers interleave requests, a stage span that
-// follows one of its request's packs into about 18 bytes plus its attributes,
-// and a request span that follows its stages, 28 with three. Its ring holds
-// about 29 bytes an event, a gateway's about 33.
+// follows one of its request's packs into about 11 bytes plus its attributes,
+// and a request span that follows its stages, 29 with three. Its ring holds
+// about 23 bytes an event, a gateway's about 29 (a forward span 36, its
+// parent's 8 bytes among them), a simulator's about 25.5.
 const (
 	hdrSameTrace    = 1 << (4 + iota) // the trace ID is the base's
 	hdrSameParent                     // the parent ID is the base's
@@ -236,18 +243,30 @@ const (
 	hdrRawTime
 )
 
+// phaseBits returns, for an event with the given link flags, the header bits
+// that mark it an instant and its times raw: hdrInstant and hdrRawTime on a traced event, and on a
+// traceless one the bits of hdrSameTrace and hdrSpanIsParent, which only a
+// traced event reads, so that its header stays one byte.
+func phaseBits(flags uint8) (instant, rawTime uint64) {
+	if flags&flagTrace == 0 {
+		return hdrSameTrace, hdrSpanIsParent
+	}
+	return hdrInstant, hdrRawTime
+}
+
 // maxEventLen bounds one encoded event: a two-byte header, the widest handles,
-// pid and tid, raw times (whole-ns times are at most 8 bytes each), all three
-// IDs, and three attributes of the widest kind (TestRecordHasNoPointers).
-const maxEventLen = 2 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64 + 2*8 + 3*8 +
+// pid and tid, raw times (whole-ns times are at most 8 bytes each), the trace
+// and parent IDs, the widest span difference, and three attributes of the
+// widest kind (TestRecordHasNoPointers).
+const maxEventLen = 2 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64 + 2*8 + 2*8 + binary.MaxVarintLen64 +
 	maxSpanAttrs*(1+binary.MaxVarintLen64)
 
-// base is what an event is encoded against: the time in ns and the trace and
-// parent IDs of the last events before it that carried them. An encoder and
-// its decoder advance their bases alike, event by event.
+// base is what an event is encoded against: the time in ns and the trace,
+// span and parent IDs of the last events before it that carried them. An
+// encoder and its decoder advance their bases alike, event by event.
 type base struct {
-	ns            int64
-	trace, parent uint64
+	ns                  int64
+	trace, span, parent uint64
 }
 
 func (bs *base) advance(r *record, ns int64, whole bool) {
@@ -255,7 +274,7 @@ func (bs *base) advance(r *record, ns int64, whole bool) {
 		bs.ns = ns
 	}
 	if r.flags&flagTrace != 0 {
-		bs.trace = r.trace
+		bs.trace, bs.span = r.trace, r.span
 	}
 	if r.flags&flagParent != 0 {
 		bs.parent = r.parent
@@ -277,16 +296,17 @@ func nanos(x float64) (int64, bool) {
 // appendTo appends r's encoding against bs to b and advances bs past r.
 func (r *record) appendTo(b []byte, bs *base) []byte {
 	h := uint64(r.flags) | uint64(r.nattr)<<2
+	trace, parent := r.flags&flagTrace != 0, r.flags&flagParent != 0
+	instant, rawTime := phaseBits(r.flags)
 	if r.ph == PhaseInstant[0] {
-		h |= hdrInstant
+		h |= instant
 	}
 	ts, tsWhole := nanos(r.ts)
 	dur, durWhole := nanos(r.dur)
 	whole := tsWhole && durWhole && dur >= 0
 	if !whole {
-		h |= hdrRawTime
+		h |= rawTime
 	}
-	trace, parent := r.flags&flagTrace != 0, r.flags&flagParent != 0
 	if trace && r.trace == bs.trace {
 		h |= hdrSameTrace
 	}
@@ -312,7 +332,7 @@ func (r *record) appendTo(b []byte, bs *base) []byte {
 		b = le.AppendUint64(b, r.trace)
 	}
 	if trace && h&hdrSpanIsParent == 0 {
-		b = le.AppendUint64(b, r.span)
+		b = binary.AppendVarint(b, int64(r.span-bs.span))
 	}
 	if parent && h&hdrSameParent == 0 {
 		b = le.AppendUint64(b, r.parent)
@@ -368,12 +388,13 @@ func (r *record) decode(b []byte, bs *base) int {
 	d := decoder{b: b}
 	h := d.uvarint()
 	r.ph, r.flags, r.nattr = PhaseComplete[0], uint8(h)&(flagTrace|flagParent), uint8(h>>2)&3
-	if h&hdrInstant != 0 {
+	instant, rawTime := phaseBits(r.flags)
+	if h&instant != 0 {
 		r.ph = PhaseInstant[0]
 	}
 	r.name, r.cat, r.pid = uint32(d.uvarint()), uint32(d.uvarint()), int32(uint32(d.uvarint()))
 	r.tid = d.varint()
-	whole := h&hdrRawTime == 0
+	whole := h&rawTime == 0
 	var ts int64
 	if whole {
 		ts = bs.ns + d.varint()
@@ -388,7 +409,7 @@ func (r *record) decode(b []byte, bs *base) int {
 			r.trace = d.u64()
 		}
 		if h&hdrSpanIsParent == 0 {
-			r.span = d.u64()
+			r.span = bs.span + uint64(d.varint())
 		}
 	}
 	if r.flags&flagParent != 0 {
@@ -438,9 +459,9 @@ func (t *Tracer) event(r *record) Event {
 	}
 	if r.flags&flagTrace != 0 {
 		e.Args[ArgTraceID] = formatID(r.trace)
-		e.Args[ArgSpanID] = formatID(r.span)
+		e.Args[ArgSpanID] = formatID(extern(r.span))
 		if r.flags&flagParent != 0 {
-			e.Args[ArgParentSpan] = formatID(r.parent)
+			e.Args[ArgParentSpan] = formatID(extern(r.parent))
 		}
 	}
 	return e

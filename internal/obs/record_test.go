@@ -16,8 +16,10 @@ import (
 // TestSpanExportsAsCompleteWithSpanArgs pins the export of a record: each
 // span, typed attributes and link, serialises to the bytes of a literal
 // complete event whose Args hold the attributes plus the link's IDs in 16 hex
-// digits (SpanArgs).
+// digits (SpanArgs): the trace ID as stored, the span and parent IDs through
+// extern.
 func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
+	out := func(id uint64) string { return formatID(extern(id)) }
 	cases := []struct {
 		name  string
 		link  Link
@@ -28,20 +30,20 @@ func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 			name:  "child with three ints",
 			link:  Link{trace: 0xaa, parent: 0xbb, span: 0x0123456789abcdef, flags: flagTrace | flagParent},
 			attrs: []Attr{Int(KeyTasks, 120), Int(KeyDecisions, 497), Int(KeyForwards, -1)},
-			args:  SpanArgs(map[string]any{"tasks": 120, "decisions": 497, "forwards": -1}, "00000000000000aa", "0123456789abcdef", "00000000000000bb"),
+			args:  SpanArgs(map[string]any{"tasks": 120, "decisions": 497, "forwards": -1}, "00000000000000aa", out(0x0123456789abcdef), out(0xbb)),
 		},
 		{
 			name:  "root without a parent",
 			link:  Link{trace: 0xaa, span: 1, flags: flagTrace},
 			attrs: []Attr{Int(KeyRequestID, 7), String(KeyEndpoint, "schedule"), Int(KeyStatus, 200)},
-			args:  SpanArgs(map[string]any{"request_id": 7, "endpoint": "schedule", "status": 200}, "00000000000000aa", "0000000000000001", ""),
+			args:  SpanArgs(map[string]any{"request_id": 7, "endpoint": "schedule", "status": 200}, "00000000000000aa", out(1), ""),
 		},
 		{
 			// A zero ID is an ID: the flags, not the value, say it is there.
 			name:  "zero trace and parent",
 			link:  Link{span: 0xffffffffffffffff, flags: flagTrace | flagParent},
 			attrs: []Attr{Bool(KeyCacheHit, true)},
-			args:  SpanArgs(map[string]any{"cache_hit": true}, "0000000000000000", "ffffffffffffffff", "0000000000000000"),
+			args:  SpanArgs(map[string]any{"cache_hit": true}, "0000000000000000", out(0xffffffffffffffff), out(0)),
 		},
 		{
 			name:  "floats and a string",
@@ -76,7 +78,8 @@ func TestSpanExportsAsCompleteWithSpanArgs(t *testing.T) {
 }
 
 // TestLinkContextRoundTrip: an inbound ID of 1–16 hex digits keeps its value
-// and anything else starts a fresh trace without a parent; a child names its
+// (a parent is stored as its intern, so extern gives the value back) and
+// anything else starts a fresh trace without a parent; a child names its
 // parent by the parent's span ID, and a traceless link has no children.
 func TestLinkContextRoundTrip(t *testing.T) {
 	root := RootLink("1A", "not-hex")
@@ -87,7 +90,7 @@ func TestLinkContextRoundTrip(t *testing.T) {
 	if child.trace != 0x1a || child.parent != root.span || child.flags != flagTrace|flagParent || child.span == root.span {
 		t.Fatalf("child = %+v under %+v", child, root)
 	}
-	if l := RootLink("00000000000000aa", "b"); l.trace != 0xaa || l.parent != 0xb || l.flags != flagTrace|flagParent {
+	if l := RootLink("00000000000000aa", "b"); l.trace != 0xaa || extern(l.parent) != 0xb || l.flags != flagTrace|flagParent {
 		t.Fatalf("short hex parent: %+v", l)
 	}
 	for _, id := range []string{"", "trace-from-client", "0123456789abcdef0", "0x1a", "+1a"} {
@@ -119,14 +122,16 @@ func TestSpanAllocatesNothing(t *testing.T) {
 // never scans only if they hold no pointer, so a record lives in the ring as
 // bytes; and maxEventLen, which bounds a ring at capacity × maxEventLen
 // (DefaultTraceCapacity, a serving daemon's TraceEvents) and sizes the room
-// push keeps at a chunk's end, is exactly the widest event's encoding: raw
-// times, which take the header's second byte. Whole-ns times as far from
-// their base as they may be are no wider.
+// push keeps at a chunk's end, is exactly the widest event's encoding: a
+// traced event in raw times, which take the header's second byte, whose span
+// ID is 2⁶³ from its base's, the widest zigzag difference. Whole-ns times as
+// far from their base as they may be are no wider, and a traceless event in
+// raw time, instant or not, keeps a one-byte header.
 func TestRecordHasNoPointers(t *testing.T) {
 	if typ := reflect.TypeOf(Tracer{}.chunks).Elem(); typ != reflect.TypeOf([]byte(nil)) {
 		t.Fatalf("a ring chunk is a %s, want []byte", typ)
 	}
-	widest := Link{trace: math.MaxUint64, parent: math.MaxUint64, span: math.MaxUint64, flags: flagTrace | flagParent}
+	widest := Link{trace: math.MaxUint64, parent: math.MaxUint64, span: 1 << 63, flags: flagTrace | flagParent}
 	attrs := []Attr{Int(KeyBase, math.MinInt64), Int(KeyBase, math.MaxInt64), Int(KeyBase, math.MinInt64)}
 	r := newRecord(PhaseComplete[0], -1, math.MinInt64, math.NaN(), math.Inf(-1), widest, attrs)
 	r.name, r.cat = math.MaxUint32, math.MaxUint32
@@ -142,6 +147,13 @@ func TestRecordHasNoPointers(t *testing.T) {
 	r.ts, r.dur = -far/1e3, far/1e3
 	if b := r.appendTo(nil, &base{ns: far}); len(b) > maxEventLen || b[0] >= 0x80 {
 		t.Fatalf("whole-ns times %d ns from their base encode in %d bytes, header byte %#x; want at most maxEventLen, %d, and a one-byte header", 2*far, len(b), b[0], maxEventLen)
+	}
+	for _, ph := range []string{PhaseComplete, PhaseInstant} {
+		u := newRecord(ph[0], 1, 1, 0.1, 0.5, Link{}, attrs)
+		var got record
+		if b := u.appendTo(nil, &base{}); b[0] >= 0x80 || got.decode(b, &base{}) != len(b) || !sameRecord(got, u) {
+			t.Fatalf("a traceless %q event in raw time encodes as % x, header byte %#x, and decodes as %+v; want a one-byte header and %+v", ph, b, b[0], got, u)
+		}
 	}
 }
 
@@ -171,13 +183,14 @@ func ringBytes(tr *Tracer) int {
 // them, each recording its four stages and then its request span, which of
 // the two records next drawn at random, with times in whole ns as Front.Span
 // takes them. A fresh tracer keeps under a KiB whatever its capacity; an
-// event packs into at most 38 bytes (it reads 34: a stage that follows one of
-// its own request's takes its trace and parent from it, a request span that
-// follows its stages takes its span ID); a ring filled to a third keeps
+// event packs into at most 31 bytes (it reads 27.7: a stage that follows one
+// of its own request's takes its trace and parent from it, a request span
+// that follows its stages takes its span ID, and every other span ID is a
+// step or two from the last one, a byte); a ring filled to a third keeps
 // chunks only for the bytes its events fill; and after three laps the tracer
 // keeps its events' bytes, at most one chunk more, and a table of the few
 // strings its call sites name — not a map per span, and not the requests'
-// IDs, which an event holds as their 64 bits.
+// IDs, which an event holds as numbers.
 func TestTracerRingBytesFixed(t *testing.T) {
 	const capacity = 1 << 14
 	const slack = 16 << 10
@@ -268,8 +281,8 @@ func TestTracerRingBytesFixed(t *testing.T) {
 	perEvent := float64(filled) / capacity
 	t.Logf("%.1f B an event, %d B of events in %d chunks, tracer keeps %d B live full, %d B a third full and %d B fresh",
 		perEvent, filled, len(tr.chunks), kept, keptThird, keptFresh)
-	if perEvent > 38 {
-		t.Fatalf("an event packs into %.1f bytes, want at most 38", perEvent)
+	if perEvent > 31 {
+		t.Fatalf("an event packs into %.1f bytes, want at most 31", perEvent)
 	}
 	// The head's chunk is part drained and the tail's part filled: one
 	// chunk's worth between them.
@@ -287,24 +300,29 @@ func TestTracerRingBytesFixed(t *testing.T) {
 // TestTracerStringTableBounded: a trace whose every span has a name and a
 // client's trace ID of its own (a simulator's per-task names, a client's
 // short hex IDs) keeps only the names of the events still in the ring — the
-// IDs are their 64 bits, in no table. Over three laps of a ring of a few
-// chunks, checked at every chunk and lap boundary against a plain slice of
-// what was written, the ring exports the newest capacity events oldest first
-// under their own names and IDs, counts the rest as dropped, and its table
-// holds their names plus the vocabulary.
+// IDs are their 64 bits, in no table. Over three laps of a ring of several
+// chunks, each lap crossing at least two chunk boundaries, checked at every
+// chunk and lap boundary against a plain slice of what was written, the ring
+// exports the newest capacity events oldest first under their own names and
+// IDs, counts the rest as dropped, and its table holds their names plus the
+// vocabulary.
 func TestTracerStringTableBounded(t *testing.T) {
-	const capacity = 2501
+	const capacity = 4001
 	tr := NewTracer(capacity)
 	name := func(i int) string { return fmt.Sprintf("task %d", i) }
 	id := func(i int) string { return strconv.FormatInt(int64(i), 16) }
 	vocab := len([]string{"", "sim", "/v1/schedule"})
-	var written []int // every event, oldest first
+	var written []int  // every event, oldest first
+	var crossed [3]int // chunk boundaries crossed in each lap
 	chunk, checks := 0, 0
 	for i := 0; i < 3*capacity; i++ {
 		tr.Span(name(i), "sim", 1, 1, float64(i), 1, RootLink(id(i), ""), String(KeyPath, "/v1/schedule"))
 		written = append(written, i)
 		moved := tr.tail != chunk
 		chunk = tr.tail
+		if moved {
+			crossed[i/capacity]++
+		}
 		if n := len(written); !moved && n%capacity > 1 && n != 3*capacity {
 			continue
 		}
@@ -325,8 +343,8 @@ func TestTracerStringTableBounded(t *testing.T) {
 				len(written), live, slots, kept+vocab-1, capacity+vocab)
 		}
 	}
-	if len(tr.chunks) < 3 || checks < 12 {
-		t.Fatalf("%d chunks, %d checks: the ring must span several chunks and cross them every lap", len(tr.chunks), checks)
+	if len(tr.chunks) < 3 || checks < 12 || min(crossed[0], crossed[1], crossed[2]) < 2 {
+		t.Fatalf("%d chunks, %d checks, %v chunk boundaries crossed a lap: the ring must span several chunks and cross them every lap", len(tr.chunks), checks, crossed)
 	}
 }
 
@@ -370,13 +388,26 @@ func checkStrtab(t *testing.T, tr *Tracer) {
 // encoding gives way to raw bits; IDs come from a small set, and an event
 // often takes the trace and parent of the one before it, or has its parent
 // as span ID, so every field that an event may take from its base does, on
-// both sides of each ring's wrap.
+// both sides of each ring's wrap. Half the span IDs are a step of either sign
+// from the last traced span's, small or up to 2⁶³, and the set's 0 and
+// 2⁶⁴ − 1 make many of those steps wrap; a step of two across the wrap, up or
+// down, is one byte of difference.
 func TestRecordRoundTrip(t *testing.T) {
+	for _, c := range []struct{ from, to uint64 }{{math.MaxUint64, 1}, {1, math.MaxUint64}, {math.MaxUint64 - 1, 0}} {
+		r := newRecord(PhaseComplete[0], 1, 1, 0, 0, Link{trace: 5, span: c.to, flags: flagTrace}, nil)
+		b := r.appendTo(nil, &base{trace: 5, span: c.from, parent: 9})
+		var got record
+		bs := base{trace: 5, span: c.from, parent: 9}
+		if got.decode(b, &bs); len(b) != 8 || got.span != c.to || bs.span != c.to {
+			t.Fatalf("span %#x after %#x encodes in %d bytes (want 8, one of them the difference) and decodes as %#x", c.to, c.from, len(b), got.span)
+		}
+	}
 	ints := []int64{0, 1, -1, 63, -64, 64, math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxUint32, 1 << 40}
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff), math.MaxFloat64, 1234.5678}
 	strs := []string{"", "x", "outage", "a longer string value"}
 	ids := []uint64{0, 1, math.MaxUint64, 0x0123456789abcdef}
+	steps := []int64{1, 2, -1, -2, 63, -64, 64, -65, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64}
 	near53 := []int64{1<<53 - 2, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1<<53 - 1), -(1 << 53)}
 	if _, whole := nanos(float64(near53[0]) / 1e3); !whole {
 		t.Fatal("2^53 - 2 ns does not encode as whole ns")
@@ -402,6 +433,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		tr := NewTracer(capacity)
 		var written []Event
 		var prev Link
+		var lastSpan uint64 // the span ID of the last traced span
 		for i := 0; i < 3*capacity+17; i++ {
 			e := Event{Name: strs[pick(len(strs))] + strconv.Itoa(pick(40)), Cat: strs[pick(len(strs))],
 				TS: when(), TID: ints[pick(len(ints))]}
@@ -439,6 +471,9 @@ func TestRecordRoundTrip(t *testing.T) {
 			} else {
 				e.Ph, e.Dur = PhaseComplete, when()
 				link := Link{trace: ids[pick(len(ids))], parent: ids[pick(len(ids))], span: ids[pick(len(ids))], flags: uint8(pick(4))}
+				if pick(2) == 0 {
+					link.span = lastSpan + uint64(steps[pick(len(steps))])
+				}
 				switch pick(3) {
 				case 0: // a stage after a stage of its request
 					link.trace, link.parent = prev.trace, prev.parent
@@ -447,9 +482,10 @@ func TestRecordRoundTrip(t *testing.T) {
 				}
 				prev = link
 				if link.flags&flagTrace != 0 {
-					args[ArgTraceID], args[ArgSpanID] = formatID(link.trace), formatID(link.span)
+					lastSpan = link.span
+					args[ArgTraceID], args[ArgSpanID] = formatID(link.trace), formatID(extern(link.span))
 					if link.flags&flagParent != 0 {
-						args[ArgParentSpan] = formatID(link.parent)
+						args[ArgParentSpan] = formatID(extern(link.parent))
 					}
 				}
 				tr.Span(e.Name, e.Cat, pid, e.TID, e.TS, e.Dur, link, attrs...)

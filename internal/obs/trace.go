@@ -38,8 +38,8 @@ const (
 //
 // The ring holds events packed into pointer-free byte chunks, not Events: a
 // record (record.go) costs the bytes of the fields it carries and does not
-// share with the event before it, about 30 for a request-path span and at
-// most maxEventLen, and an event whose strings the ring already names costs
+// share with the event before it, about 23 for a replica's request-path span
+// (span IDs are a step apart, a byte each) and at most maxEventLen, and an event whose strings the ring already names costs
 // no allocation. Events are decoded and built on
 // export. The ring is bounded by its event count: once it holds capacity
 // events, each new one evicts the oldest. Chunks are allocated as the ring
@@ -73,7 +73,7 @@ type Tracer struct {
 
 // DefaultTraceCapacity is the ring size, in events, used when NewTracer is
 // given a non-positive capacity: about 2 MiB when full of simulator task
-// slices (≈ 30 bytes each) and at most 65 536 × maxEventLen (6.25 MiB), of
+// slices (≈ 25.5 bytes each) and at most 65 536 × maxEventLen (6.4 MiB), of
 // which a trace keeps only the chunks it has filled. It holds a mid-size
 // simulated schedule or a stream run's trace. The serving tier sizes its own
 // rings: a serving daemon's from the five stage spans it records a request
@@ -81,9 +81,9 @@ type Tracer struct {
 // (gateway.Config.TraceEvents).
 const DefaultTraceCapacity = 1 << 16
 
-// chunkBytes is the size of a ring chunk: 32 KiB, about 1 100 request-path
-// spans, small beside the rings the serving tier sizes (≈ 240 KiB a replica)
-// and large enough that a chunk is allocated once per two hundred requests. A ring
+// chunkBytes is the size of a ring chunk: 32 KiB, about 1 400 request-path
+// spans, small beside the rings the serving tier sizes (≈ 185 KiB a replica)
+// and large enough that a chunk is allocated once per 280 requests. A ring
 // too small to fill one gets chunks of capacity × maxEventLen.
 const chunkBytes = 32 << 10
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"testing"
@@ -12,7 +13,8 @@ import (
 // request takes — ExtractTraceContext, RootLink, a root and a child Span,
 // WriteChromeTrace — and requires the export to decode with the header
 // contract: a trace or parent ID of 1–16 hex digits comes back as its value in
-// 16 lowercase digits, a trace ID of anything else is a fresh trace without a
+// 16 lowercase digits (a parent stored as its intern exports as sent), a
+// span's own ID as the extern of the stored one, a trace ID of anything else is a fresh trace without a
 // parent, every span carries the trace the front echoes (Context), and no byte
 // of an ID is kept in the ring's string table. The ring holds three records
 // and is written twice, so the second root overwrites the first and the
@@ -74,7 +76,7 @@ func FuzzTraceContext(f *testing.F) {
 				t.Fatalf("%s: trace_id %v, echoed %s", e.Name, got, echoed)
 			}
 		}
-		rootSpan := formatID(root.span)
+		rootSpan := formatID(extern(root.span))
 		req, child := ev[1].Args, ev[2].Args
 		if req[ArgSpanID] != rootSpan || child[ArgParentSpan] != rootSpan {
 			t.Fatalf("root span %v, child's parent %v, want both %s", req[ArgSpanID], child[ArgParentSpan], rootSpan)
@@ -88,4 +90,40 @@ func FuzzTraceContext(f *testing.F) {
 			t.Fatalf("string attribute %q, sent %q", got, traceHdr)
 		}
 	})
+}
+
+// TestSpanIDsExportUnpredictable mints span IDs as the request paths do — a
+// root, then four children — and holds what leaves the process to the
+// bijection's contract: intern undoes extern, the exported IDs are as
+// distinct as the sequence, and consecutive ones are neither a step of one
+// apart nor a constant stride apart, so they show no count of requests.
+func TestSpanIDsExportUnpredictable(t *testing.T) {
+	const n = 100_000
+	seen := make(map[uint64]bool, n)
+	strides := make(map[uint64]int)
+	var link Link
+	var prev uint64
+	for i := 0; i < n; i++ {
+		if i%5 == 0 {
+			link = RootLink(NewTraceID(), "")
+		} else {
+			link = link.Child()
+		}
+		id := extern(link.span)
+		if intern(id) != link.span {
+			t.Fatalf("intern(extern(%#x)) = %#x", link.span, intern(id))
+		}
+		if seen[id] {
+			t.Fatalf("span %d exports as %016x, an ID already exported", i, id)
+		}
+		seen[id] = true
+		if i > 0 {
+			if d := id - prev; d == 1 || d == math.MaxUint64 {
+				t.Fatalf("spans %d and %d export as %016x and %016x, one apart", i-1, i, prev, id)
+			} else if strides[d]++; strides[d] > 2 {
+				t.Fatalf("%d pairs of consecutive spans export %#x apart", strides[d], d)
+			}
+		}
+		prev = id
+	}
 }

@@ -44,8 +44,8 @@ type Config struct {
 }
 
 // DefaultTraceEvents is a serving daemon's default request-span ring: 8 192
-// spans, ≈ 240 KiB once full at ≈ 30 bytes a span (each encoded against the
-// one before it, see obs.Tracer) and at most 800 KiB at obs.Tracer's widest
+// spans, ≈ 185 KiB once full at ≈ 23 bytes a span (each encoded against the
+// one before it, see obs.Tracer) and at most 816 KiB at obs.Tracer's widest
 // event. It grows in 32 KiB chunks as it fills
 // (obs.Tracer), so a daemon keeps only the spans it has recorded. A
 // successful schedule request records five spans whatever its size (request,
